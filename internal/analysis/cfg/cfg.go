@@ -12,7 +12,10 @@
 // break/continue/goto, fallthrough. Statements that cannot complete
 // (panic, os.Exit, runtime.Goexit) end their block with no successors, and
 // a synthetic *Fall node marks falling off the closing brace, so exit-path
-// checks (bufown's leak report) see exactly the real exits.
+// checks (bufown's leak report) see exactly the real exits. An if whose
+// condition is a bare `x.TryLock()` (or its negation) gets a synthetic
+// *TryAcquired node at the head of the branch taken on success, which is how
+// the must-hold lockset learns of an acquisition that is conditional.
 package cfg
 
 import (
@@ -45,6 +48,7 @@ func (g *Graph) Entry() *Block { return g.Blocks[0] }
 //   - a *ast.ForStmt with nil Cond, a marker for a condition-less loop
 //     head — transfer functions must not recurse into it either
 //   - the synthetic *Fall at a fall-off-the-end exit
+//   - the synthetic *TryAcquired at the head of a TryLock's success branch
 type Block struct {
 	Index int
 	Nodes []ast.Node
@@ -57,6 +61,37 @@ type Fall struct{ Brace token.Pos }
 
 func (f *Fall) Pos() token.Pos { return f.Brace }
 func (f *Fall) End() token.Pos { return f.Brace }
+
+// TryAcquired is the synthetic flat node at the head of the branch that runs
+// only when the TryLock (or TryRLock) call an if statement tested returned
+// true. Call is that call, already emitted as the if's condition node. The
+// builder matches by method name only; the lockset transfer confirms the
+// receiver is a sync mutex.
+type TryAcquired struct{ Call *ast.CallExpr }
+
+func (t *TryAcquired) Pos() token.Pos { return t.Call.Pos() }
+func (t *TryAcquired) End() token.Pos { return t.Call.End() }
+
+// tryLockCond matches an if condition of the form `x.TryLock()`,
+// `x.TryRLock()` or the negation of one, returning the call and whether it
+// is negated. Compound conditions are not matched: the lock is then simply
+// not known to be held (a must-hold set errs that way).
+func tryLockCond(cond ast.Expr) (call *ast.CallExpr, negated bool) {
+	cond = ast.Unparen(cond)
+	if u, ok := cond.(*ast.UnaryExpr); ok && u.Op == token.NOT {
+		negated = true
+		cond = ast.Unparen(u.X)
+	}
+	call, ok := cond.(*ast.CallExpr)
+	if !ok || len(call.Args) != 0 {
+		return nil, false
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "TryLock" && sel.Sel.Name != "TryRLock") {
+		return nil, false
+	}
+	return call, negated
+}
 
 // New builds the CFG of a function body.
 func New(body *ast.BlockStmt) *Graph {
@@ -178,26 +213,35 @@ func (b *builder) stmt(s ast.Stmt, label string) {
 		}
 		b.emit(s.Cond)
 		condB := b.cur
+		// A tested TryLock is held on exactly one of the two branches.
+		tryCall, negated := tryLockCond(s.Cond)
 		thenB := b.newBlock()
 		edge(condB, thenB)
 		b.cur = thenB
+		if tryCall != nil && !negated {
+			b.emit(&TryAcquired{Call: tryCall})
+		}
 		b.stmtList(s.Body.List)
 		thenEnd := b.cur
-		var elseEnd *Block
-		if s.Else != nil {
+		// The false branch is the else clause, or, when there is none and a
+		// negated TryLock makes it the success branch, a block of its own.
+		heldElse := tryCall != nil && negated
+		elseEnd := condB
+		if s.Else != nil || heldElse {
 			elseB := b.newBlock()
 			edge(condB, elseB)
 			b.cur = elseB
-			b.stmt(s.Else, "")
+			if heldElse {
+				b.emit(&TryAcquired{Call: tryCall})
+			}
+			if s.Else != nil {
+				b.stmt(s.Else, "")
+			}
 			elseEnd = b.cur
 		}
 		join := b.newBlock()
 		edge(thenEnd, join)
-		if s.Else != nil {
-			edge(elseEnd, join)
-		} else {
-			edge(condB, join)
-		}
+		edge(elseEnd, join)
 		b.setCur(join)
 
 	case *ast.ForStmt:

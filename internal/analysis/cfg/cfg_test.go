@@ -37,6 +37,8 @@ func visitOrder(t *testing.T, fset *token.FileSet, body *ast.BlockStmt) []string
 			switch n := n.(type) {
 			case *Fall:
 				got = append(got, "<fall>")
+			case *TryAcquired:
+				got = append(got, "<held>")
 			case *ast.Ident:
 				got = append(got, n.Name)
 			default:
@@ -87,6 +89,27 @@ func TestIfElseJoin(t *testing.T) {
 	want := "<cond> x= _= y= _= z= _= <fall>"
 	if got != want {
 		t.Fatalf("visit order:\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestTryLockSuccessBranch: the synthetic held-marker sits at the head of
+// the branch taken when the tested TryLock returned true — the then branch,
+// or for a negated test the else branch, which gets a block of its own when
+// the source has no else clause. Compound conditions get no marker.
+func TestTryLockSuccessBranch(t *testing.T) {
+	for _, tc := range []struct{ src, want string }{
+		{`if mu.TryLock() { a() } else { b() }
+		  c()`, "<node> <held> a() b() c() <fall>"},
+		{`if !mu.TryLock() { a() } else { b() }
+		  c()`, "<node> a() <held> b() c() <fall>"},
+		{`if !mu.TryRLock() { return }
+		  c()`, "<node> return <held> c() <fall>"},
+		{`if ok && mu.TryLock() { a() }`, "<cond> a() <fall>"},
+	} {
+		fset, body := parseFunc(t, tc.src)
+		if got := strings.Join(visitOrder(t, fset, body), " "); got != tc.want {
+			t.Errorf("%s\n got %q\nwant %q", tc.src, got, tc.want)
+		}
 	}
 }
 

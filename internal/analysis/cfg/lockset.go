@@ -21,6 +21,14 @@ const (
 	// around the block, so the lockset treats it as lock-preserving; the
 	// blocking itself is blockhold's concern.
 	OpWait
+	// OpTryLock / OpTryRLock are acquisitions that never wait. The call
+	// itself does not change the must-hold set (it may fail); the lock is
+	// held from the *TryAcquired node the CFG places on the success branch
+	// of an if that tests the call. Because the caller cannot be made to
+	// wait, a TryLock contributes no lock-order edge and is not a blocking
+	// operation.
+	OpTryLock
+	OpTryRLock
 )
 
 // HeldLock is one lockset entry.
@@ -72,9 +80,7 @@ func joinLocks(dst, src LockSet) bool {
 }
 
 // MutexOp classifies a call expression. ok is false when the call is not a
-// recognizable mutex/cond operation on a keyable lock expression. TryLock
-// is deliberately not recognized: its acquisition is conditional, which a
-// must-hold set cannot represent.
+// recognizable mutex/cond operation on a keyable lock expression.
 func MutexOp(info *types.Info, call *ast.CallExpr) (op LockOp, key string, class *types.Var, ok bool) {
 	sel, isSel := call.Fun.(*ast.SelectorExpr)
 	if !isSel {
@@ -100,6 +106,8 @@ func MutexOp(info *types.Info, call *ast.CallExpr) (op LockOp, key string, class
 			op = OpLock
 		case "Unlock":
 			op = OpUnlock
+		case "TryLock":
+			op = OpTryLock
 		default:
 			return OpNone, "", nil, false
 		}
@@ -113,6 +121,10 @@ func MutexOp(info *types.Info, call *ast.CallExpr) (op LockOp, key string, class
 			op = OpRLock
 		case "RUnlock":
 			op = OpRUnlock
+		case "TryLock":
+			op = OpTryLock
+		case "TryRLock":
+			op = OpTryRLock
 		default:
 			return OpNone, "", nil, false
 		}
@@ -192,10 +204,17 @@ func baseVar(info *types.Info, e ast.Expr) *types.Var {
 }
 
 // LockTransfer applies one flat node's effect on the lockset. Only
-// statement-level Lock/Unlock calls change it; a deferred Unlock keeps the
-// lock held through the rest of the body (it runs at exit), and cond.Wait
-// reacquires before returning.
+// statement-level Lock/Unlock calls and the success branch of a tested
+// TryLock change it; a deferred Unlock keeps the lock held through the rest
+// of the body (it runs at exit), and cond.Wait reacquires before returning.
 func LockTransfer(info *types.Info, s LockSet, n ast.Node) {
+	if ta, isTry := n.(*TryAcquired); isTry {
+		op, key, class, ok := MutexOp(info, ta.Call)
+		if ok && (op == OpTryLock || op == OpTryRLock) {
+			s[key] = HeldLock{Class: class, RLock: op == OpTryRLock, Pos: ta.Call.Pos()}
+		}
+		return
+	}
 	es, isExpr := n.(*ast.ExprStmt)
 	if !isExpr {
 		return

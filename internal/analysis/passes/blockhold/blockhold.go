@@ -124,7 +124,7 @@ func (c *checker) body(body *ast.BlockStmt, entry cfg.LockSet, self *callgraph.N
 			return
 		}
 		switch n := n.(type) {
-		case *cfg.Fall:
+		case *cfg.Fall, *cfg.TryAcquired:
 			return
 		case *ast.DeferStmt, *ast.GoStmt:
 			// Registering a defer or spawning a goroutine does not block.
@@ -292,7 +292,7 @@ func firstBlocking(pkg *analysis.Package, annots *cfg.Annotations, fd *ast.FuncD
 	add := func(what string, pos token.Pos) { hits = append(hits, hit{what, pos}) }
 	cfg.WalkLocked(pkg.Info, fd.Body, entry, func(s cfg.LockSet, n ast.Node) {
 		switch n := n.(type) {
-		case *cfg.Fall:
+		case *cfg.Fall, *cfg.TryAcquired:
 			return
 		case *ast.DeferStmt, *ast.GoStmt:
 			return
@@ -343,7 +343,8 @@ func classifyCall(info *types.Info, annots *cfg.Annotations, call *ast.CallExpr,
 	// Cond.Wait: blocking unless it waits on the held CPU lock itself.
 	if op, condKey, class, ok := cfg.MutexOp(info, call); ok {
 		if op != cfg.OpWait {
-			// Lock/Unlock ordering is lockorder's concern.
+			// Lock/Unlock ordering is lockorder's concern, and a TryLock
+			// never waits.
 			return "", false
 		}
 		lockKey, known := condLock(annots, condKey, class)

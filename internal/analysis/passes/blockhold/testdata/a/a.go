@@ -72,7 +72,32 @@ func waitWrongLock(p *pair) {
 	p.mu.Unlock()
 }
 
+func sleepUnderTryLock(n *node) {
+	if n.mu.TryLock() { // the CPU is held on this branch
+		time.Sleep(time.Millisecond) // want `time.Sleep while holding`
+		n.mu.Unlock()
+	}
+}
+
 // --- negatives -------------------------------------------------------------
+
+// TryLock never waits: trying another node's CPU while holding one's own is
+// not a blocking operation, and the failed branch holds nothing new.
+func tryOtherCPU(n, other *node) {
+	n.mu.Lock()
+	if other.mu.TryLock() {
+		other.mu.Unlock()
+	}
+	n.mu.Unlock()
+}
+
+func sleepWhenTryLockFailed(n *node) {
+	if !n.mu.TryLock() {
+		time.Sleep(time.Millisecond)
+		return
+	}
+	n.mu.Unlock()
+}
 
 func afterUnlock(n *node) {
 	n.mu.Lock()

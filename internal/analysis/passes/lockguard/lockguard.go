@@ -116,8 +116,9 @@ func (c *checker) body(body *ast.BlockStmt, entry cfg.LockSet) {
 // node checks one flat CFG node's expressions against the pre-state.
 func (c *checker) node(s cfg.LockSet, n ast.Node) {
 	switch n := n.(type) {
-	case *cfg.Fall, *ast.ForStmt:
-		// Synthetic exit / condition-less loop marker: no expressions.
+	case *cfg.Fall, *cfg.TryAcquired, *ast.ForStmt:
+		// Synthetic exit / TryLock-success marker / condition-less loop
+		// marker: no expressions.
 	case *ast.RangeStmt:
 		c.tree(s, n.X, nil)
 		writes := map[ast.Expr]bool{}

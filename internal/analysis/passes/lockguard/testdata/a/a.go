@@ -1,7 +1,8 @@
 // Package a exercises the lockguard pass: guarded-field accesses with and
 // without the declared mutex held, cross-struct guard paths, promoted
-// mutexes, read-lock writes, //mpmdvet:locked entry seeding, and the
-// cond.Wait-preserves-the-lock idiom.
+// mutexes, read-lock writes, //mpmdvet:locked entry seeding, the
+// cond.Wait-preserves-the-lock idiom, and TryLock (held on the branch where it
+// succeeded, and only there).
 package a
 
 import "sync"
@@ -64,7 +65,44 @@ func closureWithoutLock(n *node) func() {
 	}
 }
 
+func tryLockFailedBranch(n *node) {
+	if !n.mu.TryLock() {
+		n.count++ // want `guarded by mu`
+		return
+	}
+	n.mu.Unlock()
+}
+
+func tryLockResultDiscarded(n *node) {
+	n.mu.TryLock() // may have failed: proves nothing
+	n.count++      // want `guarded by mu`
+}
+
 // --- negatives -------------------------------------------------------------
+
+func tryLockHeld(n *node) {
+	if n.mu.TryLock() {
+		n.count++
+		n.mu.Unlock()
+	}
+}
+
+func tryLockOrGiveUp(n *node) bool {
+	if !n.mu.TryLock() {
+		return false
+	}
+	n.count++
+	n.mu.Unlock()
+	return true
+}
+
+func tryRLockHeld(t *table) int {
+	if t.rw.TryRLock() {
+		defer t.rw.RUnlock()
+		return t.m[0]
+	}
+	return 0
+}
 
 func lockedAccess(n *node) int {
 	n.mu.Lock()

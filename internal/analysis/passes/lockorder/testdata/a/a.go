@@ -42,7 +42,49 @@ func twoInstances(x, y *node) {
 	x.mu.Unlock()
 }
 
+type tl struct {
+	p sync.Mutex
+	q sync.Mutex
+}
+
+// A lock won by TryLock is held like any other: blocking on a second lock
+// under it is an order edge.
+func tryThenLock(t *tl) {
+	if t.p.TryLock() {
+		t.q.Lock() // want `lock order cycle`
+		t.q.Unlock()
+		t.p.Unlock()
+	}
+}
+
+func lockReverse(t *tl) {
+	t.q.Lock()
+	t.p.Lock() // want `lock order cycle`
+	t.p.Unlock()
+	t.q.Unlock()
+}
+
 // --- negatives -------------------------------------------------------------
+
+// TryLock never waits, so taking it under another lock — even a second
+// instance of the same class, even against the order Lock uses elsewhere —
+// cannot deadlock and draws no edge. (The live backend's direct notify: a
+// sender holding its own node's CPU tries the destination's.)
+func tryOtherInstance(x, y *node) {
+	x.mu.Lock()
+	if y.mu.TryLock() {
+		y.mu.Unlock()
+	}
+	x.mu.Unlock()
+}
+
+func tryAgainstOrder(p *pool) {
+	p.small.Lock()
+	if p.big.TryLock() {
+		p.big.Unlock()
+	}
+	p.small.Unlock()
+}
 
 type pool struct {
 	big   sync.Mutex

@@ -221,7 +221,7 @@ func ccPhase(rt *core.Runtime, t *threads.Thread, g *Graph, variant Variant, me 
 
 // ccComputeLocal is the purely local update loop of the ghost and bulk
 // variants.
-func ccComputeLocal(t *threads.Thread, g *Graph, me int, dst []float64, deps [][]edge, src [][]float64, plan *ghostPlan, ghosts []float64, cfg machine.Config) {
+func ccComputeLocal(t *threads.Thread, g *Graph, me int, dst []float64, deps [][]edge, src [][]float64, plan *ghostPlan, ghosts []float64, cfg *machine.Config) {
 	slots := plan.slot[me]
 	for i := range dst {
 		acc := dst[i]

@@ -146,7 +146,7 @@ func scPhase(p *splitc.Proc, g *Graph, variant Variant, dst []float64, deps [][]
 }
 
 // computeLocal updates dst reading only local and ghost values.
-func computeLocal(p *splitc.Proc, g *Graph, dst []float64, deps [][]edge, src [][]float64, plan *ghostPlan, ghosts []float64, cfg machine.Config) {
+func computeLocal(p *splitc.Proc, g *Graph, dst []float64, deps [][]edge, src [][]float64, plan *ghostPlan, ghosts []float64, cfg *machine.Config) {
 	me := p.MyPC()
 	slots := plan.slot[me]
 	for i := range dst {

@@ -77,6 +77,19 @@ func statsRow(scope string, nodes int, acct machine.Snapshot, met metrics.Snapsh
 			row.Wall[c.String()] = v
 		}
 	}
+	// The three branches an arrival's notify takes are shown together: beside
+	// a non-zero sibling a zero is the reading ("none fell back to the queue",
+	// "none dropped"), not an absent instrument.
+	branches := [...]metrics.Ctr{metrics.CtrNotifyDirect, metrics.CtrNotifies, metrics.CtrNotifyDropped}
+	var notified int64
+	for _, c := range branches {
+		notified += met.Counter(c)
+	}
+	if notified != 0 { // so row.Wall exists: the loop above stored the non-zero one
+		for _, c := range branches {
+			row.Wall[c.String()] = met.Counter(c)
+		}
+	}
 	for _, g := range metrics.Gauges() {
 		if gs := met.Gauge(g); gs.Max != 0 || gs.Last != 0 {
 			if row.Gauges == nil {

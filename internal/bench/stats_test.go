@@ -1,0 +1,26 @@
+package bench
+
+import (
+	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/metrics"
+)
+
+// TestStatsRowNotifyBranches: once any notify has been counted, the row
+// carries all three branch counters (direct, queued, dropped), zeros
+// included; a scope with no live traffic carries none.
+func TestStatsRowNotifyBranches(t *testing.T) {
+	var met metrics.Snapshot
+	met.Counters[metrics.CtrNotifyDirect] = 3
+	row := statsRow("machine", 2, machine.Snapshot{}, met)
+	want := map[string]int64{"live.notify.direct": 3, "live.notifies": 0, "live.notify.dropped": 0}
+	for name, v := range want {
+		if got, ok := row.Wall[name]; !ok || got != v {
+			t.Errorf("Wall[%q] = %d (present %v), want %d", name, got, ok, v)
+		}
+	}
+	if row := statsRow("machine", 2, machine.Snapshot{}, metrics.Snapshot{}); len(row.Wall) != 0 {
+		t.Errorf("row without live traffic has wall counters: %v", row.Wall)
+	}
+}

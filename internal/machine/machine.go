@@ -139,7 +139,8 @@ func (m *Machine) SetWireDecoder(dec func(src, dst int, b []byte) any) { m.wireD
 // remoteArrival lands a packet received from a peer shard: decode the
 // payload, enqueue, and wake the destination through the backend's direct
 // path. It runs on a backend reader goroutine; the inbox is thread-safe and
-// the notify closure goes through the destination's delivery worker.
+// the backend runs the notify closure holding the destination's CPU (on this
+// goroutine when the CPU is free, else on the delivery worker).
 func (m *Machine) remoteArrival(src, dst, size int, enc []byte) {
 	if m.wireDec == nil {
 		panic(fmt.Sprintf("machine: packet from shard peer for node %d but no wire decoder installed", dst))
@@ -230,8 +231,10 @@ type Node struct {
 	OnArrival func()
 }
 
-// Cfg returns the machine's cost configuration.
-func (n *Node) Cfg() Config { return n.M.Cfg }
+// Cfg returns the machine's cost configuration. The result is read-only: it
+// points at the machine's one copy (every charge reads a field of it, and
+// copying the struct per charge was a measurable share of a warm RMI).
+func (n *Node) Cfg() *Config { return &n.M.Cfg }
 
 // InboxLen reports the number of undelivered packets queued at the node.
 func (n *Node) InboxLen() int {

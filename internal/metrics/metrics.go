@@ -30,11 +30,18 @@ import (
 type Ctr int
 
 const (
-	// CtrNotifies counts notify callbacks pushed onto live delivery queues.
+	// CtrNotifies counts notify callbacks pushed onto live delivery queues:
+	// arrivals that found the destination's CPU busy, and After callbacks.
 	CtrNotifies Ctr = iota
 	// CtrNotifyBatches counts delivery-worker drain batches (CtrNotifies /
 	// CtrNotifyBatches is the realized short-message batching factor).
 	CtrNotifyBatches
+	// CtrNotifyDirect counts arrival notifies the sender ran itself because
+	// the destination's CPU was free (no queue, no delivery worker).
+	CtrNotifyDirect
+	// CtrNotifyDropped counts arrival notifies dropped because the
+	// destination's delivery queue had already closed (the run was over).
+	CtrNotifyDropped
 	// CtrFramesOut / CtrBytesOut count cross-shard frames and payload bytes
 	// shipped to peer shards (netlive writer side).
 	CtrFramesOut
@@ -63,7 +70,7 @@ const (
 )
 
 var ctrNames = [numCtrs]string{
-	"live.notifies", "live.notify.batches",
+	"live.notifies", "live.notify.batches", "live.notify.direct", "live.notify.dropped",
 	"net.frames.out", "net.bytes.out", "net.frames.in", "net.bytes.in",
 	"shm.frames.out", "shm.bytes.out", "shm.frames.in", "shm.bytes.in",
 	"shm.doorbells", "shm.wakes.spin", "shm.wakes.park",

@@ -97,14 +97,14 @@ func (t *Thread) Scheduler() *Scheduler { return t.s }
 // Node returns the node the thread runs on.
 func (t *Thread) Node() *machine.Node { return t.s.node }
 
-// Cfg returns the machine cost configuration.
-func (t *Thread) Cfg() machine.Config { return t.s.node.Cfg() }
+// Cfg returns the machine cost configuration (read-only; see Node.Cfg).
+func (t *Thread) Cfg() *machine.Config { return t.s.node.Cfg() }
 
 // Now returns the backend clock: virtual time on the simulator, wall-clock
 // time on the live backend.
 func (t *Thread) Now() time.Duration { return t.p.Now() }
 
-func (s *Scheduler) cfg() machine.Config { return s.node.Cfg() }
+func (s *Scheduler) cfg() *machine.Config { return s.node.Cfg() }
 
 func (s *Scheduler) popReady() *Thread {
 	if len(s.ready) == 0 {

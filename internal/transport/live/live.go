@@ -8,22 +8,41 @@
 // per-node state with no locking of their own; on the simulator the global
 // event loop makes that safe. Here each node owns one mutex — its "CPU" — and
 // everything that executes in the node's context holds it: the node's proc
-// goroutines while running, and the node's delivery worker while running
-// notify/timer callbacks. Procs release the CPU when they park (condition
-// wait) and briefly during Sleep, which is where the simulator would have let
-// arrival events interleave, so the interleaving points match the calibrated
-// backend exactly.
+// goroutines while running, and whichever goroutine runs a notify or timer
+// callback for the node, for the duration of the callback. A proc gives the
+// CPU to its node's other procs only by parking (condition wait) — the
+// threads package above runs one thread at a time and switches by
+// unpark-then-park — and to delivery and timer callbacks also during Sleep,
+// which is where the simulator lets arrival events interleave with a charge.
 //
 // # Message delivery
 //
 // Deliver runs enqueue immediately on the sender's goroutine (the machine
 // layer's inbound queues are individually thread-safe), so a destination that
 // is actively polling observes the message with no handoff at all. The notify
-// callback — waking a parked receiver — must run in the destination's context,
-// so it is pushed onto the node's unbounded notify queue and executed by the
-// node's delivery worker, which drains the queue in batches under a single
-// CPU acquisition (short-message batching). Senders never block on delivery,
-// which rules out cross-node delivery deadlocks by construction.
+// callback — waking a parked receiver — must run in the destination's
+// context, and the sender puts it there itself: it TryLocks the destination's
+// CPU and, when that succeeds (the receiver is parked: the ping-pong and the
+// idle-server case), runs notify on its own goroutine and unlocks. An arrival
+// then costs the one wake-up that is inherent, sender to receiver. Only when
+// the destination's CPU is busy does the notify fall back to the node's
+// unbounded notify queue, to be run by the node's delivery worker, which
+// drains the queue in batches under a single CPU acquisition; the worker is
+// also where After callbacks run. TryLock never waits and the queue never
+// fills, so senders never block on delivery, which rules out cross-node
+// delivery deadlocks by construction. Notifies of one sender may therefore
+// run out of send order (a queued one after a later direct one); that is
+// harmless because message order is fixed by enqueue, before any notify, and
+// arrivals are coalescible — a woken receiver drains the whole inbox.
+//
+// # The CPU release in Sleep
+//
+// Sleep must give a delivery worker that is waiting for the CPU a window.
+// The worker is the only context that blocks on a node's CPU from outside the
+// node's own procs (a sender only ever TryLocks it), and it says so: it
+// raises the node's wanted count around its Lock. Sleep releases and retakes
+// the CPU only when wanted is non-zero, so a contender gets the window it
+// always had and an uncontended charge costs one atomic load.
 package live
 
 import (
@@ -154,8 +173,11 @@ func (b *Backend) MetricsSnapshot() metrics.Snapshot {
 type lnode struct {
 	id int
 	// mu is the node's CPU: held by whichever context is executing.
-	mu  sync.Mutex        //mpmd:cpu
-	met *metrics.Registry // wall-clock instruments; shared with upper layers via NodeMetrics
+	mu sync.Mutex //mpmd:cpu
+	// wanted counts delivery workers blocked (or about to block) in mu.Lock;
+	// Sleep opens its release window only when it is non-zero.
+	wanted atomic.Int32
+	met    *metrics.Registry // wall-clock instruments; shared with upper layers via NodeMetrics
 
 	q struct {
 		mu     sync.Mutex
@@ -225,7 +247,11 @@ func (nd *lnode) deliveryLoop(batch int) {
 			met.Observe(metrics.HstPollBatch, int64(len(take)))
 		}
 
+		// Announce before blocking: a proc that charges without parking
+		// releases the CPU in Sleep only for an announced contender.
+		nd.wanted.Add(1)
 		nd.mu.Lock()
+		nd.wanted.Add(-1)
 		for i, fn := range take {
 			fn()
 			take[i] = nil // drop the reference; the buffer is reused
@@ -295,17 +321,19 @@ func (p *Proc) Unpark() {
 }
 
 // Sleep implements transport.Proc. The modelled cost is already paid by real
-// execution, so no time passes; the CPU is briefly released so delivery and
-// timer callbacks get the same interleaving window the simulator's arrival
-// events have during a virtual-time charge. The release is a bare mutex
-// handoff — a waiting delivery worker acquires it, an uncontended release
-// costs a few atomic operations. (An unconditional runtime.Gosched here was
-// the single largest cost of the warm RMI path: each modelled charge forced
-// a scheduler round trip, and a round trip has several charges per side.)
+// execution, so no time passes; what remains is the interleaving window the
+// simulator's arrival events have during a virtual-time charge. It is opened
+// on demand: only when the node's delivery worker has announced that it is
+// waiting for the CPU (wanted != 0) is the CPU released and retaken — a bare
+// mutex handoff the waiting worker acquires. With nobody waiting, which is
+// nearly every charge because most notifies run on their sender, a charge
+// costs one atomic load. A worker that announces just after the load is
+// served by the next charge or Park, exactly as one that arrived just after
+// an unconditional release was.
 //
 //mpmdvet:locked p.nd.mu
 func (p *Proc) Sleep(d time.Duration) {
-	if d <= 0 {
+	if d <= 0 || p.nd.wanted.Load() == 0 {
 		return
 	}
 	p.nd.mu.Unlock()
@@ -359,20 +387,37 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 }
 
 // Deliver implements transport.Backend: enqueue runs immediately on the
-// caller, notify goes through the destination's delivery worker. The modelled
-// latency is ignored — the real wire is the real latency.
+// caller, notify as DeliverDirect runs it. The modelled latency is ignored —
+// the real wire is the real latency.
 func (b *Backend) Deliver(dst int, _ time.Duration, enqueue, notify func()) {
 	enqueue()
-	b.nodes[dst].push(notify)
+	b.DeliverDirect(dst, notify)
 }
 
 // DeliverDirect implements transport.DirectDeliverer: the caller already ran
 // the enqueue step, so only the (long-lived, caller-owned) notify closure is
-// queued to the destination's delivery worker. This is Deliver minus the
-// per-send closures — the machine layer uses it to make the warm send path
-// allocation-free.
+// left to run in dst's context. If dst's CPU is free — its procs are parked —
+// the caller takes it and runs notify itself; otherwise notify is queued to
+// dst's delivery worker. Either way the caller never waits, even while it
+// holds its own node's CPU. A notify that finds the queue closed (the run is
+// over) is dropped and counted.
+//
+//mpmd:hotpath
 func (b *Backend) DeliverDirect(dst int, notify func()) {
-	b.nodes[dst].push(notify)
+	nd := b.nodes[dst]
+	if nd.mu.TryLock() {
+		notify()
+		nd.mu.Unlock()
+		if met := nd.met; met != nil {
+			met.Add(metrics.CtrNotifyDirect, 1)
+		}
+		return
+	}
+	if !nd.push(notify) {
+		if met := nd.met; met != nil {
+			met.Add(metrics.CtrNotifyDropped, 1)
+		}
+	}
 }
 
 // After implements transport.Backend: fn runs in node's execution context

@@ -2,9 +2,11 @@ package live
 
 import (
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/metrics"
 	"repro/internal/transport"
 )
 
@@ -29,14 +31,21 @@ func TestParkUnparkPermit(t *testing.T) {
 	}
 }
 
-// TestDeliverOrdering checks per-sender FIFO through the notify queue.
-func TestDeliverOrdering(t *testing.T) {
+// TestDeliverEnqueueThenNotify checks Deliver's contract: enqueue runs on the
+// sender in send order, and every notify runs exactly once, in node 1's
+// context (it can unpark), after its own enqueue. Notify order is not part of
+// the contract: a notify queued behind a busy CPU may run after a later one
+// that found the CPU free.
+func TestDeliverEnqueueThenNotify(t *testing.T) {
 	const k = 500
 	b := New(2, Options{Watchdog: 5 * time.Second})
-	var inbox, notified []int
+	var enqueued atomic.Int64 // sends whose enqueue step has run
+	notified := make([]int, k)
+	var total int
+	early := -1
 	var rx transport.Proc
 	rx = b.Go(1, "rx", func(p transport.Proc) {
-		for len(notified) < k {
+		for total < k {
 			p.Park()
 		}
 	})
@@ -44,24 +53,145 @@ func TestDeliverOrdering(t *testing.T) {
 		for i := 0; i < k; i++ {
 			i := i
 			b.Deliver(1, 0,
-				func() { /* enqueue runs on the sender */ },
-				func() { // notify runs in node 1's context
-					notified = append(notified, i)
+				func() { enqueued.Store(int64(i + 1)) },
+				func() { // node 1's context
+					if enqueued.Load() <= int64(i) {
+						early = i
+					}
+					notified[i]++
+					total++
 					rx.Unpark()
 				})
 		}
 	})
-	_ = inbox
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(notified) != k {
-		t.Fatalf("notified %d, want %d", len(notified), k)
+	if early >= 0 {
+		t.Fatalf("notify %d ran before its enqueue", early)
 	}
-	for i, v := range notified {
-		if v != i {
-			t.Fatalf("notify %d carried %d: reordered", i, v)
+	for i, n := range notified {
+		if n != 1 {
+			t.Fatalf("notify %d ran %d times, want exactly once", i, n)
 		}
+	}
+}
+
+// waitParked returns once p is parked. The caller may hold its own node's
+// CPU, never p's.
+func waitParked(p *Proc) {
+	for {
+		p.nd.mu.Lock()
+		parked := p.parked
+		p.nd.mu.Unlock()
+		if parked {
+			return
+		}
+		runtime.Gosched()
+	}
+}
+
+// TestDirectNotifyWhenParked: with the receiver parked its CPU is free, so
+// every send's notify runs on the sender and none reaches the delivery queue.
+func TestDirectNotifyWhenParked(t *testing.T) {
+	const n = 200
+	b := New(2, Options{Watchdog: 5 * time.Second})
+	var got int
+	var rx *Proc
+	notify := func() { // node 1's context
+		if got++; got == n {
+			rx.Unpark()
+		}
+	}
+	rx = b.Go(1, "rx", func(p transport.Proc) { p.Park() }).(*Proc)
+	b.Go(0, "tx", func(p transport.Proc) {
+		waitParked(rx)
+		for i := 0; i < n; i++ {
+			b.DeliverDirect(1, notify)
+		}
+	})
+	if err := b.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	met := b.NodeMetrics(1).Snapshot()
+	if d, q := met.Counter(metrics.CtrNotifyDirect), met.Counter(metrics.CtrNotifies); d != n || q != 0 {
+		t.Fatalf("direct=%d queued=%d, want %d and 0", d, q, n)
+	}
+	if got != n {
+		t.Fatalf("notify ran %d times, want %d", got, n)
+	}
+}
+
+// TestSleepServesAnnouncedWorker: a proc that only charges, never parks,
+// still lets a timer callback in. The callback can only run on the delivery
+// worker, which announces itself; the proc's next Sleep must then release the
+// CPU (the Go mutex hands it over once the worker has waited 1ms).
+func TestSleepServesAnnouncedWorker(t *testing.T) {
+	b := New(1, Options{Watchdog: 10 * time.Second})
+	fired := false // node 0 state
+	var seen time.Duration
+	b.Go(0, "spin", func(p transport.Proc) {
+		start := time.Now()
+		for !fired && time.Since(start) < 5*time.Second {
+			p.Sleep(1)
+		}
+		seen = time.Since(start)
+	})
+	b.After(0, time.Millisecond, func() { fired = true })
+	if err := b.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !fired {
+		t.Fatal("timer callback never got the CPU from a proc that only Sleeps")
+	}
+	if seen > 50*time.Millisecond {
+		t.Fatalf("After(1ms) callback seen after %v, want within 50ms", seen)
+	}
+}
+
+// TestCrossBlastNoStall: two nodes blast each other, each holding its own CPU
+// while it TryLocks the other's. A sender never waits for a CPU, so neither
+// can wedge the other, and every notify still runs: on the sender when the
+// TryLock wins, through the delivery worker once the busy peer parks.
+func TestCrossBlastNoStall(t *testing.T) {
+	const k = 2000
+	b := New(2, Options{Watchdog: 10 * time.Second})
+	var got [2]int // got[i] is node i state
+	var procs [2]transport.Proc
+	var notify [2]func()
+	for i := range procs {
+		i := i
+		notify[i] = func() {
+			got[i]++
+			procs[i].Unpark()
+		}
+		procs[i] = b.Go(i, "blaster", func(p transport.Proc) {
+			for j := 0; j < k; j++ {
+				b.DeliverDirect(1-i, notify[1-i])
+			}
+			for got[i] < k {
+				p.Park()
+			}
+		})
+	}
+	if err := b.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i, n := range got {
+		if n != k {
+			t.Fatalf("node %d saw %d notifies, want %d", i, n, k)
+		}
+	}
+	var accounted int64
+	for i := range procs {
+		met := b.NodeMetrics(i).Snapshot()
+		accounted += met.Counter(metrics.CtrNotifyDirect) + met.Counter(metrics.CtrNotifies)
+		if d := met.Counter(metrics.CtrNotifyDropped); d != 0 {
+			t.Fatalf("node %d dropped %d notifies during the run", i, d)
+		}
+	}
+	if accounted != 2*k {
+		t.Fatalf("direct+queued = %d, want %d", accounted, 2*k)
 	}
 }
 
@@ -155,9 +285,10 @@ func TestStallTeardownFreesWorkers(t *testing.T) {
 	// Give the teardown deadline time to pass and the workers to drain.
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		// Only the stuck proc (1 goroutine) may outlive the run; the n
+		// Only the stuck proc and Run's wg waiter, which lives as long as
+		// the stuck proc does (2 goroutines), may outlive the run; the n
 		// delivery workers and the janitor must be gone.
-		if g := runtime.NumGoroutine(); g <= before+1 {
+		if g := runtime.NumGoroutine(); g <= before+2 {
 			return
 		}
 		time.Sleep(20 * time.Millisecond)

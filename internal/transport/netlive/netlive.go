@@ -32,7 +32,8 @@
 // what the socket write itself costs. Reader goroutines decode arriving
 // frames into pooled buffers and hand them to the machine's remote-arrival
 // handler, which enqueues into the destination node's (thread-safe) inbox
-// and wakes it through the live backend's delivery worker.
+// and wakes it through the live backend's direct notify (on the reader's own
+// goroutine when the destination's CPU is free, else its delivery worker).
 //
 // # The shared-memory fast path
 //

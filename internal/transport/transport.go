@@ -204,9 +204,11 @@ type Backend interface {
 	// once. modelLatency is the modelled wire delay: simnet delays both
 	// callbacks by it; live ignores it (the real wire is the real latency)
 	// and runs enqueue immediately so the payload is visible to pollers,
-	// then schedules notify into dst's execution context, batching
-	// consecutive notifies to amortize handoff cost. Per-sender delivery
-	// order to a given destination is preserved.
+	// then runs notify in dst's execution context — on the caller when
+	// dst's CPU is free, otherwise queued to dst's delivery worker, which
+	// batches. Per-sender delivery order to a given destination is
+	// preserved (the order of enqueue; notifies may be reordered or
+	// coalesced).
 	Deliver(dst int, modelLatency time.Duration, enqueue, notify func())
 	// After schedules fn to run in node's execution context after delay d
 	// (virtual on simnet, wall on live).
