@@ -15,12 +15,11 @@
 // leaf operation. //mpmd:coldpath marks a function as allocating by design
 // and cuts the chain there.
 //
-// Two modes share the same passes:
+// One mode, whole-tree (CI runs it under GOOS=linux and GOOS=darwin):
 //
-//	go run ./cmd/mpmdvet ./...                 standalone, whole-tree
-//	go vet -vettool=$(which mpmdvet) ./...     toolchain-driven, cached
+//	go run ./cmd/mpmdvet ./...
 //
-// Standalone mode prints diagnostics plus a one-line summary counting
+// It prints diagnostics plus a one-line summary counting
 // //mpmdvet:ignore suppressions per pass; -summary=<file> also writes the
 // machine-readable JSON CI uploads next to BENCH_live.json, and
 // -baseline=<file> ratchets the suppression ledger: every pragma needs a
@@ -39,13 +38,6 @@ import (
 
 func main() {
 	analyzers := suite.Analyzers()
-
-	// `go vet -vettool` invocations (-flags / -V=full / <unit>.cfg) are
-	// dispatched before flag parsing: the protocol owns those argument forms.
-	if analysis.UnitcheckerMain(os.Args[1:], analyzers) {
-		return
-	}
-
 	summaryPath := flag.String("summary", "", "write a JSON run summary to this file")
 	baselinePath := flag.String("baseline", "", "check suppressions against this committed baseline file")
 	flag.Usage = func() {

@@ -66,11 +66,11 @@ type Msg struct {
 // 4 word arguments, RecvExtra i64. Src/Dst/Size ride in the packet frame.
 const wireHeaderLen = 1 + 4 + 4*8 + 8
 
-// WireLen implements machine.WirePayload: the serialized length of the
+// WireLen implements transport.FrameMarshaler: the serialized length of the
 // message for a cross-address-space hop.
 func (m *Msg) WireLen() int { return wireHeaderLen + len(m.Payload) }
 
-// EncodeWire implements machine.WirePayload. It serializes the message into
+// EncodeWire implements transport.FrameMarshaler. It serializes the message into
 // b (which must hold WireLen bytes) and consumes the envelope: the payload
 // buffer is released and the pooled Msg recycled, so the caller must not
 // touch m afterwards.

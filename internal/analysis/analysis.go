@@ -6,15 +6,15 @@
 // pooled wire.Buf ownership transfer, nil-gated metrics record sites,
 // allocation-free hot paths, word-only wire frames, accounting-cell access
 // discipline. Each convention is enforced by one Analyzer in
-// internal/analysis/passes, and two drivers run them: a standalone loader
-// (Run in driver.go, used by `go run ./cmd/mpmdvet ./...` and the meta-test)
-// and a `go vet -vettool` unitchecker (unitchecker.go), so the same passes
-// gate CI through the toolchain's own vet plumbing.
+// internal/analysis/passes, and one driver runs them over the whole tree at
+// once: the standalone loader (Run in driver.go, used by `go run
+// ./cmd/mpmdvet ./...`, CI under GOOS=linux and GOOS=darwin, and the
+// meta-test).
 //
 // x/tools itself is deliberately not imported: the module is stdlib-only and
 // must build hermetically, so the framework reimplements the narrow slice it
-// needs (Analyzer/Pass/Diagnostic, a package loader over `go list -export`,
-// and the vet unitchecker protocol) on go/ast, go/types, and go/importer.
+// needs (Analyzer/Pass/Diagnostic and a package loader over `go list
+// -export`) on go/ast, go/types, and go/importer.
 package analysis
 
 import (
@@ -34,12 +34,6 @@ type Analyzer struct {
 	Doc string
 	// Run applies the pass to one type-checked package.
 	Run func(*Pass) error
-	// Transitive marks a pass whose whole-program layer (call-graph
-	// summaries) can only fire in the standalone driver, where every package
-	// is loaded with sources. The unitchecker sees one unit at a time, so it
-	// skips unused-pragma reporting for these passes: a pragma may suppress a
-	// finding only the whole-program run produces.
-	Transitive bool
 }
 
 // Pass is the interface between one Analyzer run and the driver: one
@@ -58,15 +52,11 @@ type Pass struct {
 }
 
 // Program is the full set of packages one driver invocation loaded, plus a
-// cache for facts derived from it (the call graph, bottom-up summaries).
-// The standalone driver builds one Program for the whole tree; the
-// unitchecker builds one per unit (a single package), so cross-package
-// transitive checks degrade to intra-package there — Whole distinguishes the
-// two so passes can gate diagnostics that only make sense with the full set
-// in view (e.g. "interface has no implementers").
+// cache for facts derived from it (the call graph, bottom-up summaries). The
+// driver builds one Program for the whole tree, so diagnostics that only make
+// sense with the full set in view ("interface has no implementers") hold.
 type Program struct {
-	Pkgs  []*Package
-	Whole bool
+	Pkgs []*Package
 
 	mu    sync.Mutex
 	facts map[any]*factEntry
@@ -78,8 +68,8 @@ type factEntry struct {
 }
 
 // NewProgram wraps a loaded package set.
-func NewProgram(pkgs []*Package, whole bool) *Program {
-	return &Program{Pkgs: pkgs, Whole: whole, facts: map[any]*factEntry{}}
+func NewProgram(pkgs []*Package) *Program {
+	return &Program{Pkgs: pkgs, facts: map[any]*factEntry{}}
 }
 
 // Fact returns the cached fact under key, building it once on first request.
@@ -140,8 +130,7 @@ func RunAnalyzers(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnos
 	return diags, wall, nil
 }
 
-// Package is one loaded, type-checked package (see load.go and
-// unitchecker.go for the two ways one is built).
+// Package is one loaded, type-checked package (see load.go).
 type Package struct {
 	// ID is the driver-facing identity ("repro/internal/am" or the go list
 	// test-variant form "p [p.test]").

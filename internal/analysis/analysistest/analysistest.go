@@ -87,7 +87,7 @@ func runOne(t *testing.T, a *analysis.Analyzer, exports map[string]string, fixtu
 	// A fixture is its own whole program: transitive checks see every
 	// function in the fixture package, so multi-hop witness chains are
 	// testable without loading the real tree.
-	prog := analysis.NewProgram([]*analysis.Package{pkg}, true)
+	prog := analysis.NewProgram([]*analysis.Package{pkg})
 	diags, _, err := analysis.RunAnalyzers(prog, pkg, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("%s: running %s: %v", fixture, a.Name, err)

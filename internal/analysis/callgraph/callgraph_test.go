@@ -27,7 +27,7 @@ func load(t *testing.T, src string) (*analysis.Program, *Graph) {
 		t.Fatalf("typecheck: %v", err)
 	}
 	pkg := &analysis.Package{ID: "p", ImportPath: "p", Fset: fset, Files: []*ast.File{f}, Pkg: tpkg, Info: info}
-	prog := analysis.NewProgram([]*analysis.Package{pkg}, true)
+	prog := analysis.NewProgram([]*analysis.Package{pkg})
 	return prog, Of(prog)
 }
 

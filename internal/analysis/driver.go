@@ -59,7 +59,7 @@ func Run(w io.Writer, dir string, analyzers []*Analyzer, patterns ...string) (*S
 	if err != nil {
 		return nil, false, err
 	}
-	prog := NewProgram(pkgs, true)
+	prog := NewProgram(pkgs)
 	sum := &Summary{ByPass: map[string]int{}, Passes: map[string]PassStat{}}
 	wallByPass := map[string]time.Duration{}
 	clean := true
@@ -75,7 +75,7 @@ func Run(w io.Writer, dir string, analyzers []*Analyzer, patterns ...string) (*S
 		ignores, malformed := CollectIgnores(pkg.Fset, pkg.Files)
 		kept, suppressed := ignores.Filter(diags)
 		kept = append(kept, malformed...)
-		kept = append(kept, ignores.Unused(nil)...)
+		kept = append(kept, ignores.Unused()...)
 		sortDiags(kept)
 		for _, d := range kept {
 			clean = false

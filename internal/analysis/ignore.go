@@ -184,15 +184,11 @@ type Suppression struct {
 }
 
 // Unused returns diagnostics for pragmas that suppressed nothing — a stale
-// exception is reported so it cannot outlive the code it excused. skip (may
-// be nil) exempts pragmas by pass name: the unitchecker passes a predicate
-// covering the transitive passes, whose whole-program findings — and
-// therefore the pragmas that suppress them — only materialize under the
-// standalone driver, which still ratchets them via the baseline.
-func (s *IgnoreSet) Unused(skip func(pass string) bool) []Diagnostic {
+// exception is reported so it cannot outlive the code it excused.
+func (s *IgnoreSet) Unused() []Diagnostic {
 	var out []Diagnostic
 	for _, d := range s.order {
-		if d.used == 0 && (skip == nil || !skip(d.pass)) {
+		if d.used == 0 {
 			out = append(out, Diagnostic{
 				Pass:    "mpmdvet",
 				Pos:     d.pos,

@@ -105,11 +105,8 @@ func f() {
 	if len(malformed) != 1 {
 		t.Fatalf("expected 1 malformed pragma (missing reason), got %d", len(malformed))
 	}
-	unused := set.Unused(nil)
+	unused := set.Unused()
 	if len(unused) != 1 {
 		t.Fatalf("expected 1 unused pragma, got %d", len(unused))
-	}
-	if skipped := set.Unused(func(pass string) bool { return pass == "demo" }); len(skipped) != 0 {
-		t.Fatalf("skip predicate should exempt the pass, got %d unused", len(skipped))
 	}
 }

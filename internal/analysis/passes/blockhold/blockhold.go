@@ -39,8 +39,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: "blockhold",
 	Doc: "report blocking operations (channel ops, net I/O, sleeps, waits, " +
 		"unbounded loops) while a //mpmd:cpu mutex is held, transitively through in-set callees",
-	Run:        run,
-	Transitive: true,
+	Run: run,
 }
 
 type checker struct {
@@ -185,7 +184,7 @@ func (c *checker) transitive(call *ast.CallExpr, held cfg.HeldLock, self *callgr
 	if site == nil {
 		return
 	}
-	if site.NoImpl && c.pass.Prog.Whole {
+	if site.NoImpl {
 		c.flag(call.Pos(), fmt.Sprintf(
 			"interface call %s (no implementers in the analyzed packages; blocking behavior unverified)",
 			site.Iface), held)

@@ -49,8 +49,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "check wire.Buf ownership flow: no double Release, no use after final Release, " +
 		"no unretained stores of borrowed payload buffers, no owned-buffer leaks on return paths; " +
 		"ownership transfer at call sites follows the callee's summarized takes/returns-owned facts",
-	Run:        run,
-	Transitive: true,
+	Run: run,
 }
 
 type state uint8

@@ -65,8 +65,7 @@ var Analyzer = &analysis.Analyzer{
 	Doc: "check that //mpmd:hotpath functions contain no allocating constructs " +
 		"(closures, escaping composite literals, make/new, fmt, interface boxing, foreign append), " +
 		"transitively through in-set callees not marked //mpmd:hotpath or //mpmd:coldpath",
-	Run:        run,
-	Transitive: true,
+	Run: run,
 }
 
 // Finding is one allocating construct in a function body, with the message
@@ -121,7 +120,7 @@ func transitive(pass *analysis.Pass, g *callgraph.Graph, facts map[*callgraph.No
 			if site == nil {
 				return true
 			}
-			if site.NoImpl && pass.Prog.Whole {
+			if site.NoImpl {
 				pass.Reportf(n.Pos(), "hot path %s: interface call %s has no implementers in the analyzed packages; allocation-freedom cannot be verified",
 					fd.Name.Name, site.Iface)
 				return true

@@ -57,8 +57,7 @@ var Analyzer = &analysis.Analyzer{
 		"(lockset analysis; //mpmdvet:locked seeds entry locks, cond.Wait preserves them) " +
 		"and that //mpmdvet:requires contracts hold at every resolvable call site, with " +
 		"helper lock effects applied transitively through the call-graph summary",
-	Run:        run,
-	Transitive: true,
+	Run: run,
 }
 
 func run(pass *analysis.Pass) error {

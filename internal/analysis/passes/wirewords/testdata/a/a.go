@@ -1,5 +1,5 @@
 // Package a exercises the wirewords pass: structs reaching the frame encoder
-// (WirePayload implementors or //mpmd:wire) must be word-resolvable.
+// (FrameMarshaler implementors or //mpmd:wire) must be word-resolvable.
 package a
 
 // --- positives -------------------------------------------------------------

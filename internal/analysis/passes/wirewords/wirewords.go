@@ -1,7 +1,7 @@
 // Package wirewords guards the frame-encoder invariant: any struct that
-// reaches the netlive wire (it implements machine.WirePayload — WireLen() int
-// plus EncodeWire([]byte) int — or is annotated //mpmd:wire) must be
-// word-resolvable. Its fields, transitively, may only be booleans, fixed-size
+// reaches the netlive wire (it implements transport.FrameMarshaler —
+// WireLen() int plus EncodeWire([]byte) int — or is annotated //mpmd:wire)
+// must be word-resolvable. Its fields, transitively, may only be booleans, fixed-size
 // integers/floats, strings, byte slices, arrays/slices of those, or nested
 // structs of the same shape. Pointers, interfaces (including any/error),
 // chans, funcs, maps, complex numbers, uintptr, and unsafe.Pointer cannot be
@@ -26,7 +26,7 @@ const Directive = "//mpmd:wire"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "wirewords",
-	Doc: "check that structs reaching the netlive frame encoder (WirePayload implementors " +
+	Doc: "check that structs reaching the netlive frame encoder (FrameMarshaler implementors " +
 		"or //mpmd:wire) contain only word-resolvable fields: no any, pointers, chan, func, or maps",
 	Run: run,
 }
@@ -71,7 +71,7 @@ func run(pass *analysis.Pass) error {
 }
 
 // isWirePayload reports whether *T or T has both WireLen() int and
-// EncodeWire([]byte) int — the machine.WirePayload contract, matched
+// EncodeWire([]byte) int — the transport.FrameMarshaler contract, matched
 // structurally so the pass needs no import of internal/machine.
 func isWirePayload(named *types.Named) bool {
 	ms := types.NewMethodSet(types.NewPointer(named))

@@ -1,6 +1,5 @@
 // Package suite registers the full mpmdvet pass list in one place, shared by
-// cmd/mpmdvet (both its standalone and vettool modes) and the meta-test that
-// asserts the tree is clean.
+// cmd/mpmdvet and the meta-test that asserts the tree is clean.
 package suite
 
 import (

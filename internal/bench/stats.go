@@ -77,17 +77,24 @@ func statsRow(scope string, nodes int, acct machine.Snapshot, met metrics.Snapsh
 			row.Wall[c.String()] = v
 		}
 	}
-	// The three branches an arrival's notify takes are shown together: beside
-	// a non-zero sibling a zero is the reading ("none fell back to the queue",
-	// "none dropped"), not an absent instrument.
-	branches := [...]metrics.Ctr{metrics.CtrNotifyDirect, metrics.CtrNotifies, metrics.CtrNotifyDropped}
-	var notified int64
-	for _, c := range branches {
-		notified += met.Counter(c)
-	}
-	if notified != 0 { // so row.Wall exists: the loop above stored the non-zero one
+	// The branches one event can take are shown together: beside a non-zero
+	// sibling a zero is the reading ("none fell back to the queue", "none
+	// dropped", "none fragmented"), not an absent instrument. An arrival's
+	// notify takes one of three; a socket frame is sent or dropped at its
+	// link; a ring frame is one record or several fragments.
+	for _, branches := range [...][]metrics.Ctr{
+		{metrics.CtrNotifyDirect, metrics.CtrNotifies, metrics.CtrNotifyDropped},
+		{metrics.CtrFramesOut, metrics.CtrFramesIn, metrics.CtrLinkDropped},
+		{metrics.CtrShmFramesOut, metrics.CtrShmFramesIn, metrics.CtrShmFragsOut, metrics.CtrShmFragsIn},
+	} {
+		var seen int64
 		for _, c := range branches {
-			row.Wall[c.String()] = met.Counter(c)
+			seen |= met.Counter(c)
+		}
+		if seen != 0 { // so row.Wall exists: the loop above stored the non-zero one
+			for _, c := range branches {
+				row.Wall[c.String()] = met.Counter(c)
+			}
 		}
 	}
 	for _, g := range metrics.Gauges() {

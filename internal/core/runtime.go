@@ -491,7 +491,7 @@ func (rt *Runtime) OnNode(i int, prog func(t *threads.Thread)) {
 // time on the simulator, wall time on the live backend) before the pollers
 // shut down.
 //
-// On a sharded backend (transport.Topology), only this shard's nodes
+// On a sharded backend (transport.Sharded), only this shard's nodes
 // execute here: programs installed for remote nodes run in their own
 // processes, which build the identical runtime (the SPMD launch model).
 // Shutdown is machine-wide: when this shard's programs finish the backend
@@ -500,7 +500,7 @@ func (rt *Runtime) OnNode(i int, prog func(t *threads.Thread)) {
 // programs of its own, keeps serving remote invocations until the whole
 // machine is done.
 func (rt *Runtime) Run() error {
-	topo, sharded := rt.m.Backend().(transport.Topology)
+	topo, sharded := rt.m.Backend().(transport.Sharded)
 	isLocal := func(i int) bool { return !sharded || topo.IsLocal(i) }
 	localMains := int32(0)
 	for i, prog := range rt.progs {

@@ -26,26 +26,21 @@ type Machine struct {
 	be    transport.Backend
 	nodes []*Node
 
-	// direct is be's allocation-free delivery fast path, nil when the
-	// backend delivers through modelled-latency events (the simulator).
-	direct transport.DirectDeliverer
-
-	// shard is be's sharded message plane, nil on single-address-space
-	// backends. When set, Send serializes packets for non-local nodes and
-	// wireDec (installed by the messaging layer) reconstructs arriving ones.
-	shard   transport.ShardBackend
+	// How a packet reaches its node, fixed at construction. One of sim
+	// (local-modelled: the simulator delivers by event after the modelled
+	// latency) and direct (local-immediate: enqueue here, the backend runs the
+	// notify) is set. shard is be's ordered links to peer address spaces, nil
+	// on single-address-space backends; when set, Send serializes packets for
+	// non-local nodes onto it and wireDec (installed by the messaging layer)
+	// reconstructs arriving ones.
+	sim     *simnet.Backend
+	direct  transport.DirectDeliverer
+	shard   transport.Sharded
 	wireDec func(src, dst int, b []byte) any
 
-	// slots is be's zero-copy slot fast path (the netlive shm rings), nil
-	// when the backend has none; Send offers every cross-shard payload here
-	// first and falls back to the pooled-frame path on refusal.
-	slots transport.SlotSender
-
 	// mets is be's wall-clock metrics seam, nil on backends without one (the
-	// simulator); stats is be's cross-shard stats control plane, nil off the
-	// netlive backend.
-	mets  transport.MetricsSource
-	stats transport.StatsPlane
+	// simulator).
+	mets transport.MetricsSource
 
 	// Trace, when non-nil, receives instrumentation callbacks from the
 	// layers above (kind is "send", "recv", "spawn", "switch", or "charge";
@@ -79,20 +74,18 @@ func NewWithBackend(cfg Config, n int, be transport.Backend) *Machine {
 		panic(fmt.Sprintf("machine: backend has %d nodes, machine wants %d", be.NumNodes(), n))
 	}
 	m := &Machine{Cfg: cfg, be: be}
-	if sb, ok := be.(*simnet.Backend); ok {
-		m.Eng = sb.Engine()
-	}
+	m.sim, _ = be.(*simnet.Backend)
 	m.direct, _ = be.(transport.DirectDeliverer)
-	if sb, ok := be.(transport.ShardBackend); ok {
-		m.shard = sb
-		sb.SetRemoteHandler(m.remoteArrival)
-		m.slots, _ = be.(transport.SlotSender)
+	if m.sim != nil {
+		m.Eng = m.sim.Engine()
+	} else if m.direct == nil {
+		panic(fmt.Sprintf("machine: backend %q is neither the simulator nor a transport.DirectDeliverer", be.Name()))
+	}
+	if m.shard, _ = be.(transport.Sharded); m.shard != nil {
+		m.shard.SetRemoteHandler(m.remoteArrival)
+		m.shard.SetStatsProvider(m.localStatsPayload)
 	}
 	m.mets, _ = be.(transport.MetricsSource)
-	if sp, ok := be.(transport.StatsPlane); ok {
-		m.stats = sp
-		sp.SetStatsProvider(m.localStatsPayload)
-	}
 	for i := 0; i < n; i++ {
 		nd := &Node{
 			ID:   i,
@@ -117,18 +110,6 @@ func NewWithBackend(cfg Config, n int, be transport.Backend) *Machine {
 
 // Backend returns the execution backend the machine runs on.
 func (m *Machine) Backend() transport.Backend { return m.be }
-
-// WirePayload is implemented by packet payloads that can cross an
-// address-space boundary on a sharded backend (the am layer's Msg does).
-// EncodeWire consumes the payload: any pooled resources it holds are
-// released, and the caller must not touch it afterwards.
-type WirePayload interface {
-	// WireLen returns the serialized length.
-	WireLen() int
-	// EncodeWire serializes into b (len(b) >= WireLen()) and returns the
-	// bytes written, consuming the payload.
-	EncodeWire(b []byte) int
-}
 
 // SetWireDecoder installs the packet-payload decoder used for frames
 // arriving from peer shards. The messaging layer that defines the payload
@@ -281,40 +262,16 @@ func (n *Node) Send(dst int, extraWire time.Duration, size int, payload any) {
 		m.Emit(n.ID, "send", fmt.Sprintf("->n%d %dB", dst, size), 0) //mpmdvet:ignore hotpath trace-gated: only runs when m.Trace is enabled
 	}
 	if m.shard != nil && !m.shard.IsLocal(dst) {
-		// Cross-shard: the destination lives in another address space, so
-		// the payload must actually serialize — the in-memory fast path
-		// cannot carry it. Encode into a pooled frame (ownership passes to
-		// the backend's per-peer writer) and ship it. Local sends below keep
-		// the direct in-memory path.
-		wp, ok := payload.(WirePayload)
+		// The destination lives in another address space, so the payload must
+		// actually serialize; the shard link marshals it into memory it owns.
+		wp, ok := payload.(transport.FrameMarshaler)
 		if !ok {
 			panic(fmt.Sprintf("machine: packet payload %T for remote node %d is not wire-serializable", payload, dst))
 		}
-		// Zero-copy fast path first: the backend marshals wp straight into a
-		// transport slot (shm ring) when the destination shard has one. The
-		// WirePayload-to-FrameMarshaler conversion is interface-to-interface
-		// (identical method sets), so nothing boxes or allocates here.
-		if m.slots != nil && m.slots.DeliverSlot(n.ID, dst, size, wp) {
-			return
-		}
-		f := wire.Get(wp.WireLen())
-		wp.EncodeWire(f.Bytes())
-		m.shard.DeliverRemote(n.ID, dst, size, f)
+		m.shard.SendRemote(n.ID, dst, size, wp)
 		return
 	}
-	pkt := Packet{Src: n.ID, Dst: dst, Size: size, Payload: payload}
-	if m.direct != nil {
-		// Immediate-delivery backend: enqueue here (same ordering as the
-		// generic path — the backend would run enqueue inline anyway) and
-		// hand over the node's long-lived notify closure. No closures are
-		// constructed, so the warm send path does not allocate.
-		target.pushInbox(pkt)
-		m.direct.DeliverDirect(dst, target.notify)
-		return
-	}
-	m.be.Deliver(dst, m.Cfg.WireLatency+extraWire,
-		func() { target.pushInbox(pkt) }, //mpmdvet:ignore hotpath simulator backend only; live backends take the direct path above
-		target.notify)
+	m.deliverLocal(target, m.Cfg.WireLatency+extraWire, Packet{Src: n.ID, Dst: dst, Size: size, Payload: payload})
 }
 
 // Loopback enqueues a packet to the node itself with zero latency. Some
@@ -323,14 +280,24 @@ func (n *Node) Send(dst int, extraWire time.Duration, size int, payload any) {
 //
 //mpmd:hotpath
 func (n *Node) Loopback(size int, payload any) {
-	pkt := Packet{Src: n.ID, Dst: n.ID, Size: size, Payload: payload}
-	m := n.M
+	n.M.deliverLocal(n, 0, Packet{Src: n.ID, Dst: n.ID, Size: size, Payload: payload})
+}
+
+// deliverLocal lands pkt at target, a node of this address space, lat of
+// modelled wire time from now. An immediate-delivery backend ignores lat:
+// the packet is enqueued here, on the sender, and the backend gets the
+// node's long-lived notify closure — nothing is constructed, so the warm
+// send path does not allocate. The simulator runs the same two steps as one
+// event lat from now.
+//
+//mpmd:hotpath
+func (m *Machine) deliverLocal(target *Node, lat time.Duration, pkt Packet) {
 	if m.direct != nil {
-		n.pushInbox(pkt)
-		m.direct.DeliverDirect(n.ID, n.notify)
+		target.pushInbox(pkt)
+		m.direct.DeliverDirect(target.ID, target.notify)
 		return
 	}
-	m.be.Deliver(n.ID, 0,
-		func() { n.pushInbox(pkt) }, //mpmdvet:ignore hotpath simulator backend only; live backends take the direct path above
-		n.notify)
+	m.sim.Deliver(target.ID, lat,
+		func() { target.pushInbox(pkt) }, //mpmdvet:ignore hotpath simulator backend only; live backends take the direct path above
+		target.notify)
 }

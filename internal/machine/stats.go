@@ -49,7 +49,7 @@ func (m *Machine) LocalStats() ShardStats {
 }
 
 // localStatsPayload serializes LocalStats for the backend's stats control
-// plane (the kStats frame body). Installed as the StatsPlane provider at
+// plane (the kStats frame body). Installed as the Sharded stats provider at
 // machine construction.
 func (m *Machine) localStatsPayload() []byte {
 	b, err := json.Marshal(m.LocalStats())
@@ -86,11 +86,11 @@ type ClusterStats struct {
 // totals.
 func (m *Machine) ClusterStats() (ClusterStats, error) {
 	cs := ClusterStats{Shards: []ShardStats{m.LocalStats()}}
-	if m.stats != nil && m.shard != nil {
+	if m.shard != nil {
 		if m.shard.Shard() != 0 {
 			return ClusterStats{}, fmt.Errorf("machine: ClusterStats on worker shard %d (parent only)", m.shard.Shard())
 		}
-		peers := m.stats.PeerStats()
+		peers := m.shard.PeerStats()
 		for shard := 1; shard < m.shard.NumShards(); shard++ {
 			payload, ok := peers[shard]
 			if !ok {
@@ -119,7 +119,7 @@ func (m *Machine) ClusterStats() (ClusterStats, error) {
 // sampling; payloads land asynchronously and show up in the next
 // ClusterStats). No-op off the netlive parent.
 func (m *Machine) RequestStats() {
-	if m.stats != nil && m.shard != nil && m.shard.Shard() == 0 {
-		m.stats.RequestStats()
+	if m.shard != nil && m.shard.Shard() == 0 {
+		m.shard.RequestStats()
 	}
 }

@@ -66,6 +66,14 @@ const (
 	// ratio is how often the doorbell path is actually needed).
 	CtrShmSpinWakes
 	CtrShmParkWakes
+	// CtrShmFragsOut / CtrShmFragsIn count the fragment records a frame over
+	// the ring's contiguity limit travels as. Such a frame still counts once
+	// in CtrShmFramesOut/In, so frames keep meaning packets.
+	CtrShmFragsOut
+	CtrShmFragsIn
+	// CtrLinkDropped counts frames dropped at a netlive shard link: queued
+	// for or sent to a link that had already failed or closed.
+	CtrLinkDropped
 	numCtrs
 )
 
@@ -74,6 +82,7 @@ var ctrNames = [numCtrs]string{
 	"net.frames.out", "net.bytes.out", "net.frames.in", "net.bytes.in",
 	"shm.frames.out", "shm.bytes.out", "shm.frames.in", "shm.bytes.in",
 	"shm.doorbells", "shm.wakes.spin", "shm.wakes.park",
+	"shm.fragments.out", "shm.fragments.in", "net.link.dropped",
 }
 
 // String returns the label used in reports.

@@ -167,7 +167,7 @@ type Proc struct {
 // rejects multi-shard machines up front rather than letting a request-table
 // ID resolve against the wrong process's memory.
 func New(m *machine.Machine) *World {
-	if topo, ok := m.Backend().(transport.Topology); ok && topo.NumShards() > 1 {
+	if topo, ok := m.Backend().(transport.Sharded); ok && topo.NumShards() > 1 {
 		panic(fmt.Sprintf("splitc: machine spans %d address spaces; Split-C worlds require a single-process backend (sim, live, or single-shard net)",
 			topo.NumShards()))
 	}

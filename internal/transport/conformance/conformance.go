@@ -64,7 +64,8 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("ParkUnpark", func(t *testing.T) { parkUnpark(t, f) })
 	t.Run("BusyDestination", func(t *testing.T) { busyDestination(t, f) })
 	t.Run("Timers", func(t *testing.T) { timers(t, f) })
-	t.Run("CrossShardTraffic", func(t *testing.T) { crossShardTraffic(t, f) })
+	t.Run("CrossShardTraffic", func(t *testing.T) { crossShardTraffic(t, f, false) })
+	t.Run("MixedSizes", func(t *testing.T) { crossShardTraffic(t, f, true) })
 	t.Run("Collectives", func(t *testing.T) { runCollectives(t, f) })
 	t.Run("StatsMerge", func(t *testing.T) { statsMerge(t, f) })
 }
@@ -83,7 +84,7 @@ type rig struct {
 
 // localTo reports whether node i executes in m's address space.
 func localTo(m *machine.Machine, i int) bool {
-	if topo, ok := m.Backend().(transport.Topology); ok {
+	if topo, ok := m.Backend().(transport.Sharded); ok {
 		return topo.IsLocal(i)
 	}
 	return true
@@ -457,32 +458,55 @@ func timers(t *testing.T, f ShardedFactory) {
 // node 0 and node n-1 live in different address spaces, so this is the
 // serialized path; single-address-space backends run the identical pattern
 // in memory, which is exactly the conformance claim: the application cannot
-// tell. Shorts and bulks interleave from one sender; each kind must arrive
-// in send order with intact payloads (cross-kind order is not part of the
-// contract — short and bulk messages have different modelled wire times).
-func crossShardTraffic(t *testing.T, f ShardedFactory) {
+// tell. Shorts and bulks interleave from one sender.
+//
+// As CrossShardTraffic the bulks are 2 KiB and each kind must arrive in send
+// order with intact payloads (cross-kind order is not part of the contract
+// under the calibrated profile — short and bulk messages have different
+// modelled wire times).
+//
+// As MixedSizes (mixed) the bulks are 4 KiB and one is 20 KiB, and the whole
+// stream must arrive in send order: the sharded configurations force their
+// rings down to 8 KiB, so every bulk is over the ring's quarter-ring record
+// limit and one is larger than the whole ring — the frames a transport is
+// tempted to route around its fast path, which is how the short sent after a
+// bulk overtakes it. The modelled per-byte gap is zeroed so the simulator's
+// wire latency is the same for every size and send order is its contract
+// too.
+func crossShardTraffic(t *testing.T, f ShardedFactory, mixed bool) {
 	const (
 		nodes = 4
 		k     = 60
-		bytes = 2 << 10
+		huge  = 20 << 10
 	)
+	cfg := machine.SP1997()
+	size := func(int) int { return 2 << 10 }
+	if mixed {
+		cfg.GapPerByte = 0
+		size = func(i int) int {
+			if i == k/2 {
+				return huge
+			}
+			return 4 << 10
+		}
+	}
 	pattern := func(i, j int) byte { return byte(i*37 + j*11) }
-	r := newRig(f(machine.SP1997(), nodes))
+	r := newRig(f(cfg, nodes))
 	dst := nodes - 1
-	if topo, ok := r.m.Backend().(transport.Topology); ok && topo.IsLocal(dst) && topo.NumShards() > 1 {
+	if topo, ok := r.m.Backend().(transport.Sharded); ok && topo.IsLocal(dst) && topo.NumShards() > 1 {
 		t.Fatalf("topology says node %d is local to shard %d; pick a remote pair", dst, topo.Shard())
 	}
 	var (
-		shorts, bulks []uint64
-		bad           string
+		got []uint64 // in arrival order: 2i for short i, 2i+1 for the bulk sent after it
+		bad string
 	)
 	hShort := r.register("conf.xs.short", func(_ *threads.Thread, m am.Msg) {
-		shorts = append(shorts, m.A[0])
+		got = append(got, 2*m.A[0])
 	})
 	hBulk := r.register("conf.xs.bulk", func(_ *threads.Thread, m am.Msg) {
 		i := int(m.A[0])
-		if len(m.Payload) != bytes {
-			bad = fmt.Sprintf("bulk %d: %dB payload, want %d", i, len(m.Payload), bytes)
+		if len(m.Payload) != size(i) {
+			bad = fmt.Sprintf("bulk %d: %dB payload, want %d", i, len(m.Payload), size(i))
 		}
 		for j, by := range m.Payload {
 			if by != pattern(i, j) {
@@ -490,24 +514,25 @@ func crossShardTraffic(t *testing.T, f ShardedFactory) {
 				break
 			}
 		}
-		bulks = append(bulks, m.A[0])
+		got = append(got, 2*m.A[0]+1)
 	})
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		ep := r.ep(0)
-		buf := make([]byte, bytes)
+		buf := make([]byte, huge)
 		for i := 0; i < k; i++ {
 			ep.RequestShort(th, dst, hShort, [4]uint64{uint64(i)})
-			for j := range buf {
-				buf[j] = pattern(i, j)
+			b := buf[:size(i)]
+			for j := range b {
+				b[j] = pattern(i, j)
 			}
-			ep.RequestBulk(th, dst, hBulk, buf, [4]uint64{uint64(i)})
-			for j := range buf {
-				buf[j] = 0xAA // copy-at-send: clobbering must not be visible
+			ep.RequestBulk(th, dst, hBulk, b, [4]uint64{uint64(i)})
+			for j := range b {
+				b[j] = 0xAA // copy-at-send: clobbering must not be visible
 			}
 		}
 	})
 	r.scheds[dst].Start("receiver", func(th *threads.Thread) {
-		r.ep(dst).PollUntil(th, func() bool { return len(shorts)+len(bulks) == 2*k })
+		r.ep(dst).PollUntil(th, func() bool { return len(got) == 2*k })
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -515,16 +540,13 @@ func crossShardTraffic(t *testing.T, f ShardedFactory) {
 	if bad != "" {
 		t.Fatal(bad)
 	}
-	if len(shorts) != k || len(bulks) != k {
-		t.Fatalf("received %d shorts, %d bulks, want %d each", len(shorts), len(bulks), k)
-	}
-	for i := 0; i < k; i++ {
-		if shorts[i] != uint64(i) {
-			t.Fatalf("short stream reordered at %d: %v", i, shorts[:i+1])
+	// next[0], next[1]: the short and the bulk expected next.
+	for at, next := 0, [2]uint64{}; at < len(got); at++ {
+		v := got[at]
+		if v/2 != next[v%2] || (mixed && v != uint64(at)) {
+			t.Fatalf("stream reordered at %d (2i: short i, 2i+1: the bulk after it): %v", at, got[:at+1])
 		}
-		if bulks[i] != uint64(i) {
-			t.Fatalf("bulk stream reordered at %d: %v", i, bulks[:i+1])
-		}
+		next[v%2]++
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/metrics"
 	"repro/internal/transport/live"
 	"repro/internal/transport/netlive"
 )
@@ -26,18 +27,6 @@ func TestLive(t *testing.T) {
 	})
 }
 
-// TestLivePinned re-runs the suite with procs pinned to OS threads, the
-// configuration closest to one-kernel-thread-per-node.
-func TestLivePinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("pinned variant skipped in -short")
-	}
-	Run(t, func(cfg machine.Config, n int) *machine.Machine {
-		return machine.NewWithBackend(cfg, n,
-			live.New(n, live.Options{PinOSThread: true, Watchdog: 20 * time.Second}))
-	})
-}
-
 // TestNetLoopback runs the suite on the sharded multi-process backend in its
 // single-shard (in-process loopback) configuration: the degenerate case the
 // sharding was designed around, which must be indistinguishable from live.
@@ -55,13 +44,14 @@ func TestNetLoopback(t *testing.T) {
 	})
 }
 
-// TestNetShmSharded runs the full suite across two co-resident netlive
-// shards wired by the shared-memory ring fast path: every cross-shard frame
-// in the suite rides an mmap'd SPSC ring instead of a socket. Shard 0 is
-// built first (it creates the rings and the rendezvous sockets); the worker
-// shard attaches. Single-node cases degenerate to one shard, where shm
-// disables itself.
-func TestNetShmSharded(t *testing.T) {
+// netSharded runs the suite over the two-shard netlive configuration: both
+// shards as co-resident backends inside the test process, shard 0 first (it
+// creates the rings and the rendezvous sockets), the worker shard attaching.
+// Single-node cases degenerate to one shard, where there are no links at
+// all. Afterwards every backend's counters must show that its link carried
+// all its packets on the one path the configuration fixed.
+func netSharded(t *testing.T, mod func(*netlive.Options)) {
+	var bes []*netlive.Backend
 	RunSharded(t, func(cfg machine.Config, n int) []*machine.Machine {
 		nps := (n + 1) / 2
 		shards := (n + nps - 1) / nps
@@ -69,21 +59,57 @@ func TestNetShmSharded(t *testing.T) {
 		ms := make([]*machine.Machine, shards)
 		for s := 0; s < shards; s++ {
 			sh := s
-			be, err := netlive.New(n, netlive.Options{
+			opts := netlive.Options{
 				NodesPerShard: nps,
 				Shard:         &sh,
 				Dir:           dir,
 				NoSpawn:       true,
 				Live:          live.Options{Watchdog: 20 * time.Second},
-			})
+			}
+			mod(&opts)
+			be, err := netlive.New(n, opts)
 			if err != nil {
 				t.Fatalf("netlive.New shard %d: %v", sh, err)
 			}
-			if shards > 1 && !be.ShmActive() {
-				t.Fatalf("shard %d: shm rings inactive in sharded configuration", sh)
+			if be.ShmActive() != (!opts.DisableShm && shards > 1) {
+				t.Fatalf("shard %d of %d: ShmActive = %v", sh, shards, be.ShmActive())
+			}
+			if shards > 1 {
+				bes = append(bes, be)
 			}
 			ms[s] = machine.NewWithBackend(cfg, n, be)
 		}
 		return ms
 	})
+	for _, be := range bes {
+		ctr := be.MetricsSnapshot().Counter
+		// Besides packets a socket carries doorbells and, between a worker and
+		// the parent, one mains-done, one stats and one all-done frame.
+		if out := ctr(metrics.CtrFramesOut) - ctr(metrics.CtrShmDoorbells); be.ShmActive() && out > 2 {
+			t.Errorf("shard %d: ring links, yet %d socket frames besides doorbells: packets took the socket", be.Shard(), out)
+		}
+		if !be.ShmActive() && ctr(metrics.CtrShmFramesOut)+ctr(metrics.CtrShmFramesIn)+ctr(metrics.CtrShmDoorbells) != 0 {
+			t.Errorf("shard %d: socket links, yet ring counters moved", be.Shard())
+		}
+		if n := ctr(metrics.CtrLinkDropped); n != 0 {
+			t.Errorf("shard %d: %d frames dropped on a healthy link", be.Shard(), n)
+		}
+	}
+}
+
+// TestNetShmSharded runs the full suite across two co-resident netlive
+// shards whose links are shared-memory rings: every cross-shard packet in the
+// suite rides an mmap'd SPSC ring instead of a socket. The rings are forced
+// down to 8 KiB so the suite runs over wraps and full-ring waits, and
+// MixedSizes over fragmented packets (netlive's TestShmFragments pins that
+// packets of those sizes do fragment).
+func TestNetShmSharded(t *testing.T) {
+	netSharded(t, func(o *netlive.Options) { o.ShmRingBytes = 8 << 10 })
+}
+
+// TestNetSocketSharded runs the full suite over the other link
+// implementation: the same two shards with the rings off, every cross-shard
+// packet through the per-peer socket writer.
+func TestNetSocketSharded(t *testing.T) {
+	netSharded(t, func(o *netlive.Options) { o.DisableShm = true })
 }

@@ -17,23 +17,24 @@
 //
 // # Message delivery
 //
-// Deliver runs enqueue immediately on the sender's goroutine (the machine
-// layer's inbound queues are individually thread-safe), so a destination that
-// is actively polling observes the message with no handoff at all. The notify
-// callback — waking a parked receiver — must run in the destination's
-// context, and the sender puts it there itself: it TryLocks the destination's
-// CPU and, when that succeeds (the receiver is parked: the ping-pong and the
-// idle-server case), runs notify on its own goroutine and unlocks. An arrival
-// then costs the one wake-up that is inherent, sender to receiver. Only when
-// the destination's CPU is busy does the notify fall back to the node's
-// unbounded notify queue, to be run by the node's delivery worker, which
-// drains the queue in batches under a single CPU acquisition; the worker is
-// also where After callbacks run. TryLock never waits and the queue never
-// fills, so senders never block on delivery, which rules out cross-node
-// delivery deadlocks by construction. Notifies of one sender may therefore
-// run out of send order (a queued one after a later direct one); that is
-// harmless because message order is fixed by enqueue, before any notify, and
-// arrivals are coalescible — a woken receiver drains the whole inbox.
+// The machine layer enqueues a message on the sender's goroutine (its inbound
+// queues are individually thread-safe), so a destination that is actively
+// polling observes the message with no handoff at all. The notify callback
+// handed to DeliverDirect — waking a parked receiver — must run in the
+// destination's context, and the sender puts it there itself: it TryLocks the
+// destination's CPU and, when that succeeds (the receiver is parked: the
+// ping-pong and the idle-server case), runs notify on its own goroutine and
+// unlocks. An arrival then costs the one wake-up that is inherent, sender to
+// receiver. Only when the destination's CPU is busy does the notify fall back
+// to the node's unbounded notify queue, to be run by the node's delivery
+// worker, which drains the queue in batches under a single CPU acquisition;
+// the worker is also where After callbacks run. TryLock never waits and the
+// queue never fills, so senders never block on delivery, which rules out
+// cross-node delivery deadlocks by construction. Notifies of one sender may
+// therefore run out of send order (a queued one after a later direct one);
+// that is harmless because message order is fixed by enqueue, before any
+// notify, and arrivals are coalescible — a woken receiver drains the whole
+// inbox.
 //
 // # The CPU release in Sleep
 //
@@ -60,18 +61,10 @@ import (
 
 // Options tune the live backend. The zero value is ready to use.
 type Options struct {
-	// PinOSThread locks every proc goroutine to an OS thread. With one
-	// runnable proc per node this approximates one kernel thread per node;
-	// leave it off for thread-heavy workloads (parfor creates a proc per
-	// iteration, and the Go runtime multiplexes them better unpinned).
-	PinOSThread bool
 	// Watchdog bounds Run: if the procs have not all finished within it,
 	// Run returns a *StallError naming the survivors instead of hanging.
 	// Zero means the 30s default.
 	Watchdog time.Duration
-	// Batch caps how many notify callbacks the delivery worker runs per CPU
-	// acquisition. Zero means the 128 default.
-	Batch int
 	// Teardown bounds how long a stalled run (Run returned StallError) keeps
 	// its delivery workers alive waiting for the stragglers: after it
 	// expires the notify queues close and the workers plus the janitor exit,
@@ -83,10 +76,13 @@ type Options struct {
 	// Linux; a no-op elsewhere). Each bound goroutine locks its OS thread
 	// first so the mask sticks to a dedicated thread, and the thread is
 	// retired with the goroutine rather than returned to the runtime's pool
-	// with a narrowed mask. The netlive backend's CPUsPerShard knob fills
-	// this per shard so shard boundaries align with cores/NUMA domains.
+	// with a narrowed mask.
 	CPUAffinity []int
 }
+
+// notifyBatch caps how many notify callbacks the delivery worker runs per
+// CPU acquisition.
+const notifyBatch = 128
 
 // Backend is the live transport. Construct with New.
 type Backend struct {
@@ -120,9 +116,6 @@ func New(n int, opts Options) *Backend {
 	if opts.Watchdog <= 0 {
 		opts.Watchdog = 30 * time.Second
 	}
-	if opts.Batch <= 0 {
-		opts.Batch = 128
-	}
 	if opts.Teardown <= 0 {
 		opts.Teardown = 5 * time.Second
 	}
@@ -145,7 +138,7 @@ func New(n int, opts Options) *Backend {
 				runtime.LockOSThread()
 				setAffinity(opts.CPUAffinity)
 			}
-			nd.deliveryLoop(opts.Batch)
+			nd.deliveryLoop()
 		}()
 	}
 	return b
@@ -218,12 +211,12 @@ func (nd *lnode) push(fn func()) bool {
 }
 
 // deliveryLoop is the node's delivery worker: drain pending notifies and run
-// them on the node's CPU, at most batch per acquisition. The drain buffer is
-// reused across batches.
+// them on the node's CPU, at most notifyBatch per acquisition. The drain
+// buffer is reused across batches.
 //
 //mpmd:hotpath
-func (nd *lnode) deliveryLoop(batch int) {
-	nd.batch = make([]func(), 0, batch) //mpmdvet:ignore hotpath one-time drain-buffer init before the loop; reused every batch after
+func (nd *lnode) deliveryLoop() {
+	nd.batch = make([]func(), 0, notifyBatch) //mpmdvet:ignore hotpath one-time drain-buffer init before the loop; reused every batch after
 	for {
 		nd.q.mu.Lock()
 		for nd.q.fns.Len() == 0 && !nd.q.closed {
@@ -234,7 +227,7 @@ func (nd *lnode) deliveryLoop(batch int) {
 			return // closed and drained
 		}
 		take := nd.batch[:0]
-		for len(take) < batch {
+		for len(take) < notifyBatch {
 			fn, ok := nd.q.fns.Pop()
 			if !ok {
 				break
@@ -367,9 +360,6 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 			// when the proc goroutine exits.
 			runtime.LockOSThread()
 			setAffinity(b.opts.CPUAffinity)
-		} else if b.opts.PinOSThread {
-			runtime.LockOSThread()
-			defer runtime.UnlockOSThread()
 		}
 		<-b.start
 		// Lock through p.nd (== nd) so the acquisition names the same lock
@@ -384,14 +374,6 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 		b.wg.Done()
 	}()
 	return p
-}
-
-// Deliver implements transport.Backend: enqueue runs immediately on the
-// caller, notify as DeliverDirect runs it. The modelled latency is ignored —
-// the real wire is the real latency.
-func (b *Backend) Deliver(dst int, _ time.Duration, enqueue, notify func()) {
-	enqueue()
-	b.DeliverDirect(dst, notify)
 }
 
 // DeliverDirect implements transport.DirectDeliverer: the caller already ran

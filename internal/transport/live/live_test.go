@@ -31,11 +31,11 @@ func TestParkUnparkPermit(t *testing.T) {
 	}
 }
 
-// TestDeliverEnqueueThenNotify checks Deliver's contract: enqueue runs on the
-// sender in send order, and every notify runs exactly once, in node 1's
-// context (it can unpark), after its own enqueue. Notify order is not part of
-// the contract: a notify queued behind a busy CPU may run after a later one
-// that found the CPU free.
+// TestDeliverEnqueueThenNotify checks DeliverDirect's contract as the machine
+// layer uses it: the sender enqueues, then every notify runs exactly once, in
+// node 1's context (it can unpark), after its own enqueue. Notify order is not
+// part of the contract: a notify queued behind a busy CPU may run after a
+// later one that found the CPU free.
 func TestDeliverEnqueueThenNotify(t *testing.T) {
 	const k = 500
 	b := New(2, Options{Watchdog: 5 * time.Second})
@@ -52,16 +52,15 @@ func TestDeliverEnqueueThenNotify(t *testing.T) {
 	b.Go(0, "tx", func(p transport.Proc) {
 		for i := 0; i < k; i++ {
 			i := i
-			b.Deliver(1, 0,
-				func() { enqueued.Store(int64(i + 1)) },
-				func() { // node 1's context
-					if enqueued.Load() <= int64(i) {
-						early = i
-					}
-					notified[i]++
-					total++
-					rx.Unpark()
-				})
+			enqueued.Store(int64(i + 1))
+			b.DeliverDirect(1, func() { // node 1's context
+				if enqueued.Load() <= int64(i) {
+					early = i
+				}
+				notified[i]++
+				total++
+				rx.Unpark()
+			})
 		}
 	})
 	if err := b.Run(); err != nil {

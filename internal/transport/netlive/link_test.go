@@ -1,0 +1,194 @@
+//go:build unix
+
+package netlive
+
+import (
+	"encoding/binary"
+	"errors"
+	"net"
+	"os"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/metrics"
+)
+
+// bareShards builds the two backends of a 4-node, 2-shard machine with no
+// machine layer above them: the tests below feed their links raw bytes. Any
+// packet that gets as far as the remote handler is a test failure.
+func bareShards(t *testing.T, mods ...func(*Options)) (a, b *Backend) {
+	t.Helper()
+	dir := t.TempDir()
+	build := func(shard int) *Backend {
+		opts := Options{NodesPerShard: 2, Shard: &shard, Dir: dir, NoSpawn: true, ShmRingBytes: 4 << 10}
+		for _, mod := range mods {
+			mod(&opts)
+		}
+		be, err := New(4, opts)
+		if err != nil {
+			t.Fatalf("New shard %d: %v", shard, err)
+		}
+		t.Cleanup(be.shutdownSockets)
+		be.SetRemoteHandler(func(src, dst, size int, payload []byte) {
+			t.Errorf("malformed bytes were dispatched as a packet %d->%d", src, dst)
+		})
+		return be
+	}
+	return build(0), build(1)
+}
+
+func words(ws ...uint32) []byte {
+	b := make([]byte, 4*len(ws))
+	for i, w := range ws {
+		binary.LittleEndian.PutUint32(b[4*i:], w)
+	}
+	return b
+}
+
+// TestHostileSocketFrames writes malformed frames into a shard's real
+// listening socket. Each must end that connection with one named error — no
+// panic, no index out of range, no allocation sized by the peer's word.
+func TestHostileSocketFrames(t *testing.T) {
+	frame := func(n uint32, kind frameKind, body ...uint32) []byte {
+		return append(append(words(n), byte(kind)), words(body...)...)
+	}
+	for _, tc := range []struct {
+		name  string
+		bytes []byte
+		want  string
+	}{
+		{"zero-length packet", frame(0, kPacket), "0-byte frame of kind 1"},
+		{"packet shorter than its header", frame(8, kPacket, 0, 2), "8-byte frame of kind 1"},
+		{"length over the frame limit", frame(maxFrameBytes+1, kPacket), "limit 67108864 bytes"},
+		{"empty doorbell", frame(0, kDoorbell), "0-byte frame of kind 6"},
+		{"packet for a node of another shard", frame(12, kPacket, 0, 1, 48), "malformed packet frame"},
+		{"packet from a node outside the machine", frame(12, kPacket, 99, 2, 48), "malformed packet frame"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, b := bareShards(t, func(o *Options) { o.DisableShm = true })
+			go b.acceptLoop()
+			conn, err := net.Dial("unix", b.sockPath(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			if _, err := conn.Write(tc.bytes); err != nil {
+				t.Fatal(err)
+			}
+			// The reader abandons the connection: our read sees it closed (EOF,
+			// or a reset when body bytes were still unread).
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("read after a malformed frame: %v, want the connection closed", err)
+			}
+			if err := b.Err(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestHostileRingRecords writes malformed records through the producer's
+// mapping of a real ring file and drains them through the consumer's. Each
+// must abandon the ring with one error naming the peer shard.
+func TestHostileRingRecords(t *testing.T) {
+	const capB = 4 << 10
+	for _, tc := range []struct {
+		name string
+		data []byte // written at offset 0 of the data area
+		tail uint64
+		want string
+	}{
+		{"record longer than the published bytes", words(64, 0, 2, 48), 16, "record runs past the published tail"},
+		{"record shorter than its header", words(8, 0), 8, "record runs past the published tail"},
+		{"record longer than the ring", words(capB + 16), capB, "record runs past the published tail"},
+		{"wrap marker beyond the tail", words(wrapMarker, 0), 8, "wrap marker past the published tail"},
+		{"tail a lap ahead of head", nil, capB + 8, "cursors outside the ring"},
+		{"fragment total over the frame limit", words(32|recFrag, maxFrameBytes+1, 0, 0, 1, 2, 3, 4), 32, "over the frame limit"},
+		{"fragment with no packet in progress", words(32|recFrag, 100, 16, 0, 1, 2, 3, 4), 32, "fragment out of sequence"},
+		{"fragment past its own total", words(32|recFrag, 8, 0, 0, 1, 2, 3, 4), 32, "fragment out of sequence"},
+		{"whole record inside a fragmented packet",
+			append(words(32|recFrag, 100, 0, 0, 1, 2, 3, 4), words(16, 0, 2, 48)...), 48, "whole record inside a fragmented packet"},
+		{"packet for a node of another shard", words(16, 0, 1, 48), 16, "malformed packet body"},
+		{"reassembled packet shorter than its header", words(24|recFrag, 8, 0, 0, 1, 2), 24, "malformed packet body"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := bareShards(t)
+			tx, rx := a.peers[1].tx.r, b.shm.rx[0]
+			copy(tx.data, tc.data)
+			tx.tail.Store(tc.tail)
+			if _, ok := b.shmDrain(rx, 0, rx.r.tail.Load()); ok {
+				t.Fatal("shmDrain accepted the ring")
+			}
+			err := b.Err()
+			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "from shard 0") {
+				t.Fatalf("Err = %v, want one naming shard 0 and %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// zeros is an all-zero payload of its own length for driving SendRemote
+// directly.
+type zeros int
+
+func (z zeros) WireLen() int            { return int(z) }
+func (z zeros) EncodeWire(b []byte) int { clear(b[:z]); return int(z) }
+
+// TestShmFragments: packets over a quarter of the ring — one of them larger
+// than the whole ring — cross as fragment records, arrive whole and in order
+// between ordinary packets, and count once each as frames.
+func TestShmFragments(t *testing.T) {
+	a, b := bareShards(t)
+	sizes := []int{32, 2 << 10, 32, 20 << 10, 32} // 4 KiB ring: 1 KiB record limit
+	got := make(chan int, len(sizes))
+	b.SetRemoteHandler(func(src, dst, size int, payload []byte) { got <- len(payload) })
+	b.shmStart()
+	for _, n := range sizes {
+		a.SendRemote(0, 2, 48, zeros(n))
+	}
+	for i, want := range sizes {
+		select {
+		case n := <-got:
+			if n != want {
+				t.Fatalf("packet %d arrived with %d bytes, want %d", i, n, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("packet %d never arrived", i)
+		}
+	}
+	b.shutdownSockets() // waits for the consumer, which counts after it dispatches
+	out, in := a.MetricsSnapshot().Counter, b.MetricsSnapshot().Counter
+	if out(metrics.CtrShmFramesOut) != 5 || in(metrics.CtrShmFramesIn) != 5 {
+		t.Fatalf("frames out/in = %d/%d, want 5/5", out(metrics.CtrShmFramesOut), in(metrics.CtrShmFramesIn))
+	}
+	// ceil((12+2048)/1008) + ceil((12+20480)/1008) fragments.
+	if f := out(metrics.CtrShmFragsOut); f != 3+21 || in(metrics.CtrShmFragsIn) != f {
+		t.Fatalf("fragments out/in = %d/%d, want 24/24", f, in(metrics.CtrShmFragsIn))
+	}
+}
+
+// TestShmDeadLinkDrops: a ring whose consumer never runs fills up; the
+// producer's wait times out once, the link is declared dead in one error
+// naming the shard, and that frame and every later one are dropped and
+// counted — none is re-routed to the socket.
+func TestShmDeadLinkDrops(t *testing.T) {
+	a, _ := bareShards(t, func(o *Options) { o.DialTimeout = 50 * time.Millisecond })
+	const sends = 200 // 4 KiB ring / 48 B records: full after ~85
+	for i := 0; i < sends; i++ {
+		a.SendRemote(0, 2, 48, zeros(32))
+	}
+	snap := a.MetricsSnapshot()
+	out, dropped := snap.Counter(metrics.CtrShmFramesOut), snap.Counter(metrics.CtrLinkDropped)
+	if out == 0 || dropped == 0 || out+dropped != sends {
+		t.Fatalf("shm.frames.out = %d, net.link.dropped = %d, want both > 0 and %d together", out, dropped, sends)
+	}
+	if q := a.peers[1].queued.Load(); q != 0 {
+		t.Fatalf("%d frames queued on the socket of a ring link", q)
+	}
+	err := a.Err()
+	if err == nil || strings.Count(err.Error(), "link to shard 1 is dead") != 1 {
+		t.Fatalf("Err = %v, want exactly one dead-link error naming shard 1", err)
+	}
+}

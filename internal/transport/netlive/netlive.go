@@ -21,38 +21,41 @@
 // configuration (NodesPerShard >= n, the loopback mode) therefore behaves
 // exactly like live and runs the full conformance suite.
 //
-// # The serialized path
+// # One ordered link per peer shard
 //
-// The machine layer routes a cross-shard Send through ShardBackend
-// .DeliverRemote with the packet payload already encoded into a pooled
-// wire.Buf (am.Msg's wire codec). Each peer shard has one writer goroutine
-// owning the connection: frames queue on a ring and the writer drains them
-// in order — per-sender FIFO to a destination is preserved end to end — then
-// releases the buffers, so a warm cross-shard send allocates nothing beyond
-// what the socket write itself costs. Reader goroutines decode arriving
-// frames into pooled buffers and hand them to the machine's remote-arrival
-// handler, which enqueues into the destination node's (thread-safe) inbox
-// and wakes it through the live backend's direct notify (on the reader's own
-// goroutine when the destination's CPU is free, else its delivery worker).
+// The machine layer hands every cross-shard packet to Sharded.SendRemote,
+// which puts it on the link (peer) to the shard owning the destination. A
+// link carries its packets on exactly one path, chosen when the backend is
+// built and never per message, so per-sender FIFO to a destination holds end
+// to end whatever the frame sizes.
 //
-// # The shared-memory fast path
+// With the shared-memory plane off (Options.DisableShm, MPMD_NETLIVE_NOSHM, a
+// non-unix host) that path is the socket: the packet — src, dst, size, then
+// am.Msg's wire codec — is encoded into a pooled wire.Buf and queued on the
+// peer's ring; one writer goroutine owning the connection drains it in order
+// and releases the buffers, so a warm send allocates nothing beyond what the
+// socket write itself costs, and reader goroutines decode arriving frames
+// into pooled buffers. Otherwise (the default deployment: one machine, many
+// processes) it is an mmap'd single-producer single-consumer ring per ordered
+// shard pair, created by the parent before spawning and attached by every
+// shard at New: the sending proc marshals the same packet bytes directly into
+// a ring slot and the receiving shard's ring reader consumes them in place —
+// zero syscalls, zero copies beyond the marshal itself; a packet over a
+// quarter of the ring travels as fragment records. Consumers spin briefly
+// then park; a producer that catches a parked consumer rings a kDoorbell
+// control frame over the socket, which always carries the control plane
+// (quiesce, stats). See shmring.go and DESIGN.md.
 //
-// Co-resident shards (the default deployment: one machine, many processes)
-// skip the socket for data frames entirely. The parent creates one mmap'd
-// single-producer single-consumer ring per ordered shard pair in the
-// rendezvous directory before spawning; every shard attaches every ring it
-// touches at New. A cross-shard packet is marshaled by the sending proc
-// directly into a ring slot and consumed in place by the receiving shard's
-// ring reader — same frame fields, zero syscalls, zero copies beyond the
-// marshal itself. Consumers spin briefly then park; a producer that catches
-// a parked consumer rings a kDoorbell control frame over the peer socket,
-// which also keeps carrying the control plane (quiesce, stats) and all
-// frames when the fast path is off (Options.DisableShm, MPMD_NETLIVE_NOSHM,
-// a non-unix host, or a single shard). See shmring.go and DESIGN.md.
+// Either way the packet reaches the machine's remote-arrival handler, which
+// enqueues into the destination node's (thread-safe) inbox and wakes it
+// through the live backend's direct notify. A link that fails — connection
+// lost, ring consumer silent for DialTimeout, malformed bytes from the peer —
+// records one error naming the shard; frames for a failed or closed link are
+// dropped and counted (net.link.dropped).
 //
 // # Lifecycle
 //
-// Runtimes call Topology.LocalQuiesced when their local node programs have
+// Runtimes call Sharded.LocalQuiesced when their local node programs have
 // finished. Children report to the parent (kMainsDone); when every shard has
 // quiesced the parent broadcasts kAllDone, and each shard then runs its
 // quiesce callback (typically a grace-delayed endpoint shutdown) so servers
@@ -70,7 +73,6 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -121,22 +123,16 @@ type Options struct {
 	// DialTimeout bounds how long a writer waits for a peer's socket to
 	// appear. Zero means 10s.
 	DialTimeout time.Duration
-	// DisableShm turns off the shared-memory ring fast path: every
-	// cross-shard frame takes the socket writer. The MPMD_NETLIVE_NOSHM
+	// DisableShm turns off the shared-memory rings: every link carries its
+	// data frames on the socket writer. The MPMD_NETLIVE_NOSHM
 	// environment variable has the same effect (and is what the parent sets
 	// for re-exec'd children when its own fast path is off).
 	DisableShm bool
 	// ShmRingBytes sizes each directed ring's data area in bytes. Zero means
 	// 1 MiB; values are clamped to at least 4 KiB and rounded up to a
-	// multiple of 8. A frame larger than a quarter of the ring takes the
-	// socket path.
+	// multiple of 8. A frame larger than a quarter of the ring travels as
+	// consecutive fragment records.
 	ShmRingBytes int
-	// CPUsPerShard > 0 pins this shard's procs and delivery workers to the
-	// CPU block [shard*CPUsPerShard, (shard+1)*CPUsPerShard), wrapped onto
-	// the host's CPU count, by filling Live.CPUAffinity when that is empty.
-	// Keeps co-resident shards from migrating onto each other's cores so
-	// the shm rings behave like the paper's dedicated per-node processors.
-	CPUsPerShard int
 }
 
 // frameKind is the frame discriminator on the wire. Every switch over it
@@ -156,8 +152,18 @@ const (
 	kDoorbell  = frameKind(6) // u32 shard (sender: wake your parked consumer of my outbound ring)
 )
 
-// packetHdrLen is the kPacket body header: src, dst, size.
+// packetHdrLen is the header of a packet body: u32 src, dst, size. The AM
+// payload follows; both links carry exactly these bytes.
 const packetHdrLen = 12
+
+// maxFrameBytes bounds the body of one frame on either link. A length read
+// from a socket or a ring came from another process: nothing is allocated or
+// indexed on its word before it has been held against this.
+const maxFrameBytes = 64 << 20
+
+// minBody is the shortest legal body of each frame kind; the dispatchers
+// index no further without checking.
+var minBody = [...]int{kPacket: packetHdrLen, kMainsDone: 4, kAllDone: 0, kStats: 4, kStatsReq: 0, kDoorbell: 4}
 
 // Backend is the sharded multi-process transport. Construct with New.
 type Backend struct {
@@ -255,10 +261,6 @@ func New(n int, opts Options) (*Backend, error) {
 		}
 	}
 
-	if opts.CPUsPerShard > 0 && len(opts.Live.CPUAffinity) == 0 {
-		opts.Live.CPUAffinity = affinityBlock(shard, opts.CPUsPerShard)
-	}
-
 	b := &Backend{
 		inner:  live.New(n, opts.Live),
 		n:      n,
@@ -341,18 +343,6 @@ func New(n int, opts Options) (*Backend, error) {
 	return b, nil
 }
 
-// affinityBlock is shard s's CPU set under Options.CPUsPerShard: a block of
-// per consecutive CPUs starting at s*per, wrapped onto the host's CPU count
-// (oversubscribed hosts share cores rather than erroring).
-func affinityBlock(shard, per int) []int {
-	ncpu := runtime.NumCPU()
-	cpus := make([]int, 0, per)
-	for k := 0; k < per; k++ {
-		cpus = append(cpus, (shard*per+k)%ncpu)
-	}
-	return cpus
-}
-
 func (b *Backend) sockPath(shard int) string {
 	return filepath.Join(b.dir, fmt.Sprintf("shard-%d.sock", shard))
 }
@@ -405,22 +395,13 @@ func (b *Backend) NumNodes() int { return b.n }
 func (b *Backend) Now() time.Duration { return b.inner.Now() }
 
 // Go implements transport.Backend. Procs can only be created on this
-// shard's nodes; runtimes consult Topology and never ask for more.
+// shard's nodes; runtimes consult IsLocal and never ask for more.
 func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.Proc {
 	if !b.IsLocal(node) {
 		panic(fmt.Sprintf("netlive: proc %q on node %d, which lives in shard %d (this is shard %d)",
 			name, node, b.shardOf(node), b.shard))
 	}
 	return b.inner.Go(node, name, fn)
-}
-
-// Deliver implements transport.Backend for local destinations; cross-shard
-// packets travel through DeliverRemote (the machine routes them there).
-func (b *Backend) Deliver(dst int, lat time.Duration, enqueue, notify func()) {
-	if !b.IsLocal(dst) {
-		panic(fmt.Sprintf("netlive: Deliver to remote node %d (cross-shard messages go through DeliverRemote)", dst))
-	}
-	b.inner.Deliver(dst, lat, enqueue, notify)
 }
 
 // DeliverDirect implements transport.DirectDeliverer for local destinations.
@@ -542,20 +523,20 @@ func (b *Backend) addErr(err error) {
 	b.errMu.Unlock()
 }
 
-// --- transport.Topology -----------------------------------------------------
+// --- transport.Sharded: topology and quiesce ---------------------------------
 
-// NumShards implements transport.Topology.
+// NumShards implements transport.Sharded.
 func (b *Backend) NumShards() int { return b.shards }
 
-// Shard implements transport.Topology.
+// Shard implements transport.Sharded.
 func (b *Backend) Shard() int { return b.shard }
 
 func (b *Backend) shardOf(node int) int { return node / b.nps }
 
-// IsLocal implements transport.Topology.
+// IsLocal implements transport.Sharded.
 func (b *Backend) IsLocal(node int) bool { return node >= b.lo && node < b.hi }
 
-// LocalNodes implements transport.Topology.
+// LocalNodes implements transport.Sharded.
 func (b *Backend) LocalNodes() []int {
 	nodes := make([]int, 0, b.hi-b.lo)
 	for i := b.lo; i < b.hi; i++ {
@@ -564,7 +545,7 @@ func (b *Backend) LocalNodes() []int {
 	return nodes
 }
 
-// LocalQuiesced implements transport.Topology: record the callback, tell the
+// LocalQuiesced implements transport.Sharded: record the callback, tell the
 // parent this shard's programs are done, and fire once every shard is.
 func (b *Backend) LocalQuiesced(fn func()) {
 	b.q.Lock()
@@ -579,7 +560,7 @@ func (b *Backend) LocalQuiesced(fn func()) {
 		b.shardDone(0)
 		return
 	}
-	f := b.frameBuf(4)
+	f := wire.Get(4)
 	binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
 	b.peers[0].push(outFrame{kind: kMainsDone, buf: f})
 }
@@ -614,26 +595,75 @@ func (b *Backend) fireQuiesce() {
 	}
 }
 
-// --- transport.ShardBackend -------------------------------------------------
+// --- transport.Sharded: the packet links ------------------------------------
 
-// SetRemoteHandler implements transport.ShardBackend.
+// SetRemoteHandler implements transport.Sharded.
 func (b *Backend) SetRemoteHandler(fn func(src, dst, size int, payload []byte)) {
 	b.remote.Store(fn)
 }
 
-// DeliverRemote implements transport.ShardBackend: frame the encoded packet
-// and queue it on the destination shard's writer. Ownership of payload
-// transfers here; the writer releases it after the bytes are on the wire.
-func (b *Backend) DeliverRemote(src, dst, size int, payload *wire.Buf) {
+// SendRemote implements transport.Sharded: put the packet on the link to the
+// shard owning dst. A ring link marshals wp in place; a socket link encodes
+// it into a pooled frame for its writer, which releases the frame once the
+// bytes are on the wire.
+//
+//mpmd:hotpath
+func (b *Backend) SendRemote(src, dst, size int, wp transport.FrameMarshaler) {
 	p := b.peers[b.shardOf(dst)]
 	if p == nil {
-		panic(fmt.Sprintf("netlive: DeliverRemote to local node %d", dst))
+		panic(fmt.Sprintf("netlive: SendRemote to local node %d", dst))
 	}
-	p.push(outFrame{kind: kPacket, src: src, dst: dst, size: size, buf: payload})
+	if p.tx != nil {
+		p.tx.send(b, src, dst, size, wp)
+		return
+	}
+	p.push(outFrame{kind: kPacket, buf: stagePacket(src, dst, size, wp)})
 }
 
-// frameBuf returns a pooled buffer for a control frame body.
-func (b *Backend) frameBuf(n int) *wire.Buf { return wire.Get(n) }
+// stagePacket encodes one packet body — header, then wp's bytes — into a
+// pooled buffer, consuming wp.
+func stagePacket(src, dst, size int, wp transport.FrameMarshaler) *wire.Buf {
+	f := wire.Get(packetHdrLen + wp.WireLen())
+	putPacketHdr(f.Bytes(), src, dst, size)
+	wp.EncodeWire(f.Bytes()[packetHdrLen:])
+	return f
+}
+
+// putPacketHdr writes the three u32 words that head a packet body.
+//
+//mpmd:hotpath
+func putPacketHdr(b []byte, src, dst, size int) {
+	binary.LittleEndian.PutUint32(b, uint32(src))
+	binary.LittleEndian.PutUint32(b[4:], uint32(dst))
+	binary.LittleEndian.PutUint32(b[8:], uint32(size))
+}
+
+// dispatchPacket hands one arrived packet body to the machine. False means
+// the body is malformed — shorter than its header, a source outside the
+// machine, a destination that is not a node of this shard — and nothing was
+// dispatched; the caller abandons the link the bytes came from.
+//
+//mpmd:hotpath
+func (b *Backend) dispatchPacket(remote func(src, dst, size int, payload []byte), body []byte) bool {
+	if len(body) < packetHdrLen {
+		return false
+	}
+	src := int(binary.LittleEndian.Uint32(body))
+	dst := int(binary.LittleEndian.Uint32(body[4:]))
+	size := int(binary.LittleEndian.Uint32(body[8:]))
+	if src >= b.n || !b.IsLocal(dst) {
+		return false
+	}
+	remote(src, dst, size, body[packetHdrLen:])
+	return true
+}
+
+// dropped counts one frame dropped at a failed or closed link.
+func (b *Backend) dropped() {
+	if met := b.met; met != nil {
+		met.Add(metrics.CtrLinkDropped, 1)
+	}
+}
 
 // --- transport.MetricsSource ------------------------------------------------
 
@@ -657,12 +687,12 @@ func (b *Backend) MetricsSnapshot() metrics.Snapshot {
 	return metrics.Merge(snaps...)
 }
 
-// --- transport.StatsPlane ---------------------------------------------------
+// --- transport.Sharded: the stats control plane -----------------------------
 
-// SetStatsProvider implements transport.StatsPlane.
+// SetStatsProvider implements transport.Sharded.
 func (b *Backend) SetStatsProvider(fn func() []byte) { b.statsProv.Store(fn) }
 
-// PeerStats implements transport.StatsPlane: the latest kStats payload from
+// PeerStats implements transport.Sharded: the latest kStats payload from
 // each worker shard (parent only; complete after Run).
 func (b *Backend) PeerStats() map[int][]byte {
 	b.statsMu.Lock()
@@ -674,7 +704,7 @@ func (b *Backend) PeerStats() map[int][]byte {
 	return out
 }
 
-// RequestStats implements transport.StatsPlane: ask every worker shard to
+// RequestStats implements transport.Sharded: ask every worker shard to
 // report now. Safe mid-run — accounting and metrics are atomic on the worker.
 func (b *Backend) RequestStats() {
 	if b.shard != 0 {
@@ -704,7 +734,7 @@ func (b *Backend) sendStats() {
 		}
 	}
 	payload := prov()
-	f := b.frameBuf(4 + len(payload))
+	f := wire.Get(4 + len(payload))
 	binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
 	copy(f.Bytes()[4:], payload)
 	b.peers[0].push(outFrame{kind: kStats, buf: f})
@@ -763,9 +793,12 @@ func (b *Backend) acceptLoop() {
 
 // readLoop decodes frames from one peer connection. Frame bodies land in
 // pooled buffers and are recycled after dispatch; the packet handler runs
-// synchronously here, which preserves the sender's frame order.
+// synchronously here, which preserves the sender's frame order. A frame that
+// is oversize, too short for its kind, or a malformed packet is one error
+// and the end of the connection.
 func (b *Backend) readLoop(conn net.Conn) {
 	defer b.readers.Done()
+	defer conn.Close()
 	var hdr [5]byte
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
@@ -776,6 +809,11 @@ func (b *Backend) readLoop(conn net.Conn) {
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[:4]))
 		kind := frameKind(hdr[4])
+		if n > maxFrameBytes || (int(kind) < len(minBody) && n < minBody[kind]) {
+			b.addErr(fmt.Errorf("netlive: shard %d: peer sent a %d-byte frame of kind %d (limit %d bytes); connection abandoned",
+				b.shard, n, kind, maxFrameBytes))
+			return
+		}
 		var body []byte
 		var buf *wire.Buf
 		if n > 0 {
@@ -797,10 +835,11 @@ func (b *Backend) readLoop(conn net.Conn) {
 			if remote == nil {
 				panic("netlive: packet frame before the machine installed its remote handler")
 			}
-			src := int(binary.LittleEndian.Uint32(body))
-			dst := int(binary.LittleEndian.Uint32(body[4:]))
-			size := int(binary.LittleEndian.Uint32(body[8:]))
-			remote(src, dst, size, body[packetHdrLen:])
+			if !b.dispatchPacket(remote, body) {
+				buf.Release()
+				b.addErr(fmt.Errorf("netlive: shard %d: peer sent a malformed packet frame (%d-byte body); connection abandoned", b.shard, n))
+				return
+			}
 		case kMainsDone:
 			b.shardDone(int(binary.LittleEndian.Uint32(body)))
 		case kAllDone:
@@ -830,22 +869,27 @@ func isClosedErr(err error) bool {
 
 // --- the per-peer writer ----------------------------------------------------
 
-// outFrame is one queued wire frame. buf (optional) is the body beyond the
-// packet header; ownership rides with the frame.
+// outFrame is one queued wire frame. buf (optional) is the whole body — for
+// a packet, header included; ownership rides with the frame.
 type outFrame struct {
-	kind           frameKind
-	src, dst, size int
-	buf            *wire.Buf
-	at             time.Duration // push time (backend clock), for writer-stall metrics
+	kind frameKind
+	buf  *wire.Buf
+	at   time.Duration // push time (backend clock), for writer-stall metrics
 }
 
-// peer owns the connection to one remote shard: an unbounded ring of frames
-// drained by a single writer goroutine, so senders never block on the socket
-// and per-sender order is preserved. The connection is dialed lazily on the
-// first frame, retrying while the peer's listener comes up.
+// peer is the one ordered link to a remote shard. Its socket — an unbounded
+// ring of frames drained by a single writer goroutine, so senders never block
+// on it and per-sender order is preserved — carries the control frames
+// always, and the data frames when tx is nil. The connection is dialed
+// lazily on the first frame, retrying while the peer's listener comes up.
 type peer struct {
 	b     *Backend
 	shard int
+
+	// tx is the link's data path when the shared-memory plane is up: the
+	// producer end of the ring to this shard. Set once in New, before any
+	// send; with it set no packet frame ever reaches the socket.
+	tx *shmTx
 
 	mu     sync.Mutex
 	cond   *sync.Cond          //mpmdvet:cond mu
@@ -855,7 +899,7 @@ type peer struct {
 	started bool //mpmdvet:guard mu
 
 	// queued counts frames ever pushed; sent counts frames the writer has
-	// fully put on the wire (or dropped after a connection failure). flush
+	// fully put on the wire (or that fail dropped after a connection failure). flush
 	// waits for them to meet — how a worker guarantees its final kStats frame
 	// is out before the process exits.
 	queued atomic.Int64
@@ -879,6 +923,7 @@ func (p *peer) push(f outFrame) {
 		if f.buf != nil {
 			f.buf.Release()
 		}
+		p.b.dropped()
 		return
 	}
 	p.q.Push(f)
@@ -940,11 +985,11 @@ func (p *peer) writeLoop() {
 	conn, err := p.dial()
 	if err != nil {
 		p.b.addErr(err)
-		p.drainAndDrop()
+		p.fail()
 		return
 	}
 	defer conn.Close()
-	var scratch [5 + packetHdrLen]byte
+	var hdr [5]byte
 	for {
 		p.mu.Lock()
 		for p.q.Len() == 0 && !p.closed {
@@ -958,21 +1003,13 @@ func (p *peer) writeLoop() {
 		if met := p.b.met; met != nil {
 			met.ObserveDur(metrics.HstWriterStall, p.b.inner.Now()-f.at)
 		}
-		hdr := scratch[:5]
 		bodyLen := 0
-		if f.kind == kPacket {
-			bodyLen = packetHdrLen
-			hdr = scratch[:5+packetHdrLen]
-			binary.LittleEndian.PutUint32(hdr[5:], uint32(f.src))
-			binary.LittleEndian.PutUint32(hdr[9:], uint32(f.dst))
-			binary.LittleEndian.PutUint32(hdr[13:], uint32(f.size))
-		}
 		if f.buf != nil {
-			bodyLen += f.buf.Len()
+			bodyLen = f.buf.Len()
 		}
 		binary.LittleEndian.PutUint32(hdr[:4], uint32(bodyLen))
 		hdr[4] = byte(f.kind)
-		_, werr := conn.Write(hdr)
+		_, werr := conn.Write(hdr[:])
 		if werr == nil && f.buf != nil {
 			_, werr = conn.Write(f.buf.Bytes())
 		}
@@ -984,7 +1021,8 @@ func (p *peer) writeLoop() {
 			if !isClosedErr(werr) {
 				p.b.addErr(fmt.Errorf("netlive: write to shard %d: %w", p.shard, werr))
 			}
-			p.drainAndDrop()
+			p.b.dropped()
+			p.fail()
 			return
 		}
 		if met := p.b.met; met != nil {
@@ -994,23 +1032,18 @@ func (p *peer) writeLoop() {
 	}
 }
 
-// drainAndDrop releases queued frames after a connection failure so buffer
-// pools are not starved.
-func (p *peer) drainAndDrop() {
+// fail closes the link after a connection failure: queued frames are released
+// (so buffer pools are not starved) and counted, and later pushes drop as on
+// any closed link.
+func (p *peer) fail() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		f, ok := p.q.Pop()
-		if !ok {
-			if p.closed {
-				return
-			}
-			p.cond.Wait()
-			continue
-		}
+	p.closed = true
+	for f, ok := p.q.Pop(); ok; f, ok = p.q.Pop() {
 		if f.buf != nil {
 			f.buf.Release()
 		}
 		p.sent.Add(1)
+		p.b.dropped()
 	}
 }

@@ -372,16 +372,6 @@ func TestShmStalledTeardownNoLeaks(t *testing.T) {
 		before, runtime.NumGoroutine(), stacks)
 }
 
-// TestAffinityBlock pins the CPUsPerShard -> CPU set arithmetic.
-func TestAffinityBlock(t *testing.T) {
-	ncpu := runtime.NumCPU()
-	got := affinityBlock(1, 2)
-	want := []int{2 % ncpu, 3 % ncpu}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("affinityBlock(1,2) = %v, want %v", got, want)
-	}
-}
-
 // TestTwoShardsStats drives cross-shard traffic through two in-process
 // backends and verifies the kStats control plane end to end under -race: at
 // quiesce the worker shard serializes its stats and ships them over the real

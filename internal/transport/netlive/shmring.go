@@ -1,14 +1,15 @@
 //go:build unix
 
-// Shared-memory shard rings: the zero-syscall fast path for co-resident
-// shards. Each ordered shard pair (i, j) gets one mmap'd single-producer
-// single-consumer byte ring per direction, created by the parent in the
-// rendezvous directory before re-exec and attached by every shard at New.
-// A cross-shard packet is marshaled by the sender directly into a ring
-// slot (the slot-backed wire.Buf), published with an atomic cursor store,
-// and consumed in place by the receiving shard's ring reader — the same
-// length-delimited AM frame bytes the socket path carries, minus the two
-// syscalls per frame.
+// Shared-memory shard rings: the zero-syscall data path of a link between
+// co-resident shards. Each ordered shard pair (i, j) gets one mmap'd
+// single-producer single-consumer byte ring per direction, created by the
+// parent in the rendezvous directory before re-exec and attached by every
+// shard at New. A cross-shard packet is marshaled by the sender directly
+// into a ring slot (the slot-backed wire.Buf), published with an atomic
+// cursor store, and consumed in place by the receiving shard's ring reader —
+// the same packet bytes a socket link carries, minus the two syscalls per
+// frame. A packet too large for one slot is staged once and published as
+// consecutive fragment records.
 //
 // The protocol is futex-free: a waiting consumer spins a bounded number of
 // yields, then publishes a "parked" flag in the shared header and blocks;
@@ -39,7 +40,7 @@ import (
 // so full/empty are unambiguous: used = tail - head.
 const (
 	shmMagic   = 0x474e49524d48531 // "SHMRING" as a number
-	shmVersion = 1
+	shmVersion = 2                 // 2: the recFrag flag and fragment records
 	shmHdrSize = 256
 
 	offMagic   = 0
@@ -49,11 +50,17 @@ const (
 	offHead    = 128
 	offParked  = 192
 
-	// recHdrLen is the per-record header: u32 record length (header
-	// included, padding excluded), u32 src, u32 dst, u32 size. Records are
-	// 8-byte aligned and never straddle the wrap point; a wrapMarker in the
-	// length field means "skip to offset 0".
+	// recHdrLen is the per-record header, four u32 words. Word 0 is the
+	// record length (header included, padding excluded), with recFrag or'ed
+	// in on a fragment. A whole record continues src, dst, size — so the
+	// bytes after word 0 are exactly a packet body, header and payload. A
+	// fragment record continues total, at, 0: its payload is the bytes
+	// [at, at+len) of a packet body of total bytes, and the fragments of one
+	// packet are consecutive records in increasing at. Records are 8-byte
+	// aligned, at most a quarter of the ring, and never straddle the wrap
+	// point; a wrapMarker in word 0 means "skip to offset 0".
 	recHdrLen  = 16
+	recFrag    = uint32(1) << 31
 	wrapMarker = ^uint32(0)
 
 	// defaultRingBytes / minRingBytes bound the data area. The default
@@ -213,42 +220,43 @@ type shmTx struct {
 	tail   uint64    //mpmdvet:guard mu — local copy of the published producer cursor
 	slot   *wire.Buf //mpmdvet:guard mu — reusable slot-backed marshal target
 	closed bool      //mpmdvet:guard mu
+	// dead latches after a reserve timeout (no consumer progress for
+	// DialTimeout): the link has failed, and every later frame is dropped.
+	// The socket is no alternative — it leads to the same wedged process.
+	dead bool //mpmdvet:guard mu
 
 	// quit mirrors closed without the lock: reserve's full-ring wait polls
 	// it so teardown is never blocked behind a sender spinning on a ring
 	// whose consumer is already gone.
 	quit atomic.Bool
-	// full latches after a reserve timeout (no consumer progress): the ring
-	// is abandoned and every later frame takes the socket path.
-	full atomic.Bool
 }
 
-// shmRx is the consumer end of one inbound ring.
+// shmRx is the consumer end of one inbound ring. asm and got are the
+// reassembly of a fragmented packet in progress (consumer goroutine only).
 type shmRx struct {
 	r    *shmRing
 	peer int
 	wake chan struct{} // doorbell, capacity 1
+	asm  *wire.Buf
+	got  int
 }
 
-// shmPlane is a backend's shared-memory transport state: one tx and one rx
-// per peer shard (nil at the self index).
+// shmPlane is a backend's shared-memory transport state: one rx per peer
+// shard (nil at the self index); each peer holds the tx of its link.
 type shmPlane struct {
-	tx     []*shmTx
 	rx     []*shmRx
 	stop   atomic.Bool
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 }
 
-func (p *shmPlane) closeRings() {
-	for _, tx := range p.tx {
-		if tx != nil {
-			tx.r.unmap()
-		}
-	}
-	for _, rx := range p.rx {
+func (b *Backend) closeRings(p *shmPlane) {
+	for s, rx := range p.rx {
 		if rx != nil {
 			rx.r.unmap()
+		}
+		if pr := b.peers[s]; pr != nil && pr.tx != nil {
+			pr.tx.r.unmap()
 		}
 	}
 }
@@ -261,10 +269,9 @@ func (b *Backend) ringPath(from, to int) string {
 // the fast path is enabled, the rings are required: every shard attaches
 // every ring or construction fails, so a pair can never disagree about
 // whether a direction is ring- or socket-carried (which would reorder or
-// strand frames). Falling back to sockets is a configuration decision
-// (DisableShm, the MPMD_NETLIVE_NOSHM env, an unsupported OS, or — when
-// shards stop being co-resident — the absence of a ring mesh), never a
-// silent per-pair race.
+// strand frames). Socket links are a configuration decision (DisableShm, the
+// MPMD_NETLIVE_NOSHM env, an unsupported OS), never a per-pair or
+// per-message one.
 func (b *Backend) shmSetup() error {
 	if b.shards <= 1 || b.opts.DisableShm || os.Getenv(EnvNoShm) != "" {
 		return nil
@@ -290,7 +297,6 @@ func (b *Backend) shmSetup() error {
 		}
 	}
 	p := &shmPlane{
-		tx:     make([]*shmTx, b.shards),
 		rx:     make([]*shmRx, b.shards),
 		stopCh: make(chan struct{}),
 	}
@@ -301,13 +307,13 @@ func (b *Backend) shmSetup() error {
 		}
 		out, err := attachRing(b.ringPath(b.shard, s), deadline)
 		if err != nil {
-			p.closeRings()
+			b.closeRings(p)
 			return err
 		}
-		p.tx[s] = &shmTx{r: out, peer: s, slot: wire.NewSlot()}
+		b.peers[s].tx = &shmTx{r: out, peer: s, slot: wire.NewSlot()}
 		in, err := attachRing(b.ringPath(s, b.shard), deadline)
 		if err != nil {
-			p.closeRings()
+			b.closeRings(p)
 			return err
 		}
 		p.rx[s] = &shmRx{r: in, peer: s, wake: make(chan struct{}, 1)}
@@ -318,9 +324,9 @@ func (b *Backend) shmSetup() error {
 	return nil
 }
 
-// ShmActive reports whether the shared-memory fast path is carrying this
+// ShmActive reports whether the shared-memory rings are carrying this
 // backend's cross-shard packets (false on loopback, when disabled, or on
-// platforms without it).
+// platforms without them).
 func (b *Backend) ShmActive() bool { return b.shm != nil }
 
 // shmStart launches one consumer goroutine per inbound ring. Deferred to
@@ -343,25 +349,26 @@ func (b *Backend) shmStart() {
 // (the lock round-trip is the barrier that no in-flight send still touches
 // the mapping), then unmaps every ring. Runs on every teardown path —
 // including a stalled run's — so a wedged machine leaks neither goroutines
-// nor mappings; a straggler proc that sends afterwards gets the socket
-// path's closed-peer drop semantics instead of a fault on unmapped memory.
+// nor mappings; a straggler proc that sends afterwards gets a closed link's
+// drop semantics instead of a fault on unmapped memory.
 func (b *Backend) shmShutdown() {
 	p := b.shm
 	if p == nil || !p.stop.CompareAndSwap(false, true) {
 		return
 	}
 	close(p.stopCh)
-	for _, tx := range p.tx {
-		if tx == nil {
+	for _, pr := range b.peers {
+		if pr == nil || pr.tx == nil {
 			continue
 		}
+		tx := pr.tx
 		tx.quit.Store(true)
 		tx.mu.Lock()
 		tx.closed = true
 		tx.mu.Unlock()
 	}
 	p.wg.Wait()
-	p.closeRings()
+	b.closeRings(p)
 }
 
 // shmWake rings a parked consumer's local doorbell (the kDoorbell frame
@@ -377,82 +384,119 @@ func (b *Backend) shmWake(s int) {
 	}
 }
 
-// DeliverSlot implements transport.SlotSender: marshal the payload straight
-// into the destination shard's ring. False routes the caller to the pooled
-// DeliverRemote socket path.
+// send puts one packet on the ring. The common case reserves a slot,
+// marshals the payload into it through the slot-backed Buf, publishes the new
+// tail, and rings the doorbell if the consumer is parked. The whole critical
+// section is sender-side only — the consumer is coordinated purely through
+// the shared cursors. A packet over the contiguity limit goes as fragments;
+// one that finds no room because the link is dead or closed is dropped and
+// counted.
 //
 //mpmd:hotpath
-func (b *Backend) DeliverSlot(src, dst, size int, wp transport.FrameMarshaler) bool {
-	p := b.shm
-	if p == nil {
-		return false
-	}
-	tx := p.tx[b.shardOf(dst)]
-	if tx == nil {
-		return false
-	}
-	return tx.send(b, src, dst, size, wp)
-}
-
-// send reserves a slot, marshals the payload into it through the slot-backed
-// Buf, publishes the new tail, and rings the doorbell if the consumer is
-// parked. The whole critical section is sender-side only — the consumer is
-// coordinated purely through the shared cursors.
-//
-//mpmd:hotpath
-func (tx *shmTx) send(b *Backend, src, dst, size int, wp transport.FrameMarshaler) bool {
+func (tx *shmTx) send(b *Backend, src, dst, size int, wp transport.FrameMarshaler) {
 	n := wp.WireLen()
 	rec := align8(recHdrLen + uint64(n))
-	if rec > tx.r.capB/4 || tx.full.Load() {
-		// Oversize for the contiguity invariant, or the ring is abandoned.
-		return false
+	if rec > tx.r.capB/4 {
+		tx.sendFragments(b, stagePacket(src, dst, size, wp))
+		return
 	}
 	tx.mu.Lock()
-	if tx.closed {
-		tx.mu.Unlock()
-		return false
-	}
-	off, ok := tx.reserve(rec, b.opts.DialTimeout)
+	off, ok := tx.reserve(b, rec)
 	if !ok {
 		tx.mu.Unlock()
-		b.shmRingFailed(tx)
-		return false
+		stagePacket(src, dst, size, wp).Release() // consumes wp
+		b.dropped()
+		return
 	}
 	data := tx.r.data
 	binary.LittleEndian.PutUint32(data[off:], uint32(recHdrLen+uint64(n)))
-	binary.LittleEndian.PutUint32(data[off+4:], uint32(src))
-	binary.LittleEndian.PutUint32(data[off+8:], uint32(dst))
-	binary.LittleEndian.PutUint32(data[off+12:], uint32(size))
+	putPacketHdr(data[off+4:], src, dst, size)
 	tx.slot.Bind(data[off+recHdrLen : off+recHdrLen+uint64(n)])
 	wp.EncodeWire(tx.slot.Bytes())
 	tx.slot.Release()
-	tx.tail += rec
-	tx.r.tail.Store(tx.tail)
-	depth := tx.tail - tx.r.head.Load()
+	depth := tx.publish(rec)
 	tx.mu.Unlock()
 	if met := b.met; met != nil {
 		met.Add(metrics.CtrShmFramesOut, 1)
 		met.Add(metrics.CtrShmBytesOut, int64(recHdrLen+uint64(n)))
 		met.Set(metrics.GgeShmRingDepth, int64(depth))
 	}
-	// Doorbell only when the consumer has declared itself parked; the CAS
-	// makes one producer win, so a parked consumer gets exactly one frame.
-	// Sequential consistency of the atomics orders tail.Store before this
-	// load against the consumer's parked.Store-then-tail.Load re-check, so
-	// the wakeup cannot be lost.
+	tx.kick(b)
+}
+
+// sendFragments publishes a staged packet body as consecutive fragment
+// records, all under one hold of tx.mu so no other sender's record lands
+// between them. Each fragment is published (and the consumer kicked) as it is
+// written: the consumer frees space while the producer is still writing,
+// which is what lets a packet larger than the whole ring through. When the
+// link is or goes dead, what is left of the packet is dropped.
+//
+//mpmd:coldpath the rare packet over a quarter of the ring: one staged copy
+func (tx *shmTx) sendFragments(b *Backend, f *wire.Buf) {
+	defer f.Release()
+	body := f.Bytes()
+	chunk := int(tx.r.capB/4)&^7 - recHdrLen
+	frags, recBytes := int64(0), int64(0)
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	for at := 0; at < len(body); at += chunk {
+		part := body[at:min(at+chunk, len(body))]
+		rec := align8(recHdrLen + uint64(len(part)))
+		off, ok := tx.reserve(b, rec)
+		if !ok {
+			b.dropped()
+			return
+		}
+		data := tx.r.data
+		binary.LittleEndian.PutUint32(data[off:], uint32(recHdrLen+len(part))|recFrag)
+		putPacketHdr(data[off+4:], len(body), at, 0) // total, at, 0
+		copy(data[off+recHdrLen:], part)
+		tx.publish(rec)
+		tx.kick(b)
+		frags++
+		recBytes += int64(recHdrLen + len(part))
+	}
+	if met := b.met; met != nil {
+		met.Add(metrics.CtrShmFramesOut, 1)
+		met.Add(metrics.CtrShmFragsOut, frags)
+		met.Add(metrics.CtrShmBytesOut, recBytes)
+	}
+}
+
+// publish makes the record just written at the reserved offset visible to
+// the consumer and returns the ring occupancy in bytes.
+//
+//mpmdvet:locked tx.mu
+func (tx *shmTx) publish(rec uint64) uint64 {
+	tx.tail += rec
+	tx.r.tail.Store(tx.tail)
+	return tx.tail - tx.r.head.Load()
+}
+
+// kick rings the doorbell, but only when the consumer has declared itself
+// parked; the CAS makes one producer win, so a parked consumer gets exactly
+// one frame. Sequential consistency of the atomics orders publish's
+// tail.Store before this load against the consumer's
+// parked.Store-then-tail.Load re-check, so the wakeup cannot be lost.
+//
+//mpmd:hotpath
+func (tx *shmTx) kick(b *Backend) {
 	if tx.r.parked.Load() == 1 && tx.r.parked.CompareAndSwap(1, 0) {
 		b.ringDoorbell(tx.peer)
 	}
-	return true
 }
 
 // reserve finds rec contiguous bytes, writing a wrap marker when the tail
 // would straddle the end. Called with tx.mu held. A full ring waits for the
 // consumer — briefly spinning, then sleeping in small steps bounded by
-// timeout, after which the ring is declared dead (false).
+// DialTimeout, after which the link is latched dead (false). A dead or closed
+// (teardown) ring reserves nothing.
 //
 //mpmdvet:locked tx.mu
-func (tx *shmTx) reserve(rec uint64, timeout time.Duration) (uint64, bool) {
+func (tx *shmTx) reserve(b *Backend, rec uint64) (uint64, bool) {
+	if tx.closed || tx.dead {
+		return 0, false
+	}
 	r := tx.r
 	capB := r.capB
 	var deadline time.Time
@@ -478,39 +522,39 @@ func (tx *shmTx) reserve(rec uint64, timeout time.Duration) (uint64, bool) {
 			continue
 		}
 		if deadline.IsZero() {
-			deadline = time.Now().Add(timeout)
+			deadline = time.Now().Add(b.opts.DialTimeout)
 		} else if time.Now().After(deadline) {
+			tx.dead = true
+			b.shmRingDead(tx.peer)
 			return 0, false
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 }
 
-// shmRingFailed latches a dead ring (reserve timed out or teardown raced
-// the send) and records the event once.
+// shmRingDead records the one error of a link whose ring consumer made no
+// progress for DialTimeout.
 //
-//mpmd:coldpath failure latch; runs at most once per ring, after the fast path has given up on it
-func (b *Backend) shmRingFailed(tx *shmTx) {
-	if tx.full.CompareAndSwap(false, true) && !tx.quit.Load() {
-		b.addErr(fmt.Errorf("netlive: shm ring to shard %d made no progress within %v; falling back to sockets", tx.peer, b.opts.DialTimeout))
-	}
+//mpmd:coldpath runs once per ring, when reserve latches it dead
+func (b *Backend) shmRingDead(shard int) {
+	b.addErr(fmt.Errorf("netlive: shm ring to shard %d made no progress within %v; link to shard %d is dead, its frames are dropped", shard, b.opts.DialTimeout, shard))
 }
 
 // shmReadLoop is the per-inbound-ring consumer: drain published records,
 // dispatching each to the machine's remote-arrival handler in place, and
-// wait (spin, then park) when the ring runs dry.
+// wait (spin, then park) when the ring runs dry. It ends at shutdown, or —
+// after recording one error naming the peer — when the ring's bytes stop
+// making sense; the producer then finds the ring full and its link dead.
 func (b *Backend) shmReadLoop(rx *shmRx) {
 	defer b.shm.wg.Done()
 	head := rx.r.head.Load()
-	for {
+	for ok := true; ok; {
 		tail := rx.r.tail.Load()
 		if tail == head {
-			if !b.shmWaitData(rx, head) {
-				return
-			}
+			ok = b.shmWaitData(rx, head)
 			continue
 		}
-		head = b.shmDrain(rx, head, tail)
+		head, ok = b.shmDrain(rx, head, tail)
 	}
 }
 
@@ -518,39 +562,107 @@ func (b *Backend) shmReadLoop(rx *shmRx) {
 // the handler points directly into the mapped ring — valid only for the
 // duration of the call, the same no-retain contract as the socket reader —
 // and the head cursor is published only after the handler returns, so the
-// producer cannot reuse the slot under a running handler.
+// producer cannot reuse the slot under a running handler. The cursors and
+// every record header were written by another process: each is held against
+// the ring geometry and the published tail before anything is indexed with
+// it, and a value that does not fit abandons the ring (false).
 //
 //mpmd:hotpath
-func (b *Backend) shmDrain(rx *shmRx, head, tail uint64) uint64 {
+func (b *Backend) shmDrain(rx *shmRx, head, tail uint64) (uint64, bool) {
 	r := rx.r
 	data := r.data
 	remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte))
-	frames, recBytes := int64(0), int64(0)
+	frames, frags, recBytes := int64(0), int64(0), int64(0)
+	if tail-head > r.capB || head%8 != 0 {
+		return head, b.shmCorrupt(rx, "cursors outside the ring", head%r.capB, uint32(tail-head))
+	}
 	for head != tail {
 		off := head % r.capB
-		recLen := binary.LittleEndian.Uint32(data[off:])
-		if recLen == wrapMarker {
+		word := binary.LittleEndian.Uint32(data[off:])
+		if word == wrapMarker {
+			if r.capB-off > tail-head {
+				return head, b.shmCorrupt(rx, "wrap marker past the published tail", off, word)
+			}
 			head += r.capB - off
 			r.head.Store(head)
 			continue
 		}
+		recLen := uint64(word &^ recFrag)
+		if recLen < recHdrLen || off+recLen > r.capB || align8(recLen) > tail-head {
+			return head, b.shmCorrupt(rx, "record runs past the published tail", off, word)
+		}
 		if remote == nil {
 			panic("netlive: shm packet frame before the machine installed its remote handler")
 		}
-		src := int(binary.LittleEndian.Uint32(data[off+4:]))
-		dst := int(binary.LittleEndian.Uint32(data[off+8:]))
-		size := int(binary.LittleEndian.Uint32(data[off+12:]))
-		remote(src, dst, size, data[off+recHdrLen:off+uint64(recLen)])
-		head += align8(uint64(recLen))
+		body := data[off+4 : off+recLen]
+		if word&recFrag != 0 {
+			frags++
+			var why string
+			if body, why = rx.reassemble(body); why != "" {
+				return head, b.shmCorrupt(rx, why, off, word)
+			}
+		} else if rx.asm != nil {
+			return head, b.shmCorrupt(rx, "whole record inside a fragmented packet", off, word)
+		}
+		if body != nil {
+			if !b.dispatchPacket(remote, body) {
+				return head, b.shmCorrupt(rx, "malformed packet body", off, word)
+			}
+			frames++
+			if rx.asm != nil {
+				rx.asm.Release()
+				rx.asm = nil
+			}
+		}
+		head += align8(recLen)
 		r.head.Store(head)
-		frames++
 		recBytes += int64(recLen)
 	}
 	if met := b.met; met != nil {
 		met.Add(metrics.CtrShmFramesIn, frames)
 		met.Add(metrics.CtrShmBytesIn, recBytes)
+		if frags != 0 {
+			met.Add(metrics.CtrShmFragsIn, frags)
+		}
 	}
-	return head
+	return head, true
+}
+
+// reassemble adds one fragment — rec is its record after word 0: total, at,
+// 0, then the bytes — to the packet being rebuilt in rx.asm, a pooled buffer
+// of total bytes taken when the at == 0 fragment arrives. It returns the
+// whole packet body once the last fragment is in, nil before that, and a
+// reason when the fragment does not continue the packet in progress or the
+// total is over the frame limit.
+//
+//mpmd:coldpath only the rare packet over a quarter of the ring is fragmented; one copy, pooled
+func (rx *shmRx) reassemble(rec []byte) (body []byte, why string) {
+	total := int(binary.LittleEndian.Uint32(rec))
+	at := int(binary.LittleEndian.Uint32(rec[4:]))
+	part := rec[recHdrLen-4:]
+	if rx.asm == nil && at == 0 {
+		if total > maxFrameBytes {
+			return nil, "fragmented packet over the frame limit"
+		}
+		rx.asm, rx.got = wire.Get(total), 0
+	}
+	if rx.asm == nil || total != rx.asm.Len() || at != rx.got || len(part) == 0 || at+len(part) > total {
+		return nil, "fragment out of sequence"
+	}
+	rx.got += copy(rx.asm.Bytes()[at:], part)
+	if rx.got < total {
+		return nil, ""
+	}
+	return rx.asm.Bytes(), ""
+}
+
+// shmCorrupt records the one error that ends an inbound ring. It returns
+// false, shmDrain's "abandon the ring".
+//
+//mpmd:coldpath at most once per ring, after which its consumer exits
+func (b *Backend) shmCorrupt(rx *shmRx, why string, off uint64, word uint32) bool {
+	b.addErr(fmt.Errorf("netlive: shm ring from shard %d abandoned: %s (record word %#x at offset %d)", rx.peer, why, word, off))
+	return false
 }
 
 // shmWaitData waits for the producer to move tail past head: a bounded
@@ -608,7 +720,7 @@ func (b *Backend) ringDoorbell(s int) {
 	if met := b.met; met != nil {
 		met.Add(metrics.CtrShmDoorbells, 1)
 	}
-	f := b.frameBuf(4)
+	f := wire.Get(4)
 	binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
 	b.peers[s].push(outFrame{kind: kDoorbell, buf: f})
 }

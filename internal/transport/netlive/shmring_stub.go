@@ -4,21 +4,20 @@ package netlive
 
 import "repro/internal/transport"
 
-// shmPlane is absent on platforms without the mmap'd ring fast path; every
-// cross-shard frame takes the socket path.
-type shmPlane struct{}
+// shmPlane and shmTx are absent on platforms without the mmap'd rings: no
+// link ever gets a tx, so every link carries its data frames on its socket.
+type (
+	shmPlane struct{}
+	shmTx    struct{}
+)
+
+func (tx *shmTx) send(*Backend, int, int, int, transport.FrameMarshaler) {}
 
 func (b *Backend) shmSetup() error { return nil }
 func (b *Backend) shmStart()       {}
 func (b *Backend) shmShutdown()    {}
 func (b *Backend) shmWake(int)     {}
 
-// ShmActive reports whether the shared-memory fast path is carrying this
+// ShmActive reports whether the shared-memory rings are carrying this
 // backend's cross-shard packets; never on this platform.
 func (b *Backend) ShmActive() bool { return false }
-
-// DeliverSlot implements transport.SlotSender; without rings every frame
-// falls back to the pooled DeliverRemote socket path.
-func (b *Backend) DeliverSlot(src, dst, size int, wp transport.FrameMarshaler) bool {
-	return false
-}

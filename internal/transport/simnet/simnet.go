@@ -17,18 +17,14 @@ import (
 	"repro/internal/transport"
 )
 
-// Backend is the simulator-backed transport. Construct with New or Wrap.
+// Backend is the simulator-backed transport. Construct with New.
 type Backend struct {
 	eng *sim.Engine
 	n   int
 }
 
 // New builds a simnet backend for n nodes over a fresh engine.
-func New(n int) *Backend { return Wrap(sim.New(), n) }
-
-// Wrap builds a simnet backend for n nodes over an existing engine (tests
-// that pre-schedule events use this).
-func Wrap(eng *sim.Engine, n int) *Backend { return &Backend{eng: eng, n: n} }
+func New(n int) *Backend { return &Backend{eng: sim.New(), n: n} }
 
 // Engine exposes the underlying discrete-event engine for simulator-specific
 // access (scheduling raw events, reading event counts).
@@ -49,8 +45,11 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 	return b.eng.Go(name, func(p *sim.Proc) { fn(p) })
 }
 
-// Deliver implements transport.Backend: one event at now+modelLatency that
-// enqueues and notifies, exactly as the pre-seam machine layer did.
+// Deliver is the local-modelled delivery case, called by the machine layer on
+// this concrete type (it is not part of the transport seam): one event at
+// now+modelLatency that enqueues and notifies, exactly as the pre-seam
+// machine layer did. Events at equal times fire in schedule order, so
+// delivery between a pair of nodes is FIFO for equal latencies.
 //
 //mpmd:coldpath the event closure is discrete-event engine machinery; live backends deliver without it
 func (b *Backend) Deliver(dst int, modelLatency time.Duration, enqueue, notify func()) {

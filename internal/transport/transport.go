@@ -7,18 +7,26 @@
 //
 //   - Proc: a schedulable context with park/unpark/sleep semantics, exactly
 //     the primitives the thread scheduler hands CPUs around with;
-//   - Backend: node-affined process creation, message delivery into a node's
-//     execution context, timers, and a clock.
+//   - Backend: node-affined process creation, timers, a clock, and Run.
 //
-// Two implementations exist:
+// A packet reaches its destination node in exactly one of three ways, and
+// which one is a property of the backend, fixed when the machine is built:
 //
-//   - transport/simnet wraps the deterministic discrete-event engine
-//     (internal/sim) calibrated to the paper's 1997 IBM SP. Virtual time
-//     advances by the configured costs; runs are reproducible bit-for-bit.
-//   - transport/live maps every Proc to a real goroutine and the clock to
-//     time.Now(). Nodes execute with true hardware concurrency; modelled
-//     latencies are ignored and messages travel as fast as the machine
-//     allows.
+//   - local-modelled: transport/simnet wraps the deterministic discrete-event
+//     engine (internal/sim) calibrated to the paper's 1997 IBM SP. The
+//     machine hands enqueue and notify to simnet.Backend.Deliver, which runs
+//     them as one event after the modelled wire latency; runs are
+//     reproducible bit-for-bit.
+//   - local-immediate (DirectDeliverer): transport/live maps every Proc to a
+//     real goroutine and the clock to time.Now(). The machine enqueues on the
+//     sender and the backend runs the notify in the destination's context;
+//     modelled latencies are ignored.
+//   - remote-link (Sharded): transport/netlive shards the nodes across OS
+//     processes. A packet for a node of another shard is serialized onto the
+//     one ordered link to that shard (Sharded.SendRemote); in-shard packets
+//     take the local-immediate path.
+//
+// MetricsSource is the one further optional extension (wall-clock metrics).
 //
 // The contracts encode the concurrency discipline the upper layers rely on:
 // at most one Proc of a given node runs at any instant (a node has one CPU),
@@ -33,7 +41,6 @@ import (
 	"time"
 
 	"repro/internal/metrics"
-	"repro/internal/wire"
 )
 
 // Proc is one schedulable context on a node: a simulated process on the
@@ -64,11 +71,12 @@ type Proc interface {
 	Name() string
 }
 
-// Topology is an optional Backend extension for backends whose nodes are
-// sharded across address spaces (the netlive backend: one OS process per
-// shard). Single-address-space backends simply do not implement it; callers
-// treat every node as local then.
-type Topology interface {
+// Sharded is the optional Backend extension of a backend whose nodes are
+// spread across address spaces (the netlive backend: one OS process per
+// shard): the shard topology, the one ordered link to each peer shard, and
+// the stats control plane that rides it. Single-address-space backends do
+// not implement it; callers treat every node as local then.
+type Sharded interface {
 	// NumShards reports how many address spaces the machine spans.
 	NumShards() int
 	// Shard returns this process's shard index (shard 0 is the parent).
@@ -84,29 +92,41 @@ type Topology interface {
 	// shard whose programs finished early keeps serving remote invocations
 	// until the whole machine is done.
 	LocalQuiesced(fn func())
-}
 
-// ShardBackend is the message plane of a sharded backend: the machine layer
-// routes packets for non-local nodes through DeliverRemote as serialized
-// frames, and receives frames from peer shards through the handler installed
-// with SetRemoteHandler.
-type ShardBackend interface {
-	Topology
-	// DeliverRemote ships an encoded packet payload to the shard owning dst.
-	// Ownership of frame transfers to the backend (released after the bytes
-	// are on the wire). size is the modelled wire size of the packet.
-	// Per-sender delivery order to a given destination is preserved.
-	DeliverRemote(src, dst, size int, frame *wire.Buf)
+	// SendRemote ships one packet to the shard owning dst over that shard's
+	// link, consuming wp: the link serializes it into memory it owns (a
+	// shared-memory ring slot, or a pooled frame for a socket writer). Which
+	// of the two a link uses is fixed when the backend is built, never per
+	// message, so per-sender delivery order to a destination is preserved
+	// whatever the frame sizes. size is the modelled wire size of the packet.
+	// Frames for a link that has failed or closed are dropped and counted.
+	SendRemote(src, dst, size int, wp FrameMarshaler)
 	// SetRemoteHandler installs the upcall for packets arriving from peer
 	// shards. fn runs on a backend reader goroutine; payload is valid only
-	// for the duration of the call (the backend recycles the frame buffer).
+	// for the duration of the call (the backend recycles the frame memory).
 	SetRemoteHandler(fn func(src, dst, size int, payload []byte))
+
+	// SetStatsProvider installs the callback that serializes this shard's
+	// stats payload (the netlive kStats frame body). The backend calls it
+	// when a shard reports: at quiesce (always) and on a parent-initiated
+	// request. It may run on a backend goroutine concurrently with node
+	// execution, so the provider must read racily-safe state only (the
+	// machine's accounting and metrics are atomic).
+	SetStatsProvider(fn func() []byte)
+	// PeerStats returns the latest stats payload received from each peer
+	// shard, keyed by shard index. Only the parent (shard 0) receives peer
+	// stats; workers get an empty map. Complete after Run returns on the
+	// parent.
+	PeerStats() map[int][]byte
+	// RequestStats asks every peer shard to report its stats now (mid-run
+	// sampling). Fire-and-forget: fresh payloads show up in PeerStats as they
+	// arrive. Parent only.
+	RequestStats()
 }
 
-// FrameMarshaler is a packet payload that can serialize itself into
-// caller-provided memory (structurally identical to the machine layer's
-// WirePayload, restated here so the transport seam does not import the
-// machine). EncodeWire consumes the payload: pooled resources it holds are
+// FrameMarshaler is a packet payload that can cross an address-space
+// boundary by serializing itself into caller-provided memory (the am layer's
+// Msg does). EncodeWire consumes the payload: pooled resources it holds are
 // released, and the caller must not touch it afterwards.
 type FrameMarshaler interface {
 	// WireLen returns the serialized length.
@@ -114,23 +134,6 @@ type FrameMarshaler interface {
 	// EncodeWire serializes into b (len(b) >= WireLen()) and returns the
 	// bytes written, consuming the payload.
 	EncodeWire(b []byte) int
-}
-
-// SlotSender is an optional extension of sharded backends with a zero-copy
-// frame fast path: instead of encoding into a pooled frame and handing it
-// to DeliverRemote, the machine layer offers the payload's marshaler and
-// the backend serializes it directly into transport-owned memory (a
-// shared-memory ring slot on the netlive backend).
-type SlotSender interface {
-	// DeliverSlot marshals wp straight into a transport slot bound for the
-	// shard owning dst and reports true. False means no slot path to that
-	// shard exists right now (not co-resident, disabled, or the ring is
-	// unusable); wp has NOT been consumed and the caller must fall back to
-	// the DeliverRemote frame path. Per-sender delivery order to a given
-	// destination is preserved among slot-delivered frames; a configuration
-	// switches between slot and frame paths only at construction, never
-	// mid-stream, so the two paths do not reorder against each other.
-	DeliverSlot(src, dst, size int, wp FrameMarshaler) bool
 }
 
 // MetricsSource is an optional Backend extension for backends that record
@@ -147,36 +150,15 @@ type MetricsSource interface {
 	MetricsSnapshot() metrics.Snapshot
 }
 
-// StatsPlane is an optional extension of sharded backends carrying the
-// control-plane stats protocol (the netlive kStats frame): each worker shard
-// serializes a stats payload — the machine layer provides it — and ships it
-// to shard 0, which merges all shards into one machine-wide report.
-type StatsPlane interface {
-	// SetStatsProvider installs the callback that serializes this shard's
-	// stats payload. The backend calls it when a shard reports: at quiesce
-	// (always) and on a parent-initiated request. It may run on a backend
-	// goroutine concurrently with node execution, so the provider must read
-	// racily-safe state only (the machine's accounting and metrics are
-	// atomic).
-	SetStatsProvider(fn func() []byte)
-	// PeerStats returns the latest stats payload received from each peer
-	// shard, keyed by shard index. Only the parent (shard 0) receives peer
-	// stats; workers get an empty map. Complete after Run returns on the
-	// parent.
-	PeerStats() map[int][]byte
-	// RequestStats asks every peer shard to report its stats now (mid-run
-	// sampling). Fire-and-forget: fresh payloads show up in PeerStats as they
-	// arrive. Parent only.
-	RequestStats()
-}
-
-// DirectDeliverer is an optional Backend fast path for backends that ignore
-// the modelled latency and deliver immediately (the live backend). The
-// caller has already run the enqueue step itself (the machine's inbound
-// queues are individually thread-safe), and notify is a long-lived closure —
-// one per destination node, built once — so a delivery constructs no
-// closures and performs no allocations. Semantics are exactly
-// Deliver(dst, 0, <already performed>, notify).
+// DirectDeliverer is implemented by backends that ignore the modelled
+// latency and deliver immediately (live, and netlive within a shard). The
+// caller has already made the payload visible in dst's inbound queue (the
+// machine's queues are individually thread-safe), which fixes per-sender
+// order; DeliverDirect runs notify — a long-lived closure, one per
+// destination node, built once, so a delivery allocates nothing — in dst's
+// execution context: on the caller when dst's CPU is free, otherwise queued
+// to dst's delivery worker, which batches. It never blocks. Notifies may be
+// reordered or coalesced.
 type DirectDeliverer interface {
 	DeliverDirect(dst int, notify func())
 }
@@ -185,8 +167,8 @@ type DirectDeliverer interface {
 //
 // The per-node serialization contract: for any node i, at most one of the
 // following runs at any instant — a Proc created with Go(i, ...), a notify
-// callback passed to Deliver(i, ...), or a timer callback passed to
-// After(i, ...). Callbacks and Procs of different nodes may run in parallel.
+// callback delivered to node i, or a timer callback passed to After(i, ...).
+// Callbacks and Procs of different nodes may run in parallel.
 type Backend interface {
 	// Name identifies the backend in reports ("sim" or "live").
 	Name() string
@@ -198,18 +180,6 @@ type Backend interface {
 	// executing when Run is called; Procs created during Run start
 	// immediately (subject to node serialization).
 	Go(node int, name string, fn func(Proc)) Proc
-	// Deliver transports one message to dst: enqueue makes the payload
-	// visible in the destination's inbound queue, notify wakes the
-	// destination's reception. enqueue happens before notify, each exactly
-	// once. modelLatency is the modelled wire delay: simnet delays both
-	// callbacks by it; live ignores it (the real wire is the real latency)
-	// and runs enqueue immediately so the payload is visible to pollers,
-	// then runs notify in dst's execution context — on the caller when
-	// dst's CPU is free, otherwise queued to dst's delivery worker, which
-	// batches. Per-sender delivery order to a given destination is
-	// preserved (the order of enqueue; notifies may be reordered or
-	// coalesced).
-	Deliver(dst int, modelLatency time.Duration, enqueue, notify func())
 	// After schedules fn to run in node's execution context after delay d
 	// (virtual on simnet, wall on live).
 	After(node int, d time.Duration, fn func())

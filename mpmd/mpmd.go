@@ -248,36 +248,6 @@ type (
 	SCVec = splitc.GVF
 )
 
-// SCSpread is a Split-C spread array of doubles (cyclic layout).
-//
-// Deprecated: new code should use the typed, layout-flexible Dist[T]
-// (NewDist), which works from CC++ programs and on both backends. SCSpread
-// remains for the calibrated Split-C baseline measurements.
-type SCSpread = splitc.SpreadF64
-
-// SCReduceOp selects the Split-C AllReduce combiner.
-//
-// Deprecated: new code should use the typed AllReduce with Sum/Max/Min (or
-// any combiner) over a Team, which runs log-depth trees instead of the
-// central O(n) plan. SCReduceOp remains for the calibrated baseline.
-type SCReduceOp = splitc.ReduceOp
-
-// Split-C reduction operators.
-//
-// Deprecated: use Sum, Max, and Min with the typed AllReduce/Reduce.
-const (
-	SCOpSum = splitc.OpSum
-	SCOpMax = splitc.OpMax
-	SCOpMin = splitc.OpMin
-)
-
-// NewSCSpread allocates a spread array of n doubles over procs processors.
-//
-// Deprecated: use NewDist[float64] with LayoutCyclic for the same layout
-// with typed elements, async accessors, and team scoping. NewSCSpread
-// remains for the calibrated Split-C baseline measurements.
-func NewSCSpread(procs, n int) *SCSpread { return splitc.NewSpreadF64(procs, n) }
-
 // NewSplitC builds a Split-C world over m.
 func NewSplitC(m *Machine) *SplitCWorld { return splitc.New(m) }
 

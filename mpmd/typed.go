@@ -234,9 +234,3 @@ func (fu *Future[R]) Wait(t *threads.Thread) R {
 
 // Done reports (without blocking) whether the operation has completed.
 func (fu *Future[R]) Done() bool { return fu.f.Done() }
-
-// Async is the former name of Future.
-//
-// Deprecated: use Future. InvokeAsync and the Dist accessors return the
-// same typed handle under its new name.
-type Async[R any] = Future[R]
