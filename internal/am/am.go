@@ -13,6 +13,7 @@ package am
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -100,7 +101,10 @@ func (m *Msg) EncodeWire(b []byte) int {
 // DecodeWireMsg reconstructs a pooled Msg envelope from the serialized form,
 // copying the payload into a fresh pooled wire buffer. It is installed as the
 // machine's wire decoder by NewNet, so packets arriving from a peer shard
-// re-enter the inbox exactly as locally sent ones do.
+// re-enter the inbox exactly as locally sent ones do. b holds at least the
+// header: NewNet declares wireHeaderLen to the machine as the decoder's
+// minimum, and the shard links drop a shorter body from a peer as malformed
+// before it gets here.
 func DecodeWireMsg(src, dst int, b []byte) any {
 	m := msgPool.Get().(*Msg)
 	*m = Msg{
@@ -176,7 +180,7 @@ func NewNet(m *machine.Machine) *Net {
 	n := &Net{m: m}
 	// Messages are the machine's serializable packet payload: install the
 	// codec so sharded backends can carry them across address spaces.
-	m.SetWireDecoder(DecodeWireMsg)
+	m.SetWireDecoder(DecodeWireMsg, wireHeaderLen)
 	for _, node := range m.Nodes() {
 		ep := &Endpoint{net: n, node: node}
 		node.OnArrival = ep.onArrival
@@ -219,10 +223,7 @@ func (ep *Endpoint) Node() *machine.Node { return ep.node }
 // WaitMessage, letting service loops observe their exit condition.
 func (ep *Endpoint) Stop() {
 	ep.stopped = true
-	ws := ep.waiters
-	ep.waiters = nil
-	for _, w := range ws {
-		ep.sched.MakeReady(w)
+	for ep.wakeOne() {
 	}
 }
 
@@ -237,14 +238,22 @@ func (ep *Endpoint) Stopped() bool { return ep.stopped }
 // woken thread leaves messages behind.
 func (ep *Endpoint) onArrival() { ep.wakeOne() }
 
-func (ep *Endpoint) wakeOne() {
-	n := len(ep.waiters)
-	if n == 0 {
-		return
+// wakeOne readies the most recent waiter that is still blocked and reports
+// whether there was one. A listed thread that is not blocked was made ready by
+// something else (its completion, landed by a sibling) and has not run yet to
+// unlist itself (WaitMessage): the wake-up goes to the next waiter instead of
+// being spent on a thread that is already awake.
+func (ep *Endpoint) wakeOne() bool {
+	for n := len(ep.waiters); n > 0; n-- {
+		w := ep.waiters[n-1]
+		ep.waiters[n-1] = nil
+		ep.waiters = ep.waiters[:n-1]
+		if w.State() == threads.Blocked {
+			ep.sched.MakeReady(w)
+			return true
+		}
 	}
-	w := ep.waiters[n-1]
-	ep.waiters = ep.waiters[:n-1]
-	ep.sched.MakeReady(w)
+	return false
 }
 
 // KickService wakes a parked waiter if undelivered messages remain — called
@@ -405,13 +414,19 @@ func (ep *Endpoint) PollAll(t *threads.Thread) {
 
 // WaitMessage parks the thread until a message arrives at the node (or the
 // endpoint is stopped). It returns immediately if the inbox is non-empty.
-// Callers poll after it returns.
+// Callers poll after it returns. A caller that is also waiting for something
+// else (a completion a sibling may land) can be made ready by that instead;
+// it then leaves the waiter list here, so a later arrival is not spent on a
+// thread that is no longer parked.
 func (ep *Endpoint) WaitMessage(t *threads.Thread) {
 	if ep.node.InboxLen() > 0 || ep.stopped {
 		return
 	}
 	ep.waiters = append(ep.waiters, t)
 	t.Block()
+	if i := slices.Index(ep.waiters, t); i >= 0 {
+		ep.waiters = slices.Delete(ep.waiters, i, i+1)
+	}
 }
 
 // PollUntil polls (parking while idle) until cond reports true. It is the

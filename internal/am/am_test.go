@@ -332,3 +332,43 @@ func TestHandlerReplyDoesNotRecurse(t *testing.T) {
 		t.Fatalf("handler nesting depth %d, want 1", maxDepth)
 	}
 }
+
+// TestWakeSkipsWaiterAlreadyReadied: a thread parked in WaitMessage can be
+// made ready by something other than an arrival (on the wall-clock backends a
+// sibling that polled its reply in readies it through its completion). Until
+// it runs and unlists itself it is still the endpoint's most recent waiter —
+// and the next arrival must not be spent on it, let alone trip the scheduler
+// over a thread that is no longer blocked: the wake-up belongs to the next
+// waiter down.
+func TestWakeSkipsWaiterAlreadyReadied(t *testing.T) {
+	m, net, scheds := rig(1)
+	ep := net.Endpoint(0)
+	var older, newer *threads.Thread
+	woke := map[string]bool{}
+	wait := func(name string) func(*threads.Thread) {
+		return func(th *threads.Thread) {
+			ep.WaitMessage(th)
+			woke[name] = true
+		}
+	}
+	older = scheds[0].Start("older", wait("older"))
+	newer = scheds[0].Start("newer", wait("newer"))
+	scheds[0].Start("driver", func(th *threads.Thread) {
+		if len(ep.waiters) != 2 || ep.waiters[1] != newer {
+			t.Errorf("waiters = %v, want older then newer", ep.waiters)
+		}
+		scheds[0].MakeReady(newer) // readied by its completion, not yet run
+		if !ep.wakeOne() {         // an arrival
+			t.Error("wakeOne found nobody to wake with a blocked waiter listed")
+		}
+		if older.State() != threads.Ready {
+			t.Errorf("the older waiter is %v after the arrival, want it readied", older.State())
+		}
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !woke["older"] || !woke["newer"] || len(ep.waiters) != 0 {
+		t.Fatalf("woke %v, %d waiters left listed; want both threads through and none listed", woke, len(ep.waiters))
+	}
+}

@@ -81,11 +81,16 @@ func statsRow(scope string, nodes int, acct machine.Snapshot, met metrics.Snapsh
 	// sibling a zero is the reading ("none fell back to the queue", "none
 	// dropped", "none fragmented"), not an absent instrument. An arrival's
 	// notify takes one of three; a socket frame is sent or dropped at its
-	// link; a ring frame is one record or several fragments.
+	// link; a ring frame is one record or several fragments, and is drained
+	// by an idle proc or by the reader, whose own waits end in its spin or in
+	// a doorbell park; a proc that parks idle gets its wake-up while it polls
+	// or after it has blocked.
 	for _, branches := range [...][]metrics.Ctr{
 		{metrics.CtrNotifyDirect, metrics.CtrNotifies, metrics.CtrNotifyDropped},
 		{metrics.CtrFramesOut, metrics.CtrFramesIn, metrics.CtrLinkDropped},
 		{metrics.CtrShmFramesOut, metrics.CtrShmFramesIn, metrics.CtrShmFragsOut, metrics.CtrShmFragsIn},
+		{metrics.CtrShmFramesInProc, metrics.CtrShmFramesInReader, metrics.CtrShmSpinWakes, metrics.CtrShmParkWakes},
+		{metrics.CtrIdlePolls, metrics.CtrIdleParks},
 	} {
 		var seen int64
 		for _, c := range branches {

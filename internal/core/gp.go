@@ -138,7 +138,7 @@ func (rt *Runtime) registerGPHandlers() {
 		lockPair(t, &n.commLock)
 		chargeRuntime(t, gpCompleteCost)
 		*rq.dst = math.Float64frombits(m.A[0])
-		rq.complete(t)
+		rt.complete(t, rq.comp)
 	})
 	// GP accesses use the runtime's optimized wire path — "small
 	// request/reply active messages" with no marshalling (§6) — but the
@@ -162,7 +162,7 @@ func (rt *Runtime) registerGPHandlers() {
 		rq := n.takeGP(m.A[0])
 		lockPair(t, &n.commLock)
 		chargeRuntime(t, gpCompleteCost)
-		rq.complete(t)
+		rt.complete(t, rq.comp)
 	})
 	rt.hGPWrite = rt.tr.Register("cc.gp.write", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
@@ -180,15 +180,6 @@ func (rt *Runtime) registerGPHandlers() {
 			}
 		})
 	})
-}
-
-// complete lands a GP operation at its initiator according to call mode.
-func (rq *gpReq) complete(t *threads.Thread) {
-	rq.comp.done = true
-	switch rq.comp.mode {
-	case modeBlock, modeFuture:
-		rq.comp.sv.Write(t, nil)
-	}
 }
 
 // ReadF64 dereferences a global pointer to a double (lx = *gp). Local
@@ -258,8 +249,8 @@ func (rt *Runtime) WriteF64Async(t *threads.Thread, gp GPF64, v float64) *Future
 		n.node.Acct.Count(machine.CntLocalDeref, 1)
 		chargeRuntime(t, cfg.LocalGPDeref)
 		*gp.ptr = v
-		comp := &completion{mode: modeFuture, done: true}
-		comp.sv.Write(t, nil)
+		comp := &completion{mode: modeFuture}
+		rt.complete(t, comp)
 		return &Future{rt: rt, comp: comp}
 	}
 	n.node.Acct.Count(machine.CntRemoteWrite, 1)
@@ -271,14 +262,4 @@ func (rt *Runtime) WriteF64Async(t *threads.Thread, gp GPF64, v float64) *Future
 	rt.tr.Send(t, n.node.ID, int(gp.node), rt.hGPWrite,
 		[4]uint64{math.Float64bits(v), gp.h, id, 1}, nil, false)
 	return &Future{rt: rt, comp: rq.comp}
-}
-
-// waitComp waits for a completion according to its mode.
-func (rt *Runtime) waitComp(t *threads.Thread, n *nodeRT, comp *completion) {
-	switch comp.mode {
-	case modeSpin:
-		rt.pollUntil(t, n.node.ID, func() bool { return comp.done })
-	case modeBlock:
-		comp.sv.Read(t)
-	}
 }

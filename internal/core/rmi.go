@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,6 +41,35 @@ type completion struct {
 	mode callMode
 	done bool
 	sv   threads.SyncVar
+	// waiters are the threads parked in waitDone on this completion (wall-clock
+	// backends only). Each is also a message waiter of its node; complete
+	// readies them directly, because the thread that polled the reply in may
+	// be a sibling, and an arrival wakes one message waiter only.
+	waiters []*threads.Thread
+}
+
+// complete lands the reply: mark the completion done and release whoever
+// waits on it. On the simulator that is the sync-variable write of the
+// paper's blocking sender (modeBlock, modeFuture; a spinning sender reads
+// done itself); on the wall-clock backends the waiters poll, so there is no
+// sync variable to pay for — a waiter that polled its own reply in is
+// running and not listed, one whose reply a sibling handled is made ready.
+//
+//mpmd:hotpath
+func (rt *Runtime) complete(t *threads.Thread, c *completion) {
+	c.done = true
+	if rt.pollWait {
+		for i, w := range c.waiters {
+			t.Scheduler().MakeReady(w)
+			c.waiters[i] = nil
+		}
+		c.waiters = c.waiters[:0]
+		return
+	}
+	switch c.mode {
+	case modeBlock, modeFuture:
+		c.sv.Write(t, nil)
+	}
 }
 
 // rmiMsg is the sender-side record of one in-flight RMI: the completion
@@ -105,8 +135,8 @@ type callRec struct {
 var callRecPool = sync.Pool{New: func() any { return new(callRec) }}
 
 // release returns a consumed record to the pool. The completion's sync
-// variable keeps its waiter backing array, so a recycled record's blocking
-// read stops allocating.
+// variable and waiter list keep their backing arrays, so a recycled record's
+// blocking wait stops allocating.
 func (r *callRec) release() {
 	r.msg = rmiMsg{}
 	r.comp.done = false
@@ -120,12 +150,14 @@ type Future struct {
 	comp *completion
 }
 
-// Wait blocks until the RMI's reply has landed.
+// Wait blocks until the RMI's reply has landed. On the simulator it reads the
+// completion's sync variable, which the polling thread writes; on the
+// wall-clock backends the waiting thread polls the network itself (waitDone).
 func (f *Future) Wait(t *threads.Thread) {
 	if f.comp.mode != modeFuture {
 		panic("core: Wait on non-future completion")
 	}
-	f.comp.sv.Read(t)
+	f.rt.waitComp(t, f.rt.nodeOf(t), f.comp)
 }
 
 // Done reports (without blocking) whether the reply has landed.
@@ -133,9 +165,13 @@ func (f *Future) Done() bool { return f.comp.done }
 
 // Call performs a synchronous RMI: marshal args, transfer, run the method
 // remotely, and wait for its completion (and return value, when the method
-// declares one; pass the matching ret instance or nil). The sender blocks on
-// a sync variable and the polling thread drives completion, unless the
-// runtime was configured with SpinSenders.
+// declares one; pass the matching ret instance or nil). On the simulator the
+// sender blocks on a sync variable and the polling thread drives completion,
+// unless the runtime was configured with SpinSenders — the paper's two sender
+// paths, priced apart in Table 4. On the wall-clock backends there is one way
+// to wait, whatever the mode: the caller polls and parks as its node's
+// preferred message waiter, so its reply is handled by the caller itself
+// (waitDone).
 func (rt *Runtime) Call(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg) {
 	mode := modeBlock
 	if rt.opts.SpinSenders {
@@ -278,11 +314,8 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	lockPair(t, &n.commLock)
 	rt.tr.SendBuf(t, n.node.ID, int(gp.node), rt.hInvoke, a, buf, false)
 
-	switch mode {
-	case modeSpin:
-		rt.pollUntilDone(t, n.node.ID, comp)
-	case modeBlock:
-		comp.sv.Read(t)
+	if mode == modeSpin || mode == modeBlock {
+		rt.waitComp(t, n, comp)
 	}
 	if rec != nil {
 		// Completion observed: the reply handler has run to completion on
@@ -328,7 +361,7 @@ func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, 
 		run(t)
 		comp := &completion{mode: mode, done: true}
 		if mode == modeFuture {
-			comp.sv.Write(t, nil)
+			rt.complete(t, comp)
 		}
 		return comp
 	}
@@ -340,8 +373,7 @@ func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, 
 		done := &completion{mode: mode}
 		t.Spawn("lrmi:"+bm.m.Name, func(t2 *threads.Thread) {
 			run(t2)
-			done.done = true
-			done.sv.Write(t2, nil)
+			rt.complete(t2, done)
 		})
 		return done
 	default:
@@ -389,7 +421,10 @@ func (rt *Runtime) pollUntil(t *threads.Thread, me int, cond func() bool) {
 }
 
 // pollUntilDone is pollUntil specialized to a completion, so the spinning
-// fast path constructs no condition closure.
+// fast path constructs no condition closure. It is the simulator's "Simple"
+// sender: with a ready sibling it yields rather than parks, which two waiting
+// threads of one node turn into a busy loop of switches — free of real cost in
+// virtual time, ruinous on a real CPU, hence waitDone.
 func (rt *Runtime) pollUntilDone(t *threads.Thread, me int, comp *completion) {
 	for !comp.done {
 		if rt.tr.Poll(t, me) {
@@ -402,6 +437,47 @@ func (rt *Runtime) pollUntilDone(t *threads.Thread, me int, comp *completion) {
 		rt.tr.WaitMessage(t, me)
 	}
 	rt.tr.KickService(me)
+}
+
+// waitDone is how a thread waits for a completion on the wall-clock backends:
+// it polls, and with nothing to poll parks as the node's most recent — hence
+// preferred (the endpoint wakes LIFO) — message waiter, so the arrival of its
+// reply wakes the caller and the caller runs the reply handler itself: no
+// polling thread in between, no thread switch, no sync variable. It blocks
+// even while siblings are ready (Block dispatches one; nothing spins), and it
+// lists itself on the completion, because a sibling that was woken for this
+// reply instead handles it and must then ready its owner (complete). Once the
+// endpoint has stopped nothing more will arrive: the thread parks on the
+// completion alone, which is where a blocked sender stood at shutdown before.
+func (rt *Runtime) waitDone(t *threads.Thread, me int, comp *completion) {
+	for !comp.done {
+		if rt.tr.Poll(t, me) {
+			continue
+		}
+		comp.waiters = append(comp.waiters, t)
+		if rt.tr.Stopped(me) {
+			t.Block()
+		} else {
+			rt.tr.WaitMessage(t, me)
+		}
+		if i := slices.Index(comp.waiters, t); i >= 0 { // an arrival ended the wait, not complete
+			comp.waiters = slices.Delete(comp.waiters, i, i+1)
+		}
+	}
+	rt.tr.KickService(me)
+}
+
+// waitComp waits for a completion: by polling on the wall-clock backends,
+// according to its mode on the simulator.
+func (rt *Runtime) waitComp(t *threads.Thread, n *nodeRT, comp *completion) {
+	switch {
+	case rt.pollWait:
+		rt.waitDone(t, n.node.ID, comp)
+	case comp.mode == modeSpin:
+		rt.pollUntilDone(t, n.node.ID, comp)
+	default:
+		comp.sv.Read(t)
+	}
 }
 
 // chargeRuntime charges d to the runtime-overhead bucket.
@@ -459,10 +535,11 @@ func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 		if m.A[3] != 0 && !rt.opts.DisablePersistentBuffers {
 			// Warm path: the sender targeted the persistent R-buffer by ID
 			// (destination-side resolution in the local buffer table), so
-			// the data is already in place — no staging copy.
-			rb := n.bufs.RBuf(int32(m.A[3] - 1))
-			n.bufs.Reuse(rb, len(argBytes))
-			copy(rb.Data, argBytes)
+			// the data is already in place — no staging copy, modelled or
+			// real: the arguments are decoded from the message where it
+			// lies. Reuse keeps the buffer grown to what a cold call would
+			// stage into it.
+			n.bufs.Reuse(n.bufs.RBuf(int32(m.A[3]-1)), len(argBytes))
 			n.node.Acct.Count(machine.CntBufReuse, 1)
 		} else {
 			rb := n.bufs.AllocRBuf(len(argBytes))
@@ -583,12 +660,7 @@ func (rt *Runtime) handleReply(t *threads.Thread, m am.Msg) {
 		chargeRuntime(t, 2*time.Duration(len(m.Payload))*cfg.MemCopyPerByte+
 			2*time.Duration(units)*cfg.MarshalPerArg)
 	}
-	comp := msg.comp
-	comp.done = true
-	switch comp.mode {
-	case modeBlock, modeFuture:
-		comp.sv.Write(t, nil)
-	}
+	rt.complete(t, msg.comp)
 }
 
 // handleResolveUpdate installs a stub-cache entry after a cold invocation.

@@ -117,7 +117,9 @@ type Options struct {
 	// buffer area -> fresh R-buffer) on every invocation.
 	DisablePersistentBuffers bool
 	// SpinSenders makes blocking calls spin-poll instead of handing off to
-	// the polling thread (the "Simple" sender mode applied globally).
+	// the polling thread (the "Simple" sender mode applied globally). It
+	// selects between the simulator's two modelled sender paths; the
+	// wall-clock backends have one wait (waitDone) and ignore it.
 	SpinSenders bool
 	// InterruptDriven switches message reception from polling to software
 	// interrupts, charging Config.InterruptCost per received message — the
@@ -217,6 +219,12 @@ type Runtime struct {
 	tr   Transport
 	opts Options
 
+	// pollWait is set on the backends that ignore modelled time (live,
+	// netlive): a thread waiting for a completion polls for it itself
+	// (waitDone). The simulator keeps the paper's two sender modes, whose
+	// difference is a row of Table 4.
+	pollWait bool
+
 	classes map[string]*Class
 	methods []*boundMethod // indexed by StubID (identical on all nodes)
 
@@ -286,10 +294,11 @@ func NewRuntimeOpts(m *machine.Machine, opts Options) *Runtime {
 		opts.Grace = time.Millisecond
 	}
 	rt := &Runtime{
-		m:       m,
-		opts:    opts,
-		classes: make(map[string]*Class),
-		progs:   make([]func(*threads.Thread), m.NumNodes()),
+		m:        m,
+		opts:     opts,
+		pollWait: m.Eng == nil,
+		classes:  make(map[string]*Class),
+		progs:    make([]func(*threads.Thread), m.NumNodes()),
 	}
 	tr := opts.Transport
 	if tr == nil {
@@ -565,7 +574,10 @@ func (rt *Runtime) Run() error {
 // pollerLoop is the per-node polling thread: service everything pending,
 // then park until the next arrival. Parking hands the CPU to whichever
 // thread the handlers made ready (the scheduler dispatches on block), so the
-// poller never busy-yields against a spinning computation thread.
+// poller never busy-yields against a spinning computation thread. It is the
+// node's oldest message waiter, so on the wall-clock backends it receives
+// only what no waiting caller is there to receive: requests, and replies to
+// futures nobody has joined yet.
 func (rt *Runtime) pollerLoop(t *threads.Thread, n *nodeRT) {
 	me := n.node.ID
 	for {

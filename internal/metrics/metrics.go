@@ -62,8 +62,9 @@ const (
 	// consumer (the slow path of the spin-then-park protocol).
 	CtrShmDoorbells
 	// CtrShmSpinWakes / CtrShmParkWakes classify how a waiting ring consumer
-	// found new data: within its bounded spin, or only after parking (their
-	// ratio is how often the doorbell path is actually needed).
+	// found new data: within its bounded spin (the reader's, or an idle
+	// proc's), or only after parking (their ratio is how often the doorbell
+	// path is actually needed).
 	CtrShmSpinWakes
 	CtrShmParkWakes
 	// CtrShmFragsOut / CtrShmFragsIn count the fragment records a frame over
@@ -74,6 +75,17 @@ const (
 	// CtrLinkDropped counts frames dropped at a netlive shard link: queued
 	// for or sent to a link that had already failed or closed.
 	CtrLinkDropped
+	// CtrShmFramesInProc / CtrShmFramesInReader split CtrShmFramesIn (their
+	// sum) by who drained the ring: a node's own idle proc, polling before it
+	// blocks, or the shard's ring reader goroutine, the consumer of last
+	// resort, whose frames cost their destination a goroutine wake-up.
+	CtrShmFramesInProc
+	CtrShmFramesInReader
+	// CtrIdlePolls / CtrIdleParks classify how a live proc that parked and
+	// left its node idle, on a backend with links to poll, got its wake-up:
+	// while it was still polling, or only after it had given up and blocked.
+	CtrIdlePolls
+	CtrIdleParks
 	numCtrs
 )
 
@@ -83,6 +95,7 @@ var ctrNames = [numCtrs]string{
 	"shm.frames.out", "shm.bytes.out", "shm.frames.in", "shm.bytes.in",
 	"shm.doorbells", "shm.wakes.spin", "shm.wakes.park",
 	"shm.fragments.out", "shm.fragments.in", "net.link.dropped",
+	"shm.frames.in.proc", "shm.frames.in.reader", "live.idle.polls", "live.idle.parks",
 }
 
 // String returns the label used in reports.

@@ -25,8 +25,9 @@
 // destination's CPU and, when that succeeds (the receiver is parked: the
 // ping-pong and the idle-server case), runs notify on its own goroutine and
 // unlocks. An arrival then costs the one wake-up that is inherent, sender to
-// receiver. Only when the destination's CPU is busy does the notify fall back
-// to the node's unbounded notify queue, to be run by the node's delivery
+// receiver — or none, when the receiver is polling a link for it (below).
+// Only when the destination's CPU is busy does the notify fall back to the
+// node's unbounded notify queue, to be run by the node's delivery
 // worker, which drains the queue in batches under a single CPU acquisition;
 // the worker is also where After callbacks run. TryLock never waits and the
 // queue never fills, so senders never block on delivery, which rules out
@@ -35,6 +36,25 @@
 // that is harmless because message order is fixed by enqueue, before any
 // notify, and arrivals are coalescible — a woken receiver drains the whole
 // inbox.
+//
+// # Who receives
+//
+// The thread that waits. A proc that parks when no sibling holds a wake-up
+// permit — it did not just hand the CPU on — leaves its node idle: nothing
+// will run there until a packet or a timer arrives. In process that is all
+// there is to it: the proc blocks on its condition variable and the sender's
+// direct notify wakes it (the upper layer sees to it that the woken thread is
+// the one waiting for that packet: a blocked RMI caller polls and parks as the
+// node's preferred message waiter, so it handles its own reply and no polling
+// thread sits in between). A backend that wraps this one and has inbound links
+// to watch (netlive's shared-memory rings) installs an idle poll with
+// SetIdlePoll; the idling proc then releases the CPU and polls those links
+// itself before it blocks, and a packet for its node is enqueued, notified
+// and turned into the proc's own permit on the proc's own goroutine — no
+// goroutine is parked or readied to receive it. live.idle.polls and
+// live.idle.parks count the idle parks that ended while polling and those
+// that fell through to the condition variable. Plain live installs no poll
+// and never spins.
 //
 // # The CPU release in Sleep
 //
@@ -105,7 +125,23 @@ type Backend struct {
 	timers    map[*time.Timer]struct{} //mpmdvet:guard timersMu
 	closed    bool                     //mpmdvet:guard timersMu
 	lateAfter int                      //mpmdvet:guard timersMu
+
+	// idlePoll, when set (SetIdlePoll, before Run), is what a proc does
+	// between leaving its node idle and blocking: see Park.
+	idlePoll func(woken func() bool)
 }
+
+// SetIdlePoll installs the reception poll of an enclosing backend that has
+// inbound links to watch (netlive's shared-memory rings): a proc that parks
+// and leaves its node idle calls poll, with the node's CPU released, before it
+// blocks. poll looks at the links for as long as it sees fit, calling woken
+// after every look; woken reports true once the proc has its wake-up (a
+// packet the poll itself delivered made it runnable — the delivery found the
+// CPU free and ran the notify on this very goroutine) or the node is busy
+// again, and poll must then return. It must also return, unasked, when its
+// spin budget runs out; the proc then blocks as it always did. This is wiring
+// between two backends, not an option: set it before Run, or not at all.
+func (b *Backend) SetIdlePoll(poll func(woken func() bool)) { b.idlePoll = poll }
 
 // New builds a live backend for n nodes and starts the per-node delivery
 // workers.
@@ -170,7 +206,13 @@ type lnode struct {
 	// wanted counts delivery workers blocked (or about to block) in mu.Lock;
 	// Sleep opens its release window only when it is non-zero.
 	wanted atomic.Int32
-	met    *metrics.Registry // wall-clock instruments; shared with upper layers via NodeMetrics
+	// permits counts the node's procs that hold an unconsumed Unpark permit:
+	// the procs that will run once the CPU is theirs. A proc that parks with
+	// permits at zero leaves the node idle — nothing runs here until a packet
+	// or a timer arrives — as opposed to one that just handed the CPU to a
+	// sibling.
+	permits int               //mpmdvet:guard mu
+	met     *metrics.Registry // wall-clock instruments; shared with upper layers via NodeMetrics
 
 	q struct {
 		mu     sync.Mutex
@@ -272,6 +314,10 @@ type Proc struct {
 	permit bool //mpmdvet:guard nd.mu
 	parked bool //mpmdvet:guard nd.mu
 	done   bool //mpmdvet:guard nd.mu
+
+	// woken is p.pollWoken as a func value, built once at Go (when there is
+	// an idle poll to hand it to) so that an idle park does not allocate.
+	woken func() bool
 }
 
 // Name implements transport.Proc.
@@ -285,18 +331,61 @@ func (p *Proc) Now() time.Duration { return p.b.Now() }
 // condition wait releases it, which is what lets the delivery worker and
 // sibling procs run.
 //
+// A proc that parks and leaves its node idle is the thread that waits for
+// the node's next packet, so when the backend has inbound links to poll
+// (SetIdlePoll) it receives that packet itself: it releases the CPU and polls
+// the links, and a packet for its node then travels ring → inbox →
+// DeliverDirect (the CPU is free: TryLock succeeds) → notify → this proc's own
+// permit on this one goroutine, with no goroutine parked or readied. Only
+// when the poll gives up does the proc block on its condition variable, to be
+// woken by whoever delivers next.
+//
 //mpmdvet:locked p.nd.mu
 func (p *Proc) Park() {
 	if p.permit {
-		p.permit = false
+		p.takePermit()
 		return
 	}
 	p.parked = true
+	if poll := p.b.idlePoll; poll != nil && p.nd.permits == 0 {
+		p.nd.mu.Unlock()
+		poll(p.woken)
+		p.nd.mu.Lock()
+		if met := p.nd.met; met != nil {
+			if p.permit {
+				met.Add(metrics.CtrIdlePolls, 1)
+			} else {
+				met.Add(metrics.CtrIdleParks, 1)
+			}
+		}
+	}
 	for !p.permit {
 		p.cond.Wait()
 	}
-	p.permit = false
+	p.takePermit()
 	p.parked = false
+}
+
+// takePermit consumes the proc's wake-up permit.
+//
+//mpmdvet:locked p.nd.mu
+func (p *Proc) takePermit() {
+	p.permit = false
+	p.nd.permits--
+}
+
+// pollWoken is the idle poll's "stop now" test (SetIdlePoll), called with the
+// node CPU released: true when the proc has its permit, and also when the CPU
+// is taken — a sibling runs, or a sender is inside a notify that may be this
+// proc's wake-up; either way the node is no longer idle and Park's blocking
+// Lock sorts it out.
+func (p *Proc) pollWoken() bool {
+	if !p.nd.mu.TryLock() {
+		return true
+	}
+	woken := p.permit
+	p.nd.mu.Unlock()
+	return woken
 }
 
 // Unpark implements transport.Proc. Must be called from the same node's
@@ -307,7 +396,10 @@ func (p *Proc) Unpark() {
 	if p.done {
 		panic("live: Unpark of dead proc " + p.name)
 	}
-	p.permit = true
+	if !p.permit {
+		p.permit = true
+		p.nd.permits++
+	}
 	if p.parked {
 		p.cond.Signal()
 	}
@@ -349,6 +441,9 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 	nd := b.nodes[node]
 	p := &Proc{b: b, nd: nd, name: name}
 	p.cond = sync.NewCond(&nd.mu)
+	if b.idlePoll != nil {
+		p.woken = p.pollWoken
+	}
 	b.mu.Lock()
 	b.live[p] = struct{}{}
 	b.mu.Unlock()

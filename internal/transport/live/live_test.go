@@ -345,3 +345,68 @@ func TestSetAffinityEmptySetIsNoOp(t *testing.T) {
 		t.Fatalf("no-op setAffinity changed the mask: %v -> %v", before, after)
 	}
 }
+
+// TestIdlePollReceivesOnOwnGoroutine pins the idle poll (SetIdlePoll) at the
+// proc level. A proc that hands the CPU to a sibling and parks does not poll:
+// the node is busy. A proc that parks with no sibling to run does, with the
+// CPU released — so a delivery made from inside the poll finds the CPU free,
+// runs the notify on the polling goroutine, and woken reports the permit:
+// the proc received its own wake-up without blocking.
+func TestIdlePollReceivesOnOwnGoroutine(t *testing.T) {
+	b := New(1, Options{Watchdog: 5 * time.Second})
+	var c transport.Proc
+	var polls int
+	var before, after bool
+	b.SetIdlePoll(func(woken func() bool) {
+		polls++
+		before = woken()
+		b.DeliverDirect(0, func() { c.Unpark() })
+		after = woken()
+	})
+	b.Go(0, "a", func(a transport.Proc) {
+		c = b.Go(0, "c", func(p transport.Proc) {
+			p.Park() // first dispatch: a's permit is already here
+			a.Unpark()
+			p.Park() // hands the CPU back to a: no poll
+			p.Park() // a is gone, nothing is runnable: the node idles
+		})
+		c.Unpark()
+		a.Park() // handed the CPU to c: no poll
+		c.Unpark()
+	})
+	if err := b.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if polls != 1 || before || !after {
+		t.Fatalf("polls = %d, woken before/after the delivery = %v/%v; want one poll, by the proc that left the node idle, woken by its own delivery",
+			polls, before, after)
+	}
+	snap := b.MetricsSnapshot()
+	if d, got, blocked := snap.Counter(metrics.CtrNotifyDirect), snap.Counter(metrics.CtrIdlePolls), snap.Counter(metrics.CtrIdleParks); d != 1 || got != 1 || blocked != 0 {
+		t.Fatalf("direct notifies = %d, live.idle.polls = %d, live.idle.parks = %d, want 1, 1, 0", d, got, blocked)
+	}
+}
+
+// TestIdlePollGivesUp: a poll that returns empty-handed leaves the proc
+// blocked on its condition variable exactly as without a poll, and a later
+// delivery from another goroutine wakes it.
+func TestIdlePollGivesUp(t *testing.T) {
+	b := New(1, Options{Watchdog: 5 * time.Second})
+	gaveUp := make(chan struct{})
+	b.SetIdlePoll(func(func() bool) { close(gaveUp) })
+	var p0 transport.Proc
+	p0 = b.Go(0, "p", func(p transport.Proc) { p.Park() })
+	go func() {
+		<-gaveUp
+		b.DeliverDirect(0, func() { p0.Unpark() })
+	}()
+	if err := b.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	// Blocked, unless the delivery slipped in before the proc had re-taken its
+	// CPU after the poll; either way the one idle park is counted once.
+	if snap := b.MetricsSnapshot(); snap.Counter(metrics.CtrIdlePolls)+snap.Counter(metrics.CtrIdleParks) != 1 {
+		t.Fatalf("live.idle.polls = %d, live.idle.parks = %d, want one idle park in all",
+			snap.Counter(metrics.CtrIdlePolls), snap.Counter(metrics.CtrIdleParks))
+	}
+}

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/am"
 	"repro/internal/metrics"
 )
 
@@ -38,6 +39,20 @@ func bareShards(t *testing.T, mods ...func(*Options)) (a, b *Backend) {
 	return build(0), build(1)
 }
 
+// minPayload is the shortest payload these tests' stand-in decoder takes, in
+// bytes: a number of the tests' own (what am declares is am's business, and
+// TestTruncatedAMBody below reads it off am). A well-formed packet carries
+// minWords words of payload; one word fewer is a truncated body.
+const (
+	minWords   = 10
+	minPayload = 4 * minWords
+)
+
+// pkt is a packet body: the three header words and n zero words of payload.
+func pkt(src, dst uint32, n int) []uint32 {
+	return append([]uint32{src, dst, 48}, make([]uint32, n)...)
+}
+
 func words(ws ...uint32) []byte {
 	b := make([]byte, 4*len(ws))
 	for i, w := range ws {
@@ -62,11 +77,17 @@ func TestHostileSocketFrames(t *testing.T) {
 		{"packet shorter than its header", frame(8, kPacket, 0, 2), "8-byte frame of kind 1"},
 		{"length over the frame limit", frame(maxFrameBytes+1, kPacket), "limit 67108864 bytes"},
 		{"empty doorbell", frame(0, kDoorbell), "0-byte frame of kind 6"},
-		{"packet for a node of another shard", frame(12, kPacket, 0, 1, 48), "malformed packet frame"},
-		{"packet from a node outside the machine", frame(12, kPacket, 99, 2, 48), "malformed packet frame"},
+		// Whole packets but for the one field: only the range checks stand
+		// between them and the handler.
+		{"packet for a node of another shard", frame(12+minPayload, kPacket, pkt(0, 1, minWords)...), "source node 0 of shard 0"},
+		{"packet from a node outside the machine", frame(12+minPayload, kPacket, pkt(99, 2, minWords)...), "source node 99"},
+		{"packet with a truncated payload", frame(12+minPayload-4, kPacket, pkt(0, 2, minWords-1)...), "source node 0 of shard 0"},
+		{"unknown frame kind", frame(4, 7, 0), "unknown kind 7"},
+		{"frame kind zero", frame(0, 0), "unknown kind 0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, b := bareShards(t, func(o *Options) { o.DisableShm = true })
+			b.SetMinPayload(minPayload)
 			go b.acceptLoop()
 			conn, err := net.Dial("unix", b.sockPath(1))
 			if err != nil {
@@ -110,20 +131,70 @@ func TestHostileRingRecords(t *testing.T) {
 		{"fragment past its own total", words(32|recFrag, 8, 0, 0, 1, 2, 3, 4), 32, "fragment out of sequence"},
 		{"whole record inside a fragmented packet",
 			append(words(32|recFrag, 100, 0, 0, 1, 2, 3, 4), words(16, 0, 2, 48)...), 48, "whole record inside a fragmented packet"},
-		{"packet for a node of another shard", words(16, 0, 1, 48), 16, "malformed packet body"},
+		// Whole records but for the one field: only the range checks stand
+		// between them and the handler.
+		{"packet for a node of another shard", append(words(16+minPayload), words(pkt(0, 1, minWords)...)...), 16 + minPayload, "malformed packet body"},
+		{"packet from a node outside the machine", append(words(16+minPayload), words(pkt(99, 2, minWords)...)...), 16 + minPayload, "malformed packet body"},
 		{"reassembled packet shorter than its header", words(24|recFrag, 8, 0, 0, 1, 2), 24, "malformed packet body"},
+		{"packet with a truncated payload", append(words(16+minPayload-4), words(pkt(0, 2, minWords-1)...)...), 16 + minPayload, "malformed packet body"}, // tail: the record, 8-aligned
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := bareShards(t)
+			b.SetMinPayload(minPayload)
 			tx, rx := a.peers[1].tx.r, b.shm.rx[0]
 			copy(tx.data, tc.data)
 			tx.tail.Store(tc.tail)
-			if _, ok := b.shmDrain(rx, 0, rx.r.tail.Load()); ok {
-				t.Fatal("shmDrain accepted the ring")
+			rx.mu.Lock()
+			ok := b.shmDrain(rx, rx.r.tail.Load(), metrics.CtrShmFramesInReader)
+			dead := rx.dead
+			rx.mu.Unlock()
+			if ok || !dead {
+				t.Fatalf("shmDrain = %v, ring dead = %v: want the ring abandoned", ok, dead)
 			}
 			err := b.Err()
 			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "from shard 0") {
 				t.Fatalf("Err = %v, want one naming shard 0 and %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestTruncatedAMBody is the same check with the real stack above the link:
+// am.NewNet declares its wire header to the machine as the decoder's minimum,
+// so a packet one byte short of an empty message abandons the ring with the
+// decoder never run (it indexes the header unchecked), and the empty message
+// itself gets through.
+func TestTruncatedAMBody(t *testing.T) {
+	hdr := new(am.Msg).WireLen() // no payload: the header alone
+	for _, tc := range []struct {
+		name string
+		n    int
+		ok   bool
+	}{
+		{"header alone", hdr, true},
+		{"one byte short of the header", hdr - 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			a := newShardRig(t, 4, 2, 0, dir)
+			b := newShardRig(t, 4, 2, 1, dir)
+			t.Cleanup(a.be.shutdownSockets)
+			t.Cleanup(b.be.shutdownSockets)
+			a.be.SendRemote(0, 2, 48, zeros(tc.n))
+			rx := b.be.shm.rx[0]
+			ok := func() bool {
+				rx.mu.Lock()
+				defer rx.mu.Unlock() // a decoder that panics must fail the test, not hang its cleanup
+				return b.be.shmDrain(rx, rx.r.tail.Load(), metrics.CtrShmFramesInReader)
+			}()
+			if ok != tc.ok {
+				t.Fatalf("shmDrain of a %d-byte AM body = %v, want %v (Err: %v)", tc.n, ok, tc.ok, b.be.Err())
+			}
+			if err := b.be.Err(); !tc.ok && (err == nil || !strings.Contains(err.Error(), "from shard 0")) {
+				t.Fatalf("Err = %v, want one naming shard 0", err)
+			}
+			if in := b.m.Node(2).InboxLen(); tc.ok != (in == 1) {
+				t.Fatalf("node 2 holds %d messages, want the packet delivered: %v", in, tc.ok)
 			}
 		})
 	}

@@ -39,19 +39,26 @@
 // processes) it is an mmap'd single-producer single-consumer ring per ordered
 // shard pair, created by the parent before spawning and attached by every
 // shard at New: the sending proc marshals the same packet bytes directly into
-// a ring slot and the receiving shard's ring reader consumes them in place —
-// zero syscalls, zero copies beyond the marshal itself; a packet over a
-// quarter of the ring travels as fragment records. Consumers spin briefly
-// then park; a producer that catches a parked consumer rings a kDoorbell
-// control frame over the socket, which always carries the control plane
-// (quiesce, stats). See shmring.go and DESIGN.md.
+// a ring slot and the receiving shard consumes them in place — zero syscalls,
+// zero copies beyond the marshal itself; a packet over a quarter of the ring
+// travels as fragment records. The consumer is the thread that waits: a proc
+// whose park leaves its node idle polls the shard's inbound rings itself
+// before it blocks (the inner live backend's idle poll), so a packet for an
+// idle node is received on that node's own goroutine; the per-ring reader
+// goroutine is the consumer of last resort, stepping back while any proc
+// polls and taking over when the last one stops — it drains the rings of a
+// shard whose nodes are all busy. Consumers spin briefly, then the reader
+// parks; a producer that catches it parked rings a kDoorbell control frame
+// over the socket, which always carries the control plane (quiesce, stats).
+// See shmring.go and DESIGN.md.
 //
 // Either way the packet reaches the machine's remote-arrival handler, which
 // enqueues into the destination node's (thread-safe) inbox and wakes it
 // through the live backend's direct notify. A link that fails — connection
-// lost, ring consumer silent for DialTimeout, malformed bytes from the peer —
-// records one error naming the shard; frames for a failed or closed link are
-// dropped and counted (net.link.dropped).
+// lost, ring consumer silent for DialTimeout, malformed bytes from the peer
+// (a frame that does not parse, a packet too short for the messaging layer's
+// header, an unknown frame kind) — records one error naming the shard; frames
+// for a failed or closed link are dropped and counted (net.link.dropped).
 //
 // # Lifecycle
 //
@@ -187,6 +194,9 @@ type Backend struct {
 	// reader goroutines may already be accepting peer connections while the
 	// machine layer is still being constructed.
 	remote atomic.Value // func(src, dst, size int, payload []byte)
+	// minPayload is the shortest packet payload remote decodes
+	// (SetMinPayload; set before Run, read by the link consumers Run starts).
+	minPayload int
 
 	q struct {
 		sync.Mutex
@@ -602,6 +612,9 @@ func (b *Backend) SetRemoteHandler(fn func(src, dst, size int, payload []byte)) 
 	b.remote.Store(fn)
 }
 
+// SetMinPayload implements transport.Sharded.
+func (b *Backend) SetMinPayload(n int) { b.minPayload = n }
+
 // SendRemote implements transport.Sharded: put the packet on the link to the
 // shard owning dst. A ring link marshals wp in place; a socket link encodes
 // it into a pooled frame for its writer, which releases the frame once the
@@ -639,13 +652,14 @@ func putPacketHdr(b []byte, src, dst, size int) {
 }
 
 // dispatchPacket hands one arrived packet body to the machine. False means
-// the body is malformed — shorter than its header, a source outside the
-// machine, a destination that is not a node of this shard — and nothing was
-// dispatched; the caller abandons the link the bytes came from.
+// the body is malformed — shorter than its header plus the shortest payload
+// the machine's decoder takes, a source outside the machine, a destination
+// that is not a node of this shard — and nothing was dispatched; the caller
+// abandons the link the bytes came from.
 //
 //mpmd:hotpath
 func (b *Backend) dispatchPacket(remote func(src, dst, size int, payload []byte), body []byte) bool {
-	if len(body) < packetHdrLen {
+	if len(body) < packetHdrLen+b.minPayload {
 		return false
 	}
 	src := int(binary.LittleEndian.Uint32(body))
@@ -794,8 +808,8 @@ func (b *Backend) acceptLoop() {
 // readLoop decodes frames from one peer connection. Frame bodies land in
 // pooled buffers and are recycled after dispatch; the packet handler runs
 // synchronously here, which preserves the sender's frame order. A frame that
-// is oversize, too short for its kind, or a malformed packet is one error
-// and the end of the connection.
+// is oversize, too short for its kind, of no known kind, or a malformed packet
+// is one error and the end of the connection.
 func (b *Backend) readLoop(conn net.Conn) {
 	defer b.readers.Done()
 	defer conn.Close()
@@ -836,8 +850,10 @@ func (b *Backend) readLoop(conn net.Conn) {
 				panic("netlive: packet frame before the machine installed its remote handler")
 			}
 			if !b.dispatchPacket(remote, body) {
+				src := int(binary.LittleEndian.Uint32(body)) // minBody: a packet body holds its header
 				buf.Release()
-				b.addErr(fmt.Errorf("netlive: shard %d: peer sent a malformed packet frame (%d-byte body); connection abandoned", b.shard, n))
+				b.addErr(fmt.Errorf("netlive: shard %d: peer sent a malformed packet frame (%d-byte body, claimed source node %d of shard %d); connection abandoned",
+					b.shard, n, src, b.shardOf(src)))
 				return
 			}
 		case kMainsDone:
@@ -855,7 +871,11 @@ func (b *Backend) readLoop(conn net.Conn) {
 		case kDoorbell:
 			b.shmWake(int(binary.LittleEndian.Uint32(body)))
 		default:
-			b.addErr(fmt.Errorf("netlive: unknown frame kind %d", kind))
+			if buf != nil {
+				buf.Release()
+			}
+			b.addErr(fmt.Errorf("netlive: shard %d: peer sent a frame of unknown kind %d; connection abandoned", b.shard, kind))
+			return
 		}
 		if buf != nil {
 			buf.Release()

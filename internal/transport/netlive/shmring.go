@@ -6,16 +6,27 @@
 // parent in the rendezvous directory before re-exec and attached by every
 // shard at New. A cross-shard packet is marshaled by the sender directly
 // into a ring slot (the slot-backed wire.Buf), published with an atomic
-// cursor store, and consumed in place by the receiving shard's ring reader —
-// the same packet bytes a socket link carries, minus the two syscalls per
-// frame. A packet too large for one slot is staged once and published as
-// consecutive fragment records.
+// cursor store, and consumed in place on the receiving shard — the same
+// packet bytes a socket link carries, minus the two syscalls per frame. A
+// packet too large for one slot is staged once and published as consecutive
+// fragment records.
+//
+// Who consumes: the thread that waits. A proc of the shard that parks and
+// leaves its node idle polls the shard's inbound rings itself before it
+// blocks (shmIdlePoll, installed as the inner live backend's idle poll), so a
+// packet for an idle node goes from the ring to that node's own goroutine
+// with no goroutine hand-off. The per-ring reader goroutine (shmReadLoop) is
+// the consumer of last resort: it steps back while any proc polls, takes the
+// ring over when the last one stops, and is what drains a ring whose nodes are
+// all busy. One consumer lock per ring (shmRx.mu) makes the two callers of
+// the one drain routine exclude each other.
 //
 // The protocol is futex-free: a waiting consumer spins a bounded number of
-// yields, then publishes a "parked" flag in the shared header and blocks;
-// a producer that observes the flag (and wins the clear) sends a kDoorbell
-// control frame over the existing peer socket. Under sustained load the
-// flag is never set and no socket traffic happens at all.
+// yields — an idle proc its share, the reader the rest — then the reader
+// publishes a "parked" flag in the shared header and blocks; a producer that
+// observes the flag (and wins the clear) sends a kDoorbell control frame over
+// the existing peer socket. Under sustained load the flag is never set and no
+// socket traffic happens at all.
 package netlive
 
 import (
@@ -82,9 +93,25 @@ const (
 	// in-process so delivery workers and handlers keep running. Only after
 	// both stages come up dry does the consumer park and wait for a doorbell.
 	shmYieldIters = 4096
+	// shmProcIters is an idle proc's share of that one budget: it looks at the
+	// rings this many times (the first shmSpinIters with in-process yields
+	// only, like the reader) and then blocks; the reader, which counts the
+	// proc's looks as spent, spins the rest before it parks. The time from a
+	// ring running dry to the doorbell park is what it was with one consumer.
+	shmProcIters = shmSpinIters + shmYieldIters/2
 )
 
 func align8(n uint64) uint64 { return (n + 7) &^ 7 }
+
+// spinPause is what a consumer does between look i and the next at a dry
+// ring: always the in-process yield, from the second stage on the OS yield
+// too. The reader and the idle procs pause alike.
+func spinPause(i int) {
+	runtime.Gosched()
+	if i >= shmSpinIters {
+		osYield()
+	}
+}
 
 // shmRing is one mapped directed ring. The file descriptor is closed right
 // after mapping (the mapping keeps the pages alive); unmap is the only
@@ -231,14 +258,27 @@ type shmTx struct {
 	quit atomic.Bool
 }
 
-// shmRx is the consumer end of one inbound ring. asm and got are the
-// reassembly of a fragmented packet in progress (consumer goroutine only).
+// shmRx is the consumer end of one inbound ring. Two kinds of goroutine
+// consume it — the shard's idle procs and the ring's reader — and mu, the
+// consumer lock, is held around every drain: the ring stays single-consumer,
+// one holder at a time.
 type shmRx struct {
 	r    *shmRing
 	peer int
 	wake chan struct{} // doorbell, capacity 1
-	asm  *wire.Buf
-	got  int
+	// handback (capacity 1) is where the last idle proc to stop polling — and
+	// shutdown — tells the reader, which waits on it while procs poll, that
+	// the ring is its again.
+	handback chan struct{}
+
+	mu   sync.Mutex
+	head uint64    //mpmdvet:guard mu — local copy of the published consumer cursor
+	asm  *wire.Buf //mpmdvet:guard mu — reassembly of a fragmented packet in progress
+	got  int       //mpmdvet:guard mu — bytes of it received so far
+	// dead is set when the ring is abandoned (its bytes stopped making sense)
+	// and at shutdown, before the mapping goes: no consumer touches the ring
+	// after it.
+	dead bool //mpmdvet:guard mu
 }
 
 // shmPlane is a backend's shared-memory transport state: one rx per peer
@@ -248,6 +288,12 @@ type shmPlane struct {
 	stop   atomic.Bool
 	stopCh chan struct{}
 	wg     sync.WaitGroup
+
+	// pollers counts the shard's procs inside shmIdlePoll; the readers step
+	// back while it is non-zero. spent is how many looks the last one to
+	// leave had taken, which the readers count against the spin budget.
+	pollers atomic.Int32
+	spent   atomic.Int32
 }
 
 func (b *Backend) closeRings(p *shmPlane) {
@@ -316,11 +362,12 @@ func (b *Backend) shmSetup() error {
 			b.closeRings(p)
 			return err
 		}
-		p.rx[s] = &shmRx{r: in, peer: s, wake: make(chan struct{}, 1)}
+		p.rx[s] = &shmRx{r: in, peer: s, wake: make(chan struct{}, 1), handback: make(chan struct{}, 1), head: in.head.Load()}
 		out.prefault(true)
 		in.prefault(false)
 	}
 	b.shm = p
+	b.inner.SetIdlePoll(b.shmIdlePoll)
 	return nil
 }
 
@@ -329,9 +376,10 @@ func (b *Backend) shmSetup() error {
 // platforms without them).
 func (b *Backend) ShmActive() bool { return b.shm != nil }
 
-// shmStart launches one consumer goroutine per inbound ring. Deferred to
-// Run for the same happens-before reason as acceptLoop: no frame may
-// dispatch into a half-built machine.
+// shmStart launches one reader goroutine per inbound ring. Deferred to Run
+// for the same happens-before reason as acceptLoop: no frame may dispatch
+// into a half-built machine (the other consumers, the idle procs, do not run
+// before Run either).
 func (b *Backend) shmStart() {
 	p := b.shm
 	if p == nil {
@@ -345,18 +393,20 @@ func (b *Backend) shmStart() {
 	}
 }
 
-// shmShutdown stops the consumers, closes the producers behind their locks
-// (the lock round-trip is the barrier that no in-flight send still touches
-// the mapping), then unmaps every ring. Runs on every teardown path —
-// including a stalled run's — so a wedged machine leaks neither goroutines
-// nor mappings; a straggler proc that sends afterwards gets a closed link's
-// drop semantics instead of a fault on unmapped memory.
+// shmShutdown stops the readers, closes the producers and the consumer ends
+// behind their locks (the lock round-trip is the barrier that no in-flight
+// send or drain still touches the mapping), then unmaps every ring. Runs on
+// every teardown path — including a stalled run's — so a wedged machine leaks
+// neither goroutines nor mappings; a straggler proc that sends afterwards
+// gets a closed link's drop semantics, and one that parks idle finds every
+// ring dead, instead of a fault on unmapped memory.
 func (b *Backend) shmShutdown() {
 	p := b.shm
 	if p == nil || !p.stop.CompareAndSwap(false, true) {
 		return
 	}
 	close(p.stopCh)
+	p.handBack()
 	for _, pr := range b.peers {
 		if pr == nil || pr.tx == nil {
 			continue
@@ -368,6 +418,13 @@ func (b *Backend) shmShutdown() {
 		tx.mu.Unlock()
 	}
 	p.wg.Wait()
+	for _, rx := range p.rx {
+		if rx != nil {
+			rx.mu.Lock()
+			rx.dead = true
+			rx.mu.Unlock()
+		}
+	}
 	b.closeRings(p)
 }
 
@@ -540,56 +597,123 @@ func (b *Backend) shmRingDead(shard int) {
 	b.addErr(fmt.Errorf("netlive: shm ring to shard %d made no progress within %v; link to shard %d is dead, its frames are dropped", shard, b.opts.DialTimeout, shard))
 }
 
-// shmReadLoop is the per-inbound-ring consumer: drain published records,
-// dispatching each to the machine's remote-arrival handler in place, and
-// wait (spin, then park) when the ring runs dry. It ends at shutdown, or —
-// after recording one error naming the peer — when the ring's bytes stop
-// making sense; the producer then finds the ring full and its link dead.
+// shmReadLoop is the per-inbound-ring reader, the consumer of last resort:
+// drain published records and wait (spin, then park) when the ring runs dry —
+// but only while no proc of the shard is polling the rings itself (see
+// shmWaitData). It ends at shutdown, or when the ring has been abandoned.
 func (b *Backend) shmReadLoop(rx *shmRx) {
 	defer b.shm.wg.Done()
-	head := rx.r.head.Load()
-	for ok := true; ok; {
-		tail := rx.r.tail.Load()
-		if tail == head {
-			ok = b.shmWaitData(rx, head)
+	for {
+		rx.mu.Lock()
+		if rx.dead {
+			rx.mu.Unlock()
+			return
+		}
+		head := rx.head
+		if tail := rx.r.tail.Load(); tail != head {
+			b.shmDrain(rx, tail, metrics.CtrShmFramesInReader)
+			rx.mu.Unlock()
 			continue
 		}
-		head, ok = b.shmDrain(rx, head, tail)
+		rx.mu.Unlock()
+		if !b.shmWaitData(rx, head) {
+			return
+		}
 	}
 }
 
-// shmDrain consumes records in [head, tail). The payload slice handed to
-// the handler points directly into the mapped ring — valid only for the
-// duration of the call, the same no-retain contract as the socket reader —
-// and the head cursor is published only after the handler returns, so the
-// producer cannot reuse the slot under a running handler. The cursors and
-// every record header were written by another process: each is held against
-// the ring geometry and the published tail before anything is indexed with
-// it, and a value that does not fit abandons the ring (false).
+// shmIdlePoll is the inner live backend's idle poll (live.SetIdlePoll): a
+// proc that has parked and left its node idle looks at every inbound ring of
+// the shard and drains what it finds — for its own node or a sibling's — until
+// woken says the proc has its wake-up (usually from a packet this very drain
+// delivered), or its share of the spin budget is spent. A ring another
+// consumer is draining is skipped, not waited for.
+func (b *Backend) shmIdlePoll(woken func() bool) {
+	p := b.shm
+	p.pollers.Add(1)
+	i := 0
+	for ; i < shmProcIters && !p.stop.Load(); i++ {
+		for _, rx := range p.rx {
+			if rx == nil {
+				continue
+			}
+			if !rx.mu.TryLock() {
+				continue // another consumer is draining it
+			}
+			if !rx.dead {
+				if tail := rx.r.tail.Load(); tail != rx.head {
+					b.shmDrain(rx, tail, metrics.CtrShmFramesInProc)
+					if met := b.met; met != nil {
+						met.Add(metrics.CtrShmSpinWakes, 1) // a waiting consumer found data while spinning
+					}
+				}
+			}
+			rx.mu.Unlock()
+		}
+		if woken() {
+			break
+		}
+		spinPause(i)
+	}
+	p.spent.Store(int32(i))
+	if p.pollers.Add(-1) == 0 {
+		// The last one out hands the rings back: a busy shard has no idle proc
+		// to look at them, and a blocked one is no use to a producer.
+		p.handBack()
+	}
+}
+
+// handBack releases every reader that has stepped back. The token is
+// buffered: a reader that is not waiting for it finds it when it next does,
+// looks at pollers again, and at worst waits for the next one.
+func (p *shmPlane) handBack() {
+	for _, rx := range p.rx {
+		if rx != nil {
+			select {
+			case rx.handback <- struct{}{}:
+			default:
+			}
+		}
+	}
+}
+
+// shmDrain consumes the records in [rx.head, tail), for whichever consumer
+// holds the ring's consumer lock; by is that consumer's share of
+// CtrShmFramesIn. The payload slice handed to the handler points directly
+// into the mapped ring — valid only for the duration of the call, the same
+// no-retain contract as the socket reader — and the head cursor is published
+// only after the handler returns, so the producer cannot reuse the slot under
+// a running handler. The cursors and every record header were written by
+// another process: each is held against the ring geometry and the published
+// tail before anything is indexed with it, and a value that does not fit
+// abandons the ring (false, and rx.dead).
 //
 //mpmd:hotpath
-func (b *Backend) shmDrain(rx *shmRx, head, tail uint64) (uint64, bool) {
+//mpmdvet:locked rx.mu
+func (b *Backend) shmDrain(rx *shmRx, tail uint64, by metrics.Ctr) bool {
 	r := rx.r
 	data := r.data
+	head := rx.head
 	remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte))
 	frames, frags, recBytes := int64(0), int64(0), int64(0)
 	if tail-head > r.capB || head%8 != 0 {
-		return head, b.shmCorrupt(rx, "cursors outside the ring", head%r.capB, uint32(tail-head))
+		return b.shmCorrupt(rx, "cursors outside the ring", head%r.capB, uint32(tail-head))
 	}
 	for head != tail {
 		off := head % r.capB
 		word := binary.LittleEndian.Uint32(data[off:])
 		if word == wrapMarker {
 			if r.capB-off > tail-head {
-				return head, b.shmCorrupt(rx, "wrap marker past the published tail", off, word)
+				return b.shmCorrupt(rx, "wrap marker past the published tail", off, word)
 			}
 			head += r.capB - off
+			rx.head = head
 			r.head.Store(head)
 			continue
 		}
 		recLen := uint64(word &^ recFrag)
 		if recLen < recHdrLen || off+recLen > r.capB || align8(recLen) > tail-head {
-			return head, b.shmCorrupt(rx, "record runs past the published tail", off, word)
+			return b.shmCorrupt(rx, "record runs past the published tail", off, word)
 		}
 		if remote == nil {
 			panic("netlive: shm packet frame before the machine installed its remote handler")
@@ -599,14 +723,14 @@ func (b *Backend) shmDrain(rx *shmRx, head, tail uint64) (uint64, bool) {
 			frags++
 			var why string
 			if body, why = rx.reassemble(body); why != "" {
-				return head, b.shmCorrupt(rx, why, off, word)
+				return b.shmCorrupt(rx, why, off, word)
 			}
 		} else if rx.asm != nil {
-			return head, b.shmCorrupt(rx, "whole record inside a fragmented packet", off, word)
+			return b.shmCorrupt(rx, "whole record inside a fragmented packet", off, word)
 		}
 		if body != nil {
 			if !b.dispatchPacket(remote, body) {
-				return head, b.shmCorrupt(rx, "malformed packet body", off, word)
+				return b.shmCorrupt(rx, "malformed packet body", off, word)
 			}
 			frames++
 			if rx.asm != nil {
@@ -615,17 +739,19 @@ func (b *Backend) shmDrain(rx *shmRx, head, tail uint64) (uint64, bool) {
 			}
 		}
 		head += align8(recLen)
+		rx.head = head
 		r.head.Store(head)
 		recBytes += int64(recLen)
 	}
 	if met := b.met; met != nil {
 		met.Add(metrics.CtrShmFramesIn, frames)
+		met.Add(by, frames)
 		met.Add(metrics.CtrShmBytesIn, recBytes)
 		if frags != 0 {
 			met.Add(metrics.CtrShmFragsIn, frags)
 		}
 	}
-	return head, true
+	return true
 }
 
 // reassemble adds one fragment — rec is its record after word 0: total, at,
@@ -636,6 +762,7 @@ func (b *Backend) shmDrain(rx *shmRx, head, tail uint64) (uint64, bool) {
 // total is over the frame limit.
 //
 //mpmd:coldpath only the rare packet over a quarter of the ring is fragmented; one copy, pooled
+//mpmdvet:locked rx.mu
 func (rx *shmRx) reassemble(rec []byte) (body []byte, why string) {
 	total := int(binary.LittleEndian.Uint32(rec))
 	at := int(binary.LittleEndian.Uint32(rec[4:]))
@@ -656,19 +783,27 @@ func (rx *shmRx) reassemble(rec []byte) (body []byte, why string) {
 	return rx.asm.Bytes(), ""
 }
 
-// shmCorrupt records the one error that ends an inbound ring. It returns
-// false, shmDrain's "abandon the ring".
+// shmCorrupt records the one error that ends an inbound ring and marks it
+// dead for every consumer. It returns false, shmDrain's "abandon the ring".
 //
-//mpmd:coldpath at most once per ring, after which its consumer exits
+//mpmd:coldpath at most once per ring, after which its reader exits and the idle procs skip it
+//mpmdvet:locked rx.mu
 func (b *Backend) shmCorrupt(rx *shmRx, why string, off uint64, word uint32) bool {
+	rx.dead = true
 	b.addErr(fmt.Errorf("netlive: shm ring from shard %d abandoned: %s (record word %#x at offset %d)", rx.peer, why, word, off))
 	return false
 }
 
-// shmWaitData waits for the producer to move tail past head: a bounded
-// spin of yields first, then park — publish the parked flag, re-check the
-// tail (the producer's publish may have raced the flag), and block on the
-// doorbell. Returns false on shutdown.
+// shmWaitData is the reader's wait for the producer to move tail past head: a
+// bounded spin of yields first, then park — publish the parked flag, re-check
+// the tail (the producer's publish may have raced the flag), and block on the
+// doorbell. While procs of the shard poll the rings themselves the reader
+// steps back: it blocks until the last of them hands the rings back, and then
+// counts their looks as spent, so the spin before the doorbell park is one
+// budget however many consumers shared it. Returns false on shutdown or when
+// the ring was abandoned meanwhile. A true return may be spurious (head is the
+// caller's reading; an idle proc may have drained since): the caller looks
+// again under the consumer lock.
 func (b *Backend) shmWaitData(rx *shmRx, head uint64) bool {
 	p := b.shm
 	r := rx.r
@@ -676,16 +811,27 @@ func (b *Backend) shmWaitData(rx *shmRx, head uint64) bool {
 		if p.stop.Load() {
 			return false
 		}
+		if p.pollers.Load() > 0 {
+			<-rx.handback // shutdown hands back too, after raising stop
+			rx.mu.Lock()
+			dead := rx.dead
+			head = rx.head
+			rx.mu.Unlock()
+			if dead {
+				return false
+			}
+			// The procs' looks are the ring's dry spell so far: few when the
+			// last one left with a packet, its whole share when it gave up.
+			i = int(p.spent.Load()) - 1
+			continue
+		}
 		if r.tail.Load() != head {
 			if met := b.met; met != nil {
 				met.Add(metrics.CtrShmSpinWakes, 1)
 			}
 			return true
 		}
-		runtime.Gosched()
-		if i >= shmSpinIters {
-			osYield()
-		}
+		spinPause(i)
 	}
 	// Drop any stale doorbell so the park below cannot be satisfied by a
 	// wakeup for data already consumed.

@@ -102,9 +102,18 @@ type Sharded interface {
 	// Frames for a link that has failed or closed are dropped and counted.
 	SendRemote(src, dst, size int, wp FrameMarshaler)
 	// SetRemoteHandler installs the upcall for packets arriving from peer
-	// shards. fn runs on a backend reader goroutine; payload is valid only
-	// for the duration of the call (the backend recycles the frame memory).
+	// shards. fn runs on whichever backend goroutine consumes the link (a
+	// reader, or a proc of the shard polling while its node idles, with the
+	// node's CPU released); payload is valid only for the duration of the
+	// call (the backend recycles the frame memory).
 	SetRemoteHandler(fn func(src, dst, size int, payload []byte))
+	// SetMinPayload tells the links the shortest payload the remote handler
+	// can decode (the messaging layer's wire header). The bytes of a packet
+	// come from another process: one whose payload is shorter is malformed
+	// like any other frame that does not parse — the link it came on is
+	// abandoned with one error naming the peer shard, and the handler never
+	// sees it. Set before Run.
+	SetMinPayload(n int)
 
 	// SetStatsProvider installs the callback that serializes this shard's
 	// stats payload (the netlive kStats frame body). The backend calls it
