@@ -101,11 +101,13 @@ func (m *Msg) EncodeWire(b []byte) int {
 // DecodeWireMsg reconstructs a pooled Msg envelope from the serialized form,
 // copying the payload into a fresh pooled wire buffer. It is installed as the
 // machine's wire decoder by NewNet, so packets arriving from a peer shard
-// re-enter the inbox exactly as locally sent ones do. b holds at least the
-// header: NewNet declares wireHeaderLen to the machine as the decoder's
-// minimum, and the shard links drop a shorter body from a peer as malformed
-// before it gets here.
+// re-enter the inbox exactly as locally sent ones do. The bytes come from
+// another process: fewer than the header's decode to nil, and the shard link
+// that carried them is abandoned as malformed.
 func DecodeWireMsg(src, dst int, b []byte) any {
+	if len(b) < wireHeaderLen {
+		return nil
+	}
 	m := msgPool.Get().(*Msg)
 	*m = Msg{
 		Bulk: b[0]&1 != 0,
@@ -180,7 +182,7 @@ func NewNet(m *machine.Machine) *Net {
 	n := &Net{m: m}
 	// Messages are the machine's serializable packet payload: install the
 	// codec so sharded backends can carry them across address spaces.
-	m.SetWireDecoder(DecodeWireMsg, wireHeaderLen)
+	m.SetWireDecoder(DecodeWireMsg)
 	for _, node := range m.Nodes() {
 		ep := &Endpoint{net: n, node: node}
 		node.OnArrival = ep.onArrival

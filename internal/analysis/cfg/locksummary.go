@@ -379,6 +379,14 @@ func CallerPath(call *ast.CallExpr, r Req) string {
 	return text
 }
 
+// SummaryEffects is the Effects hook for walking a package of prog: the
+// program's lock-effect summary applied at every statement-level call.
+func SummaryEffects(prog *analysis.Program, info *types.Info, tpkg *types.Package) Effects {
+	g, facts := callgraph.Of(prog), LockFacts(prog)
+	get := func(n *callgraph.Node) LockFact { return facts[n] }
+	return func(s LockSet, call *ast.CallExpr) { ApplyLockEffects(info, tpkg, g, get, s, call) }
+}
+
 // ApplyLockEffects applies a call's summarized net lock effect to the
 // caller's lockset. Only single static in-set callees are applied:
 // interface calls, function values, and out-of-set callees have no visible

@@ -71,7 +71,8 @@ func run(pass *analysis.Pass) error {
 			break
 		}
 	}
-	c := &checker{pass: pass, info: pass.TypesInfo, annots: annots, graph: g, facts: facts}
+	c := &checker{pass: pass, info: pass.TypesInfo, annots: annots, graph: g, facts: facts,
+		fx: cfg.SummaryEffects(pass.Prog, pass.TypesInfo, pass.Pkg)}
 	if len(annots.Guards) > 0 || hasContracts {
 		for _, f := range pass.Files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -103,13 +104,11 @@ type checker struct {
 	annots *cfg.Annotations
 	graph  *callgraph.Graph
 	facts  map[*callgraph.Node]cfg.LockFact
+	fx     cfg.Effects // helper lock effects, applied at every call of the walk
 }
 
 func (c *checker) body(body *ast.BlockStmt, entry cfg.LockSet) {
-	fx := func(s cfg.LockSet, call *ast.CallExpr) {
-		cfg.ApplyLockEffects(c.info, c.pass.Pkg, c.graph, func(n *callgraph.Node) cfg.LockFact { return c.facts[n] }, s, call)
-	}
-	cfg.WalkLockedFx(c.info, body, entry, fx, c.node)
+	cfg.WalkLockedFx(c.info, body, entry, c.fx, c.node)
 }
 
 // node checks one flat CFG node's expressions against the pre-state.

@@ -15,7 +15,7 @@
 //     without a documented instance order two goroutines can cross
 //
 // The graph is per package: cross-package lock nesting is out of scope (the
-// runtime's lock hierarchies — node CPU, notify queue, peer writer — each
+// runtime's lock hierarchies — node CPU, pending list, peer writer — each
 // live inside one package).
 package lockorder
 
@@ -48,10 +48,14 @@ type collector struct {
 	info  *types.Info
 	edges map[[2]*types.Var]*edge
 	order []*edge // insertion order, for deterministic iteration
+	// fx applies helper lock effects: a lock a callee net-released (live's
+	// release) is not held at the next Lock, one it net-acquired is.
+	fx cfg.Effects
 }
 
 func run(pass *analysis.Pass) error {
-	c := &collector{pass: pass, info: pass.TypesInfo, edges: map[[2]*types.Var]*edge{}}
+	c := &collector{pass: pass, info: pass.TypesInfo, edges: map[[2]*types.Var]*edge{},
+		fx: cfg.SummaryEffects(pass.Prog, pass.TypesInfo, pass.Pkg)}
 	annots := cfg.CollectAnnotations(pass.TypesInfo, pass.Files)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -72,7 +76,7 @@ func run(pass *analysis.Pass) error {
 }
 
 func (c *collector) body(body *ast.BlockStmt, entry cfg.LockSet) {
-	cfg.WalkLocked(c.info, body, entry, func(s cfg.LockSet, n ast.Node) {
+	cfg.WalkLockedFx(c.info, body, entry, c.fx, func(s cfg.LockSet, n ast.Node) {
 		es, ok := n.(*ast.ExprStmt)
 		if !ok {
 			return

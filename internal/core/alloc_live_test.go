@@ -33,8 +33,7 @@ type allocBenchObj struct{ buf []byte }
 // TestWarmPathAllocsPerRun pins the warm-path allocation budget of the live
 // backend: a warm null RMI round trip and a warm 1 KiB bulk RMI must each
 // average at most 2 allocations per operation across the whole machine
-// (sender, receiver, and delivery workers all run inside the measurement
-// window). This is the refactor's enforcement point — pooled wire buffers,
+// (sender and receiver both run inside the measurement window). This is the refactor's enforcement point — pooled wire buffers,
 // recycled call records and decode frames, ring inboxes, and closure-free
 // delivery are what keep this number at ~0; a regression anywhere on the
 // path shows up here as a budget overrun.

@@ -112,31 +112,32 @@ func NewWithBackend(cfg Config, n int, be transport.Backend) *Machine {
 func (m *Machine) Backend() transport.Backend { return m.be }
 
 // SetWireDecoder installs the packet-payload decoder used for frames
-// arriving from peer shards, and the length of the shortest payload it
-// decodes: the shard links reject anything shorter as malformed, so dec is
-// never handed fewer than minLen bytes. The messaging layer that defines the
-// payload type installs it (am.NewNet does); it is a no-op concern on
-// single-address-space backends.
-func (m *Machine) SetWireDecoder(dec func(src, dst int, b []byte) any, minLen int) {
-	m.wireDec = dec
-	if m.shard != nil {
-		m.shard.SetMinPayload(minLen)
-	}
-}
+// arriving from peer shards. dec returns nil for bytes it cannot decode (they
+// come from another process), and the shard link that carried them is then
+// abandoned as malformed. The messaging layer that defines the payload type
+// installs it (am.NewNet does); it is a no-op concern on single-address-space
+// backends.
+func (m *Machine) SetWireDecoder(dec func(src, dst int, b []byte) any) { m.wireDec = dec }
 
 // remoteArrival lands a packet received from a peer shard: decode the
 // payload, enqueue, and wake the destination through the backend's direct
 // path. It runs on whichever backend goroutine consumed the link; the inbox
 // is thread-safe and the backend runs the notify closure holding the
 // destination's CPU (on this goroutine when the CPU is free — which is how an
-// idle proc polling the link wakes itself — else on the delivery worker).
-func (m *Machine) remoteArrival(src, dst, size int, enc []byte) {
+// idle proc polling the link wakes itself — else on the CPU's holder before it
+// lets go). False means the decoder rejected the payload and nothing landed.
+func (m *Machine) remoteArrival(src, dst, size int, enc []byte) bool {
 	if m.wireDec == nil {
 		panic(fmt.Sprintf("machine: packet from shard peer for node %d but no wire decoder installed", dst))
 	}
+	payload := m.wireDec(src, dst, enc)
+	if payload == nil {
+		return false
+	}
 	nd := m.Node(dst)
-	nd.pushInbox(Packet{Src: src, Dst: dst, Size: size, Payload: m.wireDec(src, dst, enc)})
+	nd.pushInbox(Packet{Src: src, Dst: dst, Size: size, Payload: payload})
 	m.direct.DeliverDirect(dst, nd.notify)
+	return true
 }
 
 // Now returns the backend clock: virtual time on the simulator, wall-clock

@@ -30,17 +30,20 @@ import (
 type Ctr int
 
 const (
-	// CtrNotifies counts notify callbacks pushed onto live delivery queues:
-	// arrivals that found the destination's CPU busy, and After callbacks.
+	// CtrNotifies counts pended notifies: arrival notifies and After callbacks
+	// that found the destination's CPU busy and went on the live node's pending
+	// list for the CPU's holder to run.
 	CtrNotifies Ctr = iota
-	// CtrNotifyBatches counts delivery-worker drain batches (CtrNotifies /
-	// CtrNotifyBatches is the realized short-message batching factor).
+	// CtrNotifyBatches counts the times a CPU holder found its node's pending
+	// list non-empty and ran it (CtrNotifies / CtrNotifyBatches is the
+	// realized short-message batching factor).
 	CtrNotifyBatches
-	// CtrNotifyDirect counts arrival notifies the sender ran itself because
-	// the destination's CPU was free (no queue, no delivery worker).
+	// CtrNotifyDirect counts arrival notifies and After callbacks that ran at
+	// once on the goroutine that brought them, because the destination's CPU
+	// was free (no pending list, no hand-off).
 	CtrNotifyDirect
-	// CtrNotifyDropped counts arrival notifies dropped because the
-	// destination's delivery queue had already closed (the run was over).
+	// CtrNotifyDropped counts arrival notifies dropped because they found the
+	// destination's CPU busy when the run was already over.
 	CtrNotifyDropped
 	// CtrFramesOut / CtrBytesOut count cross-shard frames and payload bytes
 	// shipped to peer shards (netlive writer side).
@@ -110,8 +113,8 @@ func (c Ctr) String() string {
 type Gge int
 
 const (
-	// GgeNotifyDepth is the depth of a node's notify queue, sampled at each
-	// push (live delivery plane).
+	// GgeNotifyDepth is the depth of a live node's pending list, sampled at
+	// each push and each pop: 0 once a holder has run the list.
 	GgeNotifyDepth Gge = iota
 	// GgePeerRingDepth is the depth of a peer shard's writer ring, sampled at
 	// each cross-shard frame push (netlive message plane).
@@ -139,8 +142,8 @@ const (
 	// HstRMILatency is the wall-clock round-trip of a remote RMI in
 	// nanoseconds, send to reply-handled, recorded at the initiating node.
 	HstRMILatency Hst = iota
-	// HstPollBatch is the number of notify callbacks a live delivery worker
-	// ran per CPU acquisition (a size distribution, not a duration).
+	// HstPollBatch is the number of pended notifies a CPU holder ran each time
+	// it found its node's list non-empty (a size distribution, not a duration).
 	HstPollBatch
 	// HstWriterStall is the wall-clock nanoseconds a cross-shard frame
 	// waited in the peer writer's ring before reaching the socket — how far
@@ -180,11 +183,13 @@ func (h *hist) observe(v int64) {
 	h.buckets[bits.Len64(uint64(v))].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-	for {
-		cur := h.max.Load()
-		if v <= cur || h.max.CompareAndSwap(cur, v) {
-			return
-		}
+	raise(&h.max, v)
+}
+
+// raise lifts a high-water mark to at least v. It retries only while v is
+// still above the mark, which another writer has then just raised.
+func raise(mark *atomic.Int64, v int64) {
+	for cur := mark.Load(); v > cur && !mark.CompareAndSwap(cur, v); cur = mark.Load() {
 	}
 }
 
@@ -196,12 +201,7 @@ type gauge struct {
 
 func (g *gauge) set(v int64) {
 	g.last.Store(v)
-	for {
-		cur := g.max.Load()
-		if v <= cur || g.max.CompareAndSwap(cur, v) {
-			return
-		}
-	}
+	raise(&g.max, v)
 }
 
 // Registry is one recording domain — a node, or a backend's message plane.

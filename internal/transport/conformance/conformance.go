@@ -383,9 +383,9 @@ func runToCompletion(t *testing.T, f ShardedFactory) {
 // busyDestination: messages that land while the destination's CPU is
 // occupied are not lost. Node 1's only thread charges in a loop without ever
 // parking until all k sends have landed — on the live backend every one of
-// their notifies finds the CPU busy, so this is the fallback path (notify
-// queue, delivery worker, the release window Sleep opens for an announced
-// worker) — and only then waits on the network. Every message must be handled.
+// their notifies finds the CPU busy, so this is the pending-list path (the
+// thread's own charges run them) — and only then waits on the network. Every
+// message must be handled.
 func busyDestination(t *testing.T, f ShardedFactory) {
 	const k = 100
 	r := newRig(f(machine.SP1997(), 2))

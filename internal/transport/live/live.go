@@ -12,8 +12,9 @@
 // callback for the node, for the duration of the callback. A proc gives the
 // CPU to its node's other procs only by parking (condition wait) — the
 // threads package above runs one thread at a time and switches by
-// unpark-then-park — and to delivery and timer callbacks also during Sleep,
-// which is where the simulator lets arrival events interleave with a charge.
+// unpark-then-park. Notify and timer callbacks that found the CPU busy are run
+// by its holder (below), also during Sleep, which is where the simulator lets
+// arrival events interleave with a charge.
 //
 // # Message delivery
 //
@@ -24,18 +25,33 @@
 // destination's context, and the sender puts it there itself: it TryLocks the
 // destination's CPU and, when that succeeds (the receiver is parked: the
 // ping-pong and the idle-server case), runs notify on its own goroutine and
-// unlocks. An arrival then costs the one wake-up that is inherent, sender to
+// lets go. An arrival then costs the one wake-up that is inherent, sender to
 // receiver — or none, when the receiver is polling a link for it (below).
-// Only when the destination's CPU is busy does the notify fall back to the
-// node's unbounded notify queue, to be run by the node's delivery
-// worker, which drains the queue in batches under a single CPU acquisition;
-// the worker is also where After callbacks run. TryLock never waits and the
-// queue never fills, so senders never block on delivery, which rules out
-// cross-node delivery deadlocks by construction. Notifies of one sender may
-// therefore run out of send order (a queued one after a later direct one);
-// that is harmless because message order is fixed by enqueue, before any
-// notify, and arrivals are coalescible — a woken receiver drains the whole
-// inbox.
+// After callbacks take the same road from the timer's goroutine.
+//
+// There is no receiver thread. A callback that finds the destination's CPU
+// busy is pushed on the node's pending list, and whoever holds the CPU runs
+// the list before letting go: a proc at every charge (Sleep), park and exit,
+// a sender after its direct notify. Three rules keep a pended callback from
+// being stranded, and none of them waits:
+//
+//   - the CPU is unlocked in one function only, release: run the pending
+//     list, unlock, look at the pending count again, and if it is non-zero
+//     TryLock and repeat;
+//   - a sender whose TryLock failed pushes and then TryLocks once more,
+//     releasing on success;
+//   - the unlock inside Park's condition wait is that same release (the
+//     cond's Locker is the node).
+//
+// Push-before-second-TryLock against unlock-before-recheck closes the
+// window: either the sender's second TryLock finds the CPU free and it runs
+// the callback itself, or somebody held the CPU after the push and that
+// holder sees the count on its way out. TryLock never waits and the list
+// never fills, so senders never block on delivery, which rules out cross-node
+// delivery deadlocks by construction. Notifies of one sender may therefore
+// run out of send order (a pended one after a later direct one); that is
+// harmless because message order is fixed by enqueue, before any notify, and
+// arrivals are coalescible — a woken receiver drains the whole inbox.
 //
 // # Who receives
 //
@@ -55,20 +71,10 @@
 // live.idle.parks count the idle parks that ended while polling and those
 // that fell through to the condition variable. Plain live installs no poll
 // and never spins.
-//
-// # The CPU release in Sleep
-//
-// Sleep must give a delivery worker that is waiting for the CPU a window.
-// The worker is the only context that blocks on a node's CPU from outside the
-// node's own procs (a sender only ever TryLocks it), and it says so: it
-// raises the node's wanted count around its Lock. Sleep releases and retakes
-// the CPU only when wanted is non-zero, so a contender gets the window it
-// always had and an uncontended charge costs one atomic load.
 package live
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -85,24 +91,7 @@ type Options struct {
 	// Run returns a *StallError naming the survivors instead of hanging.
 	// Zero means the 30s default.
 	Watchdog time.Duration
-	// Teardown bounds how long a stalled run (Run returned StallError) keeps
-	// its delivery workers alive waiting for the stragglers: after it
-	// expires the notify queues close and the workers plus the janitor exit,
-	// so a run that never finishes leaks only the stuck procs themselves.
-	// Zero means the 5s default.
-	Teardown time.Duration
-	// CPUAffinity, when non-empty, binds every proc goroutine and delivery
-	// worker of this backend to the given CPU set (sched_setaffinity on
-	// Linux; a no-op elsewhere). Each bound goroutine locks its OS thread
-	// first so the mask sticks to a dedicated thread, and the thread is
-	// retired with the goroutine rather than returned to the runtime's pool
-	// with a narrowed mask.
-	CPUAffinity []int
 }
-
-// notifyBatch caps how many notify callbacks the delivery worker runs per
-// CPU acquisition.
-const notifyBatch = 128
 
 // Backend is the live transport. Construct with New.
 type Backend struct {
@@ -116,15 +105,16 @@ type Backend struct {
 	mu   sync.Mutex
 	live map[*Proc]struct{} //mpmdvet:guard mu
 
-	// timers tracks outstanding After callbacks so shutdown can cancel them
-	// instead of leaking them (a pending time.AfterFunc used to outlive Run,
-	// and one that fired after closeQueues pushed onto a closed queue and
-	// vanished silently). lateAfter counts callbacks that still slipped past
-	// cancellation into a closed queue — surfaced through Err.
+	// timers tracks outstanding After callbacks so Run can cancel them on its
+	// way out instead of leaking them. over is set, under timersMu, at that
+	// moment: the run is finished or given up on, no timer is armed any more,
+	// and a callback that finds its node's CPU busy is dropped and counted
+	// rather than pended for a holder that may never let go. lateAfter counts
+	// the After callbacks so dropped — surfaced through Err.
 	timersMu  sync.Mutex
 	timers    map[*time.Timer]struct{} //mpmdvet:guard timersMu
-	closed    bool                     //mpmdvet:guard timersMu
 	lateAfter int                      //mpmdvet:guard timersMu
+	over      atomic.Bool
 
 	// idlePoll, when set (SetIdlePoll, before Run), is what a proc does
 	// between leaving its node idle and blocking: see Park.
@@ -143,17 +133,14 @@ type Backend struct {
 // between two backends, not an option: set it before Run, or not at all.
 func (b *Backend) SetIdlePoll(poll func(woken func() bool)) { b.idlePoll = poll }
 
-// New builds a live backend for n nodes and starts the per-node delivery
-// workers.
+// New builds a live backend for n nodes. It starts no goroutine: the only ones
+// a backend ever owns are its procs.
 func New(n int, opts Options) *Backend {
 	if n <= 0 {
 		panic("live: need at least one node")
 	}
 	if opts.Watchdog <= 0 {
 		opts.Watchdog = 30 * time.Second
-	}
-	if opts.Teardown <= 0 {
-		opts.Teardown = 5 * time.Second
 	}
 	b := &Backend{
 		opts:   opts,
@@ -163,19 +150,7 @@ func New(n int, opts Options) *Backend {
 		timers: make(map[*time.Timer]struct{}),
 	}
 	for i := 0; i < n; i++ {
-		nd := &lnode{id: i, met: metrics.NewRegistry()}
-		nd.q.cond = sync.NewCond(&nd.q.mu)
-		b.nodes = append(b.nodes, nd)
-		go func() {
-			// Delivery callbacks run node context too: bind the worker to the
-			// same CPU set as the procs. The locked thread dies with the
-			// goroutine, taking its narrowed mask with it.
-			if len(opts.CPUAffinity) > 0 {
-				runtime.LockOSThread()
-				setAffinity(opts.CPUAffinity)
-			}
-			nd.deliveryLoop()
-		}()
+		b.nodes = append(b.nodes, &lnode{over: &b.over, met: metrics.NewRegistry()})
 	}
 	return b
 }
@@ -198,14 +173,12 @@ func (b *Backend) MetricsSnapshot() metrics.Snapshot {
 	return metrics.Merge(snaps...)
 }
 
-// lnode is one node's execution context: the CPU mutex and the notify queue.
+// lnode is one node's execution context: the CPU mutex and the list of
+// callbacks waiting for it.
 type lnode struct {
-	id int
-	// mu is the node's CPU: held by whichever context is executing.
+	// mu is the node's CPU: held by whichever context is executing, taken
+	// with Lock or TryLock and given up through release alone.
 	mu sync.Mutex //mpmd:cpu
-	// wanted counts delivery workers blocked (or about to block) in mu.Lock;
-	// Sleep opens its release window only when it is non-zero.
-	wanted atomic.Int32
 	// permits counts the node's procs that hold an unconsumed Unpark permit:
 	// the procs that will run once the CPU is theirs. A proc that parks with
 	// permits at zero leaves the node idle — nothing runs here until a packet
@@ -213,95 +186,125 @@ type lnode struct {
 	// sibling.
 	permits int               //mpmdvet:guard mu
 	met     *metrics.Registry // wall-clock instruments; shared with upper layers via NodeMetrics
+	over    *atomic.Bool      // the backend's: the run has ended
 
-	q struct {
-		mu     sync.Mutex
-		cond   *sync.Cond        //mpmdvet:cond mu
-		fns    wire.Ring[func()] //mpmdvet:guard mu
-		closed bool              //mpmdvet:guard mu
+	// pend is the pending list: callbacks that found the CPU busy, in push
+	// order, for the CPU's holder to run. Any goroutine pushes, only the
+	// holder pops. npend mirrors the list's length (written under pend.mu) so
+	// that the holder's check at every charge and release is one atomic load.
+	// The list is a ring and the warm path's closures are long-lived (one per
+	// destination node), so a steady-state push allocates nothing.
+	pend struct {
+		mu  sync.Mutex
+		fns wire.Ring[func()] //mpmdvet:guard mu
 	}
-
-	// batch is the delivery worker's reusable drain buffer (worker-private,
-	// no lock needed). Pre-sized to the batch cap so steady-state delivery
-	// allocates nothing.
-	batch []func()
+	npend atomic.Int32
 }
 
-// push appends fn to the notify queue, reporting false if the queue has
-// already closed (shutdown raced the caller). Never blocks (the queue is
-// unbounded), so senders holding their own node's CPU cannot deadlock
-// against delivery. The queue is a ring and the warm path's closures are
-// long-lived (one per destination node), so a steady-state push allocates
-// nothing.
+// run runs fn in nd's context without ever waiting for it: at once, on the
+// caller's goroutine, when the CPU is free (the node's procs are parked);
+// otherwise fn goes on the pending list for the CPU's holder. The second
+// TryLock is the sender's half of the no-lost-wake-up rule (see the package
+// comment): the holder may have looked at the list for the last time before
+// the push. It reports false when fn was dropped: the CPU is busy and the run
+// is over.
 //
 //mpmd:hotpath
-func (nd *lnode) push(fn func()) bool {
-	nd.q.mu.Lock()
-	if nd.q.closed {
-		nd.q.mu.Unlock()
+func (nd *lnode) run(fn func()) bool {
+	if nd.mu.TryLock() {
+		fn()
+		nd.release()
+		if met := nd.met; met != nil {
+			met.Add(metrics.CtrNotifyDirect, 1)
+		}
+		return true
+	}
+	if nd.over.Load() {
 		return false
 	}
-	nd.q.fns.Push(fn)
-	depth := nd.q.fns.Len()
-	nd.q.mu.Unlock()
+	nd.pend.mu.Lock()
+	nd.pend.fns.Push(fn)
+	nd.pended()
+	nd.pend.mu.Unlock()
 	if met := nd.met; met != nil {
 		met.Add(metrics.CtrNotifies, 1)
-		met.Set(metrics.GgeNotifyDepth, int64(depth))
 	}
-	nd.q.cond.Signal()
+	if nd.mu.TryLock() {
+		nd.release()
+	}
 	return true
 }
 
-// deliveryLoop is the node's delivery worker: drain pending notifies and run
-// them on the node's CPU, at most notifyBatch per acquisition. The drain
-// buffer is reused across batches.
+// pended publishes the pending list's new length, to the holder and to the
+// depth gauge. Doing both inside the list's critical section keeps the
+// gauge's last sample the list's last state: zero once a holder has run it.
 //
+//mpmdvet:locked nd.pend.mu
 //mpmd:hotpath
-func (nd *lnode) deliveryLoop() {
-	nd.batch = make([]func(), 0, notifyBatch) //mpmdvet:ignore hotpath one-time drain-buffer init before the loop; reused every batch after
-	for {
-		nd.q.mu.Lock()
-		for nd.q.fns.Len() == 0 && !nd.q.closed {
-			nd.q.cond.Wait()
-		}
-		if nd.q.fns.Len() == 0 {
-			nd.q.mu.Unlock()
-			return // closed and drained
-		}
-		take := nd.batch[:0]
-		for len(take) < notifyBatch {
-			fn, ok := nd.q.fns.Pop()
-			if !ok {
-				break
-			}
-			take = append(take, fn)
-		}
-		nd.q.mu.Unlock()
-		if met := nd.met; met != nil {
-			met.Add(metrics.CtrNotifyBatches, 1)
-			met.Observe(metrics.HstPollBatch, int64(len(take)))
-		}
+func (nd *lnode) pended() {
+	n := nd.pend.fns.Len()
+	nd.npend.Store(int32(n))
+	if met := nd.met; met != nil {
+		met.Set(metrics.GgeNotifyDepth, int64(n))
+	}
+}
 
-		// Announce before blocking: a proc that charges without parking
-		// releases the CPU in Sleep only for an announced contender.
-		nd.wanted.Add(1)
-		nd.mu.Lock()
-		nd.wanted.Add(-1)
-		for i, fn := range take {
-			fn()
-			take[i] = nil // drop the reference; the buffer is reused
+// runPending runs, CPU held, the callbacks that were pending on entry. Those
+// pushed meanwhile are for the next charge, or for release's second look. The
+// empty case is the one that matters (every charge of every proc pays it) and
+// inlines to the atomic load.
+//
+//mpmdvet:locked nd.mu
+//mpmd:hotpath
+func (nd *lnode) runPending() {
+	if n := nd.npend.Load(); n != 0 {
+		nd.drain(int(n))
+	}
+}
+
+// drain pops and runs the first n pending callbacks.
+//
+//mpmdvet:locked nd.mu
+//mpmd:hotpath
+func (nd *lnode) drain(n int) {
+	for i := 0; i < n; i++ {
+		nd.pend.mu.Lock()
+		fn, _ := nd.pend.fns.Pop() // only the holder pops: n are there
+		nd.pended()
+		nd.pend.mu.Unlock()
+		fn()
+	}
+	if met := nd.met; met != nil {
+		met.Add(metrics.CtrNotifyBatches, 1)
+		met.Observe(metrics.HstPollBatch, int64(n))
+	}
+}
+
+// release gives up the CPU — the only place it is unlocked. The holder runs
+// the pending list first, and looks again after the unlock: a sender whose
+// TryLock failed against this holder may have pushed after the list was run,
+// and its own second TryLock may have come before the unlock. Whoever wins
+// the TryLock below — this goroutine, that sender, a proc — is the next
+// holder and runs the list before it lets go in turn.
+//
+//mpmdvet:locked nd.mu
+//mpmd:hotpath
+func (nd *lnode) release() {
+	nd.runPending()
+	nd.mu.Unlock()
+	for nd.npend.Load() != 0 {
+		if !nd.mu.TryLock() {
+			return
 		}
+		nd.runPending()
 		nd.mu.Unlock()
 	}
 }
 
-// close shuts the notify queue; the worker exits after draining.
-func (nd *lnode) close() {
-	nd.q.mu.Lock()
-	nd.q.closed = true
-	nd.q.mu.Unlock()
-	nd.q.cond.Broadcast()
-}
+// Lock and Unlock make the node the sync.Locker of its procs' condition
+// variables, so that the unlock inside cond.Wait is a release like any other.
+func (nd *lnode) Lock()   { nd.mu.Lock() }
+func (nd *lnode) Unlock() { nd.release() }
 
 // Proc is a live schedulable context: a goroutine that holds its node's CPU
 // mutex whenever it is running.
@@ -328,8 +331,8 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() time.Duration { return p.b.Now() }
 
 // Park implements transport.Proc. Called with the node CPU held; the
-// condition wait releases it, which is what lets the delivery worker and
-// sibling procs run.
+// condition wait releases it (running the pending list on the way), which is
+// what lets sibling procs and senders' notifies run.
 //
 // A proc that parks and leaves its node idle is the thread that waits for
 // the node's next packet, so when the backend has inbound links to poll
@@ -348,7 +351,7 @@ func (p *Proc) Park() {
 	}
 	p.parked = true
 	if poll := p.b.idlePoll; poll != nil && p.nd.permits == 0 {
-		p.nd.mu.Unlock()
+		p.nd.release()
 		poll(p.woken)
 		p.nd.mu.Lock()
 		if met := p.nd.met; met != nil {
@@ -384,7 +387,7 @@ func (p *Proc) pollWoken() bool {
 		return true
 	}
 	woken := p.permit
-	p.nd.mu.Unlock()
+	p.nd.release()
 	return woken
 }
 
@@ -406,23 +409,17 @@ func (p *Proc) Unpark() {
 }
 
 // Sleep implements transport.Proc. The modelled cost is already paid by real
-// execution, so no time passes; what remains is the interleaving window the
-// simulator's arrival events have during a virtual-time charge. It is opened
-// on demand: only when the node's delivery worker has announced that it is
-// waiting for the CPU (wanted != 0) is the CPU released and retaken — a bare
-// mutex handoff the waiting worker acquires. With nobody waiting, which is
-// nearly every charge because most notifies run on their sender, a charge
-// costs one atomic load. A worker that announces just after the load is
-// served by the next charge or Park, exactly as one that arrived just after
-// an unconditional release was.
+// execution, so no time passes; what remains is the interleaving the
+// simulator's arrival events have during a virtual-time charge: the notify
+// and timer callbacks that found this proc holding the CPU run here, in place.
+// With none pending, which is nearly every charge because most notifies run
+// on their sender, a charge costs one atomic load.
 //
 //mpmdvet:locked p.nd.mu
 func (p *Proc) Sleep(d time.Duration) {
-	if d <= 0 || p.nd.wanted.Load() == 0 {
-		return
+	if d > 0 {
+		p.nd.runPending()
 	}
-	p.nd.mu.Unlock()
-	p.nd.mu.Lock()
 }
 
 // Name implements transport.Backend.
@@ -440,7 +437,7 @@ func (b *Backend) Now() time.Duration { return time.Since(b.epoch) }
 func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.Proc {
 	nd := b.nodes[node]
 	p := &Proc{b: b, nd: nd, name: name}
-	p.cond = sync.NewCond(&nd.mu)
+	p.cond = sync.NewCond(nd)
 	if b.idlePoll != nil {
 		p.woken = p.pollWoken
 	}
@@ -449,20 +446,13 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 	b.mu.Unlock()
 	b.wg.Add(1)
 	go func() {
-		if len(b.opts.CPUAffinity) > 0 {
-			// No matching Unlock: a thread whose affinity mask was narrowed
-			// must not rejoin the runtime's thread pool, so it is retired
-			// when the proc goroutine exits.
-			runtime.LockOSThread()
-			setAffinity(b.opts.CPUAffinity)
-		}
 		<-b.start
 		// Lock through p.nd (== nd) so the acquisition names the same lock
 		// path the //mpmdvet:guard annotation on p.done resolves to.
 		p.nd.mu.Lock()
 		fn(p)
 		p.done = true
-		p.nd.mu.Unlock()
+		p.nd.release()
 		b.mu.Lock()
 		delete(b.live, p)
 		b.mu.Unlock()
@@ -474,23 +464,15 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 // DeliverDirect implements transport.DirectDeliverer: the caller already ran
 // the enqueue step, so only the (long-lived, caller-owned) notify closure is
 // left to run in dst's context. If dst's CPU is free — its procs are parked —
-// the caller takes it and runs notify itself; otherwise notify is queued to
-// dst's delivery worker. Either way the caller never waits, even while it
-// holds its own node's CPU. A notify that finds the queue closed (the run is
-// over) is dropped and counted.
+// the caller takes it and runs notify itself; otherwise notify is left for
+// the CPU's holder. Either way the caller never waits, even while it holds
+// its own node's CPU. A notify that finds the CPU busy when the run is over is
+// dropped and counted.
 //
 //mpmd:hotpath
 func (b *Backend) DeliverDirect(dst int, notify func()) {
 	nd := b.nodes[dst]
-	if nd.mu.TryLock() {
-		notify()
-		nd.mu.Unlock()
-		if met := nd.met; met != nil {
-			met.Add(metrics.CtrNotifyDirect, 1)
-		}
-		return
-	}
-	if !nd.push(notify) {
+	if !nd.run(notify) {
 		if met := nd.met; met != nil {
 			met.Add(metrics.CtrNotifyDropped, 1)
 		}
@@ -498,14 +480,15 @@ func (b *Backend) DeliverDirect(dst int, notify func()) {
 }
 
 // After implements transport.Backend: fn runs in node's execution context
-// after wall-clock delay d. Timers pending when the run completes are
-// cancelled at shutdown (their callbacks never run); a callback that races
-// shutdown and finds the queues already closed is dropped and counted as a
-// lifecycle error (Err).
+// after wall-clock delay d — never inside After when the caller is that node
+// (it holds the CPU, so fn pends until its next charge or park). Timers
+// pending when Run returns are cancelled (their callbacks never run); a
+// callback that fires later still and cannot run at once is dropped and
+// counted as a lifecycle error (Err).
 func (b *Backend) After(node int, d time.Duration, fn func()) {
 	nd := b.nodes[node]
 	if d <= 0 {
-		if !nd.push(fn) {
+		if !nd.run(fn) {
 			b.noteLateAfter()
 		}
 		return
@@ -515,9 +498,8 @@ func (b *Backend) After(node int, d time.Duration, fn func()) {
 	// immediately blocks until registration is complete — it always sees
 	// the assigned tm (no torn read) and always finds its table entry.
 	b.timersMu.Lock()
-	if b.closed {
-		// The run is already torn down; the callback could never be
-		// delivered into a node context.
+	if b.over.Load() {
+		// The run is over; the callback could not count on a node context.
 		b.lateAfter++
 		b.timersMu.Unlock()
 		return
@@ -527,7 +509,7 @@ func (b *Backend) After(node int, d time.Duration, fn func()) {
 		b.timersMu.Lock()
 		delete(b.timers, tm)
 		b.timersMu.Unlock()
-		if !nd.push(fn) {
+		if !nd.run(fn) {
 			b.noteLateAfter()
 		}
 	})
@@ -535,19 +517,19 @@ func (b *Backend) After(node int, d time.Duration, fn func()) {
 	b.timersMu.Unlock()
 }
 
-// noteLateAfter records a timer callback that outlived the run.
+// noteLateAfter records an After callback that outlived the run.
 func (b *Backend) noteLateAfter() {
 	b.timersMu.Lock()
 	b.lateAfter++
 	b.timersMu.Unlock()
 }
 
-// cancelTimers stops every outstanding After timer at shutdown. A timer
-// whose callback is already in flight unregisters itself; if it then finds
-// its queue closed it is counted by noteLateAfter.
+// cancelTimers marks the run over and stops every outstanding After timer. A
+// timer whose callback is already in flight unregisters itself and runs if
+// its node's CPU is free.
 func (b *Backend) cancelTimers() {
 	b.timersMu.Lock()
-	b.closed = true
+	b.over.Store(true)
 	tms := make([]*time.Timer, 0, len(b.timers))
 	for tm := range b.timers {
 		tms = append(tms, tm)
@@ -560,7 +542,7 @@ func (b *Backend) cancelTimers() {
 }
 
 // Err reports lifecycle faults of a completed run: currently, After
-// callbacks that fired after shutdown and were dropped.
+// callbacks scheduled or fired after Run returned and dropped.
 func (b *Backend) Err() error {
 	b.timersMu.Lock()
 	defer b.timersMu.Unlock()
@@ -585,7 +567,9 @@ func (e *StallError) Error() string {
 }
 
 // Run implements transport.Backend: release the procs and wait for all of
-// them to finish, bounded by the watchdog.
+// them to finish, bounded by the watchdog. Either way the run is over when it
+// returns: a stalled run leaves nothing behind but the stuck procs themselves
+// (and the goroutine waiting for them), which are the application's.
 func (b *Backend) Run() error {
 	if !b.ran.CompareAndSwap(false, true) {
 		panic("live: Run called twice")
@@ -596,41 +580,18 @@ func (b *Backend) Run() error {
 		b.wg.Wait()
 		close(done)
 	}()
+	defer b.cancelTimers()
 	select {
 	case <-done:
+		return nil
 	case <-time.After(b.opts.Watchdog):
-		// Report, but keep serving for a bounded grace: the watchdog cannot
-		// distinguish a deadlock from a run that is merely slow, so the
-		// delivery workers stay up for Options.Teardown in case the
-		// stragglers finish. Then the janitor tears the queues down
-		// unconditionally — a stalled run must not pin its n delivery
-		// workers (plus this janitor) forever; only the stuck proc
-		// goroutines themselves remain, and those are the application's.
-		go func() {
-			select {
-			case <-done:
-			case <-time.After(b.opts.Teardown):
-			}
-			b.cancelTimers()
-			b.closeQueues()
-		}()
-		b.mu.Lock()
-		var names []string
-		for p := range b.live {
-			names = append(names, p.name)
-		}
-		b.mu.Unlock()
-		sort.Strings(names)
-		return &StallError{After: b.opts.Watchdog, Procs: names}
 	}
-	b.cancelTimers()
-	b.closeQueues()
-	return nil
-}
-
-// closeQueues shuts every node's notify queue so the delivery workers exit.
-func (b *Backend) closeQueues() {
-	for _, nd := range b.nodes {
-		nd.close()
+	b.mu.Lock()
+	var names []string
+	for p := range b.live {
+		names = append(names, p.name)
 	}
+	b.mu.Unlock()
+	sort.Strings(names)
+	return &StallError{After: b.opts.Watchdog, Procs: names}
 }

@@ -2,6 +2,7 @@ package live
 
 import (
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -34,7 +35,7 @@ func TestParkUnparkPermit(t *testing.T) {
 // TestDeliverEnqueueThenNotify checks DeliverDirect's contract as the machine
 // layer uses it: the sender enqueues, then every notify runs exactly once, in
 // node 1's context (it can unpark), after its own enqueue. Notify order is not
-// part of the contract: a notify queued behind a busy CPU may run after a
+// part of the contract: a notify pended behind a busy CPU may run after a
 // later one that found the CPU free.
 func TestDeliverEnqueueThenNotify(t *testing.T) {
 	const k = 500
@@ -82,7 +83,7 @@ func waitParked(p *Proc) {
 	for {
 		p.nd.mu.Lock()
 		parked := p.parked
-		p.nd.mu.Unlock()
+		p.nd.release()
 		if parked {
 			return
 		}
@@ -91,7 +92,7 @@ func waitParked(p *Proc) {
 }
 
 // TestDirectNotifyWhenParked: with the receiver parked its CPU is free, so
-// every send's notify runs on the sender and none reaches the delivery queue.
+// every send's notify runs on the sender and none reaches the pending list.
 func TestDirectNotifyWhenParked(t *testing.T) {
 	const n = 200
 	b := New(2, Options{Watchdog: 5 * time.Second})
@@ -121,11 +122,10 @@ func TestDirectNotifyWhenParked(t *testing.T) {
 	}
 }
 
-// TestSleepServesAnnouncedWorker: a proc that only charges, never parks,
-// still lets a timer callback in. The callback can only run on the delivery
-// worker, which announces itself; the proc's next Sleep must then release the
-// CPU (the Go mutex hands it over once the worker has waited 1ms).
-func TestSleepServesAnnouncedWorker(t *testing.T) {
+// TestSleepRunsPendingTimer: a proc that only charges, never parks, still lets
+// a timer callback in. The timer's goroutine finds the CPU busy and pends the
+// callback; the proc's next Sleep must run it.
+func TestSleepRunsPendingTimer(t *testing.T) {
 	b := New(1, Options{Watchdog: 10 * time.Second})
 	fired := false // node 0 state
 	var seen time.Duration
@@ -151,7 +151,7 @@ func TestSleepServesAnnouncedWorker(t *testing.T) {
 // TestCrossBlastNoStall: two nodes blast each other, each holding its own CPU
 // while it TryLocks the other's. A sender never waits for a CPU, so neither
 // can wedge the other, and every notify still runs: on the sender when the
-// TryLock wins, through the delivery worker once the busy peer parks.
+// TryLock wins, on the busy peer once it parks.
 func TestCrossBlastNoStall(t *testing.T) {
 	const k = 2000
 	b := New(2, Options{Watchdog: 10 * time.Second})
@@ -194,8 +194,8 @@ func TestCrossBlastNoStall(t *testing.T) {
 	}
 }
 
-// TestAfterRunsInNodeContext checks that timer callbacks go through the
-// node's delivery worker (they can wake parked procs).
+// TestAfterRunsInNodeContext checks that timer callbacks run holding the
+// node's CPU (they can wake parked procs).
 func TestAfterRunsInNodeContext(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
 	fired := false
@@ -233,7 +233,7 @@ func TestWatchdogReportsStall(t *testing.T) {
 // TestPendingAfterCancelledAtShutdown: a timer still pending when the run
 // completes is cancelled — its callback never runs, nothing leaks, and a
 // clean run reports no lifecycle error. (Before the fix, the time.AfterFunc
-// outlived Run and its eventual firing pushed onto a closed queue silently.)
+// outlived Run and its eventual firing vanished silently.)
 func TestPendingAfterCancelledAtShutdown(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
 	ran := false
@@ -270,30 +270,189 @@ func TestAfterAfterShutdownIsError(t *testing.T) {
 	}
 }
 
-// TestStallTeardownFreesWorkers: a run that stalls forever must not pin its
-// delivery workers and janitor for the life of the process — after the
-// teardown deadline only the stuck proc goroutines themselves remain.
-func TestStallTeardownFreesWorkers(t *testing.T) {
-	const nodes = 8
+// TestNewStartsNoGoroutine: the backend owns no goroutine but its procs — no
+// receiver thread per node.
+func TestNewStartsNoGoroutine(t *testing.T) {
 	before := runtime.NumGoroutine()
-	b := New(nodes, Options{Watchdog: 50 * time.Millisecond, Teardown: 100 * time.Millisecond})
+	New(8, Options{})
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("New(8) took the process from %d to %d goroutines, want none started", before, after)
+	}
+}
+
+// TestStalledRunLeavesOnlyStuckProcs: a run that stalls forever pins nothing
+// of the backend's: the moment Run returns, only the stuck proc and Run's wg
+// waiter, which lives as long as the stuck proc does, remain.
+func TestStalledRunLeavesOnlyStuckProcs(t *testing.T) {
+	before := runtime.NumGoroutine()
+	b := New(8, Options{Watchdog: 50 * time.Millisecond})
 	b.Go(0, "stuck", func(p transport.Proc) { p.Park() }) // parked forever
 	if _, ok := b.Run().(*StallError); !ok {
 		t.Fatal("expected StallError")
 	}
-	// Give the teardown deadline time to pass and the workers to drain.
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		// Only the stuck proc and Run's wg waiter, which lives as long as
-		// the stuck proc does (2 goroutines), may outlive the run; the n
-		// delivery workers and the janitor must be gone.
-		if g := runtime.NumGoroutine(); g <= before+2 {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
+	if g := runtime.NumGoroutine(); g > before+2 {
+		t.Fatalf("goroutines before=%d after the stalled run=%d, want at most 2 more", before, g)
 	}
-	t.Fatalf("goroutines before=%d after teardown=%d: stalled run leaked workers",
-		before, runtime.NumGoroutine())
+}
+
+// TestProcExitRunsPending: proc exit is a release point. A proc that holds
+// the CPU when a notify arrives from outside the node, and then exits without
+// a charge or a park, has run the notify by the time Run returns.
+func TestProcExitRunsPending(t *testing.T) {
+	b := New(1, Options{Watchdog: 5 * time.Second})
+	ran := false // node 0 state
+	b.Go(0, "holder", func(p transport.Proc) {
+		sent := make(chan struct{})
+		go func() {
+			b.DeliverDirect(0, func() { ran = true })
+			close(sent)
+		}()
+		<-sent // the CPU is held throughout: the notify can only pend
+	})
+	if err := b.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !ran {
+		t.Fatal("a notify pended on a proc that exited never ran")
+	}
+	if met := b.NodeMetrics(0).Snapshot(); met.Counter(metrics.CtrNotifies) != 1 || met.Counter(metrics.CtrNotifyDirect) != 0 {
+		t.Fatalf("pended=%d direct=%d, want 1 and 0", met.Counter(metrics.CtrNotifies), met.Counter(metrics.CtrNotifyDirect))
+	}
+}
+
+// TestReleaseLooksAgain: a callback the holder runs off the pending list can
+// itself deliver to the node (a handler sending to its own node). That notify
+// pends behind the list the holder is running, and only release's look after
+// the unlock picks it up.
+func TestReleaseLooksAgain(t *testing.T) {
+	b := New(1, Options{Watchdog: 5 * time.Second})
+	ran := false // node 0 state
+	b.Go(0, "holder", func(p transport.Proc) {
+		sent := make(chan struct{})
+		go func() {
+			b.DeliverDirect(0, func() { b.DeliverDirect(0, func() { ran = true }) })
+			close(sent)
+		}()
+		<-sent
+	})
+	if err := b.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !ran {
+		t.Fatal("a notify pended while the holder ran its pending list was stranded")
+	}
+}
+
+// TestNotifyExactlyOnceHammer: every notify runs exactly once whatever the
+// receiver is doing. m plain goroutines deliver at one node in k rounds; its
+// proc alternates charges and parks until it has counted a round's m, then
+// opens the next. The last notify of a round finds the proc anywhere between
+// its final look at the pending list and blocking, k times over: a strand
+// there (the sender's second TryLock or release's re-check missing) parks the
+// proc for good and the watchdog reports it.
+func TestNotifyExactlyOnceHammer(t *testing.T) {
+	for _, m := range []int{1, 4} {
+		hammer(t, m, 2000/m)
+	}
+}
+
+func hammer(t *testing.T, m, k int) {
+	b := New(1, Options{Watchdog: 20 * time.Second})
+	var got int // node 0 state
+	var round atomic.Int64
+	var rx transport.Proc
+	notify := func() {
+		got++
+		rx.Unpark()
+	}
+	rx = b.Go(0, "rx", func(p transport.Proc) {
+		for r := 1; r <= k; r++ {
+			for i := 0; got < r*m; i++ {
+				if i%2 == 0 {
+					p.Sleep(1)
+				} else {
+					p.Park()
+				}
+			}
+			round.Store(int64(r))
+		}
+	})
+	var senders sync.WaitGroup
+	for j := 0; j < m; j++ {
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for r := 0; r < k; r++ {
+				b.DeliverDirect(0, notify)
+				for round.Load() <= int64(r) && !b.over.Load() {
+					runtime.Gosched()
+				}
+			}
+		}()
+	}
+	err := b.Run()
+	senders.Wait()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	met := b.NodeMetrics(0).Snapshot()
+	direct, pended, dropped := met.Counter(metrics.CtrNotifyDirect), met.Counter(metrics.CtrNotifies), met.Counter(metrics.CtrNotifyDropped)
+	if got != m*k || direct+pended != int64(m*k) || dropped != 0 {
+		t.Fatalf("ran %d notifies, direct=%d + pended=%d, dropped=%d; want %d run and accounted, 0 dropped", got, direct, pended, dropped, m*k)
+	}
+}
+
+// TestAfterZeroFromOwnNodeIsNotReentrant: After(node, 0, fn) called by that
+// node's own proc does not run fn inside After (the proc holds the CPU and fn
+// may touch what the proc is in the middle of) but at the proc's next charge.
+func TestAfterZeroFromOwnNodeIsNotReentrant(t *testing.T) {
+	b := New(1, Options{Watchdog: 5 * time.Second})
+	ran := false // node 0 state
+	var inAfter, atCharge bool
+	b.Go(0, "p", func(p transport.Proc) {
+		b.After(0, 0, func() { ran = true })
+		inAfter = ran
+		p.Sleep(1)
+		atCharge = ran
+	})
+	if err := b.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if inAfter || !atCharge {
+		t.Fatalf("fn had run inside After: %v, by the next charge: %v; want false, true", inAfter, atCharge)
+	}
+}
+
+// TestNotifyDepthGaugeFallsBack: the pending-depth gauge is sampled when the
+// list is run as well as when it is pushed, so a quiesced node reads 0, not
+// its last push's depth, and a merged snapshot never shows last above max.
+func TestNotifyDepthGaugeFallsBack(t *testing.T) {
+	const k = 50
+	b := New(2, Options{Watchdog: 5 * time.Second})
+	var got int // node 1 state
+	notify := func() { got++ }
+	busy, sent := make(chan struct{}), make(chan struct{})
+	b.Go(0, "tx", func(p transport.Proc) {
+		<-busy
+		for i := 0; i < k; i++ {
+			b.DeliverDirect(1, notify)
+		}
+		close(sent)
+	})
+	b.Go(1, "busy", func(p transport.Proc) {
+		close(busy) // holds its CPU from here on: every notify pends
+		<-sent
+		p.Sleep(1)
+	})
+	if err := b.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if g := b.NodeMetrics(1).Snapshot().Gauge(metrics.GgeNotifyDepth); got != k || g.Last != 0 || g.Max != k {
+		t.Fatalf("ran %d of %d pended notifies, depth gauge last=%d max=%d; want last 0, max %d", got, k, g.Last, g.Max, k)
+	}
+	if g := b.MetricsSnapshot().Gauge(metrics.GgeNotifyDepth); g.Last > g.Max {
+		t.Fatalf("merged depth gauge last=%d above max=%d", g.Last, g.Max)
+	}
 }
 
 // TestClockAdvances checks that Now is wall-clock during a run.
@@ -310,39 +469,6 @@ func TestClockAdvances(t *testing.T) {
 	}
 	if after-before < time.Millisecond {
 		t.Fatalf("clock advanced %v across a 2ms sleep", after-before)
-	}
-}
-
-// TestCPUAffinityAppliesToProcs: with Options.CPUAffinity set, a proc's OS
-// thread runs under the narrowed kernel CPU mask (linux; skipped where
-// sched_getaffinity is unavailable). The thread is locked and retired with
-// the goroutine, so the narrowed mask never leaks back into the pool.
-func TestCPUAffinityAppliesToProcs(t *testing.T) {
-	if threadAffinity() == nil {
-		t.Skip("no thread affinity introspection on this platform")
-	}
-	b := New(1, Options{Watchdog: 5 * time.Second, CPUAffinity: []int{0}})
-	var got []int
-	b.Go(0, "pinned", func(p transport.Proc) { got = threadAffinity() })
-	if err := b.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(got) != 1 || got[0] != 0 {
-		t.Fatalf("proc thread affinity = %v, want [0]", got)
-	}
-}
-
-// TestSetAffinityEmptySetIsNoOp: CPUs beyond the mask's range are ignored
-// rather than handed to the kernel as an empty (EINVAL) set.
-func TestSetAffinityEmptySetIsNoOp(t *testing.T) {
-	if threadAffinity() == nil {
-		t.Skip("no thread affinity introspection on this platform")
-	}
-	before := threadAffinity()
-	setAffinity([]int{1 << 20}) // out of range: filtered, no syscall
-	after := threadAffinity()
-	if len(before) != len(after) {
-		t.Fatalf("no-op setAffinity changed the mask: %v -> %v", before, after)
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 )
 
 // bareShards builds the two backends of a 4-node, 2-shard machine with no
-// machine layer above them: the tests below feed their links raw bytes. Any
-// packet that gets as far as the remote handler is a test failure.
+// machine layer above them: the tests below feed their links raw bytes. The
+// remote handler is a stand-in decoder that rejects a payload under minPayload
+// bytes, as am's rejects one under its header; any packet it would accept is a
+// test failure.
 func bareShards(t *testing.T, mods ...func(*Options)) (a, b *Backend) {
 	t.Helper()
 	dir := t.TempDir()
@@ -31,8 +33,11 @@ func bareShards(t *testing.T, mods ...func(*Options)) (a, b *Backend) {
 			t.Fatalf("New shard %d: %v", shard, err)
 		}
 		t.Cleanup(be.shutdownSockets)
-		be.SetRemoteHandler(func(src, dst, size int, payload []byte) {
-			t.Errorf("malformed bytes were dispatched as a packet %d->%d", src, dst)
+		be.SetRemoteHandler(func(src, dst, size int, payload []byte) bool {
+			if len(payload) >= minPayload {
+				t.Errorf("malformed bytes were dispatched as a packet %d->%d", src, dst)
+			}
+			return false
 		})
 		return be
 	}
@@ -40,7 +45,7 @@ func bareShards(t *testing.T, mods ...func(*Options)) (a, b *Backend) {
 }
 
 // minPayload is the shortest payload these tests' stand-in decoder takes, in
-// bytes: a number of the tests' own (what am declares is am's business, and
+// bytes: a number of the tests' own (what am takes is am's business, and
 // TestTruncatedAMBody below reads it off am). A well-formed packet carries
 // minWords words of payload; one word fewer is a truncated body.
 const (
@@ -87,7 +92,6 @@ func TestHostileSocketFrames(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, b := bareShards(t, func(o *Options) { o.DisableShm = true })
-			b.SetMinPayload(minPayload)
 			go b.acceptLoop()
 			conn, err := net.Dial("unix", b.sockPath(1))
 			if err != nil {
@@ -140,7 +144,6 @@ func TestHostileRingRecords(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := bareShards(t)
-			b.SetMinPayload(minPayload)
 			tx, rx := a.peers[1].tx.r, b.shm.rx[0]
 			copy(tx.data, tc.data)
 			tx.tail.Store(tc.tail)
@@ -160,10 +163,9 @@ func TestHostileRingRecords(t *testing.T) {
 }
 
 // TestTruncatedAMBody is the same check with the real stack above the link:
-// am.NewNet declares its wire header to the machine as the decoder's minimum,
-// so a packet one byte short of an empty message abandons the ring with the
-// decoder never run (it indexes the header unchecked), and the empty message
-// itself gets through.
+// am's decoder rejects a payload shorter than its wire header, so a packet one
+// byte short of an empty message abandons the ring with nothing indexed past
+// its end and nothing delivered, and the empty message itself gets through.
 func TestTruncatedAMBody(t *testing.T) {
 	hdr := new(am.Msg).WireLen() // no payload: the header alone
 	for _, tc := range []struct {
@@ -214,7 +216,7 @@ func TestShmFragments(t *testing.T) {
 	a, b := bareShards(t)
 	sizes := []int{32, 2 << 10, 32, 20 << 10, 32} // 4 KiB ring: 1 KiB record limit
 	got := make(chan int, len(sizes))
-	b.SetRemoteHandler(func(src, dst, size int, payload []byte) { got <- len(payload) })
+	b.SetRemoteHandler(func(src, dst, size int, payload []byte) bool { got <- len(payload); return true })
 	b.shmStart()
 	for _, n := range sizes {
 		a.SendRemote(0, 2, 48, zeros(n))

@@ -193,10 +193,7 @@ type Backend struct {
 	// remote is the machine's arrival upcall (SetRemoteHandler). Atomic:
 	// reader goroutines may already be accepting peer connections while the
 	// machine layer is still being constructed.
-	remote atomic.Value // func(src, dst, size int, payload []byte)
-	// minPayload is the shortest packet payload remote decodes
-	// (SetMinPayload; set before Run, read by the link consumers Run starts).
-	minPayload int
+	remote atomic.Value // func(src, dst, size int, payload []byte) bool
 
 	q struct {
 		sync.Mutex
@@ -481,13 +478,13 @@ func (b *Backend) waitChildren() {
 // shutdownSockets tears down the shm ring plane, then closes writers,
 // accepted connections, and the listener, and removes the rendezvous dir on
 // the parent that created it. It runs on every exit path — a stalled run's
-// janitor included — so a wedged machine leaks neither ring mappings nor
+// included — so a wedged machine leaks neither ring mappings nor
 // reader/consumer goroutines.
 func (b *Backend) shutdownSockets() {
 	b.shmShutdown()
 	// Bounded flush before closing: frames queued during teardown (the
 	// quiesce broadcast, doorbells, final stats) should reach the wire, but
-	// a dead peer must not wedge the janitor.
+	// a dead peer must not wedge the teardown.
 	flushT := b.opts.DialTimeout
 	if flushT > 2*time.Second {
 		flushT = 2 * time.Second
@@ -608,12 +605,9 @@ func (b *Backend) fireQuiesce() {
 // --- transport.Sharded: the packet links ------------------------------------
 
 // SetRemoteHandler implements transport.Sharded.
-func (b *Backend) SetRemoteHandler(fn func(src, dst, size int, payload []byte)) {
+func (b *Backend) SetRemoteHandler(fn func(src, dst, size int, payload []byte) bool) {
 	b.remote.Store(fn)
 }
-
-// SetMinPayload implements transport.Sharded.
-func (b *Backend) SetMinPayload(n int) { b.minPayload = n }
 
 // SendRemote implements transport.Sharded: put the packet on the link to the
 // shard owning dst. A ring link marshals wp in place; a socket link encodes
@@ -652,14 +646,14 @@ func putPacketHdr(b []byte, src, dst, size int) {
 }
 
 // dispatchPacket hands one arrived packet body to the machine. False means
-// the body is malformed — shorter than its header plus the shortest payload
-// the machine's decoder takes, a source outside the machine, a destination
-// that is not a node of this shard — and nothing was dispatched; the caller
-// abandons the link the bytes came from.
+// the body is malformed — shorter than its header, a source outside the
+// machine, a destination that is not a node of this shard, a payload the
+// machine's decoder rejects — and nothing was dispatched; the caller abandons
+// the link the bytes came from.
 //
 //mpmd:hotpath
-func (b *Backend) dispatchPacket(remote func(src, dst, size int, payload []byte), body []byte) bool {
-	if len(body) < packetHdrLen+b.minPayload {
+func (b *Backend) dispatchPacket(remote func(src, dst, size int, payload []byte) bool, body []byte) bool {
+	if len(body) < packetHdrLen {
 		return false
 	}
 	src := int(binary.LittleEndian.Uint32(body))
@@ -668,8 +662,7 @@ func (b *Backend) dispatchPacket(remote func(src, dst, size int, payload []byte)
 	if src >= b.n || !b.IsLocal(dst) {
 		return false
 	}
-	remote(src, dst, size, body[packetHdrLen:])
-	return true
+	return remote(src, dst, size, body[packetHdrLen:])
 }
 
 // dropped counts one frame dropped at a failed or closed link.
@@ -845,7 +838,7 @@ func (b *Backend) readLoop(conn net.Conn) {
 		}
 		switch kind {
 		case kPacket:
-			remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte))
+			remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte) bool)
 			if remote == nil {
 				panic("netlive: packet frame before the machine installed its remote handler")
 			}

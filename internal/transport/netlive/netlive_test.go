@@ -319,13 +319,12 @@ func ringMappings(t *testing.T) int {
 
 // TestShmStalledTeardownNoLeaks: a run that stalls (watchdog fires, Run
 // returns StallError) must still tear the ring plane down — consumer
-// goroutines exit and every ring mapping is unmapped — just like the live
-// backend's janitor frees its workers. Only the stuck proc itself may
-// outlive the run.
+// goroutines exit and every ring mapping is unmapped. Only the stuck proc
+// itself may outlive the run (the live backend under it owns no goroutine of
+// its own).
 func TestShmStalledTeardownNoLeaks(t *testing.T) {
 	fast := func(o *Options) {
 		o.Live.Watchdog = 300 * time.Millisecond
-		o.Live.Teardown = 200 * time.Millisecond
 		o.DialTimeout = 2 * time.Second
 	}
 	before := runtime.NumGoroutine()

@@ -90,7 +90,7 @@ const (
 	// this is what makes the ring pay off — a sustained cross-process
 	// request/reply stream turns into cheap scheduler ping-pong instead of a
 	// doorbell (socket round trip) per frame. Each iteration also yields
-	// in-process so delivery workers and handlers keep running. Only after
+	// in-process so procs and their handlers keep running. Only after
 	// both stages come up dry does the consumer park and wait for a doorbell.
 	shmYieldIters = 4096
 	// shmProcIters is an idle proc's share of that one budget: it looks at the
@@ -694,7 +694,7 @@ func (b *Backend) shmDrain(rx *shmRx, tail uint64, by metrics.Ctr) bool {
 	r := rx.r
 	data := r.data
 	head := rx.head
-	remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte))
+	remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte) bool)
 	frames, frags, recBytes := int64(0), int64(0), int64(0)
 	if tail-head > r.capB || head%8 != 0 {
 		return b.shmCorrupt(rx, "cursors outside the ring", head%r.capB, uint32(tail-head))

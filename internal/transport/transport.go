@@ -105,15 +105,11 @@ type Sharded interface {
 	// shards. fn runs on whichever backend goroutine consumes the link (a
 	// reader, or a proc of the shard polling while its node idles, with the
 	// node's CPU released); payload is valid only for the duration of the
-	// call (the backend recycles the frame memory).
-	SetRemoteHandler(fn func(src, dst, size int, payload []byte))
-	// SetMinPayload tells the links the shortest payload the remote handler
-	// can decode (the messaging layer's wire header). The bytes of a packet
-	// come from another process: one whose payload is shorter is malformed
-	// like any other frame that does not parse — the link it came on is
-	// abandoned with one error naming the peer shard, and the handler never
-	// sees it. Set before Run.
-	SetMinPayload(n int)
+	// call (the backend recycles the frame memory). The bytes of a packet
+	// come from another process: fn reports false for a payload it cannot
+	// decode, which is malformed like any other frame that does not parse —
+	// the link it came on is abandoned with one error naming the peer shard.
+	SetRemoteHandler(fn func(src, dst, size int, payload []byte) bool)
 
 	// SetStatsProvider installs the callback that serializes this shard's
 	// stats payload (the netlive kStats frame body). The backend calls it
@@ -165,8 +161,8 @@ type MetricsSource interface {
 // machine's queues are individually thread-safe), which fixes per-sender
 // order; DeliverDirect runs notify — a long-lived closure, one per
 // destination node, built once, so a delivery allocates nothing — in dst's
-// execution context: on the caller when dst's CPU is free, otherwise queued
-// to dst's delivery worker, which batches. It never blocks. Notifies may be
+// execution context: on the caller when dst's CPU is free, otherwise on
+// whoever holds that CPU, before it lets go. It never blocks. Notifies may be
 // reordered or coalesced.
 type DirectDeliverer interface {
 	DeliverDirect(dst int, notify func())
