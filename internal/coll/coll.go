@@ -1,7 +1,6 @@
 // Package coll implements group communication for the MPMD runtime: teams
 // (communicators over node subsets) and the collective operations scoped to
-// them — barrier, broadcast, reduce/all-reduce, scatter/gather/all-gather —
-// plus the mailbox machinery behind Dist, the typed distributed array.
+// them — barrier, broadcast, reduce/all-reduce, scatter/gather/all-gather.
 //
 // Everything lowers onto the existing RMI wire path (core.Runtime one-way
 // and synchronous calls to a per-node mailbox object), so the modelled
@@ -23,9 +22,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"strconv"
 
 	"repro/internal/core"
-	"repro/internal/machine"
 	"repro/internal/threads"
 )
 
@@ -36,24 +35,11 @@ const collClassName = "__coll"
 const extKey = "coll.comm"
 
 // collObj is the per-node mailbox: collective payloads land here (keyed by
-// team/sequence/phase/slot) until the member thread consumes them, and Dist
-// arrays hook their owner-side accessors in. It is touched only from its
-// node's execution context — the deliver/dget/dput handlers run on the
-// owning node, and the consuming member thread is that node's.
+// team/sequence/phase/slot) until the member thread consumes them. It is
+// touched only from its node's execution context — the deliver handler runs
+// on the owning node, and the consuming member thread is that node's.
 type collObj struct {
-	mail  map[string][]byte
-	dists map[string]DistHooks
-}
-
-// DistHooks are the owner-side accessors of one Dist array's local part.
-// They run on the owning node in handler context; like the rmigen
-// trampolines they are wall-time-only glue — the wire traffic around them
-// carries the modelled cost.
-type DistHooks struct {
-	// Get encodes the element at owner-local offset off.
-	Get func(off int) []byte
-	// Put decodes b into the element at owner-local offset off.
-	Put func(off int, b []byte)
+	mail map[string][]byte
 }
 
 // Comm is the per-runtime collective engine: one mailbox object per node
@@ -62,7 +48,6 @@ type Comm struct {
 	rt    *core.Runtime
 	objs  []core.GPtr
 	world *Team
-	dists int
 }
 
 // For returns the runtime's collective engine, creating and registering it
@@ -98,14 +83,12 @@ func (c *Comm) obj(t *threads.Thread) *collObj {
 	return c.rt.Object(c.objs[t.Node().ID]).(*collObj)
 }
 
-// collClass builds the mailbox class. All methods are non-threaded: they
-// only move bytes in or out of node-local maps and never block.
+// collClass builds the mailbox class. Its method is non-threaded: it only
+// moves bytes into a node-local map and never blocks.
 func (c *Comm) collClass() *core.Class {
 	return &core.Class{
 		Name: collClassName,
-		New: func() any {
-			return &collObj{mail: make(map[string][]byte), dists: make(map[string]DistHooks)}
-		},
+		New:  func() any { return &collObj{mail: make(map[string][]byte)} },
 		Methods: []*core.Method{
 			{
 				// deliver lands one collective payload in the mailbox.
@@ -120,33 +103,6 @@ func (c *Comm) collClass() *core.Class {
 					own := make([]byte, len(b))
 					copy(own, b)
 					o.mail[key] = own
-				},
-			},
-			{
-				// dget reads one Dist element at the owner.
-				Name:    "dget",
-				NewArgs: func() []core.Arg { return []core.Arg{&core.Str{}, &core.I64{}} },
-				NewRet:  func() core.Arg { return &core.Bytes{} },
-				Fn: func(t *threads.Thread, self any, args []core.Arg, ret core.Arg) {
-					o := self.(*collObj)
-					h, ok := o.dists[args[0].(*core.Str).V]
-					if !ok {
-						panic("coll: dget for unknown dist " + args[0].(*core.Str).V)
-					}
-					ret.(*core.Bytes).V = h.Get(int(args[1].(*core.I64).V))
-				},
-			},
-			{
-				// dput writes one Dist element at the owner.
-				Name:    "dput",
-				NewArgs: func() []core.Arg { return []core.Arg{&core.Str{}, &core.I64{}, &core.Bytes{}} },
-				Fn: func(t *threads.Thread, self any, args []core.Arg, ret core.Arg) {
-					o := self.(*collObj)
-					h, ok := o.dists[args[0].(*core.Str).V]
-					if !ok {
-						panic("coll: dput for unknown dist " + args[0].(*core.Str).V)
-					}
-					h.Put(int(args[1].(*core.I64).V), args[2].(*core.Bytes).V)
 				},
 			},
 		},
@@ -242,9 +198,16 @@ func (tm *Team) next(r int) int64 {
 // key builds a mailbox key: team, op sequence, phase tag, slot. The phase
 // tag separates message kinds inside one operation (reduce-up vs
 // broadcast-down of an all-reduce); the slot is the sender's relative rank,
-// or the round number for barriers.
+// or the round number for barriers. Built without fmt — every collective
+// message pays for a key at each end — so the string is the one allocation.
 func (tm *Team) key(seq int64, phase byte, slot int) string {
-	return fmt.Sprintf("%s;%d;%c%d", tm.id, seq, phase, slot)
+	var buf [48]byte
+	b := append(buf[:0], tm.id...)
+	b = append(b, ';')
+	b = strconv.AppendInt(b, seq, 10)
+	b = append(b, ';', phase)
+	b = strconv.AppendInt(b, int64(slot), 10)
+	return string(b)
 }
 
 // ceilLog2 returns ceil(log2(n)) for n >= 1.
@@ -268,9 +231,11 @@ func (tm *Team) Barrier(t *threads.Thread) {
 	n := len(tm.nodes)
 	for k := 0; 1<<k < n; k++ {
 		peer := tm.nodes[(r+1<<k)%n]
-		tm.c.send(t, peer, tm.key(seq, 'x', k), nil)
-		// The round-k message we wait for comes from rank (r - 2^k) mod n.
-		tm.c.take(t, tm.key(seq, 'x', k))
+		key := tm.key(seq, 'x', k)
+		tm.c.send(t, peer, key, nil)
+		// The round-k message we wait for comes from rank (r - 2^k) mod n,
+		// under the same key.
+		tm.c.take(t, key)
 	}
 }
 
@@ -541,62 +506,6 @@ func (tm *Team) Split(t *threads.Thread, color, key int) *Team {
 	id := fmt.Sprintf("%s/%d.%d", tm.id, seq, color)
 	return newTeam(tm.c, id, nodes)
 }
-
-// --- Dist plumbing -----------------------------------------------------------
-
-// InstallDist hooks a Dist array's owner-side accessors into a node's
-// mailbox object. Setup-time only: it mutates the node's object table from
-// the caller's context, which is safe only before Run.
-func (c *Comm) InstallDist(node int, id string, h DistHooks) {
-	if c.rt.Started() {
-		panic("coll: InstallDist after Run started (Dist arrays are created at setup time)")
-	}
-	o := c.rt.Object(c.objs[node]).(*collObj)
-	if _, dup := o.dists[id]; dup {
-		panic("coll: dist installed twice: " + id)
-	}
-	o.dists[id] = h
-}
-
-// NextDistID allocates a machine-wide Dist identifier.
-func (c *Comm) NextDistID() string {
-	c.dists++
-	return fmt.Sprintf("dist%d", c.dists)
-}
-
-// DistGet reads the element at owner-local offset off of the array's part
-// on node (a synchronous RMI; local reads short-circuit in the core).
-func (c *Comm) DistGet(t *threads.Thread, node int, id string, off int) []byte {
-	var ret core.Bytes
-	c.rt.Call(t, c.objs[node], "dget", []core.Arg{&core.Str{V: id}, &core.I64{V: int64(off)}}, &ret)
-	return ret.V
-}
-
-// DistPut writes b into the element at owner-local offset off on node,
-// returning once the owner has applied it.
-func (c *Comm) DistPut(t *threads.Thread, node int, id string, off int, b []byte) {
-	c.rt.Call(t, c.objs[node], "dput",
-		[]core.Arg{&core.Str{V: id}, &core.I64{V: int64(off)}, &core.Bytes{V: b}}, nil)
-}
-
-// DistGetAsync starts a split-phase read; the returned Bytes holds the
-// encoded element once the future completes.
-func (c *Comm) DistGetAsync(t *threads.Thread, node int, id string, off int) (*core.Future, *core.Bytes) {
-	ret := &core.Bytes{}
-	f := c.rt.CallAsync(t, c.objs[node], "dget", []core.Arg{&core.Str{V: id}, &core.I64{V: int64(off)}}, ret)
-	return f, ret
-}
-
-// DistPutAsync starts a split-phase write; the future completes when the
-// owner's acknowledgement lands.
-func (c *Comm) DistPutAsync(t *threads.Thread, node int, id string, off int, b []byte) *core.Future {
-	return c.rt.CallAsync(t, c.objs[node], "dput",
-		[]core.Arg{&core.Str{V: id}, &core.I64{V: int64(off)}, &core.Bytes{V: b}}, nil)
-}
-
-// LocalDeref counts one local Dist access on the calling node (the same
-// counter compiled Split-C bumps for local global-pointer dereferences).
-func LocalDeref(t *threads.Thread) { t.Node().Acct.Count(machine.CntLocalDeref, 1) }
 
 // --- float64 payload helpers -------------------------------------------------
 

@@ -1,0 +1,316 @@
+package core
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/am"
+	"repro/internal/machine"
+	"repro/internal/metrics"
+	"repro/internal/threads"
+)
+
+// Element accesses of a distributed array (mpmd.Dist) take the wire path of
+// gp.go — "small request/reply active messages" with no marshalling (§6),
+// Split-C's get and put — generalized from a double to any element type the
+// typed layer can encode: one request handler, one reply handler, the
+// element riding in the spare message words when its encoding fits them and
+// as the payload of the same two messages when it does not. Unlike a GP
+// access the owner serves the request inline in the polling thread: the
+// parts are plain arrays no computation holds a lock on, as the non-threaded
+// mailbox method that served these accesses before did.
+//
+// Word layouts:
+//
+//	dist.req:   A = [reqID | distPut, dist, offset, element]   payload: a put's element when it is not one word
+//	dist.reply: A = [element × 3, reqID]                       payload: a get's element when it outgrows three words
+const (
+	distPut        = 1 << 32 // request flag, above the 32-bit request ID: the access is a put
+	distReplyBytes = 3 * 8   // a get's element travels in the reply words up to this encoded size
+	distReqBytes   = 8       // a put's element travels in the request word at exactly this encoded size
+	distSlots      = 16      // element accesses a node may have in flight
+)
+
+// DistPart is the owner-side view of one node's part of a distributed array:
+// what the request handler needs to serve an access without knowing the
+// element type. Calls come from the owning node's execution context only.
+type DistPart interface {
+	// Len is the number of elements in the part; every offset that arrives
+	// in a message is checked against it.
+	Len() int
+	// AppendElem appends the encoding of the element at off to dst.
+	AppendElem(off int, dst []byte) []byte
+	// SetElem decodes b into the element at off without retaining b.
+	SetElem(off int, b []byte)
+}
+
+// AddDist registers a distributed array and returns its wire name: an index
+// assigned in registration order, so — the discipline f64Reg documents —
+// every program image must create its arrays in the same order. size is the
+// encoded byte count of an element when every value has the same one, 0 when
+// it varies; parts[i] is node i's part, nil where the node holds none.
+// Setup time only.
+func (rt *Runtime) AddDist(size int, parts []DistPart) int {
+	if rt.started.Load() {
+		panic("core: AddDist after Run started: distributed arrays are placed at setup time")
+	}
+	if len(parts) != len(rt.nodes) {
+		panic(fmt.Sprintf("core: AddDist with %d parts on a %d-node machine", len(parts), len(rt.nodes)))
+	}
+	rt.distSizes = append(rt.distSizes, size)
+	for i, n := range rt.nodes {
+		n.distParts = append(n.distParts, parts[i])
+	}
+	return len(rt.distSizes) - 1
+}
+
+// DistOp is the sender-side record of one element access: completion,
+// landing bytes and round-trip stamp in one value, so the typed layer embeds
+// it in its future and a split-phase access costs that one allocation. The
+// message carries only the record's slot in the node's table (addDist).
+type DistOp struct {
+	rt   *Runtime
+	comp completion
+	// park backs comp.waiters: the one thread that normally waits on an
+	// access parks without allocating a waiter list.
+	park [1]*threads.Thread
+	t0   time.Duration // send instant, when the node keeps wall-clock metrics
+	read bool
+	size int // the array's encoded element size (0: varies)
+	b    [distReplyBytes]byte
+	p    []byte
+}
+
+// inWords reports whether a get's element of the given encoded size travels
+// in the reply words.
+func inWords(size int) bool { return 0 < size && size <= distReplyBytes }
+
+// Scratch returns the record's byte buffer, emptied, for the caller to
+// encode a put's element into and hand to DistWrite, which keeps it (grown,
+// if the encoding outgrew it) for the record's next use.
+func (op *DistOp) Scratch() []byte {
+	if op.p == nil {
+		op.p = op.b[:0]
+	}
+	return op.p[:0]
+}
+
+// Bytes returns the encoded element a completed get landed, valid until the
+// record's next use.
+func (op *DistOp) Bytes() []byte {
+	if inWords(op.size) {
+		return op.b[:op.size]
+	}
+	return op.p
+}
+
+// Wait blocks until the access has completed at the owner and its reply has
+// landed here.
+func (op *DistOp) Wait(t *threads.Thread) { op.rt.waitComp(t, op.rt.nodeOf(t), &op.comp) }
+
+// Done reports (without blocking) whether the reply has landed.
+func (op *DistOp) Done() bool { return op.comp.done }
+
+// Reset readies a completed record for another access (pooled records of
+// the synchronous accessors); buffers keep their capacity.
+func (op *DistOp) Reset() {
+	op.comp.done = false
+	op.comp.sv.Reset()
+}
+
+// addDist stores an in-flight access record, returning its wire ID (slot+1).
+// Sender-node execution context only, like takeDist.
+//
+//mpmd:hotpath
+func (n *nodeRT) addDist(op *DistOp) uint64 {
+	if ln := len(n.distFree); ln > 0 {
+		id := n.distFree[ln-1]
+		n.distFree = n.distFree[:ln-1]
+		n.distPending[id] = op
+		return uint64(id) + 1
+	}
+	n.distPending = append(n.distPending, op)
+	return uint64(len(n.distPending))
+}
+
+// takeDist resolves a reply's request ID and frees the slot. The ID came in
+// a message: one that names no in-flight access — never issued, or already
+// answered — is refused by name.
+//
+//mpmd:hotpath
+func (n *nodeRT) takeDist(src int, wireID uint64) *DistOp {
+	if wireID-1 >= uint64(len(n.distPending)) || n.distPending[wireID-1] == nil {
+		panic(fmt.Sprintf("core: node %d dist reply from node %d for unknown request %d (stale or duplicate)", n.node.ID, src, wireID))
+	}
+	op := n.distPending[wireID-1]
+	n.distPending[wireID-1] = nil
+	n.distFree = append(n.distFree, uint32(wireID-1))
+	return op
+}
+
+// DistLocal accounts an access to an element the calling node owns — the
+// typed layer dereferences its own part directly — and completes op, the
+// record of a split-phase one (nil for a synchronous access).
+func (rt *Runtime) DistLocal(t *threads.Thread, op *DistOp) {
+	rt.nodeOf(t).node.Acct.Count(machine.CntLocalDeref, 1)
+	if op != nil {
+		op.rt = rt
+		op.comp.mode = modeFuture
+		rt.complete(t, &op.comp)
+	}
+}
+
+// DistRead starts a get of the element at offset off of array dist's part on
+// node. With wait it returns once the element has landed (op.Bytes);
+// without, op.Wait joins later.
+//
+//mpmd:hotpath
+func (rt *Runtime) DistRead(t *threads.Thread, op *DistOp, node, dist, off int, wait bool) {
+	rt.nodeOf(t).node.Acct.Count(machine.CntRemoteRead, 1)
+	op.read = true
+	rt.distSend(t, op, node, [4]uint64{0, uint64(dist), uint64(off)}, nil, wait)
+}
+
+// DistWrite starts a put of the encoded element enc, built on op.Scratch();
+// completion means the owner has applied it. enc is on the wire before the
+// call returns.
+//
+//mpmd:hotpath
+func (rt *Runtime) DistWrite(t *threads.Thread, op *DistOp, node, dist, off int, enc []byte, wait bool) {
+	rt.nodeOf(t).node.Acct.Count(machine.CntRemoteWrite, 1)
+	op.read = false
+	op.p = enc[:0]
+	a := [4]uint64{distPut, uint64(dist), uint64(off)}
+	if rt.distSizes[dist] == distReqBytes {
+		a[3] = getU64(enc)
+		enc = nil
+	}
+	rt.distSend(t, op, node, a, enc, wait)
+}
+
+// distSend is the common sender path of the two accessors, priced as a GP
+// access (plus the copy of a payload-form element).
+//
+//mpmd:hotpath
+func (rt *Runtime) distSend(t *threads.Thread, op *DistOp, node int, a [4]uint64, payload []byte, wait bool) {
+	n := rt.nodeOf(t)
+	cfg := t.Cfg()
+	lockPair(t, &n.rtLock)
+	chargeRuntime(t, cfg.StubLookup+gpIssueCost+time.Duration(len(payload))*cfg.MemCopyPerByte)
+	op.rt = rt
+	op.size = rt.distSizes[a[1]]
+	op.comp.waiters = op.park[:0]
+	op.comp.mode = modeFuture
+	if wait {
+		op.comp.mode = modeBlock
+		if rt.opts.SpinSenders {
+			op.comp.mode = modeSpin
+		}
+	}
+	// The request table is bounded, as hardware's is and as Active Messages
+	// bounds a node's outstanding requests with credits: out of slots, the
+	// issuer serves its endpoint until a reply frees one (pollUntil's loop,
+	// without a closure). Once the endpoint has stopped none will: it parks
+	// where waitDone leaves a blocked sender at shutdown.
+	for me := n.node.ID; len(n.distPending)-len(n.distFree) >= distSlots; {
+		switch {
+		case rt.tr.Poll(t, me):
+		case t.Scheduler().ReadyLen() > 0:
+			t.Yield()
+		case rt.tr.Stopped(me):
+			t.Block()
+		default:
+			rt.tr.WaitMessage(t, me)
+		}
+	}
+	if n.node.Met != nil {
+		op.t0 = n.node.M.Now()
+	}
+	a[0] |= n.addDist(op)
+	lockPair(t, &n.commLock)
+	rt.tr.Send(t, n.node.ID, node, rt.hDistReq, a, payload, false)
+	if wait {
+		rt.waitComp(t, n, &op.comp)
+	}
+}
+
+func (rt *Runtime) registerDistHandlers() {
+	rt.hDistReq = rt.tr.Register("cc.dist.req", rt.handleDistReq)
+	rt.hDistReply = rt.tr.Register("cc.dist.reply", rt.handleDistReply)
+}
+
+// handleDistReq serves one access at the owner and answers it. Every word
+// may come from another process: array index, offset and the element's wire
+// form are checked before anything is indexed.
+//
+//mpmd:hotpath
+func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
+	n := rt.nodes[m.Dst]
+	lockPair(t, &n.commLock)
+	reqID, dist, off := m.A[0]&(distPut-1), m.A[1], m.A[2]
+	if dist >= uint64(len(n.distParts)) || n.distParts[dist] == nil {
+		panic(fmt.Sprintf("core: node %d dist request %d from node %d: unknown dist %d (symmetric setup across shards required)", m.Dst, reqID, m.Src, dist))
+	}
+	part := n.distParts[dist]
+	if off >= uint64(part.Len()) {
+		panic(fmt.Sprintf("core: node %d dist request %d from node %d: offset %d outside dist %d's part of %d elements", m.Dst, reqID, m.Src, off, dist, part.Len()))
+	}
+	size := rt.distSizes[dist]
+	cfg := t.Cfg()
+	a := [4]uint64{3: reqID}
+	var payload []byte
+	if m.A[0]&distPut != 0 {
+		b := m.Payload
+		if size == distReqBytes && len(b) == 0 {
+			n.distBuf = n.distBuf[:0]
+			n.distBuf = append(n.distBuf, 0, 0, 0, 0, 0, 0, 0, 0)
+			putU64(n.distBuf, m.A[3])
+			b = n.distBuf
+		} else if size == distReqBytes || len(b) == 0 || (size > 0 && len(b) != size) {
+			panic(fmt.Sprintf("core: node %d dist request %d from node %d: put carries a %d-byte element, dist %d's encode to %d (0: varies)", m.Dst, reqID, m.Src, len(b), dist, size))
+		}
+		chargeRuntime(t, gpServeCost+time.Duration(len(m.Payload))*cfg.MemCopyPerByte)
+		part.SetElem(int(off), b)
+	} else {
+		n.distBuf = part.AppendElem(int(off), n.distBuf[:0])
+		if inWords(size) {
+			for i := 0; i < size; i += 8 {
+				a[i/8] = getU64(n.distBuf[i:])
+			}
+		} else {
+			payload = n.distBuf
+		}
+		chargeRuntime(t, gpServeCost+time.Duration(len(payload))*cfg.MemCopyPerByte)
+	}
+	rt.tr.Send(t, m.Dst, m.Src, rt.hDistReply, a, payload, false)
+}
+
+// handleDistReply lands a get's element, or a put's acknowledgement, at the
+// initiator.
+//
+//mpmd:hotpath
+func (rt *Runtime) handleDistReply(t *threads.Thread, m am.Msg) {
+	n := rt.nodes[m.Dst]
+	op := n.takeDist(m.Src, m.A[3])
+	if op.t0 > 0 {
+		if met := n.node.Met; met != nil {
+			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-op.t0)
+		}
+	}
+	lockPair(t, &n.commLock)
+	chargeRuntime(t, gpCompleteCost+time.Duration(len(m.Payload))*t.Cfg().MemCopyPerByte)
+	if op.read {
+		switch b := m.Payload; {
+		case inWords(op.size) && len(b) == 0:
+			for i := 0; i < op.size; i += 8 {
+				putU64(op.b[i:], m.A[i/8])
+			}
+		case inWords(op.size) || len(b) == 0 || (op.size > 0 && len(b) != op.size):
+			panic(fmt.Sprintf("core: node %d dist reply from node %d for request %d: a %d-byte element, the dist's encode to %d (0: varies)", m.Dst, m.Src, m.A[3], len(b), op.size))
+		default:
+			op.p = op.p[:0]
+			op.p = append(op.p, b...)
+		}
+	}
+	rt.complete(t, &op.comp)
+}

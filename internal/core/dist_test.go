@@ -1,0 +1,232 @@
+package core
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/machine"
+	"repro/internal/threads"
+)
+
+// wordPart is a DistPart of 8-byte elements (the one-word wire form);
+// blobPart one of variable-size elements (the payload form).
+type wordPart []uint64
+
+func (p wordPart) Len() int { return len(p) }
+func (p wordPart) AppendElem(off int, dst []byte) []byte {
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
+	putU64(dst[len(dst)-8:], p[off])
+	return dst
+}
+func (p wordPart) SetElem(off int, b []byte) { p[off] = getU64(b) }
+
+type blobPart [][]byte
+
+func (p blobPart) Len() int                              { return len(p) }
+func (p blobPart) AppendElem(off int, dst []byte) []byte { dst = append(dst, p[off]...); return dst }
+func (p blobPart) SetElem(off int, b []byte) {
+	e := p[off][:0]
+	e = append(e, b...)
+	p[off] = e
+}
+
+// distRig is a 2-node simulator with one word-form and one payload-form
+// array, each with a 4-element part on both nodes, and a third array node 1
+// holds no part of.
+func distRig() (rt *Runtime, words, blobs int, w1 wordPart, b1 blobPart) {
+	rt = newRig(2, Options{})
+	w1 = wordPart{10, 11, 12, 13}
+	b1 = blobPart{[]byte("zero"), []byte("one"), []byte("a longer third element"), []byte("3")}
+	words = rt.AddDist(8, []DistPart{make(wordPart, 4), w1})
+	blobs = rt.AddDist(0, []DistPart{make(blobPart, 4), b1})
+	rt.AddDist(8, []DistPart{make(wordPart, 4), nil})
+	return rt, words, blobs, w1, b1
+}
+
+// TestDistAccessWireForms: a one-word element travels in the words of two
+// short AMs, a variable-size one as the payload of the same two handlers;
+// neither is an RMI, and the word form is priced as Table 4's GP 2-Word R/W
+// row without its thread (10 sync ops, no create, no switch at the owner).
+func TestDistAccessWireForms(t *testing.T) {
+	rt, words, blobs, w1, b1 := distRig()
+	var got uint64
+	var blob string
+	var elapsed time.Duration
+	rt.OnNode(0, func(th *threads.Thread) {
+		var op DistOp
+		rt.DistRead(th, &op, 1, words, 2, true) // warm the pools
+		a0 := rt.m.Node(0).Acct.Snapshot()
+		a1 := rt.m.Node(1).Acct.Snapshot()
+		start := th.Now()
+		op = DistOp{}
+		rt.DistRead(th, &op, 1, words, 3, true)
+		elapsed = time.Duration(th.Now() - start)
+		got = getU64(op.Bytes())
+		op = DistOp{}
+		rt.DistWrite(th, &op, 1, words, 0, []byte{42, 0, 0, 0, 0, 0, 0, 0}, true)
+		d0 := rt.m.Node(0).Acct.Delta(a0).Counters
+		d1 := rt.m.Node(1).Acct.Delta(a1).Counters
+		if s, b := d0[machine.CntMsgShort]+d1[machine.CntMsgShort], d0[machine.CntMsgBulk]+d1[machine.CntMsgBulk]; s != 4 || b != 0 {
+			t.Errorf("one-word get and put sent %d short and %d bulk AMs, want 4 and 0", s, b)
+		}
+		if n := d0[machine.CntRMI] + d1[machine.CntRMI]; n != 0 {
+			t.Errorf("element accesses counted %d RMIs", n)
+		}
+		if r, w := d0[machine.CntRemoteRead], d0[machine.CntRemoteWrite]; r != 1 || w != 1 {
+			t.Errorf("remote read/write counts %d/%d, want 1/1", r, w)
+		}
+		if n := d1[machine.CntThreadCreate] + d1[machine.CntContextSwitch]; n != 0 {
+			t.Errorf("the owner created or switched threads %d times serving inline", n)
+		}
+
+		a0 = rt.m.Node(0).Acct.Snapshot()
+		op = DistOp{}
+		rt.DistRead(th, &op, 1, blobs, 2, true)
+		blob = string(op.Bytes())
+		op = DistOp{}
+		rt.DistWrite(th, &op, 1, blobs, 3, []byte("written"), true)
+		p0 := rt.m.Node(0).Acct.Delta(a0).Counters
+		if s, b := p0[machine.CntMsgShort], p0[machine.CntMsgBulk]; s != 1 || b != 1 {
+			t.Errorf("payload-form get and put: node 0 sent %d short and %d bulk AMs, want 1 (the get) and 1 (the put)", s, b)
+		}
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != 13 || w1[0] != 42 {
+		t.Errorf("word form: read %d (want 13), wrote %d (want 42)", got, w1[0])
+	}
+	if blob != "a longer third element" || string(b1[3]) != "written" {
+		t.Errorf("payload form: read %q, wrote %q", blob, b1[3])
+	}
+	// Table 4's GP 2-Word R/W row is 91.6 µs with its thread (21 µs); the
+	// same access served inline must land between the bare AM round trip and
+	// that.
+	t.Logf("one-word get: %v of virtual time", elapsed)
+	if elapsed < 55*time.Microsecond || elapsed > 85*time.Microsecond {
+		t.Errorf("one-word get took %v of virtual time, want the GP row without its thread (~81µs)", elapsed)
+	}
+}
+
+// TestDistHostileWords drives words no correct sender produces through the
+// real am stack — they could come from another process — and requires the
+// handler to refuse each by name (node, request, cause) before indexing
+// anything with them. Deleting a check in handleDistReq, handleDistReply or
+// takeDist fails exactly its rows: the words then index out of range or
+// dereference nil (a payload-form put let through without its payload shows
+// instead as the acknowledgement node 0 never asked for).
+func TestDistHostileWords(t *testing.T) {
+	type send struct {
+		reply   bool
+		a       [4]uint64
+		payload []byte
+	}
+	const none, words, blobs, absent = -1, 0, 1, 2 // the rig's arrays, in AddDist order
+	rows := []struct {
+		name string
+		// get is the array node 1 has a genuine get in flight on (request ID
+		// 1) when the hostile message arrives, none for no get at all; early
+		// makes the message overtake the genuine reply instead of following it.
+		get   int
+		early bool
+		msg   send
+		want  string
+	}{
+		{name: "unknown dist", get: none, want: "unknown dist 7",
+			msg: send{a: [4]uint64{1, 7, 0}}},
+		{name: "dist index past the word", get: none, want: "unknown dist",
+			msg: send{a: [4]uint64{1, 1 << 40, 0}}},
+		{name: "dist with no part on this node", get: none, want: "unknown dist 2",
+			msg: send{a: [4]uint64{1, absent, 0}}},
+		{name: "offset at part length", get: none, want: "offset 4 outside",
+			msg: send{a: [4]uint64{1, words, 4}}},
+		{name: "offset wraps negative", get: none, want: "outside",
+			msg: send{a: [4]uint64{1, words, ^uint64(0)}}},
+		{name: "put offset at part length", get: none, want: "offset 9 outside",
+			msg: send{a: [4]uint64{1 | distPut, words, 9, 5}}},
+		{name: "one-word put with a payload", get: none, want: "put carries a 3-byte element",
+			msg: send{a: [4]uint64{1 | distPut, words, 0}, payload: []byte("abc")}},
+		{name: "payload-form put without one", get: none, want: "put carries a 0-byte element",
+			msg: send{a: [4]uint64{1 | distPut, blobs, 0}}},
+		{name: "reply to a request never issued", get: none, want: "unknown request 9",
+			msg: send{reply: true, a: [4]uint64{0, 0, 0, 9}}},
+		{name: "reply with request id 0", get: none, want: "unknown request 0",
+			msg: send{reply: true, a: [4]uint64{0, 0, 0, 0}}},
+		{name: "duplicate reply", get: words, want: "unknown request 1 (stale or duplicate)",
+			msg: send{reply: true, a: [4]uint64{0, 0, 0, 1}}},
+		{name: "payload answering a one-word get", get: words, early: true, want: "request 1: a 3-byte element",
+			msg: send{reply: true, a: [4]uint64{0, 0, 0, 1}, payload: []byte("abc")}},
+		{name: "no payload answering a payload-form get", get: blobs, early: true, want: "request 1: a 0-byte element",
+			msg: send{reply: true, a: [4]uint64{0, 0, 0, 1}}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			rt, _, _, _, _ := distRig()
+			rt.OnNode(0, func(th *threads.Thread) {
+				if !row.early {
+					th.Compute(time.Millisecond) // node 1's genuine get is answered first
+				}
+				h := rt.hDistReq
+				if row.msg.reply {
+					h = rt.hDistReply
+				}
+				rt.tr.Send(th, 0, 1, h, row.msg.a, row.msg.payload, false)
+			})
+			var refused string
+			rt.OnNode(1, func(th *threads.Thread) {
+				if row.get != none {
+					rt.DistRead(th, new(DistOp), 0, row.get, 0, false)
+				}
+				// The most recent message waiter receives the arrival: this
+				// thread, not the node's poller.
+				serve := func() (refusal string) {
+					defer func() { refusal = fmt.Sprint(recover()) }()
+					rt.pollUntil(th, 1, func() bool { return false })
+					return ""
+				}
+				refused = serve()
+				if row.early {
+					serve() // the genuine reply follows, to a slot the refusal freed
+				}
+			})
+			_ = rt.Run()
+			if !strings.HasPrefix(refused, "core: node 1 dist re") || !strings.Contains(refused, "node 0") || !strings.Contains(refused, row.want) {
+				t.Errorf("handler failed with %q, want the named refusal (node 1, from node 0, %q)", refused, row.want)
+			}
+		})
+	}
+}
+
+// TestDistSlotsBoundInFlight: a node never has more than distSlots accesses
+// in flight; the issuer of one more serves its endpoint until a reply frees
+// a slot, and every access still completes.
+func TestDistSlotsBoundInFlight(t *testing.T) {
+	rt, words, _, _, _ := distRig()
+	const burst = 5 * distSlots
+	ops := make([]DistOp, burst)
+	high := 0
+	rt.OnNode(0, func(th *threads.Thread) {
+		n := rt.nodeOf(th)
+		for i := range ops {
+			rt.DistRead(th, &ops[i], 1, words, i%4, false)
+			high = max(high, len(n.distPending)-len(n.distFree))
+		}
+		for i := range ops {
+			ops[i].Wait(th)
+			if got := getU64(ops[i].Bytes()); got != uint64(10+i%4) {
+				t.Errorf("access %d read %d, want %d", i, got, 10+i%4)
+			}
+		}
+	})
+	// The owner computes without polling while the burst is issued, so
+	// nothing is answered until the table has filled.
+	rt.OnNode(1, func(th *threads.Thread) { th.Compute(5 * time.Millisecond) })
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if high != distSlots {
+		t.Errorf("high-water mark of in-flight accesses %d, want the table's %d slots", high, distSlots)
+	}
+}

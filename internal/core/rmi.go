@@ -493,6 +493,7 @@ func (rt *Runtime) registerHandlers() {
 	rt.hResolveUpdate = rt.tr.Register("cc.resolve.update", rt.handleResolveUpdate)
 	rt.hInvoke = rt.tr.Register("cc.invoke", rt.handleInvoke)
 	rt.registerGPHandlers()
+	rt.registerDistHandlers()
 }
 
 // handleInvoke is the generic invocation handler on the receiving node.

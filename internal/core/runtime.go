@@ -251,6 +251,11 @@ type Runtime struct {
 	hReply                  am.HandlerID
 	hGPRead, hGPReadReply   am.HandlerID
 	hGPWrite, hGPAck        am.HandlerID
+	hDistReq, hDistReply    am.HandlerID
+
+	// distSizes is the encoded element size of every distributed array (0:
+	// varies), indexed by the array's wire name (AddDist).
+	distSizes []int
 }
 
 // nodeRT is the per-node runtime state.
@@ -267,13 +272,21 @@ type nodeRT struct {
 	// pending is the node's in-flight RMI table: replies name their call by
 	// slot ID in the message words instead of carrying a pointer (rmi.go's
 	// addPending/takePending). gpPending is the same table for the optimized
-	// global-pointer accesses. Both are touched only from this node's
-	// execution context.
+	// global-pointer accesses, distPending for distributed-array element
+	// accesses. All are touched only from this node's execution context.
 	pending []*rmiMsg
 	freeIDs []uint32
 
 	gpPending []*gpReq
 	gpFree    []uint32
+
+	distPending []*DistOp
+	distFree    []uint32
+	// distParts is this node's part of every distributed array (nil where it
+	// holds none), indexed like Runtime.distSizes; distBuf is the request
+	// handler's encode scratch.
+	distParts []DistPart
+	distBuf   []byte
 
 	objLocks map[int32]*threads.Mutex
 

@@ -36,6 +36,7 @@ type fieldPlan struct {
 	name  string
 	off   uintptr // byte offset of the component within the value
 	slice bool    // component is a slice kind (decode aliases the Arg)
+	fixed bool    // component always encodes to one 8-byte word
 	make  func() core.Arg
 	// store copies the Go value component at p (a pointer to the whole
 	// argument/return value) into a wire Arg.
@@ -64,14 +65,17 @@ func fieldPlanFor(index int, name string, t reflect.Type, off uintptr) (fieldPla
 	fp := fieldPlan{index: index, name: name, off: off}
 	switch {
 	case t.Kind() == reflect.Int64:
+		fp.fixed = true
 		fp.make = func() core.Arg { return &core.I64{} }
 		fp.store = func(p unsafe.Pointer, a core.Arg) { a.(*core.I64).V = *(*int64)(unsafe.Add(p, off)) }
 		fp.load = func(p unsafe.Pointer, a core.Arg) { *(*int64)(unsafe.Add(p, off)) = a.(*core.I64).V }
 	case t.Kind() == reflect.Int:
+		fp.fixed = true
 		fp.make = func() core.Arg { return &core.I64{} }
 		fp.store = func(p unsafe.Pointer, a core.Arg) { a.(*core.I64).V = int64(*(*int)(unsafe.Add(p, off))) }
 		fp.load = func(p unsafe.Pointer, a core.Arg) { *(*int)(unsafe.Add(p, off)) = int(a.(*core.I64).V) }
 	case t.Kind() == reflect.Float64:
+		fp.fixed = true
 		fp.make = func() core.Arg { return &core.F64{} }
 		fp.store = func(p unsafe.Pointer, a core.Arg) { a.(*core.F64).V = *(*float64)(unsafe.Add(p, off)) }
 		fp.load = func(p unsafe.Pointer, a core.Arg) { *(*float64)(unsafe.Add(p, off)) = a.(*core.F64).V }
@@ -173,22 +177,20 @@ func (p *valuePlan) loadPtr(ptr unsafe.Pointer, args []core.Arg) {
 	}
 }
 
-// store copies the Go value into the wire Args. Reflect-typed entry point
-// for wall-time-only paths that hold a reflect.Value; non-addressable
-// values are copied to an addressable temporary first.
-func (p *valuePlan) store(v reflect.Value, args []core.Arg) {
+// addr returns a pointer to the Go value for the compiled plans: the entry
+// point of the wall-time-only paths that hold a reflect.Value. A
+// non-addressable value is copied to an addressable temporary first.
+func (p *valuePlan) addr(v reflect.Value) unsafe.Pointer {
 	if !v.CanAddr() {
 		tmp := reflect.New(p.typ).Elem()
 		tmp.Set(v)
 		v = tmp
 	}
-	p.storePtr(v.Addr().UnsafePointer(), args)
+	return v.Addr().UnsafePointer()
 }
 
-// load copies the wire Args into the (addressable) Go value.
-func (p *valuePlan) load(v reflect.Value, args []core.Arg) {
-	p.loadPtr(v.Addr().UnsafePointer(), args)
-}
+// store copies the Go value into the wire Args.
+func (p *valuePlan) store(v reflect.Value, args []core.Arg) { p.storePtr(p.addr(v), args) }
 
 // newRet returns the single wire Arg for a return value: the provided Arg
 // directly for single-component types, a group for multi-field structs.
@@ -202,14 +204,7 @@ func (p *valuePlan) newRet() core.Arg {
 }
 
 // storeRet fills a return Arg from the method's Go result value.
-func (p *valuePlan) storeRet(v reflect.Value, ret core.Arg) {
-	if !v.CanAddr() {
-		tmp := reflect.New(p.typ).Elem()
-		tmp.Set(v)
-		v = tmp
-	}
-	p.storeRetPtr(v.Addr().UnsafePointer(), ret)
-}
+func (p *valuePlan) storeRet(v reflect.Value, ret core.Arg) { p.storeRetPtr(p.addr(v), ret) }
 
 // storeRetPtr fills a return Arg from the result value at ptr.
 //

@@ -69,7 +69,7 @@ func TestStructLowersToProvidedArgs(t *testing.T) {
 	for _, a := range fresh {
 		off += a.Decode(tb[off:])
 	}
-	plan.load(bv, fresh)
+	plan.loadPtr(bv.Addr().UnsafePointer(), fresh)
 	if back.N != 7 || back.X != 2.5 || back.S != "hey" || len(back.B) != 2 || len(back.V) != 3 || back.V[2] != 5 {
 		t.Fatalf("round trip mismatch: %+v", back)
 	}

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"repro/internal/core"
 )
@@ -65,14 +66,34 @@ func CodecFor(t reflect.Type) (*Codec, error) {
 // Type returns the Go type the codec was compiled for.
 func (c *Codec) Type() reflect.Type { return c.typ }
 
+// FixedSize returns the encoded byte count when it is the same for every
+// value of the type — all components 8-byte scalars — and 0 when a string or
+// slice component makes it vary. Dist uses it to pick the wire form of an
+// element access once, at NewDist.
+func (c *Codec) FixedSize() int {
+	for i := range c.p.fields {
+		if !c.p.fields[i].fixed {
+			return 0
+		}
+	}
+	return 8 * len(c.p.fields)
+}
+
 // AppendTo serializes v (which must be of the codec's type) onto dst and
 // returns the extended slice — the append-style, frame-reusing encode path.
 // With an addressable v and a dst of sufficient capacity it performs no
 // allocations.
 func (c *Codec) AppendTo(v reflect.Value, dst []byte) []byte {
+	return c.AppendPtr(c.p.addr(v), dst)
+}
+
+// AppendPtr is AppendTo for a caller that holds a pointer to the value (of
+// the codec's type): no reflect.Value is built, so the per-element accesses
+// of Dist encode without touching reflection.
+func (c *Codec) AppendPtr(ptr unsafe.Pointer, dst []byte) []byte {
 	frame := c.frames.Get().(*[]core.Arg)
 	args := *frame
-	c.p.store(v, args)
+	c.p.storePtr(ptr, args)
 	size := 0
 	for _, a := range args {
 		size += a.WireSize()
@@ -103,6 +124,11 @@ func (c *Codec) Encode(v reflect.Value) []byte {
 // slice-carrying plans use fresh Args, because the decoded value aliases
 // the Arg's backing array (it escapes to the caller).
 func (c *Codec) Decode(b []byte, into reflect.Value) {
+	c.DecodePtr(b, into.Addr().UnsafePointer())
+}
+
+// DecodePtr is Decode into the value (of the codec's type) at ptr.
+func (c *Codec) DecodePtr(b []byte, ptr unsafe.Pointer) {
 	var args []core.Arg
 	var frame *[]core.Arg
 	if !c.p.hasSlices {
@@ -118,7 +144,7 @@ func (c *Codec) Decode(b []byte, into reflect.Value) {
 	if off != len(b) {
 		panic(fmt.Sprintf("rmigen: %d stray bytes decoding %s", len(b)-off, c.typ))
 	}
-	c.p.load(into, args)
+	c.p.loadPtr(ptr, args)
 	if frame != nil {
 		c.p.clearRefs(args)
 		c.frames.Put(frame)

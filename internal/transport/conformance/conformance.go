@@ -68,6 +68,7 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("MixedSizes", func(t *testing.T) { crossShardTraffic(t, f, true) })
 	t.Run("TwoCallersOneNode", func(t *testing.T) { twoCallersOneNode(t, f) })
 	t.Run("Collectives", func(t *testing.T) { runCollectives(t, f) })
+	t.Run("DistAccess", func(t *testing.T) { distAccess(t, f) })
 	t.Run("StatsMerge", func(t *testing.T) { statsMerge(t, f) })
 }
 

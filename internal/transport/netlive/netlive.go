@@ -216,6 +216,7 @@ type Backend struct {
 	// peerStats is the latest kStats payload from each worker shard
 	// (parent only).
 	statsMu   sync.Mutex
+	statsCond *sync.Cond     //mpmdvet:cond statsMu
 	peerStats map[int][]byte //mpmdvet:guard statsMu
 
 	errMu sync.Mutex
@@ -282,6 +283,7 @@ func New(n int, opts Options) (*Backend, error) {
 		b.hi = n
 	}
 	b.met = metrics.NewRegistry()
+	b.statsCond = sync.NewCond(&b.statsMu)
 	// The maps are guarded; take the (uncontended) locks so construction is
 	// checked by the same rule as every later access.
 	b.statsMu.Lock()
@@ -758,19 +760,21 @@ func (b *Backend) sendStats() {
 // (and ClusterStats will refuse to fabricate totals).
 func (b *Backend) waitStats() {
 	deadline := time.Now().Add(b.opts.DialTimeout)
-	for {
-		b.statsMu.Lock()
-		got := len(b.peerStats)
+	timer := time.AfterFunc(b.opts.DialTimeout, func() {
+		b.statsMu.Lock() // the waiter is before its deadline check or already waiting
 		b.statsMu.Unlock()
-		if got >= b.shards-1 {
-			return
-		}
-		if time.Now().After(deadline) {
-			b.addErr(fmt.Errorf("netlive: stats from only %d of %d worker shards within %v",
-				got, b.shards-1, b.opts.DialTimeout))
-			return
-		}
-		time.Sleep(time.Millisecond)
+		b.statsCond.Broadcast()
+	})
+	defer timer.Stop()
+	b.statsMu.Lock()
+	for len(b.peerStats) < b.shards-1 && time.Now().Before(deadline) {
+		b.statsCond.Wait()
+	}
+	got := len(b.peerStats)
+	b.statsMu.Unlock()
+	if got < b.shards-1 {
+		b.addErr(fmt.Errorf("netlive: stats from only %d of %d worker shards within %v",
+			got, b.shards-1, b.opts.DialTimeout))
 	}
 }
 
@@ -859,6 +863,7 @@ func (b *Backend) readLoop(conn net.Conn) {
 			b.statsMu.Lock()
 			b.peerStats[shard] = append([]byte(nil), body[4:]...)
 			b.statsMu.Unlock()
+			b.statsCond.Broadcast()
 		case kStatsReq:
 			b.sendStats()
 		case kDoorbell:
@@ -950,21 +955,28 @@ func (p *peer) push(f outFrame) {
 	if met := p.b.met; met != nil {
 		met.Set(metrics.GgePeerRingDepth, int64(depth))
 	}
-	p.cond.Signal()
+	p.cond.Broadcast() // the writer; a flusher woken with it re-checks and waits on
 }
 
 // flush waits (bounded) until every frame queued so far is on the wire. Only
-// meaningful while the queue is still open.
+// meaningful while the queue is still open. It waits on the link's condition
+// variable: the writer broadcasts after every frame it accounts for, and a
+// timer does at the deadline.
 func (p *peer) flush(timeout time.Duration) bool {
 	want := p.queued.Load()
 	deadline := time.Now().Add(timeout)
-	for p.sent.Load() < want {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
+	timer := time.AfterFunc(timeout, func() {
+		p.mu.Lock() // a flusher is before its deadline check or already waiting
+		p.mu.Unlock()
+		p.cond.Broadcast()
+	})
+	defer timer.Stop()
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for p.sent.Load() < want && time.Now().Before(deadline) {
+		p.cond.Wait()
 	}
-	return true
+	return p.sent.Load() >= want
 }
 
 // close shuts the queue; the writer exits after draining.
@@ -1029,7 +1041,10 @@ func (p *peer) writeLoop() {
 		if f.buf != nil {
 			f.buf.Release()
 		}
+		p.mu.Lock() // a flusher has read sent and not yet waited, or is waiting
 		p.sent.Add(1)
+		p.mu.Unlock()
+		p.cond.Broadcast()
 		if werr != nil {
 			if !isClosedErr(werr) {
 				p.b.addErr(fmt.Errorf("netlive: write to shard %d: %w", p.shard, werr))
@@ -1050,6 +1065,7 @@ func (p *peer) writeLoop() {
 // any closed link.
 func (p *peer) fail() {
 	p.mu.Lock()
+	defer p.cond.Broadcast() // flushers: every queued frame is now accounted for
 	defer p.mu.Unlock()
 	p.closed = true
 	for f, ok := p.q.Pop(); ok; f, ok = p.q.Pop() {

@@ -2,18 +2,25 @@ package mpmd
 
 import (
 	"fmt"
+	"sync"
+	"unsafe"
 
-	"repro/internal/coll"
+	"repro/internal/core"
 	"repro/internal/rmigen"
 )
 
 // Dist is a typed distributed array over a team: the generalization of
 // Split-C's spread arrays (splitc.SpreadF64) beyond float64 and beyond the
 // SPMD runtime — usable from CC++/typed-v2 programs on either backend, with
-// a choice of layout. Elements live in per-member local parts; remote
-// accesses are RMIs to the owner's collective mailbox object, so they pay
-// the ordinary modelled RMI costs, and split-phase accessors return typed
-// futures.
+// a choice of layout. Elements live in per-member local parts. A remote
+// access is Split-C's get or put: one request and one reply active message
+// on the runtime's optimized global-pointer wire path (core/dist.go) — no
+// marshalled RMI, no method dispatch, the owner serving it inline in its
+// polling thread — priced on the simulator as Table 4's GP 2-Word R/W row
+// without the thread. An element whose encoding is fixed and small (every
+// 8-byte scalar, structs of up to three) rides in the message words of
+// short AMs; any other is the payload of the same two messages. Split-phase
+// accessors return typed futures that are the access's only allocation.
 
 // Layout selects how Dist elements map to team ranks.
 type Layout int
@@ -44,17 +51,38 @@ func (l Layout) String() string {
 // the program runs.
 type Dist[T any] struct {
 	tm     *Team
-	id     string
+	rt     *core.Runtime
+	id     int // wire name: NewDist order, identical in every program image
 	n      int
 	layout Layout
 	codec  *rmigen.Codec
-	parts  [][]T
+	parts  []*distPart[T] // indexed by rank
+	// recs recycles the access records (*distAccess[T]) of the synchronous
+	// Get and Put, as core's callRec pool does for synchronous RMIs.
+	recs sync.Pool
+}
+
+// distPart is one member's local part; the owner's request handler reaches
+// it through core.DistPart.
+type distPart[T any] struct {
+	elems []T
+	codec *rmigen.Codec
+}
+
+func (p *distPart[T]) Len() int { return len(p.elems) }
+
+func (p *distPart[T]) AppendElem(off int, dst []byte) []byte {
+	return p.codec.AppendPtr(unsafe.Pointer(&p.elems[off]), dst)
+}
+
+func (p *distPart[T]) SetElem(off int, b []byte) {
+	p.codec.DecodePtr(b, unsafe.Pointer(&p.elems[off]))
 }
 
 // NewDist allocates a distributed array of n elements of T over the team's
-// nodes in the given layout. Setup-time only (like NewObject): it installs
-// the owner-side accessors into every member node's mailbox object. T must
-// be a marshallable RMI value type.
+// nodes in the given layout. Setup-time only (like NewObject), and every
+// program image must create its arrays in the same order: that order is the
+// array's name on the wire. T must be a marshallable RMI value type.
 func NewDist[T any](tm *Team, n int, layout Layout) (*Dist[T], error) {
 	if tm == nil || tm.tm == nil {
 		return nil, fmt.Errorf("NewDist on a nil Team")
@@ -73,17 +101,15 @@ func NewDist[T any](tm *Team, n int, layout Layout) (*Dist[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Dist[T]{tm: tm, id: c.NextDistID(), n: n, layout: layout, codec: codec}
-	p := tm.Size()
-	d.parts = make([][]T, p)
-	for r := 0; r < p; r++ {
-		d.parts[r] = make([]T, d.partLen(r))
-		part := d.parts[r]
-		c.InstallDist(tm.Node(r), d.id, coll.DistHooks{
-			Get: func(off int) []byte { return encode(d.codec, part[off]) },
-			Put: func(off int, b []byte) { part[off] = decode[T](d.codec, b) },
-		})
+	d := &Dist[T]{tm: tm, rt: c.Runtime(), n: n, layout: layout, codec: codec}
+	d.recs.New = func() any { return new(distAccess[T]) }
+	d.parts = make([]*distPart[T], tm.Size())
+	byNode := make([]core.DistPart, d.rt.Machine().NumNodes())
+	for r := range d.parts {
+		d.parts[r] = &distPart[T]{elems: make([]T, d.partLen(r)), codec: codec}
+		byNode[tm.Node(r)] = d.parts[r]
 	}
+	d.id = d.rt.AddDist(codec.FixedSize(), byNode)
 	return d, nil
 }
 
@@ -161,8 +187,17 @@ func (d *Dist[T]) check(t *Thread, op string, i int) (rank, off int, local bool,
 	return rank, off, d.tm.Node(rank) == t.Node().ID, nil
 }
 
+// release returns a synchronous accessor's record to the pool, dropping
+// what the element may reference.
+func (d *Dist[T]) release(rec *distAccess[T]) {
+	var zero T
+	rec.val = zero
+	rec.op.Reset()
+	d.recs.Put(rec)
+}
+
 // Get reads element i: a direct dereference when the caller owns it, a
-// synchronous RMI to the owner otherwise.
+// request/reply pair to the owner otherwise.
 func (d *Dist[T]) Get(t *Thread, i int) (T, error) {
 	rank, off, local, err := d.check(t, "Dist.Get", i)
 	if err != nil {
@@ -170,11 +205,15 @@ func (d *Dist[T]) Get(t *Thread, i int) (T, error) {
 		return zero, err
 	}
 	if local {
-		coll.LocalDeref(t)
-		return d.parts[rank][off], nil
+		d.rt.DistLocal(t, nil)
+		return d.parts[rank].elems[off], nil
 	}
-	c := d.tm.tm.Comm()
-	return decode[T](d.codec, c.DistGet(t, d.tm.Node(rank), d.id, off)), nil
+	rec := d.recs.Get().(*distAccess[T])
+	d.rt.DistRead(t, &rec.op, d.tm.Node(rank), d.id, off, true)
+	d.codec.DecodePtr(rec.op.Bytes(), unsafe.Pointer(&rec.val))
+	v := rec.val
+	d.release(rec)
+	return v, nil
 }
 
 // Put writes element i, returning once the owner has applied it.
@@ -184,35 +223,56 @@ func (d *Dist[T]) Put(t *Thread, i int, v T) error {
 		return err
 	}
 	if local {
-		coll.LocalDeref(t)
-		d.parts[rank][off] = v
+		d.rt.DistLocal(t, nil)
+		d.parts[rank].elems[off] = v
 		return nil
 	}
-	d.tm.tm.Comm().DistPut(t, d.tm.Node(rank), d.id, off, encode(d.codec, v))
+	// Encoding from the record's copy keeps v off the heap.
+	rec := d.recs.Get().(*distAccess[T])
+	rec.val = v
+	enc := d.codec.AppendPtr(unsafe.Pointer(&rec.val), rec.op.Scratch())
+	d.rt.DistWrite(t, &rec.op, d.tm.Node(rank), d.id, off, enc, true)
+	d.release(rec)
 	return nil
 }
 
 // GetAsync starts a split-phase read of element i; the returned future
 // yields the typed value (Split-C's get, with a typed handle instead of a
-// sync counter).
+// sync counter). A node has a bounded number of accesses in flight: past it
+// the call serves the network until one of them completes, so issue bursts
+// from program threads or Threaded methods, which may block.
 func (d *Dist[T]) GetAsync(t *Thread, i int) (*Future[T], error) {
-	rank, off, _, err := d.check(t, "Dist.GetAsync", i)
+	rank, off, local, err := d.check(t, "Dist.GetAsync", i)
 	if err != nil {
 		return nil, err
 	}
-	f, ret := d.tm.tm.Comm().DistGetAsync(t, d.tm.Node(rank), d.id, off)
-	return &Future[T]{f: f, load: func() T { return decode[T](d.codec, ret.V) }}, nil
+	a := newDistAccess[T]()
+	if local {
+		a.val = d.parts[rank].elems[off]
+		d.rt.DistLocal(t, &a.op)
+		return &a.Future, nil
+	}
+	a.codec = d.codec
+	d.rt.DistRead(t, &a.op, d.tm.Node(rank), d.id, off, false)
+	return &a.Future, nil
 }
 
 // PutAsync starts a split-phase write of element i; the returned future
 // completes when the owner's acknowledgement lands.
 func (d *Dist[T]) PutAsync(t *Thread, i int, v T) (*Future[Void], error) {
-	rank, off, _, err := d.check(t, "Dist.PutAsync", i)
+	rank, off, local, err := d.check(t, "Dist.PutAsync", i)
 	if err != nil {
 		return nil, err
 	}
-	f := d.tm.tm.Comm().DistPutAsync(t, d.tm.Node(rank), d.id, off, encode(d.codec, v))
-	return &Future[Void]{f: f}, nil
+	a := newDistAccess[Void]()
+	if local {
+		d.parts[rank].elems[off] = v
+		d.rt.DistLocal(t, &a.op)
+		return &a.Future, nil
+	}
+	enc := d.codec.AppendPtr(unsafe.Pointer(&v), a.op.Scratch())
+	d.rt.DistWrite(t, &a.op, d.tm.Node(rank), d.id, off, enc, false)
+	return &a.Future, nil
 }
 
 // Local returns the calling member's own part (indexed by owner-local
@@ -225,7 +285,7 @@ func (d *Dist[T]) Local(t *Thread) ([]T, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.parts[r], nil
+	return d.parts[r].elems, nil
 }
 
 // ForEachLocal visits every element the calling member owns, in global
@@ -239,7 +299,7 @@ func (d *Dist[T]) ForEachLocal(t *Thread, fn func(i int, v *T)) error {
 	if err != nil {
 		return err
 	}
-	part := d.parts[r]
+	part := d.parts[r].elems
 	for off := range part {
 		fn(d.globalIndex(r, off), &part[off])
 	}

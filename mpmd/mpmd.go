@@ -45,7 +45,8 @@
 // cyclic layout) with Get/Put, split-phase GetAsync/PutAsync returning
 // typed Future[T] handles, and ForEachLocal for owner-computes loops — the
 // generalization of Split-C's float64-only spread arrays, usable from CC++
-// programs on either backend.
+// programs on either backend. A remote element access is two active
+// messages on the runtime's global-pointer path, not an RMI.
 //
 // # Low-level (untyped) API
 //

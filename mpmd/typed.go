@@ -215,15 +215,48 @@ func InvokeOneWay[A, T any](t *Thread, r Ref[T], method string, args A) error {
 // assertions, closing the last untyped hole in the v2 surface. The
 // low-level core.Future remains available as UntypedFuture.
 type Future[R any] struct {
-	f *core.Future
-	// load decodes the landed result (wall-time-only bookkeeping); nil for
-	// void results.
+	// An asynchronous RMI joins on f; load decodes the landed result
+	// (wall-time-only bookkeeping) and is nil for void results.
+	f    *core.Future
 	load func() R
+	// acc is set on the future of a Dist access: the record the future is
+	// the head of (see distAccess).
+	acc *distAccess[R]
+}
+
+// distAccess is the sender-side state of one Dist element access, future
+// first: the accessor allocates it whole and hands out &a.Future, so the
+// future is the access's one allocation — completion, landing bytes and
+// round-trip stamp (core.DistOp) ride in it instead of in a core.Future, a
+// return Arg and a decode closure — while the futures of InvokeAsync stay
+// three words.
+type distAccess[R any] struct {
+	Future[R]
+	op core.DistOp
+	// codec is set while a remote read's landed bytes still await decoding
+	// into val.
+	codec *rmigen.Codec
+	val   R
+}
+
+// newDistAccess returns a record whose future knows it.
+func newDistAccess[R any]() *distAccess[R] {
+	a := new(distAccess[R])
+	a.acc = a
+	return a
 }
 
 // Wait blocks until the operation has completed and returns the result (the
 // zero R for void operations).
 func (fu *Future[R]) Wait(t *threads.Thread) R {
+	if a := fu.acc; a != nil {
+		a.op.Wait(t)
+		if a.codec != nil {
+			a.codec.DecodePtr(a.op.Bytes(), unsafe.Pointer(&a.val))
+			a.codec = nil
+		}
+		return a.val
+	}
 	fu.f.Wait(t)
 	if fu.load == nil {
 		var zero R
@@ -233,4 +266,9 @@ func (fu *Future[R]) Wait(t *threads.Thread) R {
 }
 
 // Done reports (without blocking) whether the operation has completed.
-func (fu *Future[R]) Done() bool { return fu.f.Done() }
+func (fu *Future[R]) Done() bool {
+	if fu.acc != nil {
+		return fu.acc.op.Done()
+	}
+	return fu.f.Done()
+}
