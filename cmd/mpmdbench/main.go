@@ -1,29 +1,30 @@
 // Command mpmdbench regenerates the tables and figures of Chang et al.,
 // "Evaluating the Performance Limitations of MPMD Communication" (SC 1997)
-// on the calibrated IBM SP machine model, and — with -backend=live — runs
-// the same runtime stack on real goroutines with wall-clock timing.
+// on the calibrated IBM SP machine model, and prints the runtime's own
+// observability report for one small machine on any of the three backends.
 //
 // Usage:
 //
-//	mpmdbench [-quick] [-json] [-backend=sim|live] [experiment ...]
+//	mpmdbench [-quick] [-json] [-backend=sim|live|net] [experiment ...]
 //
-// Experiments on the sim backend: table1, table4, fig5, fig6-water,
-// fig6-lu, nexus, ablate, irregular, coll, throughput, all (default). The
-// live backend runs the live microbenchmark suite (RMI round-trips, bulk
-// bandwidth, barrier) plus the collective-operations table and the
-// sustained-throughput experiment (warm RMI/s and bulk MB/s per node count).
+// Experiments on the sim backend: table1, table4, fig5, fig6-water, fig6-lu,
+// nexus, ablate, irregular, coll, stats, all (default). On -backend=live and
+// -backend=net the one experiment is stats (named or not; any other name is
+// a usage error): merged accounting counters, wall-clock latency percentiles
+// and message-plane counters of four nodes doing null RMIs — on net two OS
+// processes, the report assembled from both. Wall-clock performance is not
+// measured here; that is benchmark/ (bash benchmark/run.sh).
 //
 // -json replaces the text tables with one machine-readable report on
-// stdout (schema mpmdbench/v5; duration fields in nanoseconds), so runs can
-// be accumulated into a performance trajectory:
+// stdout (schema mpmdbench/v6; duration fields in nanoseconds):
 //
-//	mpmdbench -quick -json table4 > BENCH_table4.json
-//	mpmdbench -quick -json -backend=live > BENCH_live.json
+//	mpmdbench -quick -json table4 > bench_table4.json
 //
 // Observability flags: -trace=FILE writes the stats experiment's machine as
 // a Chrome trace-event JSON loadable in Perfetto; -debug-addr=ADDR serves
 // expvar (including live "mpmd.stats") and net/http/pprof for long runs;
-// -cpuprofile/-memprofile write pprof profiles of the whole run.
+// -cpuprofile/-memprofile write pprof profiles of the whole run. They are
+// written on every exit path, a failed run included.
 package main
 
 import (
@@ -54,24 +55,28 @@ func writeTrace(path string, tl *trace.Log) error {
 	return f.Close()
 }
 
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "mpmdbench: "+format+"\n", args...)
-	os.Exit(1)
+// experiment is one named table, figure or report: run returns the row data
+// (for the JSON report) and a text renderer, called only in text mode.
+type experiment struct {
+	name string
+	run  func() (rows any, text func() string, err error)
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole program and returns the exit status, so the deferred
+// profile and trace writers run on every path out of it.
+func run() int {
 	quick := flag.Bool("quick", false, "run the reduced-size configuration")
 	asJSON := flag.Bool("json", false, "emit one machine-readable JSON report on stdout instead of text tables")
 	backend := flag.String("backend", "sim",
-		"execution backend: sim (calibrated discrete-event model), live (real goroutines, wall-clock), or net (nodes sharded across OS processes over sockets)")
-	netNodes := flag.Int("net-nodes", 0, "net backend: machine size (default 16: eight client/server pairs)")
-	netNPS := flag.Int("nodes-per-shard", 0, "net backend: nodes per OS process (default half the nodes: clients in the parent, servers in the worker)")
+		"execution backend: sim (calibrated discrete-event model), live (real goroutines, wall-clock), or net (nodes sharded across OS processes); live and net run the stats report only")
 	traceOut := flag.String("trace", "", "write the stats experiment's event trace to this file as Chrome trace-event JSON (open in https://ui.perfetto.dev)")
 	debugAddr := flag.String("debug-addr", "", "serve expvar (/debug/vars, incl. live mpmd.stats) and net/http/pprof on this address for the duration of the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken at exit) to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mpmdbench [-quick] [-json] [-backend=sim|live|net] [-trace=FILE] [-debug-addr=ADDR] [table1|table4|fig5|fig6-water|fig6-lu|nexus|ablate|irregular|coll|throughput|stats|all ...]\n")
+		fmt.Fprintf(os.Stderr, "usage: mpmdbench [-quick] [-json] [-backend=sim|live|net] [-trace=FILE] [-debug-addr=ADDR] [table1|table4|fig5|fig6-water|fig6-lu|nexus|ablate|irregular|coll|stats|all ...]\n       (-backend=live and -backend=net: stats only)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -82,16 +87,93 @@ func main() {
 	}
 	cfg := bench.Cfg()
 
-	// A re-exec'd netlive worker runs with the parent's argument vector:
-	// observability outputs (profiles, traces, debug server) belong to the
-	// parent alone, or the worker would clobber its files and ports.
-	worker := os.Getenv(netlive.EnvShard) != ""
+	// A re-exec'd netlive worker runs with the parent's argument vector. It
+	// serves its shard of the parent's stats machine and nothing else: the
+	// report and every observability output (profiles, trace, debug server)
+	// belong to the parent, or the worker would clobber its files and ports.
+	if os.Getenv(netlive.EnvShard) != "" {
+		if _, err := bench.RunStats(cfg, scale, *backend, nil); err != nil {
+			fmt.Fprintf(os.Stderr, "mpmdbench: worker shard: %v\n", err)
+			return 1
+		}
+		return 0
+	}
 
 	var tl *trace.Log
-	if *traceOut != "" && !worker {
+	if *traceOut != "" {
 		tl = trace.New(0)
 	}
-	if *debugAddr != "" && !worker {
+
+	experiments := []experiment{
+		{"table1", func() (any, func() string, error) {
+			rows := bench.RunCodeSize()
+			return rows, func() string { return bench.FormatCodeSize(rows) }, nil
+		}},
+		{"table4", func() (any, func() string, error) {
+			rows := bench.RunMicro(cfg, scale)
+			mpl := bench.MPLReferenceRTT(cfg, scale.MicroIters)
+			return bench.MicroReport{Rows: rows, MPLReferenceRTT: mpl}, func() string { return bench.FormatMicro(rows, mpl) }, nil
+		}},
+		{"fig5", func() (any, func() string, error) {
+			rows := bench.RunEM3D(cfg, scale)
+			return rows, func() string { return bench.FormatEM3D(rows) }, nil
+		}},
+		{"fig6-water", func() (any, func() string, error) {
+			rows := bench.RunWater(cfg, scale)
+			return rows, func() string { return bench.FormatWater(rows) }, nil
+		}},
+		{"fig6-lu", func() (any, func() string, error) {
+			row := bench.RunLU(cfg, scale)
+			// Rows is an array for every experiment, even single-row ones.
+			return []bench.LURow{row}, func() string { return bench.FormatLU(row) }, nil
+		}},
+		{"nexus", func() (any, func() string, error) {
+			rows := bench.RunNexusCompare(cfg, scale)
+			return rows, func() string { return bench.FormatNexus(rows) }, nil
+		}},
+		{"ablate", func() (any, func() string, error) {
+			rows := bench.RunAblations(cfg, scale)
+			return rows, func() string { return bench.FormatAblations(rows) }, nil
+		}},
+		{"irregular", func() (any, func() string, error) {
+			rows := bench.RunIrregular(cfg, scale)
+			return rows, func() string { return bench.FormatIrregular(rows) }, nil
+		}},
+		{"coll", func() (any, func() string, error) {
+			rows := bench.RunCollBench(cfg, scale)
+			return rows, func() string { return bench.FormatColl(rows) }, nil
+		}},
+		{"stats", func() (any, func() string, error) {
+			rows, err := bench.RunStats(cfg, scale, *backend, tl)
+			return rows, func() string { return bench.FormatStats(rows, *backend) }, err
+		}},
+	}
+	switch *backend {
+	case "sim":
+	case "live", "net":
+		// The tables are the simulator's; what a wall-clock backend has to
+		// show here is the stats report.
+		experiments = experiments[len(experiments)-1:]
+	default:
+		fmt.Fprintf(os.Stderr, "mpmdbench: unknown backend %q (want sim, live, or net)\n", *backend)
+		return 2
+	}
+	want := map[string]bool{}
+	for _, a := range flag.Args() {
+		known := a == "all" && *backend == "sim"
+		for _, e := range experiments {
+			known = known || a == e.name
+		}
+		if !known {
+			fmt.Fprintf(os.Stderr, "mpmdbench: no experiment %q on the %s backend\n", a, *backend)
+			flag.Usage()
+			return 2
+		}
+		want[a] = true
+	}
+	all := len(want) == 0 || want["all"]
+
+	if *debugAddr != "" {
 		// DefaultServeMux carries /debug/vars (expvar, imported by bench) and
 		// /debug/pprof (the blank net/http/pprof import above).
 		bench.PublishDebugVars()
@@ -101,20 +183,22 @@ func main() {
 			}
 		}()
 	}
-	if *cpuProfile != "" && !worker {
+	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fatalf("%v", err)
+			fmt.Fprintf(os.Stderr, "mpmdbench: %v\n", err)
+			return 1
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("cpuprofile: %v", err)
+			fmt.Fprintf(os.Stderr, "mpmdbench: cpuprofile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProfile != "" && !worker {
-		mp := *memProfile
+	if *memProfile != "" {
 		defer func() {
-			f, err := os.Create(mp)
+			f, err := os.Create(*memProfile)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "mpmdbench: %v\n", err)
 				return
@@ -127,214 +211,42 @@ func main() {
 		}()
 	}
 	if tl != nil {
-		out := *traceOut
 		defer func() {
-			if err := writeTrace(out, tl); err != nil {
+			if err := writeTrace(*traceOut, tl); err != nil {
 				fmt.Fprintf(os.Stderr, "mpmdbench: trace: %v\n", err)
 			}
 		}()
 	}
 
 	report := bench.NewReport(*backend, cfg.Name, scale.Name)
-	emit := func() {
-		b, err := report.JSON()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpmdbench: %v\n", err)
-			os.Exit(1)
-		}
-		os.Stdout.Write(b)
-	}
-
-	switch *backend {
-	case "sim":
-	case "net":
-		if len(flag.Args()) > 0 {
-			fmt.Fprintf(os.Stderr, "mpmdbench: note: experiment names %v select sim-backend tables; the net backend runs its sharded throughput experiment\n", flag.Args())
-		}
-		// One net machine per process per wave: the experiment re-execs this
-		// whole program for the worker shards, so exactly one sharded machine
-		// is built per run, carrying both the rmi and the bulk phase. The
-		// parent runs two waves — shared-memory rings, then the socket path —
-		// so the report carries both transports over the identical workload.
-		// A re-exec'd worker only ever sees the first call: it inherits its
-		// wave's transport through the environment and exits after reporting.
-		// Default to 8 client/server pairs: sustained throughput is what the
-		// experiment measures, and fewer pairs under-fill the rings — the
-		// per-switch batch is what amortizes the process hand-off cost.
-		nodes := *netNodes
-		if nodes == 0 {
-			nodes = 16
-		}
-		nps := *netNPS
-		if nps == 0 {
-			nps = nodes / 2
-		}
-		start := time.Now()
-		rows, statsRows, isWorker, err := bench.RunThroughputNet(cfg, scale, nodes, nps, tl, false)
-		if isWorker {
-			// A re-exec'd worker shard: the parent owns the report.
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "mpmdbench: worker shard: %v\n", err)
-				os.Exit(1)
-			}
-			os.Exit(0)
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpmdbench: %v\n", err)
-			os.Exit(1)
-		}
-		sockRows, _, _, err := bench.RunThroughputNet(cfg, scale, nodes, nps, nil, true)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mpmdbench: socket wave: %v\n", err)
-			os.Exit(1)
-		}
-		rows = append(rows, sockRows...)
-		elapsed := time.Since(start)
-		if *asJSON {
-			report.Add("throughput", elapsed, rows)
-			report.Add("stats", 0, statsRows)
-			emit()
-			return
-		}
-		fmt.Printf("MPMD runtime on the net backend — %d nodes, %d per shard, scale %q\n\n", nodes, nps, scale.Name)
-		fmt.Print(bench.FormatThroughput(rows, "net"))
-		fmt.Printf("[throughput finished in %v]\n\n", elapsed.Round(time.Millisecond))
-		fmt.Print(bench.FormatStats(statsRows, "net"))
-		return
-	case "live":
-		if len(flag.Args()) > 0 {
-			// Stderr so -json redirection still sees it: a report file named
-			// for a sim table must not silently fill with live-micro rows.
-			fmt.Fprintf(os.Stderr, "mpmdbench: note: experiment names %v select sim-backend tables; the live backend runs its microbenchmark suite\n", flag.Args())
-		}
-		if !*asJSON {
-			fmt.Printf("MPMD runtime on the live backend — scale %q\n\n", scale.Name)
-		}
-		start := time.Now()
-		rows := bench.RunLiveMicro(cfg, scale)
-		micro := time.Since(start)
-		start = time.Now()
-		collRows := bench.RunCollBench(cfg, scale, "live")
-		collDur := time.Since(start)
-		start = time.Now()
-		tputRows := bench.RunThroughput(cfg, scale, "live")
-		tputDur := time.Since(start)
-		start = time.Now()
-		statsRows, err := bench.RunStats(cfg, scale, "live", tl)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		statsDur := time.Since(start)
-		if *asJSON {
-			report.Add("live-micro", micro, rows)
-			report.Add("coll", collDur, collRows)
-			report.Add("throughput", tputDur, tputRows)
-			report.Add("stats", statsDur, statsRows)
-			emit()
-			return
-		}
-		fmt.Print(bench.FormatLiveMicro(rows))
-		fmt.Printf("[live micro finished in %v]\n\n", micro.Round(time.Millisecond))
-		fmt.Print(bench.FormatColl(collRows, "live"))
-		fmt.Printf("[coll finished in %v]\n\n", collDur.Round(time.Millisecond))
-		fmt.Print(bench.FormatThroughput(tputRows, "live"))
-		fmt.Printf("[throughput finished in %v]\n\n", tputDur.Round(time.Millisecond))
-		fmt.Print(bench.FormatStats(statsRows, "live"))
-		fmt.Printf("[stats finished in %v]\n", statsDur.Round(time.Millisecond))
-		return
-	default:
-		fmt.Fprintf(os.Stderr, "mpmdbench: unknown backend %q (want sim, live, or net)\n", *backend)
-		os.Exit(2)
-	}
-
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"all"}
-	}
-	want := map[string]bool{}
-	for _, a := range args {
-		want[a] = true
-	}
-	all := want["all"]
-	ran := 0
-
-	// Each experiment returns its row data (for the JSON report) and a
-	// deferred text renderer, run only in text mode.
-	run := func(name string, fn func() (any, func() string)) {
-		if !all && !want[name] {
-			return
-		}
-		ran++
-		start := time.Now()
-		rows, text := fn()
-		elapsed := time.Since(start)
-		if *asJSON {
-			report.Add(name, elapsed, rows)
-			return
-		}
-		fmt.Print(text())
-		fmt.Printf("[%s finished in %v]\n\n", name, elapsed.Round(time.Millisecond))
-	}
-
 	if !*asJSON {
 		fmt.Printf("MPMD communication study reproduction — profile %q, scale %q\n\n", cfg.Name, scale.Name)
 	}
-
-	run("table1", func() (any, func() string) {
-		rows := bench.RunCodeSize()
-		return rows, func() string { return bench.FormatCodeSize(rows) }
-	})
-	run("table4", func() (any, func() string) {
-		rows := bench.RunMicro(cfg, scale)
-		mpl := bench.MPLReferenceRTT(cfg, scale.MicroIters)
-		return bench.MicroReport{Rows: rows, MPLReferenceRTT: mpl}, func() string { return bench.FormatMicro(rows, mpl) }
-	})
-	run("fig5", func() (any, func() string) {
-		rows := bench.RunEM3D(cfg, scale)
-		return rows, func() string { return bench.FormatEM3D(rows) }
-	})
-	run("fig6-water", func() (any, func() string) {
-		rows := bench.RunWater(cfg, scale)
-		return rows, func() string { return bench.FormatWater(rows) }
-	})
-	run("fig6-lu", func() (any, func() string) {
-		row := bench.RunLU(cfg, scale)
-		// Rows is an array for every experiment, even single-row ones.
-		return []bench.LURow{row}, func() string { return bench.FormatLU(row) }
-	})
-	run("nexus", func() (any, func() string) {
-		rows := bench.RunNexusCompare(cfg, scale)
-		return rows, func() string { return bench.FormatNexus(rows) }
-	})
-	run("ablate", func() (any, func() string) {
-		rows := bench.RunAblations(cfg, scale)
-		return rows, func() string { return bench.FormatAblations(rows) }
-	})
-	run("irregular", func() (any, func() string) {
-		rows := bench.RunIrregular(cfg, scale)
-		return rows, func() string { return bench.FormatIrregular(rows) }
-	})
-	run("coll", func() (any, func() string) {
-		rows := bench.RunCollBench(cfg, scale, "sim")
-		return rows, func() string { return bench.FormatColl(rows, "sim") }
-	})
-	run("throughput", func() (any, func() string) {
-		rows := bench.RunThroughput(cfg, scale, "sim")
-		return rows, func() string { return bench.FormatThroughput(rows, "sim") }
-	})
-	run("stats", func() (any, func() string) {
-		rows, err := bench.RunStats(cfg, scale, "sim", tl)
-		if err != nil {
-			fatalf("stats: %v", err)
+	for _, e := range experiments {
+		if !all && !want[e.name] {
+			continue
 		}
-		return rows, func() string { return bench.FormatStats(rows, "sim") }
-	})
-
-	if ran == 0 {
-		flag.Usage()
-		os.Exit(2)
+		start := time.Now()
+		rows, text, err := e.run()
+		elapsed := time.Since(start)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mpmdbench: %s: %v\n", e.name, err)
+			return 1
+		}
+		if *asJSON {
+			report.Add(e.name, elapsed, rows)
+			continue
+		}
+		fmt.Print(text())
+		fmt.Printf("[%s finished in %v]\n\n", e.name, elapsed.Round(time.Millisecond))
 	}
 	if *asJSON {
-		emit()
+		b, err := report.JSON()
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "mpmdbench: %v\n", err)
+			return 1
+		}
+		os.Stdout.Write(b)
 	}
+	return 0
 }

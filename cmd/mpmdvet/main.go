@@ -21,7 +21,7 @@
 //
 // It prints diagnostics plus a one-line summary counting
 // //mpmdvet:ignore suppressions per pass; -summary=<file> also writes the
-// machine-readable JSON CI uploads next to BENCH_live.json, and
+// machine-readable JSON CI uploads, and
 // -baseline=<file> ratchets the suppression ledger: every pragma needs a
 // reason, and the per-pass counts must match the committed baseline exactly.
 package main

@@ -10,7 +10,7 @@ import (
 )
 
 // Summary is the machine-readable result of one standalone mpmdvet run; CI
-// uploads it next to BENCH_live.json so suppressed exceptions stay auditable.
+// uploads it so suppressed exceptions stay auditable.
 type Summary struct {
 	Packages    int            `json:"packages"`
 	Diagnostics int            `json:"diagnostics"`

@@ -238,3 +238,13 @@ func TestFormatters(t *testing.T) {
 		t.Error("ablation table incomplete")
 	}
 }
+
+func TestScalesDiffer(t *testing.T) {
+	full, quick := Full(), Quick()
+	if full.LUN <= quick.LUN || full.EM3DNodes <= quick.EM3DNodes {
+		t.Fatal("full scale not larger than quick scale")
+	}
+	if full.LUN != 512 || full.LUB != 16 || full.EM3DNodes != 800 {
+		t.Fatalf("full scale drifted from the paper: %+v", full)
+	}
+}

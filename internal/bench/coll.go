@@ -12,9 +12,8 @@ import (
 )
 
 // CollRow is one line of the collective-operations table: the log-depth
-// team collectives measured end to end on either backend. On the sim
-// backend times are virtual (calibrated model); on live they are host
-// wall-clock.
+// team collectives measured end to end in virtual time on the calibrated
+// model.
 type CollRow struct {
 	Name  string        `json:"name"`
 	Nodes int           `json:"nodes"`
@@ -26,22 +25,11 @@ type CollRow struct {
 // collBcastBytes sizes the broadcast-bandwidth row.
 const collBcastBytes = 8 << 10
 
-// collMachine builds an n-node machine on the named backend.
-func collMachine(cfg machine.Config, backend string, n int) *machine.Machine {
-	if backend == "live" {
-		return liveMachine(cfg, n)
-	}
-	return machine.New(cfg, n)
-}
-
 // measureColl times body (one collective op) across iters iterations on a
-// fresh n-node rig, per-op as seen by rank 0. Thread.Now reads virtual time
-// on the simulator and wall time on the live backend, so the same harness
-// serves both.
-func measureColl(cfg machine.Config, backend string, n, iters int,
+// fresh n-node simulator rig, per-op as seen by rank 0.
+func measureColl(cfg machine.Config, n, iters int,
 	body func(tm *coll.Team, th *threads.Thread)) time.Duration {
-	m := collMachine(cfg, backend, n)
-	rt := core.NewRuntime(m)
+	rt := core.NewRuntime(machine.New(cfg, n))
 	tm := coll.For(rt).World()
 	var per time.Duration
 	for i := 0; i < n; i++ {
@@ -67,8 +55,8 @@ func measureColl(cfg machine.Config, backend string, n, iters int,
 }
 
 // RunCollBench measures the team collectives — barrier, 8-node all-reduce,
-// broadcast bandwidth — on the named backend ("sim" or "live").
-func RunCollBench(cfg machine.Config, sc Scale, backend string) []CollRow {
+// broadcast bandwidth — on the simulator.
+func RunCollBench(cfg machine.Config, sc Scale) []CollRow {
 	iters := sc.MicroIters
 	if iters > 200 {
 		iters = 200 // collectives involve every node; cap the full scale
@@ -83,11 +71,11 @@ func RunCollBench(cfg machine.Config, sc Scale, backend string) []CollRow {
 	}
 
 	add("Team barrier", 4,
-		measureColl(cfg, backend, 4, iters, func(tm *coll.Team, th *threads.Thread) {
+		measureColl(cfg, 4, iters, func(tm *coll.Team, th *threads.Thread) {
 			tm.Barrier(th)
 		}), 0)
 	add("AllReduce f64 sum", 8,
-		measureColl(cfg, backend, 8, iters, func(tm *coll.Team, th *threads.Thread) {
+		measureColl(cfg, 8, iters, func(tm *coll.Team, th *threads.Thread) {
 			tm.AllReduce(th, coll.EncF64(1), coll.SumF64)
 		}), 0)
 	payload := make([]byte, collBcastBytes)
@@ -95,7 +83,7 @@ func RunCollBench(cfg machine.Config, sc Scale, backend string) []CollRow {
 		payload[i] = byte(i)
 	}
 	add(fmt.Sprintf("Bcast %d KiB", collBcastBytes/1024), 4,
-		measureColl(cfg, backend, 4, iters, func(tm *coll.Team, th *threads.Thread) {
+		measureColl(cfg, 4, iters, func(tm *coll.Team, th *threads.Thread) {
 			var data []byte
 			if tm.Rank(th) == 0 {
 				data = payload
@@ -106,13 +94,9 @@ func RunCollBench(cfg machine.Config, sc Scale, backend string) []CollRow {
 }
 
 // FormatColl renders the collective-operations table.
-func FormatColl(rows []CollRow, backend string) string {
+func FormatColl(rows []CollRow) string {
 	var b strings.Builder
-	unit := "virtual time, calibrated SP model"
-	if backend == "live" {
-		unit = "host wall-clock"
-	}
-	fmt.Fprintf(&b, "Team collectives — log-depth trees over the RMI wire path (%s)\n", unit)
+	fmt.Fprintf(&b, "Team collectives — log-depth trees over the RMI wire path (virtual time, calibrated SP model)\n")
 	fmt.Fprintf(&b, "%-24s | %6s | %8s | %10s | %10s\n", "operation", "nodes", "iters", "per-op", "bandwidth")
 	for _, r := range rows {
 		bw := "-"

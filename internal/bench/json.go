@@ -6,13 +6,12 @@ import (
 )
 
 // Report is the machine-readable form of an mpmdbench run, emitted by the
-// -json flag so successive runs can accumulate a performance trajectory
-// (BENCH_*.json files). Row payloads are the same structs the text
-// formatters render; time.Duration fields marshal as integer nanoseconds.
+// -json flag. Row payloads are the same structs the text formatters render;
+// time.Duration fields marshal as integer nanoseconds.
 type Report struct {
 	// Schema versions the report layout.
 	Schema string `json:"schema"`
-	// Backend is "sim" (calibrated virtual time) or "live" (wall-clock).
+	// Backend is "sim" (calibrated virtual time), "live" or "net" (wall-clock).
 	Backend string `json:"backend"`
 	// Profile is the machine cost profile (cfg.Name); Scale the experiment
 	// sizing ("full" or "quick").
@@ -35,18 +34,12 @@ type Experiment struct {
 	Rows any `json:"rows"`
 }
 
-// ReportSchema is the current report schema identifier. v5 added per-row
-// RMI-latency percentiles (rmi_p50_ns/rmi_p99_ns/rmi_p999_ns) and the
-// transport label ("shm" or "socket") to throughput rows; on the net backend
-// the throughput experiment now carries both transports' waves in one
-// report. v4 added the observability experiment ("stats", []StatsRow):
-// machine-wide merged accounting counters — on the net backend the true
-// cross-process merge of every shard's kStats report — plus wall-clock
-// latency histograms with p50/p99/p999 on the live backends. v3 added the
-// sustained-throughput experiment ("throughput", []ThroughputRow) on both
-// backends; v2 added the collective-operations experiment ("coll",
-// []CollRow). Earlier reports are otherwise layout-compatible.
-const ReportSchema = "mpmdbench/v5"
+// ReportSchema is the current report schema identifier. v6 reports carry
+// the simulator experiments (table1 … coll, every duration in virtual time)
+// and the observability experiment ("stats", []StatsRow) on all three
+// backends; the wall-clock throughput, live-micro and live coll experiments
+// of v2–v5 are gone — benchmark/ measures those.
+const ReportSchema = "mpmdbench/v6"
 
 // NewReport starts an empty report for the given backend, profile and scale.
 func NewReport(backend, profile, scale string) *Report {

@@ -5,8 +5,9 @@
 //
 // Every runner takes a Scale so the full paper configuration and a quick
 // CI-sized configuration share all code paths. Absolute times come from the
-// calibrated virtual machine model; EXPERIMENTS.md records paper-vs-measured
-// for every row.
+// calibrated virtual machine model. The one runner that also goes on the
+// wall-clock backends is the observability report (stats.go); wall-clock
+// performance is benchmark/'s job.
 package bench
 
 import "repro/internal/machine"

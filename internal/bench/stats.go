@@ -6,9 +6,83 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/threads"
+	"repro/internal/trace"
+	"repro/internal/transport/live"
+	"repro/internal/transport/netlive"
 )
+
+// statsNodes is the stats machine's size: two clients, each driving null
+// RMIs at its paired server. On the net backend the machine is two shards of
+// two, clients in the parent process and servers in the re-exec'd worker, so
+// every RMI crosses the process boundary.
+const statsNodes = 4
+
+// RunStats drives sc.MicroIters null RMIs per client on one machine of the
+// given backend ("sim", "live" or "net") and returns the machine-wide
+// observability rows: merged accounting plus, on the wall-clock backends,
+// latency percentiles and message-plane counters — on net the cross-process
+// merge of every shard's kStats report, with one row per shard after the
+// machine row. When tl is non-nil the run is traced into it: this is the
+// machine mpmdbench's -trace flag captures.
+//
+// On the net backend the program is re-exec'd for the worker shard, which
+// enters here too, serves the parent's clients and returns no rows; the
+// caller exits it without reporting (the parent owns stdout).
+func RunStats(cfg machine.Config, sc Scale, backend string, tl *trace.Log) ([]StatsRow, error) {
+	var m *machine.Machine
+	worker := false
+	switch backend {
+	case "sim":
+		m = machine.New(cfg, statsNodes)
+	case "live":
+		m = machine.NewWithBackend(cfg, statsNodes, live.New(statsNodes, live.Options{Watchdog: 2 * time.Minute}))
+	case "net":
+		be, err := netlive.New(statsNodes, netlive.Options{NodesPerShard: statsNodes / 2})
+		if err != nil {
+			return nil, err
+		}
+		worker = be.Shard() != 0
+		m = machine.NewWithBackend(cfg, statsNodes, be)
+	default:
+		return nil, fmt.Errorf("stats: unknown backend %q", backend)
+	}
+	if tl != nil {
+		trace.Attach(m, tl)
+	}
+	track(m)
+	rt := core.NewRuntime(m)
+	rt.RegisterClass(&core.Class{
+		Name: "Null",
+		New:  func() any { return new(struct{}) },
+		Methods: []*core.Method{
+			{Name: "null", Fn: func(t *threads.Thread, self any, a []core.Arg, r core.Arg) {}},
+		},
+	})
+	const pairs = statsNodes / 2
+	for i := 0; i < pairs; i++ {
+		gp := rt.CreateObject(pairs+i, "Null")
+		rt.OnNode(i, func(t *threads.Thread) {
+			for k := 0; k < sc.MicroIters; k++ {
+				rt.Call(t, gp, "null", nil, nil)
+			}
+		})
+	}
+	if err := rt.Run(); err != nil {
+		return nil, fmt.Errorf("stats on %s: %w", backend, err)
+	}
+	if worker {
+		return nil, nil
+	}
+	cs, err := m.ClusterStats()
+	if err != nil {
+		return nil, fmt.Errorf("stats on %s: %w", backend, err)
+	}
+	return StatsRows(cs), nil
+}
 
 // HistRow is one latency (or size) histogram rendered for a report: count,
 // log-bucket percentiles, observed max, and mean. Durations are nanoseconds.
@@ -37,7 +111,9 @@ type StatsRow struct {
 	Scope string `json:"scope"`
 	Nodes int    `json:"nodes"`
 	// BusyNS and Buckets are the accounting side: charged time, total and per
-	// category (virtual time on sim, modelled charges on live).
+	// category. Virtual time on sim; on live and net they are the same modelled
+	// 1997 SP charges, not wall-clock — nothing below them in the row shares
+	// their clock.
 	BusyNS  int64            `json:"busy_ns"`
 	Buckets map[string]int64 `json:"buckets_ns,omitempty"`
 	// Counters are the machine.Acct event counters (RMIs, handlers, bytes).
@@ -143,13 +219,21 @@ func StatsRows(cs machine.ClusterStats) []StatsRow {
 	return rows
 }
 
-// FormatStats renders the observability rows: per-scope latency percentiles
-// and the most load-bearing counters.
+// FormatStats renders the observability rows: per scope, the accounting
+// group and — on the wall-clock backends — the metrics-registry group, each
+// headed by the clock its numbers are on. On live and net "busy" is what the
+// run would have been charged on the 1997 SP, and must not be read against
+// the wall-clock percentiles under it.
 func FormatStats(rows []StatsRow, backend string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Machine-wide observability (%s backend)\n", backend)
+	acctClock := "modelled (1997 SP charges)"
+	if backend == "sim" {
+		acctClock = "virtual time"
+	}
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%s (%d nodes): busy %v", r.Scope, r.Nodes, time.Duration(r.BusyNS).Round(time.Microsecond))
+		fmt.Fprintf(&b, "%s (%d nodes)\n", r.Scope, r.Nodes)
+		fmt.Fprintf(&b, "  %s: busy %v", acctClock, time.Duration(r.BusyNS).Round(time.Microsecond))
 		for _, name := range sortedKeys(r.Counters) {
 			switch name {
 			case "core.rmi", "am.handlers", "am.msg.short", "am.msg.bulk":
@@ -157,20 +241,22 @@ func FormatStats(rows []StatsRow, backend string) string {
 			}
 		}
 		b.WriteByte('\n')
+		if backend == "sim" {
+			continue
+		}
+		fmt.Fprintf(&b, "  wall-clock:")
 		for _, name := range sortedKeys(r.Wall) {
 			fmt.Fprintf(&b, "  %s=%d", name, r.Wall[name])
 		}
-		if len(r.Wall) > 0 {
-			b.WriteByte('\n')
-		}
+		b.WriteByte('\n')
 		for _, name := range sortedKeys(r.Hists) {
 			h := r.Hists[name]
 			if strings.HasSuffix(name, ".ns") {
-				fmt.Fprintf(&b, "  %-20s n=%-8d p50=%-10v p99=%-10v p999=%-10v max=%v\n",
+				fmt.Fprintf(&b, "    %-20s n=%-8d p50=%-10v p99=%-10v p999=%-10v max=%v\n",
 					name, h.Count, time.Duration(h.P50), time.Duration(h.P99),
 					time.Duration(h.P999), time.Duration(h.Max))
 			} else {
-				fmt.Fprintf(&b, "  %-20s n=%-8d p50=%-10d p99=%-10d p999=%-10d max=%d\n",
+				fmt.Fprintf(&b, "    %-20s n=%-8d p50=%-10d p99=%-10d p999=%-10d max=%d\n",
 					name, h.Count, h.P50, h.P99, h.P999, h.Max)
 			}
 		}

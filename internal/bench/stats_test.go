@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/machine"
@@ -36,5 +37,67 @@ func TestStatsRowNotifyBranches(t *testing.T) {
 	}
 	if row := statsRow("machine", 2, machine.Snapshot{}, metrics.Snapshot{}); len(row.Wall) != 0 {
 		t.Errorf("row without live traffic has wall counters: %v", row.Wall)
+	}
+}
+
+// TestRunStats runs the report mpmdbench prints: the null-RMI workload's
+// count is exact on every backend, the simulator row carries nothing from the
+// wall-clock registry, and a live row's latency histogram saw every RMI.
+func TestRunStats(t *testing.T) {
+	sc := Quick()
+	wantRMI := int64(statsNodes / 2 * sc.MicroIters)
+	for _, backend := range []string{"sim", "live"} {
+		rows, err := RunStats(Cfg(), sc, backend, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", backend, err)
+		}
+		if len(rows) != 1 || rows[0].Scope != "machine" || rows[0].Nodes != statsNodes {
+			t.Fatalf("%s: want one machine row of %d nodes, got %+v", backend, statsNodes, rows)
+		}
+		row := rows[0]
+		if got := row.Counters["core.rmi"]; got != wantRMI {
+			t.Errorf("%s: core.rmi = %d, want %d", backend, got, wantRMI)
+		}
+		if backend == "sim" {
+			if len(row.Wall)+len(row.Gauges)+len(row.Hists) != 0 {
+				t.Errorf("sim row carries wall-clock metrics: %v %v %v", row.Wall, row.Gauges, row.Hists)
+			}
+			continue
+		}
+		if got := row.Hists["rmi.latency.ns"].Count; got != wantRMI {
+			t.Errorf("live: rmi.latency.ns count = %d, want core.rmi = %d", got, wantRMI)
+		}
+		if got, ok := row.Wall["live.notify.dropped"]; !ok || got != 0 {
+			t.Errorf("live: live.notify.dropped = %d (present %v), want present and 0", got, ok)
+		}
+	}
+	if _, err := RunStats(Cfg(), sc, "bogus", nil); err == nil {
+		t.Error("unknown backend accepted")
+	}
+}
+
+// TestFormatStatsLabelsClocks: the report never prints a modelled 1997 charge
+// and a wall-clock number under one heading. On the simulator everything is
+// virtual time; on live and net "busy" is a modelled charge and says so, and
+// the registry's numbers come under their own wall-clock heading.
+func TestFormatStatsLabelsClocks(t *testing.T) {
+	var met metrics.Snapshot
+	met.Counters[metrics.CtrNotifyDirect] = 3
+	wallRow := []StatsRow{statsRow("machine", 2, machine.Snapshot{}, met)}
+	simRow := []StatsRow{statsRow("machine", 2, machine.Snapshot{}, metrics.Snapshot{})}
+	const modelled, wall, virtual = "modelled (1997 SP charges): busy", "wall-clock:", "virtual time: busy"
+	for _, backend := range []string{"live", "net"} {
+		out := FormatStats(wallRow, backend)
+		m, w := strings.Index(out, modelled), strings.Index(out, wall)
+		if m < 0 || w < m || strings.Contains(out, virtual) {
+			t.Errorf("%s report headings wrong:\n%s", backend, out)
+		}
+		if n := strings.Index(out, "live.notify.direct=3"); n < w {
+			t.Errorf("%s: registry counter printed above the wall-clock heading:\n%s", backend, out)
+		}
+	}
+	out := FormatStats(simRow, "sim")
+	if !strings.Contains(out, virtual) || strings.Contains(out, modelled) || strings.Contains(out, wall) {
+		t.Errorf("sim report headings wrong:\n%s", out)
 	}
 }

@@ -74,9 +74,10 @@
 //     and reduction aliases are deprecated in favor of Dist and the typed
 //     collectives, but remain the measured baseline surface);
 //   - the Nexus/TCP transport used for the paper's §6 comparison
-//     (NewNexusTransport);
-//   - the experiment harness regenerating every table and figure
-//     (the Run*/Format* re-exports).
+//     (NewNexusTransport).
+//
+// The harness that regenerates the paper's tables and figures is the
+// mpmdbench command, not part of this package.
 //
 // See examples/ for runnable programs and DESIGN.md for the system map.
 package mpmd
@@ -84,7 +85,6 @@ package mpmd
 import (
 	"io"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/metrics"
@@ -302,25 +302,3 @@ const (
 	CntHandlersRun = machine.CntHandlersRun
 	CntRMI         = machine.CntRMI
 )
-
-// --- experiment harness ----------------------------------------------------------
-
-// Scale sizes the experiments; FullScale is the paper's configuration and
-// QuickScale a CI-sized one.
-type Scale = bench.Scale
-
-// FullScale returns the paper's experiment sizes.
-func FullScale() Scale { return bench.Full() }
-
-// QuickScale returns reduced experiment sizes.
-func QuickScale() Scale { return bench.Quick() }
-
-// LiveMicroRow is one row of the live-backend microbenchmark table.
-type LiveMicroRow = bench.LiveRow
-
-// RunLiveMicro measures RMI round-trips, bulk bandwidth, and barriers on the
-// live backend (wall-clock, machine-dependent).
-func RunLiveMicro(sc Scale) []LiveMicroRow { return bench.RunLiveMicro(bench.Cfg(), sc) }
-
-// FormatLiveMicro renders the live-backend microbenchmark table.
-func FormatLiveMicro(rows []LiveMicroRow) string { return bench.FormatLiveMicro(rows) }

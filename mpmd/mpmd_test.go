@@ -120,13 +120,3 @@ func TestPublicAPIParForAndGPF64(t *testing.T) {
 		}
 	}
 }
-
-func TestScalesDiffer(t *testing.T) {
-	full, quick := mpmd.FullScale(), mpmd.QuickScale()
-	if full.LUN <= quick.LUN || full.EM3DNodes <= quick.EM3DNodes {
-		t.Fatal("full scale not larger than quick scale")
-	}
-	if full.LUN != 512 || full.LUB != 16 || full.EM3DNodes != 800 {
-		t.Fatalf("full scale drifted from the paper: %+v", full)
-	}
-}
