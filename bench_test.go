@@ -28,8 +28,6 @@ import (
 	"repro/internal/apps/water"
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/machine"
-	"repro/internal/nexus"
 )
 
 func BenchmarkTable1CodeSize(b *testing.B) {
@@ -83,7 +81,7 @@ func benchEM3D(b *testing.B, variant em3d.Variant, remotePct int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ccRes, err := em3d.RunCCXX(bench.Cfg(), base.Clone(), variant, nil)
+		ccRes, err := em3d.RunCCXX(bench.Cfg(), base.Clone(), variant, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -113,7 +111,7 @@ func benchWater(b *testing.B, variant water.Variant, n int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ccRes, err := water.RunCCXX(bench.Cfg(), base.Clone(), variant, nil)
+		ccRes, err := water.RunCCXX(bench.Cfg(), base.Clone(), variant, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +141,7 @@ func BenchmarkFig6LU(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		ccRes, err := lu.RunCCXX(bench.Cfg(), base.Clone(), nil)
+		ccRes, err := lu.RunCCXX(bench.Cfg(), base.Clone(), core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,14 +157,11 @@ func BenchmarkNexusCompare(b *testing.B) {
 	base := em3d.Build(p)
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		th, err := em3d.RunCCXX(bench.Cfg(), base.Clone(), em3d.Ghost, nil)
+		th, err := em3d.RunCCXX(bench.Cfg(), base.Clone(), em3d.Ghost, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
-		nx, err := em3d.RunCCXX(bench.Cfg(), base.Clone(), em3d.Ghost,
-			func(m *machine.Machine) core.Options {
-				return core.Options{Transport: nexus.New(m)}
-			})
+		nx, err := em3d.RunCCXX(bench.Cfg(), base.Clone(), em3d.Ghost, core.Options{Nexus: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -50,8 +50,7 @@ type Msg struct {
 	//mpmdvet:ignore wirewords envelope-side bookkeeping — EncodeWire releases it and frames only Payload bytes
 	PayloadBuf *wire.Buf
 	// RecvExtra is additional receiver-side CPU charged when the message is
-	// polled, set by slow transports (the Nexus/TCP profile) to model their
-	// protocol stacks.
+	// polled (SendOpts.ExtraRecvCPU: the Nexus/TCP profile's protocol stack).
 	RecvExtra time.Duration
 }
 
@@ -129,7 +128,9 @@ func DecodeWireMsg(src, dst int, b []byte) any {
 	return m
 }
 
-// SendOpts parameterizes Request for transports layered over the AM engine.
+// SendOpts parameterizes Request: the path a message takes, and what it costs
+// beyond the machine's Active Messages profile — zero for the runtimes the
+// paper builds, the Nexus/TCP surcharges under core.Options.Nexus.
 type SendOpts struct {
 	// Bulk selects the bulk-transfer path (payload allowed, bulk setup cost).
 	Bulk bool

@@ -88,15 +88,11 @@ func putLeU64(b []byte, v uint64) {
 	b[7] = byte(v >> 56)
 }
 
-// RunCCXX executes the CC++ version of EM3D over the given transport options
-// (zero Options means CC++/ThAM; pass a Nexus transport for the §6
-// comparison), mutating g's values and returning the measurement.
-func RunCCXX(cfg machine.Config, g *Graph, variant Variant, mkOpts func(m *machine.Machine) core.Options) (*appstat.Result, error) {
+// RunCCXX executes the CC++ version of EM3D under the given runtime options
+// (zero Options means CC++/ThAM; Options.Nexus is the §6 comparison),
+// mutating g's values and returning the measurement.
+func RunCCXX(cfg machine.Config, g *Graph, variant Variant, opts core.Options) (*appstat.Result, error) {
 	m := machine.New(cfg, g.P.Procs)
-	var opts core.Options
-	if mkOpts != nil {
-		opts = mkOpts(m)
-	}
 	rt := core.NewRuntimeOpts(m, opts)
 	rt.RegisterClass(em3dClass())
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 )
 
@@ -106,7 +107,7 @@ func runAll(t *testing.T, p Params) map[string]float64 {
 		out["split-c/"+string(v)] = res.Checksum
 
 		g = base.Clone()
-		res2, err := RunCCXX(cfg, g, v, nil)
+		res2, err := RunCCXX(cfg, g, v, core.Options{})
 		if err != nil {
 			t.Fatalf("cc++ %s: %v", v, err)
 		}
@@ -155,7 +156,7 @@ func TestOptimizationOrdering(t *testing.T) {
 		elapsed["sc/"+string(v)] = float64(res.Elapsed)
 
 		g = base.Clone()
-		res2, err := RunCCXX(cfg, g, v, nil)
+		res2, err := RunCCXX(cfg, g, v, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -182,7 +183,7 @@ func TestCCXXSlowerButCompetitive(t *testing.T) {
 			t.Fatal(err)
 		}
 		g = base.Clone()
-		cc, err := RunCCXX(cfg, g, v, nil)
+		cc, err := RunCCXX(cfg, g, v, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -60,15 +60,11 @@ func luClass() *core.Class {
 	}
 }
 
-// RunCCXX executes the CC++ version of blocked LU (cc-lu) over the given
-// transport options (nil mkOpts means CC++/ThAM), mutating s and returning
+// RunCCXX executes the CC++ version of blocked LU (cc-lu) under the given
+// runtime options (zero Options means CC++/ThAM), mutating s and returning
 // the measurement.
-func RunCCXX(cfg machine.Config, s *State, mkOpts func(m *machine.Machine) core.Options) (*appstat.Result, error) {
+func RunCCXX(cfg machine.Config, s *State, opts core.Options) (*appstat.Result, error) {
 	m := machine.New(cfg, s.P.Procs)
-	var opts core.Options
-	if mkOpts != nil {
-		opts = mkOpts(m)
-	}
 	rt := core.NewRuntimeOpts(m, opts)
 	rt.RegisterClass(luClass())
 	b := s.P.B

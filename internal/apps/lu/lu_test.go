@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 )
 
@@ -90,7 +91,7 @@ func TestCCXXMatchesSerial(t *testing.T) {
 	serial := orig.Clone()
 	RunSerial(serial)
 	dist := orig.Clone()
-	res, err := RunCCXX(machine.SP1997(), dist, nil)
+	res, err := RunCCXX(machine.SP1997(), dist, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestCCXXSlowerWithinBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := RunCCXX(machine.SP1997(), orig.Clone(), nil)
+	cc, err := RunCCXX(machine.SP1997(), orig.Clone(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestSyncOverheadSignificantInCCLU(t *testing.T) {
 	// Paper: intense synchronization is ~32% of cc-lu's gap; verify thread
 	// sync is a visible component of the CC++ run.
 	orig := Build(small())
-	cc, err := RunCCXX(machine.SP1997(), orig.Clone(), nil)
+	cc, err := RunCCXX(machine.SP1997(), orig.Clone(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -84,15 +84,10 @@ func waterClass() *core.Class {
 	}
 }
 
-// RunCCXX executes the CC++ version of Water over the given transport
-// options (nil mkOpts means CC++/ThAM), mutating s and returning the
-// measurement.
-func RunCCXX(cfg machine.Config, s *State, variant Variant, mkOpts func(m *machine.Machine) core.Options) (*appstat.Result, error) {
+// RunCCXX executes the CC++ version of Water under the given runtime options
+// (zero Options means CC++/ThAM), mutating s and returning the measurement.
+func RunCCXX(cfg machine.Config, s *State, variant Variant, opts core.Options) (*appstat.Result, error) {
 	m := machine.New(cfg, s.P.Procs)
-	var opts core.Options
-	if mkOpts != nil {
-		opts = mkOpts(m)
-	}
 	rt := core.NewRuntimeOpts(m, opts)
 	rt.RegisterClass(waterClass())
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/machine"
 )
 
@@ -88,7 +89,7 @@ func runAll(t *testing.T, p Params) map[string]float64 {
 		out["split-c/"+string(v)] = res.Checksum
 
 		s = base.Clone()
-		res2, err := RunCCXX(cfg, s, v, nil)
+		res2, err := RunCCXX(cfg, s, v, core.Options{})
 		if err != nil {
 			t.Fatalf("cc++ %s: %v", v, err)
 		}
@@ -122,7 +123,7 @@ func TestPrefetchFasterThanAtomic(t *testing.T) {
 				}
 				elapsed = float64(res.Elapsed)
 			} else {
-				res, err := RunCCXX(cfg, s, v, nil)
+				res, err := RunCCXX(cfg, s, v, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -173,7 +174,7 @@ func TestCCXXGapGrowsWithN(t *testing.T) {
 			t.Fatal(err)
 		}
 		s = base.Clone()
-		cc, err := RunCCXX(cfg, s, Atomic, nil)
+		cc, err := RunCCXX(cfg, s, Atomic, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

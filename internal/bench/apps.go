@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps/em3d"
 	"repro/internal/apps/lu"
 	"repro/internal/apps/water"
+	"repro/internal/core"
 	"repro/internal/machine"
 )
 
@@ -37,7 +38,7 @@ func RunEM3D(cfg machine.Config, sc Scale) []EM3DRow {
 			if err != nil {
 				panic(err)
 			}
-			ccRes, err := em3d.RunCCXX(cfg, base.Clone(), variant, nil)
+			ccRes, err := em3d.RunCCXX(cfg, base.Clone(), variant, core.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -86,7 +87,7 @@ func RunWater(cfg machine.Config, sc Scale) []WaterRow {
 			if err != nil {
 				panic(err)
 			}
-			ccRes, err := water.RunCCXX(cfg, base.Clone(), variant, nil)
+			ccRes, err := water.RunCCXX(cfg, base.Clone(), variant, core.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -130,7 +131,7 @@ func RunLU(cfg machine.Config, sc Scale) LURow {
 	if err != nil {
 		panic(err)
 	}
-	ccRes, err := lu.RunCCXX(cfg, base.Clone(), nil)
+	ccRes, err := lu.RunCCXX(cfg, base.Clone(), core.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -72,8 +72,10 @@ func countFileLines(path string) int {
 // RunCodeSize reproduces Table 1: the size of this repository's runtime
 // components, with the paper's corresponding line counts alongside. The
 // structural point of Table 1 — the lean ThAM-based runtime is two orders of
-// magnitude smaller than Nexus — maps onto the nexus transport package being
-// a small surcharge layer while core+tham stay a few thousand lines.
+// magnitude smaller than Nexus — survives here in the extreme: the lean
+// runtime is a few thousand lines, and what this repository keeps of Nexus is
+// a cost profile (four constants of machine.Config behind core.Options.Nexus),
+// so its row counts no Go at all.
 func RunCodeSize() []CodeSizeRow {
 	root := moduleRoot()
 	row := func(component, rel string, paperC, paperH int) CodeSizeRow {
@@ -83,7 +85,7 @@ func RunCodeSize() []CodeSizeRow {
 	return []CodeSizeRow{
 		row("core (CC++ runtime)", "internal/core", 2682, 1346),
 		row("tham", "internal/tham", 1155, 726),
-		row("nexus transport", "internal/nexus", 39226, 6552),
+		{Component: "nexus (a cost profile)", PaperC: 39226, PaperH: 6552},
 		row("am (Active Messages)", "internal/am", 0, 0),
 		row("threads package", "internal/threads", 0, 0),
 		row("splitc runtime", "internal/splitc", 0, 0),
@@ -104,6 +106,6 @@ func FormatCodeSize(rows []CodeSizeRow) string {
 		}
 		fmt.Fprintf(&b, "%-24s | %8d %8d | %10s %10s\n", r.Component, r.GoLines, r.TestLines, pc, ph)
 	}
-	fmt.Fprintf(&b, "(paper columns: Nexus v3.0 maps to the nexus row; CC++ w/ThAM to core; ThAM to tham)\n")
+	fmt.Fprintf(&b, "(paper columns: Nexus v3.0 maps to the nexus row, here core.Options.Nexus; CC++ w/ThAM to core; ThAM to tham)\n")
 	return b.String()
 }

@@ -10,13 +10,7 @@ import (
 	"repro/internal/apps/water"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/nexus"
 )
-
-// nexusOpts builds the CC++/Nexus runtime options for a machine.
-func nexusOpts(m *machine.Machine) core.Options {
-	return core.Options{Transport: nexus.New(m)}
-}
 
 // NexusRow compares one application under CC++/ThAM vs CC++/Nexus.
 type NexusRow struct {
@@ -27,7 +21,7 @@ type NexusRow struct {
 }
 
 // RunNexusCompare reproduces §6's "Comparison with CC++/Nexus": the same
-// CC++ applications over both transports. Sizes follow the scale but stay on
+// CC++ applications under both message-layer cost profiles. Sizes follow the scale but stay on
 // the small side — the point is the order-of-magnitude ratio, which is
 // insensitive to size in the communication-bound programs.
 func RunNexusCompare(cfg machine.Config, sc Scale) []NexusRow {
@@ -39,11 +33,11 @@ func RunNexusCompare(cfg machine.Config, sc Scale) []NexusRow {
 	}
 	for _, variant := range em3d.Variants() {
 		base := em3d.Build(em3dP)
-		th, err := em3d.RunCCXX(cfg, base.Clone(), variant, nil)
+		th, err := em3d.RunCCXX(cfg, base.Clone(), variant, core.Options{})
 		if err != nil {
 			panic(err)
 		}
-		nx, err := em3d.RunCCXX(cfg, base.Clone(), variant, nexusOpts)
+		nx, err := em3d.RunCCXX(cfg, base.Clone(), variant, core.Options{Nexus: true})
 		if err != nil {
 			panic(err)
 		}
@@ -54,11 +48,11 @@ func RunNexusCompare(cfg machine.Config, sc Scale) []NexusRow {
 	waterP := water.Params{N: sc.NexusWaterSize, Procs: 4, Steps: 1, Seed: 3}
 	for _, variant := range water.Variants() {
 		base := water.Build(waterP)
-		th, err := water.RunCCXX(cfg, base.Clone(), variant, nil)
+		th, err := water.RunCCXX(cfg, base.Clone(), variant, core.Options{})
 		if err != nil {
 			panic(err)
 		}
-		nx, err := water.RunCCXX(cfg, base.Clone(), variant, nexusOpts)
+		nx, err := water.RunCCXX(cfg, base.Clone(), variant, core.Options{Nexus: true})
 		if err != nil {
 			panic(err)
 		}
@@ -72,11 +66,11 @@ func RunNexusCompare(cfg machine.Config, sc Scale) []NexusRow {
 	}
 	{
 		base := lu.Build(luP)
-		th, err := lu.RunCCXX(cfg, base.Clone(), nil)
+		th, err := lu.RunCCXX(cfg, base.Clone(), core.Options{})
 		if err != nil {
 			panic(err)
 		}
-		nx, err := lu.RunCCXX(cfg, base.Clone(), nexusOpts)
+		nx, err := lu.RunCCXX(cfg, base.Clone(), core.Options{Nexus: true})
 		if err != nil {
 			panic(err)
 		}

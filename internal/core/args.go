@@ -153,33 +153,12 @@ func (a *Str) Decode(b []byte) int {
 	return 8 + n
 }
 
-// encodeArgs marshals args into a fresh buffer, returning it along with the
-// total serializer-invocation count. (Test/reference path; the runtime's
-// send path marshals into pooled buffers via marshalArgs.)
-func encodeArgs(args []Arg) (buf []byte, units int) {
-	total := 0
-	for _, a := range args {
-		total += a.WireSize()
-		units += a.MarshalUnits()
-	}
-	buf = make([]byte, total)
-	off := 0
-	for _, a := range args {
-		off += a.Encode(buf[off:])
-	}
-	if off != total {
-		panic(fmt.Sprintf("core: encode size mismatch: wrote %d of %d", off, total))
-	}
-	return buf, units
-}
-
 // marshalArgs encodes args into a pooled wire buffer sized for the encoded
 // arguments plus extra trailing bytes (the cold path appends the qualified
 // method name there). It returns nil when there is nothing to send at all —
 // the warm null-RMI case, which must stay a short AM. argLen is the encoded
 // argument byte count (excluding extra) and units the serializer-invocation
-// count; both feed the modelled marshalling charge exactly as encodeArgs
-// did. Ownership of the buffer passes to the caller (typically straight
+// count; both feed the modelled marshalling charge. Ownership of the buffer passes to the caller (typically straight
 // through to the message layer).
 //
 //mpmd:hotpath
@@ -204,7 +183,7 @@ func marshalArgs(args []Arg, extra int) (buf *wire.Buf, argLen, units int) {
 }
 
 // marshalOne encodes a single return Arg into a pooled buffer — the reply
-// path's allocation-free counterpart of encodeArgs([]Arg{ret}).
+// path's allocation-free way to encode one value.
 //
 //mpmd:hotpath
 func marshalOne(ret Arg) (buf *wire.Buf, n, units int) {

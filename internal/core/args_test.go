@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -170,4 +171,24 @@ func TestWireSizeMatchesEncoding(t *testing.T) {
 	if len(buf) != total {
 		t.Fatalf("encoded %d bytes, WireSize sum %d", len(buf), total)
 	}
+}
+
+// encodeArgs marshals args into a fresh buffer, returning it along with the
+// total serializer-invocation count: the reference encoding the runtime's
+// pooled-buffer send path (marshalArgs) is held to.
+func encodeArgs(args []Arg) (buf []byte, units int) {
+	total := 0
+	for _, a := range args {
+		total += a.WireSize()
+		units += a.MarshalUnits()
+	}
+	buf = make([]byte, total)
+	off := 0
+	for _, a := range args {
+		off += a.Encode(buf[off:])
+	}
+	if off != total {
+		panic(fmt.Sprintf("core: encode size mismatch: wrote %d of %d", off, total))
+	}
+	return buf, units
 }

@@ -88,7 +88,6 @@ func (b *Barrier) Arrive(t *threads.Thread) {
 // CC++ analogue of Split-C's store-sync wait: the calling thread services
 // messages while it waits.
 func (rt *Runtime) WaitLocal(t *threads.Thread, cond func() bool) {
-	n := rt.nodeOf(t)
 	t.ChargeSyncOp()
-	rt.pollUntil(t, n.node.ID, cond)
+	rt.nodeOf(t).ep.PollUntil(t, cond)
 }

@@ -67,7 +67,7 @@ func (rt *Runtime) AddDist(size int, parts []DistPart) int {
 // DistOp is the sender-side record of one element access: completion,
 // landing bytes and round-trip stamp in one value, so the typed layer embeds
 // it in its future and a split-phase access costs that one allocation. The
-// message carries only the record's slot in the node's table (addDist).
+// message carries only the record's slot in the node's distPending table.
 type DistOp struct {
 	rt   *Runtime
 	comp completion
@@ -116,36 +116,6 @@ func (op *DistOp) Done() bool { return op.comp.done }
 func (op *DistOp) Reset() {
 	op.comp.done = false
 	op.comp.sv.Reset()
-}
-
-// addDist stores an in-flight access record, returning its wire ID (slot+1).
-// Sender-node execution context only, like takeDist.
-//
-//mpmd:hotpath
-func (n *nodeRT) addDist(op *DistOp) uint64 {
-	if ln := len(n.distFree); ln > 0 {
-		id := n.distFree[ln-1]
-		n.distFree = n.distFree[:ln-1]
-		n.distPending[id] = op
-		return uint64(id) + 1
-	}
-	n.distPending = append(n.distPending, op)
-	return uint64(len(n.distPending))
-}
-
-// takeDist resolves a reply's request ID and frees the slot. The ID came in
-// a message: one that names no in-flight access — never issued, or already
-// answered — is refused by name.
-//
-//mpmd:hotpath
-func (n *nodeRT) takeDist(src int, wireID uint64) *DistOp {
-	if wireID-1 >= uint64(len(n.distPending)) || n.distPending[wireID-1] == nil {
-		panic(fmt.Sprintf("core: node %d dist reply from node %d for unknown request %d (stale or duplicate)", n.node.ID, src, wireID))
-	}
-	op := n.distPending[wireID-1]
-	n.distPending[wireID-1] = nil
-	n.distFree = append(n.distFree, uint32(wireID-1))
-	return op
 }
 
 // DistLocal accounts an access to an element the calling node owns — the
@@ -209,34 +179,34 @@ func (rt *Runtime) distSend(t *threads.Thread, op *DistOp, node int, a [4]uint64
 	}
 	// The request table is bounded, as hardware's is and as Active Messages
 	// bounds a node's outstanding requests with credits: out of slots, the
-	// issuer serves its endpoint until a reply frees one (pollUntil's loop,
-	// without a closure). Once the endpoint has stopped none will: it parks
-	// where waitDone leaves a blocked sender at shutdown.
-	for me := n.node.ID; len(n.distPending)-len(n.distFree) >= distSlots; {
+	// issuer serves its endpoint until a reply frees one (the loop of
+	// am.Endpoint.PollUntil, without a closure). Once the endpoint has stopped
+	// none will: it parks where waitDone leaves a blocked sender at shutdown.
+	for n.distPending.inFlight() >= distSlots {
 		switch {
-		case rt.tr.Poll(t, me):
+		case n.ep.Poll(t):
 		case t.Scheduler().ReadyLen() > 0:
 			t.Yield()
-		case rt.tr.Stopped(me):
+		case n.ep.Stopped():
 			t.Block()
 		default:
-			rt.tr.WaitMessage(t, me)
+			n.ep.WaitMessage(t)
 		}
 	}
 	if n.node.Met != nil {
 		op.t0 = n.node.M.Now()
 	}
-	a[0] |= n.addDist(op)
+	a[0] |= n.distPending.add(op)
 	lockPair(t, &n.commLock)
-	rt.tr.Send(t, n.node.ID, node, rt.hDistReq, a, payload, false)
+	n.send(t, node, rt.hDistReq, a, payload)
 	if wait {
 		rt.waitComp(t, n, &op.comp)
 	}
 }
 
 func (rt *Runtime) registerDistHandlers() {
-	rt.hDistReq = rt.tr.Register("cc.dist.req", rt.handleDistReq)
-	rt.hDistReply = rt.tr.Register("cc.dist.reply", rt.handleDistReply)
+	rt.hDistReq = rt.net.Register("cc.dist.req", rt.handleDistReq)
+	rt.hDistReply = rt.net.Register("cc.dist.reply", rt.handleDistReply)
 }
 
 // handleDistReq serves one access at the owner and answers it. Every word
@@ -282,7 +252,7 @@ func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 		}
 		chargeRuntime(t, gpServeCost+time.Duration(len(payload))*cfg.MemCopyPerByte)
 	}
-	rt.tr.Send(t, m.Dst, m.Src, rt.hDistReply, a, payload, false)
+	n.send(t, m.Src, rt.hDistReply, a, payload)
 }
 
 // handleDistReply lands a get's element, or a put's acknowledgement, at the
@@ -291,7 +261,7 @@ func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 //mpmd:hotpath
 func (rt *Runtime) handleDistReply(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
-	op := n.takeDist(m.Src, m.A[3])
+	op := n.distPending.take("dist", m.Dst, m.Src, m.A[3])
 	if op.t0 > 0 {
 		if met := n.node.Met; met != nil {
 			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-op.t0)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/am"
 	"repro/internal/machine"
 	"repro/internal/threads"
 )
@@ -114,7 +115,7 @@ func TestDistAccessWireForms(t *testing.T) {
 // real am stack — they could come from another process — and requires the
 // handler to refuse each by name (node, request, cause) before indexing
 // anything with them. Deleting a check in handleDistReq, handleDistReply or
-// takeDist fails exactly its rows: the words then index out of range or
+// reqTable.take fails exactly its rows: the words then index out of range or
 // dereference nil (a payload-form put let through without its payload shows
 // instead as the acknowledgement node 0 never asked for).
 func TestDistHostileWords(t *testing.T) {
@@ -172,7 +173,7 @@ func TestDistHostileWords(t *testing.T) {
 				if row.msg.reply {
 					h = rt.hDistReply
 				}
-				rt.tr.Send(th, 0, 1, h, row.msg.a, row.msg.payload, false)
+				rt.nodes[0].send(th, 1, h, row.msg.a, row.msg.payload)
 			})
 			var refused string
 			rt.OnNode(1, func(th *threads.Thread) {
@@ -181,14 +182,9 @@ func TestDistHostileWords(t *testing.T) {
 				}
 				// The most recent message waiter receives the arrival: this
 				// thread, not the node's poller.
-				serve := func() (refusal string) {
-					defer func() { refusal = fmt.Sprint(recover()) }()
-					rt.pollUntil(th, 1, func() bool { return false })
-					return ""
-				}
-				refused = serve()
+				refused = serveRefusal(rt, th)
 				if row.early {
-					serve() // the genuine reply follows, to a slot the refusal freed
+					serveRefusal(rt, th) // the genuine reply follows, to a slot the refusal freed
 				}
 			})
 			_ = rt.Run()
@@ -196,6 +192,71 @@ func TestDistHostileWords(t *testing.T) {
 				t.Errorf("handler failed with %q, want the named refusal (node 1, from node 0, %q)", refused, row.want)
 			}
 		})
+	}
+}
+
+// serveRefusal serves th's endpoint until a handler panics and returns the
+// panic's text. th must be its node's most recent message waiter — a node
+// program calling this is — so the arrival goes to it, not to the poller.
+func serveRefusal(rt *Runtime, th *threads.Thread) (refusal string) {
+	defer func() { refusal = fmt.Sprint(recover()) }()
+	rt.nodeOf(th).ep.PollUntil(th, func() bool { return false })
+	return ""
+}
+
+// TestReplyHostileIDs is TestDistHostileWords for the request ID in the other
+// three reply messages (cc.reply, cc.gp.read.reply, cc.gp.ack): an ID that
+// names no in-flight request of node 1 — 0, which wraps; one past the table;
+// one already answered — is refused by name, never by a runtime index error.
+// Dropping the bound in reqTable.take fails exactly the first two rows of
+// each handler, dropping its nil check the third.
+func TestReplyHostileIDs(t *testing.T) {
+	// answered leaves node 1's table with request 1 issued and answered.
+	answeredRMI := func(n *nodeRT) { n.pending.take("RMI", 1, 0, n.pending.add(new(rmiMsg))) }
+	answeredGP := func(n *nodeRT) { n.gpPending.take("GP", 1, 0, n.gpPending.add(new(gpReq))) }
+	replies := []struct {
+		kind     string
+		h        func(rt *Runtime) am.HandlerID
+		idWord   int
+		answered func(n *nodeRT)
+	}{
+		{"RMI", func(rt *Runtime) am.HandlerID { return rt.hReply }, 0, answeredRMI},
+		{"GP", func(rt *Runtime) am.HandlerID { return rt.hGPReadReply }, 1, answeredGP},
+		{"GP", func(rt *Runtime) am.HandlerID { return rt.hGPAck }, 0, answeredGP},
+	}
+	ids := []struct {
+		name     string
+		id       uint64
+		answered bool
+	}{
+		{"id 0", 0, false},
+		{"id past the table", 9, false},
+		{"id already answered", 1, true},
+	}
+	for _, reply := range replies {
+		for _, id := range ids {
+			rt := newRig(2, Options{})
+			h := reply.h(rt)
+			t.Run(rt.net.HandlerName(h)+"/"+id.name, func(t *testing.T) {
+				rt.OnNode(0, func(th *threads.Thread) {
+					var a [4]uint64
+					a[reply.idWord] = id.id
+					rt.nodes[0].send(th, 1, h, a, nil)
+				})
+				var refused string
+				rt.OnNode(1, func(th *threads.Thread) {
+					if id.answered {
+						reply.answered(rt.nodeOf(th))
+					}
+					refused = serveRefusal(rt, th)
+				})
+				_ = rt.Run()
+				want := fmt.Sprintf("core: node 1 %s reply from node 0 for unknown request %d (stale or duplicate)", reply.kind, id.id)
+				if refused != want {
+					t.Errorf("handler failed with %q, want %q", refused, want)
+				}
+			})
+		}
 	}
 }
 
@@ -211,7 +272,7 @@ func TestDistSlotsBoundInFlight(t *testing.T) {
 		n := rt.nodeOf(th)
 		for i := range ops {
 			rt.DistRead(th, &ops[i], 1, words, i%4, false)
-			high = max(high, len(n.distPending)-len(n.distFree))
+			high = max(high, n.distPending.inFlight())
 		}
 		for i := range ops {
 			ops[i].Wait(th)

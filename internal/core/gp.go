@@ -93,36 +93,11 @@ const (
 )
 
 // gpReq is the sender-side record of one in-flight GP access; the message
-// carries its table ID in the words (addGP/takeGP) and the target's handle,
+// words carry its slot in the node's gpPending table and the target's handle,
 // which the owner resolves in its registry.
 type gpReq struct {
 	comp *completion
 	dst  *float64 // local landing slot for reads
-}
-
-// addGP stores an in-flight GP record, returning its wire ID (slot+1).
-// Sender-node execution context only, like takeGP.
-func (n *nodeRT) addGP(rq *gpReq) uint64 {
-	if ln := len(n.gpFree); ln > 0 {
-		id := n.gpFree[ln-1]
-		n.gpFree = n.gpFree[:ln-1]
-		n.gpPending[id] = rq
-		return uint64(id) + 1
-	}
-	n.gpPending = append(n.gpPending, rq)
-	return uint64(len(n.gpPending))
-}
-
-// takeGP resolves a reply's request ID and frees the slot.
-func (n *nodeRT) takeGP(wireID uint64) *gpReq {
-	id := uint32(wireID - 1)
-	rq := n.gpPending[id]
-	if rq == nil {
-		panic(fmt.Sprintf("core: node %d GP reply for unknown request %d", n.node.ID, wireID))
-	}
-	n.gpPending[id] = nil
-	n.gpFree = append(n.gpFree, id)
-	return rq
 }
 
 // GP message word layouts:
@@ -132,9 +107,9 @@ func (n *nodeRT) takeGP(wireID uint64) *gpReq {
 //	gp.write:      A = [bits, handle, reqID, wantAck]
 //	gp.ack:        A = [reqID]
 func (rt *Runtime) registerGPHandlers() {
-	rt.hGPReadReply = rt.tr.Register("cc.gp.read.reply", func(t *threads.Thread, m am.Msg) {
+	rt.hGPReadReply = rt.net.Register("cc.gp.read.reply", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
-		rq := n.takeGP(m.A[1])
+		rq := n.gpPending.take("GP", m.Dst, m.Src, m.A[1])
 		lockPair(t, &n.commLock)
 		chargeRuntime(t, gpCompleteCost)
 		*rq.dst = math.Float64frombits(m.A[0])
@@ -145,7 +120,7 @@ func (rt *Runtime) registerGPHandlers() {
 	// access itself still runs on a fresh thread at the owner, because a
 	// deref may touch data an interrupted local computation holds (Table 4's
 	// GP 2-Word R/W row: 1 create, 2 switches).
-	rt.hGPRead = rt.tr.Register("cc.gp.read", func(t *threads.Thread, m am.Msg) {
+	rt.hGPRead = rt.net.Register("cc.gp.read", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
 		lockPair(t, &n.commLock)
 		src := m.Src
@@ -154,17 +129,17 @@ func (rt *Runtime) registerGPHandlers() {
 		t.Spawn("gp.read", func(t2 *threads.Thread) {
 			chargeRuntime(t2, gpServeCost)
 			bits := math.Float64bits(*resolveF64(handle))
-			rt.tr.Send(t2, m.Dst, src, rt.hGPReadReply, [4]uint64{bits, reqID}, nil, false)
+			n.send(t2, src, rt.hGPReadReply, [4]uint64{bits, reqID}, nil)
 		})
 	})
-	rt.hGPAck = rt.tr.Register("cc.gp.ack", func(t *threads.Thread, m am.Msg) {
+	rt.hGPAck = rt.net.Register("cc.gp.ack", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
-		rq := n.takeGP(m.A[0])
+		rq := n.gpPending.take("GP", m.Dst, m.Src, m.A[0])
 		lockPair(t, &n.commLock)
 		chargeRuntime(t, gpCompleteCost)
 		rt.complete(t, rq.comp)
 	})
-	rt.hGPWrite = rt.tr.Register("cc.gp.write", func(t *threads.Thread, m am.Msg) {
+	rt.hGPWrite = rt.net.Register("cc.gp.write", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
 		lockPair(t, &n.commLock)
 		src := m.Src
@@ -176,7 +151,7 @@ func (rt *Runtime) registerGPHandlers() {
 			chargeRuntime(t2, gpServeCost)
 			*resolveF64(handle) = math.Float64frombits(bits)
 			if wantAck {
-				rt.tr.Send(t2, m.Dst, src, rt.hGPAck, [4]uint64{reqID}, nil, false)
+				n.send(t2, src, rt.hGPAck, [4]uint64{reqID}, nil)
 			}
 		})
 	})
@@ -206,9 +181,9 @@ func (rt *Runtime) ReadF64(t *threads.Thread, gp GPF64) float64 {
 	}
 	var dst float64
 	rq := &gpReq{comp: &completion{mode: mode}, dst: &dst}
-	id := n.addGP(rq)
+	id := n.gpPending.add(rq)
 	lockPair(t, &n.commLock)
-	rt.tr.Send(t, n.node.ID, int(gp.node), rt.hGPRead, [4]uint64{id, gp.h}, nil, false)
+	n.send(t, int(gp.node), rt.hGPRead, [4]uint64{id, gp.h}, nil)
 	rt.waitComp(t, n, rq.comp)
 	return dst
 }
@@ -233,10 +208,10 @@ func (rt *Runtime) WriteF64(t *threads.Thread, gp GPF64, v float64) {
 		mode = modeSpin
 	}
 	rq := &gpReq{comp: &completion{mode: mode}}
-	id := n.addGP(rq)
+	id := n.gpPending.add(rq)
 	lockPair(t, &n.commLock)
-	rt.tr.Send(t, n.node.ID, int(gp.node), rt.hGPWrite,
-		[4]uint64{math.Float64bits(v), gp.h, id, 1}, nil, false)
+	n.send(t, int(gp.node), rt.hGPWrite,
+		[4]uint64{math.Float64bits(v), gp.h, id, 1}, nil)
 	rt.waitComp(t, n, rq.comp)
 }
 
@@ -257,9 +232,9 @@ func (rt *Runtime) WriteF64Async(t *threads.Thread, gp GPF64, v float64) *Future
 	lockPair(t, &n.rtLock)
 	chargeRuntime(t, cfg.StubLookup+gpIssueCost)
 	rq := &gpReq{comp: &completion{mode: modeFuture}}
-	id := n.addGP(rq)
+	id := n.gpPending.add(rq)
 	lockPair(t, &n.commLock)
-	rt.tr.Send(t, n.node.ID, int(gp.node), rt.hGPWrite,
-		[4]uint64{math.Float64bits(v), gp.h, id, 1}, nil, false)
+	n.send(t, int(gp.node), rt.hGPWrite,
+		[4]uint64{math.Float64bits(v), gp.h, id, 1}, nil)
 	return &Future{rt: rt, comp: rq.comp}
 }

@@ -90,35 +90,74 @@ type rmiMsg struct {
 	t0 time.Duration
 }
 
-// addPending stores an in-flight call record and returns its wire request
-// ID (slot + 1, so 0 means "no reply expected"). Called from the sender
-// node's execution context only, like takePending — the reply handler runs
-// on the same node — so the table needs no lock.
-//
-//mpmd:hotpath
-func (n *nodeRT) addPending(msg *rmiMsg) uint64 {
-	if ln := len(n.freeIDs); ln > 0 {
-		id := n.freeIDs[ln-1]
-		n.freeIDs = n.freeIDs[:ln-1]
-		n.pending[id] = msg
-		return uint64(id) + 1
-	}
-	n.pending = append(n.pending, msg)
-	return uint64(len(n.pending))
+// reqTable is a node's table of in-flight requests of one kind (RMIs, GP
+// accesses, distributed-array accesses): the request message names its
+// sender-side record by slot in the word arguments and the reply echoes it,
+// instead of a pointer travelling. Freed slots are reused, so the table stays
+// as small as the node's peak of outstanding requests. Both methods are
+// called from the owning node's execution context only — the reply handler
+// runs on the node that sent the request — so the table needs no lock.
+type reqTable[T any] struct {
+	recs []*T
+	free []uint32
 }
 
-// takePending resolves a reply's request ID and frees the slot.
+// add stores an in-flight record and returns its wire request ID: slot + 1,
+// so 0 means "no reply expected".
 //
 //mpmd:hotpath
-func (n *nodeRT) takePending(wireID uint64) *rmiMsg {
-	id := uint32(wireID - 1)
-	msg := n.pending[id]
-	if msg == nil {
-		panic(fmt.Sprintf("core: node %d reply for unknown request %d", n.node.ID, wireID))
+func (tb *reqTable[T]) add(rec *T) uint64 {
+	if ln := len(tb.free); ln > 0 {
+		id := tb.free[ln-1]
+		tb.free = tb.free[:ln-1]
+		tb.recs[id] = rec
+		return uint64(id) + 1
 	}
-	n.pending[id] = nil
-	n.freeIDs = append(n.freeIDs, id)
-	return msg
+	tb.recs = append(tb.recs, rec)
+	return uint64(len(tb.recs))
+}
+
+// inFlight is the number of requests awaiting their reply.
+func (tb *reqTable[T]) inFlight() int { return len(tb.recs) - len(tb.free) }
+
+// take resolves the request ID a reply from node src carried to node me and
+// frees the slot. The ID came in a message, possibly from another process:
+// one that names no in-flight request — never issued, or already answered —
+// is refused by name (kind says which table) before it indexes anything.
+//
+//mpmd:hotpath
+func (tb *reqTable[T]) take(kind string, me, src int, wireID uint64) *T {
+	if wireID-1 >= uint64(len(tb.recs)) || tb.recs[wireID-1] == nil {
+		panic(fmt.Sprintf("core: node %d %s reply from node %d for unknown request %d (stale or duplicate)", me, kind, src, wireID))
+	}
+	rec := tb.recs[wireID-1]
+	tb.recs[wireID-1] = nil
+	tb.free = append(tb.free, uint32(wireID-1))
+	return rec
+}
+
+// send transmits a message from this node under the runtime's cost profile,
+// on the bulk path when it carries a payload. The payload is copied at send
+// time; the sender keeps its buffer. A message is the four word arguments plus
+// the payload bytes — nothing else travels, so it can cross address spaces.
+//
+//mpmd:hotpath
+func (n *nodeRT) send(t *threads.Thread, dst int, h am.HandlerID, a [4]uint64, payload []byte) {
+	opts := n.rt.profile
+	opts.Bulk = len(payload) > 0
+	n.ep.Request(t, dst, h, a, payload, opts)
+}
+
+// sendBuf is send for a payload in an owned pooled buffer (nil for none):
+// ownership transfers to the message layer, which hands it across uncopied
+// and recycles it after the receiving handler runs. The caller must not touch
+// buf after the call.
+//
+//mpmd:hotpath
+func (n *nodeRT) sendBuf(t *threads.Thread, dst int, h am.HandlerID, a [4]uint64, buf *wire.Buf) {
+	opts := n.rt.profile
+	opts.Bulk = buf != nil
+	n.ep.RequestOwned(t, dst, h, a, buf, opts)
 }
 
 // callRec is a pooled sender-side call record: the envelope plus completion
@@ -286,7 +325,7 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 		flags |= flagWantReply
 		// The reply finds this call through the sender's pending table; only
 		// the slot's wire ID travels, packed into the flags word's high half.
-		reqID = n.addPending(msg)
+		reqID = n.pending.add(msg)
 		if n.node.Met != nil {
 			msg.t0 = n.node.M.Now()
 		}
@@ -312,7 +351,7 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	// the bulk path — this is why the paper's 1-Word RMI jumps to the
 	// 70 µs bulk AM cost.
 	lockPair(t, &n.commLock)
-	rt.tr.SendBuf(t, n.node.ID, int(gp.node), rt.hInvoke, a, buf, false)
+	n.sendBuf(t, int(gp.node), rt.hInvoke, a, buf)
 
 	if mode == modeSpin || mode == modeBlock {
 		rt.waitComp(t, n, comp)
@@ -402,41 +441,27 @@ func (n *nodeRT) objLock(obj int32) *threads.Mutex {
 	return l
 }
 
-// pollUntil drives the transport until cond holds (the calling thread
-// services the network itself). Ready local threads get the CPU before the
-// caller parks: a threaded RMI spawned by a poll may be the very thing that
-// makes cond true, and parking for a *message* would miss it.
-func (rt *Runtime) pollUntil(t *threads.Thread, me int, cond func() bool) {
-	for !cond() {
-		if rt.tr.Poll(t, me) {
-			continue
-		}
-		if t.Scheduler().ReadyLen() > 0 {
-			t.Yield()
-			continue
-		}
-		rt.tr.WaitMessage(t, me)
-	}
-	rt.tr.KickService(me)
-}
-
-// pollUntilDone is pollUntil specialized to a completion, so the spinning
-// fast path constructs no condition closure. It is the simulator's "Simple"
-// sender: with a ready sibling it yields rather than parks, which two waiting
-// threads of one node turn into a busy loop of switches — free of real cost in
-// virtual time, ruinous on a real CPU, hence waitDone.
-func (rt *Runtime) pollUntilDone(t *threads.Thread, me int, comp *completion) {
+// pollUntilDone is am.Endpoint.PollUntil specialized to a completion, so the
+// spinning fast path constructs no condition closure: the calling thread
+// services the network itself, and ready local threads get the CPU before it
+// parks — a threaded RMI spawned by a poll may be the very thing that lands
+// the completion, and parking for a *message* would miss it. It is the
+// simulator's "Simple" sender: with a ready sibling it yields rather than
+// parks, which two waiting threads of one node turn into a busy loop of
+// switches — free of real cost in virtual time, ruinous on a real CPU, hence
+// waitDone.
+func pollUntilDone(t *threads.Thread, ep *am.Endpoint, comp *completion) {
 	for !comp.done {
-		if rt.tr.Poll(t, me) {
+		if ep.Poll(t) {
 			continue
 		}
 		if t.Scheduler().ReadyLen() > 0 {
 			t.Yield()
 			continue
 		}
-		rt.tr.WaitMessage(t, me)
+		ep.WaitMessage(t)
 	}
-	rt.tr.KickService(me)
+	ep.KickService()
 }
 
 // waitDone is how a thread waits for a completion on the wall-clock backends:
@@ -449,22 +474,22 @@ func (rt *Runtime) pollUntilDone(t *threads.Thread, me int, comp *completion) {
 // reply instead handles it and must then ready its owner (complete). Once the
 // endpoint has stopped nothing more will arrive: the thread parks on the
 // completion alone, which is where a blocked sender stood at shutdown before.
-func (rt *Runtime) waitDone(t *threads.Thread, me int, comp *completion) {
+func waitDone(t *threads.Thread, ep *am.Endpoint, comp *completion) {
 	for !comp.done {
-		if rt.tr.Poll(t, me) {
+		if ep.Poll(t) {
 			continue
 		}
 		comp.waiters = append(comp.waiters, t)
-		if rt.tr.Stopped(me) {
+		if ep.Stopped() {
 			t.Block()
 		} else {
-			rt.tr.WaitMessage(t, me)
+			ep.WaitMessage(t)
 		}
 		if i := slices.Index(comp.waiters, t); i >= 0 { // an arrival ended the wait, not complete
 			comp.waiters = slices.Delete(comp.waiters, i, i+1)
 		}
 	}
-	rt.tr.KickService(me)
+	ep.KickService()
 }
 
 // waitComp waits for a completion: by polling on the wall-clock backends,
@@ -472,9 +497,9 @@ func (rt *Runtime) waitDone(t *threads.Thread, me int, comp *completion) {
 func (rt *Runtime) waitComp(t *threads.Thread, n *nodeRT, comp *completion) {
 	switch {
 	case rt.pollWait:
-		rt.waitDone(t, n.node.ID, comp)
+		waitDone(t, n.ep, comp)
 	case comp.mode == modeSpin:
-		rt.pollUntilDone(t, n.node.ID, comp)
+		pollUntilDone(t, n.ep, comp)
 	default:
 		comp.sv.Read(t)
 	}
@@ -489,9 +514,9 @@ func chargeRuntime(t *threads.Thread, d time.Duration) {
 
 // registerHandlers installs the runtime's message handlers.
 func (rt *Runtime) registerHandlers() {
-	rt.hReply = rt.tr.Register("cc.reply", rt.handleReply)
-	rt.hResolveUpdate = rt.tr.Register("cc.resolve.update", rt.handleResolveUpdate)
-	rt.hInvoke = rt.tr.Register("cc.invoke", rt.handleInvoke)
+	rt.hReply = rt.net.Register("cc.reply", rt.handleReply)
+	rt.hResolveUpdate = rt.net.Register("cc.resolve.update", rt.handleResolveUpdate)
+	rt.hInvoke = rt.net.Register("cc.invoke", rt.handleInvoke)
 	rt.registerGPHandlers()
 	rt.registerDistHandlers()
 }
@@ -526,8 +551,8 @@ func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 		rb := n.bufs.AllocRBuf(len(argBytes))
 		n.node.Acct.Count(machine.CntBufAlloc, 1)
 		lockPair(t, &n.commLock)
-		rt.tr.Send(t, m.Dst, m.Src, rt.hResolveUpdate,
-			[4]uint64{uint64(stub), uint64(bm.hash), uint64(rb.ID)}, nil, false)
+		n.send(t, m.Src, rt.hResolveUpdate,
+			[4]uint64{uint64(stub), uint64(bm.hash), uint64(rb.ID)}, nil)
 		// Cold invocations land in the static buffer area and must be
 		// copied into the new R-buffer before dispatch.
 		rt.stage(t, n, rb, argBytes)
@@ -627,7 +652,7 @@ func (rt *Runtime) runMethod(t *threads.Thread, n *nodeRT, bm *boundMethod, m am
 				time.Duration(n2)*cfg.MemCopyPerByte)
 		}
 		lockPair(t, &n.commLock)
-		rt.tr.SendBuf(t, m.Dst, m.Src, rt.hReply, [4]uint64{reqID}, buf, false)
+		n.sendBuf(t, m.Src, rt.hReply, [4]uint64{reqID}, buf)
 	}
 	if frame != nil {
 		// The return value is already encoded on the wire; the frame can
@@ -642,7 +667,7 @@ func (rt *Runtime) runMethod(t *threads.Thread, n *nodeRT, bm *boundMethod, m am
 //mpmd:hotpath
 func (rt *Runtime) handleReply(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
-	msg := n.takePending(m.A[0])
+	msg := n.pending.take("RMI", m.Dst, m.Src, m.A[0])
 	if msg.t0 > 0 {
 		if met := n.node.Met; met != nil {
 			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-msg.t0)

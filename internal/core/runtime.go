@@ -11,7 +11,6 @@ import (
 	"repro/internal/tham"
 	"repro/internal/threads"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // GPtr is a CC++ global pointer to a processor object. Unlike Split-C's
@@ -124,100 +123,32 @@ type Options struct {
 	// InterruptDriven switches message reception from polling to software
 	// interrupts, charging Config.InterruptCost per received message — the
 	// alternative the paper rejects for 1997 hardware and projects as future
-	// work once interrupts get cheap. Only supported on the AM transport.
+	// work once interrupts get cheap.
 	InterruptDriven bool
 	// Grace is how long after the last node program finishes the runtime
 	// keeps polling before shutting down (drains in-flight one-way RMIs).
 	Grace time.Duration
-	// Transport overrides the message layer; nil uses Active Messages.
-	Transport Transport
+	// Nexus prices every message as the original CC++ implementation's
+	// message layer did — CC++ v0.4 over Nexus v3.0 on TCP/IP over the SP
+	// switch, the paper's §6 comparison: protocol-stack CPU on both sides
+	// (Config.NexusPerMsgCPU), the slow path through the switch
+	// (Config.NexusLatency) and TCP's per-byte occupancy
+	// (Config.NexusGapPerByte). The messages, handlers and semantics are the
+	// ThAM runtime's: the 5-35x application gaps the paper reports follow from
+	// these per-message constants, not from any structural change.
+	Nexus bool
 }
-
-// Transport abstracts the message layer under the runtime so the Nexus/TCP
-// profile can be swapped in for the paper's §6 comparison.
-type Transport interface {
-	// Register installs a handler on every node, returning its ID.
-	Register(name string, h am.Handler) am.HandlerID
-	// Send transmits a message (bulk when payload is non-nil or forceBulk).
-	// The payload is copied at send time; the sender keeps its buffer. A
-	// message consists of the four word arguments plus the payload bytes —
-	// nothing else travels, so any transport (including one crossing address
-	// spaces) can carry it.
-	Send(t *threads.Thread, src, dst int, h am.HandlerID, a [4]uint64, payload []byte, forceBulk bool)
-	// SendBuf transmits a message whose payload is an owned pooled buffer
-	// (nil for none): ownership transfers to the message layer, which hands
-	// it across uncopied and recycles it after the receiving handler runs.
-	// The caller must not touch buf after the call.
-	SendBuf(t *threads.Thread, src, dst int, h am.HandlerID, a [4]uint64, buf *wire.Buf, forceBulk bool)
-	// Poll services at most one pending message on node me.
-	Poll(t *threads.Thread, me int) bool
-	// WaitMessage parks until a message arrives at node me (or Stop).
-	WaitMessage(t *threads.Thread, me int)
-	// KickService wakes a parked waiter on node me if messages remain
-	// undelivered (see am.Endpoint.KickService).
-	KickService(me int)
-	// Stop shuts down node me's reception, waking parked waiters.
-	Stop(me int)
-	// Stopped reports whether node me's reception is shut down.
-	Stopped(me int) bool
-	// Name identifies the transport in reports.
-	Name() string
-}
-
-// AMTransport is the default message layer: the am package directly.
-type AMTransport struct{ net *am.Net }
-
-// NewAMTransport wraps an am.Net as a runtime transport.
-func NewAMTransport(net *am.Net) *AMTransport { return &AMTransport{net: net} }
-
-// Net exposes the underlying AM net (used by the runtime to attach
-// schedulers to endpoints).
-func (tr *AMTransport) Net() *am.Net { return tr.net }
-
-// Name implements Transport.
-func (tr *AMTransport) Name() string { return "ThAM" }
-
-// Register implements Transport.
-func (tr *AMTransport) Register(name string, h am.Handler) am.HandlerID {
-	return tr.net.Register(name, h)
-}
-
-// Send implements Transport.
-//
-//mpmd:hotpath
-func (tr *AMTransport) Send(t *threads.Thread, src, dst int, h am.HandlerID, a [4]uint64, payload []byte, forceBulk bool) {
-	tr.net.Endpoint(src).Request(t, dst, h, a, payload, am.SendOpts{Bulk: forceBulk || len(payload) > 0})
-}
-
-// SendBuf implements Transport.
-//
-//mpmd:hotpath
-func (tr *AMTransport) SendBuf(t *threads.Thread, src, dst int, h am.HandlerID, a [4]uint64, buf *wire.Buf, forceBulk bool) {
-	tr.net.Endpoint(src).RequestOwned(t, dst, h, a, buf, am.SendOpts{Bulk: forceBulk || buf != nil})
-}
-
-// Poll implements Transport.
-//
-//mpmd:hotpath
-func (tr *AMTransport) Poll(t *threads.Thread, me int) bool { return tr.net.Endpoint(me).Poll(t) }
-
-// WaitMessage implements Transport.
-func (tr *AMTransport) WaitMessage(t *threads.Thread, me int) { tr.net.Endpoint(me).WaitMessage(t) }
-
-// KickService implements Transport.
-func (tr *AMTransport) KickService(me int) { tr.net.Endpoint(me).KickService() }
-
-// Stop implements Transport.
-func (tr *AMTransport) Stop(me int) { tr.net.Endpoint(me).Stop() }
-
-// Stopped implements Transport.
-func (tr *AMTransport) Stopped(me int) bool { return tr.net.Endpoint(me).Stopped() }
 
 // Runtime is one CC++ program instance over a machine.
 type Runtime struct {
 	m    *machine.Machine
-	tr   Transport
+	net  *am.Net
 	opts Options
+
+	// profile is what every message the runtime sends costs on top of the
+	// Active Messages profile: nothing for ThAM, the Nexus/TCP surcharges
+	// under Options.Nexus. Its Bulk field is set per message (nodeRT.send).
+	profile am.SendOpts
 
 	// pollWait is set on the backends that ignore modelled time (live,
 	// netlive): a thread waiting for a completion polls for it itself
@@ -238,13 +169,10 @@ type Runtime struct {
 	// started flips when Run begins; registration is setup-time only.
 	started atomic.Bool
 
-	// facade is the extension slot for layers above the untyped runtime:
-	// the typed v2 API stores its derived method tables and codecs here.
-	facade any
-
-	// ext holds additional keyed extension state (the collective layer's
-	// engine lives here). Like facade, entries are installed at setup time
-	// and only read once the program runs.
+	// ext is the extension slot for layers above the untyped runtime, keyed
+	// by layer: the typed API's derived method tables and codecs, the
+	// collective layer's engine. Entries are installed at setup time and only
+	// read once the program runs.
 	ext map[string]any
 
 	hInvoke, hResolveUpdate am.HandlerID
@@ -262,6 +190,7 @@ type Runtime struct {
 type nodeRT struct {
 	rt    *Runtime
 	node  *machine.Node
+	ep    *am.Endpoint
 	sched *threads.Scheduler
 
 	reg   *tham.Registry
@@ -269,19 +198,12 @@ type nodeRT struct {
 	bufs  *tham.BufMgr
 	objs  tham.ObjTable
 
-	// pending is the node's in-flight RMI table: replies name their call by
-	// slot ID in the message words instead of carrying a pointer (rmi.go's
-	// addPending/takePending). gpPending is the same table for the optimized
-	// global-pointer accesses, distPending for distributed-array element
-	// accesses. All are touched only from this node's execution context.
-	pending []*rmiMsg
-	freeIDs []uint32
-
-	gpPending []*gpReq
-	gpFree    []uint32
-
-	distPending []*DistOp
-	distFree    []uint32
+	// The node's in-flight requests, whose replies name them by slot in the
+	// message words: RMIs, the optimized global-pointer accesses, and
+	// distributed-array element accesses.
+	pending     reqTable[rmiMsg]
+	gpPending   reqTable[gpReq]
+	distPending reqTable[DistOp]
 	// distParts is this node's part of every distributed array (nil where it
 	// holds none), indexed like Runtime.distSizes; distBuf is the request
 	// handler's encode scratch.
@@ -308,40 +230,36 @@ func NewRuntimeOpts(m *machine.Machine, opts Options) *Runtime {
 	}
 	rt := &Runtime{
 		m:        m,
+		net:      am.NewNet(m),
 		opts:     opts,
 		pollWait: m.Eng == nil,
 		classes:  make(map[string]*Class),
 		progs:    make([]func(*threads.Thread), m.NumNodes()),
 	}
-	tr := opts.Transport
-	if tr == nil {
-		tr = NewAMTransport(am.NewNet(m))
+	if opts.Nexus {
+		rt.profile = am.SendOpts{
+			ExtraSendCPU: m.Cfg.NexusPerMsgCPU,
+			ExtraWire:    m.Cfg.NexusLatency - m.Cfg.WireLatency,
+			ExtraRecvCPU: m.Cfg.NexusPerMsgCPU,
+			GapPerByte:   m.Cfg.NexusGapPerByte,
+		}
 	}
-	rt.tr = tr
 	for i := 0; i < m.NumNodes(); i++ {
 		n := &nodeRT{
 			rt:       rt,
 			node:     m.Node(i),
+			ep:       rt.net.Endpoint(i),
 			sched:    threads.NewScheduler(m.Node(i)),
 			reg:      tham.NewRegistry(),
 			cache:    tham.NewStubCache(),
 			bufs:     tham.NewBufMgr(i),
 			objLocks: make(map[int32]*threads.Mutex),
 		}
+		n.ep.Attach(n.sched)
+		if opts.InterruptDriven {
+			n.ep.SetInterruptCost(m.Cfg.InterruptCost)
+		}
 		rt.nodes = append(rt.nodes, n)
-	}
-	if amt, ok := tr.(*AMTransport); ok {
-		for i := 0; i < m.NumNodes(); i++ {
-			amt.net.Endpoint(i).Attach(rt.nodes[i].sched)
-			if opts.InterruptDriven {
-				amt.net.Endpoint(i).SetInterruptCost(m.Cfg.InterruptCost)
-			}
-		}
-	}
-	if att, ok := tr.(SchedulerAttacher); ok {
-		for i := 0; i < m.NumNodes(); i++ {
-			att.Attach(i, rt.nodes[i].sched)
-		}
 	}
 	rt.registerHandlers()
 	rt.RegisterClass(rt.sysClass())
@@ -353,12 +271,6 @@ func NewRuntimeOpts(m *machine.Machine, opts Options) *Runtime {
 		}
 	}
 	return rt
-}
-
-// SchedulerAttacher is implemented by transports that need per-node
-// scheduler attachment (the Nexus transport does).
-type SchedulerAttacher interface {
-	Attach(node int, s *threads.Scheduler)
 }
 
 // Machine returns the underlying machine.
@@ -377,16 +289,9 @@ func (rt *Runtime) HasClass(name string) bool {
 	return ok
 }
 
-// SetFacade stores higher-layer state (the typed API's derived tables) on
-// the runtime; Facade reads it back. The core carries the value opaquely.
-// Both are setup-time operations: the value must be in place before Run.
-func (rt *Runtime) SetFacade(v any) { rt.facade = v }
-
-// Facade returns the value stored by SetFacade (nil if none).
-func (rt *Runtime) Facade() any { return rt.facade }
-
-// SetExt stores keyed higher-layer state on the runtime (setup time only);
-// Ext reads it back (nil if absent). The core carries the values opaquely.
+// SetExt stores a higher layer's state on the runtime under that layer's key
+// (setup time only: the value must be in place before Run); Ext reads it back
+// (nil if absent). The core carries the values opaquely.
 func (rt *Runtime) SetExt(key string, v any) {
 	if rt.ext == nil {
 		rt.ext = make(map[string]any)
@@ -398,7 +303,12 @@ func (rt *Runtime) SetExt(key string, v any) {
 func (rt *Runtime) Ext(key string) any { return rt.ext[key] }
 
 // TransportName reports the active message layer ("ThAM" or "Nexus").
-func (rt *Runtime) TransportName() string { return rt.tr.Name() }
+func (rt *Runtime) TransportName() string {
+	if rt.opts.Nexus {
+		return "Nexus"
+	}
+	return "ThAM"
+}
 
 // Scheduler returns node i's thread scheduler.
 func (rt *Runtime) Scheduler(i int) *threads.Scheduler { return rt.nodes[i].sched }
@@ -540,12 +450,10 @@ func (rt *Runtime) Run() error {
 		// Each node's Stop must run in that node's execution context (it
 		// wakes parked threads).
 		stopLocal := func() {
-			for j := range rt.nodes {
-				if !isLocal(j) {
-					continue
+			for j, n := range rt.nodes {
+				if isLocal(j) {
+					rt.m.AfterNode(j, rt.opts.Grace, n.ep.Stop)
 				}
-				j := j
-				rt.m.AfterNode(j, rt.opts.Grace, func() { rt.tr.Stop(j) })
 			}
 		}
 		if sharded {
@@ -592,16 +500,13 @@ func (rt *Runtime) Run() error {
 // only what no waiting caller is there to receive: requests, and replies to
 // futures nobody has joined yet.
 func (rt *Runtime) pollerLoop(t *threads.Thread, n *nodeRT) {
-	me := n.node.ID
 	for {
-		for rt.tr.Poll(t, me) {
-		}
-		if rt.tr.Stopped(me) {
-			for rt.tr.Poll(t, me) {
-			}
+		n.ep.PollAll(t)
+		if n.ep.Stopped() {
+			n.ep.PollAll(t)
 			return
 		}
-		rt.tr.WaitMessage(t, me)
+		n.ep.WaitMessage(t)
 	}
 }
 

@@ -78,7 +78,7 @@ type Config struct {
 	// work in the paper) charges this per received message.
 	InterruptCost time.Duration
 
-	// Nexus/TCP profile knobs (used when the Nexus transport is selected).
+	// Nexus/TCP profile knobs (what core.Options.Nexus charges per message).
 
 	// NexusPerMsgCPU is per-side protocol-stack CPU per message.
 	NexusPerMsgCPU time.Duration

@@ -297,19 +297,22 @@ func deriveCoreMethod(m *Method, fn reflect.Value) *core.Method {
 	return cm
 }
 
+// extKey is the runtime extension slot holding the typed-class registry.
+const extKey = "rmigen"
+
 // Registry is the per-runtime table of typed classes, stored in the core
-// runtime's façade slot.
+// runtime's extension slot.
 type Registry struct {
 	byType map[reflect.Type]*Class
 }
 
 // For returns (creating on first use) the typed registry of a runtime.
 func For(rt *core.Runtime) *Registry {
-	if v := rt.Facade(); v != nil {
+	if v := rt.Ext(extKey); v != nil {
 		return v.(*Registry)
 	}
 	r := &Registry{byType: make(map[reflect.Type]*Class)}
-	rt.SetFacade(r)
+	rt.SetExt(extKey, r)
 	return r
 }
 
@@ -339,7 +342,7 @@ func Register(rt *core.Runtime, ptrType reflect.Type) (*Class, error) {
 
 // Lookup resolves the typed class previously registered for ptrType.
 func Lookup(rt *core.Runtime, ptrType reflect.Type) (*Class, error) {
-	if v := rt.Facade(); v != nil {
+	if v := rt.Ext(extKey); v != nil {
 		if cls, ok := v.(*Registry).byType[ptrType]; ok {
 			return cls, nil
 		}

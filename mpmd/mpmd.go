@@ -69,12 +69,12 @@
 //   - the paper's contribution, a lean CC++ runtime over Active Messages
 //     ("CC++/ThAM"): processor objects, remote method invocation with stub
 //     caching and persistent buffers, global pointers, par/parfor, sync
-//     variables (NewRuntime and the CC* aliases);
-//   - the Split-C SPMD baseline runtime (NewSplitC; the SC* spread-array
-//     and reduction aliases are deprecated in favor of Dist and the typed
-//     collectives, but remain the measured baseline surface);
-//   - the Nexus/TCP transport used for the paper's §6 comparison
-//     (NewNexusTransport).
+//     variables (NewRuntime, Class, GPtr, Par/ParFor, SyncVar);
+//   - the Split-C SPMD baseline runtime (NewSplitC; SCPtr and SCVec are its
+//     global pointers — spread arrays and reductions are Dist and the typed
+//     collectives);
+//   - the Nexus/TCP cost profile of the original CC++ implementation, for the
+//     paper's §6 comparison (Options.Nexus).
 //
 // The harness that regenerates the paper's tables and figures is the
 // mpmdbench command, not part of this package.
@@ -88,7 +88,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/metrics"
-	"repro/internal/nexus"
 	"repro/internal/splitc"
 	"repro/internal/threads"
 	"repro/internal/trace"
@@ -127,12 +126,13 @@ func NewMachine(cfg Config, n int) *Machine { return machine.New(cfg, n) }
 // --- execution backends ------------------------------------------------------
 
 // Backend is the execution substrate a Machine runs on: the calibrated
-// discrete-event simulator (the NewMachine default) or real goroutines with
-// wall-clock timing (NewLiveMachine). Both run the identical runtime stack.
+// discrete-event simulator (the NewMachine default), real goroutines with
+// wall-clock timing (NewLiveMachine), or nodes sharded across OS processes
+// (NewNetMachine). All run the identical runtime stack.
 type Backend = transport.Backend
 
-// LiveOptions tunes the live backend (OS-thread pinning, run watchdog,
-// delivery batching); the zero value is ready to use.
+// LiveOptions tunes the live backend (the run watchdog); the zero value is
+// ready to use.
 type LiveOptions = live.Options
 
 // NewLiveBackend builds a real-concurrency backend for n nodes.
@@ -170,7 +170,8 @@ type (
 // Runtime is the CC++/ThAM runtime.
 type Runtime = core.Runtime
 
-// Options configure a Runtime (ablation switches, transport override).
+// Options configure a Runtime: the ablation switches of the paper's §4 design
+// choices, and Nexus, the §6 comparison's message-layer cost profile.
 type Options = core.Options
 
 // Class describes a processor-object class; Method one invocable method.
@@ -209,18 +210,11 @@ type (
 	Barrier       = core.Barrier
 )
 
-// Transport abstracts the message layer under the CC++ runtime.
-type Transport = core.Transport
-
 // NewRuntime builds a CC++/ThAM runtime over m.
 func NewRuntime(m *Machine) *Runtime { return core.NewRuntime(m) }
 
 // NewRuntimeOpts builds a CC++ runtime with explicit options.
 func NewRuntimeOpts(m *Machine, opts Options) *Runtime { return core.NewRuntimeOpts(m, opts) }
-
-// NewNexusTransport builds the Nexus/TCP message layer of the original CC++
-// implementation; pass it in Options.Transport for the §6 comparison.
-func NewNexusTransport(m *Machine) Transport { return nexus.New(m) }
 
 // NewGPF64 builds a global pointer to a double owned by the given node.
 func NewGPF64(node int, ptr *float64) GPF64 { return core.NewGPF64(node, ptr) }

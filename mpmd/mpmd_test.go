@@ -83,7 +83,7 @@ func TestPublicAPISplitC(t *testing.T) {
 
 func TestPublicAPINexusTransport(t *testing.T) {
 	m := mpmd.NewMachine(mpmd.SPConfig(), 2)
-	rt := mpmd.NewRuntimeOpts(m, mpmd.Options{Transport: mpmd.NewNexusTransport(m)})
+	rt := mpmd.NewRuntimeOpts(m, mpmd.Options{Nexus: true})
 	rt.RegisterClass(pingClass())
 	gp := rt.CreateObject(1, "Ping")
 	var elapsed time.Duration

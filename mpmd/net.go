@@ -13,7 +13,7 @@ type NetOptions struct {
 	// NodesPerShard is how many consecutive nodes share one OS process.
 	// Zero (or >= n) keeps everything in-process.
 	NodesPerShard int
-	// Live tunes in-shard execution (watchdog, OS-thread pinning, batching).
+	// Live tunes in-shard execution (the run watchdog).
 	Live LiveOptions
 	// NoSpawn stops the parent from re-exec'ing worker processes; workers
 	// are then launched externally with MPMD_NETLIVE_SHARD/_DIR set.
