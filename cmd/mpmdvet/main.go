@@ -1,12 +1,9 @@
-// Command mpmdvet statically enforces the runtime's hand-shaken invariants:
-// wire.Buf ownership flow (bufown), nil-gated metrics record sites (nilgate),
-// allocation-free //mpmd:hotpath functions (hotpath), word-resolvable wire
-// structs (wirewords), fenced accounting cells (acctdirect), lock-guarded
-// fields and //mpmdvet:requires call-site contracts (lockguard), a cycle-free
-// lock acquisition order (lockorder), no mixed atomic/plain access
-// (atomicmix), no blocking under a //mpmd:cpu mutex (blockhold), exhaustive
-// switches over //mpmdvet:exhaustive constants (framekind), and sync/atomic
-// access to //mpmdvet:shared cross-process shm fields (shmatomic).
+// Command mpmdvet statically enforces the runtime's hand-shaken invariants
+// that nothing else in the build catches: wire.Buf ownership flow (bufown),
+// allocation-free //mpmd:hotpath functions (hotpath), lock-guarded fields
+// (lockguard), a cycle-free lock acquisition order (lockorder), and no
+// blocking under a //mpmd:cpu mutex (blockhold). The last three read one
+// lockset walk (internal/analysis/passes/locks).
 //
 // The allocation, blocking, lock-effect, and buffer-ownership checks are
 // whole-program: a call-graph summary layer (internal/analysis/callgraph)

@@ -46,8 +46,9 @@ type Msg struct {
 	Payload []byte
 	// PayloadBuf is the pooled buffer backing Payload (nil for short
 	// messages). Handlers normally leave it alone; see Payload for the
-	// retention rule.
-	//mpmdvet:ignore wirewords envelope-side bookkeeping — EncodeWire releases it and frames only Payload bytes
+	// retention rule. It is envelope-side bookkeeping and the one field that
+	// is not wire words: EncodeWire releases it and frames only Payload's
+	// bytes (TestMsgFieldsAreWords holds every other field to that).
 	PayloadBuf *wire.Buf
 	// RecvExtra is additional receiver-side CPU charged when the message is
 	// polled (SendOpts.ExtraRecvCPU: the Nexus/TCP profile's protocol stack).

@@ -1,21 +1,28 @@
 package am
 
 import (
+	"reflect"
+	"runtime/debug"
 	"testing"
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/race"
 	"repro/internal/threads"
+	"repro/internal/transport/live"
 	"repro/internal/wire"
 )
 
 // rig builds an n-node machine with the SP1997 profile, a Net, and one
 // scheduler per node (endpoints attached).
 func rig(n int) (*machine.Machine, *Net, []*threads.Scheduler) {
-	m := machine.New(machine.SP1997(), n)
+	return rigOn(machine.New(machine.SP1997(), n))
+}
+
+func rigOn(m *machine.Machine) (*machine.Machine, *Net, []*threads.Scheduler) {
 	net := NewNet(m)
-	scheds := make([]*threads.Scheduler, n)
-	for i := 0; i < n; i++ {
+	scheds := make([]*threads.Scheduler, m.NumNodes())
+	for i := range scheds {
 		scheds[i] = threads.NewScheduler(m.Node(i))
 		net.Endpoint(i).Attach(scheds[i])
 	}
@@ -370,5 +377,87 @@ func TestWakeSkipsWaiterAlreadyReadied(t *testing.T) {
 	}
 	if !woke["older"] || !woke["newer"] || len(ep.waiters) != 0 {
 		t.Fatalf("woke %v, %d waiters left listed; want both threads through and none listed", woke, len(ep.waiters))
+	}
+}
+
+// TestMsgFieldsAreWords holds the envelope to what can cross an address-space
+// boundary: every field of Msg but PayloadBuf (envelope-side bookkeeping that
+// EncodeWire releases and never frames) must resolve to words — bools, fixed
+// numbers, strings, byte slices, and arrays or structs of those. A pointer,
+// interface, map, channel or func added to Msg is an object reference riding
+// beside the words, which the sharded backend cannot carry.
+func TestMsgFieldsAreWords(t *testing.T) {
+	var words func(reflect.Type) bool
+	words = func(ty reflect.Type) bool {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.String,
+			reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+			return true
+		case reflect.Slice:
+			return ty.Elem().Kind() == reflect.Uint8
+		case reflect.Array:
+			return words(ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				if !words(ty.Field(i).Type) {
+					return false
+				}
+			}
+			return true
+		}
+		return false
+	}
+	ty := reflect.TypeOf(Msg{})
+	for i := 0; i < ty.NumField(); i++ {
+		if f := ty.Field(i); f.Name != "PayloadBuf" && !words(f.Type) {
+			t.Errorf("Msg.%s has type %v, which is not wire words: resolve it from the word arguments at the destination", f.Name, f.Type)
+		}
+	}
+}
+
+// TestBulkPingPongAllocs is the receiver's half of the payload-buffer
+// contract, checked where it happens: Poll releases every bulk payload when
+// its handler returns, so a warm bulk round trip between two endpoints takes
+// both of its buffers from the pool and allocates nothing. A receiver that
+// forgets the Release leaves the pool empty and every send allocates.
+func TestBulkPingPongAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	// On the wall-clock backend: the simulator's event queue allocates per
+	// message by design.
+	m, net, scheds := rigOn(machine.NewWithBackend(machine.SP1997(), 2,
+		live.New(2, live.Options{Watchdog: time.Minute})))
+	pongs := 0
+	pong := net.Register("pong", func(th *threads.Thread, msg Msg) { pongs++ })
+	ping := net.Register("ping", func(th *threads.Thread, msg Msg) {
+		net.Endpoint(1).RequestBulk(th, msg.Src, pong, msg.Payload, msg.A)
+	})
+	var perTrip float64
+	scheds[0].Start("main", func(th *threads.Thread) {
+		ep := net.Endpoint(0)
+		payload := make([]byte, 1024)
+		want := 0
+		done := func() bool { return pongs == want }
+		trip := func() {
+			want++
+			ep.RequestBulk(th, 1, ping, payload, [4]uint64{})
+			ep.PollUntil(th, done)
+		}
+		for i := 0; i < 8; i++ { // warm the buffer and envelope pools, the inbox rings
+			trip()
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would drain the pools
+		perTrip = testing.AllocsPerRun(200, trip)
+		stopAll(net, 2)
+	})
+	service(scheds[1], net.Endpoint(1))
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if perTrip != 0 {
+		t.Errorf("a warm 1 KiB bulk round trip allocates %.2f, want 0", perTrip)
 	}
 }

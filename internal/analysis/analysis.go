@@ -3,13 +3,15 @@
 // that mpmdvet's passes are written against.
 //
 // The runtime's correctness rests on conventions the compiler cannot see —
-// pooled wire.Buf ownership transfer, nil-gated metrics record sites,
-// allocation-free hot paths, word-only wire frames, accounting-cell access
-// discipline. Each convention is enforced by one Analyzer in
+// pooled wire.Buf ownership transfer, allocation-free hot paths, which lock
+// guards which field, lock order, nothing blocking while a node's CPU is
+// held. Each convention is enforced by one Analyzer in
 // internal/analysis/passes, and one driver runs them over the whole tree at
 // once: the standalone loader (Run in driver.go, used by `go run
 // ./cmd/mpmdvet ./...`, CI under GOOS=linux and GOOS=darwin, and the
-// meta-test).
+// meta-test). A pass earns its place in the suite's mutation corpus
+// (suite.TestMutationCorpus): real bugs planted in the real tree that only
+// it reports.
 //
 // x/tools itself is deliberately not imported: the module is stdlib-only and
 // must build hermetically, so the framework reimplements the narrow slice it

@@ -9,7 +9,6 @@
 package analysistest
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"os"
@@ -187,9 +186,4 @@ func claimWant(wants []*want, file string, line int, msg string) bool {
 		}
 	}
 	return false
-}
-
-// Fprintpos is a tiny helper for debugging fixtures by hand.
-func Fprintpos(fset *token.FileSet, d analysis.Diagnostic) string {
-	return fmt.Sprintf("%s: %s", fset.Position(d.Pos), d.Message)
 }

@@ -25,9 +25,9 @@
 // Function literals are not graph nodes: creating a closure is itself an
 // allocation witness (hotpath flags the literal), and the lock passes
 // analyze literal bodies as their own functions. Call sites inside literals
-// are still registered in Sites so call-site checks (lock contracts) cover
-// them, but they do not contribute edges to the enclosing declaration's
-// summary.
+// are still registered in Sites so call-site checks (helper lock effects,
+// blocking callees) cover them, but they do not contribute edges to the
+// enclosing declaration's summary.
 package callgraph
 
 import (

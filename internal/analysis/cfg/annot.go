@@ -36,28 +36,10 @@ const (
 	//	cond sync.Cond //mpmdvet:cond nd.mu
 	CondDirective = "//mpmdvet:cond"
 
-	// RequiresDirective on a function declares a lock contract enforced at
-	// call sites: every caller must provably hold the named lock (path
-	// rooted at the receiver or a parameter) when calling.
-	//
-	//	//mpmdvet:requires s.mu
-	//	func bump(s *S) { s.n++ }
-	//
-	// Inside the body it seeds the entry lockset exactly like
-	// LockedDirective; the difference is enforcement direction — locked is
-	// trusted caller documentation, requires is checked against every call
-	// site the lock-effect summary can see (lockguard's transitive layer).
-	RequiresDirective = "//mpmdvet:requires"
-
 	// CPUDirective marks a mutex field as a node CPU: holding it models
 	// occupying the processor, so blockhold forbids blocking operations
 	// under it.
 	CPUDirective = "//mpmd:cpu"
-
-	// ExhaustiveDirective on a defined constant kind type requires every
-	// switch over it to cover all package constants of the type and carry
-	// a non-empty default clause (framekind).
-	ExhaustiveDirective = "//mpmdvet:exhaustive"
 )
 
 // Annotations is every parsed concurrency directive of one package.
@@ -68,8 +50,6 @@ type Annotations struct {
 	Conds map[*types.Var]string
 	// CPU holds the mutex fields marked as node CPUs (CPUDirective).
 	CPU map[*types.Var]bool
-	// Exhaustive holds the kind types marked ExhaustiveDirective.
-	Exhaustive map[*types.TypeName]bool
 	// Warnings are malformed or unresolvable directives; exactly one pass
 	// (lockguard) reports them so they fail the build once.
 	Warnings []Warning
@@ -85,36 +65,17 @@ func (a *Annotations) warnf(pos token.Pos, format string, args ...any) {
 	a.Warnings = append(a.Warnings, Warning{Pos: pos, Message: fmt.Sprintf(format, args...)})
 }
 
-// CollectAnnotations parses every field and type annotation in the files.
+// CollectAnnotations parses every field annotation in the files.
 func CollectAnnotations(info *types.Info, files []*ast.File) *Annotations {
 	a := &Annotations{
-		Guards:     map[*types.Var]string{},
-		Conds:      map[*types.Var]string{},
-		CPU:        map[*types.Var]bool{},
-		Exhaustive: map[*types.TypeName]bool{},
+		Guards: map[*types.Var]string{},
+		Conds:  map[*types.Var]string{},
+		CPU:    map[*types.Var]bool{},
 	}
 	for _, f := range files {
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.GenDecl:
-				if n.Tok != token.TYPE {
-					return true
-				}
-				for _, spec := range n.Specs {
-					ts, ok := spec.(*ast.TypeSpec)
-					if !ok {
-						continue
-					}
-					if hasDirective(n.Doc, ExhaustiveDirective) ||
-						hasDirective(ts.Doc, ExhaustiveDirective) ||
-						hasDirective(ts.Comment, ExhaustiveDirective) {
-						if tn, ok := info.Defs[ts.Name].(*types.TypeName); ok {
-							a.Exhaustive[tn] = true
-						}
-					}
-				}
-			case *ast.StructType:
-				a.structFields(info, n)
+			if st, ok := n.(*ast.StructType); ok {
+				a.structFields(info, st)
 			}
 			return true
 		})
@@ -176,92 +137,72 @@ func directiveArg(field *ast.Field, directive string) (arg string, pos token.Pos
 			continue
 		}
 		for _, c := range cg.List {
-			text := strings.TrimSpace(c.Text)
-			if text != directive && !strings.HasPrefix(text, directive+" ") {
-				continue
+			if arg, ok := directivePath(c, directive); ok {
+				return arg, c.Pos(), true
 			}
-			rest := strings.TrimSpace(strings.TrimPrefix(text, directive))
-			// Only the first field is the path; trailing prose is tolerated
-			// when separated by " — " or ";" is not — keep it strict: one
-			// token.
-			if f := strings.Fields(rest); len(f) > 0 {
-				arg = f[0]
-			}
-			return arg, c.Pos(), true
 		}
 	}
 	return "", token.NoPos, false
+}
+
+// directivePath reports whether the comment line is the directive, and its
+// path argument: the first token after it ("" when there is none; trailing
+// prose is tolerated).
+func directivePath(c *ast.Comment, directive string) (path string, ok bool) {
+	text := strings.TrimSpace(c.Text)
+	if text != directive && !strings.HasPrefix(text, directive+" ") {
+		return "", false
+	}
+	if f := strings.Fields(strings.TrimPrefix(text, directive)); len(f) > 0 {
+		path = f[0]
+	}
+	return path, true
 }
 
 func hasDirective(cg *ast.CommentGroup, directive string) bool {
 	return analysis.FuncDocHasDirective(cg, directive)
 }
 
-// LockedPaths returns the //mpmdvet:locked path arguments in a function's
-// doc comment, in order.
-func LockedPaths(doc *ast.CommentGroup) []string { return directivePaths(doc, LockedDirective) }
-
-// RequiresPaths returns the //mpmdvet:requires path arguments in a
-// function's doc comment, in order.
-func RequiresPaths(doc *ast.CommentGroup) []string { return directivePaths(doc, RequiresDirective) }
-
-func directivePaths(doc *ast.CommentGroup, directive string) []string {
-	if doc == nil {
-		return nil
-	}
-	var out []string
-	for _, c := range doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text != directive && !strings.HasPrefix(text, directive+" ") {
-			continue
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(text, directive))
-		if f := strings.Fields(rest); len(f) > 0 {
-			out = append(out, f[0])
-		} else {
-			out = append(out, "")
-		}
-	}
-	return out
-}
-
-// EntryLocks resolves a function's //mpmdvet:locked and //mpmdvet:requires
-// annotations into the lockset held at entry (requires is locked plus
-// call-site enforcement; both license the body the same way). The root of
-// each path must name the receiver or a parameter; the rest walks struct
-// fields to a sync.Mutex or sync.RWMutex. Unresolvable paths produce a
-// warning and are skipped.
+// EntryLocks resolves a function's //mpmdvet:locked annotations into the
+// lockset held at entry. The root of each path must name the receiver or a
+// parameter; the rest walks struct fields to a sync.Mutex or sync.RWMutex.
+// Unresolvable paths produce a warning and are skipped.
 func EntryLocks(info *types.Info, pkg *types.Package, fd *ast.FuncDecl, a *Annotations) LockSet {
 	s := LockSet{}
-	for _, directive := range []string{LockedDirective, RequiresDirective} {
-		for _, path := range directivePaths(fd.Doc, directive) {
-			if path == "" {
-				a.warnf(fd.Pos(), "%s needs a lock path rooted at the receiver or a parameter", directive)
-				continue
-			}
-			segs := strings.Split(path, ".")
-			root := lookupParam(info, fd, segs[0])
-			if root == nil {
-				a.warnf(fd.Pos(), "%s %s: %q is not the receiver or a parameter of %s",
-					directive, path, segs[0], fd.Name.Name)
-				continue
-			}
-			if len(segs) == 1 {
-				// The root itself is the lock: a mutex receiver or parameter.
-				if !isMutexType(root.Type()) {
-					a.warnf(fd.Pos(), "%s %s: path does not resolve to a sync.Mutex or sync.RWMutex", directive, path)
-					continue
-				}
-				s[analysis.VarKey(root)] = HeldLock{Class: root, Pos: fd.Pos()}
-				continue
-			}
-			key, class, ok := resolveFieldPath(pkg, analysis.VarKey(root), root.Type(), segs[1:])
-			if !ok || class == nil || !isMutexType(class.Type()) {
-				a.warnf(fd.Pos(), "%s %s: path does not resolve to a sync.Mutex or sync.RWMutex field", directive, path)
-				continue
-			}
-			s[key] = HeldLock{Class: class, Pos: fd.Pos()}
+	if fd.Doc == nil {
+		return s
+	}
+	for _, c := range fd.Doc.List {
+		path, ok := directivePath(c, LockedDirective)
+		if !ok {
+			continue
 		}
+		if path == "" {
+			a.warnf(fd.Pos(), "%s needs a lock path rooted at the receiver or a parameter", LockedDirective)
+			continue
+		}
+		segs := strings.Split(path, ".")
+		root := lookupParam(info, fd, segs[0])
+		if root == nil {
+			a.warnf(fd.Pos(), "%s %s: %q is not the receiver or a parameter of %s",
+				LockedDirective, path, segs[0], fd.Name.Name)
+			continue
+		}
+		if len(segs) == 1 {
+			// The root itself is the lock: a mutex receiver or parameter.
+			if !isMutexType(root.Type()) {
+				a.warnf(fd.Pos(), "%s %s: path does not resolve to a sync.Mutex or sync.RWMutex", LockedDirective, path)
+				continue
+			}
+			s[analysis.VarKey(root)] = HeldLock{Class: root, Pos: fd.Pos()}
+			continue
+		}
+		key, class, ok := resolveFieldPath(pkg, analysis.VarKey(root), root.Type(), segs[1:])
+		if !ok || class == nil || !isMutexType(class.Type()) {
+			a.warnf(fd.Pos(), "%s %s: path does not resolve to a sync.Mutex or sync.RWMutex field", LockedDirective, path)
+			continue
+		}
+		s[key] = HeldLock{Class: class, Pos: fd.Pos()}
 	}
 	return s
 }

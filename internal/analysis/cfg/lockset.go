@@ -237,32 +237,27 @@ func LockTransfer(info *types.Info, s LockSet, n ast.Node) {
 	}
 }
 
-// WalkLocked runs the must-hold lockset analysis over one function body and
-// calls visit once per reachable flat node, in source order, with the
-// node's pre-state. The state is reused across nodes: visitors must not
-// retain it. visit must not recurse into nested *ast.FuncLit bodies — each
-// literal is its own function and gets its own WalkLocked.
-func WalkLocked(info *types.Info, body *ast.BlockStmt, entry LockSet, visit func(s LockSet, n ast.Node)) {
-	WalkLockedFx(info, body, entry, nil, visit)
-}
-
 // Effects applies a summarized callee lock effect to the lockset at a
 // statement-level call that is not itself a mutex operation. The lock-effect
 // summary (LockFacts) provides one, so helper functions that net-acquire or
 // net-release a lock are understood by must-hold walks.
 type Effects func(s LockSet, call *ast.CallExpr)
 
-// WalkLockedFx is WalkLocked with an effects hook: after a flat node's own
-// transfer, fx runs for every statement-level non-mutex call, letting callee
-// lock effects flow into the set. fx and visit may each be nil.
-func WalkLockedFx(info *types.Info, body *ast.BlockStmt, entry LockSet, fx Effects, visit func(s LockSet, n ast.Node)) {
+// WalkLocked runs the must-hold lockset analysis over one function body and
+// calls visit once per reachable flat node, in source order, with the
+// node's pre-state. The state is reused across nodes: visitors must not
+// retain it. visit must not recurse into nested *ast.FuncLit bodies — each
+// literal is its own function and gets its own WalkLocked. After a flat
+// node's own transfer, fx (when not nil) runs for every statement-level
+// non-mutex call, letting callee lock effects flow into the set.
+func WalkLocked(info *types.Info, body *ast.BlockStmt, entry LockSet, fx Effects, visit func(s LockSet, n ast.Node)) {
 	f := &Flow[LockSet]{
 		Graph: New(body),
 		Entry: func() LockSet { return cloneLocks(entry) },
 		Clone: cloneLocks,
 		Join:  joinLocks,
 		Transfer: func(s LockSet, n ast.Node, report bool) {
-			if report && visit != nil {
+			if report {
 				visit(s, n)
 			}
 			if fx != nil {

@@ -12,14 +12,12 @@ import (
 )
 
 // The lock-effect summary: a bottom-up fixpoint over the call graph that
-// gives every function three caller-resolvable locksets —
+// gives every function two caller-resolvable locksets —
 //
-//   - Requires: declared //mpmdvet:requires contracts, enforced by lockguard
-//     at every call site the graph can see;
 //   - Acquires: locks held at every exit but not at entry (the function nets
 //     the caller these — a helper that wraps Lock);
-//   - Releases: declared-held entry locks no longer held at exit (a helper
-//     that wraps Unlock).
+//   - Releases: declared-held (//mpmdvet:locked) entry locks no longer held
+//     at exit (a helper that wraps Unlock).
 //
 // Effects are expressed relative to the callee's receiver or parameters so
 // a caller can re-resolve them against its own argument expressions; locks
@@ -27,22 +25,18 @@ import (
 // and drop out of the summary — a documented under-approximation, not an
 // error.
 
-// Req is one lock in a function's summary, in caller-resolvable form: a
+// LockRef is one lock in a function's summary, in caller-resolvable form: a
 // root (the receiver, or a parameter by index) plus the field path from the
 // root to the mutex. Segs is nil when the root itself is the mutex (a
 // *sync.Mutex parameter).
-type Req struct {
+type LockRef struct {
 	RecvRoot bool
 	Param    int // parameter index when !RecvRoot
 	Segs     []string
 	RLock    bool
-	// Path is the callee-side display path ("s.mu"); Pos the declaring
-	// directive (Requires) or acquisition site (Acquires/Releases).
-	Path string
-	Pos  token.Pos
 }
 
-func reqEqual(a, b Req) bool {
+func refEqual(a, b LockRef) bool {
 	if a.RecvRoot != b.RecvRoot || a.Param != b.Param || a.RLock != b.RLock || len(a.Segs) != len(b.Segs) {
 		return false
 	}
@@ -54,19 +48,19 @@ func reqEqual(a, b Req) bool {
 	return true
 }
 
-func reqsEqual(a, b []Req) bool {
+func refsEqual(a, b []LockRef) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if !reqEqual(a[i], b[i]) {
+		if !refEqual(a[i], b[i]) {
 			return false
 		}
 	}
 	return true
 }
 
-func sortReqs(rs []Req) {
+func sortRefs(rs []LockRef) {
 	sort.Slice(rs, func(i, j int) bool {
 		if rs[i].RecvRoot != rs[j].RecvRoot {
 			return rs[i].RecvRoot
@@ -80,9 +74,8 @@ func sortReqs(rs []Req) {
 
 // LockFact is one function's lock-effect summary.
 type LockFact struct {
-	Requires []Req
-	Acquires []Req
-	Releases []Req
+	Acquires []LockRef
+	Releases []LockRef
 }
 
 type lockFactsKey struct{}
@@ -115,9 +108,7 @@ func (ls *lockSummary) annotsOf(pkg *analysis.Package) *Annotations {
 }
 
 func (ls *lockSummary) Equal(a, b LockFact) bool {
-	return reqsEqual(a.Requires, b.Requires) &&
-		reqsEqual(a.Acquires, b.Acquires) &&
-		reqsEqual(a.Releases, b.Releases)
+	return refsEqual(a.Acquires, b.Acquires) && refsEqual(a.Releases, b.Releases)
 }
 
 func (ls *lockSummary) Compute(n *callgraph.Node, get func(*callgraph.Node) LockFact) LockFact {
@@ -128,7 +119,6 @@ func (ls *lockSummary) Compute(n *callgraph.Node, get func(*callgraph.Node) Lock
 	}
 	pkg := n.Pkg
 	a := ls.annotsOf(pkg)
-	fact.Requires = declaredReqs(pkg, fd)
 	entry := EntryLocks(pkg.Info, pkg.Pkg, fd, a)
 	fx := func(s LockSet, call *ast.CallExpr) {
 		ApplyLockEffects(pkg.Info, pkg.Pkg, ls.graph, get, s, call)
@@ -139,21 +129,20 @@ func (ls *lockSummary) Compute(n *callgraph.Node, get func(*callgraph.Node) Lock
 			if _, was := entry[key]; was {
 				continue
 			}
-			if r, ok := keyToReq(fd, pkg.Info, key, h); ok {
+			if r, ok := keyToRef(fd, pkg.Info, key, h); ok {
 				fact.Acquires = append(fact.Acquires, r)
 			}
 		}
 		for key, h := range entry {
 			if _, still := exit[key]; !still {
-				if r, ok := keyToReq(fd, pkg.Info, key, h); ok {
+				if r, ok := keyToRef(fd, pkg.Info, key, h); ok {
 					fact.Releases = append(fact.Releases, r)
 				}
 			}
 		}
 	}
-	sortReqs(fact.Requires)
-	sortReqs(fact.Acquires)
-	sortReqs(fact.Releases)
+	sortRefs(fact.Acquires)
+	sortRefs(fact.Releases)
 	return fact
 }
 
@@ -163,7 +152,7 @@ func (ls *lockSummary) Compute(n *callgraph.Node, get func(*callgraph.Node) Lock
 func exitLocks(info *types.Info, body *ast.BlockStmt, entry LockSet, fx Effects) (LockSet, bool) {
 	var exit LockSet
 	found := false
-	WalkLockedFx(info, body, entry, fx, func(s LockSet, n ast.Node) {
+	WalkLocked(info, body, entry, fx, func(s LockSet, n ast.Node) {
 		switch n.(type) {
 		case *Fall, *ast.ReturnStmt:
 			if !found {
@@ -177,117 +166,25 @@ func exitLocks(info *types.Info, body *ast.BlockStmt, entry LockSet, fx Effects)
 	return exit, found
 }
 
-// declaredReqs parses a function's //mpmdvet:requires paths into Reqs.
-// Unresolvable paths are skipped here; EntryLocks warns about them through
-// lockguard's annotation collection.
-func declaredReqs(pkg *analysis.Package, fd *ast.FuncDecl) []Req {
-	var out []Req
-	for _, c := range requireComments(fd.Doc) {
-		path := c.path
-		if path == "" {
-			continue
-		}
-		segs := strings.Split(path, ".")
-		recvRoot, idx, root, ok := paramRoot(pkg.Info, fd, segs[0])
-		if !ok {
-			continue
-		}
-		r := Req{RecvRoot: recvRoot, Param: idx, Path: path, Pos: c.pos}
-		if len(segs) == 1 {
-			if !isMutexType(root.Type()) {
-				continue
-			}
-		} else {
-			r.Segs = segs[1:]
-			key, class, ok := resolveFieldPath(pkg.Pkg, analysis.VarKey(root), root.Type(), r.Segs)
-			if !ok || class == nil || !isMutexType(class.Type()) {
-				continue
-			}
-			// Re-derive the segments from the resolved key so embedded-field
-			// hops spliced by the lookup survive the round trip to callers.
-			r.Segs = strings.Split(strings.TrimPrefix(key, analysis.VarKey(root)+"."), ".")
-		}
-		out = append(out, r)
-	}
-	return out
-}
-
-type requireComment struct {
-	path string
-	pos  token.Pos
-}
-
-func requireComments(doc *ast.CommentGroup) []requireComment {
-	if doc == nil {
-		return nil
-	}
-	var out []requireComment
-	for _, c := range doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text != RequiresDirective && !strings.HasPrefix(text, RequiresDirective+" ") {
-			continue
-		}
-		rest := strings.TrimSpace(strings.TrimPrefix(text, RequiresDirective))
-		rc := requireComment{pos: c.Pos()}
-		if f := strings.Fields(rest); len(f) > 0 {
-			rc.path = f[0]
-		}
-		out = append(out, rc)
-	}
-	return out
-}
-
-// paramRoot finds the receiver or parameter named name and its argument
-// index (running over all parameter names, matching call-site positions).
-func paramRoot(info *types.Info, fd *ast.FuncDecl, name string) (recvRoot bool, idx int, root *types.Var, ok bool) {
-	if fd.Recv != nil {
-		for _, f := range fd.Recv.List {
-			for _, id := range f.Names {
-				if id.Name == name {
-					v, _ := info.Defs[id].(*types.Var)
-					return true, 0, v, v != nil
-				}
-			}
-		}
-	}
-	i := 0
-	for _, f := range fd.Type.Params.List {
-		if len(f.Names) == 0 {
-			i++
-			continue
-		}
-		for _, id := range f.Names {
-			if id.Name == name {
-				v, _ := info.Defs[id].(*types.Var)
-				return false, i, v, v != nil
-			}
-			i++
-		}
-	}
-	return false, 0, nil, false
-}
-
-// keyToReq converts a lockset key rooted at the function's receiver or a
+// keyToRef converts a lockset key rooted at the function's receiver or a
 // parameter back into caller-resolvable form. Keys rooted anywhere else
 // (globals, locals) are not expressible and report ok=false.
-func keyToReq(fd *ast.FuncDecl, info *types.Info, key string, h HeldLock) (Req, bool) {
-	try := func(recvRoot bool, idx int, v *types.Var, rootName string) (Req, bool) {
+func keyToRef(fd *ast.FuncDecl, info *types.Info, key string, h HeldLock) (LockRef, bool) {
+	try := func(recvRoot bool, idx int, v *types.Var) (LockRef, bool) {
 		vk := analysis.VarKey(v)
 		if key == vk {
-			return Req{RecvRoot: recvRoot, Param: idx, RLock: h.RLock, Path: rootName, Pos: h.Pos}, true
+			return LockRef{RecvRoot: recvRoot, Param: idx, RLock: h.RLock}, true
 		}
 		if strings.HasPrefix(key, vk+".") {
-			segs := strings.Split(key[len(vk)+1:], ".")
-			return Req{RecvRoot: recvRoot, Param: idx, Segs: segs, RLock: h.RLock,
-				Path: rootName + "." + strings.Join(segs, "."), Pos: h.Pos}, true
+			return LockRef{RecvRoot: recvRoot, Param: idx, Segs: strings.Split(key[len(vk)+1:], "."), RLock: h.RLock}, true
 		}
-		return Req{}, false
+		return LockRef{}, false
 	}
 	if fd.Recv != nil {
 		for _, f := range fd.Recv.List {
 			for _, id := range f.Names {
 				if v, isVar := info.Defs[id].(*types.Var); isVar {
-					if r, ok := try(true, 0, v, id.Name); ok {
+					if r, ok := try(true, 0, v); ok {
 						return r, true
 					}
 				}
@@ -302,21 +199,21 @@ func keyToReq(fd *ast.FuncDecl, info *types.Info, key string, h HeldLock) (Req, 
 		}
 		for _, id := range f.Names {
 			if v, isVar := info.Defs[id].(*types.Var); isVar {
-				if r, ok := try(false, i, v, id.Name); ok {
+				if r, ok := try(false, i, v); ok {
 					return r, true
 				}
 			}
 			i++
 		}
 	}
-	return Req{}, false
+	return LockRef{}, false
 }
 
-// ResolveReq maps one summary Req onto a call site: the lockset key (and
+// resolveRef maps one summary LockRef onto a call site: the lockset key (and
 // the mutex's class declaration) the caller-side lock would have. ok is
 // false when the argument expression is not keyable (a call result, an
 // index expression) or the receiver path is a promoted-method hop.
-func ResolveReq(info *types.Info, pkg *types.Package, call *ast.CallExpr, r Req) (key string, class *types.Var, ok bool) {
+func resolveRef(info *types.Info, pkg *types.Package, call *ast.CallExpr, r LockRef) (key string, class *types.Var, ok bool) {
 	var root ast.Expr
 	if r.RecvRoot {
 		sel, isSel := call.Fun.(*ast.SelectorExpr)
@@ -355,30 +252,6 @@ func ResolveReq(info *types.Info, pkg *types.Package, call *ast.CallExpr, r Req)
 	return key, class, true
 }
 
-// CallerPath renders a Req against a call site for diagnostics ("s.mu" in
-// the caller's terms), falling back to the callee-side path.
-func CallerPath(call *ast.CallExpr, r Req) string {
-	var root ast.Expr
-	if r.RecvRoot {
-		if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-			root = sel.X
-		}
-	} else if r.Param < len(call.Args) {
-		root = call.Args[r.Param]
-	}
-	if root == nil {
-		return r.Path
-	}
-	if u, isU := ast.Unparen(root).(*ast.UnaryExpr); isU && u.Op == token.AND {
-		root = u.X
-	}
-	text := types.ExprString(ast.Unparen(root))
-	if len(r.Segs) > 0 {
-		text += "." + strings.Join(r.Segs, ".")
-	}
-	return text
-}
-
 // SummaryEffects is the Effects hook for walking a package of prog: the
 // program's lock-effect summary applied at every statement-level call.
 func SummaryEffects(prog *analysis.Program, info *types.Info, tpkg *types.Package) Effects {
@@ -398,12 +271,12 @@ func ApplyLockEffects(info *types.Info, tpkg *types.Package, g *callgraph.Graph,
 	}
 	f := get(site.Callees[0])
 	for _, r := range f.Releases {
-		if key, _, ok := ResolveReq(info, tpkg, call, r); ok {
+		if key, _, ok := resolveRef(info, tpkg, call, r); ok {
 			delete(s, key)
 		}
 	}
 	for _, r := range f.Acquires {
-		if key, class, ok := ResolveReq(info, tpkg, call, r); ok {
+		if key, class, ok := resolveRef(info, tpkg, call, r); ok {
 			s[key] = HeldLock{Class: class, RLock: r.RLock, Pos: call.Pos()}
 		}
 	}

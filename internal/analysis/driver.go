@@ -59,6 +59,11 @@ func Run(w io.Writer, dir string, analyzers []*Analyzer, patterns ...string) (*S
 	if err != nil {
 		return nil, false, err
 	}
+	return Analyze(w, pkgs, analyzers)
+}
+
+// Analyze is Run on packages already loaded, as one program.
+func Analyze(w io.Writer, pkgs []*Package, analyzers []*Analyzer) (*Summary, bool, error) {
 	prog := NewProgram(pkgs)
 	sum := &Summary{ByPass: map[string]int{}, Passes: map[string]PassStat{}}
 	wallByPass := map[string]time.Duration{}

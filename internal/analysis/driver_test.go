@@ -23,7 +23,7 @@ func TestDiffBaseline(t *testing.T) {
 		},
 		SuppressedByPass: map[string]int{"hotpath": 2, "bufown": 1},
 	}
-	base := &Baseline{SuppressedByPass: map[string]int{"hotpath": 1, "bufown": 2, "nilgate": 1}}
+	base := &Baseline{SuppressedByPass: map[string]int{"hotpath": 1, "bufown": 2, "lockorder": 1}}
 	drift := sum.DiffBaseline(base)
 	if len(drift) != 4 {
 		t.Fatalf("want 4 violations (1 missing reason, 3 count drifts), got %d: %v", len(drift), drift)
@@ -33,7 +33,7 @@ func TestDiffBaseline(t *testing.T) {
 		"a.go:20: suppression of hotpath has no reason",
 		"pass hotpath: 2 suppressions, baseline pins 1",
 		"pass bufown: 1 suppressions, baseline pins 2",
-		"pass nilgate: 0 suppressions, baseline pins 1",
+		"pass lockorder: 0 suppressions, baseline pins 1",
 	} {
 		if !strings.Contains(joined, want) {
 			t.Errorf("missing violation %q in:\n%s", want, joined)

@@ -32,14 +32,33 @@ type listPkg struct {
 }
 
 // LoadPackages loads, parses, and type-checks the packages matched by
-// patterns in the module rooted at dir, resolving imports through compiler
-// export data produced by `go list -export`. When tests is true each
-// package's test variant (the unit `go vet` analyzes: GoFiles + TestGoFiles,
-// plus the external _test package) replaces the plain one.
-//
-// The loader shells out to the go command exactly once; everything else is
-// stdlib go/parser + go/types, so it works hermetically offline.
+// patterns in the module rooted at dir: List, then Check of the files as they
+// are on disk.
 func LoadPackages(dir string, tests bool, patterns ...string) ([]*Package, error) {
+	l, err := List(dir, tests, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	return l.Check(nil)
+}
+
+// Listing is what one `go list` says about the module: the analysis units
+// with their files, and the compiler export data of everything they import
+// from outside the set. Check can run over it any number of times, so a
+// caller that analyzes variants of one tree (the mutation corpus) lists once.
+type Listing struct {
+	roots   []*listPkg
+	exports map[string]string // ImportPath (incl. test-variant form) -> export data file
+}
+
+// List resolves the packages matched by patterns in the module rooted at dir
+// with `go list -export`. When tests is true each package's test variant (the
+// unit `go vet` analyzes: GoFiles + TestGoFiles, plus the external _test
+// package) replaces the plain one.
+//
+// This is the one place the loader shells out to the go command; everything
+// else is stdlib go/parser + go/types, so it works hermetically offline.
+func List(dir string, tests bool, patterns ...string) (*Listing, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -59,7 +78,7 @@ func LoadPackages(dir string, tests bool, patterns ...string) ([]*Package, error
 	}
 
 	var pkgs []*listPkg
-	exports := map[string]string{} // ImportPath (incl. test-variant form) -> export data file
+	l := &Listing{exports: map[string]string{}}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	for {
 		var p listPkg
@@ -71,13 +90,20 @@ func LoadPackages(dir string, tests bool, patterns ...string) ([]*Package, error
 		pp := p
 		pkgs = append(pkgs, &pp)
 		if p.Export != "" {
-			exports[p.ImportPath] = p.Export
+			l.exports[p.ImportPath] = p.Export
 		}
 	}
+	l.roots = chooseRoots(pkgs, tests)
+	return l, nil
+}
 
-	roots := chooseRoots(pkgs, tests)
-	ld := newLoader(token.NewFileSet(), exports)
-	for _, lp := range roots {
+// Check parses and type-checks the listed packages, resolving imports between
+// them from source and all others through the export data. overlay, which may
+// be nil, replaces the content of the files it names (by absolute path).
+func (l *Listing) Check(overlay map[string][]byte) ([]*Package, error) {
+	ld := newLoader(token.NewFileSet(), l.exports)
+	ld.overlay = overlay
+	for _, lp := range l.roots {
 		ld.byID[lp.ImportPath] = lp
 		// A root also provides its plain import path, so a later root that
 		// imports "p" resolves to the source-checked "p [p.test]" variant
@@ -86,7 +112,7 @@ func LoadPackages(dir string, tests bool, patterns ...string) ([]*Package, error
 		ld.plain[plainPath(lp.ImportPath)] = lp.ImportPath
 	}
 	var loaded []*Package
-	for _, lp := range roots {
+	for _, lp := range l.roots {
 		pkg, err := ld.check(lp.ImportPath)
 		if err != nil {
 			return nil, err
@@ -115,6 +141,7 @@ func plainPath(id string) string {
 type loader struct {
 	fset    *token.FileSet
 	exports map[string]string
+	overlay map[string][]byte // absolute path -> content that replaces the file's
 	byID    map[string]*listPkg
 	plain   map[string]string // plain import path -> providing root ID
 	checked map[string]*Package
@@ -200,7 +227,11 @@ func (ld *loader) checkPackage(lp *listPkg) (*Package, error) {
 		if !filepath.IsAbs(path) {
 			path = filepath.Join(lp.Dir, name)
 		}
-		f, err := parser.ParseFile(ld.fset, path, nil, parser.ParseComments)
+		var src any // nil: read the file
+		if b, ok := ld.overlay[path]; ok {
+			src = b
+		}
+		f, err := parser.ParseFile(ld.fset, path, src, parser.ParseComments)
 		if err != nil {
 			return nil, fmt.Errorf("parse %s: %v", path, err)
 		}

@@ -4,16 +4,16 @@ import (
 	"testing"
 
 	"repro/internal/analysis/analysistest"
-	"repro/internal/analysis/passes/lockguard"
+	"repro/internal/analysis/passes/locks"
 )
 
 func TestLockguard(t *testing.T) {
-	results := analysistest.Run(t, lockguard.Analyzer, "a")
+	results := analysistest.Run(t, locks.Lockguard, "a")
 	if n := len(results[0].Suppressed); n != 1 {
 		t.Errorf("expected exactly 1 pragma-suppressed diagnostic (the escape-hatch case), got %d", n)
 	}
 }
 
 func TestLockguardTransitive(t *testing.T) {
-	analysistest.Run(t, lockguard.Analyzer, "chain")
+	analysistest.Run(t, locks.Lockguard, "chain")
 }

@@ -1,6 +1,5 @@
-// Package chain exercises lockguard's transitive layer: //mpmdvet:requires
-// contracts enforced at call sites, and helper lock effects (net acquire /
-// release) applied through the call-graph summary.
+// Package chain exercises lockguard's transitive layer: helper lock effects
+// (net acquire / release) applied through the call-graph summary.
 package chain
 
 import "sync"
@@ -10,33 +9,11 @@ type store struct {
 	n  int //mpmdvet:guard mu
 }
 
-// bump mutates guarded state on the caller's behalf; the contract makes
-// every call site prove the lock.
+// bump mutates guarded state on the caller's behalf.
 //
-//mpmdvet:requires s.mu
+//mpmdvet:locked s.mu
 func bump(s *store) {
-	s.n++ // clean: requires seeds the entry lockset
-}
-
-func goodCaller(s *store) {
-	s.mu.Lock()
-	bump(s)
-	s.mu.Unlock()
-}
-
-func badCaller(s *store) {
-	bump(s) // want `call to bump requires s\.mu held \(//mpmdvet:requires, declared at chain\.go:\d+\): not provably held at this call`
-}
-
-// bumpLocked is the method form of the same contract.
-//
-//mpmdvet:requires st.mu
-func (st *store) bumpLocked() {
-	st.n++
-}
-
-func badMethodCaller(s *store) {
-	s.bumpLocked() // want `call to \(\*store\)\.bumpLocked requires s\.mu held`
+	s.n++ // clean: locked seeds the entry lockset
 }
 
 // lock is a net-acquire helper: the summary sees mu held at every exit, so
@@ -45,17 +22,18 @@ func lock(s *store) {
 	s.mu.Lock()
 }
 
-// unlock releases on the caller's behalf; requires doubles as the release
-// root (entry-held, gone at exit).
+// unlock releases on the caller's behalf; locked is the release root
+// (entry-held, gone at exit).
 //
-//mpmdvet:requires s.mu
+//mpmdvet:locked s.mu
 func unlock(s *store) {
 	s.mu.Unlock()
 }
 
 func viaHelpers(s *store) {
 	lock(s)
-	bump(s) // clean: lock's net-acquire effect reached this site
+	bump(s)
+	s.n++ // clean: lock's net-acquire effect reached this site
 	unlock(s)
 }
 
@@ -77,27 +55,9 @@ func viaIndirect(s *store) {
 	s.mu.Unlock()
 }
 
-// withLock shows a contract rooted at a bare mutex parameter.
-//
-//mpmdvet:requires mu
-func withLock(mu *sync.Mutex) {
-	_ = mu
-}
-
-func goodParamCaller(s *store) {
-	s.mu.Lock()
-	withLock(&s.mu)
-	s.mu.Unlock()
-}
-
-func badParamCaller(s *store) {
-	withLock(&s.mu) // want `call to withLock requires s\.mu held`
-}
-
-// Deferred and spawned calls are exempt: a goroutine does not inherit the
-// caller's locks, and defers run at exit where the set is unknown.
+// A deferred helper call runs at exit: its release does not apply here.
 func deferredUnlock(s *store) {
 	lock(s)
-	defer unlock(s) // clean: exempt, and the deferred release keeps mu held below
+	defer unlock(s) // the deferred release keeps mu held below
 	s.n++           // clean
 }

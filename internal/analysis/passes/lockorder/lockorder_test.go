@@ -4,11 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/analysis/analysistest"
-	"repro/internal/analysis/passes/lockorder"
+	"repro/internal/analysis/passes/locks"
 )
 
 func TestLockorder(t *testing.T) {
-	results := analysistest.Run(t, lockorder.Analyzer, "a")
+	results := analysistest.Run(t, locks.Lockorder, "a")
 	if n := len(results[0].Suppressed); n != 1 {
 		t.Errorf("expected exactly 1 pragma-suppressed diagnostic (the escape-hatch case), got %d", n)
 	}

@@ -1,12 +1,26 @@
-// Package blockhold forbids blocking operations while a //mpmd:cpu mutex is
+package locks
+
+import (
+	"fmt"
+	"go/ast"
+	"go/token"
+	"go/types"
+	"strings"
+
+	"repro/internal/analysis"
+	"repro/internal/analysis/callgraph"
+	"repro/internal/analysis/cfg"
+)
+
+// blockhold forbids blocking operations while a //mpmd:cpu mutex is
 // held. Holding such a mutex models occupying a node's simulated processor:
 // anything that can park the goroutine — channel operations, network I/O,
 // time.Sleep, WaitGroup.Wait, a cond wait on some other lock, or an
 // unbounded spin — stalls the CPU for every other goroutine queued on it.
 //
-// The cfg lockset analysis supplies the must-hold set at each statement, so
-// operations after the Unlock (or on paths where the lock was released) are
-// not flagged. Two blocking shapes are sanctioned:
+// The lockset supplies the must-hold set at each statement, so operations
+// after the Unlock (or on paths where the lock was released) are not
+// flagged. Two blocking shapes are sanctioned:
 //
 //   - a select with a default clause is a poll, not a block
 //   - Wait on the sync.Cond tied (//mpmdvet:cond) to the held CPU mutex
@@ -20,70 +34,6 @@
 // both layers (registering is instant; a spawned goroutine parks itself, not
 // the CPU holder), as are calls through plain function values (no tracking —
 // a documented bound of the analysis).
-package blockhold
-
-import (
-	"fmt"
-	"go/ast"
-	"go/token"
-	"go/types"
-	"sort"
-	"strings"
-
-	"repro/internal/analysis"
-	"repro/internal/analysis/callgraph"
-	"repro/internal/analysis/cfg"
-)
-
-var Analyzer = &analysis.Analyzer{
-	Name: "blockhold",
-	Doc: "report blocking operations (channel ops, net I/O, sleeps, waits, " +
-		"unbounded loops) while a //mpmd:cpu mutex is held, transitively through in-set callees",
-	Run: run,
-}
-
-type checker struct {
-	pass   *analysis.Pass
-	info   *types.Info
-	annots *cfg.Annotations
-	graph  *callgraph.Graph
-	facts  map[*callgraph.Node]BlockFact
-	// nonBlocking holds the comm statements of selects that carry a default
-	// clause: those are polls.
-	nonBlocking map[ast.Stmt]bool
-}
-
-func run(pass *analysis.Pass) error {
-	annots := cfg.CollectAnnotations(pass.TypesInfo, pass.Files)
-	if len(annots.CPU) == 0 {
-		return nil
-	}
-	c := &checker{
-		pass:        pass,
-		info:        pass.TypesInfo,
-		annots:      annots,
-		graph:       callgraph.Of(pass.Prog),
-		facts:       Facts(pass.Prog),
-		nonBlocking: map[ast.Stmt]bool{},
-	}
-	for _, f := range pass.Files {
-		collectPolls(f, c.nonBlocking)
-	}
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if n.Body != nil {
-					c.body(n.Body, cfg.EntryLocks(pass.TypesInfo, pass.Pkg, n, annots), c.selfNode(n))
-				}
-			case *ast.FuncLit:
-				c.body(n.Body, cfg.LockSet{}, nil)
-			}
-			return true
-		})
-	}
-	return nil
-}
 
 // collectPolls marks the comm statements of selects carrying a default
 // clause under root.
@@ -111,67 +61,67 @@ func collectPolls(root ast.Node, nonBlocking map[ast.Stmt]bool) {
 	})
 }
 
-func (c *checker) selfNode(fd *ast.FuncDecl) *callgraph.Node {
-	fn, _ := c.info.Defs[fd.Name].(*types.Func)
-	return c.graph.NodeOf(fn)
+// blockNode checks one flat node against the pre-state; self is the enclosing
+// function's call-graph node.
+func (w *walker) blockNode(s cfg.LockSet, n ast.Node, self *callgraph.Node) {
+	_, held, ok := s.HoldsClass(func(v *types.Var) bool { return w.annots.CPU[v] })
+	if !ok {
+		return
+	}
+	blockingOps(w.info, w.annots, w.polls, s, n,
+		func(what string, pos token.Pos) { w.flag(pos, what, held) },
+		func(call *ast.CallExpr) { w.transitive(call, held, self) })
 }
 
-func (c *checker) body(body *ast.BlockStmt, entry cfg.LockSet, self *callgraph.Node) {
-	cfg.WalkLocked(c.info, body, entry, func(s cfg.LockSet, n ast.Node) {
-		_, held, ok := s.HoldsClass(func(v *types.Var) bool { return c.annots.CPU[v] })
-		if !ok {
-			return
-		}
-		switch n := n.(type) {
-		case *cfg.Fall, *cfg.TryAcquired:
-			return
-		case *ast.DeferStmt, *ast.GoStmt:
-			// Registering a defer or spawning a goroutine does not block.
-			return
-		case *ast.RangeStmt:
-			// The flat node stands for the range expression only; body
-			// statements are their own nodes.
-			if t := typeOf(c.info, n.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					c.flag(n.Pos(), "range over a channel", held)
-				}
-			}
-			return
-		case *ast.ForStmt:
-			// A condition-less for is emitted as a marker node: an unbounded
-			// loop entered with the CPU held never yields it.
-			if n.Cond == nil {
-				c.flag(n.Pos(), "unbounded loop", held)
-			}
-			return
-		}
-		if stmt, isStmt := n.(ast.Stmt); isStmt && c.nonBlocking[stmt] {
-			return
-		}
-		c.scan(n, s, held, self)
-	})
-}
-
-// scan walks one flat node's expressions for blocking operations — direct
-// ones, and calls whose may-block summary is dirty. Nested function literals
+// blockingOps calls op for every blocking operation written in flat node n
+// itself, given its pre-state s, and call (when not nil) for every other call
+// expression — one that may still block further down. polls holds the comm
+// statements of selects that carry a default clause. Nested function literals
 // are separate functions with their own locksets.
-func (c *checker) scan(n ast.Node, s cfg.LockSet, held cfg.HeldLock, self *callgraph.Node) {
+func blockingOps(info *types.Info, annots *cfg.Annotations, polls map[ast.Stmt]bool, s cfg.LockSet, n ast.Node,
+	op func(what string, pos token.Pos), call func(*ast.CallExpr)) {
+	switch n := n.(type) {
+	case *cfg.Fall, *cfg.TryAcquired:
+		return
+	case *ast.DeferStmt, *ast.GoStmt:
+		// Registering a defer or spawning a goroutine does not block.
+		return
+	case *ast.RangeStmt:
+		// The flat node stands for the range expression only; body
+		// statements are their own nodes.
+		if t := typeOf(info, n.X); t != nil {
+			if _, isChan := t.Underlying().(*types.Chan); isChan {
+				op("range over a channel", n.Pos())
+			}
+		}
+		return
+	case *ast.ForStmt:
+		// A condition-less for is emitted as a marker node: an unbounded
+		// loop entered with the CPU held never yields it.
+		if n.Cond == nil {
+			op("unbounded loop", n.Pos())
+		}
+		return
+	}
+	if stmt, isStmt := n.(ast.Stmt); isStmt && polls[stmt] {
+		return
+	}
 	ast.Inspect(n, func(m ast.Node) bool {
 		switch m := m.(type) {
 		case *ast.FuncLit:
 			return false
 		case *ast.SendStmt:
-			c.flag(m.Arrow, "channel send", held)
+			op("channel send", m.Arrow)
 		case *ast.UnaryExpr:
 			if m.Op == token.ARROW {
-				c.flag(m.Pos(), "channel receive", held)
+				op("channel receive", m.Pos())
 			}
 		case *ast.CallExpr:
-			if desc, blocking := classifyCall(c.info, c.annots, m, s); blocking {
-				c.flag(m.Pos(), desc, held)
-				return true
+			if desc, blocking := classifyCall(info, annots, m, s); blocking {
+				op(desc, m.Pos())
+			} else if call != nil {
+				call(m)
 			}
-			c.transitive(m, held, self)
 		}
 		return true
 	})
@@ -179,13 +129,13 @@ func (c *checker) scan(n ast.Node, s cfg.LockSet, held cfg.HeldLock, self *callg
 
 // transitive reports a call into an in-set callee that can block downstream,
 // with the witness chain to the parking operation.
-func (c *checker) transitive(call *ast.CallExpr, held cfg.HeldLock, self *callgraph.Node) {
-	site := c.graph.Sites[call]
+func (w *walker) transitive(call *ast.CallExpr, held cfg.HeldLock, self *callgraph.Node) {
+	site := w.graph.Sites[call]
 	if site == nil {
 		return
 	}
 	if site.NoImpl {
-		c.flag(call.Pos(), fmt.Sprintf(
+		w.flag(call.Pos(), fmt.Sprintf(
 			"interface call %s (no implementers in the analyzed packages; blocking behavior unverified)",
 			site.Iface), held)
 		return
@@ -194,12 +144,12 @@ func (c *checker) transitive(call *ast.CallExpr, held cfg.HeldLock, self *callgr
 		if callee == self {
 			continue
 		}
-		f := c.facts[callee]
+		f := w.blockFacts[callee]
 		if f.What == "" {
 			continue
 		}
-		chain := witnessChain(c.facts, callee)
-		c.flag(call.Pos(), callgraph.ChainString(chain, f.What, f.Pos), held)
+		chain := witnessChain(w.blockFacts, callee)
+		w.flag(call.Pos(), callgraph.ChainString(chain, f.What, f.Pos), held)
 		break // one witness per call site
 	}
 }
@@ -215,9 +165,9 @@ type BlockFact struct {
 
 type blockFactsKey struct{}
 
-// Facts computes (once per Program) the may-block summary for every function
-// in the analyzed set.
-func Facts(prog *analysis.Program) map[*callgraph.Node]BlockFact {
+// BlockFacts computes (once per Program) the may-block summary for every
+// function in the analyzed set.
+func BlockFacts(prog *analysis.Program) map[*callgraph.Node]BlockFact {
 	return prog.Fact(blockFactsKey{}, func() any {
 		g := callgraph.Of(prog)
 		return callgraph.Propagate[BlockFact](g, &blockSummary{
@@ -279,61 +229,18 @@ func witnessChain(facts map[*callgraph.Node]BlockFact, start *callgraph.Node) []
 // check supplies the held-CPU context. Cond waits sanctioned by the
 // function's own declared entry locks (//mpmdvet:locked on a //mpmd:cpu
 // mutex with a tied cond) stay exempt.
-func firstBlocking(pkg *analysis.Package, annots *cfg.Annotations, fd *ast.FuncDecl) (string, token.Pos, bool) {
-	nonBlocking := map[ast.Stmt]bool{}
-	collectPolls(fd.Body, nonBlocking)
+func firstBlocking(pkg *analysis.Package, annots *cfg.Annotations, fd *ast.FuncDecl) (what string, pos token.Pos, ok bool) {
+	polls := map[ast.Stmt]bool{}
+	collectPolls(fd.Body, polls)
 	entry := cfg.EntryLocks(pkg.Info, pkg.Pkg, fd, annots)
-	type hit struct {
-		what string
-		pos  token.Pos
-	}
-	var hits []hit
-	add := func(what string, pos token.Pos) { hits = append(hits, hit{what, pos}) }
-	cfg.WalkLocked(pkg.Info, fd.Body, entry, func(s cfg.LockSet, n ast.Node) {
-		switch n := n.(type) {
-		case *cfg.Fall, *cfg.TryAcquired:
-			return
-		case *ast.DeferStmt, *ast.GoStmt:
-			return
-		case *ast.RangeStmt:
-			if t := typeOf(pkg.Info, n.X); t != nil {
-				if _, isChan := t.Underlying().(*types.Chan); isChan {
-					add("range over a channel", n.Pos())
-				}
+	cfg.WalkLocked(pkg.Info, fd.Body, entry, nil, func(s cfg.LockSet, n ast.Node) {
+		blockingOps(pkg.Info, annots, polls, s, n, func(w string, p token.Pos) {
+			if !ok || p < pos {
+				what, pos, ok = w, p, true
 			}
-			return
-		case *ast.ForStmt:
-			if n.Cond == nil {
-				add("unbounded loop", n.Pos())
-			}
-			return
-		}
-		if stmt, isStmt := n.(ast.Stmt); isStmt && nonBlocking[stmt] {
-			return
-		}
-		ast.Inspect(n, func(m ast.Node) bool {
-			switch m := m.(type) {
-			case *ast.FuncLit:
-				return false
-			case *ast.SendStmt:
-				add("channel send", m.Arrow)
-			case *ast.UnaryExpr:
-				if m.Op == token.ARROW {
-					add("channel receive", m.Pos())
-				}
-			case *ast.CallExpr:
-				if desc, blocking := classifyCall(pkg.Info, annots, m, s); blocking {
-					add(desc, m.Pos())
-				}
-			}
-			return true
-		})
+		}, nil)
 	})
-	if len(hits) == 0 {
-		return "", token.NoPos, false
-	}
-	sort.Slice(hits, func(i, j int) bool { return hits[i].pos < hits[j].pos })
-	return hits[0].what, hits[0].pos, true
+	return what, pos, ok
 }
 
 // classifyCall reports whether the call is a blocking operation, with a
@@ -403,20 +310,8 @@ func condLock(annots *cfg.Annotations, condKey string, class *types.Var) (string
 	return condKey[:i] + "." + path, true
 }
 
-func (c *checker) flag(pos token.Pos, desc string, held cfg.HeldLock) {
-	c.pass.Reportf(pos,
+func (w *walker) flag(pos token.Pos, desc string, held cfg.HeldLock) {
+	w.reportf("blockhold", pos,
 		"%s while holding %s, a //mpmd:cpu mutex: blocking operations stall the simulated CPU",
-		desc, classLabel(c.pass.Fset, held.Class))
-}
-
-func classLabel(fset *token.FileSet, v *types.Var) string {
-	pos := fset.Position(v.Pos())
-	return fmt.Sprintf("%s (declared at %s:%d)", v.Name(), pos.Filename, pos.Line)
-}
-
-func typeOf(info *types.Info, e ast.Expr) types.Type {
-	if tv, ok := info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
+		desc, classLabel(w.pass.Fset, held.Class))
 }

@@ -1,0 +1,119 @@
+package suite_test
+
+import (
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+
+	"repro/internal/analysis"
+	"repro/internal/analysis/suite"
+)
+
+// edit replaces the one occurrence of old in file (module-relative) with new.
+type edit struct{ file, old, new string }
+
+// corpus is what each surviving pass is kept for, as scripted mutations of the
+// real tree: every row plants one real bug — the kind the pass exists to catch
+// — and names the pass that must report it, in the first file the row edits,
+// with a message matching want. The per-pass fixtures show
+// a pass still reports what its fixtures contain; only this shows it still
+// reports what can go wrong in the product. A row whose anchor text is gone
+// fails too: the code it mutates moved, and the row moves with it.
+var corpus = []struct {
+	name  string
+	pass  string
+	want  string
+	edits []edit
+}{
+	{"make in am.Endpoint.Poll", "hotpath", `hot path Poll: make allocates`, []edit{
+		{"internal/am/am.go", "\th(t, msg)\n", "\t_ = make([]byte, 16)\n\th(t, msg)\n"}}},
+	{"make in shmTx.send", "hotpath", `hot path send: make allocates`, []edit{
+		{"internal/transport/netlive/shmring.go", "\tdepth := tx.publish(rec)\n\ttx.mu.Unlock()\n",
+			"\tdepth := tx.publish(rec)\n\ttx.mu.Unlock()\n\t_ = make([]byte, n)\n"}}},
+	{"fmt.Sprint two calls below the hot reqTable.add", "hotpath", `hot path add: .*call into package fmt`, []edit{
+		{"internal/core/rmi.go", "func (tb *reqTable[T]) add(rec *T) uint64 {\n", "func (tb *reqTable[T]) add(rec *T) uint64 {\n\tnoteAdd()\n"},
+		{"internal/core/rmi.go", "// reqTable is ", "func noteAdd() { _ = fmt.Sprint(1) }\n\n// reqTable is "}}},
+
+	{"readLoop's read-error return keeps its buffer", "bufown", `owned wire\.Buf leaks on this return path`, []edit{
+		{"internal/transport/netlive/netlive.go", "\t\t\t\tbuf.Release()\n\t\t\t\tb.addErr(fmt.Errorf(\"netlive: shard %d read body: %w\", b.shard, err))\n",
+			"\t\t\t\tb.addErr(fmt.Errorf(\"netlive: shard %d read body: %w\", b.shard, err))\n"}}},
+	{"readLoop reads its buffer after the final Release", "bufown", `calls Bytes on a wire\.Buf after its final Release`, []edit{
+		{"internal/transport/netlive/netlive.go", "\t\tif buf != nil {\n\t\t\tbuf.Release()\n\t\t}\n\t}\n}\n\nfunc isClosedErr",
+			"\t\tif buf != nil {\n\t\t\tbuf.Release()\n\t\t\t_ = buf.Bytes()\n\t\t}\n\t}\n}\n\nfunc isClosedErr"}}},
+	{"Poll releases the payload twice", "bufown", `wire\.Buf released twice on this path`, []edit{
+		{"internal/am/am.go", "\tif msg.PayloadBuf != nil {\n\t\tmsg.PayloadBuf.Release()\n\t}\n\treturn true\n",
+			"\tif msg.PayloadBuf != nil {\n\t\tmsg.PayloadBuf.Release()\n\t\tmsg.PayloadBuf.Release()\n\t}\n\treturn true\n"}}},
+	{"handleInvoke spawns without a Retain", "bufown", `closure escapes with a borrowed payload buffer captured without Retain`, []edit{
+		{"internal/core/rmi.go", "\t\tif pb != nil {\n\t\t\tpb.Retain()\n\t\t}\n", ""}}},
+
+	{"InboxLen without inboxMu", "lockguard", `field inbox is guarded by inboxMu`, []edit{
+		{"internal/machine/machine.go", "\tn.inboxMu.Lock()\n\tdefer n.inboxMu.Unlock()\n\treturn n.inbox.Len()\n", "\treturn n.inbox.Len()\n"}}},
+	{"addErr without errMu", "lockguard", `field errs is guarded by errMu`, []edit{
+		{"internal/transport/netlive/netlive.go", "\tb.errMu.Lock()\n\tb.errs = append(b.errs, err)\n\tb.errMu.Unlock()\n", "\tb.errs = append(b.errs, err)\n"}}},
+	{"runPending reads the pending list after unlocking it", "lockguard", `field fns is guarded by mu`, []edit{
+		{"internal/transport/live/live.go", "\t\tnd.pended()\n\t\tnd.pend.mu.Unlock()\n\t\tfn()\n", "\t\tnd.pended()\n\t\tnd.pend.mu.Unlock()\n\t\tfn()\n\t\t_ = nd.pend.fns.Len()\n"}}},
+
+	{"time.Sleep in lnode.release with the CPU held", "blockhold", `time\.Sleep.*while holding mu.*//mpmd:cpu mutex`, []edit{
+		{"internal/transport/live/live.go", "func (nd *lnode) release() {\n\tnd.runPending()\n", "func (nd *lnode) release() {\n\ttime.Sleep(time.Microsecond)\n\tnd.runPending()\n"}}},
+	{"Park waits on a channel with the CPU held", "blockhold", `channel receive while holding mu`, []edit{
+		{"internal/transport/live/live.go", "\tfor !p.permit {\n\t\tp.cond.Wait()\n", "\tfor !p.permit {\n\t\t<-p.b.start\n\t\tp.cond.Wait()\n"}}},
+
+	{"errMu then p.mu in shutdownSockets, p.mu then errMu in peer.fail", "lockorder", `lock order cycle`, []edit{
+		{"internal/transport/netlive/netlive.go", "\tb.errMu.Lock()\n\tb.sockClosed = true\n",
+			"\tb.errMu.Lock()\n\tfor _, p := range b.peers {\n\t\tif p != nil {\n\t\t\tp.mu.Lock()\n\t\t\tp.mu.Unlock()\n\t\t}\n\t}\n\tb.sockClosed = true\n"},
+		{"internal/transport/netlive/netlive.go", "\tp.closed = true\n\tfor f, ok := p.q.Pop(); ok; f, ok = p.q.Pop() {\n\t\tif f.buf != nil {\n\t\t\tf.buf.Release()\n\t\t}\n\t\tp.sent.Add(1)\n",
+			"\tp.closed = true\n\tp.b.errMu.Lock()\n\tp.b.errMu.Unlock()\n\tfor f, ok := p.q.Pop(); ok; f, ok = p.q.Pop() {\n\t\tif f.buf != nil {\n\t\t\tf.buf.Release()\n\t\t}\n\t\tp.sent.Add(1)\n"}}},
+	{"addErr takes errMu twice", "lockorder", `b\.errMu is already held on every path`, []edit{
+		{"internal/transport/netlive/netlive.go", "\tb.errMu.Lock()\n\tb.errs = append(b.errs, err)\n", "\tb.errMu.Lock()\n\tb.errMu.Lock()\n\tb.errs = append(b.errs, err)\n"}}},
+}
+
+// TestMutationCorpus runs the suite over each mutated tree — listed once,
+// re-checked per row with the mutated files overlaid in memory — and requires
+// the row's pass to report. A pass dropped from suite.Analyzers(), or one that
+// stopped seeing real bugs, fails its rows here.
+func TestMutationCorpus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("loads and type-checks the whole module once per mutation")
+	}
+	root := moduleRoot(t)
+	listing, err := analysis.List(root, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range corpus {
+		t.Run(row.name, func(t *testing.T) {
+			overlay := map[string][]byte{}
+			for _, e := range row.edits {
+				path := filepath.Join(root, e.file)
+				src, ok := overlay[path]
+				if !ok {
+					if src, err = os.ReadFile(path); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if n := strings.Count(string(src), e.old); n != 1 {
+					t.Fatalf("%s: the text this row replaces occurs %d times, want once — the code moved, move the row:\n%s", e.file, n, e.old)
+				}
+				overlay[path] = []byte(strings.Replace(string(src), e.old, e.new, 1))
+			}
+			pkgs, err := listing.Check(overlay)
+			if err != nil {
+				t.Fatalf("the mutation must still type-check: %v", err)
+			}
+			var out strings.Builder
+			if _, _, err := analysis.Analyze(&out, pkgs, suite.Analyzers()); err != nil {
+				t.Fatal(err)
+			}
+			want := regexp.MustCompile(`^` + regexp.QuoteMeta(filepath.Join(root, row.edits[0].file)) +
+				`:\d+:\d+: ` + row.pass + `: .*` + row.want)
+			for _, line := range strings.Split(out.String(), "\n") {
+				if want.MatchString(line) {
+					return
+				}
+			}
+			t.Errorf("%s did not report this mutation (want a diagnostic matching %q); mpmdvet said:\n%s", row.pass, want, out.String())
+		})
+	}
+}

@@ -51,7 +51,7 @@ func TestTreeClean(t *testing.T) {
 	}
 }
 
-// BenchmarkMpmdvetTree times a full eleven-pass run over the whole module —
+// BenchmarkMpmdvetTree times a full five-pass run over the whole module —
 // load, type-check, build the call graph and summaries, analyze, filter
 // pragmas. Loading dominates; the number to watch across changes is the
 // marginal cost of adding a pass or a summary.

@@ -11,9 +11,9 @@ import (
 
 func snap(cpu, net, rt time.Duration) machine.Snapshot {
 	var s machine.Snapshot
-	s.Buckets[machine.CatCPU] = cpu    //mpmdvet:ignore acctdirect fabricating a synthetic snapshot for unit tests
-	s.Buckets[machine.CatNet] = net    //mpmdvet:ignore acctdirect fabricating a synthetic snapshot for unit tests
-	s.Buckets[machine.CatRuntime] = rt //mpmdvet:ignore acctdirect fabricating a synthetic snapshot for unit tests
+	s.Buckets[machine.CatCPU] = cpu
+	s.Buckets[machine.CatNet] = net
+	s.Buckets[machine.CatRuntime] = rt
 	return s
 }
 

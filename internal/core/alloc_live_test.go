@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/metrics"
+	"repro/internal/race"
 	"repro/internal/threads"
 	"repro/internal/transport/live"
 )
@@ -32,13 +33,17 @@ type allocBenchObj struct{ buf []byte }
 
 // TestWarmPathAllocsPerRun pins the warm-path allocation budget of the live
 // backend: a warm null RMI round trip and a warm 1 KiB bulk RMI must each
-// average at most 2 allocations per operation across the whole machine
-// (sender and receiver both run inside the measurement window). This is the refactor's enforcement point — pooled wire buffers,
+// average 0 allocations per operation across the whole machine (sender and
+// receiver both run inside the measurement window). Pooled wire buffers,
 // recycled call records and decode frames, ring inboxes, and closure-free
-// delivery are what keep this number at ~0; a regression anywhere on the
-// path shows up here as a budget overrun.
+// delivery are what keep the number there; a regression anywhere on the path
+// shows up here as a budget overrun. Under the race detector sync.Pool drops
+// entries at random and the same run reads 0–2, so there the budget is 2.
 func TestWarmPathAllocsPerRun(t *testing.T) {
-	const budget = 2.0
+	budget := 0.0
+	if race.Enabled {
+		budget = 2
+	}
 	m := machine.NewWithBackend(machine.SP1997(), 2,
 		live.New(2, live.Options{Watchdog: 2 * time.Minute}))
 	rt := NewRuntime(m)

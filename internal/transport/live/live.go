@@ -214,9 +214,7 @@ func (nd *lnode) run(fn func()) bool {
 	if nd.mu.TryLock() {
 		fn()
 		nd.release()
-		if met := nd.met; met != nil {
-			met.Add(metrics.CtrNotifyDirect, 1)
-		}
+		nd.met.Add(metrics.CtrNotifyDirect, 1)
 		return true
 	}
 	if nd.over.Load() {
@@ -226,9 +224,7 @@ func (nd *lnode) run(fn func()) bool {
 	nd.pend.fns.Push(fn)
 	nd.pended()
 	nd.pend.mu.Unlock()
-	if met := nd.met; met != nil {
-		met.Add(metrics.CtrNotifies, 1)
-	}
+	nd.met.Add(metrics.CtrNotifies, 1)
 	if nd.mu.TryLock() {
 		nd.release()
 	}
@@ -244,9 +240,7 @@ func (nd *lnode) run(fn func()) bool {
 func (nd *lnode) pended() {
 	n := nd.pend.fns.Len()
 	nd.npend.Store(int32(n))
-	if met := nd.met; met != nil {
-		met.Set(metrics.GgeNotifyDepth, int64(n))
-	}
+	nd.met.Set(metrics.GgeNotifyDepth, int64(n))
 }
 
 // runPending runs, CPU held, the callbacks that were pending on entry. Those
@@ -274,10 +268,8 @@ func (nd *lnode) drain(n int) {
 		nd.pend.mu.Unlock()
 		fn()
 	}
-	if met := nd.met; met != nil {
-		met.Add(metrics.CtrNotifyBatches, 1)
-		met.Observe(metrics.HstPollBatch, int64(n))
-	}
+	nd.met.Add(metrics.CtrNotifyBatches, 1)
+	nd.met.Observe(metrics.HstPollBatch, int64(n))
 }
 
 // release gives up the CPU — the only place it is unlocked. The holder runs
@@ -354,12 +346,10 @@ func (p *Proc) Park() {
 		p.nd.release()
 		poll(p.woken)
 		p.nd.mu.Lock()
-		if met := p.nd.met; met != nil {
-			if p.permit {
-				met.Add(metrics.CtrIdlePolls, 1)
-			} else {
-				met.Add(metrics.CtrIdleParks, 1)
-			}
+		if p.permit {
+			p.nd.met.Add(metrics.CtrIdlePolls, 1)
+		} else {
+			p.nd.met.Add(metrics.CtrIdleParks, 1)
 		}
 	}
 	for !p.permit {
@@ -473,9 +463,7 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 func (b *Backend) DeliverDirect(dst int, notify func()) {
 	nd := b.nodes[dst]
 	if !nd.run(notify) {
-		if met := nd.met; met != nil {
-			met.Add(metrics.CtrNotifyDropped, 1)
-		}
+		nd.met.Add(metrics.CtrNotifyDropped, 1)
 	}
 }
 

@@ -120,9 +120,9 @@ type shmRing struct {
 	raw    []byte
 	data   []byte
 	capB   uint64
-	tail   *atomic.Uint64 //mpmdvet:shared — producer cursor in the mapped header, read by the peer process
-	head   *atomic.Uint64 //mpmdvet:shared — consumer cursor in the mapped header
-	parked *atomic.Uint32 //mpmdvet:shared — consumer park flag, CAS'd by producers
+	tail   *atomic.Uint64 // producer cursor in the mapped header, read by the peer process
+	head   *atomic.Uint64 // consumer cursor in the mapped header
+	parked *atomic.Uint32 // consumer park flag, CAS'd by producers
 }
 
 func mapRing(raw []byte) *shmRing {
@@ -473,11 +473,9 @@ func (tx *shmTx) send(b *Backend, src, dst, size int, wp transport.FrameMarshale
 	tx.slot.Release()
 	depth := tx.publish(rec)
 	tx.mu.Unlock()
-	if met := b.met; met != nil {
-		met.Add(metrics.CtrShmFramesOut, 1)
-		met.Add(metrics.CtrShmBytesOut, int64(recHdrLen+uint64(n)))
-		met.Set(metrics.GgeShmRingDepth, int64(depth))
-	}
+	b.met.Add(metrics.CtrShmFramesOut, 1)
+	b.met.Add(metrics.CtrShmBytesOut, int64(recHdrLen+uint64(n)))
+	b.met.Set(metrics.GgeShmRingDepth, int64(depth))
 	tx.kick(b)
 }
 
@@ -513,11 +511,9 @@ func (tx *shmTx) sendFragments(b *Backend, f *wire.Buf) {
 		frags++
 		recBytes += int64(recHdrLen + len(part))
 	}
-	if met := b.met; met != nil {
-		met.Add(metrics.CtrShmFramesOut, 1)
-		met.Add(metrics.CtrShmFragsOut, frags)
-		met.Add(metrics.CtrShmBytesOut, recBytes)
-	}
+	b.met.Add(metrics.CtrShmFramesOut, 1)
+	b.met.Add(metrics.CtrShmFragsOut, frags)
+	b.met.Add(metrics.CtrShmBytesOut, recBytes)
 }
 
 // publish makes the record just written at the reserved offset visible to
@@ -643,9 +639,7 @@ func (b *Backend) shmIdlePoll(woken func() bool) {
 			if !rx.dead {
 				if tail := rx.r.tail.Load(); tail != rx.head {
 					b.shmDrain(rx, tail, metrics.CtrShmFramesInProc)
-					if met := b.met; met != nil {
-						met.Add(metrics.CtrShmSpinWakes, 1) // a waiting consumer found data while spinning
-					}
+					b.met.Add(metrics.CtrShmSpinWakes, 1) // a waiting consumer found data while spinning
 				}
 			}
 			rx.mu.Unlock()
@@ -743,13 +737,11 @@ func (b *Backend) shmDrain(rx *shmRx, tail uint64, by metrics.Ctr) bool {
 		r.head.Store(head)
 		recBytes += int64(recLen)
 	}
-	if met := b.met; met != nil {
-		met.Add(metrics.CtrShmFramesIn, frames)
-		met.Add(by, frames)
-		met.Add(metrics.CtrShmBytesIn, recBytes)
-		if frags != 0 {
-			met.Add(metrics.CtrShmFragsIn, frags)
-		}
+	b.met.Add(metrics.CtrShmFramesIn, frames)
+	b.met.Add(by, frames)
+	b.met.Add(metrics.CtrShmBytesIn, recBytes)
+	if frags != 0 {
+		b.met.Add(metrics.CtrShmFragsIn, frags)
 	}
 	return true
 }
@@ -826,9 +818,7 @@ func (b *Backend) shmWaitData(rx *shmRx, head uint64) bool {
 			continue
 		}
 		if r.tail.Load() != head {
-			if met := b.met; met != nil {
-				met.Add(metrics.CtrShmSpinWakes, 1)
-			}
+			b.met.Add(metrics.CtrShmSpinWakes, 1)
 			return true
 		}
 		spinPause(i)
@@ -842,9 +832,7 @@ func (b *Backend) shmWaitData(rx *shmRx, head uint64) bool {
 	r.parked.Store(1)
 	if r.tail.Load() != head {
 		r.parked.Store(0)
-		if met := b.met; met != nil {
-			met.Add(metrics.CtrShmSpinWakes, 1)
-		}
+		b.met.Add(metrics.CtrShmSpinWakes, 1)
 		return true
 	}
 	select {
@@ -853,9 +841,7 @@ func (b *Backend) shmWaitData(rx *shmRx, head uint64) bool {
 		return false
 	}
 	r.parked.Store(0)
-	if met := b.met; met != nil {
-		met.Add(metrics.CtrShmParkWakes, 1)
-	}
+	b.met.Add(metrics.CtrShmParkWakes, 1)
 	return true
 }
 
@@ -863,9 +849,7 @@ func (b *Backend) shmWaitData(rx *shmRx, head uint64) bool {
 // kDoorbell control frame on the existing peer socket — the only moment
 // the fast path touches a file descriptor.
 func (b *Backend) ringDoorbell(s int) {
-	if met := b.met; met != nil {
-		met.Add(metrics.CtrShmDoorbells, 1)
-	}
+	b.met.Add(metrics.CtrShmDoorbells, 1)
 	f := wire.Get(4)
 	binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
 	b.peers[s].push(outFrame{kind: kDoorbell, buf: f})
