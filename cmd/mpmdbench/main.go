@@ -21,17 +21,14 @@
 //	mpmdbench -quick -json table4 > bench_table4.json
 //
 // Observability flags: -trace=FILE writes the stats experiment's machine as
-// a Chrome trace-event JSON loadable in Perfetto; -debug-addr=ADDR serves
-// expvar (including live "mpmd.stats") and net/http/pprof for long runs;
-// -cpuprofile/-memprofile write pprof profiles of the whole run. They are
-// written on every exit path, a failed run included.
+// a Chrome trace-event JSON loadable in Perfetto; -cpuprofile/-memprofile
+// write pprof profiles of the whole run. They are written on every exit
+// path, a failed run included.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -72,11 +69,10 @@ func run() int {
 	backend := flag.String("backend", "sim",
 		"execution backend: sim (calibrated discrete-event model), live (real goroutines, wall-clock), or net (nodes sharded across OS processes); live and net run the stats report only")
 	traceOut := flag.String("trace", "", "write the stats experiment's event trace to this file as Chrome trace-event JSON (open in https://ui.perfetto.dev)")
-	debugAddr := flag.String("debug-addr", "", "serve expvar (/debug/vars, incl. live mpmd.stats) and net/http/pprof on this address for the duration of the run")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile (taken at exit) to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: mpmdbench [-quick] [-json] [-backend=sim|live|net] [-trace=FILE] [-debug-addr=ADDR] [table1|table4|fig5|fig6-water|fig6-lu|nexus|ablate|irregular|coll|stats|all ...]\n       (-backend=live and -backend=net: stats only)\n")
+		fmt.Fprintf(os.Stderr, "usage: mpmdbench [-quick] [-json] [-backend=sim|live|net] [-trace=FILE] [table1|table4|fig5|fig6-water|fig6-lu|nexus|ablate|irregular|coll|stats|all ...]\n       (-backend=live and -backend=net: stats only)\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -173,16 +169,6 @@ func run() int {
 	}
 	all := len(want) == 0 || want["all"]
 
-	if *debugAddr != "" {
-		// DefaultServeMux carries /debug/vars (expvar, imported by bench) and
-		// /debug/pprof (the blank net/http/pprof import above).
-		bench.PublishDebugVars()
-		go func() {
-			if err := http.ListenAndServe(*debugAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "mpmdbench: debug server: %v\n", err)
-			}
-		}()
-	}
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {

@@ -122,20 +122,24 @@ func runDistributed(backend string, eg, hg *graph, iters int, ghost bool) result
 			phase := func(dst *mpmd.Dist[float64], g *graph, src *mpmd.Dist[float64]) {
 				var lookup func(j int) float64
 				if ghost {
-					// Prefetch each distinct dependency once, split-phase.
+					// Prefetch each distinct dependency once, split-phase, and
+					// join in issue order: ranging over a map here would make
+					// the simulator's virtual time differ run to run.
 					cache := map[int]float64{}
-					futs := map[int]*mpmd.Future[float64]{}
+					var issued []int
+					var futs []*mpmd.Future[float64]
 					must(dst.ForEachLocal(t, func(i int, v *float64) {
 						for _, j := range g.deps[i] {
-							if _, seen := futs[j]; !seen {
+							if _, seen := cache[j]; !seen {
 								f, err := src.GetAsync(t, j)
 								must(err)
-								futs[j] = f
+								cache[j] = 0
+								issued, futs = append(issued, j), append(futs, f)
 							}
 						}
 					}))
-					for j, f := range futs {
-						cache[j] = f.Wait(t)
+					for k, f := range futs {
+						cache[issued[k]] = f.Wait(t)
 					}
 					lookup = func(j int) float64 { return cache[j] }
 				} else {

@@ -1,7 +1,9 @@
 package suite_test
 
 import (
+	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -21,6 +23,10 @@ type edit struct{ file, old, new string }
 // a pass still reports what its fixtures contain; only this shows it still
 // reports what can go wrong in the product. A row whose anchor text is gone
 // fails too: the code it mutates moved, and the row moves with it.
+//
+// A row whose pass reads "go test PKG -run REGEXP" plants a bug no pass can
+// see and names the test that is kept for it: that test must fail on the
+// mutated tree with output matching want, and the passes must stay silent.
 var corpus = []struct {
 	name  string
 	pass  string
@@ -67,6 +73,15 @@ var corpus = []struct {
 			"\tp.closed = true\n\tp.b.errMu.Lock()\n\tp.b.errMu.Unlock()\n\tfor f, ok := p.q.Pop(); ok; f, ok = p.q.Pop() {\n\t\tif f.buf != nil {\n\t\t\tf.buf.Release()\n\t\t}\n\t\tp.sent.Add(1)\n"}}},
 	{"addErr takes errMu twice", "lockorder", `b\.errMu is already held on every path`, []edit{
 		{"internal/transport/netlive/netlive.go", "\tb.errMu.Lock()\n\tb.errs = append(b.errs, err)\n", "\tb.errMu.Lock()\n\tb.errMu.Lock()\n\tb.errs = append(b.errs, err)\n"}}},
+
+	{"Invoke keeps its call record: one allocated per call", "go test ./mpmd -run ^TestInvokeAllocs$", `warm null Invoke allocates 1\.00/op, budget 0`, []edit{
+		{"mpmd/typed.go", "\tcall.Release()\n\treturn out, nil\n", "\treturn out, nil\n"}}},
+	{"DecodePtr decodes over the value that was there", "go test ./internal/transport/conformance -run ^TestLive$/^ValueOwnership$", `after a put element 0 reads \[0 2 0\] \(<nil>\) and the value read before it \[0 2 0\]`, []edit{
+		{"internal/rmigen/codec.go", "\tif c.FixedSize() == 0 {\n\t\treflect.NewAt(c.typ, ptr).Elem().SetZero()\n\t}\n", ""}}},
+	// Only the row whose length is small: without the check the others
+	// allocate what the hostile word says.
+	{"Bytes.Decode trusts its length word", "go test ./internal/core -run ^TestArgDecodeHostileLengths$/^Bytes$/^length_past_the_payload$", `decode failed with "runtime error: slice bounds out of range`, []edit{
+		{"internal/core/args.go", "\tn := lenWord(\"Bytes\", b, 1)\n", "\tn := int(getU64(b))\n"}}},
 }
 
 // TestMutationCorpus runs the suite over each mutated tree — listed once,
@@ -106,6 +121,13 @@ func TestMutationCorpus(t *testing.T) {
 			if _, _, err := analysis.Analyze(&out, pkgs, suite.Analyzers()); err != nil {
 				t.Fatal(err)
 			}
+			if args, ok := strings.CutPrefix(row.pass, "go test "); ok {
+				if out.Len() != 0 {
+					t.Errorf("this mutation is %s's to catch, but mpmdvet said:\n%s", row.pass, out.String())
+				}
+				testFails(t, root, overlay, strings.Fields(args), row.want)
+				return
+			}
 			want := regexp.MustCompile(`^` + regexp.QuoteMeta(filepath.Join(root, row.edits[0].file)) +
 				`:\d+:\d+: ` + row.pass + `: .*` + row.want)
 			for _, line := range strings.Split(out.String(), "\n") {
@@ -115,5 +137,38 @@ func TestMutationCorpus(t *testing.T) {
 			}
 			t.Errorf("%s did not report this mutation (want a diagnostic matching %q); mpmdvet said:\n%s", row.pass, want, out.String())
 		})
+	}
+}
+
+// testFails runs go test with args in the module at root, the overlay's files
+// replacing the tree's, and requires the run to fail with output matching
+// want.
+func testFails(t *testing.T, root string, overlay map[string][]byte, args []string, want string) {
+	t.Helper()
+	dir := t.TempDir()
+	replace := map[string]string{}
+	for path, src := range overlay {
+		tmp := filepath.Join(dir, strings.ReplaceAll(path, string(filepath.Separator), "_"))
+		if err := os.WriteFile(tmp, src, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		replace[path] = tmp
+	}
+	spec, err := json.Marshal(map[string]any{"Replace": replace})
+	if err != nil {
+		t.Fatal(err)
+	}
+	specFile := filepath.Join(dir, "overlay.json")
+	if err := os.WriteFile(specFile, spec, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", append([]string{"test", "-overlay=" + specFile, "-count=1"}, args...)...)
+	cmd.Dir = root
+	out, err := cmd.CombinedOutput()
+	if err == nil {
+		t.Fatalf("go test %s passes on the mutated tree:\n%s", strings.Join(args, " "), out)
+	}
+	if !regexp.MustCompile(want).Match(out) {
+		t.Errorf("go test %s failed, but not with %q:\n%s", strings.Join(args, " "), want, out)
 	}
 }

@@ -53,7 +53,6 @@ func RunStats(cfg machine.Config, sc Scale, backend string, tl *trace.Log) ([]St
 	if tl != nil {
 		trace.Attach(m, tl)
 	}
-	track(m)
 	rt := core.NewRuntime(m)
 	rt.RegisterClass(&core.Class{
 		Name: "Null",

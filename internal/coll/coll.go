@@ -342,11 +342,21 @@ func packEntries(ranks []int, parts [][]byte) []byte {
 	return out
 }
 
-// unpackEntries lands packed entries into parts (indexed by rank).
+// unpackEntries lands packed entries into parts (indexed by rank). The rank
+// and length words may have crossed a link, so each is held to what is there
+// — the team's size, the bytes that remain — before it indexes anything.
 func unpackEntries(b []byte, parts [][]byte) {
 	for len(b) > 0 {
-		r := int(binary.LittleEndian.Uint64(b))
-		ln := int(binary.LittleEndian.Uint64(b[8:]))
+		if len(b) < 16 {
+			panic(fmt.Sprintf("coll: packed entry truncated: %d bytes, no room for its rank and length words", len(b)))
+		}
+		r, ln := binary.LittleEndian.Uint64(b), binary.LittleEndian.Uint64(b[8:])
+		if r >= uint64(len(parts)) {
+			panic(fmt.Sprintf("coll: packed entry for rank %d of a %d-member team", r, len(parts)))
+		}
+		if ln > uint64(len(b)-16) {
+			panic(fmt.Sprintf("coll: packed entry for rank %d declares %d bytes, %d bytes follow", r, ln, len(b)-16))
+		}
 		parts[r] = b[16 : 16+ln]
 		b = b[16+ln:]
 	}

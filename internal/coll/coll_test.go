@@ -1,6 +1,7 @@
 package coll
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync/atomic"
@@ -225,5 +226,46 @@ func TestSplitOptOut(t *testing.T) {
 		if gotNil[me] || sums[me] != 6 {
 			t.Errorf("member %d: nil=%v sum=%v, want 1+2+3=6", me, gotNil[me], sums[me])
 		}
+	}
+}
+
+// TestUnpackEntriesHostileWords: a packed gather/scatter message is rank and
+// length words from another node, possibly another process. A word that
+// points outside the team or past the payload fails by name, never as an
+// index or slice-bounds runtime error.
+func TestUnpackEntriesHostileWords(t *testing.T) {
+	entry := func(rank, ln uint64, body int) []byte {
+		b := make([]byte, 16+body)
+		binary.LittleEndian.PutUint64(b, rank)
+		binary.LittleEndian.PutUint64(b[8:], ln)
+		return b
+	}
+	rows := []struct {
+		name string
+		b    []byte
+		want string
+	}{
+		{"rank outside the team", entry(4, 0, 0), "coll: packed entry for rank 4 of a 4-member team"},
+		{"rank with the top bit set", entry(1<<63, 0, 0), "coll: packed entry for rank 9223372036854775808 of a 4-member team"},
+		{"length past the payload", entry(1, 9, 8), "coll: packed entry for rank 1 declares 9 bytes, 8 bytes follow"},
+		{"length with the top bit set", entry(1, 1<<63, 8), "coll: packed entry for rank 1 declares 9223372036854775808 bytes, 8 bytes follow"},
+		{"16+length overflows", entry(1, 1<<64-8, 8), "coll: packed entry for rank 1 declares 18446744073709551608 bytes, 8 bytes follow"},
+		{"truncated header", make([]byte, 15), "coll: packed entry truncated: 15 bytes, no room for its rank and length words"},
+		{"truncated header after a good entry", append(entry(0, 2, 2), 1, 2, 3), "coll: packed entry truncated: 3 bytes, no room for its rank and length words"},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			defer func() {
+				if got := fmt.Sprint(recover()); got != r.want {
+					t.Fatalf("unpack failed with %q, want %q", got, r.want)
+				}
+			}()
+			unpackEntries(r.b, make([][]byte, 4))
+		})
+	}
+	parts := make([][]byte, 4)
+	unpackEntries(append(entry(3, 1, 1), entry(0, 0, 0)...), parts)
+	if len(parts[3]) != 1 || parts[0] == nil || len(parts[0]) != 0 || parts[1] != nil {
+		t.Fatalf("well-formed entries landed as %v", parts)
 	}
 }

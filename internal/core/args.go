@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/wire"
 )
@@ -29,8 +30,16 @@ type Arg interface {
 	Decode(b []byte) int
 }
 
+// The provided Args below are one-field structs, so each has the memory
+// layout of the Go type it carries, and a value of that type can be viewed
+// as its Arg where it lies: (*I64)(unsafe.Pointer(&n)). internal/rmigen
+// rests on that. An Arg that grew a second field would break it silently;
+// the array assignment under each declaration fails the build instead.
+
 // F64 is a double argument.
 type F64 struct{ V float64 }
+
+var _ [unsafe.Sizeof(float64(0))]struct{} = [unsafe.Sizeof(F64{})]struct{}{}
 
 // WireSize implements Arg.
 func (*F64) WireSize() int { return 8 }
@@ -46,6 +55,8 @@ func (a *F64) Decode(b []byte) int { a.V = math.Float64frombits(getU64(b)); retu
 
 // I64 is a word (integer) argument.
 type I64 struct{ V int64 }
+
+var _ [unsafe.Sizeof(int64(0))]struct{} = [unsafe.Sizeof(I64{})]struct{}{}
 
 // WireSize implements Arg.
 func (*I64) WireSize() int { return 8 }
@@ -63,6 +74,8 @@ func (a *I64) Decode(b []byte) int { a.V = int64(getU64(b)); return 8 }
 // length is part of the wire format, so the receiving stub can size the
 // destination; each element costs one serializer invocation.
 type F64Slice struct{ V []float64 }
+
+var _ [unsafe.Sizeof([]float64(nil))]struct{} = [unsafe.Sizeof(F64Slice{})]struct{}{}
 
 // WireSize implements Arg.
 func (a *F64Slice) WireSize() int { return 8 + 8*len(a.V) }
@@ -85,7 +98,7 @@ func (a *F64Slice) Encode(b []byte) int {
 //
 //mpmd:coldpath grows the destination only when the payload outruns its capacity; warm decodes reuse it
 func (a *F64Slice) Decode(b []byte) int {
-	n := int(getU64(b))
+	n := lenWord("F64Slice", b, 8)
 	if cap(a.V) < n {
 		a.V = make([]float64, n)
 	}
@@ -101,6 +114,8 @@ func (a *F64Slice) Decode(b []byte) int {
 // Bytes is a raw byte-buffer argument with a single serializer invocation
 // (a user-provided shallow marshal, the cheapest possible CC++ argument).
 type Bytes struct{ V []byte }
+
+var _ [unsafe.Sizeof([]byte(nil))]struct{} = [unsafe.Sizeof(Bytes{})]struct{}{}
 
 // WireSize implements Arg.
 func (a *Bytes) WireSize() int { return 8 + len(a.V) }
@@ -119,7 +134,7 @@ func (a *Bytes) Encode(b []byte) int {
 //
 //mpmd:coldpath grows the destination only when the payload outruns its capacity; warm decodes reuse it
 func (a *Bytes) Decode(b []byte) int {
-	n := int(getU64(b))
+	n := lenWord("Bytes", b, 1)
 	if cap(a.V) < n {
 		a.V = make([]byte, n)
 	}
@@ -130,6 +145,8 @@ func (a *Bytes) Decode(b []byte) int {
 
 // Str is a string argument (used by the built-in object-creation method).
 type Str struct{ V string }
+
+var _ [unsafe.Sizeof("")]struct{} = [unsafe.Sizeof(Str{})]struct{}{}
 
 // WireSize implements Arg.
 func (a *Str) WireSize() int { return 8 + len(a.V) }
@@ -148,9 +165,25 @@ func (a *Str) Encode(b []byte) int {
 //
 //mpmd:coldpath a string argument must copy out of the recycled wire buffer; strings are immutable
 func (a *Str) Decode(b []byte) int {
-	n := int(getU64(b))
+	n := lenWord("Str", b, 1)
 	a.V = string(b[8 : 8+n])
 	return 8 + n
+}
+
+// lenWord reads the length word that opens a variable-size argument and
+// holds it to the bytes that follow, elem bytes per element. The word may
+// have crossed a process boundary, so it is checked before anything is
+// allocated or indexed with it: one comparison covers a length past the
+// payload, one with the top bit set, and one whose byte count overflows.
+func lenWord(kind string, b []byte, elem int) int {
+	if len(b) < 8 {
+		panic(fmt.Sprintf("core: %s argument truncated: %d bytes, no room for its length word", kind, len(b)))
+	}
+	n := getU64(b)
+	if n > uint64(len(b)-8)/uint64(elem) {
+		panic(fmt.Sprintf("core: %s argument declares %d elements of %d bytes, %d bytes follow", kind, n, elem, len(b)-8))
+	}
+	return int(n)
 }
 
 // marshalArgs encodes args into a pooled wire buffer sized for the encoded

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -191,4 +192,54 @@ func encodeArgs(args []Arg) (buf []byte, units int) {
 		panic(fmt.Sprintf("core: encode size mismatch: wrote %d of %d", off, total))
 	}
 	return buf, units
+}
+
+// TestArgDecodeHostileLengths: the length word of a variable-size argument
+// may come from another process. Whatever it says, the decoder fails by name
+// — argument kind, declared length, bytes available — before it allocates or
+// indexes anything with it; 2^33 here used to end the process with "out of
+// memory", which no recover catches.
+func TestArgDecodeHostileLengths(t *testing.T) {
+	word := func(n uint64, tail int) []byte {
+		b := make([]byte, 8+tail)
+		putU64(b, n)
+		return b
+	}
+	rows := []struct {
+		name string
+		b    []byte
+		want string // with %s for the kind and %d for the element size
+	}{
+		{"length past the payload", word(17, 16), "core: %s argument declares 17 elements of %d bytes, 16 bytes follow"},
+		{"length 2^33", word(1<<33, 8), "core: %s argument declares 8589934592 elements of %d bytes, 8 bytes follow"},
+		{"length with the top bit set", word(1<<63, 8), "core: %s argument declares 9223372036854775808 elements of %d bytes, 8 bytes follow"},
+		{"8*n overflows", word(1<<61+1, 8), "core: %s argument declares 2305843009213693953 elements of %d bytes, 8 bytes follow"},
+		{"truncated header", make([]byte, 5), "core: %s argument truncated: 5 bytes, no room for its length word"},
+		{"no bytes at all", nil, "core: %s argument truncated: 0 bytes, no room for its length word"},
+	}
+	kinds := []struct {
+		name string
+		elem int
+		arg  func() Arg
+	}{
+		{"F64Slice", 8, func() Arg { return &F64Slice{} }},
+		{"Bytes", 1, func() Arg { return &Bytes{} }},
+		{"Str", 1, func() Arg { return &Str{} }},
+	}
+	for _, k := range kinds {
+		for _, r := range rows {
+			t.Run(k.name+"/"+r.name, func(t *testing.T) {
+				want := fmt.Sprintf(r.want, k.name)
+				if strings.Contains(r.want, "%d") {
+					want = fmt.Sprintf(r.want, k.name, k.elem)
+				}
+				defer func() {
+					if got := fmt.Sprint(recover()); got != want {
+						t.Fatalf("decode failed with %q, want %q", got, want)
+					}
+				}()
+				k.arg().Decode(r.b)
+			})
+		}
+	}
 }

@@ -154,10 +154,9 @@ func (s *CounterSet) UnmarshalJSON(b []byte) error {
 
 // Accounting accumulates per-category virtual time and event counters for
 // one node. Writers are the node's own execution context (one logical thread
-// at a time), but every cell is an atomic so a concurrent stats reader — the
-// netlive control plane answering a mid-run kStats request, or the expvar
-// debug endpoint — can snapshot it without a data race and without putting a
-// lock on the charge path.
+// at a time), but every cell is an atomic so a concurrent stats reader —
+// LocalStats sampled while the nodes run — can snapshot it without a data
+// race and without putting a lock on the charge path.
 type Accounting struct {
 	buckets  [numCategories]atomic.Int64
 	counters [numCounters]atomic.Int64

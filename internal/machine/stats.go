@@ -114,12 +114,3 @@ func (m *Machine) ClusterStats() (ClusterStats, error) {
 	cs.Metrics = metrics.Merge(mets...)
 	return cs, nil
 }
-
-// RequestStats asks every worker shard for a fresh stats report (mid-run
-// sampling; payloads land asynchronously and show up in the next
-// ClusterStats). No-op off the netlive parent.
-func (m *Machine) RequestStats() {
-	if m.shard != nil && m.shard.Shard() == 0 {
-		m.shard.RequestStats()
-	}
-}

@@ -31,92 +31,69 @@ var threadType = reflect.TypeOf((*threads.Thread)(nil))
 
 // Method is one derived RMI-callable method: its marshalling plans, the
 // reflective trampoline installed in the core method table, and a pool of
-// call frames so synchronous typed invocations reuse their wire Arg
-// instances call over call.
+// sender-side call records.
 type Method struct {
-	Name   string
-	args   *valuePlan // nil when the method takes no argument value
-	ret    *valuePlan // nil when the method returns nothing
-	opts   MethodOpts
-	frames sync.Pool // *CallFrame
+	Name  string
+	args  *valuePlan // nil when the method takes no argument value
+	ret   *valuePlan // nil when the method returns nothing
+	opts  MethodOpts
+	calls sync.Pool // *Call
 }
 
-// CallFrame is one pooled set of sender-side wire Args (plus the return
-// Arg) for a Method. Frames recycle through AcquireFrame/ReleaseFrame on
-// the synchronous invoke path; asynchronous calls keep theirs (the future
-// escapes to the application).
-type CallFrame struct {
-	Args []core.Arg
-	Ret  core.Arg
+// Call is the sender side of one typed invocation: the argument and the
+// result, where the caller holds them, as the wire Args core's Call takes.
+// The records are pooled because core keeps what it is handed (the pending
+// table holds the result Arg until the reply lands), so they live on the
+// heap, and a warm null Invoke is to stay free of allocations.
+type Call struct {
+	m       *Method
+	in, out Value
+	args    [1]core.Arg
 }
 
-// HasArgs reports whether the method takes an argument value.
-func (m *Method) HasArgs() bool { return m.args != nil }
+// NewCall returns a record viewing the argument value at in and the result
+// value at out (each of the method's type; ignored where the method has
+// none).
+func (m *Method) NewCall(in, out unsafe.Pointer) *Call {
+	c, _ := m.calls.Get().(*Call)
+	if c == nil {
+		c = &Call{m: m, in: Value{plan: m.args}, out: Value{plan: m.ret}}
+		c.args[0] = &c.in
+	}
+	c.in.ptr, c.out.ptr = in, out
+	return c
+}
+
+// Args returns the wire arguments: the argument value as one Arg, or none.
+func (c *Call) Args() []core.Arg {
+	if c.m.args == nil {
+		return nil
+	}
+	return c.args[:]
+}
+
+// Ret returns the result value as a wire Arg, nil for a method without one.
+func (c *Call) Ret() core.Arg {
+	if c.m.ret == nil {
+		return nil
+	}
+	return &c.out
+}
+
+// Release recycles the record once the runtime no longer reads it: after a
+// synchronous call has returned, or a one-way call that does not defer
+// locally. The record of an asynchronous call is never released.
+func (c *Call) Release() {
+	c.in.ptr, c.out.ptr = nil, nil
+	c.m.calls.Put(c)
+}
 
 // DefersLocally reports whether a node-local invocation of the method runs
 // its body on a spawned thread after the invoking call returns (Threaded or
-// Atomic dispatch). A one-way local call to such a method still holds the
-// wire Args when the caller comes back, so its frame must not recycle.
+// Atomic dispatch). A one-way local call to such a method still reads the
+// argument through the record when the caller comes back, so the record
+// must not recycle.
 func (m *Method) DefersLocally() bool { return m.opts.Threaded || m.opts.Atomic }
-
-// HasRet reports whether the method returns a value.
-func (m *Method) HasRet() bool { return m.ret != nil }
-
-// AcquireFrame returns a call frame with fresh-or-recycled wire Args. A
-// return plan containing slice components gets a fresh Ret every call: the
-// decoded slice is handed to the application (which keeps it), so it must
-// not ride a recycled Arg whose next decode would overwrite it. Scalar and
-// string returns are copied out by value and reuse theirs.
-func (m *Method) AcquireFrame() *CallFrame {
-	f, _ := m.frames.Get().(*CallFrame)
-	if f == nil {
-		f = &CallFrame{}
-		if m.args != nil {
-			f.Args = m.args.newArgs()
-		}
-		if m.ret != nil {
-			f.Ret = m.ret.newRet()
-		}
-		return f
-	}
-	if m.ret != nil && m.ret.hasSlices {
-		f.Ret = m.ret.newRet()
-	}
-	return f
-}
-
-// ReleaseFrame recycles a frame once the call has completed and the result
-// has been loaded out.
-func (m *Method) ReleaseFrame(f *CallFrame) { m.frames.Put(f) }
-
-// StoreArgs lowers the argument value at p (a pointer to the Go argument
-// value, e.g. &args in a generic Invoke) onto the frame's wire Args — same
-// Arg types, same wire bytes, same marshal-unit counts as a hand-written
-// []Arg, with zero per-call reflection.
-func (m *Method) StoreArgs(p unsafe.Pointer, args []core.Arg) {
-	m.args.storePtr(p, args)
-}
-
-// LoadRetPtr decodes a completed return Arg into the Go result value at p.
-func (m *Method) LoadRetPtr(a core.Arg, p unsafe.Pointer) { m.ret.loadRetPtr(p, a) }
-
-// WireArgs lowers the argument value into a fresh []core.Arg slice (the
-// unpooled path used by asynchronous invocations, whose frames escape).
-// Returns nil for argument-less methods.
-func (m *Method) WireArgs(v reflect.Value) []core.Arg {
-	if m.args == nil {
-		return nil
-	}
-	args := m.args.newArgs()
-	m.args.store(v, args)
-	return args
-}
-
-// NewRetArg returns a fresh wire Arg for the return value.
-func (m *Method) NewRetArg() core.Arg { return m.ret.newRet() }
-
-// LoadRet decodes a completed return Arg into the addressable Go value.
-func (m *Method) LoadRet(a core.Arg, into reflect.Value) { m.ret.loadRet(into, a) }
 
 // Class is a typed processor-object class derived from a Go struct: the
 // registration-time product the v2 API layers over core.Class.
@@ -262,9 +239,14 @@ func DeriveClass(ptrType reflect.Type) (*Class, error) {
 }
 
 // deriveCoreMethod builds the untyped core.Method trampoline for one typed
-// method. The reflective unpack/call/pack runs in wall time only — it makes
-// no virtual-time charges, so the calibrated cost of a typed call is
-// byte-for-byte the cost of the equivalent hand-written one.
+// method. The reflective call runs in wall time only — it makes no
+// virtual-time charges, so the calibrated cost of a typed call is
+// byte-for-byte the cost of the equivalent hand-written one. Every Arg it is
+// handed is a *Value: the receiver's pooled decode frame owns one value of
+// the argument type and one of the result type (NewArgs, NewRet), and a
+// node-local call passes the sender's Call record straight through. Methods
+// of a derived class are therefore invoked through the façade, or with no
+// Args at all.
 func deriveCoreMethod(m *Method, fn reflect.Value) *core.Method {
 	cm := &core.Method{
 		Name:     m.Name,
@@ -272,26 +254,20 @@ func deriveCoreMethod(m *Method, fn reflect.Value) *core.Method {
 		Atomic:   m.opts.Atomic,
 	}
 	if m.args != nil {
-		args := m.args
-		cm.NewArgs = func() []core.Arg { return args.newArgs() }
+		cm.NewArgs = func() []core.Arg { return []core.Arg{m.args.newValue()} }
 	}
 	if m.ret != nil {
-		ret := m.ret
-		cm.NewRet = func() core.Arg { return ret.newRet() }
+		cm.NewRet = func() core.Arg { return m.ret.newValue() }
 	}
 	cm.Fn = func(t *threads.Thread, self any, args []core.Arg, ret core.Arg) {
-		in := make([]reflect.Value, 0, 3)
-		in = append(in, reflect.ValueOf(self), reflect.ValueOf(t))
+		in := make([]reflect.Value, 2, 3)
+		in[0], in[1] = reflect.ValueOf(self), reflect.ValueOf(t)
 		if m.args != nil {
-			// One allocation for the argument value, then the compiled
-			// offset-based loads; the field plans touch no reflect.Value.
-			ap := reflect.New(m.args.typ)
-			m.args.loadPtr(ap.UnsafePointer(), args)
-			in = append(in, ap.Elem())
+			in = append(in, reflect.NewAt(m.args.typ, args[0].(*Value).ptr).Elem())
 		}
 		out := fn.Call(in)
 		if m.ret != nil {
-			m.ret.storeRet(out[0], ret)
+			reflect.NewAt(m.ret.typ, ret.(*Value).ptr).Elem().Set(out[0])
 		}
 	}
 	return cm

@@ -1,17 +1,22 @@
 package rmigen
 
 import (
+	"encoding/binary"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/race"
 	"repro/internal/threads"
 )
 
-// wireBytes encodes a slice of Args the way the core sender does.
-func wireBytes(t *testing.T, args []core.Arg) []byte {
+// wire encodes Args the way the core sender does, returning the bytes and
+// the summed marshal units.
+func wire(t *testing.T, args ...core.Arg) ([]byte, int) {
 	t.Helper()
 	total, units := 0, 0
 	for _, a := range args {
@@ -26,8 +31,7 @@ func wireBytes(t *testing.T, args []core.Arg) []byte {
 	if off != total {
 		t.Fatalf("encode wrote %d of %d", off, total)
 	}
-	_ = units
-	return buf
+	return buf, units
 }
 
 type mixed struct {
@@ -38,77 +42,103 @@ type mixed struct {
 	V []float64
 }
 
+type pair struct {
+	A int64
+	X float64
+}
+
+// TestStructLowersToProvidedArgs holds the façade's one promise: a typed
+// value, viewed in place as one Value, has the bytes, the size and the
+// summed marshal units of the hand-written Args of its components — for
+// every supported kind, as a struct field and as a scalar (non-struct) type
+// — and decodes back to itself.
 func TestStructLowersToProvidedArgs(t *testing.T) {
-	plan, err := planFor(reflect.TypeOf(mixed{}))
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name string
+		val  any
+		hand []core.Arg
+	}{
+		{"all five kinds", mixed{N: 7, X: 2.5, S: "hey", B: []byte{1, 2}, V: []float64{3, 4, 5}}, []core.Arg{
+			&core.I64{V: 7}, &core.F64{V: 2.5}, &core.Str{V: "hey"},
+			&core.Bytes{V: []byte{1, 2}}, &core.F64Slice{V: []float64{3, 4, 5}}}},
+		{"multi-field return", pair{A: 1, X: 2}, []core.Arg{&core.I64{V: 1}, &core.F64{V: 2}}},
+		{"scalar int", int(-9), []core.Arg{&core.I64{V: -9}}},
+		{"scalar int64", int64(1) << 40, []core.Arg{&core.I64{V: 1 << 40}}},
+		{"scalar float64", 0.125, []core.Arg{&core.F64{V: 0.125}}},
+		{"scalar string", "s", []core.Arg{&core.Str{V: "s"}}},
+		{"scalar []byte", []byte{9, 8, 7}, []core.Arg{&core.Bytes{V: []byte{9, 8, 7}}}},
+		{"scalar []float64", []float64{1.5}, []core.Arg{&core.F64Slice{V: []float64{1.5}}}},
+		{"empty slices", mixed{}, []core.Arg{&core.I64{}, &core.F64{}, &core.Str{}, &core.Bytes{}, &core.F64Slice{}}},
 	}
-	val := mixed{N: 7, X: 2.5, S: "hey", B: []byte{1, 2}, V: []float64{3, 4, 5}}
-	typed := plan.newArgs()
-	plan.store(reflect.ValueOf(val), typed)
-
-	hand := []core.Arg{
-		&core.I64{V: 7}, &core.F64{V: 2.5}, &core.Str{V: "hey"},
-		&core.Bytes{V: []byte{1, 2}}, &core.F64Slice{V: []float64{3, 4, 5}},
-	}
-	tb, hb := wireBytes(t, typed), wireBytes(t, hand)
-	if string(tb) != string(hb) {
-		t.Fatalf("typed wire bytes differ from hand-written args:\n%v\n%v", tb, hb)
-	}
-	for i := range typed {
-		if typed[i].MarshalUnits() != hand[i].MarshalUnits() {
-			t.Fatalf("arg %d marshal units: typed %d, hand %d", i, typed[i].MarshalUnits(), hand[i].MarshalUnits())
-		}
-	}
-
-	// Round trip through decode.
-	var back mixed
-	bv := reflect.ValueOf(&back).Elem()
-	fresh := plan.newArgs()
-	off := 0
-	for _, a := range fresh {
-		off += a.Decode(tb[off:])
-	}
-	plan.loadPtr(bv.Addr().UnsafePointer(), fresh)
-	if back.N != 7 || back.X != 2.5 || back.S != "hey" || len(back.B) != 2 || len(back.V) != 3 || back.V[2] != 5 {
-		t.Fatalf("round trip mismatch: %+v", back)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			typ := reflect.TypeOf(c.val)
+			plan, err := planFor(typ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := reflect.New(typ)
+			in.Elem().Set(reflect.ValueOf(c.val))
+			typed := &Value{plan: plan, ptr: in.UnsafePointer()}
+			tb, tu := wire(t, typed)
+			hb, hu := wire(t, c.hand...)
+			if string(tb) != string(hb) {
+				t.Fatalf("typed wire bytes differ from hand-written args:\n%v\n%v", tb, hb)
+			}
+			if typed.WireSize() != len(hb) || tu != hu {
+				t.Fatalf("size/units = %d/%d, hand-written %d/%d", typed.WireSize(), tu, len(hb), hu)
+			}
+			back := plan.newValue()
+			if n := back.Decode(tb); n != len(tb) {
+				t.Fatalf("decode consumed %d of %d", n, len(tb))
+			}
+			got := reflect.NewAt(typ, back.ptr).Elem().Interface()
+			if !reflect.DeepEqual(got, c.val) {
+				t.Fatalf("round trip = %+v, want %+v", got, c.val)
+			}
+			if back.MarshalUnits() != hu {
+				t.Fatalf("decoded units = %d, want %d", back.MarshalUnits(), hu)
+			}
+		})
 	}
 }
 
-func TestScalarPlanAndGroupRet(t *testing.T) {
-	// Scalar value types plan as a single provided Arg.
-	p, err := planFor(reflect.TypeOf(int64(0)))
-	if err != nil {
-		t.Fatal(err)
+// TestValueDecodeHostileLengths: a Value delegates to the provided Args, so
+// a length word from another process fails in it the way it fails in them —
+// by name, before anything is allocated or indexed (core's
+// TestArgDecodeHostileLengths has the decoders' own rows).
+func TestValueDecodeHostileLengths(t *testing.T) {
+	word := func(n uint64, tail int) []byte {
+		b := make([]byte, 8+tail)
+		binary.LittleEndian.PutUint64(b, n)
+		return b
 	}
-	if _, ok := p.newRet().(*core.I64); !ok {
-		t.Fatalf("int64 ret is not a plain I64")
-	}
-
-	// Multi-field struct returns pack into a group costing the sum.
-	type pair struct {
-		A int64
-		X float64
-	}
-	p, err = planFor(reflect.TypeOf(pair{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ret := p.newRet()
-	if ret.WireSize() != 16 || ret.MarshalUnits() != 2 {
-		t.Fatalf("group size/units = %d/%d, want 16/2", ret.WireSize(), ret.MarshalUnits())
-	}
-	p.storeRet(reflect.ValueOf(pair{A: 1, X: 2}), ret)
-	buf := make([]byte, ret.WireSize())
-	ret.Encode(buf)
-	fresh := p.newRet()
-	if n := fresh.Decode(buf); n != 16 {
-		t.Fatalf("group decode consumed %d", n)
-	}
-	var out pair
-	p.loadRet(reflect.ValueOf(&out).Elem(), fresh)
-	if out != (pair{A: 1, X: 2}) {
-		t.Fatalf("group round trip = %+v", out)
+	for _, val := range []any{"", []byte(nil), []float64(nil), mixed{}} {
+		typ := reflect.TypeOf(val)
+		plan, err := planFor(typ)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prefix := 0
+		if typ.Kind() == reflect.Struct {
+			prefix = 16 // N and X precede the first length word
+		}
+		for name, b := range map[string][]byte{
+			"length past the payload": word(9, 8),
+			"top bit set":             word(1<<63, 8),
+			"8*n overflows":           word(1<<61+1, 8),
+			"truncated header":        make([]byte, 5),
+		} {
+			t.Run(typ.String()+"/"+name, func(t *testing.T) {
+				defer func() {
+					msg := fmt.Sprint(recover())
+					if !strings.HasPrefix(msg, "core: ") || !strings.Contains(msg, "argument") {
+						t.Fatalf("hostile bytes failed as %q, want a named core panic", msg)
+					}
+				}()
+				plan.newValue().Decode(append(make([]byte, prefix), b...))
+			})
+		}
 	}
 }
 
@@ -198,17 +228,21 @@ func TestDeriveEndToEnd(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		rt.Call(th, gp, "Add", add.WireArgs(reflect.ValueOf(int64(21))), nil)
-		rt.Call(th, gp, "Add", add.WireArgs(reflect.ValueOf(int64(21))), nil)
+		n := int64(21)
+		for i := 0; i < 2; i++ {
+			call := add.NewCall(unsafe.Pointer(&n), nil)
+			rt.Call(th, gp, "Add", call.Args(), call.Ret())
+			call.Release()
+		}
 
 		tot, err := cls.Bind("Total", voidType, reflect.TypeOf(int64(0)), false)
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		ret := tot.NewRetArg()
-		rt.Call(th, gp, "Total", nil, ret)
-		tot.LoadRet(ret, reflect.ValueOf(&total).Elem())
+		call := tot.NewCall(nil, unsafe.Pointer(&total))
+		rt.Call(th, gp, "Total", call.Args(), call.Ret())
+		call.Release()
 
 		type scaleArgs = struct {
 			V []float64
@@ -219,9 +253,10 @@ func TestDeriveEndToEnd(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		sret := sc.NewRetArg()
-		rt.Call(th, gp, "Scale", sc.WireArgs(reflect.ValueOf(scaleArgs{V: []float64{1, 2}, K: 10})), sret)
-		sc.LoadRet(sret, reflect.ValueOf(&scaled).Elem())
+		sa := scaleArgs{V: []float64{1, 2}, K: 10}
+		call = sc.NewCall(unsafe.Pointer(&sa), unsafe.Pointer(&scaled))
+		rt.Call(th, gp, "Scale", call.Args(), call.Ret())
+		call.Release()
 	})
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
@@ -231,6 +266,46 @@ func TestDeriveEndToEnd(t *testing.T) {
 	}
 	if len(scaled) != 2 || scaled[0] != 10 || scaled[1] != 20 {
 		t.Fatalf("scaled = %v", scaled)
+	}
+}
+
+// TestTrampolineAllocs pins what the receiver's trampoline allocates per
+// call, frame in hand, beyond the method body: nothing for a method with an
+// argument — it is handed the frame's own value, where the parent of the
+// view design (11097ac) built one with reflect.New per call and read 1 — and
+// what reflect.Call returns, the result and the slice it comes in, for a
+// method with a result (the parent read 3: an addressable temporary to
+// marshal it from besides).
+func TestTrampolineAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cls, err := DeriveClass(reflect.TypeOf((*calc)(nil)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := &calc{}
+	budget := map[string]float64{"Add": 0, "Total": 2}
+	for _, cm := range cls.Core.Methods {
+		want, ok := budget[cm.Name]
+		if !ok {
+			continue
+		}
+		var args []core.Arg
+		var ret core.Arg
+		if cm.NewArgs != nil {
+			args = cm.NewArgs()
+			args[0].Decode([]byte{3, 0, 0, 0, 0, 0, 0, 0})
+		}
+		if cm.NewRet != nil {
+			ret = cm.NewRet()
+		}
+		if got := testing.AllocsPerRun(200, func() { cm.Fn(nil, self, args, ret) }); got != want {
+			t.Errorf("%s: trampoline allocates %.2f/call, want %v", cm.Name, got, want)
+		}
+	}
+	if self.total != 3*201 {
+		t.Errorf("Add ran to a total of %d, want %d", self.total, 3*201)
 	}
 }
 

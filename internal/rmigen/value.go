@@ -1,152 +1,172 @@
+// Package rmigen derives RMI method tables and marshalling code from
+// ordinary Go types at registration time — the v2 typed façade's stand-in
+// for the stub generation CC++'s front-end translator performed.
+//
+// The derived code lowers onto the untyped core exactly, and without a second
+// representation of the value: the provided core Args are one-field structs
+// with the memory layout of the Go type they carry, so a field at address p
+// is its Arg — (*core.I64)(p) — and a whole argument or result is one Value,
+// an Arg that walks the type's plan and delegates to each field's view. Its
+// bytes, size and marshal-unit count are the sums a hand-written []Arg has,
+// so the calibrated cost model cannot tell typed and untyped calls apart
+// (the typed/untyped parity test in mpmd verifies it). Reflection happens at
+// registration (plan construction) and in the receiver's trampoline, which
+// runs in wall time only.
 package rmigen
 
 import (
 	"fmt"
 	"reflect"
-	"slices"
-	"sync"
 	"unsafe"
 
 	"repro/internal/core"
 )
 
-// Codec marshals single values of a supported RMI type (int, int64,
-// float64, string, []byte, []float64, or a struct of those) to and from the
-// exact wire bytes the RMI argument path produces. The collective layer and
-// Dist arrays use it to move typed payloads over the untyped byte-level
-// plumbing without inventing a second wire format.
+// Void is the empty value type used for "no arguments" and "no return
+// value" positions in typed invocations.
+type Void = struct{}
+
+var voidType = reflect.TypeOf(Void{})
+
+// fieldPlan locates one component of a value type — a struct field, or the
+// value itself for scalar value types — and names the provided Arg it is.
+type fieldPlan struct {
+	off   uintptr // byte offset of the component within the value
+	fixed bool    // component always encodes to one 8-byte word
+	// view converts the component's address to its Arg. The conversion
+	// rests on each provided Arg being exactly as large as its one field
+	// (asserted beside the declarations in core/args.go).
+	view func(unsafe.Pointer) core.Arg
+}
+
+func (f *fieldPlan) at(p unsafe.Pointer) core.Arg { return f.view(unsafe.Add(p, f.off)) }
+
+func viewI64(p unsafe.Pointer) core.Arg      { return (*core.I64)(p) }
+func viewF64(p unsafe.Pointer) core.Arg      { return (*core.F64)(p) }
+func viewStr(p unsafe.Pointer) core.Arg      { return (*core.Str)(p) }
+func viewBytes(p unsafe.Pointer) core.Arg    { return (*core.Bytes)(p) }
+func viewF64Slice(p unsafe.Pointer) core.Arg { return (*core.F64Slice)(p) }
+
+// valuePlan is the marshalling plan for one argument or return type, built
+// once at registration.
+type valuePlan struct {
+	typ    reflect.Type
+	fields []fieldPlan
+}
+
+// fieldPlanFor maps a component type to its provided Arg. These are exactly
+// the core Arg types, so typed payloads are byte-identical to hand-written
+// ones.
+func fieldPlanFor(t reflect.Type, off uintptr) (fieldPlan, error) {
+	fp := fieldPlan{off: off}
+	switch {
+	case t.Kind() == reflect.Int64, t.Kind() == reflect.Int && t.Size() == 8:
+		fp.fixed, fp.view = true, viewI64
+	case t.Kind() == reflect.Int:
+		return fp, fmt.Errorf("type int is %d bytes on this platform and cannot lie on the wire as a word; use int64", t.Size())
+	case t.Kind() == reflect.Float64:
+		fp.fixed, fp.view = true, viewF64
+	case t.Kind() == reflect.String:
+		fp.view = viewStr
+	case t == reflect.TypeOf([]float64(nil)):
+		fp.view = viewF64Slice
+	case t == reflect.TypeOf([]byte(nil)):
+		fp.view = viewBytes
+	default:
+		return fp, fmt.Errorf("unsupported type %s (supported: int, int64, float64, string, []byte, []float64, or a struct of those)", t)
+	}
+	return fp, nil
+}
+
+// planFor compiles the marshalling plan for an argument or return type:
+// either one of the supported scalar/slice kinds directly, or a struct whose
+// exported fields are all supported kinds.
+func planFor(t reflect.Type) (*valuePlan, error) {
+	p := &valuePlan{typ: t}
+	if t.Kind() != reflect.Struct {
+		fp, err := fieldPlanFor(t, 0)
+		if err != nil {
+			return nil, err
+		}
+		p.fields = []fieldPlan{fp}
+		return p, nil
+	}
+	for i := 0; i < t.NumField(); i++ {
+		f := t.Field(i)
+		if !f.IsExported() {
+			return nil, fmt.Errorf("struct %s has unexported field %s (marshalled structs must be fully exported)", t, f.Name)
+		}
+		fp, err := fieldPlanFor(f.Type, f.Offset)
+		if err != nil {
+			return nil, fmt.Errorf("struct %s field %s: %w", t, f.Name, err)
+		}
+		p.fields = append(p.fields, fp)
+	}
+	if len(p.fields) == 0 {
+		return nil, fmt.Errorf("struct %s has no exported fields; use no parameter (or no result) instead of an empty struct", t)
+	}
+	return p, nil
+}
+
+// newValue returns a Value that owns a zero value of the plan's type: the
+// decode target of one pooled receiver frame.
+func (p *valuePlan) newValue() *Value {
+	return &Value{plan: p, ptr: reflect.New(p.typ).UnsafePointer()}
+}
+
+// Value is a typed argument or result, where it lies, as one wire Arg.
+// Encoding is the concatenation of the component encodings; size and marshal
+// units are the sums — identical to sending the components as separate
+// Args, so the cost model sees no difference. Decode writes in place and
+// reuses the capacity of a slice already there, as the provided slice Args
+// do: the value a receiver decodes into is the runtime's, and method bodies
+// must not retain it (core.Method.Fn). A value the caller keeps is decoded
+// into zeroed storage (Codec.DecodePtr, a fresh result in Invoke).
+type Value struct {
+	plan *valuePlan
+	ptr  unsafe.Pointer
+}
+
+// WireSize implements core.Arg.
 //
-// The hot entry points are AppendTo and Decode: argument frames (the []Arg
-// scratch a marshal runs through) recycle through a per-codec pool, and
-// AppendTo writes into a caller-provided buffer, so a warm
-// encode-into-reused-buffer of an addressable value performs zero
-// allocations. Encode remains as the convenience form that allocates its
-// result.
-type Codec struct {
-	typ reflect.Type
-	p   *valuePlan
-
-	// frames pools []Arg scratch. Encoding may always use it (the bytes are
-	// copied out before release; slice/string references are cleared so the
-	// pool does not retain payloads). Decoding may use it only for plans
-	// without slice kinds — a decoded slice aliases the Arg's backing array,
-	// which must then escape to the caller, not back into the pool.
-	frames sync.Pool
+//mpmd:hotpath
+func (v *Value) WireSize() int {
+	n := 0
+	for i := range v.plan.fields {
+		n += v.plan.fields[i].at(v.ptr).WireSize()
+	}
+	return n
 }
 
-// codecCache memoizes plans per type; plan construction is registration-
-// style reflection work that need not repeat per call.
-var codecCache sync.Map // reflect.Type -> *Codec (or error, see below)
-
-type codecErr struct{ err error }
-
-// CodecFor compiles (or returns the cached) codec for t.
-func CodecFor(t reflect.Type) (*Codec, error) {
-	if v, ok := codecCache.Load(t); ok {
-		if ce, bad := v.(codecErr); bad {
-			return nil, ce.err
-		}
-		return v.(*Codec), nil
+// MarshalUnits implements core.Arg.
+//
+//mpmd:hotpath
+func (v *Value) MarshalUnits() int {
+	n := 0
+	for i := range v.plan.fields {
+		n += v.plan.fields[i].at(v.ptr).MarshalUnits()
 	}
-	p, err := planFor(t)
-	if err != nil {
-		err = fmt.Errorf("type %s is not marshallable: %w", t, err)
-		codecCache.Store(t, codecErr{err: err})
-		return nil, err
-	}
-	c := &Codec{typ: t, p: p}
-	// The pool holds *[]core.Arg: storing the slice header itself would box
-	// it on every Put — one allocation per call, exactly what the pool is
-	// here to remove.
-	c.frames.New = func() any { args := c.p.newArgs(); return &args }
-	codecCache.Store(t, c)
-	return c, nil
+	return n
 }
 
-// Type returns the Go type the codec was compiled for.
-func (c *Codec) Type() reflect.Type { return c.typ }
-
-// FixedSize returns the encoded byte count when it is the same for every
-// value of the type — all components 8-byte scalars — and 0 when a string or
-// slice component makes it vary. Dist uses it to pick the wire form of an
-// element access once, at NewDist.
-func (c *Codec) FixedSize() int {
-	for i := range c.p.fields {
-		if !c.p.fields[i].fixed {
-			return 0
-		}
-	}
-	return 8 * len(c.p.fields)
-}
-
-// AppendTo serializes v (which must be of the codec's type) onto dst and
-// returns the extended slice — the append-style, frame-reusing encode path.
-// With an addressable v and a dst of sufficient capacity it performs no
-// allocations.
-func (c *Codec) AppendTo(v reflect.Value, dst []byte) []byte {
-	return c.AppendPtr(c.p.addr(v), dst)
-}
-
-// AppendPtr is AppendTo for a caller that holds a pointer to the value (of
-// the codec's type): no reflect.Value is built, so the per-element accesses
-// of Dist encode without touching reflection.
-func (c *Codec) AppendPtr(ptr unsafe.Pointer, dst []byte) []byte {
-	frame := c.frames.Get().(*[]core.Arg)
-	args := *frame
-	c.p.storePtr(ptr, args)
-	size := 0
-	for _, a := range args {
-		size += a.WireSize()
-	}
-	off := len(dst)
-	dst = slices.Grow(dst, size)[:off+size]
-	at := off
-	for _, a := range args {
-		at += a.Encode(dst[at:])
-	}
-	if at != off+size {
-		panic(fmt.Sprintf("rmigen: encode size mismatch: wrote %d of %d", at-off, size))
-	}
-	c.p.clearRefs(args)
-	c.frames.Put(frame)
-	return dst
-}
-
-// Encode serializes v into the wire bytes the equivalent []Arg would
-// produce, in a freshly allocated buffer. Hot paths should prefer AppendTo
-// with a reused buffer.
-func (c *Codec) Encode(v reflect.Value) []byte {
-	return c.AppendTo(v, nil)
-}
-
-// Decode deserializes wire bytes into the addressable value into. For plans
-// without slice kinds the scratch frame recycles through the codec's pool;
-// slice-carrying plans use fresh Args, because the decoded value aliases
-// the Arg's backing array (it escapes to the caller).
-func (c *Codec) Decode(b []byte, into reflect.Value) {
-	c.DecodePtr(b, into.Addr().UnsafePointer())
-}
-
-// DecodePtr is Decode into the value (of the codec's type) at ptr.
-func (c *Codec) DecodePtr(b []byte, ptr unsafe.Pointer) {
-	var args []core.Arg
-	var frame *[]core.Arg
-	if !c.p.hasSlices {
-		frame = c.frames.Get().(*[]core.Arg)
-		args = *frame
-	} else {
-		args = c.p.newArgs()
-	}
+// Encode implements core.Arg.
+//
+//mpmd:hotpath
+func (v *Value) Encode(b []byte) int {
 	off := 0
-	for _, a := range args {
-		off += a.Decode(b[off:])
+	for i := range v.plan.fields {
+		off += v.plan.fields[i].at(v.ptr).Encode(b[off:])
 	}
-	if off != len(b) {
-		panic(fmt.Sprintf("rmigen: %d stray bytes decoding %s", len(b)-off, c.typ))
+	return off
+}
+
+// Decode implements core.Arg.
+//
+//mpmd:hotpath
+func (v *Value) Decode(b []byte) int {
+	off := 0
+	for i := range v.plan.fields {
+		off += v.plan.fields[i].at(v.ptr).Decode(b[off:])
 	}
-	c.p.loadPtr(ptr, args)
-	if frame != nil {
-		c.p.clearRefs(args)
-		c.frames.Put(frame)
-	}
+	return off
 }

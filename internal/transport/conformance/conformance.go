@@ -69,6 +69,7 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("TwoCallersOneNode", func(t *testing.T) { twoCallersOneNode(t, f) })
 	t.Run("Collectives", func(t *testing.T) { runCollectives(t, f) })
 	t.Run("DistAccess", func(t *testing.T) { distAccess(t, f) })
+	t.Run("ValueOwnership", func(t *testing.T) { valueOwnership(t, f) })
 	t.Run("StatsMerge", func(t *testing.T) { statsMerge(t, f) })
 }
 

@@ -3,6 +3,7 @@ package conformance
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -230,4 +231,80 @@ func distMember(t *testing.T, d *distArrays, th *mpmd.Thread) {
 		ack.Wait(th)
 	}
 	check(d.tm.Barrier(th))
+}
+
+// valueOwnership: a value the typed surface hands back is the caller's to
+// keep. A receiver decodes in place and reuses capacity (method bodies do not
+// retain their arguments), but a Dist element with slices and a collective's
+// result are decoded into zeroed storage, so nothing decoded later — through
+// a pooled access record, or into an element a reader already copied out —
+// writes through a value read earlier.
+func valueOwnership(t *testing.T, f ShardedFactory) {
+	const n = 4
+	ms := f(machine.SP1997(), n)
+	rts := make([]*core.Runtime, len(ms))
+	for k, m := range ms {
+		rts[k] = core.NewRuntime(m)
+		tm, err := mpmd.WorldTeam(rts[k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := mpmd.NewDist[[]float64](tm, 2*n, mpmd.LayoutBlock)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < n; i++ {
+			rts[k].OnNode(i, func(th *mpmd.Thread) { ownershipMember(t, tm, d, th) })
+		}
+	}
+	if err := collRun(rts); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+func ownershipMember(t *testing.T, tm *mpmd.Team, d *mpmd.Dist[[]float64], th *mpmd.Thread) {
+	check := func(err error) {
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	me, n := tm.Rank(th), tm.Size()
+	elem := func(e, gen int) []float64 { return []float64{float64(e), float64(gen), float64(e * gen)} }
+	same := slices.Equal[[]float64]
+	check(d.ForEachLocal(th, func(e int, v *[]float64) { *v = elem(e, 1) }))
+	check(tm.Barrier(th))
+
+	// Two synchronous gets through the one pooled record: the first result
+	// survives the second.
+	next := (me + 1) % n
+	a, err := d.Get(th, 2*next)
+	check(err)
+	b, err := d.Get(th, 2*next+1)
+	check(err)
+	if !same(a, elem(2*next, 1)) || !same(b, elem(2*next+1, 1)) {
+		t.Errorf("member %d: elements %d and %d read %v and %v", me, 2*next, 2*next+1, a, b)
+	}
+
+	// The owner holds what its element was; the left neighbour's put of a
+	// value of the same length replaces the element and leaves that alone.
+	held, err := d.Get(th, 2*me)
+	check(err)
+	check(tm.Barrier(th))
+	check(d.Put(th, 2*next, elem(2*next, 2)))
+	check(tm.Barrier(th))
+	if now, err := d.Get(th, 2*me); err != nil || !same(now, elem(2*me, 2)) || !same(held, elem(2*me, 1)) {
+		t.Errorf("member %d: after a put element %d reads %v (%v) and the value read before it %v", me, 2*me, now, err, held)
+	}
+
+	// Collective results: one slice per rank, none sharing storage with
+	// another or with the results of the next round.
+	first, err := mpmd.AllGather(th, tm, bytes.Repeat([]byte{byte(me)}, 8))
+	check(err)
+	_, err = mpmd.AllGather(th, tm, bytes.Repeat([]byte{byte(100 + me)}, 8))
+	check(err)
+	for r, got := range first {
+		if !bytes.Equal(got, bytes.Repeat([]byte{byte(r)}, 8)) {
+			t.Errorf("member %d: first AllGather's part %d reads %v after the second", me, r, got)
+		}
+	}
 }

@@ -83,13 +83,14 @@ func TestHostileSocketFrames(t *testing.T) {
 		{"zero-length packet", frame(0, kPacket), "0-byte frame of kind 1"},
 		{"packet shorter than its header", frame(8, kPacket, 0, 2), "8-byte frame of kind 1"},
 		{"length over the frame limit", frame(maxFrameBytes+1, kPacket), "limit 67108864 bytes"},
-		{"empty doorbell", frame(0, kDoorbell), "0-byte frame of kind 6"},
+		{"empty doorbell", frame(0, kDoorbell), "0-byte frame of kind 5"},
 		// Whole packets but for the one field: only the range checks stand
 		// between them and the handler.
 		{"packet for a node of another shard", frame(12+minPayload, kPacket, pkt(0, 1, minWords)...), "source node 0 of shard 0"},
 		{"packet from a node outside the machine", frame(12+minPayload, kPacket, pkt(99, 2, minWords)...), "source node 99"},
 		{"packet with a truncated payload", frame(12+minPayload-4, kPacket, pkt(0, 2, minWords-1)...), "source node 0 of shard 0"},
 		{"unknown frame kind", frame(4, 7, 0), "unknown kind 7"},
+		{"retired stats-request kind", frame(0, 6), "unknown kind 6"},
 		{"frame kind zero", frame(0, 0), "unknown kind 0"},
 	}
 	// One accepted row per declared kind: its shortest well-formed frame, then

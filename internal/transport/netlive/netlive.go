@@ -155,8 +155,7 @@ const (
 	kMainsDone = frameKind(2) // u32 shard
 	kAllDone   = frameKind(3) // empty
 	kStats     = frameKind(4) // u32 shard, JSON machine.ShardStats (worker -> parent)
-	kStatsReq  = frameKind(5) // empty (parent -> worker: report your stats now)
-	kDoorbell  = frameKind(6) // u32 shard (sender: wake your parked consumer of my outbound ring)
+	kDoorbell  = frameKind(5) // u32 shard (sender: wake your parked consumer of my outbound ring)
 )
 
 // packetHdrLen is the header of a packet body: u32 src, dst, size. The AM
@@ -170,7 +169,7 @@ const maxFrameBytes = 64 << 20
 
 // minBody is the shortest legal body of each frame kind; the dispatchers
 // index no further without checking.
-var minBody = [...]int{kPacket: packetHdrLen, kMainsDone: 4, kAllDone: 0, kStats: 4, kStatsReq: 0, kDoorbell: 4}
+var minBody = [...]int{kPacket: packetHdrLen, kMainsDone: 4, kAllDone: 0, kStats: 4, kDoorbell: 4}
 
 // Backend is the sharded multi-process transport. Construct with New.
 type Backend struct {
@@ -209,8 +208,8 @@ type Backend struct {
 	met *metrics.Registry
 
 	// statsProv serializes this shard's stats payload (machine.ShardStats
-	// JSON); the machine layer installs it via SetStatsProvider. Atomic: the
-	// reader goroutines may field a kStatsReq while it is being installed.
+	// JSON); the machine layer installs it via SetStatsProvider. Atomic: Run's
+	// goroutine reads it and need not be the one that installed it.
 	statsProv atomic.Value // func() []byte
 
 	// peerStats is the latest kStats payload from each worker shard
@@ -711,19 +710,6 @@ func (b *Backend) PeerStats() map[int][]byte {
 	return out
 }
 
-// RequestStats implements transport.Sharded: ask every worker shard to
-// report now. Safe mid-run — accounting and metrics are atomic on the worker.
-func (b *Backend) RequestStats() {
-	if b.shard != 0 {
-		return
-	}
-	for _, p := range b.peers {
-		if p != nil {
-			p.push(outFrame{kind: kStatsReq})
-		}
-	}
-}
-
 // sendStats (workers) serializes the local stats payload and ships it to the
 // parent as a kStats frame. No-op before the machine installs a provider.
 func (b *Backend) sendStats() {
@@ -860,8 +846,6 @@ func (b *Backend) readLoop(conn net.Conn) {
 			b.peerStats[shard] = append([]byte(nil), body[4:]...)
 			b.statsMu.Unlock()
 			b.statsCond.Broadcast()
-		case kStatsReq:
-			b.sendStats()
 		case kDoorbell:
 			b.shmWake(int(binary.LittleEndian.Uint32(body)))
 		default:

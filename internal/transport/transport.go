@@ -113,20 +113,16 @@ type Sharded interface {
 
 	// SetStatsProvider installs the callback that serializes this shard's
 	// stats payload (the netlive kStats frame body). The backend calls it
-	// when a shard reports: at quiesce (always) and on a parent-initiated
-	// request. It may run on a backend goroutine concurrently with node
-	// execution, so the provider must read racily-safe state only (the
-	// machine's accounting and metrics are atomic).
+	// when the shard reports, at quiesce. It may run on a backend goroutine
+	// concurrently with node execution, so the provider must read
+	// racily-safe state only (the machine's accounting and metrics are
+	// atomic).
 	SetStatsProvider(fn func() []byte)
 	// PeerStats returns the latest stats payload received from each peer
 	// shard, keyed by shard index. Only the parent (shard 0) receives peer
 	// stats; workers get an empty map. Complete after Run returns on the
 	// parent.
 	PeerStats() map[int][]byte
-	// RequestStats asks every peer shard to report its stats now (mid-run
-	// sampling). Fire-and-forget: fresh payloads show up in PeerStats as they
-	// arrive. Parent only.
-	RequestStats()
 }
 
 // FrameMarshaler is a packet payload that can cross an address-space

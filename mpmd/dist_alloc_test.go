@@ -46,7 +46,7 @@ func TestDistGetAllocs(t *testing.T) {
 	const runs = 300
 	var async, get, put float64
 	m := distAllocRig(t, func(th *mpmd.Thread, d *mpmd.Dist[float64], remote int) {
-		for i := 0; i < 16; i++ { // warm pools, pending table, codec frames
+		for i := 0; i < 16; i++ { // warm pools, pending table
 			f, _ := d.GetAsync(th, remote)
 			f.Wait(th)
 			_, _ = d.Get(th, remote)

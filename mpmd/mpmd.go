@@ -266,8 +266,8 @@ func WriteTrace(w io.Writer, l *TraceLog) (int, error) { return trace.WritePerfe
 
 // AcctSnapshot is a point-in-time copy of one scope's accounting: charged
 // time per category plus the event counters. Since Machine is an alias,
-// Machine.LocalStats, Machine.ClusterStats, Machine.Metrics and
-// Machine.RequestStats are the public stats surface.
+// Machine.LocalStats, Machine.ClusterStats and Machine.Metrics are the
+// public stats surface.
 type AcctSnapshot = machine.Snapshot
 
 // MergeAcct sums accounting snapshots, e.g. per-node into machine-wide.

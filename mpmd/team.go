@@ -175,11 +175,9 @@ func codecOf[T any](op string) (*rmigen.Codec, error) {
 	return c, nil
 }
 
-// encode marshals through the codec's append/frame-reuse path: &v makes the
-// value addressable, so the compiled store plan writes field-by-field with
-// no reflect.New temporary and the argument frame recycles in the codec's
-// pool — the collective hot path allocates only the payload it must hand to
-// the wire.
+// encode marshals v where it lies: &v makes the value addressable, so the
+// codec needs no reflect.New temporary and the collective hot path allocates
+// only the payload it must hand to the wire.
 func encode[T any](c *rmigen.Codec, v T) []byte { return c.AppendTo(reflect.ValueOf(&v).Elem(), nil) }
 
 func decode[T any](c *rmigen.Codec, b []byte) T {

@@ -13,8 +13,8 @@ import (
 // This file is the v2 typed API: compile-time-checked remote method
 // invocation derived from ordinary Go structs, layered strictly on top of
 // the untyped Class/Method/Arg path. The typed layer adds zero modelled
-// cost — it lowers every call onto exactly the []Arg slices and wire bytes
-// a hand-written registration would produce (see the parity test), so the
+// cost — a typed value goes out as one Arg with exactly the wire bytes and
+// marshal units of a hand-written []Arg (see the parity test), so the
 // paper's calibrated tables are unaffected by which surface a program uses.
 
 // Void is the empty value type standing in for "no arguments" or "no return
@@ -149,19 +149,12 @@ func Invoke[A, R, T any](t *Thread, r Ref[T], method string, args A) (R, error) 
 	if err != nil {
 		return out, err
 	}
-	// Synchronous calls run on a pooled call frame: the wire Args recycle
-	// across invocations and the argument/result values move through the
-	// compiled offset-based plans — no per-call reflection, no per-call
-	// allocation in this layer.
-	frame := m.AcquireFrame()
-	if m.HasArgs() {
-		m.StoreArgs(unsafe.Pointer(&args), frame.Args)
-	}
-	r.rt.Call(t, r.gp, method, frame.Args, frame.Ret)
-	if m.HasRet() {
-		m.LoadRetPtr(frame.Ret, unsafe.Pointer(&out))
-	}
-	m.ReleaseFrame(frame)
+	// The argument and the result are their own wire Args, viewed where they
+	// lie through the method's pooled call record: no staging copy, and no
+	// allocation in this layer beyond args and out moving to the heap.
+	call := m.NewCall(unsafe.Pointer(&args), unsafe.Pointer(&out))
+	r.rt.Call(t, r.gp, method, call.Args(), call.Ret())
+	call.Release()
 	return out, nil
 }
 
@@ -172,18 +165,12 @@ func InvokeAsync[A, R, T any](t *Thread, r Ref[T], method string, args A) (*Futu
 	if err != nil {
 		return nil, err
 	}
-	wire := m.WireArgs(reflect.ValueOf(args))
-	var load func() R
-	var ret core.Arg
-	if m.HasRet() {
-		ret = m.NewRetArg()
-		load = func() R {
-			var out R
-			m.LoadRet(ret, reflect.ValueOf(&out).Elem())
-			return out
-		}
-	}
-	return &Future[R]{f: r.rt.CallAsync(t, r.gp, method, wire, ret), load: load}, nil
+	// The reply decodes straight into the future's value. The call record
+	// is not recycled: the runtime reads it until the reply lands.
+	fu := new(Future[R])
+	call := m.NewCall(unsafe.Pointer(&args), unsafe.Pointer(&fu.val))
+	fu.f = r.rt.CallAsync(t, r.gp, method, call.Args(), call.Ret())
+	return fu, nil
 }
 
 // InvokeOneWay starts a fire-and-forget typed RMI (no reply message at
@@ -193,18 +180,14 @@ func InvokeOneWay[A, T any](t *Thread, r Ref[T], method string, args A) error {
 	if err != nil {
 		return err
 	}
-	// Remote one-way sends marshal the arguments onto the wire inside
-	// CallOneWay, and local non-threaded bodies run inline — in both cases
-	// the frame is consumed before the call returns and can recycle. A
-	// *local* one-way to a Threaded/Atomic method only spawns the body,
-	// which reads the wire Args after we return: that frame must escape.
-	frame := m.AcquireFrame()
-	if m.HasArgs() {
-		m.StoreArgs(unsafe.Pointer(&args), frame.Args)
-	}
-	r.rt.CallOneWay(t, r.gp, method, frame.Args)
+	// A remote one-way marshals the argument inside CallOneWay and a local
+	// non-threaded body runs inline: either way the record is consumed when
+	// the call returns. A *local* one-way to a Threaded/Atomic method only
+	// spawns the body, which reads the argument later: that record escapes.
+	call := m.NewCall(unsafe.Pointer(&args), nil)
+	r.rt.CallOneWay(t, r.gp, method, call.Args())
 	if r.gp.NodeID() != t.Node().ID || !m.DefersLocally() {
-		m.ReleaseFrame(frame)
+		call.Release()
 	}
 	return nil
 }
@@ -215,10 +198,9 @@ func InvokeOneWay[A, T any](t *Thread, r Ref[T], method string, args A) error {
 // assertions, closing the last untyped hole in the v2 surface. The
 // low-level core.Future remains available as UntypedFuture.
 type Future[R any] struct {
-	// An asynchronous RMI joins on f; load decodes the landed result
-	// (wall-time-only bookkeeping) and is nil for void results.
-	f    *core.Future
-	load func() R
+	// An asynchronous RMI joins on f, and its reply lands in val.
+	f   *core.Future
+	val R
 	// acc is set on the future of a Dist access: the record the future is
 	// the head of (see distAccess).
 	acc *distAccess[R]
@@ -227,16 +209,14 @@ type Future[R any] struct {
 // distAccess is the sender-side state of one Dist element access, future
 // first: the accessor allocates it whole and hands out &a.Future, so the
 // future is the access's one allocation — completion, landing bytes and
-// round-trip stamp (core.DistOp) ride in it instead of in a core.Future, a
-// return Arg and a decode closure — while the futures of InvokeAsync stay
-// three words.
+// round-trip stamp (core.DistOp) ride in it instead of in a core.Future and
+// a call record — while an InvokeAsync future stays two pointers and a value.
 type distAccess[R any] struct {
 	Future[R]
 	op core.DistOp
 	// codec is set while a remote read's landed bytes still await decoding
 	// into val.
 	codec *rmigen.Codec
-	val   R
 }
 
 // newDistAccess returns a record whose future knows it.
@@ -252,17 +232,13 @@ func (fu *Future[R]) Wait(t *threads.Thread) R {
 	if a := fu.acc; a != nil {
 		a.op.Wait(t)
 		if a.codec != nil {
-			a.codec.DecodePtr(a.op.Bytes(), unsafe.Pointer(&a.val))
+			a.codec.DecodePtr(a.op.Bytes(), unsafe.Pointer(&fu.val))
 			a.codec = nil
 		}
-		return a.val
+	} else {
+		fu.f.Wait(t)
 	}
-	fu.f.Wait(t)
-	if fu.load == nil {
-		var zero R
-		return zero
-	}
-	return fu.load()
+	return fu.val
 }
 
 // Done reports (without blocking) whether the operation has completed.
