@@ -99,11 +99,11 @@ func (m *Msg) EncodeWire(b []byte) int {
 }
 
 // DecodeWireMsg reconstructs a pooled Msg envelope from the serialized form,
-// copying the payload into a fresh pooled wire buffer. It is installed as the
-// machine's wire decoder by NewNet, so packets arriving from a peer shard
-// re-enter the inbox exactly as locally sent ones do. The bytes come from
-// another process: fewer than the header's decode to nil, and the shard link
-// that carried them is abandoned as malformed.
+// copying the payload into a fresh pooled wire buffer, so packets arriving
+// from a peer shard re-enter the inbox exactly as locally sent ones do. The
+// bytes come from another process: fewer than the header's decode to nil, and
+// the shard link that carried them is abandoned as malformed. The decoder
+// NewNet installs (decodeWire) also holds the handler ID against its table.
 func DecodeWireMsg(src, dst int, b []byte) any {
 	if len(b) < wireHeaderLen {
 		return nil
@@ -184,13 +184,23 @@ func NewNet(m *machine.Machine) *Net {
 	n := &Net{m: m}
 	// Messages are the machine's serializable packet payload: install the
 	// codec so sharded backends can carry them across address spaces.
-	m.SetWireDecoder(DecodeWireMsg)
+	m.SetWireDecoder(n.decodeWire)
 	for _, node := range m.Nodes() {
 		ep := &Endpoint{net: n, node: node}
 		node.OnArrival = ep.onArrival
 		n.eps = append(n.eps, ep)
 	}
 	return n
+}
+
+// decodeWire is DecodeWireMsg for this net: Poll indexes the handler table
+// with the ID the peer's bytes carry, so a frame naming a handler that was
+// never registered is refused here, like one too short for its header.
+func (n *Net) decodeWire(src, dst int, b []byte) any {
+	if len(b) < wireHeaderLen || int(binary.LittleEndian.Uint32(b[1:])) >= len(n.handlers) {
+		return nil
+	}
+	return DecodeWireMsg(src, dst, b)
 }
 
 // Machine returns the underlying machine.

@@ -25,7 +25,6 @@ import (
 	"go/token"
 	"go/types"
 	"sync"
-	"time"
 )
 
 // Analyzer describes one mpmdvet pass.
@@ -105,12 +104,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // RunAnalyzers applies every analyzer to the package and returns the
-// unfiltered diagnostics in deterministic (position) order, plus the wall
-// time spent per pass. Shared program facts (the call graph, its summaries)
-// are built lazily and charged to the first pass that requests them.
-func RunAnalyzers(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, map[string]time.Duration, error) {
+// unfiltered diagnostics in deterministic (position) order.
+func RunAnalyzers(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
-	wall := make(map[string]time.Duration, len(analyzers))
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer:  a,
@@ -121,15 +117,12 @@ func RunAnalyzers(prog *Program, pkg *Package, analyzers []*Analyzer) ([]Diagnos
 			Prog:      prog,
 			report:    func(d Diagnostic) { diags = append(diags, d) },
 		}
-		start := time.Now()
-		err := a.Run(pass)
-		wall[a.Name] += time.Since(start)
-		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
+		if err := a.Run(pass); err != nil {
+			return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.ImportPath, err)
 		}
 	}
 	sortDiags(diags)
-	return diags, wall, nil
+	return diags, nil
 }
 
 // Package is one loaded, type-checked package (see load.go).

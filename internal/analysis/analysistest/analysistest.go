@@ -11,7 +11,6 @@ package analysistest
 import (
 	"go/ast"
 	"go/token"
-	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -28,27 +27,14 @@ var (
 	exportsErr  error
 )
 
-// moduleRoot walks up from the current directory to the enclosing go.mod.
-func moduleRoot(t *testing.T) string {
-	dir, err := os.Getwd()
-	if err != nil {
-		t.Fatalf("getwd: %v", err)
-	}
-	for {
-		if _, err := os.Stat(filepath.Join(dir, "go.mod")); err == nil {
-			return dir
-		}
-		parent := filepath.Dir(dir)
-		if parent == dir {
-			t.Fatalf("no go.mod above %s", dir)
-		}
-		dir = parent
-	}
-}
-
 func moduleExports(t *testing.T) map[string]string {
 	exportsOnce.Do(func() {
-		exportsMap, exportsErr = analysis.ModuleExports(moduleRoot(t))
+		root, err := analysis.ModuleRoot(".")
+		if err != nil {
+			exportsErr = err
+			return
+		}
+		exportsMap, exportsErr = analysis.ModuleExports(root)
 	})
 	if exportsErr != nil {
 		t.Fatalf("building module export data: %v", exportsErr)
@@ -87,7 +73,7 @@ func runOne(t *testing.T, a *analysis.Analyzer, exports map[string]string, fixtu
 	// function in the fixture package, so multi-hop witness chains are
 	// testable without loading the real tree.
 	prog := analysis.NewProgram([]*analysis.Package{pkg})
-	diags, _, err := analysis.RunAnalyzers(prog, pkg, []*analysis.Analyzer{a})
+	diags, err := analysis.RunAnalyzers(prog, pkg, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("%s: running %s: %v", fixture, a.Name, err)
 	}

@@ -177,10 +177,10 @@ func (s *IgnoreSet) Match(d Diagnostic) (reason string, ok bool) {
 
 // Suppression records one diagnostic silenced by a pragma.
 type Suppression struct {
-	Pass     string `json:"pass"`
-	Position string `json:"position"`
-	Reason   string `json:"reason"`
-	Message  string `json:"message"`
+	Pass     string
+	Position string
+	Reason   string
+	Message  string
 }
 
 // Unused returns diagnostics for pragmas that suppressed nothing — a stale

@@ -337,9 +337,9 @@ func LoadFixture(fset *token.FileSet, dir, importPath string, exports map[string
 	}, nil
 }
 
-// ModuleRoot walks up from dir to the nearest directory containing go.mod,
-// so path flags (e.g. cmd/mpmdvet's -baseline) resolve identically from any
-// working directory inside the module.
+// ModuleRoot walks up from dir to the nearest directory containing go.mod:
+// where the fixture harness and the suite's tests, which run in their own
+// package directories, find the tree.
 func ModuleRoot(dir string) (string, error) {
 	dir, err := filepath.Abs(dir)
 	if err != nil {

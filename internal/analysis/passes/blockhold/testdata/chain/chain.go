@@ -80,6 +80,6 @@ type phantom interface{ vanish() }
 
 func phantomWhileHeld(c *core, p phantom) {
 	c.mu.Lock()
-	p.vanish() // want `interface call phantom.vanish \(no implementers in the analyzed packages`
+	p.vanish() // want `interface call phantom.vanish has no implementers in the analyzed packages; blocking behavior cannot be verified while holding`
 	c.mu.Unlock()
 }

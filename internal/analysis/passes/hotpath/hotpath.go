@@ -106,7 +106,7 @@ func run(pass *analysis.Pass) error {
 // may-allocate summary is dirty, with the witness chain down to the
 // allocating construct. The walk mirrors Scan's exemptions: function-literal
 // bodies (the literal itself was already flagged) and panic arguments.
-func transitive(pass *analysis.Pass, g *callgraph.Graph, facts map[*callgraph.Node]AllocFact, fd *ast.FuncDecl) {
+func transitive(pass *analysis.Pass, g *callgraph.Graph, facts callgraph.Witnesses, fd *ast.FuncDecl) {
 	self := g.NodeOf(pass.TypesInfo.Defs[fd.Name].(*types.Func))
 	analysis.WalkStack(fd.Body, func(n ast.Node, _ []ast.Node) bool {
 		switch n := n.(type) {
@@ -116,97 +116,36 @@ func transitive(pass *analysis.Pass, g *callgraph.Graph, facts map[*callgraph.No
 			if isPanicCall(n) {
 				return false
 			}
-			site := g.Sites[n]
-			if site == nil {
-				return true
-			}
-			if site.NoImpl {
-				pass.Reportf(n.Pos(), "hot path %s: interface call %s has no implementers in the analyzed packages; allocation-freedom cannot be verified",
-					fd.Name.Name, site.Iface)
-				return true
-			}
-			for _, callee := range site.Callees {
-				if callee == self {
-					continue
-				}
-				f := facts[callee]
-				if f.What == "" {
-					continue
-				}
-				chain := witnessChain(facts, callee)
-				pass.Reportf(n.Pos(), "hot path %s: %s", fd.Name.Name,
-					callgraph.ChainString(chain, f.What, f.Pos))
-				break // one witness per call site
+			if msg := facts.At(g.Sites[n], self, "allocation-freedom"); msg != "" {
+				pass.Reportf(n.Pos(), "hot path %s: %s", fd.Name.Name, msg)
 			}
 		}
 		return true
 	})
 }
 
-// AllocFact is the may-allocate summary of one function: What/Pos describe
-// the leaf allocating construct ("" = allocation-free), Via the callee the
-// allocation is reached through (nil when it is in the function's own body).
-type AllocFact struct {
-	What string
-	Pos  token.Pos
-	Via  *callgraph.Node
-}
-
 type allocFactsKey struct{}
 
 // Facts computes (once per Program) the may-allocate summary for every
-// function in the analyzed set.
-func Facts(prog *analysis.Program) map[*callgraph.Node]AllocFact {
+// function in the analyzed set: the first allocating construct each can reach.
+func Facts(prog *analysis.Program) callgraph.Witnesses {
 	return prog.Fact(allocFactsKey{}, func() any {
-		g := callgraph.Of(prog)
-		return callgraph.Propagate[AllocFact](g, &allocSummary{scans: map[*callgraph.Node][]Finding{}})
-	}).(map[*callgraph.Node]AllocFact)
-}
-
-type allocSummary struct {
-	scans map[*callgraph.Node][]Finding
-}
-
-func (s *allocSummary) Compute(n *callgraph.Node, get func(*callgraph.Node) AllocFact) AllocFact {
-	// Hot nodes are trusted clean: their own body is checked directly, and
-	// their pragma-suppressed cold branches must not cascade into callers.
-	// Cold nodes are exempt by declaration.
-	if analysis.FuncDocHasDirective(n.Decl.Doc, Directive) ||
-		analysis.FuncDocHasDirective(n.Decl.Doc, ColdDirective) {
-		return AllocFact{}
-	}
-	findings, ok := s.scans[n]
-	if !ok {
-		findings = Scan(n.Pkg.Info, n.Decl)
-		s.scans[n] = findings
-	}
-	if len(findings) > 0 {
-		return AllocFact{What: findings[0].What, Pos: findings[0].Pos}
-	}
-	for _, e := range n.Out {
-		if e.Kind == callgraph.KindMethodValue {
-			continue // a reference, not a call from this body
-		}
-		if f := get(e.Callee); f.What != "" {
-			return AllocFact{What: f.What, Pos: f.Pos, Via: e.Callee}
-		}
-	}
-	return AllocFact{}
-}
-
-func (s *allocSummary) Equal(a, b AllocFact) bool { return a == b }
-
-// witnessChain follows Via links from the first dirty callee down to the
-// owner of the allocating construct. The seen set guards against pick-cycles
-// in mutually-recursive components.
-func witnessChain(facts map[*callgraph.Node]AllocFact, start *callgraph.Node) []*callgraph.Node {
-	var chain []*callgraph.Node
-	seen := map[*callgraph.Node]bool{}
-	for n := start; n != nil && !seen[n]; n = facts[n].Via {
-		seen[n] = true
-		chain = append(chain, n)
-	}
-	return chain
+		return callgraph.PropagateWitness(callgraph.Of(prog), func(n *callgraph.Node) (callgraph.Witness, bool) {
+			// Hot nodes are trusted clean: their own body is checked
+			// directly, and their pragma-suppressed cold branches must not
+			// cascade into callers. Cold nodes are exempt by declaration.
+			if analysis.FuncDocHasDirective(n.Decl.Doc, Directive) ||
+				analysis.FuncDocHasDirective(n.Decl.Doc, ColdDirective) {
+				return callgraph.Witness{}, true
+			}
+			if findings := Scan(n.Pkg.Info, n.Decl); len(findings) > 0 {
+				return callgraph.Witness{What: findings[0].What, Pos: findings[0].Pos}, false
+			}
+			return callgraph.Witness{}, false
+		}, func(k callgraph.Kind) bool {
+			return k != callgraph.KindMethodValue // a reference, not a call from this body
+		})
+	}).(callgraph.Witnesses)
 }
 
 // Scan returns the allocating constructs in fn's body, in source order, with

@@ -130,97 +130,32 @@ func blockingOps(info *types.Info, annots *cfg.Annotations, polls map[ast.Stmt]b
 // transitive reports a call into an in-set callee that can block downstream,
 // with the witness chain to the parking operation.
 func (w *walker) transitive(call *ast.CallExpr, held cfg.HeldLock, self *callgraph.Node) {
-	site := w.graph.Sites[call]
-	if site == nil {
-		return
+	if msg := w.blockFacts.At(w.graph.Sites[call], self, "blocking behavior"); msg != "" {
+		w.flag(call.Pos(), msg, held)
 	}
-	if site.NoImpl {
-		w.flag(call.Pos(), fmt.Sprintf(
-			"interface call %s (no implementers in the analyzed packages; blocking behavior unverified)",
-			site.Iface), held)
-		return
-	}
-	for _, callee := range site.Callees {
-		if callee == self {
-			continue
-		}
-		f := w.blockFacts[callee]
-		if f.What == "" {
-			continue
-		}
-		chain := witnessChain(w.blockFacts, callee)
-		w.flag(call.Pos(), callgraph.ChainString(chain, f.What, f.Pos), held)
-		break // one witness per call site
-	}
-}
-
-// BlockFact is the may-block summary of one function: What/Pos describe the
-// leaf parking operation ("" = never blocks), Via the callee it is reached
-// through (nil when it is in the function's own body).
-type BlockFact struct {
-	What string
-	Pos  token.Pos
-	Via  *callgraph.Node
 }
 
 type blockFactsKey struct{}
 
 // BlockFacts computes (once per Program) the may-block summary for every
-// function in the analyzed set.
-func BlockFacts(prog *analysis.Program) map[*callgraph.Node]BlockFact {
+// function in the analyzed set: the first parking operation each can reach.
+func BlockFacts(prog *analysis.Program) callgraph.Witnesses {
 	return prog.Fact(blockFactsKey{}, func() any {
-		g := callgraph.Of(prog)
-		return callgraph.Propagate[BlockFact](g, &blockSummary{
-			annots: map[*analysis.Package]*cfg.Annotations{},
-		})
-	}).(map[*callgraph.Node]BlockFact)
-}
-
-type blockSummary struct {
-	annots map[*analysis.Package]*cfg.Annotations
-}
-
-func (s *blockSummary) annotsOf(pkg *analysis.Package) *cfg.Annotations {
-	a, ok := s.annots[pkg]
-	if !ok {
-		a = cfg.CollectAnnotations(pkg.Info, pkg.Files)
-		s.annots[pkg] = a
-	}
-	return a
-}
-
-func (s *blockSummary) Compute(n *callgraph.Node, get func(*callgraph.Node) BlockFact) BlockFact {
-	annots := s.annotsOf(n.Pkg)
-	if what, pos, ok := firstBlocking(n.Pkg, annots, n.Decl); ok {
-		return BlockFact{What: what, Pos: pos}
-	}
-	for _, e := range n.Out {
-		switch e.Kind {
-		case callgraph.KindMethodValue, callgraph.KindGo, callgraph.KindDefer:
+		annots := map[*analysis.Package]*cfg.Annotations{}
+		return callgraph.PropagateWitness(callgraph.Of(prog), func(n *callgraph.Node) (callgraph.Witness, bool) {
+			a, ok := annots[n.Pkg]
+			if !ok {
+				a = cfg.CollectAnnotations(n.Pkg.Info, n.Pkg.Files)
+				annots[n.Pkg] = a
+			}
+			return firstBlocking(n.Pkg, a, n.Decl), false
+		}, func(k callgraph.Kind) bool {
 			// References don't run here; spawned goroutines park themselves;
 			// defers run at exit (registration is instant) — all excluded,
 			// matching the intraprocedural layer.
-			continue
-		}
-		if f := get(e.Callee); f.What != "" {
-			return BlockFact{What: f.What, Pos: f.Pos, Via: e.Callee}
-		}
-	}
-	return BlockFact{}
-}
-
-func (s *blockSummary) Equal(a, b BlockFact) bool { return a == b }
-
-// witnessChain follows Via links from the first dirty callee down to the
-// owner of the parking operation, guarding against pick-cycles.
-func witnessChain(facts map[*callgraph.Node]BlockFact, start *callgraph.Node) []*callgraph.Node {
-	var chain []*callgraph.Node
-	seen := map[*callgraph.Node]bool{}
-	for n := start; n != nil && !seen[n]; n = facts[n].Via {
-		seen[n] = true
-		chain = append(chain, n)
-	}
-	return chain
+			return k == callgraph.KindStatic || k == callgraph.KindInterface
+		})
+	}).(callgraph.Witnesses)
 }
 
 // firstBlocking returns the position-first blocking operation in fd's body,
@@ -229,18 +164,18 @@ func witnessChain(facts map[*callgraph.Node]BlockFact, start *callgraph.Node) []
 // check supplies the held-CPU context. Cond waits sanctioned by the
 // function's own declared entry locks (//mpmdvet:locked on a //mpmd:cpu
 // mutex with a tied cond) stay exempt.
-func firstBlocking(pkg *analysis.Package, annots *cfg.Annotations, fd *ast.FuncDecl) (what string, pos token.Pos, ok bool) {
+func firstBlocking(pkg *analysis.Package, annots *cfg.Annotations, fd *ast.FuncDecl) (first callgraph.Witness) {
 	polls := map[ast.Stmt]bool{}
 	collectPolls(fd.Body, polls)
 	entry := cfg.EntryLocks(pkg.Info, pkg.Pkg, fd, annots)
 	cfg.WalkLocked(pkg.Info, fd.Body, entry, nil, func(s cfg.LockSet, n ast.Node) {
-		blockingOps(pkg.Info, annots, polls, s, n, func(w string, p token.Pos) {
-			if !ok || p < pos {
-				what, pos, ok = w, p, true
+		blockingOps(pkg.Info, annots, polls, s, n, func(what string, pos token.Pos) {
+			if first.What == "" || pos < first.Pos {
+				first = callgraph.Witness{What: what, Pos: pos}
 			}
 		}, nil)
 	})
-	return what, pos, ok
+	return first
 }
 
 // classifyCall reports whether the call is a blocking operation, with a

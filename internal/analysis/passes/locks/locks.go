@@ -121,7 +121,7 @@ type walker struct {
 	// blockhold (both nil in a package with no //mpmd:cpu mutex): the
 	// program's may-block summary, and the comm statements of selects that
 	// carry a default clause — those are polls.
-	blockFacts map[*callgraph.Node]BlockFact
+	blockFacts callgraph.Witnesses
 	polls      map[ast.Stmt]bool
 }
 

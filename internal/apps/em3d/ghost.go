@@ -67,12 +67,3 @@ func buildGhostPlan(procs int, deps [][][]edge) *ghostPlan {
 
 // ghostCount returns the number of ghost nodes processor p maintains.
 func (gp *ghostPlan) ghostCount(p int) int { return len(gp.lists[p]) }
-
-// totalGhosts sums ghost nodes over all processors.
-func (gp *ghostPlan) totalGhosts() int {
-	n := 0
-	for p := 0; p < gp.procs; p++ {
-		n += len(gp.lists[p])
-	}
-	return n
-}

@@ -39,12 +39,6 @@ type Params struct {
 	Seed int64
 }
 
-// Paper returns the paper's graph configuration at the given remote-edge
-// percentage, with a configurable iteration count.
-func Paper(remotePct, iters int) Params {
-	return Params{GraphNodes: 800, Degree: 20, Procs: 4, RemotePct: remotePct, Iters: iters, Seed: 1}
-}
-
 // ref identifies a graph node as (processor, local index).
 type ref struct {
 	pc  int

@@ -29,9 +29,6 @@ type Params struct {
 	Seed int64
 }
 
-// Paper returns the paper's configuration (512×512, 16×16 blocks, 4 procs).
-func Paper() Params { return Params{N: 512, B: 16, Procs: 4, Seed: 5} }
-
 // State is the distributed blocked matrix.
 type State struct {
 	P Params

@@ -36,9 +36,6 @@ type Params struct {
 	Seed int64
 }
 
-// Paper returns the paper's configuration for the given molecule count.
-func Paper(n, steps int) Params { return Params{N: n, Procs: 4, Steps: steps, Seed: 3} }
-
 // State is the distributed simulation state: molecules are distributed
 // statically block-wise across processors (as in the SPLASH original), with
 // per-processor slices so each simulated node owns its data.

@@ -48,16 +48,3 @@ var paperNexus = map[string]string{
 	"water":      "16-22x (64 mol); 5-6x (512 mol)",
 	"lu":         "5-6x",
 }
-
-// paperTable1 is Table 1: source-code size of the two CC++ runtime
-// implementations (lines of .C/.H code).
-var paperTable1 = []struct {
-	Component string
-	CLines    int
-	HLines    int
-}{
-	{"Nexus v3.0", 39226, 6552},
-	{"CC++ rt (w/Nexus)", 1936, 1366},
-	{"ThAM", 1155, 726},
-	{"CC++ rt (w/ThAM)", 2682, 1346},
-}

@@ -10,6 +10,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"unsafe"
@@ -48,10 +49,13 @@ func (*F64) WireSize() int { return 8 }
 func (*F64) MarshalUnits() int { return 1 }
 
 // Encode implements Arg.
-func (a *F64) Encode(b []byte) int { putU64(b, math.Float64bits(a.V)); return 8 }
+func (a *F64) Encode(b []byte) int { binary.LittleEndian.PutUint64(b, math.Float64bits(a.V)); return 8 }
 
 // Decode implements Arg.
-func (a *F64) Decode(b []byte) int { a.V = math.Float64frombits(getU64(b)); return 8 }
+func (a *F64) Decode(b []byte) int {
+	a.V = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	return 8
+}
 
 // I64 is a word (integer) argument.
 type I64 struct{ V int64 }
@@ -65,10 +69,10 @@ func (*I64) WireSize() int { return 8 }
 func (*I64) MarshalUnits() int { return 1 }
 
 // Encode implements Arg.
-func (a *I64) Encode(b []byte) int { putU64(b, uint64(a.V)); return 8 }
+func (a *I64) Encode(b []byte) int { binary.LittleEndian.PutUint64(b, uint64(a.V)); return 8 }
 
 // Decode implements Arg.
-func (a *I64) Decode(b []byte) int { a.V = int64(getU64(b)); return 8 }
+func (a *I64) Decode(b []byte) int { a.V = int64(binary.LittleEndian.Uint64(b)); return 8 }
 
 // F64Slice is an array-of-double argument (the paper's ARRAYOFDOUBLE). Its
 // length is part of the wire format, so the receiving stub can size the
@@ -85,10 +89,10 @@ func (a *F64Slice) MarshalUnits() int { return len(a.V) }
 
 // Encode implements Arg.
 func (a *F64Slice) Encode(b []byte) int {
-	putU64(b, uint64(len(a.V)))
+	binary.LittleEndian.PutUint64(b, uint64(len(a.V)))
 	off := 8
 	for _, v := range a.V {
-		putU64(b[off:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(b[off:], math.Float64bits(v))
 		off += 8
 	}
 	return off
@@ -105,7 +109,7 @@ func (a *F64Slice) Decode(b []byte) int {
 	a.V = a.V[:n]
 	off := 8
 	for i := 0; i < n; i++ {
-		a.V[i] = math.Float64frombits(getU64(b[off:]))
+		a.V[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
 		off += 8
 	}
 	return off
@@ -125,7 +129,7 @@ func (*Bytes) MarshalUnits() int { return 1 }
 
 // Encode implements Arg.
 func (a *Bytes) Encode(b []byte) int {
-	putU64(b, uint64(len(a.V)))
+	binary.LittleEndian.PutUint64(b, uint64(len(a.V)))
 	copy(b[8:], a.V)
 	return 8 + len(a.V)
 }
@@ -156,7 +160,7 @@ func (*Str) MarshalUnits() int { return 1 }
 
 // Encode implements Arg.
 func (a *Str) Encode(b []byte) int {
-	putU64(b, uint64(len(a.V)))
+	binary.LittleEndian.PutUint64(b, uint64(len(a.V)))
 	copy(b[8:], a.V)
 	return 8 + len(a.V)
 }
@@ -179,7 +183,7 @@ func lenWord(kind string, b []byte, elem int) int {
 	if len(b) < 8 {
 		panic(fmt.Sprintf("core: %s argument truncated: %d bytes, no room for its length word", kind, len(b)))
 	}
-	n := getU64(b)
+	n := binary.LittleEndian.Uint64(b)
 	if n > uint64(len(b)-8)/uint64(elem) {
 		panic(fmt.Sprintf("core: %s argument declares %d elements of %d bytes, %d bytes follow", kind, n, elem, len(b)-8))
 	}
@@ -258,22 +262,4 @@ func decodeArgs(buf []byte, args []Arg) (units int) {
 		panic(fmt.Sprintf("core: decode size mismatch: read %d of %d", off, len(buf)))
 	}
 	return units
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -202,7 +203,7 @@ func encodeArgs(args []Arg) (buf []byte, units int) {
 func TestArgDecodeHostileLengths(t *testing.T) {
 	word := func(n uint64, tail int) []byte {
 		b := make([]byte, 8+tail)
-		putU64(b, n)
+		binary.LittleEndian.PutUint64(b, n)
 		return b
 	}
 	rows := []struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -152,7 +153,7 @@ func (rt *Runtime) DistWrite(t *threads.Thread, op *DistOp, node, dist, off int,
 	op.p = enc[:0]
 	a := [4]uint64{distPut, uint64(dist), uint64(off)}
 	if rt.distSizes[dist] == distReqBytes {
-		a[3] = getU64(enc)
+		a[3] = binary.LittleEndian.Uint64(enc)
 		enc = nil
 	}
 	rt.distSend(t, op, node, a, enc, wait)
@@ -232,9 +233,7 @@ func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 	if m.A[0]&distPut != 0 {
 		b := m.Payload
 		if size == distReqBytes && len(b) == 0 {
-			n.distBuf = n.distBuf[:0]
-			n.distBuf = append(n.distBuf, 0, 0, 0, 0, 0, 0, 0, 0)
-			putU64(n.distBuf, m.A[3])
+			n.distBuf = binary.LittleEndian.AppendUint64(n.distBuf[:0], m.A[3])
 			b = n.distBuf
 		} else if size == distReqBytes || len(b) == 0 || (size > 0 && len(b) != size) {
 			panic(fmt.Sprintf("core: node %d dist request %d from node %d: put carries a %d-byte element, dist %d's encode to %d (0: varies)", m.Dst, reqID, m.Src, len(b), dist, size))
@@ -245,7 +244,7 @@ func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 		n.distBuf = part.AppendElem(int(off), n.distBuf[:0])
 		if inWords(size) {
 			for i := 0; i < size; i += 8 {
-				a[i/8] = getU64(n.distBuf[i:])
+				a[i/8] = binary.LittleEndian.Uint64(n.distBuf[i:])
 			}
 		} else {
 			payload = n.distBuf
@@ -273,7 +272,7 @@ func (rt *Runtime) handleDistReply(t *threads.Thread, m am.Msg) {
 		switch b := m.Payload; {
 		case inWords(op.size) && len(b) == 0:
 			for i := 0; i < op.size; i += 8 {
-				putU64(op.b[i:], m.A[i/8])
+				binary.LittleEndian.PutUint64(op.b[i:], m.A[i/8])
 			}
 		case inWords(op.size) || len(b) == 0 || (op.size > 0 && len(b) != op.size):
 			panic(fmt.Sprintf("core: node %d dist reply from node %d for request %d: a %d-byte element, the dist's encode to %d (0: varies)", m.Dst, m.Src, m.A[3], len(b), op.size))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"testing"
@@ -18,10 +19,10 @@ type wordPart []uint64
 func (p wordPart) Len() int { return len(p) }
 func (p wordPart) AppendElem(off int, dst []byte) []byte {
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0)
-	putU64(dst[len(dst)-8:], p[off])
+	binary.LittleEndian.PutUint64(dst[len(dst)-8:], p[off])
 	return dst
 }
-func (p wordPart) SetElem(off int, b []byte) { p[off] = getU64(b) }
+func (p wordPart) SetElem(off int, b []byte) { p[off] = binary.LittleEndian.Uint64(b) }
 
 type blobPart [][]byte
 
@@ -64,7 +65,7 @@ func TestDistAccessWireForms(t *testing.T) {
 		op = DistOp{}
 		rt.DistRead(th, &op, 1, words, 3, true)
 		elapsed = time.Duration(th.Now() - start)
-		got = getU64(op.Bytes())
+		got = binary.LittleEndian.Uint64(op.Bytes())
 		op = DistOp{}
 		rt.DistWrite(th, &op, 1, words, 0, []byte{42, 0, 0, 0, 0, 0, 0, 0}, true)
 		d0 := rt.m.Node(0).Acct.Delta(a0).Counters
@@ -260,6 +261,46 @@ func TestReplyHostileIDs(t *testing.T) {
 	}
 }
 
+// TestInvokeHostileWords is the same for the two words of a cc.invoke message
+// that index something in handleInvoke: the stub ID of a warm invocation (the
+// method table) and the name length of a cold one (the payload). Dropping
+// either bound fails its rows with a runtime index or slice-bounds error.
+func TestInvokeHostileWords(t *testing.T) {
+	const req = 7
+	methods := uint64(len(newRig(2, Options{}).methods))
+	for _, tc := range []struct {
+		name    string
+		flags   uint64
+		a2, a3  uint64
+		payload []byte
+		want    string
+	}{
+		{"stub id past the table", 0, methods, 0, nil,
+			fmt.Sprintf("names stub %d, the method table has %d", methods, methods)},
+		{"stub id with the top bit set", 0, 1 << 63, 0, nil,
+			fmt.Sprintf("names stub %d, the method table has %d", uint64(1<<63), methods)},
+		{"name length past the payload", flagCold, 0, 5, make([]byte, 4),
+			"carries a 5-byte method name in a 4-byte payload"},
+		{"name length negative as an int", flagCold, 0, ^uint64(0), make([]byte, 4),
+			"carries a 18446744073709551615-byte method name in a 4-byte payload"},
+		{"cold flag with a short payload", flagCold, 0, 12, nil,
+			"carries a 12-byte method name in a 0-byte payload"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRig(2, Options{})
+			rt.OnNode(0, func(th *threads.Thread) {
+				rt.nodes[0].send(th, 1, rt.hInvoke, [4]uint64{tc.flags | req<<32, 0, tc.a2, tc.a3}, tc.payload)
+			})
+			var refused string
+			rt.OnNode(1, func(th *threads.Thread) { refused = serveRefusal(rt, th) })
+			_ = rt.Run()
+			if want := fmt.Sprintf("core: node 1 invocation from node 0 (request %d) %s", req, tc.want); refused != want {
+				t.Errorf("handler failed with %q, want %q", refused, want)
+			}
+		})
+	}
+}
+
 // TestDistSlotsBoundInFlight: a node never has more than distSlots accesses
 // in flight; the issuer of one more serves its endpoint until a reply frees
 // a slot, and every access still completes.
@@ -276,7 +317,7 @@ func TestDistSlotsBoundInFlight(t *testing.T) {
 		}
 		for i := range ops {
 			ops[i].Wait(th)
-			if got := getU64(ops[i].Bytes()); got != uint64(10+i%4) {
+			if got := binary.LittleEndian.Uint64(ops[i].Bytes()); got != uint64(10+i%4) {
 				t.Errorf("access %d read %d, want %d", i, got, 10+i%4)
 			}
 		}

@@ -214,27 +214,3 @@ func (rt *Runtime) WriteF64(t *threads.Thread, gp GPF64, v float64) {
 		[4]uint64{math.Float64bits(v), gp.h, id, 1}, nil)
 	rt.waitComp(t, n, rq.comp)
 }
-
-// WriteF64Async writes through a global pointer without waiting; the
-// returned Future joins on the remote acknowledgement.
-func (rt *Runtime) WriteF64Async(t *threads.Thread, gp GPF64, v float64) *Future {
-	n := rt.nodeOf(t)
-	cfg := t.Cfg()
-	if int(gp.node) == n.node.ID {
-		n.node.Acct.Count(machine.CntLocalDeref, 1)
-		chargeRuntime(t, cfg.LocalGPDeref)
-		*gp.ptr = v
-		comp := &completion{mode: modeFuture}
-		rt.complete(t, comp)
-		return &Future{rt: rt, comp: comp}
-	}
-	n.node.Acct.Count(machine.CntRemoteWrite, 1)
-	lockPair(t, &n.rtLock)
-	chargeRuntime(t, cfg.StubLookup+gpIssueCost)
-	rq := &gpReq{comp: &completion{mode: modeFuture}}
-	id := n.gpPending.add(rq)
-	lockPair(t, &n.commLock)
-	n.send(t, int(gp.node), rt.hGPWrite,
-		[4]uint64{math.Float64bits(v), gp.h, id, 1}, nil)
-	return &Future{rt: rt, comp: rq.comp}
-}

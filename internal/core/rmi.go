@@ -534,11 +534,18 @@ func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 	cold := flags&flagCold != 0
 	wantReply := flags&flagWantReply != 0
 
+	// The words came in a message, possibly from another process: the two that
+	// index something here — the name length a slice, the stub ID the method
+	// table — are held against it first (the name hash, the R-buffer ID and
+	// the object ID are refused by name where they are resolved).
 	argBytes := m.Payload
 	var bm *boundMethod
 	if cold {
-		nameLen := int(m.A[3])
-		argBytes = m.Payload[:len(m.Payload)-nameLen]
+		if m.A[3] > uint64(len(m.Payload)) {
+			panic(fmt.Sprintf("core: node %d invocation from node %d (request %d) carries a %d-byte method name in a %d-byte payload",
+				m.Dst, m.Src, reqID, m.A[3], len(m.Payload)))
+		}
+		argBytes = m.Payload[:len(m.Payload)-int(m.A[3])]
 		// Resolve the name against the local registry and send the cache
 		// update (stub entry point + the ID of a freshly allocated persistent
 		// R-buffer) back to the sender.
@@ -548,29 +555,34 @@ func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 			panic(fmt.Sprintf("core: node %d cannot resolve method hash %#x", m.Dst, m.A[2]))
 		}
 		bm = rt.methods[stub]
-		rb := n.bufs.AllocRBuf(len(argBytes))
+		rbuf := n.bufs.AllocRBuf()
 		n.node.Acct.Count(machine.CntBufAlloc, 1)
 		lockPair(t, &n.commLock)
 		n.send(t, m.Src, rt.hResolveUpdate,
-			[4]uint64{uint64(stub), uint64(bm.hash), uint64(rb.ID)}, nil)
+			[4]uint64{uint64(stub), uint64(bm.hash), uint64(rbuf)}, nil)
 		// Cold invocations land in the static buffer area and must be
 		// copied into the new R-buffer before dispatch.
-		rt.stage(t, n, rb, argBytes)
+		stage(t, n, len(argBytes))
 	} else {
-		bm = rt.methods[tham.StubID(m.A[2])]
+		if m.A[2] >= uint64(len(rt.methods)) {
+			panic(fmt.Sprintf("core: node %d invocation from node %d (request %d) names stub %d, the method table has %d",
+				m.Dst, m.Src, reqID, m.A[2], len(rt.methods)))
+		}
+		bm = rt.methods[m.A[2]]
 		if m.A[3] != 0 && !rt.opts.DisablePersistentBuffers {
 			// Warm path: the sender targeted the persistent R-buffer by ID
 			// (destination-side resolution in the local buffer table), so
 			// the data is already in place — no staging copy, modelled or
 			// real: the arguments are decoded from the message where it
-			// lies. Reuse keeps the buffer grown to what a cold call would
-			// stage into it.
-			n.bufs.Reuse(n.bufs.RBuf(int32(m.A[3]-1)), len(argBytes))
+			// lies.
+			n.bufs.Reuse(int32(m.A[3] - 1))
 			n.node.Acct.Count(machine.CntBufReuse, 1)
 		} else {
-			rb := n.bufs.AllocRBuf(len(argBytes))
+			// No persistent buffer: one is allocated for this invocation,
+			// staged into, and dropped.
+			n.bufs.AllocTransient()
 			n.node.Acct.Count(machine.CntBufAlloc, 1)
-			rt.stage(t, n, rb, argBytes)
+			stage(t, n, len(argBytes))
 		}
 	}
 
@@ -598,17 +610,12 @@ func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 	rt.runMethod(t, n, bm, m, reqID, argBytes, wantReply)
 }
 
-// stage models the cold-path copy from the static buffer area into an
-// R-buffer.
-//
-//mpmd:coldpath the modeled cold staging copy; its make only fires when the R-buffer must grow
-func (rt *Runtime) stage(t *threads.Thread, n *nodeRT, rb *tham.RBuf, argBytes []byte) {
+// stage models the cold-path copy of argLen bytes from the static buffer area
+// into an R-buffer. The copy is a charge only: the receiver decodes the
+// arguments from the message where it lies.
+func stage(t *threads.Thread, n *nodeRT, argLen int) {
 	lockPair(t, &n.bufLock)
-	chargeRuntime(t, time.Duration(len(argBytes))*t.Cfg().MemCopyPerByte)
-	if cap(rb.Data) < len(argBytes) {
-		rb.Data = make([]byte, len(argBytes))
-	}
-	copy(rb.Data, argBytes)
+	chargeRuntime(t, time.Duration(argLen)*t.Cfg().MemCopyPerByte)
 }
 
 // runMethod unmarshals, executes, and (when requested) replies. Argument

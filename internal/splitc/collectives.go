@@ -62,12 +62,6 @@ func (s *SpreadF64) Index(i int) GPF {
 	return GPF{PC: i % s.procs, P: &s.parts[i%s.procs][i/s.procs]}
 }
 
-// LocalSlice returns the processor-local part (Split-C's &A[MYPROC]::).
-func (s *SpreadF64) LocalSlice(pc int) []float64 { return s.parts[pc] }
-
-// LocalVec returns the local part as a global vector for bulk operations.
-func (s *SpreadF64) LocalVec(pc int) GVF { return GVF{PC: pc, S: s.parts[pc]} }
-
 // --- collectives -------------------------------------------------------------
 
 // collective state per World, allocated lazily on first use. Node 0

@@ -16,6 +16,7 @@
 package splitc
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sync"
@@ -46,12 +47,6 @@ type GVF struct {
 	PC int
 	S  []float64
 }
-
-// OnProc reports whether the pointer is local to processor pc.
-func (g GPF) OnProc(pc int) bool { return g.PC == pc }
-
-// OnProc reports whether the vector is local to processor pc.
-func (g GVF) OnProc(pc int) bool { return g.PC == pc }
 
 // World is one SPMD program instance over a machine.
 type World struct {
@@ -305,7 +300,7 @@ func encodeF64(t *threads.Thread, src []float64) []byte {
 	t.Charge(machine.CatRuntime, time.Duration(len(src)*8)*t.Cfg().MemCopyPerByte)
 	out := make([]byte, len(src)*8)
 	for i, v := range src {
-		putU64(out[i*8:], math.Float64bits(v))
+		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
 	}
 	return out
 }
@@ -317,26 +312,8 @@ func decodeF64(t *threads.Thread, payload []byte, dst []float64) {
 	}
 	t.Charge(machine.CatRuntime, time.Duration(len(payload))*t.Cfg().MemCopyPerByte)
 	for i := range dst {
-		dst[i] = math.Float64frombits(getU64(payload[i*8:]))
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
 	}
-}
-
-func putU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-func getU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
 }
 
 // --- scalar global accesses -------------------------------------------------
@@ -526,15 +503,11 @@ func (p *Proc) BulkStore(gp GVF, src []float64) {
 	p.ep.RequestBulk(p.T, gp.PC, p.w.hBulkStore, payload, [4]uint64{id})
 }
 
-// WaitStores blocks until at least n store values have landed at this node
-// since the last ResetStores.
+// WaitStores blocks until at least n store values have landed at this node.
 func (p *Proc) WaitStores(n int) {
 	p.T.Charge(machine.CatRuntime, completeCost)
 	p.ep.PollUntil(p.T, func() bool { return p.storesRecvd >= n })
 }
-
-// ResetStores zeroes the local store-arrival counter.
-func (p *Proc) ResetStores() { p.storesRecvd = 0 }
 
 // --- barrier ------------------------------------------------------------------
 

@@ -140,72 +140,42 @@ func (c *StubCache) Invalidate(proc int, hash NameHash) {
 // Stats reports lookup hits and misses since creation.
 func (c *StubCache) Stats() (hits, misses int64) { return c.hits, c.misses }
 
-// RBuf is a persistent receive buffer attached to one (sender, method) pair
-// on the receiving node. Data is the landing area for marshalled arguments;
-// InUse guards against a second invocation arriving while a threaded method
-// is still consuming the previous contents (the sender manages the buffer,
-// so the runtime serializes on it).
-type RBuf struct {
-	Node  int
-	ID    int32 // index in the owning node's BufMgr table (the wire name)
-	Data  []byte
-	InUse bool
-}
-
-// BufMgr manages a node's buffer pool: a static landing area for cold
-// invocations and the set of persistent R-buffers handed out to senders.
+// BufMgr manages a node's persistent R-buffers: receive buffers that stay
+// allocated for recently invoked methods and are named, by ID, in the words of
+// every warm invocation. A buffer here is its ID and nothing more — the
+// receiver decodes arguments from the message where it lies, so there are no
+// bytes to keep — and the manager is the set of IDs handed out plus the
+// allocation and reuse counts the ablation reports.
 type BufMgr struct {
-	node       int
-	staticArea []byte
-	rbufs      []*RBuf
-	allocs     int64
-	reuses     int64
+	node   int
+	rbufs  int32 // persistent buffers handed out: IDs 0..rbufs-1
+	allocs int64
+	reuses int64
 }
-
-// StaticAreaSize is the per-node landing area for cold invocations, matching
-// the "per-node static buffer area" of §4.
-const StaticAreaSize = 64 * 1024
 
 // NewBufMgr creates the buffer manager for a node.
-func NewBufMgr(node int) *BufMgr {
-	return &BufMgr{node: node, staticArea: make([]byte, StaticAreaSize)}
-}
+func NewBufMgr(node int) *BufMgr { return &BufMgr{node: node} }
 
-// StaticArea returns the cold-path landing area.
-func (b *BufMgr) StaticArea() []byte { return b.staticArea }
-
-// AllocRBuf allocates a persistent receive buffer of at least n bytes for a
-// newly resolved method and records the allocation.
-//
-//mpmd:coldpath first-invocation path: the persistent R-buffer is allocated once per method
-func (b *BufMgr) AllocRBuf(n int) *RBuf {
-	if n < 256 {
-		n = 256
-	}
-	rb := &RBuf{Node: b.node, ID: int32(len(b.rbufs)), Data: make([]byte, n)}
-	b.rbufs = append(b.rbufs, rb)
+// AllocRBuf allocates a persistent receive buffer for a newly resolved method
+// and returns its ID, the name the sender ships from then on.
+func (b *BufMgr) AllocRBuf() int32 {
 	b.allocs++
-	return rb
+	b.rbufs++
+	return b.rbufs - 1
 }
 
-// RBuf returns the persistent buffer with the given ID — the destination-side
-// resolution of a buffer name received in a message's word arguments.
-func (b *BufMgr) RBuf(id int32) *RBuf {
-	if id < 0 || int(id) >= len(b.rbufs) {
-		panic(fmt.Sprintf("tham: node %d has no R-buffer %d (have %d)", b.node, id, len(b.rbufs)))
-	}
-	return b.rbufs[id]
-}
+// AllocTransient records a receive buffer that serves one invocation and is
+// dropped (persistent buffers disabled): it has no ID and leaves nothing
+// behind.
+func (b *BufMgr) AllocTransient() { b.allocs++ }
 
-// Reuse records a warm invocation landing directly in a persistent buffer,
-// growing it if the arguments outgrew the original allocation.
-//
-//mpmd:coldpath reallocates only when arguments outgrow the persistent buffer
-func (b *BufMgr) Reuse(rb *RBuf, n int) {
-	if cap(rb.Data) < n {
-		rb.Data = make([]byte, n)
+// Reuse records a warm invocation landing in persistent buffer id — the
+// destination-side resolution of a buffer name received in a message's word
+// arguments, so a name this node never handed out is refused.
+func (b *BufMgr) Reuse(id int32) {
+	if id < 0 || id >= b.rbufs {
+		panic(fmt.Sprintf("tham: node %d has no R-buffer %d (have %d)", b.node, id, b.rbufs))
 	}
-	rb.Data = rb.Data[:cap(rb.Data)]
 	b.reuses++
 }
 

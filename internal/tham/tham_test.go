@@ -59,8 +59,7 @@ func TestStubCacheLookupUpdateInvalidate(t *testing.T) {
 	if _, ok := c.Lookup(2, h); ok {
 		t.Fatal("hit on empty cache")
 	}
-	rb := &RBuf{Node: 2, ID: 5, Data: make([]byte, 64)}
-	c.Update(2, h, &CacheEntry{Stub: 7, RBufID: rb.ID})
+	c.Update(2, h, &CacheEntry{Stub: 7, RBufID: 5})
 	e, ok := c.Lookup(2, h)
 	if !ok || e.Stub != 7 || e.RBufID != 5 {
 		t.Fatalf("lookup after update: %+v %v", e, ok)
@@ -80,22 +79,25 @@ func TestStubCacheLookupUpdateInvalidate(t *testing.T) {
 }
 
 func TestBufMgrAllocReuse(t *testing.T) {
-	b := NewBufMgr(0)
-	if len(b.StaticArea()) != StaticAreaSize {
-		t.Fatalf("static area %d", len(b.StaticArea()))
+	b := NewBufMgr(3)
+	if id0, id1 := b.AllocRBuf(), b.AllocRBuf(); id0 != 0 || id1 != 1 {
+		t.Fatalf("R-buffer IDs %d, %d, want 0, 1", id0, id1)
 	}
-	rb := b.AllocRBuf(100)
-	if len(rb.Data) < 100 {
-		t.Fatalf("rbuf too small: %d", len(rb.Data))
+	b.AllocTransient() // counted, not named
+	b.Reuse(1)
+	b.Reuse(0)
+	if allocs, reuses := b.Stats(); allocs != 3 || reuses != 2 {
+		t.Fatalf("stats %d/%d, want 3/2", allocs, reuses)
 	}
-	b.Reuse(rb, 50)
-	b.Reuse(rb, 4096) // grows
-	if cap(rb.Data) < 4096 {
-		t.Fatalf("rbuf did not grow: %d", cap(rb.Data))
-	}
-	allocs, reuses := b.Stats()
-	if allocs != 1 || reuses != 2 {
-		t.Fatalf("stats %d/%d", allocs, reuses)
+	for _, id := range []int32{2, -1} {
+		func() {
+			defer func() {
+				if want, got := fmt.Sprintf("tham: node 3 has no R-buffer %d (have 2)", id), fmt.Sprint(recover()); got != want {
+					t.Errorf("Reuse(%d) failed with %q, want %q", id, got, want)
+				}
+			}()
+			b.Reuse(id)
+		}()
 	}
 }
 

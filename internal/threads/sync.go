@@ -55,9 +55,6 @@ func (m *Mutex) Unlock(t *Thread) {
 	m.owner = nil
 }
 
-// Locked reports whether the mutex is currently held.
-func (m *Mutex) Locked() bool { return m.owner != nil }
-
 // Cond is a condition variable tied to a Mutex.
 type Cond struct {
 	M       *Mutex
@@ -165,9 +162,6 @@ func (g *WaitGroup) Add(delta int) {
 		panic("threads: negative WaitGroup counter")
 	}
 }
-
-// Pending returns the current counter value.
-func (g *WaitGroup) Pending() int { return g.n }
 
 // Done decrements the counter, charging one sync op, and wakes waiters when
 // it reaches zero.

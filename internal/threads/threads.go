@@ -67,9 +67,6 @@ func NewScheduler(node *machine.Node) *Scheduler {
 // Node returns the node this scheduler runs on.
 func (s *Scheduler) Node() *machine.Node { return s.node }
 
-// Current returns the thread currently on the CPU (nil when the node idles).
-func (s *Scheduler) Current() *Thread { return s.current }
-
 // ReadyLen reports how many threads are queued ready.
 func (s *Scheduler) ReadyLen() int { return len(s.ready) }
 
@@ -103,8 +100,6 @@ func (t *Thread) Cfg() *machine.Config { return t.s.node.Cfg() }
 // Now returns the backend clock: virtual time on the simulator, wall-clock
 // time on the live backend.
 func (t *Thread) Now() time.Duration { return t.p.Now() }
-
-func (s *Scheduler) cfg() *machine.Config { return s.node.Cfg() }
 
 func (s *Scheduler) popReady() *Thread {
 	if len(s.ready) == 0 {

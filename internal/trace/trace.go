@@ -96,11 +96,6 @@ func (l *Log) Add(e Event) {
 	l.events = append(l.events, e)
 }
 
-// Mark records a user annotation at the given virtual time.
-func (l *Log) Mark(at time.Duration, node int, label string) {
-	l.Add(Event{At: at, Node: node, Kind: KindMark, Label: label})
-}
-
 // snapshot returns the events recorded so far and the drop count. Recorded
 // elements are never mutated, so the slice is safe to iterate while writers
 // keep appending.

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/am"
 	"repro/internal/metrics"
+	"repro/internal/threads"
 )
 
 // bareShards builds the two backends of a 4-node, 2-shard machine with no
@@ -182,27 +183,52 @@ func TestHostileRingRecords(t *testing.T) {
 	}
 }
 
-// TestTruncatedAMBody is the same check with the real stack above the link:
-// am's decoder rejects a payload shorter than its wire header, so a packet one
-// byte short of an empty message abandons the ring with nothing indexed past
-// its end and nothing delivered, and the empty message itself gets through.
+// TestTruncatedAMBody is the same check with the real stack above the link,
+// over both links: am's decoder rejects a payload shorter than its wire header
+// and one whose handler ID names nothing registered, so a packet one byte short
+// of an empty message, or for the handler one past the table, abandons the link
+// with one error naming the peer shard — nothing indexed, nothing delivered —
+// and the empty message for a registered handler gets through.
 func TestTruncatedAMBody(t *testing.T) {
-	hdr := new(am.Msg).WireLen() // no payload: the header alone
+	encode := func(h am.HandlerID) []byte {
+		m := &am.Msg{H: h}
+		b := make([]byte, m.WireLen()) // no payload: the header alone
+		m.EncodeWire(b)
+		return b
+	}
+	hdr := encode(0)
 	for _, tc := range []struct {
 		name string
-		n    int
+		body []byte
 		ok   bool
 	}{
 		{"header alone", hdr, true},
-		{"one byte short of the header", hdr - 1, false},
+		{"one byte short of the header", hdr[:len(hdr)-1], false},
+		{"handler id one past the table", encode(1), false},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
+		rigs := func(t *testing.T, mods ...func(*Options)) (a, b *shardRig) {
 			dir := t.TempDir()
-			a := newShardRig(t, 4, 2, 0, dir)
-			b := newShardRig(t, 4, 2, 1, dir)
+			a = newShardRig(t, 4, 2, 0, dir, mods...)
+			b = newShardRig(t, 4, 2, 1, dir, mods...)
 			t.Cleanup(a.be.shutdownSockets)
 			t.Cleanup(b.be.shutdownSockets)
-			a.be.SendRemote(0, 2, 48, zeros(tc.n))
+			b.net.Register("nop", func(*threads.Thread, am.Msg) {})
+			return a, b
+		}
+		// check: the shard holds one error naming want (none for ""), and the
+		// packet arrived exactly when it should have.
+		check := func(t *testing.T, b *shardRig, want string) {
+			t.Helper()
+			if err := fmt.Sprint(b.be.Err()); (want == "") != (err == "<nil>") || !strings.Contains(err, want) || strings.Contains(err, "\n") {
+				t.Fatalf("Err = %v, want one error, naming %q", err, want)
+			}
+			if in := b.m.Node(2).InboxLen(); tc.ok != (in == 1) {
+				t.Fatalf("node 2 holds %d messages, want the packet delivered: %v", in, tc.ok)
+			}
+		}
+		ring := func(t *testing.T) {
+			a, b := rigs(t)
+			a.be.SendRemote(0, 2, 48, raw(tc.body))
 			rx := b.be.shm.rx[0]
 			ok := func() bool {
 				rx.mu.Lock()
@@ -210,17 +236,51 @@ func TestTruncatedAMBody(t *testing.T) {
 				return b.be.shmDrain(rx, rx.r.tail.Load(), metrics.CtrShmFramesInReader)
 			}()
 			if ok != tc.ok {
-				t.Fatalf("shmDrain of a %d-byte AM body = %v, want %v (Err: %v)", tc.n, ok, tc.ok, b.be.Err())
+				t.Fatalf("shmDrain = %v, want %v (Err: %v)", ok, tc.ok, b.be.Err())
 			}
-			if err := b.be.Err(); !tc.ok && (err == nil || !strings.Contains(err.Error(), "from shard 0")) {
-				t.Fatalf("Err = %v, want one naming shard 0", err)
+			if tc.ok {
+				check(t, b, "")
+			} else {
+				check(t, b, "from shard 0 abandoned: malformed packet body")
 			}
-			if in := b.m.Node(2).InboxLen(); tc.ok != (in == 1) {
-				t.Fatalf("node 2 holds %d messages, want the packet delivered: %v", in, tc.ok)
+		}
+		socket := func(t *testing.T) {
+			_, b := rigs(t, func(o *Options) { o.DisableShm = true })
+			go b.be.acceptLoop()
+			conn, err := net.Dial("unix", b.be.sockPath(1))
+			if err != nil {
+				t.Fatal(err)
 			}
+			defer conn.Close()
+			// The packet frame, then a frame of no kind: what ends the
+			// connection when the packet itself is taken.
+			frame := append(append(words(uint32(12+len(tc.body))), byte(kPacket)), words(0, 2, 48)...)
+			frame = append(append(frame, tc.body...), append(words(0), 0)...)
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("read after the frames: %v, want the connection closed", err)
+			}
+			if tc.ok {
+				check(t, b, "unknown kind 0")
+			} else {
+				check(t, b, "claimed source node 0 of shard 0")
+			}
+		}
+		t.Run(tc.name, func(t *testing.T) {
+			t.Run("ring", ring)
+			t.Run("socket", socket)
 		})
 	}
 }
+
+// raw is a payload of exactly these bytes for driving SendRemote directly.
+type raw []byte
+
+func (r raw) WireLen() int            { return len(r) }
+func (r raw) EncodeWire(b []byte) int { return copy(b, r) }
 
 // zeros is an all-zero payload of its own length for driving SendRemote
 // directly.

@@ -208,9 +208,9 @@ type Backend struct {
 	met *metrics.Registry
 
 	// statsProv serializes this shard's stats payload (machine.ShardStats
-	// JSON); the machine layer installs it via SetStatsProvider. Atomic: Run's
-	// goroutine reads it and need not be the one that installed it.
-	statsProv atomic.Value // func() []byte
+	// JSON). The machine layer installs it via SetStatsProvider while it is
+	// being built, and Run reads it after the inner run returns.
+	statsProv func() []byte
 
 	// peerStats is the latest kStats payload from each worker shard
 	// (parent only).
@@ -696,7 +696,7 @@ func (b *Backend) MetricsSnapshot() metrics.Snapshot {
 // --- transport.Sharded: the stats control plane -----------------------------
 
 // SetStatsProvider implements transport.Sharded.
-func (b *Backend) SetStatsProvider(fn func() []byte) { b.statsProv.Store(fn) }
+func (b *Backend) SetStatsProvider(fn func() []byte) { b.statsProv = fn }
 
 // PeerStats implements transport.Sharded: the latest kStats payload from
 // each worker shard (parent only; complete after Run).
@@ -713,8 +713,7 @@ func (b *Backend) PeerStats() map[int][]byte {
 // sendStats (workers) serializes the local stats payload and ships it to the
 // parent as a kStats frame. No-op before the machine installs a provider.
 func (b *Backend) sendStats() {
-	prov, _ := b.statsProv.Load().(func() []byte)
-	if prov == nil || b.shard == 0 || b.peers == nil {
+	if b.statsProv == nil || b.shard == 0 || b.peers == nil {
 		return
 	}
 	// Drain the peer writers first: frames a proc queued just before
@@ -726,7 +725,7 @@ func (b *Backend) sendStats() {
 			p.flush(b.opts.DialTimeout)
 		}
 	}
-	payload := prov()
+	payload := b.statsProv()
 	f := wire.Get(4 + len(payload))
 	binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
 	copy(f.Bytes()[4:], payload)
