@@ -137,13 +137,14 @@ func scSplitPhase() (time.Duration, float64) {
 	for i := range remote {
 		remote[i] = float64(remoteIdx(i)) * 1.5
 	}
+	seg := w.Share([][]float64{nil, remote}) // node 1's memory
 	local := make([]float64, n)
 	var elapsed time.Duration
 	err := w.Run(func(p *mpmd.SplitCProc) {
 		if p.MyPC() == 0 {
 			start := p.T.Now()
 			for i := 0; i < n; i++ {
-				p.Get(&local[i], mpmd.SCPtr{PC: 1, P: &remote[i]})
+				p.Get(&local[i], mpmd.SCPtr{PC: 1, Seg: seg, Off: i})
 			}
 			p.Sync()
 			elapsed = time.Duration(p.T.Now() - start)

@@ -36,9 +36,9 @@ var corpus = []struct {
 	{"make in shmTx.send", "hotpath", `hot path send: make allocates`, []edit{
 		{"internal/transport/netlive/shmring.go", "\tdepth := tx.publish(rec)\n\ttx.mu.Unlock()\n",
 			"\tdepth := tx.publish(rec)\n\ttx.mu.Unlock()\n\t_ = make([]byte, n)\n"}}},
-	{"fmt.Sprint two calls below the hot reqTable.add", "hotpath", `hot path add: .*call into package fmt`, []edit{
-		{"internal/core/rmi.go", "func (tb *reqTable[T]) add(rec *T) uint64 {\n", "func (tb *reqTable[T]) add(rec *T) uint64 {\n\tnoteAdd()\n"},
-		{"internal/core/rmi.go", "// reqTable is ", "func noteAdd() { _ = fmt.Sprint(1) }\n\n// reqTable is "}}},
+	{"fmt.Sprint two calls below the hot ReqTable.Add", "hotpath", `hot path Add: .*call into package fmt`, []edit{
+		{"internal/am/reqtable.go", "func (tb *ReqTable[T]) Add(rec *T) uint64 {\n", "func (tb *ReqTable[T]) Add(rec *T) uint64 {\n\tnoteAdd()\n"},
+		{"internal/am/reqtable.go", "// ReqTable is ", "func noteAdd() { _ = fmt.Sprint(1) }\n\n// ReqTable is "}}},
 
 	{"readLoop's read-error return keeps its buffer", "bufown", `owned wire\.Buf leaks on this return path`, []edit{
 		{"internal/transport/netlive/netlive.go", "\t\t\t\tbuf.Release()\n\t\t\t\tb.addErr(fmt.Errorf(\"netlive: shard %d read body: %w\", b.shard, err))\n",
@@ -103,6 +103,12 @@ var corpus = []struct {
 		{"internal/core/rmi.go", "\t\tif m.A[3] > uint64(len(m.Payload)) {\n", "\t\tif false {\n"}}},
 	{"the installed wire decoder takes any handler id", "go test ./internal/transport/netlive -run ^TestTruncatedAMBody$/^handler_id_one_past_the_table$", `(?s)shmDrain = true, want false.*unknown kind 0.*want one error, naming "claimed source node 0 of shard 0"`, []edit{
 		{"internal/am/am.go", " || int(binary.LittleEndian.Uint32(b[1:])) >= len(n.handlers) {\n", " {\n"}}},
+	{"a Split-C access trusts its segment word", "go test ./internal/splitc -run ^TestSplitCHostileWords$/^segment_past_the_table$", `handler failed with "runtime error: index out of range`, []edit{
+		{"internal/splitc/splitc.go", "\tif seg >= uint64(len(p.w.segs)) || p.w.segs[seg][p.me] == nil {\n", "\tif false {\n"}}},
+	{"a Split-C access trusts its offset and length words", "go test ./internal/splitc -run ^TestSplitCHostileWords$/^length_past_the_part$", `handler failed with "runtime error: slice bounds out of range`, []edit{
+		{"internal/splitc/splitc.go", "\tif off > uint64(len(part)) || n > uint64(len(part))-off {\n", "\tif false {\n"}}},
+	{"a GP access takes a segment of other elements", "go test ./internal/core -run ^TestDistHostileWords$/^GP_read_of_a_segment_of_variable-size_elements$", `index out of range`, []edit{
+		{"internal/core/dist.go", "\tif word && n.rt.distSizes[seg] != distReqBytes {\n", "\tif false {\n"}}},
 }
 
 // TestMutationCorpus runs the suite over each mutated tree — listed once,

@@ -107,6 +107,7 @@ func RunCCXX(cfg machine.Config, g *Graph, variant Variant, opts core.Options) (
 		o.ghostsH = make([]float64, hPlan.ghostCount(pc))
 	}
 	bar := rt.NewBarrier(0, g.P.Procs)
+	eSeg, hSeg := rt.AddF64(g.EVals), rt.AddF64(g.HVals)
 
 	res := &appstat.Result{
 		Lang:      "cc++",
@@ -135,10 +136,10 @@ func RunCCXX(cfg machine.Config, g *Graph, variant Variant, opts core.Options) (
 
 			for it := 0; it < g.P.Iters; it++ {
 				expect = ccPhase(rt, t, g, variant, me, objs, self, "deliverE",
-					g.EVals[me], g.EDeps[me], g.HVals, ePlan, self.ghostsE, expect)
+					g.EVals[me], g.EDeps[me], g.HVals, hSeg, ePlan, self.ghostsE, expect)
 				bar.Arrive(t)
 				expect = ccPhase(rt, t, g, variant, me, objs, self, "deliverH",
-					g.HVals[me], g.HDeps[me], g.EVals, hPlan, self.ghostsH, expect)
+					g.HVals[me], g.HDeps[me], g.EVals, eSeg, hPlan, self.ghostsH, expect)
 				bar.Arrive(t)
 			}
 
@@ -158,8 +159,8 @@ func RunCCXX(cfg machine.Config, g *Graph, variant Variant, opts core.Options) (
 	return res, nil
 }
 
-// ccPhase is one half-step of the CC++ program.
-func ccPhase(rt *core.Runtime, t *threads.Thread, g *Graph, variant Variant, me int, objs []core.GPtr, self *em3dObj, deliverMethod string, dst []float64, deps [][]edge, src [][]float64, plan *ghostPlan, ghosts []float64, expect int) int {
+// ccPhase is one half-step of the CC++ program; src is registered as srcSeg.
+func ccPhase(rt *core.Runtime, t *threads.Thread, g *Graph, variant Variant, me int, objs []core.GPtr, self *em3dObj, deliverMethod string, dst []float64, deps [][]edge, src [][]float64, srcSeg int, plan *ghostPlan, ghosts []float64, expect int) int {
 	cfg := t.Cfg()
 
 	switch variant {
@@ -170,7 +171,7 @@ func ccPhase(rt *core.Runtime, t *threads.Thread, g *Graph, variant Variant, me 
 		for i := range dst {
 			acc := dst[i]
 			for _, e := range deps[i] {
-				v := rt.ReadF64(t, core.NewGPF64(e.from.pc, &src[e.from.pc][e.from.idx]))
+				v := rt.ReadF64(t, core.NewGPF64(e.from.pc, srcSeg, e.from.idx))
 				acc -= e.weight * v
 			}
 			t.Charge(machine.CatCPU, nodeUpdateCost(len(deps[i]), cfg.FlopCost))
@@ -184,7 +185,7 @@ func ccPhase(rt *core.Runtime, t *threads.Thread, g *Graph, variant Variant, me 
 		refs := plan.lists[me]
 		core.ParFor(t, len(refs), func(t2 *threads.Thread, s int) {
 			r := refs[s]
-			ghosts[s] = rt.ReadF64(t2, core.NewGPF64(r.pc, &src[r.pc][r.idx]))
+			ghosts[s] = rt.ReadF64(t2, core.NewGPF64(r.pc, srcSeg, r.idx))
 		})
 		ccComputeLocal(t, g, me, dst, deps, src, plan, ghosts, cfg)
 		return expect

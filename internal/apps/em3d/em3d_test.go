@@ -4,9 +4,11 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/transport/live"
 )
 
 // small returns a quick test configuration.
@@ -100,7 +102,7 @@ func runAll(t *testing.T, p Params) map[string]float64 {
 
 	for _, v := range Variants() {
 		g := base.Clone()
-		res, err := RunSplitC(cfg, g, v)
+		res, err := RunSplitC(machine.New(cfg, p.Procs), g, v)
 		if err != nil {
 			t.Fatalf("split-c %s: %v", v, err)
 		}
@@ -149,7 +151,7 @@ func TestOptimizationOrdering(t *testing.T) {
 	elapsed := make(map[string]float64)
 	for _, v := range Variants() {
 		g := base.Clone()
-		res, err := RunSplitC(cfg, g, v)
+		res, err := RunSplitC(machine.New(cfg, p.Procs), g, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,7 +180,7 @@ func TestCCXXSlowerButCompetitive(t *testing.T) {
 	base := Build(p)
 	for _, v := range Variants() {
 		g := base.Clone()
-		sc, err := RunSplitC(cfg, g, v)
+		sc, err := RunSplitC(machine.New(cfg, p.Procs), g, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +204,7 @@ func TestDeterministicElapsed(t *testing.T) {
 	p := small(70)
 	run := func() int64 {
 		g := Build(p)
-		res, err := RunSplitC(cfg, g, Ghost)
+		res, err := RunSplitC(machine.New(cfg, p.Procs), g, Ghost)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -231,7 +233,7 @@ func TestGhostMatchesSerialProperty(t *testing.T) {
 		serial := base.Clone()
 		RunSerial(serial)
 		g := base.Clone()
-		res, err := RunSplitC(machine.SP1997(), g, Ghost)
+		res, err := RunSplitC(machine.New(machine.SP1997(), p.Procs), g, Ghost)
 		if err != nil {
 			return false
 		}
@@ -239,5 +241,27 @@ func TestGhostMatchesSerialProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitCLiveMatchesSerial runs every Split-C variant on real goroutines
+// (the live backend) at 40 % and 100 % remote edges and matches the serial
+// reference.
+func TestSplitCLiveMatchesSerial(t *testing.T) {
+	for _, pct := range []int{40, 100} {
+		p := small(pct)
+		base := Build(p)
+		serial := base.Clone()
+		RunSerial(serial)
+		want := serial.Checksum()
+		for _, v := range Variants() {
+			res, err := RunSplitC(machine.NewWithBackend(machine.SP1997(), p.Procs, live.New(p.Procs, live.Options{Watchdog: 20 * time.Second})), base.Clone(), v)
+			if err != nil {
+				t.Fatalf("%d%% remote, %s: %v", pct, v, err)
+			}
+			if math.Abs(res.Checksum-want) > 1e-9*math.Abs(want) {
+				t.Errorf("%d%% remote, %s on live: checksum %v, serial %v", pct, v, res.Checksum, want)
+			}
+		}
 	}
 }

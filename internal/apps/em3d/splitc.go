@@ -21,10 +21,9 @@ const (
 // Variants lists the program versions in the paper's order.
 func Variants() []Variant { return []Variant{Base, Ghost, Bulk} }
 
-// RunSplitC executes the Split-C version of EM3D on a fresh machine with the
-// given cost profile, mutating g's values and returning the measurement.
-func RunSplitC(cfg machine.Config, g *Graph, variant Variant) (*appstat.Result, error) {
-	m := machine.New(cfg, g.P.Procs)
+// RunSplitC executes the Split-C version of EM3D on machine m, one node per
+// processor, mutating g's values and returning the measurement.
+func RunSplitC(m *machine.Machine, g *Graph, variant Variant) (*appstat.Result, error) {
 	w := splitc.New(m)
 
 	ePlan := buildGhostPlan(g.P.Procs, g.EDeps) // H values needed by the E phase
@@ -39,6 +38,8 @@ func RunSplitC(cfg machine.Config, g *Graph, variant Variant) (*appstat.Result, 
 		ghostsE[pc] = make([]float64, ePlan.ghostCount(pc))
 		ghostsH[pc] = make([]float64, hPlan.ghostCount(pc))
 	}
+	eSeg, hSeg := w.Share(g.EVals), w.Share(g.HVals)
+	geSeg, ghSeg := w.Share(ghostsE), w.Share(ghostsH)
 
 	res := &appstat.Result{
 		Lang:    "split-c",
@@ -63,9 +64,9 @@ func RunSplitC(cfg machine.Config, g *Graph, variant Variant) (*appstat.Result, 
 		p.Barrier()
 
 		for it := 0; it < g.P.Iters; it++ {
-			expect = scPhase(p, g, variant, g.EVals[me], g.EDeps[me], g.HVals, ePlan, ghostsE, expect)
+			expect = scPhase(p, g, variant, g.EVals[me], g.EDeps[me], g.HVals, hSeg, ePlan, ghostsE, geSeg, expect)
 			p.Barrier()
-			expect = scPhase(p, g, variant, g.HVals[me], g.HDeps[me], g.EVals, hPlan, ghostsH, expect)
+			expect = scPhase(p, g, variant, g.HVals[me], g.HDeps[me], g.EVals, eSeg, hPlan, ghostsH, ghSeg, expect)
 			p.Barrier()
 		}
 
@@ -82,9 +83,10 @@ func RunSplitC(cfg machine.Config, g *Graph, variant Variant) (*appstat.Result, 
 }
 
 // scPhase runs one half-step on processor p.MyPC(): make remote source
-// values available per the variant's strategy, then update dst. It returns
-// the updated cumulative one-way-store expectation (bulk variant only).
-func scPhase(p *splitc.Proc, g *Graph, variant Variant, dst []float64, deps [][]edge, src [][]float64, plan *ghostPlan, ghosts [][]float64, expect int) int {
+// values available per the variant's strategy, then update dst. src and
+// ghosts are shared as srcSeg and ghostSeg. It returns the updated
+// cumulative one-way-store expectation (bulk variant only).
+func scPhase(p *splitc.Proc, g *Graph, variant Variant, dst []float64, deps [][]edge, src [][]float64, srcSeg splitc.Seg, plan *ghostPlan, ghosts [][]float64, ghostSeg splitc.Seg, expect int) int {
 	me := p.MyPC()
 	cfg := p.T.Cfg()
 
@@ -99,7 +101,7 @@ func scPhase(p *splitc.Proc, g *Graph, variant Variant, dst []float64, deps [][]
 				if e.from.pc == me {
 					v = src[me][e.from.idx]
 				} else {
-					v = p.Read(splitc.GPF{PC: e.from.pc, P: &src[e.from.pc][e.from.idx]})
+					v = p.Read(splitc.GPF{PC: e.from.pc, Seg: srcSeg, Off: e.from.idx})
 				}
 				acc -= e.weight * v
 			}
@@ -113,7 +115,7 @@ func scPhase(p *splitc.Proc, g *Graph, variant Variant, dst []float64, deps [][]
 		// gets, then compute locally.
 		mine := ghosts[me]
 		for s, r := range plan.lists[me] {
-			p.Get(&mine[s], splitc.GPF{PC: r.pc, P: &src[r.pc][r.idx]})
+			p.Get(&mine[s], splitc.GPF{PC: r.pc, Seg: srcSeg, Off: r.idx})
 		}
 		p.Sync()
 		computeLocal(p, g, dst, deps, src, plan, mine, cfg)
@@ -134,8 +136,7 @@ func scPhase(p *splitc.Proc, g *Graph, variant Variant, dst []float64, deps [][]
 			}
 			p.T.Charge(machine.CatCPU, time.Duration(len(idxs)*8)*cfg.MemCopyPerByte)
 			base := plan.importBase[q][me]
-			region := ghosts[q][base : base+len(idxs)]
-			p.BulkStore(splitc.GVF{PC: q, S: region}, packed)
+			p.BulkStore(splitc.GVF{PC: q, Seg: ghostSeg, Off: base, Len: len(idxs)}, packed)
 		}
 		expect += plan.ghostCount(me)
 		p.WaitStores(expect)

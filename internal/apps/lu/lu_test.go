@@ -4,9 +4,11 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/transport/live"
 )
 
 func small() Params { return Params{N: 64, B: 8, Procs: 4, Seed: 5} }
@@ -74,7 +76,7 @@ func TestSplitCMatchesSerial(t *testing.T) {
 	serial := orig.Clone()
 	RunSerial(serial)
 	dist := orig.Clone()
-	res, err := RunSplitC(machine.SP1997(), dist)
+	res, err := RunSplitC(machine.New(machine.SP1997(), dist.P.Procs), dist)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +108,7 @@ func TestCCXXMatchesSerial(t *testing.T) {
 func TestCCXXSlowerWithinBand(t *testing.T) {
 	// Paper: cc-lu is ~3.6x slower than sc-lu.
 	orig := Build(small())
-	sc, err := RunSplitC(machine.SP1997(), orig.Clone())
+	sc, err := RunSplitC(machine.New(machine.SP1997(), orig.P.Procs), orig.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +144,7 @@ func TestSyncOverheadSignificantInCCLU(t *testing.T) {
 func TestDeterministicElapsed(t *testing.T) {
 	run := func() int64 {
 		s := Build(small())
-		res, err := RunSplitC(machine.SP1997(), s)
+		res, err := RunSplitC(machine.New(machine.SP1997(), s.P.Procs), s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,5 +152,24 @@ func TestDeterministicElapsed(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %d vs %d", a, b)
+	}
+}
+
+// TestSplitCLiveMatchesSerial runs the Split-C version on real goroutines
+// (the live backend) and matches the serial factorization.
+func TestSplitCLiveMatchesSerial(t *testing.T) {
+	orig := Build(small())
+	serial := orig.Clone()
+	RunSerial(serial)
+	dist := orig.Clone()
+	res, err := RunSplitC(machine.NewWithBackend(machine.SP1997(), orig.P.Procs, live.New(orig.P.Procs, live.Options{Watchdog: 20 * time.Second})), dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(res.Checksum-serial.Checksum()) > 1e-9*math.Abs(serial.Checksum()) {
+		t.Errorf("split-c on live: checksum %v, serial %v", res.Checksum, serial.Checksum())
+	}
+	if e := ReconstructError(dist, orig, 16); e > 1e-8 {
+		t.Errorf("split-c on live: reconstruction error %g", e)
 	}
 }

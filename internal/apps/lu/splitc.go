@@ -10,9 +10,9 @@ import (
 
 // RunSplitC executes the Split-C version of blocked LU (sc-lu): one-way bulk
 // stores broadcast each pivot block, and all perimeter blocks needed by a
-// sub-step are prefetched with split-phase bulk gets before updating.
-func RunSplitC(cfg machine.Config, s *State) (*appstat.Result, error) {
-	m := machine.New(cfg, s.P.Procs)
+// sub-step are prefetched with split-phase bulk gets before updating. It runs
+// on machine m, one node per processor.
+func RunSplitC(m *machine.Machine, s *State) (*appstat.Result, error) {
 	w := splitc.New(m)
 	b := s.P.B
 
@@ -21,6 +21,16 @@ func RunSplitC(cfg machine.Config, s *State) (*appstat.Result, error) {
 	pivotBuf := make([][]float64, s.P.Procs)
 	for pc := range pivotBuf {
 		pivotBuf[pc] = make([]float64, b*b)
+	}
+	pivSeg := w.Share(pivotBuf)
+	// Every block is a segment of its own, held by its owner.
+	blockSeg := make(map[[2]int]splitc.Seg)
+	for I := 0; I < s.NB; I++ {
+		for J := 0; J < s.NB; J++ {
+			parts := make([][]float64, s.P.Procs)
+			parts[s.Owner(I, J)] = s.Block(I, J)
+			blockSeg[[2]int{I, J}] = w.Share(parts)
+		}
 	}
 
 	res := &appstat.Result{
@@ -53,7 +63,7 @@ func RunSplitC(cfg machine.Config, s *State) (*appstat.Result, error) {
 				factorBlock(piv, b)
 				p.T.Charge(machine.CatCPU, kernelCost(factorFlops(b), cfgT.FlopCost))
 				for q := 0; q < s.P.Procs; q++ {
-					p.BulkStore(splitc.GVF{PC: q, S: pivotBuf[q]}, piv)
+					p.BulkStore(splitc.GVF{PC: q, Seg: pivSeg, Len: b * b}, piv)
 				}
 			}
 			expectStores += b * b
@@ -86,10 +96,10 @@ func RunSplitC(cfg machine.Config, s *State) (*appstat.Result, error) {
 						continue
 					}
 					if _, ok := rowCache[J]; !ok {
-						rowCache[J] = fetchBlock(p, s, I, J)
+						rowCache[J] = fetchBlock(p, s, blockSeg, I, J)
 					}
 					if _, ok := colCache[K]; !ok {
-						colCache[K] = fetchBlock(p, s, K, I)
+						colCache[K] = fetchBlock(p, s, blockSeg, K, I)
 					}
 				}
 			}
@@ -119,14 +129,15 @@ func RunSplitC(cfg machine.Config, s *State) (*appstat.Result, error) {
 }
 
 // fetchBlock returns block (I,J): the local storage when owned here, or a
-// split-phase bulk get into a fresh buffer (completed by the caller's Sync).
-func fetchBlock(p *splitc.Proc, s *State, I, J int) []float64 {
+// split-phase bulk get of its segment into a fresh buffer (completed by the
+// caller's Sync).
+func fetchBlock(p *splitc.Proc, s *State, segs map[[2]int]splitc.Seg, I, J int) []float64 {
 	own := s.Owner(I, J)
 	key := [2]int{I, J}
 	if own == p.MyPC() {
 		return s.Blocks[own][key]
 	}
 	buf := make([]float64, s.P.B*s.P.B)
-	p.BulkGet(buf, splitc.GVF{PC: own, S: s.Blocks[own][key]})
+	p.BulkGet(buf, splitc.GVF{PC: own, Seg: segs[key], Len: len(buf)})
 	return buf
 }

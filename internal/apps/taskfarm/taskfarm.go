@@ -112,14 +112,16 @@ func (w *Workload) Checksum() float64 {
 // RunSplitC executes the static-partition SPMD schedule: processor p takes
 // the contiguous block of tasks [p*T/P, (p+1)*T/P) — the natural
 // locality-preserving SPMD decomposition — everyone meets at a barrier, and
-// partial sums are combined with atomic adds.
-func RunSplitC(cfg machine.Config, w *Workload) (*appstat.Result, error) {
-	m := machine.New(cfg, w.P.Procs)
+// partial sums are combined with atomic adds. It runs on machine m, one node
+// per processor.
+func RunSplitC(m *machine.Machine, w *Workload) (*appstat.Result, error) {
 	world := splitc.New(m)
 	res := &appstat.Result{Lang: "split-c", Variant: "static", Work: int64(w.P.Tasks)}
 	var starts []machine.Snapshot
 	var startT time.Duration
-	sum := 0.0
+	sums := make([][]float64, w.P.Procs) // the atomic adds' target, on processor 0
+	sums[0] = make([]float64, 1)
+	sumSeg := world.Share(sums)
 
 	err := world.Run(func(p *splitc.Proc) {
 		me := p.MyPC()
@@ -141,9 +143,9 @@ func RunSplitC(cfg machine.Config, w *Workload) (*appstat.Result, error) {
 			partial += process(w.Vals[i])
 		}
 		if me == 0 {
-			sum += partial
+			sums[0][0] += partial
 		} else {
-			p.AtomicAdd(splitc.GPF{PC: 0, P: &sum}, partial)
+			p.AtomicAdd(splitc.GPF{PC: 0, Seg: sumSeg}, partial)
 			p.Sync()
 		}
 		p.Barrier()
@@ -154,7 +156,7 @@ func RunSplitC(cfg machine.Config, w *Workload) (*appstat.Result, error) {
 				deltas = append(deltas, nd.Acct.Delta(starts[i]))
 			}
 			res.Measure(startT, time.Duration(p.T.Now()), deltas)
-			res.Checksum = sum
+			res.Checksum = sums[0][0]
 		}
 	})
 	return res, err

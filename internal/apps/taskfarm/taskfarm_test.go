@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/transport/live"
 )
 
 func params(skew float64) Params {
@@ -59,7 +60,7 @@ func TestSkewConcentratesWork(t *testing.T) {
 func TestBothSchedulesComputeSameResult(t *testing.T) {
 	w := Build(params(0.8))
 	want := w.Checksum()
-	sc, err := RunSplitC(machine.SP1997(), w)
+	sc, err := RunSplitC(machine.New(machine.SP1997(), w.P.Procs), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDynamicWinsUnderSkew(t *testing.T) {
 	// dynamic schedule beats the SPMD static partition despite paying an
 	// RMI round trip per batch.
 	w := Build(params(0.9))
-	sc, err := RunSplitC(machine.SP1997(), w)
+	sc, err := RunSplitC(machine.New(machine.SP1997(), w.P.Procs), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestStaticWinsWhenUniform(t *testing.T) {
 	// scheduling traffic wins — MPMD's premium only pays off under
 	// irregularity, which is exactly the paper's framing.
 	w := Build(params(0))
-	sc, err := RunSplitC(machine.SP1997(), w)
+	sc, err := RunSplitC(machine.New(machine.SP1997(), w.P.Procs), w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +139,7 @@ func TestSchedulesAgreeProperty(t *testing.T) {
 		p := Params{Tasks: 60, Procs: 4, MeanCost: 100 * time.Microsecond,
 			Skew: float64(skewRaw%90) / 100, Seed: seed}
 		w := Build(p)
-		sc, err := RunSplitC(machine.SP1997(), w)
+		sc, err := RunSplitC(machine.New(machine.SP1997(), w.P.Procs), w)
 		if err != nil {
 			return false
 		}
@@ -152,5 +153,18 @@ func TestSchedulesAgreeProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitCLiveMatchesSerial runs the static schedule on real goroutines
+// (the live backend) and matches the serial reduction.
+func TestSplitCLiveMatchesSerial(t *testing.T) {
+	w := Build(params(0.8))
+	res, err := RunSplitC(machine.NewWithBackend(machine.SP1997(), w.P.Procs, live.New(w.P.Procs, live.Options{Watchdog: 20 * time.Second})), w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := w.Checksum(); math.Abs(res.Checksum-want) > 1e-9*math.Abs(want) {
+		t.Errorf("split-c on live: checksum %v, want %v", res.Checksum, want)
 	}
 }

@@ -20,11 +20,14 @@ const (
 // Variants lists the program versions in the paper's order.
 func Variants() []Variant { return []Variant{Atomic, Prefetch} }
 
-// RunSplitC executes the Split-C version of Water, mutating s and returning
-// the measurement.
-func RunSplitC(cfg machine.Config, s *State, variant Variant) (*appstat.Result, error) {
-	m := machine.New(cfg, s.P.Procs)
+// RunSplitC executes the Split-C version of Water on machine m, one node per
+// processor, mutating s and returning the measurement.
+func RunSplitC(m *machine.Machine, s *State, variant Variant) (*appstat.Result, error) {
 	w := splitc.New(m)
+	posSeg, frcSeg := w.Share(s.Pos), w.Share(s.Frc)
+	potParts := make([][]float64, s.P.Procs) // processor 0's potential, the reduction's target
+	potParts[0] = s.Pot[:1]
+	potSeg := w.Share(potParts)
 
 	res := &appstat.Result{
 		Lang:    "split-c",
@@ -67,7 +70,7 @@ func RunSplitC(cfg machine.Config, s *State, variant Variant) (*appstat.Result, 
 				// Selective prefetching: bundle-fetch the position blocks
 				// this processor will read (owners of molecules j > base).
 				for q := me + 1; q < s.P.Procs; q++ {
-					p.BulkGet(mirror[q], splitc.GVF{PC: q, S: s.Pos[q]})
+					p.BulkGet(mirror[q], splitc.GVF{PC: q, Seg: posSeg, Len: len(mirror[q])})
 				}
 				p.Sync()
 			}
@@ -86,9 +89,9 @@ func RunSplitC(cfg machine.Config, s *State, variant Variant) (*appstat.Result, 
 						xj, yj, zj = mirror[pj][lj*3], mirror[pj][lj*3+1], mirror[pj][lj*3+2]
 					} else {
 						// Atomic reads of the three coordinates.
-						xj = p.Read(splitc.GPF{PC: pj, P: &s.Pos[pj][lj*3]})
-						yj = p.Read(splitc.GPF{PC: pj, P: &s.Pos[pj][lj*3+1]})
-						zj = p.Read(splitc.GPF{PC: pj, P: &s.Pos[pj][lj*3+2]})
+						xj = p.Read(splitc.GPF{PC: pj, Seg: posSeg, Off: lj * 3})
+						yj = p.Read(splitc.GPF{PC: pj, Seg: posSeg, Off: lj*3 + 1})
+						zj = p.Read(splitc.GPF{PC: pj, Seg: posSeg, Off: lj*3 + 2})
 					}
 					fx, fy, fz, pp := pairForce(xi, yi, zi, xj, yj, zj)
 					s.Frc[me][li*3] += fx
@@ -102,9 +105,9 @@ func RunSplitC(cfg machine.Config, s *State, variant Variant) (*appstat.Result, 
 					} else {
 						// Atomic read-modify-writes push the reaction force
 						// to the owner (split-phase, completed below).
-						p.AtomicAdd(splitc.GPF{PC: pj, P: &s.Frc[pj][lj*3]}, -fx)
-						p.AtomicAdd(splitc.GPF{PC: pj, P: &s.Frc[pj][lj*3+1]}, -fy)
-						p.AtomicAdd(splitc.GPF{PC: pj, P: &s.Frc[pj][lj*3+2]}, -fz)
+						p.AtomicAdd(splitc.GPF{PC: pj, Seg: frcSeg, Off: lj * 3}, -fx)
+						p.AtomicAdd(splitc.GPF{PC: pj, Seg: frcSeg, Off: lj*3 + 1}, -fy)
+						p.AtomicAdd(splitc.GPF{PC: pj, Seg: frcSeg, Off: lj*3 + 2}, -fz)
 					}
 					pairs++
 				}
@@ -121,7 +124,7 @@ func RunSplitC(cfg machine.Config, s *State, variant Variant) (*appstat.Result, 
 
 		// Reduce the potential onto processor 0.
 		if me != 0 {
-			p.AtomicAdd(splitc.GPF{PC: 0, P: &s.Pot[0]}, s.Pot[me])
+			p.AtomicAdd(splitc.GPF{PC: 0, Seg: potSeg}, s.Pot[me])
 			p.Sync()
 		}
 		p.Barrier()

@@ -3,9 +3,11 @@ package water
 import (
 	"math"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/machine"
+	"repro/internal/transport/live"
 )
 
 func small() Params { return Params{N: 32, Procs: 4, Steps: 2, Seed: 11} }
@@ -82,7 +84,7 @@ func runAll(t *testing.T, p Params) map[string]float64 {
 
 	for _, v := range Variants() {
 		s := base.Clone()
-		res, err := RunSplitC(cfg, s, v)
+		res, err := RunSplitC(machine.New(cfg, s.P.Procs), s, v)
 		if err != nil {
 			t.Fatalf("split-c %s: %v", v, err)
 		}
@@ -117,7 +119,7 @@ func TestPrefetchFasterThanAtomic(t *testing.T) {
 			s := base.Clone()
 			var elapsed float64
 			if lang == "split-c" {
-				res, err := RunSplitC(cfg, s, v)
+				res, err := RunSplitC(machine.New(cfg, s.P.Procs), s, v)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -149,7 +151,7 @@ func TestRemoteAccessReduction(t *testing.T) {
 	counts := make(map[Variant]int64)
 	for _, v := range Variants() {
 		s := base.Clone()
-		res, err := RunSplitC(cfg, s, v)
+		res, err := RunSplitC(machine.New(cfg, s.P.Procs), s, v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -169,7 +171,7 @@ func TestCCXXGapGrowsWithN(t *testing.T) {
 		p := Params{N: n, Procs: 4, Steps: 1, Seed: 11}
 		base := Build(p)
 		s := base.Clone()
-		sc, err := RunSplitC(cfg, s, Atomic)
+		sc, err := RunSplitC(machine.New(cfg, s.P.Procs), s, Atomic)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,5 +188,23 @@ func TestCCXXGapGrowsWithN(t *testing.T) {
 	}
 	if large <= small*0.95 {
 		t.Errorf("gap did not grow with N: %.2f (16) -> %.2f (64)", small, large)
+	}
+}
+
+// TestSplitCLiveMatchesSerial runs both Split-C variants on real goroutines
+// (the live backend) and matches the serial reference.
+func TestSplitCLiveMatchesSerial(t *testing.T) {
+	base := Build(small())
+	serial := base.Clone()
+	RunSerial(serial)
+	want := serial.Checksum()
+	for _, v := range Variants() {
+		res, err := RunSplitC(machine.NewWithBackend(machine.SP1997(), base.P.Procs, live.New(base.P.Procs, live.Options{Watchdog: 20 * time.Second})), base.Clone(), v)
+		if err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		if relErr(res.Checksum, want) > 1e-6 {
+			t.Errorf("%s on live: checksum %v, serial %v", v, res.Checksum, want)
+		}
 	}
 }

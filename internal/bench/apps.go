@@ -34,7 +34,7 @@ func RunEM3D(cfg machine.Config, sc Scale) []EM3DRow {
 				RemotePct: pct, Iters: sc.EM3DIters, Seed: 1,
 			}
 			base := em3d.Build(p)
-			scRes, err := em3d.RunSplitC(cfg, base.Clone(), variant)
+			scRes, err := em3d.RunSplitC(machine.New(cfg, p.Procs), base.Clone(), variant)
 			if err != nil {
 				panic(err)
 			}
@@ -83,7 +83,7 @@ func RunWater(cfg machine.Config, sc Scale) []WaterRow {
 		for _, n := range sc.WaterSizes {
 			p := water.Params{N: n, Procs: 4, Steps: sc.WaterSteps, Seed: 3}
 			base := water.Build(p)
-			scRes, err := water.RunSplitC(cfg, base.Clone(), variant)
+			scRes, err := water.RunSplitC(machine.New(cfg, p.Procs), base.Clone(), variant)
 			if err != nil {
 				panic(err)
 			}
@@ -127,7 +127,7 @@ type LURow struct {
 func RunLU(cfg machine.Config, sc Scale) LURow {
 	p := lu.Params{N: sc.LUN, B: sc.LUB, Procs: 4, Seed: 5}
 	base := lu.Build(p)
-	scRes, err := lu.RunSplitC(cfg, base.Clone())
+	scRes, err := lu.RunSplitC(machine.New(cfg, p.Procs), base.Clone())
 	if err != nil {
 		panic(err)
 	}

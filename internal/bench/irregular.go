@@ -34,7 +34,7 @@ func RunIrregular(cfg machine.Config, sc Scale) []IrregularRow {
 			Tasks: tasks, Procs: 4, MeanCost: 200 * time.Microsecond,
 			Skew: skew, Seed: 9,
 		})
-		st, err := taskfarm.RunSplitC(cfg, w)
+		st, err := taskfarm.RunSplitC(machine.New(cfg, w.P.Procs), w)
 		if err != nil {
 			panic(err)
 		}

@@ -82,6 +82,10 @@ type ccMeasurement struct {
 	yields, creates, syncops float64
 }
 
+// remoteSeg is the segment every CC++ rig registers first: 20 doubles on node
+// 1, which the GP rows read through global pointers.
+const remoteSeg = 0
+
 // measureCC runs body iters times on node 0 of a fresh 2-node CC++ rig and
 // reconstructs the paper's columns: Total from timestamps, the thread
 // columns from operation counts × unit costs (the paper's own estimation
@@ -99,6 +103,7 @@ func measureCCNodes(cfg machine.Config, iters int, opts core.Options, body func(
 	rt := core.NewRuntimeOpts(m, opts)
 	rt.RegisterClass(benchClass())
 	gp := rt.CreateObject(1, "Bench")
+	rt.AddF64([][]float64{nil, make([]float64, 20)}) // remoteSeg
 	var out ccMeasurement
 	rt.OnNode(0, func(t *threads.Thread) {
 		// Warm up the stub cache and persistent buffers.
@@ -146,11 +151,11 @@ type scMeasurement struct {
 }
 
 // measureSC runs body iters times on node 0 of a fresh 2-node Split-C world.
-// remote points into node 1's memory.
-func measureSC(cfg machine.Config, iters int, body func(p *splitc.Proc, remote []float64, local []float64)) scMeasurement {
+// remote is 32 doubles of node 1's memory.
+func measureSC(cfg machine.Config, iters int, body func(p *splitc.Proc, remote splitc.Seg, local []float64)) scMeasurement {
 	m := machine.New(cfg, 2)
 	w := splitc.New(m)
-	remote := make([]float64, 32)
+	remote := w.Share([][]float64{nil, make([]float64, 32)})
 	local := make([]float64, 32)
 	var out scMeasurement
 	err := w.Run(func(p *splitc.Proc) {
@@ -224,8 +229,8 @@ func RunMicro(cfg machine.Config, sc Scale) []MicroRow {
 		}), nil)
 
 	// 0-Word Atomic: Split-C's atomic remote operation alongside.
-	scAtomic := measureSC(cfg, iters, func(p *splitc.Proc, remote, local []float64) {
-		p.AtomicAdd(splitc.GPF{PC: 1, P: &remote[0]}, 1)
+	scAtomic := measureSC(cfg, iters, func(p *splitc.Proc, remote splitc.Seg, local []float64) {
+		p.AtomicAdd(splitc.GPF{PC: 1, Seg: remote}, 1)
 		p.Sync()
 	})
 	add("0-Word Atomic", measureCC(cfg, iters, core.Options{},
@@ -234,27 +239,26 @@ func RunMicro(cfg machine.Config, sc Scale) []MicroRow {
 		}), &scAtomic)
 
 	// GP 2-word read/write.
-	scGP := measureSC(cfg, iters, func(p *splitc.Proc, remote, local []float64) {
-		local[0] = p.Read(splitc.GPF{PC: 1, P: &remote[0]})
+	scGP := measureSC(cfg, iters, func(p *splitc.Proc, remote splitc.Seg, local []float64) {
+		local[0] = p.Read(splitc.GPF{PC: 1, Seg: remote})
 	})
-	remoteCell := make([]float64, 1)
 	add("GP 2-Word R/W", measureCC(cfg, iters, core.Options{},
 		func(rt *core.Runtime, gp core.GPtr, t *threads.Thread) {
-			_ = rt.ReadF64(t, core.NewGPF64(1, &remoteCell[0]))
+			_ = rt.ReadF64(t, core.NewGPF64(1, remoteSeg, 0))
 		}), &scGP)
 
 	// Bulk transfers of 20 doubles (40 words).
 	arr := make([]float64, 20)
-	scBW := measureSC(cfg, iters, func(p *splitc.Proc, remote, local []float64) {
-		p.BulkWrite(splitc.GVF{PC: 1, S: remote[:20]}, local[:20])
+	scBW := measureSC(cfg, iters, func(p *splitc.Proc, remote splitc.Seg, local []float64) {
+		p.BulkWrite(splitc.GVF{PC: 1, Seg: remote, Len: 20}, local[:20])
 	})
 	add("BulkWrite 40-Word", measureCC(cfg, iters, core.Options{},
 		func(rt *core.Runtime, gp core.GPtr, t *threads.Thread) {
 			rt.Call(t, gp, "put", []core.Arg{&core.F64Slice{V: arr}}, nil)
 		}), &scBW)
 
-	scBR := measureSC(cfg, iters, func(p *splitc.Proc, remote, local []float64) {
-		p.BulkRead(local[:20], splitc.GVF{PC: 1, S: remote[:20]})
+	scBR := measureSC(cfg, iters, func(p *splitc.Proc, remote splitc.Seg, local []float64) {
+		p.BulkRead(local[:20], splitc.GVF{PC: 1, Seg: remote, Len: 20})
 	})
 	retArr := &core.F64Slice{V: make([]float64, 20)}
 	add("BulkRead 40-Word", measureCC(cfg, iters, core.Options{},
@@ -263,19 +267,18 @@ func RunMicro(cfg machine.Config, sc Scale) []MicroRow {
 		}), &scBR)
 
 	// Prefetch of 20 remote doubles; reported per element like the paper.
-	scPF := measureSC(cfg, iters/10+1, func(p *splitc.Proc, remote, local []float64) {
+	scPF := measureSC(cfg, iters/10+1, func(p *splitc.Proc, remote splitc.Seg, local []float64) {
 		for i := 0; i < 20; i++ {
-			p.Get(&local[i], splitc.GPF{PC: 1, P: &remote[i]})
+			p.Get(&local[i], splitc.GPF{PC: 1, Seg: remote, Off: i})
 		}
 		p.Sync()
 	})
 	scPF.total /= 20
 	scPF.runtime /= 20
-	remoteArr := make([]float64, 20)
 	ccPF := measureCCNodes(cfg, iters/10+1, core.Options{},
 		func(rt *core.Runtime, gp core.GPtr, t *threads.Thread) {
 			core.ParFor(t, 20, func(t2 *threads.Thread, i int) {
-				_ = rt.ReadF64(t2, core.NewGPF64(1, &remoteArr[i]))
+				_ = rt.ReadF64(t2, core.NewGPF64(1, remoteSeg, i))
 			})
 		}, true)
 	ccPF.total /= 20

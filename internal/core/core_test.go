@@ -330,8 +330,8 @@ func TestNewObjOnRemoteCreation(t *testing.T) {
 
 func TestGPF64ReadWrite(t *testing.T) {
 	rt := newRig(2, Options{})
-	x := 1.25 // owned by node 1
-	gp := NewGPF64(1, &x)
+	x := []float64{1.25} // owned by node 1
+	gp := NewGPF64(1, rt.AddF64([][]float64{nil, x}), 0)
 	var got float64
 	rt.OnNode(0, func(th *threads.Thread) {
 		got = rt.ReadF64(th, gp)
@@ -340,7 +340,7 @@ func TestGPF64ReadWrite(t *testing.T) {
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if got != 1.25 || x != 9.75 {
+	if got != 1.25 || x[0] != 9.75 {
 		t.Fatalf("got=%v x=%v", got, x)
 	}
 	// GP accesses run on a fresh receiver thread (Table 4 GP row: Create=1).
@@ -351,8 +351,8 @@ func TestGPF64ReadWrite(t *testing.T) {
 
 func TestGPF64LocalDerefCheap(t *testing.T) {
 	rt := newRig(1, Options{})
-	x := 4.0
-	gp := NewGPF64(0, &x)
+	x := []float64{4.0}
+	gp := NewGPF64(0, rt.AddF64([][]float64{x}), 0)
 	rt.OnNode(0, func(th *threads.Thread) {
 		if v := rt.ReadF64(th, gp); v != 4.0 {
 			t.Errorf("local read %v", v)
@@ -362,8 +362,8 @@ func TestGPF64LocalDerefCheap(t *testing.T) {
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if x != 5.0 {
-		t.Fatalf("x = %v", x)
+	if x[0] != 5.0 {
+		t.Fatalf("x = %v", x[0])
 	}
 	cfg := machine.SP1997()
 	// Two local derefs cost exactly the configured check, nothing more.
@@ -400,13 +400,14 @@ func TestParForPrefetchOverlap(t *testing.T) {
 		remote[i] = float64(i)
 	}
 	local := make([]float64, n)
+	seg := rt.AddF64([][]float64{nil, remote})
 	var elapsed time.Duration
 	rt.OnNode(0, func(th *threads.Thread) {
 		// Warm-up read to settle any cold costs.
-		_ = rt.ReadF64(th, NewGPF64(1, &remote[0]))
+		_ = rt.ReadF64(th, NewGPF64(1, seg, 0))
 		start := th.Now()
 		ParFor(th, n, func(t2 *threads.Thread, i int) {
-			local[i] = rt.ReadF64(t2, NewGPF64(1, &remote[i]))
+			local[i] = rt.ReadF64(t2, NewGPF64(1, seg, i))
 		})
 		elapsed = time.Duration(th.Now() - start)
 	})

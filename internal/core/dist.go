@@ -45,9 +45,10 @@ type DistPart interface {
 	SetElem(off int, b []byte)
 }
 
-// AddDist registers a distributed array and returns its wire name: an index
-// assigned in registration order, so — the discipline f64Reg documents —
-// every program image must create its arrays in the same order. size is the
+// AddDist registers a distributed array and returns its wire name: its
+// segment in the runtime's array table, assigned in registration order, so
+// every program image must create its arrays in the same order (AddF64 adds
+// the arrays global pointers name to the same table). size is the
 // encoded byte count of an element when every value has the same one, 0 when
 // it varies; parts[i] is node i's part, nil where the node holds none.
 // Setup time only.
@@ -183,7 +184,7 @@ func (rt *Runtime) distSend(t *threads.Thread, op *DistOp, node int, a [4]uint64
 	// issuer serves its endpoint until a reply frees one (the loop of
 	// am.Endpoint.PollUntil, without a closure). Once the endpoint has stopped
 	// none will: it parks where waitDone leaves a blocked sender at shutdown.
-	for n.distPending.inFlight() >= distSlots {
+	for n.distPending.InFlight() >= distSlots {
 		switch {
 		case n.ep.Poll(t):
 		case t.Scheduler().ReadyLen() > 0:
@@ -197,7 +198,7 @@ func (rt *Runtime) distSend(t *threads.Thread, op *DistOp, node int, a [4]uint64
 	if n.node.Met != nil {
 		op.t0 = n.node.M.Now()
 	}
-	a[0] |= n.distPending.add(op)
+	a[0] |= n.distPending.Add(op)
 	lockPair(t, &n.commLock)
 	n.send(t, node, rt.hDistReq, a, payload)
 	if wait {
@@ -210,8 +211,30 @@ func (rt *Runtime) registerDistHandlers() {
 	rt.hDistReply = rt.net.Register("cc.dist.reply", rt.handleDistReply)
 }
 
+// part resolves the words (segment, offset) of a request from node src —
+// kind and reqID name it — to this node's part holding the element: the one
+// lookup of every location in the array table, a dist element or a GP
+// double. Every word may come from another process, so each is checked before
+// it indexes anything; a GP access (word) also needs a segment of 8-byte
+// elements.
+//
+//mpmd:hotpath
+func (n *nodeRT) part(kind string, reqID uint64, src int, seg, off uint64, word bool) DistPart {
+	if seg >= uint64(len(n.distParts)) || n.distParts[seg] == nil {
+		panic(fmt.Sprintf("core: node %d %s request %d from node %d: unknown segment %d (symmetric setup across shards required)", n.node.ID, kind, reqID, src, seg))
+	}
+	part := n.distParts[seg]
+	if off >= uint64(part.Len()) {
+		panic(fmt.Sprintf("core: node %d %s request %d from node %d: offset %d outside segment %d's part of %d elements", n.node.ID, kind, reqID, src, off, seg, part.Len()))
+	}
+	if word && n.rt.distSizes[seg] != distReqBytes {
+		panic(fmt.Sprintf("core: node %d %s request %d from node %d: segment %d holds %d-byte elements (0: varies), not words", n.node.ID, kind, reqID, src, seg, n.rt.distSizes[seg]))
+	}
+	return part
+}
+
 // handleDistReq serves one access at the owner and answers it. Every word
-// may come from another process: array index, offset and the element's wire
+// may come from another process: segment, offset and the element's wire
 // form are checked before anything is indexed.
 //
 //mpmd:hotpath
@@ -219,13 +242,7 @@ func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
 	lockPair(t, &n.commLock)
 	reqID, dist, off := m.A[0]&(distPut-1), m.A[1], m.A[2]
-	if dist >= uint64(len(n.distParts)) || n.distParts[dist] == nil {
-		panic(fmt.Sprintf("core: node %d dist request %d from node %d: unknown dist %d (symmetric setup across shards required)", m.Dst, reqID, m.Src, dist))
-	}
-	part := n.distParts[dist]
-	if off >= uint64(part.Len()) {
-		panic(fmt.Sprintf("core: node %d dist request %d from node %d: offset %d outside dist %d's part of %d elements", m.Dst, reqID, m.Src, off, dist, part.Len()))
-	}
+	part := n.part("dist", reqID, m.Src, dist, off, false)
 	size := rt.distSizes[dist]
 	cfg := t.Cfg()
 	a := [4]uint64{3: reqID}
@@ -260,7 +277,7 @@ func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 //mpmd:hotpath
 func (rt *Runtime) handleDistReply(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
-	op := n.distPending.take("dist", m.Dst, m.Src, m.A[3])
+	op := n.distPending.Take("dist", m.Dst, m.Src, m.A[3])
 	if op.t0 > 0 {
 		if met := n.node.Met; met != nil {
 			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-op.t0)

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -115,16 +116,19 @@ func TestDistAccessWireForms(t *testing.T) {
 // TestDistHostileWords drives words no correct sender produces through the
 // real am stack — they could come from another process — and requires the
 // handler to refuse each by name (node, request, cause) before indexing
-// anything with them. Deleting a check in handleDistReq, handleDistReply or
-// reqTable.take fails exactly its rows: the words then index out of range or
-// dereference nil (a payload-form put let through without its payload shows
-// instead as the acknowledgement node 0 never asked for).
+// anything with them. The GP rows send the same location words to the GP
+// handlers, which resolve them through the same lookup (nodeRT.part).
+// Deleting a check in nodeRT.part, handleDistReq, handleDistReply or
+// am.ReqTable.Take fails exactly its rows: the words then index out of range
+// or dereference nil (a payload-form put let through without its payload
+// shows instead as the acknowledgement node 0 never asked for).
 func TestDistHostileWords(t *testing.T) {
 	type send struct {
-		reply   bool
+		h       int // the handler: distReq, distReply, gpRead or gpWrite
 		a       [4]uint64
 		payload []byte
 	}
+	const distReq, distReply, gpRead, gpWrite = 0, 1, 2, 3
 	const none, words, blobs, absent = -1, 0, 1, 2 // the rig's arrays, in AddDist order
 	rows := []struct {
 		name string
@@ -136,11 +140,11 @@ func TestDistHostileWords(t *testing.T) {
 		msg   send
 		want  string
 	}{
-		{name: "unknown dist", get: none, want: "unknown dist 7",
+		{name: "unknown dist", get: none, want: "unknown segment 7",
 			msg: send{a: [4]uint64{1, 7, 0}}},
-		{name: "dist index past the word", get: none, want: "unknown dist",
+		{name: "dist index past the word", get: none, want: "unknown segment",
 			msg: send{a: [4]uint64{1, 1 << 40, 0}}},
-		{name: "dist with no part on this node", get: none, want: "unknown dist 2",
+		{name: "dist with no part on this node", get: none, want: "unknown segment 2",
 			msg: send{a: [4]uint64{1, absent, 0}}},
 		{name: "offset at part length", get: none, want: "offset 4 outside",
 			msg: send{a: [4]uint64{1, words, 4}}},
@@ -153,16 +157,25 @@ func TestDistHostileWords(t *testing.T) {
 		{name: "payload-form put without one", get: none, want: "put carries a 0-byte element",
 			msg: send{a: [4]uint64{1 | distPut, blobs, 0}}},
 		{name: "reply to a request never issued", get: none, want: "unknown request 9",
-			msg: send{reply: true, a: [4]uint64{0, 0, 0, 9}}},
+			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 9}}},
 		{name: "reply with request id 0", get: none, want: "unknown request 0",
-			msg: send{reply: true, a: [4]uint64{0, 0, 0, 0}}},
+			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 0}}},
 		{name: "duplicate reply", get: words, want: "unknown request 1 (stale or duplicate)",
-			msg: send{reply: true, a: [4]uint64{0, 0, 0, 1}}},
+			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 1}}},
 		{name: "payload answering a one-word get", get: words, early: true, want: "request 1: a 3-byte element",
-			msg: send{reply: true, a: [4]uint64{0, 0, 0, 1}, payload: []byte("abc")}},
+			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 1}, payload: []byte("abc")}},
 		{name: "no payload answering a payload-form get", get: blobs, early: true, want: "request 1: a 0-byte element",
-			msg: send{reply: true, a: [4]uint64{0, 0, 0, 1}}},
+			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 1}}},
+		{name: "GP read of an unknown segment", get: none, want: "GP request 1 from node 0: unknown segment 7",
+			msg: send{h: gpRead, a: [4]uint64{1, 7, 0}}},
+		{name: "GP write past the part", get: none, want: "GP request 1 from node 0: offset 4 outside segment 0's part",
+			msg: send{h: gpWrite, a: [4]uint64{0, words, 4, 1}}},
+		{name: "GP write to a segment node 1 holds no part of", get: none, want: "unknown segment 2",
+			msg: send{h: gpWrite, a: [4]uint64{0, absent, 0, 1}}},
+		{name: "GP read of a segment of variable-size elements", get: none, want: "segment 1 holds 0-byte elements",
+			msg: send{h: gpRead, a: [4]uint64{1, blobs, 0}}},
 	}
+	named := regexp.MustCompile(`^(core|am): node 1 (dist|GP) re`)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			rt, _, _, _, _ := distRig()
@@ -170,10 +183,7 @@ func TestDistHostileWords(t *testing.T) {
 				if !row.early {
 					th.Compute(time.Millisecond) // node 1's genuine get is answered first
 				}
-				h := rt.hDistReq
-				if row.msg.reply {
-					h = rt.hDistReply
-				}
+				h := [...]am.HandlerID{rt.hDistReq, rt.hDistReply, rt.hGPRead, rt.hGPWrite}[row.msg.h]
 				rt.nodes[0].send(th, 1, h, row.msg.a, row.msg.payload)
 			})
 			var refused string
@@ -189,7 +199,7 @@ func TestDistHostileWords(t *testing.T) {
 				}
 			})
 			_ = rt.Run()
-			if !strings.HasPrefix(refused, "core: node 1 dist re") || !strings.Contains(refused, "node 0") || !strings.Contains(refused, row.want) {
+			if !named.MatchString(refused) || !strings.Contains(refused, "node 0") || !strings.Contains(refused, row.want) {
 				t.Errorf("handler failed with %q, want the named refusal (node 1, from node 0, %q)", refused, row.want)
 			}
 		})
@@ -209,12 +219,12 @@ func serveRefusal(rt *Runtime, th *threads.Thread) (refusal string) {
 // three reply messages (cc.reply, cc.gp.read.reply, cc.gp.ack): an ID that
 // names no in-flight request of node 1 — 0, which wraps; one past the table;
 // one already answered — is refused by name, never by a runtime index error.
-// Dropping the bound in reqTable.take fails exactly the first two rows of
+// Dropping the bound in am.ReqTable.Take fails exactly the first two rows of
 // each handler, dropping its nil check the third.
 func TestReplyHostileIDs(t *testing.T) {
 	// answered leaves node 1's table with request 1 issued and answered.
-	answeredRMI := func(n *nodeRT) { n.pending.take("RMI", 1, 0, n.pending.add(new(rmiMsg))) }
-	answeredGP := func(n *nodeRT) { n.gpPending.take("GP", 1, 0, n.gpPending.add(new(gpReq))) }
+	answeredRMI := func(n *nodeRT) { n.pending.Take("RMI", 1, 0, n.pending.Add(new(rmiMsg))) }
+	answeredGP := func(n *nodeRT) { n.gpPending.Take("GP", 1, 0, n.gpPending.Add(new(gpReq))) }
 	replies := []struct {
 		kind     string
 		h        func(rt *Runtime) am.HandlerID
@@ -252,7 +262,7 @@ func TestReplyHostileIDs(t *testing.T) {
 					refused = serveRefusal(rt, th)
 				})
 				_ = rt.Run()
-				want := fmt.Sprintf("core: node 1 %s reply from node 0 for unknown request %d (stale or duplicate)", reply.kind, id.id)
+				want := fmt.Sprintf("am: node 1 %s reply from node 0 for unknown request %d (stale or duplicate)", reply.kind, id.id)
 				if refused != want {
 					t.Errorf("handler failed with %q, want %q", refused, want)
 				}
@@ -313,7 +323,7 @@ func TestDistSlotsBoundInFlight(t *testing.T) {
 		n := rt.nodeOf(th)
 		for i := range ops {
 			rt.DistRead(th, &ops[i], 1, words, i%4, false)
-			high = max(high, n.distPending.inFlight())
+			high = max(high, n.distPending.InFlight())
 		}
 		for i := range ops {
 			ops[i].Wait(th)

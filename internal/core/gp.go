@@ -1,9 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"encoding/binary"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/am"
@@ -18,71 +17,71 @@ import (
 // using small request/reply active messages"). The receiver still services
 // the access on a fresh thread (Table 4's GP 2-Word R/W row: 1 create,
 // 2 switches), because a deref may touch data a local computation holds.
-type GPF64 struct {
-	node int32
-	h    uint64   // wire name: index in the process's f64 handle registry
-	ptr  *float64 // local fast path; only the owning node dereferences it
-}
-
-// f64Reg is the process-wide registry giving float64 locations stable wire
-// handles — the stand-in for the raw data address a 1997 sender packed into
-// the message words. Handles are allocated in registration order, so SPMD
-// programs that build their global data structures identically in every
-// address space (the same discipline real Split-C/CC++ images follow) get
-// matching handles on every shard of the netlive backend; the owning node
-// resolves the handle in its own registry copy.
 //
-// Registered pointers stay pinned for the life of the process (as a real
-// image's global data segment would): handles must remain resolvable for
-// later machines in the same process. Re-registering the same location is
-// free after the first time — the common construct-a-GPF64-per-dereference
-// idiom (em3d's inner loop) takes only the read lock.
-var f64Reg struct {
-	mu   sync.RWMutex
-	ptrs []*float64
-	ids  map[*float64]uint64
+// The pointer is words — the owning node, a segment of the runtime's array
+// table (AddF64) and an offset into the owner's part — the stand-in for the
+// data address a 1997 sender packed into the message words. The owner
+// resolves them in its own table, so a pointer names the same double in
+// every address space that registered its arrays in the same order.
+type GPF64 struct {
+	node, seg int32
+	off       int
 }
 
-func registerF64(p *float64) uint64 {
-	f64Reg.mu.RLock()
-	h, ok := f64Reg.ids[p]
-	f64Reg.mu.RUnlock()
-	if ok {
-		return h
-	}
-	f64Reg.mu.Lock()
-	defer f64Reg.mu.Unlock()
-	if f64Reg.ids == nil {
-		f64Reg.ids = make(map[*float64]uint64)
-	}
-	if h, ok := f64Reg.ids[p]; ok {
-		return h
-	}
-	h = uint64(len(f64Reg.ptrs))
-	f64Reg.ptrs = append(f64Reg.ptrs, p)
-	f64Reg.ids[p] = h
-	return h
-}
-
-func resolveF64(h uint64) *float64 {
-	f64Reg.mu.RLock()
-	defer f64Reg.mu.RUnlock()
-	if h >= uint64(len(f64Reg.ptrs)) {
-		panic(fmt.Sprintf("core: unresolvable global-pointer handle %d (registry has %d; symmetric setup across shards required)",
-			h, len(f64Reg.ptrs)))
-	}
-	return f64Reg.ptrs[h]
-}
-
-// NewGPF64 builds a global pointer to a double owned by the given node.
-// Programs obtain these through data-structure setup (the translator would
-// type them); only the owning node's runtime dereferences ptr.
-func NewGPF64(node int, ptr *float64) GPF64 {
-	return GPF64{node: int32(node), h: registerF64(ptr), ptr: ptr}
+// NewGPF64 builds a global pointer to element off of node's part of segment
+// seg (AddF64). Programs obtain these through data-structure setup (the
+// translator would type them).
+func NewGPF64(node, seg, off int) GPF64 {
+	return GPF64{node: int32(node), seg: int32(seg), off: off}
 }
 
 // NodeID returns the owning node.
 func (g GPF64) NodeID() int { return int(g.node) }
+
+// AddF64 registers an array of doubles — parts[i] is node i's part, nil where
+// it holds none — and returns its segment, for NewGPF64. It is AddDist with
+// 8-byte elements: one table holds every array either kind of access names,
+// numbered in registration order, so every program image registers its
+// arrays in the same order. Setup time only.
+func (rt *Runtime) AddF64(parts [][]float64) int {
+	dp := make([]DistPart, len(parts))
+	for i, p := range parts {
+		if p != nil {
+			dp[i] = f64Part(p)
+		}
+	}
+	return rt.AddDist(distReqBytes, dp)
+}
+
+// f64Part is a part registered by AddF64: a double travels as its IEEE bits,
+// one word.
+type f64Part []float64
+
+func (p f64Part) Len() int { return len(p) }
+func (p f64Part) AppendElem(off int, dst []byte) []byte {
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(p[off]))
+}
+func (p f64Part) SetElem(off int, b []byte) {
+	p[off] = math.Float64frombits(binary.LittleEndian.Uint64(b))
+}
+
+// word and setWord move the element at off of a part resolved for a GP
+// access — an 8-byte one, which nodeRT.part checked — in its wire form.
+func (n *nodeRT) word(part DistPart, off uint64) uint64 {
+	n.distBuf = part.AppendElem(int(off), n.distBuf[:0])
+	return binary.LittleEndian.Uint64(n.distBuf)
+}
+
+func (n *nodeRT) setWord(part DistPart, off, w uint64) {
+	n.distBuf = binary.LittleEndian.AppendUint64(n.distBuf[:0], w)
+	part.SetElem(int(off), n.distBuf)
+}
+
+// local resolves a global pointer to this node's own memory, checked like
+// the words of a remote access.
+func (n *nodeRT) local(gp GPF64) DistPart {
+	return n.part("GP", 0, n.node.ID, uint64(gp.seg), uint64(gp.off), true)
+}
 
 // Fixed GP-access runtime costs, calibrated to land Table 4's GP 2-Word R/W
 // Runtime column near its measured 16 µs (3 µs of which is the stub lookup).
@@ -93,23 +92,23 @@ const (
 )
 
 // gpReq is the sender-side record of one in-flight GP access; the message
-// words carry its slot in the node's gpPending table and the target's handle,
-// which the owner resolves in its registry.
+// words carry its slot in the node's gpPending table.
 type gpReq struct {
 	comp *completion
 	dst  *float64 // local landing slot for reads
 }
 
-// GP message word layouts:
+// GP message word layouts (seg and off name the double in the owner's array
+// table):
 //
-//	gp.read:       A = [reqID, handle]
+//	gp.read:       A = [reqID, seg, off]
 //	gp.read.reply: A = [bits, reqID]
-//	gp.write:      A = [bits, handle, reqID, wantAck]
+//	gp.write:      A = [bits, seg, off, reqID]
 //	gp.ack:        A = [reqID]
 func (rt *Runtime) registerGPHandlers() {
 	rt.hGPReadReply = rt.net.Register("cc.gp.read.reply", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
-		rq := n.gpPending.take("GP", m.Dst, m.Src, m.A[1])
+		rq := n.gpPending.Take("GP", m.Dst, m.Src, m.A[1])
 		lockPair(t, &n.commLock)
 		chargeRuntime(t, gpCompleteCost)
 		*rq.dst = math.Float64frombits(m.A[0])
@@ -119,22 +118,21 @@ func (rt *Runtime) registerGPHandlers() {
 	// request/reply active messages" with no marshalling (§6) — but the
 	// access itself still runs on a fresh thread at the owner, because a
 	// deref may touch data an interrupted local computation holds (Table 4's
-	// GP 2-Word R/W row: 1 create, 2 switches).
+	// GP 2-Word R/W row: 1 create, 2 switches). The words are checked here,
+	// before the spawn.
 	rt.hGPRead = rt.net.Register("cc.gp.read", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
 		lockPair(t, &n.commLock)
-		src := m.Src
-		reqID := m.A[0]
-		handle := m.A[1]
+		src, reqID, off := m.Src, m.A[0], m.A[2]
+		part := n.part("GP", reqID, src, m.A[1], off, true)
 		t.Spawn("gp.read", func(t2 *threads.Thread) {
 			chargeRuntime(t2, gpServeCost)
-			bits := math.Float64bits(*resolveF64(handle))
-			n.send(t2, src, rt.hGPReadReply, [4]uint64{bits, reqID}, nil)
+			n.send(t2, src, rt.hGPReadReply, [4]uint64{n.word(part, off), reqID}, nil)
 		})
 	})
 	rt.hGPAck = rt.net.Register("cc.gp.ack", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
-		rq := n.gpPending.take("GP", m.Dst, m.Src, m.A[0])
+		rq := n.gpPending.Take("GP", m.Dst, m.Src, m.A[0])
 		lockPair(t, &n.commLock)
 		chargeRuntime(t, gpCompleteCost)
 		rt.complete(t, rq.comp)
@@ -142,17 +140,12 @@ func (rt *Runtime) registerGPHandlers() {
 	rt.hGPWrite = rt.net.Register("cc.gp.write", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
 		lockPair(t, &n.commLock)
-		src := m.Src
-		bits := m.A[0]
-		handle := m.A[1]
-		reqID := m.A[2]
-		wantAck := m.A[3] != 0
+		src, bits, off, reqID := m.Src, m.A[0], m.A[2], m.A[3]
+		part := n.part("GP", reqID, src, m.A[1], off, true)
 		t.Spawn("gp.write", func(t2 *threads.Thread) {
 			chargeRuntime(t2, gpServeCost)
-			*resolveF64(handle) = math.Float64frombits(bits)
-			if wantAck {
-				n.send(t2, src, rt.hGPAck, [4]uint64{reqID}, nil)
-			}
+			n.setWord(part, off, bits)
+			n.send(t2, src, rt.hGPAck, [4]uint64{reqID}, nil)
 		})
 	})
 }
@@ -170,7 +163,7 @@ func (rt *Runtime) ReadF64(t *threads.Thread, gp GPF64) float64 {
 		n.node.Acct.Count(machine.CntLocalDeref, 1)
 		lockPair(t, &n.rtLock)
 		chargeRuntime(t, cfg.LocalGPDeref)
-		return *gp.ptr
+		return math.Float64frombits(n.word(n.local(gp), uint64(gp.off)))
 	}
 	n.node.Acct.Count(machine.CntRemoteRead, 1)
 	lockPair(t, &n.rtLock)
@@ -181,9 +174,9 @@ func (rt *Runtime) ReadF64(t *threads.Thread, gp GPF64) float64 {
 	}
 	var dst float64
 	rq := &gpReq{comp: &completion{mode: mode}, dst: &dst}
-	id := n.gpPending.add(rq)
+	id := n.gpPending.Add(rq)
 	lockPair(t, &n.commLock)
-	n.send(t, int(gp.node), rt.hGPRead, [4]uint64{id, gp.h}, nil)
+	n.send(t, int(gp.node), rt.hGPRead, [4]uint64{id, uint64(gp.seg), uint64(gp.off)}, nil)
 	rt.waitComp(t, n, rq.comp)
 	return dst
 }
@@ -197,7 +190,7 @@ func (rt *Runtime) WriteF64(t *threads.Thread, gp GPF64, v float64) {
 		n.node.Acct.Count(machine.CntLocalDeref, 1)
 		lockPair(t, &n.rtLock)
 		chargeRuntime(t, cfg.LocalGPDeref)
-		*gp.ptr = v
+		n.setWord(n.local(gp), uint64(gp.off), math.Float64bits(v))
 		return
 	}
 	n.node.Acct.Count(machine.CntRemoteWrite, 1)
@@ -208,9 +201,9 @@ func (rt *Runtime) WriteF64(t *threads.Thread, gp GPF64, v float64) {
 		mode = modeSpin
 	}
 	rq := &gpReq{comp: &completion{mode: mode}}
-	id := n.gpPending.add(rq)
+	id := n.gpPending.Add(rq)
 	lockPair(t, &n.commLock)
 	n.send(t, int(gp.node), rt.hGPWrite,
-		[4]uint64{math.Float64bits(v), gp.h, id, 1}, nil)
+		[4]uint64{math.Float64bits(v), uint64(gp.seg), uint64(gp.off), id}, nil)
 	rt.waitComp(t, n, rq.comp)
 }

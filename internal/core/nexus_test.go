@@ -54,10 +54,10 @@ func TestNexusCorrectness(t *testing.T) {
 
 func TestNexusGPReads(t *testing.T) {
 	rt := newRig(2, Options{Nexus: true})
-	x := 6.5
+	seg := rt.AddF64([][]float64{nil, {6.5}})
 	var got float64
 	rt.OnNode(0, func(th *threads.Thread) {
-		got = rt.ReadF64(th, NewGPF64(1, &x))
+		got = rt.ReadF64(th, NewGPF64(1, seg, 0))
 	})
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)

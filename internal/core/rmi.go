@@ -90,52 +90,6 @@ type rmiMsg struct {
 	t0 time.Duration
 }
 
-// reqTable is a node's table of in-flight requests of one kind (RMIs, GP
-// accesses, distributed-array accesses): the request message names its
-// sender-side record by slot in the word arguments and the reply echoes it,
-// instead of a pointer travelling. Freed slots are reused, so the table stays
-// as small as the node's peak of outstanding requests. Both methods are
-// called from the owning node's execution context only — the reply handler
-// runs on the node that sent the request — so the table needs no lock.
-type reqTable[T any] struct {
-	recs []*T
-	free []uint32
-}
-
-// add stores an in-flight record and returns its wire request ID: slot + 1,
-// so 0 means "no reply expected".
-//
-//mpmd:hotpath
-func (tb *reqTable[T]) add(rec *T) uint64 {
-	if ln := len(tb.free); ln > 0 {
-		id := tb.free[ln-1]
-		tb.free = tb.free[:ln-1]
-		tb.recs[id] = rec
-		return uint64(id) + 1
-	}
-	tb.recs = append(tb.recs, rec)
-	return uint64(len(tb.recs))
-}
-
-// inFlight is the number of requests awaiting their reply.
-func (tb *reqTable[T]) inFlight() int { return len(tb.recs) - len(tb.free) }
-
-// take resolves the request ID a reply from node src carried to node me and
-// frees the slot. The ID came in a message, possibly from another process:
-// one that names no in-flight request — never issued, or already answered —
-// is refused by name (kind says which table) before it indexes anything.
-//
-//mpmd:hotpath
-func (tb *reqTable[T]) take(kind string, me, src int, wireID uint64) *T {
-	if wireID-1 >= uint64(len(tb.recs)) || tb.recs[wireID-1] == nil {
-		panic(fmt.Sprintf("core: node %d %s reply from node %d for unknown request %d (stale or duplicate)", me, kind, src, wireID))
-	}
-	rec := tb.recs[wireID-1]
-	tb.recs[wireID-1] = nil
-	tb.free = append(tb.free, uint32(wireID-1))
-	return rec
-}
-
 // send transmits a message from this node under the runtime's cost profile,
 // on the bulk path when it carries a payload. The payload is copied at send
 // time; the sender keeps its buffer. A message is the four word arguments plus
@@ -325,7 +279,7 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 		flags |= flagWantReply
 		// The reply finds this call through the sender's pending table; only
 		// the slot's wire ID travels, packed into the flags word's high half.
-		reqID = n.pending.add(msg)
+		reqID = n.pending.Add(msg)
 		if n.node.Met != nil {
 			msg.t0 = n.node.M.Now()
 		}
@@ -674,7 +628,7 @@ func (rt *Runtime) runMethod(t *threads.Thread, n *nodeRT, bm *boundMethod, m am
 //mpmd:hotpath
 func (rt *Runtime) handleReply(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
-	msg := n.pending.take("RMI", m.Dst, m.Src, m.A[0])
+	msg := n.pending.Take("RMI", m.Dst, m.Src, m.A[0])
 	if msg.t0 > 0 {
 		if met := n.node.Met; met != nil {
 			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-msg.t0)

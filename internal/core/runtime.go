@@ -201,9 +201,9 @@ type nodeRT struct {
 	// The node's in-flight requests, whose replies name them by slot in the
 	// message words: RMIs, the optimized global-pointer accesses, and
 	// distributed-array element accesses.
-	pending     reqTable[rmiMsg]
-	gpPending   reqTable[gpReq]
-	distPending reqTable[DistOp]
+	pending     am.ReqTable[rmiMsg]
+	gpPending   am.ReqTable[gpReq]
+	distPending am.ReqTable[DistOp]
 	// distParts is this node's part of every distributed array (nil where it
 	// holds none), indexed like Runtime.distSizes; distBuf is the request
 	// handler's encode scratch.

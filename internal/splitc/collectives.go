@@ -27,13 +27,15 @@ import (
 // from CC++ programs, see mpmd.Dist.
 type SpreadF64 struct {
 	procs int
+	seg   Seg
 	parts [][]float64
 }
 
-// NewSpreadF64 allocates a spread array of n doubles over procs processors:
-// processor pc owns elements pc, pc+procs, pc+2*procs, … — that is,
-// ceil((n-pc)/procs) of them.
-func NewSpreadF64(procs, n int) *SpreadF64 {
+// NewSpreadF64 allocates a spread array of n doubles over w's processors and
+// shares it (World.Share): processor pc owns elements pc, pc+procs,
+// pc+2*procs, … — that is, ceil((n-pc)/procs) of them.
+func NewSpreadF64(w *World, n int) *SpreadF64 {
+	procs := w.m.NumNodes()
 	s := &SpreadF64{procs: procs, parts: make([][]float64, procs)}
 	for pc := 0; pc < procs; pc++ {
 		sz := 0
@@ -42,6 +44,7 @@ func NewSpreadF64(procs, n int) *SpreadF64 {
 		}
 		s.parts[pc] = make([]float64, sz)
 	}
+	s.seg = w.Share(s.parts)
 	return s
 }
 
@@ -59,7 +62,7 @@ func (s *SpreadF64) Owner(i int) int { return i % s.procs }
 
 // Index returns the global pointer to element i, as Split-C's A[i]:: does.
 func (s *SpreadF64) Index(i int) GPF {
-	return GPF{PC: i % s.procs, P: &s.parts[i%s.procs][i/s.procs]}
+	return GPF{PC: i % s.procs, Seg: s.seg, Off: i / s.procs}
 }
 
 // --- collectives -------------------------------------------------------------

@@ -10,29 +10,29 @@ import (
 
 func TestSpreadArrayLayout(t *testing.T) {
 	const procs, n = 4, 10
-	s := NewSpreadF64(procs, n)
+	s := NewSpreadF64(New(machine.New(machine.SP1997(), procs)), n)
 	if s.Len() != n {
 		t.Fatalf("len = %d", s.Len())
 	}
 	// Cyclic: element i on processor i%procs, and each element has a
 	// distinct storage slot.
-	seen := make(map[*float64]bool)
+	seen := make(map[GPF]bool)
 	for i := 0; i < n; i++ {
 		gp := s.Index(i)
 		if gp.PC != i%procs {
 			t.Fatalf("element %d on %d", i, gp.PC)
 		}
-		if seen[gp.P] {
+		if seen[gp] {
 			t.Fatalf("element %d aliases another", i)
 		}
-		seen[gp.P] = true
+		seen[gp] = true
 	}
 }
 
 func TestSpreadArrayRoundTrip(t *testing.T) {
 	const procs, n = 4, 17
-	s := NewSpreadF64(procs, n)
 	w := New(machine.New(machine.SP1997(), procs))
+	s := NewSpreadF64(w, n)
 	err := w.Run(func(p *Proc) {
 		// Each processor writes its right neighbour's elements via puts, so
 		// every element has exactly one (remote) writer.

@@ -11,15 +11,18 @@
 //
 // Global pointers expose their structure (processor number + address), as in
 // Split-C; pointer arithmetic on the processor part is the application's
-// business. Since all simulated nodes share one OS process, the "address" is
-// a real Go pointer that only the owning node's handlers dereference.
+// business. The address is words: a segment — an array the program shared
+// with World.Share, named by its place in set-up order — and an offset into
+// the owner's part of it. A request carries them in its message words and the
+// owner resolves them in its own segment table, so a pointer means the same
+// in every address space that ran the same set-up, and a World spans the
+// sharded netlive backend like any other.
 package splitc
 
 import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"repro/internal/am"
@@ -36,24 +39,34 @@ const (
 	completeCost = 2 * time.Microsecond // landing a reply / completion flagging
 )
 
-// GPF is a Split-C global pointer to a double: a (processor, address) pair.
+// Seg names an array shared with World.Share: its place in the world's
+// segment table, the same in every address space that ran the same set-up.
+type Seg int
+
+// GPF is a Split-C global pointer to a double: processor, segment, offset.
 type GPF struct {
-	PC int
-	P  *float64
+	PC  int
+	Seg Seg
+	Off int
 }
 
-// GVF is a global pointer to a vector of doubles (for bulk operations).
+// GVF is a global pointer to a vector of Len doubles (for bulk operations).
 type GVF struct {
-	PC int
-	S  []float64
+	PC       int
+	Seg      Seg
+	Off, Len int
 }
 
 // World is one SPMD program instance over a machine.
 type World struct {
-	m      *machine.Machine
-	net    *am.Net
-	scheds []*threads.Scheduler
-	procs  []*Proc
+	m     *machine.Machine
+	net   *am.Net
+	procs []*Proc
+
+	// segs is the segment table: segs[s][pc] is processor pc's part of the
+	// array shared as segment s, nil where it holds none. Share fills it at
+	// set-up; afterwards a processor touches only its own parts.
+	segs [][][]float64
 
 	hReadReq, hReadReply     am.HandlerID
 	hWriteReq, hAck          am.HandlerID
@@ -69,76 +82,6 @@ type World struct {
 
 	// coll is the collective-operation state (collectives.go).
 	coll *collectives
-
-	// reqs is the world's in-flight request table: messages name their
-	// request record by table ID in the word arguments instead of carrying a
-	// Go pointer, so the wire format holds nothing but words and payload
-	// bytes. The records themselves still hold raw addresses into the
-	// world's (single) address space — Split-C's global pointers expose real
-	// addresses, and every simulated node of a World shares one process by
-	// the language's own model.
-	reqs reqTable
-}
-
-// scReq is one in-flight global-access request. Which fields are meaningful
-// depends on the operation; see the handler word layouts below.
-type scReq struct {
-	ptr  *float64  // scalar target (owned by the destination)
-	dst  *float64  // scalar landing slot at the initiator
-	vsrc []float64 // bulk-read source (owned by the destination)
-	vdst []float64 // bulk landing vector (initiator for reads, owner for writes/stores)
-	from *Proc     // initiator (completion bookkeeping)
-	done *bool     // nil for split-phase operations
-	n    int       // element count for bulk stores
-}
-
-// reqTable hands out wire IDs for scReq records. Senders put, handlers get
-// (a copy) and release; the mutex makes it safe for any node's context to
-// touch it on the live backend. The free list keeps the table from growing
-// with traffic.
-type reqTable struct {
-	mu    sync.Mutex
-	slots []scReq
-	free  []uint32
-}
-
-// put stores r and returns its wire ID.
-func (rt *reqTable) put(r scReq) uint64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if ln := len(rt.free); ln > 0 {
-		id := rt.free[ln-1]
-		rt.free = rt.free[:ln-1]
-		rt.slots[id] = r
-		return uint64(id)
-	}
-	rt.slots = append(rt.slots, r)
-	return uint64(len(rt.slots) - 1)
-}
-
-// get returns a copy of the record named by id.
-func (rt *reqTable) get(id uint64) scReq {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.slots[id]
-}
-
-// release frees the slot (the final consumer of the request calls it).
-func (rt *reqTable) release(id uint64) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	rt.slots[id] = scReq{}
-	rt.free = append(rt.free, uint32(id))
-}
-
-// take is get followed by release.
-func (rt *reqTable) take(id uint64) scReq {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	r := rt.slots[id]
-	rt.slots[id] = scReq{}
-	rt.free = append(rt.free, uint32(id))
-	return r
 }
 
 // Proc is the per-node program context handed to the SPMD function.
@@ -151,32 +94,46 @@ type Proc struct {
 	T  *threads.Thread
 	ep *am.Endpoint
 
+	// reqs holds this processor's requests awaiting a reply; a request names
+	// its record in the message words by wire ID, and the reply echoes it.
+	reqs am.ReqTable[landing]
+
 	outstanding int // split-phase gets+puts not yet completed
 	storesRecvd int // one-way store values landed at this node
 	releasedGen int // last barrier generation this node was released from
 }
 
-// New builds a Split-C world over machine m. Split-C's global pointers are
-// raw addresses by the language's own model ("all simulated nodes share one
-// OS process"), so a World cannot span the sharded netlive backend — New
-// rejects multi-shard machines up front rather than letting a request-table
-// ID resolve against the wrong process's memory.
+// landing is one request in flight at its initiator: where the reply lands
+// and how its completion is observed.
+type landing struct {
+	dst  *float64  // a scalar read's landing slot
+	vdst []float64 // a bulk read's landing vector
+	done *bool     // nil for split-phase operations
+}
+
+// New builds a Split-C world over machine m.
 func New(m *machine.Machine) *World {
-	if topo, ok := m.Backend().(transport.Sharded); ok && topo.NumShards() > 1 {
-		panic(fmt.Sprintf("splitc: machine spans %d address spaces; Split-C worlds require a single-process backend (sim, live, or single-shard net)",
-			topo.NumShards()))
-	}
 	w := &World{m: m, net: am.NewNet(m), barCtr: coll.NewCentralCounter(m.NumNodes())}
 	for i := 0; i < m.NumNodes(); i++ {
-		s := threads.NewScheduler(m.Node(i))
-		w.scheds = append(w.scheds, s)
-		ep := w.net.Endpoint(i)
-		ep.Attach(s)
-		w.procs = append(w.procs, &Proc{w: w, me: i, ep: ep})
+		w.procs = append(w.procs, &Proc{w: w, me: i, ep: w.net.Endpoint(i)})
 	}
 	w.registerHandlers()
 	w.initCollectives()
 	return w
+}
+
+// Share registers an array whose part on processor pc is parts[pc] (nil
+// where pc holds none) and returns its segment. Segments are numbered in
+// Share order, so every address space of a sharded machine shares its arrays
+// in the same order, as SPMD images lay out their globals alike; each passes
+// its own copies, and only the owner's part is ever dereferenced. Set-up
+// time only.
+func (w *World) Share(parts [][]float64) Seg {
+	if len(parts) != w.m.NumNodes() {
+		panic(fmt.Sprintf("splitc: Share with %d parts on a %d-node machine", len(parts), w.m.NumNodes()))
+	}
+	w.segs = append(w.segs, parts)
+	return Seg(len(w.segs) - 1)
 }
 
 // Machine returns the underlying machine.
@@ -185,11 +142,17 @@ func (w *World) Machine() *machine.Machine { return w.m }
 // Proc returns the per-node context for node i (useful in tests).
 func (w *World) Proc(i int) *Proc { return w.procs[i] }
 
-// Run starts prog on every node and drives the simulation to completion.
+// Run starts prog on every node this address space hosts — all of them, off
+// the sharded backend — and drives the machine to completion.
 func (w *World) Run(prog func(p *Proc)) error {
-	for i := range w.procs {
-		p := w.procs[i]
-		w.scheds[i].Start("main", func(t *threads.Thread) {
+	topo, sharded := w.m.Backend().(transport.Sharded)
+	for i, p := range w.procs {
+		if sharded && !topo.IsLocal(i) {
+			continue
+		}
+		s := threads.NewScheduler(w.m.Node(i))
+		p.ep.Attach(s)
+		s.Start("main", func(t *threads.Thread) {
 			p.T = t
 			prog(p)
 		})
@@ -203,68 +166,112 @@ func (p *Proc) MyPC() int { return p.me }
 // Procs returns the number of processors (Split-C's PROCS).
 func (p *Proc) Procs() int { return p.w.m.NumNodes() }
 
+// part resolves the words (segment, offset, length) of an access from node
+// src: n elements of this processor's own part of the segment. The words may
+// come from another process, so each is checked before it indexes anything,
+// and a bad one is refused by name.
+func (p *Proc) part(src int, seg, off, n uint64) []float64 {
+	if seg >= uint64(len(p.w.segs)) || p.w.segs[seg][p.me] == nil {
+		panic(fmt.Sprintf("splitc: node %d access from node %d: no part of segment %d here (%d shared)", p.me, src, seg, len(p.w.segs)))
+	}
+	part := p.w.segs[seg][p.me]
+	if off > uint64(len(part)) || n > uint64(len(part))-off {
+		panic(fmt.Sprintf("splitc: node %d access from node %d: %d elements at offset %d outside segment %d's part of %d", p.me, src, n, off, seg, len(part)))
+	}
+	return part[off : off+n]
+}
+
+// remote counts an access to processor pc's memory — a local deref, or a
+// remote access of the given kind, whose issue it charges — and reports
+// whether it is remote.
+func (p *Proc) remote(pc int, kind machine.Cnt) bool {
+	if pc == p.me {
+		p.node().Acct.Count(machine.CntLocalDeref, 1)
+		return false
+	}
+	p.node().Acct.Count(kind, 1)
+	p.T.Charge(machine.CatRuntime, issueCost)
+	return true
+}
+
+// at and vec resolve a global pointer into this processor's own memory.
+func (p *Proc) at(gp GPF) *float64 { return &p.part(p.me, uint64(gp.Seg), uint64(gp.Off), 1)[0] }
+func (p *Proc) vec(gp GVF) []float64 {
+	return p.part(p.me, uint64(gp.Seg), uint64(gp.Off), uint64(gp.Len))
+}
+
+// words is the request layout every scalar access shares, and every bulk
+// access shares GVF.words (see the handlers).
+func (gp GPF) words(bits, id uint64) [4]uint64 {
+	return [4]uint64{bits, uint64(gp.Seg), uint64(gp.Off), id}
+}
+func (gp GVF) words(id uint64) [4]uint64 {
+	return [4]uint64{uint64(gp.Seg), uint64(gp.Off), uint64(gp.Len), id}
+}
+
 // --- message handlers --------------------------------------------------------
 //
-// Word layouts (requests carry their reqTable ID; the final consumer of a
-// request releases the slot):
+// Word layouts: a request carries its target's (segment, offset[, length])
+// and the initiator's request ID; the reply echoes the ID.
 //
-//	sc.read.req:       A = [id]            reply: sc.read.reply A = [bits, id]
-//	sc.write.req:      A = [bits, id]      ack:   sc.ack        A = [id]
-//	sc.atomic.add:     A = [bits, id]      ack:   sc.ack        A = [id]
-//	sc.store:          A = [bits, id]      (one-way; destination releases)
-//	sc.bulk.read.req:  A = [len, id]       reply: sc.bulk.reply A = [id] + payload
-//	sc.bulk.write.req: A = [id] + payload  ack:   sc.ack        A = [id]
-//	sc.bulk.store:     A = [id] + payload  (one-way; destination releases)
+//	sc.read.req:       A = [0, seg, off, id]       reply: sc.read.reply A = [bits, id]
+//	sc.write.req:      A = [bits, seg, off, id]    ack:   sc.ack        A = [id]
+//	sc.atomic.add:     A = [bits, seg, off, id]    ack:   sc.ack        A = [id]
+//	sc.store:          A = [bits, seg, off]        (one-way)
+//	sc.bulk.read.req:  A = [seg, off, len, id]     reply: sc.bulk.reply A = [id] + payload
+//	sc.bulk.write.req: A = [seg, off, len, id] + payload   ack: sc.ack  A = [id]
+//	sc.bulk.store:     A = [seg, off, len] + payload       (one-way)
 
 func (w *World) registerHandlers() {
+	// at and vec resolve a request's target at its owner, m.Dst.
+	at := func(m am.Msg) *float64 { return &w.procs[m.Dst].part(m.Src, m.A[1], m.A[2], 1)[0] }
+	vec := func(m am.Msg) []float64 { return w.procs[m.Dst].part(m.Src, m.A[0], m.A[1], m.A[2]) }
+	// landed resolves a reply's request ID at the initiator, m.Dst.
+	landed := func(m am.Msg, idWord int) (*Proc, *landing) {
+		p := w.procs[m.Dst]
+		return p, p.reqs.Take("Split-C", m.Dst, m.Src, m.A[idWord])
+	}
 	w.hReadReply = w.net.Register("sc.read.reply", func(t *threads.Thread, m am.Msg) {
-		rq := w.reqs.take(m.A[1])
+		p, rq := landed(m, 1)
 		*rq.dst = math.Float64frombits(m.A[0])
-		rq.from.complete(t, rq.done)
+		p.complete(t, rq.done)
 	})
 	w.hReadReq = w.net.Register("sc.read.req", func(t *threads.Thread, m am.Msg) {
-		rq := w.reqs.get(m.A[0])
-		bits := math.Float64bits(*rq.ptr)
-		w.ep(t).RequestShort(t, m.Src, w.hReadReply, [4]uint64{bits, m.A[0]})
+		w.ep(t).RequestShort(t, m.Src, w.hReadReply, [4]uint64{math.Float64bits(*at(m)), m.A[3]})
 	})
 	w.hAck = w.net.Register("sc.ack", func(t *threads.Thread, m am.Msg) {
-		rq := w.reqs.take(m.A[0])
-		rq.from.complete(t, rq.done)
+		p, rq := landed(m, 0)
+		p.complete(t, rq.done)
 	})
 	w.hWriteReq = w.net.Register("sc.write.req", func(t *threads.Thread, m am.Msg) {
-		rq := w.reqs.get(m.A[1])
-		*rq.ptr = math.Float64frombits(m.A[0])
-		w.ep(t).RequestShort(t, m.Src, w.hAck, [4]uint64{m.A[1]})
+		*at(m) = math.Float64frombits(m.A[0])
+		w.ep(t).RequestShort(t, m.Src, w.hAck, [4]uint64{m.A[3]})
 	})
 	w.hAtomicAdd = w.net.Register("sc.atomic.add", func(t *threads.Thread, m am.Msg) {
-		rq := w.reqs.get(m.A[1])
-		*rq.ptr += math.Float64frombits(m.A[0])
-		w.ep(t).RequestShort(t, m.Src, w.hAck, [4]uint64{m.A[1]})
+		*at(m) += math.Float64frombits(m.A[0])
+		w.ep(t).RequestShort(t, m.Src, w.hAck, [4]uint64{m.A[3]})
 	})
 	w.hStore = w.net.Register("sc.store", func(t *threads.Thread, m am.Msg) {
-		rq := w.reqs.take(m.A[1])
-		*rq.ptr = math.Float64frombits(m.A[0])
+		*at(m) = math.Float64frombits(m.A[0])
 		w.procs[m.Dst].storesRecvd++
 	})
 	w.hBulkReply = w.net.Register("sc.bulk.reply", func(t *threads.Thread, m am.Msg) {
-		rq := w.reqs.take(m.A[0])
-		decodeF64(t, m.Payload, rq.vdst)
-		rq.from.complete(t, rq.done)
+		p, rq := landed(m, 0)
+		decodeF64(t, m, rq.vdst)
+		p.complete(t, rq.done)
 	})
 	w.hBulkReadReq = w.net.Register("sc.bulk.read.req", func(t *threads.Thread, m am.Msg) {
-		rq := w.reqs.get(m.A[1])
-		payload := encodeF64(t, rq.vsrc)
-		w.ep(t).RequestBulk(t, m.Src, w.hBulkReply, payload, [4]uint64{m.A[1]})
+		payload := encodeF64(t, vec(m))
+		w.ep(t).RequestBulk(t, m.Src, w.hBulkReply, payload, [4]uint64{m.A[3]})
 	})
 	w.hBulkWriteReq = w.net.Register("sc.bulk.write.req", func(t *threads.Thread, m am.Msg) {
-		rq := w.reqs.get(m.A[0])
-		decodeF64(t, m.Payload, rq.vdst)
-		w.ep(t).RequestShort(t, m.Src, w.hAck, [4]uint64{m.A[0]})
+		decodeF64(t, m, vec(m))
+		w.ep(t).RequestShort(t, m.Src, w.hAck, [4]uint64{m.A[3]})
 	})
 	w.hBulkStore = w.net.Register("sc.bulk.store", func(t *threads.Thread, m am.Msg) {
-		rq := w.reqs.take(m.A[0])
-		decodeF64(t, m.Payload, rq.vdst)
-		w.procs[m.Dst].storesRecvd += rq.n
+		dst := vec(m)
+		decodeF64(t, m, dst)
+		w.procs[m.Dst].storesRecvd += len(dst)
 	})
 	w.hRelease = w.net.Register("sc.barrier.release", func(t *threads.Thread, m am.Msg) {
 		w.procs[m.Dst].releasedGen = int(m.A[0])
@@ -305,14 +312,15 @@ func encodeF64(t *threads.Thread, src []float64) []byte {
 	return out
 }
 
-// decodeF64 lands a bulk payload in dst, charging the copy.
-func decodeF64(t *threads.Thread, payload []byte, dst []float64) {
-	if len(payload) != len(dst)*8 {
-		panic(fmt.Sprintf("splitc: bulk size mismatch: %d bytes for %d doubles", len(payload), len(dst)))
+// decodeF64 lands bulk message m's payload in dst, charging the copy. The
+// payload must hold exactly len(dst) doubles.
+func decodeF64(t *threads.Thread, m am.Msg, dst []float64) {
+	if len(m.Payload) != len(dst)*8 {
+		panic(fmt.Sprintf("splitc: node %d bulk message from node %d: %d bytes for %d doubles", m.Dst, m.Src, len(m.Payload), len(dst)))
 	}
-	t.Charge(machine.CatRuntime, time.Duration(len(payload))*t.Cfg().MemCopyPerByte)
+	t.Charge(machine.CatRuntime, time.Duration(len(m.Payload))*t.Cfg().MemCopyPerByte)
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[i*8:]))
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(m.Payload[i*8:]))
 	}
 }
 
@@ -321,77 +329,61 @@ func decodeF64(t *threads.Thread, payload []byte, dst []float64) {
 // Read performs a synchronous read through a global pointer (lx = *gp).
 // Local pointers dereference directly at zero cost, as compiled Split-C does.
 func (p *Proc) Read(gp GPF) float64 {
-	if gp.PC == p.me {
-		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		return *gp.P
+	if !p.remote(gp.PC, machine.CntRemoteRead) {
+		return *p.at(gp)
 	}
-	p.node().Acct.Count(machine.CntRemoteRead, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
+	var v float64
 	done := false
-	dst := new(float64)
-	id := p.w.reqs.put(scReq{ptr: gp.P, dst: dst, from: p, done: &done})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hReadReq, [4]uint64{id})
+	id := p.reqs.Add(&landing{dst: &v, done: &done})
+	p.ep.RequestShort(p.T, gp.PC, p.w.hReadReq, gp.words(0, id))
 	p.ep.PollUntil(p.T, func() bool { return done })
-	return *dst
+	return v
 }
 
 // Write performs a synchronous write through a global pointer (*gp = v),
 // returning once the remote ack arrives.
 func (p *Proc) Write(gp GPF, v float64) {
-	if gp.PC == p.me {
-		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		*gp.P = v
+	if !p.remote(gp.PC, machine.CntRemoteWrite) {
+		*p.at(gp) = v
 		return
 	}
-	p.node().Acct.Count(machine.CntRemoteWrite, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
 	done := false
-	id := p.w.reqs.put(scReq{ptr: gp.P, from: p, done: &done})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hWriteReq, [4]uint64{math.Float64bits(v), id})
+	id := p.reqs.Add(&landing{done: &done})
+	p.ep.RequestShort(p.T, gp.PC, p.w.hWriteReq, gp.words(math.Float64bits(v), id))
 	p.ep.PollUntil(p.T, func() bool { return done })
 }
 
 // Get issues a split-phase read (dst := *gp); completion is observed by Sync.
 func (p *Proc) Get(dst *float64, gp GPF) {
-	if gp.PC == p.me {
-		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		*dst = *gp.P
+	if !p.remote(gp.PC, machine.CntRemoteRead) {
+		*dst = *p.at(gp)
 		return
 	}
-	p.node().Acct.Count(machine.CntRemoteRead, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
 	p.outstanding++
-	id := p.w.reqs.put(scReq{ptr: gp.P, dst: dst, from: p})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hReadReq, [4]uint64{id})
+	id := p.reqs.Add(&landing{dst: dst})
+	p.ep.RequestShort(p.T, gp.PC, p.w.hReadReq, gp.words(0, id))
 }
 
 // Put issues a split-phase write (*gp := v); completion is observed by Sync.
 func (p *Proc) Put(gp GPF, v float64) {
-	if gp.PC == p.me {
-		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		*gp.P = v
+	if !p.remote(gp.PC, machine.CntRemoteWrite) {
+		*p.at(gp) = v
 		return
 	}
-	p.node().Acct.Count(machine.CntRemoteWrite, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
 	p.outstanding++
-	id := p.w.reqs.put(scReq{ptr: gp.P, from: p})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hWriteReq, [4]uint64{math.Float64bits(v), id})
+	id := p.reqs.Add(&landing{})
+	p.ep.RequestShort(p.T, gp.PC, p.w.hWriteReq, gp.words(math.Float64bits(v), id))
 }
 
 // Store issues a one-way store (*gp :- v): no acknowledgement travels back;
 // the target's store counter observes arrival (WaitStores).
 func (p *Proc) Store(gp GPF, v float64) {
-	if gp.PC == p.me {
-		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		*gp.P = v
+	if !p.remote(gp.PC, machine.CntRemoteWrite) {
+		*p.at(gp) = v
 		p.storesRecvd++
 		return
 	}
-	p.node().Acct.Count(machine.CntRemoteWrite, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
-	id := p.w.reqs.put(scReq{ptr: gp.P})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hStore, [4]uint64{math.Float64bits(v), id})
+	p.ep.RequestShort(p.T, gp.PC, p.w.hStore, gp.words(math.Float64bits(v), 0))
 }
 
 // AtomicAdd issues a split-phase atomic read-modify-write (*gp += v): the
@@ -400,16 +392,13 @@ func (p *Proc) Store(gp GPF, v float64) {
 // Split-C idiom behind `atomic(foo, ...)` used by the Water application's
 // remote force accumulation.
 func (p *Proc) AtomicAdd(gp GPF, v float64) {
-	if gp.PC == p.me {
-		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		*gp.P += v
+	if !p.remote(gp.PC, machine.CntRemoteWrite) {
+		*p.at(gp) += v
 		return
 	}
-	p.node().Acct.Count(machine.CntRemoteWrite, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
 	p.outstanding++
-	id := p.w.reqs.put(scReq{ptr: gp.P, from: p})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hAtomicAdd, [4]uint64{math.Float64bits(v), id})
+	id := p.reqs.Add(&landing{})
+	p.ep.RequestShort(p.T, gp.PC, p.w.hAtomicAdd, gp.words(math.Float64bits(v), id))
 }
 
 // Sync blocks until all of this processor's outstanding split-phase
@@ -427,80 +416,67 @@ func (p *Proc) Outstanding() int { return p.outstanding }
 // BulkRead synchronously copies a remote vector into dst
 // (bulk_read(&lA, gpA, n)). Lengths must match.
 func (p *Proc) BulkRead(dst []float64, gp GVF) {
-	if len(dst) != len(gp.S) {
+	if len(dst) != gp.Len {
 		panic("splitc: BulkRead length mismatch")
 	}
-	if gp.PC == p.me {
-		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		copy(dst, gp.S)
+	if !p.remote(gp.PC, machine.CntRemoteRead) {
+		copy(dst, p.vec(gp))
 		p.T.Charge(machine.CatRuntime, time.Duration(len(dst)*8)*p.T.Cfg().MemCopyPerByte)
 		return
 	}
-	p.node().Acct.Count(machine.CntRemoteRead, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
 	done := false
-	id := p.w.reqs.put(scReq{vsrc: gp.S, vdst: dst, from: p, done: &done})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hBulkReadReq, [4]uint64{uint64(len(dst)), id})
+	id := p.reqs.Add(&landing{vdst: dst, done: &done})
+	p.ep.RequestShort(p.T, gp.PC, p.w.hBulkReadReq, gp.words(id))
 	p.ep.PollUntil(p.T, func() bool { return done })
 }
 
 // BulkWrite synchronously copies src into a remote vector
 // (bulk_write(gpA, &lA, n)).
 func (p *Proc) BulkWrite(gp GVF, src []float64) {
-	if len(src) != len(gp.S) {
+	if len(src) != gp.Len {
 		panic("splitc: BulkWrite length mismatch")
 	}
-	if gp.PC == p.me {
-		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		copy(gp.S, src)
+	if !p.remote(gp.PC, machine.CntRemoteWrite) {
+		copy(p.vec(gp), src)
 		p.T.Charge(machine.CatRuntime, time.Duration(len(src)*8)*p.T.Cfg().MemCopyPerByte)
 		return
 	}
-	p.node().Acct.Count(machine.CntRemoteWrite, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
 	done := false
-	id := p.w.reqs.put(scReq{vdst: gp.S, from: p, done: &done})
+	id := p.reqs.Add(&landing{done: &done})
 	payload := encodeF64(p.T, src)
-	p.ep.RequestBulk(p.T, gp.PC, p.w.hBulkWriteReq, payload, [4]uint64{id})
+	p.ep.RequestBulk(p.T, gp.PC, p.w.hBulkWriteReq, payload, gp.words(id))
 	p.ep.PollUntil(p.T, func() bool { return done })
 }
 
 // BulkGet issues a split-phase bulk read; completion is observed by Sync.
 func (p *Proc) BulkGet(dst []float64, gp GVF) {
-	if len(dst) != len(gp.S) {
+	if len(dst) != gp.Len {
 		panic("splitc: BulkGet length mismatch")
 	}
-	if gp.PC == p.me {
-		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		copy(dst, gp.S)
+	if !p.remote(gp.PC, machine.CntRemoteRead) {
+		copy(dst, p.vec(gp))
 		p.T.Charge(machine.CatRuntime, time.Duration(len(dst)*8)*p.T.Cfg().MemCopyPerByte)
 		return
 	}
-	p.node().Acct.Count(machine.CntRemoteRead, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
 	p.outstanding++
-	id := p.w.reqs.put(scReq{vsrc: gp.S, vdst: dst, from: p})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hBulkReadReq, [4]uint64{uint64(len(dst)), id})
+	id := p.reqs.Add(&landing{vdst: dst})
+	p.ep.RequestShort(p.T, gp.PC, p.w.hBulkReadReq, gp.words(id))
 }
 
 // BulkStore issues a one-way bulk store; the target's store counter advances
 // by the element count on arrival.
 func (p *Proc) BulkStore(gp GVF, src []float64) {
-	if len(src) != len(gp.S) {
+	if len(src) != gp.Len {
 		panic("splitc: BulkStore length mismatch")
 	}
-	if gp.PC == p.me {
-		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		copy(gp.S, src)
+	if !p.remote(gp.PC, machine.CntRemoteWrite) {
+		copy(p.vec(gp), src)
 		p.T.Charge(machine.CatRuntime, time.Duration(len(src)*8)*p.T.Cfg().MemCopyPerByte)
 		p.storesRecvd += len(src)
 		return
 	}
-	p.node().Acct.Count(machine.CntRemoteWrite, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
 	payload := encodeF64(p.T, src)
-	id := p.w.reqs.put(scReq{vdst: gp.S, n: len(src)})
-	p.ep.RequestBulk(p.T, gp.PC, p.w.hBulkStore, payload, [4]uint64{id})
+	p.ep.RequestBulk(p.T, gp.PC, p.w.hBulkStore, payload, gp.words(0))
 }
 
 // WaitStores blocks until at least n store values have landed at this node.

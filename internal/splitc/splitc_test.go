@@ -9,15 +9,23 @@ import (
 	"repro/internal/machine"
 )
 
+// on shares part as an array held by processor pc alone.
+func on(w *World, pc int, part []float64) Seg {
+	parts := make([][]float64, w.Machine().NumNodes())
+	parts[pc] = part
+	return w.Share(parts)
+}
+
 func TestReadWriteRemote(t *testing.T) {
 	w := New(machine.New(machine.SP1997(), 2))
 	vals := []float64{1.5, 0} // vals[i] lives on node i
+	seg := w.Share([][]float64{vals[:1], vals[1:]})
 	var got float64
 	err := w.Run(func(p *Proc) {
 		switch p.MyPC() {
 		case 0:
-			p.Write(GPF{PC: 1, P: &vals[1]}, 2.25)
-			got = p.Read(GPF{PC: 1, P: &vals[1]})
+			p.Write(GPF{PC: 1, Seg: seg}, 2.25)
+			got = p.Read(GPF{PC: 1, Seg: seg})
 		case 1:
 			// Node 1 just needs to be reachable; its main returns and the
 			// poll-on-idle machinery services node 0's requests... but with
@@ -36,17 +44,18 @@ func TestReadWriteRemote(t *testing.T) {
 
 func TestLocalAccessFreeAndDirect(t *testing.T) {
 	w := New(machine.New(machine.SP1997(), 1))
-	x := 7.5
+	x := []float64{7.5}
+	seg := on(w, 0, x)
 	var got float64
 	err := w.Run(func(p *Proc) {
-		got = p.Read(GPF{PC: 0, P: &x})
-		p.Write(GPF{PC: 0, P: &x}, 8.5)
+		got = p.Read(GPF{PC: 0, Seg: seg})
+		p.Write(GPF{PC: 0, Seg: seg}, 8.5)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 7.5 || x != 8.5 {
-		t.Fatalf("got=%v x=%v", got, x)
+	if got != 7.5 || x[0] != 8.5 {
+		t.Fatalf("got=%v x=%v", got, x[0])
 	}
 	if w.Machine().Eng.Now() != 0 {
 		t.Fatalf("local accesses consumed %v", w.Machine().Eng.Now())
@@ -59,12 +68,12 @@ func TestLocalAccessFreeAndDirect(t *testing.T) {
 func TestBlockingReadLatency(t *testing.T) {
 	// GP read = short request + short reply + issue/complete runtime costs.
 	w := New(machine.New(machine.SP1997(), 2))
-	x := 3.0
+	x := on(w, 1, []float64{3})
 	var elapsed time.Duration
 	err := w.Run(func(p *Proc) {
 		if p.MyPC() == 0 {
 			start := p.T.Now()
-			_ = p.Read(GPF{PC: 1, P: &x})
+			_ = p.Read(GPF{PC: 1, Seg: x})
 			elapsed = time.Duration(p.T.Now() - start)
 		}
 		p.Barrier()
@@ -89,12 +98,13 @@ func TestSplitPhaseGetOverlap(t *testing.T) {
 		remote[i] = float64(i) * 1.25
 	}
 	local := make([]float64, n)
+	seg := on(w, 1, remote)
 	var elapsed time.Duration
 	err := w.Run(func(p *Proc) {
 		if p.MyPC() == 0 {
 			start := p.T.Now()
 			for i := 0; i < n; i++ {
-				p.Get(&local[i], GPF{PC: 1, P: &remote[i]})
+				p.Get(&local[i], GPF{PC: 1, Seg: seg, Off: i})
 			}
 			p.Sync()
 			elapsed = time.Duration(p.T.Now() - start)
@@ -123,10 +133,11 @@ func TestSplitPhaseGetOverlap(t *testing.T) {
 func TestPutAndSync(t *testing.T) {
 	w := New(machine.New(machine.SP1997(), 2))
 	remote := make([]float64, 10)
+	seg := on(w, 1, remote)
 	err := w.Run(func(p *Proc) {
 		if p.MyPC() == 0 {
 			for i := range remote {
-				p.Put(GPF{PC: 1, P: &remote[i]}, float64(i))
+				p.Put(GPF{PC: 1, Seg: seg, Off: i}, float64(i))
 			}
 			p.Sync()
 			if p.Outstanding() != 0 {
@@ -148,10 +159,11 @@ func TestPutAndSync(t *testing.T) {
 func TestStoreAndWaitStores(t *testing.T) {
 	w := New(machine.New(machine.SP1997(), 2))
 	cell := make([]float64, 4)
+	seg := on(w, 1, cell)
 	err := w.Run(func(p *Proc) {
 		if p.MyPC() == 0 {
 			for i := range cell {
-				p.Store(GPF{PC: 1, P: &cell[i]}, float64(i+1))
+				p.Store(GPF{PC: 1, Seg: seg, Off: i}, float64(i+1))
 			}
 		} else {
 			p.WaitStores(4)
@@ -180,10 +192,11 @@ func TestBulkReadWrite(t *testing.T) {
 	for i := range src {
 		src[i] = -float64(i)
 	}
+	gv := GVF{PC: 1, Seg: on(w, 1, remote), Len: n}
 	err := w.Run(func(p *Proc) {
 		if p.MyPC() == 0 {
-			p.BulkRead(local, GVF{PC: 1, S: remote})
-			p.BulkWrite(GVF{PC: 1, S: remote}, src)
+			p.BulkRead(local, gv)
+			p.BulkWrite(gv, src)
 		}
 		p.Barrier()
 	})
@@ -204,9 +217,10 @@ func TestBulkStoreCountsElements(t *testing.T) {
 	w := New(machine.New(machine.SP1997(), 2))
 	dst := make([]float64, 8)
 	src := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	seg := on(w, 1, dst)
 	err := w.Run(func(p *Proc) {
 		if p.MyPC() == 0 {
-			p.BulkStore(GVF{PC: 1, S: dst}, src)
+			p.BulkStore(GVF{PC: 1, Seg: seg, Len: 8}, src)
 		} else {
 			p.WaitStores(8)
 		}
@@ -290,13 +304,14 @@ func TestGetIntoManyDestinations(t *testing.T) {
 				src[i][j] = rng.Float64()
 			}
 		}
+		seg := w.Share(src)
 		dst := make([]float64, n)
 		want := make([]float64, n)
 		idx := make([]GPF, n)
 		for j := 0; j < n; j++ {
 			node := rng.Intn(nodes)
 			k := rng.Intn(n)
-			idx[j] = GPF{PC: node, P: &src[node][k]}
+			idx[j] = GPF{PC: node, Seg: seg, Off: k}
 			want[j] = src[node][k]
 		}
 		err := w.Run(func(p *Proc) {
@@ -334,10 +349,11 @@ func TestBulkRoundTripPreservesDataProperty(t *testing.T) {
 		w := New(machine.New(machine.SP1997(), 2))
 		remote := make([]float64, len(data))
 		back := make([]float64, len(data))
+		gv := GVF{PC: 1, Seg: on(w, 1, remote), Len: len(data)}
 		err := w.Run(func(p *Proc) {
 			if p.MyPC() == 0 {
-				p.BulkWrite(GVF{PC: 1, S: remote}, data)
-				p.BulkRead(back, GVF{PC: 1, S: remote})
+				p.BulkWrite(gv, data)
+				p.BulkRead(back, gv)
 			}
 			p.Barrier()
 		})
@@ -360,10 +376,10 @@ func TestBulkRoundTripPreservesDataProperty(t *testing.T) {
 func TestDeterministicTiming(t *testing.T) {
 	run := func() time.Duration {
 		w := New(machine.New(machine.SP1997(), 4))
-		data := make([]float64, 64)
+		data := w.Share([][]float64{make([]float64, 64), make([]float64, 64), make([]float64, 64), make([]float64, 64)})
 		err := w.Run(func(p *Proc) {
 			for i := 0; i < 10; i++ {
-				p.Write(GPF{PC: (p.MyPC() + 1) % 4, P: &data[p.MyPC()*16+i]}, float64(i))
+				p.Write(GPF{PC: (p.MyPC() + 1) % 4, Seg: data, Off: p.MyPC()*16 + i}, float64(i))
 				p.Barrier()
 			}
 		})

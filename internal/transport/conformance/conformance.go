@@ -70,6 +70,8 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("Collectives", func(t *testing.T) { runCollectives(t, f) })
 	t.Run("DistAccess", func(t *testing.T) { distAccess(t, f) })
 	t.Run("ValueOwnership", func(t *testing.T) { valueOwnership(t, f) })
+	t.Run("SplitC", func(t *testing.T) { splitC(t, f) })
+	t.Run("GlobalPointers", func(t *testing.T) { globalPointers(t, f) })
 	t.Run("StatsMerge", func(t *testing.T) { statsMerge(t, f) })
 }
 

@@ -216,8 +216,9 @@ func NewRuntime(m *Machine) *Runtime { return core.NewRuntime(m) }
 // NewRuntimeOpts builds a CC++ runtime with explicit options.
 func NewRuntimeOpts(m *Machine, opts Options) *Runtime { return core.NewRuntimeOpts(m, opts) }
 
-// NewGPF64 builds a global pointer to a double owned by the given node.
-func NewGPF64(node int, ptr *float64) GPF64 { return core.NewGPF64(node, ptr) }
+// NewGPF64 builds a global pointer to element off of node's part of segment
+// seg, an array of doubles registered with Runtime.AddF64.
+func NewGPF64(node, seg, off int) GPF64 { return core.NewGPF64(node, seg, off) }
 
 // Par runs blocks concurrently and joins (CC++ par).
 func Par(t *Thread, blocks ...func(*Thread)) { core.Par(t, blocks...) }
@@ -237,7 +238,9 @@ type (
 	SplitCProc  = splitc.Proc
 )
 
-// SCPtr is a Split-C global pointer to a double; SCVec to a vector.
+// SCPtr is a Split-C global pointer to a double, SCVec one to a vector: a
+// processor, a segment (SplitCWorld.Share), an offset and, for a vector, a
+// length.
 type (
 	SCPtr = splitc.GPF
 	SCVec = splitc.GVF

@@ -65,11 +65,11 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 func TestPublicAPISplitC(t *testing.T) {
 	m := mpmd.NewMachine(mpmd.SPConfig(), 2)
 	w := mpmd.NewSplitC(m)
-	x := 1.5
+	x := w.Share([][]float64{nil, {1.5}})
 	var got float64
 	err := w.Run(func(p *mpmd.SplitCProc) {
 		if p.MyPC() == 0 {
-			got = p.Read(mpmd.SCPtr{PC: 1, P: &x})
+			got = p.Read(mpmd.SCPtr{PC: 1, Seg: x})
 		}
 		p.Barrier()
 	})
@@ -106,9 +106,10 @@ func TestPublicAPIParForAndGPF64(t *testing.T) {
 	rt.RegisterClass(pingClass())
 	remote := []float64{1, 2, 3, 4}
 	local := make([]float64, 4)
+	seg := rt.AddF64([][]float64{nil, remote})
 	rt.OnNode(0, func(th *mpmd.Thread) {
 		mpmd.ParFor(th, 4, func(t2 *mpmd.Thread, i int) {
-			local[i] = rt.ReadF64(t2, mpmd.NewGPF64(1, &remote[i]))
+			local[i] = rt.ReadF64(t2, mpmd.NewGPF64(1, seg, i))
 		})
 	})
 	if err := rt.Run(); err != nil {
