@@ -11,7 +11,8 @@
 // derives the method table; RMIOptions flags Work threaded). On the default
 // sim backend the timestamps are calibrated virtual microseconds; with
 // -backend=live the identical program traces real goroutines against the
-// wall clock.
+// wall clock — their sends, receives, spawns and switches; a wall-clock
+// machine charges nothing, so its utilization strips stay empty.
 //
 // Run with: go run ./examples/tracing [-backend=sim|live]
 package main

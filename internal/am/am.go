@@ -387,8 +387,14 @@ func (ep *Endpoint) pollOnSend(t *threads.Thread) {
 // envelope recycles immediately and the payload buffer (if any) recycles
 // when the handler returns — the run-to-completion retention window.
 //
+// Every poll is also t's delivery point (Thread.Deliver): a thread that
+// polls and never parks — a server under a stream of requests, a sender
+// polling on every send — still lets its node's timers and the wake-ups of
+// its sibling threads in.
+//
 //mpmd:hotpath
 func (ep *Endpoint) Poll(t *threads.Thread) bool {
+	t.Deliver()
 	ep.node.Acct.Count(machine.CntPolls, 1)
 	pkt, ok := ep.node.PopInbox()
 	if !ok {

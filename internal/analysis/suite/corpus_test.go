@@ -109,6 +109,12 @@ var corpus = []struct {
 		{"internal/splitc/splitc.go", "\tif off > uint64(len(part)) || n > uint64(len(part))-off {\n", "\tif false {\n"}}},
 	{"a GP access takes a segment of other elements", "go test ./internal/core -run ^TestDistHostileWords$/^GP_read_of_a_segment_of_variable-size_elements$", `index out of range`, []edit{
 		{"internal/core/dist.go", "\tif word && n.rt.distSizes[seg] != distReqBytes {\n", "\tif false {\n"}}},
+	{"a wall-clock machine charges its modelled costs", "go test ./internal/bench -run ^TestRunStats$", `live: busy [1-9]\d*ns, .*want a wall-clock machine to charge nothing`, []edit{
+		{"internal/threads/threads.go", "\tif d != 0 && t.s.modelled {\n", "\tif d != 0 {\n"}}},
+	{"a wall-clock machine counts the lock pairs it elides", "go test ./internal/bench -run ^TestRunStats$", `thread\.sync [1-9]\d*; want a wall-clock machine to charge nothing`, []edit{
+		{"internal/threads/threads.go", "\tfor i := 0; i < n && t.s.modelled; i++ {\n", "\tfor i := 0; i < n; i++ {\n"}}},
+	{"a poll is no delivery point", "go test ./internal/transport/conformance -run ^TestLive$/^PollDelivers$", `callback never got the CPU from a thread that computes and polls`, []edit{
+		{"internal/am/am.go", "\tt.Deliver()\n", ""}}},
 }
 
 // TestMutationCorpus runs the suite over each mutated tree — listed once,

@@ -109,10 +109,8 @@ type StatsRow struct {
 	// Scope is "machine" for the merged row, "shard<i>" for per-shard rows.
 	Scope string `json:"scope"`
 	Nodes int    `json:"nodes"`
-	// BusyNS and Buckets are the accounting side: charged time, total and per
-	// category. Virtual time on sim; on live and net they are the same modelled
-	// 1997 SP charges, not wall-clock — nothing below them in the row shares
-	// their clock.
+	// BusyNS and Buckets are the accounting side: charged virtual time, total
+	// and per category. Only the simulator charges; on live and net they are 0.
 	BusyNS  int64            `json:"busy_ns"`
 	Buckets map[string]int64 `json:"buckets_ns,omitempty"`
 	// Counters are the machine.Acct event counters (RMIs, handlers, bytes).
@@ -219,20 +217,19 @@ func StatsRows(cs machine.ClusterStats) []StatsRow {
 }
 
 // FormatStats renders the observability rows: per scope, the accounting
-// group and — on the wall-clock backends — the metrics-registry group, each
-// headed by the clock its numbers are on. On live and net "busy" is what the
-// run would have been charged on the 1997 SP, and must not be read against
-// the wall-clock percentiles under it.
+// counts and — on the wall-clock backends — the metrics-registry group under
+// its own "wall-clock" heading. Charged time is the simulator's alone: it is
+// virtual time there, and a wall-clock machine charges nothing.
 func FormatStats(rows []StatsRow, backend string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Machine-wide observability (%s backend)\n", backend)
-	acctClock := "modelled (1997 SP charges)"
-	if backend == "sim" {
-		acctClock = "virtual time"
-	}
 	for _, r := range rows {
 		fmt.Fprintf(&b, "%s (%d nodes)\n", r.Scope, r.Nodes)
-		fmt.Fprintf(&b, "  %s: busy %v", acctClock, time.Duration(r.BusyNS).Round(time.Microsecond))
+		if backend == "sim" {
+			fmt.Fprintf(&b, "  virtual time: busy %v", time.Duration(r.BusyNS).Round(time.Microsecond))
+		} else {
+			b.WriteString("  counts:")
+		}
 		for _, name := range sortedKeys(r.Counters) {
 			switch name {
 			case "core.rmi", "am.handlers", "am.msg.short", "am.msg.bulk":

@@ -64,6 +64,12 @@ func TestRunStats(t *testing.T) {
 			}
 			continue
 		}
+		// A wall-clock machine charges nothing, and the runtime's lock pairs —
+		// all the sync ops a null RMI has — are neither charged nor counted.
+		if row.BusyNS != 0 || len(row.Buckets) != 0 || row.Counters["thread.sync"] != 0 {
+			t.Errorf("live: busy %dns, buckets %v, thread.sync %d; want a wall-clock machine to charge nothing",
+				row.BusyNS, row.Buckets, row.Counters["thread.sync"])
+		}
 		if got := row.Hists["rmi.latency.ns"].Count; got != wantRMI {
 			t.Errorf("live: rmi.latency.ns count = %d, want core.rmi = %d", got, wantRMI)
 		}
@@ -77,19 +83,20 @@ func TestRunStats(t *testing.T) {
 }
 
 // TestFormatStatsLabelsClocks: the report never prints a modelled 1997 charge
-// and a wall-clock number under one heading. On the simulator everything is
-// virtual time; on live and net "busy" is a modelled charge and says so, and
-// the registry's numbers come under their own wall-clock heading.
+// beside a wall-clock number. On the simulator everything is virtual time; on
+// live and net nothing is charged, so there is no "busy" at all — the
+// accounting counts stand alone and the registry's numbers come under their
+// own wall-clock heading.
 func TestFormatStatsLabelsClocks(t *testing.T) {
 	var met metrics.Snapshot
 	met.Counters[metrics.CtrNotifyDirect] = 3
 	wallRow := []StatsRow{statsRow("machine", 2, machine.Snapshot{}, met)}
 	simRow := []StatsRow{statsRow("machine", 2, machine.Snapshot{}, metrics.Snapshot{})}
-	const modelled, wall, virtual = "modelled (1997 SP charges): busy", "wall-clock:", "virtual time: busy"
+	const counts, wall, virtual = "counts:", "wall-clock:", "virtual time: busy"
 	for _, backend := range []string{"live", "net"} {
 		out := FormatStats(wallRow, backend)
-		m, w := strings.Index(out, modelled), strings.Index(out, wall)
-		if m < 0 || w < m || strings.Contains(out, virtual) {
+		c, w := strings.Index(out, counts), strings.Index(out, wall)
+		if c < 0 || w < c || strings.Contains(out, "busy") || strings.Contains(out, "modelled") {
 			t.Errorf("%s report headings wrong:\n%s", backend, out)
 		}
 		if n := strings.Index(out, "live.notify.direct=3"); n < w {
@@ -97,7 +104,7 @@ func TestFormatStatsLabelsClocks(t *testing.T) {
 		}
 	}
 	out := FormatStats(simRow, "sim")
-	if !strings.Contains(out, virtual) || strings.Contains(out, modelled) || strings.Contains(out, wall) {
+	if !strings.Contains(out, virtual) || strings.Contains(out, counts) || strings.Contains(out, wall) {
 		t.Errorf("sim report headings wrong:\n%s", out)
 	}
 }

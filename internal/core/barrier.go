@@ -88,6 +88,6 @@ func (b *Barrier) Arrive(t *threads.Thread) {
 // CC++ analogue of Split-C's store-sync wait: the calling thread services
 // messages while it waits.
 func (rt *Runtime) WaitLocal(t *threads.Thread, cond func() bool) {
-	t.ChargeSyncOp()
+	t.ChargeSyncOps(1)
 	rt.nodeOf(t).ep.PollUntil(t, cond)
 }

@@ -167,8 +167,8 @@ func (rt *Runtime) DistWrite(t *threads.Thread, op *DistOp, node, dist, off int,
 func (rt *Runtime) distSend(t *threads.Thread, op *DistOp, node int, a [4]uint64, payload []byte, wait bool) {
 	n := rt.nodeOf(t)
 	cfg := t.Cfg()
-	lockPair(t, &n.rtLock)
-	chargeRuntime(t, cfg.StubLookup+gpIssueCost+time.Duration(len(payload))*cfg.MemCopyPerByte)
+	lockPair(t)
+	t.Charge(machine.CatRuntime, cfg.StubLookup+gpIssueCost+time.Duration(len(payload))*cfg.MemCopyPerByte)
 	op.rt = rt
 	op.size = rt.distSizes[a[1]]
 	op.comp.waiters = op.park[:0]
@@ -199,7 +199,7 @@ func (rt *Runtime) distSend(t *threads.Thread, op *DistOp, node int, a [4]uint64
 		op.t0 = n.node.M.Now()
 	}
 	a[0] |= n.distPending.Add(op)
-	lockPair(t, &n.commLock)
+	lockPair(t)
 	n.send(t, node, rt.hDistReq, a, payload)
 	if wait {
 		rt.waitComp(t, n, &op.comp)
@@ -240,7 +240,7 @@ func (n *nodeRT) part(kind string, reqID uint64, src int, seg, off uint64, word 
 //mpmd:hotpath
 func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
-	lockPair(t, &n.commLock)
+	lockPair(t)
 	reqID, dist, off := m.A[0]&(distPut-1), m.A[1], m.A[2]
 	part := n.part("dist", reqID, m.Src, dist, off, false)
 	size := rt.distSizes[dist]
@@ -255,7 +255,7 @@ func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 		} else if size == distReqBytes || len(b) == 0 || (size > 0 && len(b) != size) {
 			panic(fmt.Sprintf("core: node %d dist request %d from node %d: put carries a %d-byte element, dist %d's encode to %d (0: varies)", m.Dst, reqID, m.Src, len(b), dist, size))
 		}
-		chargeRuntime(t, gpServeCost+time.Duration(len(m.Payload))*cfg.MemCopyPerByte)
+		t.Charge(machine.CatRuntime, gpServeCost+time.Duration(len(m.Payload))*cfg.MemCopyPerByte)
 		part.SetElem(int(off), b)
 	} else {
 		n.distBuf = part.AppendElem(int(off), n.distBuf[:0])
@@ -266,7 +266,7 @@ func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 		} else {
 			payload = n.distBuf
 		}
-		chargeRuntime(t, gpServeCost+time.Duration(len(payload))*cfg.MemCopyPerByte)
+		t.Charge(machine.CatRuntime, gpServeCost+time.Duration(len(payload))*cfg.MemCopyPerByte)
 	}
 	n.send(t, m.Src, rt.hDistReply, a, payload)
 }
@@ -283,8 +283,8 @@ func (rt *Runtime) handleDistReply(t *threads.Thread, m am.Msg) {
 			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-op.t0)
 		}
 	}
-	lockPair(t, &n.commLock)
-	chargeRuntime(t, gpCompleteCost+time.Duration(len(m.Payload))*t.Cfg().MemCopyPerByte)
+	lockPair(t)
+	t.Charge(machine.CatRuntime, gpCompleteCost+time.Duration(len(m.Payload))*t.Cfg().MemCopyPerByte)
 	if op.read {
 		switch b := m.Payload; {
 		case inWords(op.size) && len(b) == 0:

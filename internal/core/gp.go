@@ -109,8 +109,8 @@ func (rt *Runtime) registerGPHandlers() {
 	rt.hGPReadReply = rt.net.Register("cc.gp.read.reply", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
 		rq := n.gpPending.Take("GP", m.Dst, m.Src, m.A[1])
-		lockPair(t, &n.commLock)
-		chargeRuntime(t, gpCompleteCost)
+		lockPair(t)
+		t.Charge(machine.CatRuntime, gpCompleteCost)
 		*rq.dst = math.Float64frombits(m.A[0])
 		rt.complete(t, rq.comp)
 	})
@@ -122,28 +122,28 @@ func (rt *Runtime) registerGPHandlers() {
 	// before the spawn.
 	rt.hGPRead = rt.net.Register("cc.gp.read", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
-		lockPair(t, &n.commLock)
+		lockPair(t)
 		src, reqID, off := m.Src, m.A[0], m.A[2]
 		part := n.part("GP", reqID, src, m.A[1], off, true)
 		t.Spawn("gp.read", func(t2 *threads.Thread) {
-			chargeRuntime(t2, gpServeCost)
+			t2.Charge(machine.CatRuntime, gpServeCost)
 			n.send(t2, src, rt.hGPReadReply, [4]uint64{n.word(part, off), reqID}, nil)
 		})
 	})
 	rt.hGPAck = rt.net.Register("cc.gp.ack", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
 		rq := n.gpPending.Take("GP", m.Dst, m.Src, m.A[0])
-		lockPair(t, &n.commLock)
-		chargeRuntime(t, gpCompleteCost)
+		lockPair(t)
+		t.Charge(machine.CatRuntime, gpCompleteCost)
 		rt.complete(t, rq.comp)
 	})
 	rt.hGPWrite = rt.net.Register("cc.gp.write", func(t *threads.Thread, m am.Msg) {
 		n := rt.nodes[m.Dst]
-		lockPair(t, &n.commLock)
+		lockPair(t)
 		src, bits, off, reqID := m.Src, m.A[0], m.A[2], m.A[3]
 		part := n.part("GP", reqID, src, m.A[1], off, true)
 		t.Spawn("gp.write", func(t2 *threads.Thread) {
-			chargeRuntime(t2, gpServeCost)
+			t2.Charge(machine.CatRuntime, gpServeCost)
 			n.setWord(part, off, bits)
 			n.send(t2, src, rt.hGPAck, [4]uint64{reqID}, nil)
 		})
@@ -161,13 +161,13 @@ func (rt *Runtime) ReadF64(t *threads.Thread, gp GPF64) float64 {
 		// runtime's thread-safe locality check and indirection — the
 		// em3d-base effect at low remote percentages.
 		n.node.Acct.Count(machine.CntLocalDeref, 1)
-		lockPair(t, &n.rtLock)
-		chargeRuntime(t, cfg.LocalGPDeref)
+		lockPair(t)
+		t.Charge(machine.CatRuntime, cfg.LocalGPDeref)
 		return math.Float64frombits(n.word(n.local(gp), uint64(gp.off)))
 	}
 	n.node.Acct.Count(machine.CntRemoteRead, 1)
-	lockPair(t, &n.rtLock)
-	chargeRuntime(t, cfg.StubLookup+gpIssueCost)
+	lockPair(t)
+	t.Charge(machine.CatRuntime, cfg.StubLookup+gpIssueCost)
 	mode := modeBlock
 	if rt.opts.SpinSenders {
 		mode = modeSpin
@@ -175,7 +175,7 @@ func (rt *Runtime) ReadF64(t *threads.Thread, gp GPF64) float64 {
 	var dst float64
 	rq := &gpReq{comp: &completion{mode: mode}, dst: &dst}
 	id := n.gpPending.Add(rq)
-	lockPair(t, &n.commLock)
+	lockPair(t)
 	n.send(t, int(gp.node), rt.hGPRead, [4]uint64{id, uint64(gp.seg), uint64(gp.off)}, nil)
 	rt.waitComp(t, n, rq.comp)
 	return dst
@@ -188,21 +188,21 @@ func (rt *Runtime) WriteF64(t *threads.Thread, gp GPF64, v float64) {
 	cfg := t.Cfg()
 	if int(gp.node) == n.node.ID {
 		n.node.Acct.Count(machine.CntLocalDeref, 1)
-		lockPair(t, &n.rtLock)
-		chargeRuntime(t, cfg.LocalGPDeref)
+		lockPair(t)
+		t.Charge(machine.CatRuntime, cfg.LocalGPDeref)
 		n.setWord(n.local(gp), uint64(gp.off), math.Float64bits(v))
 		return
 	}
 	n.node.Acct.Count(machine.CntRemoteWrite, 1)
-	lockPair(t, &n.rtLock)
-	chargeRuntime(t, cfg.StubLookup+gpIssueCost)
+	lockPair(t)
+	t.Charge(machine.CatRuntime, cfg.StubLookup+gpIssueCost)
 	mode := modeBlock
 	if rt.opts.SpinSenders {
 		mode = modeSpin
 	}
 	rq := &gpReq{comp: &completion{mode: mode}}
 	id := n.gpPending.Add(rq)
-	lockPair(t, &n.commLock)
+	lockPair(t)
 	n.send(t, int(gp.node), rt.hGPWrite,
 		[4]uint64{math.Float64bits(v), uint64(gp.seg), uint64(gp.off), id}, nil)
 	rt.waitComp(t, n, rq.comp)

@@ -214,8 +214,8 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	}
 	n.node.Acct.Count(machine.CntRMI, 1)
 
-	// Runtime bookkeeping under the runtime lock.
-	lockPair(t, &n.rtLock)
+	// Runtime bookkeeping: the runtime lock's pair.
+	lockPair(t)
 
 	// Local invocations short-circuit the network but still pay the
 	// global-pointer locality check and dispatch.
@@ -256,7 +256,7 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	t.Charge(machine.CatRuntime,
 		time.Duration(units)*cfg.MarshalPerArg+
 			time.Duration(argLen)*cfg.MemCopyPerByte)
-	lockPair(t, &n.bufLock) // S-buffer pool
+	lockPair(t) // S-buffer pool
 
 	// Synchronous calls draw their envelope+completion from the record
 	// pool; futures and one-ways allocate, since their lifetime escapes
@@ -304,7 +304,7 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	// invocations fit a short AM; anything carrying marshalled data uses
 	// the bulk path — this is why the paper's 1-Word RMI jumps to the
 	// 70 µs bulk AM cost.
-	lockPair(t, &n.commLock)
+	lockPair(t)
 	n.sendBuf(t, int(gp.node), rt.hInvoke, a, buf)
 
 	if mode == modeSpin || mode == modeBlock {
@@ -459,13 +459,6 @@ func (rt *Runtime) waitComp(t *threads.Thread, n *nodeRT, comp *completion) {
 	}
 }
 
-// chargeRuntime charges d to the runtime-overhead bucket.
-//
-//mpmd:hotpath
-func chargeRuntime(t *threads.Thread, d time.Duration) {
-	t.Charge(machine.CatRuntime, d)
-}
-
 // registerHandlers installs the runtime's message handlers.
 func (rt *Runtime) registerHandlers() {
 	rt.hReply = rt.net.Register("cc.reply", rt.handleReply)
@@ -481,7 +474,7 @@ func (rt *Runtime) registerHandlers() {
 func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
 	cfg := t.Cfg()
-	lockPair(t, &n.commLock) // message-layer thread safety
+	lockPair(t) // message-layer thread safety
 
 	flags := uint32(m.A[0])
 	reqID := m.A[0] >> 32
@@ -503,7 +496,7 @@ func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 		// Resolve the name against the local registry and send the cache
 		// update (stub entry point + the ID of a freshly allocated persistent
 		// R-buffer) back to the sender.
-		chargeRuntime(t, cfg.StubLookup)
+		t.Charge(machine.CatRuntime, cfg.StubLookup)
 		stub, ok := n.reg.Resolve(tham.NameHash(m.A[2]))
 		if !ok {
 			panic(fmt.Sprintf("core: node %d cannot resolve method hash %#x", m.Dst, m.A[2]))
@@ -511,7 +504,7 @@ func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 		bm = rt.methods[stub]
 		rbuf := n.bufs.AllocRBuf()
 		n.node.Acct.Count(machine.CntBufAlloc, 1)
-		lockPair(t, &n.commLock)
+		lockPair(t)
 		n.send(t, m.Src, rt.hResolveUpdate,
 			[4]uint64{uint64(stub), uint64(bm.hash), uint64(rbuf)}, nil)
 		// Cold invocations land in the static buffer area and must be
@@ -568,8 +561,8 @@ func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 // into an R-buffer. The copy is a charge only: the receiver decodes the
 // arguments from the message where it lies.
 func stage(t *threads.Thread, n *nodeRT, argLen int) {
-	lockPair(t, &n.bufLock)
-	chargeRuntime(t, time.Duration(argLen)*t.Cfg().MemCopyPerByte)
+	lockPair(t)
+	t.Charge(machine.CatRuntime, time.Duration(argLen)*t.Cfg().MemCopyPerByte)
 }
 
 // runMethod unmarshals, executes, and (when requested) replies. Argument
@@ -588,7 +581,7 @@ func (rt *Runtime) runMethod(t *threads.Thread, n *nodeRT, bm *boundMethod, m am
 	}
 	if bm.m.NewArgs != nil {
 		units := decodeArgs(argBytes, args)
-		chargeRuntime(t, time.Duration(units)*cfg.MarshalPerArg+
+		t.Charge(machine.CatRuntime, time.Duration(units)*cfg.MarshalPerArg+
 			time.Duration(len(argBytes))*cfg.MemCopyPerByte)
 	} else if len(argBytes) != 0 {
 		panic("core: arguments sent to method without parameters: " + bm.qname)
@@ -609,10 +602,10 @@ func (rt *Runtime) runMethod(t *threads.Thread, n *nodeRT, bm *boundMethod, m am
 		if ret != nil {
 			var n2, units int
 			buf, n2, units = marshalOne(ret)
-			chargeRuntime(t, time.Duration(units)*cfg.MarshalPerArg+
+			t.Charge(machine.CatRuntime, time.Duration(units)*cfg.MarshalPerArg+
 				time.Duration(n2)*cfg.MemCopyPerByte)
 		}
-		lockPair(t, &n.commLock)
+		lockPair(t)
 		n.sendBuf(t, m.Src, rt.hReply, [4]uint64{reqID}, buf)
 	}
 	if frame != nil {
@@ -635,7 +628,7 @@ func (rt *Runtime) handleReply(t *threads.Thread, m am.Msg) {
 		}
 	}
 	cfg := t.Cfg()
-	lockPair(t, &n.commLock)
+	lockPair(t)
 	if msg.ret != nil {
 		// Return data is copied twice at the initiator: static buffer area
 		// -> receive buffer (raw copy), then receive buffer -> the CC++
@@ -644,7 +637,7 @@ func (rt *Runtime) handleReply(t *threads.Thread, m am.Msg) {
 		// return data has to be copied twice"; the initiator never passes an
 		// R-buffer address, so this cost is unavoidable in the design).
 		units := decodeOne(m.Payload, msg.ret)
-		chargeRuntime(t, 2*time.Duration(len(m.Payload))*cfg.MemCopyPerByte+
+		t.Charge(machine.CatRuntime, 2*time.Duration(len(m.Payload))*cfg.MemCopyPerByte+
 			2*time.Duration(units)*cfg.MarshalPerArg)
 	}
 	rt.complete(t, msg.comp)
@@ -656,7 +649,7 @@ func (rt *Runtime) handleReply(t *threads.Thread, m am.Msg) {
 // only ever dereferenced by the resolver's node).
 func (rt *Runtime) handleResolveUpdate(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
-	lockPair(t, &n.rtLock)
+	lockPair(t)
 	n.cache.Update(m.Src, tham.NameHash(m.A[1]), &tham.CacheEntry{
 		Stub:   tham.StubID(m.A[0]),
 		RBufID: int32(m.A[2]),

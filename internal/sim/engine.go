@@ -194,6 +194,10 @@ func (p *Proc) Sleep(d Time) {
 	p.switchToEngine()
 }
 
+// Deliver implements the transport seam's delivery point, which the engine
+// does not need: arrivals are events, and they run while a process sleeps.
+func (p *Proc) Deliver() {}
+
 // Park blocks the process until Unpark is called. If an Unpark permit is
 // already pending (Unpark raced ahead in virtual sequence), Park consumes it
 // and returns immediately. This mirrors gopark/goready semantics and makes

@@ -8,7 +8,7 @@
 // Every operation charges its calibrated virtual-time cost (Config.ThreadCreate,
 // Config.ContextSwitch, Config.SyncOp) to the node's accounting and bumps the
 // corresponding counter, which is exactly how the paper reconstructs the
-// "Threads" columns of its Table 4 (counts × unit costs).
+// "Threads" columns of its Table 4 (counts × unit costs); see Charge.
 package threads
 
 import (
@@ -51,17 +51,18 @@ func (s State) String() string {
 
 // Scheduler multiplexes cooperative threads onto one node's CPU.
 type Scheduler struct {
-	node    *machine.Node
-	ready   []*Thread
-	current *Thread
-	nlive   int
-	seq     int
+	node     *machine.Node
+	ready    []*Thread
+	current  *Thread
+	nlive    int
+	seq      int
+	modelled bool // read once: on the simulator a charge is virtual time
 }
 
 // NewScheduler creates the scheduler for a node. Exactly one scheduler per
 // node should exist; runtimes create it during initialization.
 func NewScheduler(node *machine.Node) *Scheduler {
-	return &Scheduler{node: node}
+	return &Scheduler{node: node, modelled: node.M.Eng != nil}
 }
 
 // Node returns the node this scheduler runs on.
@@ -100,6 +101,9 @@ func (t *Thread) Cfg() *machine.Config { return t.s.node.Cfg() }
 // Now returns the backend clock: virtual time on the simulator, wall-clock
 // time on the live backend.
 func (t *Thread) Now() time.Duration { return t.p.Now() }
+
+// Deliver is the thread's delivery point (Proc.Deliver): am runs it per poll.
+func (t *Thread) Deliver() { t.p.Deliver() }
 
 func (s *Scheduler) popReady() *Thread {
 	if len(s.ready) == 0 {
@@ -164,11 +168,15 @@ func currentName(s *Scheduler) string {
 
 // Charge advances virtual time by d and attributes it to category c on the
 // node's accounting. Other nodes' events proceed during the charge; no other
-// thread on this node can run (the CPU is held).
+// thread on this node can run (the CPU is held). On a wall-clock machine a
+// charge is not work — running the code paid it — and is not accounted.
 func (t *Thread) Charge(c machine.Category, d time.Duration) {
-	if d == 0 {
-		return
+	if d != 0 && t.s.modelled {
+		t.charge(c, d)
 	}
+}
+
+func (t *Thread) charge(c machine.Category, d time.Duration) {
 	t.s.node.Acct.Add(c, d)
 	t.p.Sleep(d)
 	if t.s.node.M.Trace != nil {
@@ -191,9 +199,13 @@ func (t *Thread) chargeSync() {
 	t.Charge(machine.CatThreadSync, t.Cfg().SyncOp)
 }
 
-// ChargeSyncOp exposes chargeSync to runtimes that implement their own
-// synchronization objects but want them accounted identically.
-func (t *Thread) ChargeSyncOp() { t.chargeSync() }
+// ChargeSyncOps charges and counts n synchronization operations a runtime
+// models but does not perform; a wall-clock machine neither charges nor counts.
+func (t *Thread) ChargeSyncOps(n int) {
+	for i := 0; i < n && t.s.modelled; i++ {
+		t.chargeSync()
+	}
+}
 
 // chargeSwitch charges one context switch and counts it.
 //

@@ -64,6 +64,7 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("ParkUnpark", func(t *testing.T) { parkUnpark(t, f) })
 	t.Run("BusyDestination", func(t *testing.T) { busyDestination(t, f) })
 	t.Run("Timers", func(t *testing.T) { timers(t, f) })
+	t.Run("PollDelivers", func(t *testing.T) { pollDelivers(t, f) })
 	t.Run("CrossShardTraffic", func(t *testing.T) { crossShardTraffic(t, f, false) })
 	t.Run("MixedSizes", func(t *testing.T) { crossShardTraffic(t, f, true) })
 	t.Run("TwoCallersOneNode", func(t *testing.T) { twoCallersOneNode(t, f) })
@@ -455,6 +456,32 @@ func timers(t *testing.T, f ShardedFactory) {
 		if err := le.Err(); err != nil {
 			t.Fatalf("backend lifecycle error after clean run: %v", err)
 		}
+	}
+}
+
+// pollDelivers: a thread that never parks — it computes and polls in a loop,
+// as a server under a stream of requests does — still lets its node's timer
+// callbacks in. On the simulator the timer is an event that fires during a
+// compute charge; on the wall-clock backends a charge is not work, and the
+// poll is the thread's delivery point.
+func pollDelivers(t *testing.T, f ShardedFactory) {
+	r := newRig(f(machine.SP1997(), 1))
+	fired, seen := false, false // node 0 state
+	r.m.AfterNode(0, time.Millisecond, func() { fired = true })
+	var waited time.Duration
+	r.scheds[0].Start("spinner", func(th *threads.Thread) {
+		start := time.Now()
+		for !fired && time.Since(start) < 5*time.Second {
+			th.Compute(time.Microsecond)
+			r.ep(0).Poll(th)
+		}
+		seen, waited = fired, time.Since(start)
+	})
+	if err := r.run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !seen {
+		t.Fatalf("an After(1ms) callback never got the CPU from a thread that computes and polls for %v without parking", waited)
 	}
 }
 

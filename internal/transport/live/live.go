@@ -13,8 +13,9 @@
 // CPU to its node's other procs only by parking (condition wait) — the
 // threads package above runs one thread at a time and switches by
 // unpark-then-park. Notify and timer callbacks that found the CPU busy are run
-// by its holder (below), also during Sleep, which is where the simulator lets
-// arrival events interleave with a charge.
+// by its holder (below), also at Deliver, the explicit delivery point of a
+// proc that runs without parking (the simulator's counterpart is an arrival
+// event interleaving with a charge).
 //
 // # Message delivery
 //
@@ -31,8 +32,8 @@
 //
 // There is no receiver thread. A callback that finds the destination's CPU
 // busy is pushed on the node's pending list, and whoever holds the CPU runs
-// the list before letting go: a proc at every charge (Sleep), park and exit,
-// a sender after its direct notify. Three rules keep a pended callback from
+// the list before letting go: a proc at every Deliver, park and exit, a sender
+// after its direct notify. Three rules keep a pended callback from
 // being stranded, and none of them waits:
 //
 //   - the CPU is unlocked in one function only, release: run the pending
@@ -191,7 +192,7 @@ type lnode struct {
 	// pend is the pending list: callbacks that found the CPU busy, in push
 	// order, for the CPU's holder to run. Any goroutine pushes, only the
 	// holder pops. npend mirrors the list's length (written under pend.mu) so
-	// that the holder's check at every charge and release is one atomic load.
+	// that the holder's check at every Deliver and release is one atomic load.
 	// The list is a ring and the warm path's closures are long-lived (one per
 	// destination node), so a steady-state push allocates nothing.
 	pend struct {
@@ -244,8 +245,8 @@ func (nd *lnode) pended() {
 }
 
 // runPending runs, CPU held, the callbacks that were pending on entry. Those
-// pushed meanwhile are for the next charge, or for release's second look. The
-// empty case is the one that matters (every charge of every proc pays it) and
+// pushed meanwhile are for the next Deliver, or for release's second look. The
+// empty case is the one that matters (every poll of every thread pays it) and
 // inlines to the atomic load.
 //
 //mpmdvet:locked nd.mu
@@ -398,17 +399,24 @@ func (p *Proc) Unpark() {
 	}
 }
 
+// Deliver implements transport.Proc: the notify and timer callbacks that
+// found this proc holding the CPU run here, in place. With none pending, which
+// is nearly every time because most notifies run on their sender, it costs one
+// atomic load. A proc that parks needs none (its release runs them); the
+// threads above call it where a thread may spin without parking — on every
+// poll of the message layer.
+//
+//mpmdvet:locked p.nd.mu
+func (p *Proc) Deliver() { p.nd.runPending() }
+
 // Sleep implements transport.Proc. The modelled cost is already paid by real
-// execution, so no time passes; what remains is the interleaving the
-// simulator's arrival events have during a virtual-time charge: the notify
-// and timer callbacks that found this proc holding the CPU run here, in place.
-// With none pending, which is nearly every charge because most notifies run
-// on their sender, a charge costs one atomic load.
+// execution, so no time passes; what remains of a virtual-time charge is the
+// interleaving the simulator's arrival events have during it: Deliver.
 //
 //mpmdvet:locked p.nd.mu
 func (p *Proc) Sleep(d time.Duration) {
 	if d > 0 {
-		p.nd.runPending()
+		p.Deliver()
 	}
 }
 
@@ -469,7 +477,7 @@ func (b *Backend) DeliverDirect(dst int, notify func()) {
 
 // After implements transport.Backend: fn runs in node's execution context
 // after wall-clock delay d — never inside After when the caller is that node
-// (it holds the CPU, so fn pends until its next charge or park). Timers
+// (it holds the CPU, so fn pends until its next Deliver or park). Timers
 // pending when Run returns are cancelled (their callbacks never run); a
 // callback that fires later still and cannot run at once is dropped and
 // counted as a lifecycle error (Err).

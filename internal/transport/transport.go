@@ -63,7 +63,13 @@ type Proc interface {
 	// virtual time by d while other nodes (and this node's message
 	// arrivals) proceed; the live backend treats the modelled cost as
 	// already paid by real execution and only opens a delivery window.
+	// The threads package sleeps on the simulator only.
 	Sleep(d time.Duration)
+	// Deliver runs, in place and with the CPU held, the notify and timer
+	// callbacks that found this context's node busy: the delivery point of a
+	// context that does not park. The simulator has none to run — its
+	// arrivals are events, interleaved by Sleep.
+	Deliver()
 	// Now returns the backend clock: virtual time on simnet, wall-clock
 	// time on live.
 	Now() time.Duration
