@@ -109,6 +109,10 @@ var corpus = []struct {
 		{"internal/splitc/splitc.go", "\tif off > uint64(len(part)) || n > uint64(len(part))-off {\n", "\tif false {\n"}}},
 	{"a GP access takes a segment of other elements", "go test ./internal/core -run ^TestDistHostileWords$/^GP_read_of_a_segment_of_variable-size_elements$", `index out of range`, []edit{
 		{"internal/core/dist.go", "\tif word && n.rt.distSizes[seg] != distReqBytes {\n", "\tif false {\n"}}},
+	{"a collective message trusts its slot word", "go test ./internal/coll -run ^TestCollHostileWords$/^slot_past_the_machine$", `handler failed with "<nil>"`, []edit{
+		{"internal/coll/coll.go", "\tcase uint64(k.slot) >= n:\n", "\tcase false:\n"}}},
+	{"a collective message overwrites one not yet taken", "go test ./internal/coll -run ^TestCollHostileWords$/^second_message_for_a_filled_slot$", `handler failed with "<nil>"`, []edit{
+		{"internal/coll/coll.go", "\tcase dup:\n", "\tcase dup && false:\n"}}},
 	{"a wall-clock machine charges its modelled costs", "go test ./internal/bench -run ^TestRunStats$", `live: busy [1-9]\d*ns, .*want a wall-clock machine to charge nothing`, []edit{
 		{"internal/threads/threads.go", "\tif d != 0 && t.s.modelled {\n", "\tif d != 0 {\n"}}},
 	{"a wall-clock machine counts the lock pairs it elides", "go test ./internal/bench -run ^TestRunStats$", `thread\.sync [1-9]\d*; want a wall-clock machine to charge nothing`, []edit{

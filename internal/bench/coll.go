@@ -35,7 +35,7 @@ func measureColl(cfg machine.Config, n, iters int,
 	for i := 0; i < n; i++ {
 		i := i
 		rt.OnNode(i, func(th *threads.Thread) {
-			// Warm the stub caches on every tree edge.
+			// Warm the mailbox maps and buffer pools.
 			for k := 0; k < 2; k++ {
 				body(tm, th)
 			}
@@ -96,7 +96,7 @@ func RunCollBench(cfg machine.Config, sc Scale) []CollRow {
 // FormatColl renders the collective-operations table.
 func FormatColl(rows []CollRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Team collectives — log-depth trees over the RMI wire path (virtual time, calibrated SP model)\n")
+	fmt.Fprintf(&b, "Team collectives — log-depth trees of active messages (virtual time, calibrated SP model)\n")
 	fmt.Fprintf(&b, "%-24s | %6s | %8s | %10s | %10s\n", "operation", "nodes", "iters", "per-op", "bandwidth")
 	for _, r := range rows {
 		bw := "-"
@@ -107,6 +107,6 @@ func FormatColl(rows []CollRow) string {
 			r.Name, r.Nodes, r.Iters, r.PerOp.Round(10*time.Nanosecond), bw)
 	}
 	fmt.Fprintf(&b, "(barrier: dissemination, ceil(log2 n) rounds; reduce/bcast: binomial trees;\n")
-	fmt.Fprintf(&b, " every message is an ordinary one-way RMI with the full modelled cost)\n")
+	fmt.Fprintf(&b, " every message is one active message: the AM layer's cost plus one receive copy)\n")
 	return b.String()
 }

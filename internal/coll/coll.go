@@ -2,10 +2,18 @@
 // (communicators over node subsets) and the collective operations scoped to
 // them — barrier, broadcast, reduce/all-reduce, scatter/gather/all-gather.
 //
-// Everything lowers onto the existing RMI wire path (core.Runtime one-way
-// and synchronous calls to a per-node mailbox object), so the modelled
-// costs stay honest: collective messages pay the same marshalling,
-// stub-cache, persistent-buffer, and AM charges as any application RMI.
+// Every collective message is one active message to one handler (coll.msg),
+// sent with core.Runtime.Send: the words name it — [team, sequence,
+// phase<<32 | slot, 0] — and a payload, when it has one, is the message's
+// payload. Nothing is marshalled and no method is dispatched, the way the
+// paper moves the runtime's own traffic ("small request/reply active
+// messages", §6) and Split-C's collectives run on Active Messages; a barrier
+// round carries nothing, so it is a short AM. The handler lands the payload,
+// copied once, in its node's mailbox under those words until the member
+// thread takes it. On the simulator a message costs what the AM layer
+// charges, under the runtime's profile (so Nexus pricing applies), plus that
+// one receive copy.
+//
 // The algorithms are the log-depth classics — a dissemination barrier and
 // binomial trees for the data collectives — so an n-member operation
 // completes in O(log n) communication rounds where the hand-rolled central
@@ -22,52 +30,63 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"strconv"
+	"time"
 
+	"repro/internal/am"
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/threads"
 )
-
-// collClassName is the registered class of the per-node mailbox objects.
-const collClassName = "__coll"
 
 // extKey is the core-runtime extension slot the Comm lives in.
 const extKey = "coll.comm"
 
-// collObj is the per-node mailbox: collective payloads land here (keyed by
-// team/sequence/phase/slot) until the member thread consumes them. It is
-// touched only from its node's execution context — the deliver handler runs
-// on the owning node, and the consuming member thread is that node's.
-type collObj struct {
-	mail map[string][]byte
+// msgKey names one collective message: the team, the operation's sequence
+// number in it, the phase tag that separates message kinds inside one
+// operation (reduce-up vs broadcast-down of an all-reduce) and the slot —
+// the sender's relative rank, or the round number for barriers. It is the
+// message's words, unpacked.
+type msgKey struct {
+	team, seq   uint64
+	phase, slot uint32
 }
 
-// Comm is the per-runtime collective engine: one mailbox object per node
-// plus the world team. Create it (or the world team through it) before Run.
+// box is one node's end of the engine. It is touched only from that node's
+// execution context: deliver runs on the receiving node, and the member
+// thread that takes from the mailbox or splits a team is that node's.
+type box struct {
+	mail map[msgKey][]byte
+	// proposed is the last team id this node proposed in a Split; proposals
+	// count from 1, so no subteam is named 0, the world's id.
+	proposed uint32
+}
+
+// Comm is the per-runtime collective engine: the handler every collective
+// message is sent to, each node's mailbox and the world team. Create it (or
+// the world team through it) before Run.
 type Comm struct {
 	rt    *core.Runtime
-	objs  []core.GPtr
+	h     am.HandlerID
+	boxes []box
 	world *Team
 }
 
-// For returns the runtime's collective engine, creating and registering it
-// on first use. Must first be called before Run (class registration and
-// object placement are setup-time operations).
+// For returns the runtime's collective engine, creating it and registering
+// its handler on first use. Must first be called before Run (handler
+// registration is setup-time work).
 func For(rt *core.Runtime) *Comm {
 	if v := rt.Ext(extKey); v != nil {
 		return v.(*Comm)
 	}
-	c := &Comm{rt: rt}
-	rt.RegisterClass(c.collClass())
 	n := rt.Machine().NumNodes()
-	for i := 0; i < n; i++ {
-		c.objs = append(c.objs, rt.CreateObject(i, collClassName))
-	}
+	c := &Comm{rt: rt, boxes: make([]box, n)}
+	c.h = rt.Handle("coll.msg", c.deliver)
 	nodes := make([]int, n)
 	for i := range nodes {
 		nodes[i] = i
+		c.boxes[i].mail = make(map[msgKey][]byte)
 	}
-	c.world = newTeam(c, "w", nodes)
+	c.world = newTeam(c, 0, nodes)
 	rt.SetExt(extKey, c)
 	return c
 }
@@ -78,54 +97,34 @@ func (c *Comm) Runtime() *core.Runtime { return c.rt }
 // World returns the team of all nodes.
 func (c *Comm) World() *Team { return c.world }
 
-// obj returns the mailbox of the node t runs on.
-func (c *Comm) obj(t *threads.Thread) *collObj {
-	return c.rt.Object(c.objs[t.Node().ID]).(*collObj)
-}
-
-// collClass builds the mailbox class. Its method is non-threaded: it only
-// moves bytes into a node-local map and never blocks.
-func (c *Comm) collClass() *core.Class {
-	return &core.Class{
-		Name: collClassName,
-		New:  func() any { return &collObj{mail: make(map[string][]byte)} },
-		Methods: []*core.Method{
-			{
-				// deliver lands one collective payload in the mailbox.
-				Name:    "deliver",
-				NewArgs: func() []core.Arg { return []core.Arg{&core.Str{}, &core.Bytes{}} },
-				Fn: func(t *threads.Thread, self any, args []core.Arg, ret core.Arg) {
-					o := self.(*collObj)
-					key := args[0].(*core.Str).V
-					// Copy: the decoded slice may alias a persistent R-buffer
-					// that the next warm invocation overwrites.
-					b := args[1].(*core.Bytes).V
-					own := make([]byte, len(b))
-					copy(own, b)
-					o.mail[key] = own
-				},
-			},
-		},
+// deliver is the handler of every collective message: it lands the payload
+// in the receiving node's mailbox. The words may come from another process,
+// so each is held to what a genuine sender puts there before anything is
+// stored, and a message that would overwrite one not yet taken is refused.
+func (c *Comm) deliver(t *threads.Thread, m am.Msg) {
+	n := uint64(len(c.boxes))
+	k := msgKey{team: m.A[0], seq: m.A[1], phase: uint32(m.A[2] >> 32), slot: uint32(m.A[2])}
+	mail := c.boxes[m.Dst].mail
+	var cause string
+	switch _, dup := mail[k]; {
+	case k.phase != 'x' && k.phase != 'b' && k.phase != 'r' && k.phase != 'g' && k.phase != 's':
+		cause = fmt.Sprintf("unknown phase %#x", k.phase)
+	case uint64(k.slot) >= n:
+		cause = fmt.Sprintf("slot %d on a %d-node machine", k.slot, n)
+	case k.team>>32 >= n:
+		cause = fmt.Sprintf("team led by node %d on a %d-node machine", k.team>>32, n)
+	case k.phase == 'x' && len(m.Payload) > 0:
+		cause = fmt.Sprintf("barrier round %d carries a %d-byte payload", k.slot, len(m.Payload))
+	case dup:
+		cause = fmt.Sprintf("second message for phase %c slot %d before the first was taken", k.phase, k.slot)
 	}
-}
-
-// send ships one collective payload to a peer node's mailbox as a one-way
-// RMI — same wire path, same modelled cost as any application invocation.
-func (c *Comm) send(t *threads.Thread, node int, key string, payload []byte) {
-	c.rt.CallOneWay(t, c.objs[node], "deliver",
-		[]core.Arg{&core.Str{V: key}, &core.Bytes{V: payload}})
-}
-
-// take blocks (servicing the network) until the keyed payload has landed in
-// the local mailbox, then consumes it.
-func (c *Comm) take(t *threads.Thread, key string) []byte {
-	o := c.obj(t)
-	if _, ok := o.mail[key]; !ok {
-		c.rt.WaitLocal(t, func() bool { _, ok := o.mail[key]; return ok })
+	if cause != "" {
+		panic(fmt.Sprintf("coll: node %d message from node %d (team %#x, sequence %d): %s", m.Dst, m.Src, k.team, k.seq, cause))
 	}
-	b := o.mail[key]
-	delete(o.mail, key)
-	return b
+	// The payload is a view into a wire buffer recycled when the handler
+	// returns: copy it once (an empty one stays nil and costs nothing).
+	t.Charge(machine.CatRuntime, time.Duration(len(m.Payload))*t.Cfg().MemCopyPerByte)
+	mail[k] = append([]byte(nil), m.Payload...)
 }
 
 // --- teams -------------------------------------------------------------------
@@ -136,26 +135,28 @@ func (c *Comm) take(t *threads.Thread, key string) []byte {
 // contract). The world team exists from setup; subteams come from Split.
 type Team struct {
 	c      *Comm
-	id     string
+	id     uint64
 	nodes  []int       // member node IDs, indexed by rank
 	rankOf map[int]int // node ID -> rank
 	// seq is the per-rank collective sequence number. Each member's thread
 	// touches only its own entry, so the slice needs no locking on the live
 	// backend; the entries advance in lockstep because collectives are
 	// called in the same order everywhere.
-	seq []int64
+	seq []uint64
 }
 
-func newTeam(c *Comm, id string, nodes []int) *Team {
-	tm := &Team{c: c, id: id, nodes: nodes, rankOf: make(map[int]int, len(nodes)), seq: make([]int64, len(nodes))}
+func newTeam(c *Comm, id uint64, nodes []int) *Team {
+	tm := &Team{c: c, id: id, nodes: nodes, rankOf: make(map[int]int, len(nodes)), seq: make([]uint64, len(nodes))}
 	for r, n := range nodes {
 		tm.rankOf[n] = r
 	}
 	return tm
 }
 
-// ID returns the team's machine-wide identifier.
-func (tm *Team) ID() string { return tm.id }
+// ID returns the team's machine-wide wire name: its leader node (the rank-0
+// node when Split made it) in the high 32 bits, the leader's proposal in the
+// low ones; the world team is 0.
+func (tm *Team) ID() uint64 { return tm.id }
 
 // Comm returns the collective engine the team belongs to.
 func (tm *Team) Comm() *Comm { return tm.c }
@@ -180,43 +181,34 @@ func (tm *Team) RankOfNode(node int) int {
 // Rank returns the calling thread's rank, or -1 if its node is not a member.
 func (tm *Team) Rank(t *threads.Thread) int { return tm.RankOfNode(t.Node().ID) }
 
-// mustRank is Rank for internal callers that require membership.
-func (tm *Team) mustRank(t *threads.Thread) int {
+// begin starts the calling member's next collective on the team: its rank
+// and the operation's sequence number.
+func (tm *Team) begin(t *threads.Thread) (int, uint64) {
 	r := tm.Rank(t)
 	if r < 0 {
-		panic(fmt.Sprintf("coll: node %d is not a member of team %s", t.Node().ID, tm.id))
+		panic(fmt.Sprintf("coll: node %d is not a member of team %#x", t.Node().ID, tm.id))
 	}
-	return r
-}
-
-// next advances and returns rank r's collective sequence number.
-func (tm *Team) next(r int) int64 {
 	tm.seq[r]++
-	return tm.seq[r]
+	return r, tm.seq[r]
 }
 
-// key builds a mailbox key: team, op sequence, phase tag, slot. The phase
-// tag separates message kinds inside one operation (reduce-up vs
-// broadcast-down of an all-reduce); the slot is the sender's relative rank,
-// or the round number for barriers. Built without fmt — every collective
-// message pays for a key at each end — so the string is the one allocation.
-func (tm *Team) key(seq int64, phase byte, slot int) string {
-	var buf [48]byte
-	b := append(buf[:0], tm.id...)
-	b = append(b, ';')
-	b = strconv.AppendInt(b, seq, 10)
-	b = append(b, ';', phase)
-	b = strconv.AppendInt(b, int64(slot), 10)
-	return string(b)
+// send ships one message of operation seq to node dst.
+func (tm *Team) send(t *threads.Thread, dst int, seq uint64, phase byte, slot int, payload []byte) {
+	tm.c.rt.Send(t, dst, tm.c.h, [4]uint64{tm.id, seq, uint64(phase)<<32 | uint64(slot)}, payload)
 }
 
-// ceilLog2 returns ceil(log2(n)) for n >= 1.
-func ceilLog2(n int) int {
-	k := 0
-	for 1<<k < n {
-		k++
+// take blocks (servicing the network) until the named message has landed in
+// the calling node's mailbox, then consumes it.
+func (tm *Team) take(t *threads.Thread, seq uint64, phase byte, slot int) []byte {
+	mail := tm.c.boxes[t.Node().ID].mail
+	k := msgKey{team: tm.id, seq: seq, phase: uint32(phase), slot: uint32(slot)}
+	b, ok := mail[k]
+	if !ok {
+		tm.c.rt.WaitLocal(t, func() bool { _, ok := mail[k]; return ok })
+		b = mail[k]
 	}
-	return k
+	delete(mail, k)
+	return b
 }
 
 // --- barrier -----------------------------------------------------------------
@@ -226,16 +218,14 @@ func ceilLog2(n int) int {
 // round — against the O(n) central counter the runtime's Barrier object and
 // Split-C's barrier() use.
 func (tm *Team) Barrier(t *threads.Thread) {
-	r := tm.mustRank(t)
-	seq := tm.next(r)
+	r, seq := tm.begin(t)
 	n := len(tm.nodes)
 	for k := 0; 1<<k < n; k++ {
 		peer := tm.nodes[(r+1<<k)%n]
-		key := tm.key(seq, 'x', k)
-		tm.c.send(t, peer, key, nil)
+		tm.send(t, peer, seq, 'x', k, nil)
 		// The round-k message we wait for comes from rank (r - 2^k) mod n,
-		// under the same key.
-		tm.c.take(t, key)
+		// under the same words.
+		tm.take(t, seq, 'x', k)
 	}
 }
 
@@ -245,14 +235,13 @@ func (tm *Team) Barrier(t *threads.Thread) {
 // (depth ceil(log2 n)) and returns it on every member. Only root's data
 // argument is significant.
 func (tm *Team) Bcast(t *threads.Thread, root int, data []byte) []byte {
-	r := tm.mustRank(t)
-	seq := tm.next(r)
+	r, seq := tm.begin(t)
 	return tm.bcast(t, r, seq, root, data)
 }
 
 // bcast is the reusable broadcast phase (also the down-sweep of AllReduce
 // and AllGather, which run it under their own sequence number).
-func (tm *Team) bcast(t *threads.Thread, r int, seq int64, root int, data []byte) []byte {
+func (tm *Team) bcast(t *threads.Thread, r int, seq uint64, root int, data []byte) []byte {
 	n := len(tm.nodes)
 	rel := (r - root + n) % n
 	// Receive from the parent: the first set bit of rel, scanning up, names
@@ -260,7 +249,7 @@ func (tm *Team) bcast(t *threads.Thread, r int, seq int64, root int, data []byte
 	mask := 1
 	for mask < n {
 		if rel&mask != 0 {
-			data = tm.c.take(t, tm.key(seq, 'b', rel-mask))
+			data = tm.take(t, seq, 'b', rel-mask)
 			break
 		}
 		mask <<= 1
@@ -270,7 +259,7 @@ func (tm *Team) bcast(t *threads.Thread, r int, seq int64, root int, data []byte
 	for mask > 0 {
 		if rel+mask < n && rel&(mask-1) == 0 && rel&mask == 0 {
 			dst := tm.nodes[(rel+mask+root)%n]
-			tm.c.send(t, dst, tm.key(seq, 'b', rel), data)
+			tm.send(t, dst, seq, 'b', rel, data)
 		}
 		mask >>= 1
 	}
@@ -288,23 +277,21 @@ type Combiner func(a, b []byte) []byte
 // rooted at rank root. The combined payload is returned at the root
 // (ok=true); other members get their partial (ok=false).
 func (tm *Team) Reduce(t *threads.Thread, root int, data []byte, comb Combiner) ([]byte, bool) {
-	r := tm.mustRank(t)
-	seq := tm.next(r)
+	r, seq := tm.begin(t)
 	return tm.reduce(t, r, seq, root, data, comb)
 }
 
-func (tm *Team) reduce(t *threads.Thread, r int, seq int64, root int, data []byte, comb Combiner) ([]byte, bool) {
+func (tm *Team) reduce(t *threads.Thread, r int, seq uint64, root int, data []byte, comb Combiner) ([]byte, bool) {
 	n := len(tm.nodes)
 	rel := (r - root + n) % n
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask == 0 {
-			src := rel | mask
-			if src < n {
-				data = comb(data, tm.c.take(t, tm.key(seq, 'r', src)))
+			if src := rel | mask; src < n {
+				data = comb(data, tm.take(t, seq, 'r', src))
 			}
 		} else {
 			parent := tm.nodes[(rel-mask+root)%n]
-			tm.c.send(t, parent, tm.key(seq, 'r', rel), data)
+			tm.send(t, parent, seq, 'r', rel, data)
 			return data, false
 		}
 	}
@@ -315,8 +302,7 @@ func (tm *Team) reduce(t *threads.Thread, r int, seq int64, root int, data []byt
 // member: a binomial reduce to rank 0 followed by a binomial broadcast —
 // 2·ceil(log2 n) communication rounds.
 func (tm *Team) AllReduce(t *threads.Thread, data []byte, comb Combiner) []byte {
-	r := tm.mustRank(t)
-	seq := tm.next(r)
+	r, seq := tm.begin(t)
 	acc, _ := tm.reduce(t, r, seq, 0, data, comb)
 	return tm.bcast(t, r, seq, 0, acc)
 }
@@ -367,60 +353,50 @@ func unpackEntries(b []byte, parts [][]byte) {
 // ceil(log2 n) rounds. The root (ok=true) gets the full rank-indexed slice;
 // other members return nil, false.
 func (tm *Team) Gather(t *threads.Thread, root int, data []byte) ([][]byte, bool) {
-	r := tm.mustRank(t)
-	seq := tm.next(r)
+	r, seq := tm.begin(t)
 	return tm.gather(t, r, seq, root, data)
 }
 
-func (tm *Team) gather(t *threads.Thread, r int, seq int64, root int, data []byte) ([][]byte, bool) {
+func (tm *Team) gather(t *threads.Thread, r int, seq uint64, root int, data []byte) ([][]byte, bool) {
 	n := len(tm.nodes)
 	rel := (r - root + n) % n
 	parts := make([][]byte, n)
 	parts[r] = data
-	have := []int{r}
 	for mask := 1; mask < n; mask <<= 1 {
 		if rel&mask == 0 {
-			src := rel | mask
-			if src < n {
-				unpackEntries(tm.c.take(t, tm.key(seq, 'g', src)), parts)
-				for i := range parts {
-					if parts[i] != nil && !containsInt(have, i) {
-						have = append(have, i)
-					}
-				}
+			if src := rel | mask; src < n {
+				unpackEntries(tm.take(t, seq, 'g', src), parts)
 			}
 		} else {
+			// What has landed here is this subtree: relative ranks [rel, rel+mask).
 			parent := tm.nodes[(rel-mask+root)%n]
-			tm.c.send(t, parent, tm.key(seq, 'g', rel), packEntries(have, parts))
+			tm.send(t, parent, seq, 'g', rel, packEntries(tm.subtree(rel, mask, root), parts))
 			return nil, false
 		}
 	}
 	return parts, true
 }
 
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
+// subtree returns the ranks of the members at relative ranks [rel, rel+size)
+// from root.
+func (tm *Team) subtree(rel, size, root int) []int {
+	n := len(tm.nodes)
+	var ranks []int
+	for d := rel; d < rel+size && d < n; d++ {
+		ranks = append(ranks, (d+root)%n)
 	}
-	return false
+	return ranks
 }
 
 // AllGather collects every member's payload on every member: a binomial
 // gather to rank 0 followed by a broadcast of the packed vector.
 func (tm *Team) AllGather(t *threads.Thread, data []byte) [][]byte {
-	r := tm.mustRank(t)
-	seq := tm.next(r)
+	r, seq := tm.begin(t)
 	parts, isRoot := tm.gather(t, r, seq, 0, data)
 	n := len(tm.nodes)
 	var packed []byte
 	if isRoot {
-		all := make([]int, n)
-		for i := range all {
-			all[i] = i
-		}
-		packed = packEntries(all, parts)
+		packed = packEntries(tm.subtree(0, n, 0), parts)
 	}
 	packed = tm.bcast(t, r, seq, 0, packed)
 	if !isRoot {
@@ -436,8 +412,7 @@ func (tm *Team) AllGather(t *threads.Thread, data []byte) [][]byte {
 // the broadcast but with partitioned data. Only root's parts argument is
 // significant; every member returns its own entry.
 func (tm *Team) Scatter(t *threads.Thread, root int, parts [][]byte) []byte {
-	r := tm.mustRank(t)
-	seq := tm.next(r)
+	r, seq := tm.begin(t)
 	n := len(tm.nodes)
 	if r == root && len(parts) != n {
 		panic(fmt.Sprintf("coll: Scatter root has %d parts for a %d-member team", len(parts), n))
@@ -445,15 +420,13 @@ func (tm *Team) Scatter(t *threads.Thread, root int, parts [][]byte) []byte {
 	rel := (r - root + n) % n
 	mine := make([][]byte, n)
 	if rel == 0 {
-		for i := 0; i < n; i++ {
-			mine[i] = parts[i]
-		}
+		copy(mine, parts)
 	}
 	// Receive the packed entries for my subtree from my parent.
 	mask := 1
 	for mask < n {
 		if rel&mask != 0 {
-			unpackEntries(tm.c.take(t, tm.key(seq, 's', rel-mask)), mine)
+			unpackEntries(tm.take(t, seq, 's', rel-mask), mine)
 			break
 		}
 		mask <<= 1
@@ -463,12 +436,8 @@ func (tm *Team) Scatter(t *threads.Thread, root int, parts [][]byte) []byte {
 	mask >>= 1
 	for mask > 0 {
 		if rel+mask < n && rel&(mask-1) == 0 && rel&mask == 0 {
-			var ranks []int
-			for d := rel + mask; d < rel+2*mask && d < n; d++ {
-				ranks = append(ranks, (d+root)%n)
-			}
 			dst := tm.nodes[(rel+mask+root)%n]
-			tm.c.send(t, dst, tm.key(seq, 's', rel), packEntries(ranks, mine))
+			tm.send(t, dst, seq, 's', rel, packEntries(tm.subtree(rel+mask, mask, root), mine))
 		}
 		mask >>= 1
 	}
@@ -481,25 +450,37 @@ func (tm *Team) Scatter(t *threads.Thread, root int, parts [][]byte) []byte {
 // member calls it with its color and key; members of the same color form a
 // new team, ranked by (key, parent rank). A negative color opts out — the
 // member still participates in the exchange but gets a nil team. The member
-// lists are computed from an AllGather of (color, key), so every member of
-// a subteam derives the identical team deterministically.
+// lists are computed from an AllGather of (color, key, proposal), so every
+// member of a subteam derives the identical team deterministically.
+//
+// The proposal is a fresh team id from each member's node, and the new team
+// takes its rank-0 node's: leader<<32 | proposal. That is unique machine-wide
+// with no extra round, because a node proposes a new value in every Split
+// and leads at most one team per Split.
 func (tm *Team) Split(t *threads.Thread, color, key int) *Team {
-	r := tm.mustRank(t)
-	seq := tm.seq[r] + 1 // the AllGather below consumes this sequence number
-	var buf [16]byte
+	b := &tm.c.boxes[t.Node().ID]
+	b.proposed++
+	var buf [24]byte
 	binary.LittleEndian.PutUint64(buf[:], uint64(int64(color)))
 	binary.LittleEndian.PutUint64(buf[8:], uint64(int64(key)))
+	binary.LittleEndian.PutUint64(buf[16:], uint64(b.proposed))
 	all := tm.AllGather(t, buf[:])
 	if color < 0 {
 		return nil
 	}
-	type member struct{ key, rank int }
+	type member struct {
+		key, rank int
+		proposed  uint32
+	}
 	var ms []member
 	for rank, b := range all {
+		if len(b) != len(buf) {
+			panic(fmt.Sprintf("coll: Split record of rank %d is %d bytes, want %d", rank, len(b), len(buf)))
+		}
 		c := int(int64(binary.LittleEndian.Uint64(b)))
 		k := int(int64(binary.LittleEndian.Uint64(b[8:])))
 		if c == color {
-			ms = append(ms, member{key: k, rank: rank})
+			ms = append(ms, member{key: k, rank: rank, proposed: uint32(binary.LittleEndian.Uint64(b[16:]))})
 		}
 	}
 	// Sort by (key, parent rank) — insertion sort; teams are small.
@@ -513,8 +494,7 @@ func (tm *Team) Split(t *threads.Thread, color, key int) *Team {
 	for i, m := range ms {
 		nodes[i] = tm.nodes[m.rank]
 	}
-	id := fmt.Sprintf("%s/%d.%d", tm.id, seq, color)
-	return newTeam(tm.c, id, nodes)
+	return newTeam(tm.c, uint64(nodes[0])<<32|uint64(ms[0].proposed), nodes)
 }
 
 // --- float64 payload helpers -------------------------------------------------

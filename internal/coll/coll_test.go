@@ -4,10 +4,13 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"regexp"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/am"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/threads"
@@ -267,5 +270,51 @@ func TestUnpackEntriesHostileWords(t *testing.T) {
 	unpackEntries(append(entry(3, 1, 1), entry(0, 0, 0)...), parts)
 	if len(parts[3]) != 1 || parts[0] == nil || len(parts[0]) != 0 || parts[1] != nil {
 		t.Fatalf("well-formed entries landed as %v", parts)
+	}
+}
+
+// TestCollHostileWords: a collective message is words from another node,
+// possibly another process, and the handler stores what they name. A word no
+// genuine sender puts there, or a second message for a mailbox entry not yet
+// taken, fails by name — the node, the sender, the cause — rather than
+// landing in the mailbox (or, the duplicate, silently replacing the first).
+func TestCollHostileWords(t *testing.T) {
+	const n = 4
+	msg := func(team uint64, phase byte, slot uint32, payload string) am.Msg {
+		m := am.Msg{Src: 0, Dst: 1, A: [4]uint64{team, 7, uint64(phase)<<32 | uint64(slot)}}
+		if payload != "" {
+			m.Payload = []byte(payload)
+		}
+		return m
+	}
+	rows := []struct {
+		name string
+		msgs []am.Msg
+		want string
+	}{
+		{"phase outside the five", []am.Msg{msg(0, 'q', 0, "")}, "unknown phase 0x71"},
+		{"slot past the machine", []am.Msg{msg(0, 'b', n, "")}, "slot 4 on a 4-node machine"},
+		{"team led by no node", []am.Msg{msg(n<<32|1, 'r', 1, "ab")}, "team led by node 4 on a 4-node machine"},
+		{"barrier round with a payload", []am.Msg{msg(0, 'x', 1, "abc")}, "barrier round 1 carries a 3-byte payload"},
+		{"second message for a filled slot", []am.Msg{msg(0, 'g', 2, "ab"), msg(0, 'g', 2, "cd")},
+			"second message for phase g slot 2 before the first was taken"},
+	}
+	named := regexp.MustCompile(`^coll: node 1 message from node 0 \(team 0x[0-9a-f]+, sequence 7\): `)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			var refused string
+			runTeam(t, n, false, func(tm *Team, th *threads.Thread, me int) {
+				if me != 1 {
+					return
+				}
+				defer func() { refused = fmt.Sprint(recover()) }()
+				for _, m := range row.msgs {
+					tm.c.deliver(th, m)
+				}
+			})
+			if !named.MatchString(refused) || !strings.HasSuffix(refused, row.want) {
+				t.Errorf("handler failed with %q, want the named refusal (node 1, from node 0, %q)", refused, row.want)
+			}
+		})
 	}
 }

@@ -14,10 +14,10 @@ import (
 // every member send exactly ceil(log2 n) messages per operation (one per
 // round), and the binomial all-reduce at most 1 (reduce up) + ceil(log2 n)
 // (broadcast down) — against the O(n) messages at the coordinator of the
-// central plans. The test counts actual wire messages per node via the
-// machine's accounting, after a warm-up that takes the stub-cache cold path
-// out of the picture, and also checks that virtual completion time grows
-// logarithmically, not linearly, with the team size.
+// central plans. The test counts every active message a member sends, short
+// (a barrier round) and bulk (a payload), via the machine's accounting,
+// after a warm-up of both operations, and also checks that virtual
+// completion time grows logarithmically, not linearly, with the team size.
 func TestLogDepthRounds(t *testing.T) {
 	const iters = 5
 	elapsedBarrier := map[int]time.Duration{}
@@ -37,26 +37,27 @@ func TestLogDepthRounds(t *testing.T) {
 			i := i
 			rt.OnNode(i, func(th *threads.Thread) {
 				acct := th.Node().Acct
-				// Warm the stub caches on every tree edge both ops use.
+				// Warm-up: mailbox maps, buffer pools.
 				tm.Barrier(th)
 				tm.AllReduce(th, EncF64(1), SumF64)
 				tm.Barrier(th)
 
-				before := acct.Counter(machine.CntMsgBulk)
+				sent := func() int64 { return acct.Counter(machine.CntMsgShort) + acct.Counter(machine.CntMsgBulk) }
+				before := sent()
 				start := th.Now()
 				for k := 0; k < iters; k++ {
 					tm.Barrier(th)
 				}
 				barrierTime[i] = time.Duration(th.Now() - start)
-				barrierSends[i] = acct.Counter(machine.CntMsgBulk) - before
+				barrierSends[i] = sent() - before
 
-				before = acct.Counter(machine.CntMsgBulk)
+				before = sent()
 				start = th.Now()
 				for k := 0; k < iters; k++ {
 					tm.AllReduce(th, EncF64(float64(i)), SumF64)
 				}
 				reduceTime[i] = time.Duration(th.Now() - start)
-				reduceSends[i] = acct.Counter(machine.CntMsgBulk) - before
+				reduceSends[i] = sent() - before
 			})
 		}
 		if err := rt.Run(); err != nil {
@@ -92,6 +93,15 @@ func TestLogDepthRounds(t *testing.T) {
 			t.Errorf("%s: virtual times not increasing with n: 4:%v 8:%v 16:%v", name, el[4], el[8], el[16])
 		}
 	}
+}
+
+// ceilLog2 returns ceil(log2(n)) for n >= 1.
+func ceilLog2(n int) int {
+	k := 0
+	for 1<<k < n {
+		k++
+	}
+	return k
 }
 
 func maxDur(ds []time.Duration) time.Duration {

@@ -295,6 +295,24 @@ func (rt *Runtime) SetExt(key string, v any) {
 // Ext returns the value stored under key by SetExt (nil if none).
 func (rt *Runtime) Ext(key string) any { return rt.ext[key] }
 
+// Handle registers an active-message handler for a layer above the runtime,
+// one that moves words and bytes without method dispatch (the collectives).
+// Setup time only: handler IDs come out identical in every program image
+// because registration order is.
+func (rt *Runtime) Handle(name string, h am.Handler) am.HandlerID {
+	if rt.started.Load() {
+		panic("core: Handle(" + name + ") after Run started: register all handlers before Run")
+	}
+	return rt.net.Register(name, h)
+}
+
+// Send sends one active message from t's node to handler h on node dst under
+// the runtime's profile (Options.Nexus): short without a payload, bulk with
+// one, which is copied at send time.
+func (rt *Runtime) Send(t *threads.Thread, dst int, h am.HandlerID, a [4]uint64, payload []byte) {
+	rt.nodeOf(t).send(t, dst, h, a, payload)
+}
+
 // TransportName reports the active message layer ("ThAM" or "Nexus").
 func (rt *Runtime) TransportName() string {
 	if rt.opts.Nexus {

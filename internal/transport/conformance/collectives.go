@@ -17,8 +17,9 @@ import (
 // the contract the upper layers rely on, and like the rest of the suite
 // they must behave identically on every backend — full participation,
 // per-member result agreement across repeated operations (ordering), and
-// isolation between sub-teams created by Split. Results only, never
-// timings.
+// isolation between sub-teams created by Split. Results and one count, never
+// timings: a collective sends active messages, never an RMI, so no member's
+// node counts one.
 
 func runCollectives(t *testing.T, f ShardedFactory) {
 	t.Run("Participation", func(t *testing.T) { collParticipation(t, f) })
@@ -41,11 +42,18 @@ func collRig(f ShardedFactory, n int) ([]*core.Runtime, []*coll.Team) {
 
 // collOnNode installs body as node i's program on every runtime — the SPMD
 // model: each runtime executes only its own shard's nodes — handing the body
-// that runtime's world team.
-func collOnNode(rts []*core.Runtime, tms []*coll.Team, i int, body func(th *threads.Thread, tm *coll.Team)) {
+// that runtime's world team, and requires that the node sent no RMI while
+// the body ran.
+func collOnNode(t *testing.T, rts []*core.Runtime, tms []*coll.Team, i int, body func(th *threads.Thread, tm *coll.Team)) {
 	for k, rt := range rts {
 		tm := tms[k]
-		rt.OnNode(i, func(th *threads.Thread) { body(th, tm) })
+		rt.OnNode(i, func(th *threads.Thread) {
+			s0 := th.Node().Acct.Snapshot()
+			body(th, tm)
+			if rmis := th.Node().Acct.Delta(s0).Counters[machine.CntRMI]; rmis != 0 {
+				t.Errorf("node %d: %d RMIs under collectives, want 0 (every collective message is an active message)", i, rmis)
+			}
+		})
 	}
 }
 
@@ -77,7 +85,7 @@ func collParticipation(t *testing.T, f ShardedFactory) {
 	var lateContributed atomic.Bool
 	for i := 0; i < n; i++ {
 		i := i
-		collOnNode(rts, tms, i, func(th *threads.Thread, tm *coll.Team) {
+		collOnNode(t, rts, tms, i, func(th *threads.Thread, tm *coll.Team) {
 			if i == n-1 {
 				// The late member: everyone else is already blocked in the
 				// collective when this contribution enters.
@@ -114,7 +122,7 @@ func collOrdering(t *testing.T, f ShardedFactory) {
 	results := make([][]float64, n)
 	for i := 0; i < n; i++ {
 		i := i
-		collOnNode(rts, tms, i, func(th *threads.Thread, tm *coll.Team) {
+		collOnNode(t, rts, tms, i, func(th *threads.Thread, tm *coll.Team) {
 			for r := 0; r < rounds; r++ {
 				s := coll.DecF64(tm.AllReduce(th, coll.EncF64(float64(r*10+i)), coll.SumF64))
 				b := coll.DecF64(tm.Bcast(th, r%n, coll.EncF64(s+float64(r))))
@@ -137,43 +145,87 @@ func collOrdering(t *testing.T, f ShardedFactory) {
 	}
 }
 
-// collSubTeamIsolation: collectives on disjoint sub-teams run concurrently
-// without observing each other's traffic, and the parent team still works
-// afterwards.
+// collSubTeamIsolation: collectives on concurrently live teams — two
+// overlapping splits of the world and a split of a subteam — interleave
+// without observing each other's traffic, every member of a team agrees on
+// its id, node 0 leads two of the teams under distinct ids, and the parent
+// team still works afterwards.
 func collSubTeamIsolation(t *testing.T, f ShardedFactory) {
-	const n = 5 // splits into teams of 3 (even nodes) and 2 (odd nodes)
+	const n = 5
 	rts, tms := collRig(f, n)
-	subSums := make([]float64, n)
+	type view struct {
+		ids  [3]uint64
+		sums [3]float64
+	}
+	views := make([]view, n)
 	worldSums := make([]float64, n)
 	for i := 0; i < n; i++ {
 		i := i
-		collOnNode(rts, tms, i, func(th *threads.Thread, tm *coll.Team) {
-			sub := tm.Split(th, i%2, i)
-			// Different iteration counts per team: the odd team runs more
-			// operations, so any cross-team key collision would surface.
-			iters := 3
-			if i%2 == 1 {
-				iters = 5
+		collOnNode(t, rts, tms, i, func(th *threads.Thread, tm *coll.Team) {
+			// parity: {0,2,4} led by 0, {1,3} led by 1. half: {0,1,2} led by
+			// 0, {3,4} led by 3. pair splits each parity team by rank/2 with
+			// keys reversed: {0,2} led by 2, {4}, {1,3} led by 3.
+			parity := tm.Split(th, i%2, i)
+			half := tm.Split(th, i/3, i)
+			pr := parity.Rank(th)
+			pair := parity.Split(th, pr/2, -pr)
+			teams := [3]*coll.Team{parity, half, pair}
+			// Different iteration counts per team, interleaved: any
+			// cross-team collision of message words would surface.
+			iters := [3]int{3 + 2*(i%2), 4, 2}
+			var v view
+			for k := 0; k < 5; k++ {
+				for j, sub := range teams {
+					if k < iters[j] {
+						scale := [3]float64{1, 100, 1000}[j]
+						v.sums[j] = coll.DecF64(sub.AllReduce(th, coll.EncF64(scale*float64(i+1)), coll.SumF64))
+					}
+				}
 			}
-			var s float64
-			for k := 0; k < iters; k++ {
-				s = coll.DecF64(sub.AllReduce(th, coll.EncF64(float64(i+1)), coll.SumF64))
+			for j, sub := range teams {
+				v.ids[j] = sub.ID()
 			}
-			subSums[i] = s
+			views[i] = v
 			worldSums[i] = coll.DecF64(tm.AllReduce(th, coll.EncF64(1), coll.SumF64))
 		})
 	}
 	if err := collRun(rts); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	// The members of each team, by node, and the sum of its contributions.
+	members := [3][][]int{
+		{{0, 2, 4}, {1, 3}},
+		{{0, 1, 2}, {3, 4}},
+		{{0, 2}, {4}, {1, 3}},
+	}
+	named := map[uint64]bool{}
+	for j, teams := range members {
+		for _, nodes := range teams {
+			named[views[nodes[0]].ids[j]] = true
+			want := 0.0
+			for _, i := range nodes {
+				want += [3]float64{1, 100, 1000}[j] * float64(i+1)
+			}
+			for _, i := range nodes {
+				if views[i].sums[j] != want {
+					t.Errorf("team %d of node %d: sum %v, want %v", j, i, views[i].sums[j], want)
+				}
+				if views[i].ids[j] != views[nodes[0]].ids[j] {
+					t.Errorf("team %d: node %d names it %#x, node %d %#x", j, i, views[i].ids[j], nodes[0], views[nodes[0]].ids[j])
+				}
+			}
+		}
+	}
+	if len(named) != 7 || named[0] {
+		t.Errorf("seven live subteams carry %d distinct ids %v; want seven, none the world's 0", len(named), named)
+	}
+	if a, b := views[0].ids[0], views[0].ids[1]; a>>32 != 0 || b>>32 != 0 || a == b {
+		t.Errorf("node 0 leads two teams, named %#x and %#x: want node 0 in both high halves and two ids", a, b)
+	}
+	if lead := views[1].ids[2] >> 32; lead != 3 {
+		t.Errorf("team {1,3} of the nested split is led by node %d, want 3 (keys reversed)", lead)
+	}
 	for i := 0; i < n; i++ {
-		want := 1.0 + 3 + 5 // even nodes: 1+3+5
-		if i%2 == 1 {
-			want = 2 + 4
-		}
-		if subSums[i] != want {
-			t.Errorf("member %d: subteam sum %v, want %v", i, subSums[i], want)
-		}
 		if worldSums[i] != n {
 			t.Errorf("member %d: world sum %v after split, want %v", i, worldSums[i], float64(n))
 		}

@@ -12,9 +12,8 @@ import (
 // (communicators over node subsets) and the collectives scoped to them.
 // One API serves both programming models and both backends: CC++/typed-v2
 // programs get the group operations Split-C's library always had, with
-// log-depth tree implementations lowering onto the ordinary RMI wire path
-// (so modelled costs, stub caches, and persistent buffers behave exactly as
-// for application RMIs).
+// log-depth tree implementations whose every message is one active message
+// to the collective handler — no RMI, no marshalling, no method dispatch.
 
 // Team is a communicator: an ordered set of member nodes all collectives
 // are scoped to. Ranks are dense indices into the member list. Every
@@ -26,15 +25,15 @@ type Team struct {
 }
 
 // WorldTeam returns the team of all machine nodes, installing the
-// collective engine (a per-node mailbox processor object) on first use.
-// Like class registration, this is a setup-time operation: call it before
-// Run.
+// collective engine (one active-message handler and a mailbox per node) on
+// first use. Like class registration, this is a setup-time operation: call it
+// before Run.
 func WorldTeam(rt *Runtime) (*Team, error) {
 	if rt == nil {
 		return nil, fmt.Errorf("WorldTeam(nil runtime)")
 	}
 	if rt.Started() {
-		return nil, fmt.Errorf("WorldTeam after Run has started: the collective engine registers a class and places objects, which is setup-time work")
+		return nil, fmt.Errorf("WorldTeam after Run has started: the collective engine registers an active-message handler, which is setup-time work")
 	}
 	return &Team{tm: coll.For(rt).World()}, nil
 }
@@ -92,7 +91,7 @@ func (tm *Team) String() string {
 	if !tm.nilSafe() {
 		return "team <nil>"
 	}
-	return fmt.Sprintf("team %s %v", tm.tm.ID(), tm.tm.Nodes())
+	return fmt.Sprintf("team %#x %v", tm.tm.ID(), tm.tm.Nodes())
 }
 
 // check validates one collective call: live team, running program, member
