@@ -6,8 +6,9 @@
 //
 // A handler runs to completion on the receiving node, inline in whichever
 // thread performed the poll. Handlers must not block; they may send replies
-// and mark other threads runnable (that is how both runtimes complete
-// synchronous operations).
+// and advance a Count, which is how both runtimes complete every blocking
+// operation: the waiting thread polls in Endpoint.Await until the handler
+// that lands its reply, store or release advances the count it waits on.
 package am
 
 import (
@@ -157,6 +158,9 @@ type Endpoint struct {
 	waiters []*threads.Thread
 	polling bool
 	stopped bool
+	// modelled is read once: on the simulator Await yields to a ready
+	// sibling, on a wall-clock machine it never does.
+	modelled bool
 
 	// interruptCost, when non-zero, switches the endpoint to the
 	// interrupt-driven reception model: every received message additionally
@@ -186,7 +190,7 @@ func NewNet(m *machine.Machine) *Net {
 	// codec so sharded backends can carry them across address spaces.
 	m.SetWireDecoder(n.decodeWire)
 	for _, node := range m.Nodes() {
-		ep := &Endpoint{net: n, node: node}
+		ep := &Endpoint{net: n, node: node, modelled: m.Eng != nil}
 		node.OnArrival = ep.onArrival
 		n.eps = append(n.eps, ep)
 	}
@@ -248,8 +252,8 @@ func (ep *Endpoint) Stopped() bool { return ep.stopped }
 // computation thread registered after the background polling thread, so it
 // gets the message and handles its own reply inline — the polling thread
 // stays parked and no context switches are paid, matching the paper's
-// "0-Word Simple" sender. KickService re-arms the remaining waiters if a
-// woken thread leaves messages behind.
+// "0-Word Simple" sender. Await re-arms the remaining waiters if a woken
+// thread leaves messages behind.
 func (ep *Endpoint) onArrival() { ep.wakeOne() }
 
 // wakeOne readies the most recent waiter that is still blocked and reports
@@ -268,15 +272,6 @@ func (ep *Endpoint) wakeOne() bool {
 		}
 	}
 	return false
-}
-
-// KickService wakes a parked waiter if undelivered messages remain — called
-// when a thread exits a wait loop early (its condition was satisfied before
-// the inbox drained) so pending messages are not starved.
-func (ep *Endpoint) KickService() {
-	if ep.node.InboxLen() > 0 {
-		ep.wakeOne()
-	}
 }
 
 // RequestShort sends a 4-word active message to dst, charging the sender's
@@ -434,10 +429,11 @@ func (ep *Endpoint) PollAll(t *threads.Thread) {
 
 // WaitMessage parks the thread until a message arrives at the node (or the
 // endpoint is stopped). It returns immediately if the inbox is non-empty.
-// Callers poll after it returns. A caller that is also waiting for something
-// else (a completion a sibling may land) can be made ready by that instead;
-// it then leaves the waiter list here, so a later arrival is not spent on a
-// thread that is no longer parked.
+// Callers poll after it returns. It is the park of a service loop, which
+// waits for any message; a thread waiting for something in particular awaits
+// a Count, and Await parks here too. Such a thread can be made ready by
+// Advance instead; it then leaves the waiter list here, so a later arrival is
+// not spent on a thread that is no longer parked.
 func (ep *Endpoint) WaitMessage(t *threads.Thread) {
 	if ep.node.InboxLen() > 0 || ep.stopped {
 		return
@@ -449,24 +445,83 @@ func (ep *Endpoint) WaitMessage(t *threads.Thread) {
 	}
 }
 
-// PollUntil polls (parking while idle) until cond reports true. It is the
-// building block for every blocking operation in the Split-C runtime and for
-// the CC++ runtime's simple (non-threaded) RMIs: the calling thread itself
-// services the network while it waits. Ready peer threads get the CPU before
-// the caller parks, since one of them may be what makes cond true.
-func (ep *Endpoint) PollUntil(t *threads.Thread, cond func() bool) {
-	for !cond() {
-		if ep.Poll(t) {
-			continue
-		}
-		if ep.sched != nil && ep.sched.ReadyLen() > 0 {
-			t.Yield()
-			continue
-		}
-		if ep.stopped {
-			panic("am: PollUntil on stopped endpoint")
-		}
+// Count is a node-local event count (Reed and Kanodia's eventcount): a value
+// that only grows, advanced by handlers — a reply landed, a store arrived, a
+// barrier released — and awaited by threads of its node (Endpoint.Await). One
+// waiter sits inline, so a single waiter never allocates. Like all state a
+// handler touches, it is used from its node's execution context only.
+type Count struct {
+	v    uint64
+	one  *threads.Thread
+	more []*threads.Thread
+}
+
+// Value returns the count.
+func (c *Count) Value() uint64 { return c.v }
+
+// Advance adds d and readies the threads parked on c; each re-checks its own
+// target.
+//
+//mpmd:hotpath
+func (c *Count) Advance(t *threads.Thread, d uint64) {
+	c.v += d
+	if w := c.one; w != nil {
+		c.one = nil
+		t.Scheduler().MakeReady(w)
+	}
+	for i, w := range c.more {
+		c.more[i] = nil
+		t.Scheduler().MakeReady(w)
+	}
+	c.more = c.more[:0]
+}
+
+// park blocks t on c, and as the node's most recent message waiter while the
+// endpoint runs, until Advance or an arrival readies it.
+func (c *Count) park(t *threads.Thread, ep *Endpoint) {
+	if c.one == nil {
+		c.one = t
+	} else {
+		c.more = append(c.more, t)
+	}
+	if ep.stopped {
+		t.Block()
+	} else {
 		ep.WaitMessage(t)
 	}
-	ep.KickService()
+	if c.one == t { // an arrival ended the wait, not Advance
+		c.one = nil
+	} else if i := slices.Index(c.more, t); i >= 0 {
+		c.more = slices.Delete(c.more, i, i+1)
+	}
+}
+
+// Await polls until c reaches v: the one wait of both runtimes, and the
+// building block for every blocking operation. The calling thread services
+// the network, and the handler that advances c — run by its own poll or a
+// sibling's — lets it go. With nothing to poll, a simulator endpoint yields to
+// a ready sibling (which may be what advances c) or parks for a message: the
+// paper's "Simple" sender, whose switches Table 4 prices. A wall-clock one
+// never yields: it parks on c as the node's most recent, hence preferred,
+// message waiter, so it runs its own reply's handler, and a sibling that ran
+// it instead readies it through Advance. Once the endpoint has stopped, the
+// thread parks on c alone. A wait that ends before the inbox drains hands the
+// rest to a parked waiter.
+//
+//mpmd:hotpath
+func (ep *Endpoint) Await(t *threads.Thread, c *Count, v uint64) {
+	for c.v < v {
+		switch {
+		case ep.Poll(t):
+		case !ep.modelled || ep.stopped:
+			c.park(t, ep)
+		case t.Scheduler().ReadyLen() > 0:
+			t.Yield()
+		default:
+			ep.WaitMessage(t)
+		}
+	}
+	if ep.node.InboxLen() > 0 {
+		ep.wakeOne()
+	}
 }

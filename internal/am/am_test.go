@@ -51,10 +51,10 @@ func stopAll(net *Net, n int) {
 
 func TestShortRequestReplyRTT(t *testing.T) {
 	m, net, scheds := rig(2)
-	done := false
+	var done Count
 	var reply HandlerID
 	reply = net.Register("reply", func(th *threads.Thread, msg Msg) {
-		done = true
+		done.Advance(th, 1)
 	})
 	echo := net.Register("echo", func(th *threads.Thread, msg Msg) {
 		net.Endpoint(th.Node().ID).RequestShort(th, msg.Src, reply, msg.A)
@@ -64,7 +64,7 @@ func TestShortRequestReplyRTT(t *testing.T) {
 		ep := net.Endpoint(0)
 		start := th.Now()
 		ep.RequestShort(th, 1, echo, [4]uint64{7})
-		ep.PollUntil(th, func() bool { return done })
+		ep.Await(th, &done, 1)
 		rtt = time.Duration(th.Now() - start)
 		stopAll(net, 2)
 	})
@@ -169,17 +169,17 @@ func TestFIFOOrderingPerPair(t *testing.T) {
 
 func TestLoopbackSelfSend(t *testing.T) {
 	m, net, scheds := rig(1)
-	hit := false
-	h := net.Register("h", func(th *threads.Thread, msg Msg) { hit = true })
+	var hit Count
+	h := net.Register("h", func(th *threads.Thread, msg Msg) { hit.Advance(th, 1) })
 	scheds[0].Start("main", func(th *threads.Thread) {
 		ep := net.Endpoint(0)
 		ep.RequestShort(th, 0, h, [4]uint64{})
-		ep.PollUntil(th, func() bool { return hit })
+		ep.Await(th, &hit, 1)
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !hit {
+	if hit.Value() != 1 {
 		t.Fatal("loopback message never handled")
 	}
 }
@@ -281,13 +281,14 @@ func TestPollOnSendServicesPending(t *testing.T) {
 	// Node 0 sends to node 1; node 1's only activity is sending back — its
 	// send must poll and service node 0's request without an explicit Poll.
 	m, net, scheds := rig(2)
-	var handledOn1, handledOn0 bool
+	var handledOn1 bool
+	var handledOn0 Count
 	h1 := net.Register("on1", func(th *threads.Thread, msg Msg) { handledOn1 = true })
-	h0 := net.Register("on0", func(th *threads.Thread, msg Msg) { handledOn0 = true })
+	h0 := net.Register("on0", func(th *threads.Thread, msg Msg) { handledOn0.Advance(th, 1) })
 	scheds[0].Start("main0", func(th *threads.Thread) {
 		ep := net.Endpoint(0)
 		ep.RequestShort(th, 1, h1, [4]uint64{})
-		ep.PollUntil(th, func() bool { return handledOn0 })
+		ep.Await(th, &handledOn0, 1)
 	})
 	scheds[1].Start("main1", func(th *threads.Thread) {
 		ep := net.Endpoint(1)
@@ -302,8 +303,8 @@ func TestPollOnSendServicesPending(t *testing.T) {
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if !handledOn0 || !handledOn1 {
-		t.Fatalf("handledOn0=%v handledOn1=%v", handledOn0, handledOn1)
+	if handledOn0.Value() != 1 || !handledOn1 {
+		t.Fatalf("handledOn0=%v handledOn1=%v", handledOn0.Value() == 1, handledOn1)
 	}
 }
 
@@ -320,15 +321,15 @@ func TestHandlerReplyDoesNotRecurse(t *testing.T) {
 		net.Endpoint(th.Node().ID).RequestShort(th, msg.Src, pong, msg.A)
 		depth--
 	})
-	got := 0
-	pong = net.Register("pong", func(th *threads.Thread, msg Msg) { got++ })
+	var got Count
+	pong = net.Register("pong", func(th *threads.Thread, msg Msg) { got.Advance(th, 1) })
 	const n = 10
 	scheds[0].Start("main", func(th *threads.Thread) {
 		ep := net.Endpoint(0)
 		for i := 0; i < n; i++ {
 			ep.RequestShort(th, 1, ping, [4]uint64{})
 		}
-		ep.PollUntil(th, func() bool { return got == n })
+		ep.Await(th, &got, n)
 		stopAll(net, 2)
 	})
 	service(scheds[1], net.Endpoint(1))
@@ -430,8 +431,8 @@ func TestBulkPingPongAllocs(t *testing.T) {
 	// message by design.
 	m, net, scheds := rigOn(machine.NewWithBackend(machine.SP1997(), 2,
 		live.New(2, live.Options{Watchdog: time.Minute})))
-	pongs := 0
-	pong := net.Register("pong", func(th *threads.Thread, msg Msg) { pongs++ })
+	var pongs Count
+	pong := net.Register("pong", func(th *threads.Thread, msg Msg) { pongs.Advance(th, 1) })
 	ping := net.Register("ping", func(th *threads.Thread, msg Msg) {
 		net.Endpoint(1).RequestBulk(th, msg.Src, pong, msg.Payload, msg.A)
 	})
@@ -439,12 +440,11 @@ func TestBulkPingPongAllocs(t *testing.T) {
 	scheds[0].Start("main", func(th *threads.Thread) {
 		ep := net.Endpoint(0)
 		payload := make([]byte, 1024)
-		want := 0
-		done := func() bool { return pongs == want }
+		want := uint64(0)
 		trip := func() {
 			want++
 			ep.RequestBulk(th, 1, ping, payload, [4]uint64{})
-			ep.PollUntil(th, done)
+			ep.Await(th, &pongs, want)
 		}
 		for i := 0; i < 8; i++ { // warm the buffer and envelope pools, the inbox rings
 			trip()
@@ -459,5 +459,32 @@ func TestBulkPingPongAllocs(t *testing.T) {
 	}
 	if perTrip != 0 {
 		t.Errorf("a warm 1 KiB bulk round trip allocates %.2f, want 0", perTrip)
+	}
+}
+
+// TestAwaitAfterStopParksOnCount: once the endpoint has stopped nothing more
+// arrives, so on every machine a thread awaiting a count parks on the count
+// alone, and the sibling that advances it lets it go.
+func TestAwaitAfterStopParksOnCount(t *testing.T) {
+	for _, m := range []*machine.Machine{
+		machine.New(machine.SP1997(), 1),
+		machine.NewWithBackend(machine.SP1997(), 1, live.New(1, live.Options{Watchdog: time.Minute})),
+	} {
+		m, net, scheds := rigOn(m)
+		var c Count
+		returned := false
+		scheds[0].Start("main", func(th *threads.Thread) {
+			ep := net.Endpoint(0)
+			ep.Stop()
+			th.Spawn("advancer", func(t2 *threads.Thread) { c.Advance(t2, 1) })
+			ep.Await(th, &c, 1)
+			returned = true
+		})
+		if err := m.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if !returned || c.one != nil || len(c.more) != 0 {
+			t.Fatalf("eng=%v: returned %v, waiters left listed %v %v; want the waiter released and unlisted", m.Eng != nil, returned, c.one, c.more)
+		}
 	}
 }

@@ -119,6 +119,8 @@ var corpus = []struct {
 		{"internal/threads/threads.go", "\tfor i := 0; i < n && t.s.modelled; i++ {\n", "\tfor i := 0; i < n; i++ {\n"}}},
 	{"a poll is no delivery point", "go test ./internal/transport/conformance -run ^TestLive$/^PollDelivers$", `callback never got the CPU from a thread that computes and polls`, []edit{
 		{"internal/am/am.go", "\tt.Deliver()\n", ""}}},
+	{"a wall-clock wait yields to a ready sibling", "go test ./internal/transport/conformance -run ^TestLive$/^TwoWaitersOneNode$", `node 0 switched threads \d+ times while two threads waited on one count, want at most 24`, []edit{
+		{"internal/am/am.go", "\t\tcase !ep.modelled || ep.stopped:\n", "\t\tcase !ep.stopped && t.Scheduler().ReadyLen() > 0:\n\t\t\tt.Yield()\n\t\tcase !ep.modelled || ep.stopped:\n"}}},
 }
 
 // TestMutationCorpus runs the suite over each mutated tree — listed once,

@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/am"
 	"repro/internal/apps/appstat"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -15,7 +16,7 @@ import (
 // Split-C's store counters).
 type em3dObj struct {
 	ghostsE, ghostsH []float64
-	recvd            int
+	recvd            am.Count
 }
 
 // em3dClass defines the remotely invocable interface of em3dObj. The bulk
@@ -36,7 +37,7 @@ func em3dClass() *core.Class {
 				NewArgs:  func() []core.Arg { return []core.Arg{&core.I64{}, &core.Bytes{}} },
 				Fn: func(t *threads.Thread, self any, args []core.Arg, ret core.Arg) {
 					o := self.(*em3dObj)
-					deliver(o.ghostsE, &o.recvd, args)
+					deliver(t, o.ghostsE, &o.recvd, args)
 				},
 			},
 			{
@@ -45,21 +46,21 @@ func em3dClass() *core.Class {
 				NewArgs:  func() []core.Arg { return []core.Arg{&core.I64{}, &core.Bytes{}} },
 				Fn: func(t *threads.Thread, self any, args []core.Arg, ret core.Arg) {
 					o := self.(*em3dObj)
-					deliver(o.ghostsH, &o.recvd, args)
+					deliver(t, o.ghostsH, &o.recvd, args)
 				},
 			},
 		},
 	}
 }
 
-func deliver(ghosts []float64, recvd *int, args []core.Arg) {
+func deliver(t *threads.Thread, ghosts []float64, recvd *am.Count, args []core.Arg) {
 	base := int(args[0].(*core.I64).V)
 	raw := args[1].(*core.Bytes).V
 	n := len(raw) / 8
 	for k := 0; k < n; k++ {
 		ghosts[base+k] = math.Float64frombits(leU64(raw[k*8:]))
 	}
-	*recvd += n
+	recvd.Advance(t, uint64(n))
 }
 
 func packF64(vals []float64) []byte {
@@ -209,7 +210,7 @@ func ccPhase(rt *core.Runtime, t *threads.Thread, g *Graph, variant Variant, me 
 			})
 		}
 		expect += plan.ghostCount(me)
-		rt.WaitLocal(t, func() bool { return self.recvd >= expect })
+		rt.WaitLocal(t, &self.recvd, uint64(expect))
 		ccComputeLocal(t, g, me, dst, deps, src, plan, ghosts, cfg)
 		return expect
 	}

@@ -3,6 +3,7 @@ package lu
 import (
 	"time"
 
+	"repro/internal/am"
 	"repro/internal/apps/appstat"
 	"repro/internal/core"
 	"repro/internal/machine"
@@ -15,7 +16,7 @@ type luObj struct {
 	s        *State
 	me       int
 	pivotBuf []float64
-	recvd    int
+	recvd    am.Count
 }
 
 func luClass() *core.Class {
@@ -32,7 +33,7 @@ func luClass() *core.Class {
 				Fn: func(t *threads.Thread, self any, args []core.Arg, ret core.Arg) {
 					o := self.(*luObj)
 					copy(o.pivotBuf, args[0].(*core.F64Slice).V)
-					o.recvd++
+					o.recvd.Advance(t, 1)
 				},
 			},
 			{
@@ -115,7 +116,7 @@ func RunCCXX(cfg machine.Config, s *State, opts core.Options) (*appstat.Result, 
 					}
 				}
 				expect++
-				rt.WaitLocal(t, func() bool { return self.recvd >= expect })
+				rt.WaitLocal(t, &self.recvd, uint64(expect))
 				piv := self.pivotBuf
 
 				// Sub-step 2: perimeter updates.

@@ -56,6 +56,8 @@ type msgKey struct {
 // thread that takes from the mailbox or splits a team is that node's.
 type box struct {
 	mail map[msgKey][]byte
+	// arrived counts the messages landed in mail; a taker awaits it.
+	arrived am.Count
 	// proposed is the last team id this node proposed in a Split; proposals
 	// count from 1, so no subteam is named 0, the world's id.
 	proposed uint32
@@ -125,6 +127,7 @@ func (c *Comm) deliver(t *threads.Thread, m am.Msg) {
 	// returns: copy it once (an empty one stays nil and costs nothing).
 	t.Charge(machine.CatRuntime, time.Duration(len(m.Payload))*t.Cfg().MemCopyPerByte)
 	mail[k] = append([]byte(nil), m.Payload...)
+	c.boxes[m.Dst].arrived.Advance(t, 1)
 }
 
 // --- teams -------------------------------------------------------------------
@@ -200,14 +203,14 @@ func (tm *Team) send(t *threads.Thread, dst int, seq uint64, phase byte, slot in
 // take blocks (servicing the network) until the named message has landed in
 // the calling node's mailbox, then consumes it.
 func (tm *Team) take(t *threads.Thread, seq uint64, phase byte, slot int) []byte {
-	mail := tm.c.boxes[t.Node().ID].mail
+	bx := &tm.c.boxes[t.Node().ID]
 	k := msgKey{team: tm.id, seq: seq, phase: uint32(phase), slot: uint32(slot)}
-	b, ok := mail[k]
-	if !ok {
-		tm.c.rt.WaitLocal(t, func() bool { _, ok := mail[k]; return ok })
-		b = mail[k]
+	b, ok := bx.mail[k]
+	for !ok {
+		tm.c.rt.WaitLocal(t, &bx.arrived, bx.arrived.Value()+1)
+		b, ok = bx.mail[k]
 	}
-	delete(mail, k)
+	delete(bx.mail, k)
 	return b
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"repro/internal/am"
 	"repro/internal/threads"
 )
 
@@ -83,11 +84,11 @@ func (b *Barrier) Arrive(t *threads.Thread) {
 	b.rt.Call(t, b.gp, "arrive", nil, nil)
 }
 
-// WaitLocal polls the network until cond (a predicate over node-local state,
-// typically a counter updated by incoming one-way RMIs) holds. It is the
-// CC++ analogue of Split-C's store-sync wait: the calling thread services
-// messages while it waits.
-func (rt *Runtime) WaitLocal(t *threads.Thread, cond func() bool) {
+// WaitLocal polls the network until the node-local count c reaches v —
+// typically a count of deliveries that the methods incoming one-way RMIs run
+// advance. It is the CC++ analogue of Split-C's store-sync wait: the calling
+// thread services messages while it waits (am.Endpoint.Await).
+func (rt *Runtime) WaitLocal(t *threads.Thread, c *am.Count, v uint64) {
 	t.ChargeSyncOps(1)
-	rt.nodeOf(t).ep.PollUntil(t, cond)
+	rt.nodeOf(t).ep.Await(t, c, v)
 }

@@ -3,11 +3,12 @@ package core
 import (
 	"testing"
 
+	"repro/internal/am"
 	"repro/internal/machine"
 	"repro/internal/threads"
 )
 
-type sink struct{ recvd int }
+type sink struct{ recvd am.Count }
 
 func sinkClass() *Class {
 	return &Class{
@@ -18,15 +19,16 @@ func sinkClass() *Class {
 			Threaded: true,
 			NewArgs:  func() []Arg { return []Arg{&F64Slice{}} },
 			Fn: func(t *threads.Thread, self any, args []Arg, ret Arg) {
-				self.(*sink).recvd += len(args[0].(*F64Slice).V)
+				self.(*sink).recvd.Advance(t, uint64(len(args[0].(*F64Slice).V)))
 			},
 		}},
 	}
 }
 
-// Regression test: one-way threaded RMIs satisfy a WaitLocal condition via
-// a locally spawned thread, not a message — the waiter must yield to ready
-// threads instead of parking for a message (deadlock found during EM3D bulk).
+// Regression test: one-way threaded RMIs advance a WaitLocal count from a
+// locally spawned thread, not from a message handler — the waiter must let
+// ready threads run instead of waiting for a message only (deadlock found
+// during EM3D bulk).
 func TestBarrierWithOneWayDeliveries(t *testing.T) {
 	rt := NewRuntimeOpts(machine.New(machine.SP1997(), 4), Options{})
 	rt.RegisterClass(sinkClass())
@@ -39,7 +41,7 @@ func TestBarrierWithOneWayDeliveries(t *testing.T) {
 		me := i
 		rt.OnNode(me, func(th *threads.Thread) {
 			self := rt.Object(objs[me]).(*sink)
-			expect := 0
+			expect := uint64(0)
 			for k := 0; k < 3; k++ {
 				for q := 0; q < 4; q++ {
 					if q == me {
@@ -48,7 +50,7 @@ func TestBarrierWithOneWayDeliveries(t *testing.T) {
 					rt.CallOneWay(th, objs[q], "deliver", []Arg{&F64Slice{V: make([]float64, 5)}})
 				}
 				expect += 15
-				rt.WaitLocal(th, func() bool { return self.recvd >= expect })
+				rt.WaitLocal(th, &self.recvd, expect)
 				bar.Arrive(th)
 			}
 		})

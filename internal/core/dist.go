@@ -73,9 +73,6 @@ func (rt *Runtime) AddDist(size int, parts []DistPart) int {
 type DistOp struct {
 	rt   *Runtime
 	comp completion
-	// park backs comp.waiters: the one thread that normally waits on an
-	// access parks without allocating a waiter list.
-	park [1]*threads.Thread
 	t0   time.Duration // send instant, when the node keeps wall-clock metrics
 	read bool
 	size int // the array's encoded element size (0: varies)
@@ -111,12 +108,12 @@ func (op *DistOp) Bytes() []byte {
 func (op *DistOp) Wait(t *threads.Thread) { op.rt.waitComp(t, op.rt.nodeOf(t), &op.comp) }
 
 // Done reports (without blocking) whether the reply has landed.
-func (op *DistOp) Done() bool { return op.comp.done }
+func (op *DistOp) Done() bool { return op.comp.landed() }
 
 // Reset readies a completed record for another access (pooled records of
 // the synchronous accessors); buffers keep their capacity.
 func (op *DistOp) Reset() {
-	op.comp.done = false
+	op.comp.base = op.comp.done.Value()
 	op.comp.sv.Reset()
 }
 
@@ -171,29 +168,15 @@ func (rt *Runtime) distSend(t *threads.Thread, op *DistOp, node int, a [4]uint64
 	t.Charge(machine.CatRuntime, cfg.StubLookup+gpIssueCost+time.Duration(len(payload))*cfg.MemCopyPerByte)
 	op.rt = rt
 	op.size = rt.distSizes[a[1]]
-	op.comp.waiters = op.park[:0]
 	op.comp.mode = modeFuture
 	if wait {
-		op.comp.mode = modeBlock
-		if rt.opts.SpinSenders {
-			op.comp.mode = modeSpin
-		}
+		op.comp.mode = rt.syncMode()
 	}
 	// The request table is bounded, as hardware's is and as Active Messages
 	// bounds a node's outstanding requests with credits: out of slots, the
-	// issuer serves its endpoint until a reply frees one (the loop of
-	// am.Endpoint.PollUntil, without a closure). Once the endpoint has stopped
-	// none will: it parks where waitDone leaves a blocked sender at shutdown.
+	// issuer awaits the next reply, which frees one.
 	for n.distPending.InFlight() >= distSlots {
-		switch {
-		case n.ep.Poll(t):
-		case t.Scheduler().ReadyLen() > 0:
-			t.Yield()
-		case n.ep.Stopped():
-			t.Block()
-		default:
-			n.ep.WaitMessage(t)
-		}
+		n.ep.Await(t, &n.distFreed, n.distFreed.Value()+1)
 	}
 	if n.node.Met != nil {
 		op.t0 = n.node.M.Now()
@@ -278,6 +261,7 @@ func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 func (rt *Runtime) handleDistReply(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
 	op := n.distPending.Take("dist", m.Dst, m.Src, m.A[3])
+	n.distFreed.Advance(t, 1)
 	if op.t0 > 0 {
 		if met := n.node.Met; met != nil {
 			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-op.t0)

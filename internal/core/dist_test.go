@@ -207,11 +207,13 @@ func TestDistHostileWords(t *testing.T) {
 }
 
 // serveRefusal serves th's endpoint until a handler panics and returns the
-// panic's text. th must be its node's most recent message waiter — a node
-// program calling this is — so the arrival goes to it, not to the poller.
+// panic's text: it awaits a count nothing advances. th must be its node's most
+// recent message waiter — a node program calling this is — so the arrival goes
+// to it, not to the poller.
 func serveRefusal(rt *Runtime, th *threads.Thread) (refusal string) {
 	defer func() { refusal = fmt.Sprint(recover()) }()
-	rt.nodeOf(th).ep.PollUntil(th, func() bool { return false })
+	var never am.Count
+	rt.nodeOf(th).ep.Await(th, &never, 1)
 	return ""
 }
 

@@ -168,12 +168,8 @@ func (rt *Runtime) ReadF64(t *threads.Thread, gp GPF64) float64 {
 	n.node.Acct.Count(machine.CntRemoteRead, 1)
 	lockPair(t)
 	t.Charge(machine.CatRuntime, cfg.StubLookup+gpIssueCost)
-	mode := modeBlock
-	if rt.opts.SpinSenders {
-		mode = modeSpin
-	}
 	var dst float64
-	rq := &gpReq{comp: &completion{mode: mode}, dst: &dst}
+	rq := &gpReq{comp: &completion{mode: rt.syncMode()}, dst: &dst}
 	id := n.gpPending.Add(rq)
 	lockPair(t)
 	n.send(t, int(gp.node), rt.hGPRead, [4]uint64{id, uint64(gp.seg), uint64(gp.off)}, nil)
@@ -196,11 +192,7 @@ func (rt *Runtime) WriteF64(t *threads.Thread, gp GPF64, v float64) {
 	n.node.Acct.Count(machine.CntRemoteWrite, 1)
 	lockPair(t)
 	t.Charge(machine.CatRuntime, cfg.StubLookup+gpIssueCost)
-	mode := modeBlock
-	if rt.opts.SpinSenders {
-		mode = modeSpin
-	}
-	rq := &gpReq{comp: &completion{mode: mode}}
+	rq := &gpReq{comp: &completion{mode: rt.syncMode()}}
 	id := n.gpPending.Add(rq)
 	lockPair(t)
 	n.send(t, int(gp.node), rt.hGPWrite,

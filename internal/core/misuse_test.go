@@ -1,9 +1,14 @@
 package core
 
 import (
+	"fmt"
+	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/machine"
 	"repro/internal/threads"
+	"repro/internal/transport/live"
 )
 
 // Misuse guards: the runtime turns API contract violations into panics with
@@ -144,5 +149,34 @@ func TestRunWithoutProgramsErrors(t *testing.T) {
 	rt := newRig(1, Options{})
 	if err := rt.Run(); err == nil {
 		t.Error("Run without node programs did not error")
+	}
+}
+
+// TestWallClockRefusesModelledOptions: the three options that select a
+// simulator row change no instruction a wall-clock machine runs, so
+// NewRuntimeOpts refuses each there by name and with its reason; the
+// simulator still takes them (they are Table 4 and ablation rows).
+func TestWallClockRefusesModelledOptions(t *testing.T) {
+	for _, row := range []struct {
+		name, why string
+		opts      Options
+	}{
+		{"SpinSenders", "one wait", Options{SpinSenders: true}},
+		{"InterruptDriven", "poll-on-send", Options{InterruptDriven: true}},
+		{"DisablePersistentBuffers", "only counters", Options{DisablePersistentBuffers: true}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			m := machine.NewWithBackend(machine.SP1997(), 2, live.New(2, live.Options{Watchdog: time.Minute}))
+			func() {
+				defer func() {
+					got := fmt.Sprint(recover())
+					if !strings.Contains(got, "Options."+row.name+" on a wall-clock machine") || !strings.Contains(got, row.why) {
+						t.Errorf("NewRuntimeOpts on live panicked with %q, want Options.%s refused with its reason (%q)", got, row.name, row.why)
+					}
+				}()
+				NewRuntimeOpts(m, row.opts)
+			}()
+			NewRuntimeOpts(machine.New(machine.SP1997(), 2), row.opts)
+		})
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"time"
 
@@ -36,38 +35,27 @@ const (
 	flagWantReply = 1 << 1
 )
 
-// completion is the sender-side landing pad for an RMI's reply.
+// completion is the sender-side landing pad for an RMI's reply: a count the
+// reply advances past base, which a pooled record moves up to be reused.
 type completion struct {
 	mode callMode
-	done bool
+	done am.Count
+	base uint64
 	sv   threads.SyncVar
-	// waiters are the threads parked in waitDone on this completion (wall-clock
-	// backends only). Each is also a message waiter of its node; complete
-	// readies them directly, because the thread that polled the reply in may
-	// be a sibling, and an arrival wakes one message waiter only.
-	waiters []*threads.Thread
 }
 
-// complete lands the reply: mark the completion done and release whoever
-// waits on it. On the simulator that is the sync-variable write of the
-// paper's blocking sender (modeBlock, modeFuture; a spinning sender reads
-// done itself); on the wall-clock backends the waiters poll, so there is no
-// sync variable to pay for — a waiter that polled its own reply in is
-// running and not listed, one whose reply a sibling handled is made ready.
+// landed reports whether the reply has landed.
+func (c *completion) landed() bool { return c.done.Value() > c.base }
+
+// complete lands the reply: advance the completion's count, which readies a
+// waiter that a sibling's poll beat to it. On the simulator the paper's
+// blocking sender (modeBlock) and a future's joiner (modeFuture) read a sync
+// variable instead, and its write is the Table 4 handoff priced here.
 //
 //mpmd:hotpath
 func (rt *Runtime) complete(t *threads.Thread, c *completion) {
-	c.done = true
-	if rt.pollWait {
-		for i, w := range c.waiters {
-			t.Scheduler().MakeReady(w)
-			c.waiters[i] = nil
-		}
-		c.waiters = c.waiters[:0]
-		return
-	}
-	switch c.mode {
-	case modeBlock, modeFuture:
+	c.done.Advance(t, 1)
+	if !rt.pollWait && (c.mode == modeBlock || c.mode == modeFuture) {
 		c.sv.Write(t, nil)
 	}
 }
@@ -128,11 +116,11 @@ type callRec struct {
 var callRecPool = sync.Pool{New: func() any { return new(callRec) }}
 
 // release returns a consumed record to the pool. The completion's sync
-// variable and waiter list keep their backing arrays, so a recycled record's
+// variable and count keep their backing arrays, so a recycled record's
 // blocking wait stops allocating.
 func (r *callRec) release() {
 	r.msg = rmiMsg{}
-	r.comp.done = false
+	r.comp.base = r.comp.done.Value()
 	r.comp.sv.Reset()
 	callRecPool.Put(r)
 }
@@ -145,7 +133,7 @@ type Future struct {
 
 // Wait blocks until the RMI's reply has landed. On the simulator it reads the
 // completion's sync variable, which the polling thread writes; on the
-// wall-clock backends the waiting thread polls the network itself (waitDone).
+// wall-clock backends the waiting thread polls the network itself (waitComp).
 func (f *Future) Wait(t *threads.Thread) {
 	if f.comp.mode != modeFuture {
 		panic("core: Wait on non-future completion")
@@ -154,7 +142,7 @@ func (f *Future) Wait(t *threads.Thread) {
 }
 
 // Done reports (without blocking) whether the reply has landed.
-func (f *Future) Done() bool { return f.comp.done }
+func (f *Future) Done() bool { return f.comp.landed() }
 
 // Call performs a synchronous RMI: marshal args, transfer, run the method
 // remotely, and wait for its completion (and return value, when the method
@@ -164,13 +152,18 @@ func (f *Future) Done() bool { return f.comp.done }
 // paths, priced apart in Table 4. On the wall-clock backends there is one way
 // to wait, whatever the mode: the caller polls and parks as its node's
 // preferred message waiter, so its reply is handled by the caller itself
-// (waitDone).
+// (waitComp).
 func (rt *Runtime) Call(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg) {
-	mode := modeBlock
+	rt.invoke(t, gp, method, args, ret, rt.syncMode())
+}
+
+// syncMode is how a synchronous call's sender waits on the simulator: blocked
+// on a sync variable, or spinning under Options.SpinSenders.
+func (rt *Runtime) syncMode() callMode {
 	if rt.opts.SpinSenders {
-		mode = modeSpin
+		return modeSpin
 	}
-	rt.invoke(t, gp, method, args, ret, mode)
+	return modeBlock
 }
 
 // CallSimple performs a synchronous RMI in which the calling thread itself
@@ -337,7 +330,8 @@ func (rt *Runtime) lookupMethod(gp GPtr, method string) *boundMethod {
 
 // dispatchLocal runs an RMI whose target lives on the calling node: no
 // marshalling, no messages, but threaded/atomic semantics are preserved.
-// The returned completion lets local futures join exactly like remote ones.
+// The completion it returns (nil unless a future) lets local futures join
+// exactly like remote ones.
 //
 //mpmd:coldpath local dispatch spawns threads and builds completions by design; the allocation-free contract covers the remote wire path
 func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, gp GPtr, args []Arg, ret Arg, mode callMode) *completion {
@@ -352,16 +346,17 @@ func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, 
 	}
 	if !bm.m.Threaded && !bm.m.Atomic {
 		run(t)
-		comp := &completion{mode: mode, done: true}
-		if mode == modeFuture {
-			rt.complete(t, comp)
+		if mode != modeFuture {
+			return nil
 		}
+		comp := &completion{mode: mode}
+		rt.complete(t, comp)
 		return comp
 	}
 	switch mode {
 	case modeOneWay:
 		t.Spawn("lrmi:"+bm.m.Name, run)
-		return &completion{mode: mode}
+		return nil
 	case modeFuture:
 		done := &completion{mode: mode}
 		t.Spawn("lrmi:"+bm.m.Name, func(t2 *threads.Thread) {
@@ -378,7 +373,7 @@ func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, 
 			wg.Done(t2)
 		})
 		wg.Wait(t)
-		return &completion{mode: mode, done: true}
+		return nil
 	}
 }
 
@@ -395,68 +390,16 @@ func (n *nodeRT) objLock(obj int32) *threads.Mutex {
 	return l
 }
 
-// pollUntilDone is am.Endpoint.PollUntil specialized to a completion, so the
-// spinning fast path constructs no condition closure: the calling thread
-// services the network itself, and ready local threads get the CPU before it
-// parks — a threaded RMI spawned by a poll may be the very thing that lands
-// the completion, and parking for a *message* would miss it. It is the
-// simulator's "Simple" sender: with a ready sibling it yields rather than
-// parks, which two waiting threads of one node turn into a busy loop of
-// switches — free of real cost in virtual time, ruinous on a real CPU, hence
-// waitDone.
-func pollUntilDone(t *threads.Thread, ep *am.Endpoint, comp *completion) {
-	for !comp.done {
-		if ep.Poll(t) {
-			continue
-		}
-		if t.Scheduler().ReadyLen() > 0 {
-			t.Yield()
-			continue
-		}
-		ep.WaitMessage(t)
-	}
-	ep.KickService()
-}
-
-// waitDone is how a thread waits for a completion on the wall-clock backends:
-// it polls, and with nothing to poll parks as the node's most recent — hence
-// preferred (the endpoint wakes LIFO) — message waiter, so the arrival of its
-// reply wakes the caller and the caller runs the reply handler itself: no
-// polling thread in between, no thread switch, no sync variable. It blocks
-// even while siblings are ready (Block dispatches one; nothing spins), and it
-// lists itself on the completion, because a sibling that was woken for this
-// reply instead handles it and must then ready its owner (complete). Once the
-// endpoint has stopped nothing more will arrive: the thread parks on the
-// completion alone, which is where a blocked sender stood at shutdown before.
-func waitDone(t *threads.Thread, ep *am.Endpoint, comp *completion) {
-	for !comp.done {
-		if ep.Poll(t) {
-			continue
-		}
-		comp.waiters = append(comp.waiters, t)
-		if ep.Stopped() {
-			t.Block()
-		} else {
-			ep.WaitMessage(t)
-		}
-		if i := slices.Index(comp.waiters, t); i >= 0 { // an arrival ended the wait, not complete
-			comp.waiters = slices.Delete(comp.waiters, i, i+1)
-		}
-	}
-	ep.KickService()
-}
-
-// waitComp waits for a completion: by polling on the wall-clock backends,
-// according to its mode on the simulator.
+// waitComp waits for a completion: it awaits the completion's count on the
+// wall-clock backends and for the simulator's spinning sender, and reads the
+// sync variable complete writes for the simulator's blocking sender and
+// future.
 func (rt *Runtime) waitComp(t *threads.Thread, n *nodeRT, comp *completion) {
-	switch {
-	case rt.pollWait:
-		waitDone(t, n.ep, comp)
-	case comp.mode == modeSpin:
-		pollUntilDone(t, n.ep, comp)
-	default:
-		comp.sv.Read(t)
+	if rt.pollWait || comp.mode == modeSpin {
+		n.ep.Await(t, &comp.done, comp.base+1)
+		return
 	}
+	comp.sv.Read(t)
 }
 
 // registerHandlers installs the runtime's message handlers.

@@ -113,17 +113,19 @@ type Options struct {
 	// DisableStubCache forces every RMI down the cold name-resolution path.
 	DisableStubCache bool
 	// DisablePersistentBuffers forces the receiver staging copy (static
-	// buffer area -> fresh R-buffer) on every invocation.
+	// buffer area -> fresh R-buffer) on every invocation. The copy is a
+	// charge: a wall-clock machine would change only counters and refuses it.
 	DisablePersistentBuffers bool
 	// SpinSenders makes blocking calls spin-poll instead of handing off to
 	// the polling thread (the "Simple" sender mode applied globally). It
-	// selects between the simulator's two modelled sender paths; the
-	// wall-clock backends have one wait (waitDone) and ignore it.
+	// selects between the simulator's two modelled sender paths; a wall-clock
+	// machine has one wait and refuses it.
 	SpinSenders bool
 	// InterruptDriven switches message reception from polling to software
 	// interrupts, charging Config.InterruptCost per received message — the
 	// alternative the paper rejects for 1997 hardware and projects as future
-	// work once interrupts get cheap.
+	// work once interrupts get cheap. A wall-clock machine refuses it: it
+	// switches off poll-on-send, and nothing there interrupts in its place.
 	InterruptDriven bool
 	// Grace is how long after the last node program finishes the runtime
 	// keeps polling before shutting down (drains in-flight one-way RMIs).
@@ -152,7 +154,7 @@ type Runtime struct {
 
 	// pollWait is set on the backends that ignore modelled time (live,
 	// netlive): a thread waiting for a completion polls for it itself
-	// (waitDone). The simulator keeps the paper's two sender modes, whose
+	// (waitComp). The simulator keeps the paper's two sender modes, whose
 	// difference is a row of Table 4.
 	pollWait bool
 
@@ -204,6 +206,9 @@ type nodeRT struct {
 	pending     am.ReqTable[rmiMsg]
 	gpPending   am.ReqTable[gpReq]
 	distPending am.ReqTable[DistOp]
+	// distFreed counts the distributed-array replies that freed a slot of
+	// distPending: an issuer out of slots awaits it.
+	distFreed am.Count
 	// distParts is this node's part of every distributed array (nil where it
 	// holds none), indexed like Runtime.distSizes; distBuf is the request
 	// handler's encode scratch.
@@ -220,6 +225,18 @@ func NewRuntime(m *machine.Machine) *Runtime { return NewRuntimeOpts(m, Options{
 func NewRuntimeOpts(m *machine.Machine, opts Options) *Runtime {
 	if opts.Grace == 0 {
 		opts.Grace = time.Millisecond
+	}
+	for _, o := range []struct {
+		on        bool
+		name, why string
+	}{
+		{opts.SpinSenders, "SpinSenders", "a wall-clock machine has one wait, so there is no sender path to select"},
+		{opts.InterruptDriven, "InterruptDriven", "it switches off poll-on-send, and nothing interrupts in its place"},
+		{opts.DisablePersistentBuffers, "DisablePersistentBuffers", "it changes only counters"},
+	} {
+		if o.on && m.Eng == nil {
+			panic("core: Options." + o.name + " on a wall-clock machine: " + o.why)
+		}
 	}
 	rt := &Runtime{
 		m:        m,

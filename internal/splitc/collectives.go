@@ -77,7 +77,7 @@ type collectives struct {
 	red      *coll.CentralReduce
 	gen      int
 	results  []float64
-	haveGen  []int
+	haveGen  []am.Count // the result generations each node has landed
 }
 
 // ReduceOp selects the all_reduce combiner (shared with internal/coll).
@@ -97,12 +97,12 @@ func (w *World) initCollectives() {
 	c := &collectives{
 		red:     coll.NewCentralReduce(w.m.NumNodes()),
 		results: make([]float64, w.m.NumNodes()),
-		haveGen: make([]int, w.m.NumNodes()),
+		haveGen: make([]am.Count, w.m.NumNodes()),
 	}
 	w.coll = c
 	c.hResult = w.net.Register("sc.coll.result", func(t *threads.Thread, m am.Msg) {
 		c.results[m.Dst] = math.Float64frombits(m.A[0])
-		c.haveGen[m.Dst] = int(m.A[1])
+		advanceTo(t, &c.haveGen[m.Dst], m.A[1])
 	})
 	// Contribution messages carry the operator as a word (A[1]) — the enum
 	// is the wire form, no object reference rides along.
@@ -128,10 +128,10 @@ func (p *Proc) AllReduce(v float64, op ReduceOp) float64 {
 	if c == nil {
 		panic("splitc: collectives not initialized (World.New does this; did you build World by hand?)")
 	}
-	target := c.haveGen[p.me] + 1
+	target := c.haveGen[p.me].Value() + 1
 	p.T.Charge(machine.CatRuntime, issueCost)
 	p.ep.RequestShort(p.T, 0, c.hContrib, [4]uint64{math.Float64bits(v), uint64(op)})
-	p.ep.PollUntil(p.T, func() bool { return c.haveGen[p.me] >= target })
+	p.ep.Await(p.T, &c.haveGen[p.me], target)
 	return c.results[p.me]
 }
 

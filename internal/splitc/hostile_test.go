@@ -92,9 +92,10 @@ func TestSplitCHostileWords(t *testing.T) {
 }
 
 // serveRefusal serves p's endpoint until a handler panics and returns the
-// panic's text.
+// panic's text: it awaits a count nothing advances.
 func serveRefusal(p *Proc) (refusal string) {
 	defer func() { refusal = fmt.Sprint(recover()) }()
-	p.ep.PollUntil(p.T, func() bool { return false })
+	var never am.Count
+	p.ep.Await(p.T, &never, 1)
 	return ""
 }

@@ -98,9 +98,10 @@ type Proc struct {
 	// its record in the message words by wire ID, and the reply echoes it.
 	reqs am.ReqTable[landing]
 
-	outstanding int // split-phase gets+puts not yet completed
-	storesRecvd int // one-way store values landed at this node
-	releasedGen int // last barrier generation this node was released from
+	// Its waits await counts the handlers advance (am.Endpoint.Await).
+	issued           uint64   // split-phase gets+puts issued
+	done, completed  am.Count // blocking and split-phase replies landed
+	stores, released am.Count // store values landed, barriers released from
 }
 
 // landing is one request in flight at its initiator: where the reply lands
@@ -108,7 +109,7 @@ type Proc struct {
 type landing struct {
 	dst  *float64  // a scalar read's landing slot
 	vdst []float64 // a bulk read's landing vector
-	done *bool     // nil for split-phase operations
+	done *am.Count // the count its reply advances: Proc.done or Proc.completed
 }
 
 // New builds a Split-C world over machine m.
@@ -227,21 +228,19 @@ func (w *World) registerHandlers() {
 	at := func(m am.Msg) *float64 { return &w.procs[m.Dst].part(m.Src, m.A[1], m.A[2], 1)[0] }
 	vec := func(m am.Msg) []float64 { return w.procs[m.Dst].part(m.Src, m.A[0], m.A[1], m.A[2]) }
 	// landed resolves a reply's request ID at the initiator, m.Dst.
-	landed := func(m am.Msg, idWord int) (*Proc, *landing) {
-		p := w.procs[m.Dst]
-		return p, p.reqs.Take("Split-C", m.Dst, m.Src, m.A[idWord])
+	landed := func(m am.Msg, idWord int) *landing {
+		return w.procs[m.Dst].reqs.Take("Split-C", m.Dst, m.Src, m.A[idWord])
 	}
 	w.hReadReply = w.net.Register("sc.read.reply", func(t *threads.Thread, m am.Msg) {
-		p, rq := landed(m, 1)
+		rq := landed(m, 1)
 		*rq.dst = math.Float64frombits(m.A[0])
-		p.complete(t, rq.done)
+		complete(t, rq)
 	})
 	w.hReadReq = w.net.Register("sc.read.req", func(t *threads.Thread, m am.Msg) {
 		w.ep(t).RequestShort(t, m.Src, w.hReadReply, [4]uint64{math.Float64bits(*at(m)), m.A[3]})
 	})
 	w.hAck = w.net.Register("sc.ack", func(t *threads.Thread, m am.Msg) {
-		p, rq := landed(m, 0)
-		p.complete(t, rq.done)
+		complete(t, landed(m, 0))
 	})
 	w.hWriteReq = w.net.Register("sc.write.req", func(t *threads.Thread, m am.Msg) {
 		*at(m) = math.Float64frombits(m.A[0])
@@ -253,12 +252,12 @@ func (w *World) registerHandlers() {
 	})
 	w.hStore = w.net.Register("sc.store", func(t *threads.Thread, m am.Msg) {
 		*at(m) = math.Float64frombits(m.A[0])
-		w.procs[m.Dst].storesRecvd++
+		w.procs[m.Dst].stores.Advance(t, 1)
 	})
 	w.hBulkReply = w.net.Register("sc.bulk.reply", func(t *threads.Thread, m am.Msg) {
-		p, rq := landed(m, 0)
+		rq := landed(m, 0)
 		decodeF64(t, m, rq.vdst)
-		p.complete(t, rq.done)
+		complete(t, rq)
 	})
 	w.hBulkReadReq = w.net.Register("sc.bulk.read.req", func(t *threads.Thread, m am.Msg) {
 		payload := encodeF64(t, vec(m))
@@ -271,10 +270,10 @@ func (w *World) registerHandlers() {
 	w.hBulkStore = w.net.Register("sc.bulk.store", func(t *threads.Thread, m am.Msg) {
 		dst := vec(m)
 		decodeF64(t, m, dst)
-		w.procs[m.Dst].storesRecvd += len(dst)
+		w.procs[m.Dst].stores.Advance(t, uint64(len(dst)))
 	})
 	w.hRelease = w.net.Register("sc.barrier.release", func(t *threads.Thread, m am.Msg) {
-		w.procs[m.Dst].releasedGen = int(m.A[0])
+		advanceTo(t, &w.procs[m.Dst].released, m.A[0])
 	})
 	w.hBarrierArrive = w.net.Register("sc.barrier.arrive", func(t *threads.Thread, m am.Msg) {
 		if gen, release := w.barCtr.Arrive(); release {
@@ -288,18 +287,16 @@ func (w *World) registerHandlers() {
 // ep returns the endpoint of the node the thread is running on.
 func (w *World) ep(t *threads.Thread) *am.Endpoint { return w.net.Endpoint(t.Node().ID) }
 
-// complete lands one reply on the requesting processor: either flips the
-// blocking-op flag or decrements the split-phase counter.
-func (p *Proc) complete(t *threads.Thread, done *bool) {
+// advanceTo advances c to gen, a generation a release message carried.
+func advanceTo(t *threads.Thread, c *am.Count, gen uint64) {
+	c.Advance(t, max(gen, c.Value())-c.Value())
+}
+
+// complete lands one reply on the requesting processor: it advances the count
+// of its blocking accesses or of its split-phase ones.
+func complete(t *threads.Thread, rq *landing) {
 	t.Charge(machine.CatRuntime, completeCost)
-	if done != nil {
-		*done = true
-		return
-	}
-	p.outstanding--
-	if p.outstanding < 0 {
-		panic("splitc: completion underflow")
-	}
+	rq.done.Advance(t, 1)
 }
 
 // encodeF64 serializes doubles for a bulk payload, charging the copy.
@@ -333,10 +330,10 @@ func (p *Proc) Read(gp GPF) float64 {
 		return *p.at(gp)
 	}
 	var v float64
-	done := false
-	id := p.reqs.Add(&landing{dst: &v, done: &done})
+	want := p.done.Value() + 1
+	id := p.reqs.Add(&landing{dst: &v, done: &p.done})
 	p.ep.RequestShort(p.T, gp.PC, p.w.hReadReq, gp.words(0, id))
-	p.ep.PollUntil(p.T, func() bool { return done })
+	p.ep.Await(p.T, &p.done, want)
 	return v
 }
 
@@ -347,10 +344,10 @@ func (p *Proc) Write(gp GPF, v float64) {
 		*p.at(gp) = v
 		return
 	}
-	done := false
-	id := p.reqs.Add(&landing{done: &done})
+	want := p.done.Value() + 1
+	id := p.reqs.Add(&landing{done: &p.done})
 	p.ep.RequestShort(p.T, gp.PC, p.w.hWriteReq, gp.words(math.Float64bits(v), id))
-	p.ep.PollUntil(p.T, func() bool { return done })
+	p.ep.Await(p.T, &p.done, want)
 }
 
 // Get issues a split-phase read (dst := *gp); completion is observed by Sync.
@@ -359,8 +356,8 @@ func (p *Proc) Get(dst *float64, gp GPF) {
 		*dst = *p.at(gp)
 		return
 	}
-	p.outstanding++
-	id := p.reqs.Add(&landing{dst: dst})
+	p.issued++
+	id := p.reqs.Add(&landing{dst: dst, done: &p.completed})
 	p.ep.RequestShort(p.T, gp.PC, p.w.hReadReq, gp.words(0, id))
 }
 
@@ -370,8 +367,8 @@ func (p *Proc) Put(gp GPF, v float64) {
 		*p.at(gp) = v
 		return
 	}
-	p.outstanding++
-	id := p.reqs.Add(&landing{})
+	p.issued++
+	id := p.reqs.Add(&landing{done: &p.completed})
 	p.ep.RequestShort(p.T, gp.PC, p.w.hWriteReq, gp.words(math.Float64bits(v), id))
 }
 
@@ -380,7 +377,7 @@ func (p *Proc) Put(gp GPF, v float64) {
 func (p *Proc) Store(gp GPF, v float64) {
 	if !p.remote(gp.PC, machine.CntRemoteWrite) {
 		*p.at(gp) = v
-		p.storesRecvd++
+		p.stores.Advance(p.T, 1)
 		return
 	}
 	p.ep.RequestShort(p.T, gp.PC, p.w.hStore, gp.words(math.Float64bits(v), 0))
@@ -396,8 +393,8 @@ func (p *Proc) AtomicAdd(gp GPF, v float64) {
 		*p.at(gp) += v
 		return
 	}
-	p.outstanding++
-	id := p.reqs.Add(&landing{})
+	p.issued++
+	id := p.reqs.Add(&landing{done: &p.completed})
 	p.ep.RequestShort(p.T, gp.PC, p.w.hAtomicAdd, gp.words(math.Float64bits(v), id))
 }
 
@@ -405,11 +402,11 @@ func (p *Proc) AtomicAdd(gp GPF, v float64) {
 // operations have completed (Split-C's sync()).
 func (p *Proc) Sync() {
 	p.T.Charge(machine.CatRuntime, completeCost)
-	p.ep.PollUntil(p.T, func() bool { return p.outstanding == 0 })
+	p.ep.Await(p.T, &p.completed, p.issued)
 }
 
 // Outstanding reports the number of incomplete split-phase operations.
-func (p *Proc) Outstanding() int { return p.outstanding }
+func (p *Proc) Outstanding() int { return int(p.issued - p.completed.Value()) }
 
 // --- bulk transfers ----------------------------------------------------------
 
@@ -424,10 +421,10 @@ func (p *Proc) BulkRead(dst []float64, gp GVF) {
 		p.T.Charge(machine.CatRuntime, time.Duration(len(dst)*8)*p.T.Cfg().MemCopyPerByte)
 		return
 	}
-	done := false
-	id := p.reqs.Add(&landing{vdst: dst, done: &done})
+	want := p.done.Value() + 1
+	id := p.reqs.Add(&landing{vdst: dst, done: &p.done})
 	p.ep.RequestShort(p.T, gp.PC, p.w.hBulkReadReq, gp.words(id))
-	p.ep.PollUntil(p.T, func() bool { return done })
+	p.ep.Await(p.T, &p.done, want)
 }
 
 // BulkWrite synchronously copies src into a remote vector
@@ -441,11 +438,11 @@ func (p *Proc) BulkWrite(gp GVF, src []float64) {
 		p.T.Charge(machine.CatRuntime, time.Duration(len(src)*8)*p.T.Cfg().MemCopyPerByte)
 		return
 	}
-	done := false
-	id := p.reqs.Add(&landing{done: &done})
+	want := p.done.Value() + 1
+	id := p.reqs.Add(&landing{done: &p.done})
 	payload := encodeF64(p.T, src)
 	p.ep.RequestBulk(p.T, gp.PC, p.w.hBulkWriteReq, payload, gp.words(id))
-	p.ep.PollUntil(p.T, func() bool { return done })
+	p.ep.Await(p.T, &p.done, want)
 }
 
 // BulkGet issues a split-phase bulk read; completion is observed by Sync.
@@ -458,8 +455,8 @@ func (p *Proc) BulkGet(dst []float64, gp GVF) {
 		p.T.Charge(machine.CatRuntime, time.Duration(len(dst)*8)*p.T.Cfg().MemCopyPerByte)
 		return
 	}
-	p.outstanding++
-	id := p.reqs.Add(&landing{vdst: dst})
+	p.issued++
+	id := p.reqs.Add(&landing{vdst: dst, done: &p.completed})
 	p.ep.RequestShort(p.T, gp.PC, p.w.hBulkReadReq, gp.words(id))
 }
 
@@ -472,7 +469,7 @@ func (p *Proc) BulkStore(gp GVF, src []float64) {
 	if !p.remote(gp.PC, machine.CntRemoteWrite) {
 		copy(p.vec(gp), src)
 		p.T.Charge(machine.CatRuntime, time.Duration(len(src)*8)*p.T.Cfg().MemCopyPerByte)
-		p.storesRecvd += len(src)
+		p.stores.Advance(p.T, uint64(len(src)))
 		return
 	}
 	payload := encodeF64(p.T, src)
@@ -482,7 +479,7 @@ func (p *Proc) BulkStore(gp GVF, src []float64) {
 // WaitStores blocks until at least n store values have landed at this node.
 func (p *Proc) WaitStores(n int) {
 	p.T.Charge(machine.CatRuntime, completeCost)
-	p.ep.PollUntil(p.T, func() bool { return p.storesRecvd >= n })
+	p.ep.Await(p.T, &p.stores, uint64(max(n, 0)))
 }
 
 // --- barrier ------------------------------------------------------------------
@@ -490,10 +487,10 @@ func (p *Proc) WaitStores(n int) {
 // Barrier blocks until every processor has entered the barrier. It is the
 // Split-C barrier(): a central counter on node 0 plus a release broadcast.
 func (p *Proc) Barrier() {
-	target := p.releasedGen + 1
+	target := p.released.Value() + 1
 	p.T.Charge(machine.CatRuntime, issueCost)
 	p.ep.RequestShort(p.T, 0, p.w.hBarrierArrive, [4]uint64{})
-	p.ep.PollUntil(p.T, func() bool { return p.releasedGen >= target })
+	p.ep.Await(p.T, &p.released, target)
 }
 
 func (p *Proc) node() *machine.Node { return p.w.m.Node(p.me) }

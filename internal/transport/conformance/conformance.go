@@ -68,6 +68,7 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("CrossShardTraffic", func(t *testing.T) { crossShardTraffic(t, f, false) })
 	t.Run("MixedSizes", func(t *testing.T) { crossShardTraffic(t, f, true) })
 	t.Run("TwoCallersOneNode", func(t *testing.T) { twoCallersOneNode(t, f) })
+	t.Run("TwoWaitersOneNode", func(t *testing.T) { twoWaitersOneNode(t, f) })
 	t.Run("Collectives", func(t *testing.T) { runCollectives(t, f) })
 	t.Run("DistAccess", func(t *testing.T) { distAccess(t, f) })
 	t.Run("ValueOwnership", func(t *testing.T) { valueOwnership(t, f) })
@@ -161,9 +162,13 @@ func runAll(ms []*machine.Machine) error {
 func shortOrdering(t *testing.T, f ShardedFactory) {
 	const k = 200
 	r := newRig(f(machine.SP1997(), 2))
-	var got []uint64
-	h := r.register("conf.seq", func(_ *threads.Thread, m am.Msg) {
+	var (
+		got     []uint64
+		arrived am.Count
+	)
+	h := r.register("conf.seq", func(th *threads.Thread, m am.Msg) {
 		got = append(got, m.A[0])
+		arrived.Advance(th, 1)
 	})
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		for i := 0; i < k; i++ {
@@ -171,7 +176,7 @@ func shortOrdering(t *testing.T, f ShardedFactory) {
 		}
 	})
 	r.scheds[1].Start("receiver", func(th *threads.Thread) {
-		r.ep(1).PollUntil(th, func() bool { return len(got) == k })
+		r.ep(1).Await(th, &arrived, k)
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -199,11 +204,11 @@ func bulkIntegrity(t *testing.T, f ShardedFactory) {
 	pattern := func(i, j int) byte { return byte(i*31 + j*7) }
 	r := newRig(f(machine.SP1997(), 2))
 	var (
-		received int
+		received am.Count
 		retained []byte // copy of message 0's payload, checked at the end
 		bad      string
 	)
-	h := r.register("conf.bulk", func(_ *threads.Thread, m am.Msg) {
+	h := r.register("conf.bulk", func(th *threads.Thread, m am.Msg) {
 		i := int(m.A[0])
 		if len(m.Payload) != bytes {
 			bad = fmt.Sprintf("message %d: payload %dB, want %dB", i, len(m.Payload), bytes)
@@ -217,7 +222,7 @@ func bulkIntegrity(t *testing.T, f ShardedFactory) {
 		if i == 0 {
 			retained = append([]byte(nil), m.Payload...)
 		}
-		received++
+		received.Advance(th, 1)
 	})
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		buf := make([]byte, bytes)
@@ -234,7 +239,7 @@ func bulkIntegrity(t *testing.T, f ShardedFactory) {
 		}
 	})
 	r.scheds[1].Start("receiver", func(th *threads.Thread) {
-		r.ep(1).PollUntil(th, func() bool { return received == k })
+		r.ep(1).Await(th, &received, k)
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -242,8 +247,8 @@ func bulkIntegrity(t *testing.T, f ShardedFactory) {
 	if bad != "" {
 		t.Fatal(bad)
 	}
-	if received != k {
-		t.Fatalf("received %d bulk messages, want %d", received, k)
+	if received.Value() != k {
+		t.Fatalf("received %d bulk messages, want %d", received.Value(), k)
 	}
 	for j, b := range retained {
 		if b != pattern(0, j) {
@@ -271,15 +276,15 @@ func payloadRecycling(t *testing.T, f ShardedFactory) {
 	pattern := func(s, i, j int) byte { return byte(s*131 + i*31 + j*7) }
 	r := newRig(f(machine.SP1997(), senders+1))
 	var (
-		received int
+		received am.Count
 		snapshot []byte // copy taken by handler (sender 1, message 0)
 		bad      string
 	)
-	h := r.register("conf.recycle", func(_ *threads.Thread, m am.Msg) {
+	h := r.register("conf.recycle", func(th *threads.Thread, m am.Msg) {
 		s, i := int(m.A[0]), int(m.A[1])
 		if len(m.Payload) != bytes {
 			bad = fmt.Sprintf("s%d msg %d: payload %dB, want %dB", s, i, len(m.Payload), bytes)
-			received++
+			received.Advance(th, 1)
 			return
 		}
 		// First pass: contents must match this message's pattern.
@@ -303,7 +308,7 @@ func payloadRecycling(t *testing.T, f ShardedFactory) {
 		if s == 1 && i == 0 {
 			snapshot = append([]byte(nil), m.Payload...)
 		}
-		received++
+		received.Advance(th, 1)
 	})
 	for s := 1; s <= senders; s++ {
 		s := s
@@ -318,7 +323,7 @@ func payloadRecycling(t *testing.T, f ShardedFactory) {
 		})
 	}
 	r.scheds[0].Start("receiver", func(th *threads.Thread) {
-		r.ep(0).PollUntil(th, func() bool { return received == senders*k })
+		r.ep(0).Await(th, &received, senders*k)
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -326,8 +331,8 @@ func payloadRecycling(t *testing.T, f ShardedFactory) {
 	if bad != "" {
 		t.Fatal(bad)
 	}
-	if received != senders*k {
-		t.Fatalf("received %d bulk messages, want %d", received, senders*k)
+	if received.Value() != senders*k {
+		t.Fatalf("received %d bulk messages, want %d", received.Value(), senders*k)
 	}
 	for j, b := range snapshot {
 		if b != pattern(1, 0, j) {
@@ -348,10 +353,11 @@ func runToCompletion(t *testing.T, f ShardedFactory) {
 	r := newRig(f(machine.SP1997(), senders+1))
 	var (
 		counter   int
+		handled   am.Count
 		inHandler bool
 		reentered bool
 	)
-	h := r.register("conf.rtc", func(_ *threads.Thread, _ am.Msg) {
+	h := r.register("conf.rtc", func(th *threads.Thread, _ am.Msg) {
 		if inHandler {
 			reentered = true
 		}
@@ -362,6 +368,7 @@ func runToCompletion(t *testing.T, f ShardedFactory) {
 		runtime.Gosched()
 		counter = v + 1
 		inHandler = false
+		handled.Advance(th, 1)
 	})
 	for s := 1; s <= senders; s++ {
 		s := s
@@ -372,7 +379,7 @@ func runToCompletion(t *testing.T, f ShardedFactory) {
 		})
 	}
 	r.scheds[0].Start("receiver", func(th *threads.Thread) {
-		r.ep(0).PollUntil(th, func() bool { return counter == senders*k })
+		r.ep(0).Await(th, &handled, senders*k)
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -394,8 +401,8 @@ func runToCompletion(t *testing.T, f ShardedFactory) {
 func busyDestination(t *testing.T, f ShardedFactory) {
 	const k = 100
 	r := newRig(f(machine.SP1997(), 2))
-	var got int
-	h := r.register("conf.busy", func(_ *threads.Thread, _ am.Msg) { got++ })
+	var got am.Count
+	h := r.register("conf.busy", func(th *threads.Thread, _ am.Msg) { got.Advance(th, 1) })
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		for i := 0; i < k; i++ {
 			r.ep(0).RequestShort(th, 1, h, [4]uint64{})
@@ -405,13 +412,13 @@ func busyDestination(t *testing.T, f ShardedFactory) {
 		for r.ep(1).Node().InboxLen() < k {
 			th.Compute(time.Microsecond)
 		}
-		r.ep(1).PollUntil(th, func() bool { return got == k })
+		r.ep(1).Await(th, &got, k)
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if got != k {
-		t.Fatalf("handled %d messages, want %d", got, k)
+	if got.Value() != k {
+		t.Fatalf("handled %d messages, want %d", got.Value(), k)
 	}
 }
 
@@ -529,13 +536,15 @@ func crossShardTraffic(t *testing.T, f ShardedFactory, mixed bool) {
 		t.Fatalf("topology says node %d is local to shard %d; pick a remote pair", dst, topo.Shard())
 	}
 	var (
-		got []uint64 // in arrival order: 2i for short i, 2i+1 for the bulk sent after it
-		bad string
+		got     []uint64 // in arrival order: 2i for short i, 2i+1 for the bulk sent after it
+		arrived am.Count
+		bad     string
 	)
-	hShort := r.register("conf.xs.short", func(_ *threads.Thread, m am.Msg) {
+	hShort := r.register("conf.xs.short", func(th *threads.Thread, m am.Msg) {
 		got = append(got, 2*m.A[0])
+		arrived.Advance(th, 1)
 	})
-	hBulk := r.register("conf.xs.bulk", func(_ *threads.Thread, m am.Msg) {
+	hBulk := r.register("conf.xs.bulk", func(th *threads.Thread, m am.Msg) {
 		i := int(m.A[0])
 		if len(m.Payload) != size(i) {
 			bad = fmt.Sprintf("bulk %d: %dB payload, want %d", i, len(m.Payload), size(i))
@@ -547,6 +556,7 @@ func crossShardTraffic(t *testing.T, f ShardedFactory, mixed bool) {
 			}
 		}
 		got = append(got, 2*m.A[0]+1)
+		arrived.Advance(th, 1)
 	})
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		ep := r.ep(0)
@@ -564,7 +574,7 @@ func crossShardTraffic(t *testing.T, f ShardedFactory, mixed bool) {
 		}
 	})
 	r.scheds[dst].Start("receiver", func(th *threads.Thread) {
-		r.ep(dst).PollUntil(th, func() bool { return len(got) == 2*k })
+		r.ep(dst).Await(th, &arrived, 2*k)
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -595,15 +605,15 @@ func statsMerge(t *testing.T, f ShardedFactory) {
 		k     = 80
 	)
 	r := newRig(f(machine.SP1997(), nodes))
-	var got int
-	h := r.register("conf.stats", func(_ *threads.Thread, _ am.Msg) { got++ })
+	var got am.Count
+	h := r.register("conf.stats", func(th *threads.Thread, _ am.Msg) { got.Advance(th, 1) })
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		for i := 0; i < k; i++ {
 			r.ep(0).RequestShort(th, nodes-1, h, [4]uint64{uint64(i)})
 		}
 	})
 	r.scheds[nodes-1].Start("receiver", func(th *threads.Thread) {
-		r.ep(nodes-1).PollUntil(th, func() bool { return got == k })
+		r.ep(nodes-1).Await(th, &got, k)
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -668,35 +678,37 @@ func parkUnpark(t *testing.T, f ShardedFactory) {
 	r := newRig(f(machine.SP1997(), 2))
 	ep1 := r.ep(1)
 	var (
-		early threads.SyncVar // written by a message that lands before the read
-		late  threads.SyncVar // written by a message the reader must park for
-		order []string
+		early   threads.SyncVar // written by a message that lands before the read
+		late    threads.SyncVar // written by a message the reader must park for
+		earlyIn am.Count        // advanced beside early's write
+		order   []string
 	)
 	hEarly := r.register("conf.early", func(th *threads.Thread, _ am.Msg) {
 		order = append(order, "early")
 		early.Write(th, 1)
+		earlyIn.Advance(th, 1)
 	})
 	hLate := r.register("conf.late", func(th *threads.Thread, _ am.Msg) {
 		order = append(order, "late")
 		late.Write(th, 2)
 	})
-	var ackSeen bool // node 0 state, set by node 0's handler
-	hAck := r.register("conf.ack", func(_ *threads.Thread, _ am.Msg) {
-		ackSeen = true
+	var acked am.Count // node 0 state, advanced by node 0's handler
+	hAck := r.register("conf.ack", func(th *threads.Thread, _ am.Msg) {
+		acked.Advance(th, 1)
 	})
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		ep0 := r.ep(0)
 		ep0.RequestShort(th, 1, hEarly, [4]uint64{})
 		// Wait for node 1's ack (its main thread is provably past the
 		// non-parking read) before sending the message it must park for.
-		ep0.PollUntil(th, func() bool { return ackSeen })
+		ep0.Await(th, &acked, 1)
 		ep0.RequestShort(th, 1, hLate, [4]uint64{})
 	})
 	var got1, got2 int
 	r.scheds[1].Start("main", func(th *threads.Thread) {
 		// Service the network until "early" has landed, so the first Read
 		// exercises the permit path (value already written).
-		ep1.PollUntil(th, func() bool { return early.IsSet() })
+		ep1.Await(th, &earlyIn, 1)
 		got1 = early.Read(th).(int)
 		ep1.RequestShort(th, 0, hAck, [4]uint64{})
 		// This Read parks: the poller below services the arrival and the

@@ -151,8 +151,8 @@ func TestIdleSpinHandsBack(t *testing.T) {
 	dir := t.TempDir()
 	a := newShardRig(t, 2, 1, 0, dir)
 	b := newShardRig(t, 2, 1, 1, dir)
-	got := 0
-	h := b.net.Register("h.msg", func(*threads.Thread, am.Msg) { got++ })
+	var got am.Count
+	h := b.net.Register("h.msg", func(th *threads.Thread, _ am.Msg) { got.Advance(th, 1) })
 	_ = a.net.Register("h.msg", func(*threads.Thread, am.Msg) {})
 	fire := make(chan struct{})
 	a.scheds[0].Start("sender", func(th *threads.Thread) {
@@ -160,7 +160,7 @@ func TestIdleSpinHandsBack(t *testing.T) {
 		a.net.Endpoint(0).RequestShort(th, 1, h, [4]uint64{})
 	})
 	b.scheds[1].Start("receiver", func(th *threads.Thread) {
-		b.net.Endpoint(1).PollUntil(th, func() bool { return got == 1 })
+		b.net.Endpoint(1).Await(th, &got, 1)
 	})
 	go func() {
 		// The receiver gave up polling (an idle park that fell through to the
@@ -175,8 +175,8 @@ func TestIdleSpinHandsBack(t *testing.T) {
 	}()
 	runBoth(t, a.m, b.m)
 
-	if got != 1 {
-		t.Fatalf("handled %d frames, want 1", got)
+	if got.Value() != 1 {
+		t.Fatalf("handled %d frames, want 1", got.Value())
 	}
 	actr, bctr := a.be.MetricsSnapshot().Counter, b.be.MetricsSnapshot().Counter
 	if d, wakes := actr(metrics.CtrShmDoorbells), bctr(metrics.CtrShmParkWakes); d != 1 || wakes != 1 {

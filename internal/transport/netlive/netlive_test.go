@@ -130,11 +130,13 @@ func twoShardsTraffic(t *testing.T, wantShm bool, mods ...func(*Options)) {
 	var (
 		gotShort []uint64
 		gotBulk  int
+		arrived  am.Count // shorts and bulks
 		bad      string
 	)
 	var hAck am.HandlerID
 	hShort := b.net.Register("t.short", func(th *threads.Thread, m am.Msg) {
 		gotShort = append(gotShort, m.A[0])
+		arrived.Advance(th, 1)
 	})
 	hBulk := b.net.Register("t.bulk", func(th *threads.Thread, m am.Msg) {
 		i := int(m.A[0])
@@ -148,6 +150,7 @@ func twoShardsTraffic(t *testing.T, wantShm bool, mods ...func(*Options)) {
 			}
 		}
 		gotBulk++
+		arrived.Advance(th, 1)
 		b.net.Endpoint(2).RequestShort(th, 0, hAck, [4]uint64{uint64(i)})
 	})
 	// Shard 0: the ack handler registers on shard 0's net under the same ID
@@ -155,8 +158,8 @@ func twoShardsTraffic(t *testing.T, wantShm bool, mods ...func(*Options)) {
 	// launch model requires. Register all three on both nets.
 	_ = a.net.Register("t.short", func(*threads.Thread, am.Msg) {})
 	_ = a.net.Register("t.bulk", func(*threads.Thread, am.Msg) {})
-	acks := 0
-	hAck = a.net.Register("t.ack", func(th *threads.Thread, m am.Msg) { acks++ })
+	var acks am.Count
+	hAck = a.net.Register("t.ack", func(th *threads.Thread, m am.Msg) { acks.Advance(th, 1) })
 	_ = b.net.Register("t.ack", func(*threads.Thread, am.Msg) {})
 
 	a.scheds[0].Start("sender", func(th *threads.Thread) {
@@ -173,10 +176,10 @@ func twoShardsTraffic(t *testing.T, wantShm bool, mods ...func(*Options)) {
 				buf[j] = 0xEE
 			}
 		}
-		ep.PollUntil(th, func() bool { return acks == k })
+		ep.Await(th, &acks, k)
 	})
 	b.scheds[2].Start("receiver", func(th *threads.Thread) {
-		b.net.Endpoint(2).PollUntil(th, func() bool { return gotBulk == k && len(gotShort) == k })
+		b.net.Endpoint(2).Await(th, &arrived, 2*k)
 	})
 
 	var wg sync.WaitGroup
@@ -191,8 +194,8 @@ func twoShardsTraffic(t *testing.T, wantShm bool, mods ...func(*Options)) {
 	if bad != "" {
 		t.Fatal(bad)
 	}
-	if len(gotShort) != k || gotBulk != k || acks != k {
-		t.Fatalf("short=%d bulk=%d acks=%d, want %d each", len(gotShort), gotBulk, acks, k)
+	if len(gotShort) != k || gotBulk != k || acks.Value() != k {
+		t.Fatalf("short=%d bulk=%d acks=%d, want %d each", len(gotShort), gotBulk, acks.Value(), k)
 	}
 	for i, v := range gotShort {
 		if v != uint64(i) {
@@ -237,7 +240,7 @@ func TestShmRingWraparoundAliasing(t *testing.T) {
 
 	pattern := func(i, j int) byte { return byte(i*31 + j*11) }
 	var hAck am.HandlerID
-	got := 0
+	var got am.Count
 	bad := ""
 	hBulk := b.net.Register("w.bulk", func(th *threads.Thread, m am.Msg) {
 		i := int(m.A[0])
@@ -256,12 +259,12 @@ func TestShmRingWraparoundAliasing(t *testing.T) {
 		if sum1 != sum2 {
 			bad = "ring slot reused under a running handler (aliasing)"
 		}
-		got++
+		got.Advance(th, 1)
 		b.net.Endpoint(2).RequestShort(th, 0, hAck, [4]uint64{uint64(i)})
 	})
 	_ = a.net.Register("w.bulk", func(*threads.Thread, am.Msg) {})
-	acks := 0
-	hAck = a.net.Register("w.ack", func(*threads.Thread, am.Msg) { acks++ })
+	var acks am.Count
+	hAck = a.net.Register("w.ack", func(th *threads.Thread, _ am.Msg) { acks.Advance(th, 1) })
 	_ = b.net.Register("w.ack", func(*threads.Thread, am.Msg) {})
 
 	a.scheds[0].Start("sender", func(th *threads.Thread) {
@@ -273,10 +276,10 @@ func TestShmRingWraparoundAliasing(t *testing.T) {
 			}
 			ep.RequestBulk(th, 2, hBulk, buf, [4]uint64{uint64(i)})
 		}
-		ep.PollUntil(th, func() bool { return acks == k })
+		ep.Await(th, &acks, k)
 	})
 	b.scheds[2].Start("receiver", func(th *threads.Thread) {
-		b.net.Endpoint(2).PollUntil(th, func() bool { return got == k })
+		b.net.Endpoint(2).Await(th, &got, k)
 	})
 
 	var wg sync.WaitGroup
@@ -291,8 +294,8 @@ func TestShmRingWraparoundAliasing(t *testing.T) {
 	if bad != "" {
 		t.Fatal(bad)
 	}
-	if got != k || acks != k {
-		t.Fatalf("bulks=%d acks=%d, want %d each", got, acks, k)
+	if got.Value() != k || acks.Value() != k {
+		t.Fatalf("bulks=%d acks=%d, want %d each", got.Value(), acks.Value(), k)
 	}
 	// k records through an 8 KiB ring means the tail lapped it many times.
 	if out := a.be.MetricsSnapshot().Counter(metrics.CtrShmFramesOut); out < k {
@@ -389,14 +392,14 @@ func TestTwoShardsStats(t *testing.T) {
 
 	// Node 0 (shard 0) sends k shorts to node 2 (shard 1); node 2 acks each.
 	var hAck am.HandlerID
-	gotPing := 0
+	var gotPing am.Count
 	hPing := b.net.Register("s.ping", func(th *threads.Thread, m am.Msg) {
-		gotPing++
+		gotPing.Advance(th, 1)
 		b.net.Endpoint(2).RequestShort(th, 0, hAck, m.A)
 	})
 	_ = a.net.Register("s.ping", func(*threads.Thread, am.Msg) {})
-	acks := 0
-	hAck = a.net.Register("s.ack", func(*threads.Thread, am.Msg) { acks++ })
+	var acks am.Count
+	hAck = a.net.Register("s.ack", func(th *threads.Thread, _ am.Msg) { acks.Advance(th, 1) })
 	_ = b.net.Register("s.ack", func(*threads.Thread, am.Msg) {})
 
 	a.scheds[0].Start("sender", func(th *threads.Thread) {
@@ -404,10 +407,10 @@ func TestTwoShardsStats(t *testing.T) {
 		for i := 0; i < k; i++ {
 			ep.RequestShort(th, 2, hPing, [4]uint64{uint64(i)})
 		}
-		ep.PollUntil(th, func() bool { return acks == k })
+		ep.Await(th, &acks, k)
 	})
 	b.scheds[2].Start("receiver", func(th *threads.Thread) {
-		b.net.Endpoint(2).PollUntil(th, func() bool { return gotPing == k })
+		b.net.Endpoint(2).Await(th, &gotPing, k)
 	})
 
 	var wg sync.WaitGroup
