@@ -2,13 +2,14 @@ package am
 
 import "fmt"
 
-// ReqTable is a node's table of in-flight requests of one kind (RMIs, GP and
-// distributed-array accesses, Split-C accesses): the request message names its
-// sender-side record by slot in the word arguments and the reply echoes it,
-// instead of a pointer travelling. Freed slots are reused, so the table stays
-// as small as the node's peak of outstanding requests. Every method is called
-// from the owning node's execution context only — the reply handler runs on
-// the node that sent the request — so the table needs no lock.
+// ReqTable is a node's table of in-flight requests of one kind (RMIs,
+// distributed-array and global-pointer accesses, Split-C accesses): the
+// request message names its sender-side record by slot in the word arguments
+// and the reply echoes it, instead of a pointer travelling. Freed slots are
+// reused, so the table stays as small as the node's peak of outstanding
+// requests. Every method is called from the owning node's execution context
+// only — the reply handler runs on the node that sent the request — so the
+// table needs no lock.
 type ReqTable[T any] struct {
 	recs []*T
 	free []uint32

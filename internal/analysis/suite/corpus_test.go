@@ -107,8 +107,12 @@ var corpus = []struct {
 		{"internal/splitc/splitc.go", "\tif seg >= uint64(len(p.w.segs)) || p.w.segs[seg][p.me] == nil {\n", "\tif false {\n"}}},
 	{"a Split-C access trusts its offset and length words", "go test ./internal/splitc -run ^TestSplitCHostileWords$/^length_past_the_part$", `handler failed with "runtime error: slice bounds out of range`, []edit{
 		{"internal/splitc/splitc.go", "\tif off > uint64(len(part)) || n > uint64(len(part))-off {\n", "\tif false {\n"}}},
-	{"a GP access takes a segment of other elements", "go test ./internal/core -run ^TestDistHostileWords$/^GP_read_of_a_segment_of_variable-size_elements$", `index out of range`, []edit{
+	// A GP access served as a Dist one: the variable-size element goes back
+	// as a payload-form reply, which node 0 never asked for.
+	{"a GP access takes a segment of other elements", "go test ./internal/core -run ^TestDistHostileWords$/^GP_read_of_a_segment_of_variable-size_elements$", `node 0 dist reply from node 1 for unknown request 1`, []edit{
 		{"internal/core/dist.go", "\tif word && n.rt.distSizes[seg] != distReqBytes {\n", "\tif false {\n"}}},
+	{"a GP access carries a payload", "go test ./internal/core -run ^TestDistHostileWords$/^GP_read_with_a_payload$", `node 0 dist reply from node 1 for unknown request 1`, []edit{
+		{"internal/core/dist.go", "\tcase threaded && len(b) > 0:\n", "\tcase false:\n"}}},
 	{"a collective message trusts its slot word", "go test ./internal/coll -run ^TestCollHostileWords$/^slot_past_the_machine$", `handler failed with "<nil>"`, []edit{
 		{"internal/coll/coll.go", "\tcase uint64(k.slot) >= n:\n", "\tcase false:\n"}}},
 	{"a collective message overwrites one not yet taken", "go test ./internal/coll -run ^TestCollHostileWords$/^second_message_for_a_filled_slot$", `handler failed with "<nil>"`, []edit{

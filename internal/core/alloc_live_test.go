@@ -97,3 +97,46 @@ func TestWarmPathAllocsPerRun(t *testing.T) {
 		t.Errorf("RMI latency histogram recorded %d round trips during an instrumented run, want >= 300", n)
 	}
 }
+
+// TestGPAccessAllocs pins the allocation count of a warm remote GP access on
+// the live backend, sender and owner both inside the measurement window and
+// metrics on. The owner's fresh serving thread (Table 4's create) is most of
+// it; the sender's record comes from a pool and the double lands in it, so a
+// record, completion or landing slot built per access shows up here.
+func TestGPAccessAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const runs, budget = 300, 9
+	m := machine.NewWithBackend(machine.SP1997(), 2,
+		live.New(2, live.Options{Watchdog: 2 * time.Minute}))
+	rt := NewRuntime(m)
+	x := []float64{1.5}
+	gp := NewGPF64(1, rt.AddF64([][]float64{nil, x}), 0)
+	var read, write float64
+	rt.OnNode(0, func(th *threads.Thread) {
+		for i := 0; i < 8; i++ { // warm the pools, the pending table and the rings
+			rt.WriteF64(th, gp, rt.ReadF64(th, gp))
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		read = testing.AllocsPerRun(runs, func() { _ = rt.ReadF64(th, gp) })
+		write = testing.AllocsPerRun(runs, func() { rt.WriteF64(th, gp, 2.5) })
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("warm remote ReadF64 %.2f, WriteF64 %.2f allocs/op (sender and owner)", read, write)
+	if read > budget || write > budget {
+		t.Errorf("warm remote ReadF64/WriteF64 allocate %.2f/%.2f per op, budget %d", read, write, budget)
+	}
+	if x[0] != 2.5 {
+		t.Errorf("the owner's double reads %v after the measured writes, want 2.5", x[0])
+	}
+	snap, ok := m.Metrics()
+	if !ok {
+		t.Fatal("live machine reports no metrics plane; the budget must be measured with metrics enabled")
+	}
+	if n := snap.Hist(metrics.HstRMILatency).Count; n < 2*runs {
+		t.Errorf("RMI latency histogram recorded %d round trips, want >= %d: the GP accesses were not timed", n, 2*runs)
+	}
+}

@@ -11,25 +11,29 @@ import (
 	"repro/internal/threads"
 )
 
-// Element accesses of a distributed array (mpmd.Dist) take the wire path of
-// gp.go — "small request/reply active messages" with no marshalling (§6),
-// Split-C's get and put — generalized from a double to any element type the
-// typed layer can encode: one request handler, one reply handler, the
-// element riding in the spare message words when its encoding fits them and
-// as the payload of the same two messages when it does not. Unlike a GP
-// access the owner serves the request inline in the polling thread: the
-// parts are plain arrays no computation holds a lock on, as the non-threaded
-// mailbox method that served these accesses before did.
+// Element accesses of a distributed array (mpmd.Dist) and of a global pointer
+// to a double (gp.go's GPF64) take one wire path — "small request/reply
+// active messages" with no marshalling (§6), Split-C's get and put — for any
+// element type the typed layer can encode: one request handler, one reply
+// handler, the element riding in the spare message words when its encoding
+// fits them and as the payload of the same two messages when it does not.
+// The two kinds differ in one request bit. The owner serves a Dist access
+// inline in the polling thread: the parts are plain arrays no computation
+// holds a lock on, as the non-threaded mailbox method that served these
+// accesses before did. A GP access sets distThread and is served on a fresh
+// thread (Table 4's GP 2-Word R/W row: 1 create, 2 switches), because a
+// deref may touch data an interrupted local computation holds.
 //
 // Word layouts:
 //
-//	dist.req:   A = [reqID | distPut, dist, offset, element]   payload: a put's element when it is not one word
-//	dist.reply: A = [element × 3, reqID]                       payload: a get's element when it outgrows three words
+//	dist.req:   A = [reqID | distPut | distThread, dist, offset, element]   payload: a put's element when it is not one word
+//	dist.reply: A = [element × 3, reqID]                                    payload: a get's element when it outgrows three words
 const (
 	distPut        = 1 << 32 // request flag, above the 32-bit request ID: the access is a put
+	distThread     = 1 << 33 // request flag: serve on a fresh thread (a GP access; one word, no payload)
 	distReplyBytes = 3 * 8   // a get's element travels in the reply words up to this encoded size
 	distReqBytes   = 8       // a put's element travels in the request word at exactly this encoded size
-	distSlots      = 16      // element accesses a node may have in flight
+	distSlots      = 16      // accesses a node may have in flight before a split-phase one waits
 )
 
 // DistPart is the owner-side view of one node's part of a distributed array:
@@ -112,10 +116,7 @@ func (op *DistOp) Done() bool { return op.comp.landed() }
 
 // Reset readies a completed record for another access (pooled records of
 // the synchronous accessors); buffers keep their capacity.
-func (op *DistOp) Reset() {
-	op.comp.base = op.comp.done.Value()
-	op.comp.sv.Reset()
-}
+func (op *DistOp) Reset() { op.comp.reset() }
 
 // DistLocal accounts an access to an element the calling node owns — the
 // typed layer dereferences its own part directly — and completes op, the
@@ -136,7 +137,6 @@ func (rt *Runtime) DistLocal(t *threads.Thread, op *DistOp) {
 //mpmd:hotpath
 func (rt *Runtime) DistRead(t *threads.Thread, op *DistOp, node, dist, off int, wait bool) {
 	rt.nodeOf(t).node.Acct.Count(machine.CntRemoteRead, 1)
-	op.read = true
 	rt.distSend(t, op, node, [4]uint64{0, uint64(dist), uint64(off)}, nil, wait)
 }
 
@@ -147,7 +147,6 @@ func (rt *Runtime) DistRead(t *threads.Thread, op *DistOp, node, dist, off int, 
 //mpmd:hotpath
 func (rt *Runtime) DistWrite(t *threads.Thread, op *DistOp, node, dist, off int, enc []byte, wait bool) {
 	rt.nodeOf(t).node.Acct.Count(machine.CntRemoteWrite, 1)
-	op.read = false
 	op.p = enc[:0]
 	a := [4]uint64{distPut, uint64(dist), uint64(off)}
 	if rt.distSizes[dist] == distReqBytes {
@@ -157,8 +156,8 @@ func (rt *Runtime) DistWrite(t *threads.Thread, op *DistOp, node, dist, off int,
 	rt.distSend(t, op, node, a, enc, wait)
 }
 
-// distSend is the common sender path of the two accessors, priced as a GP
-// access (plus the copy of a payload-form element).
+// distSend is the common sender path of the Dist and GP accessors, priced as
+// a GP access (plus the copy of a payload-form element).
 //
 //mpmd:hotpath
 func (rt *Runtime) distSend(t *threads.Thread, op *DistOp, node int, a [4]uint64, payload []byte, wait bool) {
@@ -167,15 +166,18 @@ func (rt *Runtime) distSend(t *threads.Thread, op *DistOp, node int, a [4]uint64
 	lockPair(t)
 	t.Charge(machine.CatRuntime, cfg.StubLookup+gpIssueCost+time.Duration(len(payload))*cfg.MemCopyPerByte)
 	op.rt = rt
+	op.read = a[0]&distPut == 0
 	op.size = rt.distSizes[a[1]]
 	op.comp.mode = modeFuture
 	if wait {
 		op.comp.mode = rt.syncMode()
 	}
-	// The request table is bounded, as hardware's is and as Active Messages
-	// bounds a node's outstanding requests with credits: out of slots, the
-	// issuer awaits the next reply, which frees one.
-	for n.distPending.InFlight() >= distSlots {
+	// Split-phase accesses are bounded, as hardware's request table is and
+	// as Active Messages bounds a node's outstanding requests with credits:
+	// out of slots, the issuer awaits the next reply, which frees one. A
+	// synchronous access's thread is its own credit: it cannot issue again
+	// until the access returns.
+	for !wait && n.distPending.InFlight() >= distSlots {
 		n.ep.Await(t, &n.distFreed, n.distFreed.Value()+1)
 	}
 	if n.node.Met != nil {
@@ -216,42 +218,71 @@ func (n *nodeRT) part(kind string, reqID uint64, src int, seg, off uint64, word 
 	return part
 }
 
-// handleDistReq serves one access at the owner and answers it. Every word
-// may come from another process: segment, offset and the element's wire
-// form are checked before anything is indexed.
+// handleDistReq checks one access at the owner and serves it, inline or,
+// for a GP access, on a fresh thread. Every word may come from another
+// process: segment, offset and the element's wire form are checked before
+// anything is indexed or spawned.
 //
 //mpmd:hotpath
 func (rt *Runtime) handleDistReq(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
 	lockPair(t)
-	reqID, dist, off := m.A[0]&(distPut-1), m.A[1], m.A[2]
-	part := n.part("dist", reqID, m.Src, dist, off, false)
+	reqID, dist, threaded := m.A[0]&(distPut-1), m.A[1], m.A[0]&distThread != 0
+	part := n.part("dist", reqID, m.Src, dist, m.A[2], threaded)
 	size := rt.distSizes[dist]
-	cfg := t.Cfg()
-	a := [4]uint64{3: reqID}
-	var payload []byte
-	if m.A[0]&distPut != 0 {
-		b := m.Payload
-		if size == distReqBytes && len(b) == 0 {
-			n.distBuf = binary.LittleEndian.AppendUint64(n.distBuf[:0], m.A[3])
-			b = n.distBuf
-		} else if size == distReqBytes || len(b) == 0 || (size > 0 && len(b) != size) {
-			panic(fmt.Sprintf("core: node %d dist request %d from node %d: put carries a %d-byte element, dist %d's encode to %d (0: varies)", m.Dst, reqID, m.Src, len(b), dist, size))
-		}
-		t.Charge(machine.CatRuntime, gpServeCost+time.Duration(len(m.Payload))*cfg.MemCopyPerByte)
-		part.SetElem(int(off), b)
-	} else {
-		n.distBuf = part.AppendElem(int(off), n.distBuf[:0])
-		if inWords(size) {
-			for i := 0; i < size; i += 8 {
-				a[i/8] = binary.LittleEndian.Uint64(n.distBuf[i:])
-			}
-		} else {
+	switch b := m.Payload; {
+	case threaded && len(b) > 0:
+		panic(fmt.Sprintf("core: node %d dist request %d from node %d: a threaded access carries a %d-byte payload", m.Dst, reqID, m.Src, len(b)))
+	case m.A[0]&distPut == 0, size == distReqBytes && len(b) == 0: // a get, or a put in the words
+	case size == distReqBytes || len(b) == 0 || (size > 0 && len(b) != size):
+		panic(fmt.Sprintf("core: node %d dist request %d from node %d: put carries a %d-byte element, dist %d's encode to %d (0: varies)", m.Dst, reqID, m.Src, len(b), dist, size))
+	}
+	if threaded {
+		rt.serveOnThread(t, n, m.Src, m.A, part)
+		return
+	}
+	rt.serveDist(t, n, m.Src, m.A, m.Payload, part)
+}
+
+// serveOnThread serves a checked GP access on a fresh thread.
+//
+//mpmd:coldpath a GP access is served on its own thread by design (Table 4's create and switches); Dist accesses are served inline
+func (rt *Runtime) serveOnThread(t *threads.Thread, n *nodeRT, src int, a [4]uint64, part DistPart) {
+	name := "gp.read"
+	if a[0]&distPut != 0 {
+		name = "gp.write"
+	}
+	t.Spawn(name, func(t2 *threads.Thread) { rt.serveDist(t2, n, src, a, nil, part) })
+}
+
+// serveDist applies a checked access to the element at offset a[2] of part
+// and answers node src. payload is a put's element when it is not one word,
+// valid only while the request handler runs.
+//
+//mpmd:hotpath
+func (rt *Runtime) serveDist(t *threads.Thread, n *nodeRT, src int, a [4]uint64, payload []byte, part DistPart) {
+	size, off := rt.distSizes[a[1]], int(a[2])
+	r := [4]uint64{3: a[0] & (distPut - 1)}
+	var out []byte
+	if a[0]&distPut != 0 {
+		t.Charge(machine.CatRuntime, gpServeCost+time.Duration(len(payload))*t.Cfg().MemCopyPerByte)
+		if len(payload) == 0 {
+			n.distBuf = binary.LittleEndian.AppendUint64(n.distBuf[:0], a[3])
 			payload = n.distBuf
 		}
-		t.Charge(machine.CatRuntime, gpServeCost+time.Duration(len(payload))*cfg.MemCopyPerByte)
+		part.SetElem(off, payload)
+	} else {
+		n.distBuf = part.AppendElem(off, n.distBuf[:0])
+		if inWords(size) {
+			for i := 0; i < size; i += 8 {
+				r[i/8] = binary.LittleEndian.Uint64(n.distBuf[i:])
+			}
+		} else {
+			out = n.distBuf
+		}
+		t.Charge(machine.CatRuntime, gpServeCost+time.Duration(len(out))*t.Cfg().MemCopyPerByte)
 	}
-	n.send(t, m.Src, rt.hDistReply, a, payload)
+	n.send(t, src, rt.hDistReply, r, out)
 }
 
 // handleDistReply lands a get's element, or a put's acknowledgement, at the

@@ -116,19 +116,19 @@ func TestDistAccessWireForms(t *testing.T) {
 // TestDistHostileWords drives words no correct sender produces through the
 // real am stack — they could come from another process — and requires the
 // handler to refuse each by name (node, request, cause) before indexing
-// anything with them. The GP rows send the same location words to the GP
-// handlers, which resolve them through the same lookup (nodeRT.part).
+// anything with them. The GP rows set distThread, the bit of a GP access,
+// whose owner checks the words before it spawns the serving thread.
 // Deleting a check in nodeRT.part, handleDistReq, handleDistReply or
 // am.ReqTable.Take fails exactly its rows: the words then index out of range
 // or dereference nil (a payload-form put let through without its payload
 // shows instead as the acknowledgement node 0 never asked for).
 func TestDistHostileWords(t *testing.T) {
 	type send struct {
-		h       int // the handler: distReq, distReply, gpRead or gpWrite
+		h       int // the handler: distReq or distReply
 		a       [4]uint64
 		payload []byte
 	}
-	const distReq, distReply, gpRead, gpWrite = 0, 1, 2, 3
+	const distReq, distReply = 0, 1
 	const none, words, blobs, absent = -1, 0, 1, 2 // the rig's arrays, in AddDist order
 	rows := []struct {
 		name string
@@ -166,16 +166,18 @@ func TestDistHostileWords(t *testing.T) {
 			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 1}, payload: []byte("abc")}},
 		{name: "no payload answering a payload-form get", get: blobs, early: true, want: "request 1: a 0-byte element",
 			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 1}}},
-		{name: "GP read of an unknown segment", get: none, want: "GP request 1 from node 0: unknown segment 7",
-			msg: send{h: gpRead, a: [4]uint64{1, 7, 0}}},
-		{name: "GP write past the part", get: none, want: "GP request 1 from node 0: offset 4 outside segment 0's part",
-			msg: send{h: gpWrite, a: [4]uint64{0, words, 4, 1}}},
+		{name: "GP read of an unknown segment", get: none, want: "request 1 from node 0: unknown segment 7",
+			msg: send{a: [4]uint64{1 | distThread, 7, 0}}},
+		{name: "GP write past the part", get: none, want: "request 1 from node 0: offset 4 outside segment 0's part",
+			msg: send{a: [4]uint64{1 | distPut | distThread, words, 4, 5}}},
 		{name: "GP write to a segment node 1 holds no part of", get: none, want: "unknown segment 2",
-			msg: send{h: gpWrite, a: [4]uint64{0, absent, 0, 1}}},
+			msg: send{a: [4]uint64{1 | distPut | distThread, absent, 0, 5}}},
 		{name: "GP read of a segment of variable-size elements", get: none, want: "segment 1 holds 0-byte elements",
-			msg: send{h: gpRead, a: [4]uint64{1, blobs, 0}}},
+			msg: send{a: [4]uint64{1 | distThread, blobs, 0}}},
+		{name: "GP read with a payload", get: none, want: "a threaded access carries a 3-byte payload",
+			msg: send{a: [4]uint64{1 | distThread, words, 0}, payload: []byte("abc")}},
 	}
-	named := regexp.MustCompile(`^(core|am): node 1 (dist|GP) re`)
+	named := regexp.MustCompile(`^(core|am): node 1 dist re`)
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			rt, _, _, _, _ := distRig()
@@ -183,7 +185,7 @@ func TestDistHostileWords(t *testing.T) {
 				if !row.early {
 					th.Compute(time.Millisecond) // node 1's genuine get is answered first
 				}
-				h := [...]am.HandlerID{rt.hDistReq, rt.hDistReply, rt.hGPRead, rt.hGPWrite}[row.msg.h]
+				h := [...]am.HandlerID{rt.hDistReq, rt.hDistReply}[row.msg.h]
 				rt.nodes[0].send(th, 1, h, row.msg.a, row.msg.payload)
 			})
 			var refused string
@@ -217,27 +219,14 @@ func serveRefusal(rt *Runtime, th *threads.Thread) (refusal string) {
 	return ""
 }
 
-// TestReplyHostileIDs is TestDistHostileWords for the request ID in the other
-// three reply messages (cc.reply, cc.gp.read.reply, cc.gp.ack): an ID that
-// names no in-flight request of node 1 — 0, which wraps; one past the table;
-// one already answered — is refused by name, never by a runtime index error.
-// Dropping the bound in am.ReqTable.Take fails exactly the first two rows of
-// each handler, dropping its nil check the third.
+// TestReplyHostileIDs is TestDistHostileWords for the request ID of the RMI
+// reply (cc.reply; cc.dist.reply's rows are TestDistHostileWords' three reply
+// rows): an ID that names no in-flight request of node 1 — 0, which wraps;
+// one past the table; one already answered — is refused by name, never by a
+// runtime index error. Dropping the bound in am.ReqTable.Take fails the first
+// two rows, dropping its nil check the third.
 func TestReplyHostileIDs(t *testing.T) {
-	// answered leaves node 1's table with request 1 issued and answered.
-	answeredRMI := func(n *nodeRT) { n.pending.Take("RMI", 1, 0, n.pending.Add(new(rmiMsg))) }
-	answeredGP := func(n *nodeRT) { n.gpPending.Take("GP", 1, 0, n.gpPending.Add(new(gpReq))) }
-	replies := []struct {
-		kind     string
-		h        func(rt *Runtime) am.HandlerID
-		idWord   int
-		answered func(n *nodeRT)
-	}{
-		{"RMI", func(rt *Runtime) am.HandlerID { return rt.hReply }, 0, answeredRMI},
-		{"GP", func(rt *Runtime) am.HandlerID { return rt.hGPReadReply }, 1, answeredGP},
-		{"GP", func(rt *Runtime) am.HandlerID { return rt.hGPAck }, 0, answeredGP},
-	}
-	ids := []struct {
+	for _, id := range []struct {
 		name     string
 		id       uint64
 		answered bool
@@ -245,31 +234,25 @@ func TestReplyHostileIDs(t *testing.T) {
 		{"id 0", 0, false},
 		{"id past the table", 9, false},
 		{"id already answered", 1, true},
-	}
-	for _, reply := range replies {
-		for _, id := range ids {
-			rt := newRig(2, Options{})
-			h := reply.h(rt)
-			t.Run(rt.net.HandlerName(h)+"/"+id.name, func(t *testing.T) {
-				rt.OnNode(0, func(th *threads.Thread) {
-					var a [4]uint64
-					a[reply.idWord] = id.id
-					rt.nodes[0].send(th, 1, h, a, nil)
-				})
-				var refused string
-				rt.OnNode(1, func(th *threads.Thread) {
-					if id.answered {
-						reply.answered(rt.nodeOf(th))
-					}
-					refused = serveRefusal(rt, th)
-				})
-				_ = rt.Run()
-				want := fmt.Sprintf("am: node 1 %s reply from node 0 for unknown request %d (stale or duplicate)", reply.kind, id.id)
-				if refused != want {
-					t.Errorf("handler failed with %q, want %q", refused, want)
-				}
+	} {
+		rt := newRig(2, Options{})
+		t.Run(rt.net.HandlerName(rt.hReply)+"/"+id.name, func(t *testing.T) {
+			rt.OnNode(0, func(th *threads.Thread) {
+				rt.nodes[0].send(th, 1, rt.hReply, [4]uint64{id.id}, nil)
 			})
-		}
+			var refused string
+			rt.OnNode(1, func(th *threads.Thread) {
+				if n := rt.nodeOf(th); id.answered {
+					n.pending.Take("RMI", 1, 0, n.pending.Add(new(rmiMsg)))
+				}
+				refused = serveRefusal(rt, th)
+			})
+			_ = rt.Run()
+			want := fmt.Sprintf("am: node 1 RMI reply from node 0 for unknown request %d (stale or duplicate)", id.id)
+			if refused != want {
+				t.Errorf("handler failed with %q, want %q", refused, want)
+			}
+		})
 	}
 }
 
@@ -313,34 +296,68 @@ func TestInvokeHostileWords(t *testing.T) {
 	}
 }
 
-// TestDistSlotsBoundInFlight: a node never has more than distSlots accesses
-// in flight; the issuer of one more serves its endpoint until a reply frees
-// a slot, and every access still completes.
+// TestDistSlotsBoundInFlight: a node never has more than distSlots
+// split-phase accesses in flight; the issuer of one more serves its endpoint
+// until a reply frees a slot, and every access still completes. A synchronous
+// access takes no slot — its blocked thread is its own credit — so
+// 2*distSlots threads in one each have theirs in flight at once.
 func TestDistSlotsBoundInFlight(t *testing.T) {
-	rt, words, _, _, _ := distRig()
-	const burst = 5 * distSlots
-	ops := make([]DistOp, burst)
-	high := 0
-	rt.OnNode(0, func(th *threads.Thread) {
-		n := rt.nodeOf(th)
-		for i := range ops {
-			rt.DistRead(th, &ops[i], 1, words, i%4, false)
-			high = max(high, n.distPending.InFlight())
+	t.Run("split-phase", func(t *testing.T) {
+		rt, words, _, _, _ := distRig()
+		const burst = 5 * distSlots
+		ops := make([]DistOp, burst)
+		high := 0
+		rt.OnNode(0, func(th *threads.Thread) {
+			n := rt.nodeOf(th)
+			for i := range ops {
+				rt.DistRead(th, &ops[i], 1, words, i%4, false)
+				high = max(high, n.distPending.InFlight())
+			}
+			for i := range ops {
+				ops[i].Wait(th)
+				if got := binary.LittleEndian.Uint64(ops[i].Bytes()); got != uint64(10+i%4) {
+					t.Errorf("access %d read %d, want %d", i, got, 10+i%4)
+				}
+			}
+		})
+		// The owner computes without polling while the burst is issued, so
+		// nothing is answered until the table has filled.
+		rt.OnNode(1, func(th *threads.Thread) { th.Compute(5 * time.Millisecond) })
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
 		}
-		for i := range ops {
-			ops[i].Wait(th)
-			if got := binary.LittleEndian.Uint64(ops[i].Bytes()); got != uint64(10+i%4) {
-				t.Errorf("access %d read %d, want %d", i, got, 10+i%4)
+		if high != distSlots {
+			t.Errorf("high-water mark of in-flight accesses %d, want the table's %d slots", high, distSlots)
+		}
+	})
+	t.Run("synchronous", func(t *testing.T) {
+		rt, words, _, _, _ := distRig()
+		const burst = 2 * distSlots
+		got := make([]uint64, burst)
+		rt.OnNode(0, func(th *threads.Thread) {
+			ParFor(th, burst, func(t2 *threads.Thread, i int) {
+				var op DistOp
+				rt.DistRead(t2, &op, 1, words, i%4, true)
+				got[i] = binary.LittleEndian.Uint64(op.Bytes())
+			})
+		})
+		// Nothing is answered before the owner stops computing, so node 0's
+		// in-flight count peaks when it does.
+		high := 0
+		rt.OnNode(1, func(th *threads.Thread) {
+			th.Compute(5 * time.Millisecond)
+			high = rt.nodes[0].distPending.InFlight()
+		})
+		if err := rt.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if high != burst {
+			t.Errorf("high-water mark of in-flight synchronous accesses %d, want all %d threads' accesses", high, burst)
+		}
+		for i, v := range got {
+			if v != uint64(10+i%4) {
+				t.Errorf("access %d read %d, want %d", i, v, 10+i%4)
 			}
 		}
 	})
-	// The owner computes without polling while the burst is issued, so
-	// nothing is answered until the table has filled.
-	rt.OnNode(1, func(th *threads.Thread) { th.Compute(5 * time.Millisecond) })
-	if err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if high != distSlots {
-		t.Errorf("high-water mark of in-flight accesses %d, want the table's %d slots", high, distSlots)
-	}
 }

@@ -47,6 +47,13 @@ type completion struct {
 // landed reports whether the reply has landed.
 func (c *completion) landed() bool { return c.done.Value() > c.base }
 
+// reset readies a landed completion for a pooled record's next use; the
+// sync variable and count keep their backing arrays.
+func (c *completion) reset() {
+	c.base = c.done.Value()
+	c.sv.Reset()
+}
+
 // complete lands the reply: advance the completion's count, which readies a
 // waiter that a sibling's poll beat to it. On the simulator the paper's
 // blocking sender (modeBlock) and a future's joiner (modeFuture) read a sync
@@ -115,13 +122,11 @@ type callRec struct {
 
 var callRecPool = sync.Pool{New: func() any { return new(callRec) }}
 
-// release returns a consumed record to the pool. The completion's sync
-// variable and count keep their backing arrays, so a recycled record's
-// blocking wait stops allocating.
+// release returns a consumed record to the pool; its completion's reset keeps
+// a recycled record's blocking wait from allocating.
 func (r *callRec) release() {
 	r.msg = rmiMsg{}
-	r.comp.base = r.comp.done.Value()
-	r.comp.sv.Reset()
+	r.comp.reset()
 	callRecPool.Put(r)
 }
 
@@ -407,7 +412,6 @@ func (rt *Runtime) registerHandlers() {
 	rt.hReply = rt.net.Register("cc.reply", rt.handleReply)
 	rt.hResolveUpdate = rt.net.Register("cc.resolve.update", rt.handleResolveUpdate)
 	rt.hInvoke = rt.net.Register("cc.invoke", rt.handleInvoke)
-	rt.registerGPHandlers()
 	rt.registerDistHandlers()
 }
 

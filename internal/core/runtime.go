@@ -179,8 +179,6 @@ type Runtime struct {
 
 	hInvoke, hResolveUpdate am.HandlerID
 	hReply                  am.HandlerID
-	hGPRead, hGPReadReply   am.HandlerID
-	hGPWrite, hGPAck        am.HandlerID
 	hDistReq, hDistReply    am.HandlerID
 
 	// distSizes is the encoded element size of every distributed array (0:
@@ -201,10 +199,9 @@ type nodeRT struct {
 	objs  tham.ObjTable
 
 	// The node's in-flight requests, whose replies name them by slot in the
-	// message words: RMIs, the optimized global-pointer accesses, and
-	// distributed-array element accesses.
+	// message words: RMIs, and element accesses of distributed arrays and
+	// global pointers.
 	pending     am.ReqTable[rmiMsg]
-	gpPending   am.ReqTable[gpReq]
 	distPending am.ReqTable[DistOp]
 	// distFreed counts the distributed-array replies that freed a slot of
 	// distPending: an issuer out of slots awaits it.

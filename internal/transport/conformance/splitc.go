@@ -174,9 +174,11 @@ func scMember(t *testing.T, a *scArrays, p *splitc.Proc) {
 }
 
 // globalPointers: ReadF64 and WriteF64 through GPF64 handles from every node
-// to every node, each owner's copy checked afterwards.
+// to every node, each owner's copy checked afterwards; then a burst of
+// concurrent reads per node, twice core's split-phase slot count (16): each
+// is served on a thread of its own at the owner, and none waits for a slot.
 func globalPointers(t *testing.T, f ShardedFactory) {
-	const n = 4
+	const n, burst = 4, 2 * 16
 	ms := f(machine.SP1997(), n)
 	rts := make([]*core.Runtime, len(ms))
 	for k, m := range ms {
@@ -200,6 +202,12 @@ func globalPointers(t *testing.T, f ShardedFactory) {
 						t.Errorf("node %d's own copy: the cell node %d wrote holds %v, want %v", me, src, got, scVal(src, me, 0))
 					}
 				}
+				core.ParFor(th, burst, func(t2 *threads.Thread, i int) {
+					q, src := (me+1+i%(n-1))%n, i%n
+					if got := rt.ReadF64(t2, core.NewGPF64(q, seg, src)); got != scVal(src, q, 0) {
+						t.Errorf("node %d, burst read %d: node %d's cell %d holds %v, want %v", me, i, q, src, got, scVal(src, q, 0))
+					}
+				})
 			})
 		}
 		rts[k] = rt

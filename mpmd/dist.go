@@ -238,9 +238,10 @@ func (d *Dist[T]) Put(t *Thread, i int, v T) error {
 
 // GetAsync starts a split-phase read of element i; the returned future
 // yields the typed value (Split-C's get, with a typed handle instead of a
-// sync counter). A node has a bounded number of accesses in flight: past it
-// the call serves the network until one of them completes, so issue bursts
-// from program threads or Threaded methods, which may block.
+// sync counter). A node has a bounded number of split-phase accesses in
+// flight: past it the call serves the network until one of them completes,
+// so issue bursts from program threads or Threaded methods, which may block.
+// Synchronous Get and Put take no slot.
 func (d *Dist[T]) GetAsync(t *Thread, i int) (*Future[T], error) {
 	rank, off, local, err := d.check(t, "Dist.GetAsync", i)
 	if err != nil {
