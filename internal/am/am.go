@@ -9,6 +9,8 @@
 // and advance a Count, which is how both runtimes complete every blocking
 // operation: the waiting thread polls in Endpoint.Await until the handler
 // that lands its reply, store or release advances the count it waits on.
+// Both runtimes' remote memory — Split-C's global accesses, CC++'s global
+// pointers and distributed arrays — is one protocol over it (Mem, mem.go).
 package am
 
 import (

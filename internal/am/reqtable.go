@@ -2,8 +2,8 @@ package am
 
 import "fmt"
 
-// ReqTable is a node's table of in-flight requests of one kind (RMIs,
-// distributed-array and global-pointer accesses, Split-C accesses): the
+// ReqTable is a node's table of in-flight requests of one kind (RMIs, or
+// the remote-memory accesses of one runtime, Mem): the
 // request message names its sender-side record by slot in the word arguments
 // and the reply echoes it, instead of a pointer travelling. Freed slots are
 // reused, so the table stays as small as the node's peak of outstanding

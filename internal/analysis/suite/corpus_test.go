@@ -103,16 +103,20 @@ var corpus = []struct {
 		{"internal/core/rmi.go", "\t\tif m.A[3] > uint64(len(m.Payload)) {\n", "\t\tif false {\n"}}},
 	{"the installed wire decoder takes any handler id", "go test ./internal/transport/netlive -run ^TestTruncatedAMBody$/^handler_id_one_past_the_table$", `(?s)shmDrain = true, want false.*unknown kind 0.*want one error, naming "claimed source node 0 of shard 0"`, []edit{
 		{"internal/am/am.go", " || int(binary.LittleEndian.Uint32(b[1:])) >= len(n.handlers) {\n", " {\n"}}},
+	// The remote-memory protocol's checks, through both runtimes' tables and
+	// the fuzz target's seeds (seed#3 is the table's "offset at part length").
 	{"a Split-C access trusts its segment word", "go test ./internal/splitc -run ^TestSplitCHostileWords$/^segment_past_the_table$", `handler failed with "runtime error: index out of range`, []edit{
-		{"internal/splitc/splitc.go", "\tif seg >= uint64(len(p.w.segs)) || p.w.segs[seg][p.me] == nil {\n", "\tif false {\n"}}},
-	{"a Split-C access trusts its offset and length words", "go test ./internal/splitc -run ^TestSplitCHostileWords$/^length_past_the_part$", `handler failed with "runtime error: slice bounds out of range`, []edit{
-		{"internal/splitc/splitc.go", "\tif off > uint64(len(part)) || n > uint64(len(part))-off {\n", "\tif false {\n"}}},
+		{"internal/am/mem.go", "\tif seg >= uint64(len(parts)) || parts[seg] == nil {\n", "\tif false {\n"}}},
+	{"a Split-C access trusts its offset and length words", "go test ./internal/splitc -run ^TestSplitCHostileWords$/^length_past_the_part$", `handler failed with "runtime error: index out of range`, []edit{
+		{"internal/am/mem.go", "\tif off > l || n > l-off {\n", "\tif false {\n"}}},
+	{"a remote-memory access trusts its offset word", "go test ./internal/am -run ^FuzzMem$/^seed#3$", `node 1 failed with "runtime error: index out of range \[4\] with length 4", want a named refusal`, []edit{
+		{"internal/am/mem.go", "\tif off > l || n > l-off {\n", "\tif false {\n"}}},
 	// A GP access served as a Dist one: the variable-size element goes back
 	// as a payload-form reply, which node 0 never asked for.
-	{"a GP access takes a segment of other elements", "go test ./internal/core -run ^TestDistHostileWords$/^GP_read_of_a_segment_of_variable-size_elements$", `node 0 dist reply from node 1 for unknown request 1`, []edit{
-		{"internal/core/dist.go", "\tif word && n.rt.distSizes[seg] != distReqBytes {\n", "\tif false {\n"}}},
-	{"a GP access carries a payload", "go test ./internal/core -run ^TestDistHostileWords$/^GP_read_with_a_payload$", `node 0 dist reply from node 1 for unknown request 1`, []edit{
-		{"internal/core/dist.go", "\tcase threaded && len(b) > 0:\n", "\tcase false:\n"}}},
+	{"a GP access takes a segment of other elements", "go test ./internal/core -run ^TestDistHostileWords$/^GP_read_of_a_segment_of_variable-size_elements$", `node 0 mem reply from node 1 for unknown request 1`, []edit{
+		{"internal/am/mem.go", "\tif _, ok := part.(F64Part); f64 && !ok {\n", "\tif _, ok := part.(F64Part); false && !ok {\n"}}},
+	{"a GP access carries a payload", "go test ./internal/core -run ^TestDistHostileWords$/^GP_read_with_a_payload$", `node 0 mem reply from node 1 for unknown request 1`, []edit{
+		{"internal/am/mem.go", "\tcase thread && len(b) > 0:\n", "\tcase false:\n"}}},
 	{"a collective message trusts its slot word", "go test ./internal/coll -run ^TestCollHostileWords$/^slot_past_the_machine$", `handler failed with "<nil>"`, []edit{
 		{"internal/coll/coll.go", "\tcase uint64(k.slot) >= n:\n", "\tcase false:\n"}}},
 	{"a collective message overwrites one not yet taken", "go test ./internal/coll -run ^TestCollHostileWords$/^second_message_for_a_filled_slot$", `handler failed with "<nil>"`, []edit{

@@ -3,18 +3,17 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"regexp"
-	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/am"
+	"repro/internal/am/amtest"
 	"repro/internal/machine"
 	"repro/internal/threads"
 )
 
-// wordPart is a DistPart of 8-byte elements (the one-word wire form);
-// blobPart one of variable-size elements (the payload form).
+// wordPart is a part of 8-byte elements (the one-word wire form); the
+// rig's other parts are of variable-size elements (the payload form).
 type wordPart []uint64
 
 func (p wordPart) Len() int { return len(p) }
@@ -25,26 +24,16 @@ func (p wordPart) AppendElem(off int, dst []byte) []byte {
 }
 func (p wordPart) SetElem(off int, b []byte) { p[off] = binary.LittleEndian.Uint64(b) }
 
-type blobPart [][]byte
-
-func (p blobPart) Len() int                              { return len(p) }
-func (p blobPart) AppendElem(off int, dst []byte) []byte { dst = append(dst, p[off]...); return dst }
-func (p blobPart) SetElem(off int, b []byte) {
-	e := p[off][:0]
-	e = append(e, b...)
-	p[off] = e
-}
-
 // distRig is a 2-node simulator with one word-form and one payload-form
 // array, each with a 4-element part on both nodes, and a third array node 1
 // holds no part of.
-func distRig() (rt *Runtime, words, blobs int, w1 wordPart, b1 blobPart) {
+func distRig() (rt *Runtime, words, blobs int, w1 wordPart, b1 amtest.BlobPart) {
 	rt = newRig(2, Options{})
 	w1 = wordPart{10, 11, 12, 13}
-	b1 = blobPart{[]byte("zero"), []byte("one"), []byte("a longer third element"), []byte("3")}
-	words = rt.AddDist(8, []DistPart{make(wordPart, 4), w1})
-	blobs = rt.AddDist(0, []DistPart{make(blobPart, 4), b1})
-	rt.AddDist(8, []DistPart{make(wordPart, 4), nil})
+	b1 = amtest.Blobs4()
+	words = rt.AddDist(8, []am.Part{make(wordPart, 4), w1})
+	blobs = rt.AddDist(0, []am.Part{make(amtest.BlobPart, 4), b1})
+	rt.AddDist(8, []am.Part{make(wordPart, 4), nil})
 	return rt, words, blobs, w1, b1
 }
 
@@ -113,97 +102,27 @@ func TestDistAccessWireForms(t *testing.T) {
 	}
 }
 
-// TestDistHostileWords drives words no correct sender produces through the
-// real am stack — they could come from another process — and requires the
-// handler to refuse each by name (node, request, cause) before indexing
-// anything with them. The GP rows set distThread, the bit of a GP access,
-// whose owner checks the words before it spawns the serving thread.
-// Deleting a check in nodeRT.part, handleDistReq, handleDistReply or
-// am.ReqTable.Take fails exactly its rows: the words then index out of range
-// or dereference nil (a payload-form put let through without its payload
-// shows instead as the acknowledgement node 0 never asked for).
+// TestDistHostileWords runs the rows of the remote-memory protocol's one
+// hostile-word table (amtest.Rows) that are named for CC++ through the
+// runtime's own protocol: node 1 refuses each message by name (node, request,
+// cause) before its words index anything. The GP rows set am.OpThread, the bit
+// of a GP access, whose owner checks the words before it spawns the serving
+// thread.
 func TestDistHostileWords(t *testing.T) {
-	type send struct {
-		h       int // the handler: distReq or distReply
-		a       [4]uint64
-		payload []byte
-	}
-	const distReq, distReply = 0, 1
-	const none, words, blobs, absent = -1, 0, 1, 2 // the rig's arrays, in AddDist order
-	rows := []struct {
-		name string
-		// get is the array node 1 has a genuine get in flight on (request ID
-		// 1) when the hostile message arrives, none for no get at all; early
-		// makes the message overtake the genuine reply instead of following it.
-		get   int
-		early bool
-		msg   send
-		want  string
-	}{
-		{name: "unknown dist", get: none, want: "unknown segment 7",
-			msg: send{a: [4]uint64{1, 7, 0}}},
-		{name: "dist index past the word", get: none, want: "unknown segment",
-			msg: send{a: [4]uint64{1, 1 << 40, 0}}},
-		{name: "dist with no part on this node", get: none, want: "unknown segment 2",
-			msg: send{a: [4]uint64{1, absent, 0}}},
-		{name: "offset at part length", get: none, want: "offset 4 outside",
-			msg: send{a: [4]uint64{1, words, 4}}},
-		{name: "offset wraps negative", get: none, want: "outside",
-			msg: send{a: [4]uint64{1, words, ^uint64(0)}}},
-		{name: "put offset at part length", get: none, want: "offset 9 outside",
-			msg: send{a: [4]uint64{1 | distPut, words, 9, 5}}},
-		{name: "one-word put with a payload", get: none, want: "put carries a 3-byte element",
-			msg: send{a: [4]uint64{1 | distPut, words, 0}, payload: []byte("abc")}},
-		{name: "payload-form put without one", get: none, want: "put carries a 0-byte element",
-			msg: send{a: [4]uint64{1 | distPut, blobs, 0}}},
-		{name: "reply to a request never issued", get: none, want: "unknown request 9",
-			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 9}}},
-		{name: "reply with request id 0", get: none, want: "unknown request 0",
-			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 0}}},
-		{name: "duplicate reply", get: words, want: "unknown request 1 (stale or duplicate)",
-			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 1}}},
-		{name: "payload answering a one-word get", get: words, early: true, want: "request 1: a 3-byte element",
-			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 1}, payload: []byte("abc")}},
-		{name: "no payload answering a payload-form get", get: blobs, early: true, want: "request 1: a 0-byte element",
-			msg: send{h: distReply, a: [4]uint64{0, 0, 0, 1}}},
-		{name: "GP read of an unknown segment", get: none, want: "request 1 from node 0: unknown segment 7",
-			msg: send{a: [4]uint64{1 | distThread, 7, 0}}},
-		{name: "GP write past the part", get: none, want: "request 1 from node 0: offset 4 outside segment 0's part",
-			msg: send{a: [4]uint64{1 | distPut | distThread, words, 4, 5}}},
-		{name: "GP write to a segment node 1 holds no part of", get: none, want: "unknown segment 2",
-			msg: send{a: [4]uint64{1 | distPut | distThread, absent, 0, 5}}},
-		{name: "GP read of a segment of variable-size elements", get: none, want: "segment 1 holds 0-byte elements",
-			msg: send{a: [4]uint64{1 | distThread, blobs, 0}}},
-		{name: "GP read with a payload", get: none, want: "a threaded access carries a 3-byte payload",
-			msg: send{a: [4]uint64{1 | distThread, words, 0}, payload: []byte("abc")}},
-	}
-	named := regexp.MustCompile(`^(core|am): node 1 dist re`)
-	for _, row := range rows {
-		t.Run(row.name, func(t *testing.T) {
-			rt, _, _, _, _ := distRig()
-			rt.OnNode(0, func(th *threads.Thread) {
-				if !row.early {
-					th.Compute(time.Millisecond) // node 1's genuine get is answered first
-				}
-				h := [...]am.HandlerID{rt.hDistReq, rt.hDistReply}[row.msg.h]
-				rt.nodes[0].send(th, 1, h, row.msg.a, row.msg.payload)
-			})
-			var refused string
-			rt.OnNode(1, func(th *threads.Thread) {
-				if row.get != none {
-					rt.DistRead(th, new(DistOp), 0, row.get, 0, false)
-				}
-				// The most recent message waiter receives the arrival: this
-				// thread, not the node's poller.
-				refused = serveRefusal(rt, th)
-				if row.early {
-					serveRefusal(rt, th) // the genuine reply follows, to a slot the refusal freed
-				}
-			})
-			_ = rt.Run()
-			if !named.MatchString(refused) || !strings.Contains(refused, "node 0") || !strings.Contains(refused, row.want) {
-				t.Errorf("handler failed with %q, want the named refusal (node 1, from node 0, %q)", refused, row.want)
-			}
+	for _, r := range amtest.Rows {
+		if r.CC == "" {
+			continue
+		}
+		t.Run(r.CC, func(t *testing.T) {
+			rt := newRig(2, Options{})
+			rt.AddF64([][]float64{make([]float64, 4), make([]float64, 4)})
+			rt.AddF64([][]float64{make([]float64, 4), nil})
+			rt.AddDist(0, []am.Part{amtest.Blobs4(), amtest.Blobs4()})
+			amtest.Check(t, r, amtest.Rig{Mem: rt.mem, Net: rt.net, Start: func(prog func(*threads.Thread)) {
+				rt.OnNode(0, prog)
+				rt.OnNode(1, prog)
+				_ = rt.Run()
+			}}.Drive(r))
 		})
 	}
 }
@@ -220,8 +139,8 @@ func serveRefusal(rt *Runtime, th *threads.Thread) (refusal string) {
 }
 
 // TestReplyHostileIDs is TestDistHostileWords for the request ID of the RMI
-// reply (cc.reply; cc.dist.reply's rows are TestDistHostileWords' three reply
-// rows): an ID that names no in-flight request of node 1 — 0, which wraps;
+// reply (cc.reply; the remote-memory reply's rows are the hostile-word
+// table's three reply rows): an ID that names no in-flight request of node 1 — 0, which wraps;
 // one past the table; one already answered — is refused by name, never by a
 // runtime index error. Dropping the bound in am.ReqTable.Take fails the first
 // two rows, dropping its nil check the third.
@@ -297,10 +216,11 @@ func TestInvokeHostileWords(t *testing.T) {
 }
 
 // TestDistSlotsBoundInFlight: a node never has more than distSlots
-// split-phase accesses in flight; the issuer of one more serves its endpoint
-// until a reply frees a slot, and every access still completes. A synchronous
-// access takes no slot — its blocked thread is its own credit — so
-// 2*distSlots threads in one each have theirs in flight at once.
+// split-phase accesses in flight in the protocol's landing table; the issuer
+// of one more serves its endpoint until a reply frees a slot, and every
+// access still completes. A synchronous access takes no slot — its blocked
+// thread is its own credit — so 2*distSlots threads in one each have theirs
+// in flight at once.
 func TestDistSlotsBoundInFlight(t *testing.T) {
 	t.Run("split-phase", func(t *testing.T) {
 		rt, words, _, _, _ := distRig()
@@ -308,10 +228,9 @@ func TestDistSlotsBoundInFlight(t *testing.T) {
 		ops := make([]DistOp, burst)
 		high := 0
 		rt.OnNode(0, func(th *threads.Thread) {
-			n := rt.nodeOf(th)
 			for i := range ops {
 				rt.DistRead(th, &ops[i], 1, words, i%4, false)
-				high = max(high, n.distPending.InFlight())
+				high = max(high, rt.mem.InFlight(0))
 			}
 			for i := range ops {
 				ops[i].Wait(th)
@@ -346,7 +265,7 @@ func TestDistSlotsBoundInFlight(t *testing.T) {
 		high := 0
 		rt.OnNode(1, func(th *threads.Thread) {
 			th.Compute(5 * time.Millisecond)
-			high = rt.nodes[0].distPending.InFlight()
+			high = rt.mem.InFlight(0)
 		})
 		if err := rt.Run(); err != nil {
 			t.Fatal(err)

@@ -62,9 +62,20 @@ func (c *completion) reset() {
 //mpmd:hotpath
 func (rt *Runtime) complete(t *threads.Thread, c *completion) {
 	c.done.Advance(t, 1)
-	if !rt.pollWait && (c.mode == modeBlock || c.mode == modeFuture) {
-		c.sv.Write(t, nil)
+	if sv := rt.handoff(c); sv != nil {
+		sv.Write(t, nil)
 	}
+}
+
+// handoff is the sync variable landing c writes after advancing its count:
+// on the simulator a blocking sender's or a future's, nil otherwise.
+//
+//mpmd:hotpath
+func (rt *Runtime) handoff(c *completion) *threads.SyncVar {
+	if !rt.pollWait && (c.mode == modeBlock || c.mode == modeFuture) {
+		return &c.sv
+	}
+	return nil
 }
 
 // rmiMsg is the sender-side record of one in-flight RMI: the completion
@@ -412,7 +423,14 @@ func (rt *Runtime) registerHandlers() {
 	rt.hReply = rt.net.Register("cc.reply", rt.handleReply)
 	rt.hResolveUpdate = rt.net.Register("cc.resolve.update", rt.handleResolveUpdate)
 	rt.hInvoke = rt.net.Register("cc.invoke", rt.handleInvoke)
-	rt.registerDistHandlers()
+	rt.mem = am.NewMem(rt.net, am.Price{
+		Send:     rt.profile,
+		SyncOps:  2, // lockPair
+		Issue:    rt.m.Cfg.StubLookup + gpIssueCost,
+		Serve:    gpServeCost,
+		Complete: gpCompleteCost,
+		Slots:    distSlots,
+	})
 }
 
 // handleInvoke is the generic invocation handler on the receiving node.

@@ -179,11 +179,10 @@ type Runtime struct {
 
 	hInvoke, hResolveUpdate am.HandlerID
 	hReply                  am.HandlerID
-	hDistReq, hDistReply    am.HandlerID
 
-	// distSizes is the encoded element size of every distributed array (0:
-	// varies), indexed by the array's wire name (AddDist).
-	distSizes []int
+	// mem is the runtime's remote memory: the array table every Dist and GP
+	// access names, and the protocol that serves them (dist.go).
+	mem *am.Mem
 }
 
 // nodeRT is the per-node runtime state.
@@ -198,19 +197,9 @@ type nodeRT struct {
 	bufs  *tham.BufMgr
 	objs  tham.ObjTable
 
-	// The node's in-flight requests, whose replies name them by slot in the
-	// message words: RMIs, and element accesses of distributed arrays and
-	// global pointers.
-	pending     am.ReqTable[rmiMsg]
-	distPending am.ReqTable[DistOp]
-	// distFreed counts the distributed-array replies that freed a slot of
-	// distPending: an issuer out of slots awaits it.
-	distFreed am.Count
-	// distParts is this node's part of every distributed array (nil where it
-	// holds none), indexed like Runtime.distSizes; distBuf is the request
-	// handler's encode scratch.
-	distParts []DistPart
-	distBuf   []byte
+	// pending holds the node's in-flight RMIs, whose replies name them by
+	// slot in the message words.
+	pending am.ReqTable[rmiMsg]
 
 	objLocks map[int32]*threads.Mutex
 }

@@ -13,10 +13,12 @@
 // Split-C; pointer arithmetic on the processor part is the application's
 // business. The address is words: a segment — an array the program shared
 // with World.Share, named by its place in set-up order — and an offset into
-// the owner's part of it. A request carries them in its message words and the
-// owner resolves them in its own segment table, so a pointer means the same
-// in every address space that ran the same set-up, and a World spans the
-// sharded netlive backend like any other.
+// the owner's part of it. Every remote access is one of the remote-memory
+// protocol CC++'s global pointers use too (am.Mem): a request carries the
+// words, the owner resolves them in its own segment table, and this package
+// is a front end that differs from CC++'s only in its price. So a pointer
+// means the same in every address space that ran the same set-up, and a World
+// spans the sharded netlive backend like any other.
 package splitc
 
 import (
@@ -24,6 +26,7 @@ import (
 	"fmt"
 	"math"
 	"time"
+	"unsafe"
 
 	"repro/internal/am"
 	"repro/internal/coll"
@@ -61,19 +64,9 @@ type GVF struct {
 type World struct {
 	m     *machine.Machine
 	net   *am.Net
+	mem   *am.Mem // the segment table every global pointer names
 	procs []*Proc
 
-	// segs is the segment table: segs[s][pc] is processor pc's part of the
-	// array shared as segment s, nil where it holds none. Share fills it at
-	// set-up; afterwards a processor touches only its own parts.
-	segs [][][]float64
-
-	hReadReq, hReadReply     am.HandlerID
-	hWriteReq, hAck          am.HandlerID
-	hStore, hAtomicAdd       am.HandlerID
-	hBulkReadReq, hBulkReply am.HandlerID
-	hBulkWriteReq            am.HandlerID
-	hBulkStore               am.HandlerID
 	hBarrierArrive, hRelease am.HandlerID
 
 	// Central barrier state, owned by node 0 (the linear plan from
@@ -94,22 +87,12 @@ type Proc struct {
 	T  *threads.Thread
 	ep *am.Endpoint
 
-	// reqs holds this processor's requests awaiting a reply; a request names
-	// its record in the message words by wire ID, and the reply echoes it.
-	reqs am.ReqTable[landing]
-
-	// Its waits await counts the handlers advance (am.Endpoint.Await).
-	issued           uint64   // split-phase gets+puts issued
-	done, completed  am.Count // blocking and split-phase replies landed
-	stores, released am.Count // store values landed, barriers released from
-}
-
-// landing is one request in flight at its initiator: where the reply lands
-// and how its completion is observed.
-type landing struct {
-	dst  *float64  // a scalar read's landing slot
-	vdst []float64 // a bulk read's landing vector
-	done *am.Count // the count its reply advances: Proc.done or Proc.completed
+	// Its waits await counts the handlers advance (am.Endpoint.Await), and
+	// the store count of its node (am.Mem.Stores).
+	issued          uint64   // split-phase gets+puts issued
+	done, completed am.Count // blocking and split-phase replies landed
+	released        am.Count // barriers released from
+	buf             []byte   // a bulk put's encoding
 }
 
 // New builds a Split-C world over machine m.
@@ -118,6 +101,7 @@ func New(m *machine.Machine) *World {
 	for i := 0; i < m.NumNodes(); i++ {
 		w.procs = append(w.procs, &Proc{w: w, me: i, ep: w.net.Endpoint(i)})
 	}
+	w.mem = am.NewMem(w.net, am.Price{Issue: issueCost, Complete: completeCost})
 	w.registerHandlers()
 	w.initCollectives()
 	return w
@@ -129,13 +113,7 @@ func New(m *machine.Machine) *World {
 // in the same order, as SPMD images lay out their globals alike; each passes
 // its own copies, and only the owner's part is ever dereferenced. Set-up
 // time only.
-func (w *World) Share(parts [][]float64) Seg {
-	if len(parts) != w.m.NumNodes() {
-		panic(fmt.Sprintf("splitc: Share with %d parts on a %d-node machine", len(parts), w.m.NumNodes()))
-	}
-	w.segs = append(w.segs, parts)
-	return Seg(len(w.segs) - 1)
-}
+func (w *World) Share(parts [][]float64) Seg { return Seg(w.mem.AddF64(parts)) }
 
 // Machine returns the underlying machine.
 func (w *World) Machine() *machine.Machine { return w.m }
@@ -167,111 +145,56 @@ func (p *Proc) MyPC() int { return p.me }
 // Procs returns the number of processors (Split-C's PROCS).
 func (p *Proc) Procs() int { return p.w.m.NumNodes() }
 
-// part resolves the words (segment, offset, length) of an access from node
-// src: n elements of this processor's own part of the segment. The words may
-// come from another process, so each is checked before it indexes anything,
-// and a bad one is refused by name.
-func (p *Proc) part(src int, seg, off, n uint64) []float64 {
-	if seg >= uint64(len(p.w.segs)) || p.w.segs[seg][p.me] == nil {
-		panic(fmt.Sprintf("splitc: node %d access from node %d: no part of segment %d here (%d shared)", p.me, src, seg, len(p.w.segs)))
+// access performs one access of the given kind to the gp.Len doubles gp
+// names; a get lands in dst, a put comes from src. When this processor owns
+// them it is a dereference, free for one double and charged its copy for a
+// vector, as compiled Split-C. Otherwise it is a remote access (am.Mem):
+// synchronous with wait, else observed by Sync, or for a store by the owner's
+// WaitStores.
+func (p *Proc) access(kind uint64, gp GVF, dst, src []float64, wait bool) {
+	bulk, store := kind&am.OpBulk != 0, kind&^am.OpBulk == am.OpStore
+	if bulk && len(dst)+len(src) != gp.Len {
+		panic(fmt.Sprintf("splitc: a bulk access of %d doubles through a pointer to %d", len(dst)+len(src), gp.Len))
 	}
-	part := p.w.segs[seg][p.me]
-	if off > uint64(len(part)) || n > uint64(len(part))-off {
-		panic(fmt.Sprintf("splitc: node %d access from node %d: %d elements at offset %d outside segment %d's part of %d", p.me, src, n, off, seg, len(part)))
-	}
-	return part[off : off+n]
-}
-
-// remote counts an access to processor pc's memory — a local deref, or a
-// remote access of the given kind, whose issue it charges — and reports
-// whether it is remote.
-func (p *Proc) remote(pc int, kind machine.Cnt) bool {
-	if pc == p.me {
+	if gp.PC == p.me {
 		p.node().Acct.Count(machine.CntLocalDeref, 1)
-		return false
+		v := p.w.mem.Local(p.me, int(gp.Seg), gp.Off, gp.Len)
+		switch kind &^ am.OpBulk {
+		case am.OpGet:
+			copy(dst, v)
+		case am.OpAdd:
+			v[0] += src[0]
+		default:
+			copy(v, src)
+		}
+		if bulk {
+			p.T.Charge(machine.CatRuntime, time.Duration(gp.Len*8)*p.T.Cfg().MemCopyPerByte)
+		}
+		if store {
+			p.w.mem.Stores(p.me).Advance(p.T, uint64(gp.Len))
+		}
+		return
 	}
-	p.node().Acct.Count(kind, 1)
-	p.T.Charge(machine.CatRuntime, issueCost)
-	return true
+	a := [4]uint64{kind, uint64(gp.Seg), uint64(gp.Off), uint64(gp.Len)}
+	var payload []byte
+	switch {
+	case bulk:
+		payload = p.enc(src)
+	case src != nil:
+		a[3] = math.Float64bits(src[0])
+	}
+	var op *am.Op
+	if !store {
+		op = &am.Op{Done: &p.done, Into: am.F64Part(dst)}
+		if !wait {
+			op.Done = &p.completed
+			p.issued++
+		}
+	}
+	p.w.mem.Access(p.T, op, gp.PC, a, payload, wait)
 }
-
-// at and vec resolve a global pointer into this processor's own memory.
-func (p *Proc) at(gp GPF) *float64 { return &p.part(p.me, uint64(gp.Seg), uint64(gp.Off), 1)[0] }
-func (p *Proc) vec(gp GVF) []float64 {
-	return p.part(p.me, uint64(gp.Seg), uint64(gp.Off), uint64(gp.Len))
-}
-
-// words is the request layout every scalar access shares, and every bulk
-// access shares GVF.words (see the handlers).
-func (gp GPF) words(bits, id uint64) [4]uint64 {
-	return [4]uint64{bits, uint64(gp.Seg), uint64(gp.Off), id}
-}
-func (gp GVF) words(id uint64) [4]uint64 {
-	return [4]uint64{uint64(gp.Seg), uint64(gp.Off), uint64(gp.Len), id}
-}
-
-// --- message handlers --------------------------------------------------------
-//
-// Word layouts: a request carries its target's (segment, offset[, length])
-// and the initiator's request ID; the reply echoes the ID.
-//
-//	sc.read.req:       A = [0, seg, off, id]       reply: sc.read.reply A = [bits, id]
-//	sc.write.req:      A = [bits, seg, off, id]    ack:   sc.ack        A = [id]
-//	sc.atomic.add:     A = [bits, seg, off, id]    ack:   sc.ack        A = [id]
-//	sc.store:          A = [bits, seg, off]        (one-way)
-//	sc.bulk.read.req:  A = [seg, off, len, id]     reply: sc.bulk.reply A = [id] + payload
-//	sc.bulk.write.req: A = [seg, off, len, id] + payload   ack: sc.ack  A = [id]
-//	sc.bulk.store:     A = [seg, off, len] + payload       (one-way)
 
 func (w *World) registerHandlers() {
-	// at and vec resolve a request's target at its owner, m.Dst.
-	at := func(m am.Msg) *float64 { return &w.procs[m.Dst].part(m.Src, m.A[1], m.A[2], 1)[0] }
-	vec := func(m am.Msg) []float64 { return w.procs[m.Dst].part(m.Src, m.A[0], m.A[1], m.A[2]) }
-	// landed resolves a reply's request ID at the initiator, m.Dst.
-	landed := func(m am.Msg, idWord int) *landing {
-		return w.procs[m.Dst].reqs.Take("Split-C", m.Dst, m.Src, m.A[idWord])
-	}
-	w.hReadReply = w.net.Register("sc.read.reply", func(t *threads.Thread, m am.Msg) {
-		rq := landed(m, 1)
-		*rq.dst = math.Float64frombits(m.A[0])
-		complete(t, rq)
-	})
-	w.hReadReq = w.net.Register("sc.read.req", func(t *threads.Thread, m am.Msg) {
-		w.ep(t).RequestShort(t, m.Src, w.hReadReply, [4]uint64{math.Float64bits(*at(m)), m.A[3]})
-	})
-	w.hAck = w.net.Register("sc.ack", func(t *threads.Thread, m am.Msg) {
-		complete(t, landed(m, 0))
-	})
-	w.hWriteReq = w.net.Register("sc.write.req", func(t *threads.Thread, m am.Msg) {
-		*at(m) = math.Float64frombits(m.A[0])
-		w.ep(t).RequestShort(t, m.Src, w.hAck, [4]uint64{m.A[3]})
-	})
-	w.hAtomicAdd = w.net.Register("sc.atomic.add", func(t *threads.Thread, m am.Msg) {
-		*at(m) += math.Float64frombits(m.A[0])
-		w.ep(t).RequestShort(t, m.Src, w.hAck, [4]uint64{m.A[3]})
-	})
-	w.hStore = w.net.Register("sc.store", func(t *threads.Thread, m am.Msg) {
-		*at(m) = math.Float64frombits(m.A[0])
-		w.procs[m.Dst].stores.Advance(t, 1)
-	})
-	w.hBulkReply = w.net.Register("sc.bulk.reply", func(t *threads.Thread, m am.Msg) {
-		rq := landed(m, 0)
-		decodeF64(t, m, rq.vdst)
-		complete(t, rq)
-	})
-	w.hBulkReadReq = w.net.Register("sc.bulk.read.req", func(t *threads.Thread, m am.Msg) {
-		payload := encodeF64(t, vec(m))
-		w.ep(t).RequestBulk(t, m.Src, w.hBulkReply, payload, [4]uint64{m.A[3]})
-	})
-	w.hBulkWriteReq = w.net.Register("sc.bulk.write.req", func(t *threads.Thread, m am.Msg) {
-		decodeF64(t, m, vec(m))
-		w.ep(t).RequestShort(t, m.Src, w.hAck, [4]uint64{m.A[3]})
-	})
-	w.hBulkStore = w.net.Register("sc.bulk.store", func(t *threads.Thread, m am.Msg) {
-		dst := vec(m)
-		decodeF64(t, m, dst)
-		w.procs[m.Dst].stores.Advance(t, uint64(len(dst)))
-	})
 	w.hRelease = w.net.Register("sc.barrier.release", func(t *threads.Thread, m am.Msg) {
 		advanceTo(t, &w.procs[m.Dst].released, m.A[0])
 	})
@@ -292,95 +215,45 @@ func advanceTo(t *threads.Thread, c *am.Count, gen uint64) {
 	c.Advance(t, max(gen, c.Value())-c.Value())
 }
 
-// complete lands one reply on the requesting processor: it advances the count
-// of its blocking accesses or of its split-phase ones.
-func complete(t *threads.Thread, rq *landing) {
-	t.Charge(machine.CatRuntime, completeCost)
-	rq.done.Advance(t, 1)
-}
-
-// encodeF64 serializes doubles for a bulk payload, charging the copy.
-func encodeF64(t *threads.Thread, src []float64) []byte {
-	t.Charge(machine.CatRuntime, time.Duration(len(src)*8)*t.Cfg().MemCopyPerByte)
-	out := make([]byte, len(src)*8)
-	for i, v := range src {
-		binary.LittleEndian.PutUint64(out[i*8:], math.Float64bits(v))
+// enc encodes doubles for a bulk payload; the message layer copies it at
+// send time, and the protocol charges the copy.
+func (p *Proc) enc(src []float64) []byte {
+	p.buf = p.buf[:0]
+	for _, v := range src {
+		p.buf = binary.LittleEndian.AppendUint64(p.buf, math.Float64bits(v))
 	}
-	return out
-}
-
-// decodeF64 lands bulk message m's payload in dst, charging the copy. The
-// payload must hold exactly len(dst) doubles.
-func decodeF64(t *threads.Thread, m am.Msg, dst []float64) {
-	if len(m.Payload) != len(dst)*8 {
-		panic(fmt.Sprintf("splitc: node %d bulk message from node %d: %d bytes for %d doubles", m.Dst, m.Src, len(m.Payload), len(dst)))
-	}
-	t.Charge(machine.CatRuntime, time.Duration(len(m.Payload))*t.Cfg().MemCopyPerByte)
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(m.Payload[i*8:]))
-	}
+	return p.buf
 }
 
 // --- scalar global accesses -------------------------------------------------
 
 // Read performs a synchronous read through a global pointer (lx = *gp).
-// Local pointers dereference directly at zero cost, as compiled Split-C does.
 func (p *Proc) Read(gp GPF) float64 {
-	if !p.remote(gp.PC, machine.CntRemoteRead) {
-		return *p.at(gp)
-	}
-	var v float64
-	want := p.done.Value() + 1
-	id := p.reqs.Add(&landing{dst: &v, done: &p.done})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hReadReq, gp.words(0, id))
-	p.ep.Await(p.T, &p.done, want)
-	return v
+	var v [1]float64
+	p.access(am.OpGet, GVF{gp.PC, gp.Seg, gp.Off, 1}, v[:], nil, true)
+	return v[0]
 }
 
 // Write performs a synchronous write through a global pointer (*gp = v),
 // returning once the remote ack arrives.
 func (p *Proc) Write(gp GPF, v float64) {
-	if !p.remote(gp.PC, machine.CntRemoteWrite) {
-		*p.at(gp) = v
-		return
-	}
-	want := p.done.Value() + 1
-	id := p.reqs.Add(&landing{done: &p.done})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hWriteReq, gp.words(math.Float64bits(v), id))
-	p.ep.Await(p.T, &p.done, want)
+	p.access(am.OpPut, GVF{gp.PC, gp.Seg, gp.Off, 1}, nil, []float64{v}, true)
 }
 
 // Get issues a split-phase read (dst := *gp); completion is observed by Sync.
 func (p *Proc) Get(dst *float64, gp GPF) {
-	if !p.remote(gp.PC, machine.CntRemoteRead) {
-		*dst = *p.at(gp)
-		return
-	}
-	p.issued++
-	id := p.reqs.Add(&landing{dst: dst, done: &p.completed})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hReadReq, gp.words(0, id))
+	p.access(am.OpGet, GVF{gp.PC, gp.Seg, gp.Off, 1}, unsafe.Slice(dst, 1), nil, false)
 }
 
 // Put issues a split-phase write (*gp := v); completion is observed by Sync.
 func (p *Proc) Put(gp GPF, v float64) {
-	if !p.remote(gp.PC, machine.CntRemoteWrite) {
-		*p.at(gp) = v
-		return
-	}
-	p.issued++
-	id := p.reqs.Add(&landing{done: &p.completed})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hWriteReq, gp.words(math.Float64bits(v), id))
+	p.access(am.OpPut, GVF{gp.PC, gp.Seg, gp.Off, 1}, nil, []float64{v}, false)
 }
 
 // Store issues a one-way store (*gp :- v): no acknowledgement travels back;
 // the target's store counter observes arrival (WaitStores).
 func (p *Proc) Store(gp GPF, v float64) {
-	if !p.remote(gp.PC, machine.CntRemoteWrite) {
-		*p.at(gp) = v
-		p.stores.Advance(p.T, 1)
-		return
-	}
-	p.ep.RequestShort(p.T, gp.PC, p.w.hStore, gp.words(math.Float64bits(v), 0))
+	p.access(am.OpStore, GVF{gp.PC, gp.Seg, gp.Off, 1}, nil, []float64{v}, false)
 }
 
 // AtomicAdd issues a split-phase atomic read-modify-write (*gp += v): the
@@ -389,13 +262,7 @@ func (p *Proc) Store(gp GPF, v float64) {
 // Split-C idiom behind `atomic(foo, ...)` used by the Water application's
 // remote force accumulation.
 func (p *Proc) AtomicAdd(gp GPF, v float64) {
-	if !p.remote(gp.PC, machine.CntRemoteWrite) {
-		*p.at(gp) += v
-		return
-	}
-	p.issued++
-	id := p.reqs.Add(&landing{done: &p.completed})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hAtomicAdd, gp.words(math.Float64bits(v), id))
+	p.access(am.OpAdd, GVF{gp.PC, gp.Seg, gp.Off, 1}, nil, []float64{v}, false)
 }
 
 // Sync blocks until all of this processor's outstanding split-phase
@@ -408,78 +275,29 @@ func (p *Proc) Sync() {
 // Outstanding reports the number of incomplete split-phase operations.
 func (p *Proc) Outstanding() int { return int(p.issued - p.completed.Value()) }
 
-// --- bulk transfers ----------------------------------------------------------
+// --- bulk transfers: lengths must match --------------------------------------
 
 // BulkRead synchronously copies a remote vector into dst
-// (bulk_read(&lA, gpA, n)). Lengths must match.
-func (p *Proc) BulkRead(dst []float64, gp GVF) {
-	if len(dst) != gp.Len {
-		panic("splitc: BulkRead length mismatch")
-	}
-	if !p.remote(gp.PC, machine.CntRemoteRead) {
-		copy(dst, p.vec(gp))
-		p.T.Charge(machine.CatRuntime, time.Duration(len(dst)*8)*p.T.Cfg().MemCopyPerByte)
-		return
-	}
-	want := p.done.Value() + 1
-	id := p.reqs.Add(&landing{vdst: dst, done: &p.done})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hBulkReadReq, gp.words(id))
-	p.ep.Await(p.T, &p.done, want)
-}
+// (bulk_read(&lA, gpA, n)).
+func (p *Proc) BulkRead(dst []float64, gp GVF) { p.access(am.OpGet|am.OpBulk, gp, dst, nil, true) }
 
 // BulkWrite synchronously copies src into a remote vector
 // (bulk_write(gpA, &lA, n)).
-func (p *Proc) BulkWrite(gp GVF, src []float64) {
-	if len(src) != gp.Len {
-		panic("splitc: BulkWrite length mismatch")
-	}
-	if !p.remote(gp.PC, machine.CntRemoteWrite) {
-		copy(p.vec(gp), src)
-		p.T.Charge(machine.CatRuntime, time.Duration(len(src)*8)*p.T.Cfg().MemCopyPerByte)
-		return
-	}
-	want := p.done.Value() + 1
-	id := p.reqs.Add(&landing{done: &p.done})
-	payload := encodeF64(p.T, src)
-	p.ep.RequestBulk(p.T, gp.PC, p.w.hBulkWriteReq, payload, gp.words(id))
-	p.ep.Await(p.T, &p.done, want)
-}
+func (p *Proc) BulkWrite(gp GVF, src []float64) { p.access(am.OpPut|am.OpBulk, gp, nil, src, true) }
 
 // BulkGet issues a split-phase bulk read; completion is observed by Sync.
-func (p *Proc) BulkGet(dst []float64, gp GVF) {
-	if len(dst) != gp.Len {
-		panic("splitc: BulkGet length mismatch")
-	}
-	if !p.remote(gp.PC, machine.CntRemoteRead) {
-		copy(dst, p.vec(gp))
-		p.T.Charge(machine.CatRuntime, time.Duration(len(dst)*8)*p.T.Cfg().MemCopyPerByte)
-		return
-	}
-	p.issued++
-	id := p.reqs.Add(&landing{vdst: dst, done: &p.completed})
-	p.ep.RequestShort(p.T, gp.PC, p.w.hBulkReadReq, gp.words(id))
-}
+func (p *Proc) BulkGet(dst []float64, gp GVF) { p.access(am.OpGet|am.OpBulk, gp, dst, nil, false) }
 
 // BulkStore issues a one-way bulk store; the target's store counter advances
 // by the element count on arrival.
 func (p *Proc) BulkStore(gp GVF, src []float64) {
-	if len(src) != gp.Len {
-		panic("splitc: BulkStore length mismatch")
-	}
-	if !p.remote(gp.PC, machine.CntRemoteWrite) {
-		copy(p.vec(gp), src)
-		p.T.Charge(machine.CatRuntime, time.Duration(len(src)*8)*p.T.Cfg().MemCopyPerByte)
-		p.stores.Advance(p.T, uint64(len(src)))
-		return
-	}
-	payload := encodeF64(p.T, src)
-	p.ep.RequestBulk(p.T, gp.PC, p.w.hBulkStore, payload, gp.words(0))
+	p.access(am.OpStore|am.OpBulk, gp, nil, src, false)
 }
 
 // WaitStores blocks until at least n store values have landed at this node.
 func (p *Proc) WaitStores(n int) {
 	p.T.Charge(machine.CatRuntime, completeCost)
-	p.ep.Await(p.T, &p.stores, uint64(max(n, 0)))
+	p.ep.Await(p.T, p.w.mem.Stores(p.me), uint64(max(n, 0)))
 }
 
 // --- barrier ------------------------------------------------------------------

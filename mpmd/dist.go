@@ -5,6 +5,7 @@ import (
 	"sync"
 	"unsafe"
 
+	"repro/internal/am"
 	"repro/internal/core"
 	"repro/internal/rmigen"
 )
@@ -14,7 +15,7 @@ import (
 // SPMD runtime — usable from CC++/typed-v2 programs on either backend, with
 // a choice of layout. Elements live in per-member local parts. A remote
 // access is Split-C's get or put: one request and one reply active message
-// on the runtime's optimized global-pointer wire path (core/dist.go) — no
+// of the remote-memory protocol both runtimes share (am.Mem) — no
 // marshalled RMI, no method dispatch, the owner serving it inline in its
 // polling thread — priced on the simulator as Table 4's GP 2-Word R/W row
 // without the thread. An element whose encoding is fixed and small (every
@@ -63,7 +64,7 @@ type Dist[T any] struct {
 }
 
 // distPart is one member's local part; the owner's request handler reaches
-// it through core.DistPart.
+// it through am.Part.
 type distPart[T any] struct {
 	elems []T
 	codec *rmigen.Codec
@@ -104,7 +105,7 @@ func NewDist[T any](tm *Team, n int, layout Layout) (*Dist[T], error) {
 	d := &Dist[T]{tm: tm, rt: c.Runtime(), n: n, layout: layout, codec: codec}
 	d.recs.New = func() any { return new(distAccess[T]) }
 	d.parts = make([]*distPart[T], tm.Size())
-	byNode := make([]core.DistPart, d.rt.Machine().NumNodes())
+	byNode := make([]am.Part, d.rt.Machine().NumNodes())
 	for r := range d.parts {
 		d.parts[r] = &distPart[T]{elems: make([]T, d.partLen(r)), codec: codec}
 		byNode[tm.Node(r)] = d.parts[r]
