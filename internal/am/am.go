@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/machine"
@@ -164,6 +165,10 @@ type Endpoint struct {
 	// sibling, on a wall-clock machine it never does.
 	modelled bool
 
+	// sent counts messages before they can arrive, handled once their handler
+	// is done. Only the node writes them (Counts reads).
+	sent, handled atomic.Uint64
+
 	// interruptCost, when non-zero, switches the endpoint to the
 	// interrupt-driven reception model: every received message additionally
 	// charges this kernel-delivery cost, and sends no longer poll (the
@@ -249,6 +254,9 @@ func (ep *Endpoint) Stop() {
 
 // Stopped reports whether Stop has been called.
 func (ep *Endpoint) Stopped() bool { return ep.stopped }
+
+// Counts reports how many messages this node has sent and handled.
+func (ep *Endpoint) Counts() (sent, handled uint64) { return ep.sent.Load(), ep.handled.Load() }
 
 // onArrival wakes the most recent waiter only (LIFO): an actively waiting
 // computation thread registered after the background polling thread, so it
@@ -359,6 +367,7 @@ const shortWireBytes = 48
 
 //mpmd:hotpath
 func (ep *Endpoint) send(dst int, extraWire time.Duration, size int, msg *Msg) {
+	ep.sent.Store(ep.sent.Load() + 1)
 	if dst == ep.node.ID {
 		ep.node.Loopback(size, msg)
 		return
@@ -386,8 +395,7 @@ func (ep *Endpoint) pollOnSend(t *threads.Thread) {
 //
 // Every poll is also t's delivery point (Thread.Deliver): a thread that
 // polls and never parks — a server under a stream of requests, a sender
-// polling on every send — still lets its node's timers and the wake-ups of
-// its sibling threads in.
+// polling on every send — still lets its node's deliveries in.
 //
 //mpmd:hotpath
 func (ep *Endpoint) Poll(t *threads.Thread) bool {
@@ -416,6 +424,7 @@ func (ep *Endpoint) Poll(t *threads.Thread) bool {
 	wasPolling := ep.polling
 	ep.polling = true
 	h(t, msg)
+	ep.handled.Store(ep.handled.Load() + 1)
 	ep.polling = wasPolling
 	if msg.PayloadBuf != nil {
 		msg.PayloadBuf.Release()

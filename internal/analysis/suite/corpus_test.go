@@ -57,22 +57,20 @@ var corpus = []struct {
 	{"addErr without errMu", "lockguard", `field errs is guarded by errMu`, []edit{
 		{"internal/transport/netlive/netlive.go", "\tb.errMu.Lock()\n\tb.errs = append(b.errs, err)\n\tb.errMu.Unlock()\n", "\tb.errs = append(b.errs, err)\n"}}},
 	// ROADMAP item 8 asked whether lockguard catches anything nothing else
-	// does. These six drop a lock on a teardown or error path; CI's whole
+	// does. These three drop a lock on a teardown or error path; CI's whole
 	// -race list passes on each of them (CHANGES.md, PR 22, has the runs), so
 	// lockguard is their only reporter and the rows are what keeps it.
-	{"live.Backend.Err without timersMu", "lockguard", `field lateAfter is guarded by timersMu`, []edit{
-		{"internal/transport/live/live.go", "func (b *Backend) Err() error {\n\tb.timersMu.Lock()\n\tdefer b.timersMu.Unlock()\n", "func (b *Backend) Err() error {\n"}}},
-	{"noteLateAfter without timersMu", "lockguard", `field lateAfter is guarded by timersMu`, []edit{
-		{"internal/transport/live/live.go", "\tb.timersMu.Lock()\n\tb.lateAfter++\n\tb.timersMu.Unlock()\n", "\tb.lateAfter++\n"}}},
 	{"netlive.Backend.PeerStats without statsMu", "lockguard", `field peerStats is guarded by statsMu`, []edit{
 		{"internal/transport/netlive/netlive.go", "func (b *Backend) PeerStats() map[int][]byte {\n\tb.statsMu.Lock()\n\tdefer b.statsMu.Unlock()\n", "func (b *Backend) PeerStats() map[int][]byte {\n"}}},
-	{"fireQuiesce without the quiesce mutex", "lockguard", `field fired is guarded by Mutex`, []edit{
-		{"internal/transport/netlive/netlive.go", "\tb.q.Lock()\n\tfn := b.q.fn\n\tfired := b.q.fired\n\tb.q.fired = fn != nil\n\tb.q.Unlock()\n",
-			"\tfn := b.q.fn\n\tfired := b.q.fired\n\tb.q.fired = fn != nil\n"}}},
 	{"shmShutdown closes a tx ring without tx.mu", "lockguard", `field closed is guarded by mu`, []edit{
 		{"internal/transport/netlive/shmring.go", "\t\ttx.mu.Lock()\n\t\ttx.closed = true\n\t\ttx.mu.Unlock()\n", "\t\ttx.closed = true\n"}}},
 	{"shmShutdown marks an rx ring dead without rx.mu", "lockguard", `field dead is guarded by mu`, []edit{
 		{"internal/transport/netlive/shmring.go", "\t\t\trx.mu.Lock()\n\t\t\trx.dead = true\n\t\t\trx.mu.Unlock()\n", "\t\t\trx.dead = true\n"}}},
+	// The parent's end-of-run wave state, opened by the parent's reading and
+	// added to by the reader of each worker's answer.
+	{"a wave opens without the wave mutex", "lockguard", `field (sum|left) is guarded by Mutex`, []edit{
+		{"internal/transport/netlive/netlive.go", "\t\tb.wave.Lock()\n\t\tb.wave.sum, b.wave.left = c, b.shards-1\n\t\tb.wave.Unlock()\n",
+			"\t\tb.wave.sum, b.wave.left = c, b.shards-1\n"}}},
 	{"runPending reads the pending list after unlocking it", "lockguard", `field fns is guarded by mu`, []edit{
 		{"internal/transport/live/live.go", "\t\tnd.pended()\n\t\tnd.pend.mu.Unlock()\n\t\tfn()\n", "\t\tnd.pended()\n\t\tnd.pend.mu.Unlock()\n\t\tfn()\n\t\t_ = nd.pend.fns.Len()\n"}}},
 
@@ -125,8 +123,10 @@ var corpus = []struct {
 		{"internal/threads/threads.go", "\tif d != 0 && t.s.modelled {\n", "\tif d != 0 {\n"}}},
 	{"a wall-clock machine counts the lock pairs it elides", "go test ./internal/bench -run ^TestRunStats$", `thread\.sync [1-9]\d*; want a wall-clock machine to charge nothing`, []edit{
 		{"internal/threads/threads.go", "\tfor i := 0; i < n && t.s.modelled; i++ {\n", "\tfor i := 0; i < n; i++ {\n"}}},
-	{"a poll is no delivery point", "go test ./internal/transport/conformance -run ^TestLive$/^PollDelivers$", `callback never got the CPU from a thread that computes and polls`, []edit{
+	{"a poll is no delivery point", "go test ./internal/transport/conformance -run ^TestLive$/^PollDelivers$", `notify never got the CPU from a thread that computes and polls`, []edit{
 		{"internal/am/am.go", "\tt.Deliver()\n", ""}}},
+	{"a message counts as handled before its handler runs", "go test ./internal/transport/conformance -run ^TestSimnet$/^OneWayChain$", `it counted as handled before it ran`, []edit{
+		{"internal/am/am.go", "\th(t, msg)\n\tep.handled.Store(ep.handled.Load() + 1)\n", "\tep.handled.Store(ep.handled.Load() + 1)\n\th(t, msg)\n"}}},
 	{"a wall-clock wait yields to a ready sibling", "go test ./internal/transport/conformance -run ^TestLive$/^TwoWaitersOneNode$", `node 0 switched threads \d+ times while two threads waited on one count, want at most 24`, []edit{
 		{"internal/am/am.go", "\t\tcase !ep.modelled || ep.stopped:\n", "\t\tcase !ep.stopped && t.Scheduler().ReadyLen() > 0:\n\t\t\tt.Yield()\n\t\tcase !ep.modelled || ep.stopped:\n"}}},
 }

@@ -1,10 +1,10 @@
 package coll
 
-// This file holds the central-coordinator collective plans: one root
-// absorbs every participant's contribution and releases the result. Linear
-// in messages and rounds — the pattern Split-C's library collectives and
-// the paper's measurements use — kept here so internal/splitc's barrier and
-// all_reduce are built from the same package as the log-depth team
+// This file holds the central-coordinator collective plan: one root absorbs
+// every participant's contribution and releases the result. Linear in
+// messages and rounds — the pattern Split-C's library collectives and the
+// paper's measurements use — kept here so internal/splitc's all_reduce (and
+// the barrier built on it) comes from the same package as the log-depth team
 // collectives while preserving their exact wire traffic and modelled costs
 // (the splitc parity test pins those numbers).
 
@@ -78,28 +78,4 @@ func (c *CentralReduce) Absorb(op ReduceOp, v float64) (float64, bool) {
 		return c.acc, true
 	}
 	return c.acc, false
-}
-
-// CentralCounter is the root-side state of a central barrier over n
-// participants: Arrive counts entries and reports the release generation
-// when the last one lands.
-type CentralCounter struct {
-	n     int
-	count int
-	gen   int
-}
-
-// NewCentralCounter builds the state for n participants.
-func NewCentralCounter(n int) *CentralCounter { return &CentralCounter{n: n} }
-
-// Arrive records one entry. On the n-th it advances and returns the new
-// generation with release=true; otherwise the current generation and false.
-func (c *CentralCounter) Arrive() (gen int, release bool) {
-	c.count++
-	if c.count == c.n {
-		c.count = 0
-		c.gen++
-		return c.gen, true
-	}
-	return c.gen, false
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/am"
 	"repro/internal/machine"
 	"repro/internal/threads"
 )
@@ -550,5 +551,21 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+// TestLeftoverMessageIsAnError: a message that lands after the run has
+// stopped its endpoints is never handled, and Run says so, naming the node,
+// the sender and the handler. The run itself leaves none behind, so the test
+// plants one: a simulator event a second past the end sends it.
+func TestLeftoverMessageIsAnError(t *testing.T) {
+	m := machine.New(machine.SP1997(), 2)
+	rt := NewRuntime(m)
+	h := rt.Handle("test.late", func(*threads.Thread, am.Msg) { t.Error("a message landed after the stop was handled") })
+	rt.OnNode(0, func(*threads.Thread) {})
+	m.Eng.After(time.Second, func() { m.Node(0).Send(1, 0, 48, &am.Msg{Src: 0, Dst: 1, H: h}) })
+	want := "core: node 1 ended the run with a message from node 0 for test.late unhandled"
+	if err := rt.Run(); err == nil || err.Error() != want {
+		t.Fatalf("Run = %v, want %q", err, want)
 	}
 }

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/am"
 	"repro/internal/machine"
@@ -127,9 +128,6 @@ type Options struct {
 	// work once interrupts get cheap. A wall-clock machine refuses it: it
 	// switches off poll-on-send, and nothing there interrupts in its place.
 	InterruptDriven bool
-	// Grace is how long after the last node program finishes the runtime
-	// keeps polling before shutting down (drains in-flight one-way RMIs).
-	Grace time.Duration
 	// Nexus prices every message as the original CC++ implementation's
 	// message layer did — CC++ v0.4 over Nexus v3.0 on TCP/IP over the SP
 	// switch, the paper's §6 comparison: protocol-stack CPU on both sides
@@ -164,8 +162,10 @@ type Runtime struct {
 	nodes []*nodeRT
 	progs []func(t *threads.Thread)
 
-	// mainsLeft counts node programs still running. Atomic because on the
-	// live backend the last mains of different nodes race to decrement it.
+	// local holds the nodes of this address space once Run starts, and
+	// mainsLeft their programs still running (the last mains of different
+	// nodes race to decrement it).
+	local     []*nodeRT
 	mainsLeft atomic.Int32
 
 	// started flips when Run begins; registration is setup-time only.
@@ -209,9 +209,6 @@ func NewRuntime(m *machine.Machine) *Runtime { return NewRuntimeOpts(m, Options{
 
 // NewRuntimeOpts builds a CC++ runtime with explicit options.
 func NewRuntimeOpts(m *machine.Machine, opts Options) *Runtime {
-	if opts.Grace == 0 {
-		opts.Grace = time.Millisecond
-	}
 	for _, o := range []struct {
 		on        bool
 		name, why string
@@ -428,82 +425,94 @@ func (rt *Runtime) OnNode(i int, prog func(t *threads.Thread)) {
 		panic(fmt.Sprintf("core: node %d already has a program", i))
 	}
 	rt.progs[i] = prog
-	rt.mainsLeft.Add(1)
 }
 
 // Run starts the polling thread on every local node plus the installed node
-// programs, and drives the machine until completion. After the last
-// program finishes, reception keeps draining for Options.Grace (virtual
-// time on the simulator, wall time on the live backend) before the pollers
-// shut down.
+// programs, and drives the machine until completion. The run ends when its
+// work does: once the programs have returned, a node that goes idle collects
+// the machine's Counts, and when two consecutive collections are equal and
+// balanced, nothing was in flight and nothing could run at one instant between
+// them (Mattern's four-counter method), so each endpoint stops in its own
+// node's context. A message left in an inbox then is an error naming it.
 //
-// On a sharded backend (transport.Sharded), only this shard's nodes
-// execute here: programs installed for remote nodes run in their own
-// processes, which build the identical runtime (the SPMD launch model).
-// Shutdown is machine-wide: when this shard's programs finish the backend
-// is told (LocalQuiesced), and the grace-delayed endpoint shutdown begins
-// only once every shard has quiesced — so a pure-server shard, with no
-// programs of its own, keeps serving remote invocations until the whole
-// machine is done.
+// On a sharded backend (transport.Sharded) only this shard's nodes run here,
+// the other shards' processes build the identical runtime (the SPMD launch
+// model), and the backend collects the counts across the shards (Quiesce).
 func (rt *Runtime) Run() error {
 	topo, sharded := rt.m.Backend().(transport.Sharded)
-	isLocal := func(i int) bool { return !sharded || topo.IsLocal(i) }
-	localMains := int32(0)
-	for i, prog := range rt.progs {
-		if prog != nil && isLocal(i) {
-			localMains++
-		}
-	}
-	if rt.mainsLeft.Load() == 0 {
+	if !slices.ContainsFunc(rt.progs, func(p func(*threads.Thread)) bool { return p != nil }) {
 		// No programs anywhere: nothing would ever terminate the run.
 		return fmt.Errorf("core: no node programs installed")
 	}
-	rt.mainsLeft.Store(localMains)
 	rt.started.Store(true)
-	quiesce := func() {
-		// Each node's Stop must run in that node's execution context (it
-		// wakes parked threads).
-		stopLocal := func() {
-			for j, n := range rt.nodes {
-				if isLocal(j) {
-					rt.m.AfterNode(j, rt.opts.Grace, n.ep.Stop)
-				}
-			}
-		}
-		if sharded {
-			topo.LocalQuiesced(stopLocal)
-		} else {
-			stopLocal()
-		}
+	idle := rt.idle
+	if sharded && topo.NumShards() > 1 {
+		idle = topo.Quiesce(rt.tally, rt.stop)
 	}
-	for i := range rt.nodes {
-		if !isLocal(i) {
+	for i, n := range rt.nodes {
+		if sharded && !topo.IsLocal(i) {
 			continue
 		}
-		n := rt.nodes[i]
+		rt.local = append(rt.local, n)
+		threads.OnIdle(n.sched, idle)
 		// "In order to avoid deadlocks when there is no runnable thread, a
 		// polling thread is forked at initialization." (§4)
 		n.sched.Start("poller", func(t *threads.Thread) { rt.pollerLoop(t, n) })
-	}
-	for i := range rt.nodes {
-		if rt.progs[i] == nil || !isLocal(i) {
-			continue
+		if prog := rt.progs[i]; prog != nil {
+			rt.mainsLeft.Add(1)
+			n.sched.Start("main", func(t *threads.Thread) {
+				prog(t)
+				rt.mainsLeft.Add(-1)
+			})
 		}
-		n := rt.nodes[i]
-		prog := rt.progs[i]
-		n.sched.Start("main", func(t *threads.Thread) {
-			prog(t)
-			if rt.mainsLeft.Add(-1) == 0 {
-				quiesce()
-			}
-		})
 	}
-	if localMains == 0 {
-		// A pure-server shard: quiesced from the start, serving until the
-		// machine-wide shutdown arrives.
-		quiesce()
+	err := rt.m.Run()
+	for _, n := range rt.local {
+		if pkt, ok := n.node.PopInbox(); ok {
+			err = errors.Join(err, fmt.Errorf("core: node %d ended the run with a message from node %d for %s unhandled",
+				n.node.ID, pkt.Src, rt.net.HandlerName(pkt.Payload.(*am.Msg).H)))
+		}
 	}
-	return rt.m.Run()
+	return err
+}
+
+// Counts sums the messages sent and handled and the threads made runnable and
+// blocked or exited of rt's nodes in this address space: a function, so that
+// the public API, which aliases Runtime, does not offer it.
+func Counts(rt *Runtime) (c [4]uint64) {
+	for _, n := range rt.nodes {
+		sent, handled := n.ep.Counts()
+		readied, parked := threads.Counts(n.sched)
+		c[0], c[1], c[2], c[3] = c[0]+sent, c[1]+handled, c[2]+readied, c[3]+parked
+	}
+	return c
+}
+
+// tally reads Counts once this address space's programs have returned, ok
+// when none of its threads, pollers included, can run: its nodes are idle.
+// Until then it is one atomic load.
+func (rt *Runtime) tally() (c [4]uint64, ok bool) {
+	if rt.mainsLeft.Load() != 0 {
+		return c, false
+	}
+	c = Counts(rt)
+	return c, c[2] == c[3]
+}
+
+// idle is OnIdle on a single address space: two consecutive collections,
+// equal and balanced, end the run.
+func (rt *Runtime) idle() {
+	if c, ok := rt.tally(); ok && c[0] == c[1] && c == Counts(rt) {
+		rt.stop()
+	}
+}
+
+// stop ends the run: each local endpoint stops in its own node's context (a
+// second stop, from a node that found the end as well, stops them again).
+func (rt *Runtime) stop() {
+	for _, n := range rt.local {
+		rt.m.Post(n.node.ID, n.ep.Stop)
+	}
 }
 
 // pollerLoop is the per-node polling thread: service everything pending,

@@ -144,9 +144,14 @@ func (m *Machine) remoteArrival(src, dst, size int, enc []byte) bool {
 // time on the live backend.
 func (m *Machine) Now() time.Duration { return m.be.Now() }
 
-// AfterNode schedules fn to run in node's execution context after delay d.
-func (m *Machine) AfterNode(node int, d time.Duration, fn func()) {
-	m.be.After(node, d, fn)
+// Post runs fn in node's execution context the way a packet's notify gets
+// there: DeliverDirect, or a zero-latency event on the simulator.
+func (m *Machine) Post(node int, fn func()) {
+	if m.direct != nil {
+		m.direct.DeliverDirect(node, fn)
+		return
+	}
+	m.Eng.After(0, fn)
 }
 
 // NumNodes returns the number of nodes.

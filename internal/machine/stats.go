@@ -3,7 +3,7 @@ package machine
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/metrics"
 )
@@ -11,8 +11,7 @@ import (
 // ShardStats is one address space's contribution to the machine-wide stats
 // report: which nodes it ran, their merged accounting, and the shard's merged
 // wall-clock metrics. It is the JSON payload of the netlive kStats control
-// frame — workers serialize one at quiesce (and on request) and ship it to
-// the parent.
+// frame — workers serialize one at the end of the run for the parent.
 type ShardStats struct {
 	Shard   int              `json:"shard"`
 	Nodes   []int            `json:"nodes"`
@@ -27,19 +26,15 @@ type ShardStats struct {
 // merged reporting wants).
 func (m *Machine) LocalStats() ShardStats {
 	s := ShardStats{}
-	local := make([]int, 0, len(m.nodes))
 	if m.shard != nil {
 		s.Shard = m.shard.Shard()
-		local = append(local, m.shard.LocalNodes()...)
-	} else {
-		for i := range m.nodes {
-			local = append(local, i)
-		}
 	}
-	s.Nodes = local
-	snaps := make([]Snapshot, 0, len(local))
-	for _, i := range local {
-		snaps = append(snaps, m.nodes[i].Acct.Snapshot())
+	var snaps []Snapshot
+	for i, nd := range m.nodes {
+		if m.shard == nil || m.shard.IsLocal(i) {
+			s.Nodes = append(s.Nodes, i)
+			snaps = append(snaps, nd.Acct.Snapshot())
+		}
 	}
 	s.Acct = MergeSnapshots(snaps...)
 	if m.mets != nil {
@@ -81,9 +76,10 @@ type ClusterStats struct {
 
 // ClusterStats assembles the machine-wide report. On sharded backends it must
 // be called on the parent after Run returns (workers have reported by then);
-// it errors if any worker shard's payload is missing or unparseable, so a
-// lost stats frame is a loud failure rather than silently under-counted
-// totals.
+// it errors if a worker shard's payload is missing, unparseable, or not that
+// shard's (another index, a node outside the machine or another shard's), or
+// if a node goes unreported: a lost or misfiled stats frame is a loud failure
+// rather than made-up totals.
 func (m *Machine) ClusterStats() (ClusterStats, error) {
 	cs := ClusterStats{Shards: []ShardStats{m.LocalStats()}}
 	if m.shard != nil {
@@ -91,6 +87,10 @@ func (m *Machine) ClusterStats() (ClusterStats, error) {
 			return ClusterStats{}, fmt.Errorf("machine: ClusterStats on worker shard %d (parent only)", m.shard.Shard())
 		}
 		peers := m.shard.PeerStats()
+		seen := make([]bool, len(m.nodes)) // the nodes a shard has reported
+		for _, nd := range cs.Shards[0].Nodes {
+			seen[nd] = true
+		}
 		for shard := 1; shard < m.shard.NumShards(); shard++ {
 			payload, ok := peers[shard]
 			if !ok {
@@ -100,9 +100,20 @@ func (m *Machine) ClusterStats() (ClusterStats, error) {
 			if err := json.Unmarshal(payload, &ss); err != nil {
 				return ClusterStats{}, fmt.Errorf("machine: stats payload from shard %d: %v", shard, err)
 			}
+			if ss.Shard != shard {
+				return ClusterStats{}, fmt.Errorf("machine: stats payload from shard %d is shard %d's", shard, ss.Shard)
+			}
+			for _, nd := range ss.Nodes {
+				if nd < 0 || nd >= len(seen) || seen[nd] {
+					return ClusterStats{}, fmt.Errorf("machine: stats payload from shard %d names node %d, not its own", shard, nd)
+				}
+				seen[nd] = true
+			}
 			cs.Shards = append(cs.Shards, ss)
 		}
-		sort.Slice(cs.Shards, func(i, j int) bool { return cs.Shards[i].Shard < cs.Shards[j].Shard })
+		if nd := slices.Index(seen, false); nd >= 0 {
+			return ClusterStats{}, fmt.Errorf("machine: no shard's stats payload names node %d", nd)
+		}
 	}
 	accts := make([]Snapshot, 0, len(cs.Shards))
 	mets := make([]metrics.Snapshot, 0, len(cs.Shards))

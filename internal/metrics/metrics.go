@@ -30,17 +30,17 @@ import (
 type Ctr int
 
 const (
-	// CtrNotifies counts pended notifies: arrival notifies and After callbacks
-	// that found the destination's CPU busy and went on the live node's pending
-	// list for the CPU's holder to run.
+	// CtrNotifies counts pended notifies: arrival notifies and other delivered
+	// callbacks that found the destination's CPU busy and went on the live
+	// node's pending list for the CPU's holder to run.
 	CtrNotifies Ctr = iota
 	// CtrNotifyBatches counts the times a CPU holder found its node's pending
 	// list non-empty and ran it (CtrNotifies / CtrNotifyBatches is the
 	// realized short-message batching factor).
 	CtrNotifyBatches
-	// CtrNotifyDirect counts arrival notifies and After callbacks that ran at
-	// once on the goroutine that brought them, because the destination's CPU
-	// was free (no pending list, no hand-off).
+	// CtrNotifyDirect counts arrival notifies and other delivered callbacks
+	// that ran at once on the goroutine that brought them, because the
+	// destination's CPU was free (no pending list, no hand-off).
 	CtrNotifyDirect
 	// CtrNotifyDropped counts arrival notifies dropped because they found the
 	// destination's CPU busy when the run was already over.
@@ -89,6 +89,11 @@ const (
 	// while it was still polling, or only after it had given up and blocked.
 	CtrIdlePolls
 	CtrIdleParks
+	// CtrWaveFrames counts the frames of the end-of-run waves a shard sends,
+	// the parent's probes and the workers' answers: on a healthy link, the
+	// part of CtrFramesOut that is neither a packet nor a doorbell nor one of
+	// the last control frames of a run.
+	CtrWaveFrames
 	numCtrs
 )
 
@@ -99,6 +104,7 @@ var ctrNames = [numCtrs]string{
 	"shm.doorbells", "shm.wakes.spin", "shm.wakes.park",
 	"shm.fragments.out", "shm.fragments.in", "net.link.dropped",
 	"shm.frames.in.proc", "shm.frames.in.reader", "live.idle.polls", "live.idle.parks",
+	"net.wave.frames",
 }
 
 // String returns the label used in reports.

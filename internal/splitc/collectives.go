@@ -91,9 +91,6 @@ const (
 )
 
 func (w *World) initCollectives() {
-	if w.coll != nil {
-		return
-	}
 	c := &collectives{
 		red:     coll.NewCentralReduce(w.m.NumNodes()),
 		results: make([]float64, w.m.NumNodes()),
@@ -123,11 +120,7 @@ func (w *World) initCollectives() {
 // on every processor (Split-C's all_reduce_to_all). It synchronizes like a
 // barrier: all processors must call it.
 func (p *Proc) AllReduce(v float64, op ReduceOp) float64 {
-	w := p.w
-	c := w.coll
-	if c == nil {
-		panic("splitc: collectives not initialized (World.New does this; did you build World by hand?)")
-	}
+	c := p.w.coll
 	target := c.haveGen[p.me].Value() + 1
 	p.T.Charge(machine.CatRuntime, issueCost)
 	p.ep.RequestShort(p.T, 0, c.hContrib, [4]uint64{math.Float64bits(v), uint64(op)})

@@ -29,7 +29,6 @@ import (
 	"unsafe"
 
 	"repro/internal/am"
-	"repro/internal/coll"
 	"repro/internal/machine"
 	"repro/internal/threads"
 	"repro/internal/transport"
@@ -67,12 +66,6 @@ type World struct {
 	mem   *am.Mem // the segment table every global pointer names
 	procs []*Proc
 
-	hBarrierArrive, hRelease am.HandlerID
-
-	// Central barrier state, owned by node 0 (the linear plan from
-	// internal/coll; the wire traffic around it is unchanged).
-	barCtr *coll.CentralCounter
-
 	// coll is the collective-operation state (collectives.go).
 	coll *collectives
 }
@@ -91,18 +84,16 @@ type Proc struct {
 	// the store count of its node (am.Mem.Stores).
 	issued          uint64   // split-phase gets+puts issued
 	done, completed am.Count // blocking and split-phase replies landed
-	released        am.Count // barriers released from
 	buf             []byte   // a bulk put's encoding
 }
 
 // New builds a Split-C world over machine m.
 func New(m *machine.Machine) *World {
-	w := &World{m: m, net: am.NewNet(m), barCtr: coll.NewCentralCounter(m.NumNodes())}
+	w := &World{m: m, net: am.NewNet(m)}
 	for i := 0; i < m.NumNodes(); i++ {
 		w.procs = append(w.procs, &Proc{w: w, me: i, ep: w.net.Endpoint(i)})
 	}
 	w.mem = am.NewMem(w.net, am.Price{Issue: issueCost, Complete: completeCost})
-	w.registerHandlers()
 	w.initCollectives()
 	return w
 }
@@ -192,19 +183,6 @@ func (p *Proc) access(kind uint64, gp GVF, dst, src []float64, wait bool) {
 		}
 	}
 	p.w.mem.Access(p.T, op, gp.PC, a, payload, wait)
-}
-
-func (w *World) registerHandlers() {
-	w.hRelease = w.net.Register("sc.barrier.release", func(t *threads.Thread, m am.Msg) {
-		advanceTo(t, &w.procs[m.Dst].released, m.A[0])
-	})
-	w.hBarrierArrive = w.net.Register("sc.barrier.arrive", func(t *threads.Thread, m am.Msg) {
-		if gen, release := w.barCtr.Arrive(); release {
-			for i := 0; i < w.m.NumNodes(); i++ {
-				w.ep(t).RequestShort(t, i, w.hRelease, [4]uint64{uint64(gen)})
-			}
-		}
-	})
 }
 
 // ep returns the endpoint of the node the thread is running on.
@@ -303,12 +281,8 @@ func (p *Proc) WaitStores(n int) {
 // --- barrier ------------------------------------------------------------------
 
 // Barrier blocks until every processor has entered the barrier. It is the
-// Split-C barrier(): a central counter on node 0 plus a release broadcast.
-func (p *Proc) Barrier() {
-	target := p.released.Value() + 1
-	p.T.Charge(machine.CatRuntime, issueCost)
-	p.ep.RequestShort(p.T, 0, p.w.hBarrierArrive, [4]uint64{})
-	p.ep.Await(p.T, &p.released, target)
-}
+// Split-C barrier(): an all_reduce whose value nobody reads — one arrival at
+// node 0, one release from it to every processor.
+func (p *Proc) Barrier() { p.AllReduce(0, OpSum) }
 
 func (p *Proc) node() *machine.Node { return p.w.m.Node(p.me) }

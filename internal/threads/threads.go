@@ -13,6 +13,7 @@ package threads
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/machine"
@@ -57,12 +58,27 @@ type Scheduler struct {
 	nlive    int
 	seq      int
 	modelled bool // read once: on the simulator a charge is virtual time
+
+	// readied and parked count the times a thread was made runnable, and
+	// blocked or exited. Only the node writes them.
+	readied, parked atomic.Uint64
+
+	// onIdle runs in the node's context whenever it goes idle.
+	onIdle func()
 }
+
+// Counts reports s's readied and parked counts, equal when none of its threads
+// can run. It and OnIdle, for the runtime's end of the run, are functions so
+// that the public API, which hands out Schedulers, does not offer them.
+func Counts(s *Scheduler) (readied, parked uint64) { return s.readied.Load(), s.parked.Load() }
+
+// OnIdle makes fn run in s's node's context whenever the node goes idle.
+func OnIdle(s *Scheduler, fn func()) { s.onIdle = fn }
 
 // NewScheduler creates the scheduler for a node. Exactly one scheduler per
 // node should exist; runtimes create it during initialization.
 func NewScheduler(node *machine.Node) *Scheduler {
-	return &Scheduler{node: node, modelled: node.M.Eng != nil}
+	return &Scheduler{node: node, modelled: node.M.Eng != nil, onIdle: func() {}}
 }
 
 // Node returns the node this scheduler runs on.
@@ -246,15 +262,28 @@ func (t *Thread) Yield() {
 func (t *Thread) Block() {
 	t.mustBeRunning("Block")
 	t.state = Blocked
-	if next := t.s.popReady(); next != nil {
-		t.chargeSwitch()
-		t.s.runNext(next)
-	} else {
-		t.s.current = nil
-	}
+	t.leave(true)
 	t.p.Park()
 	t.state = Running
 }
+
+// leave hands the CPU of t, which blocked or exited, to the next ready thread
+// (a switch, if charged) or leaves the node idle (OnIdle).
+func (t *Thread) leave(switched bool) {
+	count(&t.s.parked)
+	if next := t.s.popReady(); next != nil {
+		if switched {
+			t.chargeSwitch()
+		}
+		t.s.runNext(next)
+		return
+	}
+	t.s.current = nil
+	t.s.onIdle()
+}
+
+// count adds one to c, a count only its node writes.
+func count(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
 // runNext installs next as the running thread and unparks its process.
 func (s *Scheduler) runNext(next *Thread) {
@@ -267,6 +296,7 @@ func (s *Scheduler) runNext(next *Thread) {
 // value quirk: new threads report Ready before first dispatch) without
 // charging a context switch, dispatching immediately if the node is idle.
 func (s *Scheduler) makeReadyNoCharge(t *Thread) {
+	count(&s.readied)
 	if s.current == nil {
 		s.runNext(t)
 		return
@@ -288,6 +318,7 @@ func (s *Scheduler) MakeReady(t *Thread) {
 	case Ready:
 		return // already queued (benign double wake)
 	}
+	count(&s.readied)
 	if s.current == nil {
 		s.runNext(t)
 		return
@@ -301,10 +332,6 @@ func (t *Thread) exit() {
 	t.mustBeRunning("exit")
 	t.state = Dead
 	t.s.nlive--
-	if next := t.s.popReady(); next != nil {
-		t.s.runNext(next)
-	} else {
-		t.s.current = nil
-	}
+	t.leave(false) // dispatch after an exit has no context to save: no switch
 	// The sim proc returns after this, handing control to the engine.
 }

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,12 +64,12 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("HandlerRunToCompletion", func(t *testing.T) { runToCompletion(t, f) })
 	t.Run("ParkUnpark", func(t *testing.T) { parkUnpark(t, f) })
 	t.Run("BusyDestination", func(t *testing.T) { busyDestination(t, f) })
-	t.Run("Timers", func(t *testing.T) { timers(t, f) })
 	t.Run("PollDelivers", func(t *testing.T) { pollDelivers(t, f) })
 	t.Run("CrossShardTraffic", func(t *testing.T) { crossShardTraffic(t, f, false) })
 	t.Run("MixedSizes", func(t *testing.T) { crossShardTraffic(t, f, true) })
 	t.Run("TwoCallersOneNode", func(t *testing.T) { twoCallersOneNode(t, f) })
 	t.Run("TwoWaitersOneNode", func(t *testing.T) { twoWaitersOneNode(t, f) })
+	t.Run("OneWayChain", func(t *testing.T) { oneWayChain(t, f) })
 	t.Run("Collectives", func(t *testing.T) { runCollectives(t, f) })
 	t.Run("DistAccess", func(t *testing.T) { distAccess(t, f) })
 	t.Run("ValueOwnership", func(t *testing.T) { valueOwnership(t, f) })
@@ -422,73 +423,44 @@ func busyDestination(t *testing.T, f ShardedFactory) {
 	}
 }
 
-// timers: After callbacks run in the node's execution context and can wake
-// blocked threads; a timer still pending when the run completes is cancelled
-// cleanly rather than leaking or landing on a closed queue (the live
-// backend's After used to drop both on the floor — this is the regression
-// case for that fix).
-func timers(t *testing.T, f ShardedFactory) {
-	const k = 3
-	ms := f(machine.SP1997(), 1)
-	m := ms[0] // node 0 always lives on shard 0
-	s := threads.NewScheduler(m.Node(0))
-	var (
-		fired  int
-		waiter *threads.Thread
-	)
-	for i := 0; i < k; i++ {
-		m.AfterNode(0, time.Duration(i+1)*time.Millisecond, func() {
-			fired++
-			if waiter != nil && waiter.State() == threads.Blocked {
-				s.MakeReady(waiter)
-			}
-		})
-	}
-	// Pending at completion: must be cancelled at shutdown, not leak and not
-	// error. (On the simulator virtual time jumps to it and it simply runs.)
-	m.AfterNode(0, time.Hour, func() {})
-	s.Start("waiter", func(th *threads.Thread) {
-		waiter = th
-		for fired < k {
-			th.Block()
-		}
-	})
-	if err := runAll(ms); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fired < k {
-		t.Fatalf("only %d of %d timers fired", fired, k)
-	}
-	if le, ok := m.Backend().(interface{ Err() error }); ok {
-		if err := le.Err(); err != nil {
-			t.Fatalf("backend lifecycle error after clean run: %v", err)
-		}
-	}
-}
-
 // pollDelivers: a thread that never parks — it computes and polls in a loop,
-// as a server under a stream of requests does — still lets its node's timer
-// callbacks in. On the simulator the timer is an event that fires during a
-// compute charge; on the wall-clock backends a charge is not work, and the
-// poll is the thread's delivery point.
+// as a server under a stream of requests does — still lets its node's
+// delivery callbacks in. Node 1 sends node 0 one message while node 0's
+// thread spins, so the arrival's notify finds node 0's CPU busy. On the
+// simulator the arrival is an event that fires during a compute charge; on
+// the wall-clock backends a charge is not work, and the poll is the thread's
+// delivery point. The poll finds the message in the inbox either way, so the
+// test watches the notify itself.
 func pollDelivers(t *testing.T, f ShardedFactory) {
-	r := newRig(f(machine.SP1997(), 1))
-	fired, seen := false, false // node 0 state
-	r.m.AfterNode(0, time.Millisecond, func() { fired = true })
+	r := newRig(f(machine.SP1997(), 2))
+	h := r.register("conf.nudge", func(*threads.Thread, am.Msg) {})
+	node := r.ep(0).Node()
+	arrival := node.OnArrival
+	notified, seen := false, false // node 0 state
+	node.OnArrival = func() { notified = true; arrival() }
+	var spinning atomic.Bool
 	var waited time.Duration
 	r.scheds[0].Start("spinner", func(th *threads.Thread) {
+		spinning.Store(true)
 		start := time.Now()
-		for !fired && time.Since(start) < 5*time.Second {
+		for !notified && time.Since(start) < 5*time.Second {
 			th.Compute(time.Microsecond)
 			r.ep(0).Poll(th)
 		}
-		seen, waited = fired, time.Since(start)
+		seen, waited = notified, time.Since(start)
+	})
+	r.scheds[1].Start("sender", func(th *threads.Thread) {
+		th.Compute(time.Millisecond)
+		for !spinning.Load() {
+			time.Sleep(time.Millisecond) // wall-clock only: the simulator's spinner is already running
+		}
+		r.ep(1).RequestShort(th, 0, h, [4]uint64{})
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !seen {
-		t.Fatalf("an After(1ms) callback never got the CPU from a thread that computes and polls for %v without parking", waited)
+		t.Fatalf("an arrival's notify never got the CPU from a thread that computes and polls for %v without parking", waited)
 	}
 }
 

@@ -83,10 +83,12 @@ func netSharded(t *testing.T, mod func(*netlive.Options)) {
 	})
 	for _, be := range bes {
 		ctr := be.MetricsSnapshot().Counter
-		// Besides packets a socket carries doorbells and, between a worker and
-		// the parent, one mains-done, one stats and one all-done frame.
-		if out := ctr(metrics.CtrFramesOut) - ctr(metrics.CtrShmDoorbells); be.ShmActive() && out > 2 {
-			t.Errorf("shard %d: ring links, yet %d socket frames besides doorbells: packets took the socket", be.Shard(), out)
+		// Besides packets a socket carries doorbells, a runtime's end-of-run
+		// waves and, between a worker and the parent, one all-done frame out of
+		// the parent and one stats frame out of the worker.
+		out := ctr(metrics.CtrFramesOut) - ctr(metrics.CtrShmDoorbells) - ctr(metrics.CtrWaveFrames)
+		if be.ShmActive() && out > 1 {
+			t.Errorf("shard %d: ring links, yet %d socket frames besides doorbells and waves: packets took the socket", be.Shard(), out)
 		}
 		if !be.ShmActive() && ctr(metrics.CtrShmFramesOut)+ctr(metrics.CtrShmFramesIn)+ctr(metrics.CtrShmDoorbells) != 0 {
 			t.Errorf("shard %d: socket links, yet ring counters moved", be.Shard())

@@ -8,14 +8,13 @@
 // per-node state with no locking of their own; on the simulator the global
 // event loop makes that safe. Here each node owns one mutex — its "CPU" — and
 // everything that executes in the node's context holds it: the node's proc
-// goroutines while running, and whichever goroutine runs a notify or timer
-// callback for the node, for the duration of the callback. A proc gives the
-// CPU to its node's other procs only by parking (condition wait) — the
-// threads package above runs one thread at a time and switches by
-// unpark-then-park. Notify and timer callbacks that found the CPU busy are run
-// by its holder (below), also at Deliver, the explicit delivery point of a
-// proc that runs without parking (the simulator's counterpart is an arrival
-// event interleaving with a charge).
+// goroutines while running, and whichever goroutine runs a delivered callback
+// for the node, for the duration of the callback. A proc gives the CPU to its
+// node's other procs only by parking (condition wait) — the threads package
+// above runs one thread at a time and switches by unpark-then-park. Callbacks
+// that found the CPU busy are run by its holder (below), also at Deliver, the
+// explicit delivery point of a proc that runs without parking (the
+// simulator's counterpart is an arrival event interleaving with a charge).
 //
 // # Message delivery
 //
@@ -28,7 +27,7 @@
 // ping-pong and the idle-server case), runs notify on its own goroutine and
 // lets go. An arrival then costs the one wake-up that is inherent, sender to
 // receiver — or none, when the receiver is polling a link for it (below).
-// After callbacks take the same road from the timer's goroutine.
+// There are no timers: every callback is some goroutine's delivery.
 //
 // There is no receiver thread. A callback that finds the destination's CPU
 // busy is pushed on the node's pending list, and whoever holds the CPU runs
@@ -58,7 +57,7 @@
 //
 // The thread that waits. A proc that parks when no sibling holds a wake-up
 // permit — it did not just hand the CPU on — leaves its node idle: nothing
-// will run there until a packet or a timer arrives. In process that is all
+// will run there until a packet arrives. In process that is all
 // there is to it: the proc blocks on its condition variable and the sender's
 // direct notify wakes it (the upper layer sees to it that the woken thread is
 // the one waiting for that packet: a blocked RMI caller polls and parks as the
@@ -106,16 +105,10 @@ type Backend struct {
 	mu   sync.Mutex
 	live map[*Proc]struct{} //mpmdvet:guard mu
 
-	// timers tracks outstanding After callbacks so Run can cancel them on its
-	// way out instead of leaking them. over is set, under timersMu, at that
-	// moment: the run is finished or given up on, no timer is armed any more,
-	// and a callback that finds its node's CPU busy is dropped and counted
-	// rather than pended for a holder that may never let go. lateAfter counts
-	// the After callbacks so dropped — surfaced through Err.
-	timersMu  sync.Mutex
-	timers    map[*time.Timer]struct{} //mpmdvet:guard timersMu
-	lateAfter int                      //mpmdvet:guard timersMu
-	over      atomic.Bool
+	// over is set when Run returns: the run is finished or given up on, and a
+	// callback that finds its node's CPU busy is dropped and counted rather
+	// than pended for a holder that may never let go.
+	over atomic.Bool
 
 	// idlePoll, when set (SetIdlePoll, before Run), is what a proc does
 	// between leaving its node idle and blocking: see Park.
@@ -144,11 +137,10 @@ func New(n int, opts Options) *Backend {
 		opts.Watchdog = 30 * time.Second
 	}
 	b := &Backend{
-		opts:   opts,
-		start:  make(chan struct{}),
-		epoch:  time.Now(),
-		live:   make(map[*Proc]struct{}),
-		timers: make(map[*time.Timer]struct{}),
+		opts:  opts,
+		start: make(chan struct{}),
+		epoch: time.Now(),
+		live:  make(map[*Proc]struct{}),
 	}
 	for i := 0; i < n; i++ {
 		b.nodes = append(b.nodes, &lnode{over: &b.over, met: metrics.NewRegistry()})
@@ -183,7 +175,7 @@ type lnode struct {
 	// permits counts the node's procs that hold an unconsumed Unpark permit:
 	// the procs that will run once the CPU is theirs. A proc that parks with
 	// permits at zero leaves the node idle — nothing runs here until a packet
-	// or a timer arrives — as opposed to one that just handed the CPU to a
+	// arrives — as opposed to one that just handed the CPU to a
 	// sibling.
 	permits int               //mpmdvet:guard mu
 	met     *metrics.Registry // wall-clock instruments; shared with upper layers via NodeMetrics
@@ -399,8 +391,8 @@ func (p *Proc) Unpark() {
 	}
 }
 
-// Deliver implements transport.Proc: the notify and timer callbacks that
-// found this proc holding the CPU run here, in place. With none pending, which
+// Deliver implements transport.Proc: the callbacks that found this proc
+// holding the CPU run here, in place. With none pending, which
 // is nearly every time because most notifies run on their sender, it costs one
 // atomic load. A proc that parks needs none (its release runs them); the
 // threads above call it where a thread may spin without parking — on every
@@ -475,79 +467,6 @@ func (b *Backend) DeliverDirect(dst int, notify func()) {
 	}
 }
 
-// After implements transport.Backend: fn runs in node's execution context
-// after wall-clock delay d — never inside After when the caller is that node
-// (it holds the CPU, so fn pends until its next Deliver or park). Timers
-// pending when Run returns are cancelled (their callbacks never run); a
-// callback that fires later still and cannot run at once is dropped and
-// counted as a lifecycle error (Err).
-func (b *Backend) After(node int, d time.Duration, fn func()) {
-	nd := b.nodes[node]
-	if d <= 0 {
-		if !nd.run(fn) {
-			b.noteLateAfter()
-		}
-		return
-	}
-	// Register under timersMu *around* arming the timer: the callback's
-	// first act is to take the same mutex, so even a timer that fires
-	// immediately blocks until registration is complete — it always sees
-	// the assigned tm (no torn read) and always finds its table entry.
-	b.timersMu.Lock()
-	if b.over.Load() {
-		// The run is over; the callback could not count on a node context.
-		b.lateAfter++
-		b.timersMu.Unlock()
-		return
-	}
-	var tm *time.Timer
-	tm = time.AfterFunc(d, func() {
-		b.timersMu.Lock()
-		delete(b.timers, tm)
-		b.timersMu.Unlock()
-		if !nd.run(fn) {
-			b.noteLateAfter()
-		}
-	})
-	b.timers[tm] = struct{}{}
-	b.timersMu.Unlock()
-}
-
-// noteLateAfter records an After callback that outlived the run.
-func (b *Backend) noteLateAfter() {
-	b.timersMu.Lock()
-	b.lateAfter++
-	b.timersMu.Unlock()
-}
-
-// cancelTimers marks the run over and stops every outstanding After timer. A
-// timer whose callback is already in flight unregisters itself and runs if
-// its node's CPU is free.
-func (b *Backend) cancelTimers() {
-	b.timersMu.Lock()
-	b.over.Store(true)
-	tms := make([]*time.Timer, 0, len(b.timers))
-	for tm := range b.timers {
-		tms = append(tms, tm)
-	}
-	b.timers = make(map[*time.Timer]struct{})
-	b.timersMu.Unlock()
-	for _, tm := range tms {
-		tm.Stop()
-	}
-}
-
-// Err reports lifecycle faults of a completed run: currently, After
-// callbacks scheduled or fired after Run returned and dropped.
-func (b *Backend) Err() error {
-	b.timersMu.Lock()
-	defer b.timersMu.Unlock()
-	if b.lateAfter > 0 {
-		return fmt.Errorf("live: %d After callback(s) fired after shutdown and were dropped", b.lateAfter)
-	}
-	return nil
-}
-
 // StallError reports that the watchdog expired with procs still alive —
 // the live analogue of the simulator's deadlock report (it cannot
 // distinguish a deadlock from a computation that is merely slow; raise
@@ -576,7 +495,7 @@ func (b *Backend) Run() error {
 		b.wg.Wait()
 		close(done)
 	}()
-	defer b.cancelTimers()
+	defer b.over.Store(true)
 	select {
 	case <-done:
 		return nil

@@ -123,28 +123,36 @@ func TestDirectNotifyWhenParked(t *testing.T) {
 }
 
 // TestSleepRunsPendingTimer: a proc that only charges, never parks, still lets
-// a timer callback in. The timer's goroutine finds the CPU busy and pends the
-// callback; the proc's next Sleep must run it.
+// a delivered callback in — what a timer's callback used to be. Node 1's proc
+// delivers it while node 0's spins, so it finds the CPU busy and pends; the
+// spinning proc's next Sleep must run it.
 func TestSleepRunsPendingTimer(t *testing.T) {
-	b := New(1, Options{Watchdog: 10 * time.Second})
+	b := New(2, Options{Watchdog: 10 * time.Second})
 	fired := false // node 0 state
+	var spinning atomic.Bool
 	var seen time.Duration
 	b.Go(0, "spin", func(p transport.Proc) {
+		spinning.Store(true)
 		start := time.Now()
 		for !fired && time.Since(start) < 5*time.Second {
 			p.Sleep(1)
 		}
 		seen = time.Since(start)
 	})
-	b.After(0, time.Millisecond, func() { fired = true })
+	b.Go(1, "deliver", func(p transport.Proc) {
+		for !spinning.Load() {
+			time.Sleep(time.Millisecond)
+		}
+		b.DeliverDirect(0, func() { fired = true })
+	})
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !fired {
-		t.Fatal("timer callback never got the CPU from a proc that only Sleeps")
+		t.Fatal("a delivered callback never got the CPU from a proc that only Sleeps")
 	}
 	if seen > 50*time.Millisecond {
-		t.Fatalf("After(1ms) callback seen after %v, want within 50ms", seen)
+		t.Fatalf("callback seen after %v, want within 50ms", seen)
 	}
 }
 
@@ -194,27 +202,6 @@ func TestCrossBlastNoStall(t *testing.T) {
 	}
 }
 
-// TestAfterRunsInNodeContext checks that timer callbacks run holding the
-// node's CPU (they can wake parked procs).
-func TestAfterRunsInNodeContext(t *testing.T) {
-	b := New(1, Options{Watchdog: 5 * time.Second})
-	fired := false
-	var waiter transport.Proc
-	waiter = b.Go(0, "waiter", func(p transport.Proc) {
-		p.Park()
-	})
-	b.After(0, 5*time.Millisecond, func() {
-		fired = true
-		waiter.Unpark()
-	})
-	if err := b.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !fired {
-		t.Fatal("timer never fired")
-	}
-}
-
 // TestWatchdogReportsStall checks that a parked-forever proc produces a
 // StallError naming it instead of a hang.
 func TestWatchdogReportsStall(t *testing.T) {
@@ -230,43 +217,20 @@ func TestWatchdogReportsStall(t *testing.T) {
 	}
 }
 
-// TestPendingAfterCancelledAtShutdown: a timer still pending when the run
-// completes is cancelled — its callback never runs, nothing leaks, and a
-// clean run reports no lifecycle error. (Before the fix, the time.AfterFunc
-// outlived Run and its eventual firing vanished silently.)
-func TestPendingAfterCancelledAtShutdown(t *testing.T) {
-	b := New(1, Options{Watchdog: 5 * time.Second})
-	ran := false
-	b.Go(0, "p", func(p transport.Proc) {})
-	b.After(0, 30*time.Minute, func() { ran = true })
-	if err := b.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
+// TestLateNotifyDropped: once Run has returned, a callback that finds its
+// node's CPU busy is dropped and counted rather than pended for a holder that
+// may never let go. The holder here outlives the watchdog.
+func TestLateNotifyDropped(t *testing.T) {
+	b := New(1, Options{Watchdog: 50 * time.Millisecond})
+	let := make(chan struct{})
+	b.Go(0, "holder", func(p transport.Proc) { <-let })
+	if _, ok := b.Run().(*StallError); !ok {
+		t.Fatal("Run did not report the holder stalled")
 	}
-	b.timersMu.Lock()
-	left := len(b.timers)
-	b.timersMu.Unlock()
-	if left != 0 {
-		t.Fatalf("%d timers still tracked after shutdown", left)
-	}
-	if ran {
-		t.Fatal("cancelled timer callback ran")
-	}
-	if err := b.Err(); err != nil {
-		t.Fatalf("clean run reported lifecycle error: %v", err)
-	}
-}
-
-// TestAfterAfterShutdownIsError: scheduling (or firing) a timer once the
-// backend has shut down surfaces through Err instead of vanishing.
-func TestAfterAfterShutdownIsError(t *testing.T) {
-	b := New(1, Options{Watchdog: 5 * time.Second})
-	b.Go(0, "p", func(p transport.Proc) {})
-	if err := b.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	b.After(0, time.Millisecond, func() {})
-	if err := b.Err(); err == nil {
-		t.Fatal("late After was dropped silently; want a lifecycle error")
+	b.DeliverDirect(0, func() { t.Error("a callback ran after the run was over") })
+	close(let)
+	if d := b.NodeMetrics(0).Snapshot().Counter(metrics.CtrNotifyDropped); d != 1 {
+		t.Fatalf("live.notify.dropped = %d, want 1", d)
 	}
 }
 
@@ -402,24 +366,25 @@ func hammer(t *testing.T, m, k int) {
 	}
 }
 
-// TestAfterZeroFromOwnNodeIsNotReentrant: After(node, 0, fn) called by that
-// node's own proc does not run fn inside After (the proc holds the CPU and fn
-// may touch what the proc is in the middle of) but at the proc's next charge.
+// TestAfterZeroFromOwnNodeIsNotReentrant: a callback that a node's own proc
+// delivers to its node does not run inside DeliverDirect (the proc holds the
+// CPU and fn may touch what the proc is in the middle of) but at the proc's
+// next charge.
 func TestAfterZeroFromOwnNodeIsNotReentrant(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
 	ran := false // node 0 state
-	var inAfter, atCharge bool
+	var inDeliver, atCharge bool
 	b.Go(0, "p", func(p transport.Proc) {
-		b.After(0, 0, func() { ran = true })
-		inAfter = ran
+		b.DeliverDirect(0, func() { ran = true })
+		inDeliver = ran
 		p.Sleep(1)
 		atCharge = ran
 	})
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if inAfter || !atCharge {
-		t.Fatalf("fn had run inside After: %v, by the next charge: %v; want false, true", inAfter, atCharge)
+	if inDeliver || !atCharge {
+		t.Fatalf("fn had run inside DeliverDirect: %v, by the next charge: %v; want false, true", inDeliver, atCharge)
 	}
 }
 

@@ -69,52 +69,80 @@ func words(ws ...uint32) []byte {
 }
 
 // TestHostileSocketFrames writes malformed frames into a shard's real
-// listening socket. Each must end that connection with one named error — no
-// panic, no index out of range, no allocation sized by the peer's word.
+// listening socket: the worker's, or the parent's where a row says so. Each
+// must end that connection with one named error — no panic, no index out of
+// range, no allocation sized by the peer's word, and no control frame taken on
+// a shard word naming a shard that cannot send it there.
 func TestHostileSocketFrames(t *testing.T) {
 	frame := func(n uint32, kind frameKind, body ...uint32) []byte {
 		return append(append(words(n), byte(kind)), words(body...)...)
 	}
+	wave := func(shard uint32) []byte { return frame(36, kWave, append([]uint32{shard}, make([]uint32, 8)...)...) }
 	type row struct {
-		name  string
-		bytes []byte
-		want  string
+		name   string
+		bytes  []byte
+		want   string
+		parent bool // written to the parent's socket, not the worker's
+		shards int  // the machine's shards (its 4 nodes); 0 means 2
 	}
 	rows := []row{
-		{"zero-length packet", frame(0, kPacket), "0-byte frame of kind 1"},
-		{"packet shorter than its header", frame(8, kPacket, 0, 2), "8-byte frame of kind 1"},
-		{"length over the frame limit", frame(maxFrameBytes+1, kPacket), "limit 67108864 bytes"},
-		{"empty doorbell", frame(0, kDoorbell), "0-byte frame of kind 5"},
+		{name: "zero-length packet", bytes: frame(0, kPacket), want: "0-byte frame of kind 1"},
+		{name: "packet shorter than its header", bytes: frame(8, kPacket, 0, 2), want: "8-byte frame of kind 1"},
+		{name: "length over the frame limit", bytes: frame(maxFrameBytes+1, kPacket), want: "limit 67108864 bytes"},
+		{name: "empty doorbell", bytes: frame(0, kDoorbell), want: "0-byte frame of kind 5"},
 		// Whole packets but for the one field: only the range checks stand
 		// between them and the handler.
-		{"packet for a node of another shard", frame(12+minPayload, kPacket, pkt(0, 1, minWords)...), "source node 0 of shard 0"},
-		{"packet from a node outside the machine", frame(12+minPayload, kPacket, pkt(99, 2, minWords)...), "source node 99"},
-		{"packet with a truncated payload", frame(12+minPayload-4, kPacket, pkt(0, 2, minWords-1)...), "source node 0 of shard 0"},
-		{"unknown frame kind", frame(4, 7, 0), "unknown kind 7"},
-		{"retired stats-request kind", frame(0, 6), "unknown kind 6"},
-		{"frame kind zero", frame(0, 0), "unknown kind 0"},
+		{name: "packet for a node of another shard", bytes: frame(12+minPayload, kPacket, pkt(0, 1, minWords)...), want: "source node 0 of shard 0"},
+		{name: "packet from a node outside the machine", bytes: frame(12+minPayload, kPacket, pkt(99, 2, minWords)...), want: "source node 99"},
+		{name: "packet with a truncated payload", bytes: frame(12+minPayload-4, kPacket, pkt(0, 2, minWords-1)...), want: "source node 0 of shard 0"},
+		{name: "unknown frame kind", bytes: frame(4, 7, 0), want: "unknown kind 7"},
+		{name: "retired stats-request kind", bytes: frame(0, 6), want: "unknown kind 6"},
+		{name: "frame kind zero", bytes: frame(0, 0), want: "unknown kind 0"},
+		// Control frames whose shard word the receiver must not take: one that
+		// would be filed as the parent's stats, one for a shard past the machine,
+		// one for a worker other than the link's peer, and frames of a kind the
+		// shard never receives from the shard they name.
+		{name: "stats naming the parent", bytes: frame(4, kStats, 0), want: "kind 4 frame naming shard 0", parent: true},
+		{name: "stats naming a shard past the machine", bytes: frame(4, kStats, 2), want: "kind 4 frame naming shard 2", parent: true},
+		{name: "stats naming another worker than the link's", bytes: append(frame(4, kDoorbell, 2), frame(4, kStats, 3)...),
+			want: "kind 4 frame naming shard 3", parent: true, shards: 4},
+		{name: "stats on a worker", bytes: frame(4, kStats, 0), want: "kind 4 frame naming shard 0"},
+		{name: "doorbell naming the receiver", bytes: frame(4, kDoorbell, 1), want: "kind 5 frame naming shard 1"},
+		{name: "wave between two workers", bytes: wave(2), want: "kind 2 frame naming shard 2", shards: 4},
+		{name: "answer no wave waits for", bytes: wave(1), want: "kind 2 frame naming shard 1", parent: true},
 	}
 	// One accepted row per declared kind: its shortest well-formed frame, then
 	// a frame of no kind. The reader must take the first — a kind minBody
 	// declares and readLoop's switch forgot lands in default — and name only
-	// the second.
+	// the second. Stats go to the parent, as a worker sends them.
 	hostile := len(rows)
 	for k := 1; k < len(minBody); k++ {
 		body := make([]uint32, minBody[k]/4)
-		if frameKind(k) == kPacket {
+		switch frameKind(k) {
+		case kPacket:
 			body = pkt(0, 2, minWords)
+		case kStats:
+			body[0] = 1
 		}
-		rows = append(rows, row{fmt.Sprintf("kind %d accepted", k),
-			append(frame(uint32(4*len(body)), frameKind(k), body...), frame(0, 0)...), "unknown kind 0"})
+		rows = append(rows, row{name: fmt.Sprintf("kind %d accepted", k), parent: frameKind(k) == kStats,
+			bytes: append(frame(uint32(4*len(body)), frameKind(k), body...), frame(0, 0)...), want: "unknown kind 0"})
 	}
 	for i, tc := range rows {
 		t.Run(tc.name, func(t *testing.T) {
-			_, b := bareShards(t, func(o *Options) { o.DisableShm = true })
+			a, b := bareShards(t, func(o *Options) {
+				o.DisableShm = true
+				if tc.shards != 0 {
+					o.NodesPerShard = 4 / tc.shards
+				}
+			})
+			if tc.parent {
+				b = a
+			}
 			if i >= hostile {
 				b.SetRemoteHandler(func(src, dst, size int, payload []byte) bool { return true })
 			}
 			go b.acceptLoop()
-			conn, err := net.Dial("unix", b.sockPath(1))
+			conn, err := net.Dial("unix", b.sockPath(b.shard))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -49,7 +49,8 @@
 // polls and taking over when the last one stops — it drains the rings of a
 // shard whose nodes are all busy. Consumers spin briefly, then the reader
 // parks; a producer that catches it parked rings a kDoorbell control frame
-// over the socket, which always carries the control plane (quiesce, stats).
+// over the socket, which always carries the control plane (the end-of-run
+// waves, stats).
 // See shmring.go and DESIGN.md.
 //
 // Either way the packet reaches the machine's remote-arrival handler, which
@@ -62,11 +63,11 @@
 //
 // # Lifecycle
 //
-// Runtimes call Sharded.LocalQuiesced when their local node programs have
-// finished. Children report to the parent (kMainsDone); when every shard has
-// quiesced the parent broadcasts kAllDone, and each shard then runs its
-// quiesce callback (typically a grace-delayed endpoint shutdown) so servers
-// keep answering remote invocations until the whole machine is done. Run
+// The run ends when its work does (Sharded.Quiesce): the parent sums the
+// shards' four counts in waves — its own once its nodes are idle, then each
+// worker's, probed and answered in kWave frames once that worker's nodes are
+// idle — and after two consecutive waves read the same balanced sums it
+// broadcasts kAllDone, until which a pure-server shard keeps serving. Run
 // returns when the local procs have finished; the parent additionally waits
 // for its children to exit and surfaces their status.
 package netlive
@@ -151,11 +152,11 @@ type frameKind byte
 
 // frame kinds on the wire.
 const (
-	kPacket    = frameKind(1) // u32 src, u32 dst, u32 size, payload
-	kMainsDone = frameKind(2) // u32 shard
-	kAllDone   = frameKind(3) // empty
-	kStats     = frameKind(4) // u32 shard, JSON machine.ShardStats (worker -> parent)
-	kDoorbell  = frameKind(5) // u32 shard (sender: wake your parked consumer of my outbound ring)
+	kPacket   = frameKind(1) // u32 src, u32 dst, u32 size, payload
+	kWave     = frameKind(2) // u32 shard, 4 x u64 counts (worker -> parent: an answer; parent -> worker: a probe, counts unread)
+	kAllDone  = frameKind(3) // empty (parent -> worker: the run is over)
+	kStats    = frameKind(4) // u32 shard, JSON machine.ShardStats (worker -> parent)
+	kDoorbell = frameKind(5) // u32 shard (sender: wake your parked consumer of my outbound ring)
 )
 
 // packetHdrLen is the header of a packet body: u32 src, dst, size. The AM
@@ -169,7 +170,7 @@ const maxFrameBytes = 64 << 20
 
 // minBody is the shortest legal body of each frame kind; the dispatchers
 // index no further without checking.
-var minBody = [...]int{kPacket: packetHdrLen, kMainsDone: 4, kAllDone: 0, kStats: 4, kDoorbell: 4}
+var minBody = [...]int{kPacket: packetHdrLen, kWave: 4 + 8*4, kAllDone: 0, kStats: 4, kDoorbell: 4}
 
 // Backend is the sharded multi-process transport. Construct with New.
 type Backend struct {
@@ -194,12 +195,18 @@ type Backend struct {
 	// machine layer is still being constructed.
 	remote atomic.Value // func(src, dst, size int, payload []byte) bool
 
-	q struct {
+	// The end of the run (Quiesce). probe is set while a wave waits for this
+	// shard's counts: on the parent, whose reading opens each wave, from the
+	// start and after every wave; on a worker from a probe to its answer.
+	// wave is the parent's: workers yet to answer, the sum so far, the last
+	// wave's (zero at first, which no wave reads: a program's start counts).
+	tally func() ([4]uint64, bool)
+	over  func()
+	probe atomic.Bool
+	wave  struct {
 		sync.Mutex
-		fn        func()       //mpmdvet:guard Mutex — quiesce callback (LocalQuiesced)
-		localDone bool         //mpmdvet:guard Mutex — this shard's programs finished
-		done      map[int]bool //mpmdvet:guard Mutex — parent: shards that reported mains-done
-		fired     bool         //mpmdvet:guard Mutex
+		left      int       //mpmdvet:guard Mutex
+		sum, last [4]uint64 //mpmdvet:guard Mutex
 	}
 
 	// met is the shard's message-plane registry: frame/byte counters, peer
@@ -276,6 +283,10 @@ func New(n int, opts Options) (*Backend, error) {
 		shard:  shard,
 		lo:     shard * nps,
 		opts:   opts,
+		tally:  func() ([4]uint64, bool) { return [4]uint64{}, false },
+		over:   func() {},
+
+		peerStats: make(map[int][]byte),
 	}
 	b.hi = b.lo + nps
 	if b.hi > n {
@@ -283,14 +294,6 @@ func New(n int, opts Options) (*Backend, error) {
 	}
 	b.met = metrics.NewRegistry()
 	b.statsCond = sync.NewCond(&b.statsMu)
-	// The maps are guarded; take the (uncontended) locks so construction is
-	// checked by the same rule as every later access.
-	b.statsMu.Lock()
-	b.peerStats = make(map[int][]byte)
-	b.statsMu.Unlock()
-	b.q.Lock()
-	b.q.done = make(map[int]bool)
-	b.q.Unlock()
 	if opts.DialTimeout <= 0 {
 		b.opts.DialTimeout = 10 * time.Second
 	}
@@ -417,14 +420,6 @@ func (b *Backend) DeliverDirect(dst int, notify func()) {
 	b.inner.DeliverDirect(dst, notify)
 }
 
-// After implements transport.Backend for local nodes.
-func (b *Backend) After(node int, d time.Duration, fn func()) {
-	if !b.IsLocal(node) {
-		panic(fmt.Sprintf("netlive: After on remote node %d", node))
-	}
-	b.inner.After(node, d, fn)
-}
-
 // Run implements transport.Backend: execute the local shard, then tear the
 // process mesh down. The parent additionally reaps its children and
 // surfaces their exit status.
@@ -445,9 +440,6 @@ func (b *Backend) Run() error {
 		b.waitStats()
 	}
 	b.shutdownSockets()
-	if lerr := b.inner.Err(); lerr != nil {
-		b.addErr(lerr)
-	}
 	if err != nil {
 		return err
 	}
@@ -484,7 +476,7 @@ func (b *Backend) waitChildren() {
 func (b *Backend) shutdownSockets() {
 	b.shmShutdown()
 	// Bounded flush before closing: frames queued during teardown (the
-	// quiesce broadcast, doorbells, final stats) should reach the wire, but
+	// kAllDone broadcast, doorbells, final stats) should reach the wire, but
 	// a dead peer must not wedge the teardown.
 	flushT := b.opts.DialTimeout
 	if flushT > 2*time.Second {
@@ -531,7 +523,7 @@ func (b *Backend) addErr(err error) {
 	b.errMu.Unlock()
 }
 
-// --- transport.Sharded: topology and quiesce ---------------------------------
+// --- transport.Sharded: topology and the end of the run ----------------------
 
 // NumShards implements transport.Sharded.
 func (b *Backend) NumShards() int { return b.shards }
@@ -544,7 +536,7 @@ func (b *Backend) shardOf(node int) int { return node / b.nps }
 // IsLocal implements transport.Sharded.
 func (b *Backend) IsLocal(node int) bool { return node >= b.lo && node < b.hi }
 
-// LocalNodes implements transport.Sharded.
+// LocalNodes returns the nodes of this shard, in ID order.
 func (b *Backend) LocalNodes() []int {
 	nodes := make([]int, 0, b.hi-b.lo)
 	for i := b.lo; i < b.hi; i++ {
@@ -553,54 +545,72 @@ func (b *Backend) LocalNodes() []int {
 	return nodes
 }
 
-// LocalQuiesced implements transport.Sharded: record the callback, tell the
-// parent this shard's programs are done, and fire once every shard is.
-func (b *Backend) LocalQuiesced(fn func()) {
-	b.q.Lock()
-	b.q.fn = fn
-	b.q.localDone = true
-	b.q.Unlock()
-	if b.shards == 1 {
-		b.fireQuiesce()
+// Quiesce implements transport.Sharded.
+func (b *Backend) Quiesce(tally func() ([4]uint64, bool), over func()) (idle func()) {
+	b.tally, b.over = tally, over
+	b.probe.Store(b.shard == 0)
+	return b.idle
+}
+
+// idle runs when a local node goes idle, a probe lands, or a wave ends: if a
+// wave waits for this shard's counts and the shard is quiet, answer it.
+func (b *Backend) idle() {
+	if !b.probe.Load() {
+		return
+	}
+	c, ok := b.tally()
+	if !ok || !b.probe.CompareAndSwap(true, false) {
 		return
 	}
 	if b.shard == 0 {
-		b.shardDone(0)
-		return
+		b.wave.Lock()
+		b.wave.sum, b.wave.left = c, b.shards-1
+		b.wave.Unlock()
 	}
-	f := wire.Get(4)
-	binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
-	b.peers[0].push(outFrame{kind: kMainsDone, buf: f})
-}
-
-// shardDone (parent only) counts quiesced shards; on the last one it
-// broadcasts kAllDone and quiesces locally.
-func (b *Backend) shardDone(shard int) {
-	b.q.Lock()
-	b.q.done[shard] = true
-	all := len(b.q.done) == b.shards
-	b.q.Unlock()
-	if !all {
-		return
-	}
-	for _, p := range b.peers {
-		if p != nil {
-			p.push(outFrame{kind: kAllDone})
+	for s, p := range b.peers { // a worker answers the parent, the parent probes every worker
+		if p != nil && (s == 0 || b.shard == 0) {
+			f := wire.Get(minBody[kWave])
+			binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
+			for i, v := range c {
+				binary.LittleEndian.PutUint64(f.Bytes()[4+8*i:], v)
+			}
+			p.push(outFrame{kind: kWave, buf: f})
+			b.met.Add(metrics.CtrWaveFrames, 1)
 		}
 	}
-	b.fireQuiesce()
 }
 
-// fireQuiesce runs the quiesce callback exactly once.
-func (b *Backend) fireQuiesce() {
-	b.q.Lock()
-	fn := b.q.fn
-	fired := b.q.fired
-	b.q.fired = fn != nil
-	b.q.Unlock()
-	if fn != nil && !fired {
-		fn()
+// answered adds a worker's counts to the open wave (parent only), false when
+// none is open. A complete wave that read the last one's sums, balanced, ends
+// the run; any other opens the next wave at the parent's next reading.
+func (b *Backend) answered(c []byte) bool {
+	b.wave.Lock()
+	if b.wave.left == 0 {
+		b.wave.Unlock()
+		return false
 	}
+	for i := range b.wave.sum {
+		b.wave.sum[i] += binary.LittleEndian.Uint64(c[8*i:])
+	}
+	b.wave.left--
+	sum, left := b.wave.sum, b.wave.left
+	over := left == 0 && sum == b.wave.last && sum[0] == sum[1] && sum[2] == sum[3]
+	if left == 0 {
+		b.wave.last = sum
+	}
+	b.wave.Unlock()
+	if over {
+		for _, p := range b.peers {
+			if p != nil {
+				p.push(outFrame{kind: kAllDone})
+			}
+		}
+		b.over()
+	} else if left == 0 {
+		b.probe.Store(true)
+		b.idle()
+	}
+	return true
 }
 
 // --- transport.Sharded: the packet links ------------------------------------
@@ -788,12 +798,14 @@ func (b *Backend) acceptLoop() {
 // readLoop decodes frames from one peer connection. Frame bodies land in
 // pooled buffers and are recycled after dispatch; the packet handler runs
 // synchronously here, which preserves the sender's frame order. A frame that
-// is oversize, too short for its kind, of no known kind, or a malformed packet
-// is one error and the end of the connection.
+// is oversize, too short for its kind, of no known kind, a malformed packet,
+// or a control frame this link may not carry (below) is one error and the end
+// of the connection.
 func (b *Backend) readLoop(conn net.Conn) {
 	defer b.readers.Done()
 	defer conn.Close()
 	var hdr [5]byte
+	from := -1 // the link's peer shard, once a control frame has named it
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			if err != io.EOF && !isClosedErr(err) {
@@ -821,6 +833,21 @@ func (b *Backend) readLoop(conn net.Conn) {
 		}
 		b.met.Add(metrics.CtrFramesIn, 1)
 		b.met.Add(metrics.CtrBytesIn, int64(5+n))
+		// A control frame names its sender, the link's peer. Waves pass between
+		// the parent and a worker, stats go to the parent, answers need a wave.
+		s := -1
+		if kind == kWave || kind == kStats || kind == kDoorbell {
+			s = int(binary.LittleEndian.Uint32(body))
+			if from < 0 {
+				from = s
+			}
+			ok := s == from && s < b.shards && s != b.shard && (kind != kWave || s == 0 || b.shard == 0) && (kind != kStats || b.shard == 0)
+			if !ok || (kind == kWave && b.shard == 0 && !b.answered(body[4:])) {
+				buf.Release()
+				b.addErr(fmt.Errorf("netlive: shard %d: peer sent a kind %d frame naming shard %d, which this link does not take from it; connection abandoned", b.shard, kind, s))
+				return
+			}
+		}
 		switch kind {
 		case kPacket:
 			remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte) bool)
@@ -834,19 +861,21 @@ func (b *Backend) readLoop(conn net.Conn) {
 					b.shard, n, src, b.shardOf(src)))
 				return
 			}
-		case kMainsDone:
-			b.shardDone(int(binary.LittleEndian.Uint32(body)))
+		case kWave: // a worker's answer joined the wave above
+			if b.shard != 0 {
+				b.probe.Store(true)
+				b.idle()
+			}
 		case kAllDone:
-			b.fireQuiesce()
+			b.over()
 		case kStats:
 			// The pooled body is recycled below; the payload must outlive it.
-			shard := int(binary.LittleEndian.Uint32(body))
 			b.statsMu.Lock()
-			b.peerStats[shard] = append([]byte(nil), body[4:]...)
+			b.peerStats[s] = append([]byte(nil), body[4:]...)
 			b.statsMu.Unlock()
 			b.statsCond.Broadcast()
 		case kDoorbell:
-			b.shmWake(int(binary.LittleEndian.Uint32(body)))
+			b.shmWake(s)
 		default:
 			if buf != nil {
 				buf.Release()

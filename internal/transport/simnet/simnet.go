@@ -59,11 +59,6 @@ func (b *Backend) Deliver(dst int, modelLatency time.Duration, enqueue, notify f
 	})
 }
 
-// After implements transport.Backend.
-func (b *Backend) After(node int, d time.Duration, fn func()) {
-	b.eng.After(d, fn)
-}
-
 // Run implements transport.Backend: drive the event loop to completion,
 // reporting *sim.DeadlockError if parked processes remain.
 func (b *Backend) Run() error { return b.eng.Run() }

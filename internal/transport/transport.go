@@ -7,7 +7,7 @@
 //
 //   - Proc: a schedulable context with park/unpark/sleep semantics, exactly
 //     the primitives the thread scheduler hands CPUs around with;
-//   - Backend: node-affined process creation, timers, a clock, and Run.
+//   - Backend: node-affined process creation, a clock, and Run.
 //
 // A packet reaches its destination node in exactly one of three ways, and
 // which one is a property of the backend, fixed when the machine is built:
@@ -30,7 +30,7 @@
 //
 // The contracts encode the concurrency discipline the upper layers rely on:
 // at most one Proc of a given node runs at any instant (a node has one CPU),
-// and delivery/timer callbacks for a node execute inside that same mutual
+// and delivery callbacks for a node execute inside that same mutual
 // exclusion. The simulator gets this for free from its global event loop; the
 // live backend enforces it per node, which is what lets the unmodified
 // runtimes — schedulers, handler tables, buffer managers and all — run on
@@ -49,7 +49,7 @@ import (
 //
 // All methods except Unpark must be called from the Proc's own execution
 // context. Unpark may be called from any execution context of the same node
-// (another Proc, or a delivery/timer callback); it must not be called from a
+// (another Proc, or a delivery callback); it must not be called from a
 // different node's context.
 type Proc interface {
 	// Park blocks the context until Unpark. If an Unpark permit is already
@@ -65,9 +65,9 @@ type Proc interface {
 	// already paid by real execution and only opens a delivery window.
 	// The threads package sleeps on the simulator only.
 	Sleep(d time.Duration)
-	// Deliver runs, in place and with the CPU held, the notify and timer
-	// callbacks that found this context's node busy: the delivery point of a
-	// context that does not park. The simulator has none to run — its
+	// Deliver runs, in place and with the CPU held, the delivery callbacks
+	// that found this context's node busy: the delivery point of a context
+	// that does not park. The simulator has none to run — its
 	// arrivals are events, interleaved by Sleep.
 	Deliver()
 	// Now returns the backend clock: virtual time on simnet, wall-clock
@@ -89,15 +89,12 @@ type Sharded interface {
 	Shard() int
 	// IsLocal reports whether node executes in this address space.
 	IsLocal(node int) bool
-	// LocalNodes returns the nodes of this shard, in ID order.
-	LocalNodes() []int
-	// LocalQuiesced tells the backend that every node program of this shard
-	// has finished. fn runs exactly once — possibly on an internal backend
-	// goroutine — after every shard of the machine has quiesced; runtimes use
-	// it to begin their (grace-delayed) machine-wide shutdown, so that a
-	// shard whose programs finished early keeps serving remote invocations
-	// until the whole machine is done.
-	LocalQuiesced(fn func())
+	// Quiesce ends the run across the shards: once two consecutive waves of
+	// every shard's tally (messages sent and handled, threads made runnable
+	// and blocked or exited; ok once none of its threads can run) read equal
+	// balanced sums, over runs on every shard, on any goroutine. The runtime
+	// calls the returned idle whenever a local node goes idle.
+	Quiesce(tally func() (c [4]uint64, ok bool), over func()) (idle func())
 
 	// SendRemote ships one packet to the shard owning dst over that shard's
 	// link, consuming wp: the link serializes it into memory it owns (a
@@ -119,7 +116,7 @@ type Sharded interface {
 
 	// SetStatsProvider installs the callback that serializes this shard's
 	// stats payload (the netlive kStats frame body). The backend calls it
-	// when the shard reports, at quiesce. It may run on a backend goroutine
+	// when the shard reports, at the end of the run. It may run on a backend goroutine
 	// concurrently with node execution, so the provider must read
 	// racily-safe state only (the machine's accounting and metrics are
 	// atomic).
@@ -173,9 +170,9 @@ type DirectDeliverer interface {
 // Backend is an execution substrate for a multicomputer of NumNodes nodes.
 //
 // The per-node serialization contract: for any node i, at most one of the
-// following runs at any instant — a Proc created with Go(i, ...), a notify
-// callback delivered to node i, or a timer callback passed to After(i, ...).
-// Callbacks and Procs of different nodes may run in parallel.
+// following runs at any instant — a Proc created with Go(i, ...), or a
+// callback delivered to node i. Callbacks and Procs of different nodes may
+// run in parallel. A backend has no timers: a run ends when its work does.
 type Backend interface {
 	// Name identifies the backend in reports ("sim" or "live").
 	Name() string
@@ -187,9 +184,6 @@ type Backend interface {
 	// executing when Run is called; Procs created during Run start
 	// immediately (subject to node serialization).
 	Go(node int, name string, fn func(Proc)) Proc
-	// After schedules fn to run in node's execution context after delay d
-	// (virtual on simnet, wall on live).
-	After(node int, d time.Duration, fn func())
 	// Run executes until every Proc has finished. It returns an error if
 	// the system cannot make progress (simnet: event queue drained with
 	// procs parked; live: watchdog expired with procs still alive).
