@@ -1,7 +1,7 @@
-// Package appstat holds the measurement plumbing shared by the three
-// application reproductions (EM3D, Water, LU): per-run results with the
-// paper's five-way time breakdown (net / cpu / thread mgmt / thread sync /
-// runtime) and helpers to compute it from machine accounting snapshots.
+// Package appstat holds the measurement plumbing shared by the four
+// application reproductions (EM3D, Water, LU and the task farm): per-run
+// results with the paper's five-way time breakdown (net / cpu / thread mgmt /
+// thread sync / runtime), and the measured region they are computed over.
 package appstat
 
 import (
@@ -32,12 +32,46 @@ type Result struct {
 	Busy machine.Snapshot `json:"busy"`
 	// Checksum cross-validates numeric output between language versions.
 	Checksum float64 `json:"checksum"`
+
+	region Region
 }
 
-// Measure fills the timing fields from a measured region: start/end virtual
-// times plus the per-node accounting deltas.
-func (r *Result) Measure(start, end time.Duration, deltas []machine.Snapshot) {
-	r.Elapsed = end - start
+// Region is a measured region of a machine: the time it began and every
+// node's accounting at that instant.
+type Region struct {
+	Begin time.Duration
+	m     *machine.Machine
+	snaps []machine.Snapshot
+}
+
+// Open begins a region on m at time now.
+func Open(m *machine.Machine, now time.Duration) Region {
+	rg := Region{Begin: now, m: m}
+	for _, n := range m.Nodes() {
+		rg.snaps = append(rg.snaps, n.Acct.Snapshot())
+	}
+	return rg
+}
+
+// Deltas returns each node's accounting since the region began, in node
+// order.
+func (rg Region) Deltas() []machine.Snapshot {
+	ds := make([]machine.Snapshot, len(rg.snaps))
+	for i, n := range rg.m.Nodes() {
+		ds[i] = n.Acct.Delta(rg.snaps[i])
+	}
+	return ds
+}
+
+// Start begins the run's measured region on m at time now. One thread calls
+// it between two barriers, so every node enters the region together.
+func (r *Result) Start(m *machine.Machine, now time.Duration) { r.region = Open(m, now) }
+
+// Stop ends the measured region at time now and fills the timing fields:
+// the elapsed time and every node's accounting since Start.
+func (r *Result) Stop(now time.Duration) {
+	deltas := r.region.Deltas()
+	r.Elapsed = now - r.region.Begin
 	r.Procs = len(deltas)
 	r.Busy = machine.MergeSnapshots(deltas...)
 	if r.Work > 0 {

@@ -17,18 +17,42 @@ func snap(cpu, net, rt time.Duration) machine.Snapshot {
 	return s
 }
 
+// TestMeasureAndComponents measures a region of a 2-node simulator machine
+// whose nodes are charged known amounts inside it and outside it.
 func TestMeasureAndComponents(t *testing.T) {
+	m := machine.New(machine.SP1997(), 2)
+	a0, a1 := m.Nodes()[0].Acct, m.Nodes()[1].Acct
+	a0.Add(machine.CatCPU, 7*time.Microsecond) // before the region
+	a1.Count(machine.CntRMI, 4)
+
 	r := &Result{Lang: "cc++", Variant: "x", Work: 100}
-	deltas := []machine.Snapshot{
-		snap(10*time.Microsecond, 5*time.Microsecond, 0),
-		snap(20*time.Microsecond, 5*time.Microsecond, 10*time.Microsecond),
-	}
-	r.Measure(100*time.Microsecond, 200*time.Microsecond, deltas)
+	r.Start(m, 100*time.Microsecond)
+	a0.Add(machine.CatCPU, 10*time.Microsecond)
+	a0.Add(machine.CatNet, 5*time.Microsecond)
+	a1.Add(machine.CatCPU, 20*time.Microsecond)
+	a1.Add(machine.CatNet, 5*time.Microsecond)
+	a1.Add(machine.CatRuntime, 10*time.Microsecond)
+	a1.Count(machine.CntRMI, 3)
+	r.Stop(200 * time.Microsecond)
+	a1.Add(machine.CatThreadSync, 9*time.Microsecond) // after the region
+
 	if r.Elapsed != 100*time.Microsecond || r.Procs != 2 {
 		t.Fatalf("elapsed %v procs %d", r.Elapsed, r.Procs)
 	}
 	if r.PerUnit != time.Microsecond {
 		t.Fatalf("per unit %v", r.PerUnit)
+	}
+	want := map[machine.Category]time.Duration{
+		machine.CatCPU: 30 * time.Microsecond, machine.CatNet: 10 * time.Microsecond,
+		machine.CatRuntime: 10 * time.Microsecond,
+	}
+	for _, c := range machine.Categories() {
+		if got := r.Busy.Get(c); got != want[c] {
+			t.Errorf("busy %s = %v, want %v", c, got, want[c])
+		}
+	}
+	if got := r.Busy.Counters[machine.CntRMI]; got != 3 {
+		t.Errorf("RMIs in the region = %d, want 3", got)
 	}
 	// Total processor-time 200µs; busy 50µs; wait 150µs lands in net.
 	if got := r.Wait(); got != 150*time.Microsecond {

@@ -89,11 +89,11 @@ func putLeU64(b []byte, v uint64) {
 	b[7] = byte(v >> 56)
 }
 
-// RunCCXX executes the CC++ version of EM3D under the given runtime options
-// (zero Options means CC++/ThAM; Options.Nexus is the §6 comparison),
-// mutating g's values and returning the measurement.
-func RunCCXX(cfg machine.Config, g *Graph, variant Variant, opts core.Options) (*appstat.Result, error) {
-	m := machine.New(cfg, g.P.Procs)
+// RunCCXX executes the CC++ version of EM3D on machine m, one node per
+// processor, under the given runtime options (zero Options means CC++/ThAM;
+// Options.Nexus is the §6 comparison), mutating g's values and returning the
+// measurement.
+func RunCCXX(m *machine.Machine, g *Graph, variant Variant, opts core.Options) (*appstat.Result, error) {
 	rt := core.NewRuntimeOpts(m, opts)
 	rt.RegisterClass(em3dClass())
 
@@ -116,8 +116,6 @@ func RunCCXX(cfg machine.Config, g *Graph, variant Variant, opts core.Options) (
 		Transport: rt.TransportName(),
 		Work:      int64(g.P.Iters) * int64(g.EdgesPerProc()) * 2,
 	}
-	var starts []machine.Snapshot
-	var startT time.Duration
 
 	for pc := 0; pc < g.P.Procs; pc++ {
 		me := pc
@@ -127,11 +125,7 @@ func RunCCXX(cfg machine.Config, g *Graph, variant Variant, opts core.Options) (
 
 			bar.Arrive(t)
 			if me == 0 {
-				startT = time.Duration(t.Now())
-				starts = starts[:0]
-				for _, n := range m.Nodes() {
-					starts = append(starts, n.Acct.Snapshot())
-				}
+				res.Start(m, t.Now())
 			}
 			bar.Arrive(t)
 
@@ -145,11 +139,7 @@ func RunCCXX(cfg machine.Config, g *Graph, variant Variant, opts core.Options) (
 			}
 
 			if me == 0 {
-				var deltas []machine.Snapshot
-				for i, n := range m.Nodes() {
-					deltas = append(deltas, n.Acct.Delta(starts[i]))
-				}
-				res.Measure(startT, time.Duration(t.Now()), deltas)
+				res.Stop(t.Now())
 				res.Checksum = g.Checksum()
 			}
 		})

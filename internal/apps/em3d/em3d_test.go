@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/apps/appstat"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/transport/live"
@@ -109,7 +110,7 @@ func runAll(t *testing.T, p Params) map[string]float64 {
 		out["split-c/"+string(v)] = res.Checksum
 
 		g = base.Clone()
-		res2, err := RunCCXX(cfg, g, v, core.Options{})
+		res2, err := RunCCXX(machine.New(cfg, p.Procs), g, v, core.Options{})
 		if err != nil {
 			t.Fatalf("cc++ %s: %v", v, err)
 		}
@@ -158,7 +159,7 @@ func TestOptimizationOrdering(t *testing.T) {
 		elapsed["sc/"+string(v)] = float64(res.Elapsed)
 
 		g = base.Clone()
-		res2, err := RunCCXX(cfg, g, v, core.Options{})
+		res2, err := RunCCXX(machine.New(cfg, p.Procs), g, v, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestCCXXSlowerButCompetitive(t *testing.T) {
 			t.Fatal(err)
 		}
 		g = base.Clone()
-		cc, err := RunCCXX(cfg, g, v, core.Options{})
+		cc, err := RunCCXX(machine.New(cfg, p.Procs), g, v, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -244,23 +245,35 @@ func TestGhostMatchesSerialProperty(t *testing.T) {
 	}
 }
 
-// TestSplitCLiveMatchesSerial runs every Split-C variant on real goroutines
-// (the live backend) at 40 % and 100 % remote edges and matches the serial
-// reference.
-func TestSplitCLiveMatchesSerial(t *testing.T) {
+// TestLiveMatchesSerial runs every variant of both languages on real
+// goroutines (the live backend) at 40 % and 100 % remote edges and matches
+// the serial reference.
+func TestLiveMatchesSerial(t *testing.T) {
+	langs := []struct {
+		name string
+		run  func(*machine.Machine, *Graph, Variant) (*appstat.Result, error)
+	}{
+		{"split-c", RunSplitC},
+		{"cc++", func(m *machine.Machine, g *Graph, v Variant) (*appstat.Result, error) {
+			return RunCCXX(m, g, v, core.Options{})
+		}},
+	}
 	for _, pct := range []int{40, 100} {
 		p := small(pct)
 		base := Build(p)
 		serial := base.Clone()
 		RunSerial(serial)
 		want := serial.Checksum()
-		for _, v := range Variants() {
-			res, err := RunSplitC(machine.NewWithBackend(machine.SP1997(), p.Procs, live.New(p.Procs, live.Options{Watchdog: 20 * time.Second})), base.Clone(), v)
-			if err != nil {
-				t.Fatalf("%d%% remote, %s: %v", pct, v, err)
-			}
-			if math.Abs(res.Checksum-want) > 1e-9*math.Abs(want) {
-				t.Errorf("%d%% remote, %s on live: checksum %v, serial %v", pct, v, res.Checksum, want)
+		for _, lang := range langs {
+			for _, v := range Variants() {
+				m := machine.NewWithBackend(machine.SP1997(), p.Procs, live.New(p.Procs, live.Options{Watchdog: 20 * time.Second}))
+				res, err := lang.run(m, base.Clone(), v)
+				if err != nil {
+					t.Fatalf("%d%% remote, %s/%s: %v", pct, lang.name, v, err)
+				}
+				if math.Abs(res.Checksum-want) > 1e-9*math.Abs(want) {
+					t.Errorf("%d%% remote, %s/%s on live: checksum %v, serial %v", pct, lang.name, v, res.Checksum, want)
+				}
 			}
 		}
 	}

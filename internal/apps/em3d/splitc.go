@@ -46,8 +46,6 @@ func RunSplitC(m *machine.Machine, g *Graph, variant Variant) (*appstat.Result, 
 		Variant: string(variant),
 		Work:    int64(g.P.Iters) * int64(g.EdgesPerProc()) * 2,
 	}
-	var starts []machine.Snapshot
-	var startT time.Duration
 
 	err := w.Run(func(p *splitc.Proc) {
 		me := p.MyPC()
@@ -55,11 +53,7 @@ func RunSplitC(m *machine.Machine, g *Graph, variant Variant) (*appstat.Result, 
 
 		p.Barrier()
 		if me == 0 {
-			startT = time.Duration(p.T.Now())
-			starts = starts[:0]
-			for _, n := range m.Nodes() {
-				starts = append(starts, n.Acct.Snapshot())
-			}
+			res.Start(m, p.T.Now())
 		}
 		p.Barrier()
 
@@ -71,11 +65,7 @@ func RunSplitC(m *machine.Machine, g *Graph, variant Variant) (*appstat.Result, 
 		}
 
 		if me == 0 {
-			var deltas []machine.Snapshot
-			for i, n := range m.Nodes() {
-				deltas = append(deltas, n.Acct.Delta(starts[i]))
-			}
-			res.Measure(startT, time.Duration(p.T.Now()), deltas)
+			res.Stop(p.T.Now())
 			res.Checksum = g.Checksum()
 		}
 	})

@@ -1,8 +1,6 @@
 package lu
 
 import (
-	"time"
-
 	"repro/internal/am"
 	"repro/internal/apps/appstat"
 	"repro/internal/core"
@@ -61,11 +59,10 @@ func luClass() *core.Class {
 	}
 }
 
-// RunCCXX executes the CC++ version of blocked LU (cc-lu) under the given
-// runtime options (zero Options means CC++/ThAM), mutating s and returning
-// the measurement.
-func RunCCXX(cfg machine.Config, s *State, opts core.Options) (*appstat.Result, error) {
-	m := machine.New(cfg, s.P.Procs)
+// RunCCXX executes the CC++ version of blocked LU (cc-lu) on machine m, one
+// node per processor, under the given runtime options (zero Options means
+// CC++/ThAM), mutating s and returning the measurement.
+func RunCCXX(m *machine.Machine, s *State, opts core.Options) (*appstat.Result, error) {
 	rt := core.NewRuntimeOpts(m, opts)
 	rt.RegisterClass(luClass())
 	b := s.P.B
@@ -85,8 +82,6 @@ func RunCCXX(cfg machine.Config, s *State, opts core.Options) (*appstat.Result, 
 		Transport: rt.TransportName(),
 		Work:      int64(s.NB) * int64(s.NB) * int64(s.NB) / 3,
 	}
-	var starts []machine.Snapshot
-	var startT time.Duration
 
 	for pc := 0; pc < s.P.Procs; pc++ {
 		me := pc
@@ -97,11 +92,7 @@ func RunCCXX(cfg machine.Config, s *State, opts core.Options) (*appstat.Result, 
 
 			bar.Arrive(t)
 			if me == 0 {
-				startT = time.Duration(t.Now())
-				starts = starts[:0]
-				for _, nd := range m.Nodes() {
-					starts = append(starts, nd.Acct.Snapshot())
-				}
+				res.Start(m, t.Now())
 			}
 			bar.Arrive(t)
 
@@ -178,11 +169,7 @@ func RunCCXX(cfg machine.Config, s *State, opts core.Options) (*appstat.Result, 
 			}
 
 			if me == 0 {
-				var deltas []machine.Snapshot
-				for i, nd := range m.Nodes() {
-					deltas = append(deltas, nd.Acct.Delta(starts[i]))
-				}
-				res.Measure(startT, time.Duration(t.Now()), deltas)
+				res.Stop(t.Now())
 				res.Checksum = s.Checksum()
 			}
 		})

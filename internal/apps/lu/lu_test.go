@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/apps/appstat"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/transport/live"
@@ -93,7 +94,7 @@ func TestCCXXMatchesSerial(t *testing.T) {
 	serial := orig.Clone()
 	RunSerial(serial)
 	dist := orig.Clone()
-	res, err := RunCCXX(machine.SP1997(), dist, core.Options{})
+	res, err := RunCCXX(machine.New(machine.SP1997(), dist.P.Procs), dist, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +113,7 @@ func TestCCXXSlowerWithinBand(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := RunCCXX(machine.SP1997(), orig.Clone(), core.Options{})
+	cc, err := RunCCXX(machine.New(machine.SP1997(), orig.P.Procs), orig.Clone(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestSyncOverheadSignificantInCCLU(t *testing.T) {
 	// Paper: intense synchronization is ~32% of cc-lu's gap; verify thread
 	// sync is a visible component of the CC++ run.
 	orig := Build(small())
-	cc, err := RunCCXX(machine.SP1997(), orig.Clone(), core.Options{})
+	cc, err := RunCCXX(machine.New(machine.SP1997(), orig.P.Procs), orig.Clone(), core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,21 +156,34 @@ func TestDeterministicElapsed(t *testing.T) {
 	}
 }
 
-// TestSplitCLiveMatchesSerial runs the Split-C version on real goroutines
-// (the live backend) and matches the serial factorization.
-func TestSplitCLiveMatchesSerial(t *testing.T) {
+// TestLiveMatchesSerial runs both languages on real goroutines (the live
+// backend) and matches the serial factorization, by checksum and by
+// reconstructing the original matrix.
+func TestLiveMatchesSerial(t *testing.T) {
+	langs := []struct {
+		name string
+		run  func(*machine.Machine, *State) (*appstat.Result, error)
+	}{
+		{"split-c", RunSplitC},
+		{"cc++", func(m *machine.Machine, s *State) (*appstat.Result, error) {
+			return RunCCXX(m, s, core.Options{})
+		}},
+	}
 	orig := Build(small())
 	serial := orig.Clone()
 	RunSerial(serial)
-	dist := orig.Clone()
-	res, err := RunSplitC(machine.NewWithBackend(machine.SP1997(), orig.P.Procs, live.New(orig.P.Procs, live.Options{Watchdog: 20 * time.Second})), dist)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.Checksum-serial.Checksum()) > 1e-9*math.Abs(serial.Checksum()) {
-		t.Errorf("split-c on live: checksum %v, serial %v", res.Checksum, serial.Checksum())
-	}
-	if e := ReconstructError(dist, orig, 16); e > 1e-8 {
-		t.Errorf("split-c on live: reconstruction error %g", e)
+	for _, lang := range langs {
+		dist := orig.Clone()
+		m := machine.NewWithBackend(machine.SP1997(), orig.P.Procs, live.New(orig.P.Procs, live.Options{Watchdog: 20 * time.Second}))
+		res, err := lang.run(m, dist)
+		if err != nil {
+			t.Fatalf("%s: %v", lang.name, err)
+		}
+		if math.Abs(res.Checksum-serial.Checksum()) > 1e-9*math.Abs(serial.Checksum()) {
+			t.Errorf("%s on live: checksum %v, serial %v", lang.name, res.Checksum, serial.Checksum())
+		}
+		if e := ReconstructError(dist, orig, 16); e > 1e-8 {
+			t.Errorf("%s on live: reconstruction error %g", lang.name, e)
+		}
 	}
 }

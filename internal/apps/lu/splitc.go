@@ -1,8 +1,6 @@
 package lu
 
 import (
-	"time"
-
 	"repro/internal/apps/appstat"
 	"repro/internal/machine"
 	"repro/internal/splitc"
@@ -38,8 +36,6 @@ func RunSplitC(m *machine.Machine, s *State) (*appstat.Result, error) {
 		Variant: "lu",
 		Work:    int64(s.NB) * int64(s.NB) * int64(s.NB) / 3,
 	}
-	var starts []machine.Snapshot
-	var startT time.Duration
 
 	err := w.Run(func(p *splitc.Proc) {
 		me := p.MyPC()
@@ -48,11 +44,7 @@ func RunSplitC(m *machine.Machine, s *State) (*appstat.Result, error) {
 
 		p.Barrier()
 		if me == 0 {
-			startT = time.Duration(p.T.Now())
-			starts = starts[:0]
-			for _, nd := range m.Nodes() {
-				starts = append(starts, nd.Acct.Snapshot())
-			}
+			res.Start(m, p.T.Now())
 		}
 		p.Barrier()
 
@@ -117,11 +109,7 @@ func RunSplitC(m *machine.Machine, s *State) (*appstat.Result, error) {
 		}
 
 		if me == 0 {
-			var deltas []machine.Snapshot
-			for i, nd := range m.Nodes() {
-				deltas = append(deltas, nd.Acct.Delta(starts[i]))
-			}
-			res.Measure(startT, time.Duration(p.T.Now()), deltas)
+			res.Stop(p.T.Now())
 			res.Checksum = s.Checksum()
 		}
 	})

@@ -117,8 +117,6 @@ func (w *Workload) Checksum() float64 {
 func RunSplitC(m *machine.Machine, w *Workload) (*appstat.Result, error) {
 	world := splitc.New(m)
 	res := &appstat.Result{Lang: "split-c", Variant: "static", Work: int64(w.P.Tasks)}
-	var starts []machine.Snapshot
-	var startT time.Duration
 	sums := make([][]float64, w.P.Procs) // the atomic adds' target, on processor 0
 	sums[0] = make([]float64, 1)
 	sumSeg := world.Share(sums)
@@ -127,11 +125,7 @@ func RunSplitC(m *machine.Machine, w *Workload) (*appstat.Result, error) {
 		me := p.MyPC()
 		p.Barrier()
 		if me == 0 {
-			startT = time.Duration(p.T.Now())
-			starts = starts[:0]
-			for _, nd := range m.Nodes() {
-				starts = append(starts, nd.Acct.Snapshot())
-			}
+			res.Start(m, p.T.Now())
 		}
 		p.Barrier()
 
@@ -151,11 +145,7 @@ func RunSplitC(m *machine.Machine, w *Workload) (*appstat.Result, error) {
 		p.Barrier()
 
 		if me == 0 {
-			var deltas []machine.Snapshot
-			for i, nd := range m.Nodes() {
-				deltas = append(deltas, nd.Acct.Delta(starts[i]))
-			}
-			res.Measure(startT, time.Duration(p.T.Now()), deltas)
+			res.Stop(p.T.Now())
 			res.Checksum = sums[0][0]
 		}
 	})
@@ -218,12 +208,11 @@ func masterClass() *core.Class {
 // 1..P-1 run worker loops pulling task batches until the bag is empty. The
 // dynamic schedule therefore starts a full worker down on the static one and
 // pays an RMI per batch; it wins only when imbalance costs the static
-// schedule more.
-func RunCCXX(cfg machine.Config, w *Workload, batch int) (*appstat.Result, error) {
+// schedule more. It runs on machine m, one node per processor.
+func RunCCXX(m *machine.Machine, w *Workload, batch int) (*appstat.Result, error) {
 	if batch < 1 {
 		batch = 1
 	}
-	m := machine.New(cfg, w.P.Procs)
 	rt := core.NewRuntimeOpts(m, core.Options{})
 	rt.RegisterClass(masterClass())
 	gp := rt.CreateObject(0, "Master")
@@ -232,19 +221,13 @@ func RunCCXX(cfg machine.Config, w *Workload, batch int) (*appstat.Result, error
 	bar := rt.NewBarrier(0, w.P.Procs)
 
 	res := &appstat.Result{Lang: "cc++", Variant: "dynamic", Transport: rt.TransportName(), Work: int64(w.P.Tasks)}
-	var starts []machine.Snapshot
-	var startT time.Duration
 
 	for pc := 0; pc < w.P.Procs; pc++ {
 		me := pc
 		rt.OnNode(me, func(t *threads.Thread) {
 			bar.Arrive(t)
 			if me == 0 {
-				startT = time.Duration(t.Now())
-				starts = starts[:0]
-				for _, nd := range m.Nodes() {
-					starts = append(starts, nd.Acct.Snapshot())
-				}
+				res.Start(m, t.Now())
 			}
 			bar.Arrive(t)
 
@@ -270,11 +253,7 @@ func RunCCXX(cfg machine.Config, w *Workload, batch int) (*appstat.Result, error
 			bar.Arrive(t)
 
 			if me == 0 {
-				var deltas []machine.Snapshot
-				for i, nd := range m.Nodes() {
-					deltas = append(deltas, nd.Acct.Delta(starts[i]))
-				}
-				res.Measure(startT, time.Duration(t.Now()), deltas)
+				res.Stop(t.Now())
 				res.Checksum = mst.sum
 			}
 		})

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/apps/appstat"
 	"repro/internal/machine"
 	"repro/internal/transport/live"
 )
@@ -64,7 +65,7 @@ func TestBothSchedulesComputeSameResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := RunCCXX(machine.SP1997(), w, 4)
+	cc, err := RunCCXX(machine.New(machine.SP1997(), w.P.Procs), w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestDynamicWinsUnderSkew(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := RunCCXX(machine.SP1997(), w, 4)
+	cc, err := RunCCXX(machine.New(machine.SP1997(), w.P.Procs), w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestStaticWinsWhenUniform(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cc, err := RunCCXX(machine.SP1997(), w, 4)
+	cc, err := RunCCXX(machine.New(machine.SP1997(), w.P.Procs), w, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +119,7 @@ func TestBatchSizeTradeoff(t *testing.T) {
 	want := w.Checksum()
 	var prev time.Duration
 	for _, batch := range []int{1, 4, 16, 64} {
-		cc, err := RunCCXX(machine.SP1997(), w, batch)
+		cc, err := RunCCXX(machine.New(machine.SP1997(), w.P.Procs), w, batch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -143,7 +144,7 @@ func TestSchedulesAgreeProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cc, err := RunCCXX(machine.SP1997(), w, 3)
+		cc, err := RunCCXX(machine.New(machine.SP1997(), w.P.Procs), w, 3)
 		if err != nil {
 			return false
 		}
@@ -156,15 +157,28 @@ func TestSchedulesAgreeProperty(t *testing.T) {
 	}
 }
 
-// TestSplitCLiveMatchesSerial runs the static schedule on real goroutines
-// (the live backend) and matches the serial reduction.
-func TestSplitCLiveMatchesSerial(t *testing.T) {
-	w := Build(params(0.8))
-	res, err := RunSplitC(machine.NewWithBackend(machine.SP1997(), w.P.Procs, live.New(w.P.Procs, live.Options{Watchdog: 20 * time.Second})), w)
-	if err != nil {
-		t.Fatal(err)
+// TestLiveMatchesSerial runs the static schedule and the dynamic one at
+// batch 1 and 4 on real goroutines (the live backend) and matches the serial
+// reduction.
+func TestLiveMatchesSerial(t *testing.T) {
+	schedules := []struct {
+		name string
+		run  func(*machine.Machine, *Workload) (*appstat.Result, error)
+	}{
+		{"split-c/static", RunSplitC},
+		{"cc++/dynamic batch 1", func(m *machine.Machine, w *Workload) (*appstat.Result, error) { return RunCCXX(m, w, 1) }},
+		{"cc++/dynamic batch 4", func(m *machine.Machine, w *Workload) (*appstat.Result, error) { return RunCCXX(m, w, 4) }},
 	}
-	if want := w.Checksum(); math.Abs(res.Checksum-want) > 1e-9*math.Abs(want) {
-		t.Errorf("split-c on live: checksum %v, want %v", res.Checksum, want)
+	w := Build(params(0.8))
+	want := w.Checksum()
+	for _, sch := range schedules {
+		m := machine.NewWithBackend(machine.SP1997(), w.P.Procs, live.New(w.P.Procs, live.Options{Watchdog: 20 * time.Second}))
+		res, err := sch.run(m, w)
+		if err != nil {
+			t.Fatalf("%s: %v", sch.name, err)
+		}
+		if math.Abs(res.Checksum-want) > 1e-9*math.Abs(want) {
+			t.Errorf("%s on live: checksum %v, want %v", sch.name, res.Checksum, want)
+		}
 	}
 }

@@ -84,10 +84,10 @@ func waterClass() *core.Class {
 	}
 }
 
-// RunCCXX executes the CC++ version of Water under the given runtime options
-// (zero Options means CC++/ThAM), mutating s and returning the measurement.
-func RunCCXX(cfg machine.Config, s *State, variant Variant, opts core.Options) (*appstat.Result, error) {
-	m := machine.New(cfg, s.P.Procs)
+// RunCCXX executes the CC++ version of Water on machine m, one node per
+// processor, under the given runtime options (zero Options means CC++/ThAM),
+// mutating s and returning the measurement.
+func RunCCXX(m *machine.Machine, s *State, variant Variant, opts core.Options) (*appstat.Result, error) {
 	rt := core.NewRuntimeOpts(m, opts)
 	rt.RegisterClass(waterClass())
 
@@ -105,8 +105,6 @@ func RunCCXX(cfg machine.Config, s *State, variant Variant, opts core.Options) (
 		Transport: rt.TransportName(),
 		Work:      int64(s.P.Steps) * int64(s.P.N) * int64(s.P.N-1) / 2,
 	}
-	var starts []machine.Snapshot
-	var startT time.Duration
 
 	for pc := 0; pc < s.P.Procs; pc++ {
 		me := pc
@@ -122,11 +120,7 @@ func RunCCXX(cfg machine.Config, s *State, variant Variant, opts core.Options) (
 
 			bar.Arrive(t)
 			if me == 0 {
-				startT = time.Duration(t.Now())
-				starts = starts[:0]
-				for _, nd := range m.Nodes() {
-					starts = append(starts, nd.Acct.Snapshot())
-				}
+				res.Start(m, t.Now())
 			}
 			bar.Arrive(t)
 
@@ -205,11 +199,7 @@ func RunCCXX(cfg machine.Config, s *State, variant Variant, opts core.Options) (
 
 			if me == 0 {
 				s.Energy = s.Pot[0]
-				var deltas []machine.Snapshot
-				for i, nd := range m.Nodes() {
-					deltas = append(deltas, nd.Acct.Delta(starts[i]))
-				}
-				res.Measure(startT, time.Duration(t.Now()), deltas)
+				res.Stop(t.Now())
 				res.Checksum = s.Checksum()
 			}
 		})

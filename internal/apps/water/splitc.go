@@ -34,8 +34,6 @@ func RunSplitC(m *machine.Machine, s *State, variant Variant) (*appstat.Result, 
 		Variant: string(variant),
 		Work:    int64(s.P.Steps) * int64(s.P.N) * int64(s.P.N-1) / 2,
 	}
-	var starts []machine.Snapshot
-	var startT time.Duration
 
 	err := w.Run(func(p *splitc.Proc) {
 		me := p.MyPC()
@@ -51,11 +49,7 @@ func RunSplitC(m *machine.Machine, s *State, variant Variant) (*appstat.Result, 
 
 		p.Barrier()
 		if me == 0 {
-			startT = time.Duration(p.T.Now())
-			starts = starts[:0]
-			for _, nd := range m.Nodes() {
-				starts = append(starts, nd.Acct.Snapshot())
-			}
+			res.Start(m, p.T.Now())
 		}
 		p.Barrier()
 
@@ -131,11 +125,7 @@ func RunSplitC(m *machine.Machine, s *State, variant Variant) (*appstat.Result, 
 
 		if me == 0 {
 			s.Energy = s.Pot[0]
-			var deltas []machine.Snapshot
-			for i, nd := range m.Nodes() {
-				deltas = append(deltas, nd.Acct.Delta(starts[i]))
-			}
-			res.Measure(startT, time.Duration(p.T.Now()), deltas)
+			res.Stop(p.T.Now())
 			res.Checksum = s.Checksum()
 		}
 	})

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/apps/appstat"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/transport/live"
@@ -91,7 +92,7 @@ func runAll(t *testing.T, p Params) map[string]float64 {
 		out["split-c/"+string(v)] = res.Checksum
 
 		s = base.Clone()
-		res2, err := RunCCXX(cfg, s, v, core.Options{})
+		res2, err := RunCCXX(machine.New(cfg, s.P.Procs), s, v, core.Options{})
 		if err != nil {
 			t.Fatalf("cc++ %s: %v", v, err)
 		}
@@ -125,7 +126,7 @@ func TestPrefetchFasterThanAtomic(t *testing.T) {
 				}
 				elapsed = float64(res.Elapsed)
 			} else {
-				res, err := RunCCXX(cfg, s, v, core.Options{})
+				res, err := RunCCXX(machine.New(cfg, s.P.Procs), s, v, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,7 +177,7 @@ func TestCCXXGapGrowsWithN(t *testing.T) {
 			t.Fatal(err)
 		}
 		s = base.Clone()
-		cc, err := RunCCXX(cfg, s, Atomic, core.Options{})
+		cc, err := RunCCXX(machine.New(cfg, s.P.Procs), s, Atomic, core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,20 +192,32 @@ func TestCCXXGapGrowsWithN(t *testing.T) {
 	}
 }
 
-// TestSplitCLiveMatchesSerial runs both Split-C variants on real goroutines
-// (the live backend) and matches the serial reference.
-func TestSplitCLiveMatchesSerial(t *testing.T) {
+// TestLiveMatchesSerial runs both variants of both languages on real
+// goroutines (the live backend) and matches the serial reference.
+func TestLiveMatchesSerial(t *testing.T) {
+	langs := []struct {
+		name string
+		run  func(*machine.Machine, *State, Variant) (*appstat.Result, error)
+	}{
+		{"split-c", RunSplitC},
+		{"cc++", func(m *machine.Machine, s *State, v Variant) (*appstat.Result, error) {
+			return RunCCXX(m, s, v, core.Options{})
+		}},
+	}
 	base := Build(small())
 	serial := base.Clone()
 	RunSerial(serial)
 	want := serial.Checksum()
-	for _, v := range Variants() {
-		res, err := RunSplitC(machine.NewWithBackend(machine.SP1997(), base.P.Procs, live.New(base.P.Procs, live.Options{Watchdog: 20 * time.Second})), base.Clone(), v)
-		if err != nil {
-			t.Fatalf("%s: %v", v, err)
-		}
-		if relErr(res.Checksum, want) > 1e-6 {
-			t.Errorf("%s on live: checksum %v, serial %v", v, res.Checksum, want)
+	for _, lang := range langs {
+		for _, v := range Variants() {
+			m := machine.NewWithBackend(machine.SP1997(), base.P.Procs, live.New(base.P.Procs, live.Options{Watchdog: 20 * time.Second}))
+			res, err := lang.run(m, base.Clone(), v)
+			if err != nil {
+				t.Fatalf("%s/%s: %v", lang.name, v, err)
+			}
+			if relErr(res.Checksum, want) > 1e-6 {
+				t.Errorf("%s/%s on live: checksum %v, serial %v", lang.name, v, res.Checksum, want)
+			}
 		}
 	}
 }

@@ -38,7 +38,7 @@ func RunEM3D(cfg machine.Config, sc Scale) []EM3DRow {
 			if err != nil {
 				panic(err)
 			}
-			ccRes, err := em3d.RunCCXX(cfg, base.Clone(), variant, core.Options{})
+			ccRes, err := em3d.RunCCXX(machine.New(cfg, p.Procs), base.Clone(), variant, core.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -67,14 +67,11 @@ func FormatEM3D(rows []EM3DRow) string {
 
 // WaterRow is one bar pair of Figure 6's Water groups.
 type WaterRow struct {
-	Variant em3dSafeVariant `json:"variant"`
+	Variant water.Variant   `json:"variant"`
 	N       int             `json:"n"`
 	SC      *appstat.Result `json:"sc"`
 	CC      *appstat.Result `json:"cc"`
 }
-
-// em3dSafeVariant avoids an import cycle on names only.
-type em3dSafeVariant = water.Variant
 
 // RunWater reproduces the Water half of Figure 6.
 func RunWater(cfg machine.Config, sc Scale) []WaterRow {
@@ -87,7 +84,7 @@ func RunWater(cfg machine.Config, sc Scale) []WaterRow {
 			if err != nil {
 				panic(err)
 			}
-			ccRes, err := water.RunCCXX(cfg, base.Clone(), variant, core.Options{})
+			ccRes, err := water.RunCCXX(machine.New(cfg, p.Procs), base.Clone(), variant, core.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -131,7 +128,7 @@ func RunLU(cfg machine.Config, sc Scale) LURow {
 	if err != nil {
 		panic(err)
 	}
-	ccRes, err := lu.RunCCXX(cfg, base.Clone(), core.Options{})
+	ccRes, err := lu.RunCCXX(machine.New(cfg, p.Procs), base.Clone(), core.Options{})
 	if err != nil {
 		panic(err)
 	}

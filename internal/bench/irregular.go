@@ -38,7 +38,7 @@ func RunIrregular(cfg machine.Config, sc Scale) []IrregularRow {
 		if err != nil {
 			panic(err)
 		}
-		dy, err := taskfarm.RunCCXX(cfg, w, 4)
+		dy, err := taskfarm.RunCCXX(machine.New(cfg, w.P.Procs), w, 4)
 		if err != nil {
 			panic(err)
 		}

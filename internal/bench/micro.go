@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/apps/appstat"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/mpl"
@@ -110,26 +111,16 @@ func measureCCNodes(cfg machine.Config, iters int, opts core.Options, body func(
 		for i := 0; i < 3; i++ {
 			body(rt, gp, t)
 		}
-		var snaps []machine.Snapshot
-		for _, n := range m.Nodes() {
-			snaps = append(snaps, n.Acct.Snapshot())
-		}
-		start := t.Now()
+		rg := appstat.Open(m, t.Now())
 		for i := 0; i < iters; i++ {
 			body(rt, gp, t)
 		}
-		out.total = time.Duration(t.Now()-start) / time.Duration(iters)
-		var delta machine.Snapshot
-		{
-			var ds []machine.Snapshot
-			for i, n := range m.Nodes() {
-				if senderOnly && i != 0 {
-					continue
-				}
-				ds = append(ds, n.Acct.Delta(snaps[i]))
-			}
-			delta = machine.MergeSnapshots(ds...)
+		out.total = (t.Now() - rg.Begin) / time.Duration(iters)
+		ds := rg.Deltas()
+		if senderOnly {
+			ds = ds[:1]
 		}
+		delta := machine.MergeSnapshots(ds...)
 		fi := float64(iters)
 		out.yields = float64(delta.Counters[machine.CntContextSwitch]) / fi
 		out.creates = float64(delta.Counters[machine.CntThreadCreate]) / fi
@@ -161,20 +152,12 @@ func measureSC(cfg machine.Config, iters int, body func(p *splitc.Proc, remote s
 	err := w.Run(func(p *splitc.Proc) {
 		if p.MyPC() == 0 {
 			body(p, remote, local) // warm-up
-			var snaps []machine.Snapshot
-			for _, n := range m.Nodes() {
-				snaps = append(snaps, n.Acct.Snapshot())
-			}
-			start := p.T.Now()
+			rg := appstat.Open(m, p.T.Now())
 			for i := 0; i < iters; i++ {
 				body(p, remote, local)
 			}
-			out.total = time.Duration(p.T.Now()-start) / time.Duration(iters)
-			var ds []machine.Snapshot
-			for i, n := range m.Nodes() {
-				ds = append(ds, n.Acct.Delta(snaps[i]))
-			}
-			out.runtime = machine.MergeSnapshots(ds...).Get(machine.CatRuntime) / time.Duration(iters)
+			out.total = (p.T.Now() - rg.Begin) / time.Duration(iters)
+			out.runtime = machine.MergeSnapshots(rg.Deltas()...).Get(machine.CatRuntime) / time.Duration(iters)
 		}
 		p.Barrier()
 	})

@@ -33,11 +33,11 @@ func RunNexusCompare(cfg machine.Config, sc Scale) []NexusRow {
 	}
 	for _, variant := range em3d.Variants() {
 		base := em3d.Build(em3dP)
-		th, err := em3d.RunCCXX(cfg, base.Clone(), variant, core.Options{})
+		th, err := em3d.RunCCXX(machine.New(cfg, em3dP.Procs), base.Clone(), variant, core.Options{})
 		if err != nil {
 			panic(err)
 		}
-		nx, err := em3d.RunCCXX(cfg, base.Clone(), variant, core.Options{Nexus: true})
+		nx, err := em3d.RunCCXX(machine.New(cfg, em3dP.Procs), base.Clone(), variant, core.Options{Nexus: true})
 		if err != nil {
 			panic(err)
 		}
@@ -48,11 +48,11 @@ func RunNexusCompare(cfg machine.Config, sc Scale) []NexusRow {
 	waterP := water.Params{N: sc.NexusWaterSize, Procs: 4, Steps: 1, Seed: 3}
 	for _, variant := range water.Variants() {
 		base := water.Build(waterP)
-		th, err := water.RunCCXX(cfg, base.Clone(), variant, core.Options{})
+		th, err := water.RunCCXX(machine.New(cfg, waterP.Procs), base.Clone(), variant, core.Options{})
 		if err != nil {
 			panic(err)
 		}
-		nx, err := water.RunCCXX(cfg, base.Clone(), variant, core.Options{Nexus: true})
+		nx, err := water.RunCCXX(machine.New(cfg, waterP.Procs), base.Clone(), variant, core.Options{Nexus: true})
 		if err != nil {
 			panic(err)
 		}
@@ -66,11 +66,11 @@ func RunNexusCompare(cfg machine.Config, sc Scale) []NexusRow {
 	}
 	{
 		base := lu.Build(luP)
-		th, err := lu.RunCCXX(cfg, base.Clone(), core.Options{})
+		th, err := lu.RunCCXX(machine.New(cfg, luP.Procs), base.Clone(), core.Options{})
 		if err != nil {
 			panic(err)
 		}
-		nx, err := lu.RunCCXX(cfg, base.Clone(), core.Options{Nexus: true})
+		nx, err := lu.RunCCXX(machine.New(cfg, luP.Procs), base.Clone(), core.Options{Nexus: true})
 		if err != nil {
 			panic(err)
 		}

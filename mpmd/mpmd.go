@@ -40,13 +40,16 @@
 // team; Team.Split partitions it MPI-style. The typed collectives
 // Broadcast, Reduce/AllReduce (Sum/Max/Min or any user combiner),
 // Scatter/Gather/AllGather, and Team.Barrier run log-depth
-// binomial/dissemination trees whose every message is an ordinary RMI with
-// the full modelled cost. Dist[T] is a typed distributed array (block or
+// binomial/dissemination trees whose every message is one active message,
+// not an RMI: no method is dispatched, and on the simulator it costs what
+// the AM layer charges under the runtime's cost profile plus one receive
+// copy. Dist[T] is a typed distributed array (block or
 // cyclic layout) with Get/Put, split-phase GetAsync/PutAsync returning
 // typed Future[T] handles, and ForEachLocal for owner-computes loops — the
 // generalization of Split-C's float64-only spread arrays, usable from CC++
-// programs on either backend. A remote element access is two active
-// messages on the runtime's global-pointer path, not an RMI.
+// programs on either backend. A remote element access is a request/reply
+// pair of active messages of the remote-memory protocol both runtimes share
+// (am.Mem), not an RMI.
 //
 // # Low-level (untyped) API
 //
