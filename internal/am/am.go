@@ -11,10 +11,18 @@
 // that lands its reply, store or release advances the count it waits on.
 // Both runtimes' remote memory — Split-C's global accesses, CC++'s global
 // pointers and distributed arrays — is one protocol over it (Mem, mem.go).
+//
+// The network prices its messages: a Net carries one Profile, what each
+// message costs beyond the machine's Active Messages constants (nothing for
+// the runtimes the paper builds, the Nexus/TCP surcharges and the interrupt
+// model for CC++'s §6 comparison and ablation), and each side of a message
+// charges its part from its own net. A message on the wire is its words and
+// payload only.
 package am
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -54,9 +62,6 @@ type Msg struct {
 	// is not wire words: EncodeWire releases it and frames only Payload's
 	// bytes (TestMsgFieldsAreWords holds every other field to that).
 	PayloadBuf *wire.Buf
-	// RecvExtra is additional receiver-side CPU charged when the message is
-	// polled (SendOpts.ExtraRecvCPU: the Nexus/TCP profile's protocol stack).
-	RecvExtra time.Duration
 }
 
 // A Msg used to carry an Obj field — an in-memory object reference riding
@@ -68,8 +73,8 @@ type Msg struct {
 // and (*Msg).EncodeWire below.
 
 // wireHeaderLen is the serialized Msg header: flags byte, handler u32,
-// 4 word arguments, RecvExtra i64. Src/Dst/Size ride in the packet frame.
-const wireHeaderLen = 1 + 4 + 4*8 + 8
+// 4 word arguments. Src/Dst/Size ride in the packet frame.
+const wireHeaderLen = 1 + 4 + 4*8
 
 // WireLen implements transport.FrameMarshaler: the serialized length of the
 // message for a cross-address-space hop.
@@ -91,8 +96,6 @@ func (m *Msg) EncodeWire(b []byte) int {
 		binary.LittleEndian.PutUint64(b[off:], a)
 		off += 8
 	}
-	binary.LittleEndian.PutUint64(b[off:], uint64(m.RecvExtra))
-	off += 8
 	off += copy(b[off:], m.Payload)
 	if m.PayloadBuf != nil {
 		m.PayloadBuf.Release()
@@ -124,8 +127,6 @@ func DecodeWireMsg(src, dst int, b []byte) any {
 		m.A[i] = binary.LittleEndian.Uint64(b[off:])
 		off += 8
 	}
-	m.RecvExtra = time.Duration(binary.LittleEndian.Uint64(b[off:]))
-	off += 8
 	if len(b) > off {
 		m.PayloadBuf = wire.Copy(b[off:])
 		m.Payload = m.PayloadBuf.Bytes()
@@ -133,13 +134,14 @@ func DecodeWireMsg(src, dst int, b []byte) any {
 	return m
 }
 
-// SendOpts parameterizes Request: the path a message takes, and what it costs
-// beyond the machine's Active Messages profile — zero for the runtimes the
-// paper builds, the Nexus/TCP surcharges under core.Options.Nexus.
-type SendOpts struct {
-	// Bulk selects the bulk-transfer path (payload allowed, bulk setup cost).
-	Bulk bool
-	// ExtraSendCPU is charged to the sender on top of the profile overheads.
+// Profile is what every message on a net costs beyond the machine's Active
+// Messages profile: zero for the runtimes the paper builds, the Nexus/TCP
+// surcharges under core.Options.Nexus, a kernel delivery per message under
+// core.Options.InterruptDriven. Each side of a message charges its part from
+// its own net, which every program image builds alike, so nothing of the
+// price travels with the message.
+type Profile struct {
+	// ExtraSendCPU is charged to the sender on top of the send overhead.
 	ExtraSendCPU time.Duration
 	// ExtraWire delays delivery beyond the configured wire latency.
 	ExtraWire time.Duration
@@ -147,6 +149,11 @@ type SendOpts struct {
 	ExtraRecvCPU time.Duration
 	// GapPerByte overrides the per-byte sender occupancy when non-zero.
 	GapPerByte time.Duration
+	// InterruptCost, when non-zero, switches reception to the
+	// interrupt-driven model: every received message also charges this
+	// kernel-delivery cost, and sends no longer poll (the interrupt provides
+	// progress instead).
+	InterruptCost time.Duration
 }
 
 // Handler is the code run at the receiving node. It executes inline in the
@@ -168,31 +175,23 @@ type Endpoint struct {
 	// sent counts messages before they can arrive, handled once their handler
 	// is done. Only the node writes them (Counts reads).
 	sent, handled atomic.Uint64
-
-	// interruptCost, when non-zero, switches the endpoint to the
-	// interrupt-driven reception model: every received message additionally
-	// charges this kernel-delivery cost, and sends no longer poll (the
-	// interrupt provides progress instead).
-	interruptCost time.Duration
 }
 
-// SetInterruptCost enables the interrupt-driven reception model with the
-// given per-message kernel cost (zero restores polling).
-func (ep *Endpoint) SetInterruptCost(d time.Duration) { ep.interruptCost = d }
-
-// Net wires one Endpoint per machine node and owns the handler table.
+// Net wires one Endpoint per machine node, owns the handler table and prices
+// every message its endpoints send and receive.
 type Net struct {
 	m        *machine.Machine
+	p        Profile
 	eps      []*Endpoint
 	handlers []Handler
 	names    []string
 }
 
-// NewNet creates endpoints for every node of m and installs arrival hooks.
-// Each node needs a scheduler already attached via Attach before messages
-// can be received.
-func NewNet(m *machine.Machine) *Net {
-	n := &Net{m: m}
+// NewNet creates endpoints for every node of m, whose messages cost p beyond
+// the machine's profile, and installs arrival hooks. Each node needs a
+// scheduler already attached via Attach before messages can be received.
+func NewNet(m *machine.Machine, p Profile) *Net {
+	n := &Net{m: m, p: p}
 	// Messages are the machine's serializable packet payload: install the
 	// codec so sharded backends can carry them across address spaces.
 	m.SetWireDecoder(n.decodeWire)
@@ -206,9 +205,11 @@ func NewNet(m *machine.Machine) *Net {
 
 // decodeWire is DecodeWireMsg for this net: Poll indexes the handler table
 // with the ID the peer's bytes carry, so a frame naming a handler that was
-// never registered is refused here, like one too short for its header.
+// never registered is refused here, like one too short for its header. The
+// ID is compared unsigned: as an int it is negative past 1<<31 on 32-bit
+// platforms.
 func (n *Net) decodeWire(src, dst int, b []byte) any {
-	if len(b) < wireHeaderLen || int(binary.LittleEndian.Uint32(b[1:])) >= len(n.handlers) {
+	if len(b) < wireHeaderLen || uint64(binary.LittleEndian.Uint32(b[1:])) >= uint64(len(n.handlers)) {
 		return nil
 	}
 	return DecodeWireMsg(src, dst, b)
@@ -258,6 +259,22 @@ func (ep *Endpoint) Stopped() bool { return ep.stopped }
 // Counts reports how many messages this node has sent and handled.
 func (ep *Endpoint) Counts() (sent, handled uint64) { return ep.sent.Load(), ep.handled.Load() }
 
+// Unhandled reports the messages a run left in its inboxes, which no thread
+// will ever handle, as one error per node naming the node, the sender and the
+// handler; nil when every inbox is empty. Both runtimes call it once the
+// machine has stopped. A node of another address space has nothing in its
+// inbox here: its messages leave by the shard link.
+func (n *Net) Unhandled() error {
+	var err error
+	for _, ep := range n.eps {
+		if pkt, ok := ep.node.PopInbox(); ok {
+			err = errors.Join(err, fmt.Errorf("am: node %d ended the run with a message from node %d for %s unhandled",
+				ep.node.ID, pkt.Src, n.HandlerName(pkt.Payload.(*Msg).H)))
+		}
+	}
+	return err
+}
+
 // onArrival wakes the most recent waiter only (LIFO): an actively waiting
 // computation thread registered after the background polling thread, so it
 // gets the message and handles its own reply inline — the polling thread
@@ -284,31 +301,22 @@ func (ep *Endpoint) wakeOne() bool {
 	return false
 }
 
-// RequestShort sends a 4-word active message to dst, charging the sender's
-// overhead, and then polls the local endpoint once (the paper's layer polls
-// on every send to guarantee progress without interrupts).
-func (ep *Endpoint) RequestShort(t *threads.Thread, dst int, h HandlerID, a [4]uint64) {
-	ep.Request(t, dst, h, a, nil, SendOpts{})
-}
-
-// RequestBulk sends a bulk-transfer active message carrying payload.
-func (ep *Endpoint) RequestBulk(t *threads.Thread, dst int, h HandlerID, payload []byte, a [4]uint64) {
-	ep.Request(t, dst, h, a, payload, SendOpts{Bulk: true})
-}
-
-// Request is the parameterized send path. The payload (if any) is copied at
-// send time into a pooled wire buffer (value semantics: the sender may reuse
-// its own buffer immediately), the sender pays its overheads plus per-byte
-// occupancy, and wire delivery is delayed by the serialization time plus
-// opts.ExtraWire.
+// Request sends an active message with the four words a to handler h on node
+// dst, on the bulk path when bulk is set (a payload requires it; an empty one
+// is allowed), and then polls the local endpoint once (the paper's layer
+// polls on every send to guarantee progress without interrupts). The payload
+// (if any) is copied at send time into a pooled wire buffer (value semantics:
+// the sender may reuse its own buffer immediately), the sender pays its
+// overheads plus per-byte occupancy, and wire delivery is delayed by the
+// serialization time plus the net's extra wire time.
 //
 //mpmd:hotpath
-func (ep *Endpoint) Request(t *threads.Thread, dst int, h HandlerID, a [4]uint64, payload []byte, opts SendOpts) {
+func (ep *Endpoint) Request(t *threads.Thread, dst int, h HandlerID, a [4]uint64, payload []byte, bulk bool) {
 	var buf *wire.Buf
 	if len(payload) > 0 {
 		buf = wire.Copy(payload)
 	}
-	ep.RequestOwned(t, dst, h, a, buf, opts)
+	ep.RequestOwned(t, dst, h, a, buf, bulk)
 }
 
 // RequestOwned is the zero-copy send path: ownership of buf (which may be
@@ -319,23 +327,23 @@ func (ep *Endpoint) Request(t *threads.Thread, dst int, h HandlerID, a [4]uint64
 // no per-send allocation.
 //
 //mpmd:hotpath
-func (ep *Endpoint) RequestOwned(t *threads.Thread, dst int, h HandlerID, a [4]uint64, buf *wire.Buf, opts SendOpts) {
-	cfg := t.Cfg()
+func (ep *Endpoint) RequestOwned(t *threads.Thread, dst int, h HandlerID, a [4]uint64, buf *wire.Buf, bulk bool) {
+	cfg, p := t.Cfg(), &ep.net.p
 	n := 0
 	if buf != nil {
 		n = buf.Len()
 	}
-	if n > 0 && !opts.Bulk {
+	if n > 0 && !bulk {
 		panic("am: payload requires the bulk path")
 	}
 	gap := cfg.GapPerByte
-	if opts.GapPerByte > 0 {
-		gap = opts.GapPerByte
+	if p.GapPerByte > 0 {
+		gap = p.GapPerByte
 	}
 	ser := time.Duration(n) * gap
-	over := cfg.SendOverhead + opts.ExtraSendCPU + ser
+	over := cfg.SendOverhead + p.ExtraSendCPU + ser
 	wireBytes := int64(shortWireBytes)
-	if opts.Bulk {
+	if bulk {
 		over += cfg.BulkExtraSend
 		wireBytes += int64(n)
 		ep.node.Acct.Count(machine.CntMsgBulk, 1)
@@ -345,14 +353,11 @@ func (ep *Endpoint) RequestOwned(t *threads.Thread, dst int, h HandlerID, a [4]u
 	ep.node.Acct.Count(machine.CntBytesSent, wireBytes)
 	t.Charge(machine.CatNet, over)
 	msg := msgPool.Get().(*Msg)
-	*msg = Msg{
-		Bulk: opts.Bulk, Src: ep.node.ID, Dst: dst, H: h, A: a,
-		RecvExtra: opts.ExtraRecvCPU, PayloadBuf: buf,
-	}
+	*msg = Msg{Bulk: bulk, Src: ep.node.ID, Dst: dst, H: h, A: a, PayloadBuf: buf}
 	if buf != nil {
 		msg.Payload = buf.Bytes()
 	}
-	ep.send(dst, ser+opts.ExtraWire, int(wireBytes), msg)
+	ep.send(dst, ser+p.ExtraWire, int(wireBytes), msg)
 	ep.pollOnSend(t)
 }
 
@@ -381,7 +386,7 @@ func (ep *Endpoint) send(dst int, extraWire time.Duration, size int, msg *Msg) {
 //
 //mpmd:hotpath
 func (ep *Endpoint) pollOnSend(t *threads.Thread) {
-	if ep.polling || ep.interruptCost > 0 {
+	if ep.polling || ep.net.p.InterruptCost > 0 {
 		return
 	}
 	ep.PollAll(t)
@@ -412,8 +417,8 @@ func (ep *Endpoint) Poll(t *threads.Thread) bool {
 	msg := *pm
 	*pm = Msg{}
 	msgPool.Put(pm)
-	cfg := t.Cfg()
-	over := cfg.RecvOverhead + msg.RecvExtra + ep.interruptCost
+	cfg, p := t.Cfg(), &ep.net.p
+	over := cfg.RecvOverhead + p.ExtraRecvCPU + p.InterruptCost
 	if msg.Bulk {
 		over += cfg.BulkExtraRecv
 	}

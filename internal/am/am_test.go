@@ -1,8 +1,11 @@
 package am
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
 	"runtime/debug"
+	"slices"
 	"testing"
 	"time"
 
@@ -20,7 +23,7 @@ func rig(n int) (*machine.Machine, *Net, []*threads.Scheduler) {
 }
 
 func rigOn(m *machine.Machine) (*machine.Machine, *Net, []*threads.Scheduler) {
-	net := NewNet(m)
+	net := NewNet(m, Profile{})
 	scheds := make([]*threads.Scheduler, m.NumNodes())
 	for i := range scheds {
 		scheds[i] = threads.NewScheduler(m.Node(i))
@@ -57,13 +60,13 @@ func TestShortRequestReplyRTT(t *testing.T) {
 		done.Advance(th, 1)
 	})
 	echo := net.Register("echo", func(th *threads.Thread, msg Msg) {
-		net.Endpoint(th.Node().ID).RequestShort(th, msg.Src, reply, msg.A)
+		net.Endpoint(th.Node().ID).Request(th, msg.Src, reply, msg.A, nil, false)
 	})
 	var rtt time.Duration
 	scheds[0].Start("main", func(th *threads.Thread) {
 		ep := net.Endpoint(0)
 		start := th.Now()
-		ep.RequestShort(th, 1, echo, [4]uint64{7})
+		ep.Request(th, 1, echo, [4]uint64{7}, nil, false)
 		ep.Await(th, &done, 1)
 		rtt = time.Duration(th.Now() - start)
 		stopAll(net, 2)
@@ -87,7 +90,7 @@ func TestArgsDelivered(t *testing.T) {
 		gotSrc = msg.Src
 	})
 	scheds[0].Start("main", func(th *threads.Thread) {
-		net.Endpoint(0).RequestShort(th, 1, h, [4]uint64{1, 2, 3, 4})
+		net.Endpoint(0).Request(th, 1, h, [4]uint64{1, 2, 3, 4}, nil, false)
 	})
 	scheds[1].Start("svc", func(th *threads.Thread) {
 		ep := net.Endpoint(1)
@@ -112,7 +115,7 @@ func TestBulkPayloadCopiedAtSend(t *testing.T) {
 	})
 	scheds[0].Start("main", func(th *threads.Thread) {
 		buf := []byte{1, 2, 3}
-		net.Endpoint(0).RequestBulk(th, 1, h, buf, [4]uint64{})
+		net.Endpoint(0).Request(th, 1, h, [4]uint64{}, buf, true)
 		buf[0] = 99 // must not be visible at the receiver
 	})
 	scheds[1].Start("svc", func(th *threads.Thread) {
@@ -152,7 +155,7 @@ func TestFIFOOrderingPerPair(t *testing.T) {
 	const n = 20
 	scheds[0].Start("main", func(th *threads.Thread) {
 		for i := 0; i < n; i++ {
-			net.Endpoint(0).RequestShort(th, 1, h, [4]uint64{uint64(i)})
+			net.Endpoint(0).Request(th, 1, h, [4]uint64{uint64(i)}, nil, false)
 		}
 	})
 	m.Eng.At(time.Millisecond, func() { stopAll(net, 2) })
@@ -173,7 +176,7 @@ func TestLoopbackSelfSend(t *testing.T) {
 	h := net.Register("h", func(th *threads.Thread, msg Msg) { hit.Advance(th, 1) })
 	scheds[0].Start("main", func(th *threads.Thread) {
 		ep := net.Endpoint(0)
-		ep.RequestShort(th, 0, h, [4]uint64{})
+		ep.Request(th, 0, h, [4]uint64{}, nil, false)
 		ep.Await(th, &hit, 1)
 	})
 	if err := m.Run(); err != nil {
@@ -197,7 +200,6 @@ func TestWireCodecRoundTrip(t *testing.T) {
 		A:          [4]uint64{1, 2, 1 << 40, ^uint64(0)},
 		Payload:    buf.Bytes(),
 		PayloadBuf: buf,
-		RecvExtra:  5 * time.Microsecond,
 	}
 	n := msg.WireLen()
 	enc := make([]byte, n)
@@ -206,8 +208,7 @@ func TestWireCodecRoundTrip(t *testing.T) {
 	}
 	out := DecodeWireMsg(3, 7, enc).(*Msg)
 	if !out.Bulk || out.Src != 3 || out.Dst != 7 || out.H != 42 ||
-		out.A != [4]uint64{1, 2, 1 << 40, ^uint64(0)} ||
-		out.RecvExtra != 5*time.Microsecond {
+		out.A != [4]uint64{1, 2, 1 << 40, ^uint64(0)} {
 		t.Fatalf("decoded header mismatch: %+v", out)
 	}
 	if string(out.Payload) != string(payload) {
@@ -232,13 +233,64 @@ func TestShortWireCodecNoPayload(t *testing.T) {
 	msgPool.Put(out)
 }
 
+// FuzzWireMsg drives arbitrary bytes, as a frame from another process, through
+// the decoder NewNet installs. Each input decodes to nil, or to a message for
+// a registered handler whose encoding decodes to the same fields and payload.
+// The seeds are a short and a bulk message, TestTruncatedAMBody's bodies on
+// the transport (the header alone, one byte short of it, the handler one past
+// the table) and a frame naming a handler far past it.
+func FuzzWireMsg(f *testing.F) {
+	_, net, _ := rig(2)
+	h := net.Register("h", func(*threads.Thread, Msg) {})
+	encode := func(m Msg) []byte {
+		b := make([]byte, m.WireLen())
+		pm := msgPool.Get().(*Msg)
+		*pm = m
+		pm.EncodeWire(b)
+		return b
+	}
+	hdr := encode(Msg{H: h})
+	far := encode(Msg{H: h})
+	binary.LittleEndian.PutUint32(far[1:], ^uint32(0))
+	f.Add(encode(Msg{H: h, A: [4]uint64{1, 2, 1 << 40, ^uint64(0)}}))
+	f.Add(encode(Msg{Bulk: true, H: h, A: [4]uint64{3: 9}, Payload: []byte("a bulk payload")}))
+	f.Add(hdr)
+	f.Add(hdr[:len(hdr)-1])
+	f.Add(encode(Msg{H: h + 1}))
+	f.Add(far)
+	f.Fuzz(func(t *testing.T, b []byte) {
+		d := net.decodeWire(0, 1, b)
+		if d == nil {
+			return
+		}
+		m := d.(*Msg)
+		if m.H < 0 || int(m.H) >= len(net.handlers) {
+			t.Fatalf("decoded a message for handler %d, %d registered", m.H, len(net.handlers))
+		}
+		want, payload := *m, slices.Clone(m.Payload)
+		enc := make([]byte, m.WireLen())
+		m.EncodeWire(enc)
+		back, ok := net.decodeWire(0, 1, enc).(*Msg)
+		if !ok {
+			t.Fatalf("%+v does not decode from its own encoding", want)
+		}
+		if back.Bulk != want.Bulk || back.Src != 0 || back.Dst != 1 || back.H != want.H || back.A != want.A ||
+			!bytes.Equal(back.Payload, payload) {
+			t.Fatalf("%+v decodes from its own encoding as %+v", want, *back)
+		}
+		if back.PayloadBuf != nil {
+			back.PayloadBuf.Release()
+		}
+	})
+}
+
 func TestCountersAndBytes(t *testing.T) {
 	m, net, scheds := rig(2)
 	h := net.Register("h", func(th *threads.Thread, msg Msg) {})
 	scheds[0].Start("main", func(th *threads.Thread) {
 		ep := net.Endpoint(0)
-		ep.RequestShort(th, 1, h, [4]uint64{})
-		ep.RequestBulk(th, 1, h, make([]byte, 100), [4]uint64{})
+		ep.Request(th, 1, h, [4]uint64{}, nil, false)
+		ep.Request(th, 1, h, [4]uint64{}, make([]byte, 100), true)
 	})
 	m.Eng.At(time.Millisecond, func() { stopAll(net, 2) })
 	service(scheds[1], net.Endpoint(1))
@@ -287,7 +339,7 @@ func TestPollOnSendServicesPending(t *testing.T) {
 	h0 := net.Register("on0", func(th *threads.Thread, msg Msg) { handledOn0.Advance(th, 1) })
 	scheds[0].Start("main0", func(th *threads.Thread) {
 		ep := net.Endpoint(0)
-		ep.RequestShort(th, 1, h1, [4]uint64{})
+		ep.Request(th, 1, h1, [4]uint64{}, nil, false)
 		ep.Await(th, &handledOn0, 1)
 	})
 	scheds[1].Start("main1", func(th *threads.Thread) {
@@ -295,7 +347,7 @@ func TestPollOnSendServicesPending(t *testing.T) {
 		// Wait until node 0's message is in flight or queued, then send:
 		// the send itself must poll the inbox.
 		th.Charge(machine.CatCPU, 100*time.Microsecond)
-		ep.RequestShort(th, 0, h0, [4]uint64{})
+		ep.Request(th, 0, h0, [4]uint64{}, nil, false)
 		if !handledOn1 {
 			t.Error("send did not poll pending inbox")
 		}
@@ -318,7 +370,7 @@ func TestHandlerReplyDoesNotRecurse(t *testing.T) {
 		if depth > maxDepth {
 			maxDepth = depth
 		}
-		net.Endpoint(th.Node().ID).RequestShort(th, msg.Src, pong, msg.A)
+		net.Endpoint(th.Node().ID).Request(th, msg.Src, pong, msg.A, nil, false)
 		depth--
 	})
 	var got Count
@@ -327,7 +379,7 @@ func TestHandlerReplyDoesNotRecurse(t *testing.T) {
 	scheds[0].Start("main", func(th *threads.Thread) {
 		ep := net.Endpoint(0)
 		for i := 0; i < n; i++ {
-			ep.RequestShort(th, 1, ping, [4]uint64{})
+			ep.Request(th, 1, ping, [4]uint64{}, nil, false)
 		}
 		ep.Await(th, &got, n)
 		stopAll(net, 2)
@@ -434,7 +486,7 @@ func TestBulkPingPongAllocs(t *testing.T) {
 	var pongs Count
 	pong := net.Register("pong", func(th *threads.Thread, msg Msg) { pongs.Advance(th, 1) })
 	ping := net.Register("ping", func(th *threads.Thread, msg Msg) {
-		net.Endpoint(1).RequestBulk(th, msg.Src, pong, msg.Payload, msg.A)
+		net.Endpoint(1).Request(th, msg.Src, pong, msg.A, msg.Payload, true)
 	})
 	var perTrip float64
 	scheds[0].Start("main", func(th *threads.Thread) {
@@ -443,7 +495,7 @@ func TestBulkPingPongAllocs(t *testing.T) {
 		want := uint64(0)
 		trip := func() {
 			want++
-			ep.RequestBulk(th, 1, ping, payload, [4]uint64{})
+			ep.Request(th, 1, ping, [4]uint64{}, payload, true)
 			ep.Await(th, &pongs, want)
 		}
 		for i := 0; i < 8; i++ { // warm the buffer and envelope pools, the inbox rings

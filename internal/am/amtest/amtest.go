@@ -161,13 +161,13 @@ func (rig Rig) Drive(r Row) (refused [2][]string) {
 		if me == 0 {
 			if !r.Early { // node 1's access is answered first
 				t.Compute(time.Millisecond)
-				refused[0] = append(refused[0], poll(t, ep)...)
+				refused[0] = append(refused[0], Poll(t, ep)...)
 			}
-			ep.Request(t, 1, h, r.A, r.Payload, am.SendOpts{Bulk: len(r.Payload) > 0})
+			ep.Request(t, 1, h, r.A, r.Payload, len(r.Payload) > 0)
 		}
 		for range 4 {
 			t.Compute(time.Millisecond)
-			refused[me] = append(refused[me], poll(t, ep)...)
+			refused[me] = append(refused[me], Poll(t, ep)...)
 		}
 	})
 	return refused
@@ -186,9 +186,9 @@ func Check(t testing.TB, r Row, refused [2][]string) {
 	}
 }
 
-// poll serves ep until its inbox is empty and returns the text of every
+// Poll serves ep until its inbox is empty and returns the text of every
 // handler panic.
-func poll(t *threads.Thread, ep *am.Endpoint) (refusals []string) {
+func Poll(t *threads.Thread, ep *am.Endpoint) (refusals []string) {
 	for {
 		handled, refusal := pollOne(t, ep)
 		if refusal != "" {
@@ -213,7 +213,7 @@ func pollOne(t *threads.Thread, ep *am.Endpoint) (handled bool, refusal string) 
 // over the rig's segments, one thread per node.
 func Bare() Rig {
 	m := machine.New(machine.SP1997(), 2)
-	net := am.NewNet(m)
+	net := am.NewNet(m, am.Profile{})
 	mm := am.NewMem(net, am.Price{})
 	mm.AddF64([][]float64{make([]float64, 4), make([]float64, 4)})
 	mm.AddF64([][]float64{make([]float64, 4), nil})

@@ -64,11 +64,11 @@ func (p F64Part) SetElem(off int, b []byte) {
 	p[off] = math.Float64frombits(binary.LittleEndian.Uint64(b))
 }
 
-// Price is what one front end's accesses cost beyond the Active Messages
-// profile. Each step charges its fixed cost and its copy apart: at issue and
-// serve the fixed cost first, at completion the copy first.
+// Price is what one front end's accesses cost in its runtime, beyond what
+// its net charges for their messages. Each step charges its fixed cost and
+// its copy apart: at issue and serve the fixed cost first, at completion the
+// copy first.
 type Price struct {
-	Send                   SendOpts      // every message's profile; Bulk is set per message
 	SyncOps                int           // lock operations charged at issue (twice), serve and completion
 	Issue, Serve, Complete time.Duration // each step's fixed runtime cost
 	// Slots bounds a node's split-phase accesses in flight, as hardware's
@@ -270,9 +270,7 @@ func (m *Mem) Access(t *threads.Thread, op *Op, node int, a [4]uint64, payload [
 		want = op.Done.Value() + 1
 	}
 	t.ChargeSyncOps(m.p.SyncOps)
-	opts := m.p.Send
-	opts.Bulk = len(payload) > 0 || a[0]&OpBulk != 0 && kind != OpGet
-	ep.Request(t, node, m.hReq, a, payload, opts)
+	ep.Request(t, node, m.hReq, a, payload, len(payload) > 0 || a[0]&OpBulk != 0 && kind != OpGet)
 	switch {
 	case !wait:
 	case op.SV != nil:
@@ -359,9 +357,7 @@ func (m *Mem) serve(t *threads.Thread, me, src int, a [4]uint64, b []byte, n int
 			return
 		}
 	}
-	opts := m.p.Send
-	opts.Bulk = len(out) > 0 || a[0]&OpBulk != 0 && kind == OpGet
-	m.net.eps[me].Request(t, src, m.hReply, r, out, opts)
+	m.net.eps[me].Request(t, src, m.hReply, r, out, len(out) > 0 || a[0]&OpBulk != 0 && kind == OpGet)
 }
 
 // reply lands a get's elements, or a put's acknowledgement, at the initiator.

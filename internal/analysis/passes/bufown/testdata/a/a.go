@@ -132,26 +132,6 @@ func branchReleaseBothPaths(cond bool) {
 	}
 }
 
-// Slot-backed buffers (wire.NewSlot, the shm ring marshal target) follow the
-// same owned lifecycle: Bind/marshal/Release per frame is clean, touching the
-// Buf after Release is the slot-aliasing bug the severed backing store exists
-// to catch.
-
-func slotBindMarshalRelease(region []byte) int {
-	b := wire.NewSlot()
-	b.Bind(region)
-	n := sink(b.Bytes())
-	b.Release()
-	return n
-}
-
-func slotUseAfterRelease(region []byte) int {
-	b := wire.NewSlot()
-	b.Bind(region)
-	b.Release()
-	return sink(b.Bytes()) // want `after its final Release`
-}
-
 // --- transfer summary ------------------------------------------------------
 
 // peek borrows: the summary records takes=false for its parameter.

@@ -100,7 +100,9 @@ var corpus = []struct {
 	{"handleInvoke trusts its name length", "go test ./internal/core -run ^TestInvokeHostileWords$/^name_length_past_the_payload$", `handler failed with "runtime error: slice bounds out of range`, []edit{
 		{"internal/core/rmi.go", "\t\tif m.A[3] > uint64(len(m.Payload)) {\n", "\t\tif false {\n"}}},
 	{"the installed wire decoder takes any handler id", "go test ./internal/transport/netlive -run ^TestTruncatedAMBody$/^handler_id_one_past_the_table$", `(?s)shmDrain = true, want false.*unknown kind 0.*want one error, naming "claimed source node 0 of shard 0"`, []edit{
-		{"internal/am/am.go", " || int(binary.LittleEndian.Uint32(b[1:])) >= len(n.handlers) {\n", " {\n"}}},
+		{"internal/am/am.go", " || uint64(binary.LittleEndian.Uint32(b[1:])) >= uint64(len(n.handlers)) {\n", " {\n"}}},
+	{"the installed wire decoder takes any handler id (fuzz seeds)", "go test ./internal/am -run ^FuzzWireMsg$", `decoded a message for handler 1, 1 registered`, []edit{
+		{"internal/am/am.go", " || uint64(binary.LittleEndian.Uint32(b[1:])) >= uint64(len(n.handlers)) {\n", " {\n"}}},
 	// The remote-memory protocol's checks, through both runtimes' tables and
 	// the fuzz target's seeds (seed#3 is the table's "offset at part length").
 	{"a Split-C access trusts its segment word", "go test ./internal/splitc -run ^TestSplitCHostileWords$/^segment_past_the_table$", `handler failed with "runtime error: index out of range`, []edit{

@@ -1,6 +1,7 @@
 package em3d
 
 import (
+	"encoding/binary"
 	"math"
 	"time"
 
@@ -58,35 +59,17 @@ func deliver(t *threads.Thread, ghosts []float64, recvd *am.Count, args []core.A
 	raw := args[1].(*core.Bytes).V
 	n := len(raw) / 8
 	for k := 0; k < n; k++ {
-		ghosts[base+k] = math.Float64frombits(leU64(raw[k*8:]))
+		ghosts[base+k] = math.Float64frombits(binary.LittleEndian.Uint64(raw[k*8:]))
 	}
 	recvd.Advance(t, uint64(n))
 }
 
 func packF64(vals []float64) []byte {
-	out := make([]byte, len(vals)*8)
-	for k, v := range vals {
-		putLeU64(out[k*8:], math.Float64bits(v))
+	out := make([]byte, 0, len(vals)*8)
+	for _, v := range vals {
+		out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
 	}
 	return out
-}
-
-func leU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLeU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }
 
 // RunCCXX executes the CC++ version of EM3D on machine m, one node per

@@ -11,8 +11,8 @@
 // round carries nothing, so it is a short AM. The handler lands the payload,
 // copied once, in its node's mailbox under those words until the member
 // thread takes it. On the simulator a message costs what the AM layer
-// charges, under the runtime's profile (so Nexus pricing applies), plus that
-// one receive copy.
+// charges, under the runtime's net's profile (so Nexus pricing applies), plus
+// that one receive copy.
 //
 // The algorithms are the log-depth classics — a dissemination barrier and
 // binomial trees for the data collectives — so an n-member operation
@@ -20,10 +20,9 @@
 // patterns applications used before were O(n) (see logdepth_test.go).
 //
 // Payloads are opaque []byte at this layer; the typed surface in package
-// mpmd encodes values through the rmigen codecs. The package also hosts the
-// central-coordinator state machines (central.go) that internal/splitc's
-// library collectives are built from — the linear plan the paper's Split-C
-// measurements used, kept bit-identical in cost.
+// mpmd encodes values through the rmigen codecs. Split-C's library
+// collectives, the linear central plan the paper measured, live with the rest
+// of Split-C (internal/splitc).
 package coll
 
 import (

@@ -564,7 +564,7 @@ func TestLeftoverMessageIsAnError(t *testing.T) {
 	h := rt.Handle("test.late", func(*threads.Thread, am.Msg) { t.Error("a message landed after the stop was handled") })
 	rt.OnNode(0, func(*threads.Thread) {})
 	m.Eng.After(time.Second, func() { m.Node(0).Send(1, 0, 48, &am.Msg{Src: 0, Dst: 1, H: h}) })
-	want := "core: node 1 ended the run with a message from node 0 for test.late unhandled"
+	want := "am: node 1 ended the run with a message from node 0 for test.late unhandled"
 	if err := rt.Run(); err == nil || err.Error() != want {
 		t.Fatalf("Run = %v, want %q", err, want)
 	}

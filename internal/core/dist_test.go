@@ -157,7 +157,7 @@ func TestReplyHostileIDs(t *testing.T) {
 		rt := newRig(2, Options{})
 		t.Run(rt.net.HandlerName(rt.hReply)+"/"+id.name, func(t *testing.T) {
 			rt.OnNode(0, func(th *threads.Thread) {
-				rt.nodes[0].send(th, 1, rt.hReply, [4]uint64{id.id}, nil)
+				rt.Send(th, 1, rt.hReply, [4]uint64{id.id}, nil)
 			})
 			var refused string
 			rt.OnNode(1, func(th *threads.Thread) {
@@ -203,7 +203,7 @@ func TestInvokeHostileWords(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := newRig(2, Options{})
 			rt.OnNode(0, func(th *threads.Thread) {
-				rt.nodes[0].send(th, 1, rt.hInvoke, [4]uint64{tc.flags | req<<32, 0, tc.a2, tc.a3}, tc.payload)
+				rt.Send(th, 1, rt.hInvoke, [4]uint64{tc.flags | req<<32, 0, tc.a2, tc.a3}, tc.payload)
 			})
 			var refused string
 			rt.OnNode(1, func(th *threads.Thread) { refused = serveRefusal(rt, th) })

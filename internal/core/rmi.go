@@ -96,30 +96,6 @@ type rmiMsg struct {
 	t0 time.Duration
 }
 
-// send transmits a message from this node under the runtime's cost profile,
-// on the bulk path when it carries a payload. The payload is copied at send
-// time; the sender keeps its buffer. A message is the four word arguments plus
-// the payload bytes — nothing else travels, so it can cross address spaces.
-//
-//mpmd:hotpath
-func (n *nodeRT) send(t *threads.Thread, dst int, h am.HandlerID, a [4]uint64, payload []byte) {
-	opts := n.rt.profile
-	opts.Bulk = len(payload) > 0
-	n.ep.Request(t, dst, h, a, payload, opts)
-}
-
-// sendBuf is send for a payload in an owned pooled buffer (nil for none):
-// ownership transfers to the message layer, which hands it across uncopied
-// and recycles it after the receiving handler runs. The caller must not touch
-// buf after the call.
-//
-//mpmd:hotpath
-func (n *nodeRT) sendBuf(t *threads.Thread, dst int, h am.HandlerID, a [4]uint64, buf *wire.Buf) {
-	opts := n.rt.profile
-	opts.Bulk = buf != nil
-	n.ep.RequestOwned(t, dst, h, a, buf, opts)
-}
-
 // callRec is a pooled sender-side call record: the envelope plus completion
 // of one synchronous RMI, recycled once the caller has observed completion —
 // the warm path's stand-in for the per-call-site records a CC++ stub would
@@ -314,7 +290,7 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	// the bulk path — this is why the paper's 1-Word RMI jumps to the
 	// 70 µs bulk AM cost.
 	lockPair(t)
-	n.sendBuf(t, int(gp.node), rt.hInvoke, a, buf)
+	n.ep.RequestOwned(t, int(gp.node), rt.hInvoke, a, buf, buf != nil)
 
 	if mode == modeSpin || mode == modeBlock {
 		rt.waitComp(t, n, comp)
@@ -424,7 +400,6 @@ func (rt *Runtime) registerHandlers() {
 	rt.hResolveUpdate = rt.net.Register("cc.resolve.update", rt.handleResolveUpdate)
 	rt.hInvoke = rt.net.Register("cc.invoke", rt.handleInvoke)
 	rt.mem = am.NewMem(rt.net, am.Price{
-		Send:     rt.profile,
 		SyncOps:  2, // lockPair
 		Issue:    rt.m.Cfg.StubLookup + gpIssueCost,
 		Serve:    gpServeCost,
@@ -470,8 +445,8 @@ func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 		rbuf := n.bufs.AllocRBuf()
 		n.node.Acct.Count(machine.CntBufAlloc, 1)
 		lockPair(t)
-		n.send(t, m.Src, rt.hResolveUpdate,
-			[4]uint64{uint64(stub), uint64(bm.hash), uint64(rbuf)}, nil)
+		n.ep.Request(t, m.Src, rt.hResolveUpdate,
+			[4]uint64{uint64(stub), uint64(bm.hash), uint64(rbuf)}, nil, false)
 		// Cold invocations land in the static buffer area and must be
 		// copied into the new R-buffer before dispatch.
 		stage(t, n, len(argBytes))
@@ -571,7 +546,7 @@ func (rt *Runtime) runMethod(t *threads.Thread, n *nodeRT, bm *boundMethod, m am
 				time.Duration(n2)*cfg.MemCopyPerByte)
 		}
 		lockPair(t)
-		n.sendBuf(t, m.Src, rt.hReply, [4]uint64{reqID}, buf)
+		n.ep.RequestOwned(t, m.Src, rt.hReply, [4]uint64{reqID}, buf, buf != nil)
 	}
 	if frame != nil {
 		// The return value is already encoded on the wire; the frame can

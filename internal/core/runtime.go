@@ -145,11 +145,6 @@ type Runtime struct {
 	net  *am.Net
 	opts Options
 
-	// profile is what every message the runtime sends costs on top of the
-	// Active Messages profile: nothing for ThAM, the Nexus/TCP surcharges
-	// under Options.Nexus. Its Bulk field is set per message (nodeRT.send).
-	profile am.SendOpts
-
 	// pollWait is set on the backends that ignore modelled time (live,
 	// netlive): a thread waiting for a completion polls for it itself
 	// (waitComp). The simulator keeps the paper's two sender modes, whose
@@ -221,21 +216,28 @@ func NewRuntimeOpts(m *machine.Machine, opts Options) *Runtime {
 			panic("core: Options." + o.name + " on a wall-clock machine: " + o.why)
 		}
 	}
-	rt := &Runtime{
-		m:        m,
-		net:      am.NewNet(m),
-		opts:     opts,
-		pollWait: m.Eng == nil,
-		classes:  make(map[string]*Class),
-		progs:    make([]func(*threads.Thread), m.NumNodes()),
-	}
+	// What every message costs beyond the Active Messages profile: nothing
+	// for ThAM, the Nexus/TCP surcharges under Nexus, a kernel delivery per
+	// message under InterruptDriven.
+	var p am.Profile
 	if opts.Nexus {
-		rt.profile = am.SendOpts{
+		p = am.Profile{
 			ExtraSendCPU: m.Cfg.NexusPerMsgCPU,
 			ExtraWire:    m.Cfg.NexusLatency - m.Cfg.WireLatency,
 			ExtraRecvCPU: m.Cfg.NexusPerMsgCPU,
 			GapPerByte:   m.Cfg.NexusGapPerByte,
 		}
+	}
+	if opts.InterruptDriven {
+		p.InterruptCost = m.Cfg.InterruptCost
+	}
+	rt := &Runtime{
+		m:        m,
+		net:      am.NewNet(m, p),
+		opts:     opts,
+		pollWait: m.Eng == nil,
+		classes:  make(map[string]*Class),
+		progs:    make([]func(*threads.Thread), m.NumNodes()),
 	}
 	for i := 0; i < m.NumNodes(); i++ {
 		n := &nodeRT{
@@ -249,9 +251,6 @@ func NewRuntimeOpts(m *machine.Machine, opts Options) *Runtime {
 			objLocks: make(map[int32]*threads.Mutex),
 		}
 		n.ep.Attach(n.sched)
-		if opts.InterruptDriven {
-			n.ep.SetInterruptCost(m.Cfg.InterruptCost)
-		}
 		rt.nodes = append(rt.nodes, n)
 	}
 	rt.registerHandlers()
@@ -306,11 +305,11 @@ func (rt *Runtime) Handle(name string, h am.Handler) am.HandlerID {
 	return rt.net.Register(name, h)
 }
 
-// Send sends one active message from t's node to handler h on node dst under
-// the runtime's profile (Options.Nexus): short without a payload, bulk with
-// one, which is copied at send time.
+// Send sends one active message from t's node to handler h on node dst,
+// priced by the runtime's net (Options.Nexus): short without a payload, bulk
+// with one, which is copied at send time.
 func (rt *Runtime) Send(t *threads.Thread, dst int, h am.HandlerID, a [4]uint64, payload []byte) {
-	rt.nodeOf(t).send(t, dst, h, a, payload)
+	rt.nodeOf(t).ep.Request(t, dst, h, a, payload, len(payload) > 0)
 }
 
 // TransportName reports the active message layer ("ThAM" or "Nexus").
@@ -466,14 +465,7 @@ func (rt *Runtime) Run() error {
 			})
 		}
 	}
-	err := rt.m.Run()
-	for _, n := range rt.local {
-		if pkt, ok := n.node.PopInbox(); ok {
-			err = errors.Join(err, fmt.Errorf("core: node %d ended the run with a message from node %d for %s unhandled",
-				n.node.ID, pkt.Src, rt.net.HandlerName(pkt.Payload.(*am.Msg).H)))
-		}
-	}
-	return err
+	return errors.Join(rt.m.Run(), rt.net.Unhandled())
 }
 
 // Counts sums the messages sent and handled and the threads made runnable and

@@ -1,10 +1,10 @@
 package splitc
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/am"
-	"repro/internal/coll"
 	"repro/internal/machine"
 	"repro/internal/threads"
 )
@@ -12,11 +12,9 @@ import (
 // This file provides the Split-C library layer above the raw global-access
 // primitives: spread arrays (the language's `A[i]::` distributed arrays) and
 // the usual collectives (all_bcast, all_reduce) built from the same AM
-// traffic a Split-C library would generate. The combining state machines
-// live in internal/coll (the central-coordinator plans); this file supplies
-// the wire format and charges, which the parity test pins to the paper's
-// measured behavior. The log-depth tree collectives of the MPMD side live
-// in internal/coll too — see coll.Team.
+// traffic a Split-C library would generate, whose charges the parity test
+// pins to the paper's measured behavior. The log-depth tree collectives of
+// the MPMD side live in internal/coll (coll.Team).
 
 // SpreadF64 is a distributed array of doubles in the cyclic layout Split-C
 // gives `double A[n]::` — element i lives on processor i%PROCS. The
@@ -67,51 +65,86 @@ func (s *SpreadF64) Index(i int) GPF {
 
 // --- collectives -------------------------------------------------------------
 
-// collective state per World, allocated lazily on first use. Node 0
-// coordinates; values travel in the existing short-AM format. The
-// arrival-counting fold is coll.CentralReduce — the linear central plan —
-// so the message pattern and modelled costs are exactly the measured ones.
+// ReduceOp selects the all_reduce combiner.
+type ReduceOp int
+
+// The reduction operators Split-C's library provides for doubles.
+const (
+	OpSum ReduceOp = iota
+	OpMax
+	OpMin
+	numOps
+)
+
+// combine applies the operator to two doubles.
+func (op ReduceOp) combine(a, b float64) float64 {
+	switch op {
+	case OpMax:
+		if b > a {
+			return b
+		}
+	case OpMin:
+		if b < a {
+			return b
+		}
+	case OpSum:
+		return a + b
+	}
+	return a
+}
+
+// collectives is the world's all_reduce state. Node 0 coordinates: it folds
+// every processor's contribution as it arrives and, on the last, sends each
+// processor the result — the linear central plan of Split-C's library, whose
+// message pattern and modelled costs the parity test pins. Values travel in
+// the short-AM words, the operator as a word too.
 type collectives struct {
 	hContrib am.HandlerID
 	hResult  am.HandlerID
-	red      *coll.CentralReduce
-	gen      int
+	count    int     // node 0: contributions folded into acc this round
+	acc      float64 // node 0: the round's fold
+	gen      int     // node 0: rounds completed
 	results  []float64
 	haveGen  []am.Count // the result generations each node has landed
 }
 
-// ReduceOp selects the all_reduce combiner (shared with internal/coll).
-type ReduceOp = coll.ReduceOp
-
-// The reduction operators Split-C's library provides for doubles.
-const (
-	OpSum = coll.OpSum
-	OpMax = coll.OpMax
-	OpMin = coll.OpMin
-)
-
 func (w *World) initCollectives() {
 	c := &collectives{
-		red:     coll.NewCentralReduce(w.m.NumNodes()),
 		results: make([]float64, w.m.NumNodes()),
 		haveGen: make([]am.Count, w.m.NumNodes()),
 	}
 	w.coll = c
+	// The words may come from another process: a result must be the next
+	// generation its node awaits, and a contribution must reach node 0 with
+	// an operator the library has, or it is refused by name before it
+	// touches anything.
 	c.hResult = w.net.Register("sc.coll.result", func(t *threads.Thread, m am.Msg) {
+		have := &c.haveGen[m.Dst]
+		if m.A[1] != have.Value()+1 {
+			panic(fmt.Sprintf("splitc: node %d all_reduce result from node %d for generation %d, awaiting %d", m.Dst, m.Src, m.A[1], have.Value()+1))
+		}
 		c.results[m.Dst] = math.Float64frombits(m.A[0])
-		advanceTo(t, &c.haveGen[m.Dst], m.A[1])
+		have.Advance(t, 1)
 	})
-	// Contribution messages carry the operator as a word (A[1]) — the enum
-	// is the wire form, no object reference rides along.
 	c.hContrib = w.net.Register("sc.coll.contrib", func(t *threads.Thread, m am.Msg) {
-		v := math.Float64frombits(m.A[0])
-		op := ReduceOp(m.A[1])
-		if acc, done := c.red.Absorb(op, v); done {
-			c.gen++
-			for q := 0; q < w.m.NumNodes(); q++ {
-				w.ep(t).RequestShort(t, q, c.hResult,
-					[4]uint64{math.Float64bits(acc), uint64(c.gen)})
-			}
+		switch {
+		case m.Dst != 0:
+			panic(fmt.Sprintf("splitc: node %d all_reduce contribution from node %d: only node 0 combines", m.Dst, m.Src))
+		case m.A[1] >= uint64(numOps):
+			panic(fmt.Sprintf("splitc: node %d all_reduce contribution from node %d: unknown operator %d", m.Dst, m.Src, m.A[1]))
+		}
+		if v := math.Float64frombits(m.A[0]); c.count == 0 {
+			c.acc = v
+		} else {
+			c.acc = ReduceOp(m.A[1]).combine(c.acc, v)
+		}
+		if c.count++; c.count < w.m.NumNodes() {
+			return
+		}
+		c.count = 0
+		c.gen++
+		for q := 0; q < w.m.NumNodes(); q++ {
+			w.ep(t).Request(t, q, c.hResult, [4]uint64{math.Float64bits(c.acc), uint64(c.gen)}, nil, false)
 		}
 	})
 }
@@ -123,7 +156,7 @@ func (p *Proc) AllReduce(v float64, op ReduceOp) float64 {
 	c := p.w.coll
 	target := c.haveGen[p.me].Value() + 1
 	p.T.Charge(machine.CatRuntime, issueCost)
-	p.ep.RequestShort(p.T, 0, c.hContrib, [4]uint64{math.Float64bits(v), uint64(op)})
+	p.ep.Request(p.T, 0, c.hContrib, [4]uint64{math.Float64bits(v), uint64(op)}, nil, false)
 	p.ep.Await(p.T, &c.haveGen[p.me], target)
 	return c.results[p.me]
 }

@@ -23,6 +23,7 @@ package splitc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -89,7 +90,7 @@ type Proc struct {
 
 // New builds a Split-C world over machine m.
 func New(m *machine.Machine) *World {
-	w := &World{m: m, net: am.NewNet(m)}
+	w := &World{m: m, net: am.NewNet(m, am.Profile{})}
 	for i := 0; i < m.NumNodes(); i++ {
 		w.procs = append(w.procs, &Proc{w: w, me: i, ep: w.net.Endpoint(i)})
 	}
@@ -113,7 +114,8 @@ func (w *World) Machine() *machine.Machine { return w.m }
 func (w *World) Proc(i int) *Proc { return w.procs[i] }
 
 // Run starts prog on every node this address space hosts — all of them, off
-// the sharded backend — and drives the machine to completion.
+// the sharded backend — and drives the machine to completion. A message left
+// in an inbox then, which nothing will handle, is an error naming it.
 func (w *World) Run(prog func(p *Proc)) error {
 	topo, sharded := w.m.Backend().(transport.Sharded)
 	for i, p := range w.procs {
@@ -127,7 +129,7 @@ func (w *World) Run(prog func(p *Proc)) error {
 			prog(p)
 		})
 	}
-	return w.m.Run()
+	return errors.Join(w.m.Run(), w.net.Unhandled())
 }
 
 // MyPC returns this node's processor number (Split-C's MYPROC).
@@ -187,11 +189,6 @@ func (p *Proc) access(kind uint64, gp GVF, dst, src []float64, wait bool) {
 
 // ep returns the endpoint of the node the thread is running on.
 func (w *World) ep(t *threads.Thread) *am.Endpoint { return w.net.Endpoint(t.Node().ID) }
-
-// advanceTo advances c to gen, a generation a release message carried.
-func advanceTo(t *threads.Thread, c *am.Count, gen uint64) {
-	c.Advance(t, max(gen, c.Value())-c.Value())
-}
 
 // enc encodes doubles for a bulk payload; the message layer copies it at
 // send time, and the protocol charges the copy.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/machine"
+	"repro/internal/transport/live"
 )
 
 // on shares part as an array held by processor pc alone.
@@ -390,5 +391,34 @@ func TestDeterministicTiming(t *testing.T) {
 	}
 	if a, b := run(), run(); a != b {
 		t.Fatalf("nondeterministic: %v vs %v", a, b)
+	}
+}
+
+// TestLeftoverMessageIsAnError: node 0 stores to node 1, whose program has
+// already returned, so no thread ever handles the store. Run says so, naming
+// the node, the sender and the handler, on the simulator and on live.
+func TestLeftoverMessageIsAnError(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    func() *machine.Machine
+	}{
+		{"sim", func() *machine.Machine { return machine.New(machine.SP1997(), 2) }},
+		{"live", func() *machine.Machine {
+			return machine.NewWithBackend(machine.SP1997(), 2, live.New(2, live.Options{Watchdog: 20 * time.Second}))
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			w := New(tc.m())
+			seg := on(w, 1, make([]float64, 1))
+			err := w.Run(func(p *Proc) {
+				if p.MyPC() == 0 {
+					p.Store(GPF{PC: 1, Seg: seg}, 1)
+				}
+			})
+			want := "am: node 1 ended the run with a message from node 0 for mem.req unhandled"
+			if err == nil || err.Error() != want {
+				t.Fatalf("Run = %v, want %q", err, want)
+			}
+		})
 	}
 }

@@ -104,7 +104,7 @@ func newRig(ms []*machine.Machine) *rig {
 	r.owner = make([]int, n)
 	r.scheds = make([]*threads.Scheduler, n)
 	for k, m := range ms {
-		net := am.NewNet(m)
+		net := am.NewNet(m, am.Profile{})
 		r.nets = append(r.nets, net)
 		for i := 0; i < n; i++ {
 			if localTo(m, i) && r.scheds[i] == nil {
@@ -173,7 +173,7 @@ func shortOrdering(t *testing.T, f ShardedFactory) {
 	})
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		for i := 0; i < k; i++ {
-			r.ep(0).RequestShort(th, 1, h, [4]uint64{uint64(i)})
+			r.ep(0).Request(th, 1, h, [4]uint64{uint64(i)}, nil, false)
 		}
 	})
 	r.scheds[1].Start("receiver", func(th *threads.Thread) {
@@ -231,7 +231,7 @@ func bulkIntegrity(t *testing.T, f ShardedFactory) {
 			for j := range buf {
 				buf[j] = pattern(i, j)
 			}
-			r.ep(0).RequestBulk(th, 1, h, buf, [4]uint64{uint64(i)})
+			r.ep(0).Request(th, 1, h, [4]uint64{uint64(i)}, buf, true)
 			// Clobber the buffer immediately: the layer promised value
 			// semantics at send time.
 			for j := range buf {
@@ -319,7 +319,7 @@ func payloadRecycling(t *testing.T, f ShardedFactory) {
 				for j := range buf {
 					buf[j] = pattern(s, i, j)
 				}
-				r.ep(s).RequestBulk(th, 0, h, buf, [4]uint64{uint64(s), uint64(i)})
+				r.ep(s).Request(th, 0, h, [4]uint64{uint64(s), uint64(i)}, buf, true)
 			}
 		})
 	}
@@ -375,7 +375,7 @@ func runToCompletion(t *testing.T, f ShardedFactory) {
 		s := s
 		r.scheds[s].Start("sender", func(th *threads.Thread) {
 			for i := 0; i < k; i++ {
-				r.ep(s).RequestShort(th, 0, h, [4]uint64{})
+				r.ep(s).Request(th, 0, h, [4]uint64{}, nil, false)
 			}
 		})
 	}
@@ -406,7 +406,7 @@ func busyDestination(t *testing.T, f ShardedFactory) {
 	h := r.register("conf.busy", func(th *threads.Thread, _ am.Msg) { got.Advance(th, 1) })
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		for i := 0; i < k; i++ {
-			r.ep(0).RequestShort(th, 1, h, [4]uint64{})
+			r.ep(0).Request(th, 1, h, [4]uint64{}, nil, false)
 		}
 	})
 	r.scheds[1].Start("busy", func(th *threads.Thread) {
@@ -454,7 +454,7 @@ func pollDelivers(t *testing.T, f ShardedFactory) {
 		for !spinning.Load() {
 			time.Sleep(time.Millisecond) // wall-clock only: the simulator's spinner is already running
 		}
-		r.ep(1).RequestShort(th, 0, h, [4]uint64{})
+		r.ep(1).Request(th, 0, h, [4]uint64{}, nil, false)
 	})
 	if err := r.run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -534,12 +534,12 @@ func crossShardTraffic(t *testing.T, f ShardedFactory, mixed bool) {
 		ep := r.ep(0)
 		buf := make([]byte, huge)
 		for i := 0; i < k; i++ {
-			ep.RequestShort(th, dst, hShort, [4]uint64{uint64(i)})
+			ep.Request(th, dst, hShort, [4]uint64{uint64(i)}, nil, false)
 			b := buf[:size(i)]
 			for j := range b {
 				b[j] = pattern(i, j)
 			}
-			ep.RequestBulk(th, dst, hBulk, b, [4]uint64{uint64(i)})
+			ep.Request(th, dst, hBulk, [4]uint64{uint64(i)}, b, true)
 			for j := range b {
 				b[j] = 0xAA // copy-at-send: clobbering must not be visible
 			}
@@ -581,7 +581,7 @@ func statsMerge(t *testing.T, f ShardedFactory) {
 	h := r.register("conf.stats", func(th *threads.Thread, _ am.Msg) { got.Advance(th, 1) })
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		for i := 0; i < k; i++ {
-			r.ep(0).RequestShort(th, nodes-1, h, [4]uint64{uint64(i)})
+			r.ep(0).Request(th, nodes-1, h, [4]uint64{uint64(i)}, nil, false)
 		}
 	})
 	r.scheds[nodes-1].Start("receiver", func(th *threads.Thread) {
@@ -670,11 +670,11 @@ func parkUnpark(t *testing.T, f ShardedFactory) {
 	})
 	r.scheds[0].Start("sender", func(th *threads.Thread) {
 		ep0 := r.ep(0)
-		ep0.RequestShort(th, 1, hEarly, [4]uint64{})
+		ep0.Request(th, 1, hEarly, [4]uint64{}, nil, false)
 		// Wait for node 1's ack (its main thread is provably past the
 		// non-parking read) before sending the message it must park for.
 		ep0.Await(th, &acked, 1)
-		ep0.RequestShort(th, 1, hLate, [4]uint64{})
+		ep0.Request(th, 1, hLate, [4]uint64{}, nil, false)
 	})
 	var got1, got2 int
 	r.scheds[1].Start("main", func(th *threads.Thread) {
@@ -682,7 +682,7 @@ func parkUnpark(t *testing.T, f ShardedFactory) {
 		// exercises the permit path (value already written).
 		ep1.Await(th, &earlyIn, 1)
 		got1 = early.Read(th).(int)
-		ep1.RequestShort(th, 0, hAck, [4]uint64{})
+		ep1.Request(th, 0, hAck, [4]uint64{}, nil, false)
 		// This Read parks: the poller below services the arrival and the
 		// handler's Write unparks us.
 		got2 = late.Read(th).(int)

@@ -117,7 +117,7 @@ func TestReaderBackstop(t *testing.T) {
 	_ = a.net.Register("b.msg", func(*threads.Thread, am.Msg) {})
 	a.scheds[0].Start("sender", func(th *threads.Thread) {
 		for i := 0; i < k; i++ {
-			a.net.Endpoint(0).RequestShort(th, 1, h, [4]uint64{uint64(i)})
+			a.net.Endpoint(0).Request(th, 1, h, [4]uint64{uint64(i)}, nil, false)
 		}
 	})
 	b.scheds[1].Start("busy", func(th *threads.Thread) {
@@ -157,7 +157,7 @@ func TestIdleSpinHandsBack(t *testing.T) {
 	fire := make(chan struct{})
 	a.scheds[0].Start("sender", func(th *threads.Thread) {
 		<-fire
-		a.net.Endpoint(0).RequestShort(th, 1, h, [4]uint64{})
+		a.net.Endpoint(0).Request(th, 1, h, [4]uint64{}, nil, false)
 	})
 	b.scheds[1].Start("receiver", func(th *threads.Thread) {
 		b.net.Endpoint(1).Await(th, &got, 1)

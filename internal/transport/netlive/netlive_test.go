@@ -45,7 +45,7 @@ func newShardRig(t *testing.T, n, nps, shard int, dir string, mods ...func(*Opti
 		t.Fatalf("New shard %d: %v", shard, err)
 	}
 	r := &shardRig{be: be, m: machine.NewWithBackend(machine.SP1997(), n, be)}
-	r.net = am.NewNet(r.m)
+	r.net = am.NewNet(r.m, am.Profile{})
 	r.scheds = make(map[int]*threads.Scheduler)
 	for _, i := range be.LocalNodes() {
 		sc := threads.NewScheduler(r.m.Node(i))
@@ -151,7 +151,7 @@ func twoShardsTraffic(t *testing.T, wantShm bool, mods ...func(*Options)) {
 		}
 		gotBulk++
 		arrived.Advance(th, 1)
-		b.net.Endpoint(2).RequestShort(th, 0, hAck, [4]uint64{uint64(i)})
+		b.net.Endpoint(2).Request(th, 0, hAck, [4]uint64{uint64(i)}, nil, false)
 	})
 	// Shard 0: the ack handler registers on shard 0's net under the same ID
 	// sequence — identical registration order across shards, as the SPMD
@@ -166,11 +166,11 @@ func twoShardsTraffic(t *testing.T, wantShm bool, mods ...func(*Options)) {
 		ep := a.net.Endpoint(0)
 		buf := make([]byte, bytes)
 		for i := 0; i < k; i++ {
-			ep.RequestShort(th, 2, hShort, [4]uint64{uint64(i)})
+			ep.Request(th, 2, hShort, [4]uint64{uint64(i)}, nil, false)
 			for j := range buf {
 				buf[j] = pattern(i, j)
 			}
-			ep.RequestBulk(th, 2, hBulk, buf, [4]uint64{uint64(i)})
+			ep.Request(th, 2, hBulk, [4]uint64{uint64(i)}, buf, true)
 			// Clobber: the wire path promised copy-at-send semantics.
 			for j := range buf {
 				buf[j] = 0xEE
@@ -260,7 +260,7 @@ func TestShmRingWraparoundAliasing(t *testing.T) {
 			bad = "ring slot reused under a running handler (aliasing)"
 		}
 		got.Advance(th, 1)
-		b.net.Endpoint(2).RequestShort(th, 0, hAck, [4]uint64{uint64(i)})
+		b.net.Endpoint(2).Request(th, 0, hAck, [4]uint64{uint64(i)}, nil, false)
 	})
 	_ = a.net.Register("w.bulk", func(*threads.Thread, am.Msg) {})
 	var acks am.Count
@@ -274,7 +274,7 @@ func TestShmRingWraparoundAliasing(t *testing.T) {
 			for j := range buf {
 				buf[j] = pattern(i, j)
 			}
-			ep.RequestBulk(th, 2, hBulk, buf, [4]uint64{uint64(i)})
+			ep.Request(th, 2, hBulk, [4]uint64{uint64(i)}, buf, true)
 		}
 		ep.Await(th, &acks, k)
 	})
@@ -395,7 +395,7 @@ func TestTwoShardsStats(t *testing.T) {
 	var gotPing am.Count
 	hPing := b.net.Register("s.ping", func(th *threads.Thread, m am.Msg) {
 		gotPing.Advance(th, 1)
-		b.net.Endpoint(2).RequestShort(th, 0, hAck, m.A)
+		b.net.Endpoint(2).Request(th, 0, hAck, m.A, nil, false)
 	})
 	_ = a.net.Register("s.ping", func(*threads.Thread, am.Msg) {})
 	var acks am.Count
@@ -405,7 +405,7 @@ func TestTwoShardsStats(t *testing.T) {
 	a.scheds[0].Start("sender", func(th *threads.Thread) {
 		ep := a.net.Endpoint(0)
 		for i := 0; i < k; i++ {
-			ep.RequestShort(th, 2, hPing, [4]uint64{uint64(i)})
+			ep.Request(th, 2, hPing, [4]uint64{uint64(i)}, nil, false)
 		}
 		ep.Await(th, &acks, k)
 	})

@@ -4,9 +4,9 @@
 // co-resident shards. Each ordered shard pair (i, j) gets one mmap'd
 // single-producer single-consumer byte ring per direction, created by the
 // parent in the rendezvous directory before re-exec and attached by every
-// shard at New. A cross-shard packet is marshaled by the sender directly
-// into a ring slot (the slot-backed wire.Buf), published with an atomic
-// cursor store, and consumed in place on the receiving shard — the same
+// shard at New. A cross-shard packet is encoded by the sender straight into
+// the ring slot it reserved (FrameMarshaler.EncodeWire), published with an
+// atomic cursor store, and consumed in place on the receiving shard — the same
 // packet bytes a socket link carries, minus the two syscalls per frame. A
 // packet too large for one slot is staged once and published as consecutive
 // fragment records.
@@ -244,9 +244,8 @@ type shmTx struct {
 	peer int
 
 	mu     sync.Mutex
-	tail   uint64    //mpmdvet:guard mu — local copy of the published producer cursor
-	slot   *wire.Buf //mpmdvet:guard mu — reusable slot-backed marshal target
-	closed bool      //mpmdvet:guard mu
+	tail   uint64 //mpmdvet:guard mu — local copy of the published producer cursor
+	closed bool   //mpmdvet:guard mu
 	// dead latches after a reserve timeout (no consumer progress for
 	// DialTimeout): the link has failed, and every later frame is dropped.
 	// The socket is no alternative — it leads to the same wedged process.
@@ -356,7 +355,7 @@ func (b *Backend) shmSetup() error {
 			b.closeRings(p)
 			return err
 		}
-		b.peers[s].tx = &shmTx{r: out, peer: s, slot: wire.NewSlot()}
+		b.peers[s].tx = &shmTx{r: out, peer: s}
 		in, err := attachRing(b.ringPath(s, b.shard), deadline)
 		if err != nil {
 			b.closeRings(p)
@@ -441,10 +440,10 @@ func (b *Backend) shmWake(s int) {
 	}
 }
 
-// send puts one packet on the ring. The common case reserves a slot,
-// marshals the payload into it through the slot-backed Buf, publishes the new
-// tail, and rings the doorbell if the consumer is parked. The whole critical
-// section is sender-side only — the consumer is coordinated purely through
+// send puts one packet on the ring. The common case reserves a slot, encodes
+// the payload straight into the slot's bytes, publishes the new tail, and
+// rings the doorbell if the consumer is parked. The whole critical section is
+// sender-side only — the consumer is coordinated purely through
 // the shared cursors. A packet over the contiguity limit goes as fragments;
 // one that finds no room because the link is dead or closed is dropped and
 // counted.
@@ -468,9 +467,7 @@ func (tx *shmTx) send(b *Backend, src, dst, size int, wp transport.FrameMarshale
 	data := tx.r.data
 	binary.LittleEndian.PutUint32(data[off:], uint32(recHdrLen+uint64(n)))
 	putPacketHdr(data[off+4:], src, dst, size)
-	tx.slot.Bind(data[off+recHdrLen : off+recHdrLen+uint64(n)])
-	wp.EncodeWire(tx.slot.Bytes())
-	tx.slot.Release()
+	wp.EncodeWire(data[off+recHdrLen : off+recHdrLen+uint64(n)])
 	depth := tx.publish(rec)
 	tx.mu.Unlock()
 	b.met.Add(metrics.CtrShmFramesOut, 1)

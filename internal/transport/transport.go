@@ -97,8 +97,9 @@ type Sharded interface {
 	Quiesce(tally func() (c [4]uint64, ok bool), over func()) (idle func())
 
 	// SendRemote ships one packet to the shard owning dst over that shard's
-	// link, consuming wp: the link serializes it into memory it owns (a
-	// shared-memory ring slot, or a pooled frame for a socket writer). Which
+	// link, consuming wp: the link encodes it straight into memory it owns (a
+	// shared-memory ring slot it has reserved, or a pooled frame for a socket
+	// writer). Which
 	// of the two a link uses is fixed when the backend is built, never per
 	// message, so per-sender delivery order to a destination is preserved
 	// whatever the frame sizes. size is the modelled wire size of the packet.

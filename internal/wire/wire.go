@@ -22,6 +22,9 @@
 // Violations are observable: a recycled buffer is handed to a later sender,
 // so a stale reader races with the new writer and the race detector (or the
 // conformance suite's payload-recycling case) reports it.
+//
+// A Buf always owns its memory. A link that writes into memory of its own —
+// a shared-memory ring slot — encodes the message there directly, with no Buf.
 package wire
 
 import (
@@ -41,14 +44,9 @@ var pools [len(classSizes)]sync.Pool
 type Buf struct {
 	data  []byte // full-capacity backing store
 	n     int    // current payload length
-	class int8   // pool index; -1 oversize (not recycled), -2 slot-backed
+	class int8   // pool index; -1 oversize (not recycled)
 	refs  atomic.Int32
 }
-
-// classSlot marks a slot-backed Buf: the data slice aliases externally
-// owned memory (a shared-memory ring slot) bound with Bind. Never pooled —
-// Release only severs the alias.
-const classSlot = -2
 
 // Get returns a buffer holding n payload bytes (contents undefined) with a
 // reference count of one.
@@ -72,30 +70,6 @@ func Get(n int) *Buf {
 	return b
 }
 
-// NewSlot returns an unbound slot-backed buffer. Unlike Get, the returned
-// Buf owns no memory of its own: Bind points it at an externally owned byte
-// region (a shared-memory ring slot), giving the same Buf the transport
-// layers marshal into, but with the frame bytes landing directly in the
-// slot. The intended lifecycle is one Bind/marshal/Release per frame, with
-// the same slot Buf reused across frames — a slot-backed send allocates
-// nothing after the one-time NewSlot.
-func NewSlot() *Buf {
-	return &Buf{class: classSlot}
-}
-
-// Bind points a slot-backed buffer (NewSlot) at p with a reference count of
-// one. The caller owns p's memory and must guarantee it stays valid — and
-// unreused — until the matching final Release; for a ring slot that is the
-// producer-side publish protocol's job.
-func (b *Buf) Bind(p []byte) {
-	if b.class != classSlot {
-		panic("wire: Bind on a pooled buffer (only NewSlot buffers bind external memory)")
-	}
-	b.data = p
-	b.n = len(p)
-	b.refs.Store(1)
-}
-
 // Copy returns a buffer initialized to a copy of p.
 func Copy(p []byte) *Buf {
 	b := Get(len(p))
@@ -110,14 +84,8 @@ func (b *Buf) Bytes() []byte { return b.data[:b.n] }
 // Len returns the payload length.
 func (b *Buf) Len() int { return b.n }
 
-// Retain adds a reference. Slot-backed buffers cannot be retained: their
-// bytes live in a ring slot the producer reuses as soon as the cursor
-// advances, so a reference held past the send would alias a later frame —
-// callers that need the bytes must copy them out.
+// Retain adds a reference.
 func (b *Buf) Retain() {
-	if b.class == classSlot {
-		panic("wire: Retain of slot-backed buffer (ring slot memory cannot outlive its frame; copy instead)")
-	}
 	if b.refs.Add(1) <= 1 {
 		panic("wire: Retain of released buffer")
 	}
@@ -135,11 +103,6 @@ func (b *Buf) Release() {
 	}
 	if b.class >= 0 {
 		pools[b.class].Put(b)
-	} else if b.class == classSlot {
-		// Sever the alias so a stale use after Release fails loudly (nil
-		// backing store) instead of silently reading a reused ring slot.
-		b.data = nil
-		b.n = 0
 	}
 }
 

@@ -188,56 +188,3 @@ func TestRingShrinkPreservesOrderAcrossWrap(t *testing.T) {
 		seq++
 	}
 }
-
-// TestSlotBindLifecycle: a slot-backed Buf aliases the bound memory (writes
-// through Bytes land in the caller's region), Release severs the alias, and
-// the same Buf rebinds cleanly for the next frame.
-func TestSlotBindLifecycle(t *testing.T) {
-	region := make([]byte, 32)
-	b := NewSlot()
-	b.Bind(region[:16])
-	if b.Len() != 16 {
-		t.Fatalf("bound Len = %d, want 16", b.Len())
-	}
-	copy(b.Bytes(), "slot-backed frame")
-	if string(region[:11]) != "slot-backed" {
-		t.Fatalf("write did not land in the bound region: %q", region[:11])
-	}
-	b.Release()
-	if b.data != nil || b.n != 0 {
-		t.Fatal("Release left the alias intact; stale use would read a reused ring slot")
-	}
-	b.Bind(region[16:])
-	if b.Len() != 16 || &b.Bytes()[0] != &region[16] {
-		t.Fatal("rebind after Release did not alias the new region")
-	}
-	b.Release()
-}
-
-// TestSlotRetainPanics: ring slot memory cannot outlive its frame, so
-// Retain on a slot-backed Buf must fail loudly instead of handing out a
-// reference the producer will overwrite.
-func TestSlotRetainPanics(t *testing.T) {
-	b := NewSlot()
-	b.Bind(make([]byte, 8))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Retain on a slot-backed buffer did not panic")
-		}
-	}()
-	b.Retain()
-}
-
-// TestSlotBindOnPooledPanics: Bind is slot-only; pointing a pooled buffer at
-// foreign memory would leak the pooled backing store and recycle the
-// foreign bytes.
-func TestSlotBindOnPooledPanics(t *testing.T) {
-	b := Get(8)
-	defer b.Release()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Bind on a pooled buffer did not panic")
-		}
-	}()
-	b.Bind(make([]byte, 8))
-}
