@@ -108,11 +108,13 @@ func (m *Msg) EncodeWire(b []byte) int {
 // DecodeWireMsg reconstructs a pooled Msg envelope from the serialized form,
 // copying the payload into a fresh pooled wire buffer, so packets arriving
 // from a peer shard re-enter the inbox exactly as locally sent ones do. The
-// bytes come from another process: fewer than the header's decode to nil, and
-// the shard link that carried them is abandoned as malformed. The decoder
-// NewNet installs (decodeWire) also holds the handler ID against its table.
+// bytes come from another process: fewer than the header's, a flags byte with
+// a bit other than bulk set and a short message with bytes after its header
+// decode to nil, and the shard link that carried them is abandoned as
+// malformed. The decoder NewNet installs (decodeWire) also holds the handler
+// ID against its table.
 func DecodeWireMsg(src, dst int, b []byte) any {
-	if len(b) < wireHeaderLen {
+	if len(b) < wireHeaderLen || b[0]&^1 != 0 || b[0] == 0 && len(b) > wireHeaderLen {
 		return nil
 	}
 	m := msgPool.Get().(*Msg)
@@ -167,7 +169,8 @@ type Endpoint struct {
 	sched   *threads.Scheduler
 	waiters []*threads.Thread
 	polling bool
-	stopped bool
+	stopped bool        // in the node's context, by the arrival Stop wakes
+	stop    atomic.Bool // Stop's request, from any goroutine
 	// modelled is read once: on the simulator Await yields to a ready
 	// sibling, on a wall-clock machine it never does.
 	modelled bool
@@ -245,15 +248,16 @@ func (ep *Endpoint) Attach(s *threads.Scheduler) { ep.sched = s }
 // Node returns the endpoint's node.
 func (ep *Endpoint) Node() *machine.Node { return ep.node }
 
-// Stop marks the endpoint as shut down and wakes every thread parked in
+// Stop shuts the endpoint down. It may be called from any goroutine: it
+// records the request and wakes the node, whose arrival hook, in the node's
+// context, marks the endpoint stopped and wakes every thread parked in
 // WaitMessage, letting service loops observe their exit condition.
 func (ep *Endpoint) Stop() {
-	ep.stopped = true
-	for ep.wakeOne() {
-	}
+	ep.stop.Store(true)
+	ep.node.M.Wake(ep.node.ID)
 }
 
-// Stopped reports whether Stop has been called.
+// Stopped reports whether a Stop has landed in the node's context.
 func (ep *Endpoint) Stopped() bool { return ep.stopped }
 
 // Counts reports how many messages this node has sent and handled.
@@ -280,8 +284,15 @@ func (n *Net) Unhandled() error {
 // gets the message and handles its own reply inline — the polling thread
 // stays parked and no context switches are paid, matching the paper's
 // "0-Word Simple" sender. Await re-arms the remaining waiters if a woken
-// thread leaves messages behind.
-func (ep *Endpoint) onArrival() { ep.wakeOne() }
+// thread leaves messages behind. Once Stop has been asked for, it stops the
+// endpoint and wakes every waiter instead.
+func (ep *Endpoint) onArrival() {
+	if ep.stop.Load() {
+		ep.stopped = true
+	}
+	for ep.wakeOne() && ep.stopped {
+	}
+}
 
 // wakeOne readies the most recent waiter that is still blocked and reports
 // whether there was one. A listed thread that is not blocked was made ready by

@@ -235,10 +235,12 @@ func TestShortWireCodecNoPayload(t *testing.T) {
 
 // FuzzWireMsg drives arbitrary bytes, as a frame from another process, through
 // the decoder NewNet installs. Each input decodes to nil, or to a message for
-// a registered handler whose encoding decodes to the same fields and payload.
-// The seeds are a short and a bulk message, TestTruncatedAMBody's bodies on
-// the transport (the header alone, one byte short of it, the handler one past
-// the table) and a frame naming a handler far past it.
+// a registered handler that a sender could have made: a short one has no
+// payload, and its encoding is exactly the input. The seeds are a short and a
+// bulk message, TestTruncatedAMBody's bodies on the transport (the header
+// alone, one byte short of it, the handler one past the table), a frame
+// naming a handler far past it, a short header followed by three bytes, and a
+// header whose flags byte sets a bit no sender sets.
 func FuzzWireMsg(f *testing.F) {
 	_, net, _ := rig(2)
 	h := net.Register("h", func(*threads.Thread, Msg) {})
@@ -252,12 +254,16 @@ func FuzzWireMsg(f *testing.F) {
 	hdr := encode(Msg{H: h})
 	far := encode(Msg{H: h})
 	binary.LittleEndian.PutUint32(far[1:], ^uint32(0))
+	flags := encode(Msg{H: h})
+	flags[0] = 0x02
 	f.Add(encode(Msg{H: h, A: [4]uint64{1, 2, 1 << 40, ^uint64(0)}}))
 	f.Add(encode(Msg{Bulk: true, H: h, A: [4]uint64{3: 9}, Payload: []byte("a bulk payload")}))
 	f.Add(hdr)
 	f.Add(hdr[:len(hdr)-1])
 	f.Add(encode(Msg{H: h + 1}))
 	f.Add(far)
+	f.Add(append(slices.Clone(hdr), "abc"...))
+	f.Add(flags)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		d := net.decodeWire(0, 1, b)
 		if d == nil {
@@ -267,9 +273,15 @@ func FuzzWireMsg(f *testing.F) {
 		if m.H < 0 || int(m.H) >= len(net.handlers) {
 			t.Fatalf("decoded a message for handler %d, %d registered", m.H, len(net.handlers))
 		}
+		if !m.Bulk && len(m.Payload) != 0 {
+			t.Fatalf("decoded a short message with a %d-byte payload %q", len(m.Payload), m.Payload)
+		}
 		want, payload := *m, slices.Clone(m.Payload)
 		enc := make([]byte, m.WireLen())
 		m.EncodeWire(enc)
+		if !bytes.Equal(enc, b) {
+			t.Fatalf("%x decodes to %+v, which encodes as %x", b, want, enc)
+		}
 		back, ok := net.decodeWire(0, 1, enc).(*Msg)
 		if !ok {
 			t.Fatalf("%+v does not decode from its own encoding", want)
@@ -514,6 +526,29 @@ func TestBulkPingPongAllocs(t *testing.T) {
 	}
 }
 
+// TestStopFromAnyGoroutine: Stop may be called off the node's context — a
+// wall-clock run's end is found on whichever goroutine reads the last count.
+// It only asks; the node's arrival hook stops the endpoint and wakes the
+// service loop parked in WaitMessage, and the run ends.
+func TestStopFromAnyGoroutine(t *testing.T) {
+	m, net, scheds := rigOn(machine.NewWithBackend(machine.SP1997(), 1, live.New(1, live.Options{Watchdog: time.Minute})))
+	parked := make(chan struct{})
+	ep := net.Endpoint(0)
+	scheds[0].Start("svc", func(th *threads.Thread) {
+		close(parked)
+		for !ep.Stopped() {
+			ep.WaitMessage(th)
+		}
+	})
+	go func() {
+		<-parked
+		ep.Stop()
+	}()
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestAwaitAfterStopParksOnCount: once the endpoint has stopped nothing more
 // arrives, so on every machine a thread awaiting a count parks on the count
 // alone, and the sibling that advances it lets it go.
@@ -528,6 +563,10 @@ func TestAwaitAfterStopParksOnCount(t *testing.T) {
 		scheds[0].Start("main", func(th *threads.Thread) {
 			ep := net.Endpoint(0)
 			ep.Stop()
+			for !ep.Stopped() { // the stop lands by the node's arrival hook
+				th.Compute(time.Microsecond)
+				ep.Poll(th)
+			}
 			th.Spawn("advancer", func(t2 *threads.Thread) { c.Advance(t2, 1) })
 			ep.Await(th, &c, 1)
 			returned = true

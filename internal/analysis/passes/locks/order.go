@@ -28,7 +28,7 @@ import (
 //     without a documented instance order two goroutines can cross
 //
 // The graph is per package: cross-package lock nesting is out of scope (the
-// runtime's lock hierarchies — node CPU, pending list, peer writer — each
+// runtime's lock hierarchies — node CPU, peer writer — each
 // live inside one package).
 
 // edge is one observed held→acquired pair, kept at its first occurrence.

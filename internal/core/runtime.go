@@ -499,11 +499,11 @@ func (rt *Runtime) idle() {
 	}
 }
 
-// stop ends the run: each local endpoint stops in its own node's context (a
-// second stop, from a node that found the end as well, stops them again).
+// stop ends the run: each local endpoint is asked to stop in its own node's
+// context (a second stop, from a node that found the end as well, asks again).
 func (rt *Runtime) stop() {
 	for _, n := range rt.local {
-		rt.m.Post(n.node.ID, n.ep.Stop)
+		n.ep.Stop()
 	}
 }
 

@@ -26,14 +26,13 @@ type Machine struct {
 	be    transport.Backend
 	nodes []*Node
 
-	// How a packet reaches its node, fixed at construction. One of sim
-	// (local-modelled: the simulator delivers by event after the modelled
-	// latency) and direct (local-immediate: enqueue here, the backend runs the
-	// notify) is set. shard is be's ordered links to peer address spaces, nil
-	// on single-address-space backends; when set, Send serializes packets for
-	// non-local nodes onto it and wireDec (installed by the messaging layer)
-	// reconstructs arriving ones.
-	sim     *simnet.Backend
+	// How a packet reaches its node, fixed at construction. One of Eng
+	// (local-modelled: one engine event after the modelled latency enqueues
+	// and arrives) and direct (local-immediate: enqueue here, then notify the
+	// node by index) is set. shard is be's ordered links to peer address
+	// spaces, nil on single-address-space backends; when set, Send serializes
+	// packets for non-local nodes onto it and wireDec (installed by the
+	// messaging layer) reconstructs arriving ones.
 	direct  transport.DirectDeliverer
 	shard   transport.Sharded
 	wireDec func(src, dst int, b []byte) any
@@ -74,11 +73,11 @@ func NewWithBackend(cfg Config, n int, be transport.Backend) *Machine {
 		panic(fmt.Sprintf("machine: backend has %d nodes, machine wants %d", be.NumNodes(), n))
 	}
 	m := &Machine{Cfg: cfg, be: be}
-	m.sim, _ = be.(*simnet.Backend)
-	m.direct, _ = be.(transport.DirectDeliverer)
-	if m.sim != nil {
-		m.Eng = m.sim.Engine()
-	} else if m.direct == nil {
+	if s, ok := be.(*simnet.Backend); ok {
+		m.Eng = s.Engine()
+	} else if m.direct, ok = be.(transport.DirectDeliverer); ok {
+		m.direct.SetArrival(m.arrive)
+	} else {
 		panic(fmt.Sprintf("machine: backend %q is neither the simulator nor a transport.DirectDeliverer", be.Name()))
 	}
 	if m.shard, _ = be.(transport.Sharded); m.shard != nil {
@@ -94,14 +93,6 @@ func NewWithBackend(cfg Config, n int, be transport.Backend) *Machine {
 		}
 		if m.mets != nil {
 			nd.Met = m.mets.NodeMetrics(i)
-		}
-		// One long-lived arrival closure per node: the direct-delivery path
-		// hands this same func to the backend on every send, so a delivery
-		// constructs nothing.
-		nd.notify = func() {
-			if nd.OnArrival != nil {
-				nd.OnArrival()
-			}
 		}
 		m.nodes = append(m.nodes, nd)
 	}
@@ -119,10 +110,18 @@ func (m *Machine) Backend() transport.Backend { return m.be }
 // backends.
 func (m *Machine) SetWireDecoder(dec func(src, dst int, b []byte) any) { m.wireDec = dec }
 
+// arrive runs node's arrival hook in its context: the arrival function of a
+// direct-delivery backend, and the second half of a simulator delivery.
+func (m *Machine) arrive(node int) {
+	if h := m.nodes[node].OnArrival; h != nil {
+		h()
+	}
+}
+
 // remoteArrival lands a packet received from a peer shard: decode the
-// payload, enqueue, and wake the destination through the backend's direct
+// payload, enqueue, and notify the destination through the backend's direct
 // path. It runs on whichever backend goroutine consumed the link; the inbox
-// is thread-safe and the backend runs the notify closure holding the
+// is thread-safe and the backend runs the arrival hook holding the
 // destination's CPU (on this goroutine when the CPU is free — which is how an
 // idle proc polling the link wakes itself — else on the CPU's holder before it
 // lets go). False means the decoder rejected the payload and nothing landed.
@@ -136,7 +135,7 @@ func (m *Machine) remoteArrival(src, dst, size int, enc []byte) bool {
 	}
 	nd := m.Node(dst)
 	nd.pushInbox(Packet{Src: src, Dst: dst, Size: size, Payload: payload})
-	m.direct.DeliverDirect(dst, nd.notify)
+	m.direct.DeliverDirect(dst)
 	return true
 }
 
@@ -144,14 +143,17 @@ func (m *Machine) remoteArrival(src, dst, size int, enc []byte) bool {
 // time on the live backend.
 func (m *Machine) Now() time.Duration { return m.be.Now() }
 
-// Post runs fn in node's execution context the way a packet's notify gets
-// there: DeliverDirect, or a zero-latency event on the simulator.
-func (m *Machine) Post(node int, fn func()) {
+// Wake runs node's arrival hook in its execution context with nothing
+// enqueued, the way a packet's arrival gets there: a notify on a wall-clock
+// backend, a zero-latency event on the simulator. It may be called from any
+// goroutine (on the simulator, from inside the simulation); the hook finds
+// out for itself what there is to do.
+func (m *Machine) Wake(node int) {
 	if m.direct != nil {
-		m.direct.DeliverDirect(node, fn)
+		m.direct.DeliverDirect(node)
 		return
 	}
-	m.Eng.After(0, fn)
+	m.Eng.After(0, func() { m.arrive(node) })
 }
 
 // NumNodes returns the number of nodes.
@@ -214,15 +216,11 @@ type Node struct {
 	inboxMu sync.Mutex
 	inbox   wire.Ring[Packet] //mpmdvet:guard inboxMu
 
-	// notify wakes the node's reception; built once at machine construction
-	// and reused by every direct delivery.
-	notify func()
-
 	// OnArrival, if non-nil, runs in the node's execution context after a
-	// packet is appended to the inbox. It must not sleep or block, only
-	// mark threads runnable. On the live backend consecutive arrivals may
-	// be coalesced into fewer OnArrival calls; the am layer's wait loops
-	// are already robust to that (waiters re-check the inbox and re-arm).
+	// packet is appended to the inbox, and after Machine.Wake. It must not
+	// sleep or block, only mark threads runnable. Arrivals coalesce: it runs
+	// at least once after each enqueue or wake, not once per each, so it
+	// reads what there is (am's waiters re-check the inbox and re-arm).
 	OnArrival func()
 }
 
@@ -299,19 +297,19 @@ func (n *Node) Loopback(size int, payload any) {
 
 // deliverLocal lands pkt at target, a node of this address space, lat of
 // modelled wire time from now. An immediate-delivery backend ignores lat:
-// the packet is enqueued here, on the sender, and the backend gets the
-// node's long-lived notify closure — nothing is constructed, so the warm
-// send path does not allocate. The simulator runs the same two steps as one
-// event lat from now.
+// the packet is enqueued here, on the sender, and the backend is notified by
+// the node's index — nothing is constructed, so the warm send path does not
+// allocate. The simulator runs the same two steps as one event lat from now.
 //
 //mpmd:hotpath
 func (m *Machine) deliverLocal(target *Node, lat time.Duration, pkt Packet) {
 	if m.direct != nil {
 		target.pushInbox(pkt)
-		m.direct.DeliverDirect(target.ID, target.notify)
+		m.direct.DeliverDirect(target.ID)
 		return
 	}
-	m.sim.Deliver(target.ID, lat,
-		func() { target.pushInbox(pkt) }, //mpmdvet:ignore hotpath simulator backend only; live backends take the direct path above
-		target.notify)
+	m.Eng.After(lat, func() { //mpmdvet:ignore hotpath simulator backend only; live backends take the direct path above
+		target.pushInbox(pkt)
+		m.arrive(target.ID)
+	})
 }

@@ -30,17 +30,17 @@ import (
 type Ctr int
 
 const (
-	// CtrNotifies counts pended notifies: arrival notifies and other delivered
-	// callbacks that found the destination's CPU busy and went on the live
-	// node's pending list for the CPU's holder to run.
+	// CtrNotifies counts pended notifies: arrival notifies that found the
+	// destination's CPU busy and added to the live node's pending count for
+	// the CPU's holder.
 	CtrNotifies Ctr = iota
 	// CtrNotifyBatches counts the times a CPU holder found its node's pending
-	// list non-empty and ran it (CtrNotifies / CtrNotifyBatches is the
-	// realized short-message batching factor).
+	// count non-zero and ran the arrival once for all of it (CtrNotifies /
+	// CtrNotifyBatches is the realized short-message batching factor).
 	CtrNotifyBatches
-	// CtrNotifyDirect counts arrival notifies and other delivered callbacks
-	// that ran at once on the goroutine that brought them, because the
-	// destination's CPU was free (no pending list, no hand-off).
+	// CtrNotifyDirect counts arrival notifies whose arrival ran at once on
+	// the goroutine that brought them, because the destination's CPU was free
+	// (nothing pended, no hand-off).
 	CtrNotifyDirect
 	// CtrNotifyDropped counts arrival notifies dropped because they found the
 	// destination's CPU busy when the run was already over.
@@ -119,8 +119,9 @@ func (c Ctr) String() string {
 type Gge int
 
 const (
-	// GgeNotifyDepth is the depth of a live node's pending list, sampled at
-	// each push and each pop: 0 once a holder has run the list.
+	// GgeNotifyDepth is a live node's pending count, sampled by the holder
+	// that takes it: its max is the deepest the count got, and it reads 0
+	// once a holder has run the arrival.
 	GgeNotifyDepth Gge = iota
 	// GgePeerRingDepth is the depth of a peer shard's writer ring, sampled at
 	// each cross-shard frame push (netlive message plane).
@@ -148,8 +149,8 @@ const (
 	// HstRMILatency is the wall-clock round-trip of a remote RMI in
 	// nanoseconds, send to reply-handled, recorded at the initiating node.
 	HstRMILatency Hst = iota
-	// HstPollBatch is the number of pended notifies a CPU holder ran each time
-	// it found its node's list non-empty (a size distribution, not a duration).
+	// HstPollBatch is the pending count a CPU holder swapped to zero each time
+	// it ran its node's arrival for it (a size distribution, not a duration).
 	HstPollBatch
 	// HstWriterStall is the wall-clock nanoseconds a cross-shard frame
 	// waited in the peer writer's ring before reaching the socket — how far
@@ -348,8 +349,9 @@ func (s Snapshot) Hist(h Hst) HistSnap { return s.Hists[h] }
 
 // Merge sums counters and histogram buckets and combines gauges across
 // snapshots — the machine-wide view from per-node (or per-shard) parts.
-// Gauge Last values sum (total queued across the machine at snapshot time);
-// Max values take the maximum (the deepest any single queue ever got).
+// A gauge's Last and Max each take the largest part: the deepest any single
+// queue stood at snapshot time, and the deepest any ever got, so a merged
+// gauge never reads last above max.
 func Merge(snaps ...Snapshot) Snapshot {
 	var out Snapshot
 	for _, s := range snaps {
@@ -357,7 +359,9 @@ func Merge(snaps ...Snapshot) Snapshot {
 			out.Counters[i] += v
 		}
 		for i, g := range s.Gauges {
-			out.Gauges[i].Last += g.Last
+			if g.Last > out.Gauges[i].Last {
+				out.Gauges[i].Last = g.Last
+			}
 			if g.Max > out.Gauges[i].Max {
 				out.Gauges[i].Max = g.Max
 			}

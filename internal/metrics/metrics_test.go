@@ -81,8 +81,8 @@ func TestMerge(t *testing.T) {
 	if m.Counter(CtrFramesOut) != 15 {
 		t.Errorf("merged counter = %d, want 15", m.Counter(CtrFramesOut))
 	}
-	if g := m.Gauge(GgePeerRingDepth); g.Last != 12 || g.Max != 9 {
-		t.Errorf("merged gauge = %+v, want last=12 max=9", g)
+	if g := m.Gauge(GgePeerRingDepth); g.Last != 9 || g.Max != 9 {
+		t.Errorf("merged gauge = %+v, want last=9 max=9", g)
 	}
 	h := m.Hist(HstWriterStall)
 	if h.Count != 2 || h.Max != int64(time.Millisecond) {
@@ -185,5 +185,19 @@ func TestNames(t *testing.T) {
 		if h.String() == "" {
 			t.Errorf("hist %d has no name", h)
 		}
+	}
+}
+
+// TestMergedGaugeLastNeverAboveMax: two parts that each stood at 2 with a high
+// water mark of 3 merge to last 2, max 3 — summing the lasts would read 4, a
+// level above the deepest either part ever reached.
+func TestMergedGaugeLastNeverAboveMax(t *testing.T) {
+	a, b := NewRegistry(), NewRegistry()
+	for _, r := range []*Registry{a, b} {
+		r.Set(GgeNotifyDepth, 3)
+		r.Set(GgeNotifyDepth, 2)
+	}
+	if g := Merge(a.Snapshot(), b.Snapshot()).Gauge(GgeNotifyDepth); g.Last != 2 || g.Max != 3 {
+		t.Fatalf("merging two parts of {Last 2, Max 3} gives last=%d max=%d, want last 2, max 3", g.Last, g.Max)
 	}
 }

@@ -102,6 +102,8 @@ func (e *Engine) At(t Time, fn func()) {
 }
 
 // After schedules fn to run d after the current virtual time.
+//
+//mpmd:coldpath the event record is discrete-event engine machinery; wall-clock machines deliver without the engine
 func (e *Engine) After(d Time, fn func()) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))

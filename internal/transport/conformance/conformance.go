@@ -65,6 +65,7 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("ParkUnpark", func(t *testing.T) { parkUnpark(t, f) })
 	t.Run("BusyDestination", func(t *testing.T) { busyDestination(t, f) })
 	t.Run("PollDelivers", func(t *testing.T) { pollDelivers(t, f) })
+	t.Run("CoalescedArrivals", func(t *testing.T) { coalescedArrivals(t, f) })
 	t.Run("CrossShardTraffic", func(t *testing.T) { crossShardTraffic(t, f, false) })
 	t.Run("MixedSizes", func(t *testing.T) { crossShardTraffic(t, f, true) })
 	t.Run("TwoCallersOneNode", func(t *testing.T) { twoCallersOneNode(t, f) })
@@ -343,7 +344,7 @@ func payloadRecycling(t *testing.T, f ShardedFactory) {
 }
 
 // runToCompletion: a handler runs to completion in its node's execution
-// context — no other handler (or delivery callback) of the same node
+// context — no other handler (or arrival hook) of the same node
 // interleaves with it, even with multiple remote senders blasting the node
 // concurrently on a real-concurrency backend.
 func runToCompletion(t *testing.T, f ShardedFactory) {
@@ -425,7 +426,7 @@ func busyDestination(t *testing.T, f ShardedFactory) {
 
 // pollDelivers: a thread that never parks — it computes and polls in a loop,
 // as a server under a stream of requests does — still lets its node's
-// delivery callbacks in. Node 1 sends node 0 one message while node 0's
+// arrivals in. Node 1 sends node 0 one message while node 0's
 // thread spins, so the arrival's notify finds node 0's CPU busy. On the
 // simulator the arrival is an event that fires during a compute charge; on
 // the wall-clock backends a charge is not work, and the poll is the thread's
@@ -461,6 +462,81 @@ func pollDelivers(t *testing.T, f ShardedFactory) {
 	}
 	if !seen {
 		t.Fatalf("an arrival's notify never got the CPU from a thread that computes and polls for %v without parking", waited)
+	}
+}
+
+// coalescedArrivals: arrivals that pile up behind a busy node are one notify,
+// and that one is enough. k threads of node 0 each await their own count;
+// node 1 sends one message per thread while a spinner holds node 0's CPU
+// without polling, so on the wall clock every notify pends and the k of them
+// are one run of the arrival hook, which wakes one waiter. Then the spinner
+// parks. Every thread must finish, and every message must be handled exactly
+// once: the waiter the arrival woke drains the inbox, and the handlers it runs
+// ready the others.
+func coalescedArrivals(t *testing.T, f ShardedFactory) {
+	const k = 8
+	r := newRig(f(machine.SP1997(), 2))
+	var counts [k]am.Count
+	var handled [k]int // node 0 state
+	h := r.register("conf.mine", func(th *threads.Thread, m am.Msg) {
+		handled[m.A[0]]++
+		counts[m.A[0]].Advance(th, 1)
+	})
+	node := r.ep(0).Node()
+	// On the wall clock the spinner waits until every notify has pended; on
+	// the simulator, until every message has arrived.
+	arrived := func() bool {
+		if node.Met != nil {
+			return node.Met.Counter(metrics.CtrNotifies) >= k
+		}
+		return node.InboxLen() >= k
+	}
+	var spinning atomic.Bool
+	var waiting int      // node 0 state
+	var finished [k]bool // node 0 state
+	r.scheds[0].Start("spinner", func(th *threads.Thread) {
+		var join threads.WaitGroup
+		join.Add(k)
+		for i := 0; i < k; i++ {
+			i := i
+			th.Spawn(fmt.Sprintf("waiter%d", i), func(t2 *threads.Thread) {
+				waiting++
+				r.ep(0).Await(t2, &counts[i], 1)
+				finished[i] = true
+				join.Done(t2)
+			})
+		}
+		for waiting < k {
+			th.Yield()
+		}
+		spinning.Store(true)
+		for start := time.Now(); !arrived() && time.Since(start) < 5*time.Second; {
+			th.Compute(time.Microsecond) // no poll: the CPU stays busy
+		}
+		join.Wait(th)
+	})
+	r.scheds[1].Start("sender", func(th *threads.Thread) {
+		th.Compute(time.Millisecond)
+		for !spinning.Load() {
+			time.Sleep(time.Millisecond) // wall-clock only: the simulator's spinner is already running
+		}
+		for i := 0; i < k; i++ {
+			r.ep(1).Request(th, 0, h, [4]uint64{uint64(i)}, nil, false)
+		}
+	})
+	if err := r.run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for i := 0; i < k; i++ {
+		if !finished[i] || handled[i] != 1 {
+			t.Fatalf("waiters finished %v, messages handled %v; want every waiter finished, every message handled once", finished, handled)
+		}
+	}
+	if node.Met != nil {
+		met := node.Met.Snapshot()
+		if n, b := met.Counter(metrics.CtrNotifies), met.Hist(metrics.HstPollBatch).Max; n < k || b < k {
+			t.Fatalf("%d of %d notifies pended, largest batch %d; want all %d pended while the spinner held the CPU, in one batch", n, k, b, k)
+		}
 	}
 }
 
@@ -632,7 +708,8 @@ func statsMerge(t *testing.T, f ShardedFactory) {
 			t.Fatalf("merged metrics != merge of shard metrics:\n got %+v\nwant %+v", cs.Metrics, want)
 		}
 		// Every arrival is notified on exactly one of three counted
-		// branches: run by its sender, queued to the worker, or dropped.
+		// branches: run by its sender, pended for the CPU's holder, or
+		// dropped.
 		n := cs.Metrics.Counter(metrics.CtrNotifyDirect) + cs.Metrics.Counter(metrics.CtrNotifies) +
 			cs.Metrics.Counter(metrics.CtrNotifyDropped)
 		if n < k {

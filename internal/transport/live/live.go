@@ -8,11 +8,11 @@
 // per-node state with no locking of their own; on the simulator the global
 // event loop makes that safe. Here each node owns one mutex — its "CPU" — and
 // everything that executes in the node's context holds it: the node's proc
-// goroutines while running, and whichever goroutine runs a delivered callback
-// for the node, for the duration of the callback. A proc gives the CPU to its
-// node's other procs only by parking (condition wait) — the threads package
-// above runs one thread at a time and switches by unpark-then-park. Callbacks
-// that found the CPU busy are run by its holder (below), also at Deliver, the
+// goroutines while running, and whichever goroutine runs the node's arrival
+// function, for the duration of the call. A proc gives the CPU to its node's
+// other procs only by parking (condition wait) — the threads package above
+// runs one thread at a time and switches by unpark-then-park. Arrivals that
+// found the CPU busy are run by its holder (below), also at Deliver, the
 // explicit delivery point of a proc that runs without parking (the
 // simulator's counterpart is an arrival event interleaving with a charge).
 //
@@ -20,38 +20,40 @@
 //
 // The machine layer enqueues a message on the sender's goroutine (its inbound
 // queues are individually thread-safe), so a destination that is actively
-// polling observes the message with no handoff at all. The notify callback
-// handed to DeliverDirect — waking a parked receiver — must run in the
-// destination's context, and the sender puts it there itself: it TryLocks the
+// polling observes the message with no handoff at all. What is left is to
+// tell the node: DeliverDirect runs the one arrival function the machine
+// installed (SetArrival) in the destination's context — waking a parked
+// receiver — and the sender puts it there itself: it TryLocks the
 // destination's CPU and, when that succeeds (the receiver is parked: the
-// ping-pong and the idle-server case), runs notify on its own goroutine and
-// lets go. An arrival then costs the one wake-up that is inherent, sender to
-// receiver — or none, when the receiver is polling a link for it (below).
-// There are no timers: every callback is some goroutine's delivery.
+// ping-pong and the idle-server case), runs the arrival on its own goroutine
+// and lets go. An arrival then costs the one wake-up that is inherent, sender
+// to receiver — or none, when the receiver is polling a link for it (below).
+// There are no timers: every arrival is some goroutine's delivery.
 //
-// There is no receiver thread. A callback that finds the destination's CPU
-// busy is pushed on the node's pending list, and whoever holds the CPU runs
-// the list before letting go: a proc at every Deliver, park and exit, a sender
-// after its direct notify. Three rules keep a pended callback from
+// There is no receiver thread, and nothing is queued but a number. A sender
+// that finds the destination's CPU busy adds one to the node's pending count,
+// and whoever holds the CPU swaps the count to zero and runs the arrival
+// function once before letting go: a proc at every Deliver, park and exit, a
+// sender after its direct arrival. Three rules keep a pended arrival from
 // being stranded, and none of them waits:
 //
 //   - the CPU is unlocked in one function only, release: run the pending
-//     list, unlock, look at the pending count again, and if it is non-zero
+//     arrival, unlock, look at the pending count again, and if it is non-zero
 //     TryLock and repeat;
-//   - a sender whose TryLock failed pushes and then TryLocks once more,
-//     releasing on success;
+//   - a sender whose TryLock failed adds to the count and then TryLocks once
+//     more, releasing on success;
 //   - the unlock inside Park's condition wait is that same release (the
 //     cond's Locker is the node).
 //
-// Push-before-second-TryLock against unlock-before-recheck closes the
-// window: either the sender's second TryLock finds the CPU free and it runs
-// the callback itself, or somebody held the CPU after the push and that
-// holder sees the count on its way out. TryLock never waits and the list
-// never fills, so senders never block on delivery, which rules out cross-node
-// delivery deadlocks by construction. Notifies of one sender may therefore
-// run out of send order (a pended one after a later direct one); that is
-// harmless because message order is fixed by enqueue, before any notify, and
-// arrivals are coalescible — a woken receiver drains the whole inbox.
+// Add-before-second-TryLock against unlock-before-recheck closes the window:
+// either the sender's second TryLock finds the CPU free and it runs the
+// arrival itself, or somebody held the CPU after the add and that holder sees
+// the count on its way out. TryLock never waits and a count never fills, so
+// senders never block on delivery, which rules out cross-node delivery
+// deadlocks by construction. Arrivals coalesce — k pended notifies are one
+// run of the arrival function, at least once after each enqueue — which is
+// all a receiver needs: message order is fixed by enqueue, before any
+// notify, and a woken receiver drains the whole inbox.
 //
 // # Who receives
 //
@@ -82,7 +84,6 @@ import (
 
 	"repro/internal/metrics"
 	"repro/internal/transport"
-	"repro/internal/wire"
 )
 
 // Options tune the live backend. The zero value is ready to use.
@@ -106,9 +107,13 @@ type Backend struct {
 	live map[*Proc]struct{} //mpmdvet:guard mu
 
 	// over is set when Run returns: the run is finished or given up on, and a
-	// callback that finds its node's CPU busy is dropped and counted rather
+	// notify that finds its node's CPU busy is dropped and counted rather
 	// than pended for a holder that may never let go.
 	over atomic.Bool
+
+	// arrive is the machine's arrival function (SetArrival, before Run), run
+	// in a node's context after a notify.
+	arrive func(node int)
 
 	// idlePoll, when set (SetIdlePoll, before Run), is what a proc does
 	// between leaving its node idle and blocking: see Park.
@@ -121,7 +126,7 @@ type Backend struct {
 // blocks. poll looks at the links for as long as it sees fit, calling woken
 // after every look; woken reports true once the proc has its wake-up (a
 // packet the poll itself delivered made it runnable — the delivery found the
-// CPU free and ran the notify on this very goroutine) or the node is busy
+// CPU free and ran the arrival on this very goroutine) or the node is busy
 // again, and poll must then return. It must also return, unasked, when its
 // spin budget runs out; the proc then blocks as it always did. This is wiring
 // between two backends, not an option: set it before Run, or not at all.
@@ -143,10 +148,14 @@ func New(n int, opts Options) *Backend {
 		live:  make(map[*Proc]struct{}),
 	}
 	for i := 0; i < n; i++ {
-		b.nodes = append(b.nodes, &lnode{over: &b.over, met: metrics.NewRegistry()})
+		b.nodes = append(b.nodes, &lnode{b: b, id: i, met: metrics.NewRegistry()})
 	}
 	return b
 }
+
+// SetArrival implements transport.DirectDeliverer: fn runs in a node's
+// context after notifies for it. Set it before Run.
+func (b *Backend) SetArrival(fn func(node int)) { b.arrive = fn }
 
 // NodeMetrics implements transport.MetricsSource.
 func (b *Backend) NodeMetrics(node int) *metrics.Registry {
@@ -166,9 +175,11 @@ func (b *Backend) MetricsSnapshot() metrics.Snapshot {
 	return metrics.Merge(snaps...)
 }
 
-// lnode is one node's execution context: the CPU mutex and the list of
-// callbacks waiting for it.
+// lnode is one node's execution context: the CPU mutex and the count of
+// notifies waiting for it.
 type lnode struct {
+	b  *Backend
+	id int
 	// mu is the node's CPU: held by whichever context is executing, taken
 	// with Lock or TryLock and given up through release alone.
 	mu sync.Mutex //mpmd:cpu
@@ -179,105 +190,56 @@ type lnode struct {
 	// sibling.
 	permits int               //mpmdvet:guard mu
 	met     *metrics.Registry // wall-clock instruments; shared with upper layers via NodeMetrics
-	over    *atomic.Bool      // the backend's: the run has ended
 
-	// pend is the pending list: callbacks that found the CPU busy, in push
-	// order, for the CPU's holder to run. Any goroutine pushes, only the
-	// holder pops. npend mirrors the list's length (written under pend.mu) so
-	// that the holder's check at every Deliver and release is one atomic load.
-	// The list is a ring and the warm path's closures are long-lived (one per
-	// destination node), so a steady-state push allocates nothing.
-	pend struct {
-		mu  sync.Mutex
-		fns wire.Ring[func()] //mpmdvet:guard mu
-	}
-	npend atomic.Int32
+	// pend counts the notifies that found the CPU busy since its holder last
+	// ran the arrival function. Any goroutine adds, only the holder swaps it
+	// to zero, so the holder's check at every Deliver and release is one
+	// atomic load.
+	pend atomic.Int32
 }
 
-// run runs fn in nd's context without ever waiting for it: at once, on the
-// caller's goroutine, when the CPU is free (the node's procs are parked);
-// otherwise fn goes on the pending list for the CPU's holder. The second
-// TryLock is the sender's half of the no-lost-wake-up rule (see the package
-// comment): the holder may have looked at the list for the last time before
-// the push. It reports false when fn was dropped: the CPU is busy and the run
-// is over.
-//
-//mpmd:hotpath
-func (nd *lnode) run(fn func()) bool {
-	if nd.mu.TryLock() {
-		fn()
-		nd.release()
-		nd.met.Add(metrics.CtrNotifyDirect, 1)
-		return true
-	}
-	if nd.over.Load() {
-		return false
-	}
-	nd.pend.mu.Lock()
-	nd.pend.fns.Push(fn)
-	nd.pended()
-	nd.pend.mu.Unlock()
-	nd.met.Add(metrics.CtrNotifies, 1)
-	if nd.mu.TryLock() {
-		nd.release()
-	}
-	return true
-}
-
-// pended publishes the pending list's new length, to the holder and to the
-// depth gauge. Doing both inside the list's critical section keeps the
-// gauge's last sample the list's last state: zero once a holder has run it.
-//
-//mpmdvet:locked nd.pend.mu
-//mpmd:hotpath
-func (nd *lnode) pended() {
-	n := nd.pend.fns.Len()
-	nd.npend.Store(int32(n))
-	nd.met.Set(metrics.GgeNotifyDepth, int64(n))
-}
-
-// runPending runs, CPU held, the callbacks that were pending on entry. Those
-// pushed meanwhile are for the next Deliver, or for release's second look. The
-// empty case is the one that matters (every poll of every thread pays it) and
-// inlines to the atomic load.
+// runPending runs, CPU held, the arrival function once for the notifies
+// pending on entry. Those added meanwhile are for the next Deliver, or for
+// release's second look. The empty case is the one that matters (every poll
+// of every thread pays it) and inlines to the atomic load.
 //
 //mpmdvet:locked nd.mu
 //mpmd:hotpath
 func (nd *lnode) runPending() {
-	if n := nd.npend.Load(); n != 0 {
-		nd.drain(int(n))
+	if nd.pend.Load() != 0 {
+		nd.drain()
 	}
 }
 
-// drain pops and runs the first n pending callbacks.
+// drain takes the pending count and runs the arrival function once for all
+// of it. The count only grows between two drains, so the swapped value is the
+// deepest it reached: the depth gauge samples it, then falls back to the zero
+// the count now reads, so a quiesced node reads 0.
 //
 //mpmdvet:locked nd.mu
 //mpmd:hotpath
-func (nd *lnode) drain(n int) {
-	for i := 0; i < n; i++ {
-		nd.pend.mu.Lock()
-		fn, _ := nd.pend.fns.Pop() // only the holder pops: n are there
-		nd.pended()
-		nd.pend.mu.Unlock()
-		fn()
-	}
+func (nd *lnode) drain() {
+	n := int64(nd.pend.Swap(0))
+	nd.met.Set(metrics.GgeNotifyDepth, n)
+	nd.met.Set(metrics.GgeNotifyDepth, 0)
+	nd.b.arrive(nd.id)
 	nd.met.Add(metrics.CtrNotifyBatches, 1)
-	nd.met.Observe(metrics.HstPollBatch, int64(n))
+	nd.met.Observe(metrics.HstPollBatch, n)
 }
 
 // release gives up the CPU — the only place it is unlocked. The holder runs
-// the pending list first, and looks again after the unlock: a sender whose
-// TryLock failed against this holder may have pushed after the list was run,
-// and its own second TryLock may have come before the unlock. Whoever wins
-// the TryLock below — this goroutine, that sender, a proc — is the next
-// holder and runs the list before it lets go in turn.
+// the pending arrival first, and looks again after the unlock: a sender whose
+// TryLock failed against this holder may have added to the count after it
+// was taken, and its own second TryLock may have come before the unlock.
+// Whoever wins the TryLock below — this goroutine, that sender, a proc — is
+// the next holder and runs the arrival before it lets go in turn.
 //
 //mpmdvet:locked nd.mu
 //mpmd:hotpath
 func (nd *lnode) release() {
 	nd.runPending()
 	nd.mu.Unlock()
-	for nd.npend.Load() != 0 {
+	for nd.pend.Load() != 0 {
 		if !nd.mu.TryLock() {
 			return
 		}
@@ -316,15 +278,15 @@ func (p *Proc) Name() string { return p.name }
 func (p *Proc) Now() time.Duration { return p.b.Now() }
 
 // Park implements transport.Proc. Called with the node CPU held; the
-// condition wait releases it (running the pending list on the way), which is
-// what lets sibling procs and senders' notifies run.
+// condition wait releases it (running a pending arrival on the way), which
+// is what lets sibling procs and senders' notifies run.
 //
 // A proc that parks and leaves its node idle is the thread that waits for
 // the node's next packet, so when the backend has inbound links to poll
 // (SetIdlePoll) it receives that packet itself: it releases the CPU and polls
 // the links, and a packet for its node then travels ring → inbox →
-// DeliverDirect (the CPU is free: TryLock succeeds) → notify → this proc's own
-// permit on this one goroutine, with no goroutine parked or readied. Only
+// DeliverDirect (the CPU is free: TryLock succeeds) → arrival → this proc's
+// own permit on this one goroutine, with no goroutine parked or readied. Only
 // when the poll gives up does the proc block on its condition variable, to be
 // woken by whoever delivers next.
 //
@@ -362,8 +324,8 @@ func (p *Proc) takePermit() {
 
 // pollWoken is the idle poll's "stop now" test (SetIdlePoll), called with the
 // node CPU released: true when the proc has its permit, and also when the CPU
-// is taken — a sibling runs, or a sender is inside a notify that may be this
-// proc's wake-up; either way the node is no longer idle and Park's blocking
+// is taken — a sibling runs, or a sender is inside an arrival that may be
+// this proc's wake-up; either way the node is no longer idle and Park's blocking
 // Lock sorts it out.
 func (p *Proc) pollWoken() bool {
 	if !p.nd.mu.TryLock() {
@@ -391,12 +353,12 @@ func (p *Proc) Unpark() {
 	}
 }
 
-// Deliver implements transport.Proc: the callbacks that found this proc
-// holding the CPU run here, in place. With none pending, which
-// is nearly every time because most notifies run on their sender, it costs one
-// atomic load. A proc that parks needs none (its release runs them); the
-// threads above call it where a thread may spin without parking — on every
-// poll of the message layer.
+// Deliver implements transport.Proc: the notifies that found this proc
+// holding the CPU are one run of the arrival function here, in place. With
+// none pending, which is nearly every time because most notifies run on
+// their sender, it costs one atomic load. A proc that parks needs none (its
+// release runs them); the threads above call it where a thread may spin
+// without parking — on every poll of the message layer.
 //
 //mpmdvet:locked p.nd.mu
 func (p *Proc) Deliver() { p.nd.runPending() }
@@ -452,18 +414,32 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 }
 
 // DeliverDirect implements transport.DirectDeliverer: the caller already ran
-// the enqueue step, so only the (long-lived, caller-owned) notify closure is
-// left to run in dst's context. If dst's CPU is free — its procs are parked —
-// the caller takes it and runs notify itself; otherwise notify is left for
-// the CPU's holder. Either way the caller never waits, even while it holds
-// its own node's CPU. A notify that finds the CPU busy when the run is over is
-// dropped and counted.
+// the enqueue step, so only the arrival is left to run in dst's context, and
+// the caller never waits for it, even while it holds its own node's CPU. If
+// dst's CPU is free — its procs are parked — the caller takes it and runs the
+// arrival itself; otherwise it adds to the pending count for the CPU's
+// holder. The second TryLock is the sender's half of the no-lost-wake-up rule
+// (see the package comment): the holder may have looked at the count for the
+// last time before the add. A notify that finds the CPU busy when the run is
+// over is dropped and counted.
 //
 //mpmd:hotpath
-func (b *Backend) DeliverDirect(dst int, notify func()) {
+func (b *Backend) DeliverDirect(dst int) {
 	nd := b.nodes[dst]
-	if !nd.run(notify) {
+	if nd.mu.TryLock() {
+		b.arrive(dst)
+		nd.release()
+		nd.met.Add(metrics.CtrNotifyDirect, 1)
+		return
+	}
+	if b.over.Load() {
 		nd.met.Add(metrics.CtrNotifyDropped, 1)
+		return
+	}
+	nd.pend.Add(1)
+	nd.met.Add(metrics.CtrNotifies, 1)
+	if nd.mu.TryLock() {
+		nd.release()
 	}
 }
 

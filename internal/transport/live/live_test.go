@@ -33,47 +33,42 @@ func TestParkUnparkPermit(t *testing.T) {
 }
 
 // TestDeliverEnqueueThenNotify checks DeliverDirect's contract as the machine
-// layer uses it: the sender enqueues, then every notify runs exactly once, in
-// node 1's context (it can unpark), after its own enqueue. Notify order is not
-// part of the contract: a notify pended behind a busy CPU may run after a
-// later one that found the CPU free.
+// layer uses it: the sender enqueues, then notifies, and the arrival function
+// runs in node 1's context (it can unpark) at least once after each enqueue:
+// the enqueues an arrival reads never fall behind, and every notify is
+// counted once, as run on its sender or pended for the holder.
 func TestDeliverEnqueueThenNotify(t *testing.T) {
 	const k = 500
 	b := New(2, Options{Watchdog: 5 * time.Second})
 	var enqueued atomic.Int64 // sends whose enqueue step has run
-	notified := make([]int, k)
-	var total int
-	early := -1
+	var seen, runs int64      // node 1 state
 	var rx transport.Proc
+	b.SetArrival(func(node int) {
+		if node != 1 {
+			t.Errorf("arrival for node %d, want 1", node)
+		}
+		runs++
+		seen = enqueued.Load()
+		rx.Unpark()
+	})
 	rx = b.Go(1, "rx", func(p transport.Proc) {
-		for total < k {
+		for seen < k {
 			p.Park()
 		}
 	})
 	b.Go(0, "tx", func(p transport.Proc) {
 		for i := 0; i < k; i++ {
-			i := i
-			enqueued.Store(int64(i + 1))
-			b.DeliverDirect(1, func() { // node 1's context
-				if enqueued.Load() <= int64(i) {
-					early = i
-				}
-				notified[i]++
-				total++
-				rx.Unpark()
-			})
+			enqueued.Add(1)
+			b.DeliverDirect(1)
 		}
 	})
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if early >= 0 {
-		t.Fatalf("notify %d ran before its enqueue", early)
-	}
-	for i, n := range notified {
-		if n != 1 {
-			t.Fatalf("notify %d ran %d times, want exactly once", i, n)
-		}
+	met := b.NodeMetrics(1).Snapshot()
+	direct, pended, batches := met.Counter(metrics.CtrNotifyDirect), met.Counter(metrics.CtrNotifies), met.Counter(metrics.CtrNotifyBatches)
+	if direct+pended != k || runs != direct+batches {
+		t.Fatalf("direct=%d pended=%d batches=%d, %d runs; want %d notifies accounted and one run per direct notify or batch", direct, pended, batches, runs, k)
 	}
 }
 
@@ -92,22 +87,22 @@ func waitParked(p *Proc) {
 }
 
 // TestDirectNotifyWhenParked: with the receiver parked its CPU is free, so
-// every send's notify runs on the sender and none reaches the pending list.
+// every send's arrival runs on the sender and none pends.
 func TestDirectNotifyWhenParked(t *testing.T) {
 	const n = 200
 	b := New(2, Options{Watchdog: 5 * time.Second})
 	var got int
 	var rx *Proc
-	notify := func() { // node 1's context
+	b.SetArrival(func(int) { // node 1's context
 		if got++; got == n {
 			rx.Unpark()
 		}
-	}
+	})
 	rx = b.Go(1, "rx", func(p transport.Proc) { p.Park() }).(*Proc)
 	b.Go(0, "tx", func(p transport.Proc) {
 		waitParked(rx)
 		for i := 0; i < n; i++ {
-			b.DeliverDirect(1, notify)
+			b.DeliverDirect(1)
 		}
 	})
 	if err := b.Run(); err != nil {
@@ -118,17 +113,18 @@ func TestDirectNotifyWhenParked(t *testing.T) {
 		t.Fatalf("direct=%d queued=%d, want %d and 0", d, q, n)
 	}
 	if got != n {
-		t.Fatalf("notify ran %d times, want %d", got, n)
+		t.Fatalf("arrival ran %d times, want %d", got, n)
 	}
 }
 
-// TestSleepRunsPendingTimer: a proc that only charges, never parks, still lets
-// a delivered callback in — what a timer's callback used to be. Node 1's proc
-// delivers it while node 0's spins, so it finds the CPU busy and pends; the
-// spinning proc's next Sleep must run it.
+// TestSleepRunsPendingTimer: a proc that only charges, never parks, still
+// lets an arrival in — what a timer's callback used to be. Node 1's proc notifies node 0 while node 0's spins, so
+// the notify finds the CPU busy and pends; the spinning proc's next Sleep must
+// run the arrival.
 func TestSleepRunsPendingTimer(t *testing.T) {
 	b := New(2, Options{Watchdog: 10 * time.Second})
 	fired := false // node 0 state
+	b.SetArrival(func(int) { fired = true })
 	var spinning atomic.Bool
 	var seen time.Duration
 	b.Go(0, "spin", func(p transport.Proc) {
@@ -143,51 +139,47 @@ func TestSleepRunsPendingTimer(t *testing.T) {
 		for !spinning.Load() {
 			time.Sleep(time.Millisecond)
 		}
-		b.DeliverDirect(0, func() { fired = true })
+		b.DeliverDirect(0)
 	})
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if !fired {
-		t.Fatal("a delivered callback never got the CPU from a proc that only Sleeps")
+		t.Fatal("a pended arrival never got the CPU from a proc that only Sleeps")
 	}
 	if seen > 50*time.Millisecond {
-		t.Fatalf("callback seen after %v, want within 50ms", seen)
+		t.Fatalf("arrival seen after %v, want within 50ms", seen)
 	}
 }
 
 // TestCrossBlastNoStall: two nodes blast each other, each holding its own CPU
 // while it TryLocks the other's. A sender never waits for a CPU, so neither
-// can wedge the other, and every notify still runs: on the sender when the
-// TryLock wins, on the busy peer once it parks.
+// can wedge the other, and every enqueue is still seen by an arrival: on the
+// sender when the TryLock wins, on the busy peer once it parks.
 func TestCrossBlastNoStall(t *testing.T) {
 	const k = 2000
 	b := New(2, Options{Watchdog: 10 * time.Second})
-	var got [2]int // got[i] is node i state
+	var sent [2]atomic.Int64 // sent[i]: enqueues for node i
+	var seen [2]int64        // seen[i] is node i state
 	var procs [2]transport.Proc
-	var notify [2]func()
+	b.SetArrival(func(i int) {
+		seen[i] = sent[i].Load()
+		procs[i].Unpark()
+	})
 	for i := range procs {
 		i := i
-		notify[i] = func() {
-			got[i]++
-			procs[i].Unpark()
-		}
 		procs[i] = b.Go(i, "blaster", func(p transport.Proc) {
 			for j := 0; j < k; j++ {
-				b.DeliverDirect(1-i, notify[1-i])
+				sent[1-i].Add(1)
+				b.DeliverDirect(1 - i)
 			}
-			for got[i] < k {
+			for seen[i] < k {
 				p.Park()
 			}
 		})
 	}
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
-	}
-	for i, n := range got {
-		if n != k {
-			t.Fatalf("node %d saw %d notifies, want %d", i, n, k)
-		}
 	}
 	var accounted int64
 	for i := range procs {
@@ -198,7 +190,7 @@ func TestCrossBlastNoStall(t *testing.T) {
 		}
 	}
 	if accounted != 2*k {
-		t.Fatalf("direct+queued = %d, want %d", accounted, 2*k)
+		t.Fatalf("direct+pended = %d, want %d", accounted, 2*k)
 	}
 }
 
@@ -217,20 +209,22 @@ func TestWatchdogReportsStall(t *testing.T) {
 	}
 }
 
-// TestLateNotifyDropped: once Run has returned, a callback that finds its
+// TestLateNotifyDropped: once Run has returned, a notify that finds its
 // node's CPU busy is dropped and counted rather than pended for a holder that
 // may never let go. The holder here outlives the watchdog.
 func TestLateNotifyDropped(t *testing.T) {
 	b := New(1, Options{Watchdog: 50 * time.Millisecond})
+	b.SetArrival(func(int) { t.Error("an arrival ran after the run was over") })
 	let := make(chan struct{})
 	b.Go(0, "holder", func(p transport.Proc) { <-let })
 	if _, ok := b.Run().(*StallError); !ok {
 		t.Fatal("Run did not report the holder stalled")
 	}
-	b.DeliverDirect(0, func() { t.Error("a callback ran after the run was over") })
+	b.DeliverDirect(0)
 	close(let)
-	if d := b.NodeMetrics(0).Snapshot().Counter(metrics.CtrNotifyDropped); d != 1 {
-		t.Fatalf("live.notify.dropped = %d, want 1", d)
+	met := b.NodeMetrics(0).Snapshot()
+	if d, p, q := met.Counter(metrics.CtrNotifyDropped), met.Counter(metrics.CtrNotifyDirect), met.Counter(metrics.CtrNotifies); d != 1 || p+q != 0 {
+		t.Fatalf("live.notify.dropped = %d, direct = %d, pended = %d; want the one notify counted as dropped only", d, p, q)
 	}
 }
 
@@ -261,14 +255,15 @@ func TestStalledRunLeavesOnlyStuckProcs(t *testing.T) {
 
 // TestProcExitRunsPending: proc exit is a release point. A proc that holds
 // the CPU when a notify arrives from outside the node, and then exits without
-// a charge or a park, has run the notify by the time Run returns.
+// a charge or a park, has run the arrival by the time Run returns.
 func TestProcExitRunsPending(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
 	ran := false // node 0 state
+	b.SetArrival(func(int) { ran = true })
 	b.Go(0, "holder", func(p transport.Proc) {
 		sent := make(chan struct{})
 		go func() {
-			b.DeliverDirect(0, func() { ran = true })
+			b.DeliverDirect(0)
 			close(sent)
 		}()
 		<-sent // the CPU is held throughout: the notify can only pend
@@ -277,24 +272,29 @@ func TestProcExitRunsPending(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if !ran {
-		t.Fatal("a notify pended on a proc that exited never ran")
+		t.Fatal("an arrival pended on a proc that exited never ran")
 	}
 	if met := b.NodeMetrics(0).Snapshot(); met.Counter(metrics.CtrNotifies) != 1 || met.Counter(metrics.CtrNotifyDirect) != 0 {
 		t.Fatalf("pended=%d direct=%d, want 1 and 0", met.Counter(metrics.CtrNotifies), met.Counter(metrics.CtrNotifyDirect))
 	}
 }
 
-// TestReleaseLooksAgain: a callback the holder runs off the pending list can
-// itself deliver to the node (a handler sending to its own node). That notify
-// pends behind the list the holder is running, and only release's look after
+// TestReleaseLooksAgain: the arrival function the holder runs can itself
+// notify the node (a handler sending to its own node). That notify pends
+// behind the arrival the holder is running, and only release's look after
 // the unlock picks it up.
 func TestReleaseLooksAgain(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
-	ran := false // node 0 state
+	runs := 0 // node 0 state
+	b.SetArrival(func(int) {
+		if runs++; runs == 1 {
+			b.DeliverDirect(0)
+		}
+	})
 	b.Go(0, "holder", func(p transport.Proc) {
 		sent := make(chan struct{})
 		go func() {
-			b.DeliverDirect(0, func() { b.DeliverDirect(0, func() { ran = true }) })
+			b.DeliverDirect(0)
 			close(sent)
 		}()
 		<-sent
@@ -302,43 +302,54 @@ func TestReleaseLooksAgain(t *testing.T) {
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if !ran {
-		t.Fatal("a notify pended while the holder ran its pending list was stranded")
+	if runs != 2 {
+		t.Fatalf("the arrival ran %d times, want 2: a notify pended while the holder ran the arrival was stranded", runs)
 	}
 }
 
-// TestNotifyExactlyOnceHammer: every notify runs exactly once whatever the
-// receiver is doing. m plain goroutines deliver at one node in k rounds; its
-// proc alternates charges and parks until it has counted a round's m, then
-// opens the next. The last notify of a round finds the proc anywhere between
-// its final look at the pending list and blocking, k times over: a strand
-// there (the sender's second TryLock or release's re-check missing) parks the
-// proc for good and the watchdog reports it.
-func TestNotifyExactlyOnceHammer(t *testing.T) {
+// TestNotifyNeverStrandedHammer: an enqueue is always followed by an
+// arrival that sees it, whatever else holds the node. m plain goroutines each
+// enqueue and notify one node once a round, for k rounds. The arrival reads
+// the enqueues, is preempted (as a holder on a busy host is), and then, if it
+// read a round's last one, opens the next round and wakes the node's proc,
+// which alternates charges and parks meanwhile. Notifies land on a holder in
+// the middle of an arrival, k times over: one stranded there (release's look
+// after the unlock or the sender's second TryLock missing) leaves a round
+// unopened and the proc parked for good, and the watchdog reports it. Every
+// notify is counted once, as direct, pended or dropped, and the batches take
+// exactly the pended ones.
+func TestNotifyNeverStrandedHammer(t *testing.T) {
 	for _, m := range []int{1, 4} {
 		hammer(t, m, 2000/m)
 	}
 }
 
 func hammer(t *testing.T, m, k int) {
-	b := New(1, Options{Watchdog: 20 * time.Second})
-	var got int // node 0 state
-	var round atomic.Int64
+	b := New(1, Options{Watchdog: 5 * time.Second})
+	var enqueued, opened atomic.Int64
+	done := false // node 0 state
 	var rx transport.Proc
-	notify := func() {
-		got++
+	b.SetArrival(func(int) {
+		e := enqueued.Load()
+		runtime.Gosched() // preempted holding the CPU: notifies land behind it
+		if e != opened.Load()*int64(m) {
+			return
+		}
+		if e == int64(m*k) {
+			done = true
+		} else {
+			opened.Add(1)
+		}
 		rx.Unpark()
-	}
+	})
+	opened.Store(1)
 	rx = b.Go(0, "rx", func(p transport.Proc) {
-		for r := 1; r <= k; r++ {
-			for i := 0; got < r*m; i++ {
-				if i%2 == 0 {
-					p.Sleep(1)
-				} else {
-					p.Park()
-				}
+		for i := 0; !done; i++ {
+			if i%2 == 0 {
+				p.Sleep(1)
+			} else {
+				p.Park()
 			}
-			round.Store(int64(r))
 		}
 	})
 	var senders sync.WaitGroup
@@ -347,10 +358,14 @@ func hammer(t *testing.T, m, k int) {
 		go func() {
 			defer senders.Done()
 			for r := 0; r < k; r++ {
-				b.DeliverDirect(0, notify)
-				for round.Load() <= int64(r) && !b.over.Load() {
+				for opened.Load() <= int64(r) && !b.over.Load() {
 					runtime.Gosched()
 				}
+				for i := 0; i < (r+j)%3; i++ { // senders of a round come staggered
+					runtime.Gosched()
+				}
+				enqueued.Add(1)
+				b.DeliverDirect(0)
 			}
 		}()
 	}
@@ -361,21 +376,25 @@ func hammer(t *testing.T, m, k int) {
 	}
 	met := b.NodeMetrics(0).Snapshot()
 	direct, pended, dropped := met.Counter(metrics.CtrNotifyDirect), met.Counter(metrics.CtrNotifies), met.Counter(metrics.CtrNotifyDropped)
-	if got != m*k || direct+pended != int64(m*k) || dropped != 0 {
-		t.Fatalf("ran %d notifies, direct=%d + pended=%d, dropped=%d; want %d run and accounted, 0 dropped", got, direct, pended, dropped, m*k)
+	if direct+pended != int64(m*k) || dropped != 0 {
+		t.Fatalf("direct=%d + pended=%d, dropped=%d; want %d accounted, 0 dropped", direct, pended, dropped, m*k)
+	}
+	if h := met.Hist(metrics.HstPollBatch); h.Count != met.Counter(metrics.CtrNotifyBatches) || h.Sum != pended {
+		t.Fatalf("%d batches took %d notifies (%d counted), want the %d pended", h.Count, h.Sum, met.Counter(metrics.CtrNotifyBatches), pended)
 	}
 }
 
-// TestAfterZeroFromOwnNodeIsNotReentrant: a callback that a node's own proc
-// delivers to its node does not run inside DeliverDirect (the proc holds the
-// CPU and fn may touch what the proc is in the middle of) but at the proc's
-// next charge.
+// TestAfterZeroFromOwnNodeIsNotReentrant: a notify a node's own proc makes to its
+// node does not run the arrival inside DeliverDirect (the proc holds the CPU
+// and the arrival may touch what the proc is in the middle of) but at the
+// proc's next charge.
 func TestAfterZeroFromOwnNodeIsNotReentrant(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
 	ran := false // node 0 state
+	b.SetArrival(func(int) { ran = true })
 	var inDeliver, atCharge bool
 	b.Go(0, "p", func(p transport.Proc) {
-		b.DeliverDirect(0, func() { ran = true })
+		b.DeliverDirect(0)
 		inDeliver = ran
 		p.Sleep(1)
 		atCharge = ran
@@ -384,23 +403,24 @@ func TestAfterZeroFromOwnNodeIsNotReentrant(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	if inDeliver || !atCharge {
-		t.Fatalf("fn had run inside DeliverDirect: %v, by the next charge: %v; want false, true", inDeliver, atCharge)
+		t.Fatalf("the arrival had run inside DeliverDirect: %v, by the next charge: %v; want false, true", inDeliver, atCharge)
 	}
 }
 
-// TestNotifyDepthGaugeFallsBack: the pending-depth gauge is sampled when the
-// list is run as well as when it is pushed, so a quiesced node reads 0, not
-// its last push's depth, and a merged snapshot never shows last above max.
+// TestNotifyDepthGaugeFallsBack: k notifies that find the CPU busy are one
+// run of the arrival, the depth gauge's max is the deepest the pending count
+// got, and a quiesced node reads 0, not that depth, so a merged snapshot
+// never shows last above max.
 func TestNotifyDepthGaugeFallsBack(t *testing.T) {
 	const k = 50
 	b := New(2, Options{Watchdog: 5 * time.Second})
-	var got int // node 1 state
-	notify := func() { got++ }
+	var runs int // node 1 state
+	b.SetArrival(func(int) { runs++ })
 	busy, sent := make(chan struct{}), make(chan struct{})
 	b.Go(0, "tx", func(p transport.Proc) {
 		<-busy
 		for i := 0; i < k; i++ {
-			b.DeliverDirect(1, notify)
+			b.DeliverDirect(1)
 		}
 		close(sent)
 	})
@@ -412,8 +432,12 @@ func TestNotifyDepthGaugeFallsBack(t *testing.T) {
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if g := b.NodeMetrics(1).Snapshot().Gauge(metrics.GgeNotifyDepth); got != k || g.Last != 0 || g.Max != k {
-		t.Fatalf("ran %d of %d pended notifies, depth gauge last=%d max=%d; want last 0, max %d", got, k, g.Last, g.Max, k)
+	met := b.NodeMetrics(1).Snapshot()
+	if g := met.Gauge(metrics.GgeNotifyDepth); runs != 1 || g.Last != 0 || g.Max != k {
+		t.Fatalf("%d pended notifies ran the arrival %d times, depth gauge last=%d max=%d; want 1 run, last 0, max %d", k, runs, g.Last, g.Max, k)
+	}
+	if h := met.Hist(metrics.HstPollBatch); met.Counter(metrics.CtrNotifies) != k || h.Count != 1 || h.Max != k {
+		t.Fatalf("live.notifies = %d, live.poll.batch count %d max %d; want %d, 1, %d", met.Counter(metrics.CtrNotifies), h.Count, h.Max, k, k)
 	}
 	if g := b.MetricsSnapshot().Gauge(metrics.GgeNotifyDepth); g.Last > g.Max {
 		t.Fatalf("merged depth gauge last=%d above max=%d", g.Last, g.Max)
@@ -441,17 +465,18 @@ func TestClockAdvances(t *testing.T) {
 // proc level. A proc that hands the CPU to a sibling and parks does not poll:
 // the node is busy. A proc that parks with no sibling to run does, with the
 // CPU released — so a delivery made from inside the poll finds the CPU free,
-// runs the notify on the polling goroutine, and woken reports the permit:
+// runs the arrival on the polling goroutine, and woken reports the permit:
 // the proc received its own wake-up without blocking.
 func TestIdlePollReceivesOnOwnGoroutine(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
 	var c transport.Proc
 	var polls int
 	var before, after bool
+	b.SetArrival(func(int) { c.Unpark() })
 	b.SetIdlePoll(func(woken func() bool) {
 		polls++
 		before = woken()
-		b.DeliverDirect(0, func() { c.Unpark() })
+		b.DeliverDirect(0)
 		after = woken()
 	})
 	b.Go(0, "a", func(a transport.Proc) {
@@ -486,10 +511,11 @@ func TestIdlePollGivesUp(t *testing.T) {
 	gaveUp := make(chan struct{})
 	b.SetIdlePoll(func(func() bool) { close(gaveUp) })
 	var p0 transport.Proc
+	b.SetArrival(func(int) { p0.Unpark() })
 	p0 = b.Go(0, "p", func(p transport.Proc) { p.Park() })
 	go func() {
 		<-gaveUp
-		b.DeliverDirect(0, func() { p0.Unpark() })
+		b.DeliverDirect(0)
 	}()
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

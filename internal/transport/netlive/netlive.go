@@ -54,8 +54,8 @@
 // See shmring.go and DESIGN.md.
 //
 // Either way the packet reaches the machine's remote-arrival handler, which
-// enqueues into the destination node's (thread-safe) inbox and wakes it
-// through the live backend's direct notify. A link that fails — connection
+// enqueues into the destination node's (thread-safe) inbox and notifies it
+// by index through the live backend. A link that fails — connection
 // lost, ring consumer silent for DialTimeout, malformed bytes from the peer
 // (a frame that does not parse, a packet too short for the messaging layer's
 // header, an unknown frame kind) — records one error naming the shard; frames
@@ -415,10 +415,11 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 	return b.inner.Go(node, name, fn)
 }
 
+// SetArrival implements transport.DirectDeliverer: the inner live backend's.
+func (b *Backend) SetArrival(fn func(node int)) { b.inner.SetArrival(fn) }
+
 // DeliverDirect implements transport.DirectDeliverer for local destinations.
-func (b *Backend) DeliverDirect(dst int, notify func()) {
-	b.inner.DeliverDirect(dst, notify)
-}
+func (b *Backend) DeliverDirect(dst int) { b.inner.DeliverDirect(dst) }
 
 // Run implements transport.Backend: execute the local shard, then tear the
 // process mesh down. The parent additionally reaps its children and

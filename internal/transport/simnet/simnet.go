@@ -2,8 +2,8 @@
 // (internal/sim) to the transport.Backend contract. It is the reference
 // backend: all of the paper's calibrated numbers are produced on it, and its
 // behavior is identical to the pre-seam code — every method is a direct
-// forward to the engine, with messages delivered as single events after the
-// modelled wire latency.
+// forward to the engine. The machine delivers a message by scheduling one
+// engine event itself, after the modelled wire latency.
 //
 // The per-node serialization contract holds trivially: the engine runs
 // exactly one goroutine (one process or one event callback) at any instant,
@@ -43,20 +43,6 @@ func (b *Backend) Now() time.Duration { return b.eng.Now() }
 // the engine's global interleaving already serializes everything.
 func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.Proc {
 	return b.eng.Go(name, func(p *sim.Proc) { fn(p) })
-}
-
-// Deliver is the local-modelled delivery case, called by the machine layer on
-// this concrete type (it is not part of the transport seam): one event at
-// now+modelLatency that enqueues and notifies, exactly as the pre-seam
-// machine layer did. Events at equal times fire in schedule order, so
-// delivery between a pair of nodes is FIFO for equal latencies.
-//
-//mpmd:coldpath the event closure is discrete-event engine machinery; live backends deliver without it
-func (b *Backend) Deliver(dst int, modelLatency time.Duration, enqueue, notify func()) {
-	b.eng.After(modelLatency, func() {
-		enqueue()
-		notify()
-	})
 }
 
 // Run implements transport.Backend: drive the event loop to completion,

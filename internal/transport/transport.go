@@ -14,27 +14,30 @@
 //
 //   - local-modelled: transport/simnet wraps the deterministic discrete-event
 //     engine (internal/sim) calibrated to the paper's 1997 IBM SP. The
-//     machine hands enqueue and notify to simnet.Backend.Deliver, which runs
-//     them as one event after the modelled wire latency; runs are
+//     machine schedules one engine event after the modelled wire latency
+//     that enqueues the packet and runs the node's arrival hook; runs are
 //     reproducible bit-for-bit.
 //   - local-immediate (DirectDeliverer): transport/live maps every Proc to a
 //     real goroutine and the clock to time.Now(). The machine enqueues on the
-//     sender and the backend runs the notify in the destination's context;
-//     modelled latencies are ignored.
+//     sender and notifies the destination by its index; the backend runs the
+//     arrival function the machine installed in the destination's context.
+//     Modelled latencies are ignored.
 //   - remote-link (Sharded): transport/netlive shards the nodes across OS
 //     processes. A packet for a node of another shard is serialized onto the
 //     one ordered link to that shard (Sharded.SendRemote); in-shard packets
 //     take the local-immediate path.
 //
+// No delivery carries a closure: a node is told that something arrived.
+//
 // MetricsSource is the one further optional extension (wall-clock metrics).
 //
 // The contracts encode the concurrency discipline the upper layers rely on:
 // at most one Proc of a given node runs at any instant (a node has one CPU),
-// and delivery callbacks for a node execute inside that same mutual
-// exclusion. The simulator gets this for free from its global event loop; the
-// live backend enforces it per node, which is what lets the unmodified
-// runtimes — schedulers, handler tables, buffer managers and all — run on
-// real parallel hardware.
+// and a node's arrival hook executes inside that same mutual exclusion. The
+// simulator gets this for free from its global event loop; the live backend
+// enforces it per node, which is what lets the unmodified runtimes —
+// schedulers, handler tables, buffer managers and all — run on real parallel
+// hardware.
 package transport
 
 import (
@@ -49,8 +52,8 @@ import (
 //
 // All methods except Unpark must be called from the Proc's own execution
 // context. Unpark may be called from any execution context of the same node
-// (another Proc, or a delivery callback); it must not be called from a
-// different node's context.
+// (another Proc, or the node's arrival function); it must not be called from
+// a different node's context.
 type Proc interface {
 	// Park blocks the context until Unpark. If an Unpark permit is already
 	// pending (wake raced ahead of sleep), Park consumes it and returns
@@ -65,10 +68,10 @@ type Proc interface {
 	// already paid by real execution and only opens a delivery window.
 	// The threads package sleeps on the simulator only.
 	Sleep(d time.Duration)
-	// Deliver runs, in place and with the CPU held, the delivery callbacks
-	// that found this context's node busy: the delivery point of a context
-	// that does not park. The simulator has none to run — its
-	// arrivals are events, interleaved by Sleep.
+	// Deliver runs, in place and with the CPU held, the arrival function
+	// once for the notifies that found this context's node busy: the
+	// delivery point of a context that does not park. The simulator has
+	// none to run — its arrivals are events, interleaved by Sleep.
 	Deliver()
 	// Now returns the backend clock: virtual time on simnet, wall-clock
 	// time on live.
@@ -157,23 +160,25 @@ type MetricsSource interface {
 
 // DirectDeliverer is implemented by backends that ignore the modelled
 // latency and deliver immediately (live, and netlive within a shard). The
-// caller has already made the payload visible in dst's inbound queue (the
-// machine's queues are individually thread-safe), which fixes per-sender
-// order; DeliverDirect runs notify — a long-lived closure, one per
-// destination node, built once, so a delivery allocates nothing — in dst's
-// execution context: on the caller when dst's CPU is free, otherwise on
-// whoever holds that CPU, before it lets go. It never blocks. Notifies may be
-// reordered or coalesced.
+// machine installs one arrival function with SetArrival when it is built,
+// before Run. The caller of DeliverDirect has already made the payload
+// visible in dst's inbound queue (the machine's queues are individually
+// thread-safe), which fixes per-sender order; DeliverDirect then runs the
+// arrival function for dst in dst's execution context: on the caller when
+// dst's CPU is free, otherwise on whoever holds that CPU, before it lets go.
+// It never blocks. Notifies coalesce: the function runs at least once after
+// each DeliverDirect, not once per call.
 type DirectDeliverer interface {
-	DeliverDirect(dst int, notify func())
+	SetArrival(fn func(node int))
+	DeliverDirect(dst int)
 }
 
 // Backend is an execution substrate for a multicomputer of NumNodes nodes.
 //
 // The per-node serialization contract: for any node i, at most one of the
-// following runs at any instant — a Proc created with Go(i, ...), or a
-// callback delivered to node i. Callbacks and Procs of different nodes may
-// run in parallel. A backend has no timers: a run ends when its work does.
+// following runs at any instant — a Proc created with Go(i, ...), or node
+// i's arrival function. Arrivals and Procs of different nodes may run in
+// parallel. A backend has no timers: a run ends when its work does.
 type Backend interface {
 	// Name identifies the backend in reports ("sim" or "live").
 	Name() string
