@@ -87,12 +87,19 @@ var corpus = []struct {
 
 	{"Invoke keeps its call record: one allocated per call", "go test ./mpmd -run ^TestInvokeAllocs$", `warm null Invoke allocates 1\.00/op, budget 0`, []edit{
 		{"mpmd/typed.go", "\tcall.Release()\n\treturn out, nil\n", "\treturn out, nil\n"}}},
+	{"a one-way RMI gets a record nobody reads", "go test ./mpmd -run ^TestAsyncAllocs$", `paced InvokeOneWay of a null call allocates [1-9][.0-9]*/op, budget 0`, []edit{
+		{"internal/core/rmi.go", "\trt.invoke(t, gp, method, args, nil, nil)\n", "\trt.invoke(t, gp, method, args, nil, &Future{mode: modeFuture})\n"}}},
+	{"a future's record goes back to the pool at Wait", "go test ./internal/transport/conformance -run ^TestSimnet$/^Futures$", `is no longer done after later calls`, []edit{
+		{"internal/core/rmi.go", "func (f *Future) Wait(t *threads.Thread) { f.rt.waitComp(t, f.rt.nodeOf(t), f) }\n",
+			"func (f *Future) Wait(t *threads.Thread) { f.rt.waitComp(t, f.rt.nodeOf(t), f); f.reset(); futures.Put(f) }\n"}}},
 	{"DecodePtr decodes over the value that was there", "go test ./internal/transport/conformance -run ^TestLive$/^ValueOwnership$", `after a put element 0 reads \[0 2 0\] \(<nil>\) and the value read before it \[0 2 0\]`, []edit{
 		{"internal/rmigen/codec.go", "\tif c.FixedSize() == 0 {\n\t\treflect.NewAt(c.typ, ptr).Elem().SetZero()\n\t}\n", ""}}},
 	// Only the row whose length is small: without the check the others
 	// allocate what the hostile word says.
 	{"Bytes.Decode trusts its length word", "go test ./internal/core -run ^TestArgDecodeHostileLengths$/^Bytes$/^length_past_the_payload$", `decode failed with "runtime error: slice bounds out of range`, []edit{
 		{"internal/core/args.go", "\tn := lenWord(\"Bytes\", b, 1)\n", "\tn := int(binary.LittleEndian.Uint64(b))\n"}}},
+	{"a scalar argument trusts its length", "go test ./internal/core -run ^(TestInvokeHostileWords|FuzzArgs)$", `(?s)handler failed with "runtime error: index out of range \[7\] with length 3".*failed with "runtime error: index out of range \[7\] with length 0", want a named core refusal`, []edit{
+		{"internal/core/args.go", "\tif len(b) < 8 {\n\t\tpanic(fmt.Sprintf(\"core: %s argument truncated: %d bytes, a word is 8\", kind, len(b)))\n", "\tif false {\n\t\tpanic(fmt.Sprintf(\"core: %s argument truncated: %d bytes, a word is 8\", kind, len(b)))\n"}}},
 	{"handleInvoke trusts its stub id", "go test ./internal/core -run ^TestInvokeHostileWords$/^stub_id_past_the_table$", `handler failed with "runtime error: index out of range`, []edit{
 		{"internal/core/rmi.go", "\t\tif m.A[2] >= uint64(len(rt.methods)) {\n", "\t\tif false {\n"}}},
 	{"handleInvoke trusts its name length", "go test ./internal/core -run ^TestInvokeHostileWords$/^name_length_past_the_payload$", `handler failed with "runtime error: slice bounds out of range`, []edit{

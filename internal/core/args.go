@@ -53,7 +53,7 @@ func (a *F64) Encode(b []byte) int { binary.LittleEndian.PutUint64(b, math.Float
 
 // Decode implements Arg.
 func (a *F64) Decode(b []byte) int {
-	a.V = math.Float64frombits(binary.LittleEndian.Uint64(b))
+	a.V = math.Float64frombits(scalarWord("F64", b))
 	return 8
 }
 
@@ -72,7 +72,7 @@ func (*I64) MarshalUnits() int { return 1 }
 func (a *I64) Encode(b []byte) int { binary.LittleEndian.PutUint64(b, uint64(a.V)); return 8 }
 
 // Decode implements Arg.
-func (a *I64) Decode(b []byte) int { a.V = int64(binary.LittleEndian.Uint64(b)); return 8 }
+func (a *I64) Decode(b []byte) int { a.V = int64(scalarWord("I64", b)); return 8 }
 
 // F64Slice is an array-of-double argument (the paper's ARRAYOFDOUBLE). Its
 // length is part of the wire format, so the receiving stub can size the
@@ -172,6 +172,16 @@ func (a *Str) Decode(b []byte) int {
 	n := lenWord("Str", b, 1)
 	a.V = string(b[8 : 8+n])
 	return 8 + n
+}
+
+// scalarWord reads the word a scalar argument is. The bytes may have crossed
+// a process boundary, so a truncated word is refused by name before it is
+// read.
+func scalarWord(kind string, b []byte) uint64 {
+	if len(b) < 8 {
+		panic(fmt.Sprintf("core: %s argument truncated: %d bytes, a word is 8", kind, len(b)))
+	}
+	return binary.LittleEndian.Uint64(b)
 }
 
 // lenWord reads the length word that opens a variable-size argument and

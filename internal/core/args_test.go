@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -243,4 +244,57 @@ func TestArgDecodeHostileLengths(t *testing.T) {
 			})
 		}
 	}
+}
+
+// truncatedWords are scalar words cut short, as another process may send
+// them: TestInvokeHostileWords sends them as an argument and as a result,
+// and FuzzArgs starts from them.
+var truncatedWords = [][]byte{nil, {1, 2, 3}, {1, 2, 3, 4, 5, 6, 7}}
+
+// FuzzArgs drives bytes from another process through the decoder of every
+// provided Arg, alone (the reply path's decodeOne) and as a mixed list (the
+// invocation path's decodeArgs). Every input is refused with a named core
+// panic, or is consumed exactly and re-encodes to exactly itself.
+//
+//	go test -run '^$' -fuzz FuzzArgs -fuzztime 30s ./internal/core
+func FuzzArgs(f *testing.F) {
+	for _, b := range truncatedWords {
+		f.Add(b)
+	}
+	mixed, _ := encodeArgs([]Arg{&I64{V: -3}, &Str{V: "hé"}, &F64{V: 0.5}, &Bytes{V: []byte{7}}, &F64Slice{V: []float64{1, 2}}})
+	f.Add(mixed)
+	f.Add(binary.LittleEndian.AppendUint64(nil, 1<<63))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, args := range [][]Arg{
+			{&I64{}}, {&F64{}}, {&F64Slice{}}, {&Bytes{}}, {&Str{}},
+			{&I64{}, &Str{}, &F64{}, &Bytes{}, &F64Slice{}},
+		} {
+			refusal := decodeRefusal(b, args)
+			if refusal != "" {
+				if !strings.HasPrefix(refusal, "core: ") {
+					t.Fatalf("decoding %q into %d Args failed with %q, want a named core refusal", b, len(args), refusal)
+				}
+				continue
+			}
+			if back, _ := encodeArgs(args); !bytes.Equal(back, b) {
+				t.Fatalf("decoding %q into %d Args re-encodes to %q", b, len(args), back)
+			}
+		}
+	})
+}
+
+// decodeRefusal decodes b into args, with decodeOne for one Arg, and returns
+// the text of the panic that refused it ("" if none).
+func decodeRefusal(b []byte, args []Arg) (refusal string) {
+	defer func() {
+		if r := recover(); r != nil {
+			refusal = fmt.Sprint(r)
+		}
+	}()
+	if len(args) == 1 {
+		decodeOne(b, args[0])
+	} else {
+		decodeArgs(b, args)
+	}
+	return ""
 }

@@ -15,7 +15,7 @@ import (
 // to a double (GPF64) are remote-memory accesses (am.Mem), Split-C's get and
 // put: one request and one reply active message, "small request/reply active
 // messages" with no marshalling (§6). This file is the runtime's front end to
-// that protocol: its price (registerHandlers), its completions and the
+// that protocol: its price (registerHandlers), its records and the
 // float64 front end a global pointer is. The owner serves a Dist access
 // inline in the polling thread: the parts are plain arrays no computation
 // holds a lock on, as the non-threaded mailbox method that served these
@@ -38,26 +38,20 @@ func (rt *Runtime) AddDist(size int, parts []am.Part) int {
 	return rt.mem.Add(size, parts)
 }
 
-// DistOp is the sender-side record of one element access: completion and
-// the protocol's landing record in one value, so the typed layer embeds it in
-// its future and a split-phase access costs that one allocation. The typed
-// layer encodes a put's element on Scratch and decodes a get's from Bytes.
+// DistOp is the sender-side record of one element access: the request's
+// record (Future, whose Wait and Done join the access) and the protocol's
+// landing record in one value, so the typed layer embeds it in its future
+// and a split-phase access costs that one allocation. The typed layer
+// encodes a put's element on Scratch and lands a get's through Into, or
+// reads it from Bytes.
 type DistOp struct {
 	am.Op
-	rt   *Runtime
-	comp completion
+	Future
 }
-
-// Wait blocks until the access has completed at the owner and its reply has
-// landed here.
-func (op *DistOp) Wait(t *threads.Thread) { op.rt.waitComp(t, op.rt.nodeOf(t), &op.comp) }
-
-// Done reports (without blocking) whether the reply has landed.
-func (op *DistOp) Done() bool { return op.comp.landed() }
 
 // Reset readies a completed record for another access (pooled records of
 // the synchronous accessors); buffers keep their capacity.
-func (op *DistOp) Reset() { op.comp.reset() }
+func (op *DistOp) Reset() { op.reset() }
 
 // DistLocal accounts an access to an element the calling node owns — the
 // typed layer dereferences its own part directly — and completes op, the
@@ -65,9 +59,8 @@ func (op *DistOp) Reset() { op.comp.reset() }
 func (rt *Runtime) DistLocal(t *threads.Thread, op *DistOp) {
 	rt.nodeOf(t).node.Acct.Count(machine.CntLocalDeref, 1)
 	if op != nil {
-		op.rt = rt
-		op.comp.mode = modeFuture
-		rt.complete(t, &op.comp)
+		op.rt, op.mode = rt, modeFuture
+		rt.complete(t, &op.Future)
 	}
 }
 
@@ -90,16 +83,15 @@ func (rt *Runtime) DistWrite(t *threads.Thread, op *DistOp, node, dist, off int,
 }
 
 // distSend is the common sender path of the Dist and GP accessors: the
-// record's completion is where the protocol lands the reply.
+// record's count is what the protocol advances when the reply lands.
 //
 //mpmd:hotpath
 func (rt *Runtime) distSend(t *threads.Thread, op *DistOp, node int, a [4]uint64, payload []byte, wait bool) {
-	op.rt = rt
-	op.comp.mode = modeFuture
+	op.rt, op.mode = rt, modeFuture
 	if wait {
-		op.comp.mode = rt.syncMode()
+		op.mode = rt.syncMode()
 	}
-	op.Op.Done, op.SV = &op.comp.done, rt.handoff(&op.comp)
+	op.Op.Done, op.SV = &op.done, rt.handoff(&op.Future)
 	rt.mem.Access(t, &op.Op, node, a, payload, wait)
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -162,7 +163,7 @@ func TestReplyHostileIDs(t *testing.T) {
 			var refused string
 			rt.OnNode(1, func(th *threads.Thread) {
 				if n := rt.nodeOf(th); id.answered {
-					n.pending.Take("RMI", 1, 0, n.pending.Add(new(rmiMsg)))
+					n.pending.Take("RMI", 1, 0, n.pending.Add(new(Future)))
 				}
 				refused = serveRefusal(rt, th)
 			})
@@ -175,41 +176,66 @@ func TestReplyHostileIDs(t *testing.T) {
 	}
 }
 
-// TestInvokeHostileWords is the same for the two words of a cc.invoke message
-// that index something in handleInvoke: the stub ID of a warm invocation (the
-// method table) and the name length of a cold one (the payload). Dropping
-// either bound fails its rows with a runtime index or slice-bounds error.
+// TestInvokeHostileWords is the same for what a cc.invoke message carries
+// that handleInvoke indexes or decodes — the stub ID of a warm invocation
+// (the method table), the name length of a cold one (the payload), a scalar
+// argument (its word) — and for a cc.reply's scalar result. Dropping a bound
+// fails its rows with a runtime index or slice-bounds error. FuzzArgs starts
+// from the truncated words.
 func TestInvokeHostileWords(t *testing.T) {
 	const req = 7
-	methods := uint64(len(newRig(2, Options{}).methods))
+	rig := newRig(2, Options{})
+	methods := uint64(len(rig.methods))
+	add := uint64(slices.IndexFunc(rig.methods, func(m *boundMethod) bool { return m.qname == "Counter::add" }))
+	inv := func(cause string) string {
+		return fmt.Sprintf("core: node 1 invocation from node 0 (request %d) %s", req, cause)
+	}
 	for _, tc := range []struct {
 		name    string
+		reply   bool // a cc.reply to a call returning a double, not a cc.invoke
 		flags   uint64
 		a2, a3  uint64
 		payload []byte
 		want    string
 	}{
-		{"stub id past the table", 0, methods, 0, nil,
-			fmt.Sprintf("names stub %d, the method table has %d", methods, methods)},
-		{"stub id with the top bit set", 0, 1 << 63, 0, nil,
-			fmt.Sprintf("names stub %d, the method table has %d", uint64(1<<63), methods)},
-		{"name length past the payload", flagCold, 0, 5, make([]byte, 4),
-			"carries a 5-byte method name in a 4-byte payload"},
-		{"name length negative as an int", flagCold, 0, ^uint64(0), make([]byte, 4),
-			"carries a 18446744073709551615-byte method name in a 4-byte payload"},
-		{"cold flag with a short payload", flagCold, 0, 12, nil,
-			"carries a 12-byte method name in a 0-byte payload"},
+		{"stub id past the table", false, 0, methods, 0, nil,
+			inv(fmt.Sprintf("names stub %d, the method table has %d", methods, methods))},
+		{"stub id with the top bit set", false, 0, 1 << 63, 0, nil,
+			inv(fmt.Sprintf("names stub %d, the method table has %d", uint64(1<<63), methods))},
+		{"name length past the payload", false, flagCold, 0, 5, make([]byte, 4),
+			inv("carries a 5-byte method name in a 4-byte payload")},
+		{"name length negative as an int", false, flagCold, 0, ^uint64(0), make([]byte, 4),
+			inv("carries a 18446744073709551615-byte method name in a 4-byte payload")},
+		{"cold flag with a short payload", false, flagCold, 0, 12, nil,
+			inv("carries a 12-byte method name in a 0-byte payload")},
+		{"word argument missing", false, 0, add, 0, truncatedWords[0],
+			"core: I64 argument truncated: 0 bytes, a word is 8"},
+		{"word argument truncated", false, 0, add, 0, truncatedWords[1],
+			"core: I64 argument truncated: 3 bytes, a word is 8"},
+		{"double result truncated", true, 0, 0, 0, truncatedWords[2],
+			"core: F64 argument truncated: 7 bytes, a word is 8"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rt := newRig(2, Options{})
-			rt.OnNode(0, func(th *threads.Thread) {
-				rt.Send(th, 1, rt.hInvoke, [4]uint64{tc.flags | req<<32, 0, tc.a2, tc.a3}, tc.payload)
-			})
+			gp := rt.CreateObject(1, "Counter")
+			h, a := rt.hInvoke, [4]uint64{tc.flags | req<<32, uint64(gp.obj), tc.a2, tc.a3}
+			if tc.reply {
+				h, a = rt.hReply, [4]uint64{1}
+			}
+			rt.OnNode(0, func(th *threads.Thread) { rt.Send(th, 1, h, a, tc.payload) })
 			var refused string
-			rt.OnNode(1, func(th *threads.Thread) { refused = serveRefusal(rt, th) })
+			rt.OnNode(1, func(th *threads.Thread) {
+				if tc.reply {
+					// The call the reply answers, to a method returning a double.
+					if id := rt.nodeOf(th).pending.Add(&Future{rt: rt, ret: &F64{}}); id != 1 {
+						t.Errorf("the call the reply answers has request id %d, want 1", id)
+					}
+				}
+				refused = serveRefusal(rt, th)
+			})
 			_ = rt.Run()
-			if want := fmt.Sprintf("core: node 1 invocation from node 0 (request %d) %s", req, tc.want); refused != want {
-				t.Errorf("handler failed with %q, want %q", refused, want)
+			if refused != tc.want {
+				t.Errorf("handler failed with %q, want %q", refused, tc.want)
 			}
 		})
 	}

@@ -24,9 +24,9 @@ const (
 	// thread completes it — the paper's standard sender path.
 	modeBlock
 	// modeFuture: the call returns immediately; Future.Wait joins later.
+	// (A one-way call, fire-and-forget with no reply at all, has no record
+	// and so no mode.)
 	modeFuture
-	// modeOneWay: fire-and-forget, no reply message at all.
-	modeOneWay
 )
 
 // invocation flag bits (wire word A[0]).
@@ -35,106 +35,75 @@ const (
 	flagWantReply = 1 << 1
 )
 
-// completion is the sender-side landing pad for an RMI's reply: a count the
-// reply advances past base, which a pooled record moves up to be reused.
-type completion struct {
+// Future is the sender-side record of one request, and the join handle of an
+// asynchronous one: an RMI's (held in the node's pending table while its
+// reply is on the way) or, inside a DistOp, a remote-memory access's. It
+// never travels — the request carries its slot in the sender's table, packed
+// into the word arguments, and the reply echoes it, exactly the request-ID
+// table real hardware uses. Everything the receiver needs resolves from the
+// wire words on the destination side: the object from its object table, the
+// method from its stub registry, the persistent R-buffer from its buffer
+// table. The reply advances done past base; a pooled record moves base up to
+// be reused.
+type Future struct {
+	rt   *Runtime
 	mode callMode
 	done am.Count
 	base uint64
 	sv   threads.SyncVar
+	ret  Arg
+	// t0 is the send instant on the backend clock, set only when the node
+	// has a wall-clock metrics registry (live backends); the reply handler
+	// turns it into an RMI round-trip latency observation. Zero means "not
+	// timed" (simulator, or a remote-memory access, which am.Op times).
+	t0 time.Duration
 }
 
-// landed reports whether the reply has landed.
-func (c *completion) landed() bool { return c.done.Value() > c.base }
+// futures pools the records of synchronous RMIs, recycled once the caller
+// has observed the reply — the warm path's stand-in for the per-call-site
+// records a CC++ stub would keep next to the stub cache. An asynchronous
+// call's record is its caller's, and a one-way call has none.
+var futures = sync.Pool{New: func() any { return new(Future) }}
 
-// reset readies a landed completion for a pooled record's next use; the
-// sync variable and count keep their backing arrays.
-func (c *completion) reset() {
-	c.base = c.done.Value()
-	c.sv.Reset()
+// Wait blocks until the reply has landed. On the simulator it reads the
+// record's sync variable, which the polling thread writes; on the wall-clock
+// backends the waiting thread polls the network itself (waitComp).
+func (f *Future) Wait(t *threads.Thread) { f.rt.waitComp(t, f.rt.nodeOf(t), f) }
+
+// Done reports (without blocking) whether the reply has landed.
+func (f *Future) Done() bool { return f.done.Value() > f.base }
+
+// reset readies a landed record for its next use; the sync variable and
+// count keep their backing arrays, so a recycled record's wait does not
+// allocate.
+func (f *Future) reset() {
+	f.base = f.done.Value()
+	f.sv.Reset()
 }
 
-// complete lands the reply: advance the completion's count, which readies a
+// complete lands the reply: advance the record's count, which readies a
 // waiter that a sibling's poll beat to it. On the simulator the paper's
 // blocking sender (modeBlock) and a future's joiner (modeFuture) read a sync
 // variable instead, and its write is the Table 4 handoff priced here.
 //
 //mpmd:hotpath
-func (rt *Runtime) complete(t *threads.Thread, c *completion) {
-	c.done.Advance(t, 1)
-	if sv := rt.handoff(c); sv != nil {
+func (rt *Runtime) complete(t *threads.Thread, f *Future) {
+	f.done.Advance(t, 1)
+	if sv := rt.handoff(f); sv != nil {
 		sv.Write(t, nil)
 	}
 }
 
-// handoff is the sync variable landing c writes after advancing its count:
+// handoff is the sync variable landing f writes after advancing its count:
 // on the simulator a blocking sender's or a future's, nil otherwise.
 //
 //mpmd:hotpath
-func (rt *Runtime) handoff(c *completion) *threads.SyncVar {
-	if !rt.pollWait && (c.mode == modeBlock || c.mode == modeFuture) {
-		return &c.sv
+func (rt *Runtime) handoff(f *Future) *threads.SyncVar {
+	if !rt.pollWait && (f.mode == modeBlock || f.mode == modeFuture) {
+		return &f.sv
 	}
 	return nil
 }
-
-// rmiMsg is the sender-side record of one in-flight RMI: the completion
-// state and return destination. It never travels — the invocation message
-// carries a request ID (a slot in the sender node's pending table, packed
-// into the word arguments) and the reply echoes it, exactly the request-ID
-// table real hardware uses. Everything the receiver needs resolves from the
-// wire words on the destination side: the object from its object table, the
-// method from its stub registry, the persistent R-buffer from its buffer
-// table.
-type rmiMsg struct {
-	comp *completion
-	ret  Arg
-	// t0 is the send instant on the backend clock, set only when the node
-	// has a wall-clock metrics registry (live backends); the reply handler
-	// turns it into an RMI round-trip latency observation. Zero means "not
-	// timed" (simulator, or one-way call).
-	t0 time.Duration
-}
-
-// callRec is a pooled sender-side call record: the envelope plus completion
-// of one synchronous RMI, recycled once the caller has observed completion —
-// the warm path's stand-in for the per-call-site records a CC++ stub would
-// keep next to the stub cache. Only synchronous modes (spin/block) pool:
-// futures hand their completion to the application, and one-way envelopes
-// are last touched by the receiver.
-type callRec struct {
-	msg  rmiMsg
-	comp completion
-}
-
-var callRecPool = sync.Pool{New: func() any { return new(callRec) }}
-
-// release returns a consumed record to the pool; its completion's reset keeps
-// a recycled record's blocking wait from allocating.
-func (r *callRec) release() {
-	r.msg = rmiMsg{}
-	r.comp.reset()
-	callRecPool.Put(r)
-}
-
-// Future is the join handle of an asynchronous RMI.
-type Future struct {
-	rt   *Runtime
-	comp *completion
-}
-
-// Wait blocks until the RMI's reply has landed. On the simulator it reads the
-// completion's sync variable, which the polling thread writes; on the
-// wall-clock backends the waiting thread polls the network itself (waitComp).
-func (f *Future) Wait(t *threads.Thread) {
-	if f.comp.mode != modeFuture {
-		panic("core: Wait on non-future completion")
-	}
-	f.rt.waitComp(t, f.rt.nodeOf(t), f.comp)
-}
-
-// Done reports (without blocking) whether the reply has landed.
-func (f *Future) Done() bool { return f.comp.landed() }
 
 // Call performs a synchronous RMI: marshal args, transfer, run the method
 // remotely, and wait for its completion (and return value, when the method
@@ -146,7 +115,7 @@ func (f *Future) Done() bool { return f.comp.landed() }
 // preferred message waiter, so its reply is handled by the caller itself
 // (waitComp).
 func (rt *Runtime) Call(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg) {
-	rt.invoke(t, gp, method, args, ret, rt.syncMode())
+	rt.call(t, gp, method, args, ret, rt.syncMode())
 }
 
 // syncMode is how a synchronous call's sender waits on the simulator: blocked
@@ -162,26 +131,52 @@ func (rt *Runtime) syncMode() callMode {
 // polls for the reply: no thread switches at the sender (the paper's
 // "0-Word Simple" variant).
 func (rt *Runtime) CallSimple(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg) {
-	rt.invoke(t, gp, method, args, ret, modeSpin)
+	rt.call(t, gp, method, args, ret, modeSpin)
+}
+
+// call is a synchronous RMI whose sender waits as mode says: its record
+// comes from the pool and goes back once invoke has seen the reply land.
+func (rt *Runtime) call(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg, mode callMode) {
+	f := futures.Get().(*Future)
+	f.mode = mode
+	rt.invoke(t, gp, method, args, ret, f)
+	// The reply handler has run to completion on this node's CPU, so nothing
+	// references the record any more; the caller discards the return value.
+	f.rt, f.ret, f.t0 = nil, nil, 0
+	f.reset()
+	futures.Put(f)
 }
 
 // CallAsync starts an RMI and returns a Future to join on. ret, if non-nil,
 // is filled in by the time Wait returns.
 func (rt *Runtime) CallAsync(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg) *Future {
-	comp := rt.invoke(t, gp, method, args, ret, modeFuture)
-	return &Future{rt: rt, comp: comp}
+	f := new(Future)
+	StartCall(rt, t, gp, method, args, ret, f)
+	return f
+}
+
+// StartCall is CallAsync into a zero record the caller holds: the typed
+// layer's future carries its record inside, so the call allocates nothing of
+// its own. A function, so that the public API, which aliases Runtime, does
+// not offer it.
+func StartCall(rt *Runtime, t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg, f *Future) {
+	f.mode = modeFuture
+	rt.invoke(t, gp, method, args, ret, f)
 }
 
 // CallOneWay starts an RMI with no completion reply at all (the CC++
 // analogue of a one-way store). The method must not declare a return value.
+// Nothing waits for the call, so it has no record.
 func (rt *Runtime) CallOneWay(t *threads.Thread, gp GPtr, method string, args []Arg) {
-	rt.invoke(t, gp, method, args, nil, modeOneWay)
+	rt.invoke(t, gp, method, args, nil, nil)
 }
 
-// invoke is the common sender path.
+// invoke is the common sender path. f is the call's record, its mode set —
+// the pending table holds it until the reply lands, and a synchronous
+// sender waits on it here — or nil for a one-way call.
 //
 //mpmd:hotpath
-func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg, mode callMode) *completion {
+func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg, ret Arg, f *Future) {
 	if gp.Nil() {
 		panic("core: RMI through nil global pointer")
 	}
@@ -191,11 +186,14 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	if bm.m.NewRet == nil && ret != nil {
 		panic("core: method " + bm.qname + " has no return value")
 	}
-	if bm.m.NewRet != nil && ret == nil && mode != modeOneWay {
+	if f == nil && bm.m.NewRet != nil {
+		panic("core: one-way RMI to method with return value: " + bm.qname)
+	}
+	if bm.m.NewRet != nil && ret == nil {
 		ret = bm.m.NewRet()
 	}
-	if mode == modeOneWay && bm.m.NewRet != nil {
-		panic("core: one-way RMI to method with return value: " + bm.qname)
+	if f != nil {
+		f.rt, f.ret = rt, ret
 	}
 	n.node.Acct.Count(machine.CntRMI, 1)
 
@@ -207,7 +205,8 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	if int(gp.node) == n.node.ID {
 		n.node.Acct.Count(machine.CntLocalDeref, 1)
 		t.Charge(machine.CatRuntime, cfg.LocalGPDeref+cfg.StubLookup)
-		return rt.dispatchLocal(t, n, bm, gp, args, ret, mode)
+		rt.dispatchLocal(t, n, bm, gp, args, ret, f)
+		return
 	}
 
 	// Method-stub cache lookup (§4: indexed by processor number and method
@@ -243,30 +242,15 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 			time.Duration(argLen)*cfg.MemCopyPerByte)
 	lockPair(t) // S-buffer pool
 
-	// Synchronous calls draw their envelope+completion from the record
-	// pool; futures and one-ways allocate, since their lifetime escapes
-	// this call.
-	var rec *callRec
-	var comp *completion
-	var msg *rmiMsg
-	if mode == modeSpin || mode == modeBlock {
-		rec = callRecPool.Get().(*callRec)
-		comp, msg = &rec.comp, &rec.msg
-		comp.mode = mode
-	} else {
-		comp = &completion{mode: mode} //mpmdvet:ignore hotpath future/one-way completions outlive the call — documented cold branch
-		msg = &rmiMsg{}                //mpmdvet:ignore hotpath future/one-way envelopes outlive the call — documented cold branch
-	}
-	msg.comp, msg.ret = comp, ret
 	var flags uint64
 	var reqID uint64
-	if mode != modeOneWay {
+	if f != nil {
 		flags |= flagWantReply
 		// The reply finds this call through the sender's pending table; only
 		// the slot's wire ID travels, packed into the flags word's high half.
-		reqID = n.pending.Add(msg)
+		reqID = n.pending.Add(f)
 		if n.node.Met != nil {
-			msg.t0 = n.node.M.Now()
+			f.t0 = n.node.M.Now()
 		}
 	}
 	a := [4]uint64{0, uint64(gp.obj), 0, 0}
@@ -292,17 +276,9 @@ func (rt *Runtime) invoke(t *threads.Thread, gp GPtr, method string, args []Arg,
 	lockPair(t)
 	n.ep.RequestOwned(t, int(gp.node), rt.hInvoke, a, buf, buf != nil)
 
-	if mode == modeSpin || mode == modeBlock {
-		rt.waitComp(t, n, comp)
+	if f != nil && f.mode != modeFuture {
+		rt.waitComp(t, n, f)
 	}
-	if rec != nil {
-		// Completion observed: the reply handler has run to completion on
-		// this node's CPU, so nothing references the record any more. The
-		// synchronous callers discard the return value.
-		rec.release()
-		return nil
-	}
-	return comp
 }
 
 // lookupMethod resolves the sender-side stub info (the translator would have
@@ -321,12 +297,12 @@ func (rt *Runtime) lookupMethod(gp GPtr, method string) *boundMethod {
 }
 
 // dispatchLocal runs an RMI whose target lives on the calling node: no
-// marshalling, no messages, but threaded/atomic semantics are preserved.
-// The completion it returns (nil unless a future) lets local futures join
-// exactly like remote ones.
+// marshalling, no messages, but threaded/atomic semantics are preserved. A
+// future's record is completed here, so local futures join exactly like
+// remote ones; a synchronous call returns once the method has.
 //
-//mpmd:coldpath local dispatch spawns threads and builds completions by design; the allocation-free contract covers the remote wire path
-func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, gp GPtr, args []Arg, ret Arg, mode callMode) *completion {
+//mpmd:coldpath local dispatch spawns threads by design; the allocation-free contract covers the remote wire path
+func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, gp GPtr, args []Arg, ret Arg, f *Future) {
 	self := n.objs.Get(gp.obj)
 	run := func(t2 *threads.Thread) {
 		if bm.m.Atomic {
@@ -336,26 +312,20 @@ func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, 
 		}
 		bm.m.Fn(t2, self, args, ret)
 	}
-	if !bm.m.Threaded && !bm.m.Atomic {
+	future := f != nil && f.mode == modeFuture
+	switch {
+	case !bm.m.Threaded && !bm.m.Atomic:
 		run(t)
-		if mode != modeFuture {
-			return nil
+		if future {
+			rt.complete(t, f)
 		}
-		comp := &completion{mode: mode}
-		rt.complete(t, comp)
-		return comp
-	}
-	switch mode {
-	case modeOneWay:
+	case f == nil:
 		t.Spawn("lrmi:"+bm.m.Name, run)
-		return nil
-	case modeFuture:
-		done := &completion{mode: mode}
+	case future:
 		t.Spawn("lrmi:"+bm.m.Name, func(t2 *threads.Thread) {
 			run(t2)
-			rt.complete(t2, done)
+			rt.complete(t2, f)
 		})
-		return done
 	default:
 		// Synchronous local threaded call: spawn and join.
 		var wg threads.WaitGroup
@@ -365,7 +335,6 @@ func (rt *Runtime) dispatchLocal(t *threads.Thread, n *nodeRT, bm *boundMethod, 
 			wg.Done(t2)
 		})
 		wg.Wait(t)
-		return nil
 	}
 }
 
@@ -382,16 +351,16 @@ func (n *nodeRT) objLock(obj int32) *threads.Mutex {
 	return l
 }
 
-// waitComp waits for a completion: it awaits the completion's count on the
+// waitComp waits for a record's reply: it awaits the record's count on the
 // wall-clock backends and for the simulator's spinning sender, and reads the
 // sync variable complete writes for the simulator's blocking sender and
 // future.
-func (rt *Runtime) waitComp(t *threads.Thread, n *nodeRT, comp *completion) {
-	if rt.pollWait || comp.mode == modeSpin {
-		n.ep.Await(t, &comp.done, comp.base+1)
+func (rt *Runtime) waitComp(t *threads.Thread, n *nodeRT, f *Future) {
+	if rt.pollWait || f.mode == modeSpin {
+		n.ep.Await(t, &f.done, f.base+1)
 		return
 	}
-	comp.sv.Read(t)
+	f.sv.Read(t)
 }
 
 // registerHandlers installs the runtime's message handlers.
@@ -561,26 +530,26 @@ func (rt *Runtime) runMethod(t *threads.Thread, n *nodeRT, bm *boundMethod, m am
 //mpmd:hotpath
 func (rt *Runtime) handleReply(t *threads.Thread, m am.Msg) {
 	n := rt.nodes[m.Dst]
-	msg := n.pending.Take("RMI", m.Dst, m.Src, m.A[0])
-	if msg.t0 > 0 {
+	f := n.pending.Take("RMI", m.Dst, m.Src, m.A[0])
+	if f.t0 > 0 {
 		if met := n.node.Met; met != nil {
-			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-msg.t0)
+			met.ObserveDur(metrics.HstRMILatency, n.node.M.Now()-f.t0)
 		}
 	}
 	cfg := t.Cfg()
 	lockPair(t)
-	if msg.ret != nil {
+	if f.ret != nil {
 		// Return data is copied twice at the initiator: static buffer area
 		// -> receive buffer (raw copy), then receive buffer -> the CC++
 		// object, which for structured types runs the per-element assignment
 		// (§6: "Bulk reads cost more than bulk writes in CC++ because the
 		// return data has to be copied twice"; the initiator never passes an
 		// R-buffer address, so this cost is unavoidable in the design).
-		units := decodeOne(m.Payload, msg.ret)
+		units := decodeOne(m.Payload, f.ret)
 		t.Charge(machine.CatRuntime, 2*time.Duration(len(m.Payload))*cfg.MemCopyPerByte+
 			2*time.Duration(units)*cfg.MarshalPerArg)
 	}
-	rt.complete(t, msg.comp)
+	rt.complete(t, f)
 }
 
 // handleResolveUpdate installs a stub-cache entry after a cold invocation.

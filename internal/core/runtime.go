@@ -194,7 +194,7 @@ type nodeRT struct {
 
 	// pending holds the node's in-flight RMIs, whose replies name them by
 	// slot in the message words.
-	pending am.ReqTable[rmiMsg]
+	pending am.ReqTable[Future]
 
 	objLocks map[int32]*threads.Mutex
 }

@@ -42,26 +42,33 @@ type Method struct {
 
 // Call is the sender side of one typed invocation: the argument and the
 // result, where the caller holds them, as the wire Args core's Call takes.
-// The records are pooled because core keeps what it is handed (the pending
-// table holds the result Arg until the reply lands), so they live on the
-// heap, and a warm null Invoke is to stay free of allocations.
+// Core keeps what it is handed (the pending table holds the result Arg until
+// the reply lands), so a record lives on the heap: pooled for a synchronous
+// call (NewCall), so that a warm null Invoke stays free of allocations, and
+// part of its future for an asynchronous one (Init).
 type Call struct {
 	m       *Method
 	in, out Value
 	args    [1]core.Arg
 }
 
-// NewCall returns a record viewing the argument value at in and the result
-// value at out (each of the method's type; ignored where the method has
-// none).
+// NewCall returns a pooled record viewing the argument value at in and the
+// result value at out (each of the method's type; ignored where the method
+// has none).
 func (m *Method) NewCall(in, out unsafe.Pointer) *Call {
 	c, _ := m.calls.Get().(*Call)
 	if c == nil {
-		c = &Call{m: m, in: Value{plan: m.args}, out: Value{plan: m.ret}}
-		c.args[0] = &c.in
+		c = new(Call)
 	}
-	c.in.ptr, c.out.ptr = in, out
+	m.Init(c, in, out)
 	return c
+}
+
+// Init fills c, a record the caller holds, as NewCall fills a pooled one.
+func (m *Method) Init(c *Call, in, out unsafe.Pointer) {
+	c.m = m
+	c.in, c.out = Value{plan: m.args, ptr: in}, Value{plan: m.ret, ptr: out}
+	c.args[0] = &c.in
 }
 
 // Args returns the wire arguments: the argument value as one Arg, or none.
@@ -80,9 +87,9 @@ func (c *Call) Ret() core.Arg {
 	return &c.out
 }
 
-// Release recycles the record once the runtime no longer reads it: after a
-// synchronous call has returned, or a one-way call that does not defer
-// locally. The record of an asynchronous call is never released.
+// Release returns a record from NewCall to its pool once the runtime no
+// longer reads it: after a synchronous call has returned, or a one-way call
+// that does not defer locally.
 func (c *Call) Release() {
 	c.in.ptr, c.out.ptr = nil, nil
 	c.m.calls.Put(c)

@@ -73,6 +73,7 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("OneWayChain", func(t *testing.T) { oneWayChain(t, f) })
 	t.Run("Collectives", func(t *testing.T) { runCollectives(t, f) })
 	t.Run("DistAccess", func(t *testing.T) { distAccess(t, f) })
+	t.Run("Futures", func(t *testing.T) { futuresCase(t, f) })
 	t.Run("ValueOwnership", func(t *testing.T) { valueOwnership(t, f) })
 	t.Run("SplitC", func(t *testing.T) { splitC(t, f) })
 	t.Run("GlobalPointers", func(t *testing.T) { globalPointers(t, f) })

@@ -59,7 +59,7 @@ type Dist[T any] struct {
 	codec  *rmigen.Codec
 	parts  []*distPart[T] // indexed by rank
 	// recs recycles the access records (*distAccess[T]) of the synchronous
-	// Get and Put, as core's callRec pool does for synchronous RMIs.
+	// Get and Put, as core pools the records of synchronous RMIs.
 	recs sync.Pool
 }
 
@@ -103,7 +103,7 @@ func NewDist[T any](tm *Team, n int, layout Layout) (*Dist[T], error) {
 		return nil, err
 	}
 	d := &Dist[T]{tm: tm, rt: c.Runtime(), n: n, layout: layout, codec: codec}
-	d.recs.New = func() any { return new(distAccess[T]) }
+	d.recs.New = func() any { return d.newAccess() }
 	d.parts = make([]*distPart[T], tm.Size())
 	byNode := make([]am.Part, d.rt.Machine().NumNodes())
 	for r := range d.parts {
@@ -188,6 +188,28 @@ func (d *Dist[T]) check(t *Thread, op string, i int) (rank, off int, local bool,
 	return rank, off, d.tm.Node(rank) == t.Node().ID, nil
 }
 
+// distAccess is the sender-side state of one Dist element access, future
+// first: the accessor allocates it whole and hands out &a.Future, so the
+// future is the access's one allocation — its record, landing bytes and
+// round-trip stamp (core.DistOp) ride in it.
+type distAccess[R any] struct {
+	Future[R]
+	op core.DistOp
+	// into is the one-element part over val that a get's reply lands in
+	// (am.Op.Into).
+	into distPart[R]
+}
+
+// newAccess returns a record of a get or put of d's elements, whose future
+// joins on its access and whose get lands in its value.
+func (d *Dist[T]) newAccess() *distAccess[T] {
+	a := new(distAccess[T])
+	a.f = &a.op.Future
+	a.into = distPart[T]{elems: unsafe.Slice(&a.val, 1), codec: d.codec}
+	a.op.Into = &a.into
+	return a
+}
+
 // release returns a synchronous accessor's record to the pool, dropping
 // what the element may reference.
 func (d *Dist[T]) release(rec *distAccess[T]) {
@@ -211,7 +233,6 @@ func (d *Dist[T]) Get(t *Thread, i int) (T, error) {
 	}
 	rec := d.recs.Get().(*distAccess[T])
 	d.rt.DistRead(t, &rec.op, d.tm.Node(rank), d.id, off, true)
-	d.codec.DecodePtr(rec.op.Bytes(), unsafe.Pointer(&rec.val))
 	v := rec.val
 	d.release(rec)
 	return v, nil
@@ -248,13 +269,12 @@ func (d *Dist[T]) GetAsync(t *Thread, i int) (*Future[T], error) {
 	if err != nil {
 		return nil, err
 	}
-	a := newDistAccess[T]()
+	a := d.newAccess()
 	if local {
 		a.val = d.parts[rank].elems[off]
 		d.rt.DistLocal(t, &a.op)
 		return &a.Future, nil
 	}
-	a.codec = d.codec
 	d.rt.DistRead(t, &a.op, d.tm.Node(rank), d.id, off, false)
 	return &a.Future, nil
 }
@@ -266,7 +286,8 @@ func (d *Dist[T]) PutAsync(t *Thread, i int, v T) (*Future[Void], error) {
 	if err != nil {
 		return nil, err
 	}
-	a := newDistAccess[Void]()
+	a := new(distAccess[Void])
+	a.f = &a.op.Future
 	if local {
 		d.parts[rank].elems[off] = v
 		d.rt.DistLocal(t, &a.op)

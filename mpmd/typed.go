@@ -165,12 +165,21 @@ func InvokeAsync[A, R, T any](t *Thread, r Ref[T], method string, args A) (*Futu
 	if err != nil {
 		return nil, err
 	}
-	// The reply decodes straight into the future's value. The call record
-	// is not recycled: the runtime reads it until the reply lands.
-	fu := new(Future[R])
-	call := m.NewCall(unsafe.Pointer(&args), unsafe.Pointer(&fu.val))
-	fu.f = r.rt.CallAsync(t, r.gp, method, call.Args(), call.Ret())
-	return fu, nil
+	// One allocation holds the future, its core record and its call record,
+	// which the runtime reads until the reply lands: the reply decodes
+	// straight into the future's value.
+	a := new(asyncCall[R])
+	a.f = &a.rec
+	m.Init(&a.call, unsafe.Pointer(&args), unsafe.Pointer(&a.val))
+	core.StartCall(r.rt, t, r.gp, method, a.call.Args(), a.call.Ret(), &a.rec)
+	return &a.Future, nil
+}
+
+// asyncCall is the sender-side state of one InvokeAsync, future first.
+type asyncCall[R any] struct {
+	Future[R]
+	rec  core.Future
+	call rmigen.Call
 }
 
 // InvokeOneWay starts a fire-and-forget typed RMI (no reply message at
@@ -198,53 +207,18 @@ func InvokeOneWay[A, T any](t *Thread, r Ref[T], method string, args A) error {
 // assertions, closing the last untyped hole in the v2 surface. The
 // low-level core.Future remains available as UntypedFuture.
 type Future[R any] struct {
-	// An asynchronous RMI joins on f, and its reply lands in val.
+	// f is the operation's record, in the same allocation as the future;
+	// the result lands in val before f completes.
 	f   *core.Future
 	val R
-	// acc is set on the future of a Dist access: the record the future is
-	// the head of (see distAccess).
-	acc *distAccess[R]
-}
-
-// distAccess is the sender-side state of one Dist element access, future
-// first: the accessor allocates it whole and hands out &a.Future, so the
-// future is the access's one allocation — completion, landing bytes and
-// round-trip stamp (core.DistOp) ride in it instead of in a core.Future and
-// a call record — while an InvokeAsync future stays two pointers and a value.
-type distAccess[R any] struct {
-	Future[R]
-	op core.DistOp
-	// codec is set while a remote read's landed bytes still await decoding
-	// into val.
-	codec *rmigen.Codec
-}
-
-// newDistAccess returns a record whose future knows it.
-func newDistAccess[R any]() *distAccess[R] {
-	a := new(distAccess[R])
-	a.acc = a
-	return a
 }
 
 // Wait blocks until the operation has completed and returns the result (the
 // zero R for void operations).
 func (fu *Future[R]) Wait(t *threads.Thread) R {
-	if a := fu.acc; a != nil {
-		a.op.Wait(t)
-		if a.codec != nil {
-			a.codec.DecodePtr(a.op.Bytes(), unsafe.Pointer(&fu.val))
-			a.codec = nil
-		}
-	} else {
-		fu.f.Wait(t)
-	}
+	fu.f.Wait(t)
 	return fu.val
 }
 
 // Done reports (without blocking) whether the operation has completed.
-func (fu *Future[R]) Done() bool {
-	if fu.acc != nil {
-		return fu.acc.op.Done()
-	}
-	return fu.f.Done()
-}
+func (fu *Future[R]) Done() bool { return fu.f.Done() }

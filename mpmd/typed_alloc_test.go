@@ -89,8 +89,75 @@ func TestInvokeAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkInvokeNull and BenchmarkInvokeBulk are the -benchmem companions
-// CI's allocation-regression step reads.
+func invokeAsyncNull(th *mpmd.Thread, srv mpmd.Ref[allocSrv]) {
+	fu, _ := mpmd.InvokeAsync[mpmd.Void, mpmd.Void](th, srv, "Null", mpmd.Void{})
+	fu.Wait(th)
+}
+
+func invokeAsyncSink(th *mpmd.Thread, srv mpmd.Ref[allocSrv], b []byte) {
+	fu, _ := mpmd.InvokeAsync[[]byte, mpmd.Void](th, srv, "Sink", b)
+	fu.Wait(th)
+}
+
+// oneWayNull and oneWaySink send a one-way RMI paced by a null Invoke, which
+// allocates nothing: one-ways nothing waits for would otherwise pile up in
+// the destination's inbox and be counted as they are drained.
+func oneWayNull(th *mpmd.Thread, srv mpmd.Ref[allocSrv]) {
+	_ = mpmd.InvokeOneWay(th, srv, "Null", mpmd.Void{})
+	invokeNull(th, srv)
+}
+
+func oneWaySink(th *mpmd.Thread, srv mpmd.Ref[allocSrv], b []byte) {
+	_ = mpmd.InvokeOneWay(th, srv, "Sink", b)
+	invokeNull(th, srv)
+}
+
+// TestAsyncAllocs is TestInvokeAllocs for the calls nothing waits on at once.
+// An InvokeAsync allocates its future, which holds its records — the core
+// record its reply lands through and the typed call record — and a 1 KiB
+// argument's slice header besides (5 and 6 before the future held them). A
+// one-way has no record at all: the null one allocates nothing, the 1 KiB one
+// its argument's slice header (2 and 3 before).
+func TestAsyncAllocs(t *testing.T) {
+	if race.Enabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const runs = 300
+	payload := make([]byte, 1024)
+	var async, asyncBulk, oneWay, oneWayBulk float64
+	typedAllocRig(t, func(th *mpmd.Thread, srv mpmd.Ref[allocSrv]) {
+		for i := 0; i < 16; i++ {
+			invokeAsyncNull(th, srv)
+			invokeAsyncSink(th, srv, payload)
+			oneWayNull(th, srv)
+			oneWaySink(th, srv, payload)
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		async = testing.AllocsPerRun(runs, func() { invokeAsyncNull(th, srv) })
+		asyncBulk = testing.AllocsPerRun(runs, func() { invokeAsyncSink(th, srv, payload) })
+		oneWay = testing.AllocsPerRun(runs, func() { oneWayNull(th, srv) })
+		oneWayBulk = testing.AllocsPerRun(runs, func() { oneWaySink(th, srv, payload) })
+	})
+	t.Logf("InvokeAsync+Wait null %.2f, 1 KiB %.2f; paced InvokeOneWay null %.2f, 1 KiB %.2f allocs/op (sender and receiver)",
+		async, asyncBulk, oneWay, oneWayBulk)
+	for _, g := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"InvokeAsync+Wait of a null call", async, 1},
+		{"InvokeAsync+Wait of a 1 KiB call", asyncBulk, 2},
+		{"paced InvokeOneWay of a null call", oneWay, 0},
+		{"paced InvokeOneWay of a 1 KiB call", oneWayBulk, 1},
+	} {
+		if g.got > g.want {
+			t.Errorf("warm %s allocates %.2f/op, budget %.0f", g.what, g.got, g.want)
+		}
+	}
+}
+
+// BenchmarkInvokeNull, BenchmarkInvokeBulk, BenchmarkInvokeAsync and
+// BenchmarkInvokeOneWay are the -benchmem companions CI's
+// allocation-regression step reads.
 func BenchmarkInvokeNull(b *testing.B) {
 	typedAllocRig(b, func(th *mpmd.Thread, srv mpmd.Ref[allocSrv]) {
 		for i := 0; i < 16; i++ {
@@ -115,6 +182,34 @@ func BenchmarkInvokeBulk(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			invokeSink(th, srv, payload)
+		}
+		b.StopTimer()
+	})
+}
+
+func BenchmarkInvokeAsync(b *testing.B) {
+	typedAllocRig(b, func(th *mpmd.Thread, srv mpmd.Ref[allocSrv]) {
+		for i := 0; i < 16; i++ {
+			invokeAsyncNull(th, srv)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			invokeAsyncNull(th, srv)
+		}
+		b.StopTimer()
+	})
+}
+
+func BenchmarkInvokeOneWay(b *testing.B) {
+	typedAllocRig(b, func(th *mpmd.Thread, srv mpmd.Ref[allocSrv]) {
+		for i := 0; i < 16; i++ {
+			oneWayNull(th, srv)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			oneWayNull(th, srv)
 		}
 		b.StopTimer()
 	})
