@@ -5,10 +5,14 @@
 // the next arrival).
 //
 // A handler runs to completion on the receiving node, inline in whichever
-// thread performed the poll. Handlers must not block; they may send replies
-// and advance a Count, which is how both runtimes complete every blocking
-// operation: the waiting thread polls in Endpoint.Await until the handler
-// that lands its reply, store or release advances the count it waits on.
+// thread performed the poll, or in the node's interrupt context: on a
+// wall-clock machine a sender of the same address space that finds the node
+// idle handles what it finds in the inbox on the spot, on its own goroutine,
+// and wakes no thread to do it. Handlers must not block (in an interrupt that
+// panics); they may send replies and advance a Count, which is how both
+// runtimes complete every blocking operation: the waiting thread polls in
+// Endpoint.Await until the handler that lands its reply, store or release
+// advances the count it waits on.
 // Both runtimes' remote memory — Split-C's global accesses, CC++'s global
 // pointers and distributed arrays — is one protocol over it (Mem, mem.go).
 //
@@ -159,7 +163,7 @@ type Profile struct {
 }
 
 // Handler is the code run at the receiving node. It executes inline in the
-// polling thread and must not block.
+// polling thread, or in the node's interrupt context, and must not block.
 type Handler func(t *threads.Thread, m Msg)
 
 // Endpoint is one node's attachment to the network.
@@ -286,12 +290,38 @@ func (n *Net) Unhandled() error {
 // "0-Word Simple" sender. Await re-arms the remaining waiters if a woken
 // thread leaves messages behind. Once Stop has been asked for, it stops the
 // endpoint and wakes every waiter instead.
+//
+// An arrival that a local sender runs, having found the node's CPU free (the
+// node is Interrupted, never on the simulator), while the node idles — no
+// thread runs, and some thread is blocked, so the node has not finished — and
+// the endpoint has not stopped, wakes nobody for what is in the inbox: the
+// sender handles it on the spot, in the node's interrupt context, and wakes a
+// waiter only for what is left.
 func (ep *Endpoint) onArrival() {
 	if ep.stop.Load() {
 		ep.stopped = true
 	}
+	if ep.node.Interrupted() && !ep.modelled && !ep.stopped && ep.sched.Idle() && ep.sched.Live() > 0 {
+		if ep.interrupt(); ep.node.InboxLen() == 0 {
+			return
+		}
+	}
 	for ep.wakeOne() && ep.stopped {
 	}
+}
+
+// interrupt handles, in the node's interrupt context, the messages in the
+// inbox on entry; later ones are for a waiter. A thread a handler readied
+// runs once the interrupt ends.
+func (ep *Endpoint) interrupt() {
+	n := ep.node.InboxLen()
+	if n == 0 {
+		return
+	}
+	t := ep.sched.Interrupt()
+	for ; n > 0 && ep.Poll(t); n-- {
+	}
+	ep.sched.EndInterrupt()
 }
 
 // wakeOne readies the most recent waiter that is still blocked and reports

@@ -98,6 +98,54 @@ func TestWarmPathAllocsPerRun(t *testing.T) {
 	}
 }
 
+// TestWarmNullRMIWakesNoThread pins the goroutine hand-offs of a warm null
+// RMI on the live backend the way TestWarmPathAllocsPerRun pins its
+// allocations: the request finds node 1 idle, so its sender runs the handler
+// in node 1's interrupt context and no thread of node 1 is dispatched, and a
+// round trip makes polls polls, counted on both nodes. A change that wakes
+// node 1's poller again, or adds a poll, fails here in one run.
+func TestWarmNullRMIWakesNoThread(t *testing.T) {
+	const runs, polls = 300, 3
+	m := machine.NewWithBackend(machine.SP1997(), 2,
+		live.New(2, live.Options{Watchdog: 2 * time.Minute}))
+	rt := NewRuntime(m)
+	rt.RegisterClass(allocBenchClass())
+	gp := rt.CreateObject(1, "AllocBench")
+	s1 := rt.nodes[1].sched
+	var readied, intrs, polled uint64
+	rt.OnNode(0, func(th *threads.Thread) {
+		for i := 0; i < 8; i++ {
+			rt.Call(th, gp, "null", nil, nil)
+		}
+		r0, _ := threads.Counts(s1)
+		i0, p0 := threads.Interrupts(s1), pollCount(m)
+		for i := 0; i < runs; i++ {
+			rt.Call(th, gp, "null", nil, nil)
+		}
+		r1, _ := threads.Counts(s1)
+		readied, intrs, polled = r1-r0, threads.Interrupts(s1)-i0, pollCount(m)-p0
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d warm null RMIs: node 1 ran %d interrupts and dispatched %d threads; %.2f polls per round trip", runs, intrs, readied-intrs, float64(polled)/runs)
+	if intrs != runs || readied != intrs {
+		t.Errorf("node 1 ran %d interrupts and dispatched %d threads in %d warm null RMIs, want %d and 0", intrs, readied-intrs, runs, runs)
+	}
+	if polled != runs*polls {
+		t.Errorf("%d warm null RMIs made %d polls, want %d per round trip", runs, polled, polls)
+	}
+}
+
+// pollCount sums the polls of m's nodes.
+func pollCount(m *machine.Machine) uint64 {
+	var n int64
+	for _, nd := range m.Nodes() {
+		n += nd.Acct.Counter(machine.CntPolls)
+	}
+	return uint64(n)
+}
+
 // TestGPAccessAllocs pins the allocation count of a warm remote GP access on
 // the live backend, sender and owner both inside the measurement window and
 // metrics on. The owner's fresh serving thread (Table 4's create) is most of

@@ -180,3 +180,41 @@ func TestWallClockRefusesModelledOptions(t *testing.T) {
 		})
 	}
 }
+
+// TestBlockingMethodInInterruptPanics: a non-threaded method that blocks —
+// here, on an RMI of its own — run in node 1's interrupt context on a live
+// machine panics naming that context, and the panic reaches the caller,
+// whose send ran the handler. (On the poller thread it could only stall the
+// node.) The warm-up calls go on until one has found node 1 idle, so the
+// next one is sure to be handled on arrival. The machine is left wedged, with
+// node 1's CPU held, so the run ends at its short watchdog.
+func TestBlockingMethodInInterruptPanics(t *testing.T) {
+	m := machine.NewWithBackend(machine.SP1997(), 2, live.New(2, live.Options{Watchdog: 200 * time.Millisecond}))
+	rt := NewRuntime(m)
+	rt.RegisterClass(counterClass())
+	gp0 := rt.CreateObject(0, "Counter")
+	rt.RegisterClass(&Class{
+		Name: "Blocker",
+		New:  func() any { return nil },
+		Methods: []*Method{
+			{Name: "nop", Fn: func(*threads.Thread, any, []Arg, Arg) {}},
+			{Name: "callBack", Fn: func(t *threads.Thread, _ any, _ []Arg, _ Arg) {
+				rt.Call(t, gp0, "nop", nil, nil)
+			}},
+		},
+	})
+	gp1 := rt.CreateObject(1, "Blocker")
+	s1 := rt.nodes[1].sched
+	var recovered any
+	rt.OnNode(0, func(th *threads.Thread) {
+		for start := time.Now(); threads.Interrupts(s1) == 0 && time.Since(start) < 5*time.Second; {
+			rt.Call(th, gp1, "nop", nil, nil)
+		}
+		defer func() { recovered = recover() }()
+		rt.Call(th, gp1, "callBack", nil, nil)
+	})
+	_ = rt.Run()
+	if msg := fmt.Sprint(recovered); !strings.Contains(msg, "Block in node 1's interrupt context") {
+		t.Fatalf("a blocking non-threaded method run on arrival panicked with %q, want a panic naming node 1's interrupt context", msg)
+	}
+}

@@ -59,7 +59,9 @@ type Method struct {
 	Name string
 	// Threaded makes the receiving node run the method on a fresh thread
 	// (required whenever the method may block). Non-threaded methods run
-	// inline in the handler and must not block.
+	// inline in the handler and must not block: on a wall-clock machine the
+	// handler may run in the node's interrupt context, on the sender's
+	// goroutine (am.Endpoint), where a block panics naming that context.
 	Threaded bool
 	// Atomic runs the method holding the target object's lock; per the
 	// paper's micro-benchmarks, atomic implies a threaded invocation.

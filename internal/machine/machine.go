@@ -111,10 +111,16 @@ func (m *Machine) Backend() transport.Backend { return m.be }
 func (m *Machine) SetWireDecoder(dec func(src, dst int, b []byte) any) { m.wireDec = dec }
 
 // arrive runs node's arrival hook in its context: the arrival function of a
-// direct-delivery backend, and the second half of a simulator delivery.
-func (m *Machine) arrive(node int) {
-	if h := m.nodes[node].OnArrival; h != nil {
+// direct-delivery backend, and the second half of a simulator delivery. local
+// says a sender of this address space, running in its own node's context,
+// won the node's free CPU: for the length of the hook the node is then
+// Interrupted.
+func (m *Machine) arrive(node int, local bool) {
+	nd := m.nodes[node]
+	if h := nd.OnArrival; h != nil {
+		nd.intr = local
 		h()
+		nd.intr = false
 	}
 }
 
@@ -135,7 +141,7 @@ func (m *Machine) remoteArrival(src, dst, size int, enc []byte) bool {
 	}
 	nd := m.Node(dst)
 	nd.pushInbox(Packet{Src: src, Dst: dst, Size: size, Payload: payload})
-	m.direct.DeliverDirect(dst)
+	m.direct.DeliverDirect(dst, false)
 	return true
 }
 
@@ -150,10 +156,10 @@ func (m *Machine) Now() time.Duration { return m.be.Now() }
 // out for itself what there is to do.
 func (m *Machine) Wake(node int) {
 	if m.direct != nil {
-		m.direct.DeliverDirect(node)
+		m.direct.DeliverDirect(node, false)
 		return
 	}
-	m.Eng.After(0, func() { m.arrive(node) })
+	m.Eng.After(0, func() { m.arrive(node, false) })
 }
 
 // NumNodes returns the number of nodes.
@@ -218,11 +224,25 @@ type Node struct {
 
 	// OnArrival, if non-nil, runs in the node's execution context after a
 	// packet is appended to the inbox, and after Machine.Wake. It must not
-	// sleep or block, only mark threads runnable. Arrivals coalesce: it runs
-	// at least once after each enqueue or wake, not once per each, so it
-	// reads what there is (am's waiters re-check the inbox and re-arm).
+	// sleep or block. Arrivals coalesce: it runs at least once after each
+	// enqueue or wake, not once per each, so it reads what there is (am's
+	// waiters re-check the inbox and re-arm). When the node is Interrupted the
+	// hook may handle what is in the inbox itself; otherwise it only marks
+	// threads runnable.
 	OnArrival func()
+
+	// intr is Interrupted's answer, set in the node's context.
+	intr bool
 }
+
+// Interrupted reports, in the node's context, whether its arrival hook is
+// running on a sender of this address space that found the node's CPU free
+// (never on the simulator, nor for a link arrival, a Wake or a notify that
+// pended): the node is in its interrupt context, and the hook may run the
+// node's handlers on the sender's goroutine. The node's own sends meanwhile
+// notify their destinations the wake-up way, so an interrupt never nests
+// another.
+func (n *Node) Interrupted() bool { return n.intr }
 
 // Cfg returns the machine's cost configuration. The result is read-only: it
 // points at the machine's one copy (every charge reads a field of it, and
@@ -283,7 +303,7 @@ func (n *Node) Send(dst int, extraWire time.Duration, size int, payload any) {
 		m.shard.SendRemote(n.ID, dst, size, wp)
 		return
 	}
-	m.deliverLocal(target, m.Cfg.WireLatency+extraWire, Packet{Src: n.ID, Dst: dst, Size: size, Payload: payload})
+	m.deliverLocal(n, target, m.Cfg.WireLatency+extraWire, Packet{Src: n.ID, Dst: dst, Size: size, Payload: payload})
 }
 
 // Loopback enqueues a packet to the node itself with zero latency. Some
@@ -292,24 +312,26 @@ func (n *Node) Send(dst int, extraWire time.Duration, size int, payload any) {
 //
 //mpmd:hotpath
 func (n *Node) Loopback(size int, payload any) {
-	n.M.deliverLocal(n, 0, Packet{Src: n.ID, Dst: n.ID, Size: size, Payload: payload})
+	n.M.deliverLocal(n, n, 0, Packet{Src: n.ID, Dst: n.ID, Size: size, Payload: payload})
 }
 
 // deliverLocal lands pkt at target, a node of this address space, lat of
 // modelled wire time from now. An immediate-delivery backend ignores lat:
 // the packet is enqueued here, on the sender, and the backend is notified by
 // the node's index — nothing is constructed, so the warm send path does not
-// allocate. The simulator runs the same two steps as one event lat from now.
+// allocate — as a local send (arrive) unless from, the sending node, is in its
+// interrupt context. The simulator runs the same two steps as one event lat
+// from now.
 //
 //mpmd:hotpath
-func (m *Machine) deliverLocal(target *Node, lat time.Duration, pkt Packet) {
+func (m *Machine) deliverLocal(from, target *Node, lat time.Duration, pkt Packet) {
 	if m.direct != nil {
 		target.pushInbox(pkt)
-		m.direct.DeliverDirect(target.ID)
+		m.direct.DeliverDirect(target.ID, !from.intr)
 		return
 	}
 	m.Eng.After(lat, func() { //mpmdvet:ignore hotpath simulator backend only; live backends take the direct path above
 		target.pushInbox(pkt)
-		m.arrive(target.ID)
+		m.arrive(target.ID, false)
 	})
 }

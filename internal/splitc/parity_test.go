@@ -7,12 +7,12 @@ import (
 	"repro/internal/machine"
 )
 
-// The barrier and all_reduce were rewired onto internal/coll's central
-// plans (PR 3); their measured cost behavior must not move, because the
-// paper's calibrated tables (Table 4's barrier-synchronized loops, the
-// Figure 5/6 applications) are built on them. These golden totals were
-// captured from the pre-rewire implementation on the calibrated SP model:
-// a fixed program of three barriers, two all_reduces, and an all_bcast.
+// The barrier, all_reduce and all_bcast (splitc.go, collectives.go) have
+// been rewritten more than once; their measured cost behavior must not move,
+// because the paper's calibrated tables (Table 4's barrier-synchronized
+// loops, the Figure 5/6 applications) are built on them. These golden totals
+// were captured from the first implementation on the calibrated SP model: a
+// fixed program of three barriers, two all_reduces, and an all_bcast.
 func TestCollectiveCostParity(t *testing.T) {
 	golden := map[int]struct {
 		total     time.Duration // machine virtual time at completion

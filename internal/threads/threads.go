@@ -65,6 +65,11 @@ type Scheduler struct {
 
 	// onIdle runs in the node's context whenever it goes idle.
 	onIdle func()
+
+	// intr is the node's interrupt record (Interrupt), and intrs counts its
+	// runs. Only the node writes intrs.
+	intr  *Thread
+	intrs atomic.Uint64
 }
 
 // Counts reports s's readied and parked counts, equal when none of its threads
@@ -72,13 +77,19 @@ type Scheduler struct {
 // that the public API, which hands out Schedulers, does not offer them.
 func Counts(s *Scheduler) (readied, parked uint64) { return s.readied.Load(), s.parked.Load() }
 
+// Interrupts reports how many times s's node ran in its interrupt context.
+func Interrupts(s *Scheduler) uint64 { return s.intrs.Load() }
+
 // OnIdle makes fn run in s's node's context whenever the node goes idle.
 func OnIdle(s *Scheduler, fn func()) { s.onIdle = fn }
 
 // NewScheduler creates the scheduler for a node. Exactly one scheduler per
 // node should exist; runtimes create it during initialization.
 func NewScheduler(node *machine.Node) *Scheduler {
-	return &Scheduler{node: node, modelled: node.M.Eng != nil, onIdle: func() {}}
+	s := &Scheduler{node: node, modelled: node.M.Eng != nil, onIdle: func() {}}
+	s.intr = &Thread{s: s, name: fmt.Sprintf("n%d/interrupt", node.ID), state: Blocked}
+	s.intr.p = intrProc{s.intr}
+	return s
 }
 
 // Node returns the node this scheduler runs on.
@@ -89,6 +100,64 @@ func (s *Scheduler) ReadyLen() int { return len(s.ready) }
 
 // Live reports how many threads exist (ready, running, or blocked).
 func (s *Scheduler) Live() int { return s.nlive }
+
+// Idle reports whether no thread runs on the node: none will until something
+// is made ready.
+func (s *Scheduler) Idle() bool { return s.current == nil }
+
+// Interrupt enters the idle node's interrupt context and returns its
+// interrupt record: a Thread that no goroutine backs, run by whichever
+// goroutine holds the node's CPU — a sender that found the node idle. Until
+// EndInterrupt it is the node's running thread, so a thread that Spawn or
+// MakeReady readies meanwhile is queued, to run once the interrupt ends. It
+// counts as made runnable here and as blocked at its end, so the node's
+// Counts stay balanced. A charge in it takes no time (on a wall-clock
+// machine, where interrupts are taken, a charge is not even accounted), and
+// it cannot block: Block, and a Yield that would switch, panic naming the
+// interrupt context before any scheduler state changes.
+func (s *Scheduler) Interrupt() *Thread {
+	if s.current != nil {
+		panic("threads: Interrupt of node " + fmt.Sprint(s.node.ID) + " while " + s.current.name + " runs")
+	}
+	count(&s.readied)
+	count(&s.intrs)
+	s.intr.state = Running
+	s.current = s.intr
+	return s.intr
+}
+
+// EndInterrupt leaves the interrupt context Interrupt entered, dispatching
+// the first thread it readied, if any; otherwise the node is idle again.
+func (s *Scheduler) EndInterrupt() {
+	s.intr.mustBeRunning("EndInterrupt")
+	s.intr.state = Blocked
+	count(&s.parked)
+	if next := s.popReady(); next != nil {
+		s.runNext(next)
+		return
+	}
+	s.current = nil
+}
+
+// intrProc is the interrupt record's Proc. No goroutine runs it: it never
+// parks, and has no deliveries of its own to run (the CPU's holder runs them
+// when it lets go).
+type intrProc struct{ t *Thread }
+
+func (p intrProc) Park()               { p.t.mustNotBlock("Park") }
+func (p intrProc) Unpark()             { p.t.mustNotBlock("Unpark") }
+func (p intrProc) Sleep(time.Duration) {}
+func (p intrProc) Deliver()            {}
+func (p intrProc) Now() time.Duration  { return p.t.s.node.M.Now() }
+func (p intrProc) Name() string        { return p.t.name }
+
+// mustNotBlock panics if t is its node's interrupt record, which op would
+// block.
+func (t *Thread) mustNotBlock(op string) {
+	if t == t.s.intr {
+		panic(fmt.Sprintf("threads: %s in node %d's interrupt context: a handler run on arrival must not block (run a method that may block on a thread of its own)", op, t.s.node.ID))
+	}
+}
 
 // Thread is one cooperative thread of control.
 type Thread struct {
@@ -243,10 +312,11 @@ func (t *Thread) chargeSwitch() {
 // (the paper's package only pays on a real switch).
 func (t *Thread) Yield() {
 	t.mustBeRunning("Yield")
-	next := t.s.popReady()
-	if next == nil {
+	if len(t.s.ready) == 0 {
 		return
 	}
+	t.mustNotBlock("Yield")
+	next := t.s.popReady()
 	t.state = Ready
 	t.s.ready = append(t.s.ready, t)
 	t.chargeSwitch()
@@ -261,6 +331,7 @@ func (t *Thread) Yield() {
 // switch is charged if another thread takes over.
 func (t *Thread) Block() {
 	t.mustBeRunning("Block")
+	t.mustNotBlock("Block")
 	t.state = Blocked
 	t.leave(true)
 	t.p.Park()

@@ -1,6 +1,8 @@
 package threads
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -427,5 +429,76 @@ func TestTwoNodesIndependentSchedulers(t *testing.T) {
 	}
 	if t0 != 30*time.Microsecond || t1 != 10*time.Microsecond {
 		t.Fatalf("t0=%v t1=%v", t0, t1)
+	}
+}
+
+// TestInterruptQueuesAndDispatches: a node's interrupt is its running thread
+// while it lasts, so a thread it readies or spawns waits for its end and then
+// runs, in order; and it counts as made runnable and then blocked, so the
+// node's counts balance.
+func TestInterruptQueuesAndDispatches(t *testing.T) {
+	m, s := testRig()
+	var order []string
+	w := s.Start("waiter", func(th *Thread) {
+		th.Block()
+		order = append(order, "waiter")
+	})
+	m.Eng.After(time.Microsecond, func() {
+		if !s.Idle() {
+			t.Fatal("the node is not idle with its one thread blocked")
+		}
+		it := s.Interrupt()
+		s.MakeReady(w)
+		it.Spawn("child", func(*Thread) { order = append(order, "child") })
+		order = append(order, it.Name())
+		if s.Idle() || w.State() != Ready {
+			t.Errorf("inside the interrupt: idle %v, waiter %v; want false, ready", s.Idle(), w.State())
+		}
+		s.EndInterrupt()
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[n0/interrupt waiter child]" {
+		t.Errorf("ran %s, want the interrupt, then the waiter it readied, then the thread it spawned", got)
+	}
+	if r, p := Counts(s); r != p || r != 4 || Interrupts(s) != 1 {
+		t.Errorf("readied %d, blocked or exited %d, interrupts %d; want 4, 4, 1", r, p, Interrupts(s))
+	}
+}
+
+// TestInterruptMustNotBlock: an interrupt that would block, or yield to a
+// thread it readied, panics naming the node's interrupt context, and leaves
+// the scheduler as it was.
+func TestInterruptMustNotBlock(t *testing.T) {
+	for _, op := range []string{"Block", "Yield"} {
+		t.Run(op, func(t *testing.T) {
+			m, s := testRig()
+			var got any
+			m.Eng.After(time.Microsecond, func() {
+				it := s.Interrupt()
+				it.Spawn("child", func(*Thread) {})
+				r0, p0 := Counts(s)
+				func() {
+					defer func() { got = recover() }()
+					if op == "Block" {
+						it.Block()
+					} else {
+						it.Yield()
+					}
+				}()
+				if r, p := Counts(s); it.State() != Running || s.Idle() || s.ReadyLen() != 1 || r != r0 || p != p0 {
+					t.Errorf("after the panic: interrupt %v, idle %v, %d ready, counts %d/%d (were %d/%d); want running, false, 1, unchanged",
+						it.State(), s.Idle(), s.ReadyLen(), r, p, r0, p0)
+				}
+				s.EndInterrupt()
+			})
+			if err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if msg, _ := got.(string); !strings.Contains(msg, op+" in node 0's interrupt context") {
+				t.Errorf("%s in an interrupt panicked with %v, want one naming node 0's interrupt context", op, got)
+			}
+		})
 	}
 }

@@ -66,6 +66,7 @@ func RunSharded(t *testing.T, f ShardedFactory) {
 	t.Run("BusyDestination", func(t *testing.T) { busyDestination(t, f) })
 	t.Run("PollDelivers", func(t *testing.T) { pollDelivers(t, f) })
 	t.Run("CoalescedArrivals", func(t *testing.T) { coalescedArrivals(t, f) })
+	t.Run("InterruptAndPended", func(t *testing.T) { interruptAndPended(t, f) })
 	t.Run("CrossShardTraffic", func(t *testing.T) { crossShardTraffic(t, f, false) })
 	t.Run("MixedSizes", func(t *testing.T) { crossShardTraffic(t, f, true) })
 	t.Run("TwoCallersOneNode", func(t *testing.T) { twoCallersOneNode(t, f) })

@@ -90,9 +90,11 @@ func futuresCase(t *testing.T, f ShardedFactory) {
 				case node != 2 && rt.Machine().Eng == nil:
 					// On the wall-clock backends the nodes of the remote
 					// objects keep their CPU until node 0 has issued every
-					// call, so no reply lands before its future has been
-					// looked at. The simulator needs no hold: a reply is a
-					// round trip of virtual time away.
+					// call, so most replies land after their future has
+					// been looked at and many calls are in flight at once
+					// (one that comes while its node is still idle, in the
+					// barrier, is handled at once). The simulator needs no
+					// hold: a reply is a round trip of virtual time away.
 					for !release.Load() {
 						time.Sleep(50 * time.Microsecond)
 					}
@@ -176,9 +178,10 @@ func futuresMain(t *testing.T, th *mpmd.Thread, refs []mpmd.Ref[futSrv], d *mpmd
 
 // futuresIssue issues thread c's calls — 64 InvokeAsync round-robin over the
 // objects and the four result methods, a one-way after every third and a
-// Dist read after every eighth — and checks each call's Done as it returns.
+// Dist read after every eighth — and checks each call's Done as it returns
+// where the backend fixes it.
 func futuresIssue(t *testing.T, th *mpmd.Thread, c int, refs []mpmd.Ref[futSrv], d *mpmd.Dist[int64], notes []int64) []futCall {
-	me := th.Node().ID
+	me, modelled := th.Node().ID, th.Node().M.Eng != nil
 	var cs []futCall
 	for i := 0; i < 64; i++ {
 		k := int64(1000*c + i)
@@ -203,9 +206,13 @@ func futuresIssue(t *testing.T, th *mpmd.Thread, c int, refs []mpmd.Ref[futSrv],
 			fc.wait = func(th *mpmd.Thread) string { return string(fu.Wait(th)) }
 			fc.done = fu.Done
 		}
-		// A local non-threaded method has run before InvokeAsync returns;
-		// every other reply is still to come.
-		if local := r.NodeID() == me && (method == "Str" || method == "Blob"); fc.done() != local {
+		// A local non-threaded method has run before InvokeAsync returns.
+		// On the simulator every other reply is a round trip of virtual time
+		// away. On a wall-clock machine a call to an idle node may already
+		// have been handled, in that node's interrupt context, and its reply
+		// by the send's own poll: there Done may read either way, and Wait
+		// is what must be right.
+		if local := r.NodeID() == me && (method == "Str" || method == "Blob"); fc.done() != local && (local || modelled) {
 			t.Errorf("thread %d: %s reports Done %v as it is issued, want %v", c, fc.what, !local, local)
 		}
 		cs = append(cs, fc)

@@ -22,13 +22,23 @@
 // queues are individually thread-safe), so a destination that is actively
 // polling observes the message with no handoff at all. What is left is to
 // tell the node: DeliverDirect runs the one arrival function the machine
-// installed (SetArrival) in the destination's context — waking a parked
-// receiver — and the sender puts it there itself: it TryLocks the
-// destination's CPU and, when that succeeds (the receiver is parked: the
-// ping-pong and the idle-server case), runs the arrival on its own goroutine
-// and lets go. An arrival then costs the one wake-up that is inherent, sender
-// to receiver — or none, when the receiver is polling a link for it (below).
-// There are no timers: every arrival is some goroutine's delivery.
+// installed (SetArrival) in the destination's context, and the sender puts it
+// there itself: it TryLocks the destination's CPU and, when that succeeds
+// (the receiver is parked: the ping-pong and the idle-server case), runs the
+// arrival on its own goroutine and lets go. For a local send — a proc of this
+// backend, sending from its own node's context, says so with DeliverDirect's
+// local argument — the arrival is then the node's interrupt: the layers above
+// run the destination's handlers right there, on the sender's goroutine, and
+// wake a parked receiver only for a thread that must run. A null RMI between
+// two idle nodes then wakes no goroutine at all; the reply lands in the
+// caller's inbox and pends on the CPU the caller itself holds. Any other
+// arrival (a link's, a Wake, a notify that pended) wakes a parked receiver:
+// one wake-up, sender to receiver — or none, when the receiver is polling a
+// link for it (below). A handler run on arrival sends the plain way, so an
+// interrupt never runs inside another and a goroutine holds at most its own
+// CPU, the interrupted one and, for the span of a plain arrival, a third,
+// every one after its own taken by TryLock. There are no timers: every
+// arrival is some goroutine's delivery.
 //
 // There is no receiver thread, and nothing is queued but a number. A sender
 // that finds the destination's CPU busy adds one to the node's pending count,
@@ -57,14 +67,17 @@
 //
 // # Who receives
 //
-// The thread that waits. A proc that parks when no sibling holds a wake-up
-// permit — it did not just hand the CPU on — leaves its node idle: nothing
-// will run there until a packet arrives. In process that is all
-// there is to it: the proc blocks on its condition variable and the sender's
-// direct notify wakes it (the upper layer sees to it that the woken thread is
-// the one waiting for that packet: a blocked RMI caller polls and parks as the
-// node's preferred message waiter, so it handles its own reply and no polling
-// thread sits in between). A backend that wraps this one and has inbound links
+// The sender, when it finds the node idle; otherwise the thread that waits. A
+// proc that parks when no sibling holds a wake-up permit — it did not just
+// hand the CPU on — leaves its node idle: nothing will run there until a
+// packet arrives. In process that is all there is to it: the proc blocks on
+// its condition variable, and a local sender runs the node's handlers in its
+// interrupt context and wakes the proc only if a handler made its thread
+// runnable (a reply it was waiting for); any other notify wakes it directly
+// (the upper layer sees to it that the woken thread is the one waiting for
+// that packet: a blocked RMI caller polls and parks as the node's preferred
+// message waiter, so it handles its own reply and no polling thread sits in
+// between). A backend that wraps this one and has inbound links
 // to watch (netlive's shared-memory rings) installs an idle poll with
 // SetIdlePoll; the idling proc then releases the CPU and polls those links
 // itself before it blocks, and a packet for its node is enqueued, notified
@@ -113,7 +126,7 @@ type Backend struct {
 
 	// arrive is the machine's arrival function (SetArrival, before Run), run
 	// in a node's context after a notify.
-	arrive func(node int)
+	arrive func(node int, local bool)
 
 	// idlePoll, when set (SetIdlePoll, before Run), is what a proc does
 	// between leaving its node idle and blocking: see Park.
@@ -155,7 +168,7 @@ func New(n int, opts Options) *Backend {
 
 // SetArrival implements transport.DirectDeliverer: fn runs in a node's
 // context after notifies for it. Set it before Run.
-func (b *Backend) SetArrival(fn func(node int)) { b.arrive = fn }
+func (b *Backend) SetArrival(fn func(node int, local bool)) { b.arrive = fn }
 
 // NodeMetrics implements transport.MetricsSource.
 func (b *Backend) NodeMetrics(node int) *metrics.Registry {
@@ -222,7 +235,7 @@ func (nd *lnode) drain() {
 	n := int64(nd.pend.Swap(0))
 	nd.met.Set(metrics.GgeNotifyDepth, n)
 	nd.met.Set(metrics.GgeNotifyDepth, 0)
-	nd.b.arrive(nd.id)
+	nd.b.arrive(nd.id, false)
 	nd.met.Add(metrics.CtrNotifyBatches, 1)
 	nd.met.Observe(metrics.HstPollBatch, n)
 }
@@ -417,17 +430,17 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 // the enqueue step, so only the arrival is left to run in dst's context, and
 // the caller never waits for it, even while it holds its own node's CPU. If
 // dst's CPU is free — its procs are parked — the caller takes it and runs the
-// arrival itself; otherwise it adds to the pending count for the CPU's
-// holder. The second TryLock is the sender's half of the no-lost-wake-up rule
+// arrival itself, passing local on; otherwise it adds to the pending count
+// for the CPU's holder, which runs the arrival as a plain one. The second TryLock is the sender's half of the no-lost-wake-up rule
 // (see the package comment): the holder may have looked at the count for the
 // last time before the add. A notify that finds the CPU busy when the run is
 // over is dropped and counted.
 //
 //mpmd:hotpath
-func (b *Backend) DeliverDirect(dst int) {
+func (b *Backend) DeliverDirect(dst int, local bool) {
 	nd := b.nodes[dst]
 	if nd.mu.TryLock() {
-		b.arrive(dst)
+		b.arrive(dst, local)
 		nd.release()
 		nd.met.Add(metrics.CtrNotifyDirect, 1)
 		return

@@ -43,7 +43,7 @@ func TestDeliverEnqueueThenNotify(t *testing.T) {
 	var enqueued atomic.Int64 // sends whose enqueue step has run
 	var seen, runs int64      // node 1 state
 	var rx transport.Proc
-	b.SetArrival(func(node int) {
+	b.SetArrival(func(node int, _ bool) {
 		if node != 1 {
 			t.Errorf("arrival for node %d, want 1", node)
 		}
@@ -59,7 +59,7 @@ func TestDeliverEnqueueThenNotify(t *testing.T) {
 	b.Go(0, "tx", func(p transport.Proc) {
 		for i := 0; i < k; i++ {
 			enqueued.Add(1)
-			b.DeliverDirect(1)
+			b.DeliverDirect(1, false)
 		}
 	})
 	if err := b.Run(); err != nil {
@@ -93,7 +93,7 @@ func TestDirectNotifyWhenParked(t *testing.T) {
 	b := New(2, Options{Watchdog: 5 * time.Second})
 	var got int
 	var rx *Proc
-	b.SetArrival(func(int) { // node 1's context
+	b.SetArrival(func(int, bool) { // node 1's context
 		if got++; got == n {
 			rx.Unpark()
 		}
@@ -102,7 +102,7 @@ func TestDirectNotifyWhenParked(t *testing.T) {
 	b.Go(0, "tx", func(p transport.Proc) {
 		waitParked(rx)
 		for i := 0; i < n; i++ {
-			b.DeliverDirect(1)
+			b.DeliverDirect(1, false)
 		}
 	})
 	if err := b.Run(); err != nil {
@@ -124,7 +124,7 @@ func TestDirectNotifyWhenParked(t *testing.T) {
 func TestSleepRunsPendingTimer(t *testing.T) {
 	b := New(2, Options{Watchdog: 10 * time.Second})
 	fired := false // node 0 state
-	b.SetArrival(func(int) { fired = true })
+	b.SetArrival(func(int, bool) { fired = true })
 	var spinning atomic.Bool
 	var seen time.Duration
 	b.Go(0, "spin", func(p transport.Proc) {
@@ -139,7 +139,7 @@ func TestSleepRunsPendingTimer(t *testing.T) {
 		for !spinning.Load() {
 			time.Sleep(time.Millisecond)
 		}
-		b.DeliverDirect(0)
+		b.DeliverDirect(0, false)
 	})
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -162,7 +162,7 @@ func TestCrossBlastNoStall(t *testing.T) {
 	var sent [2]atomic.Int64 // sent[i]: enqueues for node i
 	var seen [2]int64        // seen[i] is node i state
 	var procs [2]transport.Proc
-	b.SetArrival(func(i int) {
+	b.SetArrival(func(i int, _ bool) {
 		seen[i] = sent[i].Load()
 		procs[i].Unpark()
 	})
@@ -171,7 +171,7 @@ func TestCrossBlastNoStall(t *testing.T) {
 		procs[i] = b.Go(i, "blaster", func(p transport.Proc) {
 			for j := 0; j < k; j++ {
 				sent[1-i].Add(1)
-				b.DeliverDirect(1 - i)
+				b.DeliverDirect(1-i, false)
 			}
 			for seen[i] < k {
 				p.Park()
@@ -214,13 +214,13 @@ func TestWatchdogReportsStall(t *testing.T) {
 // may never let go. The holder here outlives the watchdog.
 func TestLateNotifyDropped(t *testing.T) {
 	b := New(1, Options{Watchdog: 50 * time.Millisecond})
-	b.SetArrival(func(int) { t.Error("an arrival ran after the run was over") })
+	b.SetArrival(func(int, bool) { t.Error("an arrival ran after the run was over") })
 	let := make(chan struct{})
 	b.Go(0, "holder", func(p transport.Proc) { <-let })
 	if _, ok := b.Run().(*StallError); !ok {
 		t.Fatal("Run did not report the holder stalled")
 	}
-	b.DeliverDirect(0)
+	b.DeliverDirect(0, false)
 	close(let)
 	met := b.NodeMetrics(0).Snapshot()
 	if d, p, q := met.Counter(metrics.CtrNotifyDropped), met.Counter(metrics.CtrNotifyDirect), met.Counter(metrics.CtrNotifies); d != 1 || p+q != 0 {
@@ -259,11 +259,11 @@ func TestStalledRunLeavesOnlyStuckProcs(t *testing.T) {
 func TestProcExitRunsPending(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
 	ran := false // node 0 state
-	b.SetArrival(func(int) { ran = true })
+	b.SetArrival(func(int, bool) { ran = true })
 	b.Go(0, "holder", func(p transport.Proc) {
 		sent := make(chan struct{})
 		go func() {
-			b.DeliverDirect(0)
+			b.DeliverDirect(0, false)
 			close(sent)
 		}()
 		<-sent // the CPU is held throughout: the notify can only pend
@@ -286,15 +286,15 @@ func TestProcExitRunsPending(t *testing.T) {
 func TestReleaseLooksAgain(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
 	runs := 0 // node 0 state
-	b.SetArrival(func(int) {
+	b.SetArrival(func(int, bool) {
 		if runs++; runs == 1 {
-			b.DeliverDirect(0)
+			b.DeliverDirect(0, false)
 		}
 	})
 	b.Go(0, "holder", func(p transport.Proc) {
 		sent := make(chan struct{})
 		go func() {
-			b.DeliverDirect(0)
+			b.DeliverDirect(0, false)
 			close(sent)
 		}()
 		<-sent
@@ -329,7 +329,7 @@ func hammer(t *testing.T, m, k int) {
 	var enqueued, opened atomic.Int64
 	done := false // node 0 state
 	var rx transport.Proc
-	b.SetArrival(func(int) {
+	b.SetArrival(func(int, bool) {
 		e := enqueued.Load()
 		runtime.Gosched() // preempted holding the CPU: notifies land behind it
 		if e != opened.Load()*int64(m) {
@@ -365,7 +365,7 @@ func hammer(t *testing.T, m, k int) {
 					runtime.Gosched()
 				}
 				enqueued.Add(1)
-				b.DeliverDirect(0)
+				b.DeliverDirect(0, false)
 			}
 		}()
 	}
@@ -391,10 +391,10 @@ func hammer(t *testing.T, m, k int) {
 func TestAfterZeroFromOwnNodeIsNotReentrant(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
 	ran := false // node 0 state
-	b.SetArrival(func(int) { ran = true })
+	b.SetArrival(func(int, bool) { ran = true })
 	var inDeliver, atCharge bool
 	b.Go(0, "p", func(p transport.Proc) {
-		b.DeliverDirect(0)
+		b.DeliverDirect(0, false)
 		inDeliver = ran
 		p.Sleep(1)
 		atCharge = ran
@@ -407,6 +407,47 @@ func TestAfterZeroFromOwnNodeIsNotReentrant(t *testing.T) {
 	}
 }
 
+// TestLocalOnlyOnTheSender: the arrival function learns that a notify is a
+// local send only when it runs on that sender, which found the CPU free; a
+// notify that pends runs on the CPU's holder as a plain one.
+func TestLocalOnlyOnTheSender(t *testing.T) {
+	b := New(2, Options{Watchdog: 5 * time.Second})
+	var seen [2][2]atomic.Int32 // [node][local]
+	var done atomic.Bool
+	var rx transport.Proc
+	b.SetArrival(func(node int, local bool) {
+		l := 0
+		if local {
+			l = 1
+		}
+		seen[node][l].Add(1)
+		if node == 1 && done.Load() {
+			rx.Unpark()
+		}
+	})
+	rx = b.Go(1, "rx", func(p transport.Proc) { p.Park() })
+	b.Go(0, "tx", func(p transport.Proc) {
+		// Until rx has parked its node is busy and the notify pends on it.
+		for start := time.Now(); seen[1][1].Load() == 0 && time.Since(start) < 4*time.Second; {
+			b.DeliverDirect(1, true)
+			time.Sleep(time.Millisecond)
+		}
+		b.DeliverDirect(0, true) // its own CPU is held: this one pends
+		p.Sleep(1)
+		done.Store(true)
+		b.DeliverDirect(1, false)
+	})
+	if err := b.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if seen[1][1].Load() == 0 {
+		t.Error("a local notify that found node 1 idle never reached the arrival as local")
+	}
+	if l, p := seen[0][1].Load(), seen[0][0].Load(); l != 0 || p != 1 {
+		t.Errorf("a local notify that pended on its sender's own CPU ran %d times as local and %d as plain, want 0 and 1", l, p)
+	}
+}
+
 // TestNotifyDepthGaugeFallsBack: k notifies that find the CPU busy are one
 // run of the arrival, the depth gauge's max is the deepest the pending count
 // got, and a quiesced node reads 0, not that depth, so a merged snapshot
@@ -415,12 +456,12 @@ func TestNotifyDepthGaugeFallsBack(t *testing.T) {
 	const k = 50
 	b := New(2, Options{Watchdog: 5 * time.Second})
 	var runs int // node 1 state
-	b.SetArrival(func(int) { runs++ })
+	b.SetArrival(func(int, bool) { runs++ })
 	busy, sent := make(chan struct{}), make(chan struct{})
 	b.Go(0, "tx", func(p transport.Proc) {
 		<-busy
 		for i := 0; i < k; i++ {
-			b.DeliverDirect(1)
+			b.DeliverDirect(1, false)
 		}
 		close(sent)
 	})
@@ -472,11 +513,11 @@ func TestIdlePollReceivesOnOwnGoroutine(t *testing.T) {
 	var c transport.Proc
 	var polls int
 	var before, after bool
-	b.SetArrival(func(int) { c.Unpark() })
+	b.SetArrival(func(int, bool) { c.Unpark() })
 	b.SetIdlePoll(func(woken func() bool) {
 		polls++
 		before = woken()
-		b.DeliverDirect(0)
+		b.DeliverDirect(0, false)
 		after = woken()
 	})
 	b.Go(0, "a", func(a transport.Proc) {
@@ -511,11 +552,11 @@ func TestIdlePollGivesUp(t *testing.T) {
 	gaveUp := make(chan struct{})
 	b.SetIdlePoll(func(func() bool) { close(gaveUp) })
 	var p0 transport.Proc
-	b.SetArrival(func(int) { p0.Unpark() })
+	b.SetArrival(func(int, bool) { p0.Unpark() })
 	p0 = b.Go(0, "p", func(p transport.Proc) { p.Park() })
 	go func() {
 		<-gaveUp
-		b.DeliverDirect(0)
+		b.DeliverDirect(0, false)
 	}()
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

@@ -416,10 +416,10 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 }
 
 // SetArrival implements transport.DirectDeliverer: the inner live backend's.
-func (b *Backend) SetArrival(fn func(node int)) { b.inner.SetArrival(fn) }
+func (b *Backend) SetArrival(fn func(node int, local bool)) { b.inner.SetArrival(fn) }
 
 // DeliverDirect implements transport.DirectDeliverer for local destinations.
-func (b *Backend) DeliverDirect(dst int) { b.inner.DeliverDirect(dst) }
+func (b *Backend) DeliverDirect(dst int, local bool) { b.inner.DeliverDirect(dst, local) }
 
 // Run implements transport.Backend: execute the local shard, then tear the
 // process mesh down. The parent additionally reaps its children and

@@ -20,8 +20,9 @@
 //   - local-immediate (DirectDeliverer): transport/live maps every Proc to a
 //     real goroutine and the clock to time.Now(). The machine enqueues on the
 //     sender and notifies the destination by its index; the backend runs the
-//     arrival function the machine installed in the destination's context.
-//     Modelled latencies are ignored.
+//     arrival function the machine installed in the destination's context —
+//     on the sender, when the destination's CPU is free, which then runs the
+//     node's handlers itself. Modelled latencies are ignored.
 //   - remote-link (Sharded): transport/netlive shards the nodes across OS
 //     processes. A packet for a node of another shard is serialized onto the
 //     one ordered link to that shard (Sharded.SendRemote); in-shard packets
@@ -168,9 +169,15 @@ type MetricsSource interface {
 // dst's CPU is free, otherwise on whoever holds that CPU, before it lets go.
 // It never blocks. Notifies coalesce: the function runs at least once after
 // each DeliverDirect, not once per call.
+//
+// local marks a send by a proc of this address space running in its own
+// node's context; a link arrival or a wake-up is not one. The arrival function
+// learns it (its local argument) only when it runs on that caller, having
+// found dst's CPU free; a pended notify runs it on the holder with local
+// false.
 type DirectDeliverer interface {
-	SetArrival(fn func(node int))
-	DeliverDirect(dst int)
+	SetArrival(fn func(node int, local bool))
+	DeliverDirect(dst int, local bool)
 }
 
 // Backend is an execution substrate for a multicomputer of NumNodes nodes.

@@ -23,7 +23,10 @@ type Void = rmigen.Void
 
 // MethodOpts flags a method as Threaded (runs on a fresh thread at the
 // receiver; required whenever it may block) and/or Atomic (holds the target
-// object's lock; implies threaded, as in the paper).
+// object's lock; implies threaded, as in the paper). A method that is neither
+// runs inside its message handler and must not block: on a wall-clock machine
+// the handler may run in the receiving node's interrupt context, on the
+// caller's goroutine, and a block there panics naming that context.
 type MethodOpts = rmigen.MethodOpts
 
 // OptionsProvider is optionally implemented by processor-object structs to
