@@ -21,7 +21,14 @@
 // the runtimes the paper builds, the Nexus/TCP surcharges and the interrupt
 // model for CC++'s §6 comparison and ablation), and each side of a message
 // charges its part from its own net. A message on the wire is its words and
-// payload only.
+// payload only. IBM's MPL, the paper's reference layer, is such a price too:
+// its round trip is a ping-pong of short messages on a net whose profile
+// raises each side's overhead to MPL's (bench.MPLReferenceRTT).
+//
+// The layer keeps no count of its own. A send bumps its node's am.msg.short
+// or am.msg.bulk before the message can arrive, and a poll bumps am.handlers
+// once the handler has returned; the end of a run reads them as the messages
+// sent and handled (machine.Accounting).
 package am
 
 import (
@@ -178,10 +185,6 @@ type Endpoint struct {
 	// modelled is read once: on the simulator Await yields to a ready
 	// sibling, on a wall-clock machine it never does.
 	modelled bool
-
-	// sent counts messages before they can arrive, handled once their handler
-	// is done. Only the node writes them (Counts reads).
-	sent, handled atomic.Uint64
 }
 
 // Net wires one Endpoint per machine node, owns the handler table and prices
@@ -263,9 +266,6 @@ func (ep *Endpoint) Stop() {
 
 // Stopped reports whether a Stop has landed in the node's context.
 func (ep *Endpoint) Stopped() bool { return ep.stopped }
-
-// Counts reports how many messages this node has sent and handled.
-func (ep *Endpoint) Counts() (sent, handled uint64) { return ep.sent.Load(), ep.handled.Load() }
 
 // Unhandled reports the messages a run left in its inboxes, which no thread
 // will ever handle, as one error per node naming the node, the sender and the
@@ -383,6 +383,8 @@ func (ep *Endpoint) RequestOwned(t *threads.Thread, dst int, h HandlerID, a [4]u
 	}
 	ser := time.Duration(n) * gap
 	over := cfg.SendOverhead + p.ExtraSendCPU + ser
+	// The message counts as sent before it can arrive (the end of a run
+	// reads sent against handled).
 	wireBytes := int64(shortWireBytes)
 	if bulk {
 		over += cfg.BulkExtraSend
@@ -413,7 +415,6 @@ const shortWireBytes = 48
 
 //mpmd:hotpath
 func (ep *Endpoint) send(dst int, extraWire time.Duration, size int, msg *Msg) {
-	ep.sent.Store(ep.sent.Load() + 1)
 	if dst == ep.node.ID {
 		ep.node.Loopback(size, msg)
 		return
@@ -464,13 +465,14 @@ func (ep *Endpoint) Poll(t *threads.Thread) bool {
 		over += cfg.BulkExtraRecv
 	}
 	t.Charge(machine.CatNet, over)
-	ep.node.Acct.Count(machine.CntHandlersRun, 1)
 	ep.node.M.Emit(ep.node.ID, "recv", ep.net.names[msg.H], 0)
 	h := ep.net.handlers[msg.H]
 	wasPolling := ep.polling
 	ep.polling = true
 	h(t, msg)
-	ep.handled.Store(ep.handled.Load() + 1)
+	// Handled once its handler is done, never before: a run whose last
+	// handler still runs has not ended.
+	ep.node.Acct.Count(machine.CntHandlersRun, 1)
 	ep.polling = wasPolling
 	if msg.PayloadBuf != nil {
 		msg.PayloadBuf.Release()

@@ -192,7 +192,10 @@ func (ld *loader) check(id string) (*Package, error) {
 
 // resolve maps one import of lp to a types.Package: the package's ImportMap
 // first (test-variant and vendor redirection), then a source-checked root,
-// then export data.
+// then export data. A dependency the go command recompiles for another
+// package's test ("q [p.test]", imported by p's external test package when q
+// imports p) is the root that provides q: checked from source, it already
+// sees p's test variant, so p's types keep one identity.
 func (ld *loader) resolve(lp *listPkg, path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil
@@ -203,7 +206,7 @@ func (ld *loader) resolve(lp *listPkg, path string) (*types.Package, error) {
 	rootID := ""
 	if _, ok := ld.byID[path]; ok {
 		rootID = path
-	} else if id, ok := ld.plain[path]; ok {
+	} else if id, ok := ld.plain[plainPath(path)]; ok {
 		rootID = id
 	}
 	if rootID != "" && rootID != lp.ImportPath {

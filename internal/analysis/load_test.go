@@ -117,3 +117,20 @@ func TestLoadPackagesTestVariant(t *testing.T) {
 		t.Errorf("test variant should contain the package and test files, got %d files", len(variant.Files))
 	}
 }
+
+// TestLoadPackagesRecompiledDependency: a's external test imports b, which
+// imports a, so the go command recompiles b against a's test variant ("b
+// [a.test]"). b's a must then be the same package as the test's, or passing
+// an a.T to b fails to type-check.
+func TestLoadPackagesRecompiledDependency(t *testing.T) {
+	dir := writeModule(t, map[string]string{
+		"go.mod":      "module tmpmod\n\ngo 1.21\n",
+		"a/a.go":      "package a\n\ntype T struct{}\n",
+		"a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestT(t *testing.T) { _ = T{} }\n",
+		"a/x_test.go": "package a_test\n\nimport (\n\t\"testing\"\n\n\t\"tmpmod/a\"\n\t\"tmpmod/b\"\n)\n\nfunc TestUse(t *testing.T) { b.Use(&a.T{}) }\n",
+		"b/b.go":      "package b\n\nimport \"tmpmod/a\"\n\nfunc Use(*a.T) {}\n",
+	})
+	if _, err := LoadPackages(dir, true, "./..."); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -143,7 +143,10 @@ var corpus = []struct {
 	{"a poll is no delivery point", "go test ./internal/transport/conformance -run ^TestLive$/^PollDelivers$", `notify never got the CPU from a thread that computes and polls`, []edit{
 		{"internal/am/am.go", "\tt.Deliver()\n", ""}}},
 	{"a message counts as handled before its handler runs", "go test ./internal/transport/conformance -run ^TestSimnet$/^OneWayChain$", `it counted as handled before it ran`, []edit{
-		{"internal/am/am.go", "\th(t, msg)\n\tep.handled.Store(ep.handled.Load() + 1)\n", "\tep.handled.Store(ep.handled.Load() + 1)\n\th(t, msg)\n"}}},
+		{"internal/am/am.go", "\th(t, msg)\n\t// Handled once its handler is done, never before: a run whose last\n\t// handler still runs has not ended.\n\tep.node.Acct.Count(machine.CntHandlersRun, 1)\n",
+			"\tep.node.Acct.Count(machine.CntHandlersRun, 1)\n\th(t, msg)\n"}}},
+	{"a worker's stats payload merges a negative count (fuzz seeds)", "go test ./internal/machine -run ^FuzzClusterStats$", `merged a negative am\.handlers`, []edit{
+		{"internal/machine/accounting.go", "\t\tif v < 0 || v > limit {\n", "\t\tif v > limit {\n"}}},
 	{"a wall-clock wait yields to a ready sibling", "go test ./internal/transport/conformance -run ^TestLive$/^TwoWaitersOneNode$", `node 0 switched threads \d+ times while two threads waited on one count, want at most 24`, []edit{
 		{"internal/am/am.go", "\t\tcase !ep.modelled || ep.stopped:\n", "\t\tcase !ep.stopped && t.Scheduler().ReadyLen() > 0:\n\t\t\tt.Yield()\n\t\tcase !ep.modelled || ep.stopped:\n"}}},
 }

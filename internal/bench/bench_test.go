@@ -8,6 +8,39 @@ import (
 	"repro/internal/machine"
 )
 
+// TestMPLReferenceRTT pins IBM MPL's round trip as a price on Active
+// Messages: two short messages, each paying MPL's per-side overhead at both
+// ends and the wire once, 2·(2·MPLOverhead + WireLatency) exactly — the
+// paper's 88 µs on the SP, and the same formula on a machine whose MPL and AM
+// overheads both differ from the SP's — with two short messages sent and two
+// handlers run per round trip.
+func TestMPLReferenceRTT(t *testing.T) {
+	other := machine.SP1997()
+	other.SendOverhead, other.RecvOverhead = 2*time.Microsecond, 4*time.Microsecond
+	other.MPLOverhead, other.WireLatency = 30*time.Microsecond, 10*time.Microsecond
+	for _, tc := range []struct {
+		name string
+		cfg  machine.Config
+		want time.Duration
+	}{
+		{"SP1997", machine.SP1997(), 88 * time.Microsecond},
+		{"other", other, 140 * time.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			const iters = 50
+			rtt, acct := mplPingPong(tc.cfg, iters)
+			if f := 2 * (2*tc.cfg.MPLOverhead + tc.cfg.WireLatency); rtt != f || rtt != tc.want {
+				t.Errorf("MPL round trip %v, want 2·(2·MPLOverhead + WireLatency) = %v (%v)", rtt, f, tc.want)
+			}
+			c := acct.Counters
+			if c[machine.CntMsgShort] != 2*iters || c[machine.CntMsgBulk] != 0 || c[machine.CntHandlersRun] != 2*iters {
+				t.Errorf("%d round trips sent %d short and %d bulk messages and ran %d handlers, want 2, 0 and 2 per round trip",
+					iters, c[machine.CntMsgShort], c[machine.CntMsgBulk], c[machine.CntHandlersRun])
+			}
+		})
+	}
+}
+
 // TestMicroShape verifies Table 4's qualitative structure at quick scale —
 // the orderings the paper's discussion rests on.
 func TestMicroShape(t *testing.T) {

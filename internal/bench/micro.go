@@ -5,10 +5,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/am"
 	"repro/internal/apps/appstat"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/mpl"
 	"repro/internal/splitc"
 	"repro/internal/threads"
 )
@@ -277,31 +277,48 @@ func RunMicro(cfg machine.Config, sc Scale) []MicroRow {
 
 // MPLReferenceRTT measures the IBM MPL round trip the paper quotes (88 µs).
 func MPLReferenceRTT(cfg machine.Config, iters int) time.Duration {
+	rtt, _ := mplPingPong(cfg, iters)
+	return rtt
+}
+
+// mplPingPong runs iters round trips of IBM's MPL and returns the mean round
+// trip and the machine's accounting. MPL is a price on Active Messages, not a
+// second message layer: each side's thread sends a short message and awaits
+// the count its peer's message advances, on a net whose profile raises the
+// send and receive overheads to MPL's per-side overhead.
+func mplPingPong(cfg machine.Config, iters int) (time.Duration, machine.Snapshot) {
 	m := machine.New(cfg, 2)
-	w := mpl.New(m)
-	s0 := threads.NewScheduler(m.Node(0))
-	s1 := threads.NewScheduler(m.Node(1))
-	w.Attach(0, s0)
-	w.Attach(1, s1)
+	net := am.NewNet(m, am.Profile{
+		ExtraSendCPU: cfg.MPLOverhead - cfg.SendOverhead,
+		ExtraRecvCPU: cfg.MPLOverhead - cfg.RecvOverhead,
+	})
+	var arrived [2]am.Count // node i's, advanced by each message it handles
+	h := net.Register("mpl.msg", func(t *threads.Thread, _ am.Msg) { arrived[t.Node().ID].Advance(t, 1) })
+	var s [2]*threads.Scheduler
+	for i := range s {
+		s[i] = threads.NewScheduler(m.Node(i))
+		net.Endpoint(i).Attach(s[i])
+	}
+	ep0, ep1 := net.Endpoint(0), net.Endpoint(1)
 	var rtt time.Duration
-	s0.Start("rank0", func(t *threads.Thread) {
+	s[0].Start("rank0", func(t *threads.Thread) {
 		start := t.Now()
-		for i := 0; i < iters; i++ {
-			w.Send(t, 0, 1, 1, nil)
-			w.Recv(t, 0, 1, 2)
+		for i := uint64(1); i <= uint64(iters); i++ {
+			ep0.Request(t, 1, h, [4]uint64{}, nil, false)
+			ep0.Await(t, &arrived[0], i)
 		}
 		rtt = time.Duration(t.Now()-start) / time.Duration(iters)
 	})
-	s1.Start("rank1", func(t *threads.Thread) {
-		for i := 0; i < iters; i++ {
-			w.Recv(t, 1, 0, 1)
-			w.Send(t, 1, 0, 2, nil)
+	s[1].Start("rank1", func(t *threads.Thread) {
+		for i := uint64(1); i <= uint64(iters); i++ {
+			ep1.Await(t, &arrived[1], i)
+			ep1.Request(t, 0, h, [4]uint64{}, nil, false)
 		}
 	})
 	if err := m.Run(); err != nil {
 		panic(err)
 	}
-	return rtt
+	return rtt, m.Snapshot()
 }
 
 // FormatMicro renders Table 4 with the paper's measured values alongside.

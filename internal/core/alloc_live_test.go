@@ -111,19 +111,18 @@ func TestWarmNullRMIWakesNoThread(t *testing.T) {
 	rt := NewRuntime(m)
 	rt.RegisterClass(allocBenchClass())
 	gp := rt.CreateObject(1, "AllocBench")
-	s1 := rt.nodes[1].sched
-	var readied, intrs, polled uint64
+	acct1 := m.Node(1).Acct
+	var readied, intrs, polled int64
 	rt.OnNode(0, func(th *threads.Thread) {
 		for i := 0; i < 8; i++ {
 			rt.Call(th, gp, "null", nil, nil)
 		}
-		r0, _ := threads.Counts(s1)
-		i0, p0 := threads.Interrupts(s1), pollCount(m)
+		r0, i0, p0 := acct1.Counter(machine.CntThreadReadied), acct1.Counter(machine.CntInterrupts), pollCount(m)
 		for i := 0; i < runs; i++ {
 			rt.Call(th, gp, "null", nil, nil)
 		}
-		r1, _ := threads.Counts(s1)
-		readied, intrs, polled = r1-r0, threads.Interrupts(s1)-i0, pollCount(m)-p0
+		readied = acct1.Counter(machine.CntThreadReadied) - r0
+		intrs, polled = acct1.Counter(machine.CntInterrupts)-i0, pollCount(m)-p0
 	})
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
@@ -138,12 +137,11 @@ func TestWarmNullRMIWakesNoThread(t *testing.T) {
 }
 
 // pollCount sums the polls of m's nodes.
-func pollCount(m *machine.Machine) uint64 {
-	var n int64
+func pollCount(m *machine.Machine) (n int64) {
 	for _, nd := range m.Nodes() {
 		n += nd.Acct.Counter(machine.CntPolls)
 	}
-	return uint64(n)
+	return n
 }
 
 // TestGPAccessAllocs pins the allocation count of a warm remote GP access on

@@ -482,6 +482,28 @@ func TestDisableStubCacheAblation(t *testing.T) {
 	}
 }
 
+// TestStubCacheStatsWithCacheDisabled: with the stub cache disabled every
+// remote call is a miss, and StubCacheStats says so, as the accounting does.
+func TestStubCacheStatsWithCacheDisabled(t *testing.T) {
+	const calls = 5
+	rt := newRig(2, Options{DisableStubCache: true})
+	gp := rt.CreateObject(1, "Counter")
+	rt.OnNode(0, func(th *threads.Thread) {
+		for i := 0; i < calls; i++ {
+			rt.Call(th, gp, "nop", nil, nil)
+		}
+	})
+	if err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	hits, misses := rt.StubCacheStats()
+	c := rt.Machine().Snapshot().Counters
+	if hits != 0 || misses != calls || c[machine.CntStubMiss] != misses || c[machine.CntRMICold] != misses {
+		t.Errorf("%d calls with the cache disabled: StubCacheStats %d/%d, tham.stub.miss %d, core.rmi.cold %d; want 0/%d, %d, %d",
+			calls, hits, misses, c[machine.CntStubMiss], c[machine.CntRMICold], calls, calls, calls)
+	}
+}
+
 func TestDisablePersistentBuffersAblation(t *testing.T) {
 	run := func(opts Options) (allocs int64) {
 		rt := newRig(2, opts)

@@ -204,10 +204,10 @@ func TestBlockingMethodInInterruptPanics(t *testing.T) {
 		},
 	})
 	gp1 := rt.CreateObject(1, "Blocker")
-	s1 := rt.nodes[1].sched
+	acct1 := m.Node(1).Acct
 	var recovered any
 	rt.OnNode(0, func(th *threads.Thread) {
-		for start := time.Now(); threads.Interrupts(s1) == 0 && time.Since(start) < 5*time.Second; {
+		for start := time.Now(); acct1.Counter(machine.CntInterrupts) == 0 && time.Since(start) < 5*time.Second; {
 			rt.Call(th, gp1, "nop", nil, nil)
 		}
 		defer func() { recovered = recover() }()

@@ -436,7 +436,6 @@ func (rt *Runtime) handleInvoke(t *threads.Thread, m am.Msg) {
 		} else {
 			// No persistent buffer: one is allocated for this invocation,
 			// staged into, and dropped.
-			n.bufs.AllocTransient()
 			n.node.Acct.Count(machine.CntBufAlloc, 1)
 			stage(t, n, len(argBytes))
 		}

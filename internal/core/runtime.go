@@ -325,24 +325,25 @@ func (rt *Runtime) TransportName() string {
 // Scheduler returns node i's thread scheduler.
 func (rt *Runtime) Scheduler(i int) *threads.Scheduler { return rt.nodes[i].sched }
 
-// StubCacheStats sums stub-cache hits and misses across nodes.
+// StubCacheStats sums the nodes' stub-cache hits and misses (tham.stub.hit,
+// tham.stub.miss) in this address space. A call made with the cache disabled
+// is a miss.
 func (rt *Runtime) StubCacheStats() (hits, misses int64) {
-	for _, n := range rt.nodes {
-		h, m := n.cache.Stats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
+	return rt.sum(machine.CntStubHit), rt.sum(machine.CntStubMiss)
 }
 
-// BufStats sums persistent-buffer allocations and reuses across nodes.
+// BufStats sums the nodes' receive-buffer allocations and persistent-buffer
+// reuses (tham.buf.alloc, tham.buf.reuse) in this address space.
 func (rt *Runtime) BufStats() (allocs, reuses int64) {
+	return rt.sum(machine.CntBufAlloc), rt.sum(machine.CntBufReuse)
+}
+
+// sum adds up counter c of rt's nodes.
+func (rt *Runtime) sum(c machine.Cnt) (v int64) {
 	for _, n := range rt.nodes {
-		a, r := n.bufs.Stats()
-		allocs += a
-		reuses += r
+		v += n.node.Acct.Counter(c)
 	}
-	return allocs, reuses
+	return v
 }
 
 // RegisterClass makes a class invocable. Must be called before Run. Stubs
@@ -471,13 +472,16 @@ func (rt *Runtime) Run() error {
 }
 
 // Counts sums the messages sent and handled and the threads made runnable and
-// blocked or exited of rt's nodes in this address space: a function, so that
-// the public API, which aliases Runtime, does not offer it.
+// blocked or exited of rt's nodes in this address space, as their accounting
+// counts them: a function, so that the public API, which aliases Runtime,
+// does not offer it.
 func Counts(rt *Runtime) (c [4]uint64) {
 	for _, n := range rt.nodes {
-		sent, handled := n.ep.Counts()
-		readied, parked := threads.Counts(n.sched)
-		c[0], c[1], c[2], c[3] = c[0]+sent, c[1]+handled, c[2]+readied, c[3]+parked
+		a := n.node.Acct
+		c[0] += uint64(a.Counter(machine.CntMsgShort) + a.Counter(machine.CntMsgBulk))
+		c[1] += uint64(a.Counter(machine.CntHandlersRun))
+		c[2] += uint64(a.Counter(machine.CntThreadReadied))
+		c[3] += uint64(a.Counter(machine.CntThreadParked))
 	}
 	return c
 }

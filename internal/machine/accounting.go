@@ -60,7 +60,11 @@ func Categories() []Category {
 // replaced was a measurable slice of warm-RMI wall time on the live
 // backend). Layers bump these via Node.Acct.Count; the benchmark harness
 // reads them to reconstruct the paper's "Yield / Create / Sync" columns and
-// message statistics.
+// message statistics. They are the runtime's only tally, and the end of a
+// run reads four of them (messages sent, CntMsgShort+CntMsgBulk, against
+// handled, CntHandlersRun; threads made runnable, CntThreadReadied, against
+// blocked or exited, CntThreadParked), so a counter is never reset: it only
+// grows.
 type Cnt int
 
 const (
@@ -68,6 +72,13 @@ const (
 	CntContextSwitch
 	CntSyncOp
 	CntLockContended
+	// CntThreadReadied counts the times a thread was made runnable, and
+	// CntThreadParked the times one blocked or exited: equal when none of
+	// the node's threads can run. An interrupt (CntInterrupts) counts once in
+	// each.
+	CntThreadReadied
+	CntThreadParked
+	CntInterrupts
 	CntMsgShort
 	CntMsgBulk
 	CntBytesSent
@@ -88,6 +99,7 @@ const (
 // cntNames are the report labels, in declaration order.
 var cntNames = [numCounters]string{
 	"thread.create", "thread.switch", "thread.sync", "thread.lock.contended",
+	"thread.readied", "thread.parked", "thread.interrupts",
 	"am.msg.short", "am.msg.bulk", "am.bytes.sent", "am.polls", "am.handlers",
 	"core.rmi", "core.rmi.cold",
 	"tham.stub.hit", "tham.stub.miss", "tham.buf.reuse", "tham.buf.alloc",
@@ -194,17 +206,6 @@ func (a *Accounting) Counters() CounterSet {
 	return s
 }
 
-// Reset zeroes all buckets and counters. The benchmark harness resets
-// between warm-up and measurement phases.
-func (a *Accounting) Reset() {
-	for i := range a.buckets {
-		a.buckets[i].Store(0)
-	}
-	for i := range a.counters {
-		a.counters[i].Store(0)
-	}
-}
-
 // Snapshot is a point-in-time copy of an Accounting, used to compute deltas
 // over a measured region.
 type Snapshot struct {
@@ -258,6 +259,23 @@ func (s Snapshot) String() string {
 		}
 	}
 	return strings.TrimSpace(b.String())
+}
+
+// outside names the first charged-time bucket or counter of s that is
+// negative or above limit, "" when there is none: neither is ever charged or
+// counted below zero.
+func (s Snapshot) outside(limit int64) string {
+	for i, b := range s.Buckets {
+		if b < 0 || int64(b) > limit {
+			return Category(i).String()
+		}
+	}
+	for i, v := range s.Counters {
+		if v < 0 || v > limit {
+			return Cnt(i).String()
+		}
+	}
+	return ""
 }
 
 // MergeSnapshots sums per-category times and counters across nodes, e.g. to

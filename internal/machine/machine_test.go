@@ -120,10 +120,6 @@ func TestAccountingBucketsAndCounters(t *testing.T) {
 	if d.Get(CatNet) != 0 {
 		t.Fatalf("untouched bucket in delta: %v", d.Get(CatNet))
 	}
-	a.Reset()
-	if a.Get(CatCPU) != 0 || a.Counter(CntPolls) != 0 {
-		t.Fatal("reset incomplete")
-	}
 }
 
 func TestMergeSnapshots(t *testing.T) {

@@ -3,6 +3,7 @@ package machine
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/metrics"
@@ -77,9 +78,11 @@ type ClusterStats struct {
 // ClusterStats assembles the machine-wide report. On sharded backends it must
 // be called on the parent after Run returns (workers have reported by then);
 // it errors if a worker shard's payload is missing, unparseable, or not that
-// shard's (another index, a node outside the machine or another shard's), or
-// if a node goes unreported: a lost or misfiled stats frame is a loud failure
-// rather than made-up totals.
+// shard's (another index, a node outside the machine or another shard's), if
+// a node goes unreported, or if a payload holds a count, charge, gauge or
+// histogram field that is negative or larger than its share of an int64 (so
+// that no machine-wide total can overflow): a lost, misfiled or corrupt stats
+// frame is a loud failure rather than made-up totals.
 func (m *Machine) ClusterStats() (ClusterStats, error) {
 	cs := ClusterStats{Shards: []ShardStats{m.LocalStats()}}
 	if m.shard != nil {
@@ -91,6 +94,9 @@ func (m *Machine) ClusterStats() (ClusterStats, error) {
 		for _, nd := range cs.Shards[0].Nodes {
 			seen[nd] = true
 		}
+		// A field is at most its share of an int64, so no machine-wide total
+		// of the shards' parts overflows.
+		share := int64(math.MaxInt64 / m.shard.NumShards())
 		for shard := 1; shard < m.shard.NumShards(); shard++ {
 			payload, ok := peers[shard]
 			if !ok {
@@ -102,6 +108,13 @@ func (m *Machine) ClusterStats() (ClusterStats, error) {
 			}
 			if ss.Shard != shard {
 				return ClusterStats{}, fmt.Errorf("machine: stats payload from shard %d is shard %d's", shard, ss.Shard)
+			}
+			f := ss.Acct.outside(share)
+			if f == "" {
+				f = ss.Metrics.Outside(share)
+			}
+			if f != "" {
+				return ClusterStats{}, fmt.Errorf("machine: stats payload from shard %d has %s outside [0, %d]", shard, f, share)
 			}
 			for _, nd := range ss.Nodes {
 				if nd < 0 || nd >= len(seen) || seen[nd] {

@@ -1,10 +1,15 @@
-package machine
+package machine_test
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/am"
+	"repro/internal/machine"
+	"repro/internal/threads"
 	"repro/internal/transport"
 	"repro/internal/transport/live"
 )
@@ -27,18 +32,28 @@ func (s *parentStub) SetRemoteHandler(func(src, dst, size int, payload []byte) b
 func (s *parentStub) SetStatsProvider(func() []byte)                                 {}
 func (s *parentStub) PeerStats() map[int][]byte                                      { return s.peers }
 
+// clusterStats is the ClusterStats of a parentStub machine whose workers sent
+// peers.
+func clusterStats(peers map[int][]byte) (machine.ClusterStats, error) {
+	m := machine.NewWithBackend(machine.SP1997(), 6, &parentStub{Backend: live.New(6, live.Options{}), peers: peers})
+	return m.ClusterStats()
+}
+
 // TestClusterStatsRefusesMisfiledPayloads: a worker's payload is merged only
-// if it is that shard's, of nodes no other shard reports, and the shards
-// together report every node; anything else would make up the machine-wide
-// totals.
+// if it is that shard's, of nodes no other shard reports, the shards together
+// report every node, and no count, charge, gauge or histogram field is
+// negative or above its share of an int64 (so that no machine-wide total
+// overflows); anything else would make up the machine-wide totals.
 func TestClusterStatsRefusesMisfiledPayloads(t *testing.T) {
 	payload := func(shard int, nodes ...int) []byte {
-		b, err := json.Marshal(ShardStats{Shard: shard, Nodes: nodes})
+		b, err := json.Marshal(machine.ShardStats{Shard: shard, Nodes: nodes})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
+	// shard1 is shard 1's payload of its own nodes with the given fields.
+	shard1 := func(fields string) []byte { return []byte(`{"shard":1,"nodes":[2,3],` + fields + `}`) }
 	for _, tc := range []struct {
 		name  string
 		peers map[int][]byte
@@ -51,10 +66,18 @@ func TestClusterStatsRefusesMisfiledPayloads(t *testing.T) {
 		{"a node outside the machine", map[int][]byte{1: payload(1, 2, 3), 2: payload(2, 4, 6)}, "from shard 2 names node 6, not its own"},
 		{"another shard's node", map[int][]byte{1: payload(1, 2, 3, 4), 2: payload(2, 4, 5)}, "from shard 2 names node 4, not its own"},
 		{"a node short", map[int][]byte{1: payload(1, 2), 2: payload(2, 4, 5)}, "no shard's stats payload names node 3"},
+		{"a negative counter", map[int][]byte{1: shard1(`"acct":{"counters":{"am.handlers":-7}}`), 2: payload(2, 4, 5)}, "from shard 1 has am.handlers outside [0, 3074457345618258602]"},
+		{"a negative charge", map[int][]byte{1: shard1(`"acct":{"buckets":[0,-1,0,0,0]}`), 2: payload(2, 4, 5)}, "from shard 1 has net outside [0, 3074457345618258602]"},
+		{"a negative metrics counter", map[int][]byte{1: shard1(`"metrics":{"counters":[0,0,0,0,-1]}`), 2: payload(2, 4, 5)}, "from shard 1 has net.frames.out outside [0, 3074457345618258602]"},
+		{"a negative gauge", map[int][]byte{1: shard1(`"metrics":{"gauges":[{"last":0,"max":-1}]}`), 2: payload(2, 4, 5)}, "from shard 1 has live.notify.depth outside [0, 3074457345618258602]"},
+		{"a negative histogram count", map[int][]byte{1: shard1(`"metrics":{"hists":[{"count":-1}]}`), 2: payload(2, 4, 5)}, "from shard 1 has rmi.latency.ns outside [0, 3074457345618258602]"},
+		{"a negative histogram sum", map[int][]byte{1: shard1(`"metrics":{"hists":[{},{"sum":-1}]}`), 2: payload(2, 4, 5)}, "from shard 1 has live.poll.batch outside [0, 3074457345618258602]"},
+		{"a negative histogram max", map[int][]byte{1: shard1(`"metrics":{"hists":[{},{},{"max":-1}]}`), 2: payload(2, 4, 5)}, "from shard 1 has net.writer.stall.ns outside [0, 3074457345618258602]"},
+		{"a negative histogram bucket", map[int][]byte{1: shard1(`"metrics":{"hists":[{"buckets":[0,0,-3]}]}`), 2: payload(2, 4, 5)}, "from shard 1 has rmi.latency.ns outside [0, 3074457345618258602]"},
+		{"a counter past its share of the total", map[int][]byte{1: shard1(`"acct":{"counters":{"am.handlers":3074457345618258603}}`), 2: payload(2, 4, 5)}, "from shard 1 has am.handlers outside [0, 3074457345618258602]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			m := NewWithBackend(SP1997(), 6, &parentStub{Backend: live.New(6, live.Options{}), peers: tc.peers})
-			cs, err := m.ClusterStats()
+			cs, err := clusterStats(tc.peers)
 			if tc.want == "" {
 				if err != nil || len(cs.Shards) != 3 {
 					t.Fatalf("ClusterStats = %d shards, %v; want 3, nil", len(cs.Shards), err)
@@ -66,4 +89,112 @@ func TestClusterStatsRefusesMisfiledPayloads(t *testing.T) {
 			}
 		})
 	}
+}
+
+// trafficPayload is what LocalStats marshals from a live machine of two nodes
+// that ran traffic — short and bulk messages each way, a thread parked on
+// each node — filed as the given shard's, of the given nodes.
+func trafficPayload(t testing.TB, shard int, nodes ...int) []byte {
+	m := machine.NewWithBackend(machine.SP1997(), 2, live.New(2, live.Options{Watchdog: time.Minute}))
+	net := am.NewNet(m, am.Profile{})
+	var got [2]am.Count
+	var h am.HandlerID
+	h = net.Register("ping", func(th *threads.Thread, msg am.Msg) {
+		if msg.Dst == 1 {
+			net.Endpoint(1).Request(th, 0, h, msg.A, msg.Payload, msg.Bulk)
+		}
+		got[msg.Dst].Advance(th, 1)
+	})
+	for i := range 2 {
+		s := threads.NewScheduler(m.Node(i))
+		net.Endpoint(i).Attach(s)
+		s.Start("main", func(th *threads.Thread) {
+			if i == 1 {
+				net.Endpoint(1).Await(th, &got[1], 8)
+				return
+			}
+			for k := range 8 {
+				bulk := k%2 == 1
+				var payload []byte
+				if bulk {
+					payload = make([]byte, 64*k)
+				}
+				net.Endpoint(0).Request(th, 1, h, [4]uint64{uint64(k)}, payload, bulk)
+				net.Endpoint(0).Await(th, &got[0], uint64(k+1))
+			}
+		})
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	ss := m.LocalStats()
+	ss.Shard, ss.Nodes = shard, nodes
+	b, err := json.Marshal(ss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// FuzzClusterStats feeds arbitrary bytes as shard 1's stats payload to the
+// parent of a machine whose shard 2 reported traffic. Every input is refused
+// with an error naming shard 1, or a node only shard 1 could have reported,
+// or it is merged: every machine-wide counter, charge and metrics counter is
+// then the sum of the shards' parts, and no part or total is negative. It
+// never panics.
+func FuzzClusterStats(f *testing.F) {
+	for _, seed := range []string{
+		`{"shard":1,"nodes":[2,3]}`,
+		`{"shard":1,"nodes":[2,3],"acct":{"counters":{"am.handlers":-7}}}`,
+		`{"shard":1,"nodes":[2,3],"acct":{"buckets":[0,-1,0,0,0]}}`,
+		`{"shard":1,"nodes":[2,3],"metrics":{"counters":[0,0,0,0,-1]}}`,
+		`{"shard":1,"nodes":[2,3],"metrics":{"gauges":[{"last":0,"max":-1}]}}`,
+		`{"shard":1,"nodes":[2,3],"metrics":{"hists":[{"count":-1}]}}`,
+		`{"shard":1,"nodes":[2,3],"metrics":{"hists":[{"buckets":[0,0,-3]}]}}`,
+		`{"shard":1,"nodes":[2,3],"acct":{"counters":{"am.handlers":9223372036854775807}}}`,
+		`{"shard":2,"nodes":[2,3]}`,
+		`{"shard":1,"nodes":[2]}`,
+		`{"shard":1,"nodes":[0,1]}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Add(trafficPayload(f, 1, 2, 3))
+	shard2 := trafficPayload(f, 2, 4, 5)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		cs, err := clusterStats(map[int][]byte{1: payload, 2: shard2})
+		if err != nil {
+			if msg := err.Error(); !strings.Contains(msg, "shard 1") && !strings.HasSuffix(msg, "names node 2") && !strings.HasSuffix(msg, "names node 3") {
+				t.Fatalf("refused with %q, which names neither shard 1 nor a node of its", msg)
+			}
+			return
+		}
+		var sum machine.Snapshot
+		var mets [len(cs.Metrics.Counters)]int64
+		for _, ss := range cs.Shards {
+			sum = machine.MergeSnapshots(sum, ss.Acct)
+			for i, v := range ss.Metrics.Counters {
+				mets[i] += v
+			}
+		}
+		if sum != cs.Acct || mets != cs.Metrics.Counters {
+			t.Fatalf("merged %v, %v; the shards' parts sum to %v, %v", cs.Acct, cs.Metrics.Counters, sum, mets)
+		}
+		for _, ss := range append(cs.Shards, machine.ShardStats{Shard: -1, Acct: cs.Acct, Metrics: cs.Metrics}) {
+			f := ss.Metrics.Outside(math.MaxInt64)
+			for c, v := range ss.Acct.Counters {
+				if v < 0 {
+					f = machine.Cnt(c).String()
+				}
+			}
+			for _, c := range machine.Categories() {
+				if ss.Acct.Get(c) < 0 {
+					f = c.String()
+				}
+			}
+			if f != "" {
+				t.Fatalf("merged a negative %s (shard %d; -1 is the machine-wide total)", f, ss.Shard)
+			}
+		}
+	})
 }

@@ -22,6 +22,7 @@ package metrics
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync/atomic"
 	"time"
 )
@@ -379,6 +380,29 @@ func Merge(snaps ...Snapshot) Snapshot {
 		}
 	}
 	return out
+}
+
+// Outside names the first field of s that is negative or above limit, ""
+// when there is none: every field counts or measures something that is never
+// below zero, so a negative one was not recorded but made up.
+func (s Snapshot) Outside(limit int64) string {
+	out := func(v int64) bool { return v < 0 || v > limit }
+	for i, v := range s.Counters {
+		if out(v) {
+			return Ctr(i).String()
+		}
+	}
+	for i, g := range s.Gauges {
+		if out(g.Last) || out(g.Max) {
+			return Gge(i).String()
+		}
+	}
+	for i, h := range s.Hists {
+		if out(h.Count) || out(h.Sum) || out(h.Max) || slices.ContainsFunc(h.Buckets[:], out) {
+			return Hst(i).String()
+		}
+	}
+	return ""
 }
 
 // Counters lists all counter IDs in declaration order (report iteration).

@@ -14,6 +14,10 @@
 //     copy out of the per-node static buffer area on warm invocations.
 //   - Processor-object startup: object tables mapping small object IDs to
 //     live objects, per node.
+//
+// The tables keep no counts: the runtime that consults them bumps its node's
+// tham.stub.hit/miss and tham.buf.alloc/reuse (machine.Accounting), which is
+// what the ablation reports.
 package tham
 
 import (
@@ -106,8 +110,6 @@ type CacheEntry struct {
 // StubCache is a node's table of remote stub addresses.
 type StubCache struct {
 	entries map[stubKey]*CacheEntry
-	hits    int64
-	misses  int64
 }
 
 // NewStubCache returns an empty cache.
@@ -118,12 +120,7 @@ func NewStubCache() *StubCache {
 // Lookup returns the cache entry for (proc, hash) if it is valid.
 func (c *StubCache) Lookup(proc int, hash NameHash) (*CacheEntry, bool) {
 	e, ok := c.entries[stubKey{proc, hash}]
-	if ok {
-		c.hits++
-		return e, true
-	}
-	c.misses++
-	return nil, false
+	return e, ok
 }
 
 // Update installs or overwrites the entry for (proc, hash) after a
@@ -137,20 +134,14 @@ func (c *StubCache) Invalidate(proc int, hash NameHash) {
 	delete(c.entries, stubKey{proc, hash})
 }
 
-// Stats reports lookup hits and misses since creation.
-func (c *StubCache) Stats() (hits, misses int64) { return c.hits, c.misses }
-
 // BufMgr manages a node's persistent R-buffers: receive buffers that stay
 // allocated for recently invoked methods and are named, by ID, in the words of
 // every warm invocation. A buffer here is its ID and nothing more — the
 // receiver decodes arguments from the message where it lies, so there are no
-// bytes to keep — and the manager is the set of IDs handed out plus the
-// allocation and reuse counts the ablation reports.
+// bytes to keep — and the manager is the set of IDs handed out.
 type BufMgr struct {
-	node   int
-	rbufs  int32 // persistent buffers handed out: IDs 0..rbufs-1
-	allocs int64
-	reuses int64
+	node  int
+	rbufs int32 // persistent buffers handed out: IDs 0..rbufs-1
 }
 
 // NewBufMgr creates the buffer manager for a node.
@@ -159,28 +150,18 @@ func NewBufMgr(node int) *BufMgr { return &BufMgr{node: node} }
 // AllocRBuf allocates a persistent receive buffer for a newly resolved method
 // and returns its ID, the name the sender ships from then on.
 func (b *BufMgr) AllocRBuf() int32 {
-	b.allocs++
 	b.rbufs++
 	return b.rbufs - 1
 }
 
-// AllocTransient records a receive buffer that serves one invocation and is
-// dropped (persistent buffers disabled): it has no ID and leaves nothing
-// behind.
-func (b *BufMgr) AllocTransient() { b.allocs++ }
-
-// Reuse records a warm invocation landing in persistent buffer id — the
+// Reuse resolves a warm invocation's persistent buffer id — the
 // destination-side resolution of a buffer name received in a message's word
 // arguments, so a name this node never handed out is refused.
 func (b *BufMgr) Reuse(id int32) {
 	if id < 0 || id >= b.rbufs {
 		panic(fmt.Sprintf("tham: node %d has no R-buffer %d (have %d)", b.node, id, b.rbufs))
 	}
-	b.reuses++
 }
-
-// Stats reports persistent-buffer allocations and reuses.
-func (b *BufMgr) Stats() (allocs, reuses int64) { return b.allocs, b.reuses }
 
 // ObjTable maps small object IDs to live processor objects on one node.
 type ObjTable struct {

@@ -72,10 +72,6 @@ func TestStubCacheLookupUpdateInvalidate(t *testing.T) {
 	if _, ok := c.Lookup(2, h); ok {
 		t.Fatal("entry survived invalidation")
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 3 {
-		t.Fatalf("stats %d/%d, want 1/3", hits, misses)
-	}
 }
 
 func TestBufMgrAllocReuse(t *testing.T) {
@@ -83,12 +79,8 @@ func TestBufMgrAllocReuse(t *testing.T) {
 	if id0, id1 := b.AllocRBuf(), b.AllocRBuf(); id0 != 0 || id1 != 1 {
 		t.Fatalf("R-buffer IDs %d, %d, want 0, 1", id0, id1)
 	}
-	b.AllocTransient() // counted, not named
 	b.Reuse(1)
 	b.Reuse(0)
-	if allocs, reuses := b.Stats(); allocs != 3 || reuses != 2 {
-		t.Fatalf("stats %d/%d, want 3/2", allocs, reuses)
-	}
 	for _, id := range []int32{2, -1} {
 		func() {
 			defer func() {

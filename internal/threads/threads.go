@@ -8,12 +8,15 @@
 // Every operation charges its calibrated virtual-time cost (Config.ThreadCreate,
 // Config.ContextSwitch, Config.SyncOp) to the node's accounting and bumps the
 // corresponding counter, which is exactly how the paper reconstructs the
-// "Threads" columns of its Table 4 (counts × unit costs); see Charge.
+// "Threads" columns of its Table 4 (counts × unit costs); see Charge. The
+// scheduler keeps no count of its own: it bumps its node's thread.readied
+// whenever a thread is made runnable, thread.parked whenever one blocks or
+// exits, and thread.interrupts per run of the interrupt context, all in the
+// node's accounting, where the end of a run reads them.
 package threads
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/machine"
@@ -59,28 +62,16 @@ type Scheduler struct {
 	seq      int
 	modelled bool // read once: on the simulator a charge is virtual time
 
-	// readied and parked count the times a thread was made runnable, and
-	// blocked or exited. Only the node writes them.
-	readied, parked atomic.Uint64
-
 	// onIdle runs in the node's context whenever it goes idle.
 	onIdle func()
 
-	// intr is the node's interrupt record (Interrupt), and intrs counts its
-	// runs. Only the node writes intrs.
-	intr  *Thread
-	intrs atomic.Uint64
+	// intr is the node's interrupt record (Interrupt).
+	intr *Thread
 }
 
-// Counts reports s's readied and parked counts, equal when none of its threads
-// can run. It and OnIdle, for the runtime's end of the run, are functions so
-// that the public API, which hands out Schedulers, does not offer them.
-func Counts(s *Scheduler) (readied, parked uint64) { return s.readied.Load(), s.parked.Load() }
-
-// Interrupts reports how many times s's node ran in its interrupt context.
-func Interrupts(s *Scheduler) uint64 { return s.intrs.Load() }
-
-// OnIdle makes fn run in s's node's context whenever the node goes idle.
+// OnIdle makes fn run in s's node's context whenever the node goes idle. It
+// is a function, for the runtime's end of the run, so that the public API,
+// which hands out Schedulers, does not offer it.
 func OnIdle(s *Scheduler, fn func()) { s.onIdle = fn }
 
 // NewScheduler creates the scheduler for a node. Exactly one scheduler per
@@ -110,17 +101,18 @@ func (s *Scheduler) Idle() bool { return s.current == nil }
 // goroutine holds the node's CPU — a sender that found the node idle. Until
 // EndInterrupt it is the node's running thread, so a thread that Spawn or
 // MakeReady readies meanwhile is queued, to run once the interrupt ends. It
-// counts as made runnable here and as blocked at its end, so the node's
-// Counts stay balanced. A charge in it takes no time (on a wall-clock
-// machine, where interrupts are taken, a charge is not even accounted), and
-// it cannot block: Block, and a Yield that would switch, panic naming the
-// interrupt context before any scheduler state changes.
+// counts as an interrupt and as made runnable here, and as blocked at its
+// end, so the node's thread.readied and thread.parked stay balanced. A charge
+// in it takes no time (on a wall-clock machine, where interrupts are taken, a
+// charge is not even accounted), and it cannot block: Block, and a Yield that
+// would switch, panic naming the interrupt context before any scheduler state
+// changes.
 func (s *Scheduler) Interrupt() *Thread {
 	if s.current != nil {
 		panic("threads: Interrupt of node " + fmt.Sprint(s.node.ID) + " while " + s.current.name + " runs")
 	}
-	count(&s.readied)
-	count(&s.intrs)
+	s.node.Acct.Count(machine.CntThreadReadied, 1)
+	s.node.Acct.Count(machine.CntInterrupts, 1)
 	s.intr.state = Running
 	s.current = s.intr
 	return s.intr
@@ -131,7 +123,7 @@ func (s *Scheduler) Interrupt() *Thread {
 func (s *Scheduler) EndInterrupt() {
 	s.intr.mustBeRunning("EndInterrupt")
 	s.intr.state = Blocked
-	count(&s.parked)
+	s.node.Acct.Count(machine.CntThreadParked, 1)
 	if next := s.popReady(); next != nil {
 		s.runNext(next)
 		return
@@ -341,7 +333,7 @@ func (t *Thread) Block() {
 // leave hands the CPU of t, which blocked or exited, to the next ready thread
 // (a switch, if charged) or leaves the node idle (OnIdle).
 func (t *Thread) leave(switched bool) {
-	count(&t.s.parked)
+	t.s.node.Acct.Count(machine.CntThreadParked, 1)
 	if next := t.s.popReady(); next != nil {
 		if switched {
 			t.chargeSwitch()
@@ -352,9 +344,6 @@ func (t *Thread) leave(switched bool) {
 	t.s.current = nil
 	t.s.onIdle()
 }
-
-// count adds one to c, a count only its node writes.
-func count(c *atomic.Uint64) { c.Store(c.Load() + 1) }
 
 // runNext installs next as the running thread and unparks its process.
 func (s *Scheduler) runNext(next *Thread) {
@@ -367,7 +356,7 @@ func (s *Scheduler) runNext(next *Thread) {
 // value quirk: new threads report Ready before first dispatch) without
 // charging a context switch, dispatching immediately if the node is idle.
 func (s *Scheduler) makeReadyNoCharge(t *Thread) {
-	count(&s.readied)
+	s.node.Acct.Count(machine.CntThreadReadied, 1)
 	if s.current == nil {
 		s.runNext(t)
 		return
@@ -389,7 +378,7 @@ func (s *Scheduler) MakeReady(t *Thread) {
 	case Ready:
 		return // already queued (benign double wake)
 	}
-	count(&s.readied)
+	s.node.Acct.Count(machine.CntThreadReadied, 1)
 	if s.current == nil {
 		s.runNext(t)
 		return

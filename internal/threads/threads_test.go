@@ -462,9 +462,15 @@ func TestInterruptQueuesAndDispatches(t *testing.T) {
 	if got := fmt.Sprint(order); got != "[n0/interrupt waiter child]" {
 		t.Errorf("ran %s, want the interrupt, then the waiter it readied, then the thread it spawned", got)
 	}
-	if r, p := Counts(s); r != p || r != 4 || Interrupts(s) != 1 {
-		t.Errorf("readied %d, blocked or exited %d, interrupts %d; want 4, 4, 1", r, p, Interrupts(s))
+	if r, p, i := counts(s); r != p || r != 4 || i != 1 {
+		t.Errorf("readied %d, blocked or exited %d, interrupts %d; want 4, 4, 1", r, p, i)
 	}
+}
+
+// counts reads s's node's thread.readied, thread.parked and thread.interrupts.
+func counts(s *Scheduler) (readied, parked, interrupts int64) {
+	a := s.Node().Acct
+	return a.Counter(machine.CntThreadReadied), a.Counter(machine.CntThreadParked), a.Counter(machine.CntInterrupts)
 }
 
 // TestInterruptMustNotBlock: an interrupt that would block, or yield to a
@@ -478,7 +484,7 @@ func TestInterruptMustNotBlock(t *testing.T) {
 			m.Eng.After(time.Microsecond, func() {
 				it := s.Interrupt()
 				it.Spawn("child", func(*Thread) {})
-				r0, p0 := Counts(s)
+				r0, p0, _ := counts(s)
 				func() {
 					defer func() { got = recover() }()
 					if op == "Block" {
@@ -487,7 +493,7 @@ func TestInterruptMustNotBlock(t *testing.T) {
 						it.Yield()
 					}
 				}()
-				if r, p := Counts(s); it.State() != Running || s.Idle() || s.ReadyLen() != 1 || r != r0 || p != p0 {
+				if r, p, _ := counts(s); it.State() != Running || s.Idle() || s.ReadyLen() != 1 || r != r0 || p != p0 {
 					t.Errorf("after the panic: interrupt %v, idle %v, %d ready, counts %d/%d (were %d/%d); want running, false, 1, unchanged",
 						it.State(), s.Idle(), s.ReadyLen(), r, p, r0, p0)
 				}

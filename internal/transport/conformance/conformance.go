@@ -677,6 +677,11 @@ func statsMerge(t *testing.T, f ShardedFactory) {
 	shardMets := make([]metrics.Snapshot, 0, len(cs.Shards))
 	seen := 0
 	for _, ss := range cs.Shards {
+		// The run has ended: on every shard each thread made runnable has
+		// blocked or exited since.
+		if rd, pk := ss.Acct.Counters[machine.CntThreadReadied], ss.Acct.Counters[machine.CntThreadParked]; rd != pk || rd == 0 {
+			t.Errorf("shard %d: thread.readied %d, thread.parked %d at the end of the run; want them equal and non-zero", ss.Shard, rd, pk)
+		}
 		shardAccts = append(shardAccts, ss.Acct)
 		shardMets = append(shardMets, ss.Metrics)
 		seen += len(ss.Nodes)

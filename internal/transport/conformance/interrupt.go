@@ -86,22 +86,23 @@ func interruptAndPended(t *testing.T, f ShardedFactory) {
 			t.Errorf("node %d: %d of its %d messages handled, %d of %d replies; want all", s, next[s], k, replies[s].Value(), k/4)
 		}
 	}
-	var sent, got uint64
+	var sent, got int64
 	for i := 0; i < nodes; i++ {
 		want := int64(k / 4) // a sender handles its replies
 		if i == 0 {
 			want = int64(total)
 		}
-		if n := r.ep(i).Node().Acct.Counter(machine.CntHandlersRun); n != want {
+		acct := r.ep(i).Node().Acct
+		n := acct.Counter(machine.CntHandlersRun)
+		if n != want {
 			t.Errorf("node %d counted %d handlers, want %d: a handler counted at the node whose goroutine ran it?", i, n, want)
 		}
-		s, h := r.ep(i).Counts()
-		sent, got = sent+s, got+h
+		sent, got = sent+acct.Counter(machine.CntMsgShort)+acct.Counter(machine.CntMsgBulk), got+n
 	}
 	if sent != got {
 		t.Errorf("%d messages sent, %d handled at the end of the run", sent, got)
 	}
-	if s := r.scheds[0]; r.ep(0).Node().Met != nil {
-		t.Logf("node 0: %d interrupts, %d notifies pended", threads.Interrupts(s), r.ep(0).Node().Met.Counter(metrics.CtrNotifies))
+	if nd := r.ep(0).Node(); nd.Met != nil {
+		t.Logf("node 0: %d interrupts, %d notifies pended", nd.Acct.Counter(machine.CntInterrupts), nd.Met.Counter(metrics.CtrNotifies))
 	}
 }

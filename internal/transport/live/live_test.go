@@ -330,6 +330,9 @@ func hammer(t *testing.T, m, k int) {
 	done := false // node 0 state
 	var rx transport.Proc
 	b.SetArrival(func(int, bool) {
+		if done { // rx was woken for the last round and may have exited
+			return
+		}
 		e := enqueued.Load()
 		runtime.Gosched() // preempted holding the CPU: notifies land behind it
 		if e != opened.Load()*int64(m) {

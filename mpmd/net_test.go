@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/machine"
 	"repro/internal/race"
 	"repro/internal/transport/netlive"
 	"repro/mpmd"
@@ -161,6 +162,14 @@ func TestNetMachineMultiProcess(t *testing.T) {
 	}
 	if cs.Acct.Counters[mpmd.CntRMI] == 0 || cs.Acct.Counters[mpmd.CntMsgBulk] == 0 {
 		t.Fatal("merged report missing RMI or bulk traffic the test provably drove")
+	}
+	// The end-of-run counts merge across the process boundary too: the run
+	// has ended, so on each shard every thread made runnable has blocked or
+	// exited since.
+	for _, ss := range cs.Shards {
+		if rd, pk := ss.Acct.Counters[machine.CntThreadReadied], ss.Acct.Counters[machine.CntThreadParked]; rd != pk || rd == 0 {
+			t.Errorf("shard %d: thread.readied %d, thread.parked %d at the end of the run; want them equal and non-zero", ss.Shard, rd, pk)
+		}
 	}
 }
 
