@@ -106,6 +106,11 @@ var corpus = []struct {
 		{"internal/core/rmi.go", "\t\tif m.A[3] > uint64(len(m.Payload)) {\n", "\t\tif false {\n"}}},
 	{"the installed wire decoder takes any handler id", "go test ./internal/transport/netlive -run ^TestTruncatedAMBody$/^handler_id_one_past_the_table$", `(?s)shmDrain = true, want false.*unknown kind 0.*want one error, naming "claimed source node 0 of shard 0"`, []edit{
 		{"internal/am/am.go", " || uint64(binary.LittleEndian.Uint32(b[1:])) >= uint64(len(n.handlers)) {\n", " {\n"}}},
+	// A record or frame from a node of the receiving shard reaches the
+	// handler, which would answer a node that cannot have sent it: the
+	// hostile rows' stand-in, and the fuzz target's seed of the ring row.
+	{"a packet from a node outside its link's peer shard", "go test ./internal/transport/netlive -run ^(TestHostileSocketFrames|TestHostileRingRecords|FuzzRingRecords)$", `(?s)malformed bytes were dispatched as a packet 2->3.*packet 2->3 dispatched from the ring of shard 0 to shard 1`, []edit{
+		{"internal/transport/netlive/netlive.go", "\tif src >= b.n || b.shardOf(src) != from || !b.IsLocal(dst) {\n", "\tif src >= b.n || !b.IsLocal(dst) {\n"}}},
 	{"the wire decoder takes frames no sender makes (fuzz seeds)", "go test ./internal/am -run ^FuzzWireMsg$", `decoded a short message with a 3-byte payload "abc"`, []edit{
 		{"internal/am/am.go", " || b[0]&^1 != 0 || b[0] == 0 && len(b) > wireHeaderLen {\n", " {\n"}}},
 	{"the installed wire decoder takes any handler id (fuzz seeds)", "go test ./internal/am -run ^FuzzWireMsg$", `decoded a message for handler 1, 1 registered`, []edit{

@@ -86,9 +86,6 @@ func (r *Registry) Resolve(h NameHash) (StubID, bool) {
 // Name returns the registered name of a stub.
 func (r *Registry) Name(id StubID) string { return r.names[id] }
 
-// Len reports the number of registered stubs.
-func (r *Registry) Len() int { return len(r.names) }
-
 // stubKey indexes the cache by processor number and method-name hash,
 // exactly as §4 describes.
 type stubKey struct {
@@ -127,11 +124,6 @@ func (c *StubCache) Lookup(proc int, hash NameHash) (*CacheEntry, bool) {
 // resolution reply.
 func (c *StubCache) Update(proc int, hash NameHash, e *CacheEntry) {
 	c.entries[stubKey{proc, hash}] = e
-}
-
-// Invalidate removes the entry (used by ablation studies and by tests).
-func (c *StubCache) Invalidate(proc int, hash NameHash) {
-	delete(c.entries, stubKey{proc, hash})
 }
 
 // BufMgr manages a node's persistent R-buffers: receive buffers that stay
@@ -181,6 +173,3 @@ func (o *ObjTable) Get(id int32) any {
 	}
 	return o.objs[id]
 }
-
-// Len reports the number of registered objects.
-func (o *ObjTable) Len() int { return len(o.objs) }

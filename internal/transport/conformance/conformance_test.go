@@ -63,7 +63,6 @@ func netSharded(t *testing.T, mod func(*netlive.Options)) {
 				NodesPerShard: nps,
 				Shard:         &sh,
 				Dir:           dir,
-				NoSpawn:       true,
 				Live:          live.Options{Watchdog: 20 * time.Second},
 			}
 			mod(&opts)

@@ -49,7 +49,7 @@ func TestIdleProcReceives(t *testing.T) {
 	var rts [2]*core.Runtime
 	for s := range bes {
 		s := s
-		be, err := New(2, Options{NodesPerShard: 1, Shard: &s, Dir: dir, NoSpawn: true,
+		be, err := New(2, Options{NodesPerShard: 1, Shard: &s, Dir: dir,
 			Live: live.Options{Watchdog: 20 * time.Second}})
 		if err != nil {
 			t.Fatalf("New shard %d: %v", s, err)

@@ -9,12 +9,14 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/am"
 	"repro/internal/metrics"
 	"repro/internal/threads"
+	"repro/internal/wire"
 )
 
 // bareShards builds the two backends of a 4-node, 2-shard machine with no
@@ -26,7 +28,7 @@ func bareShards(t *testing.T, mods ...func(*Options)) (a, b *Backend) {
 	t.Helper()
 	dir := t.TempDir()
 	build := func(shard int) *Backend {
-		opts := Options{NodesPerShard: 2, Shard: &shard, Dir: dir, NoSpawn: true, ShmRingBytes: 4 << 10}
+		opts := Options{NodesPerShard: 2, Shard: &shard, Dir: dir, ShmRingBytes: 4 << 10}
 		for _, mod := range mods {
 			mod(&opts)
 		}
@@ -45,6 +47,9 @@ func bareShards(t *testing.T, mods ...func(*Options)) (a, b *Backend) {
 	}
 	return build(0), build(1)
 }
+
+// ringCap is the data area of bareShards' rings, in bytes.
+const ringCap = 4 << 10
 
 // minPayload is the shortest payload these tests' stand-in decoder takes, in
 // bytes: a number of the tests' own (what am takes is am's business, and
@@ -94,6 +99,7 @@ func TestHostileSocketFrames(t *testing.T) {
 		// between them and the handler.
 		{name: "packet for a node of another shard", bytes: frame(12+minPayload, kPacket, pkt(0, 1, minWords)...), want: "source node 0 of shard 0"},
 		{name: "packet from a node outside the machine", bytes: frame(12+minPayload, kPacket, pkt(99, 2, minWords)...), want: "source node 99"},
+		{name: "packet from a node of the receiving shard", bytes: frame(12+minPayload, kPacket, pkt(2, 3, minWords)...), want: "source node 2 of shard 1"},
 		{name: "packet with a truncated payload", bytes: frame(12+minPayload-4, kPacket, pkt(0, 2, minWords-1)...), want: "source node 0 of shard 0"},
 		{name: "unknown frame kind", bytes: frame(4, 7, 0), want: "unknown kind 7"},
 		{name: "retired stats-request kind", bytes: frame(0, 6), want: "unknown kind 6"},
@@ -163,44 +169,55 @@ func TestHostileSocketFrames(t *testing.T) {
 	}
 }
 
+// hostileRecords are ring contents no producer writes: data at offset 0 of
+// the data area of a bareShards ring, the published tail, and what the error
+// that abandons the ring must name.
+var hostileRecords = []struct {
+	name string
+	data []byte
+	tail uint64
+	want string
+}{
+	{"record longer than the published bytes", words(64, 0, 2, 48), 16, "record runs past the published tail"},
+	{"record shorter than its header", words(8, 0), 8, "record runs past the published tail"},
+	{"record longer than the ring", words(ringCap + 16), ringCap, "record runs past the published tail"},
+	{"wrap marker beyond the tail", words(wrapMarker, 0), 8, "wrap marker past the published tail"},
+	{"tail a lap ahead of head", nil, ringCap + 8, "cursors outside the ring"},
+	{"fragment total over the frame limit", words(32|recFrag, maxFrameBytes+1, 0, 0, 1, 2, 3, 4), 32, "over the frame limit"},
+	{"fragment with no packet in progress", words(32|recFrag, 100, 16, 0, 1, 2, 3, 4), 32, "fragment out of sequence"},
+	{"fragment past its own total", words(32|recFrag, 8, 0, 0, 1, 2, 3, 4), 32, "fragment out of sequence"},
+	{"whole record inside a fragmented packet",
+		append(words(32|recFrag, 100, 0, 0, 1, 2, 3, 4), words(16, 0, 2, 48)...), 48, "whole record inside a fragmented packet"},
+	// Whole records but for the one field: only the range checks stand
+	// between them and the handler.
+	{"packet for a node of another shard", append(words(16+minPayload), words(pkt(0, 1, minWords)...)...), 16 + minPayload, "malformed packet body"},
+	{"packet from a node outside the machine", append(words(16+minPayload), words(pkt(99, 2, minWords)...)...), 16 + minPayload, "malformed packet body"},
+	{"packet from a node of the receiving shard", append(words(16+minPayload), words(pkt(2, 3, minWords)...)...), 16 + minPayload, "malformed packet body"},
+	{"reassembled packet shorter than its header", words(24|recFrag, 8, 0, 0, 1, 2), 24, "malformed packet body"},
+	{"packet with a truncated payload", append(words(16+minPayload-4), words(pkt(0, 2, minWords-1)...)...), 16 + minPayload, "malformed packet body"}, // tail: the record, 8-aligned
+}
+
+// drainRing writes data and tail through the producer's mapping of shard 0's
+// ring to shard 1 and drains it through the consumer's: shmDrain's verdict,
+// and whether the ring is now dead and its head at tail.
+func drainRing(a, b *Backend, data []byte, tail uint64) (ok, dead, atTail bool) {
+	tx, rx := a.peers[1].tx.r, b.shm.rx[0]
+	copy(tx.data, data)
+	tx.tail.Store(tail)
+	rx.mu.Lock()
+	defer rx.mu.Unlock() // a drain that panics must fail the test, not hang its cleanup
+	ok = b.shmDrain(rx, rx.r.tail.Load(), metrics.CtrShmFramesInReader)
+	return ok, rx.dead, rx.head == tail
+}
+
 // TestHostileRingRecords writes malformed records through the producer's
 // mapping of a real ring file and drains them through the consumer's. Each
 // must abandon the ring with one error naming the peer shard.
 func TestHostileRingRecords(t *testing.T) {
-	const capB = 4 << 10
-	for _, tc := range []struct {
-		name string
-		data []byte // written at offset 0 of the data area
-		tail uint64
-		want string
-	}{
-		{"record longer than the published bytes", words(64, 0, 2, 48), 16, "record runs past the published tail"},
-		{"record shorter than its header", words(8, 0), 8, "record runs past the published tail"},
-		{"record longer than the ring", words(capB + 16), capB, "record runs past the published tail"},
-		{"wrap marker beyond the tail", words(wrapMarker, 0), 8, "wrap marker past the published tail"},
-		{"tail a lap ahead of head", nil, capB + 8, "cursors outside the ring"},
-		{"fragment total over the frame limit", words(32|recFrag, maxFrameBytes+1, 0, 0, 1, 2, 3, 4), 32, "over the frame limit"},
-		{"fragment with no packet in progress", words(32|recFrag, 100, 16, 0, 1, 2, 3, 4), 32, "fragment out of sequence"},
-		{"fragment past its own total", words(32|recFrag, 8, 0, 0, 1, 2, 3, 4), 32, "fragment out of sequence"},
-		{"whole record inside a fragmented packet",
-			append(words(32|recFrag, 100, 0, 0, 1, 2, 3, 4), words(16, 0, 2, 48)...), 48, "whole record inside a fragmented packet"},
-		// Whole records but for the one field: only the range checks stand
-		// between them and the handler.
-		{"packet for a node of another shard", append(words(16+minPayload), words(pkt(0, 1, minWords)...)...), 16 + minPayload, "malformed packet body"},
-		{"packet from a node outside the machine", append(words(16+minPayload), words(pkt(99, 2, minWords)...)...), 16 + minPayload, "malformed packet body"},
-		{"reassembled packet shorter than its header", words(24|recFrag, 8, 0, 0, 1, 2), 24, "malformed packet body"},
-		{"packet with a truncated payload", append(words(16+minPayload-4), words(pkt(0, 2, minWords-1)...)...), 16 + minPayload, "malformed packet body"}, // tail: the record, 8-aligned
-	} {
+	for _, tc := range hostileRecords {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := bareShards(t)
-			tx, rx := a.peers[1].tx.r, b.shm.rx[0]
-			copy(tx.data, tc.data)
-			tx.tail.Store(tc.tail)
-			rx.mu.Lock()
-			ok := b.shmDrain(rx, rx.r.tail.Load(), metrics.CtrShmFramesInReader)
-			dead := rx.dead
-			rx.mu.Unlock()
-			if ok || !dead {
+			if ok, dead, _ := drainRing(a, b, tc.data, tc.tail); ok || !dead {
 				t.Fatalf("shmDrain = %v, ring dead = %v: want the ring abandoned", ok, dead)
 			}
 			err := b.Err()
@@ -209,6 +226,36 @@ func TestHostileRingRecords(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRingRecords drives arbitrary bytes and a published tail, as the
+// producer side of a ring another process writes, through the consumer's
+// drain of a bare two-shard ring. Every input drains to its tail, or abandons
+// the ring with one error naming shard 0; only packets from a node of shard 0
+// to a node of shard 1 reach the handler. `go test ./...` runs only the
+// seeds: every hostileRecords row and one well-formed record.
+func FuzzRingRecords(f *testing.F) {
+	for _, tc := range hostileRecords {
+		f.Add(tc.data, tc.tail)
+	}
+	f.Add(append(words(16+minPayload), words(pkt(0, 2, minWords)...)...), uint64(16+minPayload))
+	f.Fuzz(func(t *testing.T, data []byte, tail uint64) {
+		a, b := bareShards(t)
+		b.SetRemoteHandler(func(src, dst, size int, payload []byte) bool {
+			if src < 0 || src >= 2 || dst < 2 || dst >= 4 {
+				t.Errorf("packet %d->%d dispatched from the ring of shard 0 to shard 1", src, dst)
+			}
+			return len(payload) >= minPayload
+		})
+		ok, dead, atTail := drainRing(a, b, data, tail)
+		err := b.Err()
+		switch {
+		case ok && (dead || !atTail || err != nil):
+			t.Fatalf("shmDrain = true, ring dead = %v, head at the tail = %v, Err = %v: want a clean drain", dead, atTail, err)
+		case !ok && (!dead || err == nil || !strings.Contains(err.Error(), "from shard 0") || strings.Contains(err.Error(), "\n")):
+			t.Fatalf("shmDrain = false, ring dead = %v, Err = %v: want the ring abandoned with one error naming shard 0", dead, err)
+		}
+	})
 }
 
 // TestTruncatedAMBody is the same check with the real stack above the link,
@@ -371,5 +418,99 @@ func TestShmDeadLinkDrops(t *testing.T) {
 	err := a.Err()
 	if err == nil || strings.Count(err.Error(), "link to shard 1 is dead") != 1 {
 		t.Fatalf("Err = %v, want exactly one dead-link error naming shard 1", err)
+	}
+}
+
+// TestWorkerBeforeParent builds a worker shard before its parent: the worker
+// finds no rings and takes the socket, and the parent then makes its rings.
+// The worker's packet to the parent arrives on the socket of a link the parent
+// carries on a ring, which ends that link with one error naming shard 1 — and
+// the run ends, at the watchdog, instead of waiting for a packet that never
+// comes.
+func TestWorkerBeforeParent(t *testing.T) {
+	fast := func(o *Options) {
+		o.Live.Watchdog = 500 * time.Millisecond
+		o.DialTimeout = 500 * time.Millisecond
+	}
+	dir := t.TempDir()
+	b := newShardRig(t, 4, 2, 1, dir, fast)
+	a := newShardRig(t, 4, 2, 0, dir, fast)
+	if a.be.ShmActive() == b.be.ShmActive() {
+		t.Fatalf("ShmActive parent/worker = %v/%v, want the parent's rings and a worker on the socket", a.be.ShmActive(), b.be.ShmActive())
+	}
+	var got am.Count
+	h := a.net.Register("w.msg", func(th *threads.Thread, _ am.Msg) { got.Advance(th, 1) })
+	_ = b.net.Register("w.msg", func(*threads.Thread, am.Msg) {})
+	b.scheds[2].Start("sender", func(th *threads.Thread) {
+		b.net.Endpoint(2).Request(th, 0, h, [4]uint64{}, nil, false)
+	})
+	a.scheds[0].Start("receiver", func(th *threads.Thread) {
+		a.net.Endpoint(0).Await(th, &got, 1)
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); t.Logf("parent Run: %v", a.m.Run()) }()
+		go func() { defer wg.Done(); t.Logf("worker Run: %v", b.m.Run()) }()
+		wg.Wait()
+	}()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("the run did not end")
+	}
+	const want = "packet frame from shard 1 on the socket of a ring link"
+	err := fmt.Sprint(a.be.Err())
+	t.Logf("parent: %s", err)
+	if strings.Count(err, want) != 1 {
+		t.Fatalf("parent's Err = %v, want one error naming %q", err, want)
+	}
+	if got.Value() != 0 {
+		t.Fatal("the packet on the socket of a ring link was delivered")
+	}
+}
+
+// TestSocketWriterFails kills a socket link's connection while its writer is
+// blocked with frames still queued: the frame in the failed write, every
+// queued frame and every later push are dropped and counted, flush returns
+// with all of them accounted for, and the link's one error names the shard.
+func TestSocketWriterFails(t *testing.T) {
+	a, b := bareShards(t, func(o *Options) { o.DisableShm = true })
+	p := a.peers[1]
+	const queued, later = 64, 8
+	for i := 0; i < queued; i++ {
+		p.push(outFrame{kind: kStats, buf: wire.Get(64 << 10)})
+	}
+	// The writer dials shard 1, whose listener nobody serves: the connection
+	// waits in the backlog, and the writer blocks once the socket buffer is
+	// full, a few frames in. Take the connection and close it unread.
+	conn, err := b.ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.Close()
+	if !p.flush(10 * time.Second) {
+		t.Fatalf("flush: %d of %d frames accounted for", p.sent.Load(), p.queued.Load())
+	}
+	for i := 0; i < later; i++ {
+		p.push(outFrame{kind: kStats, buf: wire.Get(64)})
+	}
+	ctr := a.MetricsSnapshot().Counter
+	out, dropped := ctr(metrics.CtrFramesOut), ctr(metrics.CtrLinkDropped)
+	if out+dropped != queued+later || out >= queued/2 {
+		t.Fatalf("net.frames.out = %d, net.link.dropped = %d: want all %d frames counted, most of them dropped", out, dropped, queued+later)
+	}
+	p.mu.Lock()
+	left, closed := p.q.Len(), p.closed
+	p.mu.Unlock()
+	if left != 0 || !closed {
+		t.Fatalf("%d frames left queued, link closed = %v: want none and closed", left, closed)
+	}
+	err = a.Err()
+	t.Logf("%d frames out, %d dropped: %v", out, dropped, err)
+	if err == nil || strings.Count(err.Error(), "shard 1") != 1 || strings.Contains(err.Error(), "\n") {
+		t.Fatalf("Err = %v, want one error naming shard 1", err)
 	}
 }

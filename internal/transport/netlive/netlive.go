@@ -8,13 +8,13 @@
 //
 // # Topology and roles
 //
-// Shard 0 is the parent. Peer shards are either re-exec'd children (the
-// parent launches its own binary again with MPMD_NETLIVE_SHARD set — the
-// SPMD launch model, every process runs the identical program and therefore
-// builds identical stub registries, object tables, and buffer managers) or
-// independently launched workers pointed at the same rendezvous directory.
-// Each shard listens on <dir>/shard-<i>.sock; connections are dialed lazily
-// on first send, with retry while the peer comes up.
+// Shard 0 is the parent. Peer shards are re-exec'd children: the parent
+// launches its own binary again with MPMD_NETLIVE_SHARD set — the SPMD launch
+// model, every process runs the identical program and therefore builds
+// identical stub registries, object tables, and buffer managers. Each shard
+// listens on <dir>/shard-<i>.sock in the parent's rendezvous directory;
+// connections are dialed lazily on first send, with retry while the peer
+// comes up.
 //
 // Within a shard, execution delegates to the live backend unchanged: procs
 // are goroutines, one CPU mutex per node, wall-clock time. A single-shard
@@ -29,28 +29,30 @@
 // built and never per message, so per-sender FIFO to a destination holds end
 // to end whatever the frame sizes.
 //
-// With the shared-memory plane off (Options.DisableShm, MPMD_NETLIVE_NOSHM, a
-// non-unix host) that path is the socket: the packet — src, dst, size, then
-// am.Msg's wire codec — is encoded into a pooled wire.Buf and queued on the
-// peer's ring; one writer goroutine owning the connection drains it in order
-// and releases the buffers, so a warm send allocates nothing beyond what the
-// socket write itself costs, and reader goroutines decode arriving frames
-// into pooled buffers. Otherwise (the default deployment: one machine, many
-// processes) it is an mmap'd single-producer single-consumer ring per ordered
-// shard pair, created by the parent before spawning and attached by every
-// shard at New: the sending proc marshals the same packet bytes directly into
-// a ring slot and the receiving shard consumes them in place — zero syscalls,
-// zero copies beyond the marshal itself; a packet over a quarter of the ring
-// travels as fragment records. The consumer is the thread that waits: a proc
-// whose park leaves its node idle polls the shard's inbound rings itself
-// before it blocks (the inner live backend's idle poll), so a packet for an
-// idle node is received on that node's own goroutine; the per-ring reader
-// goroutine is the consumer of last resort, stepping back while any proc
-// polls and taking over when the last one stops — it drains the rings of a
-// shard whose nodes are all busy. Consumers spin briefly, then the reader
-// parks; a producer that catches it parked rings a kDoorbell control frame
-// over the socket, which always carries the control plane (the end-of-run
-// waves, stats).
+// The parent decides the path. With the shared-memory plane off
+// (Options.DisableShm on the parent, a non-unix host) it makes no rings and
+// that path is the socket: the packet —
+// src, dst, size, then am.Msg's wire codec — is encoded into a pooled wire.Buf
+// and queued on the peer's ring; one writer goroutine owning the connection
+// drains it in order and releases the buffers, so a warm send allocates
+// nothing beyond what the socket write itself costs, and reader goroutines
+// decode arriving frames into pooled buffers. Otherwise (the default
+// deployment: one machine, many processes) it is an mmap'd single-producer
+// single-consumer ring per ordered shard pair, created by the parent before
+// spawning; a worker attaches every ring of its own at New when its parent's
+// ring files exist and keeps the socket when they do not. The sending proc
+// marshals the same packet bytes directly into a ring slot and the receiving
+// shard consumes them in place — zero syscalls, zero copies beyond the marshal
+// itself; a packet over a quarter of the ring travels as fragment records. The
+// consumer is the thread that waits: a proc whose park leaves its node idle
+// polls the shard's inbound rings itself before it blocks (the inner live
+// backend's idle poll), so a packet for an idle node is received on that
+// node's own goroutine; the per-ring reader goroutine is the consumer of last
+// resort, stepping back while any proc polls and taking over when the last one
+// stops — it drains the rings of a shard whose nodes are all busy. Consumers
+// spin briefly, then the reader parks; a producer that catches it parked rings
+// a kDoorbell control frame over the socket, which always carries the control
+// plane (the end-of-run waves, stats).
 // See shmring.go and DESIGN.md.
 //
 // Either way the packet reaches the machine's remote-arrival handler, which
@@ -58,8 +60,10 @@
 // by index through the live backend. A link that fails — connection
 // lost, ring consumer silent for DialTimeout, malformed bytes from the peer
 // (a frame that does not parse, a packet too short for the messaging layer's
-// header, an unknown frame kind) — records one error naming the shard; frames
-// for a failed or closed link are dropped and counted (net.link.dropped).
+// header or from a node outside the link's peer shard, an unknown frame kind,
+// a packet on the socket of a ring link) — records one error naming the shard;
+// frames for a failed or closed link are dropped and counted
+// (net.link.dropped).
 //
 // # Lifecycle
 //
@@ -99,10 +103,6 @@ const (
 	EnvDir   = "MPMD_NETLIVE_DIR"
 	EnvNodes = "MPMD_NETLIVE_NODES"
 	EnvNPS   = "MPMD_NETLIVE_NPS"
-	// EnvNoShm (any non-empty value) disables the shared-memory ring fast
-	// path. The parent propagates it to children whenever its own fast path
-	// is off, so a shard pair can never disagree about the transport.
-	EnvNoShm = "MPMD_NETLIVE_NOSHM"
 )
 
 // Options tune the net backend. The zero value is a single-shard (loopback)
@@ -114,16 +114,14 @@ type Options struct {
 	// Live tunes the in-shard execution backend.
 	Live live.Options
 	// Shard fixes this backend's shard index explicitly (tests that build
-	// several shards inside one process). Nil selects the role automatically:
+	// several shards inside one process, the parent first); a parent built so
+	// spawns no children. Nil selects the role automatically:
 	// MPMD_NETLIVE_SHARD when set (a re-exec'd child), else shard 0.
 	Shard *int
-	// Dir is the rendezvous directory holding the per-shard sockets. Empty
-	// means MPMD_NETLIVE_DIR, or a fresh temp directory on the parent.
+	// Dir is the rendezvous directory holding the per-shard sockets and
+	// rings. Empty means MPMD_NETLIVE_DIR, or a fresh temp directory on the
+	// parent.
 	Dir string
-	// NoSpawn stops the parent from re-exec'ing children; the peer shards
-	// are expected to be launched externally with the environment (or
-	// explicit Options) pointing at Dir.
-	NoSpawn bool
 	// ChildArgs overrides the argument vector for re-exec'd children
 	// (default: this process's own arguments). Tests use it to re-enter a
 	// single test function.
@@ -131,15 +129,15 @@ type Options struct {
 	// DialTimeout bounds how long a writer waits for a peer's socket to
 	// appear. Zero means 10s.
 	DialTimeout time.Duration
-	// DisableShm turns off the shared-memory rings: every link carries its
-	// data frames on the socket writer. The MPMD_NETLIVE_NOSHM
-	// environment variable has the same effect (and is what the parent sets
-	// for re-exec'd children when its own fast path is off).
+	// DisableShm stops the parent from making the shared-memory rings: every
+	// link carries its data frames on the socket writer. Read by the parent
+	// only; a worker uses the rings exactly when its parent made them.
 	DisableShm bool
 	// ShmRingBytes sizes each directed ring's data area in bytes. Zero means
 	// 1 MiB; values are clamped to at least 4 KiB and rounded up to a
 	// multiple of 8. A frame larger than a quarter of the ring travels as
-	// consecutive fragment records.
+	// consecutive fragment records. Read by the parent only; a worker reads
+	// the size from its rings' files.
 	ShmRingBytes int
 }
 
@@ -187,7 +185,7 @@ type Backend struct {
 	children []*exec.Cmd
 
 	// shm is the shared-memory ring plane (nil when the fast path is off:
-	// loopback, DisableShm, MPMD_NETLIVE_NOSHM, or a non-unix host).
+	// loopback, a parent that made no rings, or a non-unix host).
 	shm *shmPlane
 
 	// remote is the machine's arrival upcall (SetRemoteHandler). Atomic:
@@ -345,7 +343,7 @@ func New(n int, opts Options) (*Backend, error) {
 		return nil, err
 	}
 
-	if shard == 0 && !opts.NoSpawn && opts.Shard == nil {
+	if shard == 0 && opts.Shard == nil {
 		if err := b.spawnChildren(); err != nil {
 			b.shutdownSockets()
 			return nil, err
@@ -379,11 +377,6 @@ func (b *Backend) spawnChildren() error {
 			EnvNodes+"="+strconv.Itoa(b.n),
 			EnvNPS+"="+strconv.Itoa(b.nps),
 		)
-		if b.shm == nil {
-			// Parent runs without the fast path (option, env, or platform):
-			// children must too, or the pair would strand ring frames.
-			cmd.Env = append(cmd.Env, EnvNoShm+"=1")
-		}
 		cmd.Stdout = os.Stderr
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
@@ -657,21 +650,22 @@ func putPacketHdr(b []byte, src, dst, size int) {
 	binary.LittleEndian.PutUint32(b[8:], uint32(size))
 }
 
-// dispatchPacket hands one arrived packet body to the machine. False means
-// the body is malformed — shorter than its header, a source outside the
-// machine, a destination that is not a node of this shard, a payload the
-// machine's decoder rejects — and nothing was dispatched; the caller abandons
-// the link the bytes came from.
+// dispatchPacket hands one packet body that arrived on the link from shard
+// from to the machine. False means the body is malformed — shorter than its
+// header, a source outside the machine or not a node of shard from, a
+// destination that is not a node of this shard, a payload the machine's
+// decoder rejects — and nothing was dispatched; the caller abandons the link
+// the bytes came from.
 //
 //mpmd:hotpath
-func (b *Backend) dispatchPacket(remote func(src, dst, size int, payload []byte) bool, body []byte) bool {
+func (b *Backend) dispatchPacket(remote func(src, dst, size int, payload []byte) bool, from int, body []byte) bool {
 	if len(body) < packetHdrLen {
 		return false
 	}
 	src := int(binary.LittleEndian.Uint32(body))
 	dst := int(binary.LittleEndian.Uint32(body[4:]))
 	size := int(binary.LittleEndian.Uint32(body[8:]))
-	if src >= b.n || !b.IsLocal(dst) {
+	if src >= b.n || b.shardOf(src) != from || !b.IsLocal(dst) {
 		return false
 	}
 	return remote(src, dst, size, body[packetHdrLen:])
@@ -800,13 +794,13 @@ func (b *Backend) acceptLoop() {
 // pooled buffers and are recycled after dispatch; the packet handler runs
 // synchronously here, which preserves the sender's frame order. A frame that
 // is oversize, too short for its kind, of no known kind, a malformed packet,
-// or a control frame this link may not carry (below) is one error and the end
-// of the connection.
+// a packet on a link whose data rides a ring, or a control frame this link may
+// not carry (below) is one error and the end of the connection.
 func (b *Backend) readLoop(conn net.Conn) {
 	defer b.readers.Done()
 	defer conn.Close()
 	var hdr [5]byte
-	from := -1 // the link's peer shard, once a control frame has named it
+	from := -1 // the link's peer shard, once the first frame has named it
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
 			if err != io.EOF && !isClosedErr(err) {
@@ -855,8 +849,16 @@ func (b *Backend) readLoop(conn net.Conn) {
 			if remote == nil {
 				panic("netlive: packet frame before the machine installed its remote handler")
 			}
-			if !b.dispatchPacket(remote, body) {
-				src := int(binary.LittleEndian.Uint32(body)) // minBody: a packet body holds its header
+			src := int(binary.LittleEndian.Uint32(body)) // minBody: a packet body holds its header
+			if from < 0 && src < b.n && b.shardOf(src) != b.shard {
+				from = b.shardOf(src) // a packet names the link's peer by its source node
+			}
+			if from >= 0 && b.peers[from].tx != nil { // from a worker built before its parent
+				buf.Release()
+				b.addErr(fmt.Errorf("netlive: shard %d: packet frame from shard %d on the socket of a ring link (the sender found no rings); connection abandoned", b.shard, from))
+				return
+			}
+			if !b.dispatchPacket(remote, from, body) {
 				buf.Release()
 				b.addErr(fmt.Errorf("netlive: shard %d: peer sent a malformed packet frame (%d-byte body, claimed source node %d of shard %d); connection abandoned",
 					b.shard, n, src, b.shardOf(src)))

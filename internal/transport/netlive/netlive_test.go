@@ -34,7 +34,6 @@ func newShardRig(t *testing.T, n, nps, shard int, dir string, mods ...func(*Opti
 		NodesPerShard: nps,
 		Shard:         &s,
 		Dir:           dir,
-		NoSpawn:       true,
 		Live:          live.Options{Watchdog: 20 * time.Second},
 	}
 	for _, mod := range mods {
@@ -55,15 +54,19 @@ func newShardRig(t *testing.T, n, nps, shard int, dir string, mods ...func(*Opti
 	return r
 }
 
-// TestTopology pins the shard arithmetic. DisableShm: a lone worker shard
-// with no parent would otherwise wait out the ring-attach deadline.
+// TestTopology pins the shard arithmetic on a lone worker shard, which
+// finds no rings of its parent's and so takes its links to the socket at once.
 func TestTopology(t *testing.T) {
 	s := 1
-	be, err := New(5, Options{NodesPerShard: 2, Shard: &s, Dir: t.TempDir(), NoSpawn: true, DisableShm: true})
+	start := time.Now()
+	be, err := New(5, Options{NodesPerShard: 2, Shard: &s, Dir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer be.shutdownSockets()
+	if d := time.Since(start); d > time.Second || be.ShmActive() {
+		t.Fatalf("New took %v, ShmActive = %v: want the socket links at once", d, be.ShmActive())
+	}
 	if be.NumShards() != 3 || be.Shard() != 1 {
 		t.Fatalf("shards=%d shard=%d", be.NumShards(), be.Shard())
 	}

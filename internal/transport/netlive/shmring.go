@@ -31,6 +31,7 @@ package netlive
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -186,24 +187,15 @@ func createRingFile(path string, dataBytes uint64) error {
 	return syscall.Munmap(raw)
 }
 
-// attachRing opens and maps one ring file, retrying until the deadline: in
-// the re-exec harness the parent creates every ring before spawning, so a
-// child's attach succeeds on the first try; externally launched workers may
-// briefly poll while the parent comes up.
-func attachRing(path string, deadline time.Time) (*shmRing, error) {
-	for {
-		r, err := tryAttach(path)
-		if err == nil {
-			return r, nil
+// tryAttach opens and maps one ring file the parent made. The parent creates
+// every ring before it spawns a worker, so there is nothing to wait for: a
+// ring that is missing or not initialized is an error.
+func tryAttach(path string) (_ *shmRing, err error) {
+	defer func() {
+		if err != nil {
+			err = fmt.Errorf("netlive: attach shm ring %s: %w", path, err)
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("netlive: attach shm ring %s: %w", path, err)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
-func tryAttach(path string) (*shmRing, error) {
+	}()
 	f, err := os.OpenFile(path, os.O_RDWR, 0)
 	if err != nil {
 		return nil, err
@@ -222,7 +214,7 @@ func tryAttach(path string) (*shmRing, error) {
 	}
 	if (*atomic.Uint64)(unsafe.Pointer(&raw[offMagic])).Load() != shmMagic {
 		_ = syscall.Munmap(raw)
-		return nil, fmt.Errorf("not initialized yet")
+		return nil, errors.New("not initialized")
 	}
 	if v := (*atomic.Uint64)(unsafe.Pointer(&raw[offVersion])).Load(); v != shmVersion {
 		_ = syscall.Munmap(raw)
@@ -310,26 +302,27 @@ func (b *Backend) ringPath(from, to int) string {
 	return fmt.Sprintf("%s/ring-%d-%d.shm", b.dir, from, to)
 }
 
-// shmSetup creates (parent) and attaches (every shard) the ring mesh. When
-// the fast path is enabled, the rings are required: every shard attaches
-// every ring or construction fails, so a pair can never disagree about
-// whether a direction is ring- or socket-carried (which would reorder or
-// strand frames). Socket links are a configuration decision (DisableShm, the
-// MPMD_NETLIVE_NOSHM env, an unsupported OS), never a per-pair or
-// per-message one.
+// shmSetup builds the ring mesh, and the parent alone decides whether there
+// is one: unless DisableShm is set it creates every ring file before any
+// worker exists. A worker follows what it finds: when the parent's ring to it
+// exists it attaches every one of its rings or fails New, so a pair can never
+// disagree about whether a direction is ring- or socket-carried (which would
+// reorder or strand frames); when it does not, every link stays on the socket.
+// Socket links are a decision of the parent's configuration (DisableShm, an
+// unsupported OS), never a per-pair or per-message one.
 func (b *Backend) shmSetup() error {
-	if b.shards <= 1 || b.opts.DisableShm || os.Getenv(EnvNoShm) != "" {
+	if b.shards <= 1 {
 		return nil
 	}
-	ringBytes := b.opts.ShmRingBytes
-	if ringBytes <= 0 {
-		ringBytes = defaultRingBytes
-	}
-	if ringBytes < minRingBytes {
-		ringBytes = minRingBytes
-	}
-	ringBytes = int(align8(uint64(ringBytes)))
 	if b.shard == 0 {
+		if b.opts.DisableShm {
+			return nil
+		}
+		ringBytes := b.opts.ShmRingBytes
+		if ringBytes <= 0 {
+			ringBytes = defaultRingBytes
+		}
+		ringBytes = int(align8(uint64(max(ringBytes, minRingBytes))))
 		for i := 0; i < b.shards; i++ {
 			for j := 0; j < b.shards; j++ {
 				if i == j {
@@ -340,23 +333,23 @@ func (b *Backend) shmSetup() error {
 				}
 			}
 		}
+	} else if _, err := os.Stat(b.ringPath(0, b.shard)); errors.Is(err, os.ErrNotExist) {
+		return nil // the parent made no rings
 	}
 	p := &shmPlane{
 		rx:     make([]*shmRx, b.shards),
 		stopCh: make(chan struct{}),
 	}
-	deadline := time.Now().Add(b.opts.DialTimeout)
 	for s := 0; s < b.shards; s++ {
 		if s == b.shard {
 			continue
 		}
-		out, err := attachRing(b.ringPath(b.shard, s), deadline)
-		if err != nil {
-			b.closeRings(p)
-			return err
+		out, err := tryAttach(b.ringPath(b.shard, s))
+		var in *shmRing
+		if err == nil {
+			b.peers[s].tx = &shmTx{r: out, peer: s}
+			in, err = tryAttach(b.ringPath(s, b.shard))
 		}
-		b.peers[s].tx = &shmTx{r: out, peer: s}
-		in, err := attachRing(b.ringPath(s, b.shard), deadline)
 		if err != nil {
 			b.closeRings(p)
 			return err
@@ -720,7 +713,7 @@ func (b *Backend) shmDrain(rx *shmRx, tail uint64, by metrics.Ctr) bool {
 			return b.shmCorrupt(rx, "whole record inside a fragmented packet", off, word)
 		}
 		if body != nil {
-			if !b.dispatchPacket(remote, body) {
+			if !b.dispatchPacket(remote, rx.peer, body) {
 				return b.shmCorrupt(rx, "malformed packet body", off, word)
 			}
 			frames++

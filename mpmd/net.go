@@ -8,16 +8,16 @@ import (
 )
 
 // NetOptions tune the sharded multi-process backend (see NewNetMachine).
-// The zero value runs every node in this process (loopback).
+// The zero value runs every node in this process (loopback). With more than
+// one shard the parent process re-execs its own binary once per worker shard;
+// the parent decides how the shards' links move packets, and each worker
+// follows it.
 type NetOptions struct {
 	// NodesPerShard is how many consecutive nodes share one OS process.
 	// Zero (or >= n) keeps everything in-process.
 	NodesPerShard int
 	// Live tunes in-shard execution (the run watchdog).
 	Live LiveOptions
-	// NoSpawn stops the parent from re-exec'ing worker processes; workers
-	// are then launched externally with MPMD_NETLIVE_SHARD/_DIR set.
-	NoSpawn bool
 	// ChildArgs overrides the re-exec argument vector (default: this
 	// process's own arguments — the SPMD launch model).
 	ChildArgs []string
@@ -29,8 +29,8 @@ type NetInfo struct {
 	Shards int
 	// Shard is this process's index; 0 is the parent.
 	Shard int
-	// Worker reports whether this process is a re-exec'd (or externally
-	// launched) peer shard rather than the parent.
+	// Worker reports whether this process is a peer shard the parent
+	// re-exec'd rather than the parent.
 	Worker bool
 	// LocalNodes are the machine nodes executing in this process.
 	LocalNodes []int
@@ -64,7 +64,6 @@ func NewNetMachine(cfg Config, n int, o NetOptions) (*Machine, *NetInfo, error) 
 	be, err := netlive.New(n, netlive.Options{
 		NodesPerShard: o.NodesPerShard,
 		Live:          o.Live,
-		NoSpawn:       o.NoSpawn,
 		ChildArgs:     o.ChildArgs,
 	})
 	if err != nil {
@@ -79,6 +78,7 @@ func NewNetMachine(cfg Config, n int, o NetOptions) (*Machine, *NetInfo, error) 
 	return machine.NewWithBackend(cfg, n, be), info, nil
 }
 
-// NetWorkerEnv reports whether this process was launched as a netlive worker
-// (the re-exec environment is set) — useful before any machine exists.
+// NetWorkerEnv reports whether this process is a netlive worker the parent
+// re-exec'd (the re-exec environment is set) — useful before any machine
+// exists.
 func NetWorkerEnv() bool { return os.Getenv(netlive.EnvShard) != "" }

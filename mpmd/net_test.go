@@ -187,12 +187,11 @@ func TestNetMachineMultiProcess(t *testing.T) {
 // wave is the one place a bulk frame crosses a real process boundary on that
 // link.
 func TestShmLinkBeatsSocket(t *testing.T) {
-	if !mpmd.NetWorkerEnv() && os.Getenv(netlive.EnvNoShm) != "" {
-		t.Skipf("%s is set: both waves would run on the socket link", netlive.EnvNoShm)
-	}
 	for attempt := 1; attempt <= 3; attempt++ {
-		// A worker never returns from its first wave: it inherits that wave's
-		// link through the environment and exits when the wave's Run does.
+		// A worker never returns from its first wave: it follows its
+		// parent's rings — it attaches them when the parent made them, and
+		// keeps the socket when it made none — and exits when the wave's Run
+		// does.
 		shm := nullRMIRate(t, false)
 		sock := nullRMIRate(t, true)
 		t.Logf("attempt %d: shm %.0f ops/s, socket %.0f ops/s (%.2fx)", attempt, shm, sock, shm/sock)
