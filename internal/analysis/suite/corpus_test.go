@@ -41,11 +41,11 @@ var corpus = []struct {
 		{"internal/am/reqtable.go", "// ReqTable is ", "func noteAdd() { _ = fmt.Sprint(1) }\n\n// ReqTable is "}}},
 
 	{"readLoop's read-error return keeps its buffer", "bufown", `owned wire\.Buf leaks on this return path`, []edit{
-		{"internal/transport/netlive/netlive.go", "\t\t\t\tbuf.Release()\n\t\t\t\tb.addErr(fmt.Errorf(\"netlive: shard %d read body: %w\", b.shard, err))\n",
-			"\t\t\t\tb.addErr(fmt.Errorf(\"netlive: shard %d read body: %w\", b.shard, err))\n"}}},
+		{"internal/transport/netlive/netlive.go", "\t\t\t\tbuf.Release()\n\t\t\t\tb.inner.Abort(fmt.Errorf(\"netlive: shard %d read body: %w\", b.shard, err))\n",
+			"\t\t\t\tb.inner.Abort(fmt.Errorf(\"netlive: shard %d read body: %w\", b.shard, err))\n"}}},
 	{"readLoop reads its buffer after the final Release", "bufown", `calls Bytes on a wire\.Buf after its final Release`, []edit{
-		{"internal/transport/netlive/netlive.go", "\t\tif buf != nil {\n\t\t\tbuf.Release()\n\t\t}\n\t}\n}\n\nfunc isClosedErr",
-			"\t\tif buf != nil {\n\t\t\tbuf.Release()\n\t\t\t_ = buf.Bytes()\n\t\t}\n\t}\n}\n\nfunc isClosedErr"}}},
+		{"internal/transport/netlive/netlive.go", "\t\tif buf != nil {\n\t\t\tbuf.Release()\n\t\t}\n\t}\n}\n\n// linkEnded",
+			"\t\tif buf != nil {\n\t\t\tbuf.Release()\n\t\t\t_ = buf.Bytes()\n\t\t}\n\t}\n}\n\n// linkEnded"}}},
 	{"Poll releases the payload twice", "bufown", `wire\.Buf released twice on this path`, []edit{
 		{"internal/am/am.go", "\tif msg.PayloadBuf != nil {\n\t\tmsg.PayloadBuf.Release()\n\t}\n\treturn true\n",
 			"\tif msg.PayloadBuf != nil {\n\t\tmsg.PayloadBuf.Release()\n\t\tmsg.PayloadBuf.Release()\n\t}\n\treturn true\n"}}},
@@ -54,8 +54,8 @@ var corpus = []struct {
 
 	{"InboxLen without inboxMu", "lockguard", `field inbox is guarded by inboxMu`, []edit{
 		{"internal/machine/machine.go", "\tn.inboxMu.Lock()\n\tdefer n.inboxMu.Unlock()\n\treturn n.inbox.Len()\n", "\treturn n.inbox.Len()\n"}}},
-	{"addErr without errMu", "lockguard", `field errs is guarded by errMu`, []edit{
-		{"internal/transport/netlive/netlive.go", "\tb.errMu.Lock()\n\tb.errs = append(b.errs, err)\n\tb.errMu.Unlock()\n", "\tb.errs = append(b.errs, err)\n"}}},
+	{"Abort without abortMu", "lockguard", `field causes is guarded by abortMu`, []edit{
+		{"internal/transport/live/live.go", "\tb.abortMu.Lock()\n\tdefer b.abortMu.Unlock()\n\tb.causes = append(b.causes, cause)\n", "\tb.causes = append(b.causes, cause)\n"}}},
 	// ROADMAP item 8 asked whether lockguard catches anything nothing else
 	// does. These three drop a lock on a teardown or error path; CI's whole
 	// -race list passes on each of them (CHANGES.md, PR 22, has the runs), so
@@ -65,7 +65,7 @@ var corpus = []struct {
 	{"shmShutdown closes a tx ring without tx.mu", "lockguard", `field closed is guarded by mu`, []edit{
 		{"internal/transport/netlive/shmring.go", "\t\ttx.mu.Lock()\n\t\ttx.closed = true\n\t\ttx.mu.Unlock()\n", "\t\ttx.closed = true\n"}}},
 	{"shmShutdown marks an rx ring dead without rx.mu", "lockguard", `field dead is guarded by mu`, []edit{
-		{"internal/transport/netlive/shmring.go", "\t\t\trx.mu.Lock()\n\t\t\trx.dead = true\n\t\t\trx.mu.Unlock()\n", "\t\t\trx.dead = true\n"}}},
+		{"internal/transport/netlive/shmring.go", "\t\t\trx.mu.Lock()\n\t\t\trx.dead = true\n\t\t\trx.r.gone.Store(1)\n\t\t\trx.mu.Unlock()\n", "\t\t\trx.dead = true\n\t\t\trx.r.gone.Store(1)\n"}}},
 	// The parent's end-of-run wave state, opened by the parent's reading and
 	// added to by the reader of each worker's answer.
 	{"a wave opens without the wave mutex", "lockguard", `field (sum|left) is guarded by Mutex`, []edit{
@@ -77,13 +77,13 @@ var corpus = []struct {
 	{"Park waits on a channel with the CPU held", "blockhold", `channel receive while holding mu`, []edit{
 		{"internal/transport/live/live.go", "\tfor !p.permit {\n\t\tp.cond.Wait()\n", "\tfor !p.permit {\n\t\t<-p.b.start\n\t\tp.cond.Wait()\n"}}},
 
-	{"errMu then p.mu in shutdownSockets, p.mu then errMu in peer.fail", "lockorder", `lock order cycle`, []edit{
-		{"internal/transport/netlive/netlive.go", "\tb.errMu.Lock()\n\tb.sockClosed = true\n",
-			"\tb.errMu.Lock()\n\tfor _, p := range b.peers {\n\t\tif p != nil {\n\t\t\tp.mu.Lock()\n\t\t\tp.mu.Unlock()\n\t\t}\n\t}\n\tb.sockClosed = true\n"},
-		{"internal/transport/netlive/netlive.go", "\tp.closed = true\n\tfor f, ok := p.q.Pop(); ok; f, ok = p.q.Pop() {\n\t\tif f.buf != nil {\n\t\t\tf.buf.Release()\n\t\t}\n\t\tp.sent.Add(1)\n",
-			"\tp.closed = true\n\tp.b.errMu.Lock()\n\tp.b.errMu.Unlock()\n\tfor f, ok := p.q.Pop(); ok; f, ok = p.q.Pop() {\n\t\tif f.buf != nil {\n\t\t\tf.buf.Release()\n\t\t}\n\t\tp.sent.Add(1)\n"}}},
-	{"addErr takes errMu twice", "lockorder", `b\.errMu is already held on every path`, []edit{
-		{"internal/transport/netlive/netlive.go", "\tb.errMu.Lock()\n\tb.errs = append(b.errs, err)\n", "\tb.errMu.Lock()\n\tb.errMu.Lock()\n\tb.errs = append(b.errs, err)\n"}}},
+	{"connMu then p.mu in shutdownSockets, p.mu then connMu in peer.fail", "lockorder", `lock order cycle`, []edit{
+		{"internal/transport/netlive/netlive.go", "\tb.connMu.Lock()\n\tb.sockClosed = true\n",
+			"\tb.connMu.Lock()\n\tfor _, p := range b.peers {\n\t\tif p != nil {\n\t\t\tp.mu.Lock()\n\t\t\tp.mu.Unlock()\n\t\t}\n\t}\n\tb.sockClosed = true\n"},
+		{"internal/transport/netlive/netlive.go", "\tp.closed = true\n\tn := int64(0)\n",
+			"\tp.closed = true\n\tp.b.connMu.Lock()\n\tp.b.connMu.Unlock()\n\tn := int64(0)\n"}}},
+	{"Abort takes abortMu twice", "lockorder", `b\.abortMu is already held on every path`, []edit{
+		{"internal/transport/live/live.go", "\tb.abortMu.Lock()\n\tdefer b.abortMu.Unlock()\n\tb.causes", "\tb.abortMu.Lock()\n\tb.abortMu.Lock()\n\tdefer b.abortMu.Unlock()\n\tb.causes"}}},
 
 	{"Invoke keeps its call record: one allocated per call", "go test ./mpmd -run ^TestInvokeAllocs$", `warm null Invoke allocates 1\.00/op, budget 0`, []edit{
 		{"mpmd/typed.go", "\tcall.Release()\n\treturn out, nil\n", "\treturn out, nil\n"}}},
@@ -110,7 +110,16 @@ var corpus = []struct {
 	// handler, which would answer a node that cannot have sent it: the
 	// hostile rows' stand-in, and the fuzz target's seed of the ring row.
 	{"a packet from a node outside its link's peer shard", "go test ./internal/transport/netlive -run ^(TestHostileSocketFrames|TestHostileRingRecords|FuzzRingRecords)$", `(?s)malformed bytes were dispatched as a packet 2->3.*packet 2->3 dispatched from the ring of shard 0 to shard 1`, []edit{
-		{"internal/transport/netlive/netlive.go", "\tif src >= b.n || b.shardOf(src) != from || !b.IsLocal(dst) {\n", "\tif src >= b.n || !b.IsLocal(dst) {\n"}}},
+		{"internal/transport/netlive/netlive.go", "\tif src >= b.n || b.ShardOf(src) != from || !b.IsLocal(dst) {\n", "\tif src >= b.n || !b.IsLocal(dst) {\n"}}},
+	// Every failure the run does not end on is a wait until the watchdog: a
+	// worker's death, a ring abandoned for its bytes, a handler that panicked
+	// in a node's interrupt context and left that node's CPU held.
+	{"a child's exit ends nothing", "go test ./internal/transport/netlive -run ^TestWorkerKilled$", `want an error naming "netlive: shard 1 exited: signal: killed" within 2s`, []edit{
+		{"internal/transport/netlive/netlive.go", "\t\t\t\tb.inner.Abort(fmt.Errorf(\"netlive: shard %d exited: %w\", s, err))\n", "\t\t\t\t_ = fmt.Errorf(\"netlive: shard %d exited: %w\", s, err)\n"}}},
+	{"an abandoned ring ends nothing", "go test ./internal/transport/netlive -run ^TestRingCorruptedMidRun$/^record_longer_than_the_published_bytes$", `the runs ended .* after the bad record, want within 1s`, []edit{
+		{"internal/transport/netlive/shmring.go", "\tb.inner.Abort(fmt.Errorf(\"netlive: shm ring from shard %d abandoned", "\t_ = (fmt.Errorf(\"netlive: shm ring from shard %d abandoned"}}},
+	{"a panic on arrival leaves its node's CPU held until the watchdog", "go test ./internal/core -run ^TestBlockingMethodInInterruptPanics$", `want an error naming node 1's interrupt context within 100ms`, []edit{
+		{"internal/transport/live/live.go", "\t\tdefer nd.unwound()\n", ""}}},
 	{"the wire decoder takes frames no sender makes (fuzz seeds)", "go test ./internal/am -run ^FuzzWireMsg$", `decoded a short message with a 3-byte payload "abc"`, []edit{
 		{"internal/am/am.go", " || b[0]&^1 != 0 || b[0] == 0 && len(b) > wireHeaderLen {\n", " {\n"}}},
 	{"the installed wire decoder takes any handler id (fuzz seeds)", "go test ./internal/am -run ^FuzzWireMsg$", `decoded a message for handler 1, 1 registered`, []edit{

@@ -186,10 +186,11 @@ func TestWallClockRefusesModelledOptions(t *testing.T) {
 // machine panics naming that context, and the panic reaches the caller,
 // whose send ran the handler. (On the poller thread it could only stall the
 // node.) The warm-up calls go on until one has found node 1 idle, so the
-// next one is sure to be handled on arrival. The machine is left wedged, with
-// node 1's CPU held, so the run ends at its short watchdog.
+// next one is sure to be handled on arrival. Node 1's CPU is left held, so
+// the panic aborts the run: Run returns at once, naming it, instead of at the
+// watchdog.
 func TestBlockingMethodInInterruptPanics(t *testing.T) {
-	m := machine.NewWithBackend(machine.SP1997(), 2, live.New(2, live.Options{Watchdog: 200 * time.Millisecond}))
+	m := machine.NewWithBackend(machine.SP1997(), 2, live.New(2, live.Options{Watchdog: 5 * time.Second}))
 	rt := NewRuntime(m)
 	rt.RegisterClass(counterClass())
 	gp0 := rt.CreateObject(0, "Counter")
@@ -205,16 +206,23 @@ func TestBlockingMethodInInterruptPanics(t *testing.T) {
 	})
 	gp1 := rt.CreateObject(1, "Blocker")
 	acct1 := m.Node(1).Acct
-	var recovered any
+	recovered := make(chan any, 1)
+	var called time.Time // written before the panic that ends the run
 	rt.OnNode(0, func(th *threads.Thread) {
 		for start := time.Now(); acct1.Counter(machine.CntInterrupts) == 0 && time.Since(start) < 5*time.Second; {
 			rt.Call(th, gp1, "nop", nil, nil)
 		}
-		defer func() { recovered = recover() }()
+		defer func() { recovered <- recover() }()
+		called = time.Now()
 		rt.Call(th, gp1, "callBack", nil, nil)
 	})
-	_ = rt.Run()
-	if msg := fmt.Sprint(recovered); !strings.Contains(msg, "Block in node 1's interrupt context") {
+	err := rt.Run()
+	took := time.Since(called)
+	const want = "Block in node 1's interrupt context"
+	if msg := fmt.Sprint(<-recovered); !strings.Contains(msg, want) {
 		t.Fatalf("a blocking non-threaded method run on arrival panicked with %q, want a panic naming node 1's interrupt context", msg)
+	}
+	if !strings.Contains(fmt.Sprint(err), want) || took > 100*time.Millisecond {
+		t.Fatalf("Run returned %v %v after the call, want an error naming node 1's interrupt context within 100ms", err, took)
 	}
 }

@@ -191,7 +191,7 @@ func (m *Machine) Snapshot() Snapshot {
 }
 
 // Packet is a network-level message in flight. Payload is opaque to the
-// machine layer; the messaging layers (am, mpl) define its contents.
+// machine layer; the messaging layer (am) defines its contents.
 // Size is the modelled wire size in bytes, used only for reporting — timing
 // charges are made explicitly by the messaging layer.
 type Packet struct {

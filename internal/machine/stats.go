@@ -117,7 +117,7 @@ func (m *Machine) ClusterStats() (ClusterStats, error) {
 				return ClusterStats{}, fmt.Errorf("machine: stats payload from shard %d has %s outside [0, %d]", shard, f, share)
 			}
 			for _, nd := range ss.Nodes {
-				if nd < 0 || nd >= len(seen) || seen[nd] {
+				if nd < 0 || nd >= len(seen) || seen[nd] || m.shard.ShardOf(nd) != shard {
 					return ClusterStats{}, fmt.Errorf("machine: stats payload from shard %d names node %d, not its own", shard, nd)
 				}
 				seen[nd] = true
@@ -125,7 +125,7 @@ func (m *Machine) ClusterStats() (ClusterStats, error) {
 			cs.Shards = append(cs.Shards, ss)
 		}
 		if nd := slices.Index(seen, false); nd >= 0 {
-			return ClusterStats{}, fmt.Errorf("machine: no shard's stats payload names node %d", nd)
+			return ClusterStats{}, fmt.Errorf("machine: shard %d's stats payload leaves out its node %d", m.shard.ShardOf(nd), nd)
 		}
 	}
 	accts := make([]Snapshot, 0, len(cs.Shards))

@@ -89,6 +89,7 @@
 package live
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -102,8 +103,8 @@ import (
 // Options tune the live backend. The zero value is ready to use.
 type Options struct {
 	// Watchdog bounds Run: if the procs have not all finished within it,
-	// Run returns a *StallError naming the survivors instead of hanging.
-	// Zero means the 30s default.
+	// the run aborts with a *StallError naming the survivors instead of
+	// hanging. Zero means the 30s default.
 	Watchdog time.Duration
 }
 
@@ -131,18 +132,45 @@ type Backend struct {
 	// idlePoll, when set (SetIdlePoll, before Run), is what a proc does
 	// between leaving its node idle and blocking: see Park.
 	idlePoll func(woken func() bool)
+
+	// The latch (Abort): aborted closes with the first of causes.
+	abortMu sync.Mutex
+	causes  []error //mpmdvet:guard abortMu
+	aborted chan struct{}
+}
+
+// Abort is the one way a run ends early, raised by any failure below it and
+// by the watchdog, from any goroutine: the first cause closes the latch, and
+// Run returns at once with that cause first and every later one after it.
+//
+//mpmd:coldpath runs once per failure
+func (b *Backend) Abort(cause error) {
+	b.abortMu.Lock()
+	defer b.abortMu.Unlock()
+	b.causes = append(b.causes, cause)
+	if len(b.causes) == 1 {
+		close(b.aborted)
+	}
+}
+
+// Aborted is closed once the run has been aborted.
+func (b *Backend) Aborted() <-chan struct{} { return b.aborted }
+
+// Err returns the run's causes, the first first (a lone cause as itself).
+func (b *Backend) Err() error {
+	b.abortMu.Lock()
+	defer b.abortMu.Unlock()
+	if len(b.causes) == 1 {
+		return b.causes[0]
+	}
+	return errors.Join(b.causes...)
 }
 
 // SetIdlePoll installs the reception poll of an enclosing backend that has
-// inbound links to watch (netlive's shared-memory rings): a proc that parks
-// and leaves its node idle calls poll, with the node's CPU released, before it
-// blocks. poll looks at the links for as long as it sees fit, calling woken
-// after every look; woken reports true once the proc has its wake-up (a
-// packet the poll itself delivered made it runnable — the delivery found the
-// CPU free and ran the arrival on this very goroutine) or the node is busy
-// again, and poll must then return. It must also return, unasked, when its
-// spin budget runs out; the proc then blocks as it always did. This is wiring
-// between two backends, not an option: set it before Run, or not at all.
+// inbound links to watch (see Park), set before Run or not at all. poll looks
+// at the links, calling woken after every look, and returns once woken
+// reports true — the proc has its wake-up, or the node is busy again — or its
+// spin budget runs out; the proc then blocks as it always did.
 func (b *Backend) SetIdlePoll(poll func(woken func() bool)) { b.idlePoll = poll }
 
 // New builds a live backend for n nodes. It starts no goroutine: the only ones
@@ -155,10 +183,11 @@ func New(n int, opts Options) *Backend {
 		opts.Watchdog = 30 * time.Second
 	}
 	b := &Backend{
-		opts:  opts,
-		start: make(chan struct{}),
-		epoch: time.Now(),
-		live:  make(map[*Proc]struct{}),
+		opts:    opts,
+		start:   make(chan struct{}),
+		epoch:   time.Now(),
+		live:    make(map[*Proc]struct{}),
+		aborted: make(chan struct{}),
 	}
 	for i := 0; i < n; i++ {
 		b.nodes = append(b.nodes, &lnode{b: b, id: i, met: metrics.NewRegistry()})
@@ -292,16 +321,10 @@ func (p *Proc) Now() time.Duration { return p.b.Now() }
 
 // Park implements transport.Proc. Called with the node CPU held; the
 // condition wait releases it (running a pending arrival on the way), which
-// is what lets sibling procs and senders' notifies run.
-//
-// A proc that parks and leaves its node idle is the thread that waits for
-// the node's next packet, so when the backend has inbound links to poll
-// (SetIdlePoll) it receives that packet itself: it releases the CPU and polls
-// the links, and a packet for its node then travels ring → inbox →
-// DeliverDirect (the CPU is free: TryLock succeeds) → arrival → this proc's
-// own permit on this one goroutine, with no goroutine parked or readied. Only
-// when the poll gives up does the proc block on its condition variable, to be
-// woken by whoever delivers next.
+// is what lets sibling procs and senders' notifies run. A proc that leaves its
+// node idle first polls the backend's inbound links (SetIdlePoll; see the
+// package comment), and a packet for its node then becomes this proc's own
+// permit on this one goroutine.
 //
 //mpmdvet:locked p.nd.mu
 func (p *Proc) Park() {
@@ -426,20 +449,18 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 	return p
 }
 
-// DeliverDirect implements transport.DirectDeliverer: the caller already ran
-// the enqueue step, so only the arrival is left to run in dst's context, and
-// the caller never waits for it, even while it holds its own node's CPU. If
-// dst's CPU is free — its procs are parked — the caller takes it and runs the
-// arrival itself, passing local on; otherwise it adds to the pending count
-// for the CPU's holder, which runs the arrival as a plain one. The second TryLock is the sender's half of the no-lost-wake-up rule
-// (see the package comment): the holder may have looked at the count for the
-// last time before the add. A notify that finds the CPU busy when the run is
-// over is dropped and counted.
+// DeliverDirect implements transport.DirectDeliverer, never waiting: with
+// dst's CPU free it runs the arrival itself, passing local on, and otherwise
+// adds to the pending count for the CPU's holder, then TryLocks once more (the
+// sender's half of the no-lost-wake-up rule in the package comment). A notify
+// that finds the CPU busy when the run is over is dropped and counted. An
+// arrival that panics aborts the run and goes on unwinding into the caller.
 //
 //mpmd:hotpath
 func (b *Backend) DeliverDirect(dst int, local bool) {
 	nd := b.nodes[dst]
 	if nd.mu.TryLock() {
+		defer nd.unwound()
 		b.arrive(dst, local)
 		nd.release()
 		nd.met.Add(metrics.CtrNotifyDirect, 1)
@@ -456,10 +477,20 @@ func (b *Backend) DeliverDirect(dst int, local bool) {
 	}
 }
 
-// StallError reports that the watchdog expired with procs still alive —
-// the live analogue of the simulator's deadlock report (it cannot
-// distinguish a deadlock from a computation that is merely slow; raise
-// Options.Watchdog for long runs).
+// unwound aborts the run for an arrival that panicked, which leaves the node's
+// CPU held, and lets the panic go on to the caller.
+//
+//mpmd:coldpath a recover that finds nothing costs a call; the rest runs once, on a panic
+func (nd *lnode) unwound() {
+	if r := recover(); r != nil {
+		nd.b.Abort(fmt.Errorf("live: node %d's arrival panicked: %v", nd.id, r))
+		panic(r)
+	}
+}
+
+// StallError is the watchdog's cause: procs still alive when it expired — the
+// live analogue of the simulator's deadlock report, which cannot tell a
+// deadlock from a slow computation (raise Options.Watchdog for long runs).
 type StallError struct {
 	After time.Duration
 	Procs []string // names of procs still alive, sorted
@@ -471,9 +502,9 @@ func (e *StallError) Error() string {
 }
 
 // Run implements transport.Backend: release the procs and wait for all of
-// them to finish, bounded by the watchdog. Either way the run is over when it
-// returns: a stalled run leaves nothing behind but the stuck procs themselves
-// (and the goroutine waiting for them), which are the application's.
+// them to finish, or for the latch (Abort). Either way the run is over when it
+// returns: an aborted run leaves nothing behind but the procs still alive (and
+// the goroutine waiting for them), which are the application's.
 func (b *Backend) Run() error {
 	if !b.ran.CompareAndSwap(false, true) {
 		panic("live: Run called twice")
@@ -487,15 +518,16 @@ func (b *Backend) Run() error {
 	defer b.over.Store(true)
 	select {
 	case <-done:
-		return nil
+	case <-b.aborted:
 	case <-time.After(b.opts.Watchdog):
+		b.mu.Lock()
+		var names []string
+		for p := range b.live {
+			names = append(names, p.name)
+		}
+		b.mu.Unlock()
+		sort.Strings(names)
+		b.Abort(&StallError{After: b.opts.Watchdog, Procs: names})
 	}
-	b.mu.Lock()
-	var names []string
-	for p := range b.live {
-		names = append(names, p.name)
-	}
-	b.mu.Unlock()
-	sort.Strings(names)
-	return &StallError{After: b.opts.Watchdog, Procs: names}
+	return b.Err()
 }

@@ -8,14 +8,18 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/am"
 	"repro/internal/metrics"
 	"repro/internal/threads"
+	"repro/internal/transport/live"
 	"repro/internal/wire"
 )
 
@@ -162,7 +166,7 @@ func TestHostileSocketFrames(t *testing.T) {
 			if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
 				t.Fatalf("read after a malformed frame: %v, want the connection closed", err)
 			}
-			if err := b.Err(); err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
+			if err := b.inner.Err(); err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "\n") {
 				t.Fatalf("Err = %v, want one error, naming %q", err, tc.want)
 			}
 		})
@@ -199,13 +203,17 @@ var hostileRecords = []struct {
 
 // drainRing writes data and tail through the producer's mapping of shard 0's
 // ring to shard 1 and drains it through the consumer's: shmDrain's verdict,
-// and whether the ring is now dead and its head at tail.
+// and whether the ring is now dead and its head at tail. On a running shard
+// another consumer may have abandoned the ring first.
 func drainRing(a, b *Backend, data []byte, tail uint64) (ok, dead, atTail bool) {
 	tx, rx := a.peers[1].tx.r, b.shm.rx[0]
 	copy(tx.data, data)
 	tx.tail.Store(tail)
 	rx.mu.Lock()
 	defer rx.mu.Unlock() // a drain that panics must fail the test, not hang its cleanup
+	if rx.dead {
+		return false, true, rx.head == tail
+	}
 	ok = b.shmDrain(rx, rx.r.tail.Load(), metrics.CtrShmFramesInReader)
 	return ok, rx.dead, rx.head == tail
 }
@@ -220,9 +228,55 @@ func TestHostileRingRecords(t *testing.T) {
 			if ok, dead, _ := drainRing(a, b, tc.data, tc.tail); ok || !dead {
 				t.Fatalf("shmDrain = %v, ring dead = %v: want the ring abandoned", ok, dead)
 			}
-			err := b.Err()
+			err := b.inner.Err()
 			if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "from shard 0") {
 				t.Fatalf("Err = %v, want one naming shard 0 and %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestRingCorruptedMidRun writes each hostile record onto the ring from
+// shard 0 to shard 1 while both shards run, their procs waiting for packets
+// that never come. The shard that finds the record aborts its run; its end of
+// link then aborts the other's. Both runs end within 1 s of the record, each
+// with an error naming shard 0 or 1, instead of at the watchdog.
+func TestRingCorruptedMidRun(t *testing.T) {
+	for _, tc := range hostileRecords {
+		t.Run(tc.name, func(t *testing.T) {
+			mods := func(o *Options) {
+				o.ShmRingBytes = ringCap
+				o.Live.Watchdog = 5 * time.Second
+			}
+			dir := t.TempDir()
+			a := newShardRig(t, 4, 2, 0, dir, mods)
+			b := newShardRig(t, 4, 2, 1, dir, mods)
+			var never [2]am.Count
+			var started sync.WaitGroup
+			started.Add(2)
+			for i, r := range []*shardRig{a, b} {
+				node := 2 * i
+				r.scheds[node].Start("waiter", func(th *threads.Thread) {
+					started.Done()
+					r.net.Endpoint(node).Await(th, &never[i], 1)
+				})
+			}
+			errs := make(chan error, 2)
+			for _, r := range []*shardRig{a, b} {
+				go func() { errs <- r.m.Run() }()
+			}
+			started.Wait()
+			at := time.Now()
+			drainRing(a.be, b.be, tc.data, tc.tail)
+			for range 2 {
+				err := <-errs
+				t.Logf("Run after %v: %v", time.Since(at), err)
+				if msg := fmt.Sprint(err); !strings.Contains(msg, "shard 0") && !strings.Contains(msg, "shard 1") {
+					t.Errorf("Run returned %v, want an error naming shard 0 or 1", err)
+				}
+			}
+			if took := time.Since(at); took > time.Second {
+				t.Fatalf("the runs ended %v after the bad record, want within 1s", took)
 			}
 		})
 	}
@@ -248,7 +302,7 @@ func FuzzRingRecords(f *testing.F) {
 			return len(payload) >= minPayload
 		})
 		ok, dead, atTail := drainRing(a, b, data, tail)
-		err := b.Err()
+		err := b.inner.Err()
 		switch {
 		case ok && (dead || !atTail || err != nil):
 			t.Fatalf("shmDrain = true, ring dead = %v, head at the tail = %v, Err = %v: want a clean drain", dead, atTail, err)
@@ -294,7 +348,7 @@ func TestTruncatedAMBody(t *testing.T) {
 		// packet arrived exactly when it should have.
 		check := func(t *testing.T, b *shardRig, want string) {
 			t.Helper()
-			if err := fmt.Sprint(b.be.Err()); (want == "") != (err == "<nil>") || !strings.Contains(err, want) || strings.Contains(err, "\n") {
+			if err := fmt.Sprint(b.be.inner.Err()); (want == "") != (err == "<nil>") || !strings.Contains(err, want) || strings.Contains(err, "\n") {
 				t.Fatalf("Err = %v, want one error, naming %q", err, want)
 			}
 			if in := b.m.Node(2).InboxLen(); tc.ok != (in == 1) {
@@ -311,7 +365,7 @@ func TestTruncatedAMBody(t *testing.T) {
 				return b.be.shmDrain(rx, rx.r.tail.Load(), metrics.CtrShmFramesInReader)
 			}()
 			if ok != tc.ok {
-				t.Fatalf("shmDrain = %v, want %v (Err: %v)", ok, tc.ok, b.be.Err())
+				t.Fatalf("shmDrain = %v, want %v (Err: %v)", ok, tc.ok, b.be.inner.Err())
 			}
 			if tc.ok {
 				check(t, b, "")
@@ -397,44 +451,64 @@ func TestShmFragments(t *testing.T) {
 	}
 }
 
-// TestShmDeadLinkDrops: a ring whose consumer never runs fills up; the
-// producer's wait times out once, the link is declared dead in one error
-// naming the shard, and that frame and every later one are dropped and
-// counted — none is re-routed to the socket.
+// TestShmDeadLinkDrops: a ring whose consumer never runs fills up, and the
+// sender waiting for room is released by the run's latch, by its own shard's
+// teardown, or by its consumer going away, which aborts the run with one
+// error naming shard 1. The frame it waited with and every later one are
+// dropped and counted — none is re-routed to the socket.
 func TestShmDeadLinkDrops(t *testing.T) {
-	a, _ := bareShards(t, func(o *Options) { o.DialTimeout = 50 * time.Millisecond })
-	const sends = 200 // 4 KiB ring / 48 B records: full after ~85
-	for i := 0; i < sends; i++ {
-		a.SendRemote(0, 2, 48, zeros(32))
-	}
-	snap := a.MetricsSnapshot()
-	out, dropped := snap.Counter(metrics.CtrShmFramesOut), snap.Counter(metrics.CtrLinkDropped)
-	if out == 0 || dropped == 0 || out+dropped != sends {
-		t.Fatalf("shm.frames.out = %d, net.link.dropped = %d, want both > 0 and %d together", out, dropped, sends)
-	}
-	if q := a.peers[1].queued.Load(); q != 0 {
-		t.Fatalf("%d frames queued on the socket of a ring link", q)
-	}
-	err := a.Err()
-	if err == nil || strings.Count(err.Error(), "link to shard 1 is dead") != 1 {
-		t.Fatalf("Err = %v, want exactly one dead-link error naming shard 1", err)
+	for _, tc := range []struct {
+		name    string
+		release func(a, b *Backend)
+		want    string // a's one cause; "" for none
+	}{
+		{"latch", func(a, _ *Backend) { a.inner.Abort(errors.New("aborted by the test")) }, "aborted by the test"},
+		{"teardown", func(a, _ *Backend) { a.shutdownSockets() }, ""},
+		{"consumer gone", func(_, b *Backend) { b.shutdownSockets() }, "shm ring to shard 1: its consumer is gone"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := bareShards(t)
+			const sends = 200 // 4 KiB ring / 48 B records: full after 85
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < sends; i++ {
+					a.SendRemote(0, 2, 48, zeros(32))
+				}
+			}()
+			for r := a.peers[1].tx.r; r.tail.Load()+48 <= ringCap; {
+				runtime.Gosched()
+			}
+			tc.release(a, b)
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("the sender waiting for room was not released")
+			}
+			snap := a.MetricsSnapshot()
+			out, dropped := snap.Counter(metrics.CtrShmFramesOut), snap.Counter(metrics.CtrLinkDropped)
+			if out != ringCap/48 || out+dropped != sends {
+				t.Fatalf("shm.frames.out = %d, net.link.dropped = %d, want %d and %d together", out, dropped, ringCap/48, sends)
+			}
+			if q := a.peers[1].queued.Load(); q != 0 {
+				t.Fatalf("%d frames queued on the socket of a ring link", q)
+			}
+			if err := fmt.Sprint(a.inner.Err()); (tc.want == "") != (err == "<nil>") || !strings.Contains(err, tc.want) || strings.Contains(err, "\n") {
+				t.Fatalf("Err = %v, want one error, naming %q", err, tc.want)
+			}
+		})
 	}
 }
 
 // TestWorkerBeforeParent builds a worker shard before its parent: the worker
 // finds no rings and takes the socket, and the parent then makes its rings.
 // The worker's packet to the parent arrives on the socket of a link the parent
-// carries on a ring, which ends that link with one error naming shard 1 — and
-// the run ends, at the watchdog, instead of waiting for a packet that never
-// comes.
+// carries on a ring, which aborts the parent's run at once with the error
+// naming shard 1 — not at the watchdog, with a stall.
 func TestWorkerBeforeParent(t *testing.T) {
-	fast := func(o *Options) {
-		o.Live.Watchdog = 500 * time.Millisecond
-		o.DialTimeout = 500 * time.Millisecond
-	}
 	dir := t.TempDir()
-	b := newShardRig(t, 4, 2, 1, dir, fast)
-	a := newShardRig(t, 4, 2, 0, dir, fast)
+	b := newShardRig(t, 4, 2, 1, dir)
+	a := newShardRig(t, 4, 2, 0, dir)
 	if a.be.ShmActive() == b.be.ShmActive() {
 		t.Fatalf("ShmActive parent/worker = %v/%v, want the parent's rings and a worker on the socket", a.be.ShmActive(), b.be.ShmActive())
 	}
@@ -447,12 +521,14 @@ func TestWorkerBeforeParent(t *testing.T) {
 	a.scheds[0].Start("receiver", func(th *threads.Thread) {
 		a.net.Endpoint(0).Await(th, &got, 1)
 	})
+	var errA error
+	var took time.Duration
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { defer wg.Done(); t.Logf("parent Run: %v", a.m.Run()) }()
+		go func() { defer wg.Done(); start := time.Now(); errA = a.m.Run(); took = time.Since(start) }()
 		go func() { defer wg.Done(); t.Logf("worker Run: %v", b.m.Run()) }()
 		wg.Wait()
 	}()
@@ -462,13 +538,61 @@ func TestWorkerBeforeParent(t *testing.T) {
 		t.Fatal("the run did not end")
 	}
 	const want = "packet frame from shard 1 on the socket of a ring link"
-	err := fmt.Sprint(a.be.Err())
-	t.Logf("parent: %s", err)
-	if strings.Count(err, want) != 1 {
-		t.Fatalf("parent's Err = %v, want one error naming %q", err, want)
+	t.Logf("parent Run after %v: %v", took, errA)
+	var stall *live.StallError
+	if err := fmt.Sprint(errA); strings.Count(err, want) != 1 || errors.As(errA, &stall) || took > 100*time.Millisecond {
+		t.Fatalf("parent's Run returned %v after %v, want one error naming %q, no stall, within 100ms", errA, took, want)
 	}
 	if got.Value() != 0 {
 		t.Fatal("the packet on the socket of a ring link was delivered")
+	}
+}
+
+// TestWorkerKilled re-execs this test as shard 1 of a 4-node machine, whose
+// handler SIGKILLs its own process on the fifth of node 0's pings. The
+// parent's Run must return within 2 s of the last answered ping with the
+// error that shard 1's process was killed, and leave no worker process
+// behind.
+func TestWorkerKilled(t *testing.T) {
+	r := newShardRig(t, 4, 2, 0, "", func(o *Options) {
+		o.Shard = nil
+		o.ChildArgs = []string{"-test.run=^TestWorkerKilled$", "-test.count=1"}
+	})
+	var pings, acks am.Count
+	var hAck am.HandlerID
+	hPing := r.net.Register("k.ping", func(th *threads.Thread, m am.Msg) {
+		if m.A[0] == 4 {
+			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
+		}
+		pings.Advance(th, 1)
+		r.net.Endpoint(2).Request(th, 0, hAck, m.A, nil, false)
+	})
+	hAck = r.net.Register("k.ack", func(th *threads.Thread, _ am.Msg) { acks.Advance(th, 1) })
+	var answered atomic.Int64 // when the last ping was answered, in Unix ns
+	if r.be.Shard() != 0 {
+		r.scheds[2].Start("server", func(th *threads.Thread) { r.net.Endpoint(2).Await(th, &pings, 100) })
+		_ = r.m.Run()
+		os.Exit(0)
+	}
+	r.scheds[0].Start("client", func(th *threads.Thread) {
+		ep := r.net.Endpoint(0)
+		for i := range 100 {
+			ep.Request(th, 2, hPing, [4]uint64{uint64(i)}, nil, false)
+			ep.Await(th, &acks, uint64(i+1))
+			answered.Store(time.Now().UnixNano())
+		}
+	})
+	err := r.m.Run()
+	took := time.Since(time.Unix(0, answered.Load()))
+	t.Logf("Run after %v: %v", took, err)
+	const want = "netlive: shard 1 exited: signal: killed"
+	if !strings.Contains(fmt.Sprint(err), want) || took > 2*time.Second || acks.Value() != 4 {
+		t.Fatalf("Run returned %v %v after the 4th of %d answered pings, want an error naming %q within 2s of the 4th", err, took, acks.Value(), want)
+	}
+	for _, c := range r.be.children {
+		if c.ProcessState == nil {
+			t.Fatalf("worker process %d outlived the parent's Run", c.Process.Pid)
+		}
 	}
 }
 
@@ -491,7 +615,7 @@ func TestSocketWriterFails(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = conn.Close()
-	if !p.flush(10 * time.Second) {
+	if p.flush(); p.sent.Load() != p.queued.Load() {
 		t.Fatalf("flush: %d of %d frames accounted for", p.sent.Load(), p.queued.Load())
 	}
 	for i := 0; i < later; i++ {
@@ -508,7 +632,7 @@ func TestSocketWriterFails(t *testing.T) {
 	if left != 0 || !closed {
 		t.Fatalf("%d frames left queued, link closed = %v: want none and closed", left, closed)
 	}
-	err = a.Err()
+	err = a.inner.Err()
 	t.Logf("%d frames out, %d dropped: %v", out, dropped, err)
 	if err == nil || strings.Count(err.Error(), "shard 1") != 1 || strings.Contains(err.Error(), "\n") {
 		t.Fatalf("Err = %v, want one error naming shard 1", err)

@@ -13,8 +13,8 @@
 // model, every process runs the identical program and therefore builds
 // identical stub registries, object tables, and buffer managers. Each shard
 // listens on <dir>/shard-<i>.sock in the parent's rendezvous directory;
-// connections are dialed lazily on first send, with retry while the peer
-// comes up.
+// connections are dialed on first send, with retry while the peer comes up;
+// a worker dials its parent when Run starts.
 //
 // Within a shard, execution delegates to the live backend unchanged: procs
 // are goroutines, one CPU mutex per node, wall-clock time. A single-shard
@@ -43,27 +43,21 @@
 // ring files exist and keeps the socket when they do not. The sending proc
 // marshals the same packet bytes directly into a ring slot and the receiving
 // shard consumes them in place — zero syscalls, zero copies beyond the marshal
-// itself; a packet over a quarter of the ring travels as fragment records. The
-// consumer is the thread that waits: a proc whose park leaves its node idle
-// polls the shard's inbound rings itself before it blocks (the inner live
-// backend's idle poll), so a packet for an idle node is received on that
-// node's own goroutine; the per-ring reader goroutine is the consumer of last
-// resort, stepping back while any proc polls and taking over when the last one
-// stops — it drains the rings of a shard whose nodes are all busy. Consumers
-// spin briefly, then the reader parks; a producer that catches it parked rings
-// a kDoorbell control frame over the socket, which always carries the control
-// plane (the end-of-run waves, stats).
-// See shmring.go and DESIGN.md.
+// itself (see shmring.go, which also says who consumes a ring, and
+// DESIGN.md). The socket always carries the control plane: the end-of-run
+// waves, stats and the rings' doorbells.
 //
 // Either way the packet reaches the machine's remote-arrival handler, which
 // enqueues into the destination node's (thread-safe) inbox and notifies it
-// by index through the live backend. A link that fails — connection
-// lost, ring consumer silent for DialTimeout, malformed bytes from the peer
-// (a frame that does not parse, a packet too short for the messaging layer's
-// header or from a node outside the link's peer shard, an unknown frame kind,
-// a packet on the socket of a ring link) — records one error naming the shard;
-// frames for a failed or closed link are dropped and counted
-// (net.link.dropped).
+// by index through the live backend. A link that fails ends the run: its one
+// error, naming the shard, closes the inner live backend's latch
+// (live.Backend.Abort). So do malformed bytes from the peer (a frame that
+// does not parse, a packet too short for the messaging layer's header or from
+// a node outside the link's peer shard, an unknown frame kind, a packet on
+// the socket of a ring link), a ring consumer gone under a waiting producer,
+// a link with the parent that ends early (linkEnded) and a worker process
+// that exits early. Frames for a failed or closed link are dropped and
+// counted (net.link.dropped). Nothing gives up on a clock but the watchdog.
 //
 // # Lifecycle
 //
@@ -72,8 +66,8 @@
 // worker's, probed and answered in kWave frames once that worker's nodes are
 // idle — and after two consecutive waves read the same balanced sums it
 // broadcasts kAllDone, until which a pure-server shard keeps serving. Run
-// returns when the local procs have finished; the parent additionally waits
-// for its children to exit and surfaces their status.
+// returns when the local procs have finished or the run was aborted (Run
+// below).
 package netlive
 
 import (
@@ -81,6 +75,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"os"
 	"os/exec"
@@ -96,8 +91,8 @@ import (
 	"repro/internal/wire"
 )
 
-// Environment variables of the re-exec harness. The parent sets them for
-// each child; a process finding them set assumes the worker role.
+// Environment variables of the re-exec harness: a process finding them set
+// is a worker.
 const (
 	EnvShard = "MPMD_NETLIVE_SHARD"
 	EnvDir   = "MPMD_NETLIVE_DIR"
@@ -126,26 +121,19 @@ type Options struct {
 	// (default: this process's own arguments). Tests use it to re-enter a
 	// single test function.
 	ChildArgs []string
-	// DialTimeout bounds how long a writer waits for a peer's socket to
-	// appear. Zero means 10s.
-	DialTimeout time.Duration
 	// DisableShm stops the parent from making the shared-memory rings: every
 	// link carries its data frames on the socket writer. Read by the parent
 	// only; a worker uses the rings exactly when its parent made them.
 	DisableShm bool
-	// ShmRingBytes sizes each directed ring's data area in bytes. Zero means
-	// 1 MiB; values are clamped to at least 4 KiB and rounded up to a
-	// multiple of 8. A frame larger than a quarter of the ring travels as
-	// consecutive fragment records. Read by the parent only; a worker reads
-	// the size from its rings' files.
+	// ShmRingBytes sizes each directed ring's data area in bytes: zero means
+	// 1 MiB, and values are clamped to at least 4 KiB and rounded up to a
+	// multiple of 8. Read by the parent only, as the rings' files carry it.
 	ShmRingBytes int
 }
 
-// frameKind is the frame discriminator on the wire. readLoop's switch over
-// it must dispatch all kinds and reject unknown bytes in a default clause:
-// TestHostileSocketFrames sends one well-formed frame of every kind minBody
-// declares and two of no kind, so a kind added without its case lands in
-// default and fails there, as does a dropped default.
+// frameKind is the frame discriminator on the wire. readLoop's switch must
+// dispatch every kind minBody declares and reject others in its default
+// clause, as TestHostileSocketFrames checks with one frame of each.
 type frameKind byte
 
 // frame kinds on the wire.
@@ -183,14 +171,14 @@ type Backend struct {
 	ln       net.Listener
 	peers    []*peer // indexed by shard; nil for self
 	children []*exec.Cmd
+	exited   chan struct{} // a token per child reaped
 
 	// shm is the shared-memory ring plane (nil when the fast path is off:
 	// loopback, a parent that made no rings, or a non-unix host).
 	shm *shmPlane
 
-	// remote is the machine's arrival upcall (SetRemoteHandler). Atomic:
-	// reader goroutines may already be accepting peer connections while the
-	// machine layer is still being constructed.
+	// remote is the machine's arrival upcall (SetRemoteHandler), atomic as
+	// its readers do not wait for the machine to be built.
 	remote atomic.Value // func(src, dst, size int, payload []byte) bool
 
 	// The end of the run (Quiesce). probe is set while a wave waits for this
@@ -201,37 +189,33 @@ type Backend struct {
 	tally func() ([4]uint64, bool)
 	over  func()
 	probe atomic.Bool
+	// ended: the run is over (the parent sent kAllDone, or this worker got it
+	// or finished its own run).
+	ended atomic.Bool
 	wave  struct {
 		sync.Mutex
 		left      int       //mpmdvet:guard Mutex
 		sum, last [4]uint64 //mpmdvet:guard Mutex
 	}
 
-	// met is the shard's message-plane registry: frame/byte counters, peer
-	// ring depths, writer stalls. Per-node instruments live in the inner
-	// live backend's registries.
+	// met is the shard's message-plane registry; per-node instruments live in
+	// the inner live backend's registries.
 	met *metrics.Registry
 
-	// statsProv serializes this shard's stats payload (machine.ShardStats
-	// JSON). The machine layer installs it via SetStatsProvider while it is
-	// being built, and Run reads it after the inner run returns.
+	// statsProv serializes this shard's stats payload (SetStatsProvider).
 	statsProv func() []byte
 
 	// peerStats is the latest kStats payload from each worker shard
-	// (parent only).
+	// (parent only); statsIn gets a token after each.
 	statsMu   sync.Mutex
-	statsCond *sync.Cond     //mpmdvet:cond statsMu
 	peerStats map[int][]byte //mpmdvet:guard statsMu
+	statsIn   chan struct{}
 
-	errMu sync.Mutex
-	errs  []error //mpmdvet:guard errMu
-
-	// conns/sockClosed: acceptLoop registers each accepted connection (and
-	// its reader) under errMu, and shutdown flips sockClosed under the same
-	// lock before waiting on readers — a connection that races shutdown is
-	// closed on the spot instead of leaking an untracked reader.
-	conns      []net.Conn //mpmdvet:guard errMu
-	sockClosed bool       //mpmdvet:guard errMu
+	// acceptLoop registers each accepted connection and its reader under
+	// connMu; one accepted after shutdown set sockClosed is closed at once.
+	connMu     sync.Mutex
+	conns      []net.Conn //mpmdvet:guard connMu
+	sockClosed bool       //mpmdvet:guard connMu
 	readers    sync.WaitGroup
 }
 
@@ -280,20 +264,14 @@ func New(n int, opts Options) (*Backend, error) {
 		shards: shards,
 		shard:  shard,
 		lo:     shard * nps,
+		hi:     min(shard*nps+nps, n),
 		opts:   opts,
 		tally:  func() ([4]uint64, bool) { return [4]uint64{}, false },
 		over:   func() {},
+		met:    metrics.NewRegistry(),
 
 		peerStats: make(map[int][]byte),
-	}
-	b.hi = b.lo + nps
-	if b.hi > n {
-		b.hi = n
-	}
-	b.met = metrics.NewRegistry()
-	b.statsCond = sync.NewCond(&b.statsMu)
-	if opts.DialTimeout <= 0 {
-		b.opts.DialTimeout = 10 * time.Second
+		statsIn:   make(chan struct{}, 1),
 	}
 
 	if shards == 1 {
@@ -357,9 +335,9 @@ func (b *Backend) sockPath(shard int) string {
 }
 
 // spawnChildren re-execs this binary once per peer shard, handing each the
-// rendezvous directory and its shard index through the environment. Child
-// stdout is redirected to stderr so the parent's own stdout (JSON reports)
-// stays clean.
+// rendezvous directory and its shard index through the environment, and
+// waits on each from then on: an exit non-zero or before the run is over
+// aborts it. Child stdout goes to stderr, to keep the parent's clean.
 func (b *Backend) spawnChildren() error {
 	exe, err := os.Executable()
 	if err != nil {
@@ -369,6 +347,7 @@ func (b *Backend) spawnChildren() error {
 	if args == nil {
 		args = os.Args[1:]
 	}
+	b.exited = make(chan struct{}, b.shards-1)
 	for s := 1; s < b.shards; s++ {
 		cmd := exec.Command(exe, args...)
 		cmd.Env = append(os.Environ(),
@@ -383,6 +362,15 @@ func (b *Backend) spawnChildren() error {
 			return fmt.Errorf("netlive: spawn shard %d: %w", s, err)
 		}
 		b.children = append(b.children, cmd)
+		go func() {
+			defer func() { b.exited <- struct{}{} }()
+			switch err := cmd.Wait(); {
+			case err != nil:
+				b.inner.Abort(fmt.Errorf("netlive: shard %d exited: %w", s, err))
+			case !b.ended.Load():
+				b.inner.Abort(fmt.Errorf("netlive: shard %d exited before the run was over", s))
+			}
+		}()
 	}
 	return nil
 }
@@ -403,7 +391,7 @@ func (b *Backend) Now() time.Duration { return b.inner.Now() }
 func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.Proc {
 	if !b.IsLocal(node) {
 		panic(fmt.Sprintf("netlive: proc %q on node %d, which lives in shard %d (this is shard %d)",
-			name, node, b.shardOf(node), b.shard))
+			name, node, b.ShardOf(node), b.shard))
 	}
 	return b.inner.Go(node, name, fn)
 }
@@ -415,72 +403,59 @@ func (b *Backend) SetArrival(fn func(node int, local bool)) { b.inner.SetArrival
 func (b *Backend) DeliverDirect(dst int, local bool) { b.inner.DeliverDirect(dst, local) }
 
 // Run implements transport.Backend: execute the local shard, then tear the
-// process mesh down. The parent additionally reaps its children and
-// surfaces their exit status.
+// process mesh down. A worker whose run finished sends its stats; the parent
+// waits for them, and reaps its children after its links are down, so that a
+// worker of an aborted run sees its parent's link end. The error is the
+// latch's: every cause, the first first.
 func (b *Backend) Run() error {
 	if b.ln != nil {
 		go b.acceptLoop()
+		if b.shard != 0 {
+			b.doorbell(0) // open the link to the parent, read for its end (writeLoop)
+		}
 	}
 	b.shmStart()
-	err := b.inner.Run()
-	if b.shards > 1 && b.shard != 0 {
-		// Final stats report: every local proc has finished, so the snapshot
-		// covers the whole run, and the writer queue is drained before close —
-		// the frame reaches the parent before this process exits.
-		b.sendStats()
-	}
-	if b.shards > 1 && b.shard == 0 {
-		b.waitChildren()
-		b.waitStats()
+	if b.inner.Run() == nil && b.shards > 1 {
+		if b.shard == 0 {
+			b.waitStats()
+		} else {
+			b.ended.Store(true) // this shard's part is done, whatever the parent's link does now
+			b.sendStats()
+		}
 	}
 	b.shutdownSockets()
-	if err != nil {
-		return err
-	}
-	return b.Err()
+	b.reap()
+	return b.inner.Err()
 }
 
-// waitChildren reaps the re-exec'd workers, bounded by the watchdog.
-func (b *Backend) waitChildren() {
-	deadline := b.opts.Live.Watchdog
-	if deadline <= 0 {
-		deadline = 30 * time.Second
+// reap waits for the workers to exit (an aborted run's once they see its
+// links end), and kills those left at the watchdog.
+func (b *Backend) reap() {
+	wd := b.opts.Live.Watchdog
+	if wd <= 0 {
+		wd = 30 * time.Second // live's default
 	}
-	for i, cmd := range b.children {
-		c := cmd
-		done := make(chan error, 1)
-		go func() { done <- c.Wait() }()
+	timeout := time.After(wd) // fires once
+	for left := len(b.children); left > 0; {
 		select {
-		case werr := <-done:
-			if werr != nil {
-				b.addErr(fmt.Errorf("netlive: shard %d exited: %w", i+1, werr))
+		case <-b.exited:
+			left--
+		case <-timeout:
+			for _, c := range b.children {
+				_ = c.Process.Kill()
 			}
-		case <-time.After(deadline):
-			_ = c.Process.Kill()
-			b.addErr(fmt.Errorf("netlive: shard %d did not exit within %v; killed", i+1, deadline))
+			b.inner.Abort(fmt.Errorf("netlive: worker shards still running %v after the run; killed", wd))
 		}
 	}
 }
 
-// shutdownSockets tears down the shm ring plane, then closes writers,
-// accepted connections, and the listener, and removes the rendezvous dir on
-// the parent that created it. It runs on every exit path — a stalled run's
-// included — so a wedged machine leaks neither ring mappings nor
-// reader/consumer goroutines.
+// shutdownSockets tears down the shm ring plane, then closes writers (each
+// drains its queue first), accepted connections, and the listener, and
+// removes the rendezvous dir on the parent that created it. It runs on every
+// exit path — an aborted run's included — so a wedged machine leaks neither
+// ring mappings nor reader/consumer goroutines.
 func (b *Backend) shutdownSockets() {
 	b.shmShutdown()
-	// Bounded flush before closing: frames queued during teardown (the
-	// kAllDone broadcast, doorbells, final stats) should reach the wire, but
-	// a dead peer must not wedge the teardown.
-	flushT := b.opts.DialTimeout
-	if flushT > 2*time.Second {
-		flushT = 2 * time.Second
-	}
-	for _, p := range b.peers {
-		if p != nil {
-			p.flush(flushT)
-		}
-	}
 	for _, p := range b.peers {
 		if p != nil {
 			p.close()
@@ -489,11 +464,11 @@ func (b *Backend) shutdownSockets() {
 	if b.ln != nil {
 		_ = b.ln.Close()
 	}
-	b.errMu.Lock()
+	b.connMu.Lock()
 	b.sockClosed = true
 	conns := b.conns
 	b.conns = nil
-	b.errMu.Unlock()
+	b.connMu.Unlock()
 	for _, c := range conns {
 		_ = c.Close()
 	}
@@ -501,20 +476,6 @@ func (b *Backend) shutdownSockets() {
 	if b.ownsDir {
 		_ = os.RemoveAll(b.dir)
 	}
-}
-
-// Err returns the accumulated lifecycle errors (child exits, wire faults),
-// or nil.
-func (b *Backend) Err() error {
-	b.errMu.Lock()
-	defer b.errMu.Unlock()
-	return errors.Join(b.errs...)
-}
-
-func (b *Backend) addErr(err error) {
-	b.errMu.Lock()
-	b.errs = append(b.errs, err)
-	b.errMu.Unlock()
 }
 
 // --- transport.Sharded: topology and the end of the run ----------------------
@@ -525,7 +486,8 @@ func (b *Backend) NumShards() int { return b.shards }
 // Shard implements transport.Sharded.
 func (b *Backend) Shard() int { return b.shard }
 
-func (b *Backend) shardOf(node int) int { return node / b.nps }
+// ShardOf implements transport.Sharded.
+func (b *Backend) ShardOf(node int) int { return node / b.nps }
 
 // IsLocal implements transport.Sharded.
 func (b *Backend) IsLocal(node int) bool { return node >= b.lo && node < b.hi }
@@ -594,6 +556,7 @@ func (b *Backend) answered(c []byte) bool {
 	}
 	b.wave.Unlock()
 	if over {
+		b.ended.Store(true)
 		for _, p := range b.peers {
 			if p != nil {
 				p.push(outFrame{kind: kAllDone})
@@ -621,7 +584,7 @@ func (b *Backend) SetRemoteHandler(fn func(src, dst, size int, payload []byte) b
 //
 //mpmd:hotpath
 func (b *Backend) SendRemote(src, dst, size int, wp transport.FrameMarshaler) {
-	p := b.peers[b.shardOf(dst)]
+	p := b.peers[b.ShardOf(dst)]
 	if p == nil {
 		panic(fmt.Sprintf("netlive: SendRemote to local node %d", dst))
 	}
@@ -665,10 +628,18 @@ func (b *Backend) dispatchPacket(remote func(src, dst, size int, payload []byte)
 	src := int(binary.LittleEndian.Uint32(body))
 	dst := int(binary.LittleEndian.Uint32(body[4:]))
 	size := int(binary.LittleEndian.Uint32(body[8:]))
-	if src >= b.n || b.shardOf(src) != from || !b.IsLocal(dst) {
+	if src >= b.n || b.ShardOf(src) != from || !b.IsLocal(dst) {
 		return false
 	}
 	return remote(src, dst, size, body[packetHdrLen:])
+}
+
+// doorbell queues a kDoorbell frame naming this shard for shard s (to a
+// consumer that is not parked, only a frame naming its link's peer).
+func (b *Backend) doorbell(s int) {
+	f := wire.Get(minBody[kDoorbell])
+	binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
+	b.peers[s].push(outFrame{kind: kDoorbell, buf: f})
 }
 
 // dropped counts one frame dropped at a failed or closed link.
@@ -708,26 +679,21 @@ func (b *Backend) SetStatsProvider(fn func() []byte) { b.statsProv = fn }
 func (b *Backend) PeerStats() map[int][]byte {
 	b.statsMu.Lock()
 	defer b.statsMu.Unlock()
-	out := make(map[int][]byte, len(b.peerStats))
-	for s, p := range b.peerStats {
-		out[s] = p
-	}
-	return out
+	return maps.Clone(b.peerStats)
 }
 
-// sendStats (workers) serializes the local stats payload and ships it to the
-// parent as a kStats frame. No-op before the machine installs a provider.
+// sendStats (workers) ships the local stats payload to the parent as a
+// kStats frame, the worker's word that its run finished. No-op before the
+// machine installs a provider.
 func (b *Backend) sendStats() {
-	if b.statsProv == nil || b.shard == 0 || b.peers == nil {
+	if b.statsProv == nil {
 		return
 	}
-	// Drain the peer writers first: frames a proc queued just before
-	// quiescing may still be sitting in a ring, and a snapshot taken now
-	// would under-count net.frames.out against what provably reached the
-	// peers. Bounded, so a dead connection cannot wedge the report.
+	// Drain the peer writers first, so that net.frames.out counts what
+	// reached the peers.
 	for _, p := range b.peers {
 		if p != nil {
-			p.flush(b.opts.DialTimeout)
+			p.flush()
 		}
 	}
 	payload := b.statsProv()
@@ -735,34 +701,27 @@ func (b *Backend) sendStats() {
 	binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
 	copy(f.Bytes()[4:], payload)
 	b.peers[0].push(outFrame{kind: kStats, buf: f})
-	// Bound the wait so a dead parent cannot wedge the worker's exit; the
-	// frame is almost always already on the wire.
-	b.peers[0].flush(b.opts.DialTimeout)
+	b.peers[0].flush() // on the wire before this process may exit
 }
 
-// waitStats (parent) waits for every worker shard's final kStats payload
-// before the sockets come down. Workers flush the frame before exiting, so
-// by the time waitChildren has reaped them the bytes are at worst sitting in
-// the parent's socket buffer; this wait gives the reader goroutines time to
-// dispatch them. A missing payload after the timeout is a lifecycle error
-// (and ClusterStats will refuse to fabricate totals).
+// waitStats (parent) waits for every worker shard's final kStats payload, or
+// for the latch, which a worker gone without one has raised. A missing
+// payload is one more cause (and ClusterStats will refuse to fabricate
+// totals).
 func (b *Backend) waitStats() {
-	deadline := time.Now().Add(b.opts.DialTimeout)
-	timer := time.AfterFunc(b.opts.DialTimeout, func() {
-		b.statsMu.Lock() // the waiter is before its deadline check or already waiting
+	for {
+		b.statsMu.Lock()
+		got := len(b.peerStats)
 		b.statsMu.Unlock()
-		b.statsCond.Broadcast()
-	})
-	defer timer.Stop()
-	b.statsMu.Lock()
-	for len(b.peerStats) < b.shards-1 && time.Now().Before(deadline) {
-		b.statsCond.Wait()
-	}
-	got := len(b.peerStats)
-	b.statsMu.Unlock()
-	if got < b.shards-1 {
-		b.addErr(fmt.Errorf("netlive: stats from only %d of %d worker shards within %v",
-			got, b.shards-1, b.opts.DialTimeout))
+		if got == b.shards-1 {
+			return
+		}
+		select {
+		case <-b.statsIn:
+		case <-b.inner.Aborted():
+			b.inner.Abort(fmt.Errorf("netlive: stats from only %d of %d worker shards", got, b.shards-1))
+			return
+		}
 	}
 }
 
@@ -775,17 +734,17 @@ func (b *Backend) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		b.errMu.Lock()
+		b.connMu.Lock()
 		if b.sockClosed {
 			// Shutdown won the race: this connection was accepted after the
 			// teardown snapshot, so nobody else would ever close it.
-			b.errMu.Unlock()
+			b.connMu.Unlock()
 			_ = conn.Close()
 			return
 		}
 		b.conns = append(b.conns, conn)
 		b.readers.Add(1)
-		b.errMu.Unlock()
+		b.connMu.Unlock()
 		go b.readLoop(conn)
 	}
 }
@@ -795,7 +754,7 @@ func (b *Backend) acceptLoop() {
 // synchronously here, which preserves the sender's frame order. A frame that
 // is oversize, too short for its kind, of no known kind, a malformed packet,
 // a packet on a link whose data rides a ring, or a control frame this link may
-// not carry (below) is one error and the end of the connection.
+// not carry (below) aborts the run with one error and ends the connection.
 func (b *Backend) readLoop(conn net.Conn) {
 	defer b.readers.Done()
 	defer conn.Close()
@@ -803,15 +762,17 @@ func (b *Backend) readLoop(conn net.Conn) {
 	from := -1 // the link's peer shard, once the first frame has named it
 	for {
 		if _, err := io.ReadFull(conn, hdr[:]); err != nil {
-			if err != io.EOF && !isClosedErr(err) {
-				b.addErr(fmt.Errorf("netlive: shard %d read: %w", b.shard, err))
+			if err == io.EOF {
+				b.linkEnded(from)
+			} else if !isClosedErr(err) {
+				b.inner.Abort(fmt.Errorf("netlive: shard %d read: %w", b.shard, err))
 			}
 			return
 		}
 		n := int(binary.LittleEndian.Uint32(hdr[:4]))
 		kind := frameKind(hdr[4])
 		if n > maxFrameBytes || (int(kind) < len(minBody) && n < minBody[kind]) {
-			b.addErr(fmt.Errorf("netlive: shard %d: peer sent a %d-byte frame of kind %d (limit %d bytes); connection abandoned",
+			b.inner.Abort(fmt.Errorf("netlive: shard %d: peer sent a %d-byte frame of kind %d (limit %d bytes); connection abandoned",
 				b.shard, n, kind, maxFrameBytes))
 			return
 		}
@@ -822,7 +783,7 @@ func (b *Backend) readLoop(conn net.Conn) {
 			body = buf.Bytes()
 			if _, err := io.ReadFull(conn, body); err != nil {
 				buf.Release()
-				b.addErr(fmt.Errorf("netlive: shard %d read body: %w", b.shard, err))
+				b.inner.Abort(fmt.Errorf("netlive: shard %d read body: %w", b.shard, err))
 				return
 			}
 		}
@@ -839,7 +800,7 @@ func (b *Backend) readLoop(conn net.Conn) {
 			ok := s == from && s < b.shards && s != b.shard && (kind != kWave || s == 0 || b.shard == 0) && (kind != kStats || b.shard == 0)
 			if !ok || (kind == kWave && b.shard == 0 && !b.answered(body[4:])) {
 				buf.Release()
-				b.addErr(fmt.Errorf("netlive: shard %d: peer sent a kind %d frame naming shard %d, which this link does not take from it; connection abandoned", b.shard, kind, s))
+				b.inner.Abort(fmt.Errorf("netlive: shard %d: peer sent a kind %d frame naming shard %d, which this link does not take from it; connection abandoned", b.shard, kind, s))
 				return
 			}
 		}
@@ -850,18 +811,18 @@ func (b *Backend) readLoop(conn net.Conn) {
 				panic("netlive: packet frame before the machine installed its remote handler")
 			}
 			src := int(binary.LittleEndian.Uint32(body)) // minBody: a packet body holds its header
-			if from < 0 && src < b.n && b.shardOf(src) != b.shard {
-				from = b.shardOf(src) // a packet names the link's peer by its source node
+			if from < 0 && src < b.n && b.ShardOf(src) != b.shard {
+				from = b.ShardOf(src) // a packet names the link's peer by its source node
 			}
 			if from >= 0 && b.peers[from].tx != nil { // from a worker built before its parent
 				buf.Release()
-				b.addErr(fmt.Errorf("netlive: shard %d: packet frame from shard %d on the socket of a ring link (the sender found no rings); connection abandoned", b.shard, from))
+				b.inner.Abort(fmt.Errorf("netlive: shard %d: packet frame from shard %d on the socket of a ring link (the sender found no rings); connection abandoned", b.shard, from))
 				return
 			}
 			if !b.dispatchPacket(remote, from, body) {
 				buf.Release()
-				b.addErr(fmt.Errorf("netlive: shard %d: peer sent a malformed packet frame (%d-byte body, claimed source node %d of shard %d); connection abandoned",
-					b.shard, n, src, b.shardOf(src)))
+				b.inner.Abort(fmt.Errorf("netlive: shard %d: peer sent a malformed packet frame (%d-byte body, claimed source node %d of shard %d); connection abandoned",
+					b.shard, n, src, b.ShardOf(src)))
 				return
 			}
 		case kWave: // a worker's answer joined the wave above
@@ -870,25 +831,40 @@ func (b *Backend) readLoop(conn net.Conn) {
 				b.idle()
 			}
 		case kAllDone:
+			b.ended.Store(true)
 			b.over()
 		case kStats:
 			// The pooled body is recycled below; the payload must outlive it.
 			b.statsMu.Lock()
 			b.peerStats[s] = append([]byte(nil), body[4:]...)
 			b.statsMu.Unlock()
-			b.statsCond.Broadcast()
+			poke(b.statsIn)
 		case kDoorbell:
 			b.shmWake(s)
 		default:
 			if buf != nil {
 				buf.Release()
 			}
-			b.addErr(fmt.Errorf("netlive: shard %d: peer sent a frame of unknown kind %d; connection abandoned", b.shard, kind))
+			b.inner.Abort(fmt.Errorf("netlive: shard %d: peer sent a frame of unknown kind %d; connection abandoned", b.shard, kind))
 			return
 		}
 		if buf != nil {
 			buf.Release()
 		}
+	}
+}
+
+// linkEnded takes the end (EOF) of a link with shard s, -1 when no frame
+// named it. Between two workers it means nothing: a sibling closes once it is
+// done, maybe before this shard has read its own kAllDone. A link with the
+// parent ends early at a worker before the run is over, and a worker's at the
+// parent before its stats.
+func (b *Backend) linkEnded(s int) {
+	b.statsMu.Lock()
+	_, reported := b.peerStats[s]
+	b.statsMu.Unlock()
+	if s == 0 && !b.ended.Load() || s > 0 && b.shard == 0 && !reported {
+		b.inner.Abort(fmt.Errorf("netlive: shard %d: the link with shard %d ended before the run was over", b.shard, s))
 	}
 }
 
@@ -927,16 +903,16 @@ type peer struct {
 
 	started bool //mpmdvet:guard mu
 
-	// queued counts frames ever pushed; sent counts frames the writer has
-	// fully put on the wire (or that fail dropped after a connection failure). flush
-	// waits for them to meet — how a worker guarantees its final kStats frame
-	// is out before the process exits.
-	queued atomic.Int64
-	sent   atomic.Int64
+	// queued counts frames ever pushed; sent counts frames put on the wire
+	// or dropped by a failed link, and progress gets a token after each.
+	// flush waits for them to meet.
+	queued   atomic.Int64
+	sent     atomic.Int64
+	progress chan struct{}
 }
 
 func newPeer(b *Backend, shard int) *peer {
-	p := &peer{b: b, shard: shard}
+	p := &peer{b: b, shard: shard, progress: make(chan struct{}, 1)}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
@@ -964,28 +940,34 @@ func (p *peer) push(f outFrame) {
 	p.queued.Add(1)
 	p.mu.Unlock()
 	p.b.met.Set(metrics.GgePeerRingDepth, int64(depth))
-	p.cond.Broadcast() // the writer; a flusher woken with it re-checks and waits on
+	p.cond.Signal() // the writer
 }
 
-// flush waits (bounded) until every frame queued so far is on the wire. Only
-// meaningful while the queue is still open. It waits on the link's condition
-// variable: the writer broadcasts after every frame it accounts for, and a
-// timer does at the deadline.
-func (p *peer) flush(timeout time.Duration) bool {
+// flush waits until every frame queued so far is on the wire (or dropped by a
+// failed link), or the run is aborted.
+func (p *peer) flush() {
 	want := p.queued.Load()
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		p.mu.Lock() // a flusher is before its deadline check or already waiting
-		p.mu.Unlock()
-		p.cond.Broadcast()
-	})
-	defer timer.Stop()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for p.sent.Load() < want && time.Now().Before(deadline) {
-		p.cond.Wait()
+	for p.sent.Load() < want {
+		select {
+		case <-p.progress:
+		case <-p.b.inner.Aborted():
+			return
+		}
 	}
-	return p.sent.Load() >= want
+}
+
+// accounted counts n more frames as sent and tells a flusher.
+func (p *peer) accounted(n int64) {
+	p.sent.Add(n)
+	poke(p.progress)
+}
+
+// poke leaves a token in ch, of capacity 1, unless one is there already.
+func poke(ch chan struct{}) {
+	select {
+	case ch <- struct{}{}:
+	default:
+	}
 }
 
 // close shuts the queue; the writer exits after draining.
@@ -993,20 +975,21 @@ func (p *peer) close() {
 	p.mu.Lock()
 	p.closed = true
 	p.mu.Unlock()
-	p.cond.Broadcast()
+	p.cond.Signal()
 }
 
-// dial connects to the peer shard, waiting for its socket to appear.
-func (p *peer) dial() (net.Conn, error) {
-	path := p.b.sockPath(p.shard)
-	deadline := time.Now().Add(p.b.opts.DialTimeout)
+// dial connects to the peer shard, looking for its socket every 10 ms while
+// it comes up. It gives up (nil) once the link is closed or the run aborted.
+func (p *peer) dial() net.Conn {
 	for {
-		conn, err := net.Dial("unix", path)
-		if err == nil {
-			return conn, nil
+		if conn, err := net.Dial("unix", p.b.sockPath(p.shard)); err == nil {
+			return conn
 		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("netlive: shard %d unreachable at %s: %w", p.shard, path, err)
+		p.mu.Lock()
+		closed := p.closed
+		p.mu.Unlock()
+		if closed || p.b.inner.Err() != nil {
+			return nil
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -1014,15 +997,23 @@ func (p *peer) dial() (net.Conn, error) {
 
 // writeLoop drains the frame ring onto the socket. The frame header is
 // assembled in a reusable scratch buffer and the pooled body released after
-// the write, so steady-state cross-shard sends allocate nothing here.
+// the write, so steady-state cross-shard sends allocate nothing here. A
+// failed write aborts the run. A worker's connection to its parent carries
+// nothing back and is read for its end: the parent's teardown or death.
 func (p *peer) writeLoop() {
-	conn, err := p.dial()
-	if err != nil {
-		p.b.addErr(err)
+	conn := p.dial()
+	if conn == nil {
 		p.fail()
 		return
 	}
 	defer conn.Close()
+	if p.shard == 0 {
+		go func() {
+			if _, err := conn.Read(make([]byte, 1)); !isClosedErr(err) {
+				p.b.linkEnded(0)
+			}
+		}()
+	}
 	var hdr [5]byte
 	for {
 		p.mu.Lock()
@@ -1048,18 +1039,16 @@ func (p *peer) writeLoop() {
 		if f.buf != nil {
 			f.buf.Release()
 		}
-		p.mu.Lock() // a flusher has read sent and not yet waited, or is waiting
-		p.sent.Add(1)
-		p.mu.Unlock()
-		p.cond.Broadcast()
 		if werr != nil {
-			if !isClosedErr(werr) {
-				p.b.addErr(fmt.Errorf("netlive: write to shard %d: %w", p.shard, werr))
-			}
 			p.b.dropped()
+			p.accounted(1)
 			p.fail()
+			if !isClosedErr(werr) {
+				p.b.inner.Abort(fmt.Errorf("netlive: write to shard %d: %w", p.shard, werr))
+			}
 			return
 		}
+		p.accounted(1)
 		p.b.met.Add(metrics.CtrFramesOut, 1)
 		p.b.met.Add(metrics.CtrBytesOut, int64(5+bodyLen)) // total wire bytes: length prefix + kind + body
 	}
@@ -1070,14 +1059,15 @@ func (p *peer) writeLoop() {
 // any closed link.
 func (p *peer) fail() {
 	p.mu.Lock()
-	defer p.cond.Broadcast() // flushers: every queued frame is now accounted for
-	defer p.mu.Unlock()
 	p.closed = true
+	n := int64(0)
 	for f, ok := p.q.Pop(); ok; f, ok = p.q.Pop() {
 		if f.buf != nil {
 			f.buf.Release()
 		}
-		p.sent.Add(1)
 		p.b.dropped()
+		n++
 	}
+	p.mu.Unlock()
+	p.accounted(n) // flushers: every queued frame is now accounted for
 }

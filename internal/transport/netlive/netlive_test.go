@@ -323,16 +323,13 @@ func ringMappings(t *testing.T) int {
 	return count
 }
 
-// TestShmStalledTeardownNoLeaks: a run that stalls (watchdog fires, Run
-// returns StallError) must still tear the ring plane down — consumer
+// TestShmStalledTeardownNoLeaks: a run that stalls (the watchdog aborts it,
+// Run returns a StallError) must still tear the ring plane down — consumer
 // goroutines exit and every ring mapping is unmapped. Only the stuck proc
 // itself may outlive the run (the live backend under it owns no goroutine of
 // its own).
 func TestShmStalledTeardownNoLeaks(t *testing.T) {
-	fast := func(o *Options) {
-		o.Live.Watchdog = 300 * time.Millisecond
-		o.DialTimeout = 2 * time.Second
-	}
+	fast := func(o *Options) { o.Live.Watchdog = 300 * time.Millisecond }
 	before := runtime.NumGoroutine()
 	dir := t.TempDir()
 	a := newShardRig(t, 4, 2, 0, dir, fast)

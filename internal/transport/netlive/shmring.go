@@ -52,7 +52,7 @@ import (
 // so full/empty are unambiguous: used = tail - head.
 const (
 	shmMagic   = 0x474e49524d48531 // "SHMRING" as a number
-	shmVersion = 2                 // 2: the recFrag flag and fragment records
+	shmVersion = 3                 // 2: the recFrag flag and fragment records; 3: the gone flag
 	shmHdrSize = 256
 
 	offMagic   = 0
@@ -61,6 +61,7 @@ const (
 	offTail    = 64 // producer cursor (free-running bytes)
 	offHead    = 128
 	offParked  = 192
+	offGone    = 196 // set once no consumer will drain the ring again
 
 	// recHdrLen is the per-record header, four u32 words. Word 0 is the
 	// record length (header included, padding excluded), with recFrag or'ed
@@ -124,6 +125,7 @@ type shmRing struct {
 	tail   *atomic.Uint64 // producer cursor in the mapped header, read by the peer process
 	head   *atomic.Uint64 // consumer cursor in the mapped header
 	parked *atomic.Uint32 // consumer park flag, CAS'd by producers
+	gone   *atomic.Uint32 // consumer gone flag, read by a producer waiting for room
 }
 
 func mapRing(raw []byte) *shmRing {
@@ -134,6 +136,7 @@ func mapRing(raw []byte) *shmRing {
 		tail:   (*atomic.Uint64)(unsafe.Pointer(&raw[offTail])),
 		head:   (*atomic.Uint64)(unsafe.Pointer(&raw[offHead])),
 		parked: (*atomic.Uint32)(unsafe.Pointer(&raw[offParked])),
+		gone:   (*atomic.Uint32)(unsafe.Pointer(&raw[offGone])),
 	}
 }
 
@@ -164,9 +167,7 @@ func (r *shmRing) prefault(write bool) {
 	}
 }
 
-// createRingFile creates and initializes one ring file. The magic is
-// published last (atomically), so an attacher polling the file never sees
-// a half-initialized header.
+// createRingFile creates and initializes one ring file, its magic last.
 func createRingFile(path string, dataBytes uint64) error {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o600)
 	if err != nil {
@@ -235,17 +236,15 @@ type shmTx struct {
 	r    *shmRing
 	peer int
 
-	mu     sync.Mutex
-	tail   uint64 //mpmdvet:guard mu — local copy of the published producer cursor
-	closed bool   //mpmdvet:guard mu
-	// dead latches after a reserve timeout (no consumer progress for
-	// DialTimeout): the link has failed, and every later frame is dropped.
-	// The socket is no alternative — it leads to the same wedged process.
-	dead bool //mpmdvet:guard mu
+	mu   sync.Mutex
+	tail uint64 //mpmdvet:guard mu — local copy of the published producer cursor
+	// closed is set at teardown, and when the ring's consumer is gone: every
+	// later frame is dropped. The socket is no alternative — it leads to the
+	// same process.
+	closed bool //mpmdvet:guard mu
 
-	// quit mirrors closed without the lock: reserve's full-ring wait polls
-	// it so teardown is never blocked behind a sender spinning on a ring
-	// whose consumer is already gone.
+	// quit is teardown's word to reserve's full-ring wait, without the lock,
+	// so that teardown is never blocked behind a sender waiting for room.
 	quit atomic.Bool
 }
 
@@ -304,12 +303,10 @@ func (b *Backend) ringPath(from, to int) string {
 
 // shmSetup builds the ring mesh, and the parent alone decides whether there
 // is one: unless DisableShm is set it creates every ring file before any
-// worker exists. A worker follows what it finds: when the parent's ring to it
-// exists it attaches every one of its rings or fails New, so a pair can never
-// disagree about whether a direction is ring- or socket-carried (which would
-// reorder or strand frames); when it does not, every link stays on the socket.
-// Socket links are a decision of the parent's configuration (DisableShm, an
-// unsupported OS), never a per-pair or per-message one.
+// worker exists. A worker attaches every one of its rings (or fails New) when
+// the parent's ring to it exists, and otherwise keeps every link on the
+// socket, so a pair never disagrees about a direction's path (which would
+// reorder or strand frames).
 func (b *Backend) shmSetup() error {
 	if b.shards <= 1 {
 		return nil
@@ -386,12 +383,10 @@ func (b *Backend) shmStart() {
 }
 
 // shmShutdown stops the readers, closes the producers and the consumer ends
-// behind their locks (the lock round-trip is the barrier that no in-flight
-// send or drain still touches the mapping), then unmaps every ring. Runs on
-// every teardown path — including a stalled run's — so a wedged machine leaks
-// neither goroutines nor mappings; a straggler proc that sends afterwards
-// gets a closed link's drop semantics, and one that parks idle finds every
-// ring dead, instead of a fault on unmapped memory.
+// behind their locks (the barrier that no send or drain still touches the
+// mapping; a consumer end is also marked gone for its producer), then unmaps
+// every ring. A straggler proc that sends afterwards gets a closed link's
+// drops, and one that parks idle finds every ring dead.
 func (b *Backend) shmShutdown() {
 	p := b.shm
 	if p == nil || !p.stop.CompareAndSwap(false, true) {
@@ -414,6 +409,7 @@ func (b *Backend) shmShutdown() {
 		if rx != nil {
 			rx.mu.Lock()
 			rx.dead = true
+			rx.r.gone.Store(1)
 			rx.mu.Unlock()
 		}
 	}
@@ -423,23 +419,15 @@ func (b *Backend) shmShutdown() {
 // shmWake rings a parked consumer's local doorbell (the kDoorbell frame
 // handler).
 func (b *Backend) shmWake(s int) {
-	p := b.shm
-	if p == nil || s < 0 || s >= len(p.rx) || p.rx[s] == nil {
-		return
-	}
-	select {
-	case p.rx[s].wake <- struct{}{}:
-	default:
+	if p := b.shm; p != nil { // s is a peer: readLoop checked the frame's shard word
+		poke(p.rx[s].wake)
 	}
 }
 
-// send puts one packet on the ring. The common case reserves a slot, encodes
-// the payload straight into the slot's bytes, publishes the new tail, and
-// rings the doorbell if the consumer is parked. The whole critical section is
-// sender-side only — the consumer is coordinated purely through
-// the shared cursors. A packet over the contiguity limit goes as fragments;
-// one that finds no room because the link is dead or closed is dropped and
-// counted.
+// send puts one packet on the ring: it reserves a slot, encodes the payload
+// straight into it, publishes the new tail, and rings the doorbell if the
+// consumer is parked. A packet over the contiguity limit goes as fragments;
+// one that gets no room (reserve) is dropped and counted.
 //
 //mpmd:hotpath
 func (tx *shmTx) send(b *Backend, src, dst, size int, wp transport.FrameMarshaler) {
@@ -470,11 +458,9 @@ func (tx *shmTx) send(b *Backend, src, dst, size int, wp transport.FrameMarshale
 }
 
 // sendFragments publishes a staged packet body as consecutive fragment
-// records, all under one hold of tx.mu so no other sender's record lands
-// between them. Each fragment is published (and the consumer kicked) as it is
-// written: the consumer frees space while the producer is still writing,
-// which is what lets a packet larger than the whole ring through. When the
-// link is or goes dead, what is left of the packet is dropped.
+// records under one hold of tx.mu, each published (and the consumer kicked)
+// as it is written, which lets a packet larger than the whole ring through.
+// When no room comes (reserve), what is left of the packet is dropped.
 //
 //mpmd:coldpath the rare packet over a quarter of the ring: one staged copy
 func (tx *shmTx) sendFragments(b *Backend, f *wire.Buf) {
@@ -516,11 +502,9 @@ func (tx *shmTx) publish(rec uint64) uint64 {
 	return tx.tail - tx.r.head.Load()
 }
 
-// kick rings the doorbell, but only when the consumer has declared itself
-// parked; the CAS makes one producer win, so a parked consumer gets exactly
-// one frame. Sequential consistency of the atomics orders publish's
-// tail.Store before this load against the consumer's
-// parked.Store-then-tail.Load re-check, so the wakeup cannot be lost.
+// kick rings the doorbell when the consumer has declared itself parked; the
+// CAS makes one producer win. publish's tail.Store before this load, against
+// the consumer's parked.Store-then-tail.Load, loses no wake-up.
 //
 //mpmd:hotpath
 func (tx *shmTx) kick(b *Backend) {
@@ -530,19 +514,19 @@ func (tx *shmTx) kick(b *Backend) {
 }
 
 // reserve finds rec contiguous bytes, writing a wrap marker when the tail
-// would straddle the end. Called with tx.mu held. A full ring waits for the
-// consumer — briefly spinning, then sleeping in small steps bounded by
-// DialTimeout, after which the link is latched dead (false). A dead or closed
-// (teardown) ring reserves nothing.
+// would straddle the end. Called with tx.mu held. A full ring waits for its
+// consumer to free room — spinning briefly, then looking every 100 µs — and
+// gives up (false) at teardown, when the run is aborted, or when the consumer
+// is gone, which closes the link and aborts the run. A closed ring reserves
+// nothing.
 //
 //mpmdvet:locked tx.mu
 func (tx *shmTx) reserve(b *Backend, rec uint64) (uint64, bool) {
-	if tx.closed || tx.dead {
+	if tx.closed {
 		return 0, false
 	}
 	r := tx.r
 	capB := r.capB
-	var deadline time.Time
 	for spins := 0; ; spins++ {
 		off := tx.tail % capB
 		pad := uint64(0)
@@ -560,27 +544,30 @@ func (tx *shmTx) reserve(b *Backend, rec uint64) (uint64, bool) {
 		if tx.quit.Load() {
 			return 0, false
 		}
+		if r.gone.Load() != 0 {
+			tx.closed = true
+			b.shmConsumerGone(tx.peer)
+			return 0, false
+		}
 		if spins < 64 {
 			runtime.Gosched()
 			continue
 		}
-		if deadline.IsZero() {
-			deadline = time.Now().Add(b.opts.DialTimeout)
-		} else if time.Now().After(deadline) {
-			tx.dead = true
-			b.shmRingDead(tx.peer)
+		select {
+		case <-b.inner.Aborted():
 			return 0, false
+		default:
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
 }
 
-// shmRingDead records the one error of a link whose ring consumer made no
-// progress for DialTimeout.
+// shmConsumerGone aborts the run for a link whose ring consumer is gone while
+// a sender waits for room in it.
 //
-//mpmd:coldpath runs once per ring, when reserve latches it dead
-func (b *Backend) shmRingDead(shard int) {
-	b.addErr(fmt.Errorf("netlive: shm ring to shard %d made no progress within %v; link to shard %d is dead, its frames are dropped", shard, b.opts.DialTimeout, shard))
+//mpmd:coldpath runs once per ring, when reserve closes it
+func (b *Backend) shmConsumerGone(shard int) {
+	b.inner.Abort(fmt.Errorf("netlive: shm ring to shard %d: its consumer is gone; the link's frames are dropped", shard))
 }
 
 // shmReadLoop is the per-inbound-ring reader, the consumer of last resort:
@@ -609,11 +596,9 @@ func (b *Backend) shmReadLoop(rx *shmRx) {
 }
 
 // shmIdlePoll is the inner live backend's idle poll (live.SetIdlePoll): a
-// proc that has parked and left its node idle looks at every inbound ring of
-// the shard and drains what it finds — for its own node or a sibling's — until
-// woken says the proc has its wake-up (usually from a packet this very drain
-// delivered), or its share of the spin budget is spent. A ring another
-// consumer is draining is skipped, not waited for.
+// proc that left its node idle drains every inbound ring of the shard it can
+// lock (one another consumer drains is skipped) until woken says it has its
+// wake-up, or its share of the spin budget is spent.
 func (b *Backend) shmIdlePoll(woken func() bool) {
 	p := b.shm
 	p.pollers.Add(1)
@@ -647,30 +632,23 @@ func (b *Backend) shmIdlePoll(woken func() bool) {
 	}
 }
 
-// handBack releases every reader that has stepped back. The token is
-// buffered: a reader that is not waiting for it finds it when it next does,
-// looks at pollers again, and at worst waits for the next one.
+// handBack releases every reader that has stepped back; one that is not
+// waiting yet finds the token when it does.
 func (p *shmPlane) handBack() {
 	for _, rx := range p.rx {
 		if rx != nil {
-			select {
-			case rx.handback <- struct{}{}:
-			default:
-			}
+			poke(rx.handback)
 		}
 	}
 }
 
-// shmDrain consumes the records in [rx.head, tail), for whichever consumer
-// holds the ring's consumer lock; by is that consumer's share of
-// CtrShmFramesIn. The payload slice handed to the handler points directly
-// into the mapped ring — valid only for the duration of the call, the same
-// no-retain contract as the socket reader — and the head cursor is published
-// only after the handler returns, so the producer cannot reuse the slot under
-// a running handler. The cursors and every record header were written by
-// another process: each is held against the ring geometry and the published
-// tail before anything is indexed with it, and a value that does not fit
-// abandons the ring (false, and rx.dead).
+// shmDrain consumes the records in [rx.head, tail) for the holder of the
+// consumer lock; by is its share of CtrShmFramesIn. The handler's payload
+// points into the mapped ring, valid for the call only, and head is published
+// after the handler returns, so no slot is reused under it. Cursors and record
+// headers come from another process: each is held against the ring geometry
+// and the published tail before anything is indexed with it, and a value that
+// does not fit abandons the ring (false, and rx.dead).
 //
 //mpmd:hotpath
 //mpmdvet:locked rx.mu
@@ -737,11 +715,9 @@ func (b *Backend) shmDrain(rx *shmRx, tail uint64, by metrics.Ctr) bool {
 }
 
 // reassemble adds one fragment — rec is its record after word 0: total, at,
-// 0, then the bytes — to the packet being rebuilt in rx.asm, a pooled buffer
-// of total bytes taken when the at == 0 fragment arrives. It returns the
-// whole packet body once the last fragment is in, nil before that, and a
-// reason when the fragment does not continue the packet in progress or the
-// total is over the frame limit.
+// 0, then the bytes — to the packet rebuilt in rx.asm (pooled, taken at the
+// at == 0 fragment): the whole body once the last is in, nil before, and a
+// reason for a fragment out of sequence or a total over the frame limit.
 //
 //mpmd:coldpath only the rare packet over a quarter of the ring is fragmented; one copy, pooled
 //mpmdvet:locked rx.mu
@@ -765,27 +741,25 @@ func (rx *shmRx) reassemble(rec []byte) (body []byte, why string) {
 	return rx.asm.Bytes(), ""
 }
 
-// shmCorrupt records the one error that ends an inbound ring and marks it
-// dead for every consumer. It returns false, shmDrain's "abandon the ring".
+// shmCorrupt ends an inbound ring: it marks it dead for every consumer and
+// gone for its producer, and aborts the run with one error naming the peer. It
+// returns false, shmDrain's "abandon the ring".
 //
 //mpmd:coldpath at most once per ring, after which its reader exits and the idle procs skip it
 //mpmdvet:locked rx.mu
 func (b *Backend) shmCorrupt(rx *shmRx, why string, off uint64, word uint32) bool {
 	rx.dead = true
-	b.addErr(fmt.Errorf("netlive: shm ring from shard %d abandoned: %s (record word %#x at offset %d)", rx.peer, why, word, off))
+	rx.r.gone.Store(1)
+	b.inner.Abort(fmt.Errorf("netlive: shm ring from shard %d abandoned: %s (record word %#x at offset %d)", rx.peer, why, word, off))
 	return false
 }
 
 // shmWaitData is the reader's wait for the producer to move tail past head: a
-// bounded spin of yields first, then park — publish the parked flag, re-check
-// the tail (the producer's publish may have raced the flag), and block on the
-// doorbell. While procs of the shard poll the rings themselves the reader
-// steps back: it blocks until the last of them hands the rings back, and then
-// counts their looks as spent, so the spin before the doorbell park is one
-// budget however many consumers shared it. Returns false on shutdown or when
-// the ring was abandoned meanwhile. A true return may be spurious (head is the
-// caller's reading; an idle proc may have drained since): the caller looks
-// again under the consumer lock.
+// bounded spin of yields, then park — publish the parked flag, re-check the
+// tail, and block on the doorbell. While procs of the shard poll the rings the
+// reader steps back until the last hands them back, counting their looks as
+// spent. Returns false on shutdown or when the ring was abandoned meanwhile; a
+// true return may be spurious, and the caller looks again under the lock.
 func (b *Backend) shmWaitData(rx *shmRx, head uint64) bool {
 	p := b.shm
 	r := rx.r
@@ -840,7 +814,5 @@ func (b *Backend) shmWaitData(rx *shmRx, head uint64) bool {
 // the fast path touches a file descriptor.
 func (b *Backend) ringDoorbell(s int) {
 	b.met.Add(metrics.CtrShmDoorbells, 1)
-	f := wire.Get(4)
-	binary.LittleEndian.PutUint32(f.Bytes(), uint32(b.shard))
-	b.peers[s].push(outFrame{kind: kDoorbell, buf: f})
+	b.doorbell(s)
 }

@@ -93,6 +93,8 @@ type Sharded interface {
 	Shard() int
 	// IsLocal reports whether node executes in this address space.
 	IsLocal(node int) bool
+	// ShardOf returns the shard that node executes in.
+	ShardOf(node int) int
 	// Quiesce ends the run across the shards: once two consecutive waves of
 	// every shard's tally (messages sent and handled, threads made runnable
 	// and blocked or exited; ok once none of its threads can run) read equal
@@ -187,7 +189,7 @@ type DirectDeliverer interface {
 // i's arrival function. Arrivals and Procs of different nodes may run in
 // parallel. A backend has no timers: a run ends when its work does.
 type Backend interface {
-	// Name identifies the backend in reports ("sim" or "live").
+	// Name identifies the backend in reports ("sim", "live" or "net").
 	Name() string
 	// NumNodes returns the number of nodes the backend was built for.
 	NumNodes() int
@@ -199,6 +201,7 @@ type Backend interface {
 	Go(node int, name string, fn func(Proc)) Proc
 	// Run executes until every Proc has finished. It returns an error if
 	// the system cannot make progress (simnet: event queue drained with
-	// procs parked; live: watchdog expired with procs still alive).
+	// procs parked; live and netlive: the run was aborted — by a failure
+	// below it, or by the watchdog expiring with procs still alive).
 	Run() error
 }
