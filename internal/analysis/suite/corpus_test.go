@@ -111,6 +111,11 @@ var corpus = []struct {
 	// hostile rows' stand-in, and the fuzz target's seed of the ring row.
 	{"a packet from a node outside its link's peer shard", "go test ./internal/transport/netlive -run ^(TestHostileSocketFrames|TestHostileRingRecords|FuzzRingRecords)$", `(?s)malformed bytes were dispatched as a packet 2->3.*packet 2->3 dispatched from the ring of shard 0 to shard 1`, []edit{
 		{"internal/transport/netlive/netlive.go", "\tif src >= b.n || b.ShardOf(src) != from || !b.IsLocal(dst) {\n", "\tif src >= b.n || !b.IsLocal(dst) {\n"}}},
+	// A producer that rings each time it finds the reader's flag set, without
+	// winning the CAS that clears it, queues a doorbell per publish on the
+	// socket while the reader sleeps: the control plane loses its bound.
+	{"a doorbell on every publish while the reader is parked", "go test ./internal/transport/netlive -run ^TestControlPlaneBound$", `shard 0's socket queue held \d+ frames, above its bound of 3`, []edit{
+		{"internal/transport/netlive/shmring.go", "\tif tx.r.parked.Load() == 1 && tx.r.parked.CompareAndSwap(1, 0) {\n", "\tif tx.r.parked.Load() == 1 {\n"}}},
 	// Every failure the run does not end on is a wait until the watchdog: a
 	// worker's death, a ring abandoned for its bytes, a handler that panicked
 	// in a node's interrupt context and left that node's CPU held.

@@ -448,7 +448,7 @@ func (rt *Runtime) Run() error {
 	}
 	rt.started.Store(true)
 	idle := rt.idle
-	if sharded && topo.NumShards() > 1 {
+	if sharded {
 		idle = topo.Quiesce(rt.tally, rt.stop)
 	}
 	for i, n := range rt.nodes {

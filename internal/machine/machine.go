@@ -28,18 +28,14 @@ type Machine struct {
 
 	// How a packet reaches its node, fixed at construction. One of Eng
 	// (local-modelled: one engine event after the modelled latency enqueues
-	// and arrives) and direct (local-immediate: enqueue here, then notify the
-	// node by index) is set. shard is be's ordered links to peer address
-	// spaces, nil on single-address-space backends; when set, Send serializes
-	// packets for non-local nodes onto it and wireDec (installed by the
-	// messaging layer) reconstructs arriving ones.
-	direct  transport.DirectDeliverer
+	// and arrives) and wall (local-immediate: enqueue here, then notify the
+	// node by index; also the wall-clock metrics) is set. shard is be's
+	// ordered links to peer address spaces, nil on a machine of one address
+	// space; when set, Send serializes packets for non-local nodes onto it and
+	// wireDec (installed by the messaging layer) reconstructs arriving ones.
+	wall    transport.WallClock
 	shard   transport.Sharded
 	wireDec func(src, dst int, b []byte) any
-
-	// mets is be's wall-clock metrics seam, nil on backends without one (the
-	// simulator).
-	mets transport.MetricsSource
 
 	// Trace, when non-nil, receives instrumentation callbacks from the
 	// layers above (kind is "send", "recv", "spawn", "switch", or "charge";
@@ -75,24 +71,23 @@ func NewWithBackend(cfg Config, n int, be transport.Backend) *Machine {
 	m := &Machine{Cfg: cfg, be: be}
 	if s, ok := be.(*simnet.Backend); ok {
 		m.Eng = s.Engine()
-	} else if m.direct, ok = be.(transport.DirectDeliverer); ok {
-		m.direct.SetArrival(m.arrive)
+	} else if m.wall, ok = be.(transport.WallClock); ok {
+		m.wall.SetArrival(m.arrive)
 	} else {
-		panic(fmt.Sprintf("machine: backend %q is neither the simulator nor a transport.DirectDeliverer", be.Name()))
+		panic(fmt.Sprintf("machine: backend %q is neither the simulator nor a transport.WallClock", be.Name()))
 	}
 	if m.shard, _ = be.(transport.Sharded); m.shard != nil {
 		m.shard.SetRemoteHandler(m.remoteArrival)
 		m.shard.SetStatsProvider(m.localStatsPayload)
 	}
-	m.mets, _ = be.(transport.MetricsSource)
 	for i := 0; i < n; i++ {
 		nd := &Node{
 			ID:   i,
 			M:    m,
 			Acct: newAccounting(),
 		}
-		if m.mets != nil {
-			nd.Met = m.mets.NodeMetrics(i)
+		if m.wall != nil {
+			nd.Met = m.wall.NodeMetrics(i)
 		}
 		m.nodes = append(m.nodes, nd)
 	}
@@ -111,7 +106,7 @@ func (m *Machine) Backend() transport.Backend { return m.be }
 func (m *Machine) SetWireDecoder(dec func(src, dst int, b []byte) any) { m.wireDec = dec }
 
 // arrive runs node's arrival hook in its context: the arrival function of a
-// direct-delivery backend, and the second half of a simulator delivery. local
+// wall-clock backend, and the second half of a simulator delivery. local
 // says a sender of this address space, running in its own node's context,
 // won the node's free CPU: for the length of the hook the node is then
 // Interrupted.
@@ -141,7 +136,7 @@ func (m *Machine) remoteArrival(src, dst, size int, enc []byte) bool {
 	}
 	nd := m.Node(dst)
 	nd.pushInbox(Packet{Src: src, Dst: dst, Size: size, Payload: payload})
-	m.direct.DeliverDirect(dst, false)
+	m.wall.DeliverDirect(dst, false)
 	return true
 }
 
@@ -155,8 +150,8 @@ func (m *Machine) Now() time.Duration { return m.be.Now() }
 // goroutine (on the simulator, from inside the simulation); the hook finds
 // out for itself what there is to do.
 func (m *Machine) Wake(node int) {
-	if m.direct != nil {
-		m.direct.DeliverDirect(node, false)
+	if m.wall != nil {
+		m.wall.DeliverDirect(node, false)
 		return
 	}
 	m.Eng.After(0, func() { m.arrive(node, false) })
@@ -325,9 +320,9 @@ func (n *Node) Loopback(size int, payload any) {
 //
 //mpmd:hotpath
 func (m *Machine) deliverLocal(from, target *Node, lat time.Duration, pkt Packet) {
-	if m.direct != nil {
+	if m.wall != nil {
 		target.pushInbox(pkt)
-		m.direct.DeliverDirect(target.ID, !from.intr)
+		m.wall.DeliverDirect(target.ID, !from.intr)
 		return
 	}
 	m.Eng.After(lat, func() { //mpmdvet:ignore hotpath simulator backend only; live backends take the direct path above

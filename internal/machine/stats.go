@@ -38,8 +38,8 @@ func (m *Machine) LocalStats() ShardStats {
 		}
 	}
 	s.Acct = MergeSnapshots(snaps...)
-	if m.mets != nil {
-		s.Metrics = m.mets.MetricsSnapshot()
+	if m.wall != nil {
+		s.Metrics = m.wall.MetricsSnapshot()
 	}
 	return s
 }
@@ -59,10 +59,10 @@ func (m *Machine) localStatsPayload() []byte {
 // Metrics returns the merged wall-clock metrics of this address space's
 // backend. ok is false on backends without metrics (the simulator).
 func (m *Machine) Metrics() (s metrics.Snapshot, ok bool) {
-	if m.mets == nil {
+	if m.wall == nil {
 		return metrics.Snapshot{}, false
 	}
-	return m.mets.MetricsSnapshot(), true
+	return m.wall.MetricsSnapshot(), true
 }
 
 // ClusterStats is the machine-wide stats report: every shard's contribution

@@ -140,7 +140,6 @@ func (p intrProc) Park()               { p.t.mustNotBlock("Park") }
 func (p intrProc) Unpark()             { p.t.mustNotBlock("Unpark") }
 func (p intrProc) Sleep(time.Duration) {}
 func (p intrProc) Deliver()            {}
-func (p intrProc) Now() time.Duration  { return p.t.s.node.M.Now() }
 func (p intrProc) Name() string        { return p.t.name }
 
 // mustNotBlock panics if t is its node's interrupt record, which op would
@@ -175,9 +174,9 @@ func (t *Thread) Node() *machine.Node { return t.s.node }
 // Cfg returns the machine cost configuration (read-only; see Node.Cfg).
 func (t *Thread) Cfg() *machine.Config { return t.s.node.Cfg() }
 
-// Now returns the backend clock: virtual time on the simulator, wall-clock
-// time on the live backend.
-func (t *Thread) Now() time.Duration { return t.p.Now() }
+// Now returns the machine's clock (its backend's): virtual time on the
+// simulator, wall-clock time on the live backend.
+func (t *Thread) Now() time.Duration { return t.s.node.M.Now() }
 
 // Deliver is the thread's delivery point (Proc.Deliver): am runs it per poll.
 func (t *Thread) Deliver() { t.p.Deliver() }

@@ -582,7 +582,7 @@ func crossShardTraffic(t *testing.T, f ShardedFactory, mixed bool) {
 	pattern := func(i, j int) byte { return byte(i*37 + j*11) }
 	r := newRig(f(cfg, nodes))
 	dst := nodes - 1
-	if topo, ok := r.m.Backend().(transport.Sharded); ok && topo.IsLocal(dst) && topo.NumShards() > 1 {
+	if topo, ok := r.m.Backend().(transport.Sharded); ok && topo.IsLocal(dst) {
 		t.Fatalf("topology says node %d is local to shard %d; pick a remote pair", dst, topo.Shard())
 	}
 	var (

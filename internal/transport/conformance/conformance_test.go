@@ -27,55 +27,34 @@ func TestLive(t *testing.T) {
 	})
 }
 
-// TestNetLoopback runs the suite on the sharded multi-process backend in its
-// single-shard (in-process loopback) configuration: the degenerate case the
-// sharding was designed around, which must be indistinguishable from live.
-// The true multi-process path is covered by netlive's in-process two-shard
-// test and the mpmd re-exec smoke.
-func TestNetLoopback(t *testing.T) {
-	Run(t, func(cfg machine.Config, n int) *machine.Machine {
-		be, err := netlive.New(n, netlive.Options{
-			Live: live.Options{Watchdog: 20 * time.Second},
-		})
-		if err != nil {
-			t.Fatalf("netlive.New: %v", err)
-		}
-		return machine.NewWithBackend(cfg, n, be)
-	})
-}
-
 // netSharded runs the suite over the two-shard netlive configuration: both
 // shards as co-resident backends inside the test process, shard 0 first (it
 // creates the rings and the rendezvous sockets), the worker shard attaching.
-// Single-node cases degenerate to one shard, where there are no links at
-// all. Afterwards every backend's counters must show that its link carried
-// all its packets on the one path the configuration fixed.
+// A one-node machine is one address space and builds on live, as
+// mpmd.NewNetMachine builds it (no case of the suite has one node today).
+// Afterwards every backend's counters must show that its link carried all
+// its packets on the one path the configuration fixed.
 func netSharded(t *testing.T, mod func(*netlive.Options)) {
 	var bes []*netlive.Backend
+	lv := live.Options{Watchdog: 20 * time.Second}
 	RunSharded(t, func(cfg machine.Config, n int) []*machine.Machine {
-		nps := (n + 1) / 2
-		shards := (n + nps - 1) / nps
+		if n == 1 {
+			return []*machine.Machine{machine.NewWithBackend(cfg, n, live.New(n, lv))}
+		}
 		dir := t.TempDir()
-		ms := make([]*machine.Machine, shards)
-		for s := 0; s < shards; s++ {
+		ms := make([]*machine.Machine, 2)
+		for s := range ms {
 			sh := s
-			opts := netlive.Options{
-				NodesPerShard: nps,
-				Shard:         &sh,
-				Dir:           dir,
-				Live:          live.Options{Watchdog: 20 * time.Second},
-			}
+			opts := netlive.Options{NodesPerShard: (n + 1) / 2, Shard: &sh, Dir: dir, Live: lv}
 			mod(&opts)
 			be, err := netlive.New(n, opts)
 			if err != nil {
 				t.Fatalf("netlive.New shard %d: %v", sh, err)
 			}
-			if be.ShmActive() != (!opts.DisableShm && shards > 1) {
-				t.Fatalf("shard %d of %d: ShmActive = %v", sh, shards, be.ShmActive())
+			if be.ShmActive() == opts.DisableShm {
+				t.Fatalf("shard %d: ShmActive = %v with DisableShm %v", sh, be.ShmActive(), opts.DisableShm)
 			}
-			if shards > 1 {
-				bes = append(bes, be)
-			}
+			bes = append(bes, be)
 			ms[s] = machine.NewWithBackend(cfg, n, be)
 		}
 		return ms

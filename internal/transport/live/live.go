@@ -153,6 +153,10 @@ func (b *Backend) Abort(cause error) {
 	}
 }
 
+// Watchdog returns the bound on Run that New resolved (Options.Watchdog, or
+// the 30s default).
+func (b *Backend) Watchdog() time.Duration { return b.opts.Watchdog }
+
 // Aborted is closed once the run has been aborted.
 func (b *Backend) Aborted() <-chan struct{} { return b.aborted }
 
@@ -195,11 +199,11 @@ func New(n int, opts Options) *Backend {
 	return b
 }
 
-// SetArrival implements transport.DirectDeliverer: fn runs in a node's
-// context after notifies for it. Set it before Run.
+// SetArrival implements transport.WallClock: fn runs in a node's context
+// after notifies for it. Set it before Run.
 func (b *Backend) SetArrival(fn func(node int, local bool)) { b.arrive = fn }
 
-// NodeMetrics implements transport.MetricsSource.
+// NodeMetrics implements transport.WallClock.
 func (b *Backend) NodeMetrics(node int) *metrics.Registry {
 	if node < 0 || node >= len(b.nodes) {
 		return nil
@@ -207,8 +211,8 @@ func (b *Backend) NodeMetrics(node int) *metrics.Registry {
 	return b.nodes[node].met
 }
 
-// MetricsSnapshot implements transport.MetricsSource: the merge of every
-// node's registry.
+// MetricsSnapshot implements transport.WallClock: the merge of every node's
+// registry.
 func (b *Backend) MetricsSnapshot() metrics.Snapshot {
 	snaps := make([]metrics.Snapshot, 0, len(b.nodes))
 	for _, nd := range b.nodes {
@@ -314,10 +318,6 @@ type Proc struct {
 
 // Name implements transport.Proc.
 func (p *Proc) Name() string { return p.name }
-
-// Now implements transport.Proc: wall-clock time since the backend was
-// created.
-func (p *Proc) Now() time.Duration { return p.b.Now() }
 
 // Park implements transport.Proc. Called with the node CPU held; the
 // condition wait releases it (running a pending arrival on the way), which
@@ -449,7 +449,7 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 	return p
 }
 
-// DeliverDirect implements transport.DirectDeliverer, never waiting: with
+// DeliverDirect implements transport.WallClock, never waiting: with
 // dst's CPU free it runs the arrival itself, passing local on, and otherwise
 // adds to the pending count for the CPU's holder, then TryLocks once more (the
 // sender's half of the no-lost-wake-up rule in the package comment). A notify

@@ -163,6 +163,11 @@ func TestCrossBlastNoStall(t *testing.T) {
 	var seen [2]int64        // seen[i] is node i state
 	var procs [2]transport.Proc
 	b.SetArrival(func(i int, _ bool) {
+		if seen[i] >= k {
+			// An earlier arrival read the last enqueue before its notify ran:
+			// the proc has been let go and may have exited since.
+			return
+		}
 		seen[i] = sent[i].Load()
 		procs[i].Unpark()
 	})
@@ -492,10 +497,10 @@ func TestNotifyDepthGaugeFallsBack(t *testing.T) {
 func TestClockAdvances(t *testing.T) {
 	b := New(1, Options{Watchdog: 5 * time.Second})
 	var before, after time.Duration
-	b.Go(0, "clock", func(p transport.Proc) {
-		before = p.Now()
+	b.Go(0, "clock", func(transport.Proc) {
+		before = b.Now()
 		time.Sleep(2 * time.Millisecond)
-		after = p.Now()
+		after = b.Now()
 	})
 	if err := b.Run(); err != nil {
 		t.Fatalf("Run: %v", err)

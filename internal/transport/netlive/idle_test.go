@@ -186,3 +186,69 @@ func TestIdleSpinHandsBack(t *testing.T) {
 		t.Errorf("live.idle.parks = %d, frames drained by the reader = %d, want the proc blocked and the frame through the reader", parks, reader)
 	}
 }
+
+// TestControlPlaneBound holds the socket of a ring link to the bound that
+// DESIGN.md states for it ("The control plane's bound"): its frame queue never
+// holds more than one doorbell per ring (only the producer that wins the
+// parked flag's CAS queues one), one wave frame (one wave is open per worker),
+// and the frames a run sends once — on the parent the all-done frame, on a
+// worker its stats and the doorbell that opens its link. Node 0 sends bursts of one-way RMIs to node 1
+// in the other shard and, between bursts, waits until node 1's ring reader
+// has parked, so that each burst rings a doorbell, until 100 have been rung;
+// the run then ends by the shards' waves. Neither shard's queue may have held
+// more than its bound at any time (net.peer.ring.depth's high-water mark).
+func TestControlPlaneBound(t *testing.T) {
+	const (
+		bells = 100
+		burst = 64
+	)
+	dir := t.TempDir()
+	var bes [2]*Backend
+	var rts [2]*core.Runtime
+	for s := range bes {
+		s := s
+		be, err := New(2, Options{NodesPerShard: 1, Shard: &s, Dir: dir,
+			Live: live.Options{Watchdog: 20 * time.Second}})
+		if err != nil {
+			t.Fatalf("New shard %d: %v", s, err)
+		}
+		bes[s] = be
+		rt := core.NewRuntime(machine.NewWithBackend(machine.SP1997(), 2, be))
+		rt.RegisterClass(&core.Class{Name: "null", New: func() any { return new(int) },
+			Methods: []*core.Method{{Name: "nop", Fn: func(*threads.Thread, any, []core.Arg, core.Arg) {}}}})
+		gp := rt.CreateObject(1, "null")
+		rt.OnNode(0, func(th *threads.Thread) {
+			parked := bes[1].shm.rx[0].r.parked // node 1's reader of the ring from node 0
+			for bes[0].met.Counter(metrics.CtrShmDoorbells) < bells {
+				for i := 0; i < burst; i++ {
+					rt.CallOneWay(th, gp, "nop", nil)
+				}
+				for deadline := time.Now().Add(10 * time.Second); parked.Load() == 0; time.Sleep(50 * time.Microsecond) {
+					if time.Now().After(deadline) {
+						t.Error("node 1's ring reader did not park within 10s of a burst")
+						return
+					}
+				}
+			}
+		})
+		rts[s] = rt
+	}
+	runBoth(t, rts[0], rts[1])
+
+	if d := bes[0].met.Counter(metrics.CtrShmDoorbells); d < bells {
+		t.Fatalf("%d doorbells rung, want at least %d", d, bells)
+	}
+	for s, be := range bes {
+		bound := int64(3) // a doorbell, a wave probe, the all-done frame
+		if s != 0 {
+			bound = 4 // a doorbell, a wave answer, the stats, the link-opening doorbell
+		}
+		snap := be.met.Snapshot()
+		depth := snap.Gauge(metrics.GgePeerRingDepth).Max
+		if depth > bound {
+			t.Errorf("shard %d's socket queue held %d frames, above its bound of %d", s, depth, bound)
+		}
+		t.Logf("shard %d: socket queue high-water mark %d, %d socket frames out, %d doorbells rung",
+			s, depth, snap.Counter(metrics.CtrFramesOut), snap.Counter(metrics.CtrShmDoorbells))
+	}
+}

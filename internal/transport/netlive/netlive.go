@@ -1,10 +1,12 @@
 // Package netlive is the sharded multi-process transport backend: the
-// machine's n nodes are partitioned into shards of NodesPerShard consecutive
-// nodes, each shard living in its own OS process, connected by Unix-domain
-// sockets carrying length-prefixed frames of the same Active-Messages wire
-// format the in-memory backends move — the 2026 analogue of the paper's SP
-// network, with the runtime specialized to the substrate exactly as the
-// paper argues it must be.
+// machine's n nodes are partitioned into two or more shards of NodesPerShard
+// consecutive nodes, each shard living in its own OS process. Packets between
+// shards move the same Active-Messages wire format the in-memory backends
+// move, over shared-memory rings the parent makes, and a Unix-domain socket
+// per shard pair carries the control frames — the 2026 analogue of the
+// paper's SP network, with the runtime specialized to the substrate exactly as
+// the paper argues it must be. A machine of one shard is one address space:
+// it runs on the live backend (live.New), and New refuses it.
 //
 // # Topology and roles
 //
@@ -17,9 +19,7 @@
 // a worker dials its parent when Run starts.
 //
 // Within a shard, execution delegates to the live backend unchanged: procs
-// are goroutines, one CPU mutex per node, wall-clock time. A single-shard
-// configuration (NodesPerShard >= n, the loopback mode) therefore behaves
-// exactly like live and runs the full conformance suite.
+// are goroutines, one CPU mutex per node, wall-clock time.
 //
 // # One ordered link per peer shard
 //
@@ -29,23 +29,23 @@
 // built and never per message, so per-sender FIFO to a destination holds end
 // to end whatever the frame sizes.
 //
-// The parent decides the path. With the shared-memory plane off
-// (Options.DisableShm on the parent, a non-unix host) it makes no rings and
-// that path is the socket: the packet —
-// src, dst, size, then am.Msg's wire codec — is encoded into a pooled wire.Buf
-// and queued on the peer's ring; one writer goroutine owning the connection
-// drains it in order and releases the buffers, so a warm send allocates
-// nothing beyond what the socket write itself costs, and reader goroutines
-// decode arriving frames into pooled buffers. Otherwise (the default
-// deployment: one machine, many processes) it is an mmap'd single-producer
-// single-consumer ring per ordered shard pair, created by the parent before
-// spawning; a worker attaches every ring of its own at New when its parent's
-// ring files exist and keeps the socket when they do not. The sending proc
-// marshals the same packet bytes directly into a ring slot and the receiving
-// shard consumes them in place — zero syscalls, zero copies beyond the marshal
-// itself (see shmring.go, which also says who consumes a ring, and
-// DESIGN.md). The socket always carries the control plane: the end-of-run
-// waves, stats and the rings' doorbells.
+// The parent decides the path. By default (one machine, many processes) it
+// is an mmap'd single-producer single-consumer ring per ordered shard pair,
+// created by the parent before spawning; a worker attaches every ring of its
+// own at New when its parent's ring files exist and keeps the socket when
+// they do not. The sending proc marshals the packet — src, dst, size, then
+// am.Msg's wire codec — directly into a ring slot and the receiving shard
+// consumes it in place: zero syscalls, zero copies beyond the marshal itself
+// (see shmring.go, which also says who consumes a ring, and DESIGN.md). The
+// socket then carries only control frames — the end-of-run waves, stats and
+// the rings' doorbells — and few of them are ever in flight (DESIGN.md states
+// the bound). With the shared-memory plane off (Options.DisableShm on the
+// parent, a non-unix host) the parent makes no rings and the packets ride the
+// socket too: each is encoded into a pooled wire.Buf and queued on the peer's
+// frame queue; one writer goroutine owning the connection drains it in order
+// and releases the buffers, so a warm send allocates nothing beyond what the
+// socket write itself costs, and reader goroutines decode arriving frames
+// into pooled buffers.
 //
 // Either way the packet reaches the machine's remote-arrival handler, which
 // enqueues into the destination node's (thread-safe) inbox and notifies it
@@ -100,11 +100,10 @@ const (
 	EnvNPS   = "MPMD_NETLIVE_NPS"
 )
 
-// Options tune the net backend. The zero value is a single-shard (loopback)
-// configuration.
+// Options tune the net backend.
 type Options struct {
-	// NodesPerShard is how many consecutive nodes share one process. Zero or
-	// >= n means one shard: everything local, no sockets (loopback mode).
+	// NodesPerShard is how many consecutive nodes share one process, from 1
+	// to n-1: the machine spans two or more shards.
 	NodesPerShard int
 	// Live tunes the in-shard execution backend.
 	Live live.Options
@@ -173,8 +172,8 @@ type Backend struct {
 	children []*exec.Cmd
 	exited   chan struct{} // a token per child reaped
 
-	// shm is the shared-memory ring plane (nil when the fast path is off:
-	// loopback, a parent that made no rings, or a non-unix host).
+	// shm is the shared-memory ring plane (nil when the parent made no rings,
+	// or on a non-unix host).
 	shm *shmPlane
 
 	// remote is the machine's arrival upcall (SetRemoteHandler), atomic as
@@ -219,15 +218,16 @@ type Backend struct {
 	readers    sync.WaitGroup
 }
 
-// New builds a net backend for n nodes. Role, shard layout, and rendezvous
-// directory come from opts and the environment (see the package comment).
+// New builds a net backend for n nodes in two or more shards. Role, shard
+// layout, and rendezvous directory come from opts and the environment (see the
+// package comment). A layout of one shard is refused before anything is made.
 func New(n int, opts Options) (*Backend, error) {
 	if n <= 0 {
 		return nil, errors.New("netlive: need at least one node")
 	}
 	nps := opts.NodesPerShard
-	if nps <= 0 || nps > n {
-		nps = n
+	if nps <= 0 || nps >= n {
+		return nil, fmt.Errorf("netlive: %d nodes at %d per shard is one shard, one address space: build it with live.New", n, nps)
 	}
 	shards := (n + nps - 1) / nps
 	shard := 0
@@ -272,10 +272,6 @@ func New(n int, opts Options) (*Backend, error) {
 
 		peerStats: make(map[int][]byte),
 		statsIn:   make(chan struct{}, 1),
-	}
-
-	if shards == 1 {
-		return b, nil // loopback: no sockets, no peers
 	}
 
 	b.dir = opts.Dir
@@ -396,26 +392,18 @@ func (b *Backend) Go(node int, name string, fn func(transport.Proc)) transport.P
 	return b.inner.Go(node, name, fn)
 }
 
-// SetArrival implements transport.DirectDeliverer: the inner live backend's.
-func (b *Backend) SetArrival(fn func(node int, local bool)) { b.inner.SetArrival(fn) }
-
-// DeliverDirect implements transport.DirectDeliverer for local destinations.
-func (b *Backend) DeliverDirect(dst int, local bool) { b.inner.DeliverDirect(dst, local) }
-
 // Run implements transport.Backend: execute the local shard, then tear the
 // process mesh down. A worker whose run finished sends its stats; the parent
 // waits for them, and reaps its children after its links are down, so that a
 // worker of an aborted run sees its parent's link end. The error is the
 // latch's: every cause, the first first.
 func (b *Backend) Run() error {
-	if b.ln != nil {
-		go b.acceptLoop()
-		if b.shard != 0 {
-			b.doorbell(0) // open the link to the parent, read for its end (writeLoop)
-		}
+	go b.acceptLoop()
+	if b.shard != 0 {
+		b.doorbell(0) // open the link to the parent, read for its end (writeLoop)
 	}
 	b.shmStart()
-	if b.inner.Run() == nil && b.shards > 1 {
+	if b.inner.Run() == nil {
 		if b.shard == 0 {
 			b.waitStats()
 		} else {
@@ -431,10 +419,7 @@ func (b *Backend) Run() error {
 // reap waits for the workers to exit (an aborted run's once they see its
 // links end), and kills those left at the watchdog.
 func (b *Backend) reap() {
-	wd := b.opts.Live.Watchdog
-	if wd <= 0 {
-		wd = 30 * time.Second // live's default
-	}
+	wd := b.inner.Watchdog()
 	timeout := time.After(wd) // fires once
 	for left := len(b.children); left > 0; {
 		select {
@@ -461,9 +446,7 @@ func (b *Backend) shutdownSockets() {
 			p.close()
 		}
 	}
-	if b.ln != nil {
-		_ = b.ln.Close()
-	}
+	_ = b.ln.Close()
 	b.connMu.Lock()
 	b.sockClosed = true
 	conns := b.conns
@@ -647,9 +630,15 @@ func (b *Backend) dropped() {
 	b.met.Add(metrics.CtrLinkDropped, 1)
 }
 
-// --- transport.MetricsSource ------------------------------------------------
+// --- transport.WallClock: the inner live backend's, for local nodes --------
 
-// NodeMetrics implements transport.MetricsSource: the inner live backend's
+// SetArrival implements transport.WallClock.
+func (b *Backend) SetArrival(fn func(node int, local bool)) { b.inner.SetArrival(fn) }
+
+// DeliverDirect implements transport.WallClock for local destinations.
+func (b *Backend) DeliverDirect(dst int, local bool) { b.inner.DeliverDirect(dst, local) }
+
+// NodeMetrics implements transport.WallClock: the inner live backend's
 // per-node registry for local nodes, nil for nodes of other shards.
 func (b *Backend) NodeMetrics(node int) *metrics.Registry {
 	if !b.IsLocal(node) {
@@ -658,8 +647,8 @@ func (b *Backend) NodeMetrics(node int) *metrics.Registry {
 	return b.inner.NodeMetrics(node)
 }
 
-// MetricsSnapshot implements transport.MetricsSource: this shard's local
-// nodes merged with the shard's message-plane registry.
+// MetricsSnapshot implements transport.WallClock: this shard's local nodes
+// merged with the shard's message-plane registry.
 func (b *Backend) MetricsSnapshot() metrics.Snapshot {
 	snaps := make([]metrics.Snapshot, 0, b.hi-b.lo+1)
 	snaps = append(snaps, b.met.Snapshot())
@@ -988,10 +977,14 @@ func (p *peer) dial() net.Conn {
 		p.mu.Lock()
 		closed := p.closed
 		p.mu.Unlock()
-		if closed || p.b.inner.Err() != nil {
+		if closed {
 			return nil
 		}
-		time.Sleep(10 * time.Millisecond)
+		select {
+		case <-p.b.inner.Aborted():
+			return nil
+		case <-time.After(10 * time.Millisecond):
+		}
 	}
 }
 

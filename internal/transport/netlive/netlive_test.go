@@ -78,24 +78,24 @@ func TestTopology(t *testing.T) {
 	}
 }
 
-// TestLoopbackSingleShard: NodesPerShard >= n means no sockets and live
-// semantics; the conformance suite covers the full contract, this pins the
-// degenerate construction.
-func TestLoopbackSingleShard(t *testing.T) {
-	be, err := New(2, Options{Live: live.Options{Watchdog: 10 * time.Second}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if be.NumShards() != 1 || !be.IsLocal(1) {
-		t.Fatalf("loopback topology wrong: shards=%d", be.NumShards())
-	}
-	done := false
-	be.Go(0, "p", func(p transport.Proc) { done = true })
-	if err := be.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !done {
-		t.Fatal("proc never ran")
+// TestOneShardRefused: a layout of one shard (NodesPerShard zero or >= n) is
+// one address space, which runs on live; New refuses it with an error naming
+// live.New, and leaves nothing behind: no listener, no rendezvous directory.
+func TestOneShardRefused(t *testing.T) {
+	for _, nps := range []int{0, 2, 3} {
+		tmp, dir := t.TempDir(), t.TempDir()
+		t.Setenv("TMPDIR", tmp)
+		for _, opts := range []Options{{NodesPerShard: nps}, {NodesPerShard: nps, Dir: dir}} {
+			be, err := New(2, opts)
+			if be != nil || err == nil || !strings.Contains(err.Error(), "live.New") {
+				t.Fatalf("New(2, %+v) = %v, %v; want no backend and an error naming live.New", opts, be, err)
+			}
+		}
+		for _, d := range []string{tmp, dir} {
+			if left, err := os.ReadDir(d); err != nil || len(left) != 0 {
+				t.Fatalf("NodesPerShard %d: New left %v in %s (%v)", nps, left, d, err)
+			}
+		}
 	}
 }
 

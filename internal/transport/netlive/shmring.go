@@ -85,7 +85,7 @@ const (
 
 	// shmSpinIters bounds the consumer's first spin stage: in-process yields
 	// (runtime.Gosched), which cost almost nothing and catch a producer
-	// sharing this Go scheduler (the in-process loopback rigs).
+	// sharing this Go scheduler (the in-process two-shard rigs).
 	shmSpinIters = 8
 	// shmYieldIters bounds the second stage: OS-level yields (sched_yield),
 	// which hand the core to the peer shard's *process*. On few-core hosts
@@ -308,9 +308,6 @@ func (b *Backend) ringPath(from, to int) string {
 // socket, so a pair never disagrees about a direction's path (which would
 // reorder or strand frames).
 func (b *Backend) shmSetup() error {
-	if b.shards <= 1 {
-		return nil
-	}
 	if b.shard == 0 {
 		if b.opts.DisableShm {
 			return nil
@@ -361,7 +358,7 @@ func (b *Backend) shmSetup() error {
 }
 
 // ShmActive reports whether the shared-memory rings are carrying this
-// backend's cross-shard packets (false on loopback, when disabled, or on
+// backend's cross-shard packets (false when the parent made none, or on
 // platforms without them).
 func (b *Backend) ShmActive() bool { return b.shm != nil }
 

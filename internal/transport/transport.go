@@ -7,7 +7,7 @@
 //
 //   - Proc: a schedulable context with park/unpark/sleep semantics, exactly
 //     the primitives the thread scheduler hands CPUs around with;
-//   - Backend: node-affined process creation, a clock, and Run.
+//   - Backend: node-affined process creation, the one clock, and Run.
 //
 // A packet reaches its destination node in exactly one of three ways, and
 // which one is a property of the backend, fixed when the machine is built:
@@ -17,20 +17,18 @@
 //     machine schedules one engine event after the modelled wire latency
 //     that enqueues the packet and runs the node's arrival hook; runs are
 //     reproducible bit-for-bit.
-//   - local-immediate (DirectDeliverer): transport/live maps every Proc to a
-//     real goroutine and the clock to time.Now(). The machine enqueues on the
+//   - local-immediate (WallClock): transport/live maps every Proc to a real
+//     goroutine and the clock to time.Now(). The machine enqueues on the
 //     sender and notifies the destination by its index; the backend runs the
 //     arrival function the machine installed in the destination's context —
 //     on the sender, when the destination's CPU is free, which then runs the
 //     node's handlers itself. Modelled latencies are ignored.
-//   - remote-link (Sharded): transport/netlive shards the nodes across OS
-//     processes. A packet for a node of another shard is serialized onto the
-//     one ordered link to that shard (Sharded.SendRemote); in-shard packets
-//     take the local-immediate path.
+//   - remote-link (Sharded): transport/netlive shards the nodes across two or
+//     more OS processes. A packet for a node of another shard is serialized
+//     onto the one ordered link to that shard (Sharded.SendRemote); in-shard
+//     packets take the local-immediate path.
 //
 // No delivery carries a closure: a node is told that something arrived.
-//
-// MetricsSource is the one further optional extension (wall-clock metrics).
 //
 // The contracts encode the concurrency discipline the upper layers rely on:
 // at most one Proc of a given node runs at any instant (a node has one CPU),
@@ -74,20 +72,18 @@ type Proc interface {
 	// delivery point of a context that does not park. The simulator has
 	// none to run — its arrivals are events, interleaved by Sleep.
 	Deliver()
-	// Now returns the backend clock: virtual time on simnet, wall-clock
-	// time on live.
-	Now() time.Duration
 	// Name returns the debug name given at Go time.
 	Name() string
 }
 
-// Sharded is the optional Backend extension of a backend whose nodes are
-// spread across address spaces (the netlive backend: one OS process per
-// shard): the shard topology, the one ordered link to each peer shard, and
-// the stats control plane that rides it. Single-address-space backends do
-// not implement it; callers treat every node as local then.
+// Sharded is the Backend extension of a backend whose nodes span two or more
+// address spaces (the netlive backend: one OS process per shard): the shard
+// topology, the one ordered link to each peer shard, and the stats control
+// plane that rides it. A machine of one address space is not Sharded, and
+// callers treat every node as local then.
 type Sharded interface {
-	// NumShards reports how many address spaces the machine spans.
+	// NumShards reports how many address spaces the machine spans: two or
+	// more.
 	NumShards() int
 	// Shard returns this process's shard index (shard 0 is the parent).
 	Shard() int
@@ -147,39 +143,35 @@ type FrameMarshaler interface {
 	EncodeWire(b []byte) int
 }
 
-// MetricsSource is an optional Backend extension for backends that record
-// wall-clock metrics (the live and netlive backends). The simulator does not
-// implement it — its virtual time is already the full instrumented story —
-// and every recording site above the seam nil-checks the registry, so a
-// backend without metrics pays nothing.
-type MetricsSource interface {
-	// NodeMetrics returns the registry recording for node, or nil when the
-	// node is not local to this address space.
-	NodeMetrics(node int) *metrics.Registry
-	// MetricsSnapshot merges this address space's registries (per-node plus
-	// any backend-plane registry) into one snapshot.
-	MetricsSnapshot() metrics.Snapshot
-}
-
-// DirectDeliverer is implemented by backends that ignore the modelled
-// latency and deliver immediately (live, and netlive within a shard). The
-// machine installs one arrival function with SetArrival when it is built,
-// before Run. The caller of DeliverDirect has already made the payload
-// visible in dst's inbound queue (the machine's queues are individually
-// thread-safe), which fixes per-sender order; DeliverDirect then runs the
-// arrival function for dst in dst's execution context: on the caller when
-// dst's CPU is free, otherwise on whoever holds that CPU, before it lets go.
-// It never blocks. Notifies coalesce: the function runs at least once after
-// each DeliverDirect, not once per call.
+// WallClock is what every backend but the simulator implements (live, and
+// netlive within a shard), and machine.NewWithBackend requires it of them: it
+// ignores the modelled latency and delivers immediately, and it records
+// wall-clock metrics. The simulator records none, and every recording site
+// above the seam nil-checks the registry, so it pays nothing for them.
+//
+// The machine installs one arrival function with SetArrival when it is built,
+// before Run. The caller of DeliverDirect has already made the payload visible
+// in dst's inbound queue (the machine's queues are individually thread-safe),
+// which fixes per-sender order; DeliverDirect then runs the arrival function
+// for dst in dst's execution context: on the caller when dst's CPU is free,
+// otherwise on whoever holds that CPU, before it lets go. It never blocks.
+// Notifies coalesce: the function runs at least once after each DeliverDirect,
+// not once per call.
 //
 // local marks a send by a proc of this address space running in its own
 // node's context; a link arrival or a wake-up is not one. The arrival function
 // learns it (its local argument) only when it runs on that caller, having
 // found dst's CPU free; a pended notify runs it on the holder with local
 // false.
-type DirectDeliverer interface {
+type WallClock interface {
 	SetArrival(fn func(node int, local bool))
 	DeliverDirect(dst int, local bool)
+	// NodeMetrics returns the registry recording for node, or nil when the
+	// node is not local to this address space.
+	NodeMetrics(node int) *metrics.Registry
+	// MetricsSnapshot merges this address space's registries (per-node plus
+	// any backend-plane registry) into one snapshot.
+	MetricsSnapshot() metrics.Snapshot
 }
 
 // Backend is an execution substrate for a multicomputer of NumNodes nodes.
@@ -193,7 +185,8 @@ type Backend interface {
 	Name() string
 	// NumNodes returns the number of nodes the backend was built for.
 	NumNodes() int
-	// Now returns the backend clock (virtual time, or monotonic wall time).
+	// Now returns the backend clock (virtual time, or monotonic wall time),
+	// the one clock of the machine and of every Proc on it.
 	Now() time.Duration
 	// Go creates a Proc on node, running fn. Procs created before Run start
 	// executing when Run is called; Procs created during Run start

@@ -67,8 +67,8 @@
 //     IBM RS/6000 SP measurements (NewMachine, SPConfig), plus pluggable
 //     execution backends: the same machine, runtimes, and programs run on
 //     real goroutines with wall-clock timing via NewLiveMachine, or sharded
-//     across OS processes connected by sockets via NewNetMachine (see the
-//     transport packages);
+//     across OS processes via NewNetMachine, whose packets ride shared-memory
+//     rings between the processes (see the transport packages);
 //   - the paper's contribution, a lean CC++ runtime over Active Messages
 //     ("CC++/ThAM"): processor objects, remote method invocation with stub
 //     caching and persistent buffers, global pointers, par/parfor, sync

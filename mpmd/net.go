@@ -4,17 +4,18 @@ import (
 	"os"
 
 	"repro/internal/machine"
+	"repro/internal/transport/live"
 	"repro/internal/transport/netlive"
 )
 
 // NetOptions tune the sharded multi-process backend (see NewNetMachine).
-// The zero value runs every node in this process (loopback). With more than
-// one shard the parent process re-execs its own binary once per worker shard;
-// the parent decides how the shards' links move packets, and each worker
-// follows it.
+// The zero value runs every node in this process, on the live backend. With
+// more than one shard the parent process re-execs its own binary once per
+// worker shard; the parent decides how the shards' links move packets, and
+// each worker follows it.
 type NetOptions struct {
 	// NodesPerShard is how many consecutive nodes share one OS process.
-	// Zero (or >= n) keeps everything in-process.
+	// Zero (or >= n) keeps everything in this process.
 	NodesPerShard int
 	// Live tunes in-shard execution (the run watchdog).
 	Live LiveOptions
@@ -51,8 +52,10 @@ func (i *NetInfo) ExitIfWorker(err error) {
 }
 
 // NewNetMachine builds a multicomputer whose n nodes are sharded across OS
-// processes connected by Unix-domain sockets — the live backend's semantics
-// per shard, real serialized Active-Messages frames between shards.
+// processes — the live backend's semantics per shard, real serialized
+// Active-Messages frames between shards, on shared-memory rings the parent
+// makes (a socket per shard pair carries the control frames). One shard is
+// this process alone, on the live backend: NetInfo reads shard 0 of 1.
 //
 // Every process must execute the identical program up to Run (register the
 // same classes, create the same objects, install the same node programs):
@@ -61,6 +64,15 @@ func (i *NetInfo) ExitIfWorker(err error) {
 // After Run, call NetInfo.ExitIfWorker so workers do not fall through into
 // parent-only reporting code.
 func NewNetMachine(cfg Config, n int, o NetOptions) (*Machine, *NetInfo, error) {
+	if n > 0 && (o.NodesPerShard <= 0 || o.NodesPerShard >= n) && !NetWorkerEnv() {
+		// A parent of one shard spawns no worker; a worker that builds one
+		// shard has diverged from its parent, and netlive.New refuses it.
+		info := &NetInfo{Shards: 1, LocalNodes: make([]int, n)}
+		for i := range info.LocalNodes {
+			info.LocalNodes[i] = i
+		}
+		return machine.NewWithBackend(cfg, n, live.New(n, o.Live)), info, nil
+	}
 	be, err := netlive.New(n, netlive.Options{
 		NodesPerShard: o.NodesPerShard,
 		Live:          o.Live,

@@ -3,6 +3,7 @@ package mpmd_test
 import (
 	"errors"
 	"os"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -170,6 +171,42 @@ func TestNetMachineMultiProcess(t *testing.T) {
 		if rd, pk := ss.Acct.Counters[machine.CntThreadReadied], ss.Acct.Counters[machine.CntThreadParked]; rd != pk || rd == 0 {
 			t.Errorf("shard %d: thread.readied %d, thread.parked %d at the end of the run; want them equal and non-zero", ss.Shard, rd, pk)
 		}
+	}
+}
+
+// TestNetMachineOneShard: the zero NetOptions build a machine of this
+// process alone, on the live backend, and a two-node program runs on it;
+// NetInfo says so, and ExitIfWorker returns.
+func TestNetMachineOneShard(t *testing.T) {
+	m, info, err := mpmd.NewNetMachine(mpmd.SPConfig(), 2, mpmd.NetOptions{})
+	if err != nil {
+		t.Fatalf("NewNetMachine: %v", err)
+	}
+	if info.Shards != 1 || info.Shard != 0 || info.Worker || !slices.Equal(info.LocalNodes, []int{0, 1}) {
+		t.Fatalf("NetInfo = %+v, want one shard, shard 0, no worker, nodes 0 and 1 local", *info)
+	}
+	if name := m.Backend().Name(); name != "live" {
+		t.Fatalf("backend %q, want live", name)
+	}
+	rt := mpmd.NewRuntime(m)
+	if err := mpmd.RegisterClass[NetCounter](rt); err != nil {
+		t.Fatalf("RegisterClass: %v", err)
+	}
+	ctr, err := mpmd.NewObject[NetCounter](rt, 1)
+	if err != nil {
+		t.Fatalf("NewObject: %v", err)
+	}
+	var got int64
+	rt.OnNode(0, func(th *mpmd.Thread) {
+		if _, err := mpmd.Invoke[int64, mpmd.Void](th, ctr, "Add", int64(5)); err != nil {
+			t.Errorf("Add: %v", err)
+		}
+		got, _ = mpmd.Invoke[mpmd.Void, int64](th, ctr, "Get", mpmd.Void{})
+	})
+	err = rt.Run()
+	info.ExitIfWorker(err)
+	if err != nil || got != 5 {
+		t.Fatalf("Run: %v; node 1's counter read %d, want 5", err, got)
 	}
 }
 
