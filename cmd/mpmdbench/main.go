@@ -16,7 +16,7 @@
 // measured here; that is benchmark/ (bash benchmark/run.sh).
 //
 // -json replaces the text tables with one machine-readable report on
-// stdout (schema mpmdbench/v6; duration fields in nanoseconds):
+// stdout (schema mpmdbench/v7; duration fields in nanoseconds):
 //
 //	mpmdbench -quick -json table4 > bench_table4.json
 //

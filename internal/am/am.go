@@ -75,14 +75,6 @@ type Msg struct {
 	PayloadBuf *wire.Buf
 }
 
-// A Msg used to carry an Obj field — an in-memory object reference riding
-// alongside the wire words. It is gone: every layer now resolves its state
-// from the word arguments on the destination side (request-ID tables,
-// persistent-buffer IDs, object-table indices), exactly as real hardware
-// packs addresses into the words. That is what lets a message cross an
-// address-space boundary on the sharded netlive backend; see wireHeaderLen
-// and (*Msg).EncodeWire below.
-
 // wireHeaderLen is the serialized Msg header: flags byte, handler u32,
 // 4 word arguments. Src/Dst/Size ride in the packet frame.
 const wireHeaderLen = 1 + 4 + 4*8
@@ -276,8 +268,9 @@ func (n *Net) Unhandled() error {
 	var err error
 	for _, ep := range n.eps {
 		if pkt, ok := ep.node.PopInbox(); ok {
+			msg := pkt.Payload.(*Msg)
 			err = errors.Join(err, fmt.Errorf("am: node %d ended the run with a message from node %d for %s unhandled",
-				ep.node.ID, pkt.Src, n.HandlerName(pkt.Payload.(*Msg).H)))
+				ep.node.ID, msg.Src, n.HandlerName(msg.H)))
 		}
 	}
 	return err

@@ -34,12 +34,14 @@ type Experiment struct {
 	Rows any `json:"rows"`
 }
 
-// ReportSchema is the current report schema identifier. v6 reports carry
+// ReportSchema is the current report schema identifier. v7 reports carry
 // the simulator experiments (table1 … coll, every duration in virtual time)
 // and the observability experiment ("stats", []StatsRow) on all three
 // backends; the wall-clock throughput, live-micro and live coll experiments
-// of v2–v5 are gone — benchmark/ measures those.
-const ReportSchema = "mpmdbench/v6"
+// of v2–v5 are gone — benchmark/ measures those. Since v7 a gauge row is its
+// high-water mark alone (no "last"), and "shm.frames.in" is gone: it is
+// "shm.frames.in.proc" + "shm.frames.in.reader".
+const ReportSchema = "mpmdbench/v7"
 
 // NewReport starts an empty report for the given backend, profile and scale.
 func NewReport(backend, profile, scale string) *Report {

@@ -94,11 +94,9 @@ type HistRow struct {
 	Mean  int64 `json:"mean"`
 }
 
-// GaugeRow is one gauge rendered for a report: last sampled level and
-// high-water mark.
+// GaugeRow is one gauge rendered for a report: its high-water mark.
 type GaugeRow struct {
-	Last int64 `json:"last"`
-	Max  int64 `json:"max"`
+	Max int64 `json:"max"`
 }
 
 // StatsRow is one scope of the observability experiment: the machine-wide
@@ -161,7 +159,7 @@ func statsRow(scope string, nodes int, acct machine.Snapshot, met metrics.Snapsh
 	for _, branches := range [...][]metrics.Ctr{
 		{metrics.CtrNotifyDirect, metrics.CtrNotifies, metrics.CtrNotifyDropped},
 		{metrics.CtrFramesOut, metrics.CtrFramesIn, metrics.CtrLinkDropped},
-		{metrics.CtrShmFramesOut, metrics.CtrShmFramesIn, metrics.CtrShmFragsOut, metrics.CtrShmFragsIn},
+		{metrics.CtrShmFramesOut, metrics.CtrShmFragsOut, metrics.CtrShmFragsIn},
 		{metrics.CtrShmFramesInProc, metrics.CtrShmFramesInReader, metrics.CtrShmSpinWakes, metrics.CtrShmParkWakes},
 		{metrics.CtrIdlePolls, metrics.CtrIdleParks},
 	} {
@@ -176,11 +174,11 @@ func statsRow(scope string, nodes int, acct machine.Snapshot, met metrics.Snapsh
 		}
 	}
 	for _, g := range metrics.Gauges() {
-		if gs := met.Gauge(g); gs.Max != 0 || gs.Last != 0 {
+		if gs := met.Gauge(g); gs.Max != 0 {
 			if row.Gauges == nil {
 				row.Gauges = map[string]GaugeRow{}
 			}
-			row.Gauges[g.String()] = GaugeRow{Last: gs.Last, Max: gs.Max}
+			row.Gauges[g.String()] = GaugeRow{Max: gs.Max}
 		}
 	}
 	for _, h := range metrics.Hists() {

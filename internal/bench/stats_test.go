@@ -26,7 +26,7 @@ func TestStatsRowNotifyBranches(t *testing.T) {
 	want := map[string]int64{
 		"live.notify.direct": 3, "live.notifies": 0, "live.notify.dropped": 0,
 		"net.frames.in": 2, "net.frames.out": 0, "net.link.dropped": 0,
-		"shm.frames.out": 5, "shm.frames.in": 0, "shm.fragments.out": 0, "shm.fragments.in": 0,
+		"shm.frames.out": 5, "shm.fragments.out": 0, "shm.fragments.in": 0,
 		"shm.frames.in.proc": 4, "shm.frames.in.reader": 0, "shm.wakes.spin": 0, "shm.wakes.park": 0,
 		"live.idle.polls": 4, "live.idle.parks": 0,
 	}

@@ -14,7 +14,7 @@ func BenchmarkInboxDrain10k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for k := 0; k < depth; k++ {
-			n.pushInbox(Packet{Src: 0, Dst: 0, Size: k})
+			n.pushInbox(Packet{Size: k})
 		}
 		for k := 0; k < depth; k++ {
 			pkt, ok := n.PopInbox()

@@ -135,7 +135,7 @@ func (m *Machine) remoteArrival(src, dst, size int, enc []byte) bool {
 		return false
 	}
 	nd := m.Node(dst)
-	nd.pushInbox(Packet{Src: src, Dst: dst, Size: size, Payload: payload})
+	nd.pushInbox(Packet{Size: size, Payload: payload})
 	m.wall.DeliverDirect(dst, false)
 	return true
 }
@@ -186,13 +186,13 @@ func (m *Machine) Snapshot() Snapshot {
 }
 
 // Packet is a network-level message in flight. Payload is opaque to the
-// machine layer; the messaging layer (am) defines its contents.
-// Size is the modelled wire size in bytes, used only for reporting — timing
-// charges are made explicitly by the messaging layer.
+// machine layer; the messaging layer (am) defines its contents, and its
+// source and destination ride there. Size is the modelled wire size in
+// bytes, used only for reporting — timing charges are made explicitly by the
+// messaging layer.
 type Packet struct {
-	Src, Dst int
-	Size     int
-	Payload  any
+	Size    int
+	Payload any
 }
 
 // Node is one processor of the multicomputer. The messaging layer installs
@@ -298,7 +298,7 @@ func (n *Node) Send(dst int, extraWire time.Duration, size int, payload any) {
 		m.shard.SendRemote(n.ID, dst, size, wp)
 		return
 	}
-	m.deliverLocal(n, target, m.Cfg.WireLatency+extraWire, Packet{Src: n.ID, Dst: dst, Size: size, Payload: payload})
+	m.deliverLocal(n, target, m.Cfg.WireLatency+extraWire, Packet{Size: size, Payload: payload})
 }
 
 // Loopback enqueues a packet to the node itself with zero latency. Some
@@ -307,7 +307,7 @@ func (n *Node) Send(dst int, extraWire time.Duration, size int, payload any) {
 //
 //mpmd:hotpath
 func (n *Node) Loopback(size int, payload any) {
-	n.M.deliverLocal(n, n, 0, Packet{Src: n.ID, Dst: n.ID, Size: size, Payload: payload})
+	n.M.deliverLocal(n, n, 0, Packet{Size: size, Payload: payload})
 }
 
 // deliverLocal lands pkt at target, a node of this address space, lat of

@@ -79,10 +79,11 @@ type ClusterStats struct {
 // be called on the parent after Run returns (workers have reported by then);
 // it errors if a worker shard's payload is missing, unparseable, or not that
 // shard's (another index, a node outside the machine or another shard's), if
-// a node goes unreported, or if a payload holds a count, charge, gauge or
+// a node goes unreported, if a payload holds a count, charge, gauge or
 // histogram field that is negative or larger than its share of an int64 (so
-// that no machine-wide total can overflow): a lost, misfiled or corrupt stats
-// frame is a loud failure rather than made-up totals.
+// that no machine-wide total can overflow), or a histogram whose count is not
+// the sum of its buckets: a lost, misfiled or corrupt stats frame is a loud
+// failure rather than made-up totals.
 func (m *Machine) ClusterStats() (ClusterStats, error) {
 	cs := ClusterStats{Shards: []ShardStats{m.LocalStats()}}
 	if m.shard != nil {
@@ -115,6 +116,9 @@ func (m *Machine) ClusterStats() (ClusterStats, error) {
 			}
 			if f != "" {
 				return ClusterStats{}, fmt.Errorf("machine: stats payload from shard %d has %s outside [0, %d]", shard, f, share)
+			}
+			if h := ss.Metrics.Miscounted(); h != "" {
+				return ClusterStats{}, fmt.Errorf("machine: stats payload from shard %d has %s with a count that is not the sum of its buckets", shard, h)
 			}
 			for _, nd := range ss.Nodes {
 				if nd < 0 || nd >= len(seen) || seen[nd] || m.shard.ShardOf(nd) != shard {

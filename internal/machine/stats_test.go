@@ -71,11 +71,15 @@ func TestClusterStatsRefusesMisfiledPayloads(t *testing.T) {
 		{"a negative counter", map[int][]byte{1: shard1(`"acct":{"counters":{"am.handlers":-7}}`), 2: payload(2, 4, 5)}, "from shard 1 has am.handlers outside [0, 3074457345618258602]"},
 		{"a negative charge", map[int][]byte{1: shard1(`"acct":{"buckets":[0,-1,0,0,0]}`), 2: payload(2, 4, 5)}, "from shard 1 has net outside [0, 3074457345618258602]"},
 		{"a negative metrics counter", map[int][]byte{1: shard1(`"metrics":{"counters":[0,0,0,0,-1]}`), 2: payload(2, 4, 5)}, "from shard 1 has net.frames.out outside [0, 3074457345618258602]"},
-		{"a negative gauge", map[int][]byte{1: shard1(`"metrics":{"gauges":[{"last":0,"max":-1}]}`), 2: payload(2, 4, 5)}, "from shard 1 has live.notify.depth outside [0, 3074457345618258602]"},
+		{"a negative gauge", map[int][]byte{1: shard1(`"metrics":{"gauges":[{"max":-1}]}`), 2: payload(2, 4, 5)}, "from shard 1 has live.notify.depth outside [0, 3074457345618258602]"},
 		{"a negative histogram count", map[int][]byte{1: shard1(`"metrics":{"hists":[{"count":-1}]}`), 2: payload(2, 4, 5)}, "from shard 1 has rmi.latency.ns outside [0, 3074457345618258602]"},
 		{"a negative histogram sum", map[int][]byte{1: shard1(`"metrics":{"hists":[{},{"sum":-1}]}`), 2: payload(2, 4, 5)}, "from shard 1 has live.poll.batch outside [0, 3074457345618258602]"},
 		{"a negative histogram max", map[int][]byte{1: shard1(`"metrics":{"hists":[{},{},{"max":-1}]}`), 2: payload(2, 4, 5)}, "from shard 1 has net.writer.stall.ns outside [0, 3074457345618258602]"},
 		{"a negative histogram bucket", map[int][]byte{1: shard1(`"metrics":{"hists":[{"buckets":[0,0,-3]}]}`), 2: payload(2, 4, 5)}, "from shard 1 has rmi.latency.ns outside [0, 3074457345618258602]"},
+		{"a histogram count above its buckets", map[int][]byte{1: shard1(`"metrics":{"hists":[{},{"count":2,"buckets":[0,1]}]}`), 2: payload(2, 4, 5)}, "from shard 1 has live.poll.batch with a count that is not the sum of its buckets"},
+		// Six buckets at their share and one of 5 sum to 2^64 + 1: a sum that
+		// wraps would read the count.
+		{"a histogram count below its buckets", map[int][]byte{1: shard1(`"metrics":{"hists":[{"count":1,"buckets":[5,3074457345618258602,3074457345618258602,3074457345618258602,3074457345618258602,3074457345618258602,3074457345618258602]}]}`), 2: payload(2, 4, 5)}, "from shard 1 has rmi.latency.ns with a count that is not the sum of its buckets"},
 		{"a counter past its share of the total", map[int][]byte{1: shard1(`"acct":{"counters":{"am.handlers":3074457345618258603}}`), 2: payload(2, 4, 5)}, "from shard 1 has am.handlers outside [0, 3074457345618258602]"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -141,17 +145,18 @@ func trafficPayload(t testing.TB, shard int, nodes ...int) []byte {
 // FuzzClusterStats feeds arbitrary bytes as shard 1's stats payload to the
 // parent of a machine whose shard 2 reported traffic. Every input is refused
 // with an error naming shard 1, or it is merged: every machine-wide counter, charge and metrics counter is
-// then the sum of the shards' parts, and no part or total is negative. It
-// never panics.
+// then the sum of the shards' parts, no part or total is negative, and every
+// histogram count is the sum of its buckets. It never panics.
 func FuzzClusterStats(f *testing.F) {
 	for _, seed := range []string{
 		`{"shard":1,"nodes":[2,3]}`,
 		`{"shard":1,"nodes":[2,3],"acct":{"counters":{"am.handlers":-7}}}`,
 		`{"shard":1,"nodes":[2,3],"acct":{"buckets":[0,-1,0,0,0]}}`,
 		`{"shard":1,"nodes":[2,3],"metrics":{"counters":[0,0,0,0,-1]}}`,
-		`{"shard":1,"nodes":[2,3],"metrics":{"gauges":[{"last":0,"max":-1}]}}`,
+		`{"shard":1,"nodes":[2,3],"metrics":{"gauges":[{"max":-1}]}}`,
 		`{"shard":1,"nodes":[2,3],"metrics":{"hists":[{"count":-1}]}}`,
 		`{"shard":1,"nodes":[2,3],"metrics":{"hists":[{"buckets":[0,0,-3]}]}}`,
+		`{"shard":1,"nodes":[2,3],"metrics":{"hists":[{},{"count":2,"buckets":[0,1]}]}}`,
 		`{"shard":1,"nodes":[2,3],"acct":{"counters":{"am.handlers":9223372036854775807}}}`,
 		`{"shard":2,"nodes":[2,3]}`,
 		`{"shard":1,"nodes":[2]}`,
@@ -195,6 +200,9 @@ func FuzzClusterStats(f *testing.F) {
 			}
 			if f != "" {
 				t.Fatalf("merged a negative %s (shard %d; -1 is the machine-wide total)", f, ss.Shard)
+			}
+			if h := ss.Metrics.Miscounted(); h != "" {
+				t.Fatalf("merged %s with a count that is not the sum of its buckets (shard %d; -1 is the machine-wide total)", h, ss.Shard)
 			}
 		}
 	})

@@ -1,6 +1,6 @@
 // Package metrics is the wall-clock observability registry of the live
-// backends: atomic counters, gauges with high-water tracking, and
-// log-bucketed latency histograms with percentile extraction.
+// backends: atomic counters, high-water-mark gauges, and log-bucketed
+// latency histograms with percentile extraction.
 //
 // The design mirrors machine.Accounting — a closed enum of instruments in
 // fixed arrays, so bumping one on the hot path is an indexed atomic add with
@@ -16,7 +16,10 @@
 // multi-process machine snapshots its registries, ships them in a kStats
 // frame, and shard 0 merges them into one machine-wide report. Following the
 // Active Messages tradition, nothing here ever blocks or allocates on a
-// recording path: Add, Set, and Observe are a handful of atomic operations.
+// recording path: Add, Raise, and Observe are a handful of atomic operations,
+// and the registry keeps nothing that another of its values already says (a
+// gauge is only its high-water mark, a level being a difference of counters;
+// a histogram's count is the sum of its buckets, taken at Snapshot).
 package metrics
 
 import (
@@ -58,9 +61,9 @@ const (
 	// published into shared-memory shard rings (netlive producer side).
 	CtrShmFramesOut
 	CtrShmBytesOut
-	// CtrShmFramesIn / CtrShmBytesIn count frames and record bytes consumed
-	// from shared-memory shard rings (netlive consumer side).
-	CtrShmFramesIn
+	// CtrShmBytesIn counts record bytes consumed from shared-memory shard
+	// rings (netlive consumer side); the frames consumed are
+	// CtrShmFramesInProc + CtrShmFramesInReader.
 	CtrShmBytesIn
 	// CtrShmDoorbells counts doorbell frames sent to wake a parked ring
 	// consumer (the slow path of the spin-then-park protocol).
@@ -73,16 +76,18 @@ const (
 	CtrShmParkWakes
 	// CtrShmFragsOut / CtrShmFragsIn count the fragment records a frame over
 	// the ring's contiguity limit travels as. Such a frame still counts once
-	// in CtrShmFramesOut/In, so frames keep meaning packets.
+	// in CtrShmFramesOut and once in the consumer's split, so frames keep
+	// meaning packets.
 	CtrShmFragsOut
 	CtrShmFragsIn
 	// CtrLinkDropped counts frames dropped at a netlive shard link: queued
 	// for or sent to a link that had already failed or closed.
 	CtrLinkDropped
-	// CtrShmFramesInProc / CtrShmFramesInReader split CtrShmFramesIn (their
-	// sum) by who drained the ring: a node's own idle proc, polling before it
-	// blocks, or the shard's ring reader goroutine, the consumer of last
-	// resort, whose frames cost their destination a goroutine wake-up.
+	// CtrShmFramesInProc / CtrShmFramesInReader count the frames consumed
+	// from shared-memory shard rings (their sum) by who drained the ring: a
+	// node's own idle proc, polling before it blocks, or the shard's ring
+	// reader goroutine, the consumer of last resort, whose frames cost their
+	// destination a goroutine wake-up.
 	CtrShmFramesInProc
 	CtrShmFramesInReader
 	// CtrIdlePolls / CtrIdleParks classify how a live proc that parked and
@@ -101,7 +106,7 @@ const (
 var ctrNames = [numCtrs]string{
 	"live.notifies", "live.notify.batches", "live.notify.direct", "live.notify.dropped",
 	"net.frames.out", "net.bytes.out", "net.frames.in", "net.bytes.in",
-	"shm.frames.out", "shm.bytes.out", "shm.frames.in", "shm.bytes.in",
+	"shm.frames.out", "shm.bytes.out", "shm.bytes.in",
 	"shm.doorbells", "shm.wakes.spin", "shm.wakes.park",
 	"shm.fragments.out", "shm.fragments.in", "net.link.dropped",
 	"shm.frames.in.proc", "shm.frames.in.reader", "live.idle.polls", "live.idle.parks",
@@ -116,19 +121,20 @@ func (c Ctr) String() string {
 	return ctrNames[c]
 }
 
-// Gge names one gauge (a sampled level with a high-water mark).
+// Gge names one gauge: the high-water mark of a sampled level. The level
+// itself is not kept; where a report needs one, it is a difference of
+// counters already kept.
 type Gge int
 
 const (
-	// GgeNotifyDepth is a live node's pending count, sampled by the holder
-	// that takes it: its max is the deepest the count got, and it reads 0
-	// once a holder has run the arrival.
+	// GgeNotifyDepth is the deepest a live node's pending count got, sampled
+	// by the holder that takes it.
 	GgeNotifyDepth Gge = iota
-	// GgePeerRingDepth is the depth of a peer shard's writer ring, sampled at
-	// each cross-shard frame push (netlive message plane).
+	// GgePeerRingDepth is the deepest a peer shard's writer ring got, sampled
+	// at each cross-shard frame push (netlive message plane).
 	GgePeerRingDepth
-	// GgeShmRingDepth is the occupancy in bytes of a shared-memory shard
-	// ring, sampled at each record publish (netlive shm producer side).
+	// GgeShmRingDepth is the highest occupancy in bytes of a shared-memory
+	// shard ring, sampled at each record publish (netlive shm producer side).
 	GgeShmRingDepth
 	numGges
 )
@@ -176,10 +182,10 @@ func (h Hst) String() string {
 const histBuckets = 65
 
 // hist is one live histogram: power-of-two buckets plus sum and max, all
-// atomic. A single Observe is three atomic adds and a CAS-max.
+// atomic. A single Observe is two atomic adds and a load (a CAS too while it
+// raises the max). The count is not kept: Snapshot sums the buckets.
 type hist struct {
 	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64
 	max     atomic.Int64
 }
@@ -189,7 +195,6 @@ func (h *hist) observe(v int64) {
 		v = 0
 	}
 	h.buckets[bits.Len64(uint64(v))].Add(1)
-	h.count.Add(1)
 	h.sum.Add(v)
 	raise(&h.max, v)
 }
@@ -201,22 +206,11 @@ func raise(mark *atomic.Int64, v int64) {
 	}
 }
 
-// gauge is one live gauge: the last sampled level and its high-water mark.
-type gauge struct {
-	last atomic.Int64
-	max  atomic.Int64
-}
-
-func (g *gauge) set(v int64) {
-	g.last.Store(v)
-	raise(&g.max, v)
-}
-
 // Registry is one recording domain — a node, or a backend's message plane.
 // All methods are safe for concurrent use and allocation-free.
 type Registry struct {
 	ctrs [numCtrs]atomic.Int64
-	gges [numGges]gauge
+	gges [numGges]atomic.Int64
 	hsts [numHsts]hist
 }
 
@@ -229,8 +223,8 @@ func (r *Registry) Add(c Ctr, n int64) { r.ctrs[c].Add(n) }
 // Counter reads counter c.
 func (r *Registry) Counter(c Ctr) int64 { return r.ctrs[c].Load() }
 
-// Set samples gauge g at level v, updating its high-water mark.
-func (r *Registry) Set(g Gge, v int64) { r.gges[g].set(v) }
+// Raise samples gauge g at level v: its high-water mark becomes at least v.
+func (r *Registry) Raise(g Gge, v int64) { raise(&r.gges[g], v) }
 
 // Observe records v into histogram h. Durations are recorded as nanoseconds
 // (ObserveDur); size distributions as plain counts.
@@ -241,36 +235,38 @@ func (r *Registry) ObserveDur(h Hst, d time.Duration) { r.hsts[h].observe(int64(
 
 // Snapshot captures the registry's current state. Safe to call while
 // recorders run; each instrument is read atomically (the snapshot as a whole
-// is not a consistent cut, which merged reporting does not need).
+// is not a consistent cut, which merged reporting does not need). A
+// histogram's Count is the sum of the buckets this snapshot read, so it never
+// disagrees with them.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	for i := range r.ctrs {
 		s.Counters[i] = r.ctrs[i].Load()
 	}
 	for i := range r.gges {
-		s.Gauges[i] = GaugeSnap{Last: r.gges[i].last.Load(), Max: r.gges[i].max.Load()}
+		s.Gauges[i] = GaugeSnap{Max: r.gges[i].Load()}
 	}
 	for i := range r.hsts {
 		h := &r.hsts[i]
 		hs := &s.Hists[i]
-		hs.Count = h.count.Load()
 		hs.Sum = h.sum.Load()
 		hs.Max = h.max.Load()
 		for b := range h.buckets {
 			hs.Buckets[b] = h.buckets[b].Load()
+			hs.Count += hs.Buckets[b]
 		}
 	}
 	return s
 }
 
-// GaugeSnap is the snapshot of one gauge.
+// GaugeSnap is the snapshot of one gauge: its high-water mark.
 type GaugeSnap struct {
-	Last int64 `json:"last"`
-	Max  int64 `json:"max"`
+	Max int64 `json:"max"`
 }
 
 // HistSnap is the snapshot of one histogram: the raw log buckets travel so a
-// merged snapshot can still answer quantile queries.
+// merged snapshot can still answer quantile queries. Count is the sum of
+// Buckets.
 type HistSnap struct {
 	Count   int64              `json:"count"`
 	Sum     int64              `json:"sum"`
@@ -304,19 +300,6 @@ func (h HistSnap) Quantile(q float64) int64 {
 	return h.Max
 }
 
-// Sub returns the observations recorded since prev was taken: per-bucket,
-// count and sum differences between two snapshots of the same histogram
-// (prev must be the earlier one). Max stays the cumulative maximum — the
-// log buckets cannot recover the window's own max, so windowed quantiles
-// clamp against the overall max, a safe upper bound.
-func (h HistSnap) Sub(prev HistSnap) HistSnap {
-	out := HistSnap{Count: h.Count - prev.Count, Sum: h.Sum - prev.Sum, Max: h.Max}
-	for i := range out.Buckets {
-		out.Buckets[i] = h.Buckets[i] - prev.Buckets[i]
-	}
-	return out
-}
-
 // P50, P99 and P999 are the report percentiles.
 func (h HistSnap) P50() int64  { return h.Quantile(0.50) }
 func (h HistSnap) P99() int64  { return h.Quantile(0.99) }
@@ -348,11 +331,9 @@ func (s Snapshot) Gauge(g Gge) GaugeSnap { return s.Gauges[g] }
 // Hist reads histogram h from the snapshot.
 func (s Snapshot) Hist(h Hst) HistSnap { return s.Hists[h] }
 
-// Merge sums counters and histogram buckets and combines gauges across
-// snapshots — the machine-wide view from per-node (or per-shard) parts.
-// A gauge's Last and Max each take the largest part: the deepest any single
-// queue stood at snapshot time, and the deepest any ever got, so a merged
-// gauge never reads last above max.
+// Merge sums counters and histogram buckets and takes the largest part of
+// each gauge across snapshots — the machine-wide view from per-node (or
+// per-shard) parts: a merged gauge is the deepest any queue ever got.
 func Merge(snaps ...Snapshot) Snapshot {
 	var out Snapshot
 	for _, s := range snaps {
@@ -360,9 +341,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 			out.Counters[i] += v
 		}
 		for i, g := range s.Gauges {
-			if g.Last > out.Gauges[i].Last {
-				out.Gauges[i].Last = g.Last
-			}
 			if g.Max > out.Gauges[i].Max {
 				out.Gauges[i].Max = g.Max
 			}
@@ -393,12 +371,33 @@ func (s Snapshot) Outside(limit int64) string {
 		}
 	}
 	for i, g := range s.Gauges {
-		if out(g.Last) || out(g.Max) {
+		if out(g.Max) {
 			return Gge(i).String()
 		}
 	}
 	for i, h := range s.Hists {
 		if out(h.Count) || out(h.Sum) || out(h.Max) || slices.ContainsFunc(h.Buckets[:], out) {
+			return Hst(i).String()
+		}
+	}
+	return ""
+}
+
+// Miscounted names the first histogram of s whose count is not the sum of
+// its buckets, "" when there is none: Snapshot takes the count from the
+// buckets, so a snapshot where they differ was not recorded but made up. It
+// holds s to what Outside already checked, every field non-negative, and so
+// stops as soon as the buckets pass the count: the running difference then
+// cannot overflow.
+func (s Snapshot) Miscounted() string {
+	for i, h := range s.Hists {
+		rest := h.Count
+		for _, n := range h.Buckets {
+			if rest -= n; rest < 0 {
+				break
+			}
+		}
+		if rest != 0 {
 			return Hst(i).String()
 		}
 	}

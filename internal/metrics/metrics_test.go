@@ -11,14 +11,14 @@ func TestCountersAndGauges(t *testing.T) {
 	r := NewRegistry()
 	r.Add(CtrNotifies, 3)
 	r.Add(CtrNotifies, 2)
-	r.Set(GgeNotifyDepth, 7)
-	r.Set(GgeNotifyDepth, 4)
+	r.Raise(GgeNotifyDepth, 7)
+	r.Raise(GgeNotifyDepth, 4)
 	s := r.Snapshot()
 	if got := s.Counter(CtrNotifies); got != 5 {
 		t.Errorf("counter = %d, want 5", got)
 	}
-	if g := s.Gauge(GgeNotifyDepth); g.Last != 4 || g.Max != 7 {
-		t.Errorf("gauge = %+v, want last=4 max=7", g)
+	if g := s.Gauge(GgeNotifyDepth); g.Max != 7 {
+		t.Errorf("gauge = %+v, want max=7", g)
 	}
 }
 
@@ -73,16 +73,16 @@ func TestMerge(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
 	a.Add(CtrFramesOut, 10)
 	b.Add(CtrFramesOut, 5)
-	a.Set(GgePeerRingDepth, 3)
-	b.Set(GgePeerRingDepth, 9)
+	a.Raise(GgePeerRingDepth, 3)
+	b.Raise(GgePeerRingDepth, 9)
 	a.ObserveDur(HstWriterStall, time.Microsecond)
 	b.ObserveDur(HstWriterStall, time.Millisecond)
 	m := Merge(a.Snapshot(), b.Snapshot())
 	if m.Counter(CtrFramesOut) != 15 {
 		t.Errorf("merged counter = %d, want 15", m.Counter(CtrFramesOut))
 	}
-	if g := m.Gauge(GgePeerRingDepth); g.Last != 9 || g.Max != 9 {
-		t.Errorf("merged gauge = %+v, want last=9 max=9", g)
+	if g := m.Gauge(GgePeerRingDepth); g.Max != 9 {
+		t.Errorf("merged gauge = %+v, want max=9", g)
 	}
 	h := m.Hist(HstWriterStall)
 	if h.Count != 2 || h.Max != int64(time.Millisecond) {
@@ -101,7 +101,7 @@ func TestMerge(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	r := NewRegistry()
 	r.Add(CtrBytesIn, 4096)
-	r.Set(GgeNotifyDepth, 11)
+	r.Raise(GgeNotifyDepth, 11)
 	for i := 0; i < 100; i++ {
 		r.ObserveDur(HstRMILatency, time.Duration(i+1)*time.Microsecond)
 	}
@@ -124,7 +124,9 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 }
 
 // TestConcurrentRecording exercises every instrument from many goroutines so
-// the race detector sees the recording paths (CI runs this package -race).
+// the race detector sees the recording paths (CI runs this package -race),
+// and holds every snapshot taken meanwhile to a count that is the sum of its
+// buckets.
 func TestConcurrentRecording(t *testing.T) {
 	r := NewRegistry()
 	var wg sync.WaitGroup
@@ -135,10 +137,12 @@ func TestConcurrentRecording(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				r.Add(CtrNotifies, 1)
-				r.Set(GgeNotifyDepth, int64(i))
+				r.Raise(GgeNotifyDepth, int64(i))
 				r.Observe(HstPollBatch, int64(i%128))
 				if i%100 == 0 {
-					_ = r.Snapshot()
+					if h := r.Snapshot().Miscounted(); h != "" {
+						t.Errorf("a snapshot taken while recording has %s's count apart from its buckets", h)
+					}
 				}
 			}
 		}(w)
@@ -162,7 +166,7 @@ func TestRecordingAllocFree(t *testing.T) {
 	r := NewRegistry()
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Add(CtrNotifies, 1)
-		r.Set(GgeNotifyDepth, 5)
+		r.Raise(GgeNotifyDepth, 5)
 		r.ObserveDur(HstRMILatency, 3800*time.Nanosecond)
 	})
 	if allocs != 0 {
@@ -185,19 +189,5 @@ func TestNames(t *testing.T) {
 		if h.String() == "" {
 			t.Errorf("hist %d has no name", h)
 		}
-	}
-}
-
-// TestMergedGaugeLastNeverAboveMax: two parts that each stood at 2 with a high
-// water mark of 3 merge to last 2, max 3 — summing the lasts would read 4, a
-// level above the deepest either part ever reached.
-func TestMergedGaugeLastNeverAboveMax(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	for _, r := range []*Registry{a, b} {
-		r.Set(GgeNotifyDepth, 3)
-		r.Set(GgeNotifyDepth, 2)
-	}
-	if g := Merge(a.Snapshot(), b.Snapshot()).Gauge(GgeNotifyDepth); g.Last != 2 || g.Max != 3 {
-		t.Fatalf("merging two parts of {Last 2, Max 3} gives last=%d max=%d, want last 2, max 3", g.Last, g.Max)
 	}
 }

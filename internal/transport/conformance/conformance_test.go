@@ -69,7 +69,7 @@ func netSharded(t *testing.T, mod func(*netlive.Options)) {
 		if be.ShmActive() && out > 1+int64(min(be.Shard(), 1)) {
 			t.Errorf("shard %d: ring links, yet %d socket frames besides doorbells and waves: packets took the socket", be.Shard(), out)
 		}
-		if !be.ShmActive() && ctr(metrics.CtrShmFramesOut)+ctr(metrics.CtrShmFramesIn)+ctr(metrics.CtrShmDoorbells) != 0 {
+		if !be.ShmActive() && ctr(metrics.CtrShmFramesOut)+ctr(metrics.CtrShmFramesInProc)+ctr(metrics.CtrShmFramesInReader)+ctr(metrics.CtrShmDoorbells) != 0 {
 			t.Errorf("shard %d: socket links, yet ring counters moved", be.Shard())
 		}
 		if n := ctr(metrics.CtrLinkDropped); n != 0 {

@@ -259,15 +259,13 @@ func (nd *lnode) runPending() {
 
 // drain takes the pending count and runs the arrival function once for all
 // of it. The count only grows between two drains, so the swapped value is the
-// deepest it reached: the depth gauge samples it, then falls back to the zero
-// the count now reads, so a quiesced node reads 0.
+// deepest it reached, and the depth gauge, a high-water mark, is raised to it.
 //
 //mpmdvet:locked nd.mu
 //mpmd:hotpath
 func (nd *lnode) drain() {
 	n := int64(nd.pend.Swap(0))
-	nd.met.Set(metrics.GgeNotifyDepth, n)
-	nd.met.Set(metrics.GgeNotifyDepth, 0)
+	nd.met.Raise(metrics.GgeNotifyDepth, n)
 	nd.b.arrive(nd.id, false)
 	nd.met.Add(metrics.CtrNotifyBatches, 1)
 	nd.met.Observe(metrics.HstPollBatch, n)

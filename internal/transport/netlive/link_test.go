@@ -442,8 +442,8 @@ func TestShmFragments(t *testing.T) {
 	}
 	b.shutdownSockets() // waits for the consumer, which counts after it dispatches
 	out, in := a.MetricsSnapshot().Counter, b.MetricsSnapshot().Counter
-	if out(metrics.CtrShmFramesOut) != 5 || in(metrics.CtrShmFramesIn) != 5 {
-		t.Fatalf("frames out/in = %d/%d, want 5/5", out(metrics.CtrShmFramesOut), in(metrics.CtrShmFramesIn))
+	if framesIn := in(metrics.CtrShmFramesInProc) + in(metrics.CtrShmFramesInReader); out(metrics.CtrShmFramesOut) != 5 || framesIn != 5 {
+		t.Fatalf("frames out/in = %d/%d, want 5/5", out(metrics.CtrShmFramesOut), framesIn)
 	}
 	// ceil((12+2048)/1008) + ceil((12+20480)/1008) fragments.
 	if f := out(metrics.CtrShmFragsOut); f != 3+21 || in(metrics.CtrShmFragsIn) != f {

@@ -176,9 +176,9 @@ type Backend struct {
 	// or on a non-unix host).
 	shm *shmPlane
 
-	// remote is the machine's arrival upcall (SetRemoteHandler), atomic as
-	// its readers do not wait for the machine to be built.
-	remote atomic.Value // func(src, dst, size int, payload []byte) bool
+	// remote is the machine's arrival upcall (SetRemoteHandler). It is set
+	// before Run, and every goroutine that reads it starts in Run.
+	remote func(src, dst, size int, payload []byte) bool
 
 	// The end of the run (Quiesce). probe is set while a wave waits for this
 	// shard's counts: on the parent, whose reading opens each wave, from the
@@ -557,7 +557,7 @@ func (b *Backend) answered(c []byte) bool {
 
 // SetRemoteHandler implements transport.Sharded.
 func (b *Backend) SetRemoteHandler(fn func(src, dst, size int, payload []byte) bool) {
-	b.remote.Store(fn)
+	b.remote = fn
 }
 
 // SendRemote implements transport.Sharded: put the packet on the link to the
@@ -604,7 +604,7 @@ func putPacketHdr(b []byte, src, dst, size int) {
 // the bytes came from.
 //
 //mpmd:hotpath
-func (b *Backend) dispatchPacket(remote func(src, dst, size int, payload []byte) bool, from int, body []byte) bool {
+func (b *Backend) dispatchPacket(from int, body []byte) bool {
 	if len(body) < packetHdrLen {
 		return false
 	}
@@ -614,7 +614,7 @@ func (b *Backend) dispatchPacket(remote func(src, dst, size int, payload []byte)
 	if src >= b.n || b.ShardOf(src) != from || !b.IsLocal(dst) {
 		return false
 	}
-	return remote(src, dst, size, body[packetHdrLen:])
+	return b.remote(src, dst, size, body[packetHdrLen:])
 }
 
 // doorbell queues a kDoorbell frame naming this shard for shard s (to a
@@ -795,8 +795,7 @@ func (b *Backend) readLoop(conn net.Conn) {
 		}
 		switch kind {
 		case kPacket:
-			remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte) bool)
-			if remote == nil {
+			if b.remote == nil {
 				panic("netlive: packet frame before the machine installed its remote handler")
 			}
 			src := int(binary.LittleEndian.Uint32(body)) // minBody: a packet body holds its header
@@ -808,7 +807,7 @@ func (b *Backend) readLoop(conn net.Conn) {
 				b.inner.Abort(fmt.Errorf("netlive: shard %d: packet frame from shard %d on the socket of a ring link (the sender found no rings); connection abandoned", b.shard, from))
 				return
 			}
-			if !b.dispatchPacket(remote, from, body) {
+			if !b.dispatchPacket(from, body) {
 				buf.Release()
 				b.inner.Abort(fmt.Errorf("netlive: shard %d: peer sent a malformed packet frame (%d-byte body, claimed source node %d of shard %d); connection abandoned",
 					b.shard, n, src, b.ShardOf(src)))
@@ -928,7 +927,7 @@ func (p *peer) push(f outFrame) {
 	}
 	p.queued.Add(1)
 	p.mu.Unlock()
-	p.b.met.Set(metrics.GgePeerRingDepth, int64(depth))
+	p.b.met.Raise(metrics.GgePeerRingDepth, int64(depth))
 	p.cond.Signal() // the writer
 }
 

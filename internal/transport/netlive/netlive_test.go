@@ -16,6 +16,12 @@ import (
 	"repro/internal/transport/live"
 )
 
+// shmFramesIn is the ring frames a shard consumed: its idle procs' share
+// and its reader's.
+func shmFramesIn(s metrics.Snapshot) int64 {
+	return s.Counter(metrics.CtrShmFramesInProc) + s.Counter(metrics.CtrShmFramesInReader)
+}
+
 // shardRig is one shard's view of the machine: its own Backend, machine, AM
 // net, and schedulers for the local nodes only — exactly what one process of
 // a multi-process run builds, here constructed twice in one test process so
@@ -208,12 +214,12 @@ func twoShardsTraffic(t *testing.T, wantShm bool, mods ...func(*Options)) {
 	// The data frames traveled the transport the configuration promised.
 	snapA, snapB := a.be.MetricsSnapshot(), b.be.MetricsSnapshot()
 	if wantShm {
-		if snapA.Counter(metrics.CtrShmFramesOut) == 0 || snapB.Counter(metrics.CtrShmFramesIn) == 0 {
+		if snapA.Counter(metrics.CtrShmFramesOut) == 0 || shmFramesIn(snapB) == 0 {
 			t.Fatalf("shm enabled but rings carried no frames: out=%d in=%d",
-				snapA.Counter(metrics.CtrShmFramesOut), snapB.Counter(metrics.CtrShmFramesIn))
+				snapA.Counter(metrics.CtrShmFramesOut), shmFramesIn(snapB))
 		}
 	} else {
-		if snapA.Counter(metrics.CtrShmFramesOut) != 0 || snapB.Counter(metrics.CtrShmFramesIn) != 0 {
+		if snapA.Counter(metrics.CtrShmFramesOut) != 0 || shmFramesIn(snapB) != 0 {
 			t.Fatal("shm disabled but ring counters moved")
 		}
 	}
@@ -455,9 +461,9 @@ func TestTwoShardsStats(t *testing.T) {
 	// both sides, and the worker's counters reached the parent through the
 	// kStats payload — the wire told us, not local bookkeeping.
 	for i, ss := range cs.Shards {
-		if ss.Metrics.Counter(metrics.CtrShmFramesOut) == 0 || ss.Metrics.Counter(metrics.CtrShmFramesIn) == 0 {
+		if ss.Metrics.Counter(metrics.CtrShmFramesOut) == 0 || shmFramesIn(ss.Metrics) == 0 {
 			t.Fatalf("shard %d reported no shm data frames: out=%d in=%d", i,
-				ss.Metrics.Counter(metrics.CtrShmFramesOut), ss.Metrics.Counter(metrics.CtrShmFramesIn))
+				ss.Metrics.Counter(metrics.CtrShmFramesOut), shmFramesIn(ss.Metrics))
 		}
 	}
 	// The control plane still crosses the socket: the worker's kStats frame

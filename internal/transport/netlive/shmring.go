@@ -450,7 +450,7 @@ func (tx *shmTx) send(b *Backend, src, dst, size int, wp transport.FrameMarshale
 	tx.mu.Unlock()
 	b.met.Add(metrics.CtrShmFramesOut, 1)
 	b.met.Add(metrics.CtrShmBytesOut, int64(recHdrLen+uint64(n)))
-	b.met.Set(metrics.GgeShmRingDepth, int64(depth))
+	b.met.Raise(metrics.GgeShmRingDepth, int64(depth))
 	tx.kick(b)
 }
 
@@ -640,8 +640,9 @@ func (p *shmPlane) handBack() {
 }
 
 // shmDrain consumes the records in [rx.head, tail) for the holder of the
-// consumer lock; by is its share of CtrShmFramesIn. The handler's payload
-// points into the mapped ring, valid for the call only, and head is published
+// consumer lock; by counts the frames it consumes (CtrShmFramesInProc for a
+// proc, CtrShmFramesInReader for the reader). The handler's payload points
+// into the mapped ring, valid for the call only, and head is published
 // after the handler returns, so no slot is reused under it. Cursors and record
 // headers come from another process: each is held against the ring geometry
 // and the published tail before anything is indexed with it, and a value that
@@ -653,7 +654,6 @@ func (b *Backend) shmDrain(rx *shmRx, tail uint64, by metrics.Ctr) bool {
 	r := rx.r
 	data := r.data
 	head := rx.head
-	remote, _ := b.remote.Load().(func(src, dst, size int, payload []byte) bool)
 	frames, frags, recBytes := int64(0), int64(0), int64(0)
 	if tail-head > r.capB || head%8 != 0 {
 		return b.shmCorrupt(rx, "cursors outside the ring", head%r.capB, uint32(tail-head))
@@ -674,7 +674,7 @@ func (b *Backend) shmDrain(rx *shmRx, tail uint64, by metrics.Ctr) bool {
 		if recLen < recHdrLen || off+recLen > r.capB || align8(recLen) > tail-head {
 			return b.shmCorrupt(rx, "record runs past the published tail", off, word)
 		}
-		if remote == nil {
+		if b.remote == nil {
 			panic("netlive: shm packet frame before the machine installed its remote handler")
 		}
 		body := data[off+4 : off+recLen]
@@ -688,7 +688,7 @@ func (b *Backend) shmDrain(rx *shmRx, tail uint64, by metrics.Ctr) bool {
 			return b.shmCorrupt(rx, "whole record inside a fragmented packet", off, word)
 		}
 		if body != nil {
-			if !b.dispatchPacket(remote, rx.peer, body) {
+			if !b.dispatchPacket(rx.peer, body) {
 				return b.shmCorrupt(rx, "malformed packet body", off, word)
 			}
 			frames++
@@ -702,7 +702,6 @@ func (b *Backend) shmDrain(rx *shmRx, tail uint64, by metrics.Ctr) bool {
 		r.head.Store(head)
 		recBytes += int64(recLen)
 	}
-	b.met.Add(metrics.CtrShmFramesIn, frames)
 	b.met.Add(by, frames)
 	b.met.Add(metrics.CtrShmBytesIn, recBytes)
 	if frags != 0 {

@@ -108,10 +108,12 @@ type Sharded interface {
 	// Frames for a link that has failed or closed are dropped and counted.
 	SendRemote(src, dst, size int, wp FrameMarshaler)
 	// SetRemoteHandler installs the upcall for packets arriving from peer
-	// shards. fn runs on whichever backend goroutine consumes the link (a
-	// reader, or a proc of the shard polling while its node idles, with the
-	// node's CPU released); payload is valid only for the duration of the
-	// call (the backend recycles the frame memory). The bytes of a packet
+	// shards. It is called before Run (the machine installs it when it is
+	// built), and every goroutine that calls fn starts in Run, so fn is read
+	// without synchronization. fn runs on whichever backend goroutine
+	// consumes the link (a reader, or a proc of the shard polling while its
+	// node idles, with the node's CPU released); payload is valid only for
+	// the duration of the call (the backend recycles the frame memory). The bytes of a packet
 	// come from another process: fn reports false for a payload it cannot
 	// decode, which is malformed like any other frame that does not parse —
 	// the link it came on is abandoned with one error naming the peer shard.
